@@ -134,13 +134,6 @@ class CffiImpl:
             self._d(w), self._d(gs), self._d(dwdh),
         )
 
-    def counts(self, x, h, offsets, indices, n, dim, psel, pdiv, factor,
-               out):
-        self._lib.rp_counts(
-            self._d(x), self._d(h), self._i(offsets), self._i(indices),
-            n, dim, self._d(psel), self._d(pdiv), factor, self._i(out),
-        )
-
     def rowsum(self, offsets, indices, lo, hi, wgt, vals, out):
         self._lib.rp_rowsum(
             self._i(offsets), self._i(indices), lo, hi,
@@ -213,6 +206,29 @@ class CffiImpl:
 
     def tau_inv(self, tau, rows, dim, rcond, out):
         self._lib.rp_tau_inv(self._d(tau), rows, dim, rcond, self._d(out))
+
+    def _i_or_null(self, arr: Optional[np.ndarray]):
+        return self._ffi.NULL if arr is None else self._i(arr)
+
+    def walk(self, xw, radii, node_rmax, n, dim, psel, pdiv, center, half,
+             child_start, child_count, pstart, pend, order, include_self,
+             offsets, out):
+        self._lib.rp_walk(
+            self._d(xw), self._d(radii),
+            self._ffi.NULL if node_rmax is None else self._d(node_rmax),
+            n, dim, self._d(psel), self._d(pdiv), self._d(center),
+            self._d(half), self._i(child_start), self._i(child_count),
+            self._i(pstart), self._i(pend), self._i(order), include_self,
+            self._i_or_null(offsets), self._i(out),
+        )
+
+    def pairs_within(self, xw, radii, offsets, indices, n, dim, psel, pdiv,
+                     new_offsets, out):
+        self._lib.rp_pairs_within(
+            self._d(xw), self._d(radii), self._i(offsets), self._i(indices),
+            n, dim, self._d(psel), self._d(pdiv),
+            self._i_or_null(new_offsets), self._i(out),
+        )
 
 
 def load_cffi_impl() -> CffiImpl:

@@ -114,6 +114,13 @@ class CompiledOps:
             return False
         return True
 
+    @property
+    def has_search(self) -> bool:
+        """Whether the implementation carries the neighbour-search ops
+        (the C unit does; the numba mirrors do not — callers then run
+        the numpy search)."""
+        return hasattr(self.impl, "walk")
+
     # -- internals -----------------------------------------------------
     def _slice(self, lo: int, hi: int) -> _SliceCache:
         sc = self._slices.get((lo, hi))
@@ -223,19 +230,6 @@ class CompiledOps:
             _as_c(wgt, np.float64), _as_c(vals, np.float64), out,
         )
         return out
-
-    def neighbor_counts(
-        self, x: np.ndarray, h: np.ndarray, nlist, box, factor: float
-    ) -> np.ndarray:
-        dim = x.shape[1]
-        psel, pdiv = _pspans(box, dim)
-        counts = np.empty(nlist.n, dtype=np.int64)
-        self.impl.counts(
-            _as_c(x, np.float64), _as_c(h, np.float64),
-            nlist.offsets, nlist.indices, nlist.n, dim, psel, pdiv,
-            float(factor), counts,
-        )
-        return counts
 
     def iad_tau(
         self,
@@ -378,16 +372,14 @@ class CompiledOps:
             _as_c(x, np.float64), nlist.offsets, nlist.indices, 0, n, dim,
             psel, pdiv, r,
         )
-        if key is not None:
-            sc.keys["radii"] = key
+        sc.keys["radii"] = key  # None: the buffer no longer holds a memo
         return r
 
     def counts_from_radii(
         self, r: np.ndarray, h: np.ndarray, nlist, factor: float
     ) -> np.ndarray:
-        """Neighbour counts from precomputed radii — bitwise the same
-        ``r <= factor*h[i]`` predicate as :meth:`neighbor_counts`, at
-        one compare per pair."""
+        """Neighbour counts within ``factor*h[i]`` from precomputed radii
+        — bitwise the numpy ``r <= factor*h[i]``, one compare per pair."""
         counts = np.empty(nlist.n, dtype=np.int64)
         self.impl.counts_r(
             _as_c(r, np.float64), _as_c(h, np.float64), nlist.offsets,
@@ -440,6 +432,59 @@ class CompiledOps:
             self._filters.clear()
         self._filters[key] = sub
         return sub
+
+    # -- neighbour search ----------------------------------------------
+    @staticmethod
+    def _count_then_fill(n: int, run) -> Tuple[np.ndarray, np.ndarray]:
+        """Two-pass CSR assembly: ``run(None, counts)`` then
+        ``run(offsets, indices)``."""
+        counts = np.empty(n, dtype=np.int64)
+        run(None, counts)
+        offsets = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(counts, out=offsets[1:])
+        indices = np.empty(int(offsets[n]), dtype=np.int64)
+        run(offsets, indices)
+        return offsets, indices
+
+    def walk_neighbors(
+        self, tree, xw: np.ndarray, radii: np.ndarray,
+        node_rmax: Optional[np.ndarray], include_self: bool,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(offsets, indices)`` of the tree walk over ``tree``'s arrays.
+
+        ``xw`` are the box-wrapped positions; ``node_rmax`` is ``None``
+        for a gather walk.  Rows come back sorted ascending.
+        """
+        n, dim = xw.shape
+        psel, pdiv = _pspans(tree.box, dim)
+        args = (
+            _as_c(xw, np.float64), _as_c(radii, np.float64),
+            None if node_rmax is None else _as_c(node_rmax, np.float64),
+            n, dim, psel, pdiv,
+            _as_c(tree.center, np.float64), _as_c(tree.half, np.float64),
+            _as_c(tree.child_start, np.int64),
+            _as_c(tree.child_count, np.int64),
+            _as_c(tree.pstart, np.int64), _as_c(tree.pend, np.int64),
+            _as_c(tree.order, np.int64), int(include_self),
+        )
+        return self._count_then_fill(
+            n, lambda offsets, out: self.impl.walk(*args, offsets, out)
+        )
+
+    def pairs_within(
+        self, nlist, xw: np.ndarray, radii: np.ndarray, box
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(offsets, indices)`` of the pairs of ``nlist`` a symmetric
+        search at ``radii`` keeps (:meth:`NeighborList.within`)."""
+        n, dim = xw.shape
+        psel, pdiv = _pspans(box, dim)
+        args = (
+            _as_c(xw, np.float64), _as_c(radii, np.float64),
+            nlist.offsets, nlist.indices, n, dim, psel, pdiv,
+        )
+        return self._count_then_fill(
+            n, lambda offsets, out: self.impl.pairs_within(*args, offsets, out)
+        )
 
     def tau_inverse(
         self, tau: np.ndarray, dim: int, rcond: float

@@ -26,7 +26,11 @@ Design notes:
 * ``sin``/``cos`` for the sinc-family kernels use the shared Taylor
   polynomials (:mod:`repro.backend.poly`) after an exact split-at-pi/2
   reduction; integer powers use multiply chains.  No ``-ffast-math``
-  anywhere — the compiled backends are run at strict IEEE semantics.
+  anywhere.  The compiler may still contract ``a*b + c`` into one FMA
+  in the pair loops (an ulp, inside the backend tolerance); the
+  neighbour-search section at the end of the unit switches that off,
+  because there an ulp decides whether a pair on the cutoff is a
+  neighbour.
 * Row accumulations walk each CSR row in ascending pair order, the same
   order ``np.bincount`` applies its weights, so row sums match the
   reference given identical per-pair values.
@@ -48,10 +52,6 @@ void rp_pair_kernel(const double *x, const double *h, const double *whn,
                     const double *psel, const double *pdiv, int kind,
                     double p1, int want, int side, double *w, double *gs,
                     double *dwdh);
-void rp_counts(const double *x, const double *h, const int64_t *offsets,
-               const int64_t *indices, int64_t n, int dim,
-               const double *psel, const double *pdiv, double factor,
-               int64_t *counts);
 void rp_rowsum(const int64_t *offsets, const int64_t *indices, int64_t lo,
                int64_t hi, const double *wgt, const double *vals,
                double *out);
@@ -93,6 +93,18 @@ void rp_filter_fill(const int64_t *offsets, const int64_t *indices,
                     int64_t *new_indices);
 void rp_tau_inv(const double *tau, int64_t rows, int dim, double rcond,
                 double *out);
+void rp_walk(const double *xw, const double *radii, const double *node_rmax,
+             int64_t n, int dim, const double *psel, const double *pdiv,
+             const double *center, const double *half,
+             const int64_t *child_start, const int64_t *child_count,
+             const int64_t *pstart, const int64_t *pend,
+             const int64_t *order, int include_self, const int64_t *offsets,
+             int64_t *out);
+void rp_pairs_within(const double *xw, const double *radii,
+                     const int64_t *offsets, const int64_t *indices,
+                     int64_t n, int dim, const double *psel,
+                     const double *pdiv, const int64_t *new_offsets,
+                     int64_t *out);
 """
 
 
@@ -362,26 +374,6 @@ void rp_pair_kernel(const double *x, const double *h, const double *whn,
     }
 }
 
-/* Neighbour counts within factor*h[i]; the predicate is pure rational
- * arithmetic, bitwise identical to the numpy h-iteration. */
-void rp_counts(const double *x, const double *h, const int64_t *offsets,
-               const int64_t *indices, int64_t n, int dim,
-               const double *psel, const double *pdiv, double factor,
-               int64_t *counts)
-{
-    for (int64_t i = 0; i < n; ++i) {
-        const double rmax = factor * h[i];
-        int64_t c = 0;
-        for (int64_t k = offsets[i]; k < offsets[i + 1]; ++k) {
-            double dx[3];
-            const double r = rp_sep(x, i, indices[k], dim, psel, pdiv, dx);
-            if (r <= rmax)
-                ++c;
-        }
-        counts[i] = c;
-    }
-}
-
 /* Row sums of wgt[j] * vals[pair] in ascending pair order (the order
  * np.bincount applies weights). */
 void rp_rowsum(const int64_t *offsets, const int64_t *indices, int64_t lo,
@@ -644,10 +636,10 @@ void rp_radii(const double *x, const int64_t *offsets,
     }
 }
 
-/* Neighbour counts from precomputed radii: the predicate is the same
- * r <= factor*h[i] as rp_counts on radii the same rp_sep produced, so
- * the counts stay bitwise-identical while each h-iteration sweep costs
- * one branchless compare per pair instead of a full separation pass. */
+/* Neighbour counts from precomputed radii: r <= factor*h[i] on the
+ * rp_sep radii is pure rational arithmetic, bitwise the numpy
+ * h-iteration's predicate, and each sweep costs one branchless compare
+ * per pair instead of a separation pass. */
 void rp_counts_r(const double *r, const double *h, const int64_t *offsets,
                  int64_t n, double factor, int64_t *counts)
 {
@@ -744,6 +736,147 @@ void rp_tau_inv(const double *tau, int64_t rows, int dim, double rcond,
             o[7] = (b * g - a * hh) / det;
             o[8] = (a * e - b * d) / det;
         }
+    }
+}
+
+/* ---- Neighbour search.  From here to the end of the unit a*b + c is
+ * never contracted into a fused multiply-add: a search decides set
+ * membership on r2 <= cutoff*cutoff, and an r2 that differs from the
+ * numpy value in its last bit moves a pair sitting on the cutoff to the
+ * other side (the pair loops above only feed sums, where the ulp is
+ * covered by the backend tolerance, and keep the FMAs). ---- */
+#pragma STDC FP_CONTRACT OFF
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC optimize("fp-contract=off") /* gcc ignores the ISO pragma */
+#endif
+
+/* Pair acceptance of the neighbour searches, mirroring pairs_in_range
+ * (tree/neighborlist.py): r2 <= cutoff*cutoff on the wrapped positions,
+ * cutoff = radii[i] (gather) or max(radii[i], radii[j]) (symmetric). */
+static inline int rp_in_range(const double *xw, const double *radii,
+                              int64_t i, int64_t j, int dim,
+                              const double *psel, const double *pdiv,
+                              int symmetric)
+{
+    double r2 = 0.0;
+    for (int d = 0; d < dim; ++d) {
+        double t = xw[i * dim + d] - xw[j * dim + d];
+        t -= psel[d] * rint(t / pdiv[d]);
+        r2 += t * t;
+    }
+    double cutoff = radii[i];
+    if (symmetric && radii[j] > cutoff)
+        cutoff = radii[j];
+    return r2 <= cutoff * cutoff;
+}
+
+/* Ascending in-place sort of one CSR row (Shell sort, Ciura gaps: rows
+ * hold a few hundred entries). */
+static void rp_sort_row(int64_t *a, int64_t n)
+{
+    static const int64_t gaps[8] = {701, 301, 132, 57, 23, 10, 4, 1};
+    for (int g = 0; g < 8; ++g) {
+        const int64_t gap = gaps[g];
+        for (int64_t k = gap; k < n; ++k) {
+            const int64_t v = a[k];
+            int64_t m = k;
+            for (; m >= gap && a[m - gap] > v; m -= gap)
+                a[m] = a[m - gap];
+            a[m] = v;
+        }
+    }
+}
+
+/* A DFS holds at most (2^dim - 1) siblings per level plus the node in
+ * hand: 21 levels * 7 + 1 in 3-D, 31 * 3 + 1 in 2-D, 62 + 1 in 1-D. */
+#define RP_WALK_STACK 160
+
+/* Neighbour discovery by depth-first tree walk over the Octree arrays —
+ * Octree.walk_neighbors in C.  A node is opened when the (periodic-aware)
+ * distance from the query to its box is within max(radii[i],
+ * node_rmax[node]) (node_rmax NULL = gather mode: radii[i] alone); leaf
+ * particles pass rp_in_range.  Both tests repeat the numpy walk's
+ * arithmetic, so the accepted set is the same set.  Call twice: with
+ * offsets NULL, out[i] receives the row count; with the cumulated
+ * offsets, out receives the rows, each sorted ascending.  Queries run
+ * in Morton order so consecutive walks touch the same nodes. */
+void rp_walk(const double *xw, const double *radii, const double *node_rmax,
+             int64_t n, int dim, const double *psel, const double *pdiv,
+             const double *center, const double *half,
+             const int64_t *child_start, const int64_t *child_count,
+             const int64_t *pstart, const int64_t *pend,
+             const int64_t *order, int include_self, const int64_t *offsets,
+             int64_t *out)
+{
+    const int symmetric = node_rmax != 0;
+    int64_t stack[RP_WALK_STACK];
+    for (int64_t q = 0; q < n; ++q) {
+        const int64_t i = order[q];
+        const double *xq = xw + i * dim;
+        int64_t *row = offsets ? out + offsets[i] : 0;
+        int64_t c = 0;
+        int top = 0;
+        stack[top++] = 0;
+        while (top > 0) {
+            const int64_t k = stack[--top];
+            double d2 = 0.0;
+            for (int d = 0; d < dim; ++d) {
+                double t = xq[d] - center[k * dim + d];
+                t -= psel[d] * rint(t / pdiv[d]);
+                const double e = fabs(t) - half[k * dim + d];
+                if (e > 0.0)
+                    d2 += e * e;
+            }
+            double cutoff = radii[i];
+            if (symmetric && node_rmax[k] > cutoff)
+                cutoff = node_rmax[k];
+            if (!(d2 <= cutoff * cutoff))
+                continue;
+            const int64_t nchild = child_count[k];
+            for (int64_t ch = 0; ch < nchild; ++ch)
+                stack[top++] = child_start[k] + ch;
+            if (nchild)
+                continue;
+            for (int64_t p = pstart[k]; p < pend[k]; ++p) {
+                const int64_t j = order[p];
+                if ((include_self || j != i)
+                    && rp_in_range(xw, radii, i, j, dim, psel, pdiv,
+                                   symmetric)) {
+                    if (row)
+                        row[c] = j;
+                    ++c;
+                }
+            }
+        }
+        if (row)
+            rp_sort_row(row, c);
+        else
+            out[i] = c;
+    }
+}
+
+/* The pairs of a CSR list that a symmetric search at radii would keep
+ * (NeighborList.within): same two-pass protocol as rp_walk, rows keep
+ * their order. */
+void rp_pairs_within(const double *xw, const double *radii,
+                     const int64_t *offsets, const int64_t *indices,
+                     int64_t n, int dim, const double *psel,
+                     const double *pdiv, const int64_t *new_offsets,
+                     int64_t *out)
+{
+    for (int64_t i = 0; i < n; ++i) {
+        int64_t *row = new_offsets ? out + new_offsets[i] : 0;
+        int64_t c = 0;
+        for (int64_t k = offsets[i]; k < offsets[i + 1]; ++k) {
+            const int64_t j = indices[k];
+            if (rp_in_range(xw, radii, i, j, dim, psel, pdiv, 1)) {
+                if (row)
+                    row[c] = j;
+                ++c;
+            }
+        }
+        if (!row)
+            out[i] = c;
     }
 }
 """

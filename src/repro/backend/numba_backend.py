@@ -216,18 +216,6 @@ def _pair_kernel(x, h, whn, whn1, offsets, indices, lo, hi, dim, psel,
                 dwdh[o] = (-wn1) * (float(dim) * f + q * fp)
 
 
-def _counts(x, h, offsets, indices, n, dim, psel, pdiv, factor, counts):
-    dx = np.empty(3)
-    for i in range(n):
-        rmax = factor * h[i]
-        c = 0
-        for k in range(offsets[i], offsets[i + 1]):
-            r = _sep(x, i, indices[k], dim, psel, pdiv, dx)
-            if r <= rmax:
-                c += 1
-        counts[i] = c
-
-
 def _rowsum(offsets, indices, lo, hi, wgt, vals, out):
     k0 = offsets[lo]
     for i in range(lo, hi):
@@ -507,7 +495,7 @@ def _tau_inv(tau, rows, dim, rcond, out):
 #: compiled dispatchers through module globals.
 _JIT_ORDER = (
     "_sinpoly", "_cospoly", "_sincos", "_powi", "_pow_pos", "_sep",
-    "_shape", "_pair_kernel", "_counts", "_rowsum", "_iad_tau",
+    "_shape", "_pair_kernel", "_rowsum", "_iad_tau",
     "_div_curl", "_forces", "_pair_gradients", "_radii", "_counts_r",
     "_filter_count", "_filter_fill", "_tau_inv",
 )
@@ -534,10 +522,6 @@ class NumbaImpl:
                     psel, pdiv, kind, p1, want, side, w, gs, dwdh):
         _pair_kernel(x, h, whn, whn1, offsets, indices, lo, hi, dim, psel,
                      pdiv, kind, p1, want, side, w, gs, dwdh)
-
-    def counts(self, x, h, offsets, indices, n, dim, psel, pdiv, factor,
-               out):
-        _counts(x, h, offsets, indices, n, dim, psel, pdiv, factor, out)
 
     def rowsum(self, offsets, indices, lo, hi, wgt, vals, out):
         _rowsum(offsets, indices, lo, hi, wgt, vals, out)

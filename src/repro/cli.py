@@ -185,6 +185,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 "guard": rep.guard.as_dict() if rep.guard is not None else None,
                 "sdc": rep.sdc,
                 "backend": rep.backend,
+                "neighbor_cache": rep.neighbor_cache,
                 "tuning": rep.tuning,
             }
             print(json.dumps(summary, indent=2))

@@ -388,6 +388,15 @@ class Simulation:
         self._pair_tokens = (tg, th, tv)
         self._pair_ctx.set_tokens(tg, th, tv)
 
+    def _ensure_tree(self) -> Octree:
+        """The octree over the current positions (built at most once per
+        rate evaluation; gravity requires an open cube, neighbour walks
+        honor the periodic box — the periodic-Z square patch never
+        enables gravity, so one box serves both)."""
+        if self._tree is None:
+            self._tree = Octree.build(self.particles.x, self.box, leaf_size=48)
+        return self._tree
+
     def _pair_token_param(self):
         """Token tuple for pool workers (None = engine off)."""
         return self._pair_tokens if self._pair_ctx is not None else None
@@ -434,34 +443,36 @@ class Simulation:
         if self._ncache is not None:
             cached = self._ncache.lookup(p.x, p.h, self.box)
 
-        needs_tree = cfg.neighbor_search == "tree-walk" or cfg.gravity is not None
+        # Self-gravity only applies to open-boundary scenarios (the paper
+        # runs the periodic-Z square patch without gravity on every code,
+        # gravity-capable or not — Table 5).
+        gravity_on = cfg.gravity is not None and not bool(np.any(self.box.periodic))
+        tree_walk = cfg.neighbor_search == "tree-walk"
+        self._tree = None
         with tr.phase(Phase.TREE_BUILD.letter, State.USEFUL, self.rank):
-            if needs_tree:
-                # Gravity requires an open cube; neighbour walks honor the
-                # periodic box.  With both, the periodic-Z square patch
-                # never enables gravity, so the box choice is consistent.
-                self._tree = Octree.build(p.x, self.box, leaf_size=48)
-            else:
-                self._tree = None
+            # Built only when something consumes it this evaluation: the
+            # gravity walk, or the neighbour walk of a cache miss.  (A
+            # cache hit whose h out-grows the list builds it on demand.)
+            if gravity_on or (tree_walk and cached is None):
+                self._ensure_tree()
 
         with tr.phase(Phase.NEIGHBOR_SEARCH.letter, State.USEFUL, self.rank):
-            if cfg.neighbor_search == "tree-walk":
-                tree = self._tree
+            if tree_walk:
 
                 def search(x, radii, box, mode):
-                    return tree.walk_neighbors(x, radii, mode=mode)
+                    return self._ensure_tree().walk_neighbors(
+                        x, radii, mode=mode, ops=self.backend.ops
+                    )
 
             else:
                 search = None  # default cell grid inside adapt
 
         with tr.phase(Phase.SMOOTHING_LENGTH.letter, State.USEFUL, self.rank):
             if cached is not None:
-                cached = adapt_from_cached_list(
+                self._nlist = adapt_from_cached_list(
                     p, cached, self.box, self._smoothing, self._ncache,
-                    ctx=self._pair_ctx, backend=self.backend,
+                    ctx=self._pair_ctx, backend=self.backend, search=search,
                 )
-            if cached is not None:
-                self._nlist = cached
             else:
                 self._nlist = adapt_smoothing_lengths(
                     p, self.box, self._smoothing, search=search,
@@ -573,10 +584,7 @@ class Simulation:
 
         self._last_gravity_p2p = 0
         self._last_gravity_m2p = 0
-        # Self-gravity only applies to open-boundary scenarios (the paper
-        # runs the periodic-Z square patch without gravity on every code,
-        # gravity-capable or not — Table 5).
-        if cfg.gravity is not None and not bool(np.any(self.box.periodic)):
+        if gravity_on:
             softening = cfg.gravity_softening_factor * float(p.h.mean())
             if engine is not None:
                 grav = engine.gravity(
@@ -830,6 +838,7 @@ class Simulation:
         s = self._ncache.stats
         return {
             "builds": s.builds,
+            "searches": s.searches,
             "hits": s.hits,
             "misses_displacement": s.misses_displacement,
             "misses_h_change": s.misses_h_change,

@@ -148,6 +148,7 @@ def format_neighbor_cache(stats) -> str:
     """One-line report of a Verlet-cache run (hit rate + invalidations)."""
     hits = _get(stats, "hits")
     builds = _get(stats, "builds")
+    searches = _get(stats, "searches")
     m_disp = _get(stats, "misses_displacement")
     m_h = _get(stats, "misses_h_change")
     m_shape = _get(stats, "misses_shape")
@@ -155,7 +156,7 @@ def format_neighbor_cache(stats) -> str:
     hit_rate = _get(stats, "hit_rate", hits / lookups if lookups else 0.0)
     return (
         f"neighbor-cache: hit_rate={hit_rate:5.3f} "
-        f"(hits={hits}, builds={builds}, "
+        f"(hits={hits}, builds={builds} in {searches} searches, "
         f"invalidated: displacement={m_disp}, "
         f"h-change={m_h}, cold/shape={m_shape})"
     )

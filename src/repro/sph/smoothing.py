@@ -8,8 +8,15 @@ fixed-point iteration
     h <- h/2 * (1 + (n_target / n_i)^(1/dim))
 
 which converges in a handful of sweeps because the neighbour count scales
-like ``h^dim`` in locally-uniform distributions.  Each sweep re-runs the
-neighbour search with the updated radii.
+like ``h^dim`` in locally-uniform distributions.
+
+One list build costs one neighbour search: the sweeps re-count off the
+pair separations of a single symmetric list, which holds every gather
+neighbour while ``h`` stays inside the radius it was searched at.  Only an
+iterate that out-grows that radius triggers another search (from the
+current iterate, padded by :data:`GROWTH_PAD`), and the converged list is
+cut from the searched one by :meth:`NeighborList.within` — array for array
+what a fresh search at the final ``h`` returns.
 """
 
 from __future__ import annotations
@@ -48,6 +55,15 @@ class SmoothingConfig:
             raise ValueError(f"tolerance must be in (0, 1), got {self.tolerance}")
 
 
+#: Radius head-room of a re-search.  The damped update multiplies ``h`` by
+#: at most ``(1 + n_target**(1/dim)) / 2`` per sweep but by a few per cent
+#: once counts are near the target, which is when a budget is out-grown;
+#: 10 % covers the rest of the iteration at 1.33x the pairs in 3-D.  The
+#: first search of a build is never padded: its list is the run's peak
+#: allocation.
+GROWTH_PAD = 1.1
+
+
 def update_smoothing_lengths(
     h: np.ndarray, counts: np.ndarray, n_target: int, dim: int
 ) -> np.ndarray:
@@ -65,71 +81,36 @@ def adapt_smoothing_lengths(
     ctx=None,
     backend=None,
 ) -> NeighborList:
-    """Iterate h and the neighbour search until counts hit the target band.
+    """Build a neighbour list: search, iterate h, cut the list to fit.
 
     Updates ``particles.h`` in place and returns the final neighbour list
-    (symmetric mode, self-pair included) ready for the SPH kernels.
+    (symmetric mode, self-pair included, rows ascending) ready for the SPH
+    kernels — the list a search at the converged ``h`` returns.
 
     ``search`` defaults to the cell-grid path; pass
     ``octree.walk_neighbors``-compatible callables to use the tree walk.
 
-    With a :class:`~repro.tree.neighborlist.VerletNeighborCache`, every
-    search uses the padded radius ``(1 + skin) * 2 h`` and the final
-    (padded) list is stored in the cache together with the reference
-    ``x``/``h``; the driver serves subsequent steps from the cache until a
-    particle out-drifts the skin.  The neighbour *counts* driving the h
-    iteration are unaffected: they are always re-filtered to the true
-    gather support ``r <= 2 h_i``.
+    With a :class:`~repro.tree.neighborlist.VerletNeighborCache`, lists
+    have the padded radius ``(1 + skin) * 2 h`` and the final (padded)
+    list is stored in the cache together with the reference ``x``/``h``;
+    the driver serves subsequent steps from the cache until a particle
+    out-drifts the skin.  The neighbour *counts* driving the h iteration
+    are unaffected: they are always filtered to the true gather support
+    ``r <= 2 h_i``.
 
     ``ctx`` is an optional :class:`~repro.sph.pair_engine.PairContext`:
-    each sweep's pair geometry is then computed through (and left primed
-    in) the context, so the SPH phases that follow reuse the final
-    list's ``(i, j, dx, r)`` block instead of recomputing it.
+    pair geometry is then computed through (and the final list left
+    primed in) the context, so the SPH phases that follow reuse its
+    ``(i, j, dx, r)`` block instead of recomputing it.
 
-    With a compiled ``backend`` the per-sweep counts come from a single
-    fused pass (``repro.backend`` ``neighbor_counts``) whose separation
-    arithmetic is bitwise-identical to the numpy expression, so the h
-    trajectory — and therefore every downstream neighbour list — is
-    exactly the same; the context priming is skipped because the
-    compiled phases do not consume context products.
+    With a compiled ``backend`` the separations and per-sweep counts come
+    from ``repro.backend`` ops whose arithmetic is bitwise-identical to
+    the numpy expressions, so the h trajectory — and therefore every
+    downstream neighbour list — is exactly the same; the context priming
+    is skipped because the compiled phases do not consume context
+    products.
     """
-    ops = backend.ops if backend is not None else None
-    if search is None:
-        search = lambda x, radii, box, mode: cell_grid_search(  # noqa: E731
-            x, radii, box, mode=mode
-        )
-    dim = particles.dim
-    factor = 2.0 if cache is None else cache.search_factor
-    nlist = search(particles.x, factor * particles.h, box, "symmetric")
-    for _ in range(config.max_iterations):
-        # Count only gather neighbours (r <= 2 h_i): recompute from the
-        # symmetric list so no extra search is needed.
-        if ops is not None:
-            counts = ops.neighbor_counts(
-                particles.x, particles.h, nlist, box, 2.0
-            )
-        else:
-            if ctx is not None:
-                pc = ctx.bind(particles.x, nlist, box)
-                i, r = pc.i, pc.r
-            else:
-                i, _ = nlist.pairs()
-                _, r = nlist.pair_geometry(particles.x, box)
-            within = r <= 2.0 * particles.h[i]
-            counts = np.bincount(i[within], minlength=particles.n)
-        rel_err = np.abs(counts - config.n_target) / config.n_target
-        if float(rel_err.max(initial=0.0)) <= config.tolerance:
-            break
-        h_new = update_smoothing_lengths(particles.h, counts, config.n_target, dim)
-        particles.h[:] = np.clip(h_new, config.h_min, config.h_max)
-        particles.bump_epoch("h")
-        nlist = search(particles.x, factor * particles.h, box, "symmetric")
-    if cache is not None:
-        cache.store(nlist, particles.x, particles.h)
-    if ctx is not None and ops is None:
-        # Prime the final list so downstream phases bind as a pure reuse.
-        ctx.bind(particles.x, nlist, box)
-    return nlist
+    return _adapt(particles, box, config, search, cache, ctx, backend)
 
 
 def adapt_from_cached_list(
@@ -140,69 +121,92 @@ def adapt_from_cached_list(
     cache: VerletNeighborCache | None = None,
     ctx=None,
     backend=None,
-) -> NeighborList | None:
-    """Run the h iteration off a cached padded list — no fresh search.
+    search: Callable[..., NeighborList] | None = None,
+) -> NeighborList:
+    """Run the h iteration off a cached padded list.
 
     While every iterate stays inside the cache's h-growth budget
-    (:meth:`~repro.tree.neighborlist.VerletNeighborCache.covers`), the
+    (:attr:`~repro.tree.neighborlist.VerletNeighborCache.h_budget`), the
     neighbour counts filtered to ``r <= 2 h_i`` computed from the padded
     list are *exact*, so the damped fixed-point iteration takes exactly
-    the same h trajectory a fresh-search adaptation would.  Returns the
-    padded list on success.
+    the h trajectory a fresh-search adaptation would, and the cached list
+    is returned untouched — no search.
 
-    If an iterate out-grows the budget, ``particles.h`` is restored to
-    its entry value, the cache is invalidated (the provisional lookup hit
-    is re-counted as an h-change miss) and ``None`` is returned — the
-    caller then falls back to :func:`adapt_smoothing_lengths`, which
-    replays the identical iteration with real searches.
+    An iterate that out-grows the budget turns the call into a build: the
+    iteration carries on from that iterate off a fresh ``search`` and the
+    new list replaces the cached one, as in
+    :func:`adapt_smoothing_lengths`.
     """
     if cache is None:
         raise ValueError("adapt_from_cached_list requires the owning cache")
-    dim = particles.dim
+    return _adapt(
+        particles, box, config, search, cache, ctx, backend, nlist, cache.h_budget
+    )
+
+
+def _adapt(
+    particles, box, config, search, cache, ctx, backend, nlist=None, budget=None
+):
+    """The h iteration; ``nlist``/``budget`` hand in a cached list to start on.
+
+    ``budget`` is the per-particle ``h`` up to which the list in hand both
+    counts exactly and contains the final list.
+    """
     ops = backend.ops if backend is not None else None
-    if ops is not None:
-        # One compiled separation pass per call (memoized on the
-        # geometry token, so the support filter reuses it); each sweep
-        # below is then a single compare per pair — mirroring how the
-        # numpy path computes ``r`` once and re-filters per iteration.
-        r_pairs = ops.pair_radii(
-            particles.x, nlist, box,
-            tokens=ctx.tokens if ctx is not None else None,
+    if search is None:
+        search = lambda x, radii, box, mode: cell_grid_search(  # noqa: E731
+            x, radii, box, mode=mode
         )
-    else:
-        if ctx is not None:
-            pc = ctx.bind(particles.x, nlist, box)
-            i, r = pc.i, pc.r
-        else:
-            i, _ = nlist.pairs()
-            _, r = nlist.pair_geometry(particles.x, box)
-    h_entry = particles.h.copy()
-
-    def bail() -> None:
-        particles.h[:] = h_entry
-        particles.bump_epoch("h")
-        cache.stats.hits -= 1
-        cache.stats.misses_h_change += 1
-        cache.invalidate()
-
-    for _ in range(config.max_iterations):
-        if not cache.covers(particles.h):
-            bail()
-            return None
+    factor = 2.0 if cache is None else cache.search_factor
+    built = False
+    i = r = None
+    sweeps = 0
+    while True:
+        if nlist is None or np.any(particles.h > budget):
+            # The first search of a build is exact-radius; a re-search
+            # starts from the iterate that out-grew the last one.
+            budget = particles.h * (1.0 if nlist is None else GROWTH_PAD)
+            nlist = search(particles.x, factor * budget, box, "symmetric")
+            if cache is not None:
+                cache.stats.searches += 1
+            built = True
+            r = None
+        if sweeps == config.max_iterations:
+            break
+        if r is None:
+            i, r = _pair_radii(particles.x, nlist, box, ctx, ops, share=not built)
+        # Count only gather neighbours (r <= 2 h_i) off the symmetric list.
         if ops is not None:
-            counts = ops.counts_from_radii(
-                r_pairs, particles.h, nlist, 2.0
-            )
+            counts = ops.counts_from_radii(r, particles.h, nlist, 2.0)
         else:
-            within = r <= 2.0 * particles.h[i]
-            counts = np.bincount(i[within], minlength=particles.n)
+            counts = np.bincount(i[r <= 2.0 * particles.h[i]], minlength=particles.n)
         rel_err = np.abs(counts - config.n_target) / config.n_target
         if float(rel_err.max(initial=0.0)) <= config.tolerance:
             break
-        h_new = update_smoothing_lengths(particles.h, counts, config.n_target, dim)
+        h_new = update_smoothing_lengths(
+            particles.h, counts, config.n_target, particles.dim
+        )
         particles.h[:] = np.clip(h_new, config.h_min, config.h_max)
         particles.bump_epoch("h")
-    if not cache.covers(particles.h):
-        bail()
-        return None
+        sweeps += 1
+    if built:
+        nlist = nlist.within(particles.x, factor * particles.h, box, ops)
+        if cache is not None:
+            cache.store(nlist, particles.x, particles.h)
+    if ctx is not None and ops is None:
+        # Prime the final list so downstream phases bind as a pure reuse.
+        ctx.bind(particles.x, nlist, box)
     return nlist
+
+
+def _pair_radii(x, nlist, box, ctx, ops, share):
+    """``(pair_i, r)`` of ``nlist`` — once per list, re-filtered per sweep."""
+    if ops is not None:
+        # A cached list is also the list the phases run over: memoize its
+        # separations on the geometry token for their support filter.
+        tokens = ctx.tokens if share and ctx is not None else None
+        return None, ops.pair_radii(x, nlist, box, tokens=tokens)
+    if ctx is not None:
+        pc = ctx.bind(x, nlist, box)
+        return pc.i, pc.r
+    return nlist.pair_i(), nlist.pair_geometry(x, box)[1]

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .box import Box
-from .neighborlist import NeighborList
+from .neighborlist import NeighborList, canonical_rows, pairs_in_range
 
 __all__ = ["CellGrid", "cell_grid_search"]
 
@@ -160,24 +160,13 @@ def cell_grid_search(
         cand = grid.order[flat_pos]
         per_cell_query = np.repeat(q_idx, ncell)
         qi = np.repeat(per_cell_query, counts)
-        dx = xw[qi] - xw[cand]
-        dx = box.min_image(dx)
-        r2 = np.einsum("ij,ij->i", dx, dx)
-        if mode == "gather":
-            cutoff = radii[qi]
-        else:
-            cutoff = np.maximum(radii[qi], radii[cand])
-        keep = r2 <= cutoff * cutoff
+        keep = pairs_in_range(xw, qi, cand, radii, box, mode)
         if not include_self:
             keep &= qi != cand
-        qi = qi[keep]
-        cand = cand[keep]
-        # Sort pairs by query index for CSR assembly (stable keeps cell order).
-        order = np.argsort(qi, kind="stable")
-        qi = qi[order]
-        cand = cand[order]
-        counts_out[lo_q:hi_q] = np.bincount(qi - lo_q, minlength=hi_q - lo_q)
-        per_query.append(cand)
+        counts_out[lo_q:hi_q], kept = canonical_rows(
+            qi[keep], cand[keep], lo_q, hi_q, n
+        )
+        per_query.append(kept)
 
     indices = (
         np.concatenate(per_query) if per_query else np.empty(0, dtype=np.int64)

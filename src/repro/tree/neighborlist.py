@@ -19,6 +19,9 @@ from .box import Box
 
 __all__ = [
     "NeighborList",
+    "pairs_in_range",
+    "sum_of_squares",
+    "canonical_rows",
     "reduce_pairs",
     "balanced_row_slices",
     "VerletCacheStats",
@@ -57,13 +60,70 @@ def reduce_pairs(
     return flat.reshape((n_rows,) + values.shape[1:])
 
 
+def pairs_in_range(
+    xw: np.ndarray,
+    qi: np.ndarray,
+    cj: np.ndarray,
+    radii: np.ndarray,
+    box: Box | None,
+    mode: str,
+) -> np.ndarray:
+    """Acceptance mask of candidate pairs ``(qi, cj)`` — *the* predicate.
+
+    ``r2 <= cutoff * cutoff`` on the box-wrapped positions ``xw``, with
+    ``cutoff = radii[qi]`` (``"gather"``) or ``max(radii[qi], radii[cj])``
+    (``"symmetric"``).  Every numpy search and :meth:`NeighborList.within`
+    evaluate this one expression (the compiled walk mirrors it operation
+    for operation), which is what makes their outputs equal as arrays
+    even when a lattice puts pairs exactly on the cutoff.
+    """
+    dx = xw[qi] - xw[cj]
+    if box is not None:
+        box.min_image(dx, out=dx)
+    cutoff = radii[qi]
+    if mode == "symmetric":
+        cutoff = np.maximum(cutoff, radii[cj])
+    return sum_of_squares(dx) <= cutoff * cutoff
+
+
+def sum_of_squares(d: np.ndarray) -> np.ndarray:
+    """Row sums of ``d**2`` for ``(m, dim)`` vectors; squares ``d`` in place.
+
+    Axis by axis with plain ufuncs — one IEEE operation each on every
+    host (``einsum`` may fuse multiply-adds where the CPU has them) — so
+    the C search can reproduce the value to the bit.
+    """
+    np.multiply(d, d, out=d)
+    total = d[:, 0].copy()
+    for axis in range(1, d.shape[1]):
+        total += d[:, axis]
+    return total
+
+
+def canonical_rows(
+    qi: np.ndarray, cj: np.ndarray, lo: int, hi: int, n: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """CSR rows for queries ``[lo, hi)`` from unordered pairs ``(qi, cj)``.
+
+    Returns ``(counts, indices)`` with every row in ascending neighbour
+    index — the canonical order all searches emit, independent of how the
+    candidates were enumerated (tree leaves, grid cells, radius).  One
+    sort of the fused key ``(qi - lo) * n + cj`` does both orderings.
+    """
+    key = (qi - lo) * n + cj
+    key.sort()
+    row, indices = np.divmod(key, n)
+    return np.bincount(row, minlength=hi - lo), indices
+
+
 @dataclass(frozen=True)
 class NeighborList:
     """CSR neighbour lists for ``n`` query particles.
 
     ``indices[offsets[i]:offsets[i+1]]`` are the neighbours of particle
-    ``i``.  ``pair_i()`` expands the implicit query index to one entry per
-    pair for use in flat vectorized kernels.
+    ``i``, in ascending index order when the list comes from a search.
+    ``pair_i()`` expands the implicit query index to one entry per pair
+    for use in flat vectorized kernels.
     """
 
     offsets: np.ndarray
@@ -133,6 +193,30 @@ class NeighborList:
         offsets = self.offsets[lo : hi + 1] - self.offsets[lo]
         indices = self.indices[self.offsets[lo] : self.offsets[hi]]
         return NeighborList(offsets=offsets, indices=indices)
+
+    def within(
+        self, x: np.ndarray, radii: np.ndarray, box: Box | None = None, ops=None
+    ) -> "NeighborList":
+        """The pairs of this list inside symmetric search radii ``radii``.
+
+        Same predicate, same wrapped positions and same row order as a
+        search, so when this list holds every pair within
+        ``max(radii[i], radii[j])`` the result is array-for-array the list
+        a fresh symmetric search at ``radii`` returns — at the cost of one
+        pass over the pairs instead of a traversal.  ``ops`` is the
+        compiled op table (``None`` = numpy).
+        """
+        xw = np.ascontiguousarray(x, dtype=np.float64)
+        if box is not None:
+            xw = box.wrap(xw)
+        radii = np.ascontiguousarray(radii, dtype=np.float64)
+        if ops is not None and ops.has_search:
+            return NeighborList(*ops.pairs_within(self, xw, radii, box))
+        i, j = self.pairs()
+        keep = pairs_in_range(xw, i, j, radii, box, "symmetric")
+        offsets = np.zeros(self.n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(i[keep], minlength=self.n), out=offsets[1:])
+        return NeighborList(offsets=offsets, indices=j[keep])
 
     # ------------------------------------------------------------------
     def pair_geometry(
@@ -214,9 +298,15 @@ def balanced_row_slices(offsets: np.ndarray, n_slices: int) -> list[Tuple[int, i
 # ----------------------------------------------------------------------
 @dataclass
 class VerletCacheStats:
-    """Counters of one run's cache behaviour (reported by profiling)."""
+    """Counters of one run's cache behaviour (reported by profiling).
+
+    ``searches`` counts the neighbour searches (tree walks or cell-grid
+    passes, interpreted or compiled) the builds cost: one per build, plus
+    one for each time an h iterate out-grew the searched radius.
+    """
 
     builds: int = 0
+    searches: int = 0
     hits: int = 0
     misses_displacement: int = 0
     misses_h_change: int = 0
@@ -286,11 +376,16 @@ class VerletNeighborCache:
         """Smoothing lengths the cached list was built with."""
         return self._h_ref
 
+    @property
+    def h_budget(self) -> Optional[np.ndarray]:
+        """Largest ``h`` the cached list still counts exactly (per particle)."""
+        if self._h_ref is None:
+            return None
+        return (1.0 + 0.5 * self.skin) * self._h_ref
+
     def covers(self, h: np.ndarray) -> bool:
         """True while ``h`` stays within the growth half of the skin."""
-        if self._h_ref is None:
-            return False
-        return bool(np.all(h <= (1.0 + 0.5 * self.skin) * self._h_ref))
+        return self._h_ref is not None and bool(np.all(h <= self.h_budget))
 
     def lookup(
         self, x: np.ndarray, h: np.ndarray, box: Box | None = None

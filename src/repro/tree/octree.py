@@ -24,7 +24,12 @@ import numpy as np
 
 from .box import Box
 from .morton import MAX_BITS_2D, MAX_BITS_3D, morton_decode, morton_keys
-from .neighborlist import NeighborList
+from .neighborlist import (
+    NeighborList,
+    canonical_rows,
+    pairs_in_range,
+    sum_of_squares,
+)
 
 __all__ = ["Octree"]
 
@@ -252,7 +257,7 @@ class Octree:
         dxc = xq - self.center[nodes]
         dxc = self.box.min_image(dxc)
         excess = np.maximum(np.abs(dxc) - self.half[nodes], 0.0)
-        return np.einsum("ij,ij->i", excess, excess)
+        return sum_of_squares(excess)
 
     def walk_neighbors(
         self,
@@ -262,7 +267,7 @@ class Octree:
         mode: str = "gather",
         include_self: bool = True,
         node_rmax: np.ndarray | None = None,
-        chunk: int = 4096,
+        ops=None,
     ) -> NeighborList:
         """Neighbour discovery by tree walk (Table 1 "Tree Walk").
 
@@ -271,74 +276,48 @@ class Octree:
         node_rmax)`` where ``node_rmax`` is the per-node maximum search
         radius (computed here if not supplied), guaranteeing no j with
         ``r <= radii[j]`` is missed.
+
+        ``ops`` is a compiled op table (``Backend.ops``): when it carries
+        a tree walk the traversal runs there — same wrapped positions,
+        same node and pair predicates, so the returned arrays equal the
+        numpy walk's — otherwise (``None``, or a backend without one) the
+        vectorized frontier expansion below runs.
         """
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         n = x.shape[0]
         radii = np.broadcast_to(np.asarray(radii, dtype=np.float64), (n,))
         if mode not in ("gather", "symmetric"):
             raise ValueError(f"mode must be 'gather' or 'symmetric', got {mode!r}")
-        if mode == "symmetric" and node_rmax is None:
+        if mode == "gather":
+            node_rmax = None
+        elif node_rmax is None:
             node_rmax = self.node_max(radii)
         xw = self.box.wrap(x)
+        if ops is not None and ops.has_search:
+            return NeighborList(
+                *ops.walk_neighbors(self, xw, radii, node_rmax, include_self)
+            )
 
         indices_parts: list[np.ndarray] = []
         counts_out = np.zeros(n, dtype=np.int64)
-        for lo_q in range(0, n, chunk):
-            hi_q = min(lo_q + chunk, n)
-            q = np.arange(lo_q, hi_q, dtype=np.int64)
-            pairs_q = q.copy()
-            pairs_n = np.zeros(q.size, dtype=np.int64)  # start at root
-            cand_q: list[np.ndarray] = []
-            cand_j: list[np.ndarray] = []
-            while pairs_q.size:
-                dist2 = self._aabb_dist2(xw[pairs_q], pairs_n)
-                if mode == "gather":
-                    cutoff = radii[pairs_q]
-                else:
-                    cutoff = np.maximum(radii[pairs_q], node_rmax[pairs_n])
-                alive = dist2 <= cutoff * cutoff
-                pairs_q = pairs_q[alive]
-                pairs_n = pairs_n[alive]
-                if not pairs_q.size:
-                    break
-                leaf = self.child_count[pairs_n] == 0
-                if np.any(leaf):
-                    lq = pairs_q[leaf]
-                    ln = pairs_n[leaf]
-                    counts = self.pend[ln] - self.pstart[ln]
-                    flat = _expand_ranges(self.pstart[ln], counts)
-                    cand_j.append(self.order[flat])
-                    cand_q.append(np.repeat(lq, counts))
-                # Expand internal nodes to their children.
-                iq = pairs_q[~leaf]
-                inn = pairs_n[~leaf]
-                ccount = self.child_count[inn]
-                cstart = self.child_start[inn]
-                pairs_n = _expand_ranges(cstart, ccount)
-                pairs_q = np.repeat(iq, ccount)
-
-            if cand_q:
-                qi = np.concatenate(cand_q)
-                cj = np.concatenate(cand_j)
-            else:
-                qi = np.empty(0, dtype=np.int64)
-                cj = np.empty(0, dtype=np.int64)
-            dx = self.box.min_image(xw[qi] - xw[cj])
-            r2 = np.einsum("ij,ij->i", dx, dx)
-            if mode == "gather":
-                cutoff = radii[qi]
-            else:
-                cutoff = np.maximum(radii[qi], radii[cj])
-            keep = r2 <= cutoff * cutoff
+        # Queries go in blocks sized so that each block's candidate set —
+        # the walk's only large allocation — stays near _CANDIDATE_BLOCK
+        # whatever the radii: the next block's size follows from the
+        # candidates per query the previous one found.
+        lo_q, block = 0, min(n, 64)
+        while lo_q < n:
+            hi_q = min(lo_q + block, n)
+            qi, cj = self._leaf_candidates(xw, radii, node_rmax, lo_q, hi_q)
+            per_query = max(qi.size / (hi_q - lo_q), 1.0)
+            block = max(int(_CANDIDATE_BLOCK / per_query), 1)
+            keep = pairs_in_range(xw, qi, cj, radii, self.box, mode)
             if not include_self:
                 keep &= qi != cj
-            qi = qi[keep]
-            cj = cj[keep]
-            srt = np.argsort(qi, kind="stable")
-            qi = qi[srt]
-            cj = cj[srt]
-            counts_out[lo_q:hi_q] = np.bincount(qi - lo_q, minlength=hi_q - lo_q)
-            indices_parts.append(cj)
+            counts_out[lo_q:hi_q], kept = canonical_rows(
+                qi[keep], cj[keep], lo_q, hi_q, n
+            )
+            indices_parts.append(kept)
+            lo_q = hi_q
 
         indices = (
             np.concatenate(indices_parts)
@@ -348,6 +327,43 @@ class Octree:
         offsets = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(counts_out, out=offsets[1:])
         return NeighborList(offsets=offsets, indices=indices)
+
+    def _leaf_candidates(
+        self,
+        xw: np.ndarray,
+        radii: np.ndarray,
+        node_rmax: np.ndarray | None,
+        lo_q: int,
+        hi_q: int,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(query, particle)`` pairs of every leaf the queries reach."""
+        pairs_q = np.arange(lo_q, hi_q, dtype=np.int64)
+        pairs_n = np.zeros(hi_q - lo_q, dtype=np.int64)  # start at root
+        cand_q: list[np.ndarray] = []
+        cand_j: list[np.ndarray] = []
+        while pairs_q.size:
+            dist2 = self._aabb_dist2(xw[pairs_q], pairs_n)
+            cutoff = radii[pairs_q]
+            if node_rmax is not None:
+                cutoff = np.maximum(cutoff, node_rmax[pairs_n])
+            alive = dist2 <= cutoff * cutoff
+            pairs_q = pairs_q[alive]
+            pairs_n = pairs_n[alive]
+            leaf = self.child_count[pairs_n] == 0
+            ln = pairs_n[leaf]
+            counts = self.pend[ln] - self.pstart[ln]
+            cand_j.append(self.order[_expand_ranges(self.pstart[ln], counts)])
+            cand_q.append(np.repeat(pairs_q[leaf], counts))
+            # Expand internal nodes to their children.
+            inn = pairs_n[~leaf]
+            ccount = self.child_count[inn]
+            pairs_n = _expand_ranges(self.child_start[inn], ccount)
+            pairs_q = np.repeat(pairs_q[~leaf], ccount)
+        return np.concatenate(cand_q), np.concatenate(cand_j)
+
+
+#: Candidate pairs per block of the numpy walk (~100 MB of transients).
+_CANDIDATE_BLOCK = 1 << 20
 
 
 def _expand_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:

@@ -89,6 +89,8 @@ def test_run_json_summary(capsys):
     assert summary["n_steps"] == 2
     assert summary["final_time"] > 0.0
     assert set(summary["drift"]) == {"mass", "momentum", "energy"}
+    # Verlet-cache counters (builds, searches, hits): null on a cache-off run.
+    assert summary["neighbor_cache"] is None
 
 
 def test_scenarios_list(capsys):

@@ -78,3 +78,36 @@ def test_reduce_matches_loop_property(counts, seed):
     for i in range(n):
         expected[i] = vals[offsets[i] : offsets[i + 1]].sum()
     assert np.allclose(out, expected)
+
+
+def test_every_search_emits_canonical_rows(rng):
+    """Rows ascend in neighbour index whatever enumerated the candidates.
+
+    The one place this is asserted; array equality between searches (tree
+    walk vs cell grid vs compiled walk vs a cut-down wide list) rests on it.
+    """
+    from repro.backend import select_backend
+    from repro.tree.cellgrid import cell_grid_search
+    from repro.tree.octree import Octree
+
+    x = rng.random((700, 3))
+    radii = rng.uniform(0.05, 0.15, 700)
+    box = Box.cube(0.0, 1.0, dim=3, periodic=True)
+    tree = Octree.build(x, box, leaf_size=16)
+    ops = select_backend("auto").ops
+    lists = {
+        "grid": cell_grid_search(x, radii, box, mode="symmetric"),
+        "grid-chunked": cell_grid_search(x, radii, box, mode="symmetric", chunk=50),
+        "walk": tree.walk_neighbors(x, radii, mode="symmetric"),
+        "walk-compiled": tree.walk_neighbors(x, radii, mode="symmetric", ops=ops),
+        "gather": tree.walk_neighbors(x, radii, mode="gather", include_self=False),
+    }
+    wide = tree.walk_neighbors(x, 1.3 * radii, mode="symmetric")
+    lists["within"] = wide.within(x, radii, box)
+    lists["within-compiled"] = wide.within(x, radii, box, ops)
+    for name, nl in lists.items():
+        same_row = np.diff(nl.pair_i()) == 0
+        assert np.all(np.diff(nl.indices)[same_row] > 0), name
+    for name in ("grid-chunked", "walk", "walk-compiled", "within", "within-compiled"):
+        assert np.array_equal(lists[name].offsets, lists["grid"].offsets), name
+        assert np.array_equal(lists[name].indices, lists["grid"].indices), name

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.tree.box import Box
 from repro.tree.cellgrid import cell_grid_search
@@ -131,3 +133,108 @@ def test_depth_reasonable(tree_and_points):
     tree, x, _ = tree_and_points
     # ~1500 particles at leaf 16: depth ~ log8(1500/16) ~ 2-4
     assert 1 <= tree.depth() <= 7
+
+
+# ----------------------------------------------------------------------
+# Compiled walk
+# ----------------------------------------------------------------------
+def _lattice_or_cloud(layout, dim, seed):
+    side = {1: 80, 2: 14, 3: 7}[dim]
+    if layout == "lattice":
+        axes = [(np.arange(side) + 0.5) / side] * dim
+        x = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+        return x, 1.0 / side
+    return np.random.default_rng(seed).random((side**dim, dim)), 1.0 / side
+
+
+@given(
+    dim=st.sampled_from([1, 2, 3]),
+    periodic=st.booleans(),
+    layout=st.sampled_from(["lattice", "random"]),
+    mode=st.sampled_from(["gather", "symmetric"]),
+    include_self=st.booleans(),
+    # Whole and sqrt(2) multiples of the spacing: lattice shells on the cutoff.
+    radius_over_spacing=st.sampled_from([1.0, 2.0, 2.0**0.5, 8.0**0.5, 1.7, 3.1]),
+    uniform=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=80, deadline=None)
+def test_compiled_walk_returns_the_numpy_walk_arrays(
+    dim, periodic, layout, mode, include_self, radius_over_spacing, uniform, seed
+):
+    from repro.backend import select_backend
+
+    ops = select_backend("cffi").ops
+    if ops is None:
+        pytest.skip("no C compiler on this host")
+    x, spacing = _lattice_or_cloud(layout, dim, seed)
+    radii = np.full(x.shape[0], radius_over_spacing * spacing)
+    if not uniform:
+        radii *= np.random.default_rng(seed + 1).uniform(0.6, 1.4, x.shape[0])
+    box = Box.cube(0.0, 1.0, dim=dim, periodic=periodic)
+    tree = Octree.build(x, box, leaf_size=8)
+    ref = tree.walk_neighbors(x, radii, mode=mode, include_self=include_self)
+    got = tree.walk_neighbors(
+        x, radii, mode=mode, include_self=include_self, ops=ops
+    )
+    assert np.array_equal(got.offsets, ref.offsets)
+    assert np.array_equal(got.indices, ref.indices)
+    grid = cell_grid_search(x, radii, box, mode=mode, include_self=include_self)
+    assert np.array_equal(grid.offsets, ref.offsets)
+    assert np.array_equal(grid.indices, ref.indices)
+
+
+def test_walk_without_a_compiled_search_runs_numpy(tree_and_points, monkeypatch):
+    """``ops`` that cannot walk (numba mirrors, no compiler) change nothing."""
+    from repro import backend as backend_mod
+    from repro.backend.compiled import CompiledOps
+
+    tree, x, _ = tree_and_points
+    ref = tree.walk_neighbors(x, 0.08, mode="symmetric")
+
+    mirrors_only = CompiledOps("numba", object())
+    assert not mirrors_only.has_search
+    got = tree.walk_neighbors(x, 0.08, mode="symmetric", ops=mirrors_only)
+    assert np.array_equal(got.indices, ref.indices)
+
+    def no_compiler():
+        raise backend_mod.BackendUnavailableError("cc not found")
+
+    monkeypatch.setitem(backend_mod._FACTORIES, "cffi", no_compiler)
+    backend_mod._reset_backends()
+    try:
+        with pytest.warns(RuntimeWarning, match="unavailable"):
+            degraded = backend_mod.select_backend("cffi")
+        got = tree.walk_neighbors(x, 0.08, mode="symmetric", ops=degraded.ops)
+        assert np.array_equal(got.indices, ref.indices)
+    finally:
+        backend_mod._reset_backends()
+
+
+def test_walk_blocks_follow_the_candidate_count(tree_and_points, monkeypatch):
+    """Inflated radii shrink the query blocks, not grow the candidate set."""
+    import repro.tree.octree as octree_mod
+
+    tree, x, _ = tree_and_points
+    monkeypatch.setattr(octree_mod, "_CANDIDATE_BLOCK", 20_000)
+    blocks = []
+    leaf_candidates = Octree._leaf_candidates
+
+    def recording(self, xw, radii, node_rmax, lo_q, hi_q):
+        qi, cj = leaf_candidates(self, xw, radii, node_rmax, lo_q, hi_q)
+        blocks.append((hi_q - lo_q, qi.size))
+        return qi, cj
+
+    monkeypatch.setattr(Octree, "_leaf_candidates", recording)
+    peaks = {}
+    for radius in (0.05, 0.2):
+        blocks.clear()
+        got = tree.walk_neighbors(x, radius, mode="symmetric")
+        peaks[radius] = max(size for _, size in blocks[1:])
+        assert sum(queries for queries, _ in blocks) == x.shape[0]
+        assert np.array_equal(
+            got.indices,
+            cell_grid_search(x, radius, tree.box, mode="symmetric").indices,
+        )
+    # 64x the search volume, about the same candidate block.
+    assert peaks[0.2] < 3 * peaks[0.05]

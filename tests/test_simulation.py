@@ -106,8 +106,44 @@ def test_neighbor_search_paths_agree():
     )
     sim1.run(n_steps=2)
     sim2.run(n_steps=2)
-    assert np.allclose(sim1.particles.x, sim2.particles.x, atol=1e-12)
-    assert np.allclose(sim1.particles.rho, sim2.particles.rho, atol=1e-12)
+    # Both searches emit the same canonical lists, so not just close:
+    assert np.array_equal(sim1._nlist.indices, sim2._nlist.indices)
+    assert np.array_equal(sim1.particles.x, sim2.particles.x)
+    assert np.array_equal(sim1.particles.rho, sim2.particles.rho)
+
+
+def test_rate_evaluation_searches_once_and_builds_the_tree_on_demand(monkeypatch):
+    from repro.core.config import RunConfig
+    from repro.parallel import ExecConfig
+    from repro.tree.octree import Octree
+
+    tree_builds = []
+    build = Octree.build.__func__
+    monkeypatch.setattr(
+        Octree, "build",
+        classmethod(lambda cls, *a, **k: tree_builds.append(1) or build(cls, *a, **k)),
+    )
+    particles, box, eos = make_square_patch(SquarePatchConfig(side=10, layers=5))
+    config = SPH_EXA.with_(
+        n_neighbors=30, neighbor_search="tree-walk",
+        timestep_params=TimestepParams(use_energy_criterion=False),
+    )
+    sim = Simulation(
+        particles, box, eos, config=config,
+        run_config=RunConfig(exec=ExecConfig(neighbor_cache=True)),
+    )
+    sim.compute_rates()  # cold: one build of the list
+    cache = sim.report().neighbor_cache
+    assert cache["builds"] == 1
+    assert 1 <= cache["searches"] <= 2
+    assert len(tree_builds) == 1
+
+    sim.run(n_steps=3)  # cache hits: no search, and (gravity off) no tree
+    cache = sim.report().neighbor_cache
+    assert cache["hits"] >= 3 and cache["builds"] == 1
+    assert cache["searches"] <= 2
+    assert len(tree_builds) == 1
+    sim.close()
 
 
 def test_mean_neighbors_near_target():

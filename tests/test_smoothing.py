@@ -5,12 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.backend import select_backend
+from repro.core.particles import ParticleSystem
 from repro.sph.smoothing import (
     SmoothingConfig,
+    adapt_from_cached_list,
     adapt_smoothing_lengths,
     update_smoothing_lengths,
 )
 from repro.tree.box import Box
+from repro.tree.cellgrid import cell_grid_search
+from repro.tree.neighborlist import VerletNeighborCache
+from repro.tree.octree import Octree
 
 
 def test_update_formula_fixed_point():
@@ -82,3 +88,208 @@ def test_h_bounds_respected(small_lattice):
     cfg = SmoothingConfig(n_target=500, tolerance=0.05, h_max=0.2, max_iterations=8)
     adapt_smoothing_lengths(small_lattice, box, cfg)
     assert np.all(small_lattice.h <= 0.2 + 1e-12)
+
+
+# ----------------------------------------------------------------------
+# One search per list build
+# ----------------------------------------------------------------------
+def _oracle_adapt(particles, box, config, search, factor):
+    """The h iteration with a fresh neighbour search on every sweep.
+
+    Reference for :func:`adapt_smoothing_lengths` (which searches once):
+    same counts, same update, so ``h`` must come out bitwise equal.  Kept
+    in the tests only.  (A pair whose rounded distance equals ``2 h_i``
+    to the last bit can sit on either side of a search cutoff of that
+    same radius, so trajectory draws keep ``2 h`` off lattice distances.)
+    """
+    h = particles.h
+    nlist = search(particles.x, factor * h, box, "symmetric")
+    for _ in range(config.max_iterations):
+        i, _ = nlist.pairs()
+        _, r = nlist.pair_geometry(particles.x, box)
+        counts = np.bincount(i[r <= 2.0 * h[i]], minlength=particles.n)
+        if np.abs(counts - config.n_target).max() / config.n_target <= config.tolerance:
+            break
+        h[:] = np.clip(
+            update_smoothing_lengths(h, counts, config.n_target, particles.dim),
+            config.h_min,
+            config.h_max,
+        )
+        nlist = search(particles.x, factor * h, box, "symmetric")
+    return nlist
+
+
+def _points(layout, dim, side, seed):
+    """``side**dim`` points in the unit box: a lattice or uniform random."""
+    if layout == "lattice":
+        axes = [(np.arange(side) + 0.5) / side] * dim
+        mesh = np.meshgrid(*axes, indexing="ij")
+        return np.stack([m.ravel() for m in mesh], axis=1)
+    return np.random.default_rng(seed).random((side**dim, dim))
+
+
+def _particles(x, h):
+    n, dim = x.shape
+    return ParticleSystem(
+        x=x.copy(), v=np.zeros((n, dim)), m=np.full(n, 1.0 / n), h=np.full(n, float(h))
+    )
+
+
+def _searches(x, box, ops=None):
+    """The two search paths as ``search(x, radii, box, mode)`` callables."""
+    tree = Octree.build(x, box, leaf_size=8)
+    return {
+        "tree": lambda x_, radii, box_, mode: tree.walk_neighbors(
+            x_, radii, mode=mode, ops=ops
+        ),
+        "grid": lambda x_, radii, box_, mode: cell_grid_search(
+            x_, radii, box_, mode=mode
+        ),
+    }
+
+
+_SIDES = {1: 60, 2: 12, 3: 6}
+_TARGETS = {1: 8, 2: 20, 3: 32}
+
+build_cases = st.fixed_dictionaries(
+    {
+        "dim": st.sampled_from([1, 2, 3]),
+        "periodic": st.booleans(),
+        "layout": st.sampled_from(["lattice", "random"]),
+        "seed": st.integers(0, 2**16),
+        "path": st.sampled_from(["tree", "grid"]),
+        "cached": st.booleans(),
+        "compiled": st.booleans(),
+    }
+)
+
+
+@given(
+    case=build_cases,
+    # Multiples of half a lattice spacing put whole shells of pairs exactly
+    # on the first count radius and, when no sweep is needed, on the final
+    # search radius; small and large values force growth and shrinkage.
+    h_over_spacing=st.sampled_from([0.5, 1.0, 1.5, 2.0, 0.8, 1.37]),
+    tolerance=st.sampled_from([0.05, 0.3, 0.9]),
+)
+@settings(max_examples=60, deadline=None)
+def test_built_list_is_the_fresh_search_at_final_h(case, h_over_spacing, tolerance):
+    """Search once, iterate, cut: offsets and indices of a fresh search."""
+    dim = case["dim"]
+    x = _points(case["layout"], dim, _SIDES[dim], case["seed"])
+    box = Box.cube(0.0, 1.0, dim=dim, periodic=case["periodic"])
+    p = _particles(x, h_over_spacing / _SIDES[dim])
+    # "auto" degrades to numpy (ops None) where nothing compiles.
+    backend = select_backend("auto") if case["compiled"] else None
+    ops = backend.ops if backend is not None else None
+    search = _searches(x, box, ops)[case["path"]]
+    cache = VerletNeighborCache(skin=0.3) if case["cached"] else None
+    cfg = SmoothingConfig(n_target=_TARGETS[dim], tolerance=tolerance)
+
+    built = adapt_smoothing_lengths(
+        p, box, cfg, search=search, cache=cache, backend=backend
+    )
+    factor = cache.search_factor if cache is not None else 2.0
+    fresh = search(p.x, factor * p.h, box, "symmetric")
+    assert np.array_equal(built.offsets, fresh.offsets)
+    assert np.array_equal(built.indices, fresh.indices)
+    if cache is not None:
+        assert cache.lookup(p.x, p.h, box) is built
+        assert np.array_equal(cache.h_ref, p.h)
+
+
+@given(
+    case=build_cases,
+    h_over_spacing=st.sampled_from([0.53, 0.71, 0.97, 1.23, 1.9]),
+    max_iterations=st.integers(0, 6),
+)
+@settings(max_examples=60, deadline=None)
+def test_h_trajectory_equals_per_sweep_search_oracle(
+    case, h_over_spacing, max_iterations
+):
+    """Every prefix of the iteration ends on the oracle's h, bit for bit."""
+    dim = case["dim"]
+    x = _points(case["layout"], dim, _SIDES[dim], case["seed"])
+    box = Box.cube(0.0, 1.0, dim=dim, periodic=case["periodic"])
+    # "auto" degrades to numpy (ops None) where nothing compiles.
+    backend = select_backend("auto") if case["compiled"] else None
+    search = _searches(x, box, backend.ops if backend else None)[case["path"]]
+    cache = VerletNeighborCache(skin=0.3) if case["cached"] else None
+    factor = cache.search_factor if cache is not None else 2.0
+    cfg = SmoothingConfig(
+        n_target=_TARGETS[dim], tolerance=0.05, max_iterations=max_iterations
+    )
+
+    p = _particles(x, h_over_spacing / _SIDES[dim])
+    adapt_smoothing_lengths(p, box, cfg, search=search, cache=cache, backend=backend)
+    ref = _particles(x, h_over_spacing / _SIDES[dim])
+    _oracle_adapt(ref, box, cfg, _searches(x, box)[case["path"]], factor)
+    assert np.array_equal(p.h, ref.h)
+
+
+def _counting(search):
+    calls = []
+
+    def counted(x, radii, box, mode):
+        calls.append(radii.copy())
+        return search(x, radii, box, mode)
+
+    return counted, calls
+
+
+def test_build_costs_one_search_and_out_growing_it_one_more(rng):
+    x = rng.random((600, 3))
+    box = Box.cube(0.0, 1.0, dim=3, periodic=True)
+    cfg = SmoothingConfig(n_target=40, tolerance=0.05)
+    p = _particles(x, 0.12)
+    adapt_smoothing_lengths(p, box, cfg)  # converge first
+    h_converged = p.h.copy()
+
+    # Inflated h only shrinks: every sweep counts off the one list.
+    search, calls = _counting(_searches(x, box)["tree"])
+    p.h[:] = 1.2 * h_converged
+    adapt_smoothing_lengths(p, box, cfg, search=search)
+    assert len(calls) == 1
+    assert np.array_equal(calls[0], 2.0 * 1.2 * h_converged)
+
+    # A few per cent of growth out-grows the searched radius once; the
+    # padded re-search starts from the iterate that did and covers the rest.
+    calls.clear()
+    p.h[:] = 0.95 * h_converged
+    adapt_smoothing_lengths(p, box, cfg, search=search)
+    assert len(calls) == 2
+    assert np.all(calls[1] > calls[0])
+
+
+def test_cached_list_out_grown_mid_iteration_rebuilds_in_place(rng):
+    """No restore-and-replay: the hit carries on as a build."""
+    x = rng.random((600, 3))
+    box = Box.cube(0.0, 1.0, dim=3, periodic=True)
+    cfg = SmoothingConfig(n_target=40, tolerance=0.05)
+    p = _particles(x, 0.12)
+    cache = VerletNeighborCache(skin=0.3)
+    search, calls = _counting(_searches(x, box)["tree"])
+    adapt_smoothing_lengths(p, box, cfg, search=search, cache=cache)
+    assert (cache.stats.builds, cache.stats.searches) == (1, len(calls))
+
+    # Within the budget: the cached list comes back untouched, no search.
+    n_calls = len(calls)
+    cached = cache.lookup(p.x, p.h, box)
+    assert adapt_from_cached_list(p, cached, box, cfg, cache, search=search) is cached
+    assert len(calls) == n_calls and cache.stats.builds == 1
+
+    # A higher target drives h through the growth budget mid-iteration.
+    grow = SmoothingConfig(n_target=80, tolerance=0.05)
+    ref = _particles(x, 1.0)
+    ref.h[:] = p.h
+    cached = cache.lookup(p.x, p.h, box)
+    out = adapt_from_cached_list(p, cached, box, grow, cache, search=search)
+    assert out is not cached
+    assert len(calls) > n_calls
+    assert (cache.stats.builds, cache.stats.searches) == (2, len(calls))
+    assert cache.stats.hits == 2 and cache.stats.misses_h_change == 0
+    _oracle_adapt(ref, box, grow, _searches(x, box)["tree"], cache.search_factor)
+    assert np.array_equal(p.h, ref.h)
+    fresh = search(p.x, cache.search_factor * p.h, box, "symmetric")
+    assert np.array_equal(out.indices, fresh.indices)
+    assert cache.lookup(p.x, p.h, box) is out
