@@ -210,12 +210,15 @@ class CffiImpl:
     def _i_or_null(self, arr: Optional[np.ndarray]):
         return self._ffi.NULL if arr is None else self._i(arr)
 
+    def _d_or_null(self, arr: Optional[np.ndarray]):
+        return self._ffi.NULL if arr is None else self._d(arr)
+
     def walk(self, xw, radii, node_rmax, n, dim, psel, pdiv, center, half,
              child_start, child_count, pstart, pend, order, include_self,
              offsets, out):
         self._lib.rp_walk(
             self._d(xw), self._d(radii),
-            self._ffi.NULL if node_rmax is None else self._d(node_rmax),
+            self._d_or_null(node_rmax),
             n, dim, self._d(psel), self._d(pdiv), self._d(center),
             self._d(half), self._i(child_start), self._i(child_count),
             self._i(pstart), self._i(pend), self._i(order), include_self,
@@ -228,6 +231,19 @@ class CffiImpl:
             self._d(xw), self._d(radii), self._i(offsets), self._i(indices),
             n, dim, self._d(psel), self._d(pdiv),
             self._i_or_null(new_offsets), self._i(out),
+        )
+
+    def gravity(self, x, m, leaves, center, half, child_start, child_count,
+                pstart, pend, order, mass, com, m2, m3, m4, rank, theta,
+                g_const, eps2, acc, phi, counts):
+        self._lib.rp_gravity(
+            self._d(x), self._d(m), self._i(leaves), leaves.shape[0],
+            self._d(center), self._d(half), self._i(child_start),
+            self._i(child_count), self._i(pstart), self._i(pend),
+            self._i(order), self._d(mass), self._d(com),
+            self._d_or_null(m2), self._d_or_null(m3), self._d_or_null(m4),
+            rank, theta, g_const, eps2, self._d(acc), self._d(phi),
+            self._i(counts),
         )
 
 

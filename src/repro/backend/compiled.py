@@ -121,6 +121,12 @@ class CompiledOps:
         the numpy search)."""
         return hasattr(self.impl, "walk")
 
+    @property
+    def has_gravity(self) -> bool:
+        """Whether the implementation carries the Barnes-Hut op (the C
+        unit does; the numba mirrors do not)."""
+        return hasattr(self.impl, "gravity")
+
     # -- internals -----------------------------------------------------
     def _slice(self, lo: int, hi: int) -> _SliceCache:
         sc = self._slices.get((lo, hi))
@@ -485,6 +491,40 @@ class CompiledOps:
         return self._count_then_fill(
             n, lambda offsets, out: self.impl.pairs_within(*args, offsets, out)
         )
+
+    # -- gravity ---------------------------------------------------------
+    def gravity(
+        self, tree, x: np.ndarray, m: np.ndarray, moments, leaves: np.ndarray,
+        order: int, theta: float, g_const: float, eps2: float,
+    ) -> Tuple[np.ndarray, np.ndarray, int, int]:
+        """``(acc, phi, n_p2p, n_m2p)`` of the Barnes-Hut walk of the
+        target ``leaves`` over ``tree``'s arrays and ``moments`` (3-D).
+
+        Rows of particles outside ``leaves`` stay zero.
+        """
+        held = (moments.m2, moments.m3, moments.m4)
+        if any(mk is None for mk in held[: max(order - 1, 0)]):
+            raise ValueError(f"order {order} needs moments up to rank {order}")
+        if leaves.size and not 0 <= leaves.min() <= leaves.max() < tree.n_nodes:
+            raise ValueError("target leaves outside the tree")
+        n = x.shape[0]
+        acc = np.zeros((n, 3))
+        phi = np.zeros(n)
+        counts = np.zeros(2, dtype=np.int64)
+        self.impl.gravity(
+            _as_c(x, np.float64), _as_c(m, np.float64),
+            _as_c(leaves, np.int64),
+            _as_c(tree.center, np.float64), _as_c(tree.half, np.float64),
+            _as_c(tree.child_start, np.int64),
+            _as_c(tree.child_count, np.int64),
+            _as_c(tree.pstart, np.int64), _as_c(tree.pend, np.int64),
+            _as_c(tree.order, np.int64),
+            _as_c(moments.mass, np.float64), _as_c(moments.com, np.float64),
+            *(None if mk is None else _as_c(mk, np.float64) for mk in held),
+            int(order), float(theta), float(g_const), float(eps2),
+            acc, phi, counts,
+        )
+        return acc, phi, int(counts[0]), int(counts[1])
 
     def tau_inverse(
         self, tau: np.ndarray, dim: int, rcond: float

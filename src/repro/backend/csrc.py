@@ -1,6 +1,7 @@
 """C source for the runtime-compiled (cffi) backend.
 
-One translation unit holding the fused pair-loop kernels.  Every loop
+One translation unit holding the fused pair-loop kernels, the neighbour
+search and the Barnes-Hut gravity walk.  Every loop
 mirrors the numpy reference arithmetic *operation for operation* (same
 association order, same special-case masks) so that:
 
@@ -27,10 +28,10 @@ Design notes:
   polynomials (:mod:`repro.backend.poly`) after an exact split-at-pi/2
   reduction; integer powers use multiply chains.  No ``-ffast-math``
   anywhere.  The compiler may still contract ``a*b + c`` into one FMA
-  in the pair loops (an ulp, inside the backend tolerance); the
-  neighbour-search section at the end of the unit switches that off,
-  because there an ulp decides whether a pair on the cutoff is a
-  neighbour.
+  in the pair loops (an ulp, inside the backend tolerance); the last
+  section of the unit — neighbour search and the gravity walk —
+  switches that off, because there an ulp decides whether a pair on
+  the cutoff is a neighbour, or a node on the opening angle is opened.
 * Row accumulations walk each CSR row in ascending pair order, the same
   order ``np.bincount`` applies its weights, so row sums match the
   reference given identical per-pair values.
@@ -105,6 +106,14 @@ void rp_pairs_within(const double *xw, const double *radii,
                      int64_t n, int dim, const double *psel,
                      const double *pdiv, const int64_t *new_offsets,
                      int64_t *out);
+void rp_gravity(const double *x, const double *m, const int64_t *leaves,
+                int64_t n_leaves, const double *center, const double *half,
+                const int64_t *child_start, const int64_t *child_count,
+                const int64_t *pstart, const int64_t *pend,
+                const int64_t *order, const double *mass, const double *com,
+                const double *m2, const double *m3, const double *m4,
+                int rank, double theta, double g_const, double eps2,
+                double *acc, double *phi, int64_t *counts);
 """
 
 
@@ -739,12 +748,13 @@ void rp_tau_inv(const double *tau, int64_t rows, int dim, double rcond,
     }
 }
 
-/* ---- Neighbour search.  From here to the end of the unit a*b + c is
- * never contracted into a fused multiply-add: a search decides set
- * membership on r2 <= cutoff*cutoff, and an r2 that differs from the
- * numpy value in its last bit moves a pair sitting on the cutoff to the
- * other side (the pair loops above only feed sums, where the ulp is
- * covered by the backend tolerance, and keep the FMAs). ---- */
+/* ---- Neighbour search and gravity walk.  From here to the end of the
+ * unit a*b + c is never contracted into a fused multiply-add: a search
+ * decides set membership on r2 <= cutoff*cutoff (the gravity MAC on
+ * size <= theta*dist), and a value that differs from numpy's in its
+ * last bit moves a pair sitting on the cutoff (a node on the opening
+ * angle) to the other side (the pair loops above only feed sums, where
+ * the ulp is covered by the backend tolerance, and keep the FMAs). ---- */
 #pragma STDC FP_CONTRACT OFF
 #if defined(__GNUC__) && !defined(__clang__)
 #pragma GCC optimize("fp-contract=off") /* gcc ignores the ISO pragma */
@@ -877,6 +887,171 @@ void rp_pairs_within(const double *xw, const double *radii,
         }
         if (!row)
             out[i] = c;
+    }
+}
+
+/* Far field of one accepted node on the particles of one target leaf:
+ * evaluate_multipoles (gravity/multipole.py) in C — the contracted
+ * M^(n).D^(n) and M^(n).D^(n+1), see that module for the algebra.  The
+ * traces belong to the node and are taken once, outside the particle
+ * loop.  rank is the highest moment used (0, 2, 3 or 4). */
+static void rp_m2p(const double *x, const int64_t *order, int64_t p0,
+                   int64_t p1, const double *c, double mass,
+                   const double *m2, const double *m3, const double *m4,
+                   int rank, double g_const, double *acc, double *phi)
+{
+    double tr2 = 0.0, tt4 = 0.0, t3[3] = {0.0, 0.0, 0.0}, t4[9];
+    if (rank >= 2)
+        tr2 = m2[0] + m2[4] + m2[8];
+    if (rank >= 3)
+        for (int b = 0; b < 3; ++b)
+            t3[b] = m3[b] + m3[12 + b] + m3[24 + b];
+    if (rank >= 4) {
+        for (int b = 0; b < 9; ++b)
+            t4[b] = m4[b] + m4[36 + b] + m4[72 + b];
+        tt4 = t4[0] + t4[4] + t4[8];
+    }
+    for (int64_t p = p0; p < p1; ++p) {
+        const int64_t i = order[p];
+        const double d[3] = {x[3 * i] - c[0], x[3 * i + 1] - c[1],
+                             x[3 * i + 2] - c[2]};
+        const double u2 = 1.0 / (d[0] * d[0] + d[1] * d[1] + d[2] * d[2]);
+        const double g0 = sqrt(u2);
+        const double g1 = -g0 * u2;
+        double pot = mass * g0;
+        double along = mass * g1; /* coefficient of d */
+        double rest[3] = {0.0, 0.0, 0.0};
+        if (rank >= 2) {
+            const double g2 = -3.0 * g1 * u2, g3 = -5.0 * g2 * u2;
+            double v2[3], q2 = 0.0;
+            for (int e = 0; e < 3; ++e) {
+                v2[e] = m2[e] * d[0] + m2[3 + e] * d[1] + m2[6 + e] * d[2];
+                q2 += v2[e] * d[e];
+                rest[e] = g2 * v2[e];
+            }
+            pot += 0.5 * (g2 * q2 + g1 * tr2);
+            along += 0.5 * (g3 * q2 + g2 * tr2);
+            if (rank >= 3) {
+                const double g4 = -7.0 * g3 * u2;
+                double a2[9], v3[3], q3 = 0.0, t3d = 0.0;
+                for (int b = 0; b < 9; ++b)
+                    a2[b] = m3[b] * d[0] + m3[9 + b] * d[1] + m3[18 + b] * d[2];
+                for (int e = 0; e < 3; ++e) {
+                    v3[e] = a2[e] * d[0] + a2[3 + e] * d[1] + a2[6 + e] * d[2];
+                    q3 += v3[e] * d[e];
+                    t3d += t3[e] * d[e];
+                    rest[e] -= 0.5 * (g3 * v3[e] + g2 * t3[e]);
+                }
+                pot -= (g3 * q3 + 3.0 * g2 * t3d) / 6.0;
+                along -= (g4 * q3 + 3.0 * g3 * t3d) / 6.0;
+                if (rank >= 4) {
+                    const double g5 = -9.0 * g4 * u2;
+                    double a3[27], v4[3], w4[3], q4 = 0.0, t4dd = 0.0;
+                    for (int b = 0; b < 27; ++b)
+                        a3[b] = m4[b] * d[0] + m4[27 + b] * d[1]
+                                + m4[54 + b] * d[2];
+                    for (int b = 0; b < 9; ++b)
+                        a2[b] = a3[b] * d[0] + a3[9 + b] * d[1]
+                                + a3[18 + b] * d[2];
+                    for (int e = 0; e < 3; ++e) {
+                        v4[e] = a2[e] * d[0] + a2[3 + e] * d[1]
+                                + a2[6 + e] * d[2];
+                        w4[e] = t4[e] * d[0] + t4[3 + e] * d[1]
+                                + t4[6 + e] * d[2];
+                        q4 += v4[e] * d[e];
+                        t4dd += w4[e] * d[e];
+                        rest[e] += g4 * v4[e] / 6.0 + 0.5 * g3 * w4[e];
+                    }
+                    pot += (g4 * q4 + 6.0 * g3 * t4dd + 3.0 * g2 * tt4) / 24.0;
+                    along += (g5 * q4 + 6.0 * g4 * t4dd + 3.0 * g3 * tt4)
+                             / 24.0;
+                }
+            }
+        }
+        for (int e = 0; e < 3; ++e)
+            acc[3 * i + e] += g_const * (along * d[e] + rest[e]);
+        phi[i] -= g_const * pot;
+    }
+}
+
+/* Barnes-Hut gravity, one target leaf at a time — barnes_hut_gravity
+ * (gravity/barnes_hut.py) in C, 3-D.  For each leaf a depth-first walk
+ * from the root applies the MAC to every source node it meets:
+ *     size(source) <= theta * dist(leaf box, source COM),  dist > 0
+ * with size = 2*max(half) and dist from sum_of_squares of the per-axis
+ * excess, the numpy expressions term for term (this section never fuses
+ * a multiply-add), so both renderings accept, open and P2P the same
+ * nodes.  Accepted nodes go through rp_m2p; a source leaf that fails the
+ * MAC is summed particle by particle with Plummer softening eps2, a
+ * particle skipping itself.  Everything accumulates into acc/phi rows of
+ * the leaf's own particles, so a leaf's result does not depend on which
+ * other leaves are in the call.  counts[0] += P2P pairs (self pairs
+ * included, as the reference counts them), counts[1] += M2P terms. */
+void rp_gravity(const double *x, const double *m, const int64_t *leaves,
+                int64_t n_leaves, const double *center, const double *half,
+                const int64_t *child_start, const int64_t *child_count,
+                const int64_t *pstart, const int64_t *pend,
+                const int64_t *order, const double *mass, const double *com,
+                const double *m2, const double *m3, const double *m4,
+                int rank, double theta, double g_const, double eps2,
+                double *acc, double *phi, int64_t *counts)
+{
+    int64_t stack[RP_WALK_STACK];
+    for (int64_t l = 0; l < n_leaves; ++l) {
+        const int64_t t = leaves[l];
+        const int64_t t0 = pstart[t], t1 = pend[t];
+        int top = 0;
+        stack[top++] = 0;
+        while (top > 0) {
+            const int64_t s = stack[--top];
+            double d2 = 0.0, hmax = half[3 * s];
+            for (int d = 0; d < 3; ++d) {
+                const double e = fabs(com[3 * s + d] - center[3 * t + d])
+                                 - half[3 * t + d];
+                if (e > 0.0)
+                    d2 += e * e;
+                if (half[3 * s + d] > hmax)
+                    hmax = half[3 * s + d];
+            }
+            const double dist = sqrt(d2);
+            if (2.0 * hmax <= theta * dist && dist > 0.0) {
+                rp_m2p(x, order, t0, t1, com + 3 * s, mass[s],
+                       m2 ? m2 + 9 * s : 0, m3 ? m3 + 27 * s : 0,
+                       m4 ? m4 + 81 * s : 0, rank, g_const, acc, phi);
+                counts[1] += t1 - t0;
+                continue;
+            }
+            const int64_t nchild = child_count[s];
+            for (int64_t ch = 0; ch < nchild; ++ch)
+                stack[top++] = child_start[s] + ch;
+            if (nchild)
+                continue;
+            for (int64_t p = t0; p < t1; ++p) {
+                const int64_t i = order[p];
+                double a[3] = {0.0, 0.0, 0.0}, pot = 0.0;
+                for (int64_t q = pstart[s]; q < pend[s]; ++q) {
+                    const int64_t j = order[q];
+                    if (j == i)
+                        continue;
+                    const double dx = x[3 * i] - x[3 * j];
+                    const double dy = x[3 * i + 1] - x[3 * j + 1];
+                    const double dz = x[3 * i + 2] - x[3 * j + 2];
+                    const double inv_r =
+                        1.0 / sqrt(dx * dx + dy * dy + dz * dz + eps2);
+                    const double gm = g_const * m[j];
+                    const double f = gm * (inv_r * inv_r * inv_r);
+                    a[0] += f * dx;
+                    a[1] += f * dy;
+                    a[2] += f * dz;
+                    pot += gm * inv_r;
+                }
+                acc[3 * i] -= a[0];
+                acc[3 * i + 1] -= a[1];
+                acc[3 * i + 2] -= a[2];
+                phi[i] -= pot;
+            }
+            counts[0] += (t1 - t0) * (pend[s] - pstart[s]);
+        }
     }
 }
 """

@@ -167,6 +167,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"drift: mass={drift['mass']:.2e} momentum={drift['momentum']:.2e} "
               f"energy={drift['energy']:.2e}")
         rep = sim.report()
+        if rep.gravity is not None:
+            from .observability.report import format_gravity
+
+            print(format_gravity(rep.gravity))
         if rep.guard is not None:
             print(rep.guard.summary())
         if rep.tuning is not None:
@@ -186,6 +190,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 "sdc": rep.sdc,
                 "backend": rep.backend,
                 "neighbor_cache": rep.neighbor_cache,
+                "gravity": rep.gravity,
                 "tuning": rep.tuning,
             }
             print(json.dumps(summary, indent=2))

@@ -166,6 +166,8 @@ class Simulation:
         self.potential_energy = 0.0
         self.history: List[StepStats] = []
         self._max_mu = 0.0
+        self._gravity_calls = 0
+        self._gravity_path: Optional[str] = None
         self._rates_current = False
         self._nlist = None
         self._tree: Optional[Octree] = None
@@ -394,7 +396,7 @@ class Simulation:
         honor the periodic box — the periodic-Z square patch never
         enables gravity, so one box serves both)."""
         if self._tree is None:
-            self._tree = Octree.build(self.particles.x, self.box, leaf_size=48)
+            self._tree = Octree.build(self.particles.x, self.box)
         return self._tree
 
     def _pair_token_param(self):
@@ -596,6 +598,7 @@ class Simulation:
                     order=cfg.gravity_order,
                     tree=self._tree,
                     phase=Phase.GRAVITY.letter,
+                    backend=self._backend_param(),
                 )
             else:
                 with tr.phase(Phase.GRAVITY.letter, State.USEFUL, self.rank):
@@ -607,11 +610,14 @@ class Simulation:
                         theta=cfg.gravity_theta,
                         order=cfg.gravity_order,
                         tree=self._tree,
+                        ops=self.backend.ops,
                     )
             p.a += grav.acc
             self.potential_energy = grav.potential_energy(p.m)
             self._last_gravity_p2p = grav.n_p2p
             self._last_gravity_m2p = grav.n_m2p
+            self._gravity_calls += 1
+            self._gravity_path = grav.path
         else:
             with tr.phase(Phase.GRAVITY.letter, State.USEFUL, self.rank):
                 self.potential_energy = 0.0
@@ -846,6 +852,18 @@ class Simulation:
             "hit_rate": s.hit_rate,
         }
 
+    def _gravity_stats_dict(self) -> Optional[dict]:
+        """Tree-gravity work of this driver (None when gravity never ran)."""
+        if not self._gravity_calls:
+            return None
+        steps = max(len(self.history), 1)
+        return {
+            "calls": self._gravity_calls,
+            "p2p_per_step": sum(s.n_p2p for s in self.history) / steps,
+            "m2p_per_step": sum(s.n_m2p for s in self.history) / steps,
+            "path": self._gravity_path,
+        }
+
     def _recovery_stats_dict(self) -> Optional[dict]:
         if self._engine is None:
             return None
@@ -879,6 +897,8 @@ class Simulation:
         reg.absorb("pair_engine", pair)
         ncache = self._ncache_stats_dict()
         reg.absorb("neighbor_cache", ncache)
+        gravity = self._gravity_stats_dict()
+        reg.absorb("gravity", gravity)
         recovery = self._recovery_stats_dict()
         reg.absorb("recovery", recovery)
         checkpoint = None
@@ -922,6 +942,7 @@ class Simulation:
             n_particles=self.particles.n,
             pair_engine=pair,
             neighbor_cache=ncache,
+            gravity=gravity,
             recovery=recovery,
             checkpoint=checkpoint,
             guard=guard,

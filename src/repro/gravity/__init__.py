@@ -11,7 +11,6 @@ from .multipole import (
     MULTIPOLE_ORDERS,
     NodeMoments,
     compute_node_moments,
-    derivative_tensors,
     evaluate_multipoles,
 )
 
@@ -23,6 +22,5 @@ __all__ = [
     "MULTIPOLE_ORDERS",
     "NodeMoments",
     "compute_node_moments",
-    "derivative_tensors",
     "evaluate_multipoles",
 ]

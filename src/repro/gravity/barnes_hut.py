@@ -1,7 +1,7 @@
 """Barnes-Hut tree gravity (Algorithm 1, step 4).
 
 Group-based traversal: the targets are the octree's leaf buckets, and for
-each (leaf, source-node) frontier pair the geometric multipole acceptance
+each (leaf, source-node) pair the geometric multipole acceptance
 criterion
 
     size(source) <= theta * dist(leaf AABB, source COM)
@@ -9,9 +9,14 @@ criterion
 decides between far-field evaluation (M2P with the configured multipole
 order — quadrupole for SPHYNX's "4-pole", hexadecapole for ChaNGa's
 "16-pole"), opening the source, or — for source leaves — direct
-particle-particle summation with Plummer softening.  The whole walk is a
-vectorized frontier expansion: at every round the MAC is evaluated for all
-active pairs at once.
+particle-particle summation with Plummer softening.
+
+Each target leaf is walked on its own and its interactions are summed
+into its particles before the next leaf starts, so nothing is staged
+between leaves and a leaf's sums depend on that leaf alone — any
+partition of the leaves (``target_leaves``) reproduces the full result.
+The loop below is the numpy reference; a compiled backend runs the same
+walk, MAC and sums per leaf in one call (``ops.gravity``).
 
 Interaction counts (P2P pairs, M2P evaluations) are returned; the cluster
 cost model uses them to charge gravity work per rank.
@@ -23,7 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..tree.box import Box
-from ..tree.octree import Octree
+from ..tree.neighborlist import sum_of_squares
+from ..tree.octree import LEAF_SIZE, Octree, expand_ranges
 from .multipole import NodeMoments, compute_node_moments, evaluate_multipoles
 
 __all__ = ["GravityResult", "barnes_hut_gravity", "potential_energy"]
@@ -37,19 +43,34 @@ class GravityResult:
     phi: np.ndarray
     n_p2p: int
     n_m2p: int
+    #: Which rendering ran: ``"numpy"`` or the compiled backend's name.
+    path: str = "numpy"
 
     def potential_energy(self, m: np.ndarray) -> float:
         """Total gravitational energy ``1/2 sum_i m_i phi_i``."""
         return float(0.5 * np.sum(np.asarray(m) * self.phi))
 
 
-def _expand_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    rep_starts = np.repeat(starts, counts)
-    rep_base = np.repeat(np.cumsum(counts) - counts, counts)
-    return rep_starts + (np.arange(total, dtype=np.int64) - rep_base)
+def _leaf_sources(
+    tree: Octree, com: np.ndarray, node_size: np.ndarray, theta: float, leaf: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sources of one target leaf: ``(accepted nodes, opened source leaves)``."""
+    center, half = tree.center[leaf], tree.half[leaf]
+    far: list[np.ndarray] = []
+    near: list[np.ndarray] = []
+    front = np.zeros(1, dtype=np.int64)  # start at the root
+    while front.size:
+        # Distance from the target leaf's AABB to the source COM.
+        excess = np.maximum(np.abs(com[front] - center) - half, 0.0)
+        dist = np.sqrt(sum_of_squares(excess))
+        accept = (node_size[front] <= theta * dist) & (dist > 0.0)
+        far.append(front[accept])
+        rest = front[~accept]
+        src_leaf = tree.child_count[rest] == 0
+        near.append(rest[src_leaf])
+        opened = rest[~src_leaf]
+        front = expand_ranges(tree.child_start[opened], tree.child_count[opened])
+    return np.concatenate(far), np.concatenate(near)
 
 
 def barnes_hut_gravity(
@@ -61,10 +82,11 @@ def barnes_hut_gravity(
     theta: float = 0.5,
     order: int = 2,
     tree: Octree | None = None,
-    leaf_size: int = 64,
+    leaf_size: int = LEAF_SIZE,
     box: Box | None = None,
     moments: NodeMoments | None = None,
     target_leaves: np.ndarray | None = None,
+    ops=None,
 ) -> GravityResult:
     """Tree-code gravity for all particles.
 
@@ -83,9 +105,15 @@ def barnes_hut_gravity(
     target_leaves:
         Restrict the walk to this subset of target leaf nodes (global
         node indices).  Only particles in those leaves receive
-        accelerations/potentials; the per-leaf walk is independent of the
-        rest of the frontier, so partitioning the leaves over workers
+        accelerations/potentials; a leaf's walk and sums involve no other
+        target leaf, so partitioning the leaves over workers
         (``repro.parallel``) reproduces the full walk bit-for-bit.
+    ops:
+        A compiled op table (``Backend.ops``).  When it carries the
+        gravity op (3-D only) every leaf's walk, M2P and P2P run there —
+        same MAC arithmetic, hence the same interactions and counts, sums
+        equal to rounding; otherwise (``None``, a backend without the op,
+        ``dim != 3``) the numpy loop below runs.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     m = np.asarray(m, dtype=np.float64)
@@ -105,105 +133,52 @@ def barnes_hut_gravity(
             f"provided moments have order {moments.order} < requested {order}"
         )
 
-    leaves = np.nonzero(tree.is_leaf() & (tree.node_counts() > 0))[0]
-    if target_leaves is not None:
+    if target_leaves is None:
+        leaves = np.nonzero(tree.is_leaf() & (tree.node_counts() > 0))[0]
+    else:
         leaves = np.asarray(target_leaves, dtype=np.int64)
+    eps2 = float(softening) ** 2
+    if ops is not None and ops.has_gravity and dim == 3:
+        return GravityResult(
+            *ops.gravity(tree, x, m, moments, leaves, order, theta, g_const, eps2),
+            path=ops.name,
+        )
+
     node_size = 2.0 * tree.half.max(axis=1)
-
-    # Frontier of (target-leaf, source-node) pairs, starting at the root.
-    t_pair = leaves.copy()
-    s_pair = np.zeros(leaves.size, dtype=np.int64)
-    m2p_t: list[np.ndarray] = []
-    m2p_s: list[np.ndarray] = []
-    p2p_t: list[np.ndarray] = []
-    p2p_s: list[np.ndarray] = []
-    while t_pair.size:
-        # Distance from the target leaf's AABB to the source COM.
-        dxc = moments.com[s_pair] - tree.center[t_pair]
-        excess = np.maximum(np.abs(dxc) - tree.half[t_pair], 0.0)
-        dist = np.sqrt(np.einsum("kd,kd->k", excess, excess))
-        accept = (node_size[s_pair] <= theta * dist) & (dist > 0.0)
-        if np.any(accept):
-            m2p_t.append(t_pair[accept])
-            m2p_s.append(s_pair[accept])
-        t_rem = t_pair[~accept]
-        s_rem = s_pair[~accept]
-        src_leaf = tree.child_count[s_rem] == 0
-        if np.any(src_leaf):
-            p2p_t.append(t_rem[src_leaf])
-            p2p_s.append(s_rem[src_leaf])
-        t_open = t_rem[~src_leaf]
-        s_open = s_rem[~src_leaf]
-        ccount = tree.child_count[s_open]
-        s_pair = _expand_ranges(tree.child_start[s_open], ccount)
-        t_pair = np.repeat(t_open, ccount)
-
+    held = (moments.m2, moments.m3, moments.m4)
     acc = np.zeros((n, dim))
     phi = np.zeros(n)
-
-    # ---------------- M2P: far-field multipole evaluations ----------------
-    n_m2p = 0
-    if m2p_t:
-        mt = np.concatenate(m2p_t)
-        ms = np.concatenate(m2p_s)
-        # Expand target leaves to their particles.
-        counts = tree.pend[mt] - tree.pstart[mt]
-        flat = _expand_ranges(tree.pstart[mt], counts)
-        p_idx = tree.order[flat]
-        s_idx = np.repeat(ms, counts)
-        n_m2p = p_idx.size
-        chunk = 1 << 16
-        for lo in range(0, p_idx.size, chunk):
-            hi = min(lo + chunk, p_idx.size)
-            p = p_idx[lo:hi]
-            s = s_idx[lo:hi]
-            d = x[p] - moments.com[s]
-            a_c, phi_c = evaluate_multipoles(
-                d,
-                moments.mass[s],
-                None if moments.m2 is None else moments.m2[s],
-                None if moments.m3 is None else moments.m3[s],
-                None if moments.m4 is None else moments.m4[s],
+    n_m2p = n_p2p = 0
+    for leaf in leaves:
+        far, near = _leaf_sources(tree, moments.com, node_size, theta, leaf)
+        tgt = tree.order[tree.pstart[leaf] : tree.pend[leaf]]
+        xt = x[tgt][:, None, :]
+        if far.size:
+            # M2P: (targets, nodes) far-field terms, summed over the nodes.
+            a_far, phi_far = evaluate_multipoles(
+                xt - moments.com[far],
+                moments.mass[far],
+                *(None if mk is None else mk[far] for mk in held),
                 order,
                 g_const,
             )
-            np.add.at(acc, p, a_c)
-            np.add.at(phi, p, phi_c)
-
-    # ---------------- P2P: near-field direct summation --------------------
-    n_p2p = 0
-    if p2p_t:
-        pt = np.concatenate(p2p_t)
-        ps = np.concatenate(p2p_s)
-        ct = tree.pend[pt] - tree.pstart[pt]
-        cs = tree.pend[ps] - tree.pstart[ps]
-        pc = ct * cs
-        total = int(pc.sum())
-        n_p2p = total
-        eps2 = float(softening) ** 2
-        chunk = 1 << 18
-        # Per flattened pair entry: which (leaf,leaf) pair, local index.
-        pair_of = np.repeat(np.arange(pt.size, dtype=np.int64), pc)
-        local = np.arange(total, dtype=np.int64) - np.repeat(
-            np.cumsum(pc) - pc, pc
-        )
-        tgt_flat = tree.pstart[pt][pair_of] + local // cs[pair_of]
-        src_flat = tree.pstart[ps][pair_of] + local % cs[pair_of]
-        tgt = tree.order[tgt_flat]
-        src = tree.order[src_flat]
-        for lo in range(0, total, chunk):
-            hi = min(lo + chunk, total)
-            t_c = tgt[lo:hi]
-            s_c = src[lo:hi]
-            d = x[t_c] - x[s_c]
-            r2 = np.einsum("kd,kd->k", d, d) + eps2
+            acc[tgt] += a_far.sum(axis=1)
+            phi[tgt] += phi_far.sum(axis=1)
+            n_m2p += tgt.size * far.size
+        if near.size:
+            # P2P: (targets, sources) Plummer-softened pairs, summed over
+            # the sources; a particle exerts nothing on itself.
+            counts = tree.pend[near] - tree.pstart[near]
+            src = tree.order[expand_ranges(tree.pstart[near], counts)]
+            d = xt - x[src]
+            r2 = np.einsum("tsd,tsd->ts", d, d) + eps2
             with np.errstate(divide="ignore"):
                 inv_r = 1.0 / np.sqrt(r2)
-            inv_r[t_c == s_c] = 0.0
-            inv_r3 = inv_r**3
-            np.add.at(acc, t_c, -g_const * (m[s_c] * inv_r3)[:, None] * d)
-            np.add.at(phi, t_c, -g_const * m[s_c] * inv_r)
-
+            inv_r[tgt[:, None] == src] = 0.0
+            gm = g_const * m[src]
+            acc[tgt] -= np.einsum("ts,tsd->td", gm * inv_r**3, d)
+            phi[tgt] -= (gm * inv_r).sum(axis=1)
+            n_p2p += tgt.size * src.size
     return GravityResult(acc=acc, phi=phi, n_p2p=n_p2p, n_m2p=n_m2p)
 
 

@@ -1,4 +1,4 @@
-"""Cartesian multipole moments and Taylor derivative tensors.
+"""Cartesian multipole moments and their contracted far-field evaluation.
 
 Table 1 of the paper records gravity as "Multipoles (4-pole)" for SPHYNX
 and "Multipoles (16-pole)" for ChaNGa — quadrupole and hexadecapole order
@@ -20,13 +20,30 @@ used; detracing only re-shuffles terms between orders and raw tensors keep
 the translation algebra simple (moments are accumulated about the box
 center with prefix sums, then shifted to each COM with the binomial
 transport formulas).
+
+The ``D^(n)`` are never formed.  Each is a sum over ``k`` of
+``g_{n-k} = (-1)^(n-k) (2(n-k)-1)!! / r^(2(n-k)+1)`` times every way of
+filling ``n`` indices with ``k`` Kronecker deltas and ``n - 2k`` copies
+of ``d``; against a symmetric moment a delta takes a trace and a ``d``
+applies the moment to ``d``, which leaves (``q_n = M^(n)(d, .., d)``,
+``v_n = M^(n)(d, .., d, .)``, ``t3 = M3_aab``, ``T4 = M4_aabc``):
+
+    M2.D2   = g2 q2 + g1 tr M2
+    M2.D3_e = (g3 q2 + g2 tr M2) d_e + 2 g2 v2_e
+    M3.D3   = g3 q3 + 3 g2 t3.d
+    M3.D4_e = (g4 q3 + 3 g3 t3.d) d_e + 3 g3 v3_e + 3 g2 t3_e
+    M4.D4   = g4 q4 + 6 g3 T4(d,d) + 3 g2 tr T4
+    M4.D5_e = (g5 q4 + 6 g4 T4(d,d) + 3 g3 tr T4) d_e
+              + 4 g4 v4_e + 12 g3 (T4 d)_e
+
+so an interaction costs the moment applied to ``d`` a few times — no
+intermediate is larger than the moment itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import List
 
 import numpy as np
 
@@ -36,7 +53,6 @@ __all__ = [
     "MULTIPOLE_ORDERS",
     "NodeMoments",
     "compute_node_moments",
-    "derivative_tensors",
     "evaluate_multipoles",
 ]
 
@@ -133,97 +149,9 @@ def compute_node_moments(
     return moments
 
 
-def derivative_tensors(d: np.ndarray, max_rank: int) -> List[np.ndarray]:
-    """``[D^(0), ..., D^(max_rank)]`` with ``D^(n) = grad^n (1/|d|)``.
-
-    ``d`` has shape ``(k, dim)``; each ``D^(n)`` has shape
-    ``(k, dim, ..., dim)`` with n trailing axes.  Explicit closed forms up
-    to rank 5 (needed for hexadecapole accelerations).
-    """
-    d = np.atleast_2d(np.asarray(d, dtype=np.float64))
-    k, dim = d.shape
-    r2 = np.einsum("kd,kd->k", d, d)
-    if np.any(r2 <= 0.0):
-        raise ValueError("derivative tensors are singular at zero separation")
-    u = 1.0 / np.sqrt(r2)
-    u3 = u**3
-    u5 = u3 * u * u
-    u7 = u5 * u * u
-    u9 = u7 * u * u
-    u11 = u9 * u * u
-    eye = np.eye(dim)
-
-    out: List[np.ndarray] = [u]
-    if max_rank >= 1:
-        out.append(-d * u3[:, None])
-    if max_rank >= 2:
-        dd = d[:, :, None] * d[:, None, :]
-        out.append(3.0 * dd * u5[:, None, None] - eye[None, :, :] * u3[:, None, None])
-    if max_rank >= 3:
-        ddd = dd[:, :, :, None] * d[:, None, None, :]
-        sym_ed = (
-            eye[None, :, :, None] * d[:, None, None, :]
-            + eye[None, :, None, :] * d[:, None, :, None]
-            + eye[None, None, :, :] * d[:, :, None, None]
-        )
-        out.append(
-            -15.0 * ddd * u7[:, None, None, None]
-            + 3.0 * sym_ed * u5[:, None, None, None]
-        )
-    if max_rank >= 4:
-        dddd = ddd[:, :, :, :, None] * d[:, None, None, None, :]
-        sym_edd = np.zeros((k,) + (dim,) * 4)
-        letters = "abcd"
-        for (a, b) in combinations(range(4), 2):
-            rest = [i for i in range(4) if i not in (a, b)]
-            e_sub = letters[a] + letters[b]
-            d_sub = letters[rest[0]] + letters[rest[1]]
-            sym_edd += np.einsum(f"{e_sub},k{d_sub}->kabcd", eye, dd)
-        sym_ee = np.zeros((dim,) * 4)
-        # The three distinct pairings of four indices into two deltas:
-        # (ab)(cd), (ac)(bd), (ad)(bc) — enumerate pairs containing index 0
-        # so each pairing is counted exactly once.
-        for b in (1, 2, 3):
-            rest = [i for i in range(1, 4) if i != b]
-            e_sub = letters[0] + letters[b]
-            f_sub = letters[rest[0]] + letters[rest[1]]
-            sym_ee += np.einsum(f"{e_sub},{f_sub}->abcd", eye, eye)
-        out.append(
-            105.0 * dddd * u9[:, None, None, None, None]
-            - 15.0 * sym_edd * u7[:, None, None, None, None]
-            + 3.0 * sym_ee[None] * u5[:, None, None, None, None]
-        )
-    if max_rank >= 5:
-        ddddd = dddd[..., None] * d[:, None, None, None, None, :]
-        letters = "abcde"
-        sym_eddd = np.zeros((k,) + (dim,) * 5)
-        for (a, b) in combinations(range(5), 2):
-            rest = [i for i in range(5) if i not in (a, b)]
-            e_sub = letters[a] + letters[b]
-            d_sub = "".join(letters[i] for i in rest)
-            sym_eddd += np.einsum(f"{e_sub},k{d_sub}->kabcde", eye, ddd)
-        sym_eed = np.zeros((k,) + (dim,) * 5)
-        for solo in range(5):
-            others = [i for i in range(5) if i != solo]
-            # Three pairings of the remaining four indices into two deltas.
-            pairings = [
-                ((others[0], others[1]), (others[2], others[3])),
-                ((others[0], others[2]), (others[1], others[3])),
-                ((others[0], others[3]), (others[1], others[2])),
-            ]
-            for (p1, p2) in pairings:
-                e1 = letters[p1[0]] + letters[p1[1]]
-                e2 = letters[p2[0]] + letters[p2[1]]
-                ds = letters[solo]
-                sym_eed += np.einsum(f"{e1},{e2},k{ds}->kabcde", eye, eye, d)
-        out.append(
-            -945.0 * ddddd * u11[:, None, None, None, None, None]
-            + 105.0 * sym_eddd * u9[:, None, None, None, None, None]
-            - 15.0 * sym_eed * u7[:, None, None, None, None, None]
-        )
-    if max_rank >= 6:
-        raise ValueError("derivative tensors implemented up to rank 5")
-    return out
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Contraction over the last axis, leading axes broadcast."""
+    return np.einsum("...a,...a->...", a, b)
 
 
 def evaluate_multipoles(
@@ -237,25 +165,59 @@ def evaluate_multipoles(
 ):
     """Far-field acceleration and potential for separations ``d``.
 
-    All inputs are per-interaction (k rows): ``d = x_target - com_node``
-    and the node moments gathered per interaction.
+    ``d = x_target - com_node`` has shape ``(..., k, dim)``; the moments
+    carry the ``k`` source nodes on their first axis and broadcast over
+    any leading target axes.  Returns ``(acc, phi)`` per interaction.
+
+    Each ``M^(n) . D^(n)`` and ``M^(n) . D^(n+1)`` is evaluated in
+    contracted form, see the module docstring; ``rp_gravity`` in
+    :mod:`repro.backend.csrc` is the same formula in C.
     """
-    tensors = derivative_tensors(d, min(order, 4) + 1)
-    phi = mass * tensors[0]
-    acc = mass[:, None] * tensors[1]
+    d = np.asarray(d, dtype=np.float64)
+    r2 = _dot(d, d)
+    if np.any(r2 <= 0.0):
+        raise ValueError("multipole expansion is singular at zero separation")
+    u2 = 1.0 / r2
+    g0 = np.sqrt(u2)
+    g1 = -g0 * u2
+    phi = mass * g0
+    along = mass * g1  # coefficient of d in the acceleration
+    rest = 0.0  # the part of the acceleration not along d
     if order >= 2:
         if m2 is None:
             raise ValueError("order >= 2 requires m2 moments")
-        phi = phi + 0.5 * np.einsum("kab,kab->k", m2, tensors[2])
-        acc = acc + 0.5 * np.einsum("kab,kabe->ke", m2, tensors[3])
+        g2 = -3.0 * g1 * u2
+        g3 = -5.0 * g2 * u2
+        v2 = np.einsum("...ab,...a->...b", m2, d)
+        q2 = _dot(v2, d)
+        tr2 = np.einsum("...aa->...", m2)
+        phi = phi + 0.5 * (g2 * q2 + g1 * tr2)
+        along = along + 0.5 * (g3 * q2 + g2 * tr2)
+        rest = g2[..., None] * v2
     if order >= 3:
         if m3 is None:
             raise ValueError("order >= 3 requires m3 moments")
-        phi = phi - (1.0 / 6.0) * np.einsum("kabc,kabc->k", m3, tensors[3])
-        acc = acc - (1.0 / 6.0) * np.einsum("kabc,kabce->ke", m3, tensors[4])
+        g4 = -7.0 * g3 * u2
+        t3 = np.einsum("...aab->...b", m3)
+        v3 = np.einsum("...abc,...a,...b->...c", m3, d, d)
+        q3 = _dot(v3, d)
+        t3d = _dot(t3, d)
+        phi = phi - (g3 * q3 + 3.0 * g2 * t3d) / 6.0
+        along = along - (g4 * q3 + 3.0 * g3 * t3d) / 6.0
+        rest = rest - 0.5 * (g3[..., None] * v3 + g2[..., None] * t3)
     if order >= 4:
         if m4 is None:
             raise ValueError("order >= 4 requires m4 moments")
-        phi = phi + (1.0 / 24.0) * np.einsum("kabcd,kabcd->k", m4, tensors[4])
-        acc = acc + (1.0 / 24.0) * np.einsum("kabcd,kabcde->ke", m4, tensors[5])
-    return g_const * acc, -g_const * phi
+        g5 = -9.0 * g4 * u2
+        t4 = np.einsum("...aabc->...bc", m4)
+        tt4 = np.einsum("...aa->...", t4)
+        w4 = np.einsum("...ab,...a->...b", t4, d)
+        v4 = np.einsum(
+            "...abc,...a,...b->...c", np.einsum("...abce,...a->...bce", m4, d), d, d
+        )
+        q4 = _dot(v4, d)
+        t4dd = _dot(w4, d)
+        phi = phi + (g4 * q4 + 6.0 * g3 * t4dd + 3.0 * g2 * tt4) / 24.0
+        along = along + (g5 * q4 + 6.0 * g4 * t4dd + 3.0 * g3 * tt4) / 24.0
+        rest = rest + g4[..., None] * v4 / 6.0 + 0.5 * g3[..., None] * w4
+    return g_const * (along[..., None] * d + rest), -g_const * phi

@@ -46,6 +46,7 @@ from .pop import pop_from_events
 from .registry import MetricsRegistry
 from .report import (
     RunReport,
+    format_gravity,
     format_neighbor_cache,
     format_pair_engine,
     format_recovery,
@@ -67,6 +68,7 @@ __all__ = [
     "code_version",
     "record_from_simulation",
     "format_pair_engine",
+    "format_gravity",
     "format_neighbor_cache",
     "format_recovery",
     "format_tuning",

@@ -19,6 +19,7 @@ __all__ = [
     "RunReport",
     "format_pair_engine",
     "format_neighbor_cache",
+    "format_gravity",
     "format_recovery",
     "format_tuning",
 ]
@@ -46,6 +47,9 @@ class RunReport:
     n_particles: int
     pair_engine: Dict[str, int]
     neighbor_cache: Optional[Dict[str, float]] = None
+    #: Barnes-Hut work: calls, mean P2P/M2P interactions per step and
+    #: which rendering ran (``None`` when gravity is off).
+    gravity: Optional[Dict[str, object]] = None
     recovery: Optional[Dict[str, float]] = None
     checkpoint: Optional[Dict[str, float]] = None
     #: Step-guard activity (a ``repro.resilience.guard.GuardReport`` —
@@ -72,6 +76,7 @@ class RunReport:
             "neighbor_cache": (
                 dict(self.neighbor_cache) if self.neighbor_cache else None
             ),
+            "gravity": dict(self.gravity) if self.gravity else None,
             "recovery": dict(self.recovery) if self.recovery else None,
             "checkpoint": dict(self.checkpoint) if self.checkpoint else None,
             "guard": (
@@ -100,6 +105,8 @@ class RunReport:
         lines.append(format_pair_engine(self.pair_engine))
         if self.neighbor_cache is not None:
             lines.append(format_neighbor_cache(self.neighbor_cache))
+        if self.gravity is not None:
+            lines.append(format_gravity(self.gravity))
         if self.recovery is not None:
             lines.append(format_recovery(self.recovery))
         if self.checkpoint is not None:
@@ -159,6 +166,16 @@ def format_neighbor_cache(stats) -> str:
         f"(hits={hits}, builds={builds} in {searches} searches, "
         f"invalidated: displacement={m_disp}, "
         f"h-change={m_h}, cold/shape={m_shape})"
+    )
+
+
+def format_gravity(stats) -> str:
+    """One-line report of the Barnes-Hut work of a self-gravitating run."""
+    return (
+        f"gravity: calls={_get(stats, 'calls')} "
+        f"p2p/step={_get(stats, 'p2p_per_step'):.0f} "
+        f"m2p/step={_get(stats, 'm2p_per_step'):.0f} "
+        f"path={_get(stats, 'path', '?')}"
     )
 
 

@@ -330,7 +330,7 @@ _TREE_FIELDS = (
 def _task_gravity(views, params, lo, hi):
     leaves = views.view("leaves")[lo:hi]
     if leaves.size == 0:
-        return {"n_p2p": 0, "n_m2p": 0}
+        return {"n_p2p": 0, "n_m2p": 0, "path": None}
     tree = Octree(
         box=params["box"],
         **{name: views.view(f"tree_{name}") for name in _TREE_FIELDS},
@@ -345,6 +345,7 @@ def _task_gravity(views, params, lo, hi):
     )
     x = views.view("x")
     m = views.view("m")
+    backend = _worker_backend(params)
     result = barnes_hut_gravity(
         x,
         m,
@@ -355,6 +356,7 @@ def _task_gravity(views, params, lo, hi):
         tree=tree,
         moments=moments,
         target_leaves=leaves,
+        ops=None if backend is None else backend.ops,
     )
     # Targets of disjoint leaves are disjoint particle index sets, so the
     # scatter below never races with other workers.
@@ -367,7 +369,7 @@ def _task_gravity(views, params, lo, hi):
     tidx = tree.order[flat]
     views.view("out_acc")[tidx] = result.acc[tidx]
     views.view("out_phi")[tidx] = result.phi[tidx]
-    return {"n_p2p": result.n_p2p, "n_m2p": result.n_m2p}
+    return {"n_p2p": result.n_p2p, "n_m2p": result.n_m2p, "path": result.path}
 
 
 @register_task("probe")
@@ -756,20 +758,21 @@ class ParallelEngine:
         order: int = 2,
         tree: Optional[Octree] = None,
         phase: str = "I",
+        backend: Optional[str] = None,
     ) -> GravityResult:
         """Pool-parallel Barnes-Hut gravity.
 
         The parent builds/reuses the tree and the node moments (cheap
         prefix-sum passes), then partitions the populated target leaves
-        over the workers at ~equal particle counts; each worker runs the
-        frontier walk for its leaves only.
+        over the workers at ~equal particle counts; each worker walks
+        its leaves only, on the backend named by ``backend``.
         """
         pool, arena = self._ensure()
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         m = np.asarray(m, dtype=np.float64)
         n, dim = x.shape
         if tree is None:
-            tree = Octree.build(x, leaf_size=64)
+            tree = Octree.build(x)
         moments = compute_node_moments(tree, x, m, order=order)
         leaves = np.nonzero(tree.is_leaf() & (tree.node_counts() > 0))[0]
         with self._phase(phase, State.FAN_OUT):
@@ -815,6 +818,7 @@ class ParallelEngine:
                 "has_m2": moments.m2 is not None,
                 "has_m3": moments.m3 is not None,
                 "has_m4": moments.m4 is not None,
+                "backend": backend,
             }
             # Gravity chunks index *leaves* and workers scatter-write
             # particle rows, so slice CRCs don't apply — no verify pass.
@@ -824,4 +828,9 @@ class ParallelEngine:
             phi = np.array(out_phi, copy=True)
             n_p2p = sum(data["n_p2p"] for _, data in replies)
             n_m2p = sum(data["n_m2p"] for _, data in replies)
-        return GravityResult(acc=acc, phi=phi, n_p2p=n_p2p, n_m2p=n_m2p)
+            # One name unless a worker could not build the shipped backend.
+            paths = {data["path"] for _, data in replies} - {None}
+        return GravityResult(
+            acc=acc, phi=phi, n_p2p=n_p2p, n_m2p=n_m2p,
+            path="+".join(sorted(paths)) or "numpy",
+        )

@@ -31,7 +31,12 @@ from .neighborlist import (
     sum_of_squares,
 )
 
-__all__ = ["Octree"]
+__all__ = ["Octree", "LEAF_SIZE"]
+
+#: Default bucket size.  The driver's tree serves the neighbour walk and
+#: the gravity walk, and the pool's gravity task gets that same tree, so
+#: they all take this one value.
+LEAF_SIZE = 48
 
 
 @dataclass
@@ -71,7 +76,7 @@ class Octree:
         cls,
         x: np.ndarray,
         box: Box | None = None,
-        leaf_size: int = 32,
+        leaf_size: int = LEAF_SIZE,
         max_level: int | None = None,
     ) -> "Octree":
         """Build the tree over positions ``x``.
@@ -245,7 +250,7 @@ class Octree:
             ids = np.nonzero((self.level == lev) & (self.child_count > 0))[0]
             if ids.size == 0:
                 continue
-            flat_children = _expand_ranges(self.child_start[ids], self.child_count[ids])
+            flat_children = expand_ranges(self.child_start[ids], self.child_count[ids])
             vals = out[flat_children]
             starts = np.cumsum(self.child_count[ids]) - self.child_count[ids]
             out[ids] = np.maximum.reduceat(vals, starts)
@@ -352,12 +357,12 @@ class Octree:
             leaf = self.child_count[pairs_n] == 0
             ln = pairs_n[leaf]
             counts = self.pend[ln] - self.pstart[ln]
-            cand_j.append(self.order[_expand_ranges(self.pstart[ln], counts)])
+            cand_j.append(self.order[expand_ranges(self.pstart[ln], counts)])
             cand_q.append(np.repeat(pairs_q[leaf], counts))
             # Expand internal nodes to their children.
             inn = pairs_n[~leaf]
             ccount = self.child_count[inn]
-            pairs_n = _expand_ranges(self.child_start[inn], ccount)
+            pairs_n = expand_ranges(self.child_start[inn], ccount)
             pairs_q = np.repeat(pairs_q[~leaf], ccount)
         return np.concatenate(cand_q), np.concatenate(cand_j)
 
@@ -366,7 +371,7 @@ class Octree:
 _CANDIDATE_BLOCK = 1 << 20
 
 
-def _expand_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+def expand_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Concatenate ``arange(starts[k], starts[k]+counts[k])`` for all k."""
     total = int(counts.sum())
     if total == 0:

@@ -387,6 +387,34 @@ def test_scenario_conformance_worker_pool(workers, backend_name):
                           f"{name}.{field}/{backend_name}[workers={workers}]")
 
 
+@compiled_backend
+def test_compiled_evrard_holds_golden_and_conservation(backend_name):
+    """Self-gravity on the compiled path: the committed (numpy) golden
+    at ``GOLDEN_RTOL``, the scenario's conservation promises, and a
+    report that says which gravity rendering ran."""
+    scenario = get_scenario("evrard")
+    sim = scenario.make_simulation(
+        test=True, run_config=RunConfig(exec=ExecConfig(backend=backend_name))
+    )
+    try:
+        sim.run(n_steps=scenario.golden_steps)
+        record = record_run(sim, case="scenario:evrard")
+        drift = sim.conservation_drift()
+        report = sim.report()
+        has_op = sim.backend.ops.has_gravity
+    finally:
+        sim.close()
+    failures = compare_records(record, load_golden(golden_path("evrard")))
+    assert not failures, "evrard golden mismatch:\n" + "\n".join(failures)
+    for quantity, bound in scenario.invariants.items():
+        assert drift[quantity] <= bound, f"{quantity} drift {drift[quantity]:.3e}"
+    # Two rate evaluations on the first step, one on each later step.
+    assert report.gravity["calls"] == scenario.golden_steps + 1
+    assert report.gravity["path"] == (backend_name if has_op else "numpy")
+    assert report.gravity["p2p_per_step"] > 0
+    assert "gravity: calls=" in report.summary()
+
+
 # --------------------------------------------------------------------------
 # pure-reorganization proof + provenance
 # --------------------------------------------------------------------------

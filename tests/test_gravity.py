@@ -1,17 +1,132 @@
-"""Gravity: direct baseline, multipole moments/tensors, Barnes-Hut."""
+"""Gravity: direct baseline, multipole moments, contracted far-field
+evaluation against the dense-tensor oracle, Barnes-Hut on both paths."""
+
+from itertools import combinations
+from typing import List
 
 import numpy as np
 import pytest
 
+from repro.backend import select_backend
 from repro.gravity.barnes_hut import barnes_hut_gravity, potential_energy
 from repro.gravity.direct import direct_gravity
-from repro.gravity.multipole import (
-    compute_node_moments,
-    derivative_tensors,
-    evaluate_multipoles,
-)
+from repro.gravity.multipole import compute_node_moments, evaluate_multipoles
 from repro.tree.box import Box
 from repro.tree.octree import Octree
+
+
+# ----------------------------------------------------------------------
+# Oracle: the far-field expansion through dense derivative tensors
+# ``D^(n) = grad^n (1/r)`` — what ``evaluate_multipoles`` contracts away.
+# ----------------------------------------------------------------------
+def derivative_tensors(d: np.ndarray, max_rank: int) -> List[np.ndarray]:
+    """``[D^(0), ..., D^(max_rank)]`` with ``D^(n) = grad^n (1/|d|)``.
+
+    ``d`` has shape ``(k, dim)``; each ``D^(n)`` has shape
+    ``(k, dim, ..., dim)`` with n trailing axes.  Explicit closed forms up
+    to rank 5 (needed for hexadecapole accelerations).
+    """
+    d = np.atleast_2d(np.asarray(d, dtype=np.float64))
+    k, dim = d.shape
+    r2 = np.einsum("kd,kd->k", d, d)
+    if np.any(r2 <= 0.0):
+        raise ValueError("derivative tensors are singular at zero separation")
+    u = 1.0 / np.sqrt(r2)
+    u3 = u**3
+    u5 = u3 * u * u
+    u7 = u5 * u * u
+    u9 = u7 * u * u
+    u11 = u9 * u * u
+    eye = np.eye(dim)
+
+    out: List[np.ndarray] = [u]
+    if max_rank >= 1:
+        out.append(-d * u3[:, None])
+    if max_rank >= 2:
+        dd = d[:, :, None] * d[:, None, :]
+        out.append(3.0 * dd * u5[:, None, None] - eye[None, :, :] * u3[:, None, None])
+    if max_rank >= 3:
+        ddd = dd[:, :, :, None] * d[:, None, None, :]
+        sym_ed = (
+            eye[None, :, :, None] * d[:, None, None, :]
+            + eye[None, :, None, :] * d[:, None, :, None]
+            + eye[None, None, :, :] * d[:, :, None, None]
+        )
+        out.append(
+            -15.0 * ddd * u7[:, None, None, None]
+            + 3.0 * sym_ed * u5[:, None, None, None]
+        )
+    if max_rank >= 4:
+        dddd = ddd[:, :, :, :, None] * d[:, None, None, None, :]
+        sym_edd = np.zeros((k,) + (dim,) * 4)
+        letters = "abcd"
+        for (a, b) in combinations(range(4), 2):
+            rest = [i for i in range(4) if i not in (a, b)]
+            e_sub = letters[a] + letters[b]
+            d_sub = letters[rest[0]] + letters[rest[1]]
+            sym_edd += np.einsum(f"{e_sub},k{d_sub}->kabcd", eye, dd)
+        sym_ee = np.zeros((dim,) * 4)
+        # The three distinct pairings of four indices into two deltas:
+        # (ab)(cd), (ac)(bd), (ad)(bc) — enumerate pairs containing index 0
+        # so each pairing is counted exactly once.
+        for b in (1, 2, 3):
+            rest = [i for i in range(1, 4) if i != b]
+            e_sub = letters[0] + letters[b]
+            f_sub = letters[rest[0]] + letters[rest[1]]
+            sym_ee += np.einsum(f"{e_sub},{f_sub}->abcd", eye, eye)
+        out.append(
+            105.0 * dddd * u9[:, None, None, None, None]
+            - 15.0 * sym_edd * u7[:, None, None, None, None]
+            + 3.0 * sym_ee[None] * u5[:, None, None, None, None]
+        )
+    if max_rank >= 5:
+        ddddd = dddd[..., None] * d[:, None, None, None, None, :]
+        letters = "abcde"
+        sym_eddd = np.zeros((k,) + (dim,) * 5)
+        for (a, b) in combinations(range(5), 2):
+            rest = [i for i in range(5) if i not in (a, b)]
+            e_sub = letters[a] + letters[b]
+            d_sub = "".join(letters[i] for i in rest)
+            sym_eddd += np.einsum(f"{e_sub},k{d_sub}->kabcde", eye, ddd)
+        sym_eed = np.zeros((k,) + (dim,) * 5)
+        for solo in range(5):
+            others = [i for i in range(5) if i != solo]
+            # Three pairings of the remaining four indices into two deltas.
+            pairings = [
+                ((others[0], others[1]), (others[2], others[3])),
+                ((others[0], others[2]), (others[1], others[3])),
+                ((others[0], others[3]), (others[1], others[2])),
+            ]
+            for (p1, p2) in pairings:
+                e1 = letters[p1[0]] + letters[p1[1]]
+                e2 = letters[p2[0]] + letters[p2[1]]
+                ds = letters[solo]
+                sym_eed += np.einsum(f"{e1},{e2},k{ds}->kabcde", eye, eye, d)
+        out.append(
+            -945.0 * ddddd * u11[:, None, None, None, None, None]
+            + 105.0 * sym_eddd * u9[:, None, None, None, None, None]
+            - 15.0 * sym_eed * u7[:, None, None, None, None, None]
+        )
+    if max_rank >= 6:
+        raise ValueError("derivative tensors implemented up to rank 5")
+    return out
+
+
+def dense_evaluate_multipoles(d, mass, m2, m3, m4, order, g_const=1.0):
+    """``evaluate_multipoles`` with every ``D^(n)`` materialised (k rows)."""
+    tensors = derivative_tensors(d, order + 1)
+    phi = mass * tensors[0]
+    acc = mass[:, None] * tensors[1]
+    if order >= 2:
+        phi = phi + 0.5 * np.einsum("kab,kab->k", m2, tensors[2])
+        acc = acc + 0.5 * np.einsum("kab,kabe->ke", m2, tensors[3])
+    if order >= 3:
+        phi = phi - (1.0 / 6.0) * np.einsum("kabc,kabc->k", m3, tensors[3])
+        acc = acc - (1.0 / 6.0) * np.einsum("kabc,kabce->ke", m3, tensors[4])
+    if order >= 4:
+        phi = phi + (1.0 / 24.0) * np.einsum("kabcd,kabcd->k", m4, tensors[4])
+        acc = acc + (1.0 / 24.0) * np.einsum("kabcd,kabcde->ke", m4, tensors[5])
+    return g_const * acc, -g_const * phi
 
 
 @pytest.fixture
@@ -141,6 +256,62 @@ def test_far_field_expansion_converges(cluster):
     assert errors[3] / abs(exact_phi) < 1e-6
 
 
+def _scaled_err(got, ref):
+    """Max abs error over the largest reference magnitude."""
+    return np.abs(got - ref).max() / np.abs(ref).max()
+
+
+@pytest.fixture
+def interactions(rng):
+    """k far-field interactions: random bodies of 6 points, seen from a
+    few body radii away, with their raw moments about the COM."""
+    k = 400
+    w = rng.uniform(0.5, 1.5, (k, 6))
+    s = rng.normal(scale=0.3, size=(k, 6, 3))
+    s -= (w[..., None] * s).sum(axis=1, keepdims=True) / w.sum(axis=1)[:, None, None]
+    d = rng.normal(size=(k, 3))
+    d *= (rng.uniform(1.5, 6.0, k) / np.linalg.norm(d, axis=1))[:, None]
+    moments = (
+        w.sum(axis=1),
+        np.einsum("kp,kpa,kpb->kab", w, s, s),
+        np.einsum("kp,kpa,kpb,kpc->kabc", w, s, s, s),
+        np.einsum("kp,kpa,kpb,kpc,kpd->kabcd", w, s, s, s, s),
+    )
+    return d, moments
+
+
+@pytest.mark.parametrize("order", [0, 2, 3, 4])
+def test_contracted_evaluation_matches_dense_oracle(interactions, order):
+    d, moments = interactions
+    a_ref, phi_ref = dense_evaluate_multipoles(d, *moments, order, g_const=1.7)
+    acc, phi = evaluate_multipoles(d, *moments, order, g_const=1.7)
+    scale = np.linalg.norm(a_ref, axis=1)
+    assert (np.linalg.norm(acc - a_ref, axis=1) / scale).max() < 1e-12
+    assert (np.abs(phi - phi_ref) / np.abs(phi_ref)).max() < 1e-12
+
+
+def test_contracted_evaluation_broadcasts_over_targets(interactions):
+    """``(targets, nodes, dim)`` separations against per-node moments."""
+    d, moments = interactions
+    nodes = tuple(mk[:40] for mk in moments)
+    d3 = d[:120].reshape(3, 40, 3)
+    acc, phi = evaluate_multipoles(d3, *nodes, 4)
+    assert acc.shape == (3, 40, 3) and phi.shape == (3, 40)
+    for t in range(3):
+        a_row, phi_row = evaluate_multipoles(d3[t], *nodes, 4)
+        assert np.array_equal(acc[t], a_row)
+        assert np.array_equal(phi[t], phi_row)
+
+
+def test_evaluate_multipoles_rejects_bad_input(interactions):
+    d, (mass, m2, m3, m4) = interactions
+    with pytest.raises(ValueError, match="singular"):
+        evaluate_multipoles(np.zeros((1, 3)), mass[:1], None, None, None, 0)
+    for order, held in ((2, (None, m3, m4)), (3, (m2, None, m4)), (4, (m2, m3, None))):
+        with pytest.raises(ValueError, match=f"m{order}"):
+            evaluate_multipoles(d, mass, *held, order)
+
+
 # ----------------------------------------------------------------------
 # Barnes-Hut
 # ----------------------------------------------------------------------
@@ -209,3 +380,113 @@ def test_barnes_hut_softening_matches_direct(cluster):
     a_exact, _ = direct_gravity(x, m, softening=eps)
     res = barnes_hut_gravity(x, m, theta=1e-6, softening=eps)
     assert np.allclose(res.acc, a_exact, rtol=1e-10)
+
+
+# ----------------------------------------------------------------------
+# Barnes-Hut: the compiled rendering against the numpy reference
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def compiled_ops():
+    backend = select_backend("auto")
+    if backend.ops is None or not backend.ops.has_gravity:
+        pytest.skip("no compiled backend with a gravity op on this host")
+    return backend.ops
+
+
+def _isothermal_sphere(rng, n=900):
+    """rho ~ 1/r^2 inside the unit sphere: deep tree at the centre."""
+    x = rng.normal(size=(n, 3))
+    x *= (rng.random(n) / np.linalg.norm(x, axis=1))[:, None]
+    return x, rng.uniform(0.5, 1.5, n)
+
+
+def _lattice(rng, side=9):
+    """Equal masses on a cubic lattice: node COMs sit at symmetric
+    distances from the leaf boxes, so many MAC tests are ties."""
+    axis = (np.arange(side) + 0.5) / side
+    x = np.stack([g.ravel() for g in np.meshgrid(axis, axis, axis, indexing="ij")], axis=1)
+    return x, np.ones(x.shape[0])
+
+
+CLOUDS = {"sphere": _isothermal_sphere, "lattice": _lattice}
+
+
+@pytest.mark.parametrize("softening", [0.0, 0.03])
+@pytest.mark.parametrize("order", [0, 2, 3, 4])
+@pytest.mark.parametrize("cloud", sorted(CLOUDS))
+def test_compiled_gravity_matches_numpy(compiled_ops, rng, cloud, order, softening):
+    x, m = CLOUDS[cloud](rng)
+    kw = dict(theta=0.5, order=order, softening=softening, g_const=1.3, leaf_size=16)
+    ref = barnes_hut_gravity(x, m, **kw)
+    got = barnes_hut_gravity(x, m, ops=compiled_ops, **kw)
+    assert (got.n_p2p, got.n_m2p) == (ref.n_p2p, ref.n_m2p)
+    assert ref.n_m2p > 0 and ref.n_p2p > 0
+    assert _scaled_err(got.acc, ref.acc) < 1e-12
+    assert _scaled_err(got.phi, ref.phi) < 1e-12
+
+
+def test_compiled_gravity_theta_zero_is_direct(compiled_ops, cluster):
+    x, m = cluster
+    for eps in (0.0, 0.05):
+        a_exact, p_exact = direct_gravity(x, m, softening=eps)
+        res = barnes_hut_gravity(
+            x, m, theta=1e-6, softening=eps, leaf_size=16, ops=compiled_ops
+        )
+        assert res.n_m2p == 0 and res.n_p2p == len(m) ** 2
+        assert np.allclose(res.acc, a_exact, rtol=1e-10, atol=1e-12)
+        assert np.allclose(res.phi, p_exact, rtol=1e-10, atol=1e-12)
+
+
+@pytest.mark.parametrize("path", ["numpy", "compiled"])
+def test_leaf_partition_reproduces_full_walk(request, rng, path):
+    """A leaf's sums involve that leaf alone: any split of the target
+    leaves adds up, array for array, to the one-call result."""
+    ops = request.getfixturevalue("compiled_ops") if path == "compiled" else None
+    x, m = _isothermal_sphere(rng)
+    tree = Octree.build(x, leaf_size=16)
+    mom = compute_node_moments(tree, x, m, order=4)
+    kw = dict(theta=0.6, order=4, softening=0.01, tree=tree, moments=mom, ops=ops)
+    full = barnes_hut_gravity(x, m, **kw)
+    leaves = np.nonzero(tree.is_leaf() & (tree.node_counts() > 0))[0]
+    parts = np.array_split(rng.permutation(leaves), 5)
+    acc = np.zeros_like(full.acc)
+    phi = np.zeros_like(full.phi)
+    n_p2p = n_m2p = 0
+    for part in parts:
+        res = barnes_hut_gravity(x, m, target_leaves=part, **kw)
+        acc += res.acc  # disjoint rows: every sum is x + 0
+        phi += res.phi
+        n_p2p += res.n_p2p
+        n_m2p += res.n_m2p
+    assert np.array_equal(acc, full.acc)
+    assert np.array_equal(phi, full.phi)
+    assert (n_p2p, n_m2p) == (full.n_p2p, full.n_m2p)
+
+
+class _OpsWithoutGravity:
+    """A compiled table whose implementation lacks the op (numba mirrors)."""
+
+    has_gravity = False
+
+    def gravity(self, *args):  # pragma: no cover - must not be reached
+        raise AssertionError("dispatched to a backend without the op")
+
+
+class _OpsMustNotRun(_OpsWithoutGravity):
+    has_gravity = True
+
+
+def test_gravity_falls_back_to_numpy(cluster, rng):
+    x, m = cluster
+    ref = barnes_hut_gravity(x, m, order=2)
+    got = barnes_hut_gravity(x, m, order=2, ops=_OpsWithoutGravity())
+    assert np.array_equal(got.acc, ref.acc) and np.array_equal(got.phi, ref.phi)
+    # The op is 3-D only: a planar problem stays on the reference even
+    # when the table carries it.
+    x2 = rng.random((200, 2))
+    ref2 = barnes_hut_gravity(x2, np.ones(200), order=2, leaf_size=8)
+    got2 = barnes_hut_gravity(
+        x2, np.ones(200), order=2, leaf_size=8, ops=_OpsMustNotRun()
+    )
+    assert ref2.n_m2p > 0
+    assert np.array_equal(got2.acc, ref2.acc)

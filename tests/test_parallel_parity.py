@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.backend import available_backends
 from repro.core.config import SimulationConfig
 from repro.core.simulation import Simulation
 from repro.ics.evrard import EvrardConfig, make_evrard
@@ -58,6 +59,7 @@ def _run(case: str, exec_config: ExecConfig | None, n_steps: int = 2):
             "max_mu": sim._max_mu,
             "dt": [s.dt for s in sim.history],
             "tracer": sim.tracer,
+            "gravity": sim.report().gravity,
         }
     finally:
         sim.close()
@@ -99,6 +101,29 @@ def test_gravity_interaction_counts_partition_exactly():
     _, extras = _run("evrard", ExecConfig(workers=2))
     assert extras["n_p2p"] == ref_extras["n_p2p"]
     assert extras["n_m2p"] == ref_extras["n_m2p"]
+
+
+def test_compiled_pool_gravity_matches_compiled_serial():
+    """The gravity task runs on the backend the driver resolved, and a
+    leaf's sums do not depend on the partition: same interactions, same
+    fields, on the compiled walk as on the numpy one."""
+    if not available_backends()["cffi"]:
+        pytest.skip("no C toolchain on this host")
+    ref_state, ref_extras = _run("evrard", ExecConfig(backend="cffi"))
+    state, extras = _run("evrard", ExecConfig(backend="cffi", workers=2))
+    for name in FIELDS:
+        np.testing.assert_allclose(state[name], ref_state[name], rtol=RTOL, atol=0.0)
+    assert extras["gravity"] == ref_extras["gravity"]
+    assert extras["gravity"]["path"] == "cffi"
+    # The MAC is the same arithmetic on both renderings.
+    numpy_gravity = _serial("evrard")[1]["gravity"]
+    for key in ("calls", "p2p_per_step", "m2p_per_step"):
+        assert extras["gravity"][key] == numpy_gravity[key]
+    assert numpy_gravity["path"] == "numpy" and numpy_gravity["m2p_per_step"] > 0
+
+
+def test_report_has_no_gravity_block_without_gravity():
+    assert _serial("square-patch")[1]["gravity"] is None
 
 
 def test_multiple_chunks_per_worker_keep_parity():
