@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from ..tree.box import Box
 from .decomposition import Decomposition
@@ -71,6 +70,8 @@ def estimate_halo(
         Grid resolution cap — finer grids sharpen the estimate but cost
         memory; 128^3 cells cover the benchmark scales.
     """
+    import scipy.sparse as sp  # cluster model only: not on the run path
+
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     n, dim = x.shape
     if support <= 0.0:

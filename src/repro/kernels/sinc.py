@@ -12,7 +12,7 @@ exponent here is a constructor parameter so that behaviour can be composed
 on top.
 
 Normalization constants have no convenient closed form and are integrated
-numerically once per (n, dim) and cached on the instance.
+numerically once per (n, dim) and process.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ class SincKernel(Kernel):
     """Sinc kernel ``S_n`` with configurable real exponent ``n >= 3``."""
 
     def __init__(self, exponent: float = 5.0) -> None:
-        super().__init__()
         if exponent < 2.0:
             raise ValueError(
                 f"sinc exponent must be >= 2 for an integrable gradient, got {exponent}"

@@ -30,7 +30,6 @@ class WendlandC2Kernel(Kernel):
     name = "wendland-c2"
 
     def __init__(self, dim_hint: int = 3) -> None:
-        super().__init__()
         self._dim_hint = dim_hint
 
     def shape(self, q: np.ndarray) -> np.ndarray:
@@ -66,7 +65,6 @@ class WendlandC4Kernel(Kernel):
     name = "wendland-c4"
 
     def __init__(self, dim_hint: int = 3) -> None:
-        super().__init__()
         self._dim_hint = dim_hint
 
     def shape(self, q: np.ndarray) -> np.ndarray:
@@ -101,7 +99,6 @@ class WendlandC6Kernel(Kernel):
     name = "wendland-c6"
 
     def __init__(self, dim_hint: int = 3) -> None:
-        super().__init__()
         self._dim_hint = dim_hint
 
     def shape(self, q: np.ndarray) -> np.ndarray:

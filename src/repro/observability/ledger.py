@@ -33,6 +33,7 @@ ones.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -71,8 +72,15 @@ def host_fingerprint() -> Dict[str, object]:
     toolchain versions (a numba upgrade changes compiled-step timings as
     surely as a CPU swap does).  Deliberately excludes hostname and
     anything wall-clock-dependent so the fingerprint is stable across
-    reboots of the same machine/image.
+    reboots of the same machine/image.  Probed once per process (a
+    failed ``import numba`` is retried by Python on every call
+    otherwise); each caller gets its own copy.
     """
+    return dict(_probe_host())
+
+
+@functools.cache
+def _probe_host() -> Dict[str, object]:
     fp: Dict[str, object] = {
         "cpu_count": os.cpu_count() or 1,
         "machine": platform.machine(),
@@ -99,12 +107,15 @@ def fingerprint_id(fp: Optional[Dict[str, object]] = None) -> str:
     return hashlib.sha256(blob).hexdigest()[:12]
 
 
+@functools.cache
 def code_version() -> str:
     """Short git commit of the running checkout, or ``"unknown"``.
 
     Resolved by reading ``.git/HEAD`` directly (no subprocess): ledger
     appends happen inside ``Simulation.close()`` and must never block on
-    or fail from an external tool.
+    or fail from an external tool.  Read once per process: the modules
+    it stamps were loaded once, and every ``JobSpec.content_hash()``
+    asks.
     """
     root = Path(__file__).resolve()
     for parent in root.parents:

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 __all__ = ["RiemannSolution", "solve_riemann"]
 
@@ -167,6 +166,8 @@ def solve_riemann(
     gamma: float = 1.4,
 ) -> RiemannSolution:
     """Solve one Riemann problem exactly (star pressure via Brent)."""
+    from scipy.optimize import brentq  # analytic gates only: not on the run path
+
     if min(rho_l, rho_r, p_l, p_r) <= 0.0:
         raise ValueError("densities and pressures must be positive")
 

@@ -40,7 +40,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 __all__ = ["SedovSolution"]
 
@@ -117,6 +116,8 @@ class SedovSolution:
 
     # ------------------------------------------------------------------
     def _integrate_profile(self) -> None:
+        from scipy.integrate import solve_ivp  # analytic gates only: not on the run path
+
         gamma, j = self.gamma, self.j
         y0 = np.array(_shock_state(gamma))
         y0[1] = np.log(y0[1])  # integrate ln(Om) for positivity

@@ -43,7 +43,7 @@ from .queue import FairShareQueue, QueueFullError
 from .runner import JobOutcome, execute_spec
 from .spec import JobSpec
 from .store import ResultStore
-from .worker import process_worker_main
+from .worker import process_worker_main, warm
 
 __all__ = [
     "JobState",
@@ -244,6 +244,8 @@ class ServiceManager:
             return self
         self._running = True
         self._loop = asyncio.get_running_loop()
+        if self.config.isolation == "process":
+            warm()
         for i in range(self.config.max_workers):
             self._workers.append(
                 asyncio.ensure_future(self._worker_loop(i))

@@ -11,13 +11,35 @@ completed step rather than restarting it.
 
 Top-level by design: the function must be importable under the
 ``spawn`` start method, not only ``fork``.
+
+Under ``fork`` a child starts as a copy of the manager's process, so
+whatever the manager has not loaded every attempt loads again.
+:func:`warm` makes that copy complete.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-__all__ = ["process_worker_main"]
+__all__ = ["process_worker_main", "warm"]
+
+
+def warm() -> None:
+    """Load in the forking process what every job attempt would load.
+
+    ``ServiceManager.start()`` calls this under process isolation: the
+    modules :func:`~repro.service.runner.execute_spec` reaches through
+    function-local imports, and the memoised per-process facts each job
+    stamps into its spec hash and ledger row.  A forked child then pays
+    for its physics, checkpoints and ledger row only.  Still one process
+    per attempt (nothing is pooled or kept alive) and nothing is
+    compiled; imports and ``functools.cache`` make a second call free.
+    """
+    from .. import compat, parallel, resilience  # noqa: F401
+    from ..observability import ledger
+
+    ledger.host_fingerprint()
+    ledger.code_version()
 
 
 def process_worker_main(

@@ -80,12 +80,23 @@ def _compact1by1(x: np.ndarray) -> np.ndarray:
 def normalize_coords(
     x: np.ndarray, lo: np.ndarray, hi: np.ndarray
 ) -> np.ndarray:
-    """Map positions into the unit cube ``[0, 1)^dim`` of the box (lo, hi)."""
+    """Map positions into the unit cube ``[0, 1)^dim`` of the box (lo, hi).
+
+    Raises ``ValueError`` naming the first non-finite particle: a NaN has
+    no cell, and casting one to an unsigned grid coordinate is undefined.
+    """
     x = np.asarray(x, dtype=np.float64)
     lo = np.asarray(lo, dtype=np.float64)
     hi = np.asarray(hi, dtype=np.float64)
+    finite = np.isfinite(x)
+    if not finite.all():
+        bad = np.nonzero(~finite)[0]
+        raise ValueError(
+            f"non-finite position: particle {bad[0]} at {x[bad[0]]} "
+            f"(first of {np.unique(bad).size})"
+        )
     span = hi - lo
-    if np.any(span <= 0.0):
+    if not np.all(span > 0.0):
         raise ValueError(f"degenerate bounding box: lo={lo}, hi={hi}")
     frac = (x - lo) / span
     # Clamp so particles sitting exactly on the upper face stay inside.

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -12,6 +17,23 @@ from repro.tree.box import Box
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20180921)  # the paper's arXiv date
+
+
+@pytest.fixture
+def fresh_interpreter():
+    """``run(program, *argv)``: execute ``program`` in a new interpreter on
+    this one's import path and return the JSON on its last stdout line —
+    for what a process has *loaded*, which pytest's own never shows."""
+
+    def run(program: str, *argv: str):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        done = subprocess.run(
+            [sys.executable, "-c", program, *argv],
+            capture_output=True, text=True, check=True, env=env,
+        )
+        return json.loads(done.stdout.splitlines()[-1])
+
+    return run
 
 
 @pytest.fixture

@@ -69,6 +69,45 @@ def test_configure_after_start_refused(private_service):
         api.configure_service(api.ServiceConfig())
 
 
+# --- what a run loads ----------------------------------------------------
+
+_RUN_EVERY_SCENARIO = """
+import json, sys, warnings
+from repro import api
+from repro.backend import select_backend
+from repro.scenarios import scenario_names
+
+loaded_by_import = sorted(sys.modules)
+backends = ["numpy"]
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore")  # no compiler: numpy alone is the run path
+    if select_backend("cffi").name == "cffi":
+        backends.append("cffi")
+ran = [
+    [name, backend, api.run(name, n_steps=1, test=True, backend=backend,
+                            neighbor_cache=True).steps]
+    for name in scenario_names() for backend in backends
+]
+print(json.dumps({"import": loaded_by_import, "run": sorted(sys.modules),
+                  "ran": ran}))
+"""
+
+
+def test_run_path_never_loads_scipy(fresh_interpreter):
+    """``import repro.api`` and one step of every registered scenario (numpy,
+    and cffi where it builds) leave scipy — a dependency of the analytic
+    gates only — and the test/plot toolchain out of the process."""
+    reply = fresh_interpreter(_RUN_EVERY_SCENARIO)
+    assert len({name for name, _, _ in reply["ran"]}) == 8
+    assert all(steps == 1 for _, _, steps in reply["ran"])
+    for stage in ("import", "run"):
+        heavy = [
+            m for m in reply[stage]
+            if m.split(".")[0] in ("scipy", "hypothesis", "matplotlib")
+        ]
+        assert heavy == [], f"after {stage}: {heavy[:5]}"
+
+
 # --- pruned package exports ----------------------------------------------
 
 

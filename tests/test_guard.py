@@ -49,10 +49,11 @@ def _guarded(scenario, *, chaos=None, guard=None, resilience=None, exec=None):
 
 # ----------------------------------------------------------------------
 # Acceptance: injected NaN mid-run -> bitwise-identical healed run,
-# for two scenarios and both poisoned arrays (density and forces).
+# for two scenarios and three poisoned arrays: density, forces, and
+# positions — which the tree build refuses with a ValueError.
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("name", ["square-patch", "sod"])
-@pytest.mark.parametrize("array", ["rho", "a"])
+@pytest.mark.parametrize("array", ["rho", "a", "x"])
 def test_nan_heals_bitwise_identical(name, array):
     scenario = get_scenario(name)
     golden_sim = scenario.make_simulation(test=True)

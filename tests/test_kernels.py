@@ -33,25 +33,55 @@ def _ids(kernels):
     return [k.name + ("-1d" if getattr(k, "_dim_hint", 3) == 1 else "") for k in kernels]
 
 
+def _quad_volume(kernel, dim):
+    """``int f(q) dV`` over the support by adaptive quadrature (the oracle)."""
+    integral, _ = quad(
+        lambda q: q ** (dim - 1) * kernel.shape(np.asarray(q)),
+        0, 2, limit=200, epsabs=0.0, epsrel=2e-14,
+    )
+    return (2.0, 2.0 * np.pi, 4.0 * np.pi)[dim - 1] * integral
+
+
 @pytest.mark.parametrize("kernel", ALL_KERNELS, ids=_ids(ALL_KERNELS))
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_normalization_integrates_to_one(kernel, dim):
     """sigma_d must make the kernel a unit-mass density in d dimensions."""
     if getattr(kernel, "_dim_hint", dim) == 1 and dim != 1:
         pytest.skip("1-D Wendland shapes are only normalized in 1-D")
-    sigma = kernel.sigma(dim)
-    if dim == 1:
-        integral, _ = quad(lambda q: kernel.shape(np.asarray(q)), 0, 2, limit=200)
-        volume = 2.0 * integral
-    elif dim == 2:
-        integral, _ = quad(lambda q: q * kernel.shape(np.asarray(q)), 0, 2, limit=200)
-        volume = 2.0 * np.pi * integral
-    else:
-        integral, _ = quad(
-            lambda q: q * q * kernel.shape(np.asarray(q)), 0, 2, limit=200
-        )
-        volume = 4.0 * np.pi * integral
-    assert sigma * volume == pytest.approx(1.0, rel=1e-8)
+    assert kernel.sigma(dim) * _quad_volume(kernel, dim) == pytest.approx(1.0, rel=1e-8)
+
+
+@pytest.mark.parametrize("name", available_kernels())
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_registered_sigma_matches_quad_oracle(name, dim):
+    """The fixed Gauss-Legendre rule vs scipy's adaptive ``quad``: every
+    registered kernel, to 1e-13; closed forms pass through untouched."""
+    kernel = make_kernel(name)
+    exact = kernel._sigma_exact(dim)
+    if exact is not None:
+        assert kernel.sigma(dim) == exact
+    assert kernel.sigma(dim) * _quad_volume(kernel, dim) == pytest.approx(1.0, rel=1e-13)
+
+
+def test_integrated_sigma_is_shared_by_instances_and_pickled_copies(monkeypatch):
+    import pickle
+
+    from repro.kernels import base
+
+    calls = []
+    integrate = SincKernel._sigma_numeric
+    monkeypatch.setattr(base, "_SIGMA_MEMO", {})
+    monkeypatch.setattr(
+        SincKernel, "_sigma_numeric",
+        lambda self, dim: calls.append((self.name, dim)) or integrate(self, dim),
+    )
+    first = SincKernel(5.0)
+    copies = [SincKernel(5.0), make_kernel("sinc"), pickle.loads(pickle.dumps(first))]
+    assert {k.sigma(3) for k in [first, *copies]} == {first.sigma(3)}
+    assert calls == [("sinc-s5", 3)]
+    # Another exponent or dimension is another integral.
+    assert SincKernel(6.0).sigma(3) != first.sigma(3) != first.sigma(2)
+    assert calls == [("sinc-s5", 3), ("sinc-s6", 3), ("sinc-s5", 2)]
 
 
 @pytest.mark.parametrize("kernel", ALL_KERNELS, ids=_ids(ALL_KERNELS))

@@ -82,6 +82,59 @@ def test_host_fingerprint_is_stable_and_complete():
     assert fingerprint_id(other) != fingerprint_id(fp1)
 
 
+def test_host_fingerprint_probes_once_and_hands_out_copies(monkeypatch):
+    import builtins
+
+    from repro.observability import ledger as ledger_mod
+
+    probes = []
+    real_import = builtins.__import__
+
+    def counting_import(name, *args, **kwargs):
+        if name in ("numba", "cffi"):
+            probes.append(name)
+        return real_import(name, *args, **kwargs)
+
+    ledger_mod._probe_host.cache_clear()
+    monkeypatch.setattr(builtins, "__import__", counting_import)
+    first = host_fingerprint()
+    first["cpu_count"] = -1  # a caller's edit must not reach the next one
+    for _ in range(50):
+        assert host_fingerprint()["cpu_count"] != -1
+    assert probes == ["numba", "cffi"]
+
+
+def test_code_version_reads_git_head_once_per_process(tmp_path, monkeypatch):
+    """``JobSpec.content_hash()`` stamps the code version on every submit;
+    1000 hashes must cost one read of ``.git/HEAD``, and the same hash."""
+    from pathlib import Path
+
+    from repro.observability import ledger as ledger_mod
+    from repro.service import JobSpec
+
+    (tmp_path / ".git").mkdir()
+    (tmp_path / ".git" / "HEAD").write_text("0123456789abcdef0123\n")
+    (tmp_path / "pkg").mkdir()
+    reads = []
+    real_read_text = Path.read_text
+
+    def counting_read_text(self, *args, **kwargs):
+        reads.append(self.name)
+        return real_read_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(ledger_mod, "__file__", str(tmp_path / "pkg" / "ledger.py"))
+    monkeypatch.setattr(Path, "read_text", counting_read_text)
+    code_version.cache_clear()
+    try:
+        spec = JobSpec(scenario="sod", n_steps=3, overrides={"n_target": 60})
+        hashes = {spec.content_hash() for _ in range(1000)}
+        assert code_version() == "0123456789ab"
+        assert hashes == {spec.content_hash(code_version="0123456789ab")}
+        assert reads == ["HEAD"]
+    finally:
+        code_version.cache_clear()  # forget the fake checkout
+
+
 def test_code_version_resolves_or_unknown():
     v = code_version()
     assert v == "unknown" or (len(v) == 12 and all(

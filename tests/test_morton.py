@@ -112,6 +112,23 @@ def test_normalize_rejects_degenerate_box():
         normalize_coords(np.zeros((1, 3)), np.zeros(3), np.zeros(3))
 
 
+def test_non_finite_positions_fail_closed():
+    """A NaN has no cell: refuse it, naming the particle, before the
+    undefined float -> uint64 cast (a RuntimeWarning and a garbage key)."""
+    import warnings
+
+    from repro.tree.octree import Octree
+
+    x = np.random.default_rng(0).random((20, 3))
+    x[[7, 13], 1] = np.nan, np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"particle 7 .*first of 2"):
+            normalize_coords(x, np.zeros(3), np.ones(3))
+        with pytest.raises(ValueError, match="non-finite position: particle 7"):
+            Octree.build(x)
+
+
 def test_quantize_range():
     grid = quantize(np.array([[0.0, 0.5, 0.999999]]), 4)
     assert grid[0, 0] == 0

@@ -2,6 +2,7 @@
 
 import asyncio
 import json
+import os
 import subprocess
 import sys
 
@@ -295,6 +296,75 @@ def test_killed_worker_recovers_and_matches_unfaulted_digest(tmp_path):
         assert event_types[-1] == "done"
     finally:
         svc.close()
+
+
+# --- Warm fork image ------------------------------------------------------
+
+_FORK_AFTER_START = """
+import json, os, sys
+from repro.service import JobSpec, LocalService, ServiceConfig, execute_spec
+
+work = sys.argv[1]
+svc = LocalService(ServiceConfig(
+    isolation="process", store_path=work + "/store.sqlite",
+    ledger_path=work + "/ledger.sqlite", jobs_dir=work + "/jobs",
+    checkpoint_every=1,
+))
+resident = set(sys.modules)
+read_end, write_end = os.pipe()
+pid = os.fork()
+if pid == 0:  # what a fork-per-attempt worker does, minus the manager's pipe
+    status = 1
+    try:
+        spec = JobSpec(scenario="sod", n_steps=2, overrides={"n_target": 60})
+        out = execute_spec(
+            spec, job_dir=work + "/jobs/job-00001", checkpoint_every=1,
+            ledger_path=work + "/ledger.sqlite", run_id="sod-warm",
+            spec_hash=spec.content_hash(),
+        )
+        reply = {"steps": out.steps, "loaded": sorted(set(sys.modules) - resident)}
+        os.write(write_end, json.dumps(reply).encode())
+        status = 0
+    finally:
+        os._exit(status)
+os.close(write_end)
+with os.fdopen(read_end, "rb") as fh:
+    reply = fh.read()
+os.waitpid(pid, 0)
+svc.close()
+print(reply.decode())
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_forked_worker_finds_every_module_resident(tmp_path, fresh_interpreter):
+    """After ``LocalService`` start-up under process isolation a forked
+    job attempt (checkpoints, ledger row and all) imports nothing of ours
+    and no scipy/sqlite — it pays for its simulation only."""
+    reply = fresh_interpreter(_FORK_AFTER_START, str(tmp_path))
+    assert reply["steps"] == 2
+    late = [
+        m for m in reply["loaded"]
+        if m.split(".")[0] in ("repro", "scipy", "sqlite3")
+    ]
+    assert late == []
+
+
+def test_warm_runs_once_per_process_service_and_never_inline(monkeypatch):
+    import repro.service.manager as manager_mod
+    from repro.service.worker import warm
+
+    calls = []
+    monkeypatch.setattr(manager_mod, "warm", lambda: calls.append(1))
+    inline_service().close()
+    assert calls == []
+    LocalService(ServiceConfig(isolation="process")).close()
+    assert calls == [1]
+    # Idempotent: a second call finds everything loaded and memoised.
+    warm()
+    before = set(sys.modules)
+    warm()
+    assert set(sys.modules) == before
 
 
 # --- Ledger / store agreement (the phantom-row fix) -----------------------
