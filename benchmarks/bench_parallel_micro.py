@@ -20,10 +20,9 @@ import time
 import numpy as np
 
 from _scaling_common import host_stamp
-from repro.core.config import SimulationConfig
+from repro.core.config import ExecConfig, RunConfig, SimulationConfig
 from repro.core.simulation import Simulation
 from repro.ics.square_patch import SquarePatchConfig, make_square_patch
-from repro.parallel import ExecConfig
 from repro.timestepping.steppers import TimestepParams
 
 #: cube side; 31^3 = 29 791 ~ 3e4 particles.  Shrink via env for smoke runs.
@@ -39,7 +38,7 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-def _make_sim(exec_config: ExecConfig | None) -> Simulation:
+def _make_sim(exec_config: ExecConfig) -> Simulation:
     particles, box, eos = make_square_patch(
         SquarePatchConfig(side=N_SIDE, layers=N_SIDE)
     )
@@ -47,7 +46,10 @@ def _make_sim(exec_config: ExecConfig | None) -> Simulation:
         n_neighbors=30,
         timestep_params=TimestepParams(use_energy_criterion=False),
     )
-    return Simulation(particles, box, eos, config=config, exec_config=exec_config)
+    return Simulation(
+        particles, box, eos, config=config,
+        run_config=RunConfig(exec=exec_config),
+    )
 
 
 def _time_density_forces(sim: Simulation) -> float:
@@ -62,7 +64,7 @@ def _time_density_forces(sim: Simulation) -> float:
 
 
 def test_parallel_micro_density_forces(report, results_dir):
-    serial = _make_sim(None)
+    serial = _make_sim(ExecConfig())
     try:
         t_serial = _time_density_forces(serial)
         n = serial.particles.n

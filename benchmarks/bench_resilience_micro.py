@@ -22,10 +22,9 @@ import time
 import numpy as np
 
 from _scaling_common import host_stamp
-from repro.core.config import SimulationConfig
+from repro.core.config import ExecConfig, RunConfig, SimulationConfig
 from repro.core.simulation import Simulation
 from repro.ics.square_patch import SquarePatchConfig, make_square_patch
-from repro.parallel import ExecConfig
 from repro.resilience.chaos import ChaosEvent, ChaosPolicy
 from repro.resilience.checkpoint import (
     Checkpoint,
@@ -48,7 +47,7 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-def _make_sim(exec_config: ExecConfig | None = None) -> Simulation:
+def _make_sim(exec_config: ExecConfig = ExecConfig()) -> Simulation:
     particles, box, eos = make_square_patch(
         SquarePatchConfig(side=N_SIDE, layers=N_SIDE)
     )
@@ -56,7 +55,10 @@ def _make_sim(exec_config: ExecConfig | None = None) -> Simulation:
         n_neighbors=30,
         timestep_params=TimestepParams(use_energy_criterion=False),
     )
-    return Simulation(particles, box, eos, config=config, exec_config=exec_config)
+    return Simulation(
+        particles, box, eos, config=config,
+        run_config=RunConfig(exec=exec_config),
+    )
 
 
 def test_checkpoint_write_restore_latency(report, results_dir, tmp_path):
@@ -122,7 +124,7 @@ def test_recovery_overhead_one_crash(report, results_dir):
             t0 = time.perf_counter()
             sim.run(n_steps=N_STEPS)
             elapsed = time.perf_counter() - t0
-            stats = sim.supervisor_stats
+            stats = sim.report().recovery
         finally:
             sim.close()
         return elapsed, stats
@@ -131,7 +133,7 @@ def test_recovery_overhead_one_crash(report, results_dir):
     t_faulty, stats = _run(
         ChaosPolicy([ChaosEvent(step=1, phase="E", action="kill", worker=0)])
     )
-    assert stats.crashes == 1 and stats.respawns == 1
+    assert stats["crashes"] == 1 and stats["respawns"] == 1
 
     overhead = t_faulty - t_clean
     record = {
@@ -142,9 +144,9 @@ def test_recovery_overhead_one_crash(report, results_dir):
         "t_faulty_s": t_faulty,
         "recovery_overhead_s": overhead,
         "overhead_fraction": overhead / t_clean if t_clean > 0 else float("inf"),
-        "crashes": stats.crashes,
-        "respawns": stats.respawns,
-        "reissues": stats.reissues,
+        "crashes": stats["crashes"],
+        "respawns": stats["respawns"],
+        "reissues": stats["reissues"],
         **host_stamp(),
     }
     existing = {}
@@ -160,6 +162,6 @@ def test_recovery_overhead_one_crash(report, results_dir):
             f"1 injected crash)\n"
             f"  clean run:  {t_clean:8.3f} s\n"
             f"  faulty run: {t_faulty:8.3f} s "
-            f"(+{overhead:.3f} s, {stats.reissues} chunks re-issued)"
+            f"(+{overhead:.3f} s, {stats['reissues']} chunks re-issued)"
         ),
     )

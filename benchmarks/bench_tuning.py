@@ -54,16 +54,14 @@ def _grid() -> list:
     ]
     combos = []
     for backend in backends:
-        for pair_engine in (True, False):
-            for neighbor_cache in (True, False):
-                combos.append(
-                    ExecConfig(
-                        workers=0,
-                        backend=backend,
-                        pair_engine=pair_engine,
-                        neighbor_cache=neighbor_cache,
-                    )
+        for neighbor_cache in (True, False):
+            combos.append(
+                ExecConfig(
+                    workers=0,
+                    backend=backend,
+                    neighbor_cache=neighbor_cache,
                 )
+            )
     return combos
 
 
@@ -82,7 +80,6 @@ def _steady_time(sim) -> float:
 def _knobs_dict(exec_cfg: ExecConfig) -> dict:
     return {
         "backend": exec_cfg.backend,
-        "pair_engine": exec_cfg.pair_engine,
         "neighbor_cache": exec_cfg.neighbor_cache,
         "workers": exec_cfg.workers,
     }
@@ -111,7 +108,7 @@ def _measure_scenario(name: str, tmp_path) -> dict:
                 seed=0,
                 steps_per_candidate=2,
                 max_exploration_steps=EXPLORATION_BUDGET,
-                knobs=("backend", "pair_engine", "neighbor_cache"),
+                knobs=("backend", "neighbor_cache"),
                 ledger_path=ledger,
             )
         ),
@@ -159,7 +156,6 @@ def test_tuning_vs_hand_tuned(report, results_dir, tmp_path):
         lines.append(
             f"  {name:8s}: hand {r['best_hand_tuned_s'] * 1e3:8.2f} ms/step "
             f"({r['best_hand_tuned_knobs']['backend']}, "
-            f"pair={r['best_hand_tuned_knobs']['pair_engine']}, "
             f"cache={r['best_hand_tuned_knobs']['neighbor_cache']}) | "
             f"tuned {r['autotuned_s'] * 1e3:8.2f} ms/step "
             f"-> ratio {r['ratio']:.3f}"

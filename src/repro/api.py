@@ -17,8 +17,7 @@ outcome path (no queue, no cache) — by construction it produces the
 same deterministic report as a service execution of the same spec.
 
 The classic driver loop — ``Simulation``/``RunConfig`` and friends —
-remains fully supported for library use and is re-exported here;
-:mod:`repro.compat` documents the deprecated spellings.
+remains fully supported for library use and is re-exported here.
 
 The default service runs jobs inline (thread slots, no isolation
 overhead) with an in-memory store; :func:`configure_service` swaps in

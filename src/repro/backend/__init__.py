@@ -1,21 +1,18 @@
 """Backend registry + dispatch for the compiled SPH hot path.
 
-Three execution backends stand behind every pair-loop phase:
+Two execution backends stand behind every pair-loop phase:
 
 ``numpy``
     The reference.  ``Backend.ops is None`` and each phase runs its
     original vectorized code — byte-for-byte the pre-backend behaviour.
-``numba``
-    JIT-compiled nopython mirrors (:mod:`repro.backend.numba_backend`).
 ``cffi``
-    The same kernels as C, compiled at runtime with the system C
-    compiler (:mod:`repro.backend.cffi_backend`) — a compiled hot path
-    for hosts without numba.
+    The fused kernels, the tree walk and the gravity walk as C, compiled
+    at runtime with the system C compiler
+    (:mod:`repro.backend.cffi_backend`).
 
-``auto`` resolves silently to the first available compiled backend
-(numba, then cffi) and falls back to numpy when neither toolchain
-exists.  Requesting a *specific* unavailable backend warns exactly once
-(:func:`repro.observability.deprecation.warn_once` with
+``auto`` resolves silently to cffi and falls back to numpy when the
+toolchain is missing.  Requesting a *specific* unavailable backend warns
+exactly once (:func:`repro.observability.deprecation.warn_once` with
 ``RuntimeWarning``) and degrades to numpy — never a traceback.
 
 Selection is ``ExecConfig(backend=...)`` / ``--backend``; the resolved
@@ -56,18 +53,6 @@ def _make_numpy() -> Backend:
     )
 
 
-def _make_numba() -> Backend:
-    from .compiled import CompiledOps
-    from .numba_backend import load_numba_impl
-
-    impl = load_numba_impl()
-    return Backend(
-        name="numba", ops=CompiledOps("numba", impl),
-        version=impl.version,
-        detail=f"threading_layer={impl.thread_layer}",
-    )
-
-
 def _make_cffi() -> Backend:
     from .cffi_backend import load_cffi_impl
     from .compiled import CompiledOps
@@ -82,12 +67,11 @@ def _make_cffi() -> Backend:
 #: Factories, monkeypatchable in tests to fake unavailability.
 _FACTORIES: Dict[str, Callable[[], Backend]] = {
     "numpy": _make_numpy,
-    "numba": _make_numba,
     "cffi": _make_cffi,
 }
 
 #: Preference order for ``auto``: compiled first, reference last.
-_AUTO_ORDER = ("numba", "cffi", "numpy")
+_AUTO_ORDER = ("cffi", "numpy")
 
 _INSTANCES: Dict[str, Backend] = {}
 
@@ -143,7 +127,7 @@ def select_backend(name: str = "numpy") -> Backend:
 def available_backends() -> Dict[str, bool]:
     """Map of backend name -> constructible on this host (probes lazily)."""
     out: Dict[str, bool] = {}
-    for name in ("numpy", "numba", "cffi"):
+    for name in _FACTORIES:
         try:
             _instantiate(name)
             out[name] = True

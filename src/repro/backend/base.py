@@ -31,7 +31,7 @@ __all__ = [
 ]
 
 #: Valid ``ExecConfig.backend`` / ``--backend`` values.
-BACKEND_CHOICES = ("numpy", "numba", "cffi", "auto")
+BACKEND_CHOICES = ("numpy", "cffi", "auto")
 
 #: Kernel-family codes understood by the compiled shape evaluators.
 KIND_M4 = 0

@@ -1,6 +1,6 @@
 """Runtime-compiled C backend (cffi ABI mode + the system C compiler).
 
-CPython-only environments without numba still get a compiled hot path:
+The compiled hot path needs nothing beyond ``cffi`` and a C compiler:
 the C translation unit in :mod:`repro.backend.csrc` is compiled once per
 (source, compiler, flags) fingerprint into a shared library cached under
 the system temp directory, then loaded with ``ffi.dlopen``.  Any failure
@@ -109,7 +109,7 @@ class CffiImpl:
 
     Method signatures take numpy arrays; pointers are cast zero-copy.
     This is the contract :class:`repro.backend.compiled.CompiledOps`
-    orchestrates against (the numba impl exposes the same surface).
+    orchestrates against.
     """
 
     name = "cffi"

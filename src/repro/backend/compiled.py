@@ -1,8 +1,8 @@
 """Orchestration of compiled pair-loop ops behind the phase functions.
 
-:class:`CompiledOps` wraps a low-level implementation table (cffi or
-numba — same method surface) with everything the phases need but the
-compiled code should not care about:
+:class:`CompiledOps` wraps the low-level implementation table
+(:class:`~repro.backend.cffi_backend.CffiImpl`) with everything the
+phases need but the compiled code should not care about:
 
 * **Marshalling** — contiguity checks, the branchless minimum-image
   ``psel``/``pdiv`` encodings of the box, per-particle kernel
@@ -14,8 +14,9 @@ compiled code should not care about:
   :class:`~repro.sph.pair_engine.PairContext` epoch tokens, mirroring
   the pair engine's sharing discipline: the IAD phase's ``W_i`` row pass
   is reused by the force phase within the same step and invalidated the
-  moment positions or smoothing lengths move.  Without tokens (pair
-  engine disabled) every call recomputes — correct, just less shared.
+  moment positions or smoothing lengths move.  Without tokens (an
+  ephemeral ``ctx=None`` phase call) every call recomputes — correct,
+  just less shared.
 * **Scratch** — pair-axis buffers are grow-only per row slice, so
   steady-state steps allocate nothing on the pair axis, matching the
   ScratchArena discipline of the numpy path.
@@ -113,19 +114,6 @@ class CompiledOps:
         except UnsupportedKernelError:
             return False
         return True
-
-    @property
-    def has_search(self) -> bool:
-        """Whether the implementation carries the neighbour-search ops
-        (the C unit does; the numba mirrors do not — callers then run
-        the numpy search)."""
-        return hasattr(self.impl, "walk")
-
-    @property
-    def has_gravity(self) -> bool:
-        """Whether the implementation carries the Barnes-Hut op (the C
-        unit does; the numba mirrors do not)."""
-        return hasattr(self.impl, "gravity")
 
     # -- internals -----------------------------------------------------
     def _slice(self, lo: int, hi: int) -> _SliceCache:
@@ -314,8 +302,7 @@ class CompiledOps:
         a = np.empty((rows, dim))
         s1 = np.empty(rows)
         s2 = np.empty(rows)
-        # Unused optional inputs still need shape-correct placeholders:
-        # the numba mirrors compile every branch against these types.
+        # Unused optional inputs still need a valid pointer to pass.
         dummy = np.empty(1)
         dummy3 = np.empty((1, 1, 1))
         use_balsara = balsara_f is not None

@@ -43,9 +43,9 @@ from .poly import COS_COEFFS, PI_LO, SIN_COEFFS
 
 __all__ = ["CDEF", "SOURCE", "source_fingerprint"]
 
-#: Declarations shared by ``ffi.cdef`` and (as documentation) the numba
-#: mirrors. ``want`` bits: 1 = W, 2 = dW/dr / r, 4 = dW/dh.  ``side``:
-#: 0 = evaluate with h[i] (row side), 1 = with h[j] (neighbour side).
+#: Declarations for ``ffi.cdef``.  ``want`` bits: 1 = W, 2 = dW/dr / r,
+#: 4 = dW/dh.  ``side``: 0 = evaluate with h[i] (row side), 1 = with
+#: h[j] (neighbour side).
 CDEF = """
 void rp_pair_kernel(const double *x, const double *h, const double *whn,
                     const double *whn1, const int64_t *offsets,

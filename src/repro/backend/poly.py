@@ -1,9 +1,9 @@
-"""Shared transcendental-polynomial constants for the compiled backends.
+"""Transcendental-polynomial constants for the compiled backend.
 
 The compiled pair loops cannot call ``numpy``'s vectorized ``sin``/``cos``
 (the sinc-family kernels are the default in every preset), and scalar
 libm ``sin`` costs more than the whole rest of the fused pair visit.
-Both compiled backends therefore evaluate the same degree-10 Taylor
+The C unit therefore evaluates degree-10 Taylor
 polynomials in ``z**2`` after an exact split-at-``pi/2`` range reduction:
 
 * the argument ``x = pi * (q / 2)`` lives in ``[0, pi)`` by construction
@@ -19,10 +19,8 @@ Truncation error of the series on ``[0, pi/2]`` is ``(pi/2)**23 / 23!``
 one to two ulp of the exact value, well inside the documented backend
 tolerance (see DESIGN.md, "Tolerance policy").
 
-These constants are imported by both the C-source generator
-(:mod:`repro.backend.csrc`) and the numba mirrors
-(:mod:`repro.backend.numba_backend`) so the two compiled backends agree
-with each other to the last rounding of identical arithmetic.
+These constants are interpolated into the C source by
+:mod:`repro.backend.csrc`.
 """
 
 from __future__ import annotations

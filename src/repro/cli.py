@@ -32,6 +32,8 @@ import argparse
 import json
 import sys
 
+from .backend.base import BACKEND_CHOICES
+
 #: Legacy spellings accepted by earlier releases of this CLI.
 _ALIASES = {"squarepatch": "square-patch"}
 
@@ -57,9 +59,9 @@ def _add_spec_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--steps", type=int, default=None)
     parser.add_argument("--neighbors", type=int, default=None)
     parser.add_argument("--backend", default=None,
-                        choices=("numpy", "numba", "cffi", "auto"),
+                        choices=BACKEND_CHOICES,
                         help="SPH hot-path execution backend (default numpy; "
-                             "'auto' picks the best compiled one available)")
+                             "'auto' is cffi when it builds, else numpy)")
     parser.add_argument("--guard", action="store_true",
                         help="enable the self-healing step guard (rollback-"
                              "and-retry with the scenario's invariant bounds)")
@@ -71,7 +73,7 @@ def _add_spec_arguments(parser: argparse.ArgumentParser) -> None:
                         help="run the per-step SDC monitor (Table 4)")
     parser.add_argument("--autotune", action="store_true",
                         help="let the online autotuner pick the execution "
-                             "knobs (backend, pair engine, cache, workers) "
+                             "knobs (backend, cache, workers) "
                              "over the first steps of the run")
     parser.add_argument("--autotune-seed", type=int, default=0, metavar="SEED",
                         help="seed for the deterministic exploration order")
@@ -149,9 +151,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
         return 2
 
     preset = get_preset(args.preset)
-    print(f"{args.case}: {sim.particles.n} particles, preset {preset.label}")
+    # With --json the document is alone on stdout; the log moves to stderr.
+    log = sys.stderr if args.json else sys.stdout
+    print(f"{args.case}: {sim.particles.n} particles, preset {preset.label}",
+          file=log)
     print(f"backend: {sim.backend.name} "
-          f"(requested {sim.backend_requested}; {sim.backend.version})")
+          f"(requested {sim.backend_requested}; {sim.backend.version})",
+          file=log)
     n_steps = spec.resolved_steps(scenario)
     try:
         try:
@@ -160,23 +166,23 @@ def _cmd_run(args: argparse.Namespace) -> int:
             for _ in range(n_steps):
                 for s in sim.run(n_steps=1):
                     print(f"  step {s.index}: t={s.time:.4e} dt={s.dt:.2e} "
-                          f"{s.conservation.summary()}")
+                          f"{s.conservation.summary()}", file=log)
         except Exception as exc:  # noqa: BLE001 - the CLI failure boundary
             return _report_failure(sim, exc, scenario, args)
         drift = sim.conservation_drift()
         print(f"drift: mass={drift['mass']:.2e} momentum={drift['momentum']:.2e} "
-              f"energy={drift['energy']:.2e}")
+              f"energy={drift['energy']:.2e}", file=log)
         rep = sim.report()
         if rep.gravity is not None:
             from .observability.report import format_gravity
 
-            print(format_gravity(rep.gravity))
+            print(format_gravity(rep.gravity), file=log)
         if rep.guard is not None:
-            print(rep.guard.summary())
+            print(rep.guard.summary(), file=log)
         if rep.tuning is not None:
             from .observability.report import format_tuning
 
-            print(format_tuning(rep.tuning))
+            print(format_tuning(rep.tuning), file=log)
         if args.json:
             summary = {
                 "scenario": scenario.name,
@@ -283,6 +289,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
+    log = sys.stderr if args.json else sys.stdout
     outcome = None
     try:
         for reply in client_submit(
@@ -298,10 +305,10 @@ def _cmd_submit(args: argparse.Namespace) -> int:
                     k: v for k, v in ev["payload"].items() if k != "job_id"
                 }
                 print(f"  event {ev['seq']}: {ev['type']} "
-                      f"{json.dumps(payload, sort_keys=True)}")
+                      f"{json.dumps(payload, sort_keys=True)}", file=log)
             elif "job_id" in reply:
                 print(f"job {reply['job_id']} {reply['state']} "
-                      f"spec {reply['spec_hash'][:12]}")
+                      f"spec {reply['spec_hash'][:12]}", file=log)
             elif reply.get("ok") and "outcome" in reply:
                 outcome = reply["outcome"]
             elif not reply.get("ok", True):
@@ -320,7 +327,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
         source = "cache" if outcome.get("cached") else "run"
         print(f"done ({source}): run {outcome['run_id']} "
               f"steps={outcome['steps']} t={outcome['time']:.4e} "
-              f"digest {outcome['result_digest'][:12]}")
+              f"digest {outcome['result_digest'][:12]}", file=log)
         if args.json:
             print(json.dumps(outcome, indent=2))
     return 0
@@ -518,7 +525,8 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run a scenario from the registry")
     _add_spec_arguments(run)
     run.add_argument("--json", action="store_true",
-                     help="print a machine-readable run summary")
+                     help="print a machine-readable run summary alone on "
+                          "stdout (the log moves to stderr)")
     run.add_argument("--checkpoint-dir", default=None, metavar="DIR",
                      help="write rolling checkpoints to DIR (autoresume on)")
     run.add_argument("--ledger", default=None, metavar="DB",
@@ -564,7 +572,8 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--events", action="store_true",
                         help="stream the job's event log while waiting")
     submit.add_argument("--json", action="store_true",
-                        help="print the full outcome record as JSON")
+                        help="print the full outcome record as JSON alone "
+                             "on stdout (the log moves to stderr)")
     submit.set_defaults(func=_cmd_submit)
 
     jobs = sub.add_parser("jobs", help="list a server's job table")

@@ -12,14 +12,15 @@ mini-app outlook row.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
+from ..backend.base import BACKEND_CHOICES
 from ..observability.config import ObservabilityConfig
 from ..sph.viscosity import ViscosityParams
 from ..timestepping.criteria import TimestepParams
 
 if TYPE_CHECKING:  # avoid the core <-> parallel/resilience import cycles
-    from ..parallel.executor import ExecConfig
+    from ..parallel.supervisor import SupervisorConfig
     from ..resilience.chaos import NumericalChaosPolicy
     from ..resilience.checkpoint import ResilienceConfig
     from ..resilience.guard import GuardConfig
@@ -35,6 +36,7 @@ __all__ = [
     "DECOMPOSITION_CHOICES",
     "LOAD_BALANCING_CHOICES",
     "SimulationConfig",
+    "ExecConfig",
     "RunConfig",
 ]
 
@@ -142,16 +144,94 @@ class SimulationConfig:
 
 
 @dataclass(frozen=True)
+class ExecConfig:
+    """Execution-layer knobs (orthogonal to the physics configuration).
+
+    Parameters
+    ----------
+    workers:
+        ``0`` (default) keeps every phase serial; ``>= 1`` runs phases
+        E-I on a supervised process pool of that many workers (crashed
+        or hung workers are respawned and their chunks re-issued, see
+        :mod:`repro.parallel.supervisor`).  ``workers=1`` still
+        exercises the full fan-out/reduce machinery (useful for parity
+        testing); speedup requires multiple cores.
+    chunks_per_worker:
+        Row chunks submitted per worker per phase (more chunks smooth
+        load imbalance at slightly higher dispatch cost).
+    neighbor_cache:
+        Enable the Verlet-skin neighbour-list cache: lists are built with
+        padded support ``(1 + skin) * 2 h`` and phases B-D are skipped
+        while no particle has drifted more than ``skin * h``.
+    cache_skin:
+        Skin fraction of ``h`` (in (0, 1)).
+    start_method:
+        multiprocessing start method; default picks ``fork`` when
+        available, else ``spawn``.
+    arena_capacity:
+        Initial shared-memory arena size in bytes (grows on demand).
+    supervisor:
+        Deadline/retry policy; ``None`` uses
+        :class:`~repro.parallel.supervisor.SupervisorConfig` defaults.
+    verify_outputs:
+        Opt-in per-phase SDC pass: parent re-checksums every row-sliced
+        phase output against the worker's CRC and range-scans it, then
+        recomputes corrupted chunks serially.
+    chaos:
+        Deterministic fault-injection policy
+        (:class:`~repro.resilience.chaos.ChaosPolicy`) consulted at task
+        submission; ``None`` (default) injects nothing.
+    backend:
+        Execution backend for the SPH pair loops, the tree walk and
+        gravity: ``"numpy"`` (default, the vectorized reference),
+        ``"cffi"`` (the compiled C unit from :mod:`repro.backend`) or
+        ``"auto"`` (cffi when it builds, else numpy).  A named compiled
+        backend that is unavailable on this host degrades to numpy with
+        a single ``RuntimeWarning``.  Workers resolve the same name in
+        their own process.
+    """
+
+    workers: int = 0
+    chunks_per_worker: int = 1
+    neighbor_cache: bool = False
+    cache_skin: float = 0.3
+    start_method: Optional[str] = None
+    arena_capacity: int = 1 << 24
+    supervisor: Optional["SupervisorConfig"] = None
+    verify_outputs: bool = False
+    chaos: Optional[Any] = None
+    backend: str = "numpy"
+
+    def __post_init__(self) -> None:
+        if self.workers < 0:
+            raise ValueError(f"workers must be >= 0, got {self.workers}")
+        if self.backend not in BACKEND_CHOICES:
+            raise ValueError(
+                f"backend must be one of {', '.join(BACKEND_CHOICES)}, "
+                f"got {self.backend!r}"
+            )
+        if self.chunks_per_worker < 1:
+            raise ValueError(
+                f"chunks_per_worker must be >= 1, got {self.chunks_per_worker}"
+            )
+        if not 0.0 < self.cache_skin < 1.0:
+            raise ValueError(f"cache_skin must be in (0, 1), got {self.cache_skin}")
+
+    @property
+    def parallel_enabled(self) -> bool:
+        return self.workers >= 1
+
+
+@dataclass(frozen=True)
 class RunConfig:
     """How one :class:`~repro.core.simulation.Simulation` executes.
 
     The execution-environment counterpart to :class:`SimulationConfig`'s
-    physics axes, aggregating the three runtime subsystems that used to
-    arrive as separate driver kwargs:
+    physics axes, one section per runtime subsystem:
 
     exec:
-        :class:`~repro.parallel.executor.ExecConfig` — process pool +
-        Verlet cache + pair engine.  ``None`` keeps the serial path.
+        :class:`ExecConfig` — backend, Verlet cache and process pool.
+        The default is serial numpy with the cache off.
     resilience:
         :class:`~repro.resilience.checkpoint.ResilienceConfig` — rolling
         checkpoints and autoresume.  ``None`` disables checkpointing.
@@ -176,7 +256,7 @@ class RunConfig:
         hand-set knobs and the exact pre-tuning step loop.
     """
 
-    exec: Optional["ExecConfig"] = None
+    exec: ExecConfig = field(default_factory=ExecConfig)
     resilience: Optional["ResilienceConfig"] = None
     observability: ObservabilityConfig = field(
         default_factory=ObservabilityConfig

@@ -24,14 +24,10 @@ from typing import TYPE_CHECKING, List, Optional
 import numpy as np
 
 from ..backend import select_backend
-from ..gradients.iad import compute_iad_matrices
-from ..gravity.barnes_hut import barnes_hut_gravity
 from ..kernels.registry import make_kernel
 from ..observability.tracer import make_tracer
 from ..profiling.trace import State, Tracer
-from ..sph.density import compute_density
 from ..sph.eos import EquationOfState
-from ..sph.forces import compute_forces
 from ..sph.pair_engine import PairContext, PairEngineStats, new_pair_token
 from ..sph.smoothing import (
     SmoothingConfig,
@@ -46,14 +42,14 @@ from ..timestepping.steppers import (
 )
 from ..tree.box import Box
 from ..tree.octree import Octree
-from .config import RunConfig, SimulationConfig
+from .config import ExecConfig, RunConfig, SimulationConfig
 from .conservation import ConservationState, measure_conservation
 from .particles import ParticleSystem
 from .phases import Phase
+from .serial_phases import SerialPhases
 
-if TYPE_CHECKING:  # avoid the core <-> parallel import cycle at runtime
+if TYPE_CHECKING:  # avoid the core <-> resilience import cycle at runtime
     from ..observability.report import RunReport
-    from ..parallel.executor import ExecConfig
     from ..resilience.checkpoint import ResilienceConfig
 
 __all__ = ["StepStats", "Simulation", "RunCancelled"]
@@ -87,7 +83,7 @@ class StepStats:
     mean_neighbors: float
     energy_floor_hits: int
     conservation: ConservationState
-    # Pair-engine activity during this step (0 when the engine is off):
+    # Pair-engine activity during this step (0 after degrade_to_serial()):
     pair_geometry_computes: int = 0
     pair_geometry_reuses: int = 0
     pair_bytes_allocated: int = 0
@@ -120,12 +116,6 @@ class Simulation:
         (``resilience``) and span tracing (``observability``).  ``None``
         means the all-defaults config — serial, checkpoint-free, tracing
         on.  Prefer :meth:`configure` over building one by hand.
-    exec_config:
-        Deprecated — pass ``run_config=RunConfig(exec=...)`` or call
-        ``configure(exec=...)`` instead.
-    resilience:
-        Deprecated — pass ``run_config=RunConfig(resilience=...)`` or
-        call ``configure(resilience=...)`` instead.
     """
 
     particles: ParticleSystem
@@ -135,8 +125,6 @@ class Simulation:
     g_const: float = 1.0
     tracer: Optional[Tracer] = None
     rank: int = 0
-    exec_config: Optional["ExecConfig"] = None
-    resilience: Optional["ResilienceConfig"] = None
     run_config: Optional[RunConfig] = None
     #: Registry name of the workload this driver runs (ledger key; set
     #: by :meth:`repro.scenarios.registry.Scenario.make_simulation` and
@@ -149,12 +137,8 @@ class Simulation:
     run_id: Optional[str] = None
 
     def __post_init__(self) -> None:
-        # The deprecated PR-4 constructor kwargs (exec_config/resilience)
-        # resolve in repro.compat — the one documented home of the old
-        # surface — into a RunConfig, warning once per process.
-        from ..compat import resolve_legacy_driver_kwargs
-
-        resolve_legacy_driver_kwargs(self)
+        if self.run_config is None:
+            self.run_config = RunConfig()
         if self.run_id is None:
             from ..observability.ledger import new_run_id
 
@@ -179,6 +163,7 @@ class Simulation:
         else:
             self.stepper = IndividualTimesteps(self.config.timestep_params)
         self._engine = None
+        self._serial = SerialPhases(self)
         self._autotuner = None
         self._ledger_written = False
         #: Steps actually executed by *this* driver (unlike
@@ -207,53 +192,14 @@ class Simulation:
     # Execution-environment wiring (RunConfig -> subsystems)
     # ------------------------------------------------------------------
     def _apply_run_config(self) -> None:
-        """(Re)wire tracer, pair engine, cache, pool and checkpointing.
+        """(Re)wire tracer, execution layer, checkpointing and guard.
 
-        Idempotent against the current :attr:`run_config`; an existing
-        pool is released before the replacement spins up.
+        Idempotent against the current :attr:`run_config`.
         """
         run = self.run_config
-        # Legacy mirrors: reading sim.exec_config / sim.resilience stays
-        # valid (only passing them as constructor kwargs is deprecated).
-        self.exec_config = run.exec
-        self.resilience = run.resilience
-        # Execution backend for the SPH hot path.  The request resolves
-        # here (warn-once fallback to numpy when a named compiled
-        # backend is unavailable); phases receive the resolved Backend,
-        # pool workers re-resolve by name in their own process.
-        requested = run.exec.backend if run.exec is not None else "numpy"
-        self.backend_requested = requested
-        self.backend = select_backend(requested)
         if self._owns_tracer:
             self.tracer = make_tracer(run.observability)
-        # Pair engine: one persistent serial-path context plus the epoch
-        # tokens shipped to pool workers.  ``exec.pair_engine=False``
-        # turns it off; the SPH kernels then build ephemeral contexts per
-        # call (the pre-engine cost model, bitwise-identical results).
-        self._pair_ctx: Optional[PairContext] = None
-        if run.exec is None or run.exec.pair_engine:
-            self._pair_ctx = PairContext()
-        self._pair_tokens: tuple = (None, None, None)
-        self._pair_state_obj: Optional[ParticleSystem] = None
-        self._pair_state_epochs: tuple = ()
-        if self._engine is not None:
-            self._engine.close()
-        self._engine = None
-        self._ncache = None
-        if run.exec is not None:
-            if run.exec.neighbor_cache:
-                from ..tree.neighborlist import VerletNeighborCache
-
-                self._ncache = VerletNeighborCache(skin=run.exec.cache_skin)
-            if run.exec.parallel_enabled:
-                from ..parallel.executor import ParallelEngine
-
-                self._engine = ParallelEngine(
-                    run.exec,
-                    tracer=self.tracer,
-                    rank=self.rank,
-                    worker_spans=run.observability.worker_spans,
-                )
+        self._wire_exec(run.exec)
         self.checkpoint_manager = None
         if run.resilience is not None:
             from ..resilience.checkpoint import CheckpointManager
@@ -271,10 +217,59 @@ class Simulation:
 
             self.step_guard = StepGuard(run.guard)
 
+    def _wire_exec(self, exec_cfg: ExecConfig) -> None:
+        """(Re)wire what an :class:`~repro.core.config.ExecConfig`
+        governs: backend, pair engine, Verlet cache, process pool.
+
+        The one exec-wiring routine — construction, :meth:`configure`
+        and the autotuner's mid-run knob switches all land here.  It
+        leaves the tracer, checkpoint manager, step guard and chaos
+        policy running, so span history and resilience state survive a
+        switch; an existing pool is released before the replacement
+        spins up.
+        """
+        self.run_config = self.run_config.with_(exec=exec_cfg)
+        # The request resolves here (warn-once fallback to numpy when a
+        # named compiled backend is unavailable); phases receive the
+        # resolved Backend, pool workers re-resolve by name in their own
+        # process.
+        self.backend_requested = exec_cfg.backend
+        self.backend = select_backend(exec_cfg.backend)
+        # Pair engine: one persistent serial-path context plus the epoch
+        # tokens shipped to pool workers.
+        self._pair_ctx: Optional[PairContext] = PairContext()
+        self._pair_tokens: tuple = (None, None, None)
+        self._pair_state_obj: Optional[ParticleSystem] = None
+        self._pair_state_epochs: tuple = ()
+        if self._engine is not None:
+            self._engine.close()
+        self._engine = None
+        self._ncache = None
+        if exec_cfg.neighbor_cache:
+            from ..tree.neighborlist import VerletNeighborCache
+
+            self._ncache = VerletNeighborCache(skin=exec_cfg.cache_skin)
+        if exec_cfg.parallel_enabled:
+            from ..parallel.executor import ParallelEngine
+
+            self._engine = ParallelEngine(
+                exec_cfg,
+                tracer=self.tracer,
+                rank=self.rank,
+                worker_spans=self.run_config.observability.worker_spans,
+            )
+            self._engine.set_step(self.step_index)
+
+    @property
+    def _phases(self):
+        """The phase executor: the pool engine when one is up, else the
+        serial seam (same four entry points)."""
+        return self._engine if self._engine is not None else self._serial
+
     def configure(
         self,
         *,
-        exec: Optional["ExecConfig"] = None,
+        exec: Optional[ExecConfig] = None,
         resilience: Optional["ResilienceConfig"] = None,
         observability=None,
         guard=None,
@@ -308,47 +303,6 @@ class Simulation:
         self.run_config = run
         self._apply_run_config()
         return self
-
-    def _rewire_exec(self, exec_cfg: Optional["ExecConfig"]) -> None:
-        """Swap the execution layer mid-run (autotuner knob switches).
-
-        Unlike :meth:`_apply_run_config` this touches only the subsystems
-        an :class:`~repro.parallel.executor.ExecConfig` governs — backend,
-        pair engine, Verlet cache, process pool — and leaves the tracer,
-        checkpoint manager, step guard and chaos policy running, so span
-        history and resilience state survive the switch.
-        """
-        run = self.run_config.with_(exec=exec_cfg)
-        self.run_config = run
-        self.exec_config = exec_cfg
-        requested = exec_cfg.backend if exec_cfg is not None else "numpy"
-        self.backend_requested = requested
-        self.backend = select_backend(requested)
-        self._pair_ctx = None
-        if exec_cfg is None or exec_cfg.pair_engine:
-            self._pair_ctx = PairContext()
-        self._pair_tokens = (None, None, None)
-        self._pair_state_obj = None
-        self._pair_state_epochs = ()
-        if self._engine is not None:
-            self._engine.close()
-        self._engine = None
-        self._ncache = None
-        if exec_cfg is not None:
-            if exec_cfg.neighbor_cache:
-                from ..tree.neighborlist import VerletNeighborCache
-
-                self._ncache = VerletNeighborCache(skin=exec_cfg.cache_skin)
-            if exec_cfg.parallel_enabled:
-                from ..parallel.executor import ParallelEngine
-
-                self._engine = ParallelEngine(
-                    exec_cfg,
-                    tracer=self.tracer,
-                    rank=self.rank,
-                    worker_spans=run.observability.worker_spans,
-                )
-                self._engine.set_step(self.step_index)
 
     # ------------------------------------------------------------------
     # Pair-engine token bookkeeping
@@ -399,10 +353,6 @@ class Simulation:
             self._tree = Octree.build(self.particles.x, self.box)
         return self._tree
 
-    def _pair_token_param(self):
-        """Token tuple for pool workers (None = engine off)."""
-        return self._pair_tokens if self._pair_ctx is not None else None
-
     def _backend_param(self) -> Optional[str]:
         """Backend name for pool workers (None = numpy reference)."""
         return self.backend.name if self.backend.ops is not None else None
@@ -416,13 +366,6 @@ class Simulation:
             total.merge(self._engine.pair_stats.as_dict())
         return total
 
-    @property
-    def pair_engine_stats(self) -> PairEngineStats:
-        """Deprecated — use ``report().pair_engine`` (see :mod:`repro.compat`)."""
-        from ..compat import legacy_pair_engine_stats
-
-        return legacy_pair_engine_stats(self)
-
     # ------------------------------------------------------------------
     # Rate evaluation: Algorithm 1 steps 1-4 (phases A-I)
     # ------------------------------------------------------------------
@@ -431,7 +374,6 @@ class Simulation:
         p = self.particles
         cfg = self.config
         tr = self.tracer
-        engine = self._engine
         self._refresh_pair_tokens()
 
         # Verlet-skin cache: reuse the padded neighbour list while every
@@ -487,131 +429,62 @@ class Simulation:
         # dx, r)`` block primed above carries straight into the phases
         # below).
         self._refresh_pair_tokens()
-        pair_tokens = self._pair_token_param()
+        # One call site per phase: ``phases`` is the pool engine or the
+        # serial seam, which share these four entry points.
+        phases = self._phases
+        pair_args = (p, self._nlist, self.kernel, self.box)
+        backend_name = self._backend_param()
+        shipped = {"pair_tokens": self._pair_tokens, "backend": backend_name}
 
         c_matrices = None
         if cfg.gradients == "iad":
             # IAD moments need a density estimate; bootstrap on the first
             # call with a standard summation.
-            if engine is not None:
-                if np.all(p.rho <= 0.0):
-                    engine.density(
-                        p,
-                        self._nlist,
-                        self.kernel,
-                        self.box,
-                        phase=Phase.NEIGHBOR_LISTS.letter,
-                        pair_tokens=pair_tokens,
-                        backend=self._backend_param(),
-                    )
-                c_matrices = engine.iad_matrices(
-                    p,
-                    self._nlist,
-                    self.kernel,
-                    self.box,
-                    phase=Phase.NEIGHBOR_LISTS.letter,
-                    pair_tokens=pair_tokens,
-                    backend=self._backend_param(),
+            if np.all(p.rho <= 0.0):
+                phases.density(
+                    *pair_args, phase=Phase.NEIGHBOR_LISTS.letter, **shipped
                 )
-            else:
-                with tr.phase(Phase.NEIGHBOR_LISTS.letter, State.USEFUL, self.rank):
-                    if np.all(p.rho <= 0.0):
-                        compute_density(
-                            p, self._nlist, self.kernel, self.box,
-                            ctx=self._pair_ctx, backend=self.backend,
-                        )
-                    c_matrices = compute_iad_matrices(
-                        p, self._nlist, self.kernel, self.box,
-                        ctx=self._pair_ctx, backend=self.backend,
-                    )
-
-        if engine is not None:
-            engine.density(
-                p,
-                self._nlist,
-                self.kernel,
-                self.box,
-                volume_elements=cfg.volume_elements,
-                xmass_exponent=cfg.xmass_exponent,
-                phase=Phase.DENSITY.letter,
-                pair_tokens=pair_tokens,
-                backend=self._backend_param(),
+            c_matrices = phases.iad_matrices(
+                *pair_args, phase=Phase.NEIGHBOR_LISTS.letter, **shipped
             )
-        else:
-            with tr.phase(Phase.DENSITY.letter, State.USEFUL, self.rank):
-                compute_density(
-                    p,
-                    self._nlist,
-                    self.kernel,
-                    self.box,
-                    volume_elements=cfg.volume_elements,
-                    xmass_exponent=cfg.xmass_exponent,
-                    ctx=self._pair_ctx,
-                    backend=self.backend,
-                )
+
+        phases.density(
+            *pair_args,
+            volume_elements=cfg.volume_elements,
+            xmass_exponent=cfg.xmass_exponent,
+            phase=Phase.DENSITY.letter,
+            **shipped,
+        )
 
         with tr.phase(Phase.EQUATION_OF_STATE.letter, State.USEFUL, self.rank):
             self.eos.apply(p)
 
-        if engine is not None:
-            result = engine.forces(
-                p,
-                self._nlist,
-                self.kernel,
-                self.box,
-                gradients=cfg.gradients,
-                viscosity=cfg.viscosity,
-                grad_h=cfg.grad_h,
-                c_matrices=c_matrices,
-                phase=Phase.MOMENTUM_ENERGY.letter,
-                pair_tokens=pair_tokens,
-                backend=self._backend_param(),
-            )
-            self._max_mu = result.max_mu
-        else:
-            with tr.phase(Phase.MOMENTUM_ENERGY.letter, State.USEFUL, self.rank):
-                result = compute_forces(
-                    p,
-                    self._nlist,
-                    self.kernel,
-                    self.box,
-                    gradients=cfg.gradients,
-                    viscosity=cfg.viscosity,
-                    grad_h=cfg.grad_h,
-                    c_matrices=c_matrices,
-                    ctx=self._pair_ctx,
-                    backend=self.backend,
-                )
-                self._max_mu = result.max_mu
+        result = phases.forces(
+            *pair_args,
+            gradients=cfg.gradients,
+            viscosity=cfg.viscosity,
+            grad_h=cfg.grad_h,
+            c_matrices=c_matrices,
+            phase=Phase.MOMENTUM_ENERGY.letter,
+            **shipped,
+        )
+        self._max_mu = result.max_mu
 
         self._last_gravity_p2p = 0
         self._last_gravity_m2p = 0
         if gravity_on:
             softening = cfg.gravity_softening_factor * float(p.h.mean())
-            if engine is not None:
-                grav = engine.gravity(
-                    p.x,
-                    p.m,
-                    g_const=self.g_const,
-                    softening=softening,
-                    theta=cfg.gravity_theta,
-                    order=cfg.gravity_order,
-                    tree=self._tree,
-                    phase=Phase.GRAVITY.letter,
-                    backend=self._backend_param(),
-                )
-            else:
-                with tr.phase(Phase.GRAVITY.letter, State.USEFUL, self.rank):
-                    grav = barnes_hut_gravity(
-                        p.x,
-                        p.m,
-                        g_const=self.g_const,
-                        softening=softening,
-                        theta=cfg.gravity_theta,
-                        order=cfg.gravity_order,
-                        tree=self._tree,
-                        ops=self.backend.ops,
-                    )
+            grav = phases.gravity(
+                p.x,
+                p.m,
+                g_const=self.g_const,
+                softening=softening,
+                theta=cfg.gravity_theta,
+                order=cfg.gravity_order,
+                tree=self._tree,
+                phase=Phase.GRAVITY.letter,
+                backend=backend_name,
+            )
             p.a += grav.acc
             self.potential_energy = grav.potential_energy(p.m)
             self._last_gravity_p2p = grav.n_p2p
@@ -714,11 +587,8 @@ class Simulation:
         """
         if n_steps is None and t_end is None:
             raise ValueError("provide n_steps and/or t_end")
-        if (
-            self.resilience is not None
-            and self.resilience.autoresume
-            and self.step_index == 0
-        ):
+        res = self.run_config.resilience
+        if res is not None and res.autoresume and self.step_index == 0:
             self.resume()
         tuning = self.run_config.tuning
         if (
@@ -742,18 +612,14 @@ class Simulation:
                 raise RunCancelled(self.step_index)
             tuner = self._autotuner
             if tuner is not None and not tuner.done:
-                tuner.before_step()
-            if tuner is not None and not tuner.done:
-                t0 = time.perf_counter()
-                if self.step_guard is not None:
-                    done.append(self.step_guard.guarded_step(self))
-                else:
-                    done.append(self.step())
-                tuner.after_step(time.perf_counter() - t0)
-            elif self.step_guard is not None:
+                tuner.before_step()  # may spend the budget and finish
+            t0 = time.perf_counter()
+            if self.step_guard is not None:
                 done.append(self.step_guard.guarded_step(self))
             else:
                 done.append(self.step())
+            if tuner is not None and not tuner.done:
+                tuner.after_step(time.perf_counter() - t0)
             if self._progress_hook is not None:
                 self._progress_hook(done[-1])
         return done
@@ -814,13 +680,13 @@ class Simulation:
             retry_io,
         )
 
+        res = self.run_config.resilience
         if path is None:
-            if self.resilience is None:
+            if res is None:
                 raise ValueError("resume() without a path needs a ResilienceConfig")
-            path = find_latest_checkpoint(self.resilience.checkpoint_dir)
+            path = find_latest_checkpoint(res.checkpoint_dir)
             if path is None:
                 return False
-        res = self.resilience
         io_chaos = (
             self.checkpoint_manager.io_chaos
             if self.checkpoint_manager is not None
@@ -952,20 +818,6 @@ class Simulation:
             backend=backend,
             tuning=tuning,
         )
-
-    @property
-    def neighbor_cache_stats(self):
-        """Deprecated — use ``report().neighbor_cache`` (see :mod:`repro.compat`)."""
-        from ..compat import legacy_neighbor_cache_stats
-
-        return legacy_neighbor_cache_stats(self)
-
-    @property
-    def supervisor_stats(self):
-        """Deprecated — use ``report().recovery`` (see :mod:`repro.compat`)."""
-        from ..compat import legacy_supervisor_stats
-
-        return legacy_supervisor_stats(self)
 
     def close(self) -> None:
         """Release the pool and flush any configured trace exports.

@@ -109,11 +109,10 @@ def barnes_hut_gravity(
         target leaf, so partitioning the leaves over workers
         (``repro.parallel``) reproduces the full walk bit-for-bit.
     ops:
-        A compiled op table (``Backend.ops``).  When it carries the
-        gravity op (3-D only) every leaf's walk, M2P and P2P run there —
-        same MAC arithmetic, hence the same interactions and counts, sums
-        equal to rounding; otherwise (``None``, a backend without the op,
-        ``dim != 3``) the numpy loop below runs.
+        A compiled op table (``Backend.ops``).  In 3-D every leaf's
+        walk, M2P and P2P run there — same MAC arithmetic, hence the
+        same interactions and counts, sums equal to rounding; otherwise
+        (``None``, or ``dim != 3``) the numpy loop below runs.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     m = np.asarray(m, dtype=np.float64)
@@ -138,7 +137,7 @@ def barnes_hut_gravity(
     else:
         leaves = np.asarray(target_leaves, dtype=np.int64)
     eps2 = float(softening) ** 2
-    if ops is not None and ops.has_gravity and dim == 3:
+    if ops is not None and dim == 3:
         return GravityResult(
             *ops.gravity(tree, x, m, moments, leaves, order, theta, g_const, eps2),
             path=ops.name,

@@ -1,10 +1,10 @@
-"""Warn-once deprecation plumbing for the consolidated config/stats API.
+"""Warn-once plumbing: one notice per key per process.
 
-The old surface (``Simulation(exec_config=..., resilience=...)``, the
-``pair_engine_stats`` / ``neighbor_cache_stats`` accessors, the
-``profiling.metrics`` report formatters) keeps working, but each entry
-point announces its replacement exactly once per process — loud enough
-to migrate, quiet enough not to drown a 10k-step run in warnings.
+Loud enough to act on, quiet enough not to drown a 10k-step run in
+warnings.  No deprecated entry point is left in the package (the last
+shims were removed in 2.0.0, see CHANGES.md); the one live caller is the
+backend registry's "requested backend is unavailable, using numpy"
+``RuntimeWarning``.
 """
 
 from __future__ import annotations
@@ -23,12 +23,7 @@ def warn_once(
     stacklevel: int = 3,
     category: type = DeprecationWarning,
 ) -> None:
-    """Emit ``category`` (default ``DeprecationWarning``) once per key.
-
-    The backend registry reuses this for its "requested backend is
-    unavailable, using numpy" notice with ``category=RuntimeWarning`` —
-    same warn-once discipline, different severity.
-    """
+    """Emit ``category`` (default ``DeprecationWarning``) once per key."""
     if key in _WARNED:
         return
     _WARNED.add(key)

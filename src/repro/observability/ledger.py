@@ -69,12 +69,12 @@ def host_fingerprint() -> Dict[str, object]:
     """What makes a timing from this host comparable to another one.
 
     Captures core count, platform triple, interpreter and the backend
-    toolchain versions (a numba upgrade changes compiled-step timings as
-    surely as a CPU swap does).  Deliberately excludes hostname and
+    toolchain versions (a toolchain upgrade changes compiled-step timings
+    as surely as a CPU swap does).  Deliberately excludes hostname and
     anything wall-clock-dependent so the fingerprint is stable across
     reboots of the same machine/image.  Probed once per process (a
-    failed ``import numba`` is retried by Python on every call
-    otherwise); each caller gets its own copy.
+    failed import is retried by Python on every call otherwise); each
+    caller gets its own copy.
     """
     return dict(_probe_host())
 
@@ -91,6 +91,9 @@ def _probe_host() -> Dict[str, object]:
     import numpy
 
     fp["numpy"] = numpy.__version__
+    # "numba" is no longer a backend but stays a recorded fact about the
+    # host: the key set feeds fingerprint_id(), which keys every stored
+    # ledger row, the autotuner's warm start and the e2e cross-host check.
     for mod in ("numba", "cffi"):
         try:
             fp[mod] = __import__(mod).__version__
@@ -157,8 +160,8 @@ class RunRecord:
     backend: str
     code_version: str
     host: Dict[str, object] = field(default_factory=dict)
-    #: Resolved execution knobs (workers, chunks, cache, skin, pair
-    #: engine, backend, checkpoint interval) — the autotuner's domain.
+    #: Resolved execution knobs (workers, chunks, cache, skin, backend,
+    #: checkpoint interval) — the autotuner's domain.
     knobs: Dict[str, object] = field(default_factory=dict)
     #: Per-phase span aggregates: letter -> {total_s, count, mean_s}.
     phases: Dict[str, Dict[str, float]] = field(default_factory=dict)
@@ -426,11 +429,10 @@ def resolved_knobs(sim) -> Dict[str, object]:
     run = sim.run_config
     ex = run.exec
     knobs: Dict[str, object] = {
-        "workers": int(ex.workers) if ex is not None else 0,
-        "chunks_per_worker": int(ex.chunks_per_worker) if ex is not None else 1,
-        "neighbor_cache": bool(ex.neighbor_cache) if ex is not None else False,
-        "cache_skin": float(ex.cache_skin) if ex is not None else 0.3,
-        "pair_engine": bool(ex.pair_engine) if ex is not None else True,
+        "workers": int(ex.workers),
+        "chunks_per_worker": int(ex.chunks_per_worker),
+        "neighbor_cache": bool(ex.neighbor_cache),
+        "cache_skin": float(ex.cache_skin),
         "backend": sim.backend.name,
         "checkpoint_every": (
             int(run.resilience.checkpoint_every)

@@ -1,11 +1,9 @@
 """The consolidated run report behind ``Simulation.report()``.
 
-One typed, dict-convertible object replaces the four ad-hoc stats
-accessors that accreted on the driver (``pair_engine_stats``,
-``neighbor_cache_stats``, ``supervisor_stats`` + the
-``profiling.metrics`` one-line formatters): every execution path's
-counters under one namespace, plus the POP efficiency metrics computed
-from the measured span timeline.
+One typed, dict-convertible object: every execution path's counters
+(pair engine, neighbour cache, recovery, checkpoint, guard, ...) under
+one namespace, plus the POP efficiency metrics computed from the
+measured span timeline.
 """
 
 from __future__ import annotations

@@ -8,14 +8,15 @@ pair-balanced slices of the CSR neighbour list.  The slice decomposition
 preserves per-particle reduction order, so pool results match the serial
 path bit-for-bit — which the parity tests pin down to rtol = 1e-12.
 
-Fault tolerance (:mod:`repro.parallel.supervisor`): the pool runs under a
-supervisor by default — crashed workers are respawned, hung ones deadline
+Fault tolerance (:mod:`repro.parallel.supervisor`): the pool always runs
+under a supervisor — crashed workers are respawned, hung ones deadline
 out and their chunks re-issue, late replies are discarded by stamp, and
 when everything else fails the phase completes serially in the parent.
 """
 
-from .executor import ExecConfig, ParallelEngine
-from .pool import WorkerPool, parallel_map, row_chunks
+from ..core.config import ExecConfig
+from .executor import ParallelEngine
+from .pool import WorkerPool, row_chunks
 from .shm import ArenaView, ShmArena
 from .supervisor import (
     RecoveryEvent,
@@ -28,7 +29,6 @@ __all__ = [
     "ExecConfig",
     "ParallelEngine",
     "WorkerPool",
-    "parallel_map",
     "row_chunks",
     "ArenaView",
     "ShmArena",

@@ -2,9 +2,9 @@
 
 Parent side, :class:`ParallelEngine` mirrors the serial kernel entry
 points (density, IAD moments, forces, gravity) but fans each one out over
-a :class:`~repro.parallel.pool.WorkerPool`: inputs are published into the
-:class:`~repro.parallel.shm.ShmArena`, query rows are split at equal-pair
-CSR boundaries, and each worker evaluates its row slice with the *same*
+a :class:`~repro.parallel.supervisor.SupervisedPool`: inputs are
+published into the :class:`~repro.parallel.shm.ShmArena`, query rows
+are split at equal-pair CSR boundaries, and each worker evaluates its row slice with the *same*
 kernel code the serial path runs (``rows=(lo, hi)`` mode), writing
 results into arena output fields at disjoint slices.  Parity with the
 serial path is therefore structural: both paths execute identical
@@ -24,12 +24,12 @@ from __future__ import annotations
 
 import time
 from contextlib import nullcontext
-from dataclasses import dataclass
-from typing import Any, List, Optional, Sequence, Tuple, Union
+from typing import Any, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..backend import BACKEND_CHOICES, select_backend
+from ..backend import select_backend
+from ..core.config import ExecConfig
 from ..core.particles import ParticleSystem
 from ..gradients.iad import compute_iad_matrices
 from ..gravity.barnes_hut import GravityResult, barnes_hut_gravity
@@ -41,106 +41,11 @@ from ..sph.pair_engine import PairContext, PairEngineStats
 from ..sph.viscosity import ViscosityParams, balsara_switch
 from ..tree.neighborlist import NeighborList
 from ..tree.octree import Octree
-from .pool import WorkerPool, parallel_map, register_task, row_chunks
+from .pool import register_task, row_chunks
 from .shm import ShmArena
-from .supervisor import SupervisedPool, SupervisorConfig, SupervisorStats
+from .supervisor import SupervisedPool, SupervisorStats
 
 __all__ = ["ExecConfig", "ParallelEngine"]
-
-
-@dataclass(frozen=True)
-class ExecConfig:
-    """Execution-layer knobs (orthogonal to the physics configuration).
-
-    Parameters
-    ----------
-    workers:
-        ``0`` (default) keeps every phase serial; ``>= 1`` runs phases
-        E-I on a process pool of that many workers.  ``workers=1`` still
-        exercises the full fan-out/reduce machinery (useful for parity
-        testing); speedup requires multiple cores.
-    chunks_per_worker:
-        Row chunks submitted per worker per phase (more chunks smooth
-        load imbalance at slightly higher dispatch cost).
-    neighbor_cache:
-        Enable the Verlet-skin neighbour-list cache: lists are built with
-        padded support ``(1 + skin) * 2 h`` and phases B-D are skipped
-        while no particle has drifted more than ``skin * h``.
-    cache_skin:
-        Skin fraction of ``h`` (in (0, 1)).
-    start_method:
-        multiprocessing start method; default picks ``fork`` when
-        available, else ``spawn``.
-    arena_capacity:
-        Initial shared-memory arena size in bytes (grows on demand).
-    supervise:
-        Run the pool under the fault-tolerant
-        :class:`~repro.parallel.supervisor.SupervisedPool` (crash/hang
-        detection, chunk re-issue, serial degradation).  On by default —
-        the overhead on a healthy pool is one ``connection.wait`` per
-        reply.  ``False`` keeps PR-1's bare ``parallel_map``.
-    supervisor:
-        Deadline/retry policy; ``None`` uses
-        :class:`~repro.parallel.supervisor.SupervisorConfig` defaults.
-    verify_outputs:
-        Opt-in per-phase SDC pass: parent re-checksums every row-sliced
-        phase output against the worker's CRC and range-scans it, then
-        recomputes corrupted chunks serially (requires ``supervise``).
-    chaos:
-        Deterministic fault-injection policy
-        (:class:`~repro.resilience.chaos.ChaosPolicy`) consulted at task
-        submission; ``None`` (default) injects nothing.
-    pair_engine:
-        Enable the per-step pair-geometry cache and scratch-buffer arena
-        (:mod:`repro.sph.pair_engine`) in the driver and — when the pool
-        is on — in every worker (one persistent context per row slice,
-        keyed by parent-minted epoch tokens).  On by default; ``False``
-        makes every phase rebuild its pair data from scratch (the
-        pre-engine behaviour, bitwise-identical results).
-    backend:
-        Execution backend for the SPH pair loops: ``"numpy"`` (default,
-        the vectorized reference), ``"numba"`` / ``"cffi"`` (compiled
-        fused kernels from :mod:`repro.backend`) or ``"auto"`` (best
-        available).  A named compiled backend that is unavailable on
-        this host degrades to numpy with a single ``RuntimeWarning``.
-        Workers resolve the same name in their own process.
-    """
-
-    workers: int = 0
-    chunks_per_worker: int = 1
-    neighbor_cache: bool = False
-    cache_skin: float = 0.3
-    start_method: Optional[str] = None
-    arena_capacity: int = 1 << 24
-    supervise: bool = True
-    supervisor: Optional[SupervisorConfig] = None
-    verify_outputs: bool = False
-    chaos: Optional[Any] = None
-    pair_engine: bool = True
-    backend: str = "numpy"
-
-    def __post_init__(self) -> None:
-        if self.workers < 0:
-            raise ValueError(f"workers must be >= 0, got {self.workers}")
-        if self.backend not in BACKEND_CHOICES:
-            raise ValueError(
-                f"backend must be one of {', '.join(BACKEND_CHOICES)}, "
-                f"got {self.backend!r}"
-            )
-        if self.chunks_per_worker < 1:
-            raise ValueError(
-                f"chunks_per_worker must be >= 1, got {self.chunks_per_worker}"
-            )
-        if not 0.0 < self.cache_skin < 1.0:
-            raise ValueError(f"cache_skin must be in (0, 1), got {self.cache_skin}")
-        if (self.verify_outputs or self.chaos is not None) and not self.supervise:
-            raise ValueError(
-                "verify_outputs / chaos require supervise=True"
-            )
-
-    @property
-    def parallel_enabled(self) -> bool:
-        return self.workers >= 1
 
 
 # ======================================================================
@@ -178,10 +83,7 @@ _WORKER_CTX_CAP = 64
 
 
 def _worker_pair_ctx(params, lo, hi):
-    """Fetch/create this slice's persistent context (None = engine off)."""
-    tokens = params.get("pair_tokens")
-    if tokens is None:
-        return None
+    """Fetch/create this slice's persistent context."""
     key = (lo, hi)
     ctx = _WORKER_CTXS.get(key)
     if ctx is None:
@@ -191,13 +93,12 @@ def _worker_pair_ctx(params, lo, hi):
             _WORKER_CTXS.clear()
         ctx = PairContext(trust_tokens=True)
         _WORKER_CTXS[key] = ctx
-    ctx.set_tokens(*tokens)
+    ctx.set_tokens(*params["pair_tokens"])
     return ctx
 
 
 def _pair_reply(ctx, snap, data):
-    if ctx is not None:
-        data["pair"] = ctx.stats.delta(snap)
+    data["pair"] = ctx.stats.delta(snap)
     return data
 
 
@@ -218,7 +119,7 @@ def _worker_backend(params):
 @register_task("density")
 def _task_density(views, params, lo, hi):
     ctx = _worker_pair_ctx(params, lo, hi)
-    snap = ctx.stats.snapshot() if ctx is not None else None
+    snap = ctx.stats.snapshot()
     particles = _particles_from(views, rho_field=params.get("rho_field", "rho"))
     rho = compute_density(
         particles,
@@ -238,7 +139,7 @@ def _task_density(views, params, lo, hi):
 @register_task("iad")
 def _task_iad(views, params, lo, hi):
     ctx = _worker_pair_ctx(params, lo, hi)
-    snap = ctx.stats.snapshot() if ctx is not None else None
+    snap = ctx.stats.snapshot()
     c = compute_iad_matrices(
         _particles_from(views),
         _nlist_from(views),
@@ -255,7 +156,7 @@ def _task_iad(views, params, lo, hi):
 @register_task("gradh")
 def _task_gradh(views, params, lo, hi):
     ctx = _worker_pair_ctx(params, lo, hi)
-    snap = ctx.stats.snapshot() if ctx is not None else None
+    snap = ctx.stats.snapshot()
     omega = grad_h_terms(
         _particles_from(views),
         _nlist_from(views),
@@ -272,7 +173,7 @@ def _task_gradh(views, params, lo, hi):
 @register_task("divcurl")
 def _task_divcurl(views, params, lo, hi):
     ctx = _worker_pair_ctx(params, lo, hi)
-    snap = ctx.stats.snapshot() if ctx is not None else None
+    snap = ctx.stats.snapshot()
     div, curl = velocity_divergence_curl(
         _particles_from(views),
         _nlist_from(views),
@@ -290,7 +191,7 @@ def _task_divcurl(views, params, lo, hi):
 @register_task("forces")
 def _task_forces(views, params, lo, hi):
     ctx = _worker_pair_ctx(params, lo, hi)
-    snap = ctx.stats.snapshot() if ctx is not None else None
+    snap = ctx.stats.snapshot()
     omega = views.view("out_omega") if params["grad_h"] else None
     balsara_f = views.view("balsara_f") if params["use_balsara"] else None
     c_matrices = views.view("c_matrices") if params["iad"] else None
@@ -400,7 +301,7 @@ def _field_bytes(shape, dtype) -> int:
 class ParallelEngine:
     """Pool-backed evaluation of density / IAD / forces / gravity.
 
-    Owns a :class:`WorkerPool` and a :class:`ShmArena` (both created
+    Owns a :class:`SupervisedPool` and a :class:`ShmArena` (both created
     lazily on first use) and is safe to share across the phases of one
     :class:`~repro.core.simulation.Simulation`.  Results are written into
     the same particle arrays the serial path writes, so the two paths are
@@ -420,7 +321,7 @@ class ParallelEngine:
         self.tracer = tracer
         self.rank = rank
         self.worker_spans = worker_spans
-        self._pool: Optional[Union[WorkerPool, SupervisedPool]] = None
+        self._pool: Optional[SupervisedPool] = None
         self._arena: Optional[ShmArena] = None
         self._step = 0
         #: Aggregated pair-engine counters folded in from worker replies.
@@ -432,22 +333,17 @@ class ParallelEngine:
                 self.pair_stats.merge(data.get("pair"))
 
     # ------------------------------------------------------------------
-    def _ensure(self) -> Tuple[Union[WorkerPool, SupervisedPool], ShmArena]:
+    def _ensure(self) -> Tuple[SupervisedPool, ShmArena]:
         if self._pool is None:
-            if self.config.supervise:
-                self._pool = SupervisedPool(
-                    self.config.workers,
-                    start_method=self.config.start_method,
-                    config=self.config.supervisor,
-                    chaos=self.config.chaos,
-                    tracer=self.tracer,
-                    rank=self.rank,
-                )
-                self._pool.step_index = self._step
-            else:
-                self._pool = WorkerPool(
-                    self.config.workers, start_method=self.config.start_method
-                )
+            self._pool = SupervisedPool(
+                self.config.workers,
+                start_method=self.config.start_method,
+                config=self.config.supervisor,
+                chaos=self.config.chaos,
+                tracer=self.tracer,
+                rank=self.rank,
+            )
+            self._pool.step_index = self._step
             self._install_span_sink(self._pool)
             self._arena = ShmArena(self.config.arena_capacity)
         return self._pool, self._arena
@@ -499,33 +395,27 @@ class ParallelEngine:
         phase: str,
         verify: Sequence[Tuple[str, bool]] = (),
     ) -> List[Tuple[Tuple[int, int], Any]]:
-        """Fan out one task kind — supervised or bare, per the config."""
+        """Fan out one task kind over the supervised pool."""
         pool, arena = self._ensure()
-        if isinstance(pool, SupervisedPool):
-            return pool.map(
-                kind,
-                chunks,
-                arena.descriptor(),
-                params,
-                phase=phase,
-                verify=verify if self.config.verify_outputs else (),
-            )
-        return parallel_map(
-            pool, kind, chunks, arena.descriptor(), params, phase=phase
+        return pool.map(
+            kind,
+            chunks,
+            arena.descriptor(),
+            params,
+            phase=phase,
+            verify=verify if self.config.verify_outputs else (),
         )
 
     def set_step(self, step: int) -> None:
         """Tell the supervisor the driver's step index (chaos matching)."""
-        if isinstance(self._pool, SupervisedPool):
+        if self._pool is not None:
             self._pool.step_index = step
         self._step = step
 
     @property
     def supervisor_stats(self) -> Optional[SupervisorStats]:
-        """Recovery counters/events, or ``None`` when unsupervised."""
-        if isinstance(self._pool, SupervisedPool):
-            return self._pool.stats
-        return None
+        """Recovery counters/events (``None`` before the pool spins up)."""
+        return self._pool.stats if self._pool is not None else None
 
     def _phase(self, letter: str, state: State):
         if self.tracer is None:

@@ -7,13 +7,12 @@ range, scalar parameters — and all bulk data travels through the
 handler from :data:`TASK_HANDLERS`, write bulk results into arena output
 fields at their disjoint row slice, and reply with scalars only.
 
-``parallel_map`` is the one fan-out primitive: split the query rows into
-chunks (pair-balanced when CSR offsets are given), round-robin the chunks
-over the workers, then gather replies in submission order.  Fault
-tolerance lives one layer up, in
-:class:`~repro.parallel.supervisor.SupervisedPool`; this module supplies
-the hooks it needs: a ``stamp`` echoed verbatim in every reply (so late
-replies from presumed-dead workers are identifiable), per-slot
+The fan-out itself — round-robin the row chunks (:func:`row_chunks`,
+pair-balanced when CSR offsets are given) over the workers, gather
+replies in submission order, survive worker death — lives one layer up,
+in :class:`~repro.parallel.supervisor.SupervisedPool`; this module
+supplies what it needs: a ``stamp`` echoed verbatim in every reply (so
+late replies from presumed-dead workers are identifiable), per-slot
 :meth:`WorkerPool.respawn`, and deterministic worker-side fault injection
 driven by an optional ``chaos`` entry in the task dict (see
 :mod:`repro.resilience.chaos`).
@@ -27,13 +26,13 @@ import os
 import time
 import traceback
 import zlib
-from typing import Any, Callable, Dict, List, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
 import numpy as np
 
 from .shm import ArenaView
 
-__all__ = ["WorkerPool", "parallel_map", "row_chunks"]
+__all__ = ["WorkerPool", "row_chunks"]
 
 #: kind -> handler(views: ArenaView, params: dict, lo: int, hi: int) -> dict
 TASK_HANDLERS: Dict[str, Callable[..., dict]] = {}
@@ -129,10 +128,6 @@ def _worker_main(conn) -> None:
 class WorkerPool:
     """Fixed set of persistent worker processes fed over pipes."""
 
-    #: optional callable ``(worker_slot, span_dict) -> None``; installed by
-    #: the observability layer to merge worker spans into the driver trace.
-    span_sink: Callable[[int, dict], None] | None = None
-
     def __init__(self, n_workers: int, start_method: str | None = None) -> None:
         if n_workers < 1:
             raise ValueError(f"n_workers must be >= 1, got {n_workers}")
@@ -159,16 +154,6 @@ class WorkerPool:
 
     def submit(self, worker: int, task: dict) -> None:
         self._conns[worker].send(task)
-
-    def recv(self, worker: int) -> dict:
-        reply = self._conns[worker].recv()
-        if not reply["ok"]:
-            raise RuntimeError(
-                f"pool worker {worker} failed:\n{reply['error']}"
-            )
-        if self.span_sink is not None and "span" in reply:
-            self.span_sink(worker, reply["span"])
-        return reply["data"]
 
     # ------------------------------------------------------------------
     # Liveness interface for the supervisor
@@ -303,40 +288,4 @@ def row_chunks(
         (int(lo), int(hi))
         for lo, hi in zip(bounds[:-1], bounds[1:])
         if hi > lo
-    ]
-
-
-def parallel_map(
-    pool: WorkerPool,
-    kind: str,
-    chunks: Sequence[Tuple[int, int]],
-    arena_descriptor: dict,
-    params: dict,
-    phase: str = "?",
-) -> List[Tuple[Tuple[int, int], Any]]:
-    """Fan ``chunks`` of rows out over the pool; gather replies in order.
-
-    Chunks are assigned round-robin; each worker processes its queue in
-    FIFO order, so replies can be collected deterministically.  Returns
-    ``[((lo, hi), reply_data), ...]`` in chunk order.  ``phase`` labels
-    the chunks' span envelopes with the Algorithm-1 phase letter.
-    """
-    assignments: List[int] = []
-    for k, (lo, hi) in enumerate(chunks):
-        worker = k % pool.n_workers
-        pool.submit(
-            worker,
-            {
-                "kind": kind,
-                "arena": arena_descriptor,
-                "params": params,
-                "lo": int(lo),
-                "hi": int(hi),
-                "phase": phase,
-            },
-        )
-        assignments.append(worker)
-    return [
-        (chunk, pool.recv(worker))
-        for chunk, worker in zip(chunks, assignments)
     ]

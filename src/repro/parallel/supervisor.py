@@ -166,11 +166,12 @@ class _TaskRec:
 
 
 class SupervisedPool:
-    """Self-healing drop-in for ``parallel_map`` over a :class:`WorkerPool`.
+    """Self-healing fan-out over a :class:`WorkerPool`.
 
-    :meth:`map` has the exact contract of
-    :func:`repro.parallel.pool.parallel_map` — same chunk order, same
-    reply merge order — but survives worker crashes and hangs.
+    :meth:`map` round-robins the chunks over the workers and returns
+    ``[((lo, hi), reply_data), ...]`` in chunk order — the reply merge
+    order is the submission order — and survives worker crashes and
+    hangs.
     """
 
     def __init__(
@@ -400,8 +401,7 @@ class SupervisedPool:
 
         self._handle_dead = handle_dead  # reachable from submit failures
 
-        # Initial round-robin dispatch over live workers (same layout the
-        # unsupervised parallel_map uses).
+        # Initial round-robin dispatch over live workers.
         live = [w for w in range(n_w) if self._alive[w]]
         for k in range(len(chunks)):
             w = live[k % len(live)]

@@ -19,9 +19,7 @@ yields ``nan`` efficiencies instead of raising, so report pipelines can
 always compute-then-filter (``PopMetrics.valid`` tells the two cases
 apart).  The measured-span variant over merged driver + pool-worker
 timelines lives in :func:`repro.observability.pop.pop_from_events`; the
-one-line stats formatters that used to live here moved to
-:mod:`repro.observability.report` and are re-exported below behind
-``DeprecationWarning`` shims.
+one-line stats formatters live in :mod:`repro.observability.report`.
 """
 
 from __future__ import annotations
@@ -38,9 +36,6 @@ __all__ = [
     "compute_pop_metrics",
     "pool_overhead",
     "recovery_overhead",
-    "recovery_report",
-    "neighbor_cache_report",
-    "pair_engine_report",
 ]
 
 
@@ -167,59 +162,3 @@ def recovery_overhead(tracer: Tracer, rank: int | None = None) -> dict[str, floa
         "runtime": runtime,
         "fraction": recovery / runtime if runtime > 0 else 0.0,
     }
-
-
-def recovery_report(stats) -> str:
-    """Deprecated: use :func:`repro.observability.report.format_recovery`
-    (or ``Simulation.report().summary()``).
-
-    ``stats`` is a :class:`~repro.parallel.supervisor.SupervisorStats`
-    (duck-typed so profiling does not import the parallel package).
-    """
-    from ..observability.deprecation import warn_once
-    from ..observability.report import format_recovery
-
-    warn_once(
-        "profiling.metrics.recovery_report",
-        "recovery_report() is deprecated; use "
-        "repro.observability.report.format_recovery or Simulation.report()",
-    )
-    return format_recovery(stats)
-
-
-def neighbor_cache_report(stats) -> str:
-    """Deprecated: use :func:`repro.observability.report
-    .format_neighbor_cache` (or ``Simulation.report().summary()``).
-
-    ``stats`` is a :class:`~repro.tree.neighborlist.VerletCacheStats`
-    (duck-typed so profiling does not import the tree package).
-    """
-    from ..observability.deprecation import warn_once
-    from ..observability.report import format_neighbor_cache
-
-    warn_once(
-        "profiling.metrics.neighbor_cache_report",
-        "neighbor_cache_report() is deprecated; use "
-        "repro.observability.report.format_neighbor_cache or "
-        "Simulation.report()",
-    )
-    return format_neighbor_cache(stats)
-
-
-def pair_engine_report(stats) -> str:
-    """Deprecated: use :func:`repro.observability.report
-    .format_pair_engine` (or ``Simulation.report().summary()``).
-
-    ``stats`` is a :class:`~repro.sph.pair_engine.PairEngineStats`
-    (duck-typed so profiling does not import the sph package).
-    """
-    from ..observability.deprecation import warn_once
-    from ..observability.report import format_pair_engine
-
-    warn_once(
-        "profiling.metrics.pair_engine_report",
-        "pair_engine_report() is deprecated; use "
-        "repro.observability.report.format_pair_engine or "
-        "Simulation.report()",
-    )
-    return format_pair_engine(stats)

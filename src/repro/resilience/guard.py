@@ -468,7 +468,7 @@ class StepGuard:
                 self.degraded = True
 
     def _restore_from_disk(self, sim) -> bool:
-        res = sim.resilience
+        res = sim.run_config.resilience
         if res is None:
             return False
         path = find_latest_checkpoint(res.checkpoint_dir)

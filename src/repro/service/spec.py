@@ -10,10 +10,9 @@ result bits:
 * the scenario name and its IC-builder overrides,
 * the step count and the physics configuration (preset, neighbour
   count, SDC detection),
-* the result-affecting execution knobs (backend, pair engine, Verlet
-  cache and skin — the compiled backends are roundoff-level different,
-  so each is its own cache entry; the pair machinery is proven bitwise
-  but stays in the hash so the cache never has to argue about it),
+* the result-affecting execution knobs (backend, Verlet cache and skin
+  — the compiled backend is roundoff-level different from numpy, so
+  each is its own cache entry),
 * numerical-chaos and guard/autotune settings (they can change state),
 * the running code version (from the ledger's ``code_version`` stamp),
   so a new commit silently invalidates every cached result.
@@ -33,11 +32,10 @@ import json
 from dataclasses import dataclass, field, fields, replace
 from typing import Any, Dict, Mapping, Optional
 
+from ..backend.base import BACKEND_CHOICES
+
 __all__ = ["SpecError", "JobSpec", "canonical_spec_payload"]
 
-#: Names a CLI/HTTP layer may pass as overrides — everything else is an
-#: unknown-spec error (exit code 2 at the CLI boundary).
-_BACKEND_CHOICES = ("numpy", "numba", "cffi", "auto")
 
 
 class SpecError(ValueError):
@@ -67,7 +65,6 @@ class JobSpec:
     error_detection: bool = False
     # Result-affecting execution knobs (hashed):
     backend: str = "numpy"
-    pair_engine: bool = True
     neighbor_cache: bool = False
     cache_skin: float = 0.3
     guard: bool = False
@@ -85,10 +82,10 @@ class JobSpec:
     def __post_init__(self) -> None:
         if not self.scenario:
             raise SpecError("spec needs a scenario name")
-        if self.backend not in _BACKEND_CHOICES:
+        if self.backend not in BACKEND_CHOICES:
             raise SpecError(
                 f"unknown backend {self.backend!r}; "
-                f"choose from {_BACKEND_CHOICES}"
+                f"choose from {BACKEND_CHOICES}"
             )
         if self.n_steps is not None and self.n_steps < 1:
             raise SpecError(f"n_steps must be >= 1, got {self.n_steps}")
@@ -176,8 +173,7 @@ class JobSpec:
         caller (CLI flag or service job slot) supplies — they are not
         part of the spec or its hash.
         """
-        from ..core.config import RunConfig
-        from ..parallel.executor import ExecConfig
+        from ..core.config import ExecConfig, RunConfig
 
         if scenario is None:
             scenario = self.resolve()
@@ -187,7 +183,6 @@ class JobSpec:
                 chunks_per_worker=self.chunks_per_worker,
                 neighbor_cache=self.neighbor_cache,
                 cache_skin=self.cache_skin,
-                pair_engine=self.pair_engine,
                 backend=self.backend,
             )
         )
@@ -245,7 +240,6 @@ class JobSpec:
             "n_neighbors": self.n_neighbors,
             "error_detection": bool(self.error_detection),
             "backend": self.backend,
-            "pair_engine": bool(self.pair_engine),
             "neighbor_cache": bool(self.neighbor_cache),
             "cache_skin": float(self.cache_skin),
             "guard": bool(self.guard),

@@ -210,7 +210,7 @@ class NeighborList:
         if box is not None:
             xw = box.wrap(xw)
         radii = np.ascontiguousarray(radii, dtype=np.float64)
-        if ops is not None and ops.has_search:
+        if ops is not None:
             return NeighborList(*ops.pairs_within(self, xw, radii, box))
         i, j = self.pairs()
         keep = pairs_in_range(xw, i, j, radii, box, "symmetric")

@@ -282,11 +282,10 @@ class Octree:
         radius (computed here if not supplied), guaranteeing no j with
         ``r <= radii[j]`` is missed.
 
-        ``ops`` is a compiled op table (``Backend.ops``): when it carries
-        a tree walk the traversal runs there — same wrapped positions,
-        same node and pair predicates, so the returned arrays equal the
-        numpy walk's — otherwise (``None``, or a backend without one) the
-        vectorized frontier expansion below runs.
+        ``ops`` is a compiled op table (``Backend.ops``): the traversal
+        runs there — same wrapped positions, same node and pair
+        predicates, so the returned arrays equal the numpy walk's; with
+        ``None`` the vectorized frontier expansion below runs.
         """
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         n = x.shape[0]
@@ -298,7 +297,7 @@ class Octree:
         elif node_rmax is None:
             node_rmax = self.node_max(radii)
         xw = self.box.wrap(x)
-        if ops is not None and ops.has_search:
+        if ops is not None:
             return NeighborList(
                 *ops.walk_neighbors(self, xw, radii, node_rmax, include_self)
             )

@@ -2,9 +2,9 @@
 
 The tuner owns a bounded, deterministic exploration window at the start
 of a run.  It measures the baseline configuration, then climbs a
-one-knob-at-a-time ladder over the execution knobs (backend, pair
-engine, Verlet cache, workers, ...): each rung applies one candidate via
-:meth:`Simulation._rewire_exec`, measures ``steps_per_candidate`` whole
+one-knob-at-a-time ladder over the execution knobs (backend, Verlet
+cache, workers, ...): each rung applies one candidate via
+:meth:`Simulation._wire_exec`, measures ``steps_per_candidate`` whole
 steps, keeps the candidate iff it beat the best time so far, and feeds
 every measurement into the :class:`~repro.tuning.model.CostModel`.  When
 the ladder (or the step budget) is exhausted, the best configuration is
@@ -43,7 +43,6 @@ __all__ = ["TuningConfig", "Autotuner", "SUPPORTED_KNOBS"]
 #: the installed toolchains; the rest are fixed small sets.
 SUPPORTED_KNOBS = (
     "backend",
-    "pair_engine",
     "neighbor_cache",
     "workers",
     "chunks_per_worker",
@@ -97,7 +96,7 @@ class TuningConfig:
     seed: int = 0
     steps_per_candidate: int = 2
     max_exploration_steps: int = 24
-    knobs: Tuple[str, ...] = ("backend", "pair_engine", "neighbor_cache", "workers")
+    knobs: Tuple[str, ...] = ("backend", "neighbor_cache", "workers")
     workers_options: Optional[Tuple[int, ...]] = None
     backend_options: Optional[Tuple[str, ...]] = None
     ledger_path: Optional[str] = None
@@ -135,7 +134,6 @@ def knobs_of(exec_cfg) -> Dict[str, object]:
         "chunks_per_worker": int(exec_cfg.chunks_per_worker),
         "neighbor_cache": bool(exec_cfg.neighbor_cache),
         "cache_skin": float(exec_cfg.cache_skin),
-        "pair_engine": bool(exec_cfg.pair_engine),
         "backend": str(exec_cfg.backend),
     }
 
@@ -150,15 +148,13 @@ class Autotuner:
     """
 
     def __init__(self, sim, config: TuningConfig):
-        from ..parallel.executor import ExecConfig
-
         self.sim = sim
         self.config = config
         self.done = False
         self.converged_step: Optional[int] = None
         self.trail: List[Dict[str, object]] = []
         self.explored_steps = 0
-        base = sim.run_config.exec if sim.run_config.exec is not None else ExecConfig()
+        base = sim.run_config.exec
         self._options = self._knob_options(base)
         self.model = CostModel(n0=int(sim.particles.n))
         self._warm = self._warm_start()
@@ -177,21 +173,20 @@ class Autotuner:
     # ------------------------------------------------------------------
     # Planning
     # ------------------------------------------------------------------
-    def _knob_options(self, base) -> Dict[str, List[object]]:
+    def _runnable_backends(self) -> List[str]:
+        """Backends a candidate may name: the pinned option list, else
+        what this host can construct."""
+        if self.config.backend_options is not None:
+            return list(self.config.backend_options)
         from ..backend import available_backends
 
+        return [n for n, ok in available_backends().items() if ok]
+
+    def _knob_options(self, base) -> Dict[str, List[object]]:
         cfg = self.config
         options: Dict[str, List[object]] = {}
         if "backend" in cfg.knobs:
-            if cfg.backend_options is not None:
-                options["backend"] = list(cfg.backend_options)
-            else:
-                avail = available_backends()
-                options["backend"] = [
-                    n for n in ("numpy", "numba", "cffi") if avail.get(n)
-                ]
-        if "pair_engine" in cfg.knobs:
-            options["pair_engine"] = [True, False]
+            options["backend"] = self._runnable_backends()
         if "neighbor_cache" in cfg.knobs:
             options["neighbor_cache"] = [True, False]
         if "workers" in cfg.knobs:
@@ -228,6 +223,8 @@ class Autotuner:
 
     @staticmethod
     def _apply_knobs(exec_cfg, knobs: Dict[str, object]):
+        # Ledger rows outlive the knob set: a row written before
+        # ``pair_engine`` was removed still carries it, and is dropped here.
         fields = {f.name for f in dataclasses.fields(exec_cfg)}
         usable = {k: v for k, v in knobs.items() if k in fields}
         return dataclasses.replace(exec_cfg, **usable)
@@ -270,10 +267,10 @@ class Autotuner:
         best = min(usable, key=lambda r: r.step_p50() / r.n_particles)
         knobs = dict(best.knobs)
         knobs.pop("checkpoint_every", None)
-        # Never warm-start onto an option this host can't run (e.g. a
-        # numba row read on a numba-free host).
-        backends = self._options.get("backend")
-        if backends is not None and knobs.get("backend") not in backends:
+        # Never warm-start onto a backend this host can't run (a cffi
+        # row read on a compiler-free host, or an old row naming the
+        # removed numba backend) — whether or not the ladder tunes it.
+        if knobs.get("backend") not in self._runnable_backends():
             knobs.pop("backend", None)
         out["baseline_knobs"] = knobs
         out["baseline_run_id"] = best.run_id
@@ -403,14 +400,11 @@ class Autotuner:
     # Simulation plumbing
     # ------------------------------------------------------------------
     def _current_exec(self):
-        from ..parallel.executor import ExecConfig
-
-        ex = self.sim.run_config.exec
-        return ex if ex is not None else ExecConfig()
+        return self.sim.run_config.exec
 
     def _switch_to(self, exec_cfg) -> None:
         with self.sim.tracer.phase("tuning", State.SYNC, self.sim.rank):
-            self.sim._rewire_exec(exec_cfg)
+            self.sim._wire_exec(exec_cfg)
 
     def _observe_phases(self, knobs: Dict[str, object]) -> None:
         """Per-phase feedback: USEFUL driver spans of this candidate's steps."""

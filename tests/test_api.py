@@ -1,6 +1,4 @@
-"""The redesigned public surface: repro.api, pruned exports, compat."""
-
-import warnings
+"""The redesigned public surface: repro.api, pruned exports, removed names."""
 
 import pytest
 
@@ -130,42 +128,28 @@ def test_lazy_api_exports_resolve():
         repro.does_not_exist
 
 
-# --- the documented compat module ----------------------------------------
+# --- names removed in 2.0.0 stay removed ----------------------------------
 
 
-def test_compat_shims_still_work_and_warn_once():
-    from repro.compat import __all__ as compat_all
+def test_removed_surface_fails_closed():
+    """The deprecated driver surface, ``repro.compat``, the ``numba``
+    backend and the ``pair_engine`` switch are gone: old spellings are
+    typed errors at the boundary, never a silent default."""
+    import importlib
+
     from repro.ics import SquarePatchConfig, make_square_patch
-    from repro.observability.deprecation import reset_deprecation_warnings
-    from repro.parallel.executor import ExecConfig
+    from repro.parallel import ExecConfig
 
-    assert "resolve_legacy_driver_kwargs" in compat_all
-
-    reset_deprecation_warnings()
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.compat")
     particles, box, eos = make_square_patch(SquarePatchConfig(side=6, layers=3))
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        sim = repro.Simulation(
-            particles, box, eos, exec_config=ExecConfig(workers=0)
-        )
-        try:
-            assert sim.run_config.exec.workers == 0
-            sim.pair_engine_stats  # noqa: B018 - deprecated property shim
-        finally:
-            sim.close()
-    messages = [str(w.message) for w in caught]
-    assert any("exec_config" in m for m in messages)
-    assert any("pair_engine_stats" in m for m in messages)
+    with pytest.raises(TypeError):
+        repro.Simulation(particles, box, eos, exec_config=ExecConfig())
+    for removed in ("pair_engine", "supervise"):
+        with pytest.raises(TypeError):
+            ExecConfig(**{removed: True})
+    with pytest.raises(SpecError, match="pair_engine"):
+        api.JobSpec.from_dict({"scenario": "sod", "pair_engine": True})
+    with pytest.raises(SpecError, match="unknown backend"):
+        api.JobSpec(scenario="sod", backend="numba")
 
-
-def test_compat_rejects_mixing_old_and_new_kwargs():
-    from repro.core.config import RunConfig
-    from repro.ics import SquarePatchConfig, make_square_patch
-    from repro.parallel.executor import ExecConfig
-
-    particles, box, eos = make_square_patch(SquarePatchConfig(side=6, layers=3))
-    with pytest.raises(ValueError, match="not both"):
-        repro.Simulation(
-            particles, box, eos,
-            run_config=RunConfig(), exec_config=ExecConfig(),
-        )

@@ -6,7 +6,7 @@ Four pillars:
   from :func:`repro.backend.select_backend`, ``ValueError`` from
   ``ExecConfig``, exit code 2 from the CLI), ``auto`` resolution, and
   the warn-once numpy degradation when a named compiled backend cannot
-  be built (exercised by faking factory failure — no numba needed).
+  be built (exercised by faking factory failure).
 * phase parity — every backend-dispatched phase (density standard and
   generalized, grad-h, IAD matrices, div/curl, forces with and without
   Balsara) agrees with its numpy reference on norm-scaled tolerances
@@ -14,13 +14,13 @@ Four pillars:
   (the h-iteration must walk the *identical* trajectory).
 * scenario conformance — every registry scenario integrated with each
   available compiled backend lands within golden tolerance of the
-  numpy run, including pair-engine-off and worker-pool execution.
+  numpy run, including pair-context-free and worker-pool execution.
 * pure-reorganization proof — the numpy backend reproduces the
   committed golden masters, i.e. threading the dispatch layer through
   the phases changed nothing for hosts without a compiled toolchain.
 
-Compiled-backend tests self-skip on hosts where neither numba nor a
-working C toolchain exists; the registry/fallback tests always run.
+Compiled-backend tests self-skip on hosts without a working C
+toolchain; the registry/fallback tests always run.
 """
 
 from __future__ import annotations
@@ -34,12 +34,11 @@ from repro.backend import (
     available_backends,
     select_backend,
 )
-from repro.core.config import RunConfig, SimulationConfig
+from repro.core.config import ExecConfig, RunConfig, SimulationConfig
 from repro.core.simulation import Simulation
 from repro.gradients.iad import compute_iad_matrices
 from repro.ics.square_patch import SquarePatchConfig, make_square_patch
 from repro.observability.deprecation import reset_deprecation_warnings
-from repro.parallel import ExecConfig
 from repro.scenarios import (
     all_scenarios,
     compare_records,
@@ -55,13 +54,13 @@ from repro.sph.viscosity import ViscosityParams, balsara_switch
 from repro.timestepping.steppers import TimestepParams
 
 AVAILABLE = available_backends()
-COMPILED = [n for n in ("numba", "cffi") if AVAILABLE[n]]
+COMPILED = ["cffi"] if AVAILABLE["cffi"] else []
 FIELDS = ("x", "v", "rho", "u", "p", "h", "a", "du")
 
 compiled_backend = pytest.mark.parametrize(
     "backend_name",
     COMPILED
-    or [pytest.param("numba", marks=pytest.mark.skip(
+    or [pytest.param("cffi", marks=pytest.mark.skip(
         reason="no compiled backend available on this host"))],
 )
 
@@ -85,13 +84,16 @@ def assert_norm_close(got, ref, tol, label):
 
 
 def test_unknown_backend_name_rejected():
-    with pytest.raises(ValueError, match="unknown backend"):
-        select_backend("fortran")
+    # "numba" was a choice until 2.0.0; it is now as unknown as any other.
+    for name in ("fortran", "numba"):
+        with pytest.raises(ValueError, match="unknown backend"):
+            select_backend(name)
 
 
 def test_exec_config_validates_backend():
-    with pytest.raises(ValueError, match="backend must be one of"):
-        ExecConfig(backend="fortran")
+    for name in ("fortran", "numba"):
+        with pytest.raises(ValueError, match="backend must be one of"):
+            ExecConfig(backend=name)
 
 
 def test_numpy_backend_is_the_reference():
@@ -105,7 +107,7 @@ def test_numpy_backend_is_the_reference():
 
 def test_available_backends_probes_all_names():
     avail = available_backends()
-    assert set(avail) == {"numpy", "numba", "cffi"}
+    assert set(avail) == {"numpy", "cffi"}
     assert avail["numpy"] is True
 
 
@@ -127,7 +129,6 @@ def isolated_registry(monkeypatch):
 
     backend_mod._reset_backends()
     reset_deprecation_warnings()
-    monkeypatch.setitem(backend_mod._FACTORIES, "numba", unavailable)
     monkeypatch.setitem(backend_mod._FACTORIES, "cffi", unavailable)
     yield
     backend_mod._reset_backends()
@@ -136,7 +137,7 @@ def isolated_registry(monkeypatch):
 
 def test_named_unavailable_backend_warns_once_and_degrades(isolated_registry):
     with pytest.warns(RuntimeWarning, match="falling back to the numpy"):
-        b = select_backend("numba")
+        b = select_backend("cffi")
     assert b.name == "numpy" and b.ops is None
     # Second request: same degradation, no second warning.
     backend_mod._reset_backends()
@@ -144,7 +145,7 @@ def test_named_unavailable_backend_warns_once_and_degrades(isolated_registry):
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        b2 = select_backend("numba")
+        b2 = select_backend("cffi")
     assert b2.name == "numpy"
 
 
@@ -162,7 +163,7 @@ def test_simulation_survives_unavailable_backend(isolated_registry):
     with pytest.warns(RuntimeWarning, match="falling back"):
         sim = Simulation(
             particles, box, eos,
-            exec_config=ExecConfig(workers=0, backend="cffi"),
+            run_config=RunConfig(exec=ExecConfig(backend="cffi")),
         )
     try:
         assert sim.backend.name == "numpy"
@@ -187,8 +188,7 @@ def phase_state():
         n_neighbors=30,
         timestep_params=TimestepParams(use_energy_criterion=False),
     )
-    sim = Simulation(particles, box, eos, config=config,
-                     exec_config=ExecConfig(workers=0))
+    sim = Simulation(particles, box, eos, config=config)
     sim.step()
     sim.step()
     sim.compute_rates()
@@ -300,8 +300,9 @@ def _run_patch(backend_name, steps=5):
     )
     sim = Simulation(
         particles, box, eos, config=config,
-        exec_config=ExecConfig(workers=0, neighbor_cache=True,
-                               pair_engine=True, backend=backend_name),
+        run_config=RunConfig(
+            exec=ExecConfig(neighbor_cache=True, backend=backend_name)
+        ),
     )
     try:
         assert sim.backend.name == backend_name
@@ -327,11 +328,18 @@ def test_multi_step_parity_h_bitwise(backend_name):
 SCENARIOS = [sc.name for sc in all_scenarios()]
 
 
-def _run_scenario(name, exec_config):
+def _run_scenario(name, exec_config, engine_off=False):
     scenario = get_scenario(name)
     sim = scenario.make_simulation(
         test=True, run_config=RunConfig(exec=exec_config)
     )
+    if engine_off:
+        # degrade_to_serial() is the driver's way to drop the pair
+        # context; hand the compiled ops back so every phase takes its
+        # ephemeral ``ctx=None`` route *through the backend*.
+        backend = sim.backend
+        sim.degrade_to_serial()
+        sim.backend = backend
     try:
         sim.run(n_steps=scenario.golden_steps)
         return {f: getattr(sim.particles, f).copy() for f in FIELDS}
@@ -365,7 +373,7 @@ def test_scenario_conformance(name, backend_name):
 def test_scenario_conformance_engine_off(name, backend_name):
     ref = _scenario_baseline(name)
     got = _run_scenario(
-        name, ExecConfig(backend=backend_name, pair_engine=False)
+        name, ExecConfig(backend=backend_name), engine_off=True
     )
     for field in FIELDS:
         assert_norm_close(got[field], ref[field], GOLDEN_RTOL,
@@ -401,7 +409,6 @@ def test_compiled_evrard_holds_golden_and_conservation(backend_name):
         record = record_run(sim, case="scenario:evrard")
         drift = sim.conservation_drift()
         report = sim.report()
-        has_op = sim.backend.ops.has_gravity
     finally:
         sim.close()
     failures = compare_records(record, load_golden(golden_path("evrard")))
@@ -410,7 +417,7 @@ def test_compiled_evrard_holds_golden_and_conservation(backend_name):
         assert drift[quantity] <= bound, f"{quantity} drift {drift[quantity]:.3e}"
     # Two rate evaluations on the first step, one on each later step.
     assert report.gravity["calls"] == scenario.golden_steps + 1
-    assert report.gravity["path"] == (backend_name if has_op else "numpy")
+    assert report.gravity["path"] == backend_name
     assert report.gravity["p2p_per_step"] > 0
     assert "gravity: calls=" in report.summary()
 
@@ -442,7 +449,7 @@ def test_report_carries_backend_provenance():
     particles, box, eos = make_square_patch(SquarePatchConfig(side=6, layers=3))
     sim = Simulation(
         particles, box, eos,
-        exec_config=ExecConfig(workers=0, backend="auto"),
+        run_config=RunConfig(exec=ExecConfig(backend="auto")),
     )
     try:
         sim.step()
@@ -464,10 +471,11 @@ def test_report_carries_backend_provenance():
 def test_cli_unknown_backend_exits_2():
     from repro.__main__ import main
 
-    with pytest.raises(SystemExit) as exc:
-        main(["run", "sod", "--n", "60", "--steps", "1",
-              "--backend", "fortran"])
-    assert exc.value.code == 2
+    for name in ("fortran", "numba"):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "sod", "--n", "60", "--steps", "1",
+                  "--backend", name])
+        assert exc.value.code == 2
 
 
 def test_cli_backend_flag_and_json(capsys):
@@ -475,12 +483,12 @@ def test_cli_backend_flag_and_json(capsys):
 
     from repro.__main__ import main
 
-    rc = main(["run", "sod", "--n", "60", "--steps", "1",
+    rc = main(["run", "sod", "--n", "60", "--steps", "2",
                "--backend", "numpy", "--json"])
     assert rc == 0
-    out = capsys.readouterr().out
-    assert "backend: numpy (requested numpy" in out
-    payload = json.loads(out[out.index("{"):])
+    captured = capsys.readouterr()
+    assert "backend: numpy (requested numpy" in captured.err
+    payload = json.loads(captured.out)  # the document alone on stdout
     assert payload["backend"]["name"] == "numpy"
 
 

@@ -16,11 +16,10 @@ import os
 import numpy as np
 import pytest
 
-from repro.core.config import SimulationConfig
+from repro.core.config import ExecConfig, RunConfig, SimulationConfig
 from repro.core.simulation import Simulation
 from repro.ics.evrard import EvrardConfig, make_evrard
 from repro.ics.square_patch import SquarePatchConfig, make_square_patch
-from repro.parallel import ExecConfig
 from repro.resilience import (
     CheckpointManager,
     ResilienceConfig,
@@ -52,11 +51,10 @@ CASES = {"square-patch": _square_case, "evrard": _evrard_case}
 
 def _sim(case: str, cache: bool, resilience=None) -> Simulation:
     particles, box, eos, config = CASES[case]()
-    exec_config = ExecConfig(neighbor_cache=True) if cache else None
-    return Simulation(
-        particles, box, eos, config=config,
-        exec_config=exec_config, resilience=resilience,
+    run = RunConfig(
+        exec=ExecConfig(neighbor_cache=cache), resilience=resilience
     )
+    return Simulation(particles, box, eos, config=config, run_config=run)
 
 
 def _final_state(sim: Simulation):

@@ -82,8 +82,9 @@ def test_run_json_summary(capsys):
 
     rc = main(["run", "noh", "--n", "60", "--steps", "2", "--json"])
     assert rc == 0
-    out = capsys.readouterr().out
-    summary = json.loads(out[out.index("{"):])
+    out, err = capsys.readouterr()
+    summary = json.loads(out)  # the document alone on stdout
+    assert "step 2:" in err and "drift:" in err  # the log moved to stderr
     assert summary["scenario"] == "noh"
     assert summary["n_particles"] == 60
     assert summary["n_steps"] == 2
@@ -145,7 +146,7 @@ def test_run_guard_json_includes_guard_and_sdc(capsys):
                "--steps", "3", "--guard", "--error-detection", "--json"])
     assert rc == 0
     out = capsys.readouterr().out
-    summary = json.loads(out[out.index("{"):])
+    summary = json.loads(out)  # the document alone on stdout
     assert summary["guard"]["failures"] == 0
     assert summary["guard"]["checks"] == 3
     assert summary["sdc"]["checks_run"] == 3
@@ -172,7 +173,7 @@ def test_run_terminal_failure_json_record(capsys):
                "--steps", "4", "--guard", "--chaos", "nan:rho@2!", "--json"])
     assert rc == 1
     out = capsys.readouterr().out
-    record = json.loads(out[out.index("{"):])
+    record = json.loads(out)  # the document alone on stdout
     assert record["error"] == "unrecoverable-step"
     pm = record["post_mortem"]
     assert pm["step"] == 2
@@ -239,7 +240,7 @@ def test_run_autotune_json_includes_trail(tmp_path, capsys):
                "--autotune", "--json"])
     assert rc == 0
     out = capsys.readouterr().out
-    payload = _json.loads(out[out.index("{"):])
+    payload = _json.loads(out)  # the document alone on stdout
     assert payload["tuning"]["trail"]
     assert "recommendation" in payload["tuning"]
 
@@ -369,13 +370,21 @@ def test_serve_submit_jobs_end_to_end(tmp_path, capsys):
         digest = first.splitlines()[-1].split("digest ")[1]
         assert digest in second
 
+        # --json: the outcome alone on stdout, the log on stderr.
+        import json
+
+        assert main(flags + ["--json"]) == 0
+        third = capsys.readouterr()
+        assert json.loads(third.out)["result_digest"].startswith(digest)
+        assert "done (cache):" in third.err
+
         assert main(["jobs", "--socket", sock]) == 0
         table = capsys.readouterr().out
         assert "cache" in table and "run" in table
 
         assert main(["jobs", "--socket", sock, "--stats"]) == 0
         stats = capsys.readouterr().out
-        assert "cache_hits: 1" in stats
+        assert "cache_hits: 2" in stats
     finally:
         client_request(sock, {"op": "shutdown"})
         server.join(timeout=10)

@@ -23,10 +23,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core.config import SimulationConfig
+from repro.core.config import ExecConfig, RunConfig, SimulationConfig
 from repro.core.simulation import Simulation
 from repro.ics.square_patch import SquarePatchConfig, make_square_patch
-from repro.parallel import ExecConfig
 from repro.scenarios import compare_records
 from repro.timestepping.steppers import TimestepParams
 
@@ -35,13 +34,16 @@ N_STEPS = 5
 RTOL = 1e-9  # absorbs pair-ordering roundoff and BLAS/platform variation
 
 
-def _build_sim(exec_config: ExecConfig | None = None) -> Simulation:
+def _build_sim(exec_config: ExecConfig = ExecConfig()) -> Simulation:
     particles, box, eos = make_square_patch(SquarePatchConfig(side=10, layers=6))
     config = SimulationConfig().with_(
         n_neighbors=30,
         timestep_params=TimestepParams(use_energy_criterion=False),
     )
-    return Simulation(particles, box, eos, config=config, exec_config=exec_config)
+    return Simulation(
+        particles, box, eos, config=config,
+        run_config=RunConfig(exec=exec_config),
+    )
 
 
 def _checksums(sim: Simulation) -> dict:
@@ -78,7 +80,7 @@ def _record(sim: Simulation) -> dict:
     }
 
 
-def _run(exec_config: ExecConfig | None = None) -> dict:
+def _run(exec_config: ExecConfig = ExecConfig()) -> dict:
     sim = _build_sim(exec_config)
     try:
         sim.run(n_steps=N_STEPS)

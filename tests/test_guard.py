@@ -37,7 +37,9 @@ def _nan_policy(fires=1, step=3, array="rho", **kw):
     )
 
 
-def _guarded(scenario, *, chaos=None, guard=None, resilience=None, exec=None):
+def _guarded(
+    scenario, *, chaos=None, guard=None, resilience=None, exec=ExecConfig()
+):
     rc = RunConfig(
         exec=exec,
         resilience=resilience,
@@ -281,7 +283,7 @@ def test_raising_step_is_recovered():
 @pytest.mark.parametrize("cache", [False, True])
 def test_last_resort_checkpoint_autoresume_bitwise(tmp_path, name, cache):
     scenario = get_scenario(name)
-    exec_cfg = ExecConfig(neighbor_cache=True) if cache else None
+    exec_cfg = ExecConfig(neighbor_cache=cache)
 
     golden_sim = scenario.make_simulation(
         test=True, run_config=RunConfig(exec=exec_cfg)

@@ -14,14 +14,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.config import SimulationConfig
+from repro.core.config import ExecConfig, RunConfig, SimulationConfig
 from repro.core.particles import ParticleSystem
 from repro.timestepping.steppers import TimestepParams
 from repro.core.simulation import Simulation
 from repro.ics.square_patch import SquarePatchConfig, make_square_patch
 from repro.kernels.registry import make_kernel
-from repro.parallel import ExecConfig
-from repro.profiling.metrics import neighbor_cache_report
+from repro.observability.report import format_neighbor_cache
 from repro.sph.density import compute_density
 from repro.sph.forces import compute_forces
 from repro.sph.smoothing import SmoothingConfig, adapt_smoothing_lengths
@@ -165,15 +164,14 @@ def test_cache_hit_rate_positive_over_ten_step_run():
         box,
         eos,
         config=RUN_CONFIG,
-        exec_config=ExecConfig(neighbor_cache=True),
+        run_config=RunConfig(exec=ExecConfig(neighbor_cache=True)),
     )
     sim.run(n_steps=10)
-    stats = sim.neighbor_cache_stats
+    stats = sim.report().neighbor_cache
     assert stats is not None
-    assert stats.hits > 0
-    assert stats.hit_rate > 0.0
-    report = neighbor_cache_report(stats)
-    assert "hit_rate" in report
+    assert stats["hits"] > 0
+    assert stats["hit_rate"] > 0.0
+    assert "hit_rate" in format_neighbor_cache(stats)
 
 
 def test_cache_on_off_runs_agree_within_tolerance():
@@ -184,12 +182,13 @@ def test_cache_on_off_runs_agree_within_tolerance():
             SquarePatchConfig(side=10, layers=6)
         )
         sim = Simulation(
-            particles, box, eos, config=RUN_CONFIG, exec_config=exec_config
+            particles, box, eos, config=RUN_CONFIG,
+            run_config=RunConfig(exec=exec_config),
         )
         sim.run(n_steps=5)
         return sim
 
-    ref = run(None)
+    ref = run(ExecConfig())
     cached = run(ExecConfig(neighbor_cache=True))
     # h adaptation replays bitwise off the cached list; field differences
     # come only from pair-summation ordering, i.e. roundoff.

@@ -3,19 +3,18 @@
 Covers the span tracer (nesting, worker-envelope merging, fault
 coherence under chaos), the exporters (Chrome trace_event, JSONL), POP
 metrics from measured spans, the metrics registry, and the RunConfig /
-configure() / report() driver surface with its deprecation shims.
+configure() / report() driver surface.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import warnings
 
 import numpy as np
 import pytest
 
-from repro.core.config import RunConfig, SimulationConfig
+from repro.core.config import ExecConfig, RunConfig, SimulationConfig
 from repro.core.simulation import Simulation
 from repro.ics.square_patch import SquarePatchConfig, make_square_patch
 from repro.observability import (
@@ -30,8 +29,7 @@ from repro.observability import (
     write_chrome_trace,
     write_jsonl,
 )
-from repro.observability.deprecation import reset_deprecation_warnings
-from repro.parallel import ExecConfig, SupervisorConfig
+from repro.parallel import SupervisorConfig
 from repro.profiling.metrics import compute_pop_metrics
 from repro.profiling.trace import State, TraceEvent, Tracer
 from repro.resilience.chaos import ChaosEvent, ChaosPolicy
@@ -39,13 +37,6 @@ from repro.timestepping.steppers import TimestepParams
 
 TS = TimestepParams(use_energy_criterion=False)
 FIELDS = ("x", "v", "rho", "u", "p", "a", "du")
-
-
-@pytest.fixture(autouse=True)
-def _fresh_deprecations():
-    reset_deprecation_warnings()
-    yield
-    reset_deprecation_warnings()
 
 
 def _case(side=8, layers=3):
@@ -368,85 +359,6 @@ def test_explicit_tracer_is_not_replaced():
     sim = Simulation(particles, box, eos, config=config, tracer=shared)
     sim.configure(exec=ExecConfig(workers=0))
     assert sim.tracer is shared
-
-
-def test_deprecated_exec_config_kwarg_warns_exactly_once():
-    particles, box, eos, config = _case()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        Simulation(
-            particles, box, eos, config=config,
-            exec_config=ExecConfig(workers=0),
-        )
-        Simulation(
-            particles, box, eos, config=config,
-            exec_config=ExecConfig(workers=0),
-        )
-    dep = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-    assert len(dep) == 1
-    assert "RunConfig(exec=...)" in str(dep[0].message)
-
-
-def test_deprecated_resilience_kwarg_warns(tmp_path):
-    from repro.resilience.checkpoint import ResilienceConfig
-
-    particles, box, eos, config = _case()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        sim = Simulation(
-            particles, box, eos, config=config,
-            resilience=ResilienceConfig(checkpoint_dir=str(tmp_path)),
-        )
-    dep = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-    assert len(dep) == 1
-    assert sim.run_config.resilience is not None
-    assert sim.checkpoint_manager is not None
-
-
-def test_run_config_and_legacy_kwargs_conflict():
-    particles, box, eos, config = _case()
-    with pytest.raises(ValueError, match="not both"):
-        Simulation(
-            particles, box, eos, config=config,
-            exec_config=ExecConfig(workers=0),
-            run_config=RunConfig(),
-        )
-
-
-def test_deprecated_stats_accessors_warn_once_and_delegate():
-    particles, box, eos, config = _case()
-    sim = Simulation(
-        particles, box, eos, config=config,
-        run_config=RunConfig(exec=ExecConfig(workers=0, neighbor_cache=True)),
-    )
-    sim.run(n_steps=1)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        pair = sim.pair_engine_stats
-        _ = sim.pair_engine_stats
-        ncache = sim.neighbor_cache_stats
-        sup = sim.supervisor_stats
-    dep = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-    assert len(dep) == 3  # one per accessor, not per call
-    assert pair.as_dict() == sim.report().pair_engine
-    assert ncache.builds == sim.report().neighbor_cache["builds"]
-    assert sup is None  # serial: no supervised pool
-
-
-def test_deprecated_metrics_formatters_delegate():
-    from repro.observability.report import format_pair_engine
-    from repro.profiling.metrics import pair_engine_report
-
-    stats = {
-        "geometry_computes": 1, "geometry_reuses": 3,
-        "product_computes": 2, "product_reuses": 2,
-        "bytes_allocated": 100, "bytes_reused": 300,
-    }
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        legacy = pair_engine_report(stats)
-    assert legacy == format_pair_engine(stats)
-    assert any(issubclass(w.category, DeprecationWarning) for w in caught)
 
 
 # ======================================================================

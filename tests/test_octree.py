@@ -184,33 +184,6 @@ def test_compiled_walk_returns_the_numpy_walk_arrays(
     assert np.array_equal(grid.indices, ref.indices)
 
 
-def test_walk_without_a_compiled_search_runs_numpy(tree_and_points, monkeypatch):
-    """``ops`` that cannot walk (numba mirrors, no compiler) change nothing."""
-    from repro import backend as backend_mod
-    from repro.backend.compiled import CompiledOps
-
-    tree, x, _ = tree_and_points
-    ref = tree.walk_neighbors(x, 0.08, mode="symmetric")
-
-    mirrors_only = CompiledOps("numba", object())
-    assert not mirrors_only.has_search
-    got = tree.walk_neighbors(x, 0.08, mode="symmetric", ops=mirrors_only)
-    assert np.array_equal(got.indices, ref.indices)
-
-    def no_compiler():
-        raise backend_mod.BackendUnavailableError("cc not found")
-
-    monkeypatch.setitem(backend_mod._FACTORIES, "cffi", no_compiler)
-    backend_mod._reset_backends()
-    try:
-        with pytest.warns(RuntimeWarning, match="unavailable"):
-            degraded = backend_mod.select_backend("cffi")
-        got = tree.walk_neighbors(x, 0.08, mode="symmetric", ops=degraded.ops)
-        assert np.array_equal(got.indices, ref.indices)
-    finally:
-        backend_mod._reset_backends()
-
-
 def test_walk_blocks_follow_the_candidate_count(tree_and_points, monkeypatch):
     """Inflated radii shrink the query blocks, not grow the candidate set."""
     import repro.tree.octree as octree_mod

@@ -19,11 +19,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.config import SimulationConfig
+from repro.core.config import ExecConfig, RunConfig, SimulationConfig
 from repro.core.simulation import Simulation
 from repro.ics.square_patch import SquarePatchConfig, make_square_patch
 from repro.kernels.registry import make_kernel
-from repro.parallel import ExecConfig
 from repro.sph.pair_engine import PairContext, ScratchArena, new_pair_token
 from repro.timestepping.steppers import TimestepParams
 from repro.tree.box import Box
@@ -286,12 +285,19 @@ TS = TimestepParams(use_energy_criterion=False)
 FIELDS = ("x", "v", "rho", "u", "p", "a", "du", "h")
 
 
-def _run_sim(exec_config, n_steps=3, **config_kw):
+def _run_sim(exec_config, n_steps=3, engine_off=False, **config_kw):
     particles, box, eos = make_square_patch(SquarePatchConfig(side=8, layers=6))
     config = SimulationConfig().with_(
         n_neighbors=30, timestep_params=TS, **config_kw
     )
-    sim = Simulation(particles, box, eos, config=config, exec_config=exec_config)
+    sim = Simulation(
+        particles, box, eos, config=config,
+        run_config=RunConfig(exec=exec_config),
+    )
+    if engine_off:
+        # The reference: every phase builds an ephemeral ``ctx=None``
+        # context per call (the Verlet cache, if any, stays on).
+        sim.degrade_to_serial()
     try:
         sim.run(n_steps=n_steps)
         state = {name: getattr(sim.particles, name).copy() for name in FIELDS}
@@ -309,9 +315,9 @@ def _run_sim(exec_config, n_steps=3, **config_kw):
     ids=["standard", "iad+gradh"],
 )
 def test_engine_on_off_bitwise_parity_serial(config_kw):
-    on, dts_on, sim_on = _run_sim(None, **config_kw)
+    on, dts_on, sim_on = _run_sim(ExecConfig(), **config_kw)
     off, dts_off, sim_off = _run_sim(
-        ExecConfig(workers=0, pair_engine=False), **config_kw
+        ExecConfig(), engine_off=True, **config_kw
     )
     assert dts_on == dts_off
     for name in FIELDS:
@@ -319,8 +325,8 @@ def test_engine_on_off_bitwise_parity_serial(config_kw):
             f"field {name!r} not bitwise identical with the engine on"
         )
     # Engine on actually reused work; engine off reports all zeros.
-    assert sim_on.pair_engine_stats.geometry_reuses > 0
-    assert sim_off.pair_engine_stats.geometry_computes == 0
+    assert sim_on.report().pair_engine["geometry_reuses"] > 0
+    assert sim_off.report().pair_engine["geometry_computes"] == 0
     assert all(s.pair_geometry_computes == 0 for s in sim_off.history)
 
 
@@ -331,7 +337,7 @@ def test_pool_engine_parity(workers, cache):
     # legitimately shifts summation roundoff, which is not what this
     # test probes — it isolates the pool + pair-engine path.
     ref, ref_dts, _ = _run_sim(
-        ExecConfig(workers=0, pair_engine=False, neighbor_cache=cache), n_steps=2
+        ExecConfig(neighbor_cache=cache), n_steps=2, engine_off=True
     )
     got, dts, sim = _run_sim(
         ExecConfig(workers=workers, neighbor_cache=cache), n_steps=2
@@ -343,7 +349,7 @@ def test_pool_engine_parity(workers, cache):
             err_msg=f"workers={workers} cache={cache}: field {name!r}",
         )
     # Workers actually exercised their slice contexts.
-    assert sim.pair_engine_stats.geometry_computes > 0
+    assert sim.report().pair_engine["geometry_computes"] > 0
 
 
 def test_steady_state_steps_allocate_nothing():
@@ -351,7 +357,7 @@ def test_steady_state_steps_allocate_nothing():
     config = SimulationConfig().with_(n_neighbors=30, timestep_params=TS)
     sim = Simulation(
         particles, box, eos, config=config,
-        exec_config=ExecConfig(workers=0, neighbor_cache=True),
+        run_config=RunConfig(exec=ExecConfig(neighbor_cache=True)),
     )
     try:
         sim.run(n_steps=5)

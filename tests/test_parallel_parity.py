@@ -13,11 +13,10 @@ import numpy as np
 import pytest
 
 from repro.backend import available_backends
-from repro.core.config import SimulationConfig
+from repro.core.config import ExecConfig, RunConfig, SimulationConfig
 from repro.core.simulation import Simulation
 from repro.ics.evrard import EvrardConfig, make_evrard
 from repro.ics.square_patch import SquarePatchConfig, make_square_patch
-from repro.parallel import ExecConfig
 from repro.profiling.metrics import pool_overhead
 from repro.profiling.trace import State
 from repro.timestepping.steppers import TimestepParams
@@ -46,9 +45,12 @@ def _evrard_case():
 CASES = {"square-patch": _square_case, "evrard": _evrard_case}
 
 
-def _run(case: str, exec_config: ExecConfig | None, n_steps: int = 2):
+def _run(case: str, exec_config: ExecConfig, n_steps: int = 2):
     particles, box, eos, config = CASES[case]()
-    sim = Simulation(particles, box, eos, config=config, exec_config=exec_config)
+    sim = Simulation(
+        particles, box, eos, config=config,
+        run_config=RunConfig(exec=exec_config),
+    )
     try:
         sim.run(n_steps=n_steps)
         state = {name: getattr(sim.particles, name).copy() for name in FIELDS}
@@ -71,7 +73,7 @@ _serial_cache: dict = {}
 
 def _serial(case: str):
     if case not in _serial_cache:
-        _serial_cache[case] = _run(case, None)
+        _serial_cache[case] = _run(case, ExecConfig())
     return _serial_cache[case]
 
 

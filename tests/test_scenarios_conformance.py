@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.parallel import ExecConfig
+from repro.core.config import ExecConfig, RunConfig
 from repro.scenarios import (
     all_scenarios,
     compare_records,
@@ -34,13 +34,17 @@ SCENARIOS = [sc.name for sc in all_scenarios()]
 FIELDS = ("x", "v", "rho", "u", "p", "h", "du")
 
 
-def _run(name: str, exec_config: ExecConfig | None = None):
+def _run(
+    name: str, exec_config: ExecConfig = ExecConfig(), engine_off: bool = False
+):
     """One golden-length run; returns (record, drift, final field arrays)."""
     scenario = get_scenario(name)
-    from repro.core.config import RunConfig
-
-    run_config = RunConfig(exec=exec_config) if exec_config is not None else None
-    sim = scenario.make_simulation(test=True, run_config=run_config)
+    sim = scenario.make_simulation(
+        test=True, run_config=RunConfig(exec=exec_config)
+    )
+    if engine_off:
+        # The reference path: ephemeral ``ctx=None`` phase calls.
+        sim.degrade_to_serial()
     try:
         sim.run(n_steps=scenario.golden_steps)
         record = record_run(sim, case=f"scenario:{name}")
@@ -86,7 +90,7 @@ def test_declared_invariants_hold(name):
 @pytest.mark.parametrize("name", SCENARIOS)
 def test_pair_engine_off_is_bitwise_identical(name):
     _, _, ref = _baseline(name)
-    _, _, state = _run(name, ExecConfig(pair_engine=False))
+    _, _, state = _run(name, engine_off=True)
     for field in FIELDS:
         assert np.array_equal(state[field], ref[field]), (
             f"{name}: field {field!r} differs with the pair engine off"

@@ -15,11 +15,10 @@ import math
 import numpy as np
 import pytest
 
-from repro.core.config import RunConfig
+from repro.core.config import ExecConfig, RunConfig
 from repro.core.simulation import Simulation
 from repro.ics.square_patch import SquarePatchConfig, make_square_patch
 from repro.observability import ObservabilityConfig
-from repro.parallel import ExecConfig
 from repro.tuning import (
     AmdahlCostModel,
     Autotuner,
@@ -37,11 +36,11 @@ def _small_sim(run_config=None) -> Simulation:
 
 
 #: A tiny, fully deterministic knob space for driver-loop tests: numpy
-#: is always available, and two boolean knobs keep exploration short.
+#: is always available, and two cache knobs keep exploration short.
 _FAST_TUNING = dict(
     steps_per_candidate=1,
     max_exploration_steps=16,
-    knobs=("pair_engine", "neighbor_cache"),
+    knobs=("neighbor_cache", "cache_skin"),
     backend_options=("numpy",),
 )
 
@@ -249,7 +248,7 @@ def test_autotuned_run_converges_and_reports():
 def test_budget_exhaustion_finishes_exploration():
     cfg = TuningConfig(
         steps_per_candidate=3, max_exploration_steps=4,
-        knobs=("pair_engine", "neighbor_cache"), backend_options=("numpy",),
+        knobs=("neighbor_cache", "cache_skin"), backend_options=("numpy",),
     )
     sim = _small_sim(RunConfig(tuning=cfg))
     try:
@@ -321,10 +320,62 @@ def test_warm_start_reads_ledger(tmp_path):
         assert tuning["warm_start"]["baseline_run_id"] is not None
         # The warm baseline is the previous run's best knob set.
         prev_best = first.report().tuning["recommendation"]
-        assert tuning["baseline"]["pair_engine"] == prev_best["pair_engine"]
+        assert tuning["baseline"]["cache_skin"] == prev_best["cache_skin"]
         assert tuning["baseline"]["neighbor_cache"] == prev_best["neighbor_cache"]
     finally:
         second.close()
+
+
+def test_pre_removal_ledger_row_still_warm_starts(tmp_path):
+    """A row written before ``pair_engine`` and the numba backend were
+    removed still opens, still feeds the cost model, and warm-starts the
+    tuner onto a config this release can run."""
+    from repro.observability.ledger import (
+        RunLedger,
+        RunRecord,
+        fingerprint_id,
+        host_fingerprint,
+    )
+
+    probe = _small_sim()
+    n = probe.particles.n
+    probe.close()
+    old = RunRecord(
+        run_id="square-patch-0000000001", created_s=1.0,
+        scenario="square-patch", n_particles=n, n_steps=4,
+        host_id=fingerprint_id(), backend="numba", code_version="old",
+        host=host_fingerprint(),
+        knobs={
+            "workers": 0, "chunks_per_worker": 1, "neighbor_cache": True,
+            "cache_skin": 0.5, "pair_engine": False, "backend": "numba",
+            "checkpoint_every": None,
+        },
+        step_times={"count": 4, "p50_s": 0.01},
+    )
+    path = str(tmp_path / "old.db")
+    with RunLedger(path) as ledger:
+        ledger.append(old)
+    with RunLedger(path) as ledger:
+        rows = ledger.runs(scenario="square-patch", host_id=fingerprint_id())
+    assert [r.knobs for r in rows] == [old.knobs]  # read back verbatim
+    assert CostModel(n0=n).absorb_ledger_rows(rows) == 1
+
+    sim = _small_sim(
+        RunConfig(tuning=TuningConfig(seed=0, ledger_path=path, **_FAST_TUNING))
+    )
+    try:
+        sim.run(n_steps=6)
+        tuning = sim.report().tuning
+    finally:
+        sim.close()
+    assert tuning["warm_start"]["rows"] == 1
+    assert tuning["warm_start"]["baseline_run_id"] == old.run_id
+    # The knobs that still exist were adopted; the removed ones dropped.
+    assert tuning["baseline"]["neighbor_cache"] is True
+    assert tuning["baseline"]["cache_skin"] == 0.5
+    assert tuning["baseline"]["backend"] == "numpy"
+    assert "pair_engine" not in tuning["baseline"]
+    assert tuning["done"]
 
 
 def test_broken_ledger_never_blocks_tuning(tmp_path):
