@@ -213,24 +213,35 @@ class CffiImpl:
     def _d_or_null(self, arr: Optional[np.ndarray]):
         return self._ffi.NULL if arr is None else self._d(arr)
 
-    def walk(self, xw, radii, node_rmax, n, dim, psel, pdiv, center, half,
-             child_start, child_count, pstart, pend, order, include_self,
-             offsets, out):
-        self._lib.rp_walk(
-            self._d(xw), self._d(radii),
-            self._d_or_null(node_rmax),
-            n, dim, self._d(psel), self._d(pdiv), self._d(center),
-            self._d(half), self._i(child_start), self._i(child_count),
-            self._i(pstart), self._i(pend), self._i(order), include_self,
-            self._i_or_null(offsets), self._i(out),
+    def node_bounds(self, xs, rs, n, dim, n_nodes, child_start, child_count,
+                    pstart, pend, lo, hi, rmax):
+        self._lib.rp_node_bounds(
+            self._d(xs), self._d(rs), n, dim, n_nodes, self._i(child_start),
+            self._i(child_count), self._i(pstart), self._i(pend),
+            self._d(lo), self._d(hi), self._d(rmax),
         )
+
+    def walk(self, xs, rs, n, dim, symmetric, psel, pdiv, n_nodes,
+             child_start, child_count, pstart, pend, order, lo, hi, rmax,
+             include_self, offsets, cursor, out):
+        self._lib.rp_walk(
+            self._d(xs), self._d(rs), n, dim, symmetric, self._d(psel),
+            self._d(pdiv), n_nodes, self._i(child_start),
+            self._i(child_count), self._i(pstart), self._i(pend),
+            self._i(order), self._d(lo), self._d(hi), self._d(rmax),
+            include_self, self._i_or_null(offsets), self._i(cursor),
+            self._i_or_null(out),
+        )
+
+    def sort_rows(self, offsets, n, indices):
+        self._lib.rp_sort_rows(self._i(offsets), n, self._i(indices))
 
     def pairs_within(self, xw, radii, offsets, indices, n, dim, psel, pdiv,
                      new_offsets, out):
         self._lib.rp_pairs_within(
             self._d(xw), self._d(radii), self._i(offsets), self._i(indices),
-            n, dim, self._d(psel), self._d(pdiv),
-            self._i_or_null(new_offsets), self._i(out),
+            n, dim, self._d(psel), self._d(pdiv), self._i(new_offsets),
+            self._i(out),
         )
 
     def gravity(self, x, m, leaves, center, half, child_start, child_count,

@@ -4,7 +4,7 @@
 (:class:`~repro.backend.cffi_backend.CffiImpl`) with everything the
 phases need but the compiled code should not care about:
 
-* **Marshalling** — contiguity checks, the branchless minimum-image
+* **Marshalling** — contiguity checks, the minimum-image
   ``psel``/``pdiv`` encodings of the box, per-particle kernel
   normalization arrays ``whn = sigma/h**dim`` / ``whn1 = sigma/h**(dim+1)``
   (computed with the *same numpy ufunc sequence* as the reference so the
@@ -63,9 +63,14 @@ _MAX_SLICES = 64
 
 
 def _pspans(box, dim: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Branchless min-image encoding: psel = span|0, pdiv = span|1."""
+    """Min-image encoding of the box: psel = span|0, pdiv = span|inf.
+
+    ``t - psel*rint(t/pdiv)`` is the wrap on a periodic axis and ``t`` on
+    an open one, where no ``t`` ever exceeds ``pdiv/2`` — the test the
+    compiled loops skip the wrap on.
+    """
     psel = np.zeros(dim)
-    pdiv = np.ones(dim)
+    pdiv = np.full(dim, np.inf)
     if box is not None:
         per = box.periodic
         span = box.span
@@ -427,57 +432,71 @@ class CompiledOps:
         return sub
 
     # -- neighbour search ----------------------------------------------
-    @staticmethod
-    def _count_then_fill(n: int, run) -> Tuple[np.ndarray, np.ndarray]:
-        """Two-pass CSR assembly: ``run(None, counts)`` then
-        ``run(offsets, indices)``."""
-        counts = np.empty(n, dtype=np.int64)
-        run(None, counts)
-        offsets = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        indices = np.empty(int(offsets[n]), dtype=np.int64)
-        run(offsets, indices)
-        return offsets, indices
-
     def walk_neighbors(
-        self, tree, xw: np.ndarray, radii: np.ndarray,
-        node_rmax: Optional[np.ndarray], include_self: bool,
+        self, tree, xw: np.ndarray, radii: np.ndarray, symmetric: bool,
+        include_self: bool, sort_rows: bool,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """``(offsets, indices)`` of the tree walk over ``tree``'s arrays.
+        """``(offsets, indices)`` of the leaf-grouped tree walk.
 
-        ``xw`` are the box-wrapped positions; ``node_rmax`` is ``None``
-        for a gather walk.  Rows come back sorted ascending.
+        ``xw`` are the box-wrapped positions of ``tree``'s particles.
+        They and the radii are gathered into Morton order once, the
+        per-node tight boxes and largest radii are taken from those
+        copies (``rp_node_bounds``), and the traversal runs twice over
+        them — counts, then rows.  Rows come back in traversal order
+        unless ``sort_rows`` asks for the canonical ascending order.
         """
         n, dim = xw.shape
+        offsets = np.zeros(n + 1, dtype=np.int64)
+        if n == 0:
+            return offsets, np.empty(0, dtype=np.int64)
         psel, pdiv = _pspans(tree.box, dim)
-        args = (
-            _as_c(xw, np.float64), _as_c(radii, np.float64),
-            None if node_rmax is None else _as_c(node_rmax, np.float64),
-            n, dim, psel, pdiv,
-            _as_c(tree.center, np.float64), _as_c(tree.half, np.float64),
-            _as_c(tree.child_start, np.int64),
+        order = _as_c(tree.order, np.int64)
+        xs = np.ascontiguousarray(xw[order].T)
+        rs = np.ascontiguousarray(radii[order], dtype=np.float64)
+        n_nodes = tree.n_nodes
+        lo = np.empty((n_nodes, dim))
+        hi = np.empty((n_nodes, dim))
+        rmax = np.empty(n_nodes)
+        nodes = (
+            n_nodes, _as_c(tree.child_start, np.int64),
             _as_c(tree.child_count, np.int64),
             _as_c(tree.pstart, np.int64), _as_c(tree.pend, np.int64),
-            _as_c(tree.order, np.int64), int(include_self),
         )
-        return self._count_then_fill(
-            n, lambda offsets, out: self.impl.walk(*args, offsets, out)
+        self.impl.node_bounds(xs, rs, n, dim, *nodes, lo, hi, rmax)
+        args = (
+            xs, rs, n, dim, int(symmetric), psel, pdiv, *nodes, order,
+            lo, hi, rmax, int(include_self),
         )
+        cursor = np.zeros(n, dtype=np.int64)
+        self.impl.walk(*args, None, cursor, None)  # counts
+        np.cumsum(cursor, out=offsets[1:])
+        indices = np.empty(int(offsets[n]), dtype=np.int64)
+        cursor[:] = offsets[:-1]
+        self.impl.walk(*args, offsets, cursor, indices)  # rows
+        if not np.array_equal(cursor, offsets[1:]):
+            raise RuntimeError("tree walk: the fill pass disagrees with the count")
+        if sort_rows:
+            self.impl.sort_rows(offsets, n, indices)
+        return offsets, indices
 
     def pairs_within(
         self, nlist, xw: np.ndarray, radii: np.ndarray, box
     ) -> Tuple[np.ndarray, np.ndarray]:
         """``(offsets, indices)`` of the pairs of ``nlist`` a symmetric
-        search at ``radii`` keeps (:meth:`NeighborList.within`)."""
+        search at ``radii`` keeps (:meth:`NeighborList.within`), rows in
+        canonical ascending order whatever order ``nlist`` holds them in."""
         n, dim = xw.shape
         psel, pdiv = _pspans(box, dim)
-        args = (
+        offsets = np.zeros(n + 1, dtype=np.int64)
+        # Room for every pair; only the kept ones are ever written, and
+        # the unused tail goes back before anyone holds a reference.
+        indices = np.empty(nlist.n_pairs, dtype=np.int64)
+        self.impl.pairs_within(
             _as_c(xw, np.float64), _as_c(radii, np.float64),
-            nlist.offsets, nlist.indices, n, dim, psel, pdiv,
+            nlist.offsets, nlist.indices, n, dim, psel, pdiv, offsets, indices,
         )
-        return self._count_then_fill(
-            n, lambda offsets, out: self.impl.pairs_within(*args, offsets, out)
-        )
+        indices.resize(int(offsets[n]), refcheck=False)
+        return offsets, indices
 
     # -- gravity ---------------------------------------------------------
     def gravity(

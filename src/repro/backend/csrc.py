@@ -19,11 +19,13 @@ Design notes:
   computed in Python with the same numpy ufuncs as the reference, which
   removes ``pow`` from the inner loops *and* makes those factors
   bitwise-equal by construction.
-* The minimum-image convention is branchless: per-axis ``psel`` (span
-  or 0) and ``pdiv`` (span or 1) turn the periodic wrap into
-  ``dx -= psel * rint(dx / pdiv)``, an exact no-op on open axes and a
+* The minimum-image convention is one expression for every box: per-axis
+  ``psel`` (span or 0) and ``pdiv`` (span or inf) turn the periodic wrap
+  into ``dx -= psel * rint(dx / pdiv)``, the identity on open axes and a
   bitwise mirror of ``out -= span * np.round(out / span)`` on periodic
-  ones (``np.round`` at 0 decimals is ``rint``: round half to even).
+  ones (``np.round`` at 0 decimals is ``rint``: round half to even).  It
+  is applied only where ``|dx| > pdiv/2`` — elsewhere it is the identity
+  too — so a pair that does not cross the seam pays no division.
 * ``sin``/``cos`` for the sinc-family kernels use the shared Taylor
   polynomials (:mod:`repro.backend.poly`) after an exact split-at-pi/2
   reduction; integer powers use multiply chains.  No ``-ffast-math``
@@ -94,18 +96,23 @@ void rp_filter_fill(const int64_t *offsets, const int64_t *indices,
                     int64_t *new_indices);
 void rp_tau_inv(const double *tau, int64_t rows, int dim, double rcond,
                 double *out);
-void rp_walk(const double *xw, const double *radii, const double *node_rmax,
-             int64_t n, int dim, const double *psel, const double *pdiv,
-             const double *center, const double *half,
-             const int64_t *child_start, const int64_t *child_count,
-             const int64_t *pstart, const int64_t *pend,
-             const int64_t *order, int include_self, const int64_t *offsets,
-             int64_t *out);
+void rp_node_bounds(const double *xs, const double *rs, int64_t n, int dim,
+                    int64_t n_nodes, const int64_t *child_start,
+                    const int64_t *child_count, const int64_t *pstart,
+                    const int64_t *pend, double *lo, double *hi,
+                    double *rmax);
+void rp_walk(const double *xs, const double *rs, int64_t n, int dim,
+             int symmetric, const double *psel, const double *pdiv,
+             int64_t n_nodes, const int64_t *child_start,
+             const int64_t *child_count, const int64_t *pstart,
+             const int64_t *pend, const int64_t *order, const double *lo,
+             const double *hi, const double *rmax, int include_self,
+             const int64_t *offsets, int64_t *cursor, int64_t *out);
+void rp_sort_rows(const int64_t *offsets, int64_t n, int64_t *indices);
 void rp_pairs_within(const double *xw, const double *radii,
                      const int64_t *offsets, const int64_t *indices,
                      int64_t n, int dim, const double *psel,
-                     const double *pdiv, const int64_t *new_offsets,
-                     int64_t *out);
+                     const double *pdiv, int64_t *new_offsets, int64_t *out);
 void rp_gravity(const double *x, const double *m, const int64_t *leaves,
                 int64_t n_leaves, const double *center, const double *half,
                 const int64_t *child_start, const int64_t *child_count,
@@ -203,18 +210,40 @@ static inline double rp_pow_pos(double a, double e)
     return pow(a, e);
 }}
 
+/* Minimum image of one separation component, t - psel*rint(t/pdiv),
+ * skipped where it is the identity: for |t| <= pdiv/2 the correctly
+ * rounded quotient is at most 0.5 in magnitude, rint gives +-0 and the
+ * subtraction returns t.  An open axis has pdiv = inf and never wraps.
+ * Between box-wrapped positions |t| < pdiv, so rint is 0 or +-1 and
+ * psel*rint is exact: there the result does not depend on whether the
+ * compiler fuses the product into the subtraction — the searches, where
+ * every bit counts, only ever pass wrapped positions. */
+static inline double rp_wrap(double t, double psel, double pdiv)
+{{
+    if (fabs(t) > 0.5 * pdiv)
+        t -= psel * rint(t / pdiv);
+    return t;
+}}
+
 /* Minimum-image separation and distance, mirroring pair_geometry:
- * dx = x[i]-x[j]; per-axis wrap; r = sqrt(sum dx*dx) in axis order. */
+ * dx = x[i]-x[j]; per-axis wrap; r = sqrt(sum dx*dx) in axis order.
+ * The axes are written out: as a loop over d, gcc 12 if-converts the
+ * wrap into masked vector code and rp_forces runs a third slower. */
 static inline double rp_sep(const double *x, int64_t ii, int64_t jj, int dim,
                             const double *psel, const double *pdiv,
                             double *dx)
 {{
+    const double *xi = x + ii * dim, *xj = x + jj * dim;
     double r2 = 0.0;
-    for (int d = 0; d < dim; ++d) {{
-        double t = x[ii * dim + d] - x[jj * dim + d];
-        t -= psel[d] * rint(t / pdiv[d]);
-        dx[d] = t;
-        r2 += t * t;
+    dx[0] = rp_wrap(xi[0] - xj[0], psel[0], pdiv[0]);
+    r2 += dx[0] * dx[0];
+    if (dim > 1) {{
+        dx[1] = rp_wrap(xi[1] - xj[1], psel[1], pdiv[1]);
+        r2 += dx[1] * dx[1];
+    }}
+    if (dim > 2) {{
+        dx[2] = rp_wrap(xi[2] - xj[2], psel[2], pdiv[2]);
+        r2 += dx[2] * dx[2];
     }}
     return sqrt(r2);
 }}
@@ -755,28 +784,26 @@ void rp_tau_inv(const double *tau, int64_t rows, int dim, double rcond,
  * last bit moves a pair sitting on the cutoff (a node on the opening
  * angle) to the other side (the pair loops above only feed sums, where
  * the ulp is covered by the backend tolerance, and keep the FMAs). ---- */
-#pragma STDC FP_CONTRACT OFF
 #if defined(__GNUC__) && !defined(__clang__)
 #pragma GCC optimize("fp-contract=off") /* gcc ignores the ISO pragma */
+#else
+#pragma STDC FP_CONTRACT OFF
 #endif
 
-/* Pair acceptance of the neighbour searches, mirroring pairs_in_range
+/* Pair acceptance of a symmetric search, mirroring pairs_in_range
  * (tree/neighborlist.py): r2 <= cutoff*cutoff on the wrapped positions,
- * cutoff = radii[i] (gather) or max(radii[i], radii[j]) (symmetric). */
+ * cutoff = max(radii[i], radii[j]). */
 static inline int rp_in_range(const double *xw, const double *radii,
                               int64_t i, int64_t j, int dim,
-                              const double *psel, const double *pdiv,
-                              int symmetric)
+                              const double *psel, const double *pdiv)
 {
     double r2 = 0.0;
     for (int d = 0; d < dim; ++d) {
-        double t = xw[i * dim + d] - xw[j * dim + d];
-        t -= psel[d] * rint(t / pdiv[d]);
+        const double t =
+            rp_wrap(xw[i * dim + d] - xw[j * dim + d], psel[d], pdiv[d]);
         r2 += t * t;
     }
-    double cutoff = radii[i];
-    if (symmetric && radii[j] > cutoff)
-        cutoff = radii[j];
+    const double cutoff = radii[j] > radii[i] ? radii[j] : radii[i];
     return r2 <= cutoff * cutoff;
 }
 
@@ -797,96 +824,299 @@ static void rp_sort_row(int64_t *a, int64_t n)
     }
 }
 
+/* Canonical row order (ascending neighbour index) for a whole CSR list.
+ * A search that feeds the h iteration skips this: the count sweeps are
+ * order-blind and the cut that ends the build orders what survives. */
+void rp_sort_rows(const int64_t *offsets, int64_t n, int64_t *indices)
+{
+    for (int64_t i = 0; i < n; ++i)
+        rp_sort_row(indices + offsets[i], offsets[i + 1] - offsets[i]);
+}
+
 /* A DFS holds at most (2^dim - 1) siblings per level plus the node in
  * hand: 21 levels * 7 + 1 in 3-D, 31 * 3 + 1 in 2-D, 62 + 1 in 1-D. */
 #define RP_WALK_STACK 160
 
-/* Neighbour discovery by depth-first tree walk over the Octree arrays —
- * Octree.walk_neighbors in C.  A node is opened when the (periodic-aware)
- * distance from the query to its box is within max(radii[i],
- * node_rmax[node]) (node_rmax NULL = gather mode: radii[i] alone); leaf
- * particles pass rp_in_range.  Both tests repeat the numpy walk's
- * arithmetic, so the accepted set is the same set.  Call twice: with
- * offsets NULL, out[i] receives the row count; with the cumulated
- * offsets, out receives the rows, each sorted ascending.  Queries run
- * in Morton order so consecutive walks touch the same nodes. */
-void rp_walk(const double *xw, const double *radii, const double *node_rmax,
-             int64_t n, int dim, const double *psel, const double *pdiv,
-             const double *center, const double *half,
-             const int64_t *child_start, const int64_t *child_count,
-             const int64_t *pstart, const int64_t *pend,
-             const int64_t *order, int include_self, const int64_t *offsets,
-             int64_t *out)
+/* Per-node summaries of the particles a search runs over, in Morton
+ * order (xs is (dim, n): one contiguous row per axis): the tight box
+ * [lo, hi] and the largest radius.  lo/hi are coordinates of particles,
+ * not of cells, so "x in node k" implies lo[k] <= x <= hi[k] exactly —
+ * the containment both prunes of rp_walk start from.  Children sit after
+ * their parent (the build appends level by level), so one reverse sweep
+ * sees every child before its parent. */
+void rp_node_bounds(const double *xs, const double *rs, int64_t n, int dim,
+                    int64_t n_nodes, const int64_t *child_start,
+                    const int64_t *child_count, const int64_t *pstart,
+                    const int64_t *pend, double *lo, double *hi,
+                    double *rmax)
 {
-    const int symmetric = node_rmax != 0;
+    for (int64_t k = n_nodes - 1; k >= 0; --k) {
+        double *l = lo + k * dim, *h = hi + k * dim;
+        double r = -INFINITY;
+        for (int d = 0; d < dim; ++d) {
+            l[d] = INFINITY;
+            h[d] = -INFINITY;
+        }
+        if (child_count[k]) {
+            for (int64_t c = child_start[k];
+                 c < child_start[k] + child_count[k]; ++c) {
+                for (int d = 0; d < dim; ++d) {
+                    if (lo[c * dim + d] < l[d])
+                        l[d] = lo[c * dim + d];
+                    if (hi[c * dim + d] > h[d])
+                        h[d] = hi[c * dim + d];
+                }
+                if (rmax[c] > r)
+                    r = rmax[c];
+            }
+        } else {
+            for (int64_t p = pstart[k]; p < pend[k]; ++p) {
+                for (int d = 0; d < dim; ++d) {
+                    const double v = xs[d * n + p];
+                    if (v < l[d])
+                        l[d] = v;
+                    if (v > h[d])
+                        h[d] = v;
+                }
+                if (rs[p] > r)
+                    r = rs[p];
+            }
+        }
+        rmax[k] = r;
+    }
+}
+
+/* One axis of the minimum image over a whole box pair.  Every rounded
+ * separation t = x_i - x_j with x_i in [lo_i, hi_i], x_j in [lo_j, hi_j]
+ * lies in [tmin, tmax] = [lo_i - hi_j, hi_i - lo_j] (rounding is
+ * monotone), and so does every step of the wrap
+ *     w(t) = t - psel * rint(t / pdiv)
+ * because division by pdiv > 0, rint and the final subtraction are
+ * monotone too: k(t) = rint(t / pdiv) is a non-decreasing step function,
+ * and w is non-decreasing wherever k is constant.
+ *
+ * - k(tmin) == k(tmax) (always so on an open axis, where pdiv = inf): the
+ *   shift psel*k is the same for every pair, *shift receives it, and
+ *   w(t) = t - shift is what the per-candidate formula computes, bit for
+ *   bit, with no division.  |w| >= the returned gap: w(tmin) when that
+ *   is positive, -w(tmax) when that is negative, else 0.
+ * - k steps once inside the interval (the boxes straddle the seam half
+ *   a span apart): *hoisted is cleared — candidates take the
+ *   per-candidate formula — and on each of the two pieces w is monotone,
+ *   so |w| >= min(w(tmin), -w(tmax)) when those have the signs of a
+ *   seam, else 0.
+ * - more than one step (boxes wider than the span): gap 0.
+ *
+ * The gap is a bound on the *computed* |w|, not on a real-number
+ * distance, so squaring and summing gaps in axis order — each operation
+ * monotone again — never exceeds the r2 of any pair.  rp_gap is the
+ * distance from 0 to the interval [wmin, wmax] of one monotone piece. */
+static inline double rp_gap(double wmin, double wmax)
+{
+    return wmin > 0.0 ? wmin : (wmax < 0.0 ? -wmax : 0.0);
+}
+
+static inline double rp_axis_gap(double tmin, double tmax, double psel,
+                                 double pdiv, double *shift, int *hoisted)
+{
+    const double kmin = rint(tmin / pdiv), kmax = rint(tmax / pdiv);
+    const double wmin = tmin - psel * kmin, wmax = tmax - psel * kmax;
+    if (kmin == kmax) {
+        *shift = psel * kmin;
+        return rp_gap(wmin, wmax);
+    }
+    *hoisted = 0;
+    if (kmax - kmin == 1.0 && wmin > 0.0 && wmax < 0.0)
+        return wmin < -wmax ? wmin : -wmax;
+    return 0.0;
+}
+
+/* Inlined at call sites that pass dim as a literal, so the loops over
+ * the axes unroll and the candidate loop vectorizes (half the walk). */
+#if defined(__GNUC__)
+#define RP_SPECIALIZE static inline __attribute__((always_inline))
+#else
+#define RP_SPECIALIZE static inline
+#endif
+
+/* The particles q of [q0, q1) in range of one target particle (position
+ * xi, radius ri), q == skip excepted: rp_in_range on the Morton-ordered
+ * copies, either mode.  With shift != NULL the minimum image of every
+ * axis is the hoisted t - shift[d].  Returns how many; with row != NULL
+ * also writes their indices there, never at or past row_end: the store
+ * is guarded, not the hit, so the loop carries no data-dependent
+ * branch. */
+RP_SPECIALIZE int64_t rp_leaf_hits(const double *xs, const double *rs,
+                                   int64_t n, const int dim,
+                                   const double *xi, double ri,
+                                   const double *shift, const double *psel,
+                                   const double *pdiv, int symmetric,
+                                   int64_t q0, int64_t q1, int64_t skip,
+                                   const int64_t *order, int64_t *row,
+                                   const int64_t *row_end)
+{
+    int64_t c = 0;
+    for (int64_t q = q0; q < q1; ++q) {
+        double r2 = 0.0;
+        for (int d = 0; d < dim; ++d) {
+            double t = xi[d] - xs[d * n + q];
+            if (shift)
+                t -= shift[d];
+            else
+                t = rp_wrap(t, psel[d], pdiv[d]);
+            r2 += t * t;
+        }
+        double cutoff = ri;
+        if (symmetric && rs[q] > cutoff)
+            cutoff = rs[q];
+        if (row && row + c < row_end)
+            row[c] = order[q];
+        c += (r2 <= cutoff * cutoff) & (q != skip);
+    }
+    return c;
+}
+
+/* Target leaf [t0, t1) against source leaf [s0, s1) with tight box
+ * [slo, shi] and largest radius srmax (self: the two are one leaf and
+ * include_self is off).  shift != NULL: the hoisted shifts of the leaf
+ * pair.  Each target particle repeats the descent's prune point-to-box
+ * against max(r_i, srmax) (gather: r_i) before it tests a candidate. */
+RP_SPECIALIZE void rp_leaf_pair(const double *xs, const double *rs,
+                                int64_t n, const int dim, int symmetric,
+                                const double *psel, const double *pdiv,
+                                const int64_t *order, int64_t t0,
+                                int64_t t1, int64_t s0, int64_t s1,
+                                const double *slo, const double *shi,
+                                double srmax, const double *shift,
+                                int self, const int64_t *offsets,
+                                int64_t *cursor, int64_t *out)
+{
+    for (int64_t p = t0; p < t1; ++p) {
+        const double ri = rs[p];
+        double xi[3], e2 = 0.0;
+        for (int d = 0; d < dim; ++d) {
+            xi[d] = xs[d * n + p];
+            double e;
+            if (shift) {
+                e = rp_gap((xi[d] - shi[d]) - shift[d],
+                           (xi[d] - slo[d]) - shift[d]);
+            } else {
+                double unused_shift;
+                int unused_flag;
+                e = rp_axis_gap(xi[d] - shi[d], xi[d] - slo[d], psel[d],
+                                pdiv[d], &unused_shift, &unused_flag);
+            }
+            e2 += e * e;
+        }
+        double reach = ri;
+        if (symmetric && srmax > reach)
+            reach = srmax;
+        if (!(e2 <= reach * reach))
+            continue;
+        const int64_t i = order[p];
+        cursor[i] += rp_leaf_hits(xs, rs, n, dim, xi, ri, shift, psel, pdiv,
+                                  symmetric, s0, s1, self ? p : -1, order,
+                                  out ? out + cursor[i] : 0,
+                                  out ? out + offsets[i + 1] : 0);
+    }
+}
+
+/* Neighbour discovery by tree walk, one descent per target leaf —
+ * Octree.walk_neighbors in C.  xs/rs are the wrapped positions (dim, n)
+ * and search radii in Morton order, lo/hi/rmax the rp_node_bounds of
+ * exactly those.
+ *
+ * For a target leaf T the depth-first descent keeps a node k while the
+ * box-to-box gap (rp_axis_gap per axis, squared and summed in axis
+ * order) is within max(rmax[T], rmax[k]) (gather: rmax[T]) — a bound no
+ * pair between the two can beat, see rp_axis_gap.  Each source leaf it
+ * reaches is handled at once by rp_leaf_pair, with the shifts hoisted
+ * for the leaf pair when every axis allows it; candidates that survive
+ * the point-to-box prune pass the predicate of pairs_in_range, to the
+ * bit.  So the accepted set is the set of the numpy walk; rows come out
+ * in traversal order (rp_sort_rows makes them canonical).
+ *
+ * Call twice: with offsets and out NULL and cursor zeroed, cursor[i]
+ * receives the row count; with the cumulated offsets and cursor[i] =
+ * offsets[i], out receives the rows and cursor[i] ends on
+ * offsets[i + 1].  No scratch is sized by a guess: the stack is bounded
+ * above, and a row is written through its own cursor and never past its
+ * own end. */
+void rp_walk(const double *xs, const double *rs, int64_t n, int dim,
+             int symmetric, const double *psel, const double *pdiv,
+             int64_t n_nodes, const int64_t *child_start,
+             const int64_t *child_count, const int64_t *pstart,
+             const int64_t *pend, const int64_t *order, const double *lo,
+             const double *hi, const double *rmax, int include_self,
+             const int64_t *offsets, int64_t *cursor, int64_t *out)
+{
     int64_t stack[RP_WALK_STACK];
-    for (int64_t q = 0; q < n; ++q) {
-        const int64_t i = order[q];
-        const double *xq = xw + i * dim;
-        int64_t *row = offsets ? out + offsets[i] : 0;
-        int64_t c = 0;
+    for (int64_t tl = 0; tl < n_nodes; ++tl) {
+        if (child_count[tl])
+            continue;
+        const double *tlo = lo + tl * dim, *thi = hi + tl * dim;
+        const int64_t t0 = pstart[tl], t1 = pend[tl];
         int top = 0;
         stack[top++] = 0;
         while (top > 0) {
             const int64_t k = stack[--top];
-            double d2 = 0.0;
+            const double *klo = lo + k * dim, *khi = hi + k * dim;
+            double shift[3], d2 = 0.0;
+            int hoisted = 1;
             for (int d = 0; d < dim; ++d) {
-                double t = xq[d] - center[k * dim + d];
-                t -= psel[d] * rint(t / pdiv[d]);
-                const double e = fabs(t) - half[k * dim + d];
-                if (e > 0.0)
-                    d2 += e * e;
+                const double e =
+                    rp_axis_gap(tlo[d] - khi[d], thi[d] - klo[d], psel[d],
+                                pdiv[d], shift + d, &hoisted);
+                d2 += e * e;
             }
-            double cutoff = radii[i];
-            if (symmetric && node_rmax[k] > cutoff)
-                cutoff = node_rmax[k];
-            if (!(d2 <= cutoff * cutoff))
+            double reach = rmax[tl];
+            if (symmetric && rmax[k] > reach)
+                reach = rmax[k];
+            if (!(d2 <= reach * reach))
                 continue;
             const int64_t nchild = child_count[k];
             for (int64_t ch = 0; ch < nchild; ++ch)
                 stack[top++] = child_start[k] + ch;
             if (nchild)
                 continue;
-            for (int64_t p = pstart[k]; p < pend[k]; ++p) {
-                const int64_t j = order[p];
-                if ((include_self || j != i)
-                    && rp_in_range(xw, radii, i, j, dim, psel, pdiv,
-                                   symmetric)) {
-                    if (row)
-                        row[c] = j;
-                    ++c;
-                }
-            }
+            const double *sh = hoisted ? shift : 0;
+            const int self = k == tl && !include_self;
+#define RP_LEAF_PAIR(DIM)                                                  \
+    rp_leaf_pair(xs, rs, n, DIM, symmetric, psel, pdiv, order, t0, t1,     \
+                 pstart[k], pend[k], klo, khi, rmax[k], sh, self, offsets, \
+                 cursor, out)
+            if (dim == 3)
+                RP_LEAF_PAIR(3);
+            else if (dim == 2)
+                RP_LEAF_PAIR(2);
+            else
+                RP_LEAF_PAIR(1);
+#undef RP_LEAF_PAIR
         }
-        if (row)
-            rp_sort_row(row, c);
-        else
-            out[i] = c;
     }
 }
 
 /* The pairs of a CSR list that a symmetric search at radii would keep
- * (NeighborList.within): same two-pass protocol as rp_walk, rows keep
- * their order. */
+ * (NeighborList.within), in one pass: rows are visited in index order,
+ * so each kept row lands right behind the one before it — out needs room
+ * for the whole input list, but only the part that is kept is ever
+ * written — and is put in canonical order while still in cache.
+ * new_offsets[0] must be 0. */
 void rp_pairs_within(const double *xw, const double *radii,
                      const int64_t *offsets, const int64_t *indices,
                      int64_t n, int dim, const double *psel,
-                     const double *pdiv, const int64_t *new_offsets,
-                     int64_t *out)
+                     const double *pdiv, int64_t *new_offsets, int64_t *out)
 {
     for (int64_t i = 0; i < n; ++i) {
-        int64_t *row = new_offsets ? out + new_offsets[i] : 0;
+        int64_t *row = out + new_offsets[i];
         int64_t c = 0;
         for (int64_t k = offsets[i]; k < offsets[i + 1]; ++k) {
             const int64_t j = indices[k];
-            if (rp_in_range(xw, radii, i, j, dim, psel, pdiv, 1)) {
-                if (row)
-                    row[c] = j;
-                ++c;
-            }
+            if (rp_in_range(xw, radii, i, j, dim, psel, pdiv))
+                row[c++] = j;
         }
-        if (!row)
-            out[i] = c;
+        rp_sort_row(row, c);
+        new_offsets[i + 1] = new_offsets[i] + c;
     }
 }
 

@@ -404,8 +404,11 @@ class Simulation:
             if tree_walk:
 
                 def search(x, radii, box, mode):
+                    # The h iteration only counts over this list and
+                    # ends on ``within``, which orders what survives.
                     return self._ensure_tree().walk_neighbors(
-                        x, radii, mode=mode, ops=self.backend.ops
+                        x, radii, mode=mode, ops=self.backend.ops,
+                        sort_rows=False,
                     )
 
             else:
@@ -711,11 +714,15 @@ class Simulation:
         return {
             "builds": s.builds,
             "searches": s.searches,
+            "pairs_searched": s.pairs_searched,
             "hits": s.hits,
             "misses_displacement": s.misses_displacement,
             "misses_h_change": s.misses_h_change,
             "misses_shape": s.misses_shape,
             "hit_rate": s.hit_rate,
+            "adaptations": s.adaptations,
+            "sweeps": s.sweeps,
+            "converged": s.converged,
         }
 
     def _gravity_stats_dict(self) -> Optional[dict]:

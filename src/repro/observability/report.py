@@ -150,7 +150,8 @@ def format_pair_engine(stats) -> str:
 
 
 def format_neighbor_cache(stats) -> str:
-    """One-line report of a Verlet-cache run (hit rate + invalidations)."""
+    """One-line report of a Verlet-cache run: hit rate, invalidations,
+    what the builds searched and how the h iteration ended."""
     hits = _get(stats, "hits")
     builds = _get(stats, "builds")
     searches = _get(stats, "searches")
@@ -161,9 +162,12 @@ def format_neighbor_cache(stats) -> str:
     hit_rate = _get(stats, "hit_rate", hits / lookups if lookups else 0.0)
     return (
         f"neighbor-cache: hit_rate={hit_rate:5.3f} "
-        f"(hits={hits}, builds={builds} in {searches} searches, "
+        f"(hits={hits}, builds={builds} in {searches} searches "
+        f"of {_get(stats, 'pairs_searched')} pairs, "
         f"invalidated: displacement={m_disp}, "
-        f"h-change={m_h}, cold/shape={m_shape})"
+        f"h-change={m_h}, cold/shape={m_shape}); "
+        f"h-iteration: {_get(stats, 'converged')}/{_get(stats, 'adaptations')} "
+        f"met tolerance, {_get(stats, 'sweeps')} sweeps"
     )
 
 

@@ -16,7 +16,12 @@ neighbour while ``h`` stays inside the radius it was searched at.  Only an
 iterate that out-grows that radius triggers another search (from the
 current iterate, padded by :data:`GROWTH_PAD`), and the converged list is
 cut from the searched one by :meth:`NeighborList.within` — array for array
-what a fresh search at the final ``h`` returns.
+what a fresh search at the final ``h`` returns, rows ascending whatever
+order the search left them in (the sweeps only count, so a search handed
+in here need not order its rows).  A build that starts from an ``h`` an
+earlier adaptation already rewrote pads its first search too: such an
+``h`` drifts by a few per cent between builds, and searching it exactly
+meant searching twice.
 """
 
 from __future__ import annotations
@@ -55,12 +60,15 @@ class SmoothingConfig:
             raise ValueError(f"tolerance must be in (0, 1), got {self.tolerance}")
 
 
-#: Radius head-room of a re-search.  The damped update multiplies ``h`` by
+#: Radius head-room of a search.  The damped update multiplies ``h`` by
 #: at most ``(1 + n_target**(1/dim)) / 2`` per sweep but by a few per cent
-#: once counts are near the target, which is when a budget is out-grown;
-#: 10 % covers the rest of the iteration at 1.33x the pairs in 3-D.  The
-#: first search of a build is never padded: its list is the run's peak
-#: allocation.
+#: once counts are near the target, which is where a build starts from
+#: when an earlier adaptation has rewritten ``h``, and where a budget is
+#: out-grown; 10 % covers the rest of the iteration at 1.33x the pairs in
+#: 3-D — less than the exact search plus the padded re-search it replaces.
+#: Only the first search over a never-adapted ``h`` (a run's first build)
+#: is exact: the IC's ``h`` can be far off, most of that list is cut away
+#: again, and it is the run's peak allocation.
 GROWTH_PAD = 1.1
 
 
@@ -158,17 +166,21 @@ def _adapt(
             x, radii, box, mode=mode
         )
     factor = 2.0 if cache is None else cache.search_factor
-    built = False
+    stats = cache.stats if cache is not None else None
+    adapted = particles.epoch("h") > 0  # some adaptation already wrote this h
+    built = met = False
     i = r = None
     sweeps = 0
     while True:
         if nlist is None or np.any(particles.h > budget):
-            # The first search of a build is exact-radius; a re-search
-            # starts from the iterate that out-grew the last one.
-            budget = particles.h * (1.0 if nlist is None else GROWTH_PAD)
+            # Exact radius only over a never-adapted h; a re-search starts
+            # from the iterate that out-grew the last one.
+            exact = nlist is None and not adapted
+            budget = particles.h * (1.0 if exact else GROWTH_PAD)
             nlist = search(particles.x, factor * budget, box, "symmetric")
-            if cache is not None:
-                cache.stats.searches += 1
+            if stats is not None:
+                stats.searches += 1
+                stats.pairs_searched += nlist.n_pairs
             built = True
             r = None
         if sweeps == config.max_iterations:
@@ -180,15 +192,20 @@ def _adapt(
             counts = ops.counts_from_radii(r, particles.h, nlist, 2.0)
         else:
             counts = np.bincount(i[r <= 2.0 * particles.h[i]], minlength=particles.n)
+        sweeps += 1
         rel_err = np.abs(counts - config.n_target) / config.n_target
         if float(rel_err.max(initial=0.0)) <= config.tolerance:
+            met = True
             break
         h_new = update_smoothing_lengths(
             particles.h, counts, config.n_target, particles.dim
         )
         particles.h[:] = np.clip(h_new, config.h_min, config.h_max)
         particles.bump_epoch("h")
-        sweeps += 1
+    if stats is not None:
+        stats.adaptations += 1
+        stats.sweeps += sweeps
+        stats.converged += met
     if built:
         nlist = nlist.within(particles.x, factor * particles.h, box, ops)
         if cache is not None:

@@ -199,8 +199,9 @@ class NeighborList:
     ) -> "NeighborList":
         """The pairs of this list inside symmetric search radii ``radii``.
 
-        Same predicate, same wrapped positions and same row order as a
-        search, so when this list holds every pair within
+        Same predicate and same wrapped positions as a search, and rows
+        in the canonical ascending order whatever order this list holds
+        them in, so when this list holds every pair within
         ``max(radii[i], radii[j])`` the result is array-for-array the list
         a fresh symmetric search at ``radii`` returns — at the cost of one
         pass over the pairs instead of a traversal.  ``ops`` is the
@@ -214,9 +215,10 @@ class NeighborList:
             return NeighborList(*ops.pairs_within(self, xw, radii, box))
         i, j = self.pairs()
         keep = pairs_in_range(xw, i, j, radii, box, "symmetric")
+        counts, indices = canonical_rows(i[keep], j[keep], 0, self.n, xw.shape[0])
         offsets = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(i[keep], minlength=self.n), out=offsets[1:])
-        return NeighborList(offsets=offsets, indices=j[keep])
+        np.cumsum(counts, out=offsets[1:])
+        return NeighborList(offsets=offsets, indices=indices)
 
     # ------------------------------------------------------------------
     def pair_geometry(
@@ -302,15 +304,24 @@ class VerletCacheStats:
 
     ``searches`` counts the neighbour searches (tree walks or cell-grid
     passes, interpreted or compiled) the builds cost: one per build, plus
-    one for each time an h iterate out-grew the searched radius.
+    one for each time an h iterate out-grew the searched radius;
+    ``pairs_searched`` the pairs those searches emitted, before the cut
+    to the final ``h``.  ``adaptations``/``sweeps``/``converged`` describe
+    the h iteration the cache serves: calls, count sweeps over the pair
+    list, and calls that ended by meeting the count tolerance rather than
+    by running out of sweeps.
     """
 
     builds: int = 0
     searches: int = 0
+    pairs_searched: int = 0
     hits: int = 0
     misses_displacement: int = 0
     misses_h_change: int = 0
     misses_shape: int = 0
+    adaptations: int = 0
+    sweeps: int = 0
+    converged: int = 0
 
     @property
     def lookups(self) -> int:

@@ -273,34 +273,47 @@ class Octree:
         include_self: bool = True,
         node_rmax: np.ndarray | None = None,
         ops=None,
+        sort_rows: bool = True,
     ) -> NeighborList:
         """Neighbour discovery by tree walk (Table 1 "Tree Walk").
 
-        Same contract as :func:`repro.tree.cellgrid.cell_grid_search`.  For
-        ``mode="symmetric"`` the walk opens nodes against ``max(r_i,
+        Same contract as :func:`repro.tree.cellgrid.cell_grid_search`;
+        ``x`` are the positions of the particles the tree was built over.
+        For ``mode="symmetric"`` the walk opens nodes against ``max(r_i,
         node_rmax)`` where ``node_rmax`` is the per-node maximum search
         radius (computed here if not supplied), guaranteeing no j with
         ``r <= radii[j]`` is missed.
 
         ``ops`` is a compiled op table (``Backend.ops``): the traversal
-        runs there — same wrapped positions, same node and pair
-        predicates, so the returned arrays equal the numpy walk's; with
-        ``None`` the vectorized frontier expansion below runs.
+        runs there, one descent per target leaf over per-node summaries
+        it takes from ``x`` and ``radii`` itself — same wrapped positions,
+        same pair predicate, so the returned arrays equal the numpy
+        walk's; with ``None`` the vectorized frontier expansion below
+        runs.  ``sort_rows=False`` lets the compiled traversal leave each
+        row in traversal order, for a caller that only counts or filters
+        the list (the h iteration, which ends on
+        :meth:`NeighborList.within`); rows are ascending otherwise.
         """
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         n = x.shape[0]
+        if n != self.n_particles:
+            raise ValueError(
+                f"x has {n} particles, the tree was built over {self.n_particles}"
+            )
         radii = np.broadcast_to(np.asarray(radii, dtype=np.float64), (n,))
         if mode not in ("gather", "symmetric"):
             raise ValueError(f"mode must be 'gather' or 'symmetric', got {mode!r}")
+        xw = self.box.wrap(x)
+        if ops is not None:
+            return NeighborList(
+                *ops.walk_neighbors(
+                    self, xw, radii, mode == "symmetric", include_self, sort_rows
+                )
+            )
         if mode == "gather":
             node_rmax = None
         elif node_rmax is None:
             node_rmax = self.node_max(radii)
-        xw = self.box.wrap(x)
-        if ops is not None:
-            return NeighborList(
-                *ops.walk_neighbors(self, xw, radii, node_rmax, include_self)
-            )
 
         indices_parts: list[np.ndarray] = []
         counts_out = np.zeros(n, dtype=np.int64)

@@ -83,6 +83,24 @@ def assert_norm_close(got, ref, tol, label):
 # --------------------------------------------------------------------------
 
 
+@compiled_backend
+def test_generated_c_unit_compiles_warning_clean(backend_name, tmp_path):
+    """The unit the backend builds at run time, under the CI job's flags."""
+    import subprocess
+
+    from repro.backend.cffi_backend import _BASE_FLAGS, _compiler
+    from repro.backend.csrc import SOURCE
+
+    src = tmp_path / "rp_ops.c"
+    src.write_text(SOURCE)
+    res = subprocess.run(
+        [_compiler(), *_BASE_FLAGS, "-Wall", "-Wextra", "-Werror", str(src),
+         "-o", str(tmp_path / "rp_ops.so"), "-lm"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert res.returncode == 0, res.stderr
+
+
 def test_unknown_backend_name_rejected():
     # "numba" was a choice until 2.0.0; it is now as unknown as any other.
     for name in ("fortran", "numba"):

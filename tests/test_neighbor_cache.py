@@ -171,7 +171,13 @@ def test_cache_hit_rate_positive_over_ten_step_run():
     assert stats is not None
     assert stats["hits"] > 0
     assert stats["hit_rate"] > 0.0
-    assert "hit_rate" in format_neighbor_cache(stats)
+    line = format_neighbor_cache(stats)
+    assert "hit_rate" in line
+    # What the builds searched and how the h iteration ended, as counted.
+    assert stats["pairs_searched"] >= sim._nlist.n_pairs
+    assert f"of {stats['pairs_searched']} pairs" in line
+    assert f"{stats['converged']}/{stats['adaptations']} met tolerance" in line
+    assert f"{stats['sweeps']} sweeps" in line
 
 
 def test_cache_on_off_runs_agree_within_tolerance():

@@ -105,9 +105,15 @@ def test_every_search_emits_canonical_rows(rng):
     wide = tree.walk_neighbors(x, 1.3 * radii, mode="symmetric")
     lists["within"] = wide.within(x, radii, box)
     lists["within-compiled"] = wide.within(x, radii, box, ops)
+    # A search that skipped the row ordering: the cut restores it.
+    raw = tree.walk_neighbors(
+        x, 1.3 * radii, mode="symmetric", ops=ops, sort_rows=False
+    )
+    lists["within-raw"] = raw.within(x, radii, box)
+    lists["within-raw-compiled"] = raw.within(x, radii, box, ops)
     for name, nl in lists.items():
         same_row = np.diff(nl.pair_i()) == 0
         assert np.all(np.diff(nl.indices)[same_row] > 0), name
-    for name in ("grid-chunked", "walk", "walk-compiled", "within", "within-compiled"):
+    for name in set(lists) - {"grid", "gather"}:
         assert np.array_equal(lists[name].offsets, lists["grid"].offsets), name
         assert np.array_equal(lists[name].indices, lists["grid"].indices), name

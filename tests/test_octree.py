@@ -147,41 +147,141 @@ def _lattice_or_cloud(layout, dim, seed):
     return np.random.default_rng(seed).random((side**dim, dim)), 1.0 / side
 
 
+def _cffi_ops():
+    from repro.backend import select_backend
+
+    ops = select_backend("cffi").ops
+    if ops is None:
+        pytest.skip("no C compiler on this host")
+    return ops
+
+
+def _assert_same_list(got, ref, what=""):
+    assert np.array_equal(got.offsets, ref.offsets), what
+    assert np.array_equal(got.indices, ref.indices), what
+
+
 @given(
     dim=st.sampled_from([1, 2, 3]),
     periodic=st.booleans(),
     layout=st.sampled_from(["lattice", "random"]),
     mode=st.sampled_from(["gather", "symmetric"]),
     include_self=st.booleans(),
-    # Whole and sqrt(2) multiples of the spacing: lattice shells on the cutoff.
-    radius_over_spacing=st.sampled_from([1.0, 2.0, 2.0**0.5, 8.0**0.5, 1.7, 3.1]),
+    # Whole and sqrt(2) multiples of the spacing: lattice shells on the
+    # cutoff.  100 spacings is wider than the box: every leaf is a source
+    # of every leaf, and on a periodic axis every leaf pair is cut by the
+    # seam somewhere.
+    radius_over_spacing=st.sampled_from(
+        [1.0, 2.0, 2.0**0.5, 8.0**0.5, 1.7, 3.1, 100.0]
+    ),
     uniform=st.booleans(),
+    # One particle per leaf, the usual bucket, and a root that is its own
+    # only leaf.
+    leaf_size=st.sampled_from([1, 8, 10_000]),
     seed=st.integers(0, 2**16),
 )
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=120, deadline=None)
 def test_compiled_walk_returns_the_numpy_walk_arrays(
-    dim, periodic, layout, mode, include_self, radius_over_spacing, uniform, seed
+    dim, periodic, layout, mode, include_self, radius_over_spacing, uniform,
+    leaf_size, seed,
 ):
-    from repro.backend import select_backend
-
-    ops = select_backend("cffi").ops
-    if ops is None:
-        pytest.skip("no C compiler on this host")
+    ops = _cffi_ops()
     x, spacing = _lattice_or_cloud(layout, dim, seed)
     radii = np.full(x.shape[0], radius_over_spacing * spacing)
     if not uniform:
         radii *= np.random.default_rng(seed + 1).uniform(0.6, 1.4, x.shape[0])
     box = Box.cube(0.0, 1.0, dim=dim, periodic=periodic)
-    tree = Octree.build(x, box, leaf_size=8)
+    tree = Octree.build(x, box, leaf_size=leaf_size)
     ref = tree.walk_neighbors(x, radii, mode=mode, include_self=include_self)
     got = tree.walk_neighbors(
         x, radii, mode=mode, include_self=include_self, ops=ops
     )
-    assert np.array_equal(got.offsets, ref.offsets)
-    assert np.array_equal(got.indices, ref.indices)
+    _assert_same_list(got, ref)
     grid = cell_grid_search(x, radii, box, mode=mode, include_self=include_self)
-    assert np.array_equal(grid.offsets, ref.offsets)
-    assert np.array_equal(grid.indices, ref.indices)
+    _assert_same_list(grid, ref)
+    # Traversal order holds the same rows, just not sorted.
+    raw = tree.walk_neighbors(
+        x, radii, mode=mode, include_self=include_self, ops=ops, sort_rows=False
+    )
+    assert np.array_equal(raw.offsets, ref.offsets)
+    key = raw.pair_i() * x.shape[0] + raw.indices
+    assert np.array_equal(np.sort(key), ref.pair_i() * x.shape[0] + ref.indices)
+
+
+def _brute_force(x, radii, box, mode, include_self):
+    """Every ordered pair through ``pairs_in_range`` — the oracle."""
+    from repro.tree.neighborlist import NeighborList, pairs_in_range
+
+    n = x.shape[0]
+    qi, cj = (a.ravel() for a in np.meshgrid(np.arange(n), np.arange(n), indexing="ij"))
+    keep = pairs_in_range(box.wrap(x), qi, cj, radii, box, mode)
+    if not include_self:
+        keep &= qi != cj
+    offsets = np.concatenate([[0], np.cumsum(np.bincount(qi[keep], minlength=n))])
+    return NeighborList(offsets=offsets, indices=cj[keep])
+
+
+def _seam_cases(dim):
+    """``(name, x, radii, box, leaf_size)`` aimed at the hoisted minimum image."""
+    rng = np.random.default_rng(dim)
+    side = {1: 64, 2: 16, 3: 8}[dim]
+    axes = [(np.arange(side) + 0.5) / side] * dim
+    lattice = np.stack(
+        [m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1
+    )
+    unit = Box.cube(0.0, 1.0, dim=dim, periodic=True)
+    n = lattice.shape[0]
+    # Many leaves across a wide periodic box: a leaf at lo and a leaf at hi
+    # are neighbours through a constant shift of -span / +span.
+    yield "seam", lattice, np.full(n, 2.0 / side), unit, 4
+    # Radii past half the span with few, wide leaves: leaf pairs sit half a
+    # span apart, rint((xi - xj)/span) is not constant over their boxes and
+    # the per-candidate wrap has to run.
+    x = rng.random((48, dim))
+    yield "half-span", x, rng.uniform(0.3, 0.8, 48), unit, 6
+    # The same with the periodic box far smaller than the spread of the
+    # input: everything wraps many spans, leaves overlap after wrapping.
+    yield "tiny-box", 50.0 * (x - 0.5), rng.uniform(0.05, 0.4, 48), unit, 3
+    # Particles exactly on hi wrap to lo (and sit on the lattice shell of
+    # their neighbours across the seam); some exactly on lo already.
+    edge = lattice.copy()
+    edge[: n // 8, 0] = 1.0
+    edge[n // 8 : n // 4, 0] = 0.0
+    yield "on-hi", edge, np.full(n, 1.0 / side), unit, 5
+    # One periodic axis only, box not a cube, not starting at 0.
+    lo = np.full(dim, -0.25)
+    hi = lo + np.linspace(1.0, 2.0, dim)
+    periodic = np.zeros(dim, dtype=bool)
+    periodic[-1] = True
+    mixed = Box(lo=lo, hi=hi, periodic=periodic)
+    y = lo + rng.random((200, dim)) * (hi - lo)
+    yield "mixed", y, rng.uniform(0.05, 0.7, 200), mixed, 7
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("mode", ["gather", "symmetric"])
+@pytest.mark.parametrize("include_self", [True, False])
+def test_compiled_walk_across_the_periodic_seam(dim, mode, include_self):
+    """Hoisted shift, per-candidate fallback and wrapped edges, against
+    brute force over all pairs — and, fed to ``within``, canonical."""
+    ops = _cffi_ops()
+    for name, x, radii, box, leaf_size in _seam_cases(dim):
+        tree = Octree.build(x, box, leaf_size=leaf_size)
+        ref = _brute_force(x, radii, box, mode, include_self)
+        kwargs = dict(mode=mode, include_self=include_self)
+        _assert_same_list(tree.walk_neighbors(x, radii, **kwargs), ref, name)
+        _assert_same_list(tree.walk_neighbors(x, radii, ops=ops, **kwargs), ref, name)
+        if mode == "symmetric":
+            raw = tree.walk_neighbors(x, radii, ops=ops, sort_rows=False, **kwargs)
+            cut = _brute_force(x, 0.8 * radii, box, mode, include_self)
+            _assert_same_list(raw.within(x, 0.8 * radii, box, ops), cut, name)
+            _assert_same_list(raw.within(x, 0.8 * radii, box), cut, name)
+
+
+def test_walk_rejects_positions_of_another_particle_set(tree_and_points):
+    tree, x, _ = tree_and_points
+    with pytest.raises(ValueError, match="built over 1500"):
+        tree.walk_neighbors(x[:100], 0.1)
 
 
 def test_walk_blocks_follow_the_candidate_count(tree_and_points, monkeypatch):

@@ -143,6 +143,21 @@ def test_rate_evaluation_searches_once_and_builds_the_tree_on_demand(monkeypatch
     assert cache["hits"] >= 3 and cache["builds"] == 1
     assert cache["searches"] <= 2
     assert len(tree_builds) == 1
+    cold_searches, cold_pairs = cache["searches"], cache["pairs_searched"]
+    assert cold_pairs >= sim._nlist.n_pairs  # searched before the cut
+
+    # A rebuild starts from an adapted h: one tree, exactly one search.
+    sim._ncache.invalidate()
+    sim.compute_rates()
+    cache = sim.report().neighbor_cache
+    assert cache["builds"] == 2 and len(tree_builds) == 2
+    assert cache["searches"] == cold_searches + 1
+    assert cache["pairs_searched"] > cold_pairs
+    # What the h iteration cost, and how it ended, is on the record too.
+    lookups = cache["hits"] + sum(v for k, v in cache.items() if k.startswith("misses"))
+    assert cache["adaptations"] == lookups  # one per rate evaluation
+    assert cache["adaptations"] <= cache["sweeps"] <= 10 * cache["adaptations"]
+    assert 0 <= cache["converged"] <= cache["adaptations"]
     sim.close()
 
 

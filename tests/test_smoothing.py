@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.backend import select_backend
 from repro.core.particles import ParticleSystem
 from repro.sph.smoothing import (
+    GROWTH_PAD,
     SmoothingConfig,
     adapt_from_cached_list,
     adapt_smoothing_lengths,
@@ -136,11 +137,18 @@ def _particles(x, h):
 
 
 def _searches(x, box, ops=None):
-    """The two search paths as ``search(x, radii, box, mode)`` callables."""
+    """The search paths as ``search(x, radii, box, mode)`` callables.
+
+    ``"tree-raw"`` is the driver's: the compiled walk leaves its rows in
+    traversal order (the numpy walk has no such order to leave them in).
+    """
     tree = Octree.build(x, box, leaf_size=8)
     return {
         "tree": lambda x_, radii, box_, mode: tree.walk_neighbors(
             x_, radii, mode=mode, ops=ops
+        ),
+        "tree-raw": lambda x_, radii, box_, mode: tree.walk_neighbors(
+            x_, radii, mode=mode, ops=ops, sort_rows=False
         ),
         "grid": lambda x_, radii, box_, mode: cell_grid_search(
             x_, radii, box_, mode=mode
@@ -157,7 +165,7 @@ build_cases = st.fixed_dictionaries(
         "periodic": st.booleans(),
         "layout": st.sampled_from(["lattice", "random"]),
         "seed": st.integers(0, 2**16),
-        "path": st.sampled_from(["tree", "grid"]),
+        "path": st.sampled_from(["tree", "tree-raw", "grid"]),
         "cached": st.booleans(),
         "compiled": st.booleans(),
     }
@@ -190,7 +198,7 @@ def test_built_list_is_the_fresh_search_at_final_h(case, h_over_spacing, toleran
         p, box, cfg, search=search, cache=cache, backend=backend
     )
     factor = cache.search_factor if cache is not None else 2.0
-    fresh = search(p.x, factor * p.h, box, "symmetric")
+    fresh = _searches(x, box, ops)["tree"](p.x, factor * p.h, box, "symmetric")
     assert np.array_equal(built.offsets, fresh.offsets)
     assert np.array_equal(built.indices, fresh.indices)
     if cache is not None:
@@ -241,21 +249,29 @@ def test_build_costs_one_search_and_out_growing_it_one_more(rng):
     x = rng.random((600, 3))
     box = Box.cube(0.0, 1.0, dim=3, periodic=True)
     cfg = SmoothingConfig(n_target=40, tolerance=0.05)
-    p = _particles(x, 0.12)
-    adapt_smoothing_lengths(p, box, cfg)  # converge first
-    h_converged = p.h.copy()
-
-    # Inflated h only shrinks: every sweep counts off the one list.
     search, calls = _counting(_searches(x, box)["tree"])
-    p.h[:] = 1.2 * h_converged
+
+    # A run's first build: nothing has adapted this h yet, so the search
+    # is exact-radius (its list is the peak allocation).  Inflated h only
+    # shrinks: every sweep counts off the one list.
+    p = _particles(x, 0.16)
     adapt_smoothing_lengths(p, box, cfg, search=search)
     assert len(calls) == 1
-    assert np.array_equal(calls[0], 2.0 * 1.2 * h_converged)
+    assert np.array_equal(calls[0], 2.0 * np.full(600, 0.16))
+    h_converged = p.h.copy()
 
-    # A few per cent of growth out-grows the searched radius once; the
-    # padded re-search starts from the iterate that did and covers the rest.
+    # Every later build starts from an adapted h and pads its first
+    # search: a few per cent of growth costs exactly that one search.
     calls.clear()
     p.h[:] = 0.95 * h_converged
+    adapt_smoothing_lengths(p, box, cfg, search=search)
+    assert len(calls) == 1
+    assert np.array_equal(calls[0], 2.0 * (0.95 * h_converged * GROWTH_PAD))
+
+    # Out-growing the pad costs exactly one more, from the iterate that
+    # did, padded again to cover the rest of the iteration.
+    calls.clear()
+    p.h[:] = 0.9 * h_converged
     adapt_smoothing_lengths(p, box, cfg, search=search)
     assert len(calls) == 2
     assert np.all(calls[1] > calls[0])
