@@ -89,18 +89,17 @@ def test_fig4_trace_benchmark(benchmark, evrard_workload):
 
 
 def test_fig4_measured_pool_timeline(report):
-    """The same Paraver-style view, from a *measured* pool execution.
+    """The same Paraver-style view, from a *measured* threaded execution.
 
-    The observability layer merges worker chunk spans (shipped in the
-    reply envelopes) into the driver's tracer, so `render_timeline` can
-    draw a real run the way Figure 4 draws the Extrae trace: the driver
-    on row r0t0 and one row per worker slot, with the pool's fan-out /
-    reduce states around the workers' useful spans.
+    The phase executor records the span of every row slice a thread ran
+    in the driver's tracer, so `render_timeline` can draw a real run the
+    way Figure 4 draws the Extrae trace: the driver on row r0t0 and one
+    row per thread lane, with the driver's fork/join state around the
+    threads' useful spans.
     """
-    from repro.core.config import RunConfig, SimulationConfig
+    from repro.core.config import ExecConfig, RunConfig, SimulationConfig
     from repro.core.simulation import Simulation
     from repro.ics.square_patch import SquarePatchConfig, make_square_patch
-    from repro.parallel import ExecConfig
     from repro.timestepping.steppers import TimestepParams
 
     particles, box, eos = make_square_patch(
@@ -120,15 +119,15 @@ def test_fig4_measured_pool_timeline(report):
     timeline = render_timeline(tracer, width=110, max_rows=12)
     report(
         "fig4_measured_pool_timeline",
-        "Figure-4-style view of a measured 2-worker pool run "
+        "Figure-4-style view of a measured 2-thread run "
         f"(square patch, N={sim.particles.n}, 2 steps)\n" + timeline,
     )
-    # Driver plus one row per worker slot.
+    # Driver plus one row per thread lane.
     assert "r0t0" in timeline and "r0t1" in timeline and "r0t2" in timeline
     states = {e.state for e in tracer.events}
     assert State.USEFUL in states
-    assert State.FAN_OUT in states and State.REDUCE in states
-    # Worker rows carry only merged useful spans.
+    assert State.FORK_JOIN in states
+    # Thread rows carry only merged useful spans.
     for e in tracer.events:
         if e.thread > 0:
             assert e.state is State.USEFUL

@@ -130,12 +130,11 @@ def test_pop_from_events_agrees_with_modeled_metrics(evrard_workload):
 
 
 def test_pop_from_measured_pool_run(report):
-    """POP hierarchy of a real 4-worker pool execution's merged spans."""
-    from repro.core.config import RunConfig, SimulationConfig
+    """POP hierarchy of a real 4-thread execution's merged spans."""
+    from repro.core.config import ExecConfig, RunConfig, SimulationConfig
     from repro.core.simulation import Simulation
     from repro.ics.square_patch import SquarePatchConfig, make_square_patch
     from repro.observability import pop_from_events
-    from repro.parallel import ExecConfig
     from repro.timestepping.steppers import TimestepParams
 
     particles, box, eos = make_square_patch(
@@ -153,12 +152,12 @@ def test_pop_from_measured_pool_run(report):
         m = pop_from_events(sim.tracer)
 
     assert m.valid
-    assert m.n_ranks == 5  # driver row + 4 worker-slot rows
+    assert m.n_ranks == 5  # driver row + 4 thread-lane rows
     assert 0.0 < m.load_balance <= 1.0 + 1e-9
     assert 0.0 < m.communication_efficiency <= 1.0 + 1e-9
     assert 0.0 < m.parallel_efficiency <= 1.0 + 1e-9
     report(
         "pop_measured_pool",
-        "POP metrics from a measured 4-worker pool run "
+        "POP metrics from a measured 4-thread run "
         f"(square patch, N={sim.particles.n}, 3 steps)\n  " + m.row(),
     )

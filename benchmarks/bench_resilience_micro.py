@@ -1,13 +1,10 @@
 """Micro-benchmark of the fault-tolerance machinery.
 
-Three costs matter for the paper's checkpoint-restart story and the
-supervised pool:
+Two costs matter for the paper's checkpoint-restart story:
 
 * checkpoint write latency (atomic tmp+fsync+rename of the full particle
   state) — the ``C`` that Young's formula trades against the MTBF;
-* checkpoint restore latency (read + CRC verify + restore_into);
-* recovery overhead — wall-time of a pooled run with one injected worker
-  crash versus the same run unharmed.
+* checkpoint restore latency (read + CRC verify + restore_into).
 
 Results land in ``benchmarks/results/resilience_micro.json``.  Shrink
 ``REPRO_BENCH_MICRO_SIDE`` for smoke runs.
@@ -22,10 +19,9 @@ import time
 import numpy as np
 
 from _scaling_common import host_stamp
-from repro.core.config import ExecConfig, RunConfig, SimulationConfig
+from repro.core.config import SimulationConfig
 from repro.core.simulation import Simulation
 from repro.ics.square_patch import SquarePatchConfig, make_square_patch
-from repro.resilience.chaos import ChaosEvent, ChaosPolicy
 from repro.resilience.checkpoint import (
     Checkpoint,
     read_checkpoint,
@@ -35,19 +31,10 @@ from repro.timestepping.steppers import TimestepParams
 
 #: cube side; 31^3 = 29 791 ~ 3e4 particles.  Shrink via env for smoke runs.
 N_SIDE = int(os.environ.get("REPRO_BENCH_MICRO_SIDE", "31"))
-WORKERS = 2
 REPEATS = 3
-N_STEPS = 3
 
 
-def _usable_cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # non-Linux
-        return os.cpu_count() or 1
-
-
-def _make_sim(exec_config: ExecConfig = ExecConfig()) -> Simulation:
+def _make_sim() -> Simulation:
     particles, box, eos = make_square_patch(
         SquarePatchConfig(side=N_SIDE, layers=N_SIDE)
     )
@@ -55,10 +42,7 @@ def _make_sim(exec_config: ExecConfig = ExecConfig()) -> Simulation:
         n_neighbors=30,
         timestep_params=TimestepParams(use_energy_criterion=False),
     )
-    return Simulation(
-        particles, box, eos, config=config,
-        run_config=RunConfig(exec=exec_config),
-    )
+    return Simulation(particles, box, eos, config=config)
 
 
 def test_checkpoint_write_restore_latency(report, results_dir, tmp_path):
@@ -113,55 +97,3 @@ def test_checkpoint_write_restore_latency(report, results_dir, tmp_path):
         ),
     )
     assert t_write > 0.0 and np.isfinite(t_write)
-
-
-def test_recovery_overhead_one_crash(report, results_dir):
-    """Wall-time cost of one worker kill + respawn + chunk re-issue."""
-
-    def _run(chaos):
-        sim = _make_sim(ExecConfig(workers=WORKERS, chaos=chaos))
-        try:
-            t0 = time.perf_counter()
-            sim.run(n_steps=N_STEPS)
-            elapsed = time.perf_counter() - t0
-            stats = sim.report().recovery
-        finally:
-            sim.close()
-        return elapsed, stats
-
-    t_clean, _ = _run(None)
-    t_faulty, stats = _run(
-        ChaosPolicy([ChaosEvent(step=1, phase="E", action="kill", worker=0)])
-    )
-    assert stats["crashes"] == 1 and stats["respawns"] == 1
-
-    overhead = t_faulty - t_clean
-    record = {
-        "case": f"square patch, {N_STEPS} pooled steps, one phase-E worker kill",
-        "workers": WORKERS,
-        "cpu_count": _usable_cores(),
-        "t_clean_s": t_clean,
-        "t_faulty_s": t_faulty,
-        "recovery_overhead_s": overhead,
-        "overhead_fraction": overhead / t_clean if t_clean > 0 else float("inf"),
-        "crashes": stats["crashes"],
-        "respawns": stats["respawns"],
-        "reissues": stats["reissues"],
-        **host_stamp(),
-    }
-    existing = {}
-    out = results_dir / "resilience_micro.json"
-    if out.exists():
-        existing = json.loads(out.read_text())
-    existing["recovery"] = record
-    out.write_text(json.dumps(existing, indent=2) + "\n")
-    report(
-        "resilience_recovery",
-        (
-            f"recovery overhead ({N_STEPS} steps, {WORKERS} workers, "
-            f"1 injected crash)\n"
-            f"  clean run:  {t_clean:8.3f} s\n"
-            f"  faulty run: {t_faulty:8.3f} s "
-            f"(+{overhead:.3f} s, {stats['reissues']} chunks re-issued)"
-        ),
-    )

@@ -33,8 +33,7 @@ import numpy as np
 
 from _scaling_common import host_stamp
 from repro.backend import available_backends
-from repro.core.config import RunConfig
-from repro.parallel import ExecConfig
+from repro.core.config import ExecConfig, RunConfig
 from repro.scenarios import get_scenario
 from repro.tuning import TuningConfig
 

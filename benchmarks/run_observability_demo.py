@@ -2,8 +2,8 @@
 
 The end-to-end exercise of the observability subsystem that CI's
 ``observability`` job drives: a real :class:`~repro.core.simulation
-.Simulation` (optionally on the process pool) runs with span tracing on,
-exports the merged driver + worker timeline as Chrome ``trace_event``
+.Simulation` (optionally on phase threads) runs with span tracing on,
+exports the merged driver + thread timeline as Chrome ``trace_event``
 JSON and JSONL, and prints the consolidated :meth:`Simulation.report`
 summary.  The exported JSON is then schema-gated by
 ``check_trace_schema.py``.
@@ -31,11 +31,10 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    from repro.core.config import RunConfig, SimulationConfig
+    from repro.core.config import ExecConfig, RunConfig, SimulationConfig
     from repro.core.simulation import Simulation
     from repro.ics.square_patch import SquarePatchConfig, make_square_patch
     from repro.observability import ObservabilityConfig
-    from repro.parallel import ExecConfig
     from repro.timestepping.steppers import TimestepParams
 
     args.out.mkdir(parents=True, exist_ok=True)
@@ -50,7 +49,7 @@ def main(argv=None) -> int:
         timestep_params=TimestepParams(use_energy_criterion=False),
     )
     run_config = RunConfig(
-        exec=ExecConfig(workers=args.workers) if args.workers else None,
+        exec=ExecConfig(workers=args.workers),
         observability=ObservabilityConfig(
             chrome_trace_path=str(chrome), jsonl_path=str(jsonl)
         ),

@@ -8,9 +8,11 @@ along the way — no ``cffi``, no working C compiler, unwritable cache —
 raises :class:`~repro.backend.base.BackendUnavailableError` and the
 registry falls back to numpy.
 
-Arrays cross the boundary zero-copy via ``ffi.from_buffer`` (the shared
--memory views the pool workers operate on are C-contiguous, so this
-works identically in serial and fan-out execution).
+Arrays cross the boundary zero-copy via ``ffi.from_buffer``, and an
+ABI-mode call releases the interpreter lock for its duration: the ops
+hold no state between calls (no static or global scratch in the C unit),
+so the phase executor's threads call them concurrently on disjoint row
+ranges of the same arrays.
 """
 
 from __future__ import annotations

@@ -22,8 +22,14 @@ phases need but the compiled code should not care about:
   ScratchArena discipline of the numpy path.
 
 One ``CompiledOps`` instance is shared per backend per process (epoch
-tokens are process-unique, so cross-simulation sharing is safe; forked
-pool workers inherit the already-built library).
+tokens are process-unique, so cross-simulation sharing is safe) and by
+the phase executor's threads.  Per-slice entries are keyed by
+``(lo, hi)``: slices of one fan-out never share a buffer, and a running
+slice holds its own reference to its cache, so the wholesale ``clear()``
+at the cap costs a later recompute, never a wrong value.  Whole-list
+entries (normalisations, :class:`SupportList`) are produced by
+:meth:`CompiledOps.prime` on the driver thread before a fan-out; the
+threads only read them.
 """
 
 from __future__ import annotations
@@ -56,9 +62,8 @@ class SupportList(NamedTuple):
 _WANT_BITS = {"w": 1, "gs": 2, "dwdh": 4}
 _SIDES = {"i": 0, "j": 1}
 
-#: Bound on live per-slice scratch caches (matches the worker-context
-#: cap in the pool: slices are stable across steps, so in practice a
-#: handful are ever live).
+#: Bound on live per-slice scratch caches (slice boundaries are stable
+#: while a neighbour list lives, so in practice a handful are ever live).
 _MAX_SLICES = 64
 
 
@@ -430,6 +435,19 @@ class CompiledOps:
             self._filters.clear()
         self._filters[key] = sub
         return sub
+
+    def prime(
+        self, x: np.ndarray, h: np.ndarray, nlist, box, kernel,
+        tokens: Optional[tuple],
+    ) -> None:
+        """Produce the whole-list memos a row-sliced phase reads — the
+        :meth:`support_list` and the per-particle normalisations — on
+        the calling thread, so that slices running on several threads
+        find them instead of each deriving (and inserting) its own."""
+        self.support_list(x, h, nlist, box, kernel, tokens)
+        self._normalizations(
+            kernel, h, x.shape[1], tokens[1] if tokens else None
+        )
 
     # -- neighbour search ----------------------------------------------
     def walk_neighbors(

@@ -12,15 +12,14 @@ mini-app outlook row.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Any, Optional
+from typing import TYPE_CHECKING, Optional
 
 from ..backend.base import BACKEND_CHOICES
 from ..observability.config import ObservabilityConfig
 from ..sph.viscosity import ViscosityParams
 from ..timestepping.criteria import TimestepParams
 
-if TYPE_CHECKING:  # avoid the core <-> parallel/resilience import cycles
-    from ..parallel.supervisor import SupervisorConfig
+if TYPE_CHECKING:  # avoid the core <-> resilience/tuning import cycles
     from ..resilience.chaos import NumericalChaosPolicy
     from ..resilience.checkpoint import ResilienceConfig
     from ..resilience.guard import GuardConfig
@@ -150,56 +149,35 @@ class ExecConfig:
     Parameters
     ----------
     workers:
-        ``0`` (default) keeps every phase serial; ``>= 1`` runs phases
-        E-I on a supervised process pool of that many workers (crashed
-        or hung workers are respawned and their chunks re-issued, see
-        :mod:`repro.parallel.supervisor`).  ``workers=1`` still
-        exercises the full fan-out/reduce machinery (useful for parity
-        testing); speedup requires multiple cores.
+        ``0`` (default) runs every phase as one call on the driver
+        thread; ``>= 1`` runs phases D-I as row slices on that many
+        threads sharing the particle arrays
+        (:mod:`repro.core.phase_executor`).  Results are bitwise the
+        serial ones for any value; ``workers=1`` still exercises the
+        whole slice machinery (useful for parity testing), a speedup
+        needs more than one core.
     chunks_per_worker:
-        Row chunks submitted per worker per phase (more chunks smooth
-        load imbalance at slightly higher dispatch cost).
+        Row slices per thread per phase (more slices smooth load
+        imbalance at slightly higher dispatch cost).
     neighbor_cache:
         Enable the Verlet-skin neighbour-list cache: lists are built with
         padded support ``(1 + skin) * 2 h`` and phases B-D are skipped
         while no particle has drifted more than ``skin * h``.
     cache_skin:
         Skin fraction of ``h`` (in (0, 1)).
-    start_method:
-        multiprocessing start method; default picks ``fork`` when
-        available, else ``spawn``.
-    arena_capacity:
-        Initial shared-memory arena size in bytes (grows on demand).
-    supervisor:
-        Deadline/retry policy; ``None`` uses
-        :class:`~repro.parallel.supervisor.SupervisorConfig` defaults.
-    verify_outputs:
-        Opt-in per-phase SDC pass: parent re-checksums every row-sliced
-        phase output against the worker's CRC and range-scans it, then
-        recomputes corrupted chunks serially.
-    chaos:
-        Deterministic fault-injection policy
-        (:class:`~repro.resilience.chaos.ChaosPolicy`) consulted at task
-        submission; ``None`` (default) injects nothing.
     backend:
         Execution backend for the SPH pair loops, the tree walk and
         gravity: ``"numpy"`` (default, the vectorized reference),
         ``"cffi"`` (the compiled C unit from :mod:`repro.backend`) or
         ``"auto"`` (cffi when it builds, else numpy).  A named compiled
         backend that is unavailable on this host degrades to numpy with
-        a single ``RuntimeWarning``.  Workers resolve the same name in
-        their own process.
+        a single ``RuntimeWarning``.
     """
 
     workers: int = 0
     chunks_per_worker: int = 1
     neighbor_cache: bool = False
     cache_skin: float = 0.3
-    start_method: Optional[str] = None
-    arena_capacity: int = 1 << 24
-    supervisor: Optional["SupervisorConfig"] = None
-    verify_outputs: bool = False
-    chaos: Optional[Any] = None
     backend: str = "numpy"
 
     def __post_init__(self) -> None:
@@ -207,8 +185,8 @@ class ExecConfig:
             raise ValueError(f"workers must be >= 0, got {self.workers}")
         if self.backend not in BACKEND_CHOICES:
             raise ValueError(
-                f"backend must be one of {', '.join(BACKEND_CHOICES)}, "
-                f"got {self.backend!r}"
+                f"unknown backend {self.backend!r}: backend must be one of "
+                f"{', '.join(BACKEND_CHOICES)}"
             )
         if self.chunks_per_worker < 1:
             raise ValueError(
@@ -230,7 +208,7 @@ class RunConfig:
     physics axes, one section per runtime subsystem:
 
     exec:
-        :class:`ExecConfig` — backend, Verlet cache and process pool.
+        :class:`ExecConfig` — backend, Verlet cache and phase threads.
         The default is serial numpy with the cache off.
     resilience:
         :class:`~repro.resilience.checkpoint.ResilienceConfig` — rolling

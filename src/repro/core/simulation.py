@@ -45,8 +45,8 @@ from ..tree.octree import Octree
 from .config import ExecConfig, RunConfig, SimulationConfig
 from .conservation import ConservationState, measure_conservation
 from .particles import ParticleSystem
+from .phase_executor import PhaseExecutor
 from .phases import Phase
-from .serial_phases import SerialPhases
 
 if TYPE_CHECKING:  # avoid the core <-> resilience import cycle at runtime
     from ..observability.report import RunReport
@@ -92,7 +92,7 @@ class StepStats:
 
 @dataclass
 class Simulation:
-    """Serial SPH simulation: one particle set, one Algorithm-1 loop.
+    """SPH simulation: one particle set, one Algorithm-1 loop.
 
     Parameters
     ----------
@@ -112,10 +112,11 @@ class Simulation:
         no-op :class:`~repro.observability.tracer.NullTracer` otherwise).
     run_config:
         :class:`~repro.core.config.RunConfig` aggregating the execution
-        environment: process pool (``exec``), checkpointing
-        (``resilience``) and span tracing (``observability``).  ``None``
-        means the all-defaults config — serial, checkpoint-free, tracing
-        on.  Prefer :meth:`configure` over building one by hand.
+        environment: backend, cache and phase threads (``exec``),
+        checkpointing (``resilience``) and span tracing
+        (``observability``).  ``None`` means the all-defaults config —
+        serial, checkpoint-free, tracing on.  Prefer :meth:`configure`
+        over building one by hand.
     """
 
     particles: ParticleSystem
@@ -162,8 +163,7 @@ class Simulation:
             self.stepper = AdaptiveTimestep(self.config.timestep_params)
         else:
             self.stepper = IndividualTimesteps(self.config.timestep_params)
-        self._engine = None
-        self._serial = SerialPhases(self)
+        self._phases = PhaseExecutor(self)
         self._autotuner = None
         self._ledger_written = False
         #: Steps actually executed by *this* driver (unlike
@@ -219,52 +219,35 @@ class Simulation:
 
     def _wire_exec(self, exec_cfg: ExecConfig) -> None:
         """(Re)wire what an :class:`~repro.core.config.ExecConfig`
-        governs: backend, pair engine, Verlet cache, process pool.
+        governs: backend, pair engine, Verlet cache, phase threads.
 
         The one exec-wiring routine — construction, :meth:`configure`
         and the autotuner's mid-run knob switches all land here.  It
         leaves the tracer, checkpoint manager, step guard and chaos
         policy running, so span history and resilience state survive a
-        switch; an existing pool is released before the replacement
-        spins up.
+        switch; the threads of the previous wiring are joined first.
         """
         self.run_config = self.run_config.with_(exec=exec_cfg)
         # The request resolves here (warn-once fallback to numpy when a
-        # named compiled backend is unavailable); phases receive the
-        # resolved Backend, pool workers re-resolve by name in their own
-        # process.
+        # named compiled backend is unavailable); every phase, on
+        # whichever thread, receives this resolved Backend.
         self.backend_requested = exec_cfg.backend
         self.backend = select_backend(exec_cfg.backend)
-        # Pair engine: one persistent serial-path context plus the epoch
-        # tokens shipped to pool workers.
+        # Pair engine: the driver's persistent context plus the epoch
+        # tokens the executor's per-slice contexts are keyed on.
         self._pair_ctx: Optional[PairContext] = PairContext()
         self._pair_tokens: tuple = (None, None, None)
         self._pair_state_obj: Optional[ParticleSystem] = None
         self._pair_state_epochs: tuple = ()
-        if self._engine is not None:
-            self._engine.close()
-        self._engine = None
+        self._phases.close()
+        self._phases = PhaseExecutor(
+            self, exec_cfg.workers, exec_cfg.chunks_per_worker
+        )
         self._ncache = None
         if exec_cfg.neighbor_cache:
             from ..tree.neighborlist import VerletNeighborCache
 
             self._ncache = VerletNeighborCache(skin=exec_cfg.cache_skin)
-        if exec_cfg.parallel_enabled:
-            from ..parallel.executor import ParallelEngine
-
-            self._engine = ParallelEngine(
-                exec_cfg,
-                tracer=self.tracer,
-                rank=self.rank,
-                worker_spans=self.run_config.observability.worker_spans,
-            )
-            self._engine.set_step(self.step_index)
-
-    @property
-    def _phases(self):
-        """The phase executor: the pool engine when one is up, else the
-        serial seam (same four entry points)."""
-        return self._engine if self._engine is not None else self._serial
 
     def configure(
         self,
@@ -314,9 +297,9 @@ class Simulation:
         :func:`repro.sph.pair_engine.new_pair_token`); a stable token
         across calls asserts "this field's values are unchanged", which
         is what lets the geometry survive from the h-adaptation phase
-        into density/forces and lets pool workers trust their slice
-        caches across phases.  Swapping the particle object (restore,
-        manual reassignment) re-mints everything.
+        into density/forces, on the driver's context and on the
+        executor's slice contexts alike.  Swapping the particle object
+        (restore, manual reassignment) re-mints everything.
         """
         if self._pair_ctx is None:
             return
@@ -353,17 +336,13 @@ class Simulation:
             self._tree = Octree.build(self.particles.x, self.box)
         return self._tree
 
-    def _backend_param(self) -> Optional[str]:
-        """Backend name for pool workers (None = numpy reference)."""
-        return self.backend.name if self.backend.ops is not None else None
-
     def _pair_stats_total(self) -> PairEngineStats:
-        """Combined serial + worker pair-engine counters (zeros when off)."""
+        """Combined driver + slice pair-engine counters (zeros when off)."""
         total = PairEngineStats()
         if self._pair_ctx is not None:
             total.merge(self._pair_ctx.stats.as_dict())
-        if self._engine is not None:
-            total.merge(self._engine.pair_stats.as_dict())
+        for ctx in self._phases.contexts:
+            total.merge(ctx.stats.as_dict())
         return total
 
     # ------------------------------------------------------------------
@@ -432,23 +411,19 @@ class Simulation:
         # dx, r)`` block primed above carries straight into the phases
         # below).
         self._refresh_pair_tokens()
-        # One call site per phase: ``phases`` is the pool engine or the
-        # serial seam, which share these four entry points.
+        # One call site per phase; the executor runs it as one call or
+        # as row slices on threads (``ExecConfig.workers``).
         phases = self._phases
         pair_args = (p, self._nlist, self.kernel, self.box)
-        backend_name = self._backend_param()
-        shipped = {"pair_tokens": self._pair_tokens, "backend": backend_name}
 
         c_matrices = None
         if cfg.gradients == "iad":
             # IAD moments need a density estimate; bootstrap on the first
             # call with a standard summation.
             if np.all(p.rho <= 0.0):
-                phases.density(
-                    *pair_args, phase=Phase.NEIGHBOR_LISTS.letter, **shipped
-                )
+                phases.density(*pair_args, phase=Phase.NEIGHBOR_LISTS.letter)
             c_matrices = phases.iad_matrices(
-                *pair_args, phase=Phase.NEIGHBOR_LISTS.letter, **shipped
+                *pair_args, phase=Phase.NEIGHBOR_LISTS.letter
             )
 
         phases.density(
@@ -456,7 +431,6 @@ class Simulation:
             volume_elements=cfg.volume_elements,
             xmass_exponent=cfg.xmass_exponent,
             phase=Phase.DENSITY.letter,
-            **shipped,
         )
 
         with tr.phase(Phase.EQUATION_OF_STATE.letter, State.USEFUL, self.rank):
@@ -469,7 +443,6 @@ class Simulation:
             grad_h=cfg.grad_h,
             c_matrices=c_matrices,
             phase=Phase.MOMENTUM_ENERGY.letter,
-            **shipped,
         )
         self._max_mu = result.max_mu
 
@@ -486,7 +459,6 @@ class Simulation:
                 order=cfg.gravity_order,
                 tree=self._tree,
                 phase=Phase.GRAVITY.letter,
-                backend=backend_name,
             )
             p.a += grav.acc
             self.potential_energy = grav.potential_energy(p.m)
@@ -512,9 +484,6 @@ class Simulation:
         tr = self.tracer
         step_at_entry = self.step_index  # chaos faults key on this index
         pair_snap = self._pair_stats_total().snapshot()
-        if self._engine is not None:
-            # Chaos events and recovery logs are keyed by driver step.
-            self._engine.set_step(self.step_index)
         if not self._rates_current:
             self.compute_rates()
         if self.initial_conservation is None:
@@ -650,17 +619,16 @@ class Simulation:
         self._cancel_requested = True
 
     def degrade_to_serial(self) -> None:
-        """Drop to the plain serial path: pool off, pair engine off,
-        compiled backend off.
+        """Drop to the plain serial path: phase threads off, pair engine
+        off, compiled backend off.
 
         All three are degradation-neutral (the serial numpy reference
         produces equivalent results), so this is a safe rung: it sheds
         the optimized machinery in case that machinery is the corruptor.
         Idempotent; there is no un-degrade short of ``configure()``.
         """
-        if self._engine is not None:
-            self._engine.close()
-            self._engine = None
+        self._phases.close()
+        self._phases = PhaseExecutor(self)
         self._pair_ctx = None
         self._pair_tokens = (None, None, None)
         self._pair_state_obj = None
@@ -737,29 +705,12 @@ class Simulation:
             "path": self._gravity_path,
         }
 
-    def _recovery_stats_dict(self) -> Optional[dict]:
-        if self._engine is None:
-            return None
-        s = self._engine.supervisor_stats
-        if s is None:
-            return None
-        return {
-            "crashes": s.crashes,
-            "hangs": s.hangs,
-            "respawns": s.respawns,
-            "reissues": s.reissues,
-            "late_replies_discarded": s.late_replies_discarded,
-            "serial_fallbacks": s.serial_fallbacks,
-            "sdc_detected": s.sdc_detected,
-            "degraded": int(s.degraded),
-        }
-
     def report(self) -> "RunReport":
         """Everything this run can tell about itself, in one object.
 
-        Consolidates the pair-engine, neighbour-cache, recovery and
-        checkpoint counters (previously four separate accessors) with the
-        POP efficiency metrics computed from the measured span timeline.
+        Consolidates the pair-engine, neighbour-cache, gravity,
+        checkpoint and guard counters with the POP efficiency metrics
+        computed from the measured span timeline.
         """
         from ..observability.pop import pop_from_events
         from ..observability.registry import MetricsRegistry
@@ -772,8 +723,6 @@ class Simulation:
         reg.absorb("neighbor_cache", ncache)
         gravity = self._gravity_stats_dict()
         reg.absorb("gravity", gravity)
-        recovery = self._recovery_stats_dict()
-        reg.absorb("recovery", recovery)
         checkpoint = None
         if self.checkpoint_manager is not None:
             checkpoint = self.checkpoint_manager.stats()
@@ -816,7 +765,6 @@ class Simulation:
             pair_engine=pair,
             neighbor_cache=ncache,
             gravity=gravity,
-            recovery=recovery,
             checkpoint=checkpoint,
             guard=guard,
             sdc=sdc,
@@ -827,13 +775,12 @@ class Simulation:
         )
 
     def close(self) -> None:
-        """Release the pool and flush any configured trace exports.
+        """Join the phase threads and flush any configured trace exports.
 
         No-op when serial and export paths are unset; safe to call more
         than once (the context-manager exit calls it too).
         """
-        if self._engine is not None:
-            self._engine.close()
+        self._phases.close()
         obs = self.run_config.observability if self.run_config else None
         if obs is not None and getattr(self.tracer, "enabled", False):
             from ..observability.export import write_chrome_trace, write_jsonl

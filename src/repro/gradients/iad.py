@@ -55,7 +55,7 @@ def compute_iad_matrices(
     before inversion so isolated or degenerate particle configurations
     (e.g. perfectly coplanar neighbours in 3-D) stay finite.  ``rows``
     restricts the computation to a query-row slice, returning
-    ``(hi - lo, dim, dim)`` matrices (pool fan-out mode).  ``ctx`` is an
+    ``(hi - lo, dim, dim)`` matrices (threaded fan-out mode).  ``ctx`` is an
     optional :class:`~repro.sph.pair_engine.PairContext` sharing pair
     geometry and kernel values with the other phases; a compiled
     ``backend`` fuses the ``W`` pass, the moment accumulation and the

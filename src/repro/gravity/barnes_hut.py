@@ -106,8 +106,9 @@ def barnes_hut_gravity(
         Restrict the walk to this subset of target leaf nodes (global
         node indices).  Only particles in those leaves receive
         accelerations/potentials; a leaf's walk and sums involve no other
-        target leaf, so partitioning the leaves over workers
-        (``repro.parallel``) reproduces the full walk bit-for-bit.
+        target leaf, so partitioning the leaves over threads
+        (:mod:`repro.core.phase_executor`) reproduces the full walk
+        bit-for-bit.
     ops:
         A compiled op table (``Backend.ops``).  In 3-D every leaf's
         walk, M2P and P2P run there — same MAC arithmetic, hence the

@@ -7,16 +7,16 @@ This package is the one instrumentation layer every execution path
 shares:
 
 * :class:`SpanTracer` — wall-clock tracer emitting nested spans
-  (step → phase A-J → pool chunk) with process/worker attribution; a
+  (step → phase A-J → row slice) with rank/thread attribution; a
   drop-in superset of the modeled-cluster
   :class:`~repro.profiling.trace.Tracer`.  :class:`NullTracer` is the
   zero-overhead disabled variant.
 * :class:`MetricsRegistry` — flat, namespaced counters absorbing the
-  pair-engine, Verlet-cache, supervisor-recovery and checkpoint stats.
+  pair-engine, Verlet-cache, gravity, checkpoint and guard stats.
 * Exporters — Chrome ``trace_event`` JSON (loadable in Perfetto /
   ``chrome://tracing``) and JSONL for the benchmark harness.
 * :func:`pop_from_events` — the paper's POP efficiency metrics computed
-  from *measured* spans (NaN-safe), so real pool executions and the
+  from *measured* spans (NaN-safe), so real threaded runs and the
   simulated cluster feed one metrics pipeline.
 * :class:`RunReport` — the consolidated, dict-convertible stats object
   behind :meth:`repro.core.simulation.Simulation.report`.
@@ -49,7 +49,6 @@ from .report import (
     format_gravity,
     format_neighbor_cache,
     format_pair_engine,
-    format_recovery,
     format_tuning,
 )
 from .tracer import NullTracer, SpanTracer, make_tracer
@@ -70,7 +69,6 @@ __all__ = [
     "format_pair_engine",
     "format_gravity",
     "format_neighbor_cache",
-    "format_recovery",
     "format_tuning",
     "pop_from_events",
     "to_chrome_trace",

@@ -21,9 +21,9 @@ class ObservabilityConfig:
         (every instrumentation call collapses to a constant — the
         tracing-off path adds no per-pair allocations and ~0 time).
     worker_spans:
-        Merge the spans pool workers record into their result envelopes
-        back into the driver's tracer (one timeline row per worker slot).
-        Ignored when ``enabled`` is off or the run is serial.
+        Record the span of every row slice a phase thread ran in the
+        driver's tracer (one timeline row per thread lane).  Ignored
+        when ``enabled`` is off or the run is serial.
     max_events:
         Soft cap on retained span events; once reached, further spans are
         counted in ``Tracer.dropped`` instead of stored, bounding memory

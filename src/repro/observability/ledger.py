@@ -169,7 +169,7 @@ class RunRecord:
     pop: Optional[Dict[str, float]] = None
     #: Whole-step wall-time percentiles: count/best_s/mean_s/p10/p50/p90.
     step_times: Dict[str, float] = field(default_factory=dict)
-    #: Guard + supervisor + checkpoint recovery counters.
+    #: Guard + checkpoint + SDC recovery counters.
     recovery: Dict[str, float] = field(default_factory=dict)
     #: Anything else (e.g. the autotuner's decision trail).
     extra: Dict[str, object] = field(default_factory=dict)
@@ -490,7 +490,7 @@ def record_from_simulation(sim, *, scenario: Optional[str] = None) -> RunRecord:
             agg["mean_s"] = agg["total_s"] / agg["count"] if agg["count"] else 0.0
 
     recovery: Dict[str, float] = {}
-    for section in ("recovery", "checkpoint", "sdc"):
+    for section in ("checkpoint", "sdc"):
         stats = getattr(report, section)
         if stats:
             recovery.update({f"{section}.{k}": v for k, v in dict(stats).items()})

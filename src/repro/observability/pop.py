@@ -2,17 +2,17 @@
 
 :func:`repro.profiling.metrics.compute_pop_metrics` reads per-rank state
 sums off a modeled-cluster trace.  This module computes the same POP
-hierarchy from any span list — including the merged driver + pool-worker
-timelines the observability layer records on real executions — and is
-NaN-safe: an empty or zero-duration trace yields ``nan`` efficiencies
+hierarchy from any span list — including the merged driver +
+phase-thread timelines the observability layer records on real
+executions — and is NaN-safe: an empty or zero-duration trace yields ``nan`` efficiencies
 instead of raising, so report pipelines never trip over a run that was
 too short to measure.
 
 Row model: load balance is computed across ``(rank, thread)`` rows that
 performed any useful work (for the simulated cluster that degenerates to
-the per-rank definition the paper uses; for a pool run the rows are the
-driver and each worker slot).  ``State.STEP`` container spans never count
-as useful but do extend the runtime envelope.
+the per-rank definition the paper uses; for a ``workers=N`` run the rows
+are the driver and each thread lane).  ``State.STEP`` container spans
+never count as useful but do extend the runtime envelope.
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ def pop_from_events(
     Parameters
     ----------
     source:
-        A tracer or bare event sequence.  Worker spans merged by the
-        parallel engine appear as their own rows, so a ``workers=N`` run
+        A tracer or bare event sequence.  Row-slice spans merged by the
+        phase executor appear as their own rows, so a ``workers=N`` run
         yields an ``N + 1``-row load balance.
     reference_useful_total:
         Total useful seconds of the reference-scale run; when omitted the

@@ -2,11 +2,11 @@
 
 Before this module the driver's stats surface was fragmented: pair-engine
 counters on :class:`~repro.sph.pair_engine.PairEngineStats`, Verlet-cache
-hit/miss on :class:`~repro.tree.neighborlist.VerletCacheStats`, recovery
-counters on :class:`~repro.parallel.supervisor.SupervisorStats`, each
+hit/miss on :class:`~repro.tree.neighborlist.VerletCacheStats`, guard
+counters on :class:`~repro.resilience.guard.GuardReport`, each
 with its own accessor.  A :class:`MetricsRegistry` absorbs them all under
 dotted names (``pair_engine.geometry_reuses``,
-``neighbor_cache.hits``, ``recovery.respawns``, ``checkpoint.writes``),
+``neighbor_cache.hits``, ``guard.failures``, ``checkpoint.writes``),
 which is what :class:`~repro.observability.report.RunReport` and the
 JSONL exporter serialize.
 """

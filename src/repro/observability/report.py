@@ -1,7 +1,7 @@
 """The consolidated run report behind ``Simulation.report()``.
 
 One typed, dict-convertible object: every execution path's counters
-(pair engine, neighbour cache, recovery, checkpoint, guard, ...) under
+(pair engine, neighbour cache, gravity, checkpoint, guard, ...) under
 one namespace, plus the POP efficiency metrics computed from the
 measured span timeline.
 """
@@ -18,7 +18,6 @@ __all__ = [
     "format_pair_engine",
     "format_neighbor_cache",
     "format_gravity",
-    "format_recovery",
     "format_tuning",
 ]
 
@@ -48,7 +47,6 @@ class RunReport:
     #: Barnes-Hut work: calls, mean P2P/M2P interactions per step and
     #: which rendering ran (``None`` when gravity is off).
     gravity: Optional[Dict[str, object]] = None
-    recovery: Optional[Dict[str, float]] = None
     checkpoint: Optional[Dict[str, float]] = None
     #: Step-guard activity (a ``repro.resilience.guard.GuardReport`` —
     #: duck-typed here to keep observability import-free of resilience).
@@ -75,7 +73,6 @@ class RunReport:
                 dict(self.neighbor_cache) if self.neighbor_cache else None
             ),
             "gravity": dict(self.gravity) if self.gravity else None,
-            "recovery": dict(self.recovery) if self.recovery else None,
             "checkpoint": dict(self.checkpoint) if self.checkpoint else None,
             "guard": (
                 self.guard.as_dict() if self.guard is not None else None
@@ -105,8 +102,6 @@ class RunReport:
             lines.append(format_neighbor_cache(self.neighbor_cache))
         if self.gravity is not None:
             lines.append(format_gravity(self.gravity))
-        if self.recovery is not None:
-            lines.append(format_recovery(self.recovery))
         if self.checkpoint is not None:
             lines.append(
                 f"checkpoint: writes={self.checkpoint.get('writes', 0)} "
@@ -191,18 +186,4 @@ def format_tuning(stats) -> str:
         f"tuning: converged_step={_get(stats, 'converged_step')} "
         f"explored={_get(stats, 'explored_steps')} steps, "
         f"best {best_s} with {knobs or 'baseline knobs'}"
-    )
-
-
-def format_recovery(stats) -> str:
-    """One-line report of a supervised run's fault handling."""
-    return (
-        f"recovery: crashes={_get(stats, 'crashes')} "
-        f"hangs={_get(stats, 'hangs')} "
-        f"respawns={_get(stats, 'respawns')} "
-        f"reissues={_get(stats, 'reissues')} "
-        f"late-discarded={_get(stats, 'late_replies_discarded')} "
-        f"serial-fallbacks={_get(stats, 'serial_fallbacks')} "
-        f"sdc={_get(stats, 'sdc_detected')} "
-        f"degraded={bool(_get(stats, 'degraded'))}"
     )

@@ -1,26 +1,26 @@
-"""Wall-clock span tracer with nesting and worker attribution.
+"""Wall-clock span tracer with nesting and thread attribution.
 
 :class:`SpanTracer` is a drop-in superset of the modeled-cluster
 :class:`~repro.profiling.trace.Tracer`: every existing call site
-(``tracer.phase(...)`` in the driver, the parallel engine and the
-supervisor) keeps working unchanged, but the recorded events carry the
-span attribution the observability layer needs — real wall-clock starts
-on one shared time origin, the driver step index, the nesting depth
-within the step and an optional detail label.
+(``tracer.phase(...)`` in the driver, the phase executor, the step guard
+and the checkpoint manager) keeps working unchanged, but the recorded
+events carry the span attribution the observability layer needs — real
+wall-clock starts on one shared time origin, the driver step index, the
+nesting depth within the step and an optional detail label.
 
 Rows follow the Figure-4 convention: the driver records on
-``(rank, thread=0)``; spans merged from pool-worker result envelopes land
-on ``(rank, thread=slot + 1)``, so one timeline shows driver
-orchestration (``FAN_OUT``/``REDUCE``), worker compute (``USEFUL``) and
-supervisor ``RECOVERY`` work side by side — and it stays coherent across
-:class:`~repro.parallel.supervisor.SupervisedPool` respawns because the
-row is the *slot*, not the process.
+``(rank, thread=0)``; the spans of the row slices a phase thread ran land
+on ``(rank, thread=lane + 1)``, so one timeline shows the driver's
+``FORK_JOIN`` intervals, the threads' compute (``USEFUL``) and the
+guard's ``RECOVERY`` work side by side.  Only the driver thread writes
+the tracer: a thread times its slices and the driver records them after
+the join (:meth:`SpanTracer.record_span`).
 
 Clock model: spans are timed with ``time.perf_counter`` and shifted onto
-a lazy origin — the start of the first recorded span.  On Linux
-``perf_counter`` is the system-wide monotonic clock, so raw worker
-timestamps shipped through :meth:`record_span` live in the same domain
-as the driver's and need only the origin shift.
+a lazy origin — the start of the first recorded span.  Raw
+``perf_counter`` stamps taken on another thread and handed to
+:meth:`record_span` live in the same clock domain as the driver's and
+need only the origin shift.
 
 :class:`NullTracer` is the disabled path: every instrumentation call
 returns a shared no-op context or does nothing, so tracing-off costs one
@@ -130,11 +130,11 @@ class SpanTracer(Tracer):
         step: Optional[int] = None,
         label: str = "",
     ) -> None:
-        """Record a pre-measured span (e.g. shipped in a worker envelope).
+        """Record a pre-measured span (e.g. a row slice timed on its thread).
 
         ``start`` is a raw ``perf_counter`` timestamp; it is shifted onto
-        the tracer's origin so merged worker spans line up with the
-        driver's fan-out/reduce intervals.
+        the tracer's origin so merged slice spans line up with the
+        driver's fork/join intervals.
         """
         if duration < 0.0:
             raise ValueError(f"duration must be non-negative, got {duration}")

@@ -3,8 +3,8 @@
 The paper's performance methodology (Section 5.2): trace per-rank states,
 compute the POP efficiency hierarchy, and visualize phase/state timelines.
 
-The measured-span side of the story (structured tracers, worker-span
-merging, Chrome-trace/JSONL exporters, POP from real pool executions)
+The measured-span side of the story (structured tracers, phase-thread
+span merging, Chrome-trace/JSONL exporters, POP from real threaded runs)
 lives in :mod:`repro.observability`; this package keeps the modeled
 trace containers and analysis that the simulated cluster uses.
 """

@@ -17,7 +17,7 @@ run's total useful time.
 Degenerate traces are NaN-safe: an empty trace or one with zero runtime
 yields ``nan`` efficiencies instead of raising, so report pipelines can
 always compute-then-filter (``PopMetrics.valid`` tells the two cases
-apart).  The measured-span variant over merged driver + pool-worker
+apart).  The measured-span variant over merged driver + phase-thread
 timelines lives in :func:`repro.observability.pop.pop_from_events`; the
 one-line stats formatters live in :mod:`repro.observability.report`.
 """
@@ -34,8 +34,6 @@ from .trace import State, Tracer
 __all__ = [
     "PopMetrics",
     "compute_pop_metrics",
-    "pool_overhead",
-    "recovery_overhead",
 ]
 
 
@@ -127,38 +125,3 @@ def compute_pop_metrics(
         computation_scalability=comp_scal,
         global_efficiency=par_eff * comp_scal,
     )
-
-
-def pool_overhead(tracer: Tracer, rank: int | None = None) -> dict[str, float]:
-    """Shared-memory-pool overhead recorded by :mod:`repro.parallel`.
-
-    Returns total seconds spent publishing/dispatching (``fan_out``) and
-    awaiting/merging worker results (``reduce``), alongside ``useful``
-    compute time, so benchmarks can report what fraction of a parallel
-    phase is orchestration rather than SPH work.
-    """
-    ranks = tracer.ranks if rank is None else [rank]
-    out = {"fan_out": 0.0, "reduce": 0.0, "useful": 0.0}
-    for r in ranks:
-        out["fan_out"] += tracer.time_in_state(r, State.FAN_OUT)
-        out["reduce"] += tracer.time_in_state(r, State.REDUCE)
-        out["useful"] += tracer.time_in_state(r, State.USEFUL)
-    return out
-
-
-def recovery_overhead(tracer: Tracer, rank: int | None = None) -> dict[str, float]:
-    """Fault-recovery cost recorded by the supervised pool.
-
-    ``recovery`` aggregates the ``State.RECOVERY`` intervals the
-    supervisor records around worker respawns; ``fraction`` relates it to
-    the trace runtime, so resilience benchmarks can quote the price of
-    surviving the injected faults.
-    """
-    ranks = tracer.ranks if rank is None else [rank]
-    recovery = sum(tracer.time_in_state(r, State.RECOVERY) for r in ranks)
-    runtime = tracer.runtime()
-    return {
-        "recovery": recovery,
-        "runtime": runtime,
-        "fraction": recovery / runtime if runtime > 0 else 0.0,
-    }

@@ -27,8 +27,6 @@ STATE_CHARS: Dict[State, str] = {
     State.SYNC: "s",
     State.FORK_JOIN: "f",
     State.IDLE: ".",
-    State.FAN_OUT: "F",
-    State.REDUCE: "R",
     State.RECOVERY: "!",
     State.STEP: " ",
 }

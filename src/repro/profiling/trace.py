@@ -24,11 +24,11 @@ __all__ = ["State", "TraceEvent", "Tracer"]
 class State(Enum):
     """Execution states, matching the Figure 4 color legend.
 
-    ``FAN_OUT`` and ``REDUCE`` extend the legend for the shared-memory
-    process pool (:mod:`repro.parallel`): publishing state to the workers
-    / dispatching tasks, and waiting for + merging their partial results.
-    ``RECOVERY`` marks fault-tolerance work — respawning crashed workers
-    and re-issuing lost chunks (:mod:`repro.parallel.supervisor`).
+    On a measured run ``FORK_JOIN`` is the driver handing a phase's row
+    slices to its threads and waiting for them
+    (:mod:`repro.core.phase_executor`).  ``RECOVERY`` extends the legend
+    for fault-tolerance work: the step guard's rollback-and-retry rungs
+    and the checkpoint manager's writes.
     """
 
     USEFUL = "useful"  # blue: computing phases
@@ -36,9 +36,7 @@ class State(Enum):
     SYNC = "sync"  # red: thread synchronization
     FORK_JOIN = "fork-join"  # yellow: thread fork/join
     IDLE = "idle"  # black: idle threads
-    FAN_OUT = "pool-fan-out"  # pool: publish shared arrays + dispatch tasks
-    REDUCE = "pool-reduce"  # pool: await workers + merge partial results
-    RECOVERY = "recovery"  # supervisor: respawn workers, re-issue lost work
+    RECOVERY = "recovery"  # step guard rollback/retry, checkpoint writes
     STEP = "step"  # observability: whole-step container span (not exclusive)
 
 
@@ -49,8 +47,8 @@ class TraceEvent:
     ``step``, ``depth`` and ``label`` are span attribution added by the
     observability layer (:mod:`repro.observability`): the driver step the
     interval belongs to (``-1`` when unattributed), the nesting depth on
-    the event's row (step container = 0; phase spans and merged worker
-    chunk spans = 1; deeper nesting as recorded) and an optional
+    the event's row (step container = 0; phase spans and merged
+    row-slice spans = 1; deeper nesting as recorded) and an optional
     free-form detail label (e.g. ``density[0:512)``).  The
     modeled-cluster path leaves them at their defaults.
     """

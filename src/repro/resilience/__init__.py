@@ -8,8 +8,10 @@ replication.
 
 Driver integration: :class:`ResilienceConfig` + :class:`CheckpointManager`
 write atomic rolling checkpoints from the real step loop (auto-K via
-Young's formula), and :mod:`repro.resilience.chaos` injects deterministic
-fail-stop / hang / SDC faults into the supervised worker pool.
+Young's formula), :class:`StepGuard` heals poisoned steps, and
+:mod:`repro.resilience.chaos` injects the deterministic faults —
+poisoned values, failing checkpoint I/O, death of the job process — the
+tests drive both with.
 """
 
 from .abft import (
@@ -19,13 +21,10 @@ from .abft import (
     pairwise_antisymmetry_check,
 )
 from .chaos import (
-    ChaosEvent,
-    ChaosPolicy,
     CheckpointIOChaos,
     NumericalChaosPolicy,
     NumericalFault,
     parse_numerical_faults,
-    random_policy,
 )
 from .checkpoint import (
     Checkpoint,
@@ -84,13 +83,10 @@ __all__ = [
     "read_checkpoint",
     "retry_io",
     "find_latest_checkpoint",
-    "ChaosEvent",
-    "ChaosPolicy",
     "CheckpointIOChaos",
     "NumericalChaosPolicy",
     "NumericalFault",
     "parse_numerical_faults",
-    "random_policy",
     "GuardConfig",
     "GuardReport",
     "PostMortem",

@@ -1,182 +1,40 @@
-"""Deterministic, seeded fault injection for the supervised pool.
+"""Deterministic, seeded fault injection.
 
 The paper's resilience pillar (Section 4, Tables 3–4) demands that the
 mini-app *demonstrate* fault tolerance, not merely implement it.  This
-module is the demonstration harness: a :class:`ChaosPolicy` is a list of
-:class:`ChaosEvent` triggers — kill worker ``n`` at phase ``p`` of step
-``s``, delay a reply past its deadline, flip a bit in an arena output
-slice — matched at task-submission time by
-:class:`~repro.parallel.supervisor.SupervisedPool` and shipped to the
-worker inside the task dict (see ``_worker_main`` in
-:mod:`repro.parallel.pool`).
+module is the demonstration harness, one policy per fault that can occur:
 
-Every event fires **once**: a kill directive consumed by worker 2 does
-not re-fire when the lost chunk is re-issued to worker 0, so an injected
-fail-stop is recoverable by construction and a test that injects ``k``
-faults observes exactly ``k``.  Policies are plain data + a fired bitmap;
-:func:`random_policy` derives a reproducible event list from a seed.
+==========================  =====================  ======================
+policy                      models                 handled by
+==========================  =====================  ======================
+:class:`NumericalChaosPolicy`  poisoned values      step guard ladder
+                            (NaN, Inf, bit flips)  (retry → … → degrade)
+:class:`CheckpointIOChaos`  failing / torn         ``retry_io``, atomic
+                            checkpoint I/O         rename, CRC on read
+:class:`ProcessKillFault`   death of the process   service respawn +
+                            that runs the job      checkpoint autoresume
+==========================  =====================  ======================
 
-The injections map onto the standard fault taxonomy:
-
-========  ====================  =========================================
-action    models                detected by
-========  ====================  =========================================
-kill      fail-stop crash       ``Process.sentinel`` (supervisor)
-delay     hang / slow node      EWMA deadline (supervisor)
-flip      silent data           per-phase CRC + range scan
-          corruption (SDC)      (``verify_outputs=True``)
-========  ====================  =========================================
+Every fault fires a bounded number of times, so an injected fault is
+recoverable by construction and a test that injects ``k`` faults
+observes exactly ``k``.
 """
 
 from __future__ import annotations
 
 import errno
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 __all__ = [
-    "ChaosEvent",
-    "ChaosPolicy",
-    "random_policy",
     "NumericalFault",
     "NumericalChaosPolicy",
     "CheckpointIOChaos",
     "ProcessKillFault",
     "parse_numerical_faults",
 ]
-
-
-@dataclass(frozen=True)
-class ChaosEvent:
-    """One fault trigger.
-
-    Parameters
-    ----------
-    step:
-        Driver step index at which to fire (matched exactly).
-    phase:
-        Algorithm-1 phase letter (``"D"``, ``"E"``, ``"G"``, ``"I"``) or
-        ``"*"`` for any phase.
-    action:
-        ``"kill"`` (fail-stop before any work), ``"delay"`` (sleep
-        ``delay`` seconds before sending the reply) or ``"flip"`` (XOR
-        bit ``bit`` of flattened element ``index`` in the chunk's slice
-        of output ``field``, *after* the worker checksummed it).
-    worker:
-        Pool slot to target, or ``None`` for any worker.
-    chunk:
-        Chunk index within the fan-out, or ``None`` for any chunk.
-    """
-
-    step: int
-    phase: str
-    action: str
-    worker: Optional[int] = None
-    chunk: Optional[int] = None
-    delay: float = 0.0
-    field: str = ""
-    index: int = 0
-    bit: int = 62
-
-    def __post_init__(self) -> None:
-        if self.action not in ("kill", "delay", "flip"):
-            raise ValueError(f"unknown chaos action {self.action!r}")
-        if self.action == "delay" and self.delay <= 0.0:
-            raise ValueError("delay events need delay > 0")
-        if self.action == "flip" and not self.field:
-            raise ValueError("flip events need a target field")
-
-    def matches(self, step: int, phase: str, worker: int, chunk: int) -> bool:
-        return (
-            self.step == step
-            and self.phase in ("*", phase)
-            and (self.worker is None or self.worker == worker)
-            and (self.chunk is None or self.chunk == chunk)
-        )
-
-
-class ChaosPolicy:
-    """Fire-once event list consulted by the supervisor at submit time."""
-
-    def __init__(self, events: Sequence[ChaosEvent]) -> None:
-        self.events: List[ChaosEvent] = list(events)
-        self._fired = [False] * len(self.events)
-
-    # ------------------------------------------------------------------
-    @property
-    def fired(self) -> int:
-        """How many events have been consumed so far."""
-        return sum(self._fired)
-
-    @property
-    def exhausted(self) -> bool:
-        return all(self._fired)
-
-    def reset(self) -> None:
-        """Re-arm every event (fresh run with the same script)."""
-        self._fired = [False] * len(self.events)
-
-    # ------------------------------------------------------------------
-    def directives(
-        self, *, step: int, phase: str, worker: int, chunk: int
-    ) -> Optional[Dict]:
-        """Directives for one task submission, or ``None``.
-
-        Each matching event is marked fired immediately, so a directive
-        lost with a killed worker is *not* re-injected on re-issue.
-        """
-        out: Dict = {}
-        for i, ev in enumerate(self.events):
-            if self._fired[i] or not ev.matches(step, phase, worker, chunk):
-                continue
-            self._fired[i] = True
-            if ev.action == "kill":
-                out["kill"] = True
-            elif ev.action == "delay":
-                out["delay"] = max(float(out.get("delay", 0.0)), ev.delay)
-            elif ev.action == "flip":
-                out.setdefault("flip", []).append((ev.field, ev.index, ev.bit))
-        return out or None
-
-
-_FLIP_FIELDS = {
-    "D": "out_c",
-    "E": "out_rho",
-    "G": "out_a",
-}
-
-
-def random_policy(
-    seed: int,
-    *,
-    n_steps: int,
-    n_workers: int,
-    n_events: int = 3,
-    phases: Sequence[str] = ("D", "E", "G"),
-    actions: Sequence[str] = ("kill", "delay", "flip"),
-    delay: float = 5.0,
-) -> ChaosPolicy:
-    """Reproducible random fault script (same seed → same events)."""
-    rng = np.random.default_rng(seed)
-    events: List[ChaosEvent] = []
-    for _ in range(n_events):
-        phase = str(rng.choice(list(phases)))
-        action = str(rng.choice(list(actions)))
-        events.append(
-            ChaosEvent(
-                step=int(rng.integers(n_steps)),
-                phase=phase,
-                action=action,
-                worker=int(rng.integers(n_workers)),
-                delay=delay if action == "delay" else 0.0,
-                field=_FLIP_FIELDS.get(phase, "out_rho") if action == "flip" else "",
-                index=int(rng.integers(1 << 16)),
-                bit=int(rng.integers(64)),
-            )
-        )
-    return ChaosPolicy(events)
 
 
 # ======================================================================
@@ -192,9 +50,8 @@ _NUMERICAL_SITES = ("rates", "post")
 class NumericalFault:
     """One deterministic value corruption of a named particle array.
 
-    Models the silent-data-corruption taxonomy at *driver* granularity
-    (the pool-level ``flip`` action corrupts worker output slices; this
-    corrupts the authoritative state the step guard watches):
+    Models the silent-data-corruption taxonomy at *driver* granularity:
+    it corrupts the authoritative state the step guard watches.
 
     ========  =============================================
     kind      writes
@@ -229,9 +86,9 @@ class NumericalFault:
         retry means ``fires=k`` fails the first try plus ``k-1`` ladder
         retries — the knob tests use to drive the guard to rung ``k``.
     once:
-        Fire-once semantics, like :class:`ChaosEvent` — a healed retry of
-        the same step is *not* re-poisoned (beyond the ``fires`` budget),
-        so rollback-and-retry cures the fault by construction.
+        Fire-once semantics — a healed retry of the same step is *not*
+        re-poisoned (beyond the ``fires`` budget), so rollback-and-retry
+        cures the fault by construction.
         ``once=False`` makes the fault persistent (re-fires on *every*
         retry of its step, ignoring ``fires``), which is how tests drive
         the guard to its terminal error.
@@ -382,8 +239,7 @@ def parse_numerical_faults(text: str) -> NumericalChaosPolicy:
 class ProcessKillFault:
     """Deterministic fail-stop of the process running a simulation.
 
-    The pool-level ``kill`` action above fail-stops a *pool worker*;
-    this fail-stops the whole driver process — the fault model of the
+    Fail-stops the whole driver process — the fault model of the
     service's job slots, where one OS process owns one run and the job
     manager must absorb its death via checkpoint autoresume.
 

@@ -45,11 +45,11 @@ def scan_phase_output(
     positive: bool = False,
     ceiling: float = 1e30,
 ) -> List[str]:
-    """Plausibility scan of one phase-output slice (supervisor SDC pass).
+    """Plausibility scan of one phase-output array (step-guard range pass).
 
     The per-particle analogue of :class:`RangeDetector`, applied to raw
     kernel outputs (density, IAD matrices, accelerations, energy rates)
-    right after a pool fan-out: values must be finite, below an absolute
+    right after the phase that wrote them: values must be finite, below an absolute
     ceiling no healthy SPH quantity approaches, and — for densities and
     grad-h factors — strictly positive.  Returns findings (empty = clean).
     """

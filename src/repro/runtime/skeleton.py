@@ -92,7 +92,7 @@ class CommSkeleton:
         The returned tracer feeds the same observability pipeline real
         executions use — :func:`repro.observability.pop.pop_from_events`,
         the Chrome-trace/JSONL exporters — so modeled skeleton replays
-        and measured pool runs are comparable row for row.
+        and measured threaded runs are comparable row for row.
         """
         tracer = Tracer()
         elapsed = self.replay(network, tracer)

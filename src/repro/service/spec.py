@@ -32,7 +32,7 @@ import json
 from dataclasses import dataclass, field, fields, replace
 from typing import Any, Dict, Mapping, Optional
 
-from ..backend.base import BACKEND_CHOICES
+from ..core.config import ExecConfig, RunConfig
 
 __all__ = ["SpecError", "JobSpec", "canonical_spec_payload"]
 
@@ -82,15 +82,12 @@ class JobSpec:
     def __post_init__(self) -> None:
         if not self.scenario:
             raise SpecError("spec needs a scenario name")
-        if self.backend not in BACKEND_CHOICES:
-            raise SpecError(
-                f"unknown backend {self.backend!r}; "
-                f"choose from {BACKEND_CHOICES}"
-            )
         if self.n_steps is not None and self.n_steps < 1:
             raise SpecError(f"n_steps must be >= 1, got {self.n_steps}")
-        if self.workers < 0:
-            raise SpecError(f"workers must be >= 0, got {self.workers}")
+        try:
+            self.exec_config()
+        except ValueError as exc:
+            raise SpecError(str(exc)) from None
         if not isinstance(self.overrides, dict):
             object.__setattr__(self, "overrides", dict(self.overrides))
 
@@ -126,6 +123,18 @@ class JobSpec:
             except ValueError as exc:
                 raise SpecError(str(exc)) from None
         return scenario
+
+    def exec_config(self):
+        """The :class:`~repro.core.config.ExecConfig` this spec runs
+        with — its validation rules are the spec's rules for the five
+        execution knobs."""
+        return ExecConfig(
+            workers=self.workers,
+            chunks_per_worker=self.chunks_per_worker,
+            neighbor_cache=self.neighbor_cache,
+            cache_skin=self.cache_skin,
+            backend=self.backend,
+        )
 
     def resolved_steps(self, scenario=None) -> int:
         if self.n_steps is not None:
@@ -173,19 +182,9 @@ class JobSpec:
         caller (CLI flag or service job slot) supplies — they are not
         part of the spec or its hash.
         """
-        from ..core.config import ExecConfig, RunConfig
-
         if scenario is None:
             scenario = self.resolve()
-        run = RunConfig(
-            exec=ExecConfig(
-                workers=self.workers,
-                chunks_per_worker=self.chunks_per_worker,
-                neighbor_cache=self.neighbor_cache,
-                cache_skin=self.cache_skin,
-                backend=self.backend,
-            )
-        )
+        run = RunConfig(exec=self.exec_config())
         if self.guard:
             from ..resilience.guard import GuardConfig
 

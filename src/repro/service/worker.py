@@ -35,7 +35,7 @@ def warm() -> None:
     per attempt (nothing is pooled or kept alive) and nothing is
     compiled; imports and ``functools.cache`` make a second call free.
     """
-    from .. import parallel, resilience  # noqa: F401
+    from .. import resilience  # noqa: F401
     from ..observability import ledger
 
     ledger.host_fingerprint()

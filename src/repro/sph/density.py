@@ -66,8 +66,8 @@ def compute_density(
     rows:
         Optional query-row range ``(lo, hi)``: evaluate only those
         particles and *return* the slice without touching
-        ``particles.rho`` — the worker-side entry point of the
-        process-pool fan-out.  The generalized estimator then requires a
+        ``particles.rho`` — the per-slice entry point of the phase
+        executor's fan-out.  The generalized estimator then requires a
         valid (positive) global ``particles.rho`` from a previous pass;
         the bootstrap summation is orchestrated by the caller.
     ctx:
@@ -183,7 +183,7 @@ def grad_h_terms(
     ``Omega_i = 1 + (h_i / (dim rho_i)) sum_j m_j dW/dh(r_ij, h_i)``.
     Pressure-gradient terms are divided by ``Omega_i`` to keep the scheme
     consistent when ``h`` varies in space.  ``rows`` restricts the
-    evaluation to a query-row slice (pool fan-out); ``ctx`` shares pair
+    evaluation to a query-row slice (threaded fan-out); ``ctx`` shares pair
     geometry with the other phases; a compiled ``backend`` fuses the
     ``dW/dh`` pass and its row sum.
     """

@@ -65,7 +65,7 @@ def velocity_divergence_curl(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """SPH estimates of ``div v`` and ``|curl v|`` per particle.
 
-    ``rows`` restricts the evaluation to a query-row slice (pool
+    ``rows`` restricts the evaluation to a query-row slice (threaded
     fan-out); ``ctx`` shares pair geometry, ``grad W`` and ``v_ij`` with
     the force loop; a compiled ``backend`` fuses the gradient pass and
     the pair reductions.
@@ -152,7 +152,7 @@ def compute_forces(
     rows:
         Optional query-row range ``(lo, hi)``: evaluate only those rows
         and return slice-sized arrays without touching
-        ``particles.a``/``particles.du`` (pool fan-out mode).  Slice mode
+        ``particles.a``/``particles.du`` (threaded fan-out mode).  Slice mode
         requires every cross-particle input to be global: ``c_matrices``
         for IAD, ``omega`` when ``grad_h``, ``balsara_f`` when the
         viscosity uses the Balsara switch.

@@ -18,7 +18,7 @@ The engine never inspects array contents; it is driven by *tokens*:
 * ``geometry`` token — a process-unique integer minted by the driver
   whenever the position epoch changes (i.e. after every drift).  The
   cached ``(i, j, dx, r)`` block is keyed on
-  ``(geometry token, lo, hi, n_pairs)`` plus — in the default mode — the
+  ``(geometry token, lo, hi, n_pairs)`` plus the
   *identity* of the neighbour-list object, on which the context keeps a
   strong reference so the id can never be recycled.  The Verlet-skin
   cache hands phases the same :class:`~repro.tree.neighborlist.NeighborList`
@@ -33,14 +33,9 @@ depends on the pair set), so tokens only need to capture *in-step*
 changes such as the h re-adaptation between the smoothing phase and the
 density phase.
 
-A context created with ``trust_tokens=True`` (the row-sliced worker path
-in :mod:`repro.parallel`) drops the identity requirement: workers
-rebuild their neighbour-list views from shared memory on every task, so
-object identity is meaningless there, while the parent-minted tokens
-still uniquely describe the state.  In exchange the trusted context
-copies everything it retains (``j`` in particular) out of shared memory
-into private buffers, because the parent republishes the arena between
-phases.
+The phase executor's threads (:mod:`repro.core.phase_executor`) each
+bind their own context to a row range of the driver's list object with
+the driver's tokens, so the same contract covers them.
 
 Contexts without tokens (``set_tokens`` never called, or called with
 ``None``) still deduplicate work *within* one bound geometry — the
@@ -66,9 +61,8 @@ __all__ = [
 ]
 
 #: Process-global monotonic token source.  Tokens are minted by the
-#: driver (never by workers) and are unique for the process lifetime, so
-#: a token can never ambiguously refer to two different states — the
-#: property the trusted (worker) mode relies on.
+#: driver thread only and are unique for the process lifetime, so a
+#: token can never ambiguously refer to two different states.
 _TOKEN_COUNTER = itertools.count(1)
 
 
@@ -116,7 +110,7 @@ class PairEngineStats:
         }
 
     def merge(self, delta: Optional[Dict[str, int]]) -> None:
-        """Fold a :meth:`delta` dict (e.g. from a worker reply) in."""
+        """Fold a :meth:`delta` / :meth:`as_dict` mapping in."""
         if not delta:
             return
         for f in self._FIELDS:
@@ -167,8 +161,8 @@ class ScratchArena:
 class PairContext:
     """Per-step pair-geometry cache + derived-product memo.
 
-    One context serves one stream of phases (the driver's serial path,
-    or one worker's row slice).  Use :meth:`set_tokens` to install the
+    One context serves one stream of phases (the driver's whole list,
+    or one row slice of the phase executor).  Use :meth:`set_tokens` to install the
     current epoch tokens, then :meth:`bind` at the top of every phase;
     the product accessors (:meth:`h_i`, :meth:`w_i`, :meth:`grad_i`,
     :meth:`vel_ij`, ...) compute on first use and replay afterwards.
@@ -176,8 +170,7 @@ class PairContext:
     and are overwritten by the next recompute.
     """
 
-    def __init__(self, trust_tokens: bool = False) -> None:
-        self.trust_tokens = trust_tokens
+    def __init__(self) -> None:
         self.stats = PairEngineStats()
         self.arena = ScratchArena(self.stats)
         self._tok_geom: Optional[int] = None
@@ -234,16 +227,15 @@ class PairContext:
         """Make ``(i, j, dx, r)`` for ``(x, nlist[, rows])`` current.
 
         Reuses the cached geometry when the geometry token, the row
-        range, the pair count and (unless ``trust_tokens``) the
-        neighbour-list identity all match; otherwise recomputes into the
-        arena and clears the product memo.
+        range, the pair count and the neighbour-list identity all match;
+        otherwise recomputes into the arena and clears the product memo.
         """
         lo, hi = rows if rows is not None else (0, nlist.n)
         key = (self._tok_geom, lo, hi, nlist.n_pairs)
         if (
             self._tok_geom is not None
             and key == self._geom_key
-            and (self.trust_tokens or self._nlist_ref is nlist)
+            and self._nlist_ref is nlist
         ):
             self.stats.geometry_reuses += 1
             return self
@@ -258,13 +250,7 @@ class PairContext:
             np.add(local_i, lo, out=i)
         else:
             i = local_i
-        if self.trust_tokens:
-            # Worker mode: ``sub.indices`` views shared memory that the
-            # parent republishes between phases — keep a private copy.
-            j = take("geom_j", (n_pairs,), np.int64)
-            np.copyto(j, sub.indices)
-        else:
-            j = sub.indices
+        j = sub.indices
         dx = take("geom_dx", (n_pairs, dim))
         gather = take("geom_gather_vec", (n_pairs, dim))
         np.take(x, i, axis=0, out=dx)
@@ -282,7 +268,7 @@ class PairContext:
         self.local_i, self.i, self.j = local_i, i, j
         self.dx, self.r = dx, r
         self._geom_key = key if self._tok_geom is not None else None
-        self._nlist_ref = None if self.trust_tokens else nlist
+        self._nlist_ref = nlist
         self._products.clear()
         self._generation += 1
         self.stats.geometry_computes += 1

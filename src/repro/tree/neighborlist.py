@@ -186,7 +186,7 @@ class NeighborList:
         ``pair_i()`` of the slice is *local* (0-based); ``indices`` still
         refer to the global particle set, so slice kernels index global
         state arrays with ``lo + pair_i()`` — the substrate of the
-        process-pool fan-out in :mod:`repro.parallel`.
+        row-slice fan-out in :mod:`repro.core.phase_executor`.
         """
         if not 0 <= lo <= hi <= self.n:
             raise ValueError(f"row slice [{lo}, {hi}) out of range for n={self.n}")
@@ -275,7 +275,7 @@ def balanced_row_slices(offsets: np.ndarray, n_slices: int) -> list[Tuple[int, i
     """Split query rows into ``n_slices`` contiguous ranges of ~equal pairs.
 
     Pair work, not row count, is what the SPH kernels cost, so the
-    process-pool fan-out splits the CSR ``offsets`` at equal-pair
+    phase executor splits the CSR ``offsets`` at equal-pair
     boundaries.  Empty ranges are dropped; at most ``n_slices`` are
     returned.
     """

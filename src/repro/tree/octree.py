@@ -34,8 +34,8 @@ from .neighborlist import (
 __all__ = ["Octree", "LEAF_SIZE"]
 
 #: Default bucket size.  The driver's tree serves the neighbour walk and
-#: the gravity walk, and the pool's gravity task gets that same tree, so
-#: they all take this one value.
+#: the gravity walk — on one thread or sliced over several — so they all
+#: take this one value.
 LEAF_SIZE = 48
 
 

@@ -69,7 +69,7 @@ class TuningConfig:
     steps_per_candidate:
         Steps measured per ladder rung; the rung's score is the best of
         them (the min absorbs one-off warmup costs such as JIT
-        compilation or pool spawn after a backend/worker switch).
+        compilation or thread start after a backend/worker switch).
     max_exploration_steps:
         Hard bound on steps spent exploring (baseline included).  When
         the budget runs out mid-ladder the incumbent wins immediately.

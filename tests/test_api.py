@@ -128,24 +128,31 @@ def test_lazy_api_exports_resolve():
         repro.does_not_exist
 
 
-# --- names removed in 2.0.0 stay removed ----------------------------------
+# --- names removed in 2.0.0 and 3.0.0 stay removed ------------------------
 
 
 def test_removed_surface_fails_closed():
     """The deprecated driver surface, ``repro.compat``, the ``numba``
-    backend and the ``pair_engine`` switch are gone: old spellings are
+    backend, the ``pair_engine`` switch and (3.0.0) the process pool
+    with its supervisor and chaos knobs are gone: old spellings are
     typed errors at the boundary, never a silent default."""
     import importlib
 
+    from repro.core.config import ExecConfig
     from repro.ics import SquarePatchConfig, make_square_patch
-    from repro.parallel import ExecConfig
 
-    with pytest.raises(ModuleNotFoundError):
-        importlib.import_module("repro.compat")
+    for module in ("repro.compat", "repro.parallel"):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(module)
+    with pytest.raises(ImportError):
+        from repro.resilience import ChaosPolicy  # noqa: F401
     particles, box, eos = make_square_patch(SquarePatchConfig(side=6, layers=3))
     with pytest.raises(TypeError):
         repro.Simulation(particles, box, eos, exec_config=ExecConfig())
-    for removed in ("pair_engine", "supervise"):
+    for removed in (
+        "pair_engine", "supervise", "supervisor", "verify_outputs", "chaos",
+        "start_method", "arena_capacity",
+    ):
         with pytest.raises(TypeError):
             ExecConfig(**{removed: True})
     with pytest.raises(SpecError, match="pair_engine"):

@@ -14,7 +14,7 @@ Four pillars:
   (the h-iteration must walk the *identical* trajectory).
 * scenario conformance — every registry scenario integrated with each
   available compiled backend lands within golden tolerance of the
-  numpy run, including pair-context-free and worker-pool execution.
+  numpy run, including pair-context-free and threaded execution.
 * pure-reorganization proof — the numpy backend reproduces the
   committed golden masters, i.e. threading the dispatch layer through
   the phases changed nothing for hosts without a compiled toolchain.

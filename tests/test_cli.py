@@ -308,6 +308,20 @@ def test_submit_unknown_scenario_exits_2(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_submit_malformed_exec_knob_exits_2(capsys):
+    """``--backend`` is the one execution knob the CLI spells; past
+    argparse's ``choices`` the same ``ExecConfig`` rule answers."""
+    with pytest.raises(SystemExit) as exc:
+        main(["submit", "sod", "--backend", "numba", "--socket", "/tmp/x.sock"])
+    assert exc.value.code == 2
+    args = build_parser().parse_args(
+        ["submit", "sod", "--socket", "/tmp/absent.sock"]
+    )
+    args.backend = "numba"
+    assert args.func(args) == 2
+    assert "unknown backend 'numba'" in capsys.readouterr().err
+
+
 def test_submit_bad_size_flag_exits_2(capsys):
     rc = main(["submit", "sod", "--side", "4",
                "--socket", "/tmp/absent.sock"])
@@ -385,6 +399,14 @@ def test_serve_submit_jobs_end_to_end(tmp_path, capsys):
         assert main(["jobs", "--socket", sock, "--stats"]) == 0
         stats = capsys.readouterr().out
         assert "cache_hits: 2" in stats
+
+        # A malformed execution knob never reaches the queue.
+        reply = client_request(sock, {
+            "op": "submit", "spec": {"scenario": "sod", "cache_skin": 2.0},
+        })
+        assert reply["ok"] is False
+        assert reply["error"].startswith("bad spec: cache_skin")
+        assert client_request(sock, {"op": "stats"})["stats"]["failed"] == 0
     finally:
         client_request(sock, {"op": "shutdown"})
         server.join(timeout=10)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import RunConfig
-from repro.parallel.executor import ExecConfig
+from repro.core.config import ExecConfig
 from repro.resilience.chaos import (
     NumericalChaosPolicy,
     NumericalFault,
@@ -137,6 +137,34 @@ def test_degrade_rung_is_bitwise_neutral():
     assert rep.rung_heals["degrade"] == 1
     assert sim._pair_ctx is None  # engine is really off
     _assert_bitwise(sim, golden)
+
+
+def test_degrade_rung_stops_the_phase_threads():
+    """Same fault on a threaded run: the degrade rung also means
+    ``workers -> 0``, and the healed run still matches the golden."""
+    import threading
+
+    scenario = get_scenario("square-patch")
+    golden_sim = scenario.make_simulation(test=True)
+    golden_sim.run(n_steps=6)
+
+    with _guarded(
+        scenario,
+        chaos=_nan_policy(fires=3),
+        guard=GuardConfig(
+            ladder=("retry", "degrade"),
+            attempts_per_rung=2,
+            drift_tolerances=scenario.invariants,
+        ),
+        exec=ExecConfig(workers=2),
+    ) as sim:
+        sim.run(n_steps=6)
+        assert sim.step_guard.report().rung_heals["degrade"] == 1
+        assert sim._phases.workers == 0
+        assert not [
+            t for t in threading.enumerate() if t.name.startswith("repro-phase")
+        ]
+        _assert_bitwise(sim, _state(golden_sim))
 
 
 def test_dt_backoff_rung_shrinks_dt():

@@ -1,7 +1,6 @@
 """The unified observability subsystem + consolidated Simulation API.
 
-Covers the span tracer (nesting, worker-envelope merging, fault
-coherence under chaos), the exporters (Chrome trace_event, JSONL), POP
+Covers the span tracer (nesting, row-slice span merging), the exporters (Chrome trace_event, JSONL), POP
 metrics from measured spans, the metrics registry, and the RunConfig /
 configure() / report() driver surface.
 """
@@ -29,10 +28,8 @@ from repro.observability import (
     write_chrome_trace,
     write_jsonl,
 )
-from repro.parallel import SupervisorConfig
 from repro.profiling.metrics import compute_pop_metrics
 from repro.profiling.trace import State, TraceEvent, Tracer
-from repro.resilience.chaos import ChaosEvent, ChaosPolicy
 from repro.timestepping.steppers import TimestepParams
 
 TS = TimestepParams(use_energy_criterion=False)
@@ -60,7 +57,7 @@ def test_span_tracer_nesting_depth_and_step_attribution():
         with t.phase("A"):
             with t.phase("A.inner", State.SYNC):
                 pass
-        with t.phase("B", State.FAN_OUT):
+        with t.phase("B", State.FORK_JOIN):
             pass
     by_phase = {e.phase: e for e in t.events}
     assert by_phase["step-7"].depth == 0
@@ -385,7 +382,6 @@ def test_report_sections_and_counters(tmp_path):
     assert rep.pair_engine["geometry_reuses"] > 0
     assert rep.neighbor_cache is not None and rep.neighbor_cache["builds"] >= 1
     assert rep.checkpoint is not None and rep.checkpoint["writes"] == 2
-    assert rep.recovery is None  # serial path
     assert rep.pop is not None and rep.pop.valid
     assert rep.counters["neighbor_cache.builds"] == rep.neighbor_cache["builds"]
     assert rep.counters["checkpoint.writes"] == 2
@@ -429,7 +425,7 @@ def test_close_exports_configured_paths(tmp_path):
 
 
 # ======================================================================
-# Pool integration: merged worker spans, POP, chaos coherence
+# Threaded runs: merged row-slice spans, POP
 # ======================================================================
 def _assert_rows_non_overlapping(events, tol=1e-6):
     """Spans on one (rank, thread) row at equal depth must not overlap."""
@@ -445,13 +441,11 @@ def _assert_rows_non_overlapping(events, tol=1e-6):
 
 
 def _assert_no_stale_chunk_spans(events):
-    """Fault-coherence invariant for merged worker spans.
+    """Coherence invariant for merged row-slice spans.
 
     A step may evaluate rates more than once (leapfrog bootstrap), so a
     chunk label can legitimately recur — but within one (step, phase,
-    kind) every chunk must be applied the same number of times.  A stale
-    late reply merged into the timeline tips one chunk's count above its
-    peers.
+    kind) every chunk must be recorded the same number of times.
     """
     counts: dict = {}
     for e in events:
@@ -485,7 +479,7 @@ def test_pool_run_merges_worker_spans_and_yields_valid_pop():
         _assert_no_stale_chunk_spans(events)
         m = pop_from_events(sim.tracer)
         assert m.valid
-        assert m.n_ranks == 3  # driver + 2 worker slots
+        assert m.n_ranks == 3  # driver + 2 thread lanes
         assert 0.0 < m.load_balance <= 1.0 + 1e-9
         assert 0.0 < m.communication_efficiency <= 1.0 + 1e-9
         # Export of a real merged timeline is schema-clean.
@@ -503,61 +497,3 @@ def test_worker_spans_can_be_disabled():
     ) as sim:
         sim.run(n_steps=1)
         assert {e.thread for e in sim.tracer.events} == {0}
-
-
-def test_chaos_killed_worker_does_not_corrupt_merged_timeline():
-    """A worker killed mid-phase leaves no partial/duplicate spans, and
-    the physics still matches the serial run bit for bit."""
-    pa, box_a, eos_a, config = _case(side=10, layers=4)
-    serial = Simulation(pa, box_a, eos_a, config=config)
-    serial.run(n_steps=3)
-
-    chaos = ChaosPolicy([ChaosEvent(step=1, phase="D", action="kill", worker=0)])
-    pb, box_b, eos_b, _ = _case(side=10, layers=4)
-    with Simulation(
-        pb, box_b, eos_b, config=config,
-        run_config=RunConfig(exec=ExecConfig(workers=2, chaos=chaos)),
-    ) as sim:
-        sim.run(n_steps=3)
-        stats = sim._engine.supervisor_stats
-        assert stats.crashes == 1 and stats.respawns == 1
-        for f in FIELDS:
-            assert np.array_equal(_state(sim)[f], _state(serial)[f]), f
-        events = sim.tracer.events
-        assert all(e.duration >= 0.0 and math.isfinite(e.start) for e in events)
-        _assert_rows_non_overlapping(events)
-        _assert_no_stale_chunk_spans(events)
-        # The respawn shows up as supervisor RECOVERY work on the driver row.
-        rec = [e for e in events if e.state is State.RECOVERY]
-        assert rec and all(e.thread == 0 for e in rec)
-        json.dumps(to_chrome_trace(sim.tracer))
-        assert pop_from_events(sim.tracer).valid
-        rep = sim.report()
-        assert rep.recovery["crashes"] == 1
-        assert rep.counters["recovery.respawns"] == 1
-
-
-def test_chaos_late_replies_never_merge_spans():
-    """An abandoned (hung) worker's late reply is discarded — including
-    its span envelope."""
-    chaos = ChaosPolicy(
-        [ChaosEvent(step=1, phase="G", action="delay", worker=0, delay=1.2)]
-    )
-    sup = SupervisorConfig(
-        initial_deadline=0.3, min_deadline=0.3,
-        drain_timeout=10.0, backoff_base=0.001,
-    )
-    particles, box, eos, config = _case(side=10, layers=4)
-    with Simulation(
-        particles, box, eos, config=config,
-        run_config=RunConfig(
-            exec=ExecConfig(workers=2, chaos=chaos, supervisor=sup)
-        ),
-    ) as sim:
-        sim.run(n_steps=3)
-        stats = sim._engine.supervisor_stats
-        assert stats.hangs == 1
-        assert stats.late_replies_discarded >= 1
-        _assert_no_stale_chunk_spans(sim.tracer.events)
-        _assert_rows_non_overlapping(sim.tracer.events)
-        assert pop_from_events(sim.tracer).valid

@@ -7,11 +7,10 @@ Covers the zero-redundancy pair engine end to end:
 * fused kernel evaluation (``value_and_gradient`` / ``*_from_q`` with
   ``out=``) — bitwise equal to the separate allocating calls;
 * :class:`~repro.sph.pair_engine.PairContext` invalidation — position
-  drift, h re-adaptation, Verlet-list rebuild and the trusted row-sliced
-  worker mode;
-* driver integration — engine on vs off is bit-for-bit identical, pool
-  runs with any worker count and cache setting match the serial path,
-  and steady-state steps allocate nothing.
+  drift, h re-adaptation, Verlet-list rebuild and row-sliced binds;
+* driver integration — engine on vs off is bit-for-bit identical,
+  threaded runs with any worker count and cache setting match the
+  serial path, and steady-state steps allocate nothing.
 """
 
 from __future__ import annotations
@@ -246,11 +245,12 @@ def test_untracked_context_never_reuses_across_binds(cloud):
     assert ctx.stats.geometry_computes == 2
 
 
-def test_trusted_worker_context_row_slices(cloud):
-    """Worker mode: token-keyed reuse across distinct list objects."""
+def test_context_row_slices(cloud):
+    """A context bound to a row range: the slice's geometry, reused
+    across phases on the same list object, keyed on the range."""
     x, h, box, nlist = cloud
     lo, hi = 50, 180
-    ctx = PairContext(trust_tokens=True)
+    ctx = PairContext()
     tok = new_pair_token()
     ctx.set_tokens(tok, new_pair_token(), new_pair_token())
 
@@ -261,20 +261,15 @@ def test_trusted_worker_context_row_slices(cloud):
     assert np.array_equal(ctx.dx, dx_ref)
     assert np.array_equal(ctx.r, r_ref)
     assert np.array_equal(ctx.i, sub.pair_i() + lo)
-    # The retained j must be a private copy, not a view of the list that
-    # (in a worker) would dangle once the parent republishes the arena.
-    assert ctx.j is not sub.indices
     assert np.array_equal(ctx.j, sub.indices)
 
-    # Next phase: the worker rebuilds its list view from shared memory —
-    # a different object with identical content and the same tokens.
-    rebuilt = NeighborList(nlist.offsets.copy(), nlist.indices.copy())
-    ctx.bind(x, rebuilt, box, rows=(lo, hi))
+    # Next phase of the step: same list object, same tokens, same rows.
+    ctx.bind(x, nlist, box, rows=(lo, hi))
     assert ctx.stats.geometry_reuses == 1
     assert ctx.stats.geometry_computes == 1
 
     # A different row range is its own geometry.
-    ctx.bind(x, rebuilt, box, rows=(0, 50))
+    ctx.bind(x, nlist, box, rows=(0, 50))
     assert ctx.stats.geometry_computes == 2
 
 
@@ -335,7 +330,7 @@ def test_engine_on_off_bitwise_parity_serial(config_kw):
 def test_pool_engine_parity(workers, cache):
     # Same cache setting on both sides: the Verlet list's reuse schedule
     # legitimately shifts summation roundoff, which is not what this
-    # test probes — it isolates the pool + pair-engine path.
+    # test probes — it isolates the threads + pair-engine path.
     ref, ref_dts, _ = _run_sim(
         ExecConfig(neighbor_cache=cache), n_steps=2, engine_off=True
     )
@@ -348,7 +343,7 @@ def test_pool_engine_parity(workers, cache):
             got[name], ref[name], rtol=1e-12, atol=0.0,
             err_msg=f"workers={workers} cache={cache}: field {name!r}",
         )
-    # Workers actually exercised their slice contexts.
+    # The threads actually exercised their slice contexts.
     assert sim.report().pair_engine["geometry_computes"] > 0
 
 

@@ -1,13 +1,16 @@
-"""Serial vs process-pool parity (the tentpole acceptance criterion).
+"""Serial vs threaded parity, and the phase executor's own contract.
 
-The pool evaluates phases D/E/G/I over pair-balanced slices of the same
-CSR neighbour list the serial path uses, with per-particle reduction
-order preserved — so the outputs must match the serial path to
-rtol = 1e-12 (in practice they are bit-for-bit identical) for any worker
-count.
+With ``workers >= 1`` the phase executor evaluates phases D/E/G/I over
+pair-balanced slices of the same CSR neighbour list the serial path
+uses, with per-particle reduction order preserved — so the outputs must
+match the serial path to rtol = 1e-12 (in practice they are bit-for-bit
+identical) for any worker count.
 """
 
 from __future__ import annotations
+
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -17,7 +20,6 @@ from repro.core.config import ExecConfig, RunConfig, SimulationConfig
 from repro.core.simulation import Simulation
 from repro.ics.evrard import EvrardConfig, make_evrard
 from repro.ics.square_patch import SquarePatchConfig, make_square_patch
-from repro.profiling.metrics import pool_overhead
 from repro.profiling.trace import State
 from repro.timestepping.steppers import TimestepParams
 
@@ -135,18 +137,185 @@ def test_multiple_chunks_per_worker_keep_parity():
         np.testing.assert_allclose(state[name], ref_state[name], rtol=RTOL, atol=0.0)
 
 
-def test_pool_records_fan_out_and_reduce_states():
-    """The tracer must expose pool orchestration for the POP-style reports."""
+def test_compiled_threads_match_compiled_serial_on_the_square_patch():
+    """The compiled pair loops on row slices: same bits as one call."""
+    if not available_backends()["cffi"]:
+        pytest.skip("no C toolchain on this host")
+    ref_state, ref_extras = _run("square-patch", ExecConfig(backend="cffi"))
+    state, extras = _run(
+        "square-patch",
+        ExecConfig(backend="cffi", workers=2, chunks_per_worker=3),
+    )
+    for name in FIELDS:
+        assert np.array_equal(state[name], ref_state[name]), name
+    assert extras["dt"] == ref_extras["dt"]
+    assert extras["max_mu"] == ref_extras["max_mu"]
+
+
+@pytest.mark.parametrize("backend", ["numpy", "cffi"])
+def test_more_slices_than_cores_and_cache_slots_keep_parity(backend, monkeypatch):
+    """90 slices on 3 threads: more than the cores, and more than the
+    compiled ops' per-slice cache holds (its wholesale eviction runs
+    while slices are in flight).  Whole-list memos are produced once per
+    neighbour list, on the driver thread — as often as in a serial run,
+    not once per slice or per thread."""
+    import sys
+    import threading
+
+    if backend == "cffi" and not available_backends()["cffi"]:
+        pytest.skip("no C toolchain on this host")
+    filter_threads = []
+    if backend == "cffi":
+        from repro.backend.cffi_backend import CffiImpl
+
+        real = CffiImpl.filter_fill
+
+        def counting(self, *args):
+            filter_threads.append(threading.get_ident())
+            return real(self, *args)
+
+        monkeypatch.setattr(CffiImpl, "filter_fill", counting)
+    cached = dict(backend=backend, neighbor_cache=True)
+    ref_state, ref_extras = _run("square-patch", ExecConfig(**cached), n_steps=3)
+    serial_lists = len(filter_threads)
+    del filter_threads[:]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        state, extras = _run(
+            "square-patch",
+            ExecConfig(workers=3, chunks_per_worker=30, **cached),
+            n_steps=3,
+        )
+    finally:
+        sys.setswitchinterval(interval)
+    for name in FIELDS:
+        assert np.array_equal(state[name], ref_state[name]), name
+    assert extras["dt"] == ref_extras["dt"]
+    assert extras["max_mu"] == ref_extras["max_mu"]
+    assert len(filter_threads) == serial_lists
+    assert set(filter_threads) <= {threading.main_thread().ident}
+    assert (serial_lists > 0) == (backend == "cffi")
+
+
+def test_threads_record_fork_join_and_leave_no_process_behind():
+    """The driver row shows the fan-outs as Figure 4's fork/join state,
+    under the Algorithm-1 letters of the work they run; nothing about a
+    threaded run is a process or a shared-memory segment."""
+    shm_before = set(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else set()
     _, extras = _run("square-patch", ExecConfig(workers=2), n_steps=1)
-    tracer = extras["tracer"]
-    states = {e.state for e in tracer.events}
-    assert State.FAN_OUT in states and State.REDUCE in states
-    overhead = pool_overhead(tracer)
-    assert overhead["fan_out"] > 0.0
-    assert overhead["reduce"] > 0.0
-    # Parallel phases carry the Algorithm-1 letters of the work they run.
-    fan_out_phases = {e.phase for e in tracer.events if e.state is State.FAN_OUT}
-    assert {"D", "E", "G"} <= fan_out_phases
+    fork_join = {
+        e.phase for e in extras["tracer"].events if e.state is State.FORK_JOIN
+    }
+    assert {"D", "E", "G"} <= fork_join
+    assert all(
+        e.thread == 0
+        for e in extras["tracer"].events
+        if e.state is State.FORK_JOIN
+    )
+    assert multiprocessing.active_children() == []
+    if os.path.isdir("/dev/shm"):
+        assert set(os.listdir("/dev/shm")) <= shm_before
+
+
+def test_exception_in_one_slice_surfaces_once_and_leaves_state_untouched(
+    monkeypatch,
+):
+    """A slice that raises: the error reaches the caller once every slice
+    of the fan-out has finished, nothing of that fan-out is applied, and
+    the executor keeps working — the next evaluation equals the serial
+    driver's after the same failed one."""
+    from repro.core import phase_executor
+
+    real = phase_executor.compute_density
+
+    def run_with_fault(exec_config):
+        calls = []
+        armed = [False]
+
+        def density(*args, rows=None, **kwargs):
+            calls.append(rows)
+            # The whole call when serial; slice 1 of 3 when sliced (one
+            # thread runs its slices in order, so the count is the index).
+            if armed[0] and (rows is None or len(calls) == 2):
+                raise FloatingPointError(f"injected in {rows}")
+            return real(*args, rows=rows, **kwargs)
+
+        monkeypatch.setattr(phase_executor, "compute_density", density)
+        particles, box, eos, config = _square_case()
+        with Simulation(
+            particles, box, eos, config=config,
+            run_config=RunConfig(exec=exec_config),
+        ) as sim:
+            sim.compute_rates()
+            rho = sim.particles.rho.copy()
+            calls.clear()
+            armed[0] = True
+            with pytest.raises(FloatingPointError, match="injected in"):
+                sim.compute_rates()
+            assert np.array_equal(sim.particles.rho, rho)
+            armed[0] = False
+            attempted = list(calls)
+            sim.compute_rates()
+            return attempted, {
+                name: getattr(sim.particles, name).copy() for name in FIELDS
+            }
+
+    attempted, threaded = run_with_fault(
+        ExecConfig(workers=1, chunks_per_worker=3)
+    )
+    assert len(attempted) == 3 and len(set(attempted)) == 3
+    _, serial = run_with_fault(ExecConfig())
+    for name in FIELDS:
+        assert np.array_equal(threaded[name], serial[name]), name
+
+
+def test_close_is_idempotent_and_degrade_or_rewire_leave_no_thread():
+    import threading
+
+    def phase_threads():
+        return [
+            t for t in threading.enumerate() if t.name.startswith("repro-phase")
+        ]
+
+    before = len(phase_threads())
+    particles, box, eos, config = _square_case()
+    sim = Simulation(
+        particles, box, eos, config=config,
+        run_config=RunConfig(exec=ExecConfig(workers=2)),
+    )
+    assert len(phase_threads()) == before  # nothing starts at construction
+    sim.compute_rates()
+    assert len(phase_threads()) == before + 2
+    sim.degrade_to_serial()
+    assert len(phase_threads()) == before
+    sim._wire_exec(ExecConfig(workers=2))
+    sim.compute_rates()
+    assert len(phase_threads()) == before + 2
+    sim._wire_exec(ExecConfig(workers=1))  # the autotuner's mid-run switch
+    assert len(phase_threads()) == before
+    sim.compute_rates()
+    with sim:
+        pass
+    sim.close()
+    assert len(phase_threads()) == before
+
+
+def test_dropped_simulation_takes_its_threads_along():
+    """No ``close()``: the executor dies with its simulation, and the
+    idle threads with the executor."""
+    particles, box, eos, config = _square_case()
+    sim = Simulation(
+        particles, box, eos, config=config,
+        run_config=RunConfig(exec=ExecConfig(workers=2)),
+    )
+    sim.compute_rates()
+    threads = list(sim._phases._pool._threads)
+    assert len(threads) == 2
+    del sim
+    for t in threads:
+        t.join(timeout=30)
+    assert not any(t.is_alive() for t in threads)
 
 
 def test_exec_config_validation():

@@ -6,7 +6,7 @@ Parametrized over the whole scenario registry, each entry must
       and final-state checksums, tight relative tolerance),
   (b) hold the conserved-quantity drift bounds it declares, and
   (c) produce bit-for-bit identical particle state with the pair engine
-      on vs off and with a 1- vs 2-worker process pool — the repo's
+      on vs off and with 1 vs 2 phase threads — the repo's
       standing bitwise-reproducibility invariant, extended from the two
       paper workloads to all eight scenarios.
 

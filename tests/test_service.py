@@ -100,6 +100,18 @@ def test_spec_rejects_unknown_scenario_and_override():
         JobSpec(scenario="sod", chaos="not-a-chaos-spec").resolve()
 
 
+def test_spec_rejects_malformed_exec_knobs_before_enqueue():
+    """The execution knobs are checked by the ``ExecConfig`` the job
+    would run with, at construction — not inside the job."""
+    with pytest.raises(SpecError, match="cache_skin"):
+        JobSpec("sod", cache_skin=2.0)
+    with pytest.raises(SpecError, match="chunks_per_worker"):
+        JobSpec("sod", chunks_per_worker=0)
+    with pytest.raises(SpecError, match="workers"):
+        JobSpec.from_dict({"scenario": "sod", "workers": -1})
+    assert tiny_spec(workers=2, chunks_per_worker=3).exec_config().workers == 2
+
+
 # --- ResultStore ----------------------------------------------------------
 
 
@@ -294,6 +306,33 @@ def test_killed_worker_recovers_and_matches_unfaulted_digest(tmp_path):
         event_types = [e.type for e in svc.handle(handle.job_id).events()]
         assert "recovered" in event_types
         assert event_types[-1] == "done"
+    finally:
+        svc.close()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_threaded_job_in_a_forked_worker_matches_the_inline_serial_digest(
+    tmp_path,
+):
+    """Phase threads start inside the forked job process (the service
+    parent never has any): same bits as the serial run in this one."""
+    from repro.backend import available_backends
+
+    backend = "cffi" if available_backends()["cffi"] else "numpy"
+    baseline = execute_spec(tiny_spec(backend=backend))
+    svc = LocalService(
+        ServiceConfig(
+            isolation="process",
+            max_workers=1,
+            jobs_dir=str(tmp_path / "jobs"),
+        )
+    )
+    try:
+        outcome = svc.submit(
+            tiny_spec(backend=backend, workers=2)
+        ).result(timeout=600)
+        assert not outcome.cached
+        assert outcome.result_digest == baseline.result_digest
     finally:
         svc.close()
 

@@ -114,7 +114,7 @@ def test_neighbor_search_paths_agree():
 
 def test_rate_evaluation_searches_once_and_builds_the_tree_on_demand(monkeypatch):
     from repro.core.config import RunConfig
-    from repro.parallel import ExecConfig
+    from repro.core.config import ExecConfig
     from repro.tree.octree import Octree
 
     tree_builds = []
