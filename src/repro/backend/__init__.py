@@ -12,8 +12,8 @@ Two execution backends stand behind every pair-loop phase:
 
 ``auto`` resolves silently to cffi and falls back to numpy when the
 toolchain is missing.  Requesting a *specific* unavailable backend warns
-exactly once (:func:`repro.observability.deprecation.warn_once` with
-``RuntimeWarning``) and degrades to numpy — never a traceback.
+exactly once per process (``RuntimeWarning``) and degrades to numpy —
+never a traceback.
 
 Selection is ``ExecConfig(backend=...)`` / ``--backend``; the resolved
 name + toolchain version land in ``RunReport.backend`` provenance.
@@ -21,7 +21,8 @@ name + toolchain version land in ``RunReport.backend`` provenance.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+import warnings
+from typing import Callable, Dict, Set
 
 from .base import (
     BACKEND_CHOICES,
@@ -54,12 +55,12 @@ def _make_numpy() -> Backend:
 
 
 def _make_cffi() -> Backend:
-    from .cffi_backend import load_cffi_impl
+    from .cffi_backend import load_library
     from .compiled import CompiledOps
 
-    impl = load_cffi_impl()
+    ffi, lib, version = load_library()
     return Backend(
-        name="cffi", ops=CompiledOps("cffi", impl), version=impl.version,
+        name="cffi", ops=CompiledOps("cffi", ffi, lib), version=version,
         detail="runtime-compiled C (ABI mode)",
     )
 
@@ -74,6 +75,9 @@ _FACTORIES: Dict[str, Callable[[], Backend]] = {
 _AUTO_ORDER = ("cffi", "numpy")
 
 _INSTANCES: Dict[str, Backend] = {}
+
+#: Named backends whose unavailability was already warned about.
+_WARNED: Set[str] = set()
 
 
 def _instantiate(name: str) -> Backend:
@@ -111,14 +115,14 @@ def select_backend(name: str = "numpy") -> Backend:
         try:
             backend = _instantiate(name)
         except BackendUnavailableError as exc:
-            from ..observability.deprecation import warn_once
-
-            warn_once(
-                f"backend-unavailable:{name}",
-                f"backend {name!r} is unavailable on this host ({exc}); "
-                f"falling back to the numpy reference",
-                category=RuntimeWarning,
-            )
+            if name not in _WARNED:
+                _WARNED.add(name)
+                warnings.warn(
+                    f"backend {name!r} is unavailable on this host ({exc}); "
+                    f"falling back to the numpy reference",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
             backend = _instantiate("numpy")
     _INSTANCES[name] = backend
     return backend

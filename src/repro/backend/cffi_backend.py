@@ -8,11 +8,13 @@ along the way — no ``cffi``, no working C compiler, unwritable cache —
 raises :class:`~repro.backend.base.BackendUnavailableError` and the
 registry falls back to numpy.
 
+This module only builds and loads; the one marshalling layer over the
+``rp_*`` entry points is :class:`repro.backend.compiled.CompiledOps`.
 Arrays cross the boundary zero-copy via ``ffi.from_buffer``, and an
-ABI-mode call releases the interpreter lock for its duration: the ops
-hold no state between calls (no static or global scratch in the C unit),
-so the phase executor's threads call them concurrently on disjoint row
-ranges of the same arrays.
+ABI-mode call releases the interpreter lock for its duration: neither
+the C unit (no static or global scratch) nor the op table holds state
+between calls, so the phase executor's threads — and any number of
+simulations in one process — call them concurrently.
 """
 
 from __future__ import annotations
@@ -22,21 +24,19 @@ import os
 import subprocess
 import sys
 import tempfile
-from typing import Optional
-
-import numpy as np
+from typing import Optional, Tuple
 
 from .base import BackendUnavailableError
 from .csrc import CDEF, SOURCE
 
-__all__ = ["load_cffi_impl", "CffiImpl"]
+__all__ = ["load_library"]
 
 #: Optimization flags; ``-march=native`` is retried-without on compilers
 #: or platforms that reject it.  Strict IEEE: no ``-ffast-math``.
 _BASE_FLAGS = ("-O3", "-fPIC", "-shared")
 _NATIVE_FLAG = "-march=native"
 
-_CACHED: Optional["CffiImpl"] = None
+_CACHED: Optional[Tuple[object, object, str]] = None
 _FAILED: Optional[str] = None
 
 
@@ -106,162 +106,8 @@ def _build_library(cc: str, cc_version: str) -> str:
     return lib_path
 
 
-class CffiImpl:
-    """Low-level op table bound to the compiled shared library.
-
-    Method signatures take numpy arrays; pointers are cast zero-copy.
-    This is the contract :class:`repro.backend.compiled.CompiledOps`
-    orchestrates against.
-    """
-
-    name = "cffi"
-
-    def __init__(self, ffi, lib, version: str):
-        self._ffi = ffi
-        self._lib = lib
-        self.version = version
-
-    def _d(self, arr: np.ndarray):
-        return self._ffi.cast("double *", self._ffi.from_buffer(arr))
-
-    def _i(self, arr: np.ndarray):
-        return self._ffi.cast("int64_t *", self._ffi.from_buffer(arr))
-
-    def pair_kernel(self, x, h, whn, whn1, offsets, indices, lo, hi, dim,
-                    psel, pdiv, kind, p1, want, side, w, gs, dwdh):
-        self._lib.rp_pair_kernel(
-            self._d(x), self._d(h), self._d(whn), self._d(whn1),
-            self._i(offsets), self._i(indices), lo, hi, dim,
-            self._d(psel), self._d(pdiv), kind, p1, want, side,
-            self._d(w), self._d(gs), self._d(dwdh),
-        )
-
-    def rowsum(self, offsets, indices, lo, hi, wgt, vals, out):
-        self._lib.rp_rowsum(
-            self._i(offsets), self._i(indices), lo, hi,
-            self._d(wgt), self._d(vals), self._d(out),
-        )
-
-    def iad_tau(self, x, offsets, indices, lo, hi, dim, psel, pdiv, m, rho,
-                w, tau):
-        self._lib.rp_iad_tau(
-            self._d(x), self._i(offsets), self._i(indices), lo, hi, dim,
-            self._d(psel), self._d(pdiv), self._d(m), self._d(rho),
-            self._d(w), self._d(tau),
-        )
-
-    def div_curl(self, x, v, offsets, indices, lo, hi, dim, psel, pdiv, m,
-                 gs, divsum, curlsum):
-        self._lib.rp_div_curl(
-            self._d(x), self._d(v), self._i(offsets), self._i(indices),
-            lo, hi, dim, self._d(psel), self._d(pdiv), self._d(m),
-            self._d(gs), self._d(divsum), self._d(curlsum),
-        )
-
-    def forces(self, x, v, h, m, rho, p_over, cs, offsets, indices, lo, hi,
-               dim, psel, pdiv, wi, wj, gsi, gsj, use_iad, cmat, bals,
-               use_balsara, alpha, beta, eta2, support, inline_j, kind, p1,
-               whn, whn1, out_a, out_s1, out_s2):
-        return self._lib.rp_forces(
-            self._d(x), self._d(v), self._d(h), self._d(m), self._d(rho),
-            self._d(p_over), self._d(cs), self._i(offsets),
-            self._i(indices), lo, hi, dim, self._d(psel), self._d(pdiv),
-            self._d(wi), self._d(wj), self._d(gsi), self._d(gsj),
-            use_iad, self._d(cmat), self._d(bals), use_balsara,
-            alpha, beta, eta2, support, inline_j, kind, p1,
-            self._d(whn), self._d(whn1),
-            self._d(out_a), self._d(out_s1), self._d(out_s2),
-        )
-
-    def pair_gradients(self, x, offsets, indices, lo, hi, dim, psel, pdiv,
-                       per_pair, mode, cmat, side, out):
-        self._lib.rp_pair_gradients(
-            self._d(x), self._i(offsets), self._i(indices), lo, hi, dim,
-            self._d(psel), self._d(pdiv), self._d(per_pair), mode,
-            self._d(cmat), side, self._d(out),
-        )
-
-    def radii(self, x, offsets, indices, lo, hi, dim, psel, pdiv, out_r):
-        self._lib.rp_radii(
-            self._d(x), self._i(offsets), self._i(indices), lo, hi, dim,
-            self._d(psel), self._d(pdiv), self._d(out_r),
-        )
-
-    def counts_r(self, r, h, offsets, n, factor, out):
-        self._lib.rp_counts_r(
-            self._d(r), self._d(h), self._i(offsets), n, factor,
-            self._i(out),
-        )
-
-    def filter_count(self, offsets, indices, r, h, n, support, kept):
-        self._lib.rp_filter_count(
-            self._i(offsets), self._i(indices), self._d(r), self._d(h),
-            n, support, self._i(kept),
-        )
-
-    def filter_fill(self, offsets, indices, r, h, n, support, new_offsets,
-                    new_indices):
-        self._lib.rp_filter_fill(
-            self._i(offsets), self._i(indices), self._d(r), self._d(h),
-            n, support, self._i(new_offsets), self._i(new_indices),
-        )
-
-    def tau_inv(self, tau, rows, dim, rcond, out):
-        self._lib.rp_tau_inv(self._d(tau), rows, dim, rcond, self._d(out))
-
-    def _i_or_null(self, arr: Optional[np.ndarray]):
-        return self._ffi.NULL if arr is None else self._i(arr)
-
-    def _d_or_null(self, arr: Optional[np.ndarray]):
-        return self._ffi.NULL if arr is None else self._d(arr)
-
-    def node_bounds(self, xs, rs, n, dim, n_nodes, child_start, child_count,
-                    pstart, pend, lo, hi, rmax):
-        self._lib.rp_node_bounds(
-            self._d(xs), self._d(rs), n, dim, n_nodes, self._i(child_start),
-            self._i(child_count), self._i(pstart), self._i(pend),
-            self._d(lo), self._d(hi), self._d(rmax),
-        )
-
-    def walk(self, xs, rs, n, dim, symmetric, psel, pdiv, n_nodes,
-             child_start, child_count, pstart, pend, order, lo, hi, rmax,
-             include_self, offsets, cursor, out):
-        self._lib.rp_walk(
-            self._d(xs), self._d(rs), n, dim, symmetric, self._d(psel),
-            self._d(pdiv), n_nodes, self._i(child_start),
-            self._i(child_count), self._i(pstart), self._i(pend),
-            self._i(order), self._d(lo), self._d(hi), self._d(rmax),
-            include_self, self._i_or_null(offsets), self._i(cursor),
-            self._i_or_null(out),
-        )
-
-    def sort_rows(self, offsets, n, indices):
-        self._lib.rp_sort_rows(self._i(offsets), n, self._i(indices))
-
-    def pairs_within(self, xw, radii, offsets, indices, n, dim, psel, pdiv,
-                     new_offsets, out):
-        self._lib.rp_pairs_within(
-            self._d(xw), self._d(radii), self._i(offsets), self._i(indices),
-            n, dim, self._d(psel), self._d(pdiv), self._i(new_offsets),
-            self._i(out),
-        )
-
-    def gravity(self, x, m, leaves, center, half, child_start, child_count,
-                pstart, pend, order, mass, com, m2, m3, m4, rank, theta,
-                g_const, eps2, acc, phi, counts):
-        self._lib.rp_gravity(
-            self._d(x), self._d(m), self._i(leaves), leaves.shape[0],
-            self._d(center), self._d(half), self._i(child_start),
-            self._i(child_count), self._i(pstart), self._i(pend),
-            self._i(order), self._d(mass), self._d(com),
-            self._d_or_null(m2), self._d_or_null(m3), self._d_or_null(m4),
-            rank, theta, g_const, eps2, self._d(acc), self._d(phi),
-            self._i(counts),
-        )
-
-
-def load_cffi_impl() -> CffiImpl:
-    """Build (or reuse) the shared library and bind the op table."""
+def load_library() -> Tuple[object, object, str]:
+    """Build (or reuse) the shared library: ``(ffi, lib, version)``."""
     global _CACHED, _FAILED
     if _CACHED is not None:
         return _CACHED
@@ -284,14 +130,12 @@ def load_cffi_impl() -> CffiImpl:
     except BackendUnavailableError as exc:
         _FAILED = str(exc)
         raise
-    version = f"cffi {cffi.__version__} / {cc_version}"
-    _CACHED = CffiImpl(ffi, lib, version)
+    _CACHED = (ffi, lib, f"cffi {cffi.__version__} / {cc_version}")
     return _CACHED
 
 
 def _self_test() -> None:  # pragma: no cover - manual smoke hook
-    impl = load_cffi_impl()
-    print(impl.version, file=sys.stderr)
+    print(load_library()[2], file=sys.stderr)
 
 
 if __name__ == "__main__":  # pragma: no cover

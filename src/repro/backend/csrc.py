@@ -77,11 +77,6 @@ double rp_forces(const double *x, const double *v, const double *h,
                  double support, int inline_j, int kind, double p1,
                  const double *whn, const double *whn1, double *out_a,
                  double *out_s1, double *out_s2);
-void rp_pair_gradients(const double *x, const int64_t *offsets,
-                       const int64_t *indices, int64_t lo, int64_t hi,
-                       int dim, const double *psel, const double *pdiv,
-                       const double *per_pair, int mode, const double *cmat,
-                       int side, double *out);
 void rp_radii(const double *x, const int64_t *offsets,
               const int64_t *indices, int64_t lo, int64_t hi, int dim,
               const double *psel, const double *pdiv, double *out_r);
@@ -624,40 +619,6 @@ double rp_forces(const double *x, const double *v, const double *h,
     return max_mu;
 }
 
-/* Per-pair gradient vectors, (n_pairs, dim).  mode 0: standard,
- * out = dx * per_pair (per_pair = gs of the requested side).  mode 1:
- * IAD, out = (C[row or neighbour] . -dx) * per_pair (per_pair = w of
- * the requested side).  side: 0 = i, 1 = j. */
-void rp_pair_gradients(const double *x, const int64_t *offsets,
-                       const int64_t *indices, int64_t lo, int64_t hi,
-                       int dim, const double *psel, const double *pdiv,
-                       const double *per_pair, int mode, const double *cmat,
-                       int side, double *out)
-{
-    const int64_t k0 = offsets[lo];
-    const int dd = dim * dim;
-    for (int64_t i = lo; i < hi; ++i) {
-        for (int64_t k = offsets[i]; k < offsets[i + 1]; ++k) {
-            const int64_t j = indices[k];
-            const int64_t o = k - k0;
-            double dx[3];
-            rp_sep(x, i, j, dim, psel, pdiv, dx);
-            const double pp = per_pair[o];
-            if (mode == 0) {
-                for (int d = 0; d < dim; ++d)
-                    out[o * dim + d] = dx[d] * pp;
-            } else {
-                const double *c = cmat + (side == 0 ? i : j) * dd;
-                for (int a = 0; a < dim; ++a) {
-                    double s = 0.0;
-                    for (int b = 0; b < dim; ++b)
-                        s += c[a * dim + b] * (-dx[b]);
-                    out[o * dim + a] = s * pp;
-                }
-            }
-        }
-    }
-}
 /* Per-pair distances over CSR rows [lo, hi), same rp_sep arithmetic as
  * the fused ops — one pass per step serves the h-iteration's repeated
  * count sweeps and the support filter below. */

@@ -30,7 +30,6 @@ __all__ = [
     "GRADIENT_CHOICES",
     "VOLUME_ELEMENT_CHOICES",
     "TIMESTEPPING_CHOICES",
-    "NEIGHBOR_CHOICES",
     "GRAVITY_CHOICES",
     "DECOMPOSITION_CHOICES",
     "LOAD_BALANCING_CHOICES",
@@ -52,7 +51,6 @@ KERNEL_CHOICES = (
 GRADIENT_CHOICES = ("standard", "iad")
 VOLUME_ELEMENT_CHOICES = ("standard", "generalized")
 TIMESTEPPING_CHOICES = ("global", "individual", "adaptive")
-NEIGHBOR_CHOICES = ("tree-walk", "cell-grid")
 #: None disables gravity; names map to multipole ranks (Table 1 wording).
 GRAVITY_CHOICES = (None, "monopole", "quadrupole", "octupole", "hexadecapole")
 DECOMPOSITION_CHOICES = (
@@ -88,7 +86,6 @@ class SimulationConfig:
     volume_elements: str = "generalized"
     xmass_exponent: float = 0.7
     timestepping: str = "global"
-    neighbor_search: str = "cell-grid"
     gravity: Optional[str] = None
     gravity_theta: float = 0.5
     gravity_softening_factor: float = 0.05  # softening = factor * mean h
@@ -113,7 +110,6 @@ class SimulationConfig:
             ("gradients", self.gradients, GRADIENT_CHOICES),
             ("volume_elements", self.volume_elements, VOLUME_ELEMENT_CHOICES),
             ("timestepping", self.timestepping, TIMESTEPPING_CHOICES),
-            ("neighbor_search", self.neighbor_search, NEIGHBOR_CHOICES),
             ("gravity", self.gravity, GRAVITY_CHOICES),
             (
                 "domain_decomposition",

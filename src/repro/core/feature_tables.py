@@ -53,7 +53,7 @@ def table1_physics_features() -> str:
                 _GRADIENT_LABEL[cfg.gradients],
                 _VOLUME_LABEL[cfg.volume_elements],
                 cfg.timestepping.capitalize(),
-                "Tree Walk" if cfg.neighbor_search == "tree-walk" else "Cell Grid",
+                "Tree Walk",
                 _GRAVITY_LABEL[cfg.gravity],
             ]
         )

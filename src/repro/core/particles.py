@@ -100,26 +100,6 @@ class ParticleSystem:
             self.ids = np.ascontiguousarray(self.ids, dtype=np.int64)
             if self.ids.shape != (n,):
                 raise ValueError(f"ids must have shape ({n},)")
-        self._epochs = {"x": 0, "v": 0, "h": 0}
-
-    # ------------------------------------------------------------------
-    # Mutation epochs (pair-engine invalidation)
-    # ------------------------------------------------------------------
-    def epoch(self, name: str) -> int:
-        """Monotone counter of in-place mutations to field ``name``.
-
-        Only ``"x"``, ``"v"`` and ``"h"`` are tracked — the fields whose
-        values the :mod:`repro.sph.pair_engine` caches derive from.  Code
-        that writes those arrays in place must call :meth:`bump_epoch`;
-        the driver compares epochs to decide which cached pair products
-        are still valid.
-        """
-        return self._epochs[name]
-
-    def bump_epoch(self, *names: str) -> None:
-        """Record an in-place mutation of the named tracked fields."""
-        for name in names:
-            self._epochs[name] += 1
 
     # ------------------------------------------------------------------
     # Shape queries

@@ -14,9 +14,13 @@ numpy's ufuncs release the interpreter lock, a slice writes only its own
 single call, so any ``workers`` / ``chunks_per_worker`` reproduces the
 serial result bit for bit.
 
-Nothing crosses a process boundary: slices read the driver's live pair
-tokens, backend, kernel and box (never copies, so
-``Simulation.degrade_to_serial()`` takes effect on the next phase).
+Nothing crosses a process boundary: slices read the driver's live
+backend, kernel and box (never copies, so
+``Simulation.degrade_to_serial()`` takes effect on the next phase), and
+each slice's pair context is open for exactly the rate evaluation the
+driver's is (:meth:`PhaseExecutor.evaluation`): it writes only its own
+rows' products and reads the whole-list ones the driver thread produced
+before the fan-out.
 Outputs land in a buffer that is copied into ``particles`` only after
 every slice of the phase returned; an exception raised in a slice is
 re-raised on the driver thread (the first in slice order) once the
@@ -32,6 +36,7 @@ from __future__ import annotations
 import copy
 import time
 import weakref
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -61,10 +66,18 @@ class PhaseExecutor:
         self._sim = weakref.proxy(sim)
         self.workers = workers
         self.n_slices = workers * chunks_per_worker
-        #: One persistent pair context per slice (its geometry and
-        #: products survive from one phase of a step into the next).
+        #: One pair context per slice (its geometry and products carry
+        #: from one phase of an evaluation into the next; its arena
+        #: persists).
         self.contexts = [PairContext() for _ in range(self.n_slices)]
         self._pool = None
+
+    def evaluation(self):
+        """One rate evaluation: the driver's pair context, and with it
+        the per-slice ones, open until the ``with`` block ends (nothing
+        to open once ``degrade_to_serial()`` has dropped the driver's)."""
+        ctx = self._sim._pair_ctx
+        return nullcontext() if ctx is None else ctx.evaluation(self.contexts)
 
     def close(self) -> None:
         """Join the threads (idempotent; a later fan-out restarts them)."""
@@ -133,26 +146,27 @@ class PhaseExecutor:
         that slice's context and the driver's backend, and stores what it
         returns in ``out[lo:hi]`` of each buffer in ``outs``.
 
-        The whole-list memos the slices read (kernel normalisation, and
-        on a compiled backend the support-filtered list and per-particle
-        factors) are produced here, once, on the driver thread.
+        The whole-list entries the slices read (kernel normalisation,
+        and on a compiled backend the support-filtered list and
+        per-particle factors) are produced here, once, on the driver
+        thread and in the driver's context.
         """
         sim = self._sim
-        backend, tokens = sim.backend, sim._pair_tokens
+        backend = sim.backend
         kernel.sigma(particles.dim)
         ops = backend_ops(backend, kernel)
         if ops is not None:
-            ops.prime(particles.x, particles.h, nlist, box, kernel, tokens)
+            whole = sim._pair_ctx
+            ops.support_list(whole, particles.x, particles.h, nlist, box, kernel)
+            ops.normalizations(whole, kernel, particles.h, particles.dim)
         slices = balanced_row_slices(nlist.offsets, self.n_slices)
 
         def run(kind, fn, outs, parts=lambda res: (res,), source=particles,
                 **options) -> list:
             def one(k: int, lo: int, hi: int):
-                ctx = self.contexts[k]
-                ctx.set_tokens(*tokens)
                 res = fn(
-                    source, nlist, kernel, box,
-                    rows=(lo, hi), ctx=ctx, backend=backend, **options,
+                    source, nlist, kernel, box, rows=(lo, hi),
+                    ctx=self.contexts[k], backend=backend, **options,
                 )
                 for out, part in zip(outs, parts(res)):
                     out[lo:hi] = part

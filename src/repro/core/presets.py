@@ -27,7 +27,6 @@ SPHYNX = SimulationConfig(
     gradients="iad",
     volume_elements="generalized",
     timestepping="global",
-    neighbor_search="tree-walk",
     gravity="quadrupole",  # "Multipoles (4-pole)"
     domain_decomposition="uniform-slabs",  # "Straightforward"
     load_balancing="static",  # "None (static)"
@@ -45,7 +44,6 @@ CHANGA = SimulationConfig(
     gradients="standard",  # "Kernel derivatives"
     volume_elements="standard",
     timestepping="individual",
-    neighbor_search="tree-walk",
     gravity="hexadecapole",  # "Multipoles (16-pole)"
     domain_decomposition="sfc-morton",  # "Space Filling Curve"
     load_balancing="dynamic",
@@ -63,7 +61,6 @@ SPHFLOW = SimulationConfig(
     gradients="standard",
     volume_elements="standard",
     timestepping="adaptive",
-    neighbor_search="tree-walk",
     gravity=None,  # "No" self-gravity
     domain_decomposition="orb",  # "Orthogonal Recursive Bisection"
     load_balancing="local-inner-outer",
@@ -81,7 +78,6 @@ SPH_EXA = SimulationConfig(
     gradients="iad",
     volume_elements="generalized",
     timestepping="global",
-    neighbor_search="tree-walk",
     gravity="hexadecapole",  # Table 2: "Multipoles (16-pole)"
     domain_decomposition="sfc-hilbert",  # Table 4: ORB or SFC
     load_balancing="dynamic",  # "DLB with self-scheduling"

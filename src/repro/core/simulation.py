@@ -28,7 +28,7 @@ from ..kernels.registry import make_kernel
 from ..observability.tracer import make_tracer
 from ..profiling.trace import State, Tracer
 from ..sph.eos import EquationOfState
-from ..sph.pair_engine import PairContext, PairEngineStats, new_pair_token
+from ..sph.pair_engine import PairContext, PairEngineStats
 from ..sph.smoothing import (
     SmoothingConfig,
     adapt_from_cached_list,
@@ -233,12 +233,9 @@ class Simulation:
         # whichever thread, receives this resolved Backend.
         self.backend_requested = exec_cfg.backend
         self.backend = select_backend(exec_cfg.backend)
-        # Pair engine: the driver's persistent context plus the epoch
-        # tokens the executor's per-slice contexts are keyed on.
+        # The owner of per-pair state; it shares only while
+        # ``compute_rates`` holds it open (its arena persists).
         self._pair_ctx: Optional[PairContext] = PairContext()
-        self._pair_tokens: tuple = (None, None, None)
-        self._pair_state_obj: Optional[ParticleSystem] = None
-        self._pair_state_epochs: tuple = ()
         self._phases.close()
         self._phases = PhaseExecutor(
             self, exec_cfg.workers, exec_cfg.chunks_per_worker
@@ -287,46 +284,6 @@ class Simulation:
         self._apply_run_config()
         return self
 
-    # ------------------------------------------------------------------
-    # Pair-engine token bookkeeping
-    # ------------------------------------------------------------------
-    def _refresh_pair_tokens(self) -> None:
-        """Re-mint epoch tokens for every particle field that changed.
-
-        Tokens are process-unique integers (see
-        :func:`repro.sph.pair_engine.new_pair_token`); a stable token
-        across calls asserts "this field's values are unchanged", which
-        is what lets the geometry survive from the h-adaptation phase
-        into density/forces, on the driver's context and on the
-        executor's slice contexts alike.  Swapping the particle object
-        (restore, manual reassignment) re-mints everything.
-        """
-        if self._pair_ctx is None:
-            return
-        p = self.particles
-        epochs = (p.epoch("x"), p.epoch("h"), p.epoch("v"))
-        tg, th, tv = self._pair_tokens
-        if self._pair_state_obj is not p:
-            tg = th = tv = None
-        else:
-            prev = self._pair_state_epochs
-            if prev[0] != epochs[0]:
-                tg = None
-            if prev[1] != epochs[1]:
-                th = None
-            if prev[2] != epochs[2]:
-                tv = None
-        if tg is None:
-            tg = new_pair_token()
-        if th is None:
-            th = new_pair_token()
-        if tv is None:
-            tv = new_pair_token()
-        self._pair_state_obj = p
-        self._pair_state_epochs = epochs
-        self._pair_tokens = (tg, th, tv)
-        self._pair_ctx.set_tokens(tg, th, tv)
-
     def _ensure_tree(self) -> Octree:
         """The octree over the current positions (built at most once per
         rate evaluation; gravity requires an open cube, neighbour walks
@@ -349,11 +306,19 @@ class Simulation:
     # Rate evaluation: Algorithm 1 steps 1-4 (phases A-I)
     # ------------------------------------------------------------------
     def compute_rates(self) -> None:
-        """Rebuild tree/neighbours and evaluate all rates at current state."""
+        """Rebuild tree/neighbours and evaluate all rates at current state.
+
+        The call is one evaluation of the pair context (and of the
+        executor's slice contexts): what the h iteration computes per
+        pair is shared with phases D-H and gone on return or raise.
+        """
+        with self._phases.evaluation():
+            self._evaluate_rates()
+
+    def _evaluate_rates(self) -> None:
         p = self.particles
         cfg = self.config
         tr = self.tracer
-        self._refresh_pair_tokens()
 
         # Verlet-skin cache: reuse the padded neighbour list while every
         # particle sits within the skin budget (half for displacement,
@@ -370,28 +335,22 @@ class Simulation:
         # runs the periodic-Z square patch without gravity on every code,
         # gravity-capable or not — Table 5).
         gravity_on = cfg.gravity is not None and not bool(np.any(self.box.periodic))
-        tree_walk = cfg.neighbor_search == "tree-walk"
         self._tree = None
         with tr.phase(Phase.TREE_BUILD.letter, State.USEFUL, self.rank):
             # Built only when something consumes it this evaluation: the
             # gravity walk, or the neighbour walk of a cache miss.  (A
             # cache hit whose h out-grows the list builds it on demand.)
-            if gravity_on or (tree_walk and cached is None):
+            if gravity_on or cached is None:
                 self._ensure_tree()
 
         with tr.phase(Phase.NEIGHBOR_SEARCH.letter, State.USEFUL, self.rank):
-            if tree_walk:
 
-                def search(x, radii, box, mode):
-                    # The h iteration only counts over this list and
-                    # ends on ``within``, which orders what survives.
-                    return self._ensure_tree().walk_neighbors(
-                        x, radii, mode=mode, ops=self.backend.ops,
-                        sort_rows=False,
-                    )
-
-            else:
-                search = None  # default cell grid inside adapt
+            def search(x, radii, box, mode):
+                # The h iteration only counts over this list and ends
+                # on ``within``, which orders what survives.
+                return self._ensure_tree().walk_neighbors(
+                    x, radii, mode=mode, ops=self.backend.ops, sort_rows=False
+                )
 
         with tr.phase(Phase.SMOOTHING_LENGTH.letter, State.USEFUL, self.rank):
             if cached is not None:
@@ -400,17 +359,13 @@ class Simulation:
                     ctx=self._pair_ctx, backend=self.backend, search=search,
                 )
             else:
+                # A list held from an earlier evaluation means an earlier
+                # adaptation wrote this h (a restore clears it).
                 self._nlist = adapt_smoothing_lengths(
                     p, self.box, self._smoothing, search=search,
                     cache=self._ncache, ctx=self._pair_ctx,
-                    backend=self.backend,
+                    backend=self.backend, adapted=self._nlist is not None,
                 )
-        # The h iteration may have rewritten ``h`` — re-mint its token so
-        # kernel-value caches key on the adapted values (the geometry
-        # token is untouched: positions did not move, so the ``(i, j,
-        # dx, r)`` block primed above carries straight into the phases
-        # below).
-        self._refresh_pair_tokens()
         # One call site per phase; the executor runs it as one call or
         # as row slices on threads (``ExecConfig.workers``).
         phases = self._phases
@@ -630,9 +585,6 @@ class Simulation:
         self._phases.close()
         self._phases = PhaseExecutor(self)
         self._pair_ctx = None
-        self._pair_tokens = (None, None, None)
-        self._pair_state_obj = None
-        self._pair_state_epochs = ()
         self.backend = select_backend("numpy")
 
     # ------------------------------------------------------------------

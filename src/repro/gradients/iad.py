@@ -63,24 +63,22 @@ def compute_iad_matrices(
     to rounding, covered by the documented backend tolerance).
     """
     ops = backend_ops(backend, kernel)
+    pc = ctx if ctx is not None else _ephemeral_ctx()
     if ops is not None:
         lo, hi = rows if rows is not None else (0, nlist.n)
-        tokens = ctx.tokens if ctx is not None else None
         dim = particles.dim
         plist = ops.support_list(
-            particles.x, particles.h, nlist, box, kernel, tokens
+            pc, particles.x, particles.h, nlist, box, kernel
         )
         w = ops.pair_products(
-            x=particles.x, h=particles.h, nlist=plist, box=box,
-            kernel=kernel, dim=dim, lo=lo, hi=hi, tokens=tokens,
-            side="i", want=("w",),
+            pc, x=particles.x, h=particles.h, nlist=plist, box=box,
+            kernel=kernel, dim=dim, lo=lo, hi=hi, want=("w",),
         )["w"]
         tau = ops.iad_tau(
             particles.x, plist, box, particles.m, particles.rho, w,
             dim, lo, hi,
         )
         return ops.tau_inverse(tau, dim, rcond)
-    pc = ctx if ctx is not None else _ephemeral_ctx()
     pc.bind(particles.x, nlist, box, rows=rows)
     dim = particles.dim
     w = pc.w_i(kernel, particles.h, dim)

@@ -16,7 +16,7 @@ import numpy as np
 
 from ..kernels.base import Kernel
 
-__all__ = ["PairGradients", "kernel_pair_gradients", "compiled_pair_gradients"]
+__all__ = ["PairGradients", "kernel_pair_gradients"]
 
 
 @dataclass(frozen=True)
@@ -65,37 +65,4 @@ def kernel_pair_gradients(
         )
     gi = kernel.gradient(dx, r, h_i, dim)
     gj = kernel.gradient(dx, r, h_j, dim)
-    return PairGradients(gi=gi, gj=gj)
-
-
-def compiled_pair_gradients(
-    ops,
-    *,
-    x: np.ndarray,
-    h: np.ndarray,
-    nlist,
-    box,
-    kernel: Kernel,
-    dim: int,
-    lo: int,
-    hi: int,
-    tokens=None,
-) -> PairGradients:
-    """Standard pair gradients via a compiled backend's fused ops.
-
-    The force loop itself never calls this — its compiled path folds the
-    gradient expansion into the single momentum/energy pass — but it is
-    the backend-shaped equivalent of :func:`kernel_pair_gradients` for
-    diagnostics and the op-level parity tests: one fused ``dW/dr / r``
-    pass per side, then the per-pair ``dx`` expansion, both in the
-    compiled kernel.
-    """
-    common = dict(
-        x=x, h=h, nlist=nlist, box=box, kernel=kernel, dim=dim,
-        lo=lo, hi=hi, tokens=tokens,
-    )
-    gsi = ops.pair_products(side="i", want=("gs",), **common)["gs"]
-    gsj = ops.pair_products(side="j", want=("gs",), **common)["gs"]
-    gi = ops.pair_gradients(x, nlist, box, gsi, 0, None, "i", dim, lo, hi)
-    gj = ops.pair_gradients(x, nlist, box, gsj, 0, None, "j", dim, lo, hi)
     return PairGradients(gi=gi, gj=gj)

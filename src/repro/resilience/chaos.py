@@ -135,10 +135,6 @@ class NumericalFault:
         else:  # bitflip
             bits = arr.view(np.int64)
             np.ravel(bits)[i] ^= np.int64(1) << np.int64(self.bit % 64)
-        # Keep the pair engine honest: tracked fields must announce
-        # in-place mutation or cached geometry would outlive the damage.
-        if self.array in ("x", "v", "h"):
-            particles.bump_epoch(self.array)
         return (
             f"{self.kind} into {self.array}[{i}] at step {self.step} "
             f"({self.site})"

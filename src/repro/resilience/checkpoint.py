@@ -178,14 +178,11 @@ class Checkpoint:
         sim._max_mu = float(self.meta.get("max_mu", 0.0))
         if "dt_prev" in self.meta and hasattr(sim.stepper, "_dt_prev"):
             sim.stepper._dt_prev = float(self.meta["dt_prev"])
+        # No list in hand: the next list build searches the restored h
+        # exactly.  (The pair context is closed between evaluations and
+        # holds nothing to drop.)
         sim._nlist = None
         sim._rates_current = True
-        # The pair engine keys its caches on the particle *object*; the
-        # swap above re-mints every token, but drop the cached geometry
-        # explicitly so nothing outlives the restore.
-        pair_ctx = getattr(sim, "_pair_ctx", None)
-        if pair_ctx is not None:
-            pair_ctx.invalidate()
         ncache = getattr(sim, "_ncache", None)
         if ncache is None:
             return

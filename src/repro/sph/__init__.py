@@ -14,12 +14,7 @@ from .eos import (
     WeaklyCompressibleEOS,
 )
 from .forces import ForceResult, compute_forces, velocity_divergence_curl
-from .pair_engine import (
-    PairContext,
-    PairEngineStats,
-    ScratchArena,
-    new_pair_token,
-)
+from .pair_engine import PairContext, PairEngineStats, ScratchArena
 from .smoothing import (
     SmoothingConfig,
     adapt_smoothing_lengths,
@@ -40,7 +35,6 @@ __all__ = [
     "PairContext",
     "PairEngineStats",
     "ScratchArena",
-    "new_pair_token",
     "SmoothingConfig",
     "adapt_smoothing_lengths",
     "update_smoothing_lengths",

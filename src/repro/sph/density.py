@@ -16,10 +16,10 @@ pairs beyond the support of ``h_i`` contribute exactly zero, so a
 symmetric-mode list may be reused.
 
 Pair-loop storage and geometry go through a
-:class:`~repro.sph.pair_engine.PairContext`: the driver passes its
-per-step context so the ``(i, j, dx, r)`` block and the kernel values are
-computed once per step and shared with the other phases; without one an
-ephemeral context is used (same arithmetic, fresh storage).
+:class:`~repro.sph.pair_engine.PairContext`: the driver passes the
+context of its open evaluation so the pair geometry and the kernel
+values are computed once and shared with the other phases; without one
+an ephemeral context is used (same arithmetic, fresh storage).
 """
 
 from __future__ import annotations
@@ -33,13 +33,6 @@ from ..tree.neighborlist import NeighborList
 from .pair_engine import PairContext
 
 __all__ = ["compute_density", "grad_h_terms"]
-
-
-def _rows_tokens(nlist, rows, ctx):
-    """Resolve (lo, hi) and the epoch tokens for a compiled-path call."""
-    lo, hi = rows if rows is not None else (0, nlist.n)
-    tokens = ctx.tokens if ctx is not None else None
-    return lo, hi, tokens
 
 
 def compute_density(
@@ -71,8 +64,8 @@ def compute_density(
         valid (positive) global ``particles.rho`` from a previous pass;
         the bootstrap summation is orchestrated by the caller.
     ctx:
-        Optional persistent :class:`~repro.sph.pair_engine.PairContext`
-        sharing pair geometry and kernel values across phases.
+        Optional :class:`~repro.sph.pair_engine.PairContext` of an open
+        evaluation, sharing pair geometry and kernel values across phases.
     backend:
         Optional resolved :class:`repro.backend.Backend`; a compiled
         backend takes the fused pair-loop path below (same results
@@ -84,12 +77,12 @@ def compute_density(
             f"volume_elements must be 'standard' or 'generalized', got {volume_elements!r}"
         )
     ops = backend_ops(backend, kernel)
+    pc = ctx if ctx is not None else PairContext()
     if ops is not None:
         return _compute_density_compiled(
-            ops, particles, nlist, kernel, box, volume_elements,
-            xmass_exponent, rows, ctx,
+            ops, pc, particles, nlist, kernel, box, volume_elements,
+            xmass_exponent, rows,
         )
-    pc = ctx if ctx is not None else PairContext()
     pc.bind(particles.x, nlist, box, rows=rows)
     lo, hi = pc.lo, pc.hi
     j = pc.j
@@ -128,21 +121,19 @@ def compute_density(
 
 
 def _compute_density_compiled(
-    ops, particles, nlist, kernel, box, volume_elements, xmass_exponent,
-    rows, ctx,
+    ops, pc, particles, nlist, kernel, box, volume_elements, xmass_exponent,
+    rows,
 ):
     """Fused-pair-loop density: one compiled pass builds W, compiled row
     sums replace gather/multiply/bincount.  Glue arithmetic (xmass,
     rho = m*kappa/xmass) stays in numpy — it is n-sized and must match
     the reference expression exactly."""
-    lo, hi, tokens = _rows_tokens(nlist, rows, ctx)
+    lo, hi = rows if rows is not None else (0, nlist.n)
     dim = particles.dim
-    plist = ops.support_list(
-        particles.x, particles.h, nlist, box, kernel, tokens
-    )
+    plist = ops.support_list(pc, particles.x, particles.h, nlist, box, kernel)
     w = ops.pair_products(
-        x=particles.x, h=particles.h, nlist=plist, box=box, kernel=kernel,
-        dim=dim, lo=lo, hi=hi, tokens=tokens, side="i", want=("w",),
+        pc, x=particles.x, h=particles.h, nlist=plist, box=box,
+        kernel=kernel, dim=dim, lo=lo, hi=hi, want=("w",),
     )["w"]
     if volume_elements == "standard":
         rho = ops.rowsum(plist, lo, hi, particles.m, w)
@@ -188,21 +179,20 @@ def grad_h_terms(
     ``dW/dh`` pass and its row sum.
     """
     ops = backend_ops(backend, kernel)
+    pc = ctx if ctx is not None else PairContext()
     if ops is not None:
-        lo, hi, tokens = _rows_tokens(nlist, rows, ctx)
+        lo, hi = rows if rows is not None else (0, nlist.n)
         dim = particles.dim
         plist = ops.support_list(
-            particles.x, particles.h, nlist, box, kernel, tokens
+            pc, particles.x, particles.h, nlist, box, kernel
         )
         dwdh = ops.pair_products(
-            x=particles.x, h=particles.h, nlist=plist, box=box,
-            kernel=kernel, dim=dim, lo=lo, hi=hi, tokens=tokens, side="i",
-            want=("dwdh",),
+            pc, x=particles.x, h=particles.h, nlist=plist, box=box,
+            kernel=kernel, dim=dim, lo=lo, hi=hi, want=("dwdh",),
         )["dwdh"]
         s = ops.rowsum(plist, lo, hi, particles.m, dwdh)
         omega = 1.0 + particles.h[lo:hi] / (dim * particles.rho[lo:hi]) * s
         return np.clip(omega, 0.1, 10.0)
-    pc = ctx if ctx is not None else PairContext()
     pc.bind(particles.x, nlist, box, rows=rows)
     lo, hi = pc.lo, pc.hi
     dim = particles.dim

@@ -16,8 +16,8 @@ operators, the pairwise exchange conserves linear momentum exactly (and
 angular momentum for the standard operator, which is central).
 
 Pair geometry, gathers and per-pair temporaries are borrowed from a
-:class:`~repro.sph.pair_engine.PairContext` (the driver's per-step one
-when given, an ephemeral one otherwise): the gradients here are the same
+:class:`~repro.sph.pair_engine.PairContext` (that of the driver's open
+evaluation when given, an ephemeral one otherwise): the gradients here are the same
 arrays the div/curl phase computed, ``v_ij``/``v . dx``/``hbar``/``mu``
 are evaluated once and shared between the viscosity and the CFL
 diagnostic, and every temporary is an ``out=`` write into a reused
@@ -38,7 +38,7 @@ from ..gradients.kernel_gradient import PairGradients, kernel_pair_gradients
 from ..kernels.base import Kernel
 from ..tree.box import Box
 from ..tree.neighborlist import NeighborList
-from .density import _rows_tokens, grad_h_terms
+from .density import grad_h_terms
 from .pair_engine import PairContext
 from .viscosity import ViscosityParams, balsara_switch, pairwise_viscosity
 
@@ -71,17 +71,17 @@ def velocity_divergence_curl(
     the pair reductions.
     """
     ops = backend_ops(backend, kernel)
+    pc = ctx if ctx is not None else PairContext()
     if ops is not None:
-        lo, hi, tokens = _rows_tokens(nlist, rows, ctx)
+        lo, hi = rows if rows is not None else (0, nlist.n)
         dim = particles.dim
         rho = particles.rho[lo:hi]
         plist = ops.support_list(
-            particles.x, particles.h, nlist, box, kernel, tokens
+            pc, particles.x, particles.h, nlist, box, kernel
         )
         gs = ops.pair_products(
-            x=particles.x, h=particles.h, nlist=plist, box=box,
-            kernel=kernel, dim=dim, lo=lo, hi=hi, tokens=tokens,
-            side="i", want=("gs",),
+            pc, x=particles.x, h=particles.h, nlist=plist, box=box,
+            kernel=kernel, dim=dim, lo=lo, hi=hi, want=("gs",),
         )["gs"]
         divsum, curlsum = ops.div_curl_sums(
             particles.x, particles.v, plist, box, particles.m, gs,
@@ -95,7 +95,6 @@ def velocity_divergence_curl(
         else:
             curl = np.zeros(hi - lo)
         return div, curl
-    pc = ctx if ctx is not None else PairContext()
     pc.bind(particles.x, nlist, box, rows=rows)
     lo, hi = pc.lo, pc.hi
     dim = particles.dim
@@ -160,9 +159,9 @@ def compute_forces(
         Pre-computed global grad-h factors / Balsara limiter values; both
         are computed here when omitted (serial path).
     ctx:
-        Optional persistent :class:`~repro.sph.pair_engine.PairContext`;
-        subsidiary phases evaluated here (grad-h, div/curl, IAD) borrow
-        the same context.
+        Optional :class:`~repro.sph.pair_engine.PairContext` of an open
+        evaluation; subsidiary phases evaluated here (grad-h, div/curl,
+        IAD) borrow the same context.
     """
     if gradients not in ("standard", "iad"):
         raise ValueError(f"gradients must be 'standard' or 'iad', got {gradients!r}")
@@ -177,12 +176,12 @@ def compute_forces(
         if viscosity.use_balsara and balsara_f is None:
             raise ValueError("slice mode needs pre-computed global balsara_f")
     ops = backend_ops(backend, kernel)
+    pc = ctx if ctx is not None else PairContext()
     if ops is not None:
         return _compute_forces_compiled(
-            ops, particles, nlist, kernel, box, gradients, viscosity,
-            grad_h, c_matrices, rows, omega, balsara_f, ctx, backend,
+            ops, pc, particles, nlist, kernel, box, gradients, viscosity,
+            grad_h, c_matrices, rows, omega, balsara_f, backend,
         )
-    pc = ctx if ctx is not None else PairContext()
     pc.bind(particles.x, nlist, box, rows=rows)
     lo, hi = pc.lo, pc.hi
     n_pairs = pc.n_pairs
@@ -301,42 +300,40 @@ def compute_forces(
 
 
 def _compute_forces_compiled(
-    ops, particles, nlist, kernel, box, gradients, viscosity, grad_h,
-    c_matrices, rows, omega, balsara_f, ctx, backend,
+    ops, pc, particles, nlist, kernel, box, gradients, viscosity, grad_h,
+    c_matrices, rows, omega, balsara_f, backend,
 ):
     """Fused momentum/energy pair loop: one compiled pass consumes the
-    memoized kernel values/gradients and accumulates ``a``, the two
+    context's kernel values/gradients and accumulates ``a``, the two
     energy sums and the viscous-signal diagnostic.  The n-sized glue
     (``p_over``, the final ``du`` combination) stays in numpy to match
     the reference expressions exactly; subsidiary phases (IAD, grad-h,
-    Balsara) are delegated to their own backend-aware entry points."""
-    lo, hi, tokens = _rows_tokens(nlist, rows, ctx)
+    Balsara) are delegated to their own backend-aware entry points on
+    the same context."""
+    lo, hi = rows if rows is not None else (0, nlist.n)
     dim = particles.dim
     use_iad = gradients == "iad"
-    plist = ops.support_list(
-        particles.x, particles.h, nlist, box, kernel, tokens
-    )
+    plist = ops.support_list(pc, particles.x, particles.h, nlist, box, kernel)
 
     common = dict(
         x=particles.x, h=particles.h, nlist=plist, box=box, kernel=kernel,
-        dim=dim, lo=lo, hi=hi, tokens=tokens,
+        dim=dim, lo=lo, hi=hi,
     )
     # Only the query-side product is materialized; the neighbour-side
-    # factor (w_j / gs_j) is evaluated inline by the fused force loop —
-    # bitwise-identical arithmetic, one whole pair pass saved.
-    wi = wj = gsi = gsj = None
+    # factor (w_j / gs_j) is evaluated inline by the fused force loop.
+    wi = gsi = None
     if use_iad:
         if c_matrices is None:
             c_matrices = compute_iad_matrices(
-                particles, nlist, kernel, box, ctx=ctx, backend=backend
+                particles, nlist, kernel, box, ctx=pc, backend=backend
             )
-        wi = ops.pair_products(side="i", want=("w",), **common)["w"]
+        wi = ops.pair_products(pc, want=("w",), **common)["w"]
     else:
-        gsi = ops.pair_products(side="i", want=("gs",), **common)["gs"]
+        gsi = ops.pair_products(pc, want=("gs",), **common)["gs"]
 
     if omega is None:
         omega = (
-            grad_h_terms(particles, nlist, kernel, box, ctx=ctx, backend=backend)
+            grad_h_terms(particles, nlist, kernel, box, ctx=pc, backend=backend)
             if grad_h
             else np.ones(particles.n)
         )
@@ -344,19 +341,17 @@ def _compute_forces_compiled(
 
     if viscosity.use_balsara and balsara_f is None:
         div_v, curl_v = velocity_divergence_curl(
-            particles, nlist, kernel, box, ctx=ctx, backend=backend
+            particles, nlist, kernel, box, ctx=pc, backend=backend
         )
         balsara_f = balsara_switch(div_v, curl_v, particles.cs, particles.h)
 
     a, s1, s2, max_mu = ops.forces(
-        x=particles.x, v=particles.v, h=particles.h, m=particles.m,
+        pc, x=particles.x, v=particles.v, h=particles.h, m=particles.m,
         rho=particles.rho, p_over=p_over, cs=particles.cs,
-        nlist=plist, box=box, dim=dim, lo=lo, hi=hi,
-        wi=wi, wj=wj, gsi=gsi, gsj=gsj,
+        nlist=plist, box=box, dim=dim, lo=lo, hi=hi, wi=wi, gsi=gsi,
         use_iad=use_iad, c_matrices=c_matrices, balsara_f=balsara_f,
         alpha=viscosity.alpha, beta=viscosity.beta,
-        eta2=viscosity.eta**2, support=kernel.support,
-        kernel=kernel, tokens=tokens,
+        eta2=viscosity.eta**2, kernel=kernel,
     )
     du = p_over[lo:hi] * s1 + 0.5 * s2
     if rows is not None:

@@ -1,52 +1,52 @@
-"""Zero-redundancy pair engine: per-step geometry cache + scratch arena.
+"""Per-pair state of one rate evaluation: geometry, products, scratch.
 
 Every pair-loop phase of Algorithm 1 (h adaptation, IAD moments, density,
-grad-h, div/curl, momentum/energy) walks the *same* CSR neighbour list,
-and before this module each of them independently re-expanded ``pair_i``,
-recomputed the min-image separations ``dx``/``r`` and allocated fresh
-multi-MB per-pair temporaries.  The :class:`PairContext` computes the
-pair geometry once per step and lets every phase borrow it, plus a
-memo of derived per-pair products (``q = r/h``, kernel values and
-gradients, ``v_ij``, gathered masses) shared between phases, all stored
-in a :class:`ScratchArena` of grow-only buffers reused across steps.
+grad-h, div/curl, momentum/energy) walks the *same* CSR neighbour list.
+A :class:`PairContext` is the one place the per-pair intermediates of
+those phases live, on both backends: the pair geometry (``(i, j, dx,
+r)`` on the numpy path, the whole-list distances on the compiled one)
+and a by-name memo of derived products (``q = r/h``, kernel values and
+gradients, ``v_ij``, gathered masses; on the compiled path the
+support-filtered list, the per-particle kernel normalisations and the
+``W`` / ``dW/dr / r`` / ``dW/dh`` row buffers), all stored in a
+:class:`ScratchArena` of grow-only buffers reused across steps.
 
-Invalidation contract
----------------------
+Lifetime
+--------
 
-The engine never inspects array contents; it is driven by *tokens*:
+Algorithm 1 gives every per-pair quantity the lifetime of one loop
+iteration, and so does this module: sharing happens only inside an
+*open evaluation* (:meth:`PairContext.evaluation`, opened by
+``Simulation.compute_rates`` for the duration of the call, together with
+the per-slice contexts of the phase executor).  There are exactly two
+invalidation points:
 
-* ``geometry`` token — a process-unique integer minted by the driver
-  whenever the position epoch changes (i.e. after every drift).  The
-  cached ``(i, j, dx, r)`` block is keyed on
-  ``(geometry token, lo, hi, n_pairs)`` plus the
-  *identity* of the neighbour-list object, on which the context keeps a
-  strong reference so the id can never be recycled.  The Verlet-skin
-  cache hands phases the same :class:`~repro.tree.neighborlist.NeighborList`
-  object across a whole step, which is exactly what makes the geometry
-  reusable from the h iteration through the force loop.
-* ``h`` / ``v`` tokens — minted when the smoothing-length / velocity
-  epochs change; they key the derived products (``q``, ``W``,
-  ``dW/dh``, gradients key on ``h``; ``v_ij`` keys on ``v``).
+* **open / close** — a context enters and leaves an evaluation empty, so
+  nothing computed from one set of positions or velocities can be read
+  under another;
+* **h written** — the h iteration reports its write
+  (:meth:`PairContext.h_written`) and every product that read ``h`` is
+  dropped; the geometry stays.
 
-Every geometry recompute clears the product memo outright (every product
-depends on the pair set), so tokens only need to capture *in-step*
-changes such as the h re-adaptation between the smoothing phase and the
-density phase.
+Inside an evaluation the geometry is reused iff a phase binds the same
+neighbour-list *object* and row range: the Verlet cache hands every
+phase of an evaluation one list object, a rebuild hands out a new one,
+and the context keeps a strong reference so an id is never recycled.
+Outside an evaluation a context shares nothing across binds and the
+compiled path neither filters the list nor keeps a product — what a
+``ctx=None`` phase call gets from its ephemeral context.
 
-The phase executor's threads (:mod:`repro.core.phase_executor`) each
-bind their own context to a row range of the driver's list object with
-the driver's tokens, so the same contract covers them.
-
-Contexts without tokens (``set_tokens`` never called, or called with
-``None``) still deduplicate work *within* one bound geometry — the
-legacy per-phase behaviour — but never reuse anything across rebinds.
+A slice context (one per row slice of the phase executor) reads the
+whole-list entries — support-filtered list, normalisations — from the
+driver's context, which produces them on the driver thread before a
+fan-out, and writes only its own rows' buffers.
 """
 
 from __future__ import annotations
 
-import itertools
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -57,18 +57,12 @@ __all__ = [
     "PairEngineStats",
     "ScratchArena",
     "PairContext",
-    "new_pair_token",
 ]
 
-#: Process-global monotonic token source.  Tokens are minted by the
-#: driver thread only and are unique for the process lifetime, so a
-#: token can never ambiguously refer to two different states.
-_TOKEN_COUNTER = itertools.count(1)
-
-
-def new_pair_token() -> int:
-    """Mint a fresh, process-unique epoch token."""
-    return next(_TOKEN_COUNTER)
+#: numpy-path products that read ``h`` (dropped by ``h_written``).
+_H_PRODUCTS = (
+    "h_i", "h_j", "q_i", "q_j", "w_i", "w_j", "dwdh_i", "grad_i", "grad_j",
+)
 
 
 @dataclass
@@ -159,27 +153,29 @@ class ScratchArena:
 
 
 class PairContext:
-    """Per-step pair-geometry cache + derived-product memo.
+    """Pair geometry + derived-product memo of one stream of phases.
 
-    One context serves one stream of phases (the driver's whole list,
-    or one row slice of the phase executor).  Use :meth:`set_tokens` to install the
-    current epoch tokens, then :meth:`bind` at the top of every phase;
-    the product accessors (:meth:`h_i`, :meth:`w_i`, :meth:`grad_i`,
-    :meth:`vel_ij`, ...) compute on first use and replay afterwards.
-    All results are read-only borrows: they live in the context's arena
-    and are overwritten by the next recompute.
+    One context serves the driver's whole list or one row slice of the
+    phase executor.  Open an :meth:`evaluation`, then :meth:`bind` at the
+    top of every phase; the product accessors (:meth:`h_i`, :meth:`w_i`,
+    :meth:`grad_i`, :meth:`vel_ij`, ...) compute on first use and replay
+    afterwards.  All results are read-only borrows: they live in the
+    context's arena and are overwritten by the next recompute.
     """
 
     def __init__(self) -> None:
         self.stats = PairEngineStats()
         self.arena = ScratchArena(self.stats)
-        self._tok_geom: Optional[int] = None
-        self._tok_h: Optional[int] = None
-        self._tok_v: Optional[int] = None
-        self._geom_key: Optional[tuple] = None
+        self._open = False
+        #: Where whole-list entries of the compiled path live: the
+        #: driver's context while a slice context is open with it.
+        self._whole: "PairContext" = self
+        self._slices: Sequence["PairContext"] = ()
         self._nlist_ref: Optional[NeighborList] = None
-        self._generation = 0
+        self._radii_ref = None
+        self._radii: Optional[np.ndarray] = None
         self._products: Dict[str, Tuple[tuple, np.ndarray]] = {}
+        self._held: Dict[str, tuple] = {}
         # Bound geometry (valid after the first bind):
         self.lo = 0
         self.hi = 0
@@ -192,30 +188,51 @@ class PairContext:
         self.r: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
-    # Tokens and binding
+    # Lifetime and binding
     # ------------------------------------------------------------------
-    def set_tokens(
-        self,
-        geometry: Optional[int] = None,
-        h: Optional[int] = None,
-        v: Optional[int] = None,
-    ) -> None:
-        """Install the current epoch tokens (``None`` = untracked)."""
-        self._tok_geom = geometry
-        self._tok_h = h
-        self._tok_v = v
+    @contextmanager
+    def evaluation(
+        self, slices: Sequence["PairContext"] = ()
+    ) -> Iterator["PairContext"]:
+        """Open one rate evaluation on this context and its ``slices``.
+
+        Every member starts and ends empty; in between, binds of the
+        same list object reuse the geometry and products replay.  Closed
+        on return or raise.
+        """
+        members = (self, *slices)
+        for ctx in members:
+            ctx.invalidate()
+            ctx._open, ctx._whole = True, self
+        self._slices = tuple(slices)
+        try:
+            yield self
+        finally:
+            self._slices = ()
+            for ctx in members:
+                ctx._open, ctx._whole = False, ctx
+                ctx.invalidate()
 
     @property
-    def tokens(self) -> Tuple[Optional[int], Optional[int], Optional[int]]:
-        """Current ``(geometry, h, v)`` epoch tokens (compiled-path memo key)."""
-        return (self._tok_geom, self._tok_h, self._tok_v)
+    def is_open(self) -> bool:
+        """Inside an :meth:`evaluation` (the only time anything is shared)."""
+        return self._open
 
     def invalidate(self) -> None:
-        """Drop the cached geometry and every derived product."""
-        self._geom_key = None
+        """Drop the geometry and every derived product."""
         self._nlist_ref = None
+        self._radii_ref = self._radii = None
         self._products.clear()
-        self._generation += 1
+        self._held.clear()
+
+    def h_written(self) -> None:
+        """``h`` was rewritten in place: drop what was computed from it
+        (here and on the slices open with this context); positions did
+        not move, so the geometry stays."""
+        for ctx in (self, *self._slices):
+            for name in _H_PRODUCTS:
+                ctx._products.pop(name, None)
+            ctx._held.clear()
 
     def bind(
         self,
@@ -226,17 +243,12 @@ class PairContext:
     ) -> "PairContext":
         """Make ``(i, j, dx, r)`` for ``(x, nlist[, rows])`` current.
 
-        Reuses the cached geometry when the geometry token, the row
-        range, the pair count and the neighbour-list identity all match;
-        otherwise recomputes into the arena and clears the product memo.
+        Inside an open evaluation the bound geometry is reused when the
+        neighbour-list identity and the row range match; otherwise it is
+        recomputed into the arena and the product memo cleared.
         """
         lo, hi = rows if rows is not None else (0, nlist.n)
-        key = (self._tok_geom, lo, hi, nlist.n_pairs)
-        if (
-            self._tok_geom is not None
-            and key == self._geom_key
-            and self._nlist_ref is nlist
-        ):
+        if self._nlist_ref is nlist and (lo, hi) == (self.lo, self.hi):
             self.stats.geometry_reuses += 1
             return self
 
@@ -267,25 +279,39 @@ class PairContext:
         self.n_pairs = n_pairs
         self.local_i, self.i, self.j = local_i, i, j
         self.dx, self.r = dx, r
-        self._geom_key = key if self._tok_geom is not None else None
-        self._nlist_ref = nlist
+        # Remembered only inside an evaluation: outside one, positions
+        # may move between two binds of the same list object.
+        self._nlist_ref = nlist if self._open else None
         self._products.clear()
-        self._generation += 1
         self.stats.geometry_computes += 1
         return self
+
+    def radii(self, ops, x: np.ndarray, nlist, box: Optional[Box]) -> np.ndarray:
+        """Whole-list pair distances from the compiled ``ops`` — the
+        compiled path's geometry, under the same reuse rule as
+        :meth:`bind` (and, being whole-list, kept on the driver's
+        context).  One pass serves every count sweep of the h iteration
+        and the support filter of the phases that follow."""
+        whole = self._whole
+        if whole._radii_ref is nlist:
+            self.stats.geometry_reuses += 1
+            return whole._radii
+        r = ops.pair_radii(
+            x, nlist, box, out=whole.arena.take("radii", (nlist.n_pairs,))
+        )
+        if self._open:
+            whole._radii_ref, whole._radii = nlist, r
+        self.stats.geometry_computes += 1
+        return r
 
     # ------------------------------------------------------------------
     # Product memo
     # ------------------------------------------------------------------
-    def _pkey(self, token: Optional[int], *extra) -> tuple:
-        """Memo key: epoch token when tracked, bind generation otherwise."""
-        base = token if token is not None else ("gen", self._generation)
-        return (base,) + extra
-
     def cached(
         self, name: str, key: tuple, compute: Callable[[], np.ndarray]
     ) -> np.ndarray:
-        """Return the memoized product ``name`` for ``key``, computing once."""
+        """The product ``name`` of the bound geometry, computed once per
+        ``key`` and replayed until the next rebind (or ``h`` write)."""
         hit = self._products.get(name)
         if hit is not None and hit[0] == key:
             self.stats.product_reuses += 1
@@ -294,6 +320,25 @@ class PairContext:
         self._products[name] = (key, arr)
         self.stats.product_computes += 1
         return arr
+
+    def held(self, name: str, on, key: tuple, whole: bool = False):
+        """The compiled-path entry ``name`` stored for the list *object*
+        ``on`` under ``key``, or ``None``.  ``whole`` entries are read
+        from the driver's context (a slice context never writes them)."""
+        hit = (self._whole if whole else self)._held.get(name)
+        if hit is not None and hit[0] is on and hit[1] == key:
+            self.stats.product_reuses += 1
+            return hit[2]
+        return None
+
+    def hold(self, name: str, on, key: tuple, value, whole: bool = False):
+        """Store a compiled-path entry for :meth:`held` — kept only
+        inside an open evaluation, so an unmanaged call recomputes.  All
+        such entries read ``h``."""
+        if self._open:
+            (self._whole if whole else self)._held[name] = (on, key, value)
+        self.stats.product_computes += 1
+        return value
 
     def _gather(self, name: str, src: np.ndarray, idx: np.ndarray) -> np.ndarray:
         out = self.arena.take(name, idx.shape + src.shape[1:], src.dtype)
@@ -305,30 +350,24 @@ class PairContext:
     ) -> np.ndarray:
         """Uncached gather of ``src`` along side ``"i"``/``"j"`` into scratch.
 
-        For fields whose epochs the engine does not track (``rho``,
-        ``p``, ``cs``, ...): storage is reused but values are always
+        For fields that change inside an evaluation (``rho``, ``p``,
+        ``cs``, ...): storage is reused but values are always
         re-gathered.
         """
         idx = self.i if side == "i" else self.j
         return self._gather(name, src, idx)
 
-    # -- tracked per-pair products -------------------------------------
+    # -- memoised per-pair products ------------------------------------
     def h_i(self, h: np.ndarray) -> np.ndarray:
-        return self.cached(
-            "h_i", self._pkey(self._tok_h), lambda: self._gather("h_i", h, self.i)
-        )
+        return self.cached("h_i", (), lambda: self._gather("h_i", h, self.i))
 
     def h_j(self, h: np.ndarray) -> np.ndarray:
-        return self.cached(
-            "h_j", self._pkey(self._tok_h), lambda: self._gather("h_j", h, self.j)
-        )
+        return self.cached("h_j", (), lambda: self._gather("h_j", h, self.j))
 
     def m_j(self, m: np.ndarray) -> np.ndarray:
         # Masses are immutable for a particle set; the memo is cleared on
         # every geometry rebind, which covers particle-set changes too.
-        return self.cached(
-            "m_j", self._pkey(self._tok_geom), lambda: self._gather("m_j", m, self.j)
-        )
+        return self.cached("m_j", (), lambda: self._gather("m_j", m, self.j))
 
     def vel_ij(self, v: np.ndarray) -> np.ndarray:
         def compute() -> np.ndarray:
@@ -337,7 +376,7 @@ class PairContext:
             np.subtract(out, vj, out=out)
             return out
 
-        return self.cached("v_ij", self._pkey(self._tok_v), compute)
+        return self.cached("v_ij", (), compute)
 
     def q_i(self, h: np.ndarray) -> np.ndarray:
         def compute() -> np.ndarray:
@@ -345,7 +384,7 @@ class PairContext:
             np.divide(self.r, self.h_i(h), out=out)
             return out
 
-        return self.cached("q_i", self._pkey(self._tok_h), compute)
+        return self.cached("q_i", (), compute)
 
     def q_j(self, h: np.ndarray) -> np.ndarray:
         def compute() -> np.ndarray:
@@ -353,13 +392,12 @@ class PairContext:
             np.divide(self.r, self.h_j(h), out=out)
             return out
 
-        return self.cached("q_j", self._pkey(self._tok_h), compute)
+        return self.cached("q_j", (), compute)
 
     def _kernel_product(
         self, name: str, kernel, h: np.ndarray, dim: int, compute
     ) -> np.ndarray:
-        key = self._pkey(self._tok_h, kernel.cache_key(), dim)
-        return self.cached(name, key, compute)
+        return self.cached(name, (kernel.cache_key(), dim), compute)
 
     def w_i(self, kernel, h: np.ndarray, dim: int) -> np.ndarray:
         """Kernel values ``W(r, h_i)`` (bitwise ``kernel.value(r, h[i])``)."""
@@ -437,7 +475,7 @@ class PairContext:
             np.add(idx, np.arange(k, dtype=np.int64), out=idx)
             return idx
 
-        return self.cached(f"reduce_index_{k}", self._pkey(self._tok_geom, k), compute)
+        return self.cached(f"reduce_index_{k}", (), compute)
 
     def reduce(self, values: np.ndarray) -> np.ndarray:
         """Per-row sums of per-pair ``values`` (bitwise ``NeighborList.reduce``)."""

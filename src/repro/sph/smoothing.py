@@ -19,9 +19,9 @@ cut from the searched one by :meth:`NeighborList.within` — array for array
 what a fresh search at the final ``h`` returns, rows ascending whatever
 order the search left them in (the sweeps only count, so a search handed
 in here need not order its rows).  A build that starts from an ``h`` an
-earlier adaptation already rewrote pads its first search too: such an
-``h`` drifts by a few per cent between builds, and searching it exactly
-meant searching twice.
+earlier adaptation already rewrote (``adapted``) pads its first search
+too: such an ``h`` drifts by a few per cent between builds, and searching
+it exactly meant searching twice.
 """
 
 from __future__ import annotations
@@ -88,6 +88,7 @@ def adapt_smoothing_lengths(
     cache: VerletNeighborCache | None = None,
     ctx=None,
     backend=None,
+    adapted: bool = False,
 ) -> NeighborList:
     """Build a neighbour list: search, iterate h, cut the list to fit.
 
@@ -108,17 +109,25 @@ def adapt_smoothing_lengths(
 
     ``ctx`` is an optional :class:`~repro.sph.pair_engine.PairContext`:
     pair geometry is then computed through (and the final list left
-    primed in) the context, so the SPH phases that follow reuse its
-    ``(i, j, dx, r)`` block instead of recomputing it.
+    primed in) the context, so the SPH phases that follow in the same
+    evaluation reuse its ``(i, j, dx, r)`` block instead of recomputing
+    it, and every write of ``h`` is reported to it.
 
     With a compiled ``backend`` the separations and per-sweep counts come
     from ``repro.backend`` ops whose arithmetic is bitwise-identical to
     the numpy expressions, so the h trajectory — and therefore every
-    downstream neighbour list — is exactly the same; the context priming
-    is skipped because the compiled phases do not consume context
-    products.
+    downstream neighbour list — is exactly the same; what the context
+    keeps is the radii of the final list, for the support filter of the
+    compiled phases.
+
+    ``adapted`` says that an earlier adaptation already rewrote this
+    ``h`` (the driver holds a list from an earlier evaluation), which
+    pads the first search by :data:`GROWTH_PAD` instead of searching the
+    exact radius.
     """
-    return _adapt(particles, box, config, search, cache, ctx, backend)
+    return _adapt(
+        particles, box, config, search, cache, ctx, backend, adapted=adapted
+    )
 
 
 def adapt_from_cached_list(
@@ -153,7 +162,8 @@ def adapt_from_cached_list(
 
 
 def _adapt(
-    particles, box, config, search, cache, ctx, backend, nlist=None, budget=None
+    particles, box, config, search, cache, ctx, backend, nlist=None,
+    budget=None, adapted=False,
 ):
     """The h iteration; ``nlist``/``budget`` hand in a cached list to start on.
 
@@ -167,7 +177,6 @@ def _adapt(
         )
     factor = 2.0 if cache is None else cache.search_factor
     stats = cache.stats if cache is not None else None
-    adapted = particles.epoch("h") > 0  # some adaptation already wrote this h
     built = met = False
     i = r = None
     sweeps = 0
@@ -186,7 +195,7 @@ def _adapt(
         if sweeps == config.max_iterations:
             break
         if r is None:
-            i, r = _pair_radii(particles.x, nlist, box, ctx, ops, share=not built)
+            i, r = _pair_radii(particles.x, nlist, box, ctx, ops)
         # Count only gather neighbours (r <= 2 h_i) off the symmetric list.
         if ops is not None:
             counts = ops.counts_from_radii(r, particles.h, nlist, 2.0)
@@ -201,7 +210,8 @@ def _adapt(
             particles.h, counts, config.n_target, particles.dim
         )
         particles.h[:] = np.clip(h_new, config.h_min, config.h_max)
-        particles.bump_epoch("h")
+        if ctx is not None:
+            ctx.h_written()
     if stats is not None:
         stats.adaptations += 1
         stats.sweeps += sweeps
@@ -210,19 +220,21 @@ def _adapt(
         nlist = nlist.within(particles.x, factor * particles.h, box, ops)
         if cache is not None:
             cache.store(nlist, particles.x, particles.h)
-    if ctx is not None and ops is None:
-        # Prime the final list so downstream phases bind as a pure reuse.
-        ctx.bind(particles.x, nlist, box)
+    if ctx is not None:
+        # Prime the final list so downstream phases bind as a pure reuse
+        # (and the context lets go of a searched list it was cut from).
+        _pair_radii(particles.x, nlist, box, ctx, ops)
     return nlist
 
 
-def _pair_radii(x, nlist, box, ctx, ops, share):
+def _pair_radii(x, nlist, box, ctx, ops):
     """``(pair_i, r)`` of ``nlist`` — once per list, re-filtered per sweep."""
     if ops is not None:
-        # A cached list is also the list the phases run over: memoize its
-        # separations on the geometry token for their support filter.
-        tokens = ctx.tokens if share and ctx is not None else None
-        return None, ops.pair_radii(x, nlist, box, tokens=tokens)
+        # A cached list is also the list the phases run over: through the
+        # context its radii serve their support filter too.
+        if ctx is not None:
+            return None, ctx.radii(ops, x, nlist, box)
+        return None, ops.pair_radii(x, nlist, box)
     if ctx is not None:
         pc = ctx.bind(x, nlist, box)
         return pc.i, pc.r

@@ -33,7 +33,6 @@ def kick(particles, dt: float, mask: np.ndarray | None = None) -> None:
     else:
         particles.v[mask] += particles.a[mask] * dt
         particles.u[mask] += particles.du[mask] * dt
-    particles.bump_epoch("v")
 
 
 def drift(particles, dt: float, box: Box | None = None) -> None:
@@ -41,7 +40,6 @@ def drift(particles, dt: float, box: Box | None = None) -> None:
     particles.x += particles.v * dt
     if box is not None and bool(np.any(box.periodic)):
         particles.x[:] = box.wrap(particles.x)
-    particles.bump_epoch("x")
 
 
 def apply_energy_floor(particles, u_floor: float = 1e-12) -> int:

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -34,6 +35,34 @@ def fresh_interpreter():
         return json.loads(done.stdout.splitlines()[-1])
 
     return run
+
+
+@pytest.fixture
+def rp_calls(monkeypatch):
+    """Every call the process's compiled op table makes into its shared
+    library, as ``(entry point, thread ident)`` in call order — counted
+    at the ``rp_*`` boundary.  Stays empty on a host without the cffi
+    backend."""
+    from repro.backend import available_backends, select_backend
+
+    calls = []
+    if not available_backends()["cffi"]:
+        return calls
+    ops = select_backend("cffi").ops
+    lib = ops.lib
+
+    class CountingLib:
+        def __getattr__(self, name):
+            entry = getattr(lib, name)
+
+            def counted(*args):
+                calls.append((name, threading.get_ident()))
+                return entry(*args)
+
+            return counted
+
+    monkeypatch.setattr(ops, "lib", CountingLib())
+    return calls
 
 
 @pytest.fixture

@@ -128,18 +128,20 @@ def test_lazy_api_exports_resolve():
         repro.does_not_exist
 
 
-# --- names removed in 2.0.0 and 3.0.0 stay removed ------------------------
+# --- names removed in 2.0.0, 3.0.0 and 4.0.0 stay removed ------------------
 
 
 def test_removed_surface_fails_closed():
     """The deprecated driver surface, ``repro.compat``, the ``numba``
-    backend, the ``pair_engine`` switch and (3.0.0) the process pool
-    with its supervisor and chaos knobs are gone: old spellings are
-    typed errors at the boundary, never a silent default."""
+    backend, the ``pair_engine`` switch, (3.0.0) the process pool with
+    its supervisor and chaos knobs and (4.0.0) the epoch/token protocol,
+    ``CffiImpl`` and the ``neighbor_search`` knob are gone: old
+    spellings are typed errors at the boundary, never a silent default."""
     import importlib
 
-    from repro.core.config import ExecConfig
+    from repro.core.config import ExecConfig, SimulationConfig
     from repro.ics import SquarePatchConfig, make_square_patch
+    from repro.sph.pair_engine import PairContext
 
     for module in ("repro.compat", "repro.parallel"):
         with pytest.raises(ModuleNotFoundError):
@@ -159,4 +161,15 @@ def test_removed_surface_fails_closed():
         api.JobSpec.from_dict({"scenario": "sod", "pair_engine": True})
     with pytest.raises(SpecError, match="unknown backend"):
         api.JobSpec(scenario="sod", backend="numba")
+    # 4.0.0: per-pair state has one owner with a lexical lifetime.
+    with pytest.raises(AttributeError):
+        particles.bump_epoch("x")
+    with pytest.raises(ImportError):
+        from repro.sph import new_pair_token  # noqa: F401
+    with pytest.raises(AttributeError):
+        PairContext().set_tokens(1, 2, 3)
+    with pytest.raises(ImportError):
+        from repro.backend.cffi_backend import CffiImpl  # noqa: F401
+    with pytest.raises(TypeError):
+        SimulationConfig(neighbor_search="tree-walk")
 

@@ -38,7 +38,6 @@ from repro.core.config import ExecConfig, RunConfig, SimulationConfig
 from repro.core.simulation import Simulation
 from repro.gradients.iad import compute_iad_matrices
 from repro.ics.square_patch import SquarePatchConfig, make_square_patch
-from repro.observability.deprecation import reset_deprecation_warnings
 from repro.scenarios import (
     all_scenarios,
     compare_records,
@@ -146,11 +145,11 @@ def isolated_registry(monkeypatch):
         raise BackendUnavailableError("toolchain removed for test")
 
     backend_mod._reset_backends()
-    reset_deprecation_warnings()
+    backend_mod._WARNED.clear()
     monkeypatch.setitem(backend_mod._FACTORIES, "cffi", unavailable)
     yield
     backend_mod._reset_backends()
-    reset_deprecation_warnings()
+    backend_mod._WARNED.clear()
 
 
 def test_named_unavailable_backend_warns_once_and_degrades(isolated_registry):

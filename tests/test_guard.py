@@ -454,13 +454,33 @@ def test_numerical_fault_kinds():
     assert p.m[5] == 7.5
 
 
-def test_numerical_fault_epoch_bump():
+def test_numerical_fault_in_x_is_what_the_next_evaluation_reads():
+    """A fault written into ``x`` between two rate evaluations — on a
+    Verlet hit, so both see the same list object — is what the next
+    evaluation's pair geometry is computed from: the pair-context run
+    equals the context-free one, and differs from the unfaulted rates."""
     scenario = get_scenario("square-patch")
-    sim = scenario.make_simulation(test=True)
-    p = sim.particles
-    before = p.epoch("x")
-    NumericalFault(step=0, array="x", kind="nan").inject(p)
-    assert p.epoch("x") != before
+    sims = [
+        scenario.make_simulation(
+            test=True, run_config=RunConfig(exec=ExecConfig(neighbor_cache=True))
+        )
+        for _ in range(2)
+    ]
+    rho_clean = []
+    for sim in sims:
+        sim.run(n_steps=1)
+        rho_clean.append(sim.particles.rho.copy())
+        p = sim.particles
+        moved = p.x.ravel()[0] + 0.05 * p.h[0]  # inside the skin budget
+        NumericalFault(step=0, array="x", kind="set", value=moved).inject(p)
+    engine, reference = sims
+    reference.degrade_to_serial()  # no pair context at all
+    for sim in sims:
+        hits = sim.report().neighbor_cache["hits"]
+        sim.compute_rates()
+        assert sim.report().neighbor_cache["hits"] == hits + 1
+    _assert_bitwise(engine, _state(reference))
+    assert not np.array_equal(engine.particles.rho, rho_clean[0])
 
 
 def test_numerical_policy_fire_budget():

@@ -6,23 +6,30 @@ Covers the zero-redundancy pair engine end to end:
   equal to the historical per-column loop;
 * fused kernel evaluation (``value_and_gradient`` / ``*_from_q`` with
   ``out=``) — bitwise equal to the separate allocating calls;
-* :class:`~repro.sph.pair_engine.PairContext` invalidation — position
-  drift, h re-adaptation, Verlet-list rebuild and row-sliced binds;
+* :class:`~repro.sph.pair_engine.PairContext` lifetime — sharing inside
+  one open evaluation, nothing across two (moved ``x`` / ``h`` / ``v``),
+  Verlet-list rebuild, row-sliced binds, the ``h``-written drop;
 * driver integration — engine on vs off is bit-for-bit identical,
   threaded runs with any worker count and cache setting match the
-  serial path, and steady-state steps allocate nothing.
+  serial path, steady-state steps allocate nothing, an exception inside
+  a phase closes the evaluation, and the compiled path issues the
+  pinned number of ``rp_*`` calls per step.
 """
 
 from __future__ import annotations
 
+import collections
+
 import numpy as np
 import pytest
 
+from repro.backend import available_backends
 from repro.core.config import ExecConfig, RunConfig, SimulationConfig
 from repro.core.simulation import Simulation
 from repro.ics.square_patch import SquarePatchConfig, make_square_patch
 from repro.kernels.registry import make_kernel
-from repro.sph.pair_engine import PairContext, ScratchArena, new_pair_token
+from repro.sph.pair_engine import PairContext, ScratchArena
+from repro.sph.viscosity import ViscosityParams
 from repro.timestepping.steppers import TimestepParams
 from repro.tree.box import Box
 from repro.tree.cellgrid import cell_grid_search
@@ -156,90 +163,96 @@ def test_scratch_arena_dtype_change_reallocates():
 
 
 # ----------------------------------------------------------------------
-# PairContext invalidation
+# PairContext lifetime
 # ----------------------------------------------------------------------
 def test_geometry_reuse_and_position_drift(cloud):
     x, h, box, nlist = cloud
     ctx = PairContext()
-    tok_g, tok_h, tok_v = new_pair_token(), new_pair_token(), new_pair_token()
-    ctx.set_tokens(tok_g, tok_h, tok_v)
 
-    ctx.bind(x, nlist, box)
-    assert ctx.stats.geometry_computes == 1
-    dx_ref, r_ref = nlist.pair_geometry(x, box)
-    assert np.array_equal(ctx.dx, dx_ref)
-    assert np.array_equal(ctx.r, r_ref)
+    with ctx.evaluation():
+        ctx.bind(x, nlist, box)
+        assert ctx.stats.geometry_computes == 1
+        dx_ref, r_ref = nlist.pair_geometry(x, box)
+        assert np.array_equal(ctx.dx, dx_ref)
+        assert np.array_equal(ctx.r, r_ref)
 
-    ctx.bind(x, nlist, box)  # same token + same list object -> reuse
-    assert ctx.stats.geometry_computes == 1
-    assert ctx.stats.geometry_reuses == 1
+        ctx.bind(x, nlist, box)  # same evaluation + same list object -> reuse
+        assert ctx.stats.geometry_computes == 1
+        assert ctx.stats.geometry_reuses == 1
 
-    # Drift: the driver mints a fresh geometry token for the moved x.
+    # Drift: the next evaluation sees the moved x on the same list object.
     x2 = x + 0.01
-    ctx.set_tokens(new_pair_token(), tok_h, tok_v)
-    ctx.bind(x2, nlist, box)
-    assert ctx.stats.geometry_computes == 2
-    dx2, r2 = nlist.pair_geometry(x2, box)
-    assert np.array_equal(ctx.dx, dx2)
-    assert np.array_equal(ctx.r, r2)
+    with ctx.evaluation():
+        ctx.bind(x2, nlist, box)
+        assert ctx.stats.geometry_computes == 2
+        dx2, r2 = nlist.pair_geometry(x2, box)
+        assert np.array_equal(ctx.dx, dx2)
+        assert np.array_equal(ctx.r, r2)
 
 
 def test_product_invalidation_on_h_change(cloud):
     x, h, box, nlist = cloud
     kernel = make_kernel("cubic-spline")
     ctx = PairContext()
-    tok_g, tok_v = new_pair_token(), new_pair_token()
-    ctx.set_tokens(tok_g, new_pair_token(), tok_v)
-    ctx.bind(x, nlist, box)
-
     i, _ = nlist.pairs()
-    w1 = ctx.w_i(kernel, h, 3)
-    assert np.array_equal(w1, kernel.value(ctx.r, h[i], 3))
-    assert ctx.w_i(kernel, h, 3) is w1  # memoized under the h token
-    w1 = w1.copy()  # the live view will be overwritten by the recompute
 
-    # h re-adaptation: same geometry, new h token.
-    h2 = h * 1.05
-    ctx.set_tokens(tok_g, new_pair_token(), tok_v)
-    ctx.bind(x, nlist, box)
-    assert ctx.stats.geometry_reuses >= 1  # geometry survived
-    w2 = ctx.w_i(kernel, h2, 3)
-    assert np.array_equal(w2, kernel.value(ctx.r, h2[i], 3))
-    assert not np.array_equal(w1, w2)
+    with ctx.evaluation():
+        ctx.bind(x, nlist, box)
+        w1 = ctx.w_i(kernel, h, 3)
+        assert np.array_equal(w1, kernel.value(ctx.r, h[i], 3))
+        assert ctx.w_i(kernel, h, 3) is w1  # memoized by name
+        w1 = w1.copy()  # the live view will be overwritten by the recompute
+
+        # h re-adaptation inside the evaluation: same geometry, h written.
+        h2 = h * 1.05
+        ctx.h_written()
+        ctx.bind(x, nlist, box)
+        assert ctx.stats.geometry_reuses >= 1  # geometry survived
+        w2 = ctx.w_i(kernel, h2, 3)
+        assert np.array_equal(w2, kernel.value(ctx.r, h2[i], 3))
+        assert not np.array_equal(w1, w2)
+        w2 = w2.copy()
+
+    # And a second evaluation after h moved again recomputes too.
+    h3 = h * 0.9
+    with ctx.evaluation():
+        ctx.bind(x, nlist, box)
+        w3 = ctx.w_i(kernel, h3, 3)
+        assert np.array_equal(w3, kernel.value(ctx.r, h3[i], 3))
+        assert not np.array_equal(w2, w3)
 
 
 def test_velocity_token_invalidates_vel_ij(cloud, rng):
     x, h, box, nlist = cloud
     ctx = PairContext()
-    tok_g, tok_h = new_pair_token(), new_pair_token()
-    ctx.set_tokens(tok_g, tok_h, new_pair_token())
-    ctx.bind(x, nlist, box)
     v = rng.normal(size=x.shape)
     i, j = nlist.pairs()
-    v1 = ctx.vel_ij(v)
-    assert np.array_equal(v1, v[i] - v[j])
-    assert ctx.vel_ij(v) is v1
-    v_new = v * 2.0  # kick: new velocity token
-    ctx.set_tokens(tok_g, tok_h, new_pair_token())
-    ctx.bind(x, nlist, box)
-    assert np.array_equal(ctx.vel_ij(v_new), v_new[i] - v_new[j])
+    with ctx.evaluation():
+        ctx.bind(x, nlist, box)
+        v1 = ctx.vel_ij(v)
+        assert np.array_equal(v1, v[i] - v[j])
+        assert ctx.vel_ij(v) is v1
+    v_new = v * 2.0  # kick: the next evaluation reads the new velocities
+    with ctx.evaluation():
+        ctx.bind(x, nlist, box)
+        assert np.array_equal(ctx.vel_ij(v_new), v_new[i] - v_new[j])
 
 
 def test_verlet_rebuild_invalidates_by_identity(cloud):
-    """A rebuilt list (same token, different object) must not be trusted."""
+    """A rebuilt list (same evaluation, different object) must not be trusted."""
     x, h, box, nlist = cloud
     ctx = PairContext()
-    ctx.set_tokens(new_pair_token(), new_pair_token(), new_pair_token())
-    ctx.bind(x, nlist, box)
-    rebuilt = NeighborList(nlist.offsets.copy(), nlist.indices.copy())
-    ctx.bind(x, rebuilt, box)  # same pair count, same token — new object
+    with ctx.evaluation():
+        ctx.bind(x, nlist, box)
+        rebuilt = NeighborList(nlist.offsets.copy(), nlist.indices.copy())
+        ctx.bind(x, rebuilt, box)  # same pair count — new object
     assert ctx.stats.geometry_computes == 2
     assert ctx.stats.geometry_reuses == 0
 
 
 def test_untracked_context_never_reuses_across_binds(cloud):
     x, h, box, nlist = cloud
-    ctx = PairContext()  # set_tokens never called
+    ctx = PairContext()  # no evaluation open
     ctx.bind(x, nlist, box)
     ctx.bind(x, nlist, box)
     assert ctx.stats.geometry_computes == 2
@@ -247,30 +260,53 @@ def test_untracked_context_never_reuses_across_binds(cloud):
 
 def test_context_row_slices(cloud):
     """A context bound to a row range: the slice's geometry, reused
-    across phases on the same list object, keyed on the range."""
+    across phases on the same list object, keyed on the range; opened
+    (and closed) together with the whole-list context."""
     x, h, box, nlist = cloud
     lo, hi = 50, 180
+    whole, ctx = PairContext(), PairContext()
+
+    with whole.evaluation([ctx]):
+        assert ctx.is_open
+        ctx.bind(x, nlist, box, rows=(lo, hi))
+        assert (ctx.lo, ctx.hi) == (lo, hi)
+        sub = nlist.row_slice(lo, hi)
+        dx_ref, r_ref = sub.pair_geometry(x, box, row_offset=lo)
+        assert np.array_equal(ctx.dx, dx_ref)
+        assert np.array_equal(ctx.r, r_ref)
+        assert np.array_equal(ctx.i, sub.pair_i() + lo)
+        assert np.array_equal(ctx.j, sub.indices)
+
+        # Next phase of the evaluation: same list object, same rows.
+        ctx.bind(x, nlist, box, rows=(lo, hi))
+        assert ctx.stats.geometry_reuses == 1
+        assert ctx.stats.geometry_computes == 1
+
+        # A different row range is its own geometry.
+        ctx.bind(x, nlist, box, rows=(0, 50))
+        assert ctx.stats.geometry_computes == 2
+    assert not ctx.is_open
+
+    # A second evaluation after moving x recomputes the slice.
+    x2 = x + 0.01
+    with whole.evaluation([ctx]):
+        ctx.bind(x2, nlist, box, rows=(0, 50))
+        assert ctx.stats.geometry_computes == 3
+        ref = nlist.row_slice(0, 50).pair_geometry(x2, box)[1]
+        assert np.array_equal(ctx.r, ref)
+
+
+def test_evaluation_closes_on_raise(cloud):
+    x, h, box, nlist = cloud
     ctx = PairContext()
-    tok = new_pair_token()
-    ctx.set_tokens(tok, new_pair_token(), new_pair_token())
-
-    ctx.bind(x, nlist, box, rows=(lo, hi))
-    assert (ctx.lo, ctx.hi) == (lo, hi)
-    sub = nlist.row_slice(lo, hi)
-    dx_ref, r_ref = sub.pair_geometry(x, box, row_offset=lo)
-    assert np.array_equal(ctx.dx, dx_ref)
-    assert np.array_equal(ctx.r, r_ref)
-    assert np.array_equal(ctx.i, sub.pair_i() + lo)
-    assert np.array_equal(ctx.j, sub.indices)
-
-    # Next phase of the step: same list object, same tokens, same rows.
-    ctx.bind(x, nlist, box, rows=(lo, hi))
-    assert ctx.stats.geometry_reuses == 1
-    assert ctx.stats.geometry_computes == 1
-
-    # A different row range is its own geometry.
-    ctx.bind(x, nlist, box, rows=(0, 50))
-    assert ctx.stats.geometry_computes == 2
+    with pytest.raises(RuntimeError, match="boom"):
+        with ctx.evaluation():
+            ctx.bind(x, nlist, box)
+            raise RuntimeError("boom")
+    assert not ctx.is_open
+    ctx.bind(x, nlist, box)  # nothing of the failed evaluation is shared
+    ctx.bind(x, nlist, box)
+    assert ctx.stats.geometry_reuses == 0
 
 
 # ----------------------------------------------------------------------
@@ -385,10 +421,96 @@ def test_restore_invalidates_pair_context(tmp_path):
     path = tmp_path / "cp.npz"
     write_checkpoint(path, Checkpoint.of_simulation(sim))
     sim.run(n_steps=1)
-    geom_key_before = sim._pair_ctx._geom_key
-    assert geom_key_before is not None
+    third = {name: getattr(sim.particles, name).copy() for name in FIELDS}
+    # Between evaluations the context is closed and holds no list.
+    assert not sim._pair_ctx.is_open
+    assert sim._pair_ctx._nlist_ref is None
     read_checkpoint(path).restore_into(sim)
-    assert sim._pair_ctx._geom_key is None  # nothing survives the restore
-    # And the restored run keeps stepping with correct re-minted tokens.
+    # The restored run replays the third step: nothing of the
+    # pre-restore evaluation is shared with it.
     sim.run(n_steps=1)
     assert sim.history[-1].pair_geometry_computes >= 1
+    for name in FIELDS:
+        assert np.array_equal(getattr(sim.particles, name), third[name]), name
+
+
+def test_exception_inside_a_phase_closes_the_evaluation(monkeypatch):
+    import repro.core.phase_executor as phase_executor
+
+    particles, box, eos = make_square_patch(SquarePatchConfig(side=8, layers=4))
+    config = SimulationConfig().with_(n_neighbors=30, timestep_params=TS)
+    run_config = RunConfig(exec=ExecConfig(neighbor_cache=True))
+    sim = Simulation(particles, box, eos, config=config, run_config=run_config)
+    ref = Simulation(
+        particles.copy(), box, eos, config=config, run_config=run_config
+    )
+    ref.degrade_to_serial()  # the context-free reference
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("phase failed")
+
+    for s in (sim, ref):
+        s.compute_rates()
+        with monkeypatch.context() as patch:
+            patch.setattr(phase_executor, "compute_forces", broken)
+            with pytest.raises(RuntimeError, match="phase failed"):
+                s.compute_rates()
+    assert not sim._pair_ctx.is_open
+    assert sim._pair_ctx._nlist_ref is None
+
+    # Move the particles under the (still valid) Verlet list: the next
+    # evaluation succeeds and reads the moved positions.
+    for s in (sim, ref):
+        s.particles.x[:] += 0.01 * s.particles.h[:, None]
+        s.compute_rates()
+    for name in FIELDS:
+        assert np.array_equal(
+            getattr(sim.particles, name), getattr(ref.particles, name)
+        ), name
+
+
+# ----------------------------------------------------------------------
+# Compiled path: the same sharing, counted at the library boundary
+# ----------------------------------------------------------------------
+STANDARD_GRADH_BALSARA = dict(
+    gradients="standard", grad_h=True, viscosity=ViscosityParams(use_balsara=True)
+)
+
+
+@pytest.mark.parametrize(
+    "config_kw, kernel_passes",
+    [({}, 1), (STANDARD_GRADH_BALSARA, 3)],
+    ids=["iad", "standard+gradh+balsara"],
+)
+def test_compiled_ops_per_cache_hit_step(config_kw, kernel_passes, rp_calls):
+    """One Verlet-hit step on cffi: one radii pass serves the ten count
+    sweeps and the support filter, and each kernel product is evaluated
+    once — ``W_i`` for IAD, density and forces; ``gs_i`` for div/curl and
+    forces, ``dW/dh_i`` for grad-h, ``W_i`` for density."""
+    if not available_backends()["cffi"]:
+        pytest.skip("no C toolchain on this host")
+    particles, box, eos = make_square_patch(SquarePatchConfig(side=8, layers=6))
+    config = SimulationConfig().with_(
+        n_neighbors=30, timestep_params=TS, **config_kw
+    )
+    sim = Simulation(
+        particles, box, eos, config=config,
+        run_config=RunConfig(exec=ExecConfig(backend="cffi", neighbor_cache=True)),
+    )
+    sim.run(n_steps=1)
+    hits = sim.report().neighbor_cache["hits"]
+    sweeps = sim.report().neighbor_cache["sweeps"]
+    del rp_calls[:]
+    sim.run(n_steps=1)
+    report = sim.report()
+    assert report.neighbor_cache["hits"] == hits + 1  # a hit step
+    counts = collections.Counter(name for name, _ in rp_calls)
+    assert counts["rp_radii"] == 1
+    assert counts["rp_filter_count"] == counts["rp_filter_fill"] == 1
+    assert counts["rp_pair_kernel"] == kernel_passes
+    assert counts["rp_forces"] == 1
+    assert counts["rp_counts_r"] == report.neighbor_cache["sweeps"] - sweeps
+    assert counts["rp_walk"] == counts["rp_pairs_within"] == 0
+    # One store, so the report is truthful on the compiled path too.
+    assert report.pair_engine["geometry_reuses"] > 0
+    assert report.pair_engine["product_reuses"] > 0

@@ -153,32 +153,23 @@ def test_compiled_threads_match_compiled_serial_on_the_square_patch():
 
 
 @pytest.mark.parametrize("backend", ["numpy", "cffi"])
-def test_more_slices_than_cores_and_cache_slots_keep_parity(backend, monkeypatch):
-    """90 slices on 3 threads: more than the cores, and more than the
-    compiled ops' per-slice cache holds (its wholesale eviction runs
-    while slices are in flight).  Whole-list memos are produced once per
-    neighbour list, on the driver thread — as often as in a serial run,
-    not once per slice or per thread."""
+def test_more_slices_than_cores_keep_parity(backend, rp_calls):
+    """90 slices on 3 threads, far more than the cores.  Whole-list
+    entries are produced once per neighbour list, on the driver thread —
+    as often as in a serial run, not once per slice or per thread."""
     import sys
     import threading
 
     if backend == "cffi" and not available_backends()["cffi"]:
         pytest.skip("no C toolchain on this host")
-    filter_threads = []
-    if backend == "cffi":
-        from repro.backend.cffi_backend import CffiImpl
 
-        real = CffiImpl.filter_fill
+    def filter_threads():
+        return [t for name, t in rp_calls if name == "rp_filter_fill"]
 
-        def counting(self, *args):
-            filter_threads.append(threading.get_ident())
-            return real(self, *args)
-
-        monkeypatch.setattr(CffiImpl, "filter_fill", counting)
     cached = dict(backend=backend, neighbor_cache=True)
     ref_state, ref_extras = _run("square-patch", ExecConfig(**cached), n_steps=3)
-    serial_lists = len(filter_threads)
-    del filter_threads[:]
+    serial_lists = len(filter_threads())
+    del rp_calls[:]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -193,8 +184,8 @@ def test_more_slices_than_cores_and_cache_slots_keep_parity(backend, monkeypatch
         assert np.array_equal(state[name], ref_state[name]), name
     assert extras["dt"] == ref_extras["dt"]
     assert extras["max_mu"] == ref_extras["max_mu"]
-    assert len(filter_threads) == serial_lists
-    assert set(filter_threads) <= {threading.main_thread().ident}
+    assert len(filter_threads()) == serial_lists
+    assert set(filter_threads()) <= {threading.main_thread().ident}
     assert (serial_lists > 0) == (backend == "cffi")
 
 

@@ -89,29 +89,6 @@ def test_gravity_phase_empty_without_gravity():
     assert sim.potential_energy == 0.0
 
 
-def test_neighbor_search_paths_agree():
-    """Tree-walk and cell-grid neighbour discovery: same physics."""
-    particles1, box, eos = make_square_patch(SquarePatchConfig(side=8, layers=4))
-    particles2 = particles1.copy()
-    params = TimestepParams(use_energy_criterion=False)
-    sim1 = Simulation(
-        particles1, box, eos,
-        config=SPHFLOW.with_(n_neighbors=25, neighbor_search="tree-walk",
-                             timestep_params=params),
-    )
-    sim2 = Simulation(
-        particles2, box, eos,
-        config=SPHFLOW.with_(n_neighbors=25, neighbor_search="cell-grid",
-                             timestep_params=params),
-    )
-    sim1.run(n_steps=2)
-    sim2.run(n_steps=2)
-    # Both searches emit the same canonical lists, so not just close:
-    assert np.array_equal(sim1._nlist.indices, sim2._nlist.indices)
-    assert np.array_equal(sim1.particles.x, sim2.particles.x)
-    assert np.array_equal(sim1.particles.rho, sim2.particles.rho)
-
-
 def test_rate_evaluation_searches_once_and_builds_the_tree_on_demand(monkeypatch):
     from repro.core.config import RunConfig
     from repro.core.config import ExecConfig
@@ -125,7 +102,7 @@ def test_rate_evaluation_searches_once_and_builds_the_tree_on_demand(monkeypatch
     )
     particles, box, eos = make_square_patch(SquarePatchConfig(side=10, layers=5))
     config = SPH_EXA.with_(
-        n_neighbors=30, neighbor_search="tree-walk",
+        n_neighbors=30,
         timestep_params=TimestepParams(use_energy_criterion=False),
     )
     sim = Simulation(

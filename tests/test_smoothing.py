@@ -260,11 +260,12 @@ def test_build_costs_one_search_and_out_growing_it_one_more(rng):
     assert np.array_equal(calls[0], 2.0 * np.full(600, 0.16))
     h_converged = p.h.copy()
 
-    # Every later build starts from an adapted h and pads its first
-    # search: a few per cent of growth costs exactly that one search.
+    # Every later build starts from an adapted h (its caller says so)
+    # and pads its first search: a few per cent of growth costs exactly
+    # that one search.
     calls.clear()
     p.h[:] = 0.95 * h_converged
-    adapt_smoothing_lengths(p, box, cfg, search=search)
+    adapt_smoothing_lengths(p, box, cfg, search=search, adapted=True)
     assert len(calls) == 1
     assert np.array_equal(calls[0], 2.0 * (0.95 * h_converged * GROWTH_PAD))
 
@@ -272,7 +273,7 @@ def test_build_costs_one_search_and_out_growing_it_one_more(rng):
     # did, padded again to cover the rest of the iteration.
     calls.clear()
     p.h[:] = 0.9 * h_converged
-    adapt_smoothing_lengths(p, box, cfg, search=search)
+    adapt_smoothing_lengths(p, box, cfg, search=search, adapted=True)
     assert len(calls) == 2
     assert np.all(calls[1] > calls[0])
 
