@@ -12,9 +12,10 @@ This module only builds and loads; the one marshalling layer over the
 ``rp_*`` entry points is :class:`repro.backend.compiled.CompiledOps`.
 Arrays cross the boundary zero-copy via ``ffi.from_buffer``, and an
 ABI-mode call releases the interpreter lock for its duration: neither
-the C unit (no static or global scratch) nor the op table holds state
-between calls, so the phase executor's threads — and any number of
-simulations in one process — call them concurrently.
+the C unit (no static or global scratch; row buffers come with each
+call) nor the op table holds state between calls, so the phase
+executor's threads — and any number of simulations in one process —
+call them concurrently.
 """
 
 from __future__ import annotations
@@ -31,9 +32,15 @@ from .csrc import CDEF, SOURCE
 
 __all__ = ["load_library"]
 
-#: Optimization flags; ``-march=native`` is retried-without on compilers
-#: or platforms that reject it.  Strict IEEE: no ``-ffast-math``.
-_BASE_FLAGS = ("-O3", "-fPIC", "-shared")
+#: Optimization flags (part of the build-cache key); ``-march=native`` is
+#: retried-without on compilers or platforms that reject it.  Strict
+#: IEEE: no ``-ffast-math``, no reassociation.  The two ``-fno-`` flags
+#: change no value: without ``errno`` ``sqrt`` is one (vector)
+#: instruction, and with no trap to preserve the compiler may compute
+#: both arms of a select — together they let the row kernels vectorise.
+_BASE_FLAGS = (
+    "-O3", "-fPIC", "-shared", "-fno-math-errno", "-fno-trapping-math",
+)
 _NATIVE_FLAG = "-march=native"
 
 _CACHED: Optional[Tuple[object, object, str]] = None

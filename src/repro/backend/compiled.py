@@ -1,62 +1,47 @@
 """The compiled op table behind the phase functions.
 
 :class:`CompiledOps` is a *stateless* marshalling table over the shared
-library built by :mod:`repro.backend.cffi_backend`: each method checks
-contiguity, encodes the box as the minimum-image ``psel``/``pdiv``
-arrays, allocates its row-sized outputs and calls one ``lib.rp_*`` entry
-point.  It holds the library handle and nothing else, so one instance
-serves every simulation and thread of the process.
+library built by :mod:`repro.backend.cffi_backend`: each method encodes
+the box as the minimum-image ``psel``/``pdiv`` arrays, allocates its
+row-sized outputs and the per-call block of row buffers, and calls one
+``lib.rp_*`` entry point.  It holds the library handle and nothing else,
+so one instance serves every simulation and thread of the process.
 
-Everything per-pair that outlives a call lives in the caller's
-:class:`~repro.sph.pair_engine.PairContext`, which the three ops that
-share work take as their first argument: :meth:`support_list` (the
-support-filtered list, cut from the context's radii),
-:meth:`normalizations` (per-particle ``whn = sigma/h**dim`` /
-``whn1 = sigma/h**(dim+1)``, computed with the *same numpy ufunc
-sequence* as the reference so the factors are bitwise-equal by
-construction) and :meth:`pair_products` (``W``, the gradient scale
-``dW/dr / r`` and ``dW/dh`` per CSR row slice, in the context's
-grow-only arena).  Inside an open evaluation the IAD phase's ``W_i`` row
-pass is the one the density and force phases read; with an unmanaged
-context every call recomputes — correct, just less shared.
+The neighbour list is the only per-pair thing that crosses the
+boundary, in either direction: ``int64`` row offsets and one ``int32``
+column.  Marshalling never copies it — a column of another dtype or
+layout is a ``TypeError``; a caller holding a numpy-built ``int64`` list
+converts it once with :meth:`NeighborList.as_int32` — and never copies
+an array an op writes.  Separations, kernel values and gradients are
+recomputed by the row kernels where they are used (see
+:mod:`repro.backend.csrc`), so there is nothing to keep between calls
+and nothing to invalidate.
 """
 
 from __future__ import annotations
 
-from typing import Dict, NamedTuple, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
+from ..tree.neighborlist import NeighborList
 from .base import UnsupportedKernelError, kernel_spec
+from .csrc import SCRATCH_ROWS
 
 __all__ = ["CompiledOps"]
 
-
-class SupportList(NamedTuple):
-    """Support-filtered sub-CSR of a (padded) neighbour list.
-
-    Keeps exactly the pairs within ``support * max(h_i, h_j)`` — the
-    pairs whose kernel terms can be non-zero on either side.  Dropped
-    pairs contribute an exact ``0.0`` to every pair sum, and the fill
-    preserves ascending pair order, so running the fused loops over the
-    sub-list reproduces the full-list reductions while skipping the
-    Verlet-skin padding (~2x fewer pairs at the default skin).
-    """
-
-    offsets: np.ndarray
-    indices: np.ndarray
-    n: int
-
-#: want-bitmask per product name, in the order of the C output arguments.
-_WANT_BITS = {"w": 1, "gs": 2, "dwdh": 4}
+_CTYPES = {
+    np.dtype(np.float64): "double[]",
+    np.dtype(np.int64): "int64_t[]",
+    np.dtype(np.int32): "int32_t[]",
+}
 
 
 def _pspans(box, dim: int) -> Tuple[np.ndarray, np.ndarray]:
     """Min-image encoding of the box: psel = span|0, pdiv = span|inf.
 
-    ``t - psel*rint(t/pdiv)`` is the wrap on a periodic axis and ``t`` on
-    an open one, where no ``t`` ever exceeds ``pdiv/2`` — the test the
-    compiled loops skip the wrap on.
+    ``t - psel*rint(t/pdiv)`` is the wrap on a periodic axis; an open
+    axis (``psel = 0``) is never wrapped.
     """
     psel = np.zeros(dim)
     pdiv = np.full(dim, np.inf)
@@ -78,8 +63,9 @@ class CompiledOps:
 
     # -- marshalling ---------------------------------------------------
     def _d(self, arr: Optional[np.ndarray]):
-        """``double *`` onto a C-contiguous float64 view of ``arr`` (no
-        copy when already so; the cdata keeps a copy alive for the call)."""
+        """``double *`` onto an array the op only reads: a C-contiguous
+        float64 view of ``arr`` (no copy when already so; the cdata keeps
+        a copy alive for the call).  ``None`` is ``NULL``."""
         if arr is None:
             return self._ffi.NULL
         return self._ffi.from_buffer(
@@ -87,16 +73,48 @@ class CompiledOps:
         )
 
     def _i(self, arr: np.ndarray):
+        """``int64_t *`` onto an array the op only reads (as :meth:`_d`)."""
         return self._ffi.from_buffer(
             "int64_t[]", np.ascontiguousarray(arr, dtype=np.int64)
         )
 
+    def _out(self, arr: np.ndarray):
+        """Pointer onto ``arr`` itself, for an array the op writes: a
+        copy made here would receive the results and be dropped."""
+        ctype = _CTYPES.get(arr.dtype)
+        if ctype is None or not arr.flags.c_contiguous:
+            raise TypeError(
+                "an op writes only a C-contiguous float64/int64/int32 array "
+                f"in place, got {arr.dtype.name}, strides {arr.strides}"
+            )
+        return self._ffi.from_buffer(ctype, arr)
+
     def _csr(self, nlist):
-        return self._i(nlist.offsets), self._i(nlist.indices)
+        """``(offsets, indices)`` of a list, zero-copy: the column of
+        every list an op takes is int32 already (a widening or a copy
+        here would be paid on every call)."""
+        if nlist.indices.dtype != np.int32:
+            raise TypeError(
+                f"compiled ops take int32 neighbour columns, got "
+                f"{nlist.indices.dtype.name}: convert the list once with "
+                "NeighborList.as_int32()"
+            )
+        return self._i(nlist.offsets), self._out(nlist.indices)
 
     def _box(self, box, dim: int):
         psel, pdiv = _pspans(box, dim)
         return self._d(psel), self._d(pdiv)
+
+    def _scratch(self, op: str, nlist):
+        """The zeroed block of row buffers ``op`` works in, each as long
+        as the longest row of ``nlist`` (buffers of axes the run does not
+        have are never written and stay zero)."""
+        cap = max(nlist.longest_row, 1)
+        return self._out(np.zeros(SCRATCH_ROWS[op] * cap)), cap
+
+    def _kernel(self, kernel, dim: int):
+        kind, p1 = kernel_spec(kernel)
+        return kind, float(p1), float(kernel.sigma(dim))
 
     # -- capability ----------------------------------------------------
     def supports(self, kernel) -> bool:
@@ -106,258 +124,122 @@ class CompiledOps:
             return False
         return True
 
-    # -- what a pair context keeps between calls -----------------------
-    def normalizations(
-        self, ctx, kernel, h: np.ndarray, dim: int
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-particle sigma/h**dim and sigma/h**(dim+1).
-
-        Same ufunc sequence as ``Kernel.value_from_q`` /
-        ``radial_derivative_from_q`` (power then divide), hence bitwise
-        -equal factors.  A whole-list entry of ``ctx``.
+    # -- the h iteration -----------------------------------------------
+    def adapt(
+        self, x, h, budget, nlist, box, table, n_target, h_min, h_max, sweeps
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``sweeps`` count-and-update sweeps of every row, fused:
+        ``(h_out, err_max, grown)`` — the iterate after the last sweep,
+        and per sweep the largest relative count error and whether any
+        ``h`` left its ``budget`` on that sweep's update.  ``table[c]`` is
+        the update factor for count ``c`` (``c`` up to the longest row).
         """
-        key = (kernel.cache_key(), dim, h.shape[0])
-        hit = ctx.held("whn", None, key, whole=True)
-        if hit is not None:
-            return hit
-        sigma = kernel.sigma(dim)
-        whn = np.power(h, dim)
-        np.divide(sigma, whn, out=whn)
-        whn1 = np.power(h, dim + 1)
-        np.divide(sigma, whn1, out=whn1)
-        return ctx.hold("whn", None, key, (whn, whn1), whole=True)
+        n, dim = x.shape
+        h_out = np.empty(n)
+        err_max = np.empty(sweeps)
+        grown = np.empty(sweeps, dtype=np.int32)
+        self.lib.rp_adapt(
+            self._d(x), self._d(h), self._d(budget), *self._csr(nlist), 0, n,
+            dim, *self._box(box, dim), self._d(table), int(n_target),
+            float(h_min), float(h_max), sweeps,
+            *self._scratch("rp_adapt", nlist), self._out(h_out),
+            self._out(err_max), self._out(grown),
+        )
+        return h_out, err_max, grown.astype(bool)
 
-    def support_list(self, ctx, x: np.ndarray, h: np.ndarray, nlist, box, kernel):
-        """Resolve the pair list the fused loops should run over.
-
-        Inside an open evaluation, the :class:`SupportList` keeping only
-        pairs within ``kernel.support * max(h_i, h_j)`` — every per-pair
-        op then skips the Verlet-skin padding — cut once per list from
-        the context's radii (a whole-list entry of ``ctx``).  Alignment
-        discipline: per-pair buffers produced against a given list are
-        only meaningful to ops called with the *same* list; phases
-        resolve it once per call and the context makes every phase of an
-        evaluation agree.  With an unmanaged context the original
-        ``nlist`` is returned unchanged (filtering would cost more than
-        one unshared pass saves).
+    # -- the list the phases run over ----------------------------------
+    def support_list(self, x, h, nlist, box, kernel) -> NeighborList:
+        """The pairs of ``nlist`` within ``kernel.support * max(h_i,
+        h_j)`` — the pairs whose kernel terms can be non-zero on either
+        side — rows in the order ``nlist`` holds them.  Dropped pairs
+        contribute an exact ``0.0`` to every pair sum, so the row kernels
+        reproduce the full-list sums over it while skipping the
+        Verlet-skin padding (~2.5x fewer pairs at the default skin).
         """
-        if not ctx.is_open:
-            return nlist
-        n = int(nlist.n)
-        support = float(kernel.support)
-        sub = ctx.held("support", nlist, (support,), whole=True)
-        if sub is not None:
-            return sub
-        offs, idx = self._csr(nlist)
-        r, h64 = self._d(ctx.radii(self, x, nlist, box)), self._d(h)
-        kept = np.empty(n, dtype=np.int64)
-        self.lib.rp_filter_count(offs, idx, r, h64, n, support, self._i(kept))
+        n, dim = x.shape
         offsets = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(kept, out=offsets[1:])
-        indices = np.empty(int(offsets[n]), dtype=np.int64)
-        self.lib.rp_filter_fill(
-            offs, idx, r, h64, n, support, self._i(offsets), self._i(indices)
+        # Room for every pair; only the kept ones are ever written, and
+        # the unused tail goes back before anyone holds a reference.
+        indices = np.empty(nlist.n_pairs, dtype=np.int32)
+        self.lib.rp_support_cut(
+            self._d(x), self._d(h), *self._csr(nlist), n, dim,
+            *self._box(box, dim), float(kernel.support),
+            *self._scratch("rp_support_cut", nlist), self._out(offsets),
+            self._out(indices),
         )
-        sub = SupportList(offsets=offsets, indices=indices, n=n)
-        return ctx.hold("support", nlist, (support,), sub, whole=True)
+        indices.resize(int(offsets[n]), refcheck=False)
+        return NeighborList(offsets, indices)
 
-    def pair_products(
-        self,
-        ctx,
-        *,
-        x: np.ndarray,
-        h: np.ndarray,
-        nlist,
-        box,
-        kernel,
-        dim: int,
-        lo: int,
-        hi: int,
-        want: Tuple[str, ...],
-    ) -> Dict[str, np.ndarray]:
-        """Per-pair kernel products of rows ``[lo, hi)``, evaluated with
-        ``h[i]`` and kept in ``ctx``.
-
-        ``want`` names any subset of ``("w", "gs", "dwdh")``; the ones
-        ``ctx`` does not hold for this list and row range are computed
-        in a single fused pass over the CSR rows.  Returned arrays are
-        context-owned views — consume before the next call that could
-        recompute the same slot.
-        """
-        kind, p1 = kernel_spec(kernel)
-        key = (lo, hi, kernel.cache_key(), dim)
-        out = {prod: ctx.held(f"{prod}_rows", nlist, key) for prod in want}
-        missing = [prod for prod in want if out[prod] is None]
-        if missing:
-            whn, whn1 = self.normalizations(ctx, kernel, h, dim)
-            n_pairs = int(nlist.offsets[hi] - nlist.offsets[lo])
-            bufs = {
-                prod: ctx.arena.take(f"{prod}_rows", (n_pairs,))
-                for prod in missing
-            }
-            unused = self._d(np.empty(1))
-            self.lib.rp_pair_kernel(
-                self._d(x), self._d(h), self._d(whn), self._d(whn1),
-                *self._csr(nlist), lo, hi, dim, *self._box(box, dim),
-                kind, p1, sum(_WANT_BITS[prod] for prod in missing), 0,
-                *(
-                    self._d(bufs[prod]) if prod in bufs else unused
-                    for prod in _WANT_BITS
-                ),
-            )
-            for prod, buf in bufs.items():
-                out[prod] = ctx.hold(f"{prod}_rows", nlist, key, buf)
-        return out
-
-    # -- row reductions ------------------------------------------------
-    def rowsum(
-        self, nlist, lo: int, hi: int, wgt: np.ndarray, vals: np.ndarray
+    # -- pair phases ---------------------------------------------------
+    def density_sums(
+        self, x, h, wgt, nlist, box, kernel, lo: int, hi: int,
+        dwdh: bool = False,
     ) -> np.ndarray:
+        """Row sums of ``wgt[j] * W(r_ij, h_i)`` over rows ``[lo, hi)``
+        (``dwdh``: of ``wgt[j] * dW/dh(r_ij, h_i)``)."""
+        dim = x.shape[1]
         out = np.empty(hi - lo)
-        self.lib.rp_rowsum(
-            *self._csr(nlist), lo, hi, self._d(wgt), self._d(vals),
-            self._d(out),
+        self.lib.rp_density(
+            self._d(x), self._d(h), self._d(wgt), *self._csr(nlist), lo, hi,
+            dim, *self._box(box, dim), *self._kernel(kernel, dim), int(dwdh),
+            *self._scratch("rp_density", nlist), self._out(out),
         )
         return out
 
-    def iad_tau(
-        self,
-        x: np.ndarray,
-        nlist,
-        box,
-        m: np.ndarray,
-        rho: np.ndarray,
-        w: np.ndarray,
-        dim: int,
-        lo: int,
-        hi: int,
+    def iad_matrices(
+        self, x, h, m, rho, nlist, box, kernel, lo: int, hi: int, rcond: float
     ) -> np.ndarray:
-        tau = np.empty((hi - lo, dim, dim))
-        self.lib.rp_iad_tau(
-            self._d(x), *self._csr(nlist), lo, hi, dim,
-            *self._box(box, dim), self._d(m), self._d(rho), self._d(w),
-            self._d(tau),
+        """The regularised, inverted IAD moment matrices of rows
+        ``[lo, hi)``, shape ``(hi - lo, dim, dim)``."""
+        dim = x.shape[1]
+        out = np.empty((hi - lo, dim, dim))
+        self.lib.rp_iad(
+            self._d(x), self._d(h), self._d(m), self._d(rho),
+            *self._csr(nlist), lo, hi, dim, *self._box(box, dim),
+            *self._kernel(kernel, dim), float(rcond),
+            *self._scratch("rp_iad", nlist), self._out(out),
         )
-        return tau
-
-    def tau_inverse(
-        self, tau: np.ndarray, dim: int, rcond: float
-    ) -> np.ndarray:
-        """Regularize (``max(trace*rcond, 1e-300)`` on the diagonal)
-        and invert the IAD moment matrices in one compiled pass."""
-        rows = tau.shape[0]
-        out = np.empty((rows, dim, dim))
-        self.lib.rp_tau_inv(self._d(tau), rows, dim, float(rcond), self._d(out))
         return out
 
     def div_curl_sums(
-        self,
-        x: np.ndarray,
-        v: np.ndarray,
-        nlist,
-        box,
-        m: np.ndarray,
-        gs: np.ndarray,
-        dim: int,
-        lo: int,
-        hi: int,
+        self, x, v, h, m, nlist, box, kernel, lo: int, hi: int
     ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(sum m_j v_ij . grad_i W, sum m_j v_ij x grad_i W)`` of rows
+        ``[lo, hi)``; the cross products always have three components."""
+        dim = x.shape[1]
         divsum = np.empty(hi - lo)
         curlsum = np.empty((hi - lo, 3))
         self.lib.rp_div_curl(
-            self._d(x), self._d(v), *self._csr(nlist), lo, hi, dim,
-            *self._box(box, dim), self._d(m), self._d(gs),
-            self._d(divsum), self._d(curlsum),
+            self._d(x), self._d(v), self._d(h), self._d(m),
+            *self._csr(nlist), lo, hi, dim, *self._box(box, dim),
+            *self._kernel(kernel, dim), *self._scratch("rp_div_curl", nlist),
+            self._out(divsum), self._out(curlsum),
         )
         return divsum, curlsum
 
     def forces(
-        self,
-        ctx,
-        *,
-        x,
-        v,
-        h,
-        m,
-        rho,
-        p_over,
-        cs,
-        nlist,
-        box,
-        dim,
-        lo,
-        hi,
-        wi,
-        gsi,
-        use_iad,
-        c_matrices,
-        balsara_f,
-        alpha,
-        beta,
-        eta2,
-        kernel,
+        self, *, x, v, h, m, rho, p_over, cs, nlist, box, kernel, lo, hi,
+        c_matrices, balsara_f, alpha, beta, eta2,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-        """The fused momentum/energy loop over rows ``[lo, hi)``.
-
-        Only the query-side product is handed in — ``wi`` and
-        ``c_matrices`` when ``use_iad``, ``gsi`` otherwise; the
-        neighbour-side factor is evaluated inline from ``kernel`` and
-        the context's normalisations (``inline_j`` = 1) — one whole pair
-        pass saved, bitwise-same values (identical shape/normalization
-        arithmetic).
-        """
+        """The momentum/energy row kernel over rows ``[lo, hi)``:
+        ``(a, s1, s2, max_mu)``.  IAD gradients when ``c_matrices`` is
+        given, standard kernel gradients otherwise; the Balsara limiter
+        when ``balsara_f`` is."""
+        dim = x.shape[1]
         rows = hi - lo
         a = np.empty((rows, dim))
         s1 = np.empty(rows)
         s2 = np.empty(rows)
-        # Unused optional inputs still need a valid pointer to pass.
-        unused = self._d(np.empty(1))
-        kind, p1 = kernel_spec(kernel)
-        whn, whn1 = self.normalizations(ctx, kernel, h, dim)
-        use_balsara = balsara_f is not None
         max_mu = self.lib.rp_forces(
             self._d(x), self._d(v), self._d(h), self._d(m), self._d(rho),
             self._d(p_over), self._d(cs), *self._csr(nlist), lo, hi, dim,
-            *self._box(box, dim),
-            self._d(wi) if use_iad else unused, unused,
-            unused if use_iad else self._d(gsi), unused,
-            int(use_iad), self._d(c_matrices) if use_iad else unused,
-            self._d(balsara_f) if use_balsara else unused,
-            int(use_balsara), float(alpha), float(beta), float(eta2),
-            float(kernel.support), 1, kind, float(p1),
-            self._d(whn), self._d(whn1),
-            self._d(a), self._d(s1), self._d(s2),
+            *self._box(box, dim), *self._kernel(kernel, dim),
+            self._d(c_matrices), self._d(balsara_f), float(alpha),
+            float(beta), float(eta2), float(kernel.support),
+            *self._scratch("rp_forces", nlist),
+            self._out(a), self._out(s1), self._out(s2),
         )
         return a, s1, s2, float(max_mu)
-
-    # -- pair geometry --------------------------------------------------
-    def pair_radii(
-        self, x: np.ndarray, nlist, box, out: Optional[np.ndarray] = None
-    ) -> np.ndarray:
-        """Per-pair distances over the full list (into ``out`` when
-        given) — bitwise what the fused loops compute inline (same
-        ``rp_sep`` arithmetic)."""
-        dim = x.shape[1]
-        n = int(nlist.n)
-        if out is None:
-            out = np.empty(int(nlist.offsets[n]))
-        self.lib.rp_radii(
-            self._d(x), *self._csr(nlist), 0, n, dim, *self._box(box, dim),
-            self._d(out),
-        )
-        return out
-
-    def counts_from_radii(
-        self, r: np.ndarray, h: np.ndarray, nlist, factor: float
-    ) -> np.ndarray:
-        """Neighbour counts within ``factor*h[i]`` from precomputed radii
-        — bitwise the numpy ``r <= factor*h[i]``, one compare per pair."""
-        counts = np.empty(nlist.n, dtype=np.int64)
-        self.lib.rp_counts_r(
-            self._d(r), self._d(h), self._i(nlist.offsets), int(nlist.n),
-            float(factor), self._i(counts),
-        )
-        return counts
 
     # -- neighbour search ----------------------------------------------
     def walk_neighbors(
@@ -374,15 +256,17 @@ class CompiledOps:
         unless ``sort_rows`` asks for the canonical ascending order.
         """
         n, dim = xw.shape
+        if n >= 2**31:
+            raise OverflowError(f"{n} particles do not fit an int32 column")
         offsets = np.zeros(n + 1, dtype=np.int64)
         if n == 0:
-            return offsets, np.empty(0, dtype=np.int64)
+            return offsets, np.empty(0, dtype=np.int32)
         xs = self._d(xw[tree.order].T)
         rs = self._d(radii[tree.order])
         n_nodes = tree.n_nodes
-        lo = self._d(np.empty((n_nodes, dim)))
-        hi = self._d(np.empty((n_nodes, dim)))
-        rmax = self._d(np.empty(n_nodes))
+        lo = self._out(np.empty((n_nodes, dim)))
+        hi = self._out(np.empty((n_nodes, dim)))
+        rmax = self._out(np.empty(n_nodes))
         nodes = (
             n_nodes, self._i(tree.child_start), self._i(tree.child_count),
             self._i(tree.pstart), self._i(tree.pend),
@@ -394,17 +278,17 @@ class CompiledOps:
         )
         cursor = np.zeros(n, dtype=np.int64)
         null = self._ffi.NULL
-        self.lib.rp_walk(*args, null, self._i(cursor), null)  # counts
+        self.lib.rp_walk(*args, null, self._out(cursor), null)  # counts
         np.cumsum(cursor, out=offsets[1:])
-        indices = np.empty(int(offsets[n]), dtype=np.int64)
+        indices = np.empty(int(offsets[n]), dtype=np.int32)
         cursor[:] = offsets[:-1]
         self.lib.rp_walk(  # rows
-            *args, self._i(offsets), self._i(cursor), self._i(indices)
+            *args, self._i(offsets), self._out(cursor), self._out(indices)
         )
         if not np.array_equal(cursor, offsets[1:]):
             raise RuntimeError("tree walk: the fill pass disagrees with the count")
         if sort_rows:
-            self.lib.rp_sort_rows(self._i(offsets), n, self._i(indices))
+            self.lib.rp_sort_rows(self._i(offsets), n, self._out(indices))
         return offsets, indices
 
     def pairs_within(
@@ -417,10 +301,10 @@ class CompiledOps:
         offsets = np.zeros(n + 1, dtype=np.int64)
         # Room for every pair; only the kept ones are ever written, and
         # the unused tail goes back before anyone holds a reference.
-        indices = np.empty(nlist.n_pairs, dtype=np.int64)
+        indices = np.empty(nlist.n_pairs, dtype=np.int32)
         self.lib.rp_pairs_within(
             self._d(xw), self._d(radii), *self._csr(nlist), n, dim,
-            *self._box(box, dim), self._i(offsets), self._i(indices),
+            *self._box(box, dim), self._out(offsets), self._out(indices),
         )
         indices.resize(int(offsets[n]), refcheck=False)
         return offsets, indices
@@ -452,6 +336,6 @@ class CompiledOps:
             self._d(moments.mass), self._d(moments.com),
             *(self._d(mk) for mk in held),
             int(order), float(theta), float(g_const), float(eps2),
-            self._d(acc), self._d(phi), self._i(counts),
+            self._out(acc), self._out(phi), self._out(counts),
         )
         return acc, phi, int(counts[0]), int(counts[1])

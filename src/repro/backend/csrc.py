@@ -1,96 +1,96 @@
 """C source for the runtime-compiled (cffi) backend.
 
-One translation unit holding the fused pair-loop kernels, the neighbour
-search and the Barnes-Hut gravity walk.  Every loop
-mirrors the numpy reference arithmetic *operation for operation* (same
-association order, same special-case masks) so that:
-
-* pure-rational fields (``dx``, ``r``, the neighbour-count predicate
-  ``r <= 2*h[i]``) are **bitwise identical** to numpy — the smoothing
-  -length iteration therefore takes the same trajectory on every
-  backend;
-* transcendental-touched fields (kernel values, gradients, forces)
-  agree to a few ulp, gated by the documented backend tolerance.
+One translation unit holding the row kernels of the pair phases, the
+fused h iteration, the neighbour search and the Barnes-Hut gravity walk.
+The neighbour list (``int64`` row offsets, one ``int32`` column) is the
+only per-pair input of any op and no op returns anything per pair but a
+list: separations, kernel values and gradients are recomputed where they
+are used, one CSR row at a time, in row buffers carved from a scratch
+block the caller allocates per call (sized by the longest row — the unit
+has no static or global scratch, so any number of threads and
+simulations call it concurrently).
 
 Design notes:
 
-* ``h``-dependent normalizations ``sigma/h**dim`` / ``sigma/h**(dim+1)``
-  arrive as precomputed per-particle arrays (``whn``/``whn1``) —
-  computed in Python with the same numpy ufuncs as the reference, which
-  removes ``pow`` from the inner loops *and* makes those factors
-  bitwise-equal by construction.
+* A row kernel is a sequence of short loops over the pairs of one row.
+  Each loop is branch-free and reads and writes row buffers (plus gathers
+  from the particle arrays), which is what lets the compiler vectorise
+  it across pairs; ``RP_EACH`` tells it the buffers never overlap.  Row
+  buffers of axes a run does not have stay zero (the caller hands in a
+  zeroed block), so the arithmetic is written once, in 3-D.
+* Per-pair terms land in row buffers and are summed by a scalar loop in
+  ascending pair order — the order ``np.bincount`` applies its weights —
+  so a row's sums do not depend on how rows are sliced over threads and
+  no reassociation flag is needed.  No ``-ffast-math`` anywhere; the
+  build's ``-fno-math-errno -fno-trapping-math`` change no value (they
+  let ``sqrt`` and the selects below become vector instructions).
 * The minimum-image convention is one expression for every box: per-axis
   ``psel`` (span or 0) and ``pdiv`` (span or inf) turn the periodic wrap
-  into ``dx -= psel * rint(dx / pdiv)``, the identity on open axes and a
-  bitwise mirror of ``out -= span * np.round(out / span)`` on periodic
-  ones (``np.round`` at 0 decimals is ``rint``: round half to even).  It
-  is applied only where ``|dx| > pdiv/2`` — elsewhere it is the identity
-  too — so a pair that does not cross the seam pays no division.
+  into ``dx -= psel * rint(dx / pdiv)``, a mirror of
+  ``out -= span * np.round(out / span)`` (``np.round`` at 0 decimals is
+  ``rint``: round half to even); open axes skip it.
+* The neighbour-count predicate ``r <= 2*h[i]`` reads the same ``r`` as
+  the numpy h iteration and the update factor comes from a table the
+  Python update function fills, so ``h`` takes the same trajectory on
+  every backend, bit for bit.  Kernel values, gradients and forces agree
+  with numpy to a few ulp, gated by the documented backend tolerance.
 * ``sin``/``cos`` for the sinc-family kernels use the shared Taylor
   polynomials (:mod:`repro.backend.poly`) after an exact split-at-pi/2
-  reduction; integer powers use multiply chains.  No ``-ffast-math``
-  anywhere.  The compiler may still contract ``a*b + c`` into one FMA
-  in the pair loops (an ulp, inside the backend tolerance); the last
-  section of the unit — neighbour search and the gravity walk —
-  switches that off, because there an ulp decides whether a pair on
-  the cutoff is a neighbour, or a node on the opening angle is opened.
-* Row accumulations walk each CSR row in ascending pair order, the same
-  order ``np.bincount`` applies its weights, so row sums match the
-  reference given identical per-pair values.
+  reduction; integer powers use multiply chains.  The compiler may
+  contract ``a*b + c`` into one FMA in the row kernels (an ulp, inside
+  the backend tolerance); the last section of the unit — neighbour
+  search and the gravity walk — switches that off, because there an ulp
+  decides whether a pair on the cutoff is a neighbour, or a node on the
+  opening angle is opened.
 """
 
 from __future__ import annotations
 
 from .poly import COS_COEFFS, PI_LO, SIN_COEFFS
 
-__all__ = ["CDEF", "SOURCE", "source_fingerprint"]
+__all__ = ["CDEF", "SCRATCH_ROWS", "SOURCE", "source_fingerprint"]
 
-#: Declarations for ``ffi.cdef``.  ``want`` bits: 1 = W, 2 = dW/dr / r,
-#: 4 = dW/dh.  ``side``: 0 = evaluate with h[i] (row side), 1 = with
-#: h[j] (neighbour side).
+#: Declarations for ``ffi.cdef``.  Every pair op takes the list as
+#: ``offsets`` (int64) + ``indices`` (int32) and the rows ``[lo, hi)`` to
+#: run over, ``scratch``/``cap``: a zeroed block of row buffers, each
+#: ``cap`` >= the longest row.
 CDEF = """
-void rp_pair_kernel(const double *x, const double *h, const double *whn,
-                    const double *whn1, const int64_t *offsets,
-                    const int64_t *indices, int64_t lo, int64_t hi, int dim,
-                    const double *psel, const double *pdiv, int kind,
-                    double p1, int want, int side, double *w, double *gs,
-                    double *dwdh);
-void rp_rowsum(const int64_t *offsets, const int64_t *indices, int64_t lo,
-               int64_t hi, const double *wgt, const double *vals,
-               double *out);
-void rp_iad_tau(const double *x, const int64_t *offsets,
-                const int64_t *indices, int64_t lo, int64_t hi, int dim,
-                const double *psel, const double *pdiv, const double *m,
-                const double *rho, const double *w, double *tau);
-void rp_div_curl(const double *x, const double *v, const int64_t *offsets,
-                 const int64_t *indices, int64_t lo, int64_t hi, int dim,
-                 const double *psel, const double *pdiv, const double *m,
-                 const double *gs, double *divsum, double *curlsum);
+void rp_adapt(const double *x, const double *h, const double *budget,
+              const int64_t *offsets, const int32_t *indices, int64_t lo,
+              int64_t hi, int dim, const double *psel, const double *pdiv,
+              const double *table, int64_t n_target, double h_min,
+              double h_max, int sweeps, double *scratch, int64_t cap,
+              double *h_out, double *err_max, int32_t *grown);
+void rp_support_cut(const double *x, const double *h, const int64_t *offsets,
+                    const int32_t *indices, int64_t n, int dim,
+                    const double *psel, const double *pdiv, double support,
+                    double *scratch, int64_t cap, int64_t *new_offsets,
+                    int32_t *out);
+void rp_density(const double *x, const double *h, const double *wgt,
+                const int64_t *offsets, const int32_t *indices, int64_t lo,
+                int64_t hi, int dim, const double *psel, const double *pdiv,
+                int kind, double p1, double sigma, int dwdh, double *scratch,
+                int64_t cap, double *out);
+void rp_iad(const double *x, const double *h, const double *m,
+            const double *rho, const int64_t *offsets, const int32_t *indices,
+            int64_t lo, int64_t hi, int dim, const double *psel,
+            const double *pdiv, int kind, double p1, double sigma,
+            double rcond, double *scratch, int64_t cap, double *out);
+void rp_div_curl(const double *x, const double *v, const double *h,
+                 const double *m, const int64_t *offsets,
+                 const int32_t *indices, int64_t lo, int64_t hi, int dim,
+                 const double *psel, const double *pdiv, int kind, double p1,
+                 double sigma, double *scratch, int64_t cap, double *divsum,
+                 double *curlsum);
 double rp_forces(const double *x, const double *v, const double *h,
                  const double *m, const double *rho, const double *p_over,
                  const double *cs, const int64_t *offsets,
-                 const int64_t *indices, int64_t lo, int64_t hi, int dim,
-                 const double *psel, const double *pdiv, const double *wi,
-                 const double *wj, const double *gsi, const double *gsj,
-                 int use_iad, const double *cmat, const double *bals,
-                 int use_balsara, double alpha, double beta, double eta2,
-                 double support, int inline_j, int kind, double p1,
-                 const double *whn, const double *whn1, double *out_a,
-                 double *out_s1, double *out_s2);
-void rp_radii(const double *x, const int64_t *offsets,
-              const int64_t *indices, int64_t lo, int64_t hi, int dim,
-              const double *psel, const double *pdiv, double *out_r);
-void rp_counts_r(const double *r, const double *h, const int64_t *offsets,
-                 int64_t n, double factor, int64_t *counts);
-void rp_filter_count(const int64_t *offsets, const int64_t *indices,
-                     const double *r, const double *h, int64_t n,
-                     double support, int64_t *kept);
-void rp_filter_fill(const int64_t *offsets, const int64_t *indices,
-                    const double *r, const double *h, int64_t n,
-                    double support, const int64_t *new_offsets,
-                    int64_t *new_indices);
-void rp_tau_inv(const double *tau, int64_t rows, int dim, double rcond,
-                double *out);
+                 const int32_t *indices, int64_t lo, int64_t hi, int dim,
+                 const double *psel, const double *pdiv, int kind, double p1,
+                 double sigma, const double *cmat, const double *bals,
+                 double alpha, double beta, double eta2, double support,
+                 double *scratch, int64_t cap, double *out_a, double *out_s1,
+                 double *out_s2);
 void rp_node_bounds(const double *xs, const double *rs, int64_t n, int dim,
                     int64_t n_nodes, const int64_t *child_start,
                     const int64_t *child_count, const int64_t *pstart,
@@ -102,12 +102,12 @@ void rp_walk(const double *xs, const double *rs, int64_t n, int dim,
              const int64_t *child_count, const int64_t *pstart,
              const int64_t *pend, const int64_t *order, const double *lo,
              const double *hi, const double *rmax, int include_self,
-             const int64_t *offsets, int64_t *cursor, int64_t *out);
-void rp_sort_rows(const int64_t *offsets, int64_t n, int64_t *indices);
+             const int64_t *offsets, int64_t *cursor, int32_t *out);
+void rp_sort_rows(const int64_t *offsets, int64_t n, int32_t *indices);
 void rp_pairs_within(const double *xw, const double *radii,
-                     const int64_t *offsets, const int64_t *indices,
+                     const int64_t *offsets, const int32_t *indices,
                      int64_t n, int dim, const double *psel,
-                     const double *pdiv, int64_t *new_offsets, int64_t *out);
+                     const double *pdiv, int64_t *new_offsets, int32_t *out);
 void rp_gravity(const double *x, const double *m, const int64_t *leaves,
                 int64_t n_leaves, const double *center, const double *half,
                 const int64_t *child_start, const int64_t *child_count,
@@ -117,6 +117,16 @@ void rp_gravity(const double *x, const double *m, const int64_t *leaves,
                 int rank, double theta, double g_const, double eps2,
                 double *acc, double *phi, int64_t *counts);
 """
+
+#: Row buffers (of ``cap`` doubles each) the ops carve from ``scratch``.
+SCRATCH_ROWS = {
+    "rp_adapt": 4,
+    "rp_support_cut": 4,
+    "rp_density": 7,
+    "rp_iad": 7,
+    "rp_div_curl": 14,
+    "rp_forces": 33,
+}
 
 
 def _literals(name: str, coeffs) -> str:
@@ -128,12 +138,32 @@ def _literals(name: str, coeffs) -> str:
 
 _HELPERS = f"""
 #include <stdint.h>
+#include <string.h>
 #include <math.h>
 
 static const double RP_PI_LO = {PI_LO!r};
 
 {_literals("RP_S", SIN_COEFFS)}
 {_literals("RP_C", COS_COEFFS)}
+
+/* Inlined at call sites that pass literals, so the switch or the loops
+ * over the axes they steer fold away and the loop around the call
+ * vectorises. */
+#if defined(__GNUC__)
+#define RP_SPECIALIZE static inline __attribute__((always_inline))
+#else
+#define RP_SPECIALIZE static inline
+#endif
+
+/* One loop over the pairs of a row.  Row buffers overlap neither each
+ * other nor the particle arrays; ivdep lets the vectoriser rely on that
+ * instead of versioning every loop for aliasing (or giving up). */
+#if defined(__GNUC__) && !defined(__clang__)
+#define RP_EACH(k, len) \\
+    _Pragma("GCC ivdep") for (int64_t k = 0; k < (len); ++k)
+#else
+#define RP_EACH(k, len) for (int64_t k = 0; k < (len); ++k)
+#endif
 
 /* sin(z) for z in [0, pi/2]: z + z*z2*Horner(S, z2). */
 static inline double rp_sinpoly(double z)
@@ -169,40 +199,14 @@ static inline double rp_cospoly(double z)
     return 1.0 + z2 * p;
 }}
 
-/* sin and cos of x in [0, pi): reflect about pi/2 with a two-part pi so
- * relative accuracy survives at both ends of the interval. */
-static inline void rp_sincos(double x, double *sx, double *cx)
+/* h**n for n in 1..4. */
+static inline double rp_hpow(double h, int n)
 {{
-    if (x <= M_PI_2) {{
-        *sx = rp_sinpoly(x);
-        *cx = rp_cospoly(x);
-    }} else {{
-        const double z = (M_PI - x) + RP_PI_LO;
-        *sx = rp_sinpoly(z);
-        *cx = -rp_cospoly(z);
-    }}
-}}
-
-/* a**n for small non-negative integer n by binary multiply chain. */
-static inline double rp_powi(double a, int n)
-{{
-    double r = 1.0;
-    while (n > 0) {{
-        if (n & 1)
-            r *= a;
-        a *= a;
-        n >>= 1;
-    }}
+    double r = h;
+    r = n > 1 ? r * h : r;
+    r = n > 2 ? r * h : r;
+    r = n > 3 ? r * h : r;
     return r;
-}}
-
-/* a**e, shortcutting small integer exponents to multiply chains. */
-static inline double rp_pow_pos(double a, double e)
-{{
-    const double ri = rint(e);
-    if (e == ri && ri >= 0.0 && ri <= 32.0)
-        return rp_powi(a, (int)ri);
-    return pow(a, e);
 }}
 
 /* Minimum image of one separation component, t - psel*rint(t/pdiv),
@@ -220,270 +224,437 @@ static inline double rp_wrap(double t, double psel, double pdiv)
     return t;
 }}
 
-/* Minimum-image separation and distance, mirroring pair_geometry:
- * dx = x[i]-x[j]; per-axis wrap; r = sqrt(sum dx*dx) in axis order.
- * The axes are written out: as a loop over d, gcc 12 if-converts the
- * wrap into masked vector code and rp_forces runs a third slower. */
-static inline double rp_sep(const double *x, int64_t ii, int64_t jj, int dim,
-                            const double *psel, const double *pdiv,
-                            double *dx)
+/* Kernel shape f(q) and f'(q) of the polynomial families, branch-free.
+ * kind: 0 = M4 cubic spline, 1/2/3 = Wendland C2/C4/C6 (low = the 1-D
+ * form); kind and low are literals at every call site.  Each case
+ * mirrors the numpy shape functions' operation order; for q >= 2 both
+ * are (+-)0 because every term carries a factor max(1 - q/2, 0). */
+RP_SPECIALIZE void rp_shape(const int kind, const int low, double q,
+                            double *f, double *fp)
 {{
-    const double *xi = x + ii * dim, *xj = x + jj * dim;
-    double r2 = 0.0;
-    dx[0] = rp_wrap(xi[0] - xj[0], psel[0], pdiv[0]);
-    r2 += dx[0] * dx[0];
-    if (dim > 1) {{
-        dx[1] = rp_wrap(xi[1] - xj[1], psel[1], pdiv[1]);
-        r2 += dx[1] * dx[1];
+    const double l = 0.5 * q;
+    const double p = 1.0 - l;
+    const double pm = p > 0.0 ? p : 0.0;
+    const double p2 = pm * pm;
+    const double p4 = p2 * p2;
+    switch (kind) {{
+    case 0: {{ /* M4 cubic spline: 2 - q of the outer piece is 2*pm */
+        const double t = pm + pm;
+        const int inner = q < 1.0;
+        *f = inner ? (1.0 - (1.5 * q) * q) + (((0.75 * q) * q) * q)
+                   : 0.25 * ((t * t) * t);
+        *fp = inner ? (-3.0 * q) + ((2.25 * q) * q) : -0.75 * (t * t);
+        break;
     }}
-    if (dim > 2) {{
-        dx[2] = rp_wrap(xi[2] - xj[2], psel[2], pdiv[2]);
-        r2 += dx[2] * dx[2];
+    case 1: /* Wendland C2 */
+        if (low) {{
+            *f = (p2 * pm) * (1.0 + 3.0 * l);
+            *fp = 0.5 * ((-12.0 * l) * p2);
+        }} else {{
+            *f = (p2 * p2) * (1.0 + 4.0 * l);
+            *fp = 0.5 * ((-20.0 * l) * (p2 * pm));
+        }}
+        break;
+    case 2: /* Wendland C4 */
+        if (low) {{
+            *f = (p4 * pm) * ((1.0 + 5.0 * l) + (8.0 * l) * l);
+            *fp = 0.5 * ((-p4) * ((14.0 * l) + (56.0 * l) * l));
+        }} else {{
+            *f = (p4 * p2) * ((1.0 + 6.0 * l) + ((35.0 / 3.0) * l) * l);
+            *fp = 0.5 * ((-(p4 * pm))
+                         * (((56.0 / 3.0) * l) + ((280.0 / 3.0) * l) * l));
+        }}
+        break;
+    default: /* Wendland C6 */
+        if (low) {{
+            *f = ((p4 * p2) * pm)
+                 * (((1.0 + 7.0 * l) + (19.0 * l) * l)
+                    + 21.0 * ((l * l) * l));
+            *fp = 0.5 * ((((-6.0) * (p4 * p2)) * l)
+                         * (((35.0 * l) * l + (18.0 * l)) + 3.0));
+        }} else {{
+            *f = (p4 * p4)
+                 * (((1.0 + 8.0 * l) + (25.0 * l) * l)
+                    + 32.0 * ((l * l) * l));
+            *fp = 0.5 * (((((-22.0) * ((p4 * p2) * pm)) * l))
+                         * (((16.0 * l) * l + (7.0 * l)) + 1.0));
+        }}
+        break;
     }}
-    return sqrt(r2);
 }}
 
-/* Kernel shape f(q) and f'(q).  kind: 0 = M4 cubic spline, 1/2/3 =
- * Wendland C2/C4/C6 (p1 = the kernel's 1-D/3-D shape hint), 4 = sinc
- * (p1 = exponent).  Each branch mirrors the numpy shape functions'
- * exact operation order. */
-static inline void rp_shape(int kind, double p1, double q, int need_f,
-                            int need_fp, double *f, double *fp)
+/* f = |s|^p1 and f' = p1 |s|^(p1-1) sgn(s) ds/dq of the sinc family for
+ * a row of q, s = sin(x)/x at x = pi*q/2 in (0, pi): sin and cos by
+ * reflection about pi/2 with a two-part pi, so relative accuracy
+ * survives at both ends.  A small integer p1 is raised by the binary
+ * multiply chain, run over the row one bit at a time; any other by libm
+ * pow.  At q = 0 and q >= 2 the arithmetic runs on (NaN, garbage) and
+ * the selects of the last loop discard it.  Chunked over stack buffers:
+ * a row may be longer than any of them. */
+#define RP_CHUNK 256
+static void rp_sinc_row(double p1, const double *q, int64_t len, double *f,
+                        double *fp)
 {{
-    *f = 0.0;
-    *fp = 0.0;
-    switch (kind) {{
-    case 0: {{ /* M4 cubic spline */
-        if (q < 1.0) {{
-            if (need_f)
-                *f = (1.0 - (1.5 * q) * q) + (((0.75 * q) * q) * q);
-            if (need_fp)
-                *fp = (-3.0 * q) + ((2.25 * q) * q);
-        }} else if (q < 2.0) {{
-            const double t = 2.0 - q;
-            if (need_f)
-                *f = 0.25 * ((t * t) * t);
-            if (need_fp)
-                *fp = -0.75 * (t * t);
+    const int chain = p1 == rint(p1) && p1 >= 1.0 && p1 <= 33.0;
+    double a[RP_CHUNK], g[RP_CHUNK], base[RP_CHUNK];
+    for (; len > 0; len -= RP_CHUNK, q += RP_CHUNK, f += RP_CHUNK,
+                    fp += RP_CHUNK) {{
+        const int64_t m = len < RP_CHUNK ? len : RP_CHUNK;
+        RP_EACH(k, m) {{
+            const double xv = M_PI * (0.5 * q[k]);
+            const int refl = xv > M_PI_2;
+            const double z = refl ? (M_PI - xv) + RP_PI_LO : xv;
+            const double cz = rp_cospoly(z);
+            const double s = rp_sinpoly(z) / xv;
+            const double dsdq = (0.5 * M_PI) * (((refl ? -cz : cz) - s) / xv);
+            a[k] = fabs(s);
+            fp[k] = ((double)(s > 0.0) - (double)(s < 0.0)) * dsdq;
+            base[k] = a[k];
+            g[k] = 1.0;
         }}
-        break;
-    }}
-    case 1: {{ /* Wendland C2 */
-        const double l = 0.5 * q;
-        const double p = 1.0 - l;
-        const double pm = p > 0.0 ? p : 0.0;
-        const double p2 = pm * pm;
-        if (p1 == 1.0) {{
-            if (need_f)
-                *f = (p2 * pm) * (1.0 + 3.0 * l);
-            if (need_fp)
-                *fp = 0.5 * ((-12.0 * l) * p2);
+        if (chain) {{
+            for (int e = (int)p1 - 1; e > 0; e >>= 1) {{
+                if (e & 1)
+                    RP_EACH(k, m) g[k] *= base[k];
+                if (e >> 1)
+                    RP_EACH(k, m) base[k] *= base[k];
+            }}
         }} else {{
-            if (need_f)
-                *f = (p2 * p2) * (1.0 + 4.0 * l);
-            if (need_fp)
-                *fp = 0.5 * ((-20.0 * l) * (p2 * pm));
+            for (int64_t k = 0; k < m; ++k)
+                g[k] = pow(a[k], p1 - 1.0);
         }}
-        break;
-    }}
-    case 2: {{ /* Wendland C4 */
-        const double l = 0.5 * q;
-        const double p = 1.0 - l;
-        const double pm = p > 0.0 ? p : 0.0;
-        const double p2 = pm * pm;
-        const double p4 = p2 * p2;
-        if (p1 == 1.0) {{
-            if (need_f)
-                *f = (p4 * pm) * ((1.0 + 5.0 * l) + (8.0 * l) * l);
-            if (need_fp)
-                *fp = 0.5 * ((-p4) * ((14.0 * l) + (56.0 * l) * l));
-        }} else {{
-            if (need_f)
-                *f = (p4 * p2)
-                     * ((1.0 + 6.0 * l) + ((35.0 / 3.0) * l) * l);
-            if (need_fp)
-                *fp = 0.5 * ((-(p4 * pm))
-                             * (((56.0 / 3.0) * l)
-                                + ((280.0 / 3.0) * l) * l));
+        RP_EACH(k, m) {{
+            const int inside = (q[k] > 0.0) & (q[k] < 2.0);
+            f[k] = inside ? g[k] * a[k] : (q[k] == 0.0 ? 1.0 : 0.0);
+            fp[k] = inside ? (p1 * g[k]) * fp[k] : 0.0;
         }}
-        break;
-    }}
-    case 3: {{ /* Wendland C6 */
-        const double l = 0.5 * q;
-        const double p = 1.0 - l;
-        const double pm = p > 0.0 ? p : 0.0;
-        const double p2 = pm * pm;
-        const double p4 = p2 * p2;
-        if (p1 == 1.0) {{
-            if (need_f)
-                *f = ((p4 * p2) * pm)
-                     * (((1.0 + 7.0 * l) + (19.0 * l) * l)
-                        + 21.0 * ((l * l) * l));
-            if (need_fp)
-                *fp = 0.5 * ((((-6.0) * (p4 * p2)) * l)
-                             * (((35.0 * l) * l + (18.0 * l)) + 3.0));
-        }} else {{
-            if (need_f)
-                *f = (p4 * p4)
-                     * (((1.0 + 8.0 * l) + (25.0 * l) * l)
-                        + 32.0 * ((l * l) * l));
-            if (need_fp)
-                *fp = 0.5 * (((((-22.0) * ((p4 * p2) * pm)) * l))
-                             * (((16.0 * l) * l + (7.0 * l)) + 1.0));
-        }}
-        break;
-    }}
-    case 4: {{ /* sinc^n */
-        if (q <= 0.0) {{
-            if (q == 0.0)
-                *f = 1.0;
-            break;
-        }}
-        if (q >= 2.0)
-            break;
-        const double xv = M_PI * (0.5 * q);
-        double sx, cx;
-        rp_sincos(xv, &sx, &cx);
-        const double s = sx / xv;
-        if (need_f)
-            *f = rp_pow_pos(fabs(s), p1);
-        if (need_fp) {{
-            const double dsdq = (0.5 * M_PI) * ((cx - s) / xv);
-            const double sgn = (s > 0.0) ? 1.0 : ((s < 0.0) ? -1.0 : 0.0);
-            *fp = ((p1 * rp_pow_pos(fabs(s), p1 - 1.0)) * sgn) * dsdq;
-        }}
-        break;
-    }}
     }}
 }}
+
+/* f and f' of a whole row of q; kind 4 = sinc^p1, else rp_shape's
+ * (p1 = the Wendland 1-D/3-D shape hint). */
+static void rp_row_shape(int kind, double p1, const double *q, int64_t len,
+                         double *f, double *fp)
+{{
+#define RP_SHAPE_ROW(KIND)                                          \
+    if (p1 == 1.0)                                                  \
+        RP_EACH(k, len) rp_shape(KIND, 1, q[k], f + k, fp + k);     \
+    else                                                            \
+        RP_EACH(k, len) rp_shape(KIND, 0, q[k], f + k, fp + k)
+    switch (kind) {{
+    case 0:
+        RP_SHAPE_ROW(0);
+        break;
+    case 1:
+        RP_SHAPE_ROW(1);
+        break;
+    case 2:
+        RP_SHAPE_ROW(2);
+        break;
+    case 3:
+        RP_SHAPE_ROW(3);
+        break;
+    default:
+        rp_sinc_row(p1, q, len, f, fp);
+        break;
+    }}
+#undef RP_SHAPE_ROW
+}}
+
+/* Geometry of row i: minimum-image separations dx[d][k] = x_i - x_j of
+ * the neighbours row[0..len) and their distances r — pair_geometry's
+ * arithmetic: subtract, wrap the periodic axes, r = sqrt(sum dx*dx) in
+ * axis order.  dim is a literal at the call sites below, so the loops
+ * over the axes unroll inside the loops over the pairs. */
+RP_SPECIALIZE void rp_row_geom_dim(const int dim, const double *x, int64_t i,
+                                   const int32_t *row, int64_t len,
+                                   const double *psel, const double *pdiv,
+                                   double *const *dx, double *r)
+{{
+    RP_EACH(k, len) {{
+        const double *xj = x + (int64_t)row[k] * dim;
+        for (int d = 0; d < dim; ++d)
+            dx[d][k] = x[i * dim + d] - xj[d];
+    }}
+    for (int d = 0; d < dim; ++d) {{
+        double *t = dx[d];
+        const double ps = psel[d], pd = pdiv[d];
+        if (ps != 0.0)
+            RP_EACH(k, len) t[k] -= ps * rint(t[k] / pd);
+    }}
+    RP_EACH(k, len) {{
+        double r2 = dx[0][k] * dx[0][k];
+        for (int d = 1; d < dim; ++d)
+            r2 += dx[d][k] * dx[d][k];
+        r[k] = sqrt(r2);
+    }}
+}}
+
+static void rp_row_geom(const double *x, int64_t i, const int32_t *row,
+                        int64_t len, int dim, const double *psel,
+                        const double *pdiv, double *const *dx, double *r)
+{{
+    if (dim == 3)
+        rp_row_geom_dim(3, x, i, row, len, psel, pdiv, dx, r);
+    else if (dim == 2)
+        rp_row_geom_dim(2, x, i, row, len, psel, pdiv, dx, r);
+    else
+        rp_row_geom_dim(1, x, i, row, len, psel, pdiv, dx, r);
+}}
+
+/* The first four row buffers of every op: three separation axes, r. */
+#define RP_GEOM_BUFFERS(scratch, cap)                                  \\
+    double *const dx[3] = {{scratch, scratch + cap, scratch + 2 * cap}}; \\
+    double *const r = scratch + 3 * cap
 """
 
 _OPS = """
-/* Fused per-pair kernel products over CSR rows [lo, hi): q = r/h_side,
- * W = whn_side*f(q), grad scale = (whn1_side*f'(q))/r (0 at r = 0),
- * dW/dh = -whn1_side*(dim*f + q*f'), written at pair offset k-offsets[lo]
- * for whichever of w/gs/dwdh the want bits select. */
-void rp_pair_kernel(const double *x, const double *h, const double *whn,
-                    const double *whn1, const int64_t *offsets,
-                    const int64_t *indices, int64_t lo, int64_t hi, int dim,
-                    const double *psel, const double *pdiv, int kind,
-                    double p1, int want, int side, double *w, double *gs,
-                    double *dwdh)
+/* The h iteration of rows [lo, hi), all `sweeps` of it, row by row.  A
+ * particle's neighbour count reads only its own h and its own row's
+ * separations, and its update only that count, so a row runs every
+ * sweep out of one geometry pass:
+ *     c = #{k : r_k <= 2h};  err = |c - n_target| / n_target;
+ *     h <- clip(h * table[c], h_min, h_max)
+ * with table[c] = the update factor for count c, filled by the Python
+ * update function (no pow here, and the product is the reference's, to
+ * the bit).  The two facts that are not row-local come back as per-sweep
+ * reductions for the caller to pick the stopping sweep from:
+ * err_max[s] = the largest err of sweep s, grown[s] = whether any h
+ * exceeded its budget after the update of sweep s (the row's later
+ * counts are then off a list that no longer holds its neighbours: the
+ * caller re-runs with fewer sweeps).  h_out has hi - lo entries. */
+void rp_adapt(const double *x, const double *h, const double *budget,
+              const int64_t *offsets, const int32_t *indices, int64_t lo,
+              int64_t hi, int dim, const double *psel, const double *pdiv,
+              const double *table, int64_t n_target, double h_min,
+              double h_max, int sweeps, double *scratch, int64_t cap,
+              double *h_out, double *err_max, int32_t *grown)
 {
-    const int64_t k0 = offsets[lo];
-    const int need_f = (want & 1) || (want & 4);
-    const int need_fp = (want & 2) || (want & 4);
+    RP_GEOM_BUFFERS(scratch, cap);
+    for (int s = 0; s < sweeps; ++s) {
+        err_max[s] = 0.0;
+        grown[s] = 0;
+    }
     for (int64_t i = lo; i < hi; ++i) {
-        const double hi_ = h[i];
-        const double wni = whn[i];
-        const double wn1i = whn1[i];
-        for (int64_t k = offsets[i]; k < offsets[i + 1]; ++k) {
-            const int64_t j = indices[k];
-            double dx[3];
-            const double r = rp_sep(x, i, j, dim, psel, pdiv, dx);
-            double hs, wn, wn1;
-            if (side == 0) {
-                hs = hi_;
-                wn = wni;
-                wn1 = wn1i;
-            } else {
-                hs = h[j];
-                wn = whn[j];
-                wn1 = whn1[j];
-            }
-            const double q = r / hs;
-            double f, fp;
-            rp_shape(kind, p1, q, need_f, need_fp, &f, &fp);
-            const int64_t o = k - k0;
-            if (want & 1)
-                w[o] = wn * f;
-            if (want & 2) {
-                const double dwdr = wn1 * fp;
-                gs[o] = (r > 0.0) ? dwdr / r : 0.0;
-            }
-            if (want & 4)
-                dwdh[o] = (-wn1) * ((double)dim * f + q * fp);
+        const int64_t len = offsets[i + 1] - offsets[i];
+        rp_row_geom(x, i, indices + offsets[i], len, dim, psel, pdiv, dx, r);
+        double hc = h[i];
+        for (int s = 0; s < sweeps; ++s) {
+            const double rmax = 2.0 * hc;
+            int64_t c = 0;
+            RP_EACH(k, len) c += (r[k] <= rmax);
+            const double err = fabs((double)(c - n_target)) / (double)n_target;
+            if (err > err_max[s])
+                err_max[s] = err;
+            hc *= table[c];
+            hc = hc < h_min ? h_min : hc;
+            hc = hc > h_max ? h_max : hc;
+            if (hc > budget[i])
+                grown[s] = 1;
         }
+        h_out[i - lo] = hc;
     }
 }
 
-/* Row sums of wgt[j] * vals[pair] in ascending pair order (the order
- * np.bincount applies weights). */
-void rp_rowsum(const int64_t *offsets, const int64_t *indices, int64_t lo,
-               int64_t hi, const double *wgt, const double *vals,
-               double *out)
+/* The pairs of a (padded) list within support*max(h_i, h_j) — the
+ * rp_forces in-support predicate, a superset of either side's kernel
+ * support, so every dropped pair contributes an exact 0.0 to every pair
+ * sum — in ascending pair order, rows packed one behind the other: out
+ * needs room for the whole input list but only the kept part (and one
+ * entry past it) is ever written.  new_offsets[0] must be 0.  The store
+ * is unconditional and the cursor advances by the predicate, so the loop
+ * has no data-dependent branch. */
+void rp_support_cut(const double *x, const double *h, const int64_t *offsets,
+                    const int32_t *indices, int64_t n, int dim,
+                    const double *psel, const double *pdiv, double support,
+                    double *scratch, int64_t cap, int64_t *new_offsets,
+                    int32_t *out)
 {
-    const int64_t k0 = offsets[lo];
+    RP_GEOM_BUFFERS(scratch, cap);
+    for (int64_t i = 0; i < n; ++i) {
+        const int32_t *row = indices + offsets[i];
+        const int64_t len = offsets[i + 1] - offsets[i];
+        rp_row_geom(x, i, row, len, dim, psel, pdiv, dx, r);
+        const double hi_ = h[i];
+        int32_t *dst = out + new_offsets[i];
+        int64_t c = 0;
+        for (int64_t k = 0; k < len; ++k) {
+            const double hj = h[row[k]];
+            dst[c] = row[k];
+            c += r[k] <= (hi_ > hj ? hi_ : hj) * support;
+        }
+        new_offsets[i + 1] = new_offsets[i] + c;
+    }
+}
+
+/* Row sums of wgt[j] * W(r_ij, h_i) (density, kappa) or, with dwdh, of
+ * wgt[j] * dW/dh(r_ij, h_i) (the grad-h sum): W = (sigma/h^dim) f(q),
+ * dW/dh = -(sigma/h^(dim+1)) (dim f + q f'), q = r/h_i. */
+void rp_density(const double *x, const double *h, const double *wgt,
+                const int64_t *offsets, const int32_t *indices, int64_t lo,
+                int64_t hi, int dim, const double *psel, const double *pdiv,
+                int kind, double p1, double sigma, int dwdh, double *scratch,
+                int64_t cap, double *out)
+{
+    RP_GEOM_BUFFERS(scratch, cap);
+    double *q = scratch + 4 * cap, *f = q + cap, *fp = f + cap;
     for (int64_t i = lo; i < hi; ++i) {
+        const int32_t *row = indices + offsets[i];
+        const int64_t len = offsets[i + 1] - offsets[i];
+        const double hi_ = h[i];
+        rp_row_geom(x, i, row, len, dim, psel, pdiv, dx, r);
+        RP_EACH(k, len) q[k] = r[k] / hi_;
+        rp_row_shape(kind, p1, q, len, f, fp);
+        if (dwdh) {
+            const double wn1 = sigma / rp_hpow(hi_, dim + 1);
+            RP_EACH(k, len)
+                f[k] = wgt[row[k]]
+                       * ((-wn1) * ((double)dim * f[k] + q[k] * fp[k]));
+        } else {
+            const double wn = sigma / rp_hpow(hi_, dim);
+            RP_EACH(k, len) f[k] = wgt[row[k]] * (wn * f[k]);
+        }
         double acc = 0.0;
-        for (int64_t k = offsets[i]; k < offsets[i + 1]; ++k)
-            acc += wgt[indices[k]] * vals[k - k0];
+        for (int64_t k = 0; k < len; ++k)
+            acc += f[k];
         out[i - lo] = acc;
     }
 }
 
-/* IAD tau accumulation: sum over pairs of (dx_a*dx_b) * ((m_j/rho_j)*w).
- * Regularization and inversion stay in numpy. */
-void rp_iad_tau(const double *x, const int64_t *offsets,
-                const int64_t *indices, int64_t lo, int64_t hi, int dim,
-                const double *psel, const double *pdiv, const double *m,
-                const double *rho, const double *w, double *tau)
+/* IAD matrices of rows [lo, hi): the moments
+ *     tau[ab] = sum_j (dx_a dx_b) ((m_j/rho_j) W(r_ij, h_i)),
+ * regularised by fmax(trace*rcond, 1e-300) on the diagonal (the
+ * reference expression) and inverted in closed form — adjugate/det for
+ * 2x2/3x3, reciprocal in 1-D; differs from LAPACK at rounding level
+ * only, covered by the documented backend tolerance.  dx_a dx_b
+ * commutes, so the six upper entries are summed (side by side: six
+ * independent chains, each in pair order) and mirrored. */
+void rp_iad(const double *x, const double *h, const double *m,
+            const double *rho, const int64_t *offsets, const int32_t *indices,
+            int64_t lo, int64_t hi, int dim, const double *psel,
+            const double *pdiv, int kind, double p1, double sigma,
+            double rcond, double *scratch, int64_t cap, double *out)
 {
-    const int64_t k0 = offsets[lo];
+    RP_GEOM_BUFFERS(scratch, cap);
+    double *q = scratch + 4 * cap, *f = q + cap, *fp = f + cap;
     const int dd = dim * dim;
     for (int64_t i = lo; i < hi; ++i) {
-        double acc[9];
-        for (int a = 0; a < dd; ++a)
-            acc[a] = 0.0;
-        for (int64_t k = offsets[i]; k < offsets[i + 1]; ++k) {
-            const int64_t j = indices[k];
-            double dx[3];
-            rp_sep(x, i, j, dim, psel, pdiv, dx);
-            const double wgt = (m[j] / rho[j]) * w[k - k0];
-            for (int a = 0; a < dim; ++a)
-                for (int b = 0; b < dim; ++b)
-                    acc[a * dim + b] += (dx[a] * dx[b]) * wgt;
+        const int32_t *row = indices + offsets[i];
+        const int64_t len = offsets[i + 1] - offsets[i];
+        const double hi_ = h[i];
+        rp_row_geom(x, i, row, len, dim, psel, pdiv, dx, r);
+        RP_EACH(k, len) q[k] = r[k] / hi_;
+        rp_row_shape(kind, p1, q, len, f, fp);
+        const double wn = sigma / rp_hpow(hi_, dim);
+        RP_EACH(k, len) f[k] = (m[row[k]] / rho[row[k]]) * (wn * f[k]);
+        double a = 0.0, b = 0.0, c = 0.0, e = 0.0, g = 0.0, t = 0.0;
+        for (int64_t k = 0; k < len; ++k) {
+            const double w = f[k];
+            a += (dx[0][k] * dx[0][k]) * w;
+            b += (dx[0][k] * dx[1][k]) * w;
+            c += (dx[0][k] * dx[2][k]) * w;
+            e += (dx[1][k] * dx[1][k]) * w;
+            g += (dx[1][k] * dx[2][k]) * w;
+            t += (dx[2][k] * dx[2][k]) * w;
         }
-        for (int a = 0; a < dd; ++a)
-            tau[(i - lo) * dd + a] = acc[a];
+        double *o = out + (i - lo) * dd;
+        if (dim == 1) {
+            o[0] = 1.0 / (a + fmax(a * rcond, 1e-300));
+        } else if (dim == 2) {
+            const double reg = fmax((a + e) * rcond, 1e-300);
+            a += reg;
+            e += reg;
+            const double det = a * e - b * b;
+            o[0] = e / det;
+            o[1] = -b / det;
+            o[2] = -b / det;
+            o[3] = a / det;
+        } else {
+            const double reg = fmax((a + e + t) * rcond, 1e-300);
+            a += reg;
+            e += reg;
+            t += reg;
+            const double A = e * t - g * g;
+            const double B = g * c - b * t;
+            const double C = b * g - e * c;
+            const double det = a * A + b * B + c * C;
+            o[0] = A / det;
+            o[1] = (c * g - b * t) / det;
+            o[2] = (b * g - c * e) / det;
+            o[3] = B / det;
+            o[4] = (a * t - c * c) / det;
+            o[5] = (c * b - a * g) / det;
+            o[6] = C / det;
+            o[7] = (b * c - a * g) / det;
+            o[8] = (a * e - b * b) / det;
+        }
+    }
+}
+
+/* Gradient scale dW/dr / r = ((sigma/hs^(dim+1)) f'(r/hs)) / r of a row
+ * (0 at r = 0), hs = each neighbour's hj[k], or the row's own hi_ when
+ * hj is NULL. */
+static void rp_row_grad_scale(const double *r, const double *fp,
+                              double hi_, const double *hj, int64_t len,
+                              int dim, double sigma, double *gs)
+{
+    if (hj) {
+        RP_EACH(k, len)
+            gs[k] = r[k] > 0.0
+                        ? ((sigma / rp_hpow(hj[k], dim + 1)) * fp[k]) / r[k]
+                        : 0.0;
+    } else {
+        const double wn1 = sigma / rp_hpow(hi_, dim + 1);
+        RP_EACH(k, len) gs[k] = r[k] > 0.0 ? (wn1 * fp[k]) / r[k] : 0.0;
     }
 }
 
 /* Velocity divergence/curl pair sums with standard gradients
- * grad = dx * gs.  Python finishes the normalization by rho. */
-void rp_div_curl(const double *x, const double *v, const int64_t *offsets,
-                 const int64_t *indices, int64_t lo, int64_t hi, int dim,
-                 const double *psel, const double *pdiv, const double *m,
-                 const double *gs, double *divsum, double *curlsum)
+ * grad = dx * (dW/dr / r): divsum = sum m_j v_ij . grad, curlsum =
+ * sum m_j v_ij x grad (all three components; in 2-D only z is non-zero).
+ * Python finishes the normalisation by rho. */
+void rp_div_curl(const double *x, const double *v, const double *h,
+                 const double *m, const int64_t *offsets,
+                 const int32_t *indices, int64_t lo, int64_t hi, int dim,
+                 const double *psel, const double *pdiv, int kind, double p1,
+                 double sigma, double *scratch, int64_t cap, double *divsum,
+                 double *curlsum)
 {
-    const int64_t k0 = offsets[lo];
+    RP_GEOM_BUFFERS(scratch, cap);
+    double *q = scratch + 4 * cap, *f = q + cap, *gs = f + cap;
+    double *const vij[3] = {gs + cap, gs + 2 * cap, gs + 3 * cap};
+    double *td = gs + 4 * cap;
+    double *const tc[3] = {td + cap, td + 2 * cap, td + 3 * cap};
     for (int64_t i = lo; i < hi; ++i) {
+        const int32_t *row = indices + offsets[i];
+        const int64_t len = offsets[i + 1] - offsets[i];
+        const double hi_ = h[i];
+        rp_row_geom(x, i, row, len, dim, psel, pdiv, dx, r);
+        RP_EACH(k, len) q[k] = r[k] / hi_;
+        rp_row_shape(kind, p1, q, len, f, gs);
+        rp_row_grad_scale(r, gs, hi_, 0, len, dim, sigma, gs);
+        for (int d = 0; d < dim; ++d)
+            RP_EACH(k, len)
+                vij[d][k] = v[i * dim + d] - v[(int64_t)row[k] * dim + d];
+        RP_EACH(k, len) {
+            const double mj = m[row[k]];
+            const double g0 = dx[0][k] * gs[k], g1 = dx[1][k] * gs[k];
+            const double g2 = dx[2][k] * gs[k];
+            const double v0 = vij[0][k], v1 = vij[1][k], v2 = vij[2][k];
+            double vg = v0 * g0;
+            vg += v1 * g1;
+            vg += v2 * g2;
+            td[k] = mj * vg;
+            tc[0][k] = mj * (v1 * g2 - v2 * g1);
+            tc[1][k] = mj * (v2 * g0 - v0 * g2);
+            tc[2][k] = mj * (v0 * g1 - v1 * g0);
+        }
         double dacc = 0.0, c0 = 0.0, c1 = 0.0, c2 = 0.0;
-        for (int64_t k = offsets[i]; k < offsets[i + 1]; ++k) {
-            const int64_t j = indices[k];
-            double dx[3];
-            rp_sep(x, i, j, dim, psel, pdiv, dx);
-            const double g = gs[k - k0];
-            const double mj = m[j];
-            double vij[3], grad[3];
-            double vg = 0.0;
-            for (int d = 0; d < dim; ++d) {
-                vij[d] = v[i * dim + d] - v[j * dim + d];
-                grad[d] = dx[d] * g;
-                vg += vij[d] * grad[d];
-            }
-            dacc += mj * vg;
-            if (dim == 3) {
-                double t = vij[1] * grad[2] - vij[2] * grad[1];
-                c0 += mj * t;
-                t = vij[2] * grad[0] - vij[0] * grad[2];
-                c1 += mj * t;
-                t = vij[0] * grad[1] - vij[1] * grad[0];
-                c2 += mj * t;
-            } else if (dim == 2) {
-                const double t = vij[0] * grad[1] - vij[1] * grad[0];
-                c0 += mj * t;
-            }
+        for (int64_t k = 0; k < len; ++k) {
+            dacc += td[k];
+            c0 += tc[0][k];
+            c1 += tc[1][k];
+            c2 += tc[2][k];
         }
         divsum[i - lo] = dacc;
         curlsum[(i - lo) * 3 + 0] = c0;
@@ -492,125 +663,138 @@ void rp_div_curl(const double *x, const double *v, const int64_t *offsets,
     }
 }
 
-/* Fused momentum + energy pair loop.  Per-pair gradients come either
- * from the IAD matrices (use_iad, with per-pair wi/wj) or from the
- * standard per-pair scales gsi/gsj (grad = dx*gs).  With inline_j the
- * neighbour-side product (wj or gsj) is evaluated in-loop via rp_shape
- * — the same arithmetic as the dedicated side=1 rp_pair_kernel pass,
- * so results are bitwise what the precomputed-array path produces
- * while an entire pair pass is saved.  Writes the row sums of the
- * acceleration pairs, of m_j*(v_ij . g_i) (s1) and of
- * (m_j*pi_ij)*(v_ij . gbar) (s2); Python combines du = p_over*s1 +
- * 0.5*s2.  Returns max |mu| over approaching pairs within the kernel
- * support (the viscous signal-speed term of the CFL). */
+/* Momentum + energy of rows [lo, hi).  Per-pair gradients are the IAD
+ * operator C (x_j - x_i) W on both sides (cmat != NULL) or the standard
+ * dx * (dW/dr / r); geometry and both sides' kernel factors are computed
+ * here, per row.  With bals != NULL the viscosity carries the Balsara
+ * limiter.  Writes the row sums of the acceleration pairs, of
+ * m_j*(v_ij . g_i) (s1) and of (m_j*pi_ij)*(v_ij . gbar) (s2); Python
+ * combines du = p_over*s1 + 0.5*s2.  Returns max |mu| over approaching
+ * pairs within the kernel support (the viscous signal-speed term of the
+ * CFL). */
 double rp_forces(const double *x, const double *v, const double *h,
                  const double *m, const double *rho, const double *p_over,
                  const double *cs, const int64_t *offsets,
-                 const int64_t *indices, int64_t lo, int64_t hi, int dim,
-                 const double *psel, const double *pdiv, const double *wi,
-                 const double *wj, const double *gsi, const double *gsj,
-                 int use_iad, const double *cmat, const double *bals,
-                 int use_balsara, double alpha, double beta, double eta2,
-                 double support, int inline_j, int kind, double p1,
-                 const double *whn, const double *whn1, double *out_a,
-                 double *out_s1, double *out_s2)
+                 const int32_t *indices, int64_t lo, int64_t hi, int dim,
+                 const double *psel, const double *pdiv, int kind, double p1,
+                 double sigma, const double *cmat, const double *bals,
+                 double alpha, double beta, double eta2, double support,
+                 double *scratch, int64_t cap, double *out_a, double *out_s1,
+                 double *out_s2)
 {
-    const int64_t k0 = offsets[lo];
+    RP_GEOM_BUFFERS(scratch, cap);
+    /* q, f, f' hold the row's side (q = r/h_i) then the neighbours'
+     * (q = r/h_j) back to back: one shape pass serves both. */
+    double *q = scratch + 4 * cap, *f = q + 2 * cap, *fp = f + 2 * cap;
+    double *hj = fp + 2 * cap, *si = hj + cap, *sj = si + cap;
+    double *vd = sj + cap, *mu = vd + cap, *pi = mu + cap, *am = pi + cap;
+    double *mj = am + cap, *poj = mj + cap, *ts1 = poj + cap;
+    double *ts2 = ts1 + cap, *b = ts2 + cap;
+    double *const vij[3] = {b, b + cap, b + 2 * cap};
+    double *const gi[3] = {b + 3 * cap, b + 4 * cap, b + 5 * cap};
+    double *const gj[3] = {b + 6 * cap, b + 7 * cap, b + 8 * cap};
+    double *const ta[3] = {b + 9 * cap, b + 10 * cap, b + 11 * cap};
     const int dd = dim * dim;
     double max_mu = 0.0;
     for (int64_t i = lo; i < hi; ++i) {
-        double acc[3] = {0.0, 0.0, 0.0};
-        double s1 = 0.0, s2 = 0.0;
-        const double hii = h[i];
-        const double poi = p_over[i];
-        const double csi = cs[i];
-        const double rhoi = rho[i];
-        const double bi = use_balsara ? bals[i] : 0.0;
-        for (int64_t k = offsets[i]; k < offsets[i + 1]; ++k) {
-            const int64_t j = indices[k];
-            const int64_t o = k - k0;
-            double dx[3];
-            const double r = rp_sep(x, i, j, dim, psel, pdiv, dx);
-            const double hj = h[j];
-            double vij[3];
-            for (int d = 0; d < dim; ++d)
-                vij[d] = v[i * dim + d] - v[j * dim + d];
-            double gi[3], gj[3];
-            if (use_iad) {
-                const double wio = wi[o];
-                double wjo;
-                if (inline_j) {
-                    double f, fp;
-                    rp_shape(kind, p1, r / hj, 1, 0, &f, &fp);
-                    wjo = whn[j] * f;
-                } else {
-                    wjo = wj[o];
-                }
-                const double *ci = cmat + i * dd;
-                const double *cj = cmat + j * dd;
-                for (int a = 0; a < dim; ++a) {
-                    double ai = 0.0, aj = 0.0;
-                    for (int b = 0; b < dim; ++b) {
-                        const double tj = -dx[b];
-                        ai += ci[a * dim + b] * tj;
-                        aj += cj[a * dim + b] * tj;
+        const int32_t *row = indices + offsets[i];
+        const int64_t len = offsets[i + 1] - offsets[i];
+        const double hii = h[i], poi = p_over[i], csi = cs[i], rhoi = rho[i];
+        rp_row_geom(x, i, row, len, dim, psel, pdiv, dx, r);
+        RP_EACH(k, len) {
+            hj[k] = h[row[k]];
+            q[k] = r[k] / hii;
+            q[len + k] = r[k] / hj[k];
+        }
+        rp_row_shape(kind, p1, q, 2 * len, f, fp);
+        if (cmat) {
+            const double wn = sigma / rp_hpow(hii, dim);
+            const double *ci = cmat + i * dd;
+            RP_EACH(k, len) {
+                si[k] = wn * f[k];
+                sj[k] = (sigma / rp_hpow(hj[k], dim)) * f[len + k];
+            }
+            for (int a = 0; a < dim; ++a) {
+                double *gia = gi[a], *gja = gj[a];
+                memset(gia, 0, len * sizeof *gia);
+                memset(gja, 0, len * sizeof *gja);
+                for (int c = 0; c < dim; ++c) {
+                    const double cac = ci[a * dim + c], *dxc = dx[c];
+                    const double *cj = cmat + a * dim + c;
+                    RP_EACH(k, len) {
+                        const double tj = -dxc[k];
+                        gia[k] += cac * tj;
+                        gja[k] += cj[(int64_t)row[k] * dd] * tj;
                     }
-                    gi[a] = ai * wio;
-                    gj[a] = aj * wjo;
                 }
-            } else {
-                const double gio = gsi[o];
-                double gjo;
-                if (inline_j) {
-                    double f, fp;
-                    rp_shape(kind, p1, r / hj, 0, 1, &f, &fp);
-                    const double dwdr = whn1[j] * fp;
-                    gjo = (r > 0.0) ? dwdr / r : 0.0;
-                } else {
-                    gjo = gsj[o];
-                }
-                for (int d = 0; d < dim; ++d) {
-                    gi[d] = dx[d] * gio;
-                    gj[d] = dx[d] * gjo;
+                RP_EACH(k, len) {
+                    gia[k] *= si[k];
+                    gja[k] *= sj[k];
                 }
             }
-            double vdotr = 0.0;
-            for (int d = 0; d < dim; ++d)
-                vdotr += vij[d] * dx[d];
-            const double hbar = (hii + hj) * 0.5;
-            double mu = hbar * vdotr;
-            double denom = r * r;
+        } else {
+            rp_row_grad_scale(r, fp, hii, 0, len, dim, sigma, si);
+            rp_row_grad_scale(r, fp + len, 0.0, hj, len, dim, sigma, sj);
+            for (int a = 0; a < dim; ++a)
+                RP_EACH(k, len) {
+                    gi[a][k] = dx[a][k] * si[k];
+                    gj[a][k] = dx[a][k] * sj[k];
+                }
+        }
+        for (int d = 0; d < dim; ++d)
+            RP_EACH(k, len)
+                vij[d][k] = v[i * dim + d] - v[(int64_t)row[k] * dim + d];
+        RP_EACH(k, len) {
+            const int64_t j = row[k];
+            double vdotr = vij[0][k] * dx[0][k];
+            vdotr += vij[1][k] * dx[1][k];
+            vdotr += vij[2][k] * dx[2][k];
+            const double hbar = (hii + hj[k]) * 0.5;
+            double muk = hbar * vdotr;
+            double denom = r[k] * r[k];
             double eta_h = hbar * eta2;
             eta_h *= hbar;
             denom += eta_h;
-            mu /= denom;
+            muk /= denom;
             const double cbar = 0.5 * (csi + cs[j]);
             const double rhobar = 0.5 * (rhoi + rho[j]);
-            double pi_ = ((-alpha) * cbar * mu + (beta * mu) * mu) / rhobar;
-            if (use_balsara)
-                pi_ = (pi_ * 0.5) * (bi + bals[j]);
-            const int approaching = vdotr < 0.0;
-            if (!approaching)
-                pi_ = 0.0;
-            const double poj = p_over[j];
-            const double mj = m[j];
-            double vdot_gi = 0.0, vdot_gbar = 0.0;
-            for (int d = 0; d < dim; ++d) {
-                const double gbar = (gi[d] + gj[d]) * 0.5;
-                vdot_gi += vij[d] * gi[d];
-                vdot_gbar += vij[d] * gbar;
-                const double pres = poi * gi[d] + poj * gj[d];
-                acc[d] += (-mj) * (pres + pi_ * gbar);
-            }
-            s1 += mj * vdot_gi;
-            s2 += (mj * pi_) * vdot_gbar;
-            const double hmax = (hii > hj ? hii : hj) * support;
-            if (approaching && r <= hmax) {
-                const double am = fabs(mu);
-                if (am > max_mu)
-                    max_mu = am;
-            }
+            vd[k] = vdotr;
+            mu[k] = muk;
+            pi[k] = ((-alpha) * cbar * muk + (beta * muk) * muk) / rhobar;
+            mj[k] = m[j];
+            poj[k] = p_over[j];
         }
+        if (bals)
+            RP_EACH(k, len) pi[k] = (pi[k] * 0.5) * (bals[i] + bals[row[k]]);
+        RP_EACH(k, len) {
+            const int approaching = vd[k] < 0.0;
+            const double hmax = (hii > hj[k] ? hii : hj[k]) * support;
+            pi[k] = approaching ? pi[k] : 0.0;
+            am[k] = (approaching & (r[k] <= hmax)) ? fabs(mu[k]) : 0.0;
+        }
+        RP_EACH(k, len) {
+            double vdot_gi = 0.0, vdot_gbar = 0.0;
+            for (int d = 0; d < 3; ++d) {
+                const double gid = gi[d][k], gjd = gj[d][k];
+                const double gbar = (gid + gjd) * 0.5;
+                vdot_gi += vij[d][k] * gid;
+                vdot_gbar += vij[d][k] * gbar;
+                const double pres = poi * gid + poj[k] * gjd;
+                ta[d][k] = (-mj[k]) * (pres + pi[k] * gbar);
+            }
+            ts1[k] = mj[k] * vdot_gi;
+            ts2[k] = (mj[k] * pi[k]) * vdot_gbar;
+        }
+        double a0 = 0.0, a1 = 0.0, a2 = 0.0, s1 = 0.0, s2 = 0.0;
+        for (int64_t k = 0; k < len; ++k) {
+            a0 += ta[0][k];
+            a1 += ta[1][k];
+            a2 += ta[2][k];
+            s1 += ts1[k];
+            s2 += ts2[k];
+            max_mu = am[k] > max_mu ? am[k] : max_mu;
+        }
+        const double acc[3] = {a0, a1, a2};
         for (int d = 0; d < dim; ++d)
             out_a[(i - lo) * dim + d] = acc[d];
         out_s1[i - lo] = s1;
@@ -619,131 +803,12 @@ double rp_forces(const double *x, const double *v, const double *h,
     return max_mu;
 }
 
-/* Per-pair distances over CSR rows [lo, hi), same rp_sep arithmetic as
- * the fused ops — one pass per step serves the h-iteration's repeated
- * count sweeps and the support filter below. */
-void rp_radii(const double *x, const int64_t *offsets,
-              const int64_t *indices, int64_t lo, int64_t hi, int dim,
-              const double *psel, const double *pdiv, double *out_r)
-{
-    const int64_t k0 = offsets[lo];
-    for (int64_t i = lo; i < hi; ++i) {
-        for (int64_t k = offsets[i]; k < offsets[i + 1]; ++k) {
-            double dx[3];
-            out_r[k - k0] = rp_sep(x, i, indices[k], dim, psel, pdiv, dx);
-        }
-    }
-}
-
-/* Neighbour counts from precomputed radii: r <= factor*h[i] on the
- * rp_sep radii is pure rational arithmetic, bitwise the numpy
- * h-iteration's predicate, and each sweep costs one branchless compare
- * per pair instead of a separation pass. */
-void rp_counts_r(const double *r, const double *h, const int64_t *offsets,
-                 int64_t n, double factor, int64_t *counts)
-{
-    for (int64_t i = 0; i < n; ++i) {
-        const double rmax = factor * h[i];
-        int64_t c = 0;
-        for (int64_t k = offsets[i]; k < offsets[i + 1]; ++k)
-            c += (r[k] <= rmax);
-        counts[i] = c;
-    }
-}
-
-/* Support filter, counting pass: per row, how many pairs fall within
- * support*max(h_i, h_j) — exactly the rp_forces in-support predicate,
- * and a superset of either side's kernel support, so every dropped
- * pair contributes an exact 0.0 to every pair sum. */
-void rp_filter_count(const int64_t *offsets, const int64_t *indices,
-                     const double *r, const double *h, int64_t n,
-                     double support, int64_t *kept)
-{
-    for (int64_t i = 0; i < n; ++i) {
-        const double hi_ = h[i];
-        int64_t c = 0;
-        for (int64_t k = offsets[i]; k < offsets[i + 1]; ++k) {
-            const double hj = h[indices[k]];
-            const double hmax = (hi_ > hj ? hi_ : hj) * support;
-            c += (r[k] <= hmax);
-        }
-        kept[i] = c;
-    }
-}
-
-/* Support filter, fill pass: write the kept pairs' particle indices in
- * ascending pair order (row sums over the sub-list therefore add the
- * surviving terms in the same order as the full list). */
-void rp_filter_fill(const int64_t *offsets, const int64_t *indices,
-                    const double *r, const double *h, int64_t n,
-                    double support, const int64_t *new_offsets,
-                    int64_t *new_indices)
-{
-    for (int64_t i = 0; i < n; ++i) {
-        const double hi_ = h[i];
-        int64_t p = new_offsets[i];
-        for (int64_t k = offsets[i]; k < offsets[i + 1]; ++k) {
-            const int64_t j = indices[k];
-            const double hj = h[j];
-            const double hmax = (hi_ > hj ? hi_ : hj) * support;
-            if (r[k] <= hmax)
-                new_indices[p++] = j;
-        }
-    }
-}
-
-/* Regularized batched inversion of the IAD moment matrices: add
- * fmax(trace*rcond, 1e-300) to the diagonal (the reference expression)
- * then invert in closed form — adjugate/det for 2x2/3x3, reciprocal in
- * 1-D.  Differs from LAPACK at rounding level only; covered by the
- * documented backend tolerance. */
-void rp_tau_inv(const double *tau, int64_t rows, int dim, double rcond,
-                double *out)
-{
-    const int dd = dim * dim;
-    for (int64_t i = 0; i < rows; ++i) {
-        const double *t = tau + i * dd;
-        double *o = out + i * dd;
-        if (dim == 1) {
-            const double reg = fmax(t[0] * rcond, 1e-300);
-            o[0] = 1.0 / (t[0] + reg);
-        } else if (dim == 2) {
-            const double reg = fmax((t[0] + t[3]) * rcond, 1e-300);
-            const double a = t[0] + reg, b = t[1];
-            const double c = t[2], d = t[3] + reg;
-            const double det = a * d - b * c;
-            o[0] = d / det;
-            o[1] = -b / det;
-            o[2] = -c / det;
-            o[3] = a / det;
-        } else {
-            const double reg = fmax((t[0] + t[4] + t[8]) * rcond, 1e-300);
-            const double a = t[0] + reg, b = t[1], c = t[2];
-            const double d = t[3], e = t[4] + reg, f = t[5];
-            const double g = t[6], hh = t[7], k = t[8] + reg;
-            const double A = e * k - f * hh;
-            const double B = f * g - d * k;
-            const double C = d * hh - e * g;
-            const double det = a * A + b * B + c * C;
-            o[0] = A / det;
-            o[1] = (c * hh - b * k) / det;
-            o[2] = (b * f - c * e) / det;
-            o[3] = B / det;
-            o[4] = (a * k - c * g) / det;
-            o[5] = (c * d - a * f) / det;
-            o[6] = C / det;
-            o[7] = (b * g - a * hh) / det;
-            o[8] = (a * e - b * d) / det;
-        }
-    }
-}
-
 /* ---- Neighbour search and gravity walk.  From here to the end of the
  * unit a*b + c is never contracted into a fused multiply-add: a search
  * decides set membership on r2 <= cutoff*cutoff (the gravity MAC on
  * size <= theta*dist), and a value that differs from numpy's in its
  * last bit moves a pair sitting on the cutoff (a node on the opening
- * angle) to the other side (the pair loops above only feed sums, where
+ * angle) to the other side (the row kernels above only feed sums, where
  * the ulp is covered by the backend tolerance, and keep the FMAs). ---- */
 #if defined(__GNUC__) && !defined(__clang__)
 #pragma GCC optimize("fp-contract=off") /* gcc ignores the ISO pragma */
@@ -770,13 +835,13 @@ static inline int rp_in_range(const double *xw, const double *radii,
 
 /* Ascending in-place sort of one CSR row (Shell sort, Ciura gaps: rows
  * hold a few hundred entries). */
-static void rp_sort_row(int64_t *a, int64_t n)
+static void rp_sort_row(int32_t *a, int64_t n)
 {
     static const int64_t gaps[8] = {701, 301, 132, 57, 23, 10, 4, 1};
     for (int g = 0; g < 8; ++g) {
         const int64_t gap = gaps[g];
         for (int64_t k = gap; k < n; ++k) {
-            const int64_t v = a[k];
+            const int32_t v = a[k];
             int64_t m = k;
             for (; m >= gap && a[m - gap] > v; m -= gap)
                 a[m] = a[m - gap];
@@ -788,7 +853,7 @@ static void rp_sort_row(int64_t *a, int64_t n)
 /* Canonical row order (ascending neighbour index) for a whole CSR list.
  * A search that feeds the h iteration skips this: the count sweeps are
  * order-blind and the cut that ends the build orders what survives. */
-void rp_sort_rows(const int64_t *offsets, int64_t n, int64_t *indices)
+void rp_sort_rows(const int64_t *offsets, int64_t n, int32_t *indices)
 {
     for (int64_t i = 0; i < n; ++i)
         rp_sort_row(indices + offsets[i], offsets[i + 1] - offsets[i]);
@@ -892,14 +957,6 @@ static inline double rp_axis_gap(double tmin, double tmax, double psel,
     return 0.0;
 }
 
-/* Inlined at call sites that pass dim as a literal, so the loops over
- * the axes unroll and the candidate loop vectorizes (half the walk). */
-#if defined(__GNUC__)
-#define RP_SPECIALIZE static inline __attribute__((always_inline))
-#else
-#define RP_SPECIALIZE static inline
-#endif
-
 /* The particles q of [q0, q1) in range of one target particle (position
  * xi, radius ri), q == skip excepted: rp_in_range on the Morton-ordered
  * copies, either mode.  With shift != NULL the minimum image of every
@@ -913,8 +970,8 @@ RP_SPECIALIZE int64_t rp_leaf_hits(const double *xs, const double *rs,
                                    const double *shift, const double *psel,
                                    const double *pdiv, int symmetric,
                                    int64_t q0, int64_t q1, int64_t skip,
-                                   const int64_t *order, int64_t *row,
-                                   const int64_t *row_end)
+                                   const int64_t *order, int32_t *row,
+                                   const int32_t *row_end)
 {
     int64_t c = 0;
     for (int64_t q = q0; q < q1; ++q) {
@@ -931,7 +988,7 @@ RP_SPECIALIZE int64_t rp_leaf_hits(const double *xs, const double *rs,
         if (symmetric && rs[q] > cutoff)
             cutoff = rs[q];
         if (row && row + c < row_end)
-            row[c] = order[q];
+            row[c] = (int32_t)order[q];
         c += (r2 <= cutoff * cutoff) & (q != skip);
     }
     return c;
@@ -950,7 +1007,7 @@ RP_SPECIALIZE void rp_leaf_pair(const double *xs, const double *rs,
                                 const double *slo, const double *shi,
                                 double srmax, const double *shift,
                                 int self, const int64_t *offsets,
-                                int64_t *cursor, int64_t *out)
+                                int64_t *cursor, int32_t *out)
 {
     for (int64_t p = t0; p < t1; ++p) {
         const double ri = rs[p];
@@ -1009,7 +1066,7 @@ void rp_walk(const double *xs, const double *rs, int64_t n, int dim,
              const int64_t *child_count, const int64_t *pstart,
              const int64_t *pend, const int64_t *order, const double *lo,
              const double *hi, const double *rmax, int include_self,
-             const int64_t *offsets, int64_t *cursor, int64_t *out)
+             const int64_t *offsets, int64_t *cursor, int32_t *out)
 {
     int64_t stack[RP_WALK_STACK];
     for (int64_t tl = 0; tl < n_nodes; ++tl) {
@@ -1064,12 +1121,12 @@ void rp_walk(const double *xs, const double *rs, int64_t n, int dim,
  * written — and is put in canonical order while still in cache.
  * new_offsets[0] must be 0. */
 void rp_pairs_within(const double *xw, const double *radii,
-                     const int64_t *offsets, const int64_t *indices,
+                     const int64_t *offsets, const int32_t *indices,
                      int64_t n, int dim, const double *psel,
-                     const double *pdiv, int64_t *new_offsets, int64_t *out)
+                     const double *pdiv, int64_t *new_offsets, int32_t *out)
 {
     for (int64_t i = 0; i < n; ++i) {
-        int64_t *row = out + new_offsets[i];
+        int32_t *row = out + new_offsets[i];
         int64_t c = 0;
         for (int64_t k = offsets[i]; k < offsets[i + 1]; ++k) {
             const int64_t j = indices[k];

@@ -18,9 +18,8 @@ Nothing crosses a process boundary: slices read the driver's live
 backend, kernel and box (never copies, so
 ``Simulation.degrade_to_serial()`` takes effect on the next phase), and
 each slice's pair context is open for exactly the rate evaluation the
-driver's is (:meth:`PhaseExecutor.evaluation`): it writes only its own
-rows' products and reads the whole-list ones the driver thread produced
-before the fan-out.
+driver's is (:meth:`PhaseExecutor.evaluation`) and holds only its own
+rows' products.
 Outputs land in a buffer that is copied into ``particles`` only after
 every slice of the phase returned; an exception raised in a slice is
 re-raised on the driver thread (the first in slice order) once the
@@ -40,7 +39,6 @@ from contextlib import nullcontext
 
 import numpy as np
 
-from ..backend.base import backend_ops
 from ..gradients.iad import compute_iad_matrices
 from ..gravity.barnes_hut import GravityResult, barnes_hut_gravity
 from ..gravity.multipole import compute_node_moments
@@ -146,19 +144,13 @@ class PhaseExecutor:
         that slice's context and the driver's backend, and stores what it
         returns in ``out[lo:hi]`` of each buffer in ``outs``.
 
-        The whole-list entries the slices read (kernel normalisation,
-        and on a compiled backend the support-filtered list and
-        per-particle factors) are produced here, once, on the driver
-        thread and in the driver's context.
+        The one thing every slice reads that is computed lazily — the
+        kernel normalisation, memoised per process — is produced here,
+        once, on the driver thread.
         """
         sim = self._sim
         backend = sim.backend
         kernel.sigma(particles.dim)
-        ops = backend_ops(backend, kernel)
-        if ops is not None:
-            whole = sim._pair_ctx
-            ops.support_list(whole, particles.x, particles.h, nlist, box, kernel)
-            ops.normalizations(whole, kernel, particles.h, particles.dim)
         slices = balanced_row_slices(nlist.offsets, self.n_slices)
 
         def run(kind, fn, outs, parts=lambda res: (res,), source=particles,

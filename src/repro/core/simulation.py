@@ -24,6 +24,7 @@ from typing import TYPE_CHECKING, List, Optional
 import numpy as np
 
 from ..backend import select_backend
+from ..backend.base import backend_ops
 from ..kernels.registry import make_kernel
 from ..observability.tracer import make_tracer
 from ..profiling.trace import State, Tracer
@@ -366,10 +367,22 @@ class Simulation:
                     cache=self._ncache, ctx=self._pair_ctx,
                     backend=self.backend, adapted=self._nlist is not None,
                 )
+        # The compiled phases run over the pairs inside kernel support,
+        # cut once per evaluation from the (padded) list; every other
+        # pair contributes an exact zero.  The numpy phases take the
+        # padded list itself — its geometry is the one the h iteration
+        # left bound in the pair context.
+        pair_list = self._nlist
+        ops = backend_ops(self.backend, self.kernel)
+        if ops is not None:
+            with tr.phase(Phase.NEIGHBOR_LISTS.letter, State.USEFUL, self.rank):
+                pair_list = ops.support_list(
+                    p.x, p.h, self._nlist.as_int32(), self.box, self.kernel
+                )
         # One call site per phase; the executor runs it as one call or
         # as row slices on threads (``ExecConfig.workers``).
         phases = self._phases
-        pair_args = (p, self._nlist, self.kernel, self.box)
+        pair_args = (p, pair_list, self.kernel, self.box)
 
         c_matrices = None
         if cfg.gradients == "iad":
@@ -643,6 +656,7 @@ class Simulation:
             "adaptations": s.adaptations,
             "sweeps": s.sweeps,
             "converged": s.converged,
+            "max_count_error": s.max_count_error,
         }
 
     def _gravity_stats_dict(self) -> Optional[dict]:

@@ -58,27 +58,19 @@ def compute_iad_matrices(
     ``(hi - lo, dim, dim)`` matrices (threaded fan-out mode).  ``ctx`` is an
     optional :class:`~repro.sph.pair_engine.PairContext` sharing pair
     geometry and kernel values with the other phases; a compiled
-    ``backend`` fuses the ``W`` pass, the moment accumulation and the
-    regularized inversion (closed-form instead of LAPACK — identical
-    to rounding, covered by the documented backend tolerance).
+    ``backend`` does geometry, ``W``, the moment sums and the
+    regularized inversion in one row kernel (closed-form instead of
+    LAPACK — identical to rounding, covered by the documented backend
+    tolerance).
     """
     ops = backend_ops(backend, kernel)
-    pc = ctx if ctx is not None else _ephemeral_ctx()
     if ops is not None:
         lo, hi = rows if rows is not None else (0, nlist.n)
-        dim = particles.dim
-        plist = ops.support_list(
-            pc, particles.x, particles.h, nlist, box, kernel
+        return ops.iad_matrices(
+            particles.x, particles.h, particles.m, particles.rho,
+            nlist.as_int32(), box, kernel, lo, hi, rcond,
         )
-        w = ops.pair_products(
-            pc, x=particles.x, h=particles.h, nlist=plist, box=box,
-            kernel=kernel, dim=dim, lo=lo, hi=hi, want=("w",),
-        )["w"]
-        tau = ops.iad_tau(
-            particles.x, plist, box, particles.m, particles.rho, w,
-            dim, lo, hi,
-        )
-        return ops.tau_inverse(tau, dim, rcond)
+    pc = ctx if ctx is not None else _ephemeral_ctx()
     pc.bind(particles.x, nlist, box, rows=rows)
     dim = particles.dim
     w = pc.w_i(kernel, particles.h, dim)

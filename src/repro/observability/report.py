@@ -162,7 +162,8 @@ def format_neighbor_cache(stats) -> str:
         f"invalidated: displacement={m_disp}, "
         f"h-change={m_h}, cold/shape={m_shape}); "
         f"h-iteration: {_get(stats, 'converged')}/{_get(stats, 'adaptations')} "
-        f"met tolerance, {_get(stats, 'sweeps')} sweeps"
+        f"met tolerance, {_get(stats, 'sweeps')} sweeps, "
+        f"last max count error {_get(stats, 'max_count_error', 0.0):.3f}"
     )
 
 

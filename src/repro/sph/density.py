@@ -15,11 +15,12 @@ Both run over a gather-compatible CSR neighbour list (self-pair included);
 pairs beyond the support of ``h_i`` contribute exactly zero, so a
 symmetric-mode list may be reused.
 
-Pair-loop storage and geometry go through a
+On the numpy path pair-loop storage and geometry go through a
 :class:`~repro.sph.pair_engine.PairContext`: the driver passes the
 context of its open evaluation so the pair geometry and the kernel
 values are computed once and shared with the other phases; without one
-an ephemeral context is used (same arithmetic, fresh storage).
+an ephemeral context is used (same arithmetic, fresh storage).  A
+compiled backend computes both inside its row kernel and keeps nothing.
 """
 
 from __future__ import annotations
@@ -68,21 +69,22 @@ def compute_density(
         evaluation, sharing pair geometry and kernel values across phases.
     backend:
         Optional resolved :class:`repro.backend.Backend`; a compiled
-        backend takes the fused pair-loop path below (same results
-        within the documented tolerance), the numpy reference falls
-        through to the vectorized code unchanged.
+        backend runs its row kernel over ``nlist`` (same results within
+        the documented tolerance; the driver hands it the list cut to
+        kernel support), the numpy reference falls through to the
+        vectorized code unchanged.
     """
     if volume_elements not in ("standard", "generalized"):
         raise ValueError(
             f"volume_elements must be 'standard' or 'generalized', got {volume_elements!r}"
         )
     ops = backend_ops(backend, kernel)
-    pc = ctx if ctx is not None else PairContext()
     if ops is not None:
         return _compute_density_compiled(
-            ops, pc, particles, nlist, kernel, box, volume_elements,
+            ops, particles, nlist, kernel, box, volume_elements,
             xmass_exponent, rows,
         )
+    pc = ctx if ctx is not None else PairContext()
     pc.bind(particles.x, nlist, box, rows=rows)
     lo, hi = pc.lo, pc.hi
     j = pc.j
@@ -121,22 +123,22 @@ def compute_density(
 
 
 def _compute_density_compiled(
-    ops, pc, particles, nlist, kernel, box, volume_elements, xmass_exponent,
-    rows,
+    ops, particles, nlist, kernel, box, volume_elements, xmass_exponent, rows
 ):
-    """Fused-pair-loop density: one compiled pass builds W, compiled row
-    sums replace gather/multiply/bincount.  Glue arithmetic (xmass,
-    rho = m*kappa/xmass) stays in numpy — it is n-sized and must match
-    the reference expression exactly."""
+    """Density off the compiled row kernel: ``sum_j wgt_j W_ij`` with
+    ``wgt`` the masses or the generalized estimator.  Glue arithmetic
+    (xmass, rho = m*kappa/xmass) stays in numpy — it is n-sized and must
+    match the reference expression exactly."""
     lo, hi = rows if rows is not None else (0, nlist.n)
-    dim = particles.dim
-    plist = ops.support_list(pc, particles.x, particles.h, nlist, box, kernel)
-    w = ops.pair_products(
-        pc, x=particles.x, h=particles.h, nlist=plist, box=box,
-        kernel=kernel, dim=dim, lo=lo, hi=hi, want=("w",),
-    )["w"]
+    nlist = nlist.as_int32()
+
+    def sums(wgt):
+        return ops.density_sums(
+            particles.x, particles.h, wgt, nlist, box, kernel, lo, hi
+        )
+
     if volume_elements == "standard":
-        rho = ops.rowsum(plist, lo, hi, particles.m, w)
+        rho = sums(particles.m)
     else:
         rho_prev = particles.rho
         if np.any(rho_prev <= 0.0):
@@ -145,9 +147,9 @@ def _compute_density_compiled(
                     "generalized volume elements in slice mode need a "
                     "bootstrapped global density; run a standard pass first"
                 )
-            rho_prev = ops.rowsum(plist, lo, hi, particles.m, w)
+            rho_prev = sums(particles.m)
         xmass = (particles.m / rho_prev) ** float(xmass_exponent)
-        kappa = ops.rowsum(plist, lo, hi, xmass, w)
+        kappa = sums(xmass)
         if np.any(kappa <= 0.0):
             raise ValueError(
                 "generalized volume elements: a particle has no kernel support "
@@ -175,24 +177,20 @@ def grad_h_terms(
     Pressure-gradient terms are divided by ``Omega_i`` to keep the scheme
     consistent when ``h`` varies in space.  ``rows`` restricts the
     evaluation to a query-row slice (threaded fan-out); ``ctx`` shares pair
-    geometry with the other phases; a compiled ``backend`` fuses the
-    ``dW/dh`` pass and its row sum.
+    geometry with the other phases; a compiled ``backend`` sums
+    ``dW/dh`` in its density row kernel.
     """
     ops = backend_ops(backend, kernel)
-    pc = ctx if ctx is not None else PairContext()
     if ops is not None:
         lo, hi = rows if rows is not None else (0, nlist.n)
         dim = particles.dim
-        plist = ops.support_list(
-            pc, particles.x, particles.h, nlist, box, kernel
+        s = ops.density_sums(
+            particles.x, particles.h, particles.m, nlist.as_int32(), box,
+            kernel, lo, hi, dwdh=True,
         )
-        dwdh = ops.pair_products(
-            pc, x=particles.x, h=particles.h, nlist=plist, box=box,
-            kernel=kernel, dim=dim, lo=lo, hi=hi, want=("dwdh",),
-        )["dwdh"]
-        s = ops.rowsum(plist, lo, hi, particles.m, dwdh)
         omega = 1.0 + particles.h[lo:hi] / (dim * particles.rho[lo:hi]) * s
         return np.clip(omega, 0.1, 10.0)
+    pc = ctx if ctx is not None else PairContext()
     pc.bind(particles.x, nlist, box, rows=rows)
     lo, hi = pc.lo, pc.hi
     dim = particles.dim

@@ -15,11 +15,12 @@ where ``G`` is either the standard kernel gradient or the IAD operator
 operators, the pairwise exchange conserves linear momentum exactly (and
 angular momentum for the standard operator, which is central).
 
-Pair geometry, gathers and per-pair temporaries are borrowed from a
-:class:`~repro.sph.pair_engine.PairContext` (that of the driver's open
-evaluation when given, an ephemeral one otherwise): the gradients here are the same
-arrays the div/curl phase computed, ``v_ij``/``v . dx``/``hbar``/``mu``
-are evaluated once and shared between the viscosity and the CFL
+On the numpy path pair geometry, gathers and per-pair temporaries are
+borrowed from a :class:`~repro.sph.pair_engine.PairContext` (that of the
+driver's open evaluation when given, an ephemeral one otherwise; a
+compiled backend recomputes them per row and keeps nothing): the
+gradients here are the same arrays the div/curl phase computed,
+``v_ij``/``v . dx``/``hbar``/``mu`` are evaluated once and shared between the viscosity and the CFL
 diagnostic, and every temporary is an ``out=`` write into a reused
 arena buffer — the arithmetic and its order are unchanged, so results
 are bitwise identical to the historical allocating implementation.
@@ -67,34 +68,26 @@ def velocity_divergence_curl(
 
     ``rows`` restricts the evaluation to a query-row slice (threaded
     fan-out); ``ctx`` shares pair geometry, ``grad W`` and ``v_ij`` with
-    the force loop; a compiled ``backend`` fuses the gradient pass and
-    the pair reductions.
+    the force loop; a compiled ``backend`` runs its own row kernel.
     """
     ops = backend_ops(backend, kernel)
-    pc = ctx if ctx is not None else PairContext()
     if ops is not None:
         lo, hi = rows if rows is not None else (0, nlist.n)
         dim = particles.dim
         rho = particles.rho[lo:hi]
-        plist = ops.support_list(
-            pc, particles.x, particles.h, nlist, box, kernel
-        )
-        gs = ops.pair_products(
-            pc, x=particles.x, h=particles.h, nlist=plist, box=box,
-            kernel=kernel, dim=dim, lo=lo, hi=hi, want=("gs",),
-        )["gs"]
         divsum, curlsum = ops.div_curl_sums(
-            particles.x, particles.v, plist, box, particles.m, gs,
-            dim, lo, hi,
+            particles.x, particles.v, particles.h, particles.m,
+            nlist.as_int32(), box, kernel, lo, hi,
         )
         div = -divsum / rho
         if dim == 3:
             curl = np.sqrt(np.einsum("kd,kd->k", curlsum, curlsum)) / rho
         elif dim == 2:
-            curl = np.abs(curlsum[:, 0]) / rho
+            curl = np.abs(curlsum[:, 2]) / rho
         else:
             curl = np.zeros(hi - lo)
         return div, curl
+    pc = ctx if ctx is not None else PairContext()
     pc.bind(particles.x, nlist, box, rows=rows)
     lo, hi = pc.lo, pc.hi
     dim = particles.dim
@@ -176,12 +169,12 @@ def compute_forces(
         if viscosity.use_balsara and balsara_f is None:
             raise ValueError("slice mode needs pre-computed global balsara_f")
     ops = backend_ops(backend, kernel)
-    pc = ctx if ctx is not None else PairContext()
     if ops is not None:
         return _compute_forces_compiled(
-            ops, pc, particles, nlist, kernel, box, gradients, viscosity,
+            ops, particles, nlist, kernel, box, gradients, viscosity,
             grad_h, c_matrices, rows, omega, balsara_f, backend,
         )
+    pc = ctx if ctx is not None else PairContext()
     pc.bind(particles.x, nlist, box, rows=rows)
     lo, hi = pc.lo, pc.hi
     n_pairs = pc.n_pairs
@@ -300,58 +293,46 @@ def compute_forces(
 
 
 def _compute_forces_compiled(
-    ops, pc, particles, nlist, kernel, box, gradients, viscosity, grad_h,
+    ops, particles, nlist, kernel, box, gradients, viscosity, grad_h,
     c_matrices, rows, omega, balsara_f, backend,
 ):
-    """Fused momentum/energy pair loop: one compiled pass consumes the
-    context's kernel values/gradients and accumulates ``a``, the two
-    energy sums and the viscous-signal diagnostic.  The n-sized glue
-    (``p_over``, the final ``du`` combination) stays in numpy to match
-    the reference expressions exactly; subsidiary phases (IAD, grad-h,
-    Balsara) are delegated to their own backend-aware entry points on
-    the same context."""
+    """Momentum/energy off the compiled row kernel: one pass computes the
+    geometry, both sides' kernel factors and gradients, and accumulates
+    ``a``, the two energy sums and the viscous-signal diagnostic.  The
+    n-sized glue (``p_over``, the final ``du`` combination) stays in
+    numpy to match the reference expressions exactly; subsidiary phases
+    (IAD, grad-h, Balsara) are delegated to their own backend-aware
+    entry points."""
     lo, hi = rows if rows is not None else (0, nlist.n)
-    dim = particles.dim
-    use_iad = gradients == "iad"
-    plist = ops.support_list(pc, particles.x, particles.h, nlist, box, kernel)
-
-    common = dict(
-        x=particles.x, h=particles.h, nlist=plist, box=box, kernel=kernel,
-        dim=dim, lo=lo, hi=hi,
-    )
-    # Only the query-side product is materialized; the neighbour-side
-    # factor (w_j / gs_j) is evaluated inline by the fused force loop.
-    wi = gsi = None
-    if use_iad:
+    if gradients == "iad":
         if c_matrices is None:
             c_matrices = compute_iad_matrices(
-                particles, nlist, kernel, box, ctx=pc, backend=backend
+                particles, nlist, kernel, box, backend=backend
             )
-        wi = ops.pair_products(pc, want=("w",), **common)["w"]
     else:
-        gsi = ops.pair_products(pc, want=("gs",), **common)["gs"]
-
+        c_matrices = None
     if omega is None:
         omega = (
-            grad_h_terms(particles, nlist, kernel, box, ctx=pc, backend=backend)
+            grad_h_terms(particles, nlist, kernel, box, backend=backend)
             if grad_h
             else np.ones(particles.n)
         )
     p_over = particles.p / (omega * particles.rho**2)
 
-    if viscosity.use_balsara and balsara_f is None:
+    if not viscosity.use_balsara:
+        balsara_f = None
+    elif balsara_f is None:
         div_v, curl_v = velocity_divergence_curl(
-            particles, nlist, kernel, box, ctx=pc, backend=backend
+            particles, nlist, kernel, box, backend=backend
         )
         balsara_f = balsara_switch(div_v, curl_v, particles.cs, particles.h)
 
     a, s1, s2, max_mu = ops.forces(
-        pc, x=particles.x, v=particles.v, h=particles.h, m=particles.m,
+        x=particles.x, v=particles.v, h=particles.h, m=particles.m,
         rho=particles.rho, p_over=p_over, cs=particles.cs,
-        nlist=plist, box=box, dim=dim, lo=lo, hi=hi, wi=wi, gsi=gsi,
-        use_iad=use_iad, c_matrices=c_matrices, balsara_f=balsara_f,
-        alpha=viscosity.alpha, beta=viscosity.beta,
-        eta2=viscosity.eta**2, kernel=kernel,
+        nlist=nlist.as_int32(), box=box, kernel=kernel, lo=lo, hi=hi,
+        c_matrices=c_matrices, balsara_f=balsara_f,
+        alpha=viscosity.alpha, beta=viscosity.beta, eta2=viscosity.eta**2,
     )
     du = p_over[lo:hi] * s1 + 0.5 * s2
     if rows is not None:

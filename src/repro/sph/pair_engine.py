@@ -1,15 +1,14 @@
-"""Per-pair state of one rate evaluation: geometry, products, scratch.
+"""Per-pair state of one rate evaluation on the numpy path.
 
 Every pair-loop phase of Algorithm 1 (h adaptation, IAD moments, density,
 grad-h, div/curl, momentum/energy) walks the *same* CSR neighbour list.
 A :class:`PairContext` is the one place the per-pair intermediates of
-those phases live, on both backends: the pair geometry (``(i, j, dx,
-r)`` on the numpy path, the whole-list distances on the compiled one)
-and a by-name memo of derived products (``q = r/h``, kernel values and
-gradients, ``v_ij``, gathered masses; on the compiled path the
-support-filtered list, the per-particle kernel normalisations and the
-``W`` / ``dW/dr / r`` / ``dW/dh`` row buffers), all stored in a
-:class:`ScratchArena` of grow-only buffers reused across steps.
+the numpy phases live: the pair geometry ``(i, j, dx, r)`` and a by-name
+memo of derived products (``q = r/h``, kernel values and gradients,
+``v_ij``, gathered masses), all stored in a :class:`ScratchArena` of
+grow-only buffers reused across steps.  The compiled path has no
+per-pair state to put here: its row kernels take the neighbour list and
+recompute the rest (see :mod:`repro.backend.csrc`).
 
 Lifetime
 --------
@@ -32,14 +31,8 @@ Inside an evaluation the geometry is reused iff a phase binds the same
 neighbour-list *object* and row range: the Verlet cache hands every
 phase of an evaluation one list object, a rebuild hands out a new one,
 and the context keeps a strong reference so an id is never recycled.
-Outside an evaluation a context shares nothing across binds and the
-compiled path neither filters the list nor keeps a product — what a
+Outside an evaluation a context shares nothing across binds — what a
 ``ctx=None`` phase call gets from its ephemeral context.
-
-A slice context (one per row slice of the phase executor) reads the
-whole-list entries — support-filtered list, normalisations — from the
-driver's context, which produces them on the driver thread before a
-fan-out, and writes only its own rows' buffers.
 """
 
 from __future__ import annotations
@@ -59,7 +52,7 @@ __all__ = [
     "PairContext",
 ]
 
-#: numpy-path products that read ``h`` (dropped by ``h_written``).
+#: Products that read ``h`` (dropped by ``h_written``).
 _H_PRODUCTS = (
     "h_i", "h_j", "q_i", "q_j", "w_i", "w_j", "dwdh_i", "grad_i", "grad_j",
 )
@@ -167,15 +160,9 @@ class PairContext:
         self.stats = PairEngineStats()
         self.arena = ScratchArena(self.stats)
         self._open = False
-        #: Where whole-list entries of the compiled path live: the
-        #: driver's context while a slice context is open with it.
-        self._whole: "PairContext" = self
         self._slices: Sequence["PairContext"] = ()
         self._nlist_ref: Optional[NeighborList] = None
-        self._radii_ref = None
-        self._radii: Optional[np.ndarray] = None
         self._products: Dict[str, Tuple[tuple, np.ndarray]] = {}
-        self._held: Dict[str, tuple] = {}
         # Bound geometry (valid after the first bind):
         self.lo = 0
         self.hi = 0
@@ -203,14 +190,14 @@ class PairContext:
         members = (self, *slices)
         for ctx in members:
             ctx.invalidate()
-            ctx._open, ctx._whole = True, self
+            ctx._open = True
         self._slices = tuple(slices)
         try:
             yield self
         finally:
             self._slices = ()
             for ctx in members:
-                ctx._open, ctx._whole = False, ctx
+                ctx._open = False
                 ctx.invalidate()
 
     @property
@@ -221,9 +208,7 @@ class PairContext:
     def invalidate(self) -> None:
         """Drop the geometry and every derived product."""
         self._nlist_ref = None
-        self._radii_ref = self._radii = None
         self._products.clear()
-        self._held.clear()
 
     def h_written(self) -> None:
         """``h`` was rewritten in place: drop what was computed from it
@@ -232,7 +217,6 @@ class PairContext:
         for ctx in (self, *self._slices):
             for name in _H_PRODUCTS:
                 ctx._products.pop(name, None)
-            ctx._held.clear()
 
     def bind(
         self,
@@ -286,24 +270,6 @@ class PairContext:
         self.stats.geometry_computes += 1
         return self
 
-    def radii(self, ops, x: np.ndarray, nlist, box: Optional[Box]) -> np.ndarray:
-        """Whole-list pair distances from the compiled ``ops`` — the
-        compiled path's geometry, under the same reuse rule as
-        :meth:`bind` (and, being whole-list, kept on the driver's
-        context).  One pass serves every count sweep of the h iteration
-        and the support filter of the phases that follow."""
-        whole = self._whole
-        if whole._radii_ref is nlist:
-            self.stats.geometry_reuses += 1
-            return whole._radii
-        r = ops.pair_radii(
-            x, nlist, box, out=whole.arena.take("radii", (nlist.n_pairs,))
-        )
-        if self._open:
-            whole._radii_ref, whole._radii = nlist, r
-        self.stats.geometry_computes += 1
-        return r
-
     # ------------------------------------------------------------------
     # Product memo
     # ------------------------------------------------------------------
@@ -320,25 +286,6 @@ class PairContext:
         self._products[name] = (key, arr)
         self.stats.product_computes += 1
         return arr
-
-    def held(self, name: str, on, key: tuple, whole: bool = False):
-        """The compiled-path entry ``name`` stored for the list *object*
-        ``on`` under ``key``, or ``None``.  ``whole`` entries are read
-        from the driver's context (a slice context never writes them)."""
-        hit = (self._whole if whole else self)._held.get(name)
-        if hit is not None and hit[0] is on and hit[1] == key:
-            self.stats.product_reuses += 1
-            return hit[2]
-        return None
-
-    def hold(self, name: str, on, key: tuple, value, whole: bool = False):
-        """Store a compiled-path entry for :meth:`held` — kept only
-        inside an open evaluation, so an unmanaged call recomputes.  All
-        such entries read ``h``."""
-        if self._open:
-            (self._whole if whole else self)._held[name] = (on, key, value)
-        self.stats.product_computes += 1
-        return value
 
     def _gather(self, name: str, src: np.ndarray, idx: np.ndarray) -> np.ndarray:
         out = self.arena.take(name, idx.shape + src.shape[1:], src.dtype)

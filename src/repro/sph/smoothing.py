@@ -113,12 +113,11 @@ def adapt_smoothing_lengths(
     evaluation reuse its ``(i, j, dx, r)`` block instead of recomputing
     it, and every write of ``h`` is reported to it.
 
-    With a compiled ``backend`` the separations and per-sweep counts come
-    from ``repro.backend`` ops whose arithmetic is bitwise-identical to
-    the numpy expressions, so the h trajectory — and therefore every
-    downstream neighbour list — is exactly the same; what the context
-    keeps is the radii of the final list, for the support filter of the
-    compiled phases.
+    With a compiled ``backend`` all the sweeps a list can serve run in
+    one row-local op (``CompiledOps.adapt``) whose counts and updates
+    are bitwise the numpy expressions', so the h trajectory — and
+    therefore every downstream neighbour list — is exactly the same;
+    nothing per-pair outlives the op.
 
     ``adapted`` says that an earlier adaptation already rewrote this
     ``h`` (the driver holds a list from an earlier evaluation), which
@@ -180,6 +179,7 @@ def _adapt(
     built = met = False
     i = r = None
     sweeps = 0
+    max_err = 0.0
     while True:
         if nlist is None or np.any(particles.h > budget):
             # Exact radius only over a never-adapted h; a re-search starts
@@ -194,16 +194,30 @@ def _adapt(
             r = None
         if sweeps == config.max_iterations:
             break
-        if r is None:
-            i, r = _pair_radii(particles.x, nlist, box, ctx, ops)
-        # Count only gather neighbours (r <= 2 h_i) off the symmetric list.
         if ops is not None:
-            counts = ops.counts_from_radii(r, particles.h, nlist, 2.0)
-        else:
-            counts = np.bincount(i[r <= 2.0 * particles.h[i]], minlength=particles.n)
+            # Every sweep this list can serve, in one compiled pass.
+            done, met, max_err = _fused_sweeps(
+                ops, particles, nlist, box, budget, config,
+                config.max_iterations - sweeps,
+            )
+            sweeps += done
+            if ctx is not None:
+                ctx.h_written()
+            if met:
+                break
+            continue
+        if r is None:
+            if ctx is not None:
+                pc = ctx.bind(particles.x, nlist, box)
+                i, r = pc.i, pc.r
+            else:
+                i, r = nlist.pair_i(), nlist.pair_geometry(particles.x, box)[1]
+        # Count only gather neighbours (r <= 2 h_i) off the symmetric list.
+        counts = np.bincount(i[r <= 2.0 * particles.h[i]], minlength=particles.n)
         sweeps += 1
         rel_err = np.abs(counts - config.n_target) / config.n_target
-        if float(rel_err.max(initial=0.0)) <= config.tolerance:
+        max_err = float(rel_err.max(initial=0.0))
+        if max_err <= config.tolerance:
             met = True
             break
         h_new = update_smoothing_lengths(
@@ -216,26 +230,52 @@ def _adapt(
         stats.adaptations += 1
         stats.sweeps += sweeps
         stats.converged += met
+        stats.max_count_error = max_err
     if built:
         nlist = nlist.within(particles.x, factor * particles.h, box, ops)
         if cache is not None:
             cache.store(nlist, particles.x, particles.h)
-    if ctx is not None:
+    if ctx is not None and ops is None:
         # Prime the final list so downstream phases bind as a pure reuse
         # (and the context lets go of a searched list it was cut from).
-        _pair_radii(particles.x, nlist, box, ctx, ops)
+        ctx.bind(particles.x, nlist, box)
     return nlist
 
 
-def _pair_radii(x, nlist, box, ctx, ops):
-    """``(pair_i, r)`` of ``nlist`` — once per list, re-filtered per sweep."""
-    if ops is not None:
-        # A cached list is also the list the phases run over: through the
-        # context its radii serve their support filter too.
-        if ctx is not None:
-            return None, ctx.radii(ops, x, nlist, box)
-        return None, ops.pair_radii(x, nlist, box)
-    if ctx is not None:
-        pc = ctx.bind(x, nlist, box)
-        return pc.i, pc.r
-    return nlist.pair_i(), nlist.pair_geometry(x, box)[1]
+def _fused_sweeps(ops, particles, nlist, box, budget, config, sweeps):
+    """Up to ``sweeps`` sweeps of the h iteration off ``nlist`` in one
+    compiled op; writes ``particles.h``.  Returns ``(sweeps run, met,
+    largest relative count error of the last one)``.
+
+    The op runs every sweep of every row and reports, per sweep, the two
+    facts the reference loop stops on — in its order: the count
+    tolerance met *before* an update, a budget out-grown *by* one.  Only
+    when one of them fires early (no shipped workload does) are the
+    iterates past it unwanted, and the op is run again from the saved
+    start for exactly the updates that count.
+
+    The update factor is tabulated by :func:`update_smoothing_lengths`
+    itself, at ``h = 1``: ``h * F[c]`` is the reference's ``0.5 * h *
+    (1 + p)`` to the bit, scaling by 0.5 being exact.
+    """
+    table = update_smoothing_lengths(
+        1.0, np.arange(nlist.longest_row + 1), config.n_target, particles.dim
+    )
+    start = particles.h.copy()
+
+    def run(k):
+        return ops.adapt(
+            particles.x, start, budget, nlist.as_int32(), box, table,
+            config.n_target, config.h_min, config.h_max, k,
+        )
+
+    h, err, grown = run(sweeps)
+    met = err <= config.tolerance
+    stops = np.nonzero(met | grown)[0]
+    done = int(stops[0]) + 1 if stops.size else sweeps
+    hit = bool(met[done - 1])  # False when nothing stopped the op early
+    updates = done - hit  # the sweep that meets the tolerance updates nothing
+    if updates < sweeps:
+        h = run(updates)[0] if updates else start
+    particles.h[:] = h
+    return done, hit, float(err[done - 1])

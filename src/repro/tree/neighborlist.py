@@ -124,6 +124,11 @@ class NeighborList:
     ``i``, in ascending index order when the list comes from a search.
     ``pair_i()`` expands the implicit query index to one entry per pair
     for use in flat vectorized kernels.
+
+    ``offsets`` are int64; the ``indices`` column keeps the width it is
+    given — int32 from the compiled searches (one integer per pair is
+    all the compiled path stores), int64 from the numpy ones and for
+    anything else handed in.  Every numpy consumer takes either.
     """
 
     offsets: np.ndarray
@@ -131,7 +136,10 @@ class NeighborList:
 
     def __post_init__(self) -> None:
         offsets = np.ascontiguousarray(self.offsets, dtype=np.int64)
-        indices = np.ascontiguousarray(self.indices, dtype=np.int64)
+        indices = np.asarray(self.indices)
+        indices = np.ascontiguousarray(
+            indices, dtype=np.int32 if indices.dtype == np.int32 else np.int64
+        )
         if offsets.ndim != 1 or offsets.size < 1:
             raise ValueError("offsets must be a non-empty 1-D array")
         if offsets[0] != 0 or np.any(np.diff(offsets) < 0):
@@ -158,6 +166,34 @@ class NeighborList:
         """Neighbour count per query particle."""
         return np.diff(self.offsets)
 
+    def _memo(self, name: str, compute):
+        """``compute()`` once per (frozen, immutable) instance."""
+        value = self.__dict__.get(name)
+        if value is None:
+            value = compute()
+            object.__setattr__(self, name, value)
+        return value
+
+    @property
+    def longest_row(self) -> int:
+        """Largest neighbour count (sizes the compiled ops' row buffers)."""
+        return self._memo("_longest", lambda: int(self.counts().max(initial=0)))
+
+    def as_int32(self) -> "NeighborList":
+        """This list with an int32 ``indices`` column — what the compiled
+        ops take: ``self`` when it already has one, else a twin made once
+        and kept on the instance (a list is converted once, not once per
+        op call)."""
+        if self.indices.dtype == np.int32:
+            return self
+
+        def narrow() -> "NeighborList":
+            if self.indices.max(initial=0) >= 2**31:
+                raise OverflowError("neighbour indices do not fit int32")
+            return NeighborList(self.offsets, self.indices.astype(np.int32))
+
+        return self._memo("_int32", narrow)
+
     def pair_i(self) -> np.ndarray:
         """Query index ``i`` for every pair (aligned with ``indices``).
 
@@ -166,11 +202,10 @@ class NeighborList:
         changes and repeated callers share one array.  Treat the result
         as read-only.
         """
-        cached = self.__dict__.get("_pair_i")
-        if cached is None:
-            cached = np.repeat(np.arange(self.n, dtype=np.int64), self.counts())
-            object.__setattr__(self, "_pair_i", cached)
-        return cached
+        return self._memo(
+            "_pair_i",
+            lambda: np.repeat(np.arange(self.n, dtype=np.int64), self.counts()),
+        )
 
     def pairs(self) -> Tuple[np.ndarray, np.ndarray]:
         """``(i, j)`` index arrays, one entry per interaction pair."""
@@ -212,7 +247,9 @@ class NeighborList:
             xw = box.wrap(xw)
         radii = np.ascontiguousarray(radii, dtype=np.float64)
         if ops is not None:
-            return NeighborList(*ops.pairs_within(self, xw, radii, box))
+            return NeighborList(
+                *ops.pairs_within(self.as_int32(), xw, radii, box)
+            )
         i, j = self.pairs()
         keep = pairs_in_range(xw, i, j, radii, box, "symmetric")
         counts, indices = canonical_rows(i[keep], j[keep], 0, self.n, xw.shape[0])
@@ -309,7 +346,9 @@ class VerletCacheStats:
     to the final ``h``.  ``adaptations``/``sweeps``/``converged`` describe
     the h iteration the cache serves: calls, count sweeps over the pair
     list, and calls that ended by meeting the count tolerance rather than
-    by running out of sweeps.
+    by running out of sweeps; ``max_count_error`` is the largest relative
+    count error ``|n_i - n_target| / n_target`` at the last sweep of the
+    last call — what ``converged`` compares with the tolerance.
     """
 
     builds: int = 0
@@ -322,6 +361,7 @@ class VerletCacheStats:
     adaptations: int = 0
     sweeps: int = 0
     converged: int = 0
+    max_count_error: float = 0.0
 
     @property
     def lookups(self) -> int:

@@ -128,15 +128,16 @@ def test_lazy_api_exports_resolve():
         repro.does_not_exist
 
 
-# --- names removed in 2.0.0, 3.0.0 and 4.0.0 stay removed ------------------
+# --- names removed in 2.0.0 to 5.0.0 stay removed ------- ------------------
 
 
 def test_removed_surface_fails_closed():
     """The deprecated driver surface, ``repro.compat``, the ``numba``
     backend, the ``pair_engine`` switch, (3.0.0) the process pool with
-    its supervisor and chaos knobs and (4.0.0) the epoch/token protocol,
-    ``CffiImpl`` and the ``neighbor_search`` knob are gone: old
-    spellings are typed errors at the boundary, never a silent default."""
+    its supervisor and chaos knobs, (4.0.0) the epoch/token protocol,
+    ``CffiImpl`` and the ``neighbor_search`` knob and (5.0.0) the
+    compiled path's stored per-pair products are gone: old spellings
+    are typed errors at the boundary, never a silent default."""
     import importlib
 
     from repro.core.config import ExecConfig, SimulationConfig
@@ -172,4 +173,23 @@ def test_removed_surface_fails_closed():
         from repro.backend.cffi_backend import CffiImpl  # noqa: F401
     with pytest.raises(TypeError):
         SimulationConfig(neighbor_search="tree-walk")
+    # 5.0.0: the compiled path keeps the neighbour list and nothing else.
+    from repro.backend import csrc
+    from repro.backend.compiled import CompiledOps
+
+    with pytest.raises(ImportError):
+        from repro.backend.compiled import SupportList  # noqa: F401
+    for removed in (
+        "pair_radii", "counts_from_radii", "normalizations", "pair_products",
+        "rowsum", "iad_tau", "tau_inverse",
+    ):
+        assert not hasattr(CompiledOps, removed), removed
+    for removed in ("radii", "held", "hold"):
+        with pytest.raises(AttributeError):
+            getattr(PairContext(), removed)
+    for removed in (
+        "rp_radii", "rp_counts_r", "rp_pair_kernel", "rp_rowsum", "rp_iad_tau",
+        "rp_tau_inv", "rp_filter_count", "rp_filter_fill",
+    ):
+        assert removed + "(" not in csrc.CDEF, removed
 

@@ -49,6 +49,7 @@ from repro.scenarios import (
 from repro.scenarios.golden import GOLDEN_ATOL, GOLDEN_RTOL
 from repro.sph.density import compute_density, grad_h_terms
 from repro.sph.forces import compute_forces, velocity_divergence_curl
+from repro.sph.smoothing import update_smoothing_lengths
 from repro.sph.viscosity import ViscosityParams, balsara_switch
 from repro.timestepping.steppers import TimestepParams
 
@@ -98,6 +99,63 @@ def test_generated_c_unit_compiles_warning_clean(backend_name, tmp_path):
         capture_output=True, text=True, timeout=120,
     )
     assert res.returncode == 0, res.stderr
+
+
+@compiled_backend
+def test_row_loops_are_vectorised(backend_name, tmp_path):
+    """The canary: every loop over the pairs of a row (``RP_EACH`` — row
+    geometry, row shape, the count sweep, the force-row stages, ...) is
+    reported vectorised under the product flags.  An edit that breaks
+    that — a call that sets ``errno``, a branch inside a row loop, a
+    dropped flag — halves the kernels without failing any parity test;
+    it fails this one instead."""
+    import platform
+    import re
+    import subprocess
+
+    from repro.backend.cffi_backend import (
+        _BASE_FLAGS,
+        _NATIVE_FLAG,
+        _compiler,
+        _compiler_version,
+    )
+    from repro.backend.csrc import SOURCE
+
+    cc = _compiler()
+    version = re.match(r"gcc\b.*?\b(\d+)\.\d+\.\d+", _compiler_version(cc))
+    if (
+        platform.machine() not in ("x86_64", "AMD64")
+        or version is None
+        or int(version.group(1)) < 12
+    ):
+        pytest.skip("the report format is pinned for gcc >= 12 on x86-64")
+    src = tmp_path / "rp_ops.c"
+    src.write_text(SOURCE)
+    res = subprocess.run(
+        [cc, _NATIVE_FLAG, *_BASE_FLAGS, "-fopt-info-vec-optimized", str(src),
+         "-o", str(tmp_path / "rp_ops.so"), "-lm"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert res.returncode == 0, res.stderr
+    vectorised = {
+        int(line) for line in re.findall(
+            r"rp_ops\.c:(\d+):\d+: optimized: loop vectorized", res.stderr
+        )
+    }
+    lines = SOURCE.splitlines()
+    row_loops = [
+        number for number, line in enumerate(lines, start=1)
+        if ("RP_EACH(" in line or "RP_SHAPE_ROW(" in line)
+        # not the macros' own definitions (continued lines included)
+        and not line.lstrip().startswith("#define")
+        and not lines[number - 2].rstrip().endswith("\\")
+    ]
+    assert len(row_loops) > 25
+    missed = [
+        f"{number}: {lines[number - 1].strip()}"
+        for number in row_loops if number not in vectorised
+    ]
+    assert not missed, "row loops not vectorised:\n" + "\n".join(missed)
 
 
 def test_unknown_backend_name_rejected():
@@ -228,9 +286,21 @@ def test_phase_parity(phase_state, backend_name):
     i_pair = np.repeat(np.arange(n), np.diff(nlist.offsets))
     within = _pair_radii_numpy(p.x, nlist, box) <= 2.0 * p.h[i_pair]
     counts_ref = np.bincount(i_pair[within], minlength=n)
-    radii = b.ops.pair_radii(p.x, nlist, box)
-    counts = b.ops.counts_from_radii(radii, p.h, nlist, 2.0)
-    assert np.array_equal(counts, counts_ref)
+    # One sweep of the fused op: equal updates are equal counts (the
+    # update factor is strictly monotone in the count).
+    n_target = sim.config.n_neighbors
+    table = update_smoothing_lengths(
+        1.0, np.arange(nlist.longest_row + 1), n_target, p.dim
+    )
+    h_out, err, grown = b.ops.adapt(
+        p.x, p.h, np.full(n, np.inf), nlist.as_int32(), box, table,
+        n_target, 0.0, np.inf, 1,
+    )
+    assert np.array_equal(
+        h_out, update_smoothing_lengths(p.h, counts_ref, n_target, p.dim)
+    )
+    assert err[0] == (np.abs(counts_ref - n_target) / n_target).max()
+    assert not grown.any()
 
     rows = (0, n)
     for volume_elements in ("standard", "generalized"):
@@ -275,12 +345,269 @@ def test_phase_parity(phase_state, backend_name):
         assert_norm_close(f.max_mu, f_ref.max_mu, PHASE_TOL, f"{tag}.max_mu")
 
 
+@compiled_backend
+def test_list_columns_cross_the_boundary_without_a_copy(
+    phase_state, backend_name, monkeypatch
+):
+    """The ops take the list's int32 column as it is.  A list that does
+    not have one — int64 from a numpy search, or built from a strided
+    view — is converted once per list, never per op call, and the ops
+    themselves refuse it rather than widen and copy behind the caller's
+    back; so do they refuse to write into a temporary."""
+    from repro.tree.neighborlist import NeighborList
+
+    sim = phase_state
+    p, kernel, box = sim.particles, sim.kernel, sim.box
+    b = select_backend(backend_name)
+    ops, lib = b.ops, b.ops.lib
+    column_addresses = []
+
+    class Spy:
+        def __getattr__(self, name):
+            entry = getattr(lib, name)
+
+            def call(*args):
+                # rp_density(x, h, wgt, offsets, indices, ...)
+                column_addresses.append(int(ops._ffi.cast("uintptr_t", args[4])))
+                return entry(*args)
+
+            return call
+
+    monkeypatch.setattr(ops, "lib", Spy())
+    narrow = sim._nlist.as_int32()
+    wide = NeighborList(narrow.offsets, narrow.indices.astype(np.int64))
+    strided = NeighborList(
+        narrow.offsets, np.repeat(narrow.indices, 2)[::2]
+    )
+    assert wide.indices.dtype == np.int64
+    assert strided.indices.dtype == np.int32
+    assert strided.indices.flags.c_contiguous  # copied once, at construction
+    ref = compute_density(p, narrow, kernel, box, rows=(0, p.n), backend=b)
+    for nlist in (narrow, wide, strided):
+        twin = nlist.as_int32()
+        assert twin is nlist.as_int32()
+        assert (twin is nlist) == (nlist is not wide)
+        del column_addresses[:]
+        for _ in range(3):
+            got = compute_density(p, nlist, kernel, box, rows=(0, p.n), backend=b)
+            assert np.array_equal(got, ref)
+        assert column_addresses == [twin.indices.ctypes.data] * 3
+        assert np.shares_memory(twin.indices, nlist.as_int32().indices)
+
+    with pytest.raises(TypeError, match="as_int32"):
+        ops.density_sums(p.x, p.h, p.m, wide, box, kernel, 0, p.n)
+    with pytest.raises(TypeError, match="in place"):
+        ops._out(np.empty((4, 2))[:, 0])
+    with pytest.raises(TypeError, match="in place"):
+        ops._out(np.empty(4, dtype=np.float32))
+
+
+@compiled_backend
+def test_row_kernels_stay_inside_their_scratch(phase_state, backend_name, monkeypatch):
+    """``csrc.SCRATCH_ROWS`` is what Python allocates and the C unit
+    carves up by hand: a sentinel row behind every block stays intact."""
+    from repro.backend.csrc import SCRATCH_ROWS
+
+    sim = phase_state
+    p, kernel, box = sim.particles, sim.kernel, sim.box
+    nlist = sim._nlist.as_int32()
+    b = select_backend(backend_name)
+    ops = b.ops
+    blocks = []
+
+    def guarded(op, nlist):
+        cap = max(nlist.longest_row, 1)
+        block = np.zeros((SCRATCH_ROWS[op] + 1) * cap)
+        block[-cap:] = 12345.0
+        blocks.append((op, block[-cap:]))
+        return ops._out(block), cap
+
+    monkeypatch.setattr(ops, "_scratch", guarded)
+    adapt_from_cached = ops.adapt(
+        p.x, p.h, np.full(p.n, np.inf), nlist, box,
+        np.ones(nlist.longest_row + 1), 30, 0.0, np.inf, 2,
+    )
+    assert np.array_equal(adapt_from_cached[0], p.h)
+    ops.support_list(p.x, p.h, nlist, box, kernel)
+    compute_density(p, nlist, kernel, box, rows=(0, p.n), backend=b)
+    cm = compute_iad_matrices(p, nlist, kernel, box, rows=(0, p.n), backend=b)
+    div, curl = velocity_divergence_curl(p, nlist, kernel, box, rows=(0, p.n), backend=b)
+    omega = np.ones(p.n)
+    compute_forces(p, nlist, kernel, box, backend=b, rows=(0, p.n),
+                   gradients="iad", c_matrices=cm, omega=omega)
+    compute_forces(p, nlist, kernel, box, backend=b, rows=(0, p.n),
+                   gradients="standard", omega=omega,
+                   viscosity=ViscosityParams(use_balsara=True),
+                   balsara_f=balsara_switch(div, curl, p.cs, p.h))
+    assert {op for op, _ in blocks} == set(SCRATCH_ROWS)
+    for op, sentinel in blocks:
+        assert np.all(sentinel == 12345.0), op
+
+
 def _pair_radii_numpy(x, nlist, box):
     i = np.repeat(np.arange(nlist.n), np.diff(nlist.offsets))
     dx = x[i] - x[nlist.indices]
     if box is not None:
         dx = box.min_image(dx)
     return np.sqrt(np.einsum("kd,kd->k", dx, dx))
+
+
+# --------------------------------------------------------------------------
+# kernel-row coverage: every family x dim x gradient flavour x box
+# --------------------------------------------------------------------------
+
+
+def _row_kernels():
+    from repro.kernels.cubic_spline import CubicSplineKernel
+    from repro.kernels.sinc import SincKernel
+    from repro.kernels.wendland import (
+        WendlandC2Kernel,
+        WendlandC4Kernel,
+        WendlandC6Kernel,
+    )
+
+    cases = []
+    for dim in (1, 2, 3):
+        cases += [
+            ("m4", CubicSplineKernel, (), dim),
+            ("wendland-c2", WendlandC2Kernel, (3,), dim),
+            ("wendland-c4", WendlandC4Kernel, (3,), dim),
+            ("wendland-c6", WendlandC6Kernel, (3,), dim),
+            ("sinc-s5", SincKernel, (5.0,), dim),
+            ("sinc-s4.5-pow", SincKernel, (4.5,), dim),
+        ]
+    cases += [
+        (f"{name}-1d-form", cls, (1,), 1)
+        for name, cls in (
+            ("wendland-c2", WendlandC2Kernel),
+            ("wendland-c4", WendlandC4Kernel),
+            ("wendland-c6", WendlandC6Kernel),
+        )
+    ]
+    return [
+        pytest.param(cls, args, dim, id=f"{name}-{dim}d")
+        for name, cls, args, dim in cases
+    ]
+
+
+def _row_cloud(dim, periodic):
+    """A small cloud whose rows hold every special pair: the self pair
+    (q = 0), padded pairs beyond both supports (q >= 2), pairs across
+    the seam of a periodic axis, and neighbours of particle 0 placed an
+    ulp either side of q = 1 — the M4 knot and, x = pi*q/2 being pi/2
+    there, the sinc family's reflection point."""
+    from repro.core.particles import ParticleSystem
+    from repro.tree.box import Box
+    from repro.tree.cellgrid import cell_grid_search
+
+    rng = np.random.default_rng(dim + 10 * periodic)
+    n = {1: 40, 2: 90, 3: 160}[dim]
+    x = rng.random((n, dim))
+    h = (0.9 / n ** (1.0 / dim)) * rng.uniform(1.0, 1.4, size=n)
+    x[0] = 0.5
+    x[1] = x[0]
+    x[1, 0] += h[0] * np.nextafter(1.0, 2.0)
+    x[2] = x[0]
+    x[2, 0] -= h[0] * np.nextafter(1.0, 0.0)
+    box = Box.cube(0.0, 1.0, dim=dim)
+    if periodic:
+        box = Box(lo=box.lo, hi=box.hi, periodic=np.arange(dim) == 0)
+        x[3, 0], x[4, 0] = 0.25 * h[3], 1.0 - 0.25 * h[3]  # across the seam
+        if dim > 1:
+            x[4, 1:] = x[3, 1:]
+    p = ParticleSystem(
+        x=x, v=rng.normal(size=(n, dim)), m=rng.uniform(0.5, 1.5, n) / n, h=h
+    )
+    p.u[:] = 1.0
+    nlist = cell_grid_search(x, 2.6 * h, box, mode="symmetric")
+    return p, box, nlist
+
+
+@pytest.mark.parametrize("periodic", [False, True], ids=["open", "seam"])
+@pytest.mark.parametrize("kernel_cls, args, dim", _row_kernels())
+@compiled_backend
+def test_kernel_rows_match_numpy(kernel_cls, args, dim, periodic, backend_name):
+    kernel = kernel_cls(*args)
+    b = select_backend(backend_name)
+    assert b.ops.supports(kernel)
+    p, box, nlist = _row_cloud(dim, periodic)
+    n = p.n
+    i_pair, r = nlist.pair_i(), nlist.pair_geometry(p.x, box)[1]
+    q = r / p.h[i_pair]
+    assert (q == 0.0).sum() == n and (q >= 2.0).any()
+    assert np.abs(q[i_pair == 0] - 1.0).min() < 1e-15
+    if periodic:
+        assert 4 in nlist.neighbors_of(3)
+
+    def run(backend):
+        ps = p.copy()
+        out = {"rho_std": compute_density(ps, nlist, kernel, box, backend=backend).copy()}
+        out["rho_gen"] = compute_density(
+            ps, nlist, kernel, box, volume_elements="generalized",
+            backend=backend,
+        ).copy()
+        ps.p[:] = ps.rho ** 1.4
+        ps.cs[:] = np.sqrt(1.4 * ps.p / ps.rho)
+        out["omega"] = grad_h_terms(ps, nlist, kernel, box, backend=backend)
+        out["c"] = compute_iad_matrices(ps, nlist, kernel, box, backend=backend)
+        out["div"], out["curl"] = velocity_divergence_curl(
+            ps, nlist, kernel, box, backend=backend
+        )
+        for tag, options in (
+            ("iad", dict(gradients="iad")),
+            ("std", dict(gradients="standard", grad_h=True,
+                         viscosity=ViscosityParams(use_balsara=True))),
+        ):
+            res = compute_forces(ps, nlist, kernel, box, backend=backend, **options)
+            out[f"a_{tag}"], out[f"du_{tag}"] = res.a.copy(), res.du.copy()
+            out[f"mu_{tag}"] = res.max_mu
+        return out
+
+    ref, got = run(None), run(b)
+    for name in ref:
+        tol = 1e-9 if name in ("c", "a_iad", "du_iad") else PHASE_TOL
+        assert_norm_close(got[name], ref[name], tol, f"{name}/{backend_name}")
+
+
+@compiled_backend
+def test_kernel_rows_exact_values_at_the_ends_of_the_support(backend_name):
+    """A self pair is f = 1 with no gradient; a pair at q >= 2 on both
+    sides contributes an exact 0.0 to every sum."""
+    from repro.core.particles import ParticleSystem
+    from repro.kernels.registry import make_kernel
+    from repro.tree.neighborlist import NeighborList
+
+    ops = select_backend(backend_name).ops
+    x = np.array([[0.0, 0.0, 0.0], [0.25, 0.0, 0.0]])  # q = 2.5 apart
+    p = ParticleSystem(
+        x=x, v=np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]),
+        m=np.ones(2), h=np.full(2, 0.1),
+    )
+    p.rho[:], p.p[:], p.cs[:] = 1.0, 1.0, 1.0
+    selves = NeighborList([0, 1, 2], np.array([0, 1], dtype=np.int32))
+    others = NeighborList([0, 1, 2], np.array([1, 0], dtype=np.int32))
+    for name in ("cubic-spline", "wendland-c2", "wendland-c4", "wendland-c6",
+                 "sinc-s5"):
+        kernel = make_kernel(name)
+        w0 = kernel.sigma(3) / 0.1**3
+        rho = ops.density_sums(p.x, p.h, p.m, selves, None, kernel, 0, 2)
+        np.testing.assert_allclose(rho, w0, rtol=1e-15)
+        assert np.all(ops.density_sums(p.x, p.h, p.m, others, None, kernel, 0, 2) == 0.0)
+        assert np.all(ops.density_sums(
+            p.x, p.h, p.m, others, None, kernel, 0, 2, dwdh=True) == 0.0)
+        c = np.broadcast_to(np.eye(3), (2, 3, 3))
+        for nlist in (selves, others):
+            for c_matrices in (c, None):
+                a, s1, s2, max_mu = ops.forces(
+                    x=p.x, v=p.v, h=p.h, m=p.m, rho=p.rho, p_over=p.p,
+                    cs=p.cs, nlist=nlist, box=None, kernel=kernel, lo=0, hi=2,
+                    c_matrices=c_matrices, balsara_f=None, alpha=1.0,
+                    beta=2.0, eta2=0.01,
+                )
+                assert np.all(a == 0.0) and np.all(s1 == 0.0), name
+                assert np.all(s2 == 0.0) and max_mu == 0.0, name
+            div, curl = ops.div_curl_sums(p.x, p.v, p.h, p.m, nlist, None, kernel, 0, 2)
+            assert np.all(div == 0.0) and np.all(curl == 0.0), name
 
 
 @compiled_backend

@@ -162,6 +162,52 @@ def test_restore_reinstates_compatible_cache_state(tmp_path):
         assert sim._ncache.stats.builds == 0  # restore is not a build
 
 
+@pytest.mark.parametrize("column", ["int32", "int64"])
+def test_compiled_resume_is_bit_identical_whatever_the_stored_column(
+    column, tmp_path
+):
+    """A cffi run caches an int32 list and the checkpoint stores it as
+    such; a file written before the column was narrowed holds the same
+    list as int64.  Resuming from either continues bit for bit."""
+    from repro.backend import available_backends
+    from repro.resilience import write_checkpoint
+
+    if not available_backends()["cffi"]:
+        pytest.skip("no C toolchain on this host")
+
+    def sim(resilience=None):
+        particles, box, eos, config = _square_case()
+        run = RunConfig(
+            exec=ExecConfig(neighbor_cache=True, backend="cffi"),
+            resilience=resilience,
+        )
+        return Simulation(particles, box, eos, config=config, run_config=run)
+
+    with sim() as whole:
+        whole.run(n_steps=8)
+        ref_state, ref_dts = _final_state(whole), [s.dt for s in whole.history]
+    res = ResilienceConfig(
+        checkpoint_dir=str(tmp_path), checkpoint_every=4, keep=2, autoresume=True
+    )
+    with sim(resilience=res) as interrupted:
+        interrupted.run(n_steps=5)
+    latest = find_latest_checkpoint(tmp_path)
+    cp = read_checkpoint(latest)
+    assert cp.step_index == 4
+    assert cp.extras["ncache_indices"].dtype == np.int32
+    if column == "int64":
+        cp.extras["ncache_indices"] = cp.extras["ncache_indices"].astype(np.int64)
+        write_checkpoint(latest, cp)
+    with sim(resilience=res) as resumed:
+        resumed.run(n_steps=4)
+        assert resumed._ncache.stats.builds == 0  # the restored list served
+        assert str(resumed._nlist.indices.dtype) == column
+        state, dts = _final_state(resumed), [s.dt for s in resumed.history]
+    for f in FIELDS:
+        assert np.array_equal(state[f], ref_state[f]), f
+    assert dts == ref_dts[4:]
+
+
 def test_restore_without_cache_state_invalidates(tmp_path):
     """A checkpoint from a cache-off run resumed cache-on must rebuild."""
     res = ResilienceConfig(checkpoint_dir=str(tmp_path), checkpoint_every=2)

@@ -139,6 +139,56 @@ def test_degrade_rung_is_bitwise_neutral():
     _assert_bitwise(sim, golden)
 
 
+def test_degrade_rung_mid_run_on_cffi_continues_on_numpy(tmp_path):
+    """A compiled run that degrades mid-run keeps its cached list — int32
+    column and all — and carries on with the numpy phases: bit for bit
+    the numpy run restored from a checkpoint of the step it degraded at."""
+    from repro.backend import available_backends
+    from repro.resilience.checkpoint import (
+        Checkpoint,
+        read_checkpoint,
+        write_checkpoint,
+    )
+
+    if not available_backends()["cffi"]:
+        pytest.skip("no C toolchain on this host")
+    scenario = get_scenario("square-patch")
+    compiled = ExecConfig(backend="cffi", neighbor_cache=True)
+    with scenario.make_simulation(
+        test=True, run_config=RunConfig(exec=compiled)
+    ) as plain:
+        plain.run(n_steps=3)
+        assert plain._ncache._nlist.indices.dtype == np.int32
+        write_checkpoint(tmp_path / "step3.ckpt", Checkpoint.of_simulation(plain))
+
+    with _guarded(
+        scenario,
+        chaos=_nan_policy(step=3, fires=3),
+        guard=GuardConfig(
+            ladder=("retry", "degrade"),
+            attempts_per_rung=2,
+            drift_tolerances=scenario.invariants,
+        ),
+        exec=compiled,
+    ) as sim:
+        sim.run(n_steps=6)
+        assert sim.step_guard.report().rung_heals["degrade"] == 1
+        assert sim.backend.name == "numpy"
+        # Still the list the compiled build cut (no rebuild since).
+        assert sim._ncache.stats.hits > 3
+        assert sim._nlist.indices.dtype == np.int32
+        healed = _state(sim)
+
+    with scenario.make_simulation(
+        test=True,
+        run_config=RunConfig(exec=ExecConfig(neighbor_cache=True)),
+    ) as reference:
+        read_checkpoint(tmp_path / "step3.ckpt").restore_into(reference)
+        reference.run(n_steps=3)
+        assert reference._nlist.indices.dtype == np.int32
+        _assert_bitwise(reference, healed)
+
+
 def test_degrade_rung_stops_the_phase_threads():
     """Same fault on a threaded run: the degrade rung also means
     ``workers -> 0``, and the healed run still matches the golden."""

@@ -180,6 +180,29 @@ def test_cache_hit_rate_positive_over_ten_step_run():
     assert f"{stats['sweeps']} sweeps" in line
 
 
+@pytest.mark.parametrize("backend", ["numpy", "cffi"])
+def test_report_says_why_the_h_iteration_did_not_converge(backend):
+    """``converged`` stays 0 on the lattice patch; ``max_count_error`` is
+    the number it compares with the tolerance — the same on either
+    backend (the numpy loop's ``rel_err.max()``, the fused op's per-sweep
+    reduction): counts alternate between two lattice shells."""
+    from repro.backend import available_backends
+
+    if not available_backends()[backend]:
+        pytest.skip("no C toolchain on this host")
+    particles, box, eos = make_square_patch(SquarePatchConfig(side=10, layers=6))
+    sim = Simulation(
+        particles, box, eos, config=RUN_CONFIG,
+        run_config=RunConfig(exec=ExecConfig(neighbor_cache=True, backend=backend)),
+    )
+    sim.run(n_steps=3)
+    stats = sim.report().neighbor_cache
+    assert stats["converged"] == 0
+    assert stats["max_count_error"] == pytest.approx(0.3, abs=1e-15)
+    assert stats["max_count_error"] > sim._smoothing.tolerance
+    assert "last max count error 0.300" in format_neighbor_cache(stats)
+
+
 def test_cache_on_off_runs_agree_within_tolerance():
     """Cached runs track the exact-search runs through real dynamics."""
 

@@ -13,7 +13,7 @@ Covers the zero-redundancy pair engine end to end:
   threaded runs with any worker count and cache setting match the
   serial path, steady-state steps allocate nothing, an exception inside
   a phase closes the evaluation, and the compiled path issues the
-  pinned number of ``rp_*`` calls per step.
+  pinned number of ``rp_*`` calls per step and keeps nothing per pair.
 """
 
 from __future__ import annotations
@@ -470,7 +470,8 @@ def test_exception_inside_a_phase_closes_the_evaluation(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# Compiled path: the same sharing, counted at the library boundary
+# Compiled path: the list is the only per-pair state, counted at the
+# library boundary
 # ----------------------------------------------------------------------
 STANDARD_GRADH_BALSARA = dict(
     gradients="standard", grad_h=True, viscosity=ViscosityParams(use_balsara=True)
@@ -478,15 +479,20 @@ STANDARD_GRADH_BALSARA = dict(
 
 
 @pytest.mark.parametrize(
-    "config_kw, kernel_passes",
-    [({}, 1), (STANDARD_GRADH_BALSARA, 3)],
+    "config_kw, phase_ops",
+    [
+        ({}, {"rp_iad": 1, "rp_density": 1, "rp_div_curl": 0}),
+        (STANDARD_GRADH_BALSARA,
+         {"rp_iad": 0, "rp_density": 2, "rp_div_curl": 1}),
+    ],
     ids=["iad", "standard+gradh+balsara"],
 )
-def test_compiled_ops_per_cache_hit_step(config_kw, kernel_passes, rp_calls):
-    """One Verlet-hit step on cffi: one radii pass serves the ten count
-    sweeps and the support filter, and each kernel product is evaluated
-    once — ``W_i`` for IAD, density and forces; ``gs_i`` for div/curl and
-    forces, ``dW/dh_i`` for grad-h, ``W_i`` for density."""
+def test_compiled_ops_per_cache_hit_step(config_kw, phase_ops, rp_calls):
+    """On cffi one adaptation is one op whatever its sweep count, one
+    evaluation cuts the support list once, and each pair phase the
+    configuration runs is one row-kernel call (density twice with
+    grad-h: ``W`` sums, then ``dW/dh`` sums) — nothing per pair is
+    computed ahead or kept, so nothing is counted as reused."""
     if not available_backends()["cffi"]:
         pytest.skip("no C toolchain on this host")
     particles, box, eos = make_square_patch(SquarePatchConfig(side=8, layers=6))
@@ -497,20 +503,64 @@ def test_compiled_ops_per_cache_hit_step(config_kw, kernel_passes, rp_calls):
         particles, box, eos, config=config,
         run_config=RunConfig(exec=ExecConfig(backend="cffi", neighbor_cache=True)),
     )
+    # Step 0 of a cold run: two evaluations, the first of which builds.
     sim.run(n_steps=1)
-    hits = sim.report().neighbor_cache["hits"]
-    sweeps = sim.report().neighbor_cache["sweeps"]
+    cold = sim.report().neighbor_cache
+    counts = collections.Counter(name for name, _ in rp_calls)
+    assert cold["builds"] == cold["searches"] == 1
+    assert counts["rp_walk"] == 2  # count pass + fill pass of one search
+    assert counts["rp_pairs_within"] == 1
+    assert counts["rp_adapt"] == cold["adaptations"] == 2
+    assert counts["rp_support_cut"] == 2
+
     del rp_calls[:]
     sim.run(n_steps=1)
     report = sim.report()
-    assert report.neighbor_cache["hits"] == hits + 1  # a hit step
+    assert report.neighbor_cache["hits"] == cold["hits"] + 1  # a hit step
+    assert report.neighbor_cache["sweeps"] == cold["sweeps"] + 10
     counts = collections.Counter(name for name, _ in rp_calls)
-    assert counts["rp_radii"] == 1
-    assert counts["rp_filter_count"] == counts["rp_filter_fill"] == 1
-    assert counts["rp_pair_kernel"] == kernel_passes
+    assert counts["rp_adapt"] == 1  # not 1 + sweeps
+    assert counts["rp_support_cut"] == 1
+    for op, calls in phase_ops.items():
+        assert counts[op] == calls, op
     assert counts["rp_forces"] == 1
-    assert counts["rp_counts_r"] == report.neighbor_cache["sweeps"] - sweeps
     assert counts["rp_walk"] == counts["rp_pairs_within"] == 0
-    # One store, so the report is truthful on the compiled path too.
-    assert report.pair_engine["geometry_reuses"] > 0
-    assert report.pair_engine["product_reuses"] > 0
+    assert sum(counts.values()) == 3 + sum(phase_ops.values())
+
+    assert sim._nlist.indices.dtype == np.int32
+    sim.close()
+
+
+@pytest.mark.parametrize("workers", [0, 2])
+def test_compiled_path_keeps_nothing_per_pair_but_the_list(workers):
+    """After cffi steps (a build and hits) no array at all — let alone a
+    float64 one of pair length — is reachable from the places per-pair
+    state could live: the driver's pair context, the executor's slice
+    contexts, the process's op table; and the pair engine moved no
+    byte."""
+    if not available_backends()["cffi"]:
+        pytest.skip("no C toolchain on this host")
+    from repro.backend import select_backend
+    from tests.test_concurrent_simulations import _reachable_arrays
+
+    particles, box, eos = make_square_patch(SquarePatchConfig(side=8, layers=6))
+    config = SimulationConfig().with_(n_neighbors=30, timestep_params=TS)
+    sim = Simulation(
+        particles, box, eos, config=config,
+        run_config=RunConfig(exec=ExecConfig(
+            backend="cffi", neighbor_cache=True, workers=workers,
+        )),
+    )
+    try:
+        sim.run(n_steps=2)
+        assert len(sim._phases.contexts) == workers
+        owners = (
+            sim._pair_ctx, *sim._phases.contexts, select_backend("cffi").ops
+        )
+        for owner in owners:
+            assert _reachable_arrays(owner) == []
+        pair_engine = sim.report().pair_engine
+        assert pair_engine == dict.fromkeys(pair_engine, 0)
+        assert all(s.pair_bytes_allocated == 0 for s in sim.history)
+    finally:
+        sim.close()

@@ -154,9 +154,10 @@ def test_compiled_threads_match_compiled_serial_on_the_square_patch():
 
 @pytest.mark.parametrize("backend", ["numpy", "cffi"])
 def test_more_slices_than_cores_keep_parity(backend, rp_calls):
-    """90 slices on 3 threads, far more than the cores.  Whole-list
-    entries are produced once per neighbour list, on the driver thread —
-    as often as in a serial run, not once per slice or per thread."""
+    """90 slices on 3 threads, far more than the cores.  The support
+    list the compiled slices run over is cut once per evaluation, on the
+    driver thread — as often as in a serial run, not once per slice or
+    per thread."""
     import sys
     import threading
 
@@ -164,7 +165,7 @@ def test_more_slices_than_cores_keep_parity(backend, rp_calls):
         pytest.skip("no C toolchain on this host")
 
     def filter_threads():
-        return [t for name, t in rp_calls if name == "rp_filter_fill"]
+        return [t for name, t in rp_calls if name == "rp_support_cut"]
 
     cached = dict(backend=backend, neighbor_cache=True)
     ref_state, ref_extras = _run("square-patch", ExecConfig(**cached), n_steps=3)

@@ -310,3 +310,148 @@ def test_cached_list_out_grown_mid_iteration_rebuilds_in_place(rng):
     fresh = search(p.x, cache.search_factor * p.h, box, "symmetric")
     assert np.array_equal(out.indices, fresh.indices)
     assert cache.lookup(p.x, p.h, box) is out
+
+
+# ----------------------------------------------------------------------
+# The fused compiled h iteration against the numpy sweep loop
+# ----------------------------------------------------------------------
+def _clustered(dim, seed):
+    """Most points inside one tight ball: the first search's rows are
+    longer than any fixed-size buffer could be."""
+    rng = np.random.default_rng(seed)
+    n = {1: 320, 2: 420, 3: 520}[dim]
+    x = rng.random((n, dim))
+    x[: n - 40] = 0.5 + 0.02 * (x[: n - 40] - 0.5)
+    return x
+
+
+def _adapt_twice(case, compiled):
+    """A build, then (cached) a second adaptation off the cached list
+    towards ``grow`` times the target; ``(h, h, stats, lists, searches)``."""
+    dim = case["dim"]
+    if case["layout"] == "clustered":
+        x = _clustered(dim, case["seed"])
+    else:
+        x = _points(case["layout"], dim, _SIDES[dim], case["seed"])
+    box = Box.cube(0.0, 1.0, dim=dim, periodic=case["periodic"])
+    backend = select_backend("cffi") if compiled else None
+    ops = backend.ops if backend is not None else None
+    search, calls = _counting(_searches(x, box, ops)["tree-raw" if compiled else "tree"])
+    cache = VerletNeighborCache(skin=0.3) if case["cached"] else None
+    cfg = SmoothingConfig(
+        n_target=_TARGETS[dim], tolerance=case["tolerance"],
+        max_iterations=case["max_iterations"],
+    )
+    p = _particles(x, case["h_over_spacing"] / _SIDES[dim])
+    first = adapt_smoothing_lengths(
+        p, box, cfg, search=search, cache=cache, backend=backend
+    )
+    h_first = p.h.copy()
+    second = None
+    if cache is not None:
+        grown = SmoothingConfig(
+            n_target=case["grow"] * _TARGETS[dim], tolerance=case["tolerance"],
+            max_iterations=case["max_iterations"],
+        )
+        second = adapt_from_cached_list(
+            p, cache.lookup(p.x, p.h, box), box, grown, cache,
+            search=search, backend=backend,
+        )
+    return h_first, p.h, cache.stats if cache else None, (first, second), calls
+
+
+fused_cases = st.fixed_dictionaries(
+    {
+        "dim": st.sampled_from([1, 2, 3]),
+        "periodic": st.booleans(),
+        "layout": st.sampled_from(["lattice", "random", "clustered"]),
+        "seed": st.integers(0, 2**16),
+        "cached": st.booleans(),
+        # Whole and half lattice spacings put shells of pairs on the count
+        # radius (ties); small and large values force growth and shrinkage.
+        "h_over_spacing": st.sampled_from([0.5, 0.8, 1.0, 1.37, 2.0]),
+        # 0.9 is met within a sweep or two, 0.05 hardly ever: with the
+        # sweep budget, every exit of the loop is drawn.
+        "tolerance": st.sampled_from([0.05, 0.3, 0.9]),
+        "max_iterations": st.integers(0, 10),
+        # 2 and 3 drive the second adaptation through the cache's growth
+        # budget mid-iteration: it rebuilds in place.
+        "grow": st.sampled_from([1, 2, 3]),
+    }
+)
+
+_STATS = (
+    "sweeps", "converged", "searches", "pairs_searched", "adaptations",
+    "hits", "builds", "max_count_error",
+)
+
+
+def _assert_fused_equals_numpy(case):
+    h1, h2, stats, lists, calls = _adapt_twice(case, compiled=True)
+    r1, r2, ref_stats, ref_lists, ref_calls = _adapt_twice(case, compiled=False)
+    assert np.array_equal(h1, r1) and np.array_equal(h2, r2)
+    assert len(calls) == len(ref_calls)
+    for radii, ref_radii in zip(calls, ref_calls):
+        assert np.array_equal(radii, ref_radii)
+    for got, ref in zip(lists, ref_lists):
+        assert (got is None) == (ref is None)
+        if got is not None:
+            assert np.array_equal(got.offsets, ref.offsets)
+            assert np.array_equal(got.indices, ref.indices)
+    if stats is not None:
+        for name in _STATS:
+            assert getattr(stats, name) == getattr(ref_stats, name), name
+    return stats
+
+
+needs_cffi = pytest.mark.skipif(
+    select_backend("auto").ops is None, reason="no C toolchain on this host"
+)
+
+
+@needs_cffi
+@given(case=fused_cases)
+@settings(max_examples=80, deadline=None)
+def test_fused_h_iteration_equals_the_numpy_sweep_loop(case):
+    """``h`` bit for bit, the same lists, the same searches at the same
+    radii and the same counters, whichever way the iteration ends."""
+    _assert_fused_equals_numpy(case)
+
+
+@needs_cffi
+@pytest.mark.parametrize(
+    "overrides, sweeps, converged, searches",
+    [
+        # met at the first sweep of both adaptations: nothing re-searched
+        (dict(tolerance=0.9, grow=1), 2, 2, 1),
+        # out-grown mid-iteration, four times over the two builds (six
+        # searches): each carries on in place; the second ends met
+        (dict(tolerance=0.05, grow=3), 19, 1, 6),
+        # max_iterations: every sweep runs, the one search serves them all
+        (dict(tolerance=0.05, grow=1, h_over_spacing=1.37), 20, 0, 1),
+    ],
+    ids=["met", "out-grown", "max-iterations"],
+)
+def test_fused_h_iteration_takes_every_exit(overrides, sweeps, converged, searches):
+    case = dict(
+        dim=3, periodic=True, layout="random", seed=7, cached=True,
+        h_over_spacing=0.8, tolerance=0.05, max_iterations=10, grow=1,
+    )
+    case.update(overrides)
+    stats = _assert_fused_equals_numpy(case)
+    assert (stats.sweeps, stats.converged, stats.searches) == (
+        sweeps, converged, searches
+    )
+
+
+@needs_cffi
+def test_fused_h_iteration_serves_rows_longer_than_any_fixed_buffer():
+    case = dict(
+        dim=3, periodic=False, layout="clustered", seed=3, cached=True,
+        h_over_spacing=0.8, tolerance=0.05, max_iterations=10, grow=1,
+    )
+    _, _, _, (first, _), _ = _adapt_twice(case, compiled=True)
+    _assert_fused_equals_numpy(case)
+    # The built list is cut to the final h; the searched one held the
+    # cluster whole in every row of it.
+    assert first.longest_row > 256
