@@ -53,6 +53,17 @@ def _pspans(box, dim: int) -> Tuple[np.ndarray, np.ndarray]:
     return psel, pdiv
 
 
+def _check_particles(tree, x: np.ndarray, m: np.ndarray) -> None:
+    """The gravity ops read ``x``/``m`` through ``tree.order``: they must
+    be the tree's 3-D particles (a mismatch would be read out of bounds)."""
+    n = tree.n_particles
+    if x.shape != (n, 3) or m.shape != (n,):
+        raise ValueError(
+            f"a {n}-particle 3-D tree needs x of shape {(n, 3)} and m of "
+            f"shape {(n,)}, got {x.shape} and {m.shape}"
+        )
+
+
 class CompiledOps:
     """Phase-facing op table for one compiled backend."""
 
@@ -104,6 +115,13 @@ class CompiledOps:
     def _box(self, box, dim: int):
         psel, pdiv = _pspans(box, dim)
         return self._d(psel), self._d(pdiv)
+
+    def _tree(self, tree):
+        """``n_nodes`` and the node-range arrays every tree op reads."""
+        return (
+            tree.n_nodes, self._i(tree.child_start), self._i(tree.child_count),
+            self._i(tree.pstart), self._i(tree.pend),
+        )
 
     def _scratch(self, op: str, nlist):
         """The zeroed block of row buffers ``op`` works in, each as long
@@ -267,10 +285,7 @@ class CompiledOps:
         lo = self._out(np.empty((n_nodes, dim)))
         hi = self._out(np.empty((n_nodes, dim)))
         rmax = self._out(np.empty(n_nodes))
-        nodes = (
-            n_nodes, self._i(tree.child_start), self._i(tree.child_count),
-            self._i(tree.pstart), self._i(tree.pend),
-        )
+        nodes = self._tree(tree)
         self.lib.rp_node_bounds(xs, rs, n, dim, *nodes, lo, hi, rmax)
         args = (
             xs, rs, n, dim, int(symmetric), *self._box(tree.box, dim),
@@ -310,6 +325,33 @@ class CompiledOps:
         return offsets, indices
 
     # -- gravity ---------------------------------------------------------
+    def node_moments(
+        self, tree, x: np.ndarray, m: np.ndarray, order: int
+    ) -> Tuple[np.ndarray, ...]:
+        """``(mass, com, m2, m3, m4)`` of every node of ``tree`` (3-D),
+        the arrays of :func:`~repro.gravity.multipole.compute_node_moments`
+        bit for bit; moments above rank ``order`` are ``None``.  The one
+        per-call scratch is a prefix row per leaf boundary."""
+        _check_particles(tree, x, m)
+        n_nodes = tree.n_nodes
+        n_leaves = int(np.count_nonzero(tree.child_count == 0))
+        mass = np.empty(n_nodes)
+        com = np.empty((n_nodes, 3))
+        held = [
+            np.empty((n_nodes,) + (3,) * r) if order >= r else None
+            for r in (2, 3, 4)
+        ]
+        self.lib.rp_node_moments(
+            self._d(x), self._d(m), self._d(tree.box.center),
+            *self._tree(tree), self._i(tree.order), int(order),
+            # Prefix rows of the widest products (rank 4: 121 values).
+            self._out(np.empty((n_leaves + 1) * 121)),
+            self._out(np.empty(n_leaves + 1, dtype=np.int64)),
+            self._out(mass), self._out(com),
+            *(self._ffi.NULL if mk is None else self._out(mk) for mk in held),
+        )
+        return (mass, com, *held)
+
     def gravity(
         self, tree, x: np.ndarray, m: np.ndarray, moments, leaves: np.ndarray,
         order: int, theta: float, g_const: float, eps2: float,
@@ -319,6 +361,7 @@ class CompiledOps:
 
         Rows of particles outside ``leaves`` stay zero.
         """
+        _check_particles(tree, x, m)
         held = (moments.m2, moments.m3, moments.m4)
         if any(mk is None for mk in held[: max(order - 1, 0)]):
             raise ValueError(f"order {order} needs moments up to rank {order}")
@@ -328,14 +371,16 @@ class CompiledOps:
         acc = np.zeros((n, 3))
         phi = np.zeros(n)
         counts = np.zeros(2, dtype=np.int64)
-        self.lib.rp_gravity(
-            self._d(x), self._d(m), self._i(leaves), leaves.shape[0],
-            self._d(tree.center), self._d(tree.half),
-            self._i(tree.child_start), self._i(tree.child_count),
-            self._i(tree.pstart), self._i(tree.pend), self._i(tree.order),
+        n_nodes, child_start, child_count, pstart, pend = self._tree(tree)
+        status = self.lib.rp_gravity(
+            self._d(x), self._d(m), self._i(leaves), leaves.shape[0], n_nodes,
+            self._d(tree.center), self._d(tree.half), child_start, child_count,
+            pstart, pend, self._i(tree.order),
             self._d(moments.mass), self._d(moments.com),
             *(self._d(mk) for mk in held),
             int(order), float(theta), float(g_const), float(eps2),
             self._out(acc), self._out(phi), self._out(counts),
         )
+        if status:
+            raise MemoryError("gravity: the interaction lists could not grow")
         return acc, phi, int(counts[0]), int(counts[1])

@@ -1,14 +1,16 @@
 """C source for the runtime-compiled (cffi) backend.
 
 One translation unit holding the row kernels of the pair phases, the
-fused h iteration, the neighbour search and the Barnes-Hut gravity walk.
+fused h iteration, the neighbour search, the tree's multipole moments and
+the Barnes-Hut gravity walk.
 The neighbour list (``int64`` row offsets, one ``int32`` column) is the
 only per-pair input of any op and no op returns anything per pair but a
 list: separations, kernel values and gradients are recomputed where they
 are used, one CSR row at a time, in row buffers carved from a scratch
-block the caller allocates per call (sized by the longest row — the unit
-has no static or global scratch, so any number of threads and
-simulations call it concurrently).
+block the caller allocates per call (sized by the longest row; the
+gravity walk mallocs its interaction lists per call and grows them to
+the longest list met — the unit has no static or global scratch, so any
+number of threads and simulations call it concurrently).
 
 Design notes:
 
@@ -39,16 +41,21 @@ Design notes:
   reduction; integer powers use multiply chains.  The compiler may
   contract ``a*b + c`` into one FMA in the row kernels (an ulp, inside
   the backend tolerance); the last section of the unit — neighbour
-  search and the gravity walk — switches that off, because there an ulp
-  decides whether a pair on the cutoff is a neighbour, or a node on the
-  opening angle is opened.
+  search, node moments and the gravity walk — switches that off, because
+  there an ulp decides whether a pair on the cutoff is a neighbour, or a
+  node on the opening angle is opened, and the moments are numpy's to
+  the bit.
 """
 
 from __future__ import annotations
 
+import itertools
+
 from .poly import COS_COEFFS, PI_LO, SIN_COEFFS
 
-__all__ = ["CDEF", "SCRATCH_ROWS", "SOURCE", "source_fingerprint"]
+__all__ = [
+    "CDEF", "GRAVITY_LIST_CAP0", "SCRATCH_ROWS", "SOURCE", "source_fingerprint",
+]
 
 #: Declarations for ``ffi.cdef``.  Every pair op takes the list as
 #: ``offsets`` (int64) + ``indices`` (int32) and the rows ``[lo, hi)`` to
@@ -108,15 +115,53 @@ void rp_pairs_within(const double *xw, const double *radii,
                      const int64_t *offsets, const int32_t *indices,
                      int64_t n, int dim, const double *psel,
                      const double *pdiv, int64_t *new_offsets, int32_t *out);
-void rp_gravity(const double *x, const double *m, const int64_t *leaves,
-                int64_t n_leaves, const double *center, const double *half,
-                const int64_t *child_start, const int64_t *child_count,
-                const int64_t *pstart, const int64_t *pend,
-                const int64_t *order, const double *mass, const double *com,
-                const double *m2, const double *m3, const double *m4,
-                int rank, double theta, double g_const, double eps2,
-                double *acc, double *phi, int64_t *counts);
+void rp_node_moments(const double *x, const double *m, const double *origin,
+                     int64_t n_nodes, const int64_t *child_start,
+                     const int64_t *child_count, const int64_t *pstart,
+                     const int64_t *pend, const int64_t *order, int rank,
+                     double *prefix, int64_t *bound, double *mass,
+                     double *com, double *m2, double *m3, double *m4);
+int rp_gravity(const double *x, const double *m, const int64_t *leaves,
+               int64_t n_leaves, int64_t n_nodes, const double *center,
+               const double *half, const int64_t *child_start,
+               const int64_t *child_count, const int64_t *pstart,
+               const int64_t *pend, const int64_t *order,
+               const double *mass, const double *com, const double *m2,
+               const double *m3, const double *m4, int rank, double theta,
+               double g_const, double eps2, double *acc, double *phi,
+               int64_t *counts);
 """
+
+#: Entries a gravity interaction list has room for before it first grows
+#: (it doubles until the longest list of the call fits).
+GRAVITY_LIST_CAP0 = 256
+
+#: Index classes of the packed symmetric moments, in the order the M2P
+#: loop forms their monomials: pairs xx yy zz xy xz yz, triples xxx yyy
+#: zzz xxy xxz xyy yyz xzz yzz xyz.
+_PAIRS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
+_TRIPLES = (
+    (0, 0, 0), (1, 1, 1), (2, 2, 2), (0, 0, 1), (0, 0, 2),
+    (0, 1, 1), (1, 1, 2), (0, 2, 2), (1, 2, 2), (0, 1, 2),
+)
+
+
+def _class_table(name: str, classes) -> str:
+    """``name[flat index]`` = the class of that (row-major) index tuple."""
+    rank = len(classes[0])
+    cls = [
+        classes.index(tuple(sorted(idx)))
+        for idx in itertools.product(range(3), repeat=rank)
+    ]
+    return f"static const int {name}[{len(cls)}] = {{{', '.join(map(str, cls))}}};"
+
+
+_GRAVITY_TABLES = "\n".join([
+    f"#define RP_LIST_CAP0 {GRAVITY_LIST_CAP0}",
+    _class_table("RP_PAIR_CLASS", _PAIRS),
+    _class_table("RP_TRIPLE_CLASS", _TRIPLES),
+    "",
+])
 
 #: Row buffers (of ``cap`` doubles each) the ops carve from ``scratch``.
 SCRATCH_ROWS = {
@@ -138,6 +183,7 @@ def _literals(name: str, coeffs) -> str:
 
 _HELPERS = f"""
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
 #include <math.h>
 
@@ -803,13 +849,225 @@ double rp_forces(const double *x, const double *v, const double *h,
     return max_mu;
 }
 
-/* ---- Neighbour search and gravity walk.  From here to the end of the
- * unit a*b + c is never contracted into a fused multiply-add: a search
- * decides set membership on r2 <= cutoff*cutoff (the gravity MAC on
- * size <= theta*dist), and a value that differs from numpy's in its
- * last bit moves a pair sitting on the cutoff (a node on the opening
- * angle) to the other side (the row kernels above only feed sums, where
- * the ulp is covered by the backend tolerance, and keep the FMAs). ---- */
+/* ---- Barnes-Hut interaction lists.  The gravity walk (below) collects,
+ * per target leaf, the nodes it accepts and the source particles of the
+ * leaves it opens into two lists; every particle of the leaf then sums
+ * over both.  A list is stored in blocks of RP_LANES entries, each block
+ * holding its fields one after the other (field f of entry k at
+ * ((k / RP_LANES) * nf + f) * RP_LANES + k % RP_LANES), and a sum over
+ * it is RP_LANES accumulators, entry k adding into lane k % RP_LANES in
+ * ascending k, the lanes added in one fixed order at the end:
+ * branch-free, vectorised across the lanes, and a particle's sums
+ * depend on its leaf's lists alone — so on nothing but the leaf,
+ * whatever other leaves share the call.  A list is padded to whole
+ * blocks with copies of its last entry whose weight (mass, G*m) and
+ * moments are zero: every term of a padded entry carries that zero and
+ * is +-0.0.  These loops only feed sums and keep their FMAs (noinline:
+ * the walk that calls them is compiled without). ---- */
+#define RP_LANES 8
+
+#if defined(__GNUC__)
+#define RP_NOINLINE static __attribute__((noinline))
+#else
+#define RP_NOINLINE static
+#endif
+
+static inline double rp_lane_sum(const double *s)
+{
+    return ((s[0] + s[1]) + (s[2] + s[3])) + ((s[4] + s[5]) + (s[6] + s[7]));
+}
+
+/* Fields of an M2P list entry (one accepted node): COM, mass and the
+ * packed moments.  A contraction with d meets a component once per
+ * ordering of its indices, so a packed component is the sum of its
+ * copies — its multiplicity weight — and meets d in one monomial: M2 as
+ * 6 components (off-diagonal copies averaged: M2 d is a vector),
+ * M3(d,d,e) as 6 pair classes and M4(d,d,d,e) as 10 triple classes per
+ * e, with the traces tr M2, t3_e = M3_aae, T4_bc = M4_aabc (6) and
+ * tr T4.  Pair classes: xx yy zz xy xz yz; triple classes: xxx yyy zzz
+ * xxy xxz xyy yyz xzz yzz xyz. */
+enum {
+    RP_G_CX = 0, RP_G_CY, RP_G_CZ, RP_G_MASS,
+    RP_G_M2 = 4, RP_G_TR2 = 10,
+    RP_G_M3 = 11, RP_G_T3 = 29,
+    RP_G_M4 = 32, RP_G_T4 = 62, RP_G_TT4 = 68
+};
+
+/* Fields an M2P entry of rank `rank` uses. */
+static inline int rp_m2p_fields(int rank)
+{
+    return rank >= 4 ? 69 : rank >= 3 ? 32 : rank >= 2 ? 11 : 4;
+}
+
+/* The far field of an M2P list of `len` (padded) entries on the
+ * particles order[t0..t1): evaluate_multipoles (gravity/multipole.py) on
+ * packed moments, unscaled by G.  Block by block, each block serving
+ * every particle while it is in cache; particle p adds into its row of
+ * `lanes` (4 * RP_LANES accumulators: a_x, a_y, a_z, potential), which
+ * the caller zeroes and reduces.  rank is a literal at the call sites
+ * of rp_m2p_leaf. */
+RP_SPECIALIZE void rp_m2p_rank(const int rank, const double *list,
+                               int64_t len, const double *x,
+                               const int64_t *order, int64_t t0, int64_t t1,
+                               double *lanes)
+{
+    const int nf = rp_m2p_fields(rank);
+    for (int64_t k0 = 0; k0 < len; k0 += RP_LANES) {
+        const double *B = list + k0 * nf;
+#define RP_F(f) (B + (f) * RP_LANES)
+        for (int64_t p = t0; p < t1; ++p) {
+            const double *xi = x + 3 * order[p];
+            double *sx = lanes + (p - t0) * 4 * RP_LANES;
+            double *sy = sx + RP_LANES, *sz = sy + RP_LANES, *sp = sz + RP_LANES;
+            RP_EACH(l, RP_LANES) {
+                const double dx = xi[0] - RP_F(RP_G_CX)[l];
+                const double dy = xi[1] - RP_F(RP_G_CY)[l];
+                const double dz = xi[2] - RP_F(RP_G_CZ)[l];
+                const double u2 = 1.0 / (dx * dx + dy * dy + dz * dz);
+                const double g0 = sqrt(u2), g1 = -g0 * u2;
+                const double mass = RP_F(RP_G_MASS)[l];
+                double pot = mass * g0, along = mass * g1;
+                double rx = 0.0, ry = 0.0, rz = 0.0;
+                if (rank >= 2) {
+#define RP_Q(f, c) RP_F((f) + (c))[l]
+                    const double g2 = -3.0 * g1 * u2, g3 = -5.0 * g2 * u2;
+                    const double xx = dx * dx, yy = dy * dy, zz = dz * dz;
+                    const double xy = dx * dy, xz = dx * dz, yz = dy * dz;
+                    const double v2x = RP_Q(RP_G_M2, 0) * dx
+                                       + RP_Q(RP_G_M2, 3) * dy
+                                       + RP_Q(RP_G_M2, 4) * dz;
+                    const double v2y = RP_Q(RP_G_M2, 3) * dx
+                                       + RP_Q(RP_G_M2, 1) * dy
+                                       + RP_Q(RP_G_M2, 5) * dz;
+                    const double v2z = RP_Q(RP_G_M2, 4) * dx
+                                       + RP_Q(RP_G_M2, 5) * dy
+                                       + RP_Q(RP_G_M2, 2) * dz;
+                    const double q2 = v2x * dx + v2y * dy + v2z * dz;
+                    const double tr2 = RP_Q(RP_G_TR2, 0);
+                    pot += 0.5 * (g2 * q2 + g1 * tr2);
+                    along += 0.5 * (g3 * q2 + g2 * tr2);
+                    rx = g2 * v2x;
+                    ry = g2 * v2y;
+                    rz = g2 * v2z;
+                    if (rank >= 3) {
+                        const double g4 = -7.0 * g3 * u2;
+                        double v3[3], t3[3];
+                        for (int e = 0; e < 3; ++e) {
+                            const int f = RP_G_M3 + 6 * e;
+                            v3[e] = RP_Q(f, 0) * xx + RP_Q(f, 1) * yy
+                                    + RP_Q(f, 2) * zz + RP_Q(f, 3) * xy
+                                    + RP_Q(f, 4) * xz + RP_Q(f, 5) * yz;
+                            t3[e] = RP_Q(RP_G_T3, e);
+                        }
+                        const double q3 = v3[0] * dx + v3[1] * dy + v3[2] * dz;
+                        const double t3d = t3[0] * dx + t3[1] * dy + t3[2] * dz;
+                        pot -= (g3 * q3 + 3.0 * g2 * t3d) * (1.0 / 6.0);
+                        along -= (g4 * q3 + 3.0 * g3 * t3d) * (1.0 / 6.0);
+                        rx -= 0.5 * (g3 * v3[0] + g2 * t3[0]);
+                        ry -= 0.5 * (g3 * v3[1] + g2 * t3[1]);
+                        rz -= 0.5 * (g3 * v3[2] + g2 * t3[2]);
+                        if (rank >= 4) {
+                            const double g5 = -9.0 * g4 * u2;
+                            const double cub[10] = {
+                                xx * dx, yy * dy, zz * dz, xx * dy, xx * dz,
+                                xy * dy, yy * dz, xz * dz, yz * dz, xy * dz};
+                            double v4[3];
+                            for (int e = 0; e < 3; ++e) {
+                                const int f = RP_G_M4 + 10 * e;
+                                double s = RP_Q(f, 0) * cub[0];
+                                for (int c = 1; c < 10; ++c)
+                                    s += RP_Q(f, c) * cub[c];
+                                v4[e] = s;
+                            }
+                            const double w4x = RP_Q(RP_G_T4, 0) * dx
+                                               + RP_Q(RP_G_T4, 3) * dy
+                                               + RP_Q(RP_G_T4, 4) * dz;
+                            const double w4y = RP_Q(RP_G_T4, 3) * dx
+                                               + RP_Q(RP_G_T4, 1) * dy
+                                               + RP_Q(RP_G_T4, 5) * dz;
+                            const double w4z = RP_Q(RP_G_T4, 4) * dx
+                                               + RP_Q(RP_G_T4, 5) * dy
+                                               + RP_Q(RP_G_T4, 2) * dz;
+                            const double q4 = v4[0] * dx + v4[1] * dy + v4[2] * dz;
+                            const double t4dd = w4x * dx + w4y * dy + w4z * dz;
+                            const double tt4 = RP_Q(RP_G_TT4, 0);
+                            pot += (g4 * q4 + 6.0 * g3 * t4dd + 3.0 * g2 * tt4)
+                                   * (1.0 / 24.0);
+                            along += (g5 * q4 + 6.0 * g4 * t4dd + 3.0 * g3 * tt4)
+                                     * (1.0 / 24.0);
+                            rx += g4 * v4[0] * (1.0 / 6.0) + 0.5 * g3 * w4x;
+                            ry += g4 * v4[1] * (1.0 / 6.0) + 0.5 * g3 * w4y;
+                            rz += g4 * v4[2] * (1.0 / 6.0) + 0.5 * g3 * w4z;
+                        }
+                    }
+#undef RP_Q
+                }
+                sx[l] += along * dx + rx;
+                sy[l] += along * dy + ry;
+                sz[l] += along * dz + rz;
+                sp[l] += pot;
+            }
+        }
+#undef RP_F
+    }
+}
+
+RP_NOINLINE void rp_m2p_leaf(int rank, const double *list, int64_t len,
+                             const double *x, const int64_t *order,
+                             int64_t t0, int64_t t1, double *lanes)
+{
+    if (rank >= 4)
+        rp_m2p_rank(4, list, len, x, order, t0, t1, lanes);
+    else if (rank == 3)
+        rp_m2p_rank(3, list, len, x, order, t0, t1, lanes);
+    else if (rank == 2)
+        rp_m2p_rank(2, list, len, x, order, t0, t1, lanes);
+    else
+        rp_m2p_rank(0, list, len, x, order, t0, t1, lanes);
+}
+
+/* The near field of a P2P list of `len` (padded) entries — fields x, y,
+ * z, G*m; indices idx — on target i at xi, Plummer-softened by eps2:
+ * out = (sum of G m_j dx / r^3 per axis, sum of G m_j / r).  The self
+ * pair is masked by index, not skipped: its inverse distance is selected
+ * to 0. */
+RP_NOINLINE void rp_p2p_list(const double *list, const int64_t *idx,
+                             int64_t len, const double *xi, int64_t i,
+                             double eps2, double *out)
+{
+    double sx[RP_LANES] = {0.0}, sy[RP_LANES] = {0.0};
+    double sz[RP_LANES] = {0.0}, sp[RP_LANES] = {0.0};
+    for (int64_t k0 = 0; k0 < len; k0 += RP_LANES) {
+        const double *px = list + 4 * k0, *py = px + RP_LANES;
+        const double *pz = py + RP_LANES, *gm = pz + RP_LANES;
+        const int64_t *j = idx + k0;
+        RP_EACH(l, RP_LANES) {
+            const double dx = xi[0] - px[l], dy = xi[1] - py[l];
+            const double dz = xi[2] - pz[l];
+            const double r2 = dx * dx + dy * dy + dz * dz + eps2;
+            const double inv_r = j[l] == i ? 0.0 : 1.0 / sqrt(r2);
+            const double f = gm[l] * (inv_r * inv_r * inv_r);
+            sx[l] += f * dx;
+            sy[l] += f * dy;
+            sz[l] += f * dz;
+            sp[l] += gm[l] * inv_r;
+        }
+    }
+    out[0] = rp_lane_sum(sx);
+    out[1] = rp_lane_sum(sy);
+    out[2] = rp_lane_sum(sz);
+    out[3] = rp_lane_sum(sp);
+}
+
+/* ---- Neighbour search, node moments and gravity walk.  From here to
+ * the end of the unit a*b + c is never contracted into a fused
+ * multiply-add: a search decides set membership on r2 <= cutoff*cutoff
+ * (the gravity MAC on size <= theta*dist), and a value that differs from
+ * numpy's in its last bit moves a pair sitting on the cutoff (a node on
+ * the opening angle) to the other side; the node moments are numpy's
+ * operations in numpy's order, to the bit (the row kernels and list
+ * loops above only feed sums, where the ulp is covered by the backend
+ * tolerance, and keep the FMAs). ---- */
 #if defined(__GNUC__) && !defined(__clang__)
 #pragma GCC optimize("fp-contract=off") /* gcc ignores the ISO pragma */
 #else
@@ -1138,88 +1396,238 @@ void rp_pairs_within(const double *xw, const double *radii,
     }
 }
 
-/* Far field of one accepted node on the particles of one target leaf:
- * evaluate_multipoles (gravity/multipole.py) in C — the contracted
- * M^(n).D^(n) and M^(n).D^(n+1), see that module for the algebra.  The
- * traces belong to the node and are taken once, outside the particle
- * loop.  rank is the highest moment used (0, 2, 3 or 4). */
-static void rp_m2p(const double *x, const int64_t *order, int64_t p0,
-                   int64_t p1, const double *c, double mass,
-                   const double *m2, const double *m3, const double *m4,
-                   int rank, double g_const, double *acc, double *phi)
+/* First slot s of bound[0..n_slots) with bound[s] >= pos. */
+static int64_t rp_slot(const int64_t *bound, int64_t n_slots, int64_t pos)
 {
-    double tr2 = 0.0, tt4 = 0.0, t3[3] = {0.0, 0.0, 0.0}, t4[9];
-    if (rank >= 2)
-        tr2 = m2[0] + m2[4] + m2[8];
-    if (rank >= 3)
-        for (int b = 0; b < 3; ++b)
-            t3[b] = m3[b] + m3[12 + b] + m3[24 + b];
-    if (rank >= 4) {
-        for (int b = 0; b < 9; ++b)
-            t4[b] = m4[b] + m4[36 + b] + m4[72 + b];
-        tt4 = t4[0] + t4[4] + t4[8];
+    int64_t lo = 0, hi = n_slots;
+    while (lo < hi) {
+        const int64_t mid = lo + (hi - lo) / 2;
+        if (bound[mid] < pos)
+            lo = mid + 1;
+        else
+            hi = mid;
     }
-    for (int64_t p = p0; p < p1; ++p) {
-        const int64_t i = order[p];
-        const double d[3] = {x[3 * i] - c[0], x[3 * i + 1] - c[1],
-                             x[3 * i + 2] - c[2]};
-        const double u2 = 1.0 / (d[0] * d[0] + d[1] * d[1] + d[2] * d[2]);
-        const double g0 = sqrt(u2);
-        const double g1 = -g0 * u2;
-        double pot = mass * g0;
-        double along = mass * g1; /* coefficient of d */
-        double rest[3] = {0.0, 0.0, 0.0};
-        if (rank >= 2) {
-            const double g2 = -3.0 * g1 * u2, g3 = -5.0 * g2 * u2;
-            double v2[3], q2 = 0.0;
-            for (int e = 0; e < 3; ++e) {
-                v2[e] = m2[e] * d[0] + m2[3 + e] * d[1] + m2[6 + e] * d[2];
-                q2 += v2[e] * d[e];
-                rest[e] = g2 * v2[e];
-            }
-            pot += 0.5 * (g2 * q2 + g1 * tr2);
-            along += 0.5 * (g3 * q2 + g2 * tr2);
-            if (rank >= 3) {
-                const double g4 = -7.0 * g3 * u2;
-                double a2[9], v3[3], q3 = 0.0, t3d = 0.0;
-                for (int b = 0; b < 9; ++b)
-                    a2[b] = m3[b] * d[0] + m3[9 + b] * d[1] + m3[18 + b] * d[2];
-                for (int e = 0; e < 3; ++e) {
-                    v3[e] = a2[e] * d[0] + a2[3 + e] * d[1] + a2[6 + e] * d[2];
-                    q3 += v3[e] * d[e];
-                    t3d += t3[e] * d[e];
-                    rest[e] -= 0.5 * (g3 * v3[e] + g2 * t3[e]);
-                }
-                pot -= (g3 * q3 + 3.0 * g2 * t3d) / 6.0;
-                along -= (g4 * q3 + 3.0 * g3 * t3d) / 6.0;
-                if (rank >= 4) {
-                    const double g5 = -9.0 * g4 * u2;
-                    double a3[27], v4[3], w4[3], q4 = 0.0, t4dd = 0.0;
-                    for (int b = 0; b < 27; ++b)
-                        a3[b] = m4[b] * d[0] + m4[27 + b] * d[1]
-                                + m4[54 + b] * d[2];
-                    for (int b = 0; b < 9; ++b)
-                        a2[b] = a3[b] * d[0] + a3[9 + b] * d[1]
-                                + a3[18 + b] * d[2];
-                    for (int e = 0; e < 3; ++e) {
-                        v4[e] = a2[e] * d[0] + a2[3 + e] * d[1]
-                                + a2[6 + e] * d[2];
-                        w4[e] = t4[e] * d[0] + t4[3 + e] * d[1]
-                                + t4[6 + e] * d[2];
-                        q4 += v4[e] * d[e];
-                        t4dd += w4[e] * d[e];
-                        rest[e] += g4 * v4[e] / 6.0 + 0.5 * g3 * w4[e];
-                    }
-                    pot += (g4 * q4 + 6.0 * g3 * t4dd + 3.0 * g2 * tt4) / 24.0;
-                    along += (g5 * q4 + 6.0 * g4 * t4dd + 3.0 * g3 * tt4)
-                             / 24.0;
-                }
-            }
+    return lo;
+}
+
+/* Multipole moments of every node — compute_node_moments
+ * (gravity/multipole.py) in C, 3-D, equal to it bit for bit.  One pass
+ * over the particles in Morton order, leaf by leaf (a depth-first walk
+ * meets the leaves in that order), sums the 1 + 3 + 9 + 27 + 81
+ * per-particle products m, m s_a, m s_a s_b, ... (s = x - origin,
+ * numpy's products in numpy's order) into one running prefix — the
+ * column-wise cumsum of node_aggregate, started at -0.0 so that the
+ * first sum is the first value to the bit, as cumsum's is — and records
+ * it only where a leaf ends: prefix holds (leaves + 1) rows of `width`
+ * values and bound the particle position of each row.  Every node's
+ * range starts and ends on a leaf boundary, so its raw moments are one
+ * difference of two recorded rows, prefix[pend] - prefix[pstart] as in
+ * node_aggregate; the COM and the shifts to it follow, each expression
+ * numpy's, operand for operand.  width = 4, 13, 40 or 121 for rank < 2,
+ * 2, 3, 4; m2/m3/m4 of ranks above `rank` are not written. */
+void rp_node_moments(const double *x, const double *m, const double *origin,
+                     int64_t n_nodes, const int64_t *child_start,
+                     const int64_t *child_count, const int64_t *pstart,
+                     const int64_t *pend, const int64_t *order, int rank,
+                     double *prefix, int64_t *bound, double *mass,
+                     double *com, double *m2, double *m3, double *m4)
+{
+    const int64_t width = rank >= 4 ? 121 : rank >= 3 ? 40 : rank >= 2 ? 13 : 4;
+    double run[121], w[121], raw[121];
+    int64_t stack[RP_WALK_STACK], slots = 0;
+    int top = 0;
+    for (int64_t c = 0; c < width; ++c) {
+        run[c] = -0.0;
+        prefix[c] = 0.0;
+    }
+    bound[0] = 0;
+    stack[top++] = 0;
+    while (top > 0) {
+        const int64_t k = stack[--top];
+        if (child_count[k]) {
+            for (int64_t ch = child_count[k] - 1; ch >= 0; --ch)
+                stack[top++] = child_start[k] + ch;
+            continue;
         }
-        for (int e = 0; e < 3; ++e)
-            acc[3 * i + e] += g_const * (along * d[e] + rest[e]);
-        phi[i] -= g_const * pot;
+        for (int64_t p = pstart[k]; p < pend[k]; ++p) {
+            const int64_t i = order[p];
+            const double s[3] = {x[3 * i] - origin[0], x[3 * i + 1] - origin[1],
+                                 x[3 * i + 2] - origin[2]};
+            /* Component c >= 1 of the products is its parent (c - 1) / 3
+             * times s_((c - 1) % 3): m s_a, then (m s_a) s_b, ... */
+            w[0] = m[i];
+            for (int64_t c = 1; c < width; ++c)
+                w[c] = w[(c - 1) / 3] * s[(c - 1) % 3];
+            RP_EACH(c, width) run[c] += w[c];
+        }
+        ++slots;
+        bound[slots] = pend[k];
+        memcpy(prefix + slots * width, run, sizeof run[0] * width);
     }
+    for (int64_t k = 0; k < n_nodes; ++k) {
+        const double *lo = prefix + rp_slot(bound, slots + 1, pstart[k]) * width;
+        const double *hi = prefix + rp_slot(bound, slots + 1, pend[k]) * width;
+        for (int64_t c = 0; c < width; ++c)
+            raw[c] = hi[c] - lo[c];
+        const double mk = raw[0];
+        const double safe = mk > 0.0 ? mk : 1.0;
+        double X[3], xx[9];
+        for (int a = 0; a < 3; ++a) {
+            X[a] = raw[1 + a] / safe;
+            com[3 * k + a] = X[a] + origin[a];
+        }
+        mass[k] = mk;
+        if (rank < 2)
+            continue;
+        /*   M2_com = M2 - M X (x) X */
+        const double *r2 = raw + 4, *r3 = raw + 13, *r4 = raw + 40;
+        for (int a = 0; a < 3; ++a)
+            for (int b = 0; b < 3; ++b) {
+                xx[3 * a + b] = X[a] * X[b];
+                m2[9 * k + 3 * a + b] = r2[3 * a + b] - mk * xx[3 * a + b];
+            }
+        if (rank < 3)
+            continue;
+        /*   M3_com = M3 - sym3(X (x) M2_raw) + 2 M X^3 */
+        for (int a = 0; a < 3; ++a)
+            for (int b = 0; b < 3; ++b)
+                for (int c = 0; c < 3; ++c) {
+                    const int abc = 9 * a + 3 * b + c;
+                    const double sym = X[a] * r2[3 * b + c] + X[b] * r2[3 * a + c]
+                                       + X[c] * r2[3 * a + b];
+                    m3[27 * k + abc] =
+                        (r3[abc] - sym) + (2.0 * mk) * (xx[3 * a + b] * X[c]);
+                }
+        if (rank < 4)
+            continue;
+        /*   M4_com = M4 - sym4(X (x) M3_raw) + sym6(X X (x) M2_raw) - 3 M X^4 */
+        for (int a = 0; a < 3; ++a)
+            for (int b = 0; b < 3; ++b)
+                for (int c = 0; c < 3; ++c)
+                    for (int d = 0; d < 3; ++d) {
+                        const double sym =
+                            X[a] * r3[9 * b + 3 * c + d] + X[b] * r3[9 * a + 3 * c + d]
+                            + X[c] * r3[9 * a + 3 * b + d] + X[d] * r3[9 * a + 3 * b + c];
+                        double pairs = 0.0;
+                        pairs += xx[3 * a + b] * r2[3 * c + d];
+                        pairs += xx[3 * a + c] * r2[3 * b + d];
+                        pairs += xx[3 * a + d] * r2[3 * b + c];
+                        pairs += xx[3 * b + c] * r2[3 * a + d];
+                        pairs += xx[3 * b + d] * r2[3 * a + c];
+                        pairs += xx[3 * c + d] * r2[3 * a + b];
+                        const int abcd = 27 * a + 9 * b + 3 * c + d;
+                        m4[81 * k + abcd] =
+                            ((r4[abcd] - sym) + pairs)
+                            - (3.0 * mk) * ((xx[3 * a + b] * X[c]) * X[d]);
+                    }
+    }
+}
+
+/* A growable interaction list in lane blocks (see RP_LANES): nf double
+ * fields per entry, plus an index per entry when `indexed`.  cap stays a
+ * whole number of blocks.  Memory comes from malloc in rp_gravity and
+ * goes back before it returns — nothing outlives a call. */
+typedef struct {
+    int64_t len, cap;
+    int nf, indexed;
+    double *v;
+    int64_t *idx;
+} rp_list;
+
+/* Field 0 of entry k; field f is f * RP_LANES further on. */
+static inline double *rp_entry(const rp_list *l, int64_t k)
+{
+    return l->v + (k / RP_LANES) * l->nf * RP_LANES + k % RP_LANES;
+}
+
+/* Room for `need` entries; -1 when out of memory. */
+static int rp_reserve(rp_list *l, int64_t need)
+{
+    if (need <= l->cap)
+        return 0;
+    int64_t cap = l->cap ? l->cap : RP_LIST_CAP0;
+    while (cap < need)
+        cap *= 2;
+    double *v = realloc(l->v, sizeof *v * (size_t)(cap * l->nf));
+    if (!v)
+        return -1;
+    l->v = v;
+    if (l->indexed) {
+        int64_t *idx = realloc(l->idx, sizeof *idx * (size_t)cap);
+        if (!idx)
+            return -1;
+        l->idx = idx;
+    }
+    l->cap = cap;
+    return 0;
+}
+
+/* Pad a list to whole blocks with copies of its last entry whose fields
+ * from `zero_from` on (the weight and moments) are 0; returns the padded
+ * length (within cap: cap is whole blocks). */
+static int64_t rp_pad(rp_list *l, int zero_from)
+{
+    const int64_t len = l->len;
+    const int64_t padded = (len + RP_LANES - 1) / RP_LANES * RP_LANES;
+    for (int64_t k = len; k < padded; ++k) {
+        const double *src = rp_entry(l, len - 1);
+        double *dst = rp_entry(l, k);
+        for (int f = 0; f < l->nf; ++f)
+            dst[f * RP_LANES] = f < zero_from ? src[f * RP_LANES] : 0.0;
+        if (l->indexed)
+            l->idx[k] = l->idx[len - 1];
+    }
+    return padded;
+}
+
+/* The 6 pair classes of a 3x3 matrix q: diagonal, then the averaged
+ * off-diagonal copies (a symmetric matrix meets d as a vector). */
+static void rp_pack_sym(const double *q, double *out)
+{
+    for (int c = 0; c < 6; ++c)
+        out[c] = 0.0;
+    for (int ab = 0; ab < 9; ++ab)
+        out[RP_PAIR_CLASS[ab]] += q[ab];
+    for (int c = 3; c < 6; ++c)
+        out[c] *= 0.5;
+}
+
+/* The packed fields (RP_G_*) of node s from its dense moments. */
+static void rp_pack_node(const double *mass, const double *com,
+                         const double *m2, const double *m3,
+                         const double *m4, int rank, int64_t s, double *out)
+{
+    for (int a = 0; a < 3; ++a)
+        out[RP_G_CX + a] = com[3 * s + a];
+    out[RP_G_MASS] = mass[s];
+    if (rank < 2)
+        return;
+    const double *q = m2 + 9 * s;
+    rp_pack_sym(q, out + RP_G_M2);
+    out[RP_G_TR2] = q[0] + q[4] + q[8];
+    if (rank < 3)
+        return;
+    q = m3 + 27 * s;
+    for (int c = 0; c < 18; ++c)
+        out[RP_G_M3 + c] = 0.0;
+    for (int ab = 0; ab < 9; ++ab)
+        for (int e = 0; e < 3; ++e)
+            out[RP_G_M3 + 6 * e + RP_PAIR_CLASS[ab]] += q[3 * ab + e];
+    for (int e = 0; e < 3; ++e)
+        out[RP_G_T3 + e] = q[e] + q[12 + e] + q[24 + e];
+    if (rank < 4)
+        return;
+    q = m4 + 81 * s;
+    double t4[9];
+    for (int c = 0; c < 30; ++c)
+        out[RP_G_M4 + c] = 0.0;
+    for (int abc = 0; abc < 27; ++abc)
+        for (int e = 0; e < 3; ++e)
+            out[RP_G_M4 + 10 * e + RP_TRIPLE_CLASS[abc]] += q[3 * abc + e];
+    for (int bc = 0; bc < 9; ++bc)
+        t4[bc] = q[bc] + q[36 + bc] + q[72 + bc];
+    rp_pack_sym(t4, out + RP_G_T4);
+    out[RP_G_TT4] = t4[0] + t4[4] + t4[8];
 }
 
 /* Barnes-Hut gravity, one target leaf at a time — barnes_hut_gravity
@@ -1229,26 +1637,45 @@ static void rp_m2p(const double *x, const int64_t *order, int64_t p0,
  * with size = 2*max(half) and dist from sum_of_squares of the per-axis
  * excess, the numpy expressions term for term (this section never fuses
  * a multiply-add), so both renderings accept, open and P2P the same
- * nodes.  Accepted nodes go through rp_m2p; a source leaf that fails the
- * MAC is summed particle by particle with Plummer softening eps2, a
- * particle skipping itself.  Everything accumulates into acc/phi rows of
- * the leaf's own particles, so a leaf's result does not depend on which
- * other leaves are in the call.  counts[0] += P2P pairs (self pairs
- * included, as the reference counts them), counts[1] += M2P terms. */
-void rp_gravity(const double *x, const double *m, const int64_t *leaves,
-                int64_t n_leaves, const double *center, const double *half,
-                const int64_t *child_start, const int64_t *child_count,
-                const int64_t *pstart, const int64_t *pend,
-                const int64_t *order, const double *mass, const double *com,
-                const double *m2, const double *m3, const double *m4,
-                int rank, double theta, double g_const, double eps2,
-                double *acc, double *phi, int64_t *counts)
+ * nodes.  The walk only collects: an accepted node joins the leaf's M2P
+ * list (its moments packed once per call, rp_pack_node), the particles
+ * of a source leaf that fails the MAC join its P2P list (x, y, z, G*m,
+ * index).  rp_m2p_leaf and rp_p2p_list then sum both lists into each
+ * particle of the leaf, whose acc/phi rows are written — so a leaf's
+ * result does not depend on which other leaves are in the call (rows of
+ * particles outside `leaves` are not touched).  counts[0] += P2P pairs
+ * (self pairs included, as the reference counts them), counts[1] += M2P
+ * terms.  Returns 0, or -1 when the lists could not be allocated. */
+int rp_gravity(const double *x, const double *m, const int64_t *leaves,
+               int64_t n_leaves, int64_t n_nodes, const double *center,
+               const double *half, const int64_t *child_start,
+               const int64_t *child_count, const int64_t *pstart,
+               const int64_t *pend, const int64_t *order,
+               const double *mass, const double *com, const double *m2,
+               const double *m3, const double *m4, int rank, double theta,
+               double g_const, double eps2, double *acc, double *phi,
+               int64_t *counts)
 {
+    const int nf = rp_m2p_fields(rank);
+    int64_t widest = 0;
+    for (int64_t l = 0; l < n_leaves; ++l)
+        if (pend[leaves[l]] - pstart[leaves[l]] > widest)
+            widest = pend[leaves[l]] - pstart[leaves[l]];
+    const size_t lane_row = 4 * RP_LANES;
+    double *packed = malloc(sizeof *packed * (size_t)(n_nodes * nf));
+    double *lanes = malloc(sizeof *lanes * lane_row * (size_t)(widest + 1));
+    rp_list far = {0, 0, nf, 0, 0, 0}, near = {0, 0, 4, 1, 0, 0};
     int64_t stack[RP_WALK_STACK];
+    int status = -1;
+    if (!packed || !lanes || rp_reserve(&far, 1) || rp_reserve(&near, 1))
+        goto out;
+    for (int64_t s = 0; s < n_nodes; ++s)
+        rp_pack_node(mass, com, m2, m3, m4, rank, s, packed + s * nf);
     for (int64_t l = 0; l < n_leaves; ++l) {
         const int64_t t = leaves[l];
         const int64_t t0 = pstart[t], t1 = pend[t];
         int top = 0;
+        far.len = near.len = 0;
         stack[top++] = 0;
         while (top > 0) {
             const int64_t s = stack[--top];
@@ -1263,10 +1690,11 @@ void rp_gravity(const double *x, const double *m, const int64_t *leaves,
             }
             const double dist = sqrt(d2);
             if (2.0 * hmax <= theta * dist && dist > 0.0) {
-                rp_m2p(x, order, t0, t1, com + 3 * s, mass[s],
-                       m2 ? m2 + 9 * s : 0, m3 ? m3 + 27 * s : 0,
-                       m4 ? m4 + 81 * s : 0, rank, g_const, acc, phi);
-                counts[1] += t1 - t0;
+                if (rp_reserve(&far, far.len + 1))
+                    goto out;
+                double *dst = rp_entry(&far, far.len++);
+                for (int f = 0; f < nf; ++f)
+                    dst[f * RP_LANES] = packed[s * nf + f];
                 continue;
             }
             const int64_t nchild = child_count[s];
@@ -1274,37 +1702,46 @@ void rp_gravity(const double *x, const double *m, const int64_t *leaves,
                 stack[top++] = child_start[s] + ch;
             if (nchild)
                 continue;
-            for (int64_t p = t0; p < t1; ++p) {
-                const int64_t i = order[p];
-                double a[3] = {0.0, 0.0, 0.0}, pot = 0.0;
-                for (int64_t q = pstart[s]; q < pend[s]; ++q) {
-                    const int64_t j = order[q];
-                    if (j == i)
-                        continue;
-                    const double dx = x[3 * i] - x[3 * j];
-                    const double dy = x[3 * i + 1] - x[3 * j + 1];
-                    const double dz = x[3 * i + 2] - x[3 * j + 2];
-                    const double inv_r =
-                        1.0 / sqrt(dx * dx + dy * dy + dz * dz + eps2);
-                    const double gm = g_const * m[j];
-                    const double f = gm * (inv_r * inv_r * inv_r);
-                    a[0] += f * dx;
-                    a[1] += f * dy;
-                    a[2] += f * dz;
-                    pot += gm * inv_r;
-                }
-                acc[3 * i] -= a[0];
-                acc[3 * i + 1] -= a[1];
-                acc[3 * i + 2] -= a[2];
-                phi[i] -= pot;
+            if (rp_reserve(&near, near.len + pend[s] - pstart[s]))
+                goto out;
+            for (int64_t q = pstart[s]; q < pend[s]; ++q) {
+                const int64_t j = order[q];
+                double *dst = rp_entry(&near, near.len);
+                dst[0] = x[3 * j];
+                dst[RP_LANES] = x[3 * j + 1];
+                dst[2 * RP_LANES] = x[3 * j + 2];
+                dst[3 * RP_LANES] = g_const * m[j];
+                near.idx[near.len++] = j;
             }
-            counts[0] += (t1 - t0) * (pend[s] - pstart[s]);
+        }
+        counts[0] += (t1 - t0) * near.len;
+        counts[1] += (t1 - t0) * far.len;
+        const int64_t n_far = rp_pad(&far, RP_G_MASS);
+        const int64_t n_near = rp_pad(&near, 3);
+        memset(lanes, 0, sizeof *lanes * lane_row * (size_t)(t1 - t0));
+        rp_m2p_leaf(rank, far.v, n_far, x, order, t0, t1, lanes);
+        for (int64_t p = t0; p < t1; ++p) {
+            const int64_t i = order[p];
+            const double *fa = lanes + (p - t0) * lane_row;
+            double na[4];
+            rp_p2p_list(near.v, near.idx, n_near, x + 3 * i, i, eps2, na);
+            for (int e = 0; e < 3; ++e)
+                acc[3 * i + e] = g_const * rp_lane_sum(fa + e * RP_LANES) - na[e];
+            phi[i] = -(g_const * rp_lane_sum(fa + 3 * RP_LANES)) - na[3];
         }
     }
+    status = 0;
+out:
+    free(packed);
+    free(lanes);
+    free(far.v);
+    free(near.v);
+    free(near.idx);
+    return status;
 }
 """
 
-SOURCE = _HELPERS + _OPS
+SOURCE = _HELPERS + _GRAVITY_TABLES + _OPS
 
 
 def source_fingerprint() -> str:

@@ -234,7 +234,9 @@ class PhaseExecutor:
                 return barnes_hut_gravity(x, m, ops=ops, **options)
         tree = options["tree"]
         with self._span(phase, State.FORK_JOIN):
-            moments = compute_node_moments(tree, x, m, order=options["order"])
+            moments = compute_node_moments(
+                tree, x, m, order=options["order"], ops=ops
+            )
             leaves = np.nonzero(tree.is_leaf() & (tree.node_counts() > 0))[0]
             counts = tree.pend[leaves] - tree.pstart[leaves]
             offsets = np.concatenate([[0], np.cumsum(counts, dtype=np.int64)])

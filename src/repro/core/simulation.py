@@ -664,10 +664,15 @@ class Simulation:
         if not self._gravity_calls:
             return None
         steps = max(len(self.history), 1)
+        p2p = sum(s.n_p2p for s in self.history) / steps
+        m2p = sum(s.n_m2p for s in self.history) / steps
+        n = max(self.particles.n, 1)
         return {
             "calls": self._gravity_calls,
-            "p2p_per_step": sum(s.n_p2p for s in self.history) / steps,
-            "m2p_per_step": sum(s.n_m2p for s in self.history) / steps,
+            "p2p_per_step": p2p,
+            "m2p_per_step": m2p,
+            "p2p_per_particle": p2p / n,
+            "m2p_per_particle": m2p / n,
             "path": self._gravity_path,
         }
 

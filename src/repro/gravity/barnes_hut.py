@@ -16,7 +16,9 @@ into its particles before the next leaf starts, so nothing is staged
 between leaves and a leaf's sums depend on that leaf alone — any
 partition of the leaves (``target_leaves``) reproduces the full result.
 The loop below is the numpy reference; a compiled backend runs the same
-walk, MAC and sums per leaf in one call (``ops.gravity``).
+walk and MAC per leaf in one call (``ops.gravity``), collecting the
+leaf's accepted nodes and source particles into two interaction lists
+that each of its particles sums in vectorised lane loops.
 
 Interaction counts (P2P pairs, M2P evaluations) are returned; the cluster
 cost model uses them to charge gravity work per rank.
@@ -112,8 +114,9 @@ def barnes_hut_gravity(
     ops:
         A compiled op table (``Backend.ops``).  In 3-D every leaf's
         walk, M2P and P2P run there — same MAC arithmetic, hence the
-        same interactions and counts, sums equal to rounding; otherwise
-        (``None``, or ``dim != 3``) the numpy loop below runs.
+        same interactions and counts, sums equal to rounding — and so do
+        the node moments when ``moments`` is not given (bit for bit);
+        otherwise (``None``, or ``dim != 3``) the numpy loop below runs.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     m = np.asarray(m, dtype=np.float64)
@@ -127,7 +130,7 @@ def barnes_hut_gravity(
     if bool(np.any(tree.box.periodic)):
         raise ValueError("periodic gravity is not supported (open boundaries only)")
     if moments is None:
-        moments = compute_node_moments(tree, x, m, order=order)
+        moments = compute_node_moments(tree, x, m, order=order, ops=ops)
     elif moments.order < order:
         raise ValueError(
             f"provided moments have order {moments.order} < requested {order}"

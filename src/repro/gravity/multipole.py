@@ -73,18 +73,23 @@ class NodeMoments:
 
 
 def compute_node_moments(
-    tree: Octree, x: np.ndarray, m: np.ndarray, order: int = 2
+    tree: Octree, x: np.ndarray, m: np.ndarray, order: int = 2, ops=None
 ) -> NodeMoments:
     """Moments for every tree node in one prefix-sum pass per component.
 
     ``order`` is the highest moment rank retained (0, 2, 3 or 4 — the
-    dipole vanishes about the COM so order 1 equals order 0).
+    dipole vanishes about the COM so order 1 equals order 0).  With a
+    compiled op table (``ops``) and 3-D input the moments come from its
+    one-pass op, equal to the arrays below bit for bit; otherwise (and as
+    the reference) from the numpy prefix sums.
     """
     if order not in (0, 1, 2, 3, 4):
         raise ValueError(f"order must be in 0..4, got {order}")
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     m = np.asarray(m, dtype=np.float64)
     dim = x.shape[1]
+    if ops is not None and dim == 3:
+        return NodeMoments(order, *ops.node_moments(tree, x, m, order))
     # Accumulate about the box center to curb cancellation in prefix sums.
     origin = tree.box.center
     s = x - origin
@@ -170,8 +175,9 @@ def evaluate_multipoles(
     any leading target axes.  Returns ``(acc, phi)`` per interaction.
 
     Each ``M^(n) . D^(n)`` and ``M^(n) . D^(n+1)`` is evaluated in
-    contracted form, see the module docstring; ``rp_gravity`` in
-    :mod:`repro.backend.csrc` is the same formula in C.
+    contracted form, see the module docstring; ``rp_m2p_rank`` in
+    :mod:`repro.backend.csrc` is the same formula in C, on the moments
+    packed as multiplicity-weighted symmetric components.
     """
     d = np.asarray(d, dtype=np.float64)
     r2 = _dot(d, d)

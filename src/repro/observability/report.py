@@ -44,8 +44,9 @@ class RunReport:
     n_particles: int
     pair_engine: Dict[str, int]
     neighbor_cache: Optional[Dict[str, float]] = None
-    #: Barnes-Hut work: calls, mean P2P/M2P interactions per step and
-    #: which rendering ran (``None`` when gravity is off).
+    #: Barnes-Hut work: calls, mean P2P/M2P interactions per step (and
+    #: per particle of a step) and which rendering ran (``None`` when
+    #: gravity is off).
     gravity: Optional[Dict[str, object]] = None
     checkpoint: Optional[Dict[str, float]] = None
     #: Step-guard activity (a ``repro.resilience.guard.GuardReport`` —
@@ -173,6 +174,8 @@ def format_gravity(stats) -> str:
         f"gravity: calls={_get(stats, 'calls')} "
         f"p2p/step={_get(stats, 'p2p_per_step'):.0f} "
         f"m2p/step={_get(stats, 'm2p_per_step'):.0f} "
+        f"(per particle {_get(stats, 'p2p_per_particle'):.0f} + "
+        f"{_get(stats, 'm2p_per_particle'):.0f}) "
         f"path={_get(stats, 'path', '?')}"
     )
 

@@ -104,8 +104,10 @@ def test_generated_c_unit_compiles_warning_clean(backend_name, tmp_path):
 @compiled_backend
 def test_row_loops_are_vectorised(backend_name, tmp_path):
     """The canary: every loop over the pairs of a row (``RP_EACH`` — row
-    geometry, row shape, the count sweep, the force-row stages, ...) is
-    reported vectorised under the product flags.  An edit that breaks
+    geometry, row shape, the count sweep, the force-row stages, ...), the
+    lane loops of the two gravity interaction lists and the node-moment
+    op's particle pass are reported vectorised under the product flags.
+    An edit that breaks
     that — a call that sets ``errno``, a branch inside a row loop, a
     dropped flag — halves the kernels without failing any parity test;
     it fails this one instead."""

@@ -94,6 +94,20 @@ def test_run_json_summary(capsys):
     assert summary["neighbor_cache"] is None
 
 
+def test_run_json_reports_gravity_work_per_particle(capsys):
+    import json
+
+    rc = main(["run", "evrard", "--n", "800", "--steps", "1", "--json"])
+    assert rc == 0
+    out, err = capsys.readouterr()
+    summary = json.loads(out)
+    gravity = summary["gravity"]
+    n = summary["n_particles"]
+    assert gravity["p2p_per_particle"] == gravity["p2p_per_step"] / n > 0
+    assert gravity["m2p_per_particle"] == gravity["m2p_per_step"] / n > 0
+    assert "per particle" in err  # the one-line gravity report on stderr
+
+
 def test_scenarios_list(capsys):
     from repro.scenarios import scenario_names
 

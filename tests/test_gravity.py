@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.backend import select_backend
-from repro.gravity.barnes_hut import barnes_hut_gravity, potential_energy
+from repro.gravity.barnes_hut import _leaf_sources, barnes_hut_gravity, potential_energy
 from repro.gravity.direct import direct_gravity
 from repro.gravity.multipole import compute_node_moments, evaluate_multipoles
 from repro.tree.box import Box
@@ -463,11 +463,132 @@ def test_leaf_partition_reproduces_full_walk(request, rng, path):
     assert (n_p2p, n_m2p) == (full.n_p2p, full.n_m2p)
 
 
+def _leaf_list_lengths(tree, moments, theta):
+    """``(M2P, P2P)`` list length of every target leaf, from the numpy
+    walk: accepted nodes, and particles of the opened source leaves."""
+    node_size = 2.0 * tree.half.max(axis=1)
+    far_lens, near_lens = [], []
+    for leaf in np.nonzero(tree.is_leaf() & (tree.node_counts() > 0))[0]:
+        far, near = _leaf_sources(tree, moments.com, node_size, theta, leaf)
+        far_lens.append(far.size)
+        near_lens.append(int((tree.pend[near] - tree.pstart[near]).sum()))
+    return np.array(far_lens), np.array(near_lens)
+
+
+def _dense_clump(rng, n_clump=1200, n_halo=300):
+    """A clump 100x denser than its halo: its leaves open hundreds of
+    clump particles each."""
+    def ball(n, radius):
+        u = rng.normal(size=(n, 3))
+        return u * (radius * rng.random(n) ** (1 / 3) / np.linalg.norm(u, axis=1))[:, None]
+
+    x = np.vstack([ball(n_clump, 0.01), ball(n_halo, 1.0)])
+    return x, rng.uniform(0.5, 1.5, x.shape[0])
+
+
+@pytest.mark.parametrize("softening", [0.0, 0.03])
+@pytest.mark.parametrize("order", [0, 2, 3, 4])
+def test_compiled_error_against_direct_is_the_reference_error(
+    compiled_ops, rng, order, softening
+):
+    """The packed, lane-blocked sums move results at roundoff only: the
+    error against direct summation is the numpy walk's to 1e-9."""
+    x, m = _isothermal_sphere(rng)
+    a_exact, _ = direct_gravity(x, m, softening=softening)
+    kw = dict(theta=0.6, order=order, softening=softening, leaf_size=16)
+    errors = []
+    for ops in (None, compiled_ops):
+        res = barnes_hut_gravity(x, m, ops=ops, **kw)
+        errors.append(np.mean(
+            np.linalg.norm(res.acc - a_exact, axis=1) / np.linalg.norm(a_exact, axis=1)
+        ))
+    assert errors[1] == pytest.approx(errors[0], rel=1e-9)
+
+
+def test_compiled_gravity_on_and_off_whole_lane_blocks(compiled_ops, rng):
+    """Interaction lists of every length modulo the lane count (8), on
+    both lists, and at theta -> 0 P2P lists of all n particles — n = 64
+    fills whole blocks, n = 67 does not.  Padding adds exact zeros, so
+    each agrees with numpy at 1e-12, counts exact."""
+    x, m = _isothermal_sphere(rng)
+    tree = Octree.build(x, leaf_size=16)
+    for lens in _leaf_list_lengths(tree, compute_node_moments(tree, x, m), 0.5):
+        assert set(lens % 8) == set(range(8))
+    cases = [(x, m, 0.5)] + [(*_isothermal_sphere(rng, n), 1e-6) for n in (64, 67)]
+    for x, m, theta in cases:
+        kw = dict(theta=theta, order=4, softening=0.0, leaf_size=16)
+        ref = barnes_hut_gravity(x, m, **kw)
+        got = barnes_hut_gravity(x, m, ops=compiled_ops, **kw)
+        assert (got.n_p2p, got.n_m2p) == (ref.n_p2p, ref.n_m2p)
+        assert _scaled_err(got.acc, ref.acc) < 1e-12
+        assert _scaled_err(got.phi, ref.phi) < 1e-12
+
+
+def test_compiled_gravity_lists_outgrow_their_first_allocation(compiled_ops, rng):
+    from repro.backend.csrc import GRAVITY_LIST_CAP0
+
+    x, m = _dense_clump(rng)
+    tree = Octree.build(x, leaf_size=16)
+    mom = compute_node_moments(tree, x, m, order=4)
+    _, near_lens = _leaf_list_lengths(tree, mom, 0.5)
+    assert near_lens.max() > 2 * GRAVITY_LIST_CAP0
+    kw = dict(theta=0.5, order=4, softening=0.0, tree=tree, moments=mom)
+    ref = barnes_hut_gravity(x, m, **kw)
+    got = barnes_hut_gravity(x, m, ops=compiled_ops, **kw)
+    assert (got.n_p2p, got.n_m2p) == (ref.n_p2p, ref.n_m2p)
+    assert _scaled_err(got.acc, ref.acc) < 1e-12
+    assert _scaled_err(got.phi, ref.phi) < 1e-12
+
+
+# ----------------------------------------------------------------------
+# Node moments: the compiled one-pass op against the numpy prefix sums
+# ----------------------------------------------------------------------
+MOMENT_FIELDS = ("mass", "com", "m2", "m3", "m4")
+
+
+@pytest.mark.parametrize("order", [0, 2, 3, 4])
+@pytest.mark.parametrize("case", ["sphere", "lattice", "one-particle-leaves", "n=1"])
+def test_compiled_node_moments_are_the_numpy_arrays(compiled_ops, rng, case, order):
+    leaf_size = 16
+    if case == "one-particle-leaves":
+        x, m = _isothermal_sphere(rng, 200)
+        leaf_size = 1
+    elif case == "n=1":
+        x, m = rng.normal(size=(1, 3)), np.array([1.7])
+    else:
+        x, m = CLOUDS[case](rng)
+    tree = Octree.build(x, leaf_size=leaf_size)
+    ref = compute_node_moments(tree, x, m, order=order)
+    got = compute_node_moments(tree, x, m, order=order, ops=compiled_ops)
+    assert got.order == ref.order
+    for name in MOMENT_FIELDS:
+        want = getattr(ref, name)
+        if want is None:
+            assert getattr(got, name) is None, name
+        else:
+            assert np.array_equal(getattr(got, name), want), name
+
+
+def test_compiled_gravity_ops_reject_particles_of_another_tree(compiled_ops, rng):
+    """The ops read x and m through the tree's permutation: arrays of any
+    other length are refused before a pointer reaches C."""
+    x, m = _isothermal_sphere(rng, 300)
+    tree = Octree.build(x, leaf_size=16)
+    mom = compute_node_moments(tree, x, m, order=2)
+    with pytest.raises(ValueError, match="300-particle"):
+        compute_node_moments(tree, x[:-1], m[:-1], order=2, ops=compiled_ops)
+    with pytest.raises(ValueError, match="300-particle"):
+        barnes_hut_gravity(x, m[:-1], order=2, tree=tree, moments=mom, ops=compiled_ops)
+
+
 class _OpsMustNotRun:
     """A compiled table that must not be dispatched to."""
 
     def gravity(self, *args):  # pragma: no cover - must not be reached
         raise AssertionError("dispatched a planar problem to the 3-D op")
+
+    def node_moments(self, *args):  # pragma: no cover - must not be reached
+        raise AssertionError("dispatched planar moments to the 3-D op")
 
 
 def test_gravity_falls_back_to_numpy(rng):
@@ -480,3 +601,20 @@ def test_gravity_falls_back_to_numpy(rng):
     )
     assert ref2.n_m2p > 0
     assert np.array_equal(got2.acc, ref2.acc)
+
+
+def test_node_moments_fall_back_to_numpy(rng, rp_calls):
+    """Planar input with a compiled table, and 3-D input without one,
+    both take the numpy prefix sums — no call reaches the library."""
+    x2 = rng.random((200, 2))
+    tree2 = Octree.build(x2, leaf_size=8)
+    ref2 = compute_node_moments(tree2, x2, np.ones(200), order=4)
+    got2 = compute_node_moments(tree2, x2, np.ones(200), order=4, ops=_OpsMustNotRun())
+    x3, m3 = _isothermal_sphere(rng, 300)
+    tree3 = Octree.build(x3, leaf_size=16)
+    ref3 = compute_node_moments(tree3, x3, m3, order=4)
+    got3 = compute_node_moments(tree3, x3, m3, order=4, ops=None)
+    for ref, got in ((ref2, got2), (ref3, got3)):
+        for name in MOMENT_FIELDS:
+            assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+    assert rp_calls == []

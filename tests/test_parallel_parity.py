@@ -126,6 +126,68 @@ def test_compiled_pool_gravity_matches_compiled_serial():
     assert numpy_gravity["path"] == "numpy" and numpy_gravity["m2p_per_step"] > 0
 
 
+def _gravity_results(monkeypatch, exec_config, n_steps=3):
+    """Every ``GravityResult`` the executor hands the driver during an
+    hexadecapole Evrard run."""
+    from repro.core.phase_executor import PhaseExecutor
+
+    real = PhaseExecutor.gravity
+    results = []
+
+    def recording(self, *args, **kwargs):
+        res = real(self, *args, **kwargs)
+        results.append(res)
+        return res
+
+    particles, box, eos, config = _evrard_case()
+    with monkeypatch.context() as patch, Simulation(
+        particles, box, eos, config=config.with_(gravity="hexadecapole"),
+        run_config=RunConfig(exec=exec_config),
+    ) as sim:
+        patch.setattr(PhaseExecutor, "gravity", recording)
+        sim.run(n_steps=n_steps)
+    return results
+
+
+@pytest.mark.parametrize("chunks", [1, 3])
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_compiled_gravity_is_bitwise_across_workers_and_chunks(
+    monkeypatch, workers, chunks
+):
+    """A particle's lists, and so its lane-blocked sums, are its leaf's
+    alone: any slicing of the leaves gives the serial acc/phi bit for
+    bit, with the same interaction counts."""
+    if not available_backends()["cffi"]:
+        pytest.skip("no C toolchain on this host")
+    key = "evrard-hexadecapole-cffi"
+    if key not in _serial_cache:
+        _serial_cache[key] = _gravity_results(monkeypatch, ExecConfig(backend="cffi"))
+    ref = _serial_cache[key]
+    got = _gravity_results(
+        monkeypatch,
+        ExecConfig(backend="cffi", workers=workers, chunks_per_worker=chunks),
+    )
+    assert len(got) == len(ref) == 4  # two evaluations on the first step
+    for a, b in zip(got, ref):
+        assert a.path == b.path == "cffi"
+        assert (a.n_p2p, a.n_m2p) == (b.n_p2p, b.n_m2p)
+        assert np.array_equal(a.acc, b.acc)
+        assert np.array_equal(a.phi, b.phi)
+
+
+def test_threaded_gravity_computes_the_moments_once(rp_calls):
+    """Sliced gravity shares one set of node moments per evaluation: one
+    ``rp_node_moments`` call, one ``rp_gravity`` call per slice."""
+    if not available_backends()["cffi"]:
+        pytest.skip("no C toolchain on this host")
+    _, extras = _run("evrard", ExecConfig(backend="cffi", workers=2), n_steps=2)
+    calls = [name for name, _ in rp_calls]
+    evaluations = extras["gravity"]["calls"]
+    assert evaluations == 3
+    assert calls.count("rp_node_moments") == evaluations
+    assert calls.count("rp_gravity") == 2 * evaluations
+
+
 def test_report_has_no_gravity_block_without_gravity():
     assert _serial("square-patch")[1]["gravity"] is None
 
