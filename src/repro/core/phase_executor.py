@@ -3,7 +3,7 @@
 One class, four entry points (``density``, ``iad_matrices``, ``forces``,
 ``gravity``) — the seam ``Simulation.compute_rates`` calls each phase
 through.  With ``workers == 0`` an entry point opens the phase span and
-calls the phase function once with the driver's own pair context.  With
+calls the phase function once with the evaluation's pair record.  With
 ``workers >= 1`` it cuts the query rows into ``workers *
 chunks_per_worker`` pair-balanced slices (gravity: particle-balanced
 slices of the target leaves) and runs the *same* phase function per
@@ -17,9 +17,8 @@ serial result bit for bit.
 Nothing crosses a process boundary: slices read the driver's live
 backend, kernel and box (never copies, so
 ``Simulation.degrade_to_serial()`` takes effect on the next phase), and
-each slice's pair context is open for exactly the rate evaluation the
-driver's is (:meth:`PhaseExecutor.evaluation`) and holds only its own
-rows' products.
+each slice reads the record of its own rows (``Pairs.rows`` of the
+evaluation's record), which every phase of the evaluation shares.
 Outputs land in a buffer that is copied into ``particles`` only after
 every slice of the phase returned; an exception raised in a slice is
 re-raised on the driver thread (the first in slice order) once the
@@ -35,7 +34,6 @@ from __future__ import annotations
 import copy
 import time
 import weakref
-from contextlib import nullcontext
 
 import numpy as np
 
@@ -45,7 +43,6 @@ from ..gravity.multipole import compute_node_moments
 from ..profiling.trace import State
 from ..sph.density import compute_density, grad_h_terms
 from ..sph.forces import ForceResult, compute_forces, velocity_divergence_curl
-from ..sph.pair_engine import PairContext
 from ..sph.viscosity import balsara_switch
 from ..tree.neighborlist import balanced_row_slices
 from ..tree.octree import expand_ranges
@@ -64,18 +61,7 @@ class PhaseExecutor:
         self._sim = weakref.proxy(sim)
         self.workers = workers
         self.n_slices = workers * chunks_per_worker
-        #: One pair context per slice (its geometry and products carry
-        #: from one phase of an evaluation into the next; its arena
-        #: persists).
-        self.contexts = [PairContext() for _ in range(self.n_slices)]
         self._pool = None
-
-    def evaluation(self):
-        """One rate evaluation: the driver's pair context, and with it
-        the per-slice ones, open until the ``with`` block ends (nothing
-        to open once ``degrade_to_serial()`` has dropped the driver's)."""
-        ctx = self._sim._pair_ctx
-        return nullcontext() if ctx is None else ctx.evaluation(self.contexts)
 
     def close(self) -> None:
         """Join the threads (idempotent; a later fan-out restarts them)."""
@@ -87,10 +73,9 @@ class PhaseExecutor:
         return self._sim.tracer.phase(phase, state, self._sim.rank)
 
     def _once(self, phase: str, fn, *pair_args, **options):
-        """``workers == 0``: one call, on the driver's pair context."""
-        sim = self._sim
+        """``workers == 0``: one call, on the evaluation's pair record."""
         with self._span(phase):
-            return fn(*pair_args, ctx=sim._pair_ctx, backend=sim.backend, **options)
+            return fn(*pair_args, backend=self._sim.backend, **options)
 
     def _fan_out(self, kind: str, phase: str, slices: list, fn) -> list:
         """``[fn(k, lo, hi) for k, (lo, hi) in enumerate(slices)]`` on the
@@ -138,27 +123,29 @@ class PhaseExecutor:
                 raise out
         return results
 
-    def _rows(self, phase: str, particles, nlist, kernel, box):
+    def _rows(self, phase: str, pairs, particles, nlist, kernel, box):
         """The row-sliced fan-out of one phase: ``run(kind, fn, outs)``
         calls ``fn(..., rows=(lo, hi))`` per pair-balanced slice, with
-        that slice's context and the driver's backend, and stores what it
-        returns in ``out[lo:hi]`` of each buffer in ``outs``.
+        that slice's pair record and the driver's backend, and stores
+        what it returns in ``out[lo:hi]`` of each buffer in ``outs``.
 
-        The one thing every slice reads that is computed lazily — the
-        kernel normalisation, memoised per process — is produced here,
-        once, on the driver thread.
+        What every slice reads that is made lazily — the kernel
+        normalisation, memoised per process, and the slices' records
+        (``None`` on the compiled path) — is made here, on the driver
+        thread.
         """
         sim = self._sim
         backend = sim.backend
         kernel.sigma(particles.dim)
         slices = balanced_row_slices(nlist.offsets, self.n_slices)
+        records = [None if pairs is None else pairs.rows(*s) for s in slices]
 
         def run(kind, fn, outs, parts=lambda res: (res,), source=particles,
                 **options) -> list:
             def one(k: int, lo: int, hi: int):
                 res = fn(
                     source, nlist, kernel, box, rows=(lo, hi),
-                    ctx=self.contexts[k], backend=backend, **options,
+                    pairs=records[k], backend=backend, **options,
                 )
                 for out, part in zip(outs, parts(res)):
                     out[lo:hi] = part
@@ -169,14 +156,17 @@ class PhaseExecutor:
         return run
 
     # -- the four entry points: ``pair_args`` = particles, nlist, kernel,
-    # -- box; ``options`` = the phase function's own keywords, spelled out
-    # -- by the one caller (``Simulation.compute_rates``)
-    def density(self, *pair_args, phase: str, **options) -> np.ndarray:
+    # -- box; ``pairs`` = the evaluation's pair record (``None`` on the
+    # -- compiled path); ``options`` = the phase function's own keywords,
+    # -- spelled out by the one caller (``Simulation.compute_rates``)
+    def density(self, *pair_args, pairs, phase: str, **options) -> np.ndarray:
         if not self.workers:
-            return self._once(phase, compute_density, *pair_args, **options)
+            return self._once(
+                phase, compute_density, *pair_args, pairs=pairs, **options
+            )
         particles = pair_args[0]
         with self._span(phase, State.FORK_JOIN):
-            run = self._rows(phase, *pair_args)
+            run = self._rows(phase, pairs, *pair_args)
             source = particles
             generalized = options.get("volume_elements") == "generalized"
             if generalized and np.any(particles.rho <= 0.0):
@@ -190,22 +180,24 @@ class PhaseExecutor:
             particles.rho[:] = rho
         return particles.rho
 
-    def iad_matrices(self, *pair_args, phase: str) -> np.ndarray:
+    def iad_matrices(self, *pair_args, pairs, phase: str) -> np.ndarray:
         if not self.workers:
-            return self._once(phase, compute_iad_matrices, *pair_args)
+            return self._once(phase, compute_iad_matrices, *pair_args, pairs=pairs)
         particles = pair_args[0]
         with self._span(phase, State.FORK_JOIN):
             c = np.empty((particles.n, particles.dim, particles.dim))
-            self._rows(phase, *pair_args)("iad", compute_iad_matrices, (c,))
+            self._rows(phase, pairs, *pair_args)("iad", compute_iad_matrices, (c,))
         return c
 
-    def forces(self, *pair_args, phase: str, **options) -> ForceResult:
+    def forces(self, *pair_args, pairs, phase: str, **options) -> ForceResult:
         if not self.workers:
-            return self._once(phase, compute_forces, *pair_args, **options)
+            return self._once(
+                phase, compute_forces, *pair_args, pairs=pairs, **options
+            )
         particles = pair_args[0]
         n = particles.n
         with self._span(phase, State.FORK_JOIN):
-            run = self._rows(phase, *pair_args)
+            run = self._rows(phase, pairs, *pair_args)
             # Every cross-particle input of the force loop is global, so
             # each pass is complete before the next one reads it.
             omega = balsara_f = None

@@ -29,7 +29,6 @@ from ..kernels.registry import make_kernel
 from ..observability.tracer import make_tracer
 from ..profiling.trace import State, Tracer
 from ..sph.eos import EquationOfState
-from ..sph.pair_engine import PairContext, PairEngineStats
 from ..sph.smoothing import (
     SmoothingConfig,
     adapt_from_cached_list,
@@ -43,6 +42,7 @@ from ..timestepping.steppers import (
 )
 from ..tree.box import Box
 from ..tree.octree import Octree
+from ..tree.pairs import Pairs
 from .config import ExecConfig, RunConfig, SimulationConfig
 from .conservation import ConservationState, measure_conservation
 from .particles import ParticleSystem
@@ -84,11 +84,6 @@ class StepStats:
     mean_neighbors: float
     energy_floor_hits: int
     conservation: ConservationState
-    # Pair-engine activity during this step (0 after degrade_to_serial()):
-    pair_geometry_computes: int = 0
-    pair_geometry_reuses: int = 0
-    pair_bytes_allocated: int = 0
-    pair_bytes_reused: int = 0
 
 
 @dataclass
@@ -220,7 +215,7 @@ class Simulation:
 
     def _wire_exec(self, exec_cfg: ExecConfig) -> None:
         """(Re)wire what an :class:`~repro.core.config.ExecConfig`
-        governs: backend, pair engine, Verlet cache, phase threads.
+        governs: backend, Verlet cache, phase threads.
 
         The one exec-wiring routine — construction, :meth:`configure`
         and the autotuner's mid-run knob switches all land here.  It
@@ -234,9 +229,6 @@ class Simulation:
         # whichever thread, receives this resolved Backend.
         self.backend_requested = exec_cfg.backend
         self.backend = select_backend(exec_cfg.backend)
-        # The owner of per-pair state; it shares only while
-        # ``compute_rates`` holds it open (its arena persists).
-        self._pair_ctx: Optional[PairContext] = PairContext()
         self._phases.close()
         self._phases = PhaseExecutor(
             self, exec_cfg.workers, exec_cfg.chunks_per_worker
@@ -294,29 +286,17 @@ class Simulation:
             self._tree = Octree.build(self.particles.x, self.box)
         return self._tree
 
-    def _pair_stats_total(self) -> PairEngineStats:
-        """Combined driver + slice pair-engine counters (zeros when off)."""
-        total = PairEngineStats()
-        if self._pair_ctx is not None:
-            total.merge(self._pair_ctx.stats.as_dict())
-        for ctx in self._phases.contexts:
-            total.merge(ctx.stats.as_dict())
-        return total
-
     # ------------------------------------------------------------------
     # Rate evaluation: Algorithm 1 steps 1-4 (phases A-I)
     # ------------------------------------------------------------------
     def compute_rates(self) -> None:
         """Rebuild tree/neighbours and evaluate all rates at current state.
 
-        The call is one evaluation of the pair context (and of the
-        executor's slice contexts): what the h iteration computes per
-        pair is shared with phases D-H and gone on return or raise.
+        On the numpy path the pairs of the evaluation live in one
+        :class:`~repro.tree.pairs.Pairs` record, a local of this call:
+        what the h iteration and phases D-H compute per pair is shared
+        among them and gone on return or raise.
         """
-        with self._phases.evaluation():
-            self._evaluate_rates()
-
-    def _evaluate_rates(self) -> None:
         p = self.particles
         cfg = self.config
         tr = self.tracer
@@ -353,25 +333,30 @@ class Simulation:
                     x, radii, mode=mode, ops=self.backend.ops, sort_rows=False
                 )
 
+        pairs = None
         with tr.phase(Phase.SMOOTHING_LENGTH.letter, State.USEFUL, self.rank):
             if cached is not None:
+                # The numpy sweeps count off the record the phases read
+                # next: one geometry pass per cache-hit evaluation.
+                if self.backend.ops is None:
+                    pairs = Pairs(p, cached, self.kernel, self.box)
                 self._nlist = adapt_from_cached_list(
                     p, cached, self.box, self._smoothing, self._ncache,
-                    ctx=self._pair_ctx, backend=self.backend, search=search,
+                    pairs=pairs, backend=self.backend, search=search,
                 )
             else:
                 # A list held from an earlier evaluation means an earlier
                 # adaptation wrote this h (a restore clears it).
                 self._nlist = adapt_smoothing_lengths(
                     p, self.box, self._smoothing, search=search,
-                    cache=self._ncache, ctx=self._pair_ctx,
-                    backend=self.backend, adapted=self._nlist is not None,
+                    cache=self._ncache, backend=self.backend,
+                    adapted=self._nlist is not None,
                 )
         # The compiled phases run over the pairs inside kernel support,
         # cut once per evaluation from the (padded) list; every other
         # pair contributes an exact zero.  The numpy phases take the
-        # padded list itself — its geometry is the one the h iteration
-        # left bound in the pair context.
+        # padded list itself, through the evaluation's record — the
+        # hit's, or a fresh one for a list built here.
         pair_list = self._nlist
         ops = backend_ops(self.backend, self.kernel)
         if ops is not None:
@@ -379,6 +364,8 @@ class Simulation:
                 pair_list = ops.support_list(
                     p.x, p.h, self._nlist.as_int32(), self.box, self.kernel
                 )
+        elif pairs is None or pairs.nlist is not pair_list:
+            pairs = Pairs(p, pair_list, self.kernel, self.box)
         # One call site per phase; the executor runs it as one call or
         # as row slices on threads (``ExecConfig.workers``).
         phases = self._phases
@@ -389,13 +376,16 @@ class Simulation:
             # IAD moments need a density estimate; bootstrap on the first
             # call with a standard summation.
             if np.all(p.rho <= 0.0):
-                phases.density(*pair_args, phase=Phase.NEIGHBOR_LISTS.letter)
+                phases.density(
+                    *pair_args, pairs=pairs, phase=Phase.NEIGHBOR_LISTS.letter
+                )
             c_matrices = phases.iad_matrices(
-                *pair_args, phase=Phase.NEIGHBOR_LISTS.letter
+                *pair_args, pairs=pairs, phase=Phase.NEIGHBOR_LISTS.letter
             )
 
         phases.density(
             *pair_args,
+            pairs=pairs,
             volume_elements=cfg.volume_elements,
             xmass_exponent=cfg.xmass_exponent,
             phase=Phase.DENSITY.letter,
@@ -406,6 +396,7 @@ class Simulation:
 
         result = phases.forces(
             *pair_args,
+            pairs=pairs,
             gradients=cfg.gradients,
             viscosity=cfg.viscosity,
             grad_h=cfg.grad_h,
@@ -451,7 +442,6 @@ class Simulation:
         p = self.particles
         tr = self.tracer
         step_at_entry = self.step_index  # chaos faults key on this index
-        pair_snap = self._pair_stats_total().snapshot()
         if not self._rates_current:
             self.compute_rates()
         if self.initial_conservation is None:
@@ -489,7 +479,6 @@ class Simulation:
                 self.sdc_findings.extend(
                     f"step {self.step_index}: {f}" for f in findings
                 )
-        pair_delta = self._pair_stats_total().delta(pair_snap)
         stats = StepStats(
             index=self.step_index,
             time=self.time,
@@ -501,10 +490,6 @@ class Simulation:
             mean_neighbors=float(nl.counts().mean()) if nl is not None else 0.0,
             energy_floor_hits=floor_hits,
             conservation=conservation,
-            pair_geometry_computes=pair_delta["geometry_computes"],
-            pair_geometry_reuses=pair_delta["geometry_reuses"],
-            pair_bytes_allocated=pair_delta["bytes_allocated"],
-            pair_bytes_reused=pair_delta["bytes_reused"],
         )
         self.history.append(stats)
         # With a step guard the checkpoint hook runs *after* the health
@@ -587,17 +572,16 @@ class Simulation:
         self._cancel_requested = True
 
     def degrade_to_serial(self) -> None:
-        """Drop to the plain serial path: phase threads off, pair engine
-        off, compiled backend off.
+        """Drop to the plain serial path: phase threads off, compiled
+        backend off.
 
-        All three are degradation-neutral (the serial numpy reference
+        Both are degradation-neutral (the serial numpy reference
         produces equivalent results), so this is a safe rung: it sheds
         the optimized machinery in case that machinery is the corruptor.
         Idempotent; there is no un-degrade short of ``configure()``.
         """
         self._phases.close()
         self._phases = PhaseExecutor(self)
-        self._pair_ctx = None
         self.backend = select_backend("numpy")
 
     # ------------------------------------------------------------------
@@ -679,17 +663,15 @@ class Simulation:
     def report(self) -> "RunReport":
         """Everything this run can tell about itself, in one object.
 
-        Consolidates the pair-engine, neighbour-cache, gravity,
-        checkpoint and guard counters with the POP efficiency metrics
-        computed from the measured span timeline.
+        Consolidates the neighbour-cache, gravity, checkpoint and guard
+        counters with the POP efficiency metrics computed from the
+        measured span timeline.
         """
         from ..observability.pop import pop_from_events
         from ..observability.registry import MetricsRegistry
         from ..observability.report import RunReport
 
         reg = MetricsRegistry()
-        pair = self._pair_stats_total().as_dict()
-        reg.absorb("pair_engine", pair)
         ncache = self._ncache_stats_dict()
         reg.absorb("neighbor_cache", ncache)
         gravity = self._gravity_stats_dict()
@@ -733,7 +715,6 @@ class Simulation:
             steps=self.step_index,
             time=self.time,
             n_particles=self.particles.n,
-            pair_engine=pair,
             neighbor_cache=ncache,
             gravity=gravity,
             checkpoint=checkpoint,

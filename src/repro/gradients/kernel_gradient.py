@@ -48,21 +48,11 @@ def kernel_pair_gradients(
     h_i: np.ndarray,
     h_j: np.ndarray,
     dim: int,
-    ctx=None,
-    h: np.ndarray | None = None,
 ) -> PairGradients:
     """Standard SPH pair gradients from the kernel's radial derivative.
 
-    ``dx`` must be ``x_i - x_j`` (minimum image already applied).  With a
-    bound :class:`~repro.sph.pair_engine.PairContext` ``ctx`` (and the
-    full per-particle ``h`` it gathers from), the gradients come out of
-    the context's product memo — shared with the div/curl phase — and
-    live in reused arena buffers; the arithmetic is identical either way.
+    ``dx`` must be ``x_i - x_j`` (minimum image already applied).
     """
-    if ctx is not None and h is not None:
-        return PairGradients(
-            gi=ctx.grad_i(kernel, h, dim), gj=ctx.grad_j(kernel, h, dim)
-        )
     gi = kernel.gradient(dx, r, h_i, dim)
     gj = kernel.gradient(dx, r, h_j, dim)
     return PairGradients(gi=gi, gj=gj)

@@ -114,24 +114,9 @@ class Kernel(abc.ABC):
         q = r / h
         return self.value_from_q(q, h, dim)
 
-    def value_from_q(
-        self,
-        q: np.ndarray,
-        h: np.ndarray,
-        dim: int = 3,
-        out: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """``W`` from a precomputed ``q = r/h`` (optionally into ``out``).
-
-        The ``out`` path runs the identical operation sequence
-        ``sigma / h**dim * f(q)`` through in-place ufuncs, so results are
-        bitwise equal to the allocating path.
-        """
-        if out is None:
-            return self.sigma(dim) / h**dim * self.shape(q)
-        np.power(h, dim, out=out)
-        np.divide(self.sigma(dim), out, out=out)
-        return np.multiply(out, self.shape(q), out=out)
+    def value_from_q(self, q: np.ndarray, h: np.ndarray, dim: int = 3) -> np.ndarray:
+        """``W`` from a precomputed ``q = r/h``."""
+        return self.sigma(dim) / np.power(h, dim) * self.shape(q)
 
     def radial_derivative(
         self, r: np.ndarray, h: np.ndarray, dim: int = 3
@@ -143,18 +128,10 @@ class Kernel(abc.ABC):
         return self.radial_derivative_from_q(q, h, dim)
 
     def radial_derivative_from_q(
-        self,
-        q: np.ndarray,
-        h: np.ndarray,
-        dim: int = 3,
-        out: np.ndarray | None = None,
+        self, q: np.ndarray, h: np.ndarray, dim: int = 3
     ) -> np.ndarray:
         """``dW/dr`` from a precomputed ``q = r/h``."""
-        if out is None:
-            return self.sigma(dim) / h ** (dim + 1) * self.shape_derivative(q)
-        np.power(h, dim + 1, out=out)
-        np.divide(self.sigma(dim), out, out=out)
-        return np.multiply(out, self.shape_derivative(q), out=out)
+        return self.sigma(dim) / np.power(h, dim + 1) * self.shape_derivative(q)
 
     def gradient(
         self,
@@ -192,47 +169,13 @@ class Kernel(abc.ABC):
         q: np.ndarray,
         h: np.ndarray,
         dim: int = 3,
-        out: np.ndarray | None = None,
-        scratch: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Vector gradient from a precomputed ``q = r/h``.
-
-        ``scratch`` is an optional ``r``-shaped float64 buffer reused for
-        the radial-derivative intermediate.
-        """
-        dwdr = self.radial_derivative_from_q(q, h, dim, out=scratch)
+        """Vector gradient from a precomputed ``q = r/h``."""
+        dwdr = self.radial_derivative_from_q(q, h, dim)
         with np.errstate(invalid="ignore", divide="ignore"):
             np.divide(dwdr, np.where(r > 0.0, r, 1.0), out=dwdr)
             scale = np.where(r > 0.0, dwdr, 0.0)
-        if out is None:
-            return dx * scale[..., None]
-        return np.multiply(dx, scale[..., None], out=out)
-
-    def value_and_gradient(
-        self,
-        dx: np.ndarray,
-        r: np.ndarray,
-        h: np.ndarray,
-        dim: int = 3,
-        *,
-        w_out: np.ndarray | None = None,
-        grad_out: np.ndarray | None = None,
-        scratch: np.ndarray | None = None,
-    ) -> tuple:
-        """Fused ``(W, grad W)`` sharing one ``q = r/h`` evaluation.
-
-        Separate :meth:`value` + :meth:`gradient` calls each recompute
-        the normalized distance; here both draw from a single division.
-        Because they consume the same ``q`` bits the fused results are
-        bitwise identical to the separate calls.
-        """
-        dx = np.asarray(dx, dtype=np.float64)
-        r = np.asarray(r, dtype=np.float64)
-        h = np.asarray(h, dtype=np.float64)
-        q = r / h
-        w = self.value_from_q(q, h, dim, out=w_out)
-        grad = self.gradient_from_q(dx, r, q, h, dim, out=grad_out, scratch=scratch)
-        return w, grad
+        return dx * scale[..., None]
 
     def h_derivative(self, r: np.ndarray, h: np.ndarray, dim: int = 3) -> np.ndarray:
         """Smoothing-length derivative ``dW/dh`` used by grad-h terms.
@@ -245,23 +188,14 @@ class Kernel(abc.ABC):
         return self.h_derivative_from_q(q, h, dim)
 
     def h_derivative_from_q(
-        self,
-        q: np.ndarray,
-        h: np.ndarray,
-        dim: int = 3,
-        out: np.ndarray | None = None,
+        self, q: np.ndarray, h: np.ndarray, dim: int = 3
     ) -> np.ndarray:
         """``dW/dh`` from a precomputed ``q = r/h``."""
-        if out is None:
-            return (
-                -self.sigma(dim)
-                / h ** (dim + 1)
-                * (dim * self.shape(q) + q * self.shape_derivative(q))
-            )
-        inner = dim * self.shape(q) + q * self.shape_derivative(q)
-        np.power(h, dim + 1, out=out)
-        np.divide(-self.sigma(dim), out, out=out)
-        return np.multiply(out, inner, out=out)
+        return (
+            -self.sigma(dim)
+            / np.power(h, dim + 1)
+            * (dim * self.shape(q) + q * self.shape_derivative(q))
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(name={self.name!r})"

@@ -12,7 +12,7 @@ shares:
   :class:`~repro.profiling.trace.Tracer`.  :class:`NullTracer` is the
   zero-overhead disabled variant.
 * :class:`MetricsRegistry` — flat, namespaced counters absorbing the
-  pair-engine, Verlet-cache, gravity, checkpoint and guard stats.
+  Verlet-cache, gravity, checkpoint and guard stats.
 * Exporters — Chrome ``trace_event`` JSON (loadable in Perfetto /
   ``chrome://tracing``) and JSONL for the benchmark harness.
 * :func:`pop_from_events` — the paper's POP efficiency metrics computed
@@ -48,7 +48,6 @@ from .report import (
     RunReport,
     format_gravity,
     format_neighbor_cache,
-    format_pair_engine,
     format_tuning,
 )
 from .tracer import NullTracer, SpanTracer, make_tracer
@@ -66,7 +65,6 @@ __all__ = [
     "fingerprint_id",
     "code_version",
     "record_from_simulation",
-    "format_pair_engine",
     "format_gravity",
     "format_neighbor_cache",
     "format_tuning",

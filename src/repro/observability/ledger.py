@@ -2,7 +2,7 @@
 
 Every instrumented subsystem in this codebase measures itself —
 :class:`~repro.observability.tracer.SpanTracer` spans, measured POP
-metrics, pair-engine/cache/recovery counters — but until now nothing
+metrics, cache/recovery counters — but until now nothing
 survived the process.  The ledger closes that gap: an append-only sqlite
 store of per-run summaries, keyed by ``(scenario, n_particles, host,
 backend, code version)``, that :meth:`repro.core.simulation.Simulation

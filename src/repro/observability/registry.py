@@ -1,12 +1,11 @@
 """One namespace for every counter the execution paths grow.
 
-Before this module the driver's stats surface was fragmented: pair-engine
-counters on :class:`~repro.sph.pair_engine.PairEngineStats`, Verlet-cache
+Before this module the driver's stats surface was fragmented: Verlet-cache
 hit/miss on :class:`~repro.tree.neighborlist.VerletCacheStats`, guard
 counters on :class:`~repro.resilience.guard.GuardReport`, each
 with its own accessor.  A :class:`MetricsRegistry` absorbs them all under
-dotted names (``pair_engine.geometry_reuses``,
-``neighbor_cache.hits``, ``guard.failures``, ``checkpoint.writes``),
+dotted names (``neighbor_cache.hits``, ``guard.failures``,
+``checkpoint.writes``),
 which is what :class:`~repro.observability.report.RunReport` and the
 JSONL exporter serialize.
 """

@@ -1,7 +1,7 @@
 """The consolidated run report behind ``Simulation.report()``.
 
 One typed, dict-convertible object: every execution path's counters
-(pair engine, neighbour cache, gravity, checkpoint, guard, ...) under
+(neighbour cache, gravity, checkpoint, guard, ...) under
 one namespace, plus the POP efficiency metrics computed from the
 measured span timeline.
 """
@@ -15,7 +15,6 @@ from ..profiling.metrics import PopMetrics
 
 __all__ = [
     "RunReport",
-    "format_pair_engine",
     "format_neighbor_cache",
     "format_gravity",
     "format_tuning",
@@ -42,7 +41,6 @@ class RunReport:
     steps: int
     time: float
     n_particles: int
-    pair_engine: Dict[str, int]
     neighbor_cache: Optional[Dict[str, float]] = None
     #: Barnes-Hut work: calls, mean P2P/M2P interactions per step (and
     #: per particle of a step) and which rendering ran (``None`` when
@@ -69,7 +67,6 @@ class RunReport:
             "steps": self.steps,
             "time": self.time,
             "n_particles": self.n_particles,
-            "pair_engine": dict(self.pair_engine),
             "neighbor_cache": (
                 dict(self.neighbor_cache) if self.neighbor_cache else None
             ),
@@ -98,7 +95,6 @@ class RunReport:
                 f"(requested={self.backend.get('requested', '?')}, "
                 f"{self.backend.get('version', '?')})"
             )
-        lines.append(format_pair_engine(self.pair_engine))
         if self.neighbor_cache is not None:
             lines.append(format_neighbor_cache(self.neighbor_cache))
         if self.gravity is not None:
@@ -126,25 +122,6 @@ class RunReport:
 # ----------------------------------------------------------------------
 # One-line formatters (accept dicts or the legacy stats dataclasses)
 # ----------------------------------------------------------------------
-def format_pair_engine(stats) -> str:
-    """One-line report of the pair-geometry engine's reuse behaviour."""
-    computes = _get(stats, "geometry_computes")
-    reuses = _get(stats, "geometry_reuses")
-    prod_c = _get(stats, "product_computes")
-    prod_r = _get(stats, "product_reuses")
-    alloc = _get(stats, "bytes_allocated")
-    reused = _get(stats, "bytes_reused")
-    geo = computes + reuses
-    prod = prod_c + prod_r
-    byt = alloc + reused
-    return (
-        f"pair-engine: geometry {reuses}/{geo} reused, "
-        f"products {prod_r}/{prod} reused, "
-        f"scratch {reused / byt if byt else 0.0:5.3f} "
-        f"served in place ({alloc} B allocated, {reused} B reused)"
-    )
-
-
 def format_neighbor_cache(stats) -> str:
     """One-line report of a Verlet-cache run: hit rate, invalidations,
     what the builds searched and how the h iteration ended."""

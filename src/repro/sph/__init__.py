@@ -14,7 +14,6 @@ from .eos import (
     WeaklyCompressibleEOS,
 )
 from .forces import ForceResult, compute_forces, velocity_divergence_curl
-from .pair_engine import PairContext, PairEngineStats, ScratchArena
 from .smoothing import (
     SmoothingConfig,
     adapt_smoothing_lengths,
@@ -32,9 +31,6 @@ __all__ = [
     "ForceResult",
     "compute_forces",
     "velocity_divergence_curl",
-    "PairContext",
-    "PairEngineStats",
-    "ScratchArena",
     "SmoothingConfig",
     "adapt_smoothing_lengths",
     "update_smoothing_lengths",

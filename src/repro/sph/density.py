@@ -15,11 +15,10 @@ Both run over a gather-compatible CSR neighbour list (self-pair included);
 pairs beyond the support of ``h_i`` contribute exactly zero, so a
 symmetric-mode list may be reused.
 
-On the numpy path pair-loop storage and geometry go through a
-:class:`~repro.sph.pair_engine.PairContext`: the driver passes the
-context of its open evaluation so the pair geometry and the kernel
-values are computed once and shared with the other phases; without one
-an ephemeral context is used (same arithmetic, fresh storage).  A
+On the numpy path the pair geometry and kernel values come from a
+:class:`~repro.tree.pairs.Pairs` record: the driver passes the record of
+its rate evaluation, so they are computed once and shared with the other
+phases; without one the phase makes its own (same arithmetic).  A
 compiled backend computes both inside its row kernel and keeps nothing.
 """
 
@@ -31,7 +30,7 @@ from ..backend.base import backend_ops
 from ..kernels.base import Kernel
 from ..tree.box import Box
 from ..tree.neighborlist import NeighborList
-from .pair_engine import PairContext
+from ..tree.pairs import Pairs
 
 __all__ = ["compute_density", "grad_h_terms"]
 
@@ -45,7 +44,7 @@ def compute_density(
     volume_elements: str = "standard",
     xmass_exponent: float = 0.7,
     rows: tuple[int, int] | None = None,
-    ctx: PairContext | None = None,
+    pairs: Pairs | None = None,
     backend=None,
 ) -> np.ndarray:
     """Update ``particles.rho`` in place and return it.
@@ -64,9 +63,10 @@ def compute_density(
         executor's fan-out.  The generalized estimator then requires a
         valid (positive) global ``particles.rho`` from a previous pass;
         the bootstrap summation is orchestrated by the caller.
-    ctx:
-        Optional :class:`~repro.sph.pair_engine.PairContext` of an open
-        evaluation, sharing pair geometry and kernel values across phases.
+    pairs:
+        Optional :class:`~repro.tree.pairs.Pairs` record of ``nlist``
+        (and ``rows``), shared with the other phases of a rate
+        evaluation.
     backend:
         Optional resolved :class:`repro.backend.Backend`; a compiled
         backend runs its row kernel over ``nlist`` (same results within
@@ -78,64 +78,22 @@ def compute_density(
         raise ValueError(
             f"volume_elements must be 'standard' or 'generalized', got {volume_elements!r}"
         )
+    lo, hi = rows if rows is not None else (0, nlist.n)
     ops = backend_ops(backend, kernel)
     if ops is not None:
-        return _compute_density_compiled(
-            ops, particles, nlist, kernel, box, volume_elements,
-            xmass_exponent, rows,
-        )
-    pc = ctx if ctx is not None else PairContext()
-    pc.bind(particles.x, nlist, box, rows=rows)
-    lo, hi = pc.lo, pc.hi
-    j = pc.j
-    dim = particles.dim
-    w = pc.w_i(kernel, particles.h, dim)
-    m_j = pc.m_j(particles.m)
+        csr = nlist.as_int32()
 
-    if volume_elements == "standard":
-        mw = np.multiply(m_j, w, out=pc.arena.take("den_tmp", (pc.n_pairs,)))
-        rho = pc.reduce(mw)
-    else:
-        rho_prev = particles.rho
-        if np.any(rho_prev <= 0.0):
-            if rows is not None:
-                raise ValueError(
-                    "generalized volume elements in slice mode need a "
-                    "bootstrapped global density; run a standard pass first"
-                )
-            # First call: bootstrap with a standard summation.
-            mw = np.multiply(m_j, w, out=pc.arena.take("den_tmp", (pc.n_pairs,)))
-            rho_prev = pc.reduce(mw)
-        xmass = (particles.m / rho_prev) ** float(xmass_exponent)
-        xw = pc.gather_scratch("den_tmp", xmass, "j")
-        np.multiply(xw, w, out=xw)
-        kappa = pc.reduce(xw)
-        if np.any(kappa <= 0.0):
-            raise ValueError(
-                "generalized volume elements: a particle has no kernel support "
-                "(kappa <= 0); check neighbour lists include the self pair"
+        def sums(wgt):
+            return ops.density_sums(
+                particles.x, particles.h, wgt, csr, box, kernel, lo, hi
             )
-        rho = particles.m[lo:hi] * kappa / xmass[lo:hi]
-    if rows is not None:
-        return rho
-    particles.rho[:] = rho
-    return particles.rho
 
+    else:
+        if pairs is None:
+            pairs = Pairs(particles, nlist, kernel, box, rows)
 
-def _compute_density_compiled(
-    ops, particles, nlist, kernel, box, volume_elements, xmass_exponent, rows
-):
-    """Density off the compiled row kernel: ``sum_j wgt_j W_ij`` with
-    ``wgt`` the masses or the generalized estimator.  Glue arithmetic
-    (xmass, rho = m*kappa/xmass) stays in numpy — it is n-sized and must
-    match the reference expression exactly."""
-    lo, hi = rows if rows is not None else (0, nlist.n)
-    nlist = nlist.as_int32()
-
-    def sums(wgt):
-        return ops.density_sums(
-            particles.x, particles.h, wgt, nlist, box, kernel, lo, hi
-        )
+        def sums(wgt):
+            return pairs.reduce(wgt[pairs.j] * pairs.w_i)
 
     if volume_elements == "standard":
         rho = sums(particles.m)
@@ -147,6 +105,7 @@ def _compute_density_compiled(
                     "generalized volume elements in slice mode need a "
                     "bootstrapped global density; run a standard pass first"
                 )
+            # First call: bootstrap with a standard summation.
             rho_prev = sums(particles.m)
         xmass = (particles.m / rho_prev) ** float(xmass_exponent)
         kappa = sums(xmass)
@@ -168,7 +127,7 @@ def grad_h_terms(
     kernel: Kernel,
     box: Box | None = None,
     rows: tuple[int, int] | None = None,
-    ctx: PairContext | None = None,
+    pairs: Pairs | None = None,
     backend=None,
 ) -> np.ndarray:
     """Grad-h correction factors ``Omega_i`` (Springel & Hernquist 2002).
@@ -176,29 +135,21 @@ def grad_h_terms(
     ``Omega_i = 1 + (h_i / (dim rho_i)) sum_j m_j dW/dh(r_ij, h_i)``.
     Pressure-gradient terms are divided by ``Omega_i`` to keep the scheme
     consistent when ``h`` varies in space.  ``rows`` restricts the
-    evaluation to a query-row slice (threaded fan-out); ``ctx`` shares pair
-    geometry with the other phases; a compiled ``backend`` sums
+    evaluation to a query-row slice (threaded fan-out); ``pairs`` shares
+    pair geometry with the other phases; a compiled ``backend`` sums
     ``dW/dh`` in its density row kernel.
     """
+    lo, hi = rows if rows is not None else (0, nlist.n)
     ops = backend_ops(backend, kernel)
     if ops is not None:
-        lo, hi = rows if rows is not None else (0, nlist.n)
-        dim = particles.dim
         s = ops.density_sums(
             particles.x, particles.h, particles.m, nlist.as_int32(), box,
             kernel, lo, hi, dwdh=True,
         )
-        omega = 1.0 + particles.h[lo:hi] / (dim * particles.rho[lo:hi]) * s
-        return np.clip(omega, 0.1, 10.0)
-    pc = ctx if ctx is not None else PairContext()
-    pc.bind(particles.x, nlist, box, rows=rows)
-    lo, hi = pc.lo, pc.hi
-    dim = particles.dim
-    dwdh = pc.dwdh_i(kernel, particles.h, dim)
-    mdw = np.multiply(
-        pc.m_j(particles.m), dwdh, out=pc.arena.take("gh_tmp", (pc.n_pairs,))
-    )
-    s = pc.reduce(mdw)
-    omega = 1.0 + particles.h[lo:hi] / (dim * particles.rho[lo:hi]) * s
+    else:
+        if pairs is None:
+            pairs = Pairs(particles, nlist, kernel, box, rows)
+        s = pairs.reduce(pairs.m_j * pairs.dwdh_i)
+    omega = 1.0 + particles.h[lo:hi] / (particles.dim * particles.rho[lo:hi]) * s
     # Guard against pathological clustering driving Omega toward 0.
     return np.clip(omega, 0.1, 10.0)

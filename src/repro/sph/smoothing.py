@@ -86,7 +86,6 @@ def adapt_smoothing_lengths(
     config: SmoothingConfig = SmoothingConfig(),
     search: Callable[..., NeighborList] | None = None,
     cache: VerletNeighborCache | None = None,
-    ctx=None,
     backend=None,
     adapted: bool = False,
 ) -> NeighborList:
@@ -107,12 +106,6 @@ def adapt_smoothing_lengths(
     are unaffected: they are always filtered to the true gather support
     ``r <= 2 h_i``.
 
-    ``ctx`` is an optional :class:`~repro.sph.pair_engine.PairContext`:
-    pair geometry is then computed through (and the final list left
-    primed in) the context, so the SPH phases that follow in the same
-    evaluation reuse its ``(i, j, dx, r)`` block instead of recomputing
-    it, and every write of ``h`` is reported to it.
-
     With a compiled ``backend`` all the sweeps a list can serve run in
     one row-local op (``CompiledOps.adapt``) whose counts and updates
     are bitwise the numpy expressions', so the h trajectory — and
@@ -124,9 +117,7 @@ def adapt_smoothing_lengths(
     pads the first search by :data:`GROWTH_PAD` instead of searching the
     exact radius.
     """
-    return _adapt(
-        particles, box, config, search, cache, ctx, backend, adapted=adapted
-    )
+    return _adapt(particles, box, config, search, cache, backend, adapted=adapted)
 
 
 def adapt_from_cached_list(
@@ -135,7 +126,7 @@ def adapt_from_cached_list(
     box: Box | None = None,
     config: SmoothingConfig = SmoothingConfig(),
     cache: VerletNeighborCache | None = None,
-    ctx=None,
+    pairs=None,
     backend=None,
     search: Callable[..., NeighborList] | None = None,
 ) -> NeighborList:
@@ -152,19 +143,25 @@ def adapt_from_cached_list(
     iteration carries on from that iterate off a fresh ``search`` and the
     new list replaces the cached one, as in
     :func:`adapt_smoothing_lengths`.
+
+    ``pairs`` is the caller's :class:`~repro.tree.pairs.Pairs` record of
+    ``nlist``: the numpy sweeps count off its ``i``/``r``, so the phases
+    that read the record after the iteration reuse that geometry pass.
     """
     if cache is None:
         raise ValueError("adapt_from_cached_list requires the owning cache")
     return _adapt(
-        particles, box, config, search, cache, ctx, backend, nlist, cache.h_budget
+        particles, box, config, search, cache, backend, nlist, cache.h_budget,
+        pairs=pairs,
     )
 
 
 def _adapt(
-    particles, box, config, search, cache, ctx, backend, nlist=None,
-    budget=None, adapted=False,
+    particles, box, config, search, cache, backend, nlist=None,
+    budget=None, adapted=False, pairs=None,
 ):
-    """The h iteration; ``nlist``/``budget`` hand in a cached list to start on.
+    """The h iteration; ``nlist``/``budget`` hand in a cached list to start
+    on, ``pairs`` its record.
 
     ``budget`` is the per-particle ``h`` up to which the list in hand both
     counts exactly and contains the final list.
@@ -201,15 +198,12 @@ def _adapt(
                 config.max_iterations - sweeps,
             )
             sweeps += done
-            if ctx is not None:
-                ctx.h_written()
             if met:
                 break
             continue
         if r is None:
-            if ctx is not None:
-                pc = ctx.bind(particles.x, nlist, box)
-                i, r = pc.i, pc.r
+            if pairs is not None and not built:
+                i, r = pairs.i, pairs.r
             else:
                 i, r = nlist.pair_i(), nlist.pair_geometry(particles.x, box)[1]
         # Count only gather neighbours (r <= 2 h_i) off the symmetric list.
@@ -224,8 +218,6 @@ def _adapt(
             particles.h, counts, config.n_target, particles.dim
         )
         particles.h[:] = np.clip(h_new, config.h_min, config.h_max)
-        if ctx is not None:
-            ctx.h_written()
     if stats is not None:
         stats.adaptations += 1
         stats.sweeps += sweeps
@@ -235,10 +227,6 @@ def _adapt(
         nlist = nlist.within(particles.x, factor * particles.h, box, ops)
         if cache is not None:
             cache.store(nlist, particles.x, particles.h)
-    if ctx is not None and ops is None:
-        # Prime the final list so downstream phases bind as a pure reuse
-        # (and the context lets go of a searched list it was cut from).
-        ctx.bind(particles.x, nlist, box)
     return nlist
 
 

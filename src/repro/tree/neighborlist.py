@@ -290,23 +290,6 @@ class NeighborList:
             )
         return reduce_pairs(self.pair_i(), self.n, values)
 
-    def reduce_into(self, values: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """:meth:`reduce` writing the result into a preallocated ``out``.
-
-        ``np.bincount`` owns its accumulator, so the summation itself is
-        identical to :meth:`reduce`; only the final per-particle result
-        (small — one entry per query row, not per pair) is copied into
-        ``out``, letting steady-state callers keep a stable output
-        buffer.
-        """
-        result = self.reduce(values)
-        if out.shape != result.shape:
-            raise ValueError(
-                f"out has shape {out.shape}, expected {result.shape}"
-            )
-        np.copyto(out, result)
-        return out
-
 
 def balanced_row_slices(offsets: np.ndarray, n_slices: int) -> list[Tuple[int, int]]:
     """Split query rows into ``n_slices`` contiguous ranges of ~equal pairs.

@@ -1,0 +1,150 @@
+"""The pairs of one rate evaluation on the numpy path.
+
+Every pair phase of Algorithm 1 (h iteration, IAD moments, density,
+grad-h, div/curl, momentum/energy) walks the same CSR neighbour list.
+A :class:`Pairs` record holds what they share: the geometry ``(i, j,
+dx, r)`` of one list — or of one row range of it — and, computed on
+first use, the products the phases read (gathered ``h``/``m``,
+``v_ij``, ``q = r/h``, kernel values, gradients and ``dW/dh``).
+
+A record has the lifetime Algorithm 1 gives every per-pair quantity:
+``Simulation.compute_rates`` keeps one in a local variable, and it dies
+when the call returns or raises.  Its products are first read once
+``h`` is final (on a Verlet-cache hit the h iteration counts off the
+record's ``i`` and ``r``, which do not read ``h``), so nothing in it is
+ever invalidated.  A phase called without one (``pairs=None``) makes its
+own, same arithmetic; the compiled path makes none.
+"""
+
+from __future__ import annotations
+
+from functools import cached_property
+from typing import Dict, Optional, Tuple
+
+import numpy as np
+
+from .box import Box
+from .neighborlist import NeighborList, reduce_pairs
+
+__all__ = ["Pairs"]
+
+
+class Pairs:
+    """Rows ``rows`` (default: all) of ``nlist`` at the state of ``particles``.
+
+    Every product is computed once, in the operation order the phases
+    have always used, so a phase returns the same bits whether it reads
+    a shared record or its own.  Results are read-only."""
+
+    def __init__(
+        self, particles, nlist: NeighborList, kernel, box: Optional[Box] = None,
+        rows: Optional[Tuple[int, int]] = None,
+    ) -> None:
+        self.particles = particles
+        self.nlist = nlist
+        self.kernel = kernel
+        self.box = box
+        self.dim = particles.dim
+        self.lo, self.hi = rows if rows is not None else (0, nlist.n)
+        self.sub = nlist.row_slice(self.lo, self.hi) if rows is not None else nlist
+        self._slices: Dict[Tuple[int, int], Pairs] = {}
+        self._flat_index: Dict[int, np.ndarray] = {}
+
+    def rows(self, lo: int, hi: int) -> "Pairs":
+        """The record of rows ``[lo, hi)`` — one per range, so every phase
+        the executor runs on that slice shares its geometry and products."""
+        if (lo, hi) not in self._slices:
+            self._slices[lo, hi] = Pairs(
+                self.particles, self.nlist, self.kernel, self.box, (lo, hi)
+            )
+        return self._slices[lo, hi]
+
+    # -- geometry --------------------------------------------------------
+    @property
+    def local_i(self) -> np.ndarray:  # row of every pair, counted from lo
+        return self.sub.pair_i()
+
+    @cached_property
+    def i(self) -> np.ndarray:
+        return self.local_i + self.lo if self.lo else self.local_i
+
+    @property
+    def j(self) -> np.ndarray:
+        return self.sub.indices
+
+    @cached_property
+    def _geometry(self) -> Tuple[np.ndarray, np.ndarray]:
+        return self.sub.pair_geometry(self.particles.x, self.box, row_offset=self.lo)
+
+    @property
+    def dx(self) -> np.ndarray:  # x_i - x_j, minimum image
+        return self._geometry[0]
+
+    @property
+    def r(self) -> np.ndarray:
+        return self._geometry[1]
+
+    # -- products --------------------------------------------------------
+    @cached_property
+    def h_i(self) -> np.ndarray:
+        return self.particles.h[self.i]
+
+    @cached_property
+    def h_j(self) -> np.ndarray:
+        return self.particles.h[self.j]
+
+    @cached_property
+    def m_j(self) -> np.ndarray:
+        return self.particles.m[self.j]
+
+    @cached_property
+    def v_ij(self) -> np.ndarray:
+        v = self.particles.v
+        return v[self.i] - v[self.j]
+
+    @cached_property
+    def q_i(self) -> np.ndarray:
+        return self.r / self.h_i
+
+    @cached_property
+    def q_j(self) -> np.ndarray:
+        return self.r / self.h_j
+
+    @cached_property
+    def w_i(self) -> np.ndarray:
+        """``W(r, h_i)`` (bitwise ``kernel.value(r, h[i])``)."""
+        return self.kernel.value_from_q(self.q_i, self.h_i, self.dim)
+
+    @cached_property
+    def w_j(self) -> np.ndarray:
+        return self.kernel.value_from_q(self.q_j, self.h_j, self.dim)
+
+    @cached_property
+    def dwdh_i(self) -> np.ndarray:
+        """``dW/dh(r, h_i)`` (bitwise ``kernel.h_derivative(r, h[i])``)."""
+        return self.kernel.h_derivative_from_q(self.q_i, self.h_i, self.dim)
+
+    @cached_property
+    def grad_i(self) -> np.ndarray:
+        """``grad_i W(dx, r, h_i)`` (bitwise ``kernel.gradient(dx, r, h[i])``)."""
+        return self.kernel.gradient_from_q(self.dx, self.r, self.q_i, self.h_i, self.dim)
+
+    @cached_property
+    def grad_j(self) -> np.ndarray:
+        return self.kernel.gradient_from_q(self.dx, self.r, self.q_j, self.h_j, self.dim)
+
+    # -- reductions ------------------------------------------------------
+    def reduce(self, values: np.ndarray) -> np.ndarray:
+        """Per-row sums of per-pair ``values`` (bitwise ``NeighborList.reduce``);
+        the flattened index of a ``k``-column reduction is built once."""
+        n_rows = self.hi - self.lo
+        if values.ndim == 1:
+            return reduce_pairs(self.local_i, n_rows, values)
+        k = int(np.prod(values.shape[1:]))
+        if k not in self._flat_index:
+            self._flat_index[k] = (
+                self.local_i[:, None] * k + np.arange(k, dtype=np.int64)
+            ).ravel()
+        return reduce_pairs(
+            self.local_i, n_rows, values, flat_index=self._flat_index[k]
+        )

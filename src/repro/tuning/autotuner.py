@@ -223,8 +223,8 @@ class Autotuner:
 
     @staticmethod
     def _apply_knobs(exec_cfg, knobs: Dict[str, object]):
-        # Ledger rows outlive the knob set: a row written before
-        # ``pair_engine`` was removed still carries it, and is dropped here.
+        # Ledger rows outlive the knob set: a knob a row carries that is
+        # no longer an ``ExecConfig`` field is dropped here.
         fields = {f.name for f in dataclasses.fields(exec_cfg)}
         usable = {k: v for k, v in knobs.items() if k in fields}
         return dataclasses.replace(exec_cfg, **usable)

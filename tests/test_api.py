@@ -135,16 +135,17 @@ def test_removed_surface_fails_closed():
     """The deprecated driver surface, ``repro.compat``, the ``numba``
     backend, the ``pair_engine`` switch, (3.0.0) the process pool with
     its supervisor and chaos knobs, (4.0.0) the epoch/token protocol,
-    ``CffiImpl`` and the ``neighbor_search`` knob and (5.0.0) the
-    compiled path's stored per-pair products are gone: old spellings
-    are typed errors at the boundary, never a silent default."""
+    ``CffiImpl`` and the ``neighbor_search`` knob, (5.0.0) the
+    compiled path's stored per-pair products and (6.0.0) the numpy pair
+    engine are gone: old spellings are typed errors at the boundary,
+    never a silent default."""
     import importlib
 
     from repro.core.config import ExecConfig, SimulationConfig
     from repro.ics import SquarePatchConfig, make_square_patch
-    from repro.sph.pair_engine import PairContext
+    from repro.tree.pairs import Pairs
 
-    for module in ("repro.compat", "repro.parallel"):
+    for module in ("repro.compat", "repro.parallel", "repro.sph.pair_engine"):
         with pytest.raises(ModuleNotFoundError):
             importlib.import_module(module)
     with pytest.raises(ImportError):
@@ -167,8 +168,7 @@ def test_removed_surface_fails_closed():
         particles.bump_epoch("x")
     with pytest.raises(ImportError):
         from repro.sph import new_pair_token  # noqa: F401
-    with pytest.raises(AttributeError):
-        PairContext().set_tokens(1, 2, 3)
+    assert not hasattr(Pairs, "set_tokens")
     with pytest.raises(ImportError):
         from repro.backend.cffi_backend import CffiImpl  # noqa: F401
     with pytest.raises(TypeError):
@@ -185,11 +185,46 @@ def test_removed_surface_fails_closed():
     ):
         assert not hasattr(CompiledOps, removed), removed
     for removed in ("radii", "held", "hold"):
-        with pytest.raises(AttributeError):
-            getattr(PairContext(), removed)
+        assert not hasattr(Pairs, removed), removed
     for removed in (
         "rp_radii", "rp_counts_r", "rp_pair_kernel", "rp_rowsum", "rp_iad_tau",
         "rp_tau_inv", "rp_filter_count", "rp_filter_fill",
     ):
         assert removed + "(" not in csrc.CDEF, removed
+    # 6.0.0: one pair record per rate evaluation (``repro.tree.pairs``)
+    # instead of a pair engine with an arena, a memo protocol and counters.
+    import dataclasses
+    import inspect
+
+    from repro import sph
+    from repro.core.simulation import StepStats
+    from repro.gradients import compute_iad_matrices
+    from repro.kernels.base import Kernel
+    from repro.observability.report import RunReport
+    from repro.sph import (
+        adapt_smoothing_lengths,
+        compute_density,
+        compute_forces,
+        grad_h_terms,
+        velocity_divergence_curl,
+    )
+    from repro.tree.neighborlist import NeighborList
+
+    for removed in ("PairContext", "ScratchArena", "PairEngineStats"):
+        assert not hasattr(sph, removed), removed
+    with pytest.raises(ImportError):
+        from repro.observability import format_pair_engine  # noqa: F401
+    assert "pair_engine" not in {f.name for f in dataclasses.fields(RunReport)}
+    assert not [
+        f.name for f in dataclasses.fields(StepStats) if f.name.startswith("pair_")
+    ]
+    assert not hasattr(Kernel, "value_and_gradient")
+    assert not hasattr(NeighborList, "reduce_into")
+    for phase in (
+        compute_density, grad_h_terms, compute_iad_matrices,
+        velocity_divergence_curl, compute_forces, adapt_smoothing_lengths,
+    ):
+        assert "ctx" not in inspect.signature(phase).parameters, phase.__name__
+        with pytest.raises(TypeError):
+            phase(None, None, None, ctx=None)
 

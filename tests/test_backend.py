@@ -680,9 +680,9 @@ def _run_scenario(name, exec_config, engine_off=False):
         test=True, run_config=RunConfig(exec=exec_config)
     )
     if engine_off:
-        # degrade_to_serial() is the driver's way to drop the pair
-        # context; hand the compiled ops back so every phase takes its
-        # ephemeral ``ctx=None`` route *through the backend*.
+        # degrade_to_serial() drops the threads and the compiled ops;
+        # hand the ops back so the serial phases run *through the
+        # backend*.
         backend = sim.backend
         sim.degrade_to_serial()
         sim.backend = backend

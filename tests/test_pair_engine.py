@@ -1,43 +1,52 @@
-"""Pair-engine tests: flattened reductions, fused kernels, invalidation.
+"""Per-evaluation pair records: reductions, kernel products, lifetime.
 
-Covers the zero-redundancy pair engine end to end:
+The numpy phases share their per-pair work through one
+:class:`~repro.tree.pairs.Pairs` record per rate evaluation:
 
 * ``reduce_pairs`` — the single flattened bincount must be *bitwise*
   equal to the historical per-column loop;
-* fused kernel evaluation (``value_and_gradient`` / ``*_from_q`` with
-  ``out=``) — bitwise equal to the separate allocating calls;
-* :class:`~repro.sph.pair_engine.PairContext` lifetime — sharing inside
-  one open evaluation, nothing across two (moved ``x`` / ``h`` / ``v``),
-  Verlet-list rebuild, row-sliced binds, the ``h``-written drop;
-* driver integration — engine on vs off is bit-for-bit identical,
-  threaded runs with any worker count and cache setting match the
-  serial path, steady-state steps allocate nothing, an exception inside
-  a phase closes the evaluation, and the compiled path issues the
-  pinned number of ``rp_*`` calls per step and keeps nothing per pair.
+* the record's kernel products — ``W``, ``grad W`` and ``dW/dh`` off one
+  shared ``q = r/h`` — are bitwise the separate kernel calls;
+* record lifetime — geometry and products computed once per record and
+  read from the state at first use, a new record per state, row slices
+  memoised on the whole-list record;
+* driver integration — every numpy phase returns the same bits with the
+  evaluation's record as with ``pairs=None``, a cache-hit evaluation
+  runs off ONE geometry pass, threaded runs with any worker count and
+  cache setting are bitwise the serial run, nothing per pair outlives
+  an evaluation on either backend (a raise included), and the compiled
+  path issues the pinned number of ``rp_*`` calls per step.
 """
 
 from __future__ import annotations
 
 import collections
+import types
 
 import numpy as np
 import pytest
 
+import repro.core.phase_executor as phase_executor
+import repro.core.simulation as simulation
 from repro.backend import available_backends
 from repro.core.config import ExecConfig, RunConfig, SimulationConfig
+from repro.core.particles import ParticleSystem
 from repro.core.simulation import Simulation
+from repro.gradients.iad import compute_iad_matrices
 from repro.ics.square_patch import SquarePatchConfig, make_square_patch
 from repro.kernels.registry import make_kernel
-from repro.sph.pair_engine import PairContext, ScratchArena
+from repro.sph.density import compute_density, grad_h_terms
+from repro.sph.forces import compute_forces, velocity_divergence_curl
 from repro.sph.viscosity import ViscosityParams
 from repro.timestepping.steppers import TimestepParams
 from repro.tree.box import Box
 from repro.tree.cellgrid import cell_grid_search
-from repro.tree.neighborlist import NeighborList, reduce_pairs
+from repro.tree.neighborlist import NeighborList, balanced_row_slices, reduce_pairs
+from repro.tree.pairs import Pairs
 
 
 # ----------------------------------------------------------------------
-# Fixtures
+# Fixtures and helpers
 # ----------------------------------------------------------------------
 @pytest.fixture
 def cloud(rng):
@@ -50,8 +59,101 @@ def cloud(rng):
     return x, h, box, nlist
 
 
+def _particles(x, h, rng):
+    n, dim = x.shape
+    return ParticleSystem(
+        x=x.copy(), v=rng.normal(size=(n, dim)), m=np.full(n, 1.0 / n), h=h.copy()
+    )
+
+
+@pytest.fixture
+def geometry_calls(monkeypatch):
+    """Every pair-geometry pass (``NeighborList.pair_geometry``), by list
+    length — the one routine all numpy geometry goes through."""
+    calls = []
+    real = NeighborList.pair_geometry
+
+    def counted(self, *args, **kwargs):
+        calls.append(self.n_pairs)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(NeighborList, "pair_geometry", counted)
+    return calls
+
+
+TS = TimestepParams(use_energy_criterion=False)
+FIELDS = ("x", "v", "rho", "u", "p", "a", "du", "h")
+
+
+def _patch_sim(exec_config, side=8, layers=6, **config_kw):
+    particles, box, eos = make_square_patch(SquarePatchConfig(side=side, layers=layers))
+    config = SimulationConfig().with_(n_neighbors=30, timestep_params=TS, **config_kw)
+    return Simulation(
+        particles, box, eos, config=config, run_config=RunConfig(exec=exec_config)
+    )
+
+
+def _run_sim(exec_config, n_steps=3, **config_kw):
+    sim = _patch_sim(exec_config, **config_kw)
+    try:
+        sim.run(n_steps=n_steps)
+        state = {name: getattr(sim.particles, name).copy() for name in FIELDS}
+        return state, [s.dt for s in sim.history], sim
+    finally:
+        sim.close()
+
+
+def _float_arrays(root, min_size):
+    """Attribute paths from ``root`` to float64 arrays of at least
+    ``min_size`` entries, through instance attributes and builtin
+    containers (modules, classes and functions are not entered)."""
+    found, seen, todo = [], set(), [("sim", root)]
+    skip = (type, types.ModuleType, types.FunctionType, types.MethodType)
+    while todo:
+        path, obj = todo.pop()
+        if id(obj) in seen or isinstance(obj, skip):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            if obj.dtype == np.float64 and obj.size >= min_size:
+                found.append(path)
+        elif isinstance(obj, dict):
+            todo += [(f"{path}[{k!r}]", v) for k, v in obj.items()]
+        elif isinstance(obj, (list, tuple, set, frozenset)):
+            todo += [(f"{path}[{k}]", v) for k, v in enumerate(obj)]
+        elif hasattr(obj, "__dict__"):
+            todo += [(f"{path}.{k}", v) for k, v in vars(obj).items()]
+    return found
+
+
+def _pair_arrays(sim):
+    """float64 arrays reachable from ``sim`` as long as the pairs of its
+    smallest row slice — per-pair state left over from an evaluation."""
+    nlist = sim._nlist
+    slices = balanced_row_slices(nlist.offsets, max(sim._phases.n_slices, 1))
+    smallest = min(int(nlist.offsets[hi] - nlist.offsets[lo]) for lo, hi in slices)
+    # Longer than any per-particle array (the longest is n x 3 x 3).
+    assert smallest > 9 * sim.particles.n
+    return _float_arrays(sim, smallest)
+
+
+class _Capture:
+    """Records the ``pairs`` each numpy density call of the driver gets,
+    with the driver's list at that moment."""
+
+    def __init__(self, sim, monkeypatch):
+        self.seen = []
+        real = phase_executor.compute_density
+
+        def density(*args, **kwargs):
+            self.seen.append((kwargs.get("pairs"), sim._nlist))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(phase_executor, "compute_density", density)
+
+
 # ----------------------------------------------------------------------
-# Flattened reductions (satellite 1)
+# Flattened reductions
 # ----------------------------------------------------------------------
 def test_reduce_pairs_flattened_matches_per_column_loop_bitwise(cloud, rng):
     _, _, _, nlist = cloud
@@ -83,282 +185,227 @@ def test_reduce_pairs_precomputed_flat_index(cloud, rng):
     assert np.array_equal(a, b)
 
 
-def test_reduce_into(cloud, rng):
-    _, _, _, nlist = cloud
-    values = rng.normal(size=(nlist.n_pairs, 3))
-    out = np.empty((nlist.n, 3))
-    got = nlist.reduce_into(values, out)
-    assert got is out
-    assert np.array_equal(out, nlist.reduce(values))
-    with pytest.raises(ValueError):
-        nlist.reduce_into(values, np.empty((nlist.n, 2)))
-
-
 def test_pair_i_is_memoized(cloud):
     _, _, _, nlist = cloud
-    assert nlist.pair_i() is nlist.pair_i()  # satellite 2
+    assert nlist.pair_i() is nlist.pair_i()
 
 
 # ----------------------------------------------------------------------
-# Fused kernel evaluation
+# Kernel products off one shared q
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("name", ["cubic-spline", "wendland-c2", "sinc"])
 @pytest.mark.parametrize("dim", [2, 3])
 def test_fused_value_and_gradient_bitwise(name, dim, rng):
+    """``w``, ``grad`` and ``dW/dh`` of a record share one ``q = r/h``
+    (self pairs exercise the singular-origin branch) and are bitwise the
+    separate allocating kernel calls."""
     kernel = make_kernel(name)
-    n = 400
-    dx = rng.normal(size=(n, dim)) * 0.1
-    r = np.sqrt(np.einsum("ij,ij->i", dx, dx))
-    r[0] = 0.0  # exercise the singular-origin branch
-    dx[0] = 0.0
-    h = rng.uniform(0.05, 0.15, size=n)
-
-    w_ref = kernel.value(r, h, dim)
-    g_ref = kernel.gradient(dx, r, h, dim)
-    w, g = kernel.value_and_gradient(dx, r, h, dim)
-    assert np.array_equal(w, w_ref)
-    assert np.array_equal(g, g_ref)
-
-    # out= paths must run the same op sequence, hence the same bits.
-    w_out = np.empty(n)
-    g_out = np.empty((n, dim))
-    scratch = np.empty(n)
-    w2, g2 = kernel.value_and_gradient(
-        dx, r, h, dim, w_out=w_out, grad_out=g_out, scratch=scratch
-    )
-    assert w2 is w_out and g2 is g_out
-    assert np.array_equal(w_out, w_ref)
-    assert np.array_equal(g_out, g_ref)
-
-    dwdh_ref = kernel.h_derivative(r, h, dim)
-    q = r / h
-    dwdh = kernel.h_derivative_from_q(q, h, dim, out=np.empty(n))
-    assert np.array_equal(dwdh, dwdh_ref)
+    n = 200
+    x = rng.random((n, dim))
+    h = rng.uniform(0.08, 0.16, size=n)
+    box = Box.cube(0.0, 1.0, dim=dim, periodic=True)
+    nlist = cell_grid_search(x, 2.0 * h, box, mode="symmetric")
+    pairs = Pairs(_particles(x, h, rng), nlist, kernel, box)
+    i, j = nlist.pairs()
+    dx, r = pairs.dx, pairs.r
+    assert np.any(r == 0.0)
+    assert np.array_equal(pairs.w_i, kernel.value(r, h[i], dim))
+    assert np.array_equal(pairs.w_j, kernel.value(r, h[j], dim))
+    assert np.array_equal(pairs.grad_i, kernel.gradient(dx, r, h[i], dim))
+    assert np.array_equal(pairs.grad_j, kernel.gradient(dx, r, h[j], dim))
+    assert np.array_equal(pairs.dwdh_i, kernel.h_derivative(r, h[i], dim))
+    assert pairs.q_i is pairs.q_i
 
 
 # ----------------------------------------------------------------------
-# Scratch arena
+# Record lifetime
 # ----------------------------------------------------------------------
-def test_scratch_arena_grow_only_reuse():
-    arena = ScratchArena()
-    a = arena.take("buf", (100,))
-    base = arena._buffers["buf"]
-    allocated = arena.stats.bytes_allocated
-    b = arena.take("buf", (80,))  # smaller: served from the same storage
-    assert arena._buffers["buf"] is base
-    assert arena.stats.bytes_allocated == allocated
-    assert arena.stats.bytes_reused == 80 * 8
-    assert b.shape == (80,)
-    c = arena.take("buf", (200,))  # larger: regrow
-    assert arena.stats.bytes_allocated > allocated
-    assert c.shape == (200,)
-    assert a.shape == (100,)  # old views keep their shapes
-
-
-def test_scratch_arena_dtype_change_reallocates():
-    arena = ScratchArena()
-    arena.take("buf", (10,), np.float64)
-    i = arena.take("buf", (10,), np.int64)
-    assert i.dtype == np.int64
-
-
-# ----------------------------------------------------------------------
-# PairContext lifetime
-# ----------------------------------------------------------------------
-def test_geometry_reuse_and_position_drift(cloud):
+def test_geometry_reuse_and_position_drift(cloud, rng, geometry_calls):
     x, h, box, nlist = cloud
-    ctx = PairContext()
+    p = _particles(x, h, rng)
+    kernel = make_kernel("cubic-spline")
+    pairs = Pairs(p, nlist, kernel, box)
+    assert geometry_calls == []  # nothing is computed before it is read
+    dx, r = pairs.dx, pairs.r
+    assert pairs.dx is dx and pairs.r is r and pairs.i is pairs.i
+    assert geometry_calls == [nlist.n_pairs]  # one pass per record
+    dx_ref, r_ref = nlist.pair_geometry(x, box)
+    assert np.array_equal(dx, dx_ref)
+    assert np.array_equal(r, r_ref)
 
-    with ctx.evaluation():
-        ctx.bind(x, nlist, box)
-        assert ctx.stats.geometry_computes == 1
-        dx_ref, r_ref = nlist.pair_geometry(x, box)
-        assert np.array_equal(ctx.dx, dx_ref)
-        assert np.array_equal(ctx.r, r_ref)
-
-        ctx.bind(x, nlist, box)  # same evaluation + same list object -> reuse
-        assert ctx.stats.geometry_computes == 1
-        assert ctx.stats.geometry_reuses == 1
-
-    # Drift: the next evaluation sees the moved x on the same list object.
-    x2 = x + 0.01
-    with ctx.evaluation():
-        ctx.bind(x2, nlist, box)
-        assert ctx.stats.geometry_computes == 2
-        dx2, r2 = nlist.pair_geometry(x2, box)
-        assert np.array_equal(ctx.dx, dx2)
-        assert np.array_equal(ctx.r, r2)
+    # Drift: the next evaluation's record sees the moved x on the same list.
+    p.x += 0.01
+    moved = Pairs(p, nlist, kernel, box)
+    dx2, r2 = nlist.pair_geometry(p.x, box)
+    assert np.array_equal(moved.dx, dx2)
+    assert np.array_equal(moved.r, r2)
 
 
-def test_product_invalidation_on_h_change(cloud):
+def test_product_invalidation_on_h_change(cloud, rng):
+    """Products read ``h`` when first read: a record made before the h
+    iteration writes ``h`` in place (the cache-hit path) sees the new
+    ``h``; a record for a later state recomputes."""
     x, h, box, nlist = cloud
     kernel = make_kernel("cubic-spline")
-    ctx = PairContext()
+    p = _particles(x, h, rng)
     i, _ = nlist.pairs()
 
-    with ctx.evaluation():
-        ctx.bind(x, nlist, box)
-        w1 = ctx.w_i(kernel, h, 3)
-        assert np.array_equal(w1, kernel.value(ctx.r, h[i], 3))
-        assert ctx.w_i(kernel, h, 3) is w1  # memoized by name
-        w1 = w1.copy()  # the live view will be overwritten by the recompute
+    pairs = Pairs(p, nlist, kernel, box)
+    pairs.r  # the h iteration counts off the geometry ...
+    p.h[:] *= 1.05  # ... and writes h in place
+    w1 = pairs.w_i
+    assert np.array_equal(w1, kernel.value(pairs.r, p.h[i], 3))
+    assert pairs.w_i is w1  # memoised
 
-        # h re-adaptation inside the evaluation: same geometry, h written.
-        h2 = h * 1.05
-        ctx.h_written()
-        ctx.bind(x, nlist, box)
-        assert ctx.stats.geometry_reuses >= 1  # geometry survived
-        w2 = ctx.w_i(kernel, h2, 3)
-        assert np.array_equal(w2, kernel.value(ctx.r, h2[i], 3))
-        assert not np.array_equal(w1, w2)
-        w2 = w2.copy()
-
-    # And a second evaluation after h moved again recomputes too.
-    h3 = h * 0.9
-    with ctx.evaluation():
-        ctx.bind(x, nlist, box)
-        w3 = ctx.w_i(kernel, h3, 3)
-        assert np.array_equal(w3, kernel.value(ctx.r, h3[i], 3))
-        assert not np.array_equal(w2, w3)
+    p.h[:] *= 0.9
+    w2 = Pairs(p, nlist, kernel, box).w_i
+    assert np.array_equal(w2, kernel.value(pairs.r, p.h[i], 3))
+    assert not np.array_equal(w1, w2)
 
 
 def test_velocity_token_invalidates_vel_ij(cloud, rng):
     x, h, box, nlist = cloud
-    ctx = PairContext()
-    v = rng.normal(size=x.shape)
+    kernel = make_kernel("cubic-spline")
+    p = _particles(x, h, rng)
     i, j = nlist.pairs()
-    with ctx.evaluation():
-        ctx.bind(x, nlist, box)
-        v1 = ctx.vel_ij(v)
-        assert np.array_equal(v1, v[i] - v[j])
-        assert ctx.vel_ij(v) is v1
-    v_new = v * 2.0  # kick: the next evaluation reads the new velocities
-    with ctx.evaluation():
-        ctx.bind(x, nlist, box)
-        assert np.array_equal(ctx.vel_ij(v_new), v_new[i] - v_new[j])
+    pairs = Pairs(p, nlist, kernel, box)
+    v1 = pairs.v_ij
+    assert np.array_equal(v1, p.v[i] - p.v[j])
+    assert pairs.v_ij is v1
+    p.v = p.v * 2.0  # kick: the next evaluation's record reads the new v
+    assert np.array_equal(Pairs(p, nlist, kernel, box).v_ij, p.v[i] - p.v[j])
 
 
-def test_verlet_rebuild_invalidates_by_identity(cloud):
-    """A rebuilt list (same evaluation, different object) must not be trusted."""
+def test_verlet_rebuild_invalidates_by_identity(monkeypatch):
+    """Every evaluation's phases read a record of the list the driver
+    holds: on a cache hit the very record the h iteration counted off,
+    after a build a fresh record of the list cut from the searched one."""
+    sim = _patch_sim(ExecConfig(neighbor_cache=True))
+    capture = _Capture(sim, monkeypatch)
+    sweeps = []
+    real = simulation.adapt_from_cached_list
+
+    def adapt(*args, **kwargs):
+        sweeps.append(kwargs["pairs"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(simulation, "adapt_from_cached_list", adapt)
+    try:
+        sim.run(n_steps=3)
+    finally:
+        sim.close()
+    stats = sim.report().neighbor_cache
+    assert stats["builds"] >= 1 and stats["hits"] >= 1
+    assert len(sweeps) == stats["hits"]
+    for pairs, nlist in capture.seen:
+        assert pairs.nlist is nlist
+    hit_records = [pairs for pairs, _ in capture.seen if pairs in sweeps]
+    assert len(hit_records) == stats["hits"]
+
+
+def test_untracked_context_never_reuses_across_binds(cloud, rng, geometry_calls):
+    """A phase called without a record (``pairs=None``) makes its own:
+    two standalone calls are two geometry passes, nothing shared."""
     x, h, box, nlist = cloud
-    ctx = PairContext()
-    with ctx.evaluation():
-        ctx.bind(x, nlist, box)
-        rebuilt = NeighborList(nlist.offsets.copy(), nlist.indices.copy())
-        ctx.bind(x, rebuilt, box)  # same pair count — new object
-    assert ctx.stats.geometry_computes == 2
-    assert ctx.stats.geometry_reuses == 0
+    kernel = make_kernel("cubic-spline")
+    p = _particles(x, h, rng)
+    first = compute_density(p, nlist, kernel, box).copy()
+    second = compute_density(p, nlist, kernel, box)
+    assert geometry_calls == [nlist.n_pairs, nlist.n_pairs]
+    assert np.array_equal(first, second)
 
 
-def test_untracked_context_never_reuses_across_binds(cloud):
+def test_context_row_slices(cloud, rng):
+    """A row range's record: the slice's geometry, memoised per range on
+    the whole-list record, reducing to the rows of the whole-list sums."""
     x, h, box, nlist = cloud
-    ctx = PairContext()  # no evaluation open
-    ctx.bind(x, nlist, box)
-    ctx.bind(x, nlist, box)
-    assert ctx.stats.geometry_computes == 2
-
-
-def test_context_row_slices(cloud):
-    """A context bound to a row range: the slice's geometry, reused
-    across phases on the same list object, keyed on the range; opened
-    (and closed) together with the whole-list context."""
-    x, h, box, nlist = cloud
+    kernel = make_kernel("cubic-spline")
+    whole = Pairs(_particles(x, h, rng), nlist, kernel, box)
     lo, hi = 50, 180
-    whole, ctx = PairContext(), PairContext()
-
-    with whole.evaluation([ctx]):
-        assert ctx.is_open
-        ctx.bind(x, nlist, box, rows=(lo, hi))
-        assert (ctx.lo, ctx.hi) == (lo, hi)
-        sub = nlist.row_slice(lo, hi)
-        dx_ref, r_ref = sub.pair_geometry(x, box, row_offset=lo)
-        assert np.array_equal(ctx.dx, dx_ref)
-        assert np.array_equal(ctx.r, r_ref)
-        assert np.array_equal(ctx.i, sub.pair_i() + lo)
-        assert np.array_equal(ctx.j, sub.indices)
-
-        # Next phase of the evaluation: same list object, same rows.
-        ctx.bind(x, nlist, box, rows=(lo, hi))
-        assert ctx.stats.geometry_reuses == 1
-        assert ctx.stats.geometry_computes == 1
-
-        # A different row range is its own geometry.
-        ctx.bind(x, nlist, box, rows=(0, 50))
-        assert ctx.stats.geometry_computes == 2
-    assert not ctx.is_open
-
-    # A second evaluation after moving x recomputes the slice.
-    x2 = x + 0.01
-    with whole.evaluation([ctx]):
-        ctx.bind(x2, nlist, box, rows=(0, 50))
-        assert ctx.stats.geometry_computes == 3
-        ref = nlist.row_slice(0, 50).pair_geometry(x2, box)[1]
-        assert np.array_equal(ctx.r, ref)
-
-
-def test_evaluation_closes_on_raise(cloud):
-    x, h, box, nlist = cloud
-    ctx = PairContext()
-    with pytest.raises(RuntimeError, match="boom"):
-        with ctx.evaluation():
-            ctx.bind(x, nlist, box)
-            raise RuntimeError("boom")
-    assert not ctx.is_open
-    ctx.bind(x, nlist, box)  # nothing of the failed evaluation is shared
-    ctx.bind(x, nlist, box)
-    assert ctx.stats.geometry_reuses == 0
+    part = whole.rows(lo, hi)
+    assert whole.rows(lo, hi) is part
+    assert whole.rows(0, 50) is not part
+    assert (part.lo, part.hi) == (lo, hi)
+    sub = nlist.row_slice(lo, hi)
+    dx_ref, r_ref = sub.pair_geometry(x, box, row_offset=lo)
+    assert np.array_equal(part.dx, dx_ref)
+    assert np.array_equal(part.r, r_ref)
+    assert np.array_equal(part.i, sub.pair_i() + lo)
+    assert np.array_equal(part.j, sub.indices)
+    assert np.array_equal(part.reduce(part.grad_i), whole.reduce(whole.grad_i)[lo:hi])
+    assert np.array_equal(part.reduce(part.w_i), whole.reduce(whole.w_i)[lo:hi])
 
 
 # ----------------------------------------------------------------------
 # Driver integration
 # ----------------------------------------------------------------------
-TS = TimestepParams(use_energy_criterion=False)
-FIELDS = ("x", "v", "rho", "u", "p", "a", "du", "h")
-
-
-def _run_sim(exec_config, n_steps=3, engine_off=False, **config_kw):
-    particles, box, eos = make_square_patch(SquarePatchConfig(side=8, layers=6))
-    config = SimulationConfig().with_(
-        n_neighbors=30, timestep_params=TS, **config_kw
-    )
-    sim = Simulation(
-        particles, box, eos, config=config,
-        run_config=RunConfig(exec=exec_config),
-    )
-    if engine_off:
-        # The reference: every phase builds an ephemeral ``ctx=None``
-        # context per call (the Verlet cache, if any, stays on).
-        sim.degrade_to_serial()
+@pytest.mark.parametrize("cache", [False, True], ids=["fresh", "verlet"])
+def test_phases_match_standalone_bitwise(cache, monkeypatch):
+    """Each numpy phase returns the same bits reading the evaluation's
+    record (with whatever the evaluation's phases computed on it) as
+    making its own with ``pairs=None``."""
+    sim = _patch_sim(ExecConfig(neighbor_cache=cache))
     try:
-        sim.run(n_steps=n_steps)
-        state = {name: getattr(sim.particles, name).copy() for name in FIELDS}
-        return state, [s.dt for s in sim.history], sim
+        sim.run(n_steps=1)
+        capture = _Capture(sim, monkeypatch)
+        sim.compute_rates()
     finally:
         sim.close()
+    (pairs, nlist), = capture.seen
+    assert pairs is not None and pairs.nlist is nlist
+    p, kernel, box = sim.particles, sim.kernel, sim.box
+
+    def both(fn, **options):
+        return [
+            fn(p.copy(), nlist, kernel, box, pairs=shared, **options)
+            for shared in (pairs, None)
+        ]
+
+    def same(a, b):
+        if hasattr(a, "max_mu"):
+            assert a.max_mu == b.max_mu
+            a, b = (a.a, a.du), (b.a, b.du)
+        for x, y in zip(np.atleast_1d(a) if isinstance(a, np.ndarray) else a,
+                        np.atleast_1d(b) if isinstance(b, np.ndarray) else b):
+            assert np.array_equal(x, y)
+
+    same(*both(compute_density, volume_elements="standard"))
+    same(*both(compute_density, volume_elements="generalized"))
+    same(*both(grad_h_terms))
+    same(*both(compute_iad_matrices))
+    same(*both(velocity_divergence_curl))
+    same(*both(compute_forces, gradients="standard", grad_h=True))
+    same(*both(
+        compute_forces, gradients="iad",
+        viscosity=ViscosityParams(use_balsara=True),
+    ))
 
 
-@pytest.mark.parametrize(
-    "config_kw",
-    [
-        {"gradients": "standard"},
-        {"gradients": "iad", "grad_h": True},
-    ],
-    ids=["standard", "iad+gradh"],
-)
-def test_engine_on_off_bitwise_parity_serial(config_kw):
-    on, dts_on, sim_on = _run_sim(ExecConfig(), **config_kw)
-    off, dts_off, sim_off = _run_sim(
-        ExecConfig(), engine_off=True, **config_kw
-    )
-    assert dts_on == dts_off
-    for name in FIELDS:
-        assert np.array_equal(on[name], off[name]), (
-            f"field {name!r} not bitwise identical with the engine on"
-        )
-    # Engine on actually reused work; engine off reports all zeros.
-    assert sim_on.report().pair_engine["geometry_reuses"] > 0
-    assert sim_off.report().pair_engine["geometry_computes"] == 0
-    assert all(s.pair_geometry_computes == 0 for s in sim_off.history)
+@pytest.mark.parametrize("workers", [0, 2])
+def test_cache_hit_evaluation_computes_geometry_once(workers, geometry_calls):
+    """On a Verlet-cache hit the numpy h iteration and every phase read
+    one geometry pass; threaded, each slice's record adds its own — one
+    plus one per slice, as many as with per-slice contexts."""
+    sim = _patch_sim(ExecConfig(neighbor_cache=True, workers=workers))
+    hit_steps = 0
+    try:
+        sim.run(n_steps=1)
+        for _ in range(4):
+            before = dict(sim.report().neighbor_cache)
+            del geometry_calls[:]
+            sim.step()
+            after = sim.report().neighbor_cache
+            if after["hits"] != before["hits"] + 1 or after["builds"] != before["builds"]:
+                continue
+            hit_steps += 1
+            n_slices = (
+                len(balanced_row_slices(sim._nlist.offsets, sim._phases.n_slices))
+                if workers else 0
+            )
+            assert len(geometry_calls) == 1 + n_slices
+    finally:
+        sim.close()
+    assert hit_steps, "no step was a pure cache hit"
 
 
 @pytest.mark.parametrize("workers", [1, 2, 4])
@@ -366,45 +413,16 @@ def test_engine_on_off_bitwise_parity_serial(config_kw):
 def test_pool_engine_parity(workers, cache):
     # Same cache setting on both sides: the Verlet list's reuse schedule
     # legitimately shifts summation roundoff, which is not what this
-    # test probes — it isolates the threads + pair-engine path.
-    ref, ref_dts, _ = _run_sim(
-        ExecConfig(neighbor_cache=cache), n_steps=2, engine_off=True
-    )
-    got, dts, sim = _run_sim(
+    # test probes — it isolates the threads and the per-slice records.
+    ref, ref_dts, _ = _run_sim(ExecConfig(neighbor_cache=cache), n_steps=2)
+    got, dts, _ = _run_sim(
         ExecConfig(workers=workers, neighbor_cache=cache), n_steps=2
     )
     assert dts == ref_dts
     for name in FIELDS:
-        np.testing.assert_allclose(
-            got[name], ref[name], rtol=1e-12, atol=0.0,
-            err_msg=f"workers={workers} cache={cache}: field {name!r}",
+        assert np.array_equal(got[name], ref[name]), (
+            f"workers={workers} cache={cache}: field {name!r}"
         )
-    # The threads actually exercised their slice contexts.
-    assert sim.report().pair_engine["geometry_computes"] > 0
-
-
-def test_steady_state_steps_allocate_nothing():
-    particles, box, eos = make_square_patch(SquarePatchConfig(side=10, layers=6))
-    config = SimulationConfig().with_(n_neighbors=30, timestep_params=TS)
-    sim = Simulation(
-        particles, box, eos, config=config,
-        run_config=RunConfig(exec=ExecConfig(neighbor_cache=True)),
-    )
-    try:
-        sim.run(n_steps=5)
-    finally:
-        sim.close()
-    last = sim.history[-1]
-    assert last.pair_bytes_allocated == 0, (
-        "steady-state step still touched the allocator"
-    )
-    assert last.pair_bytes_reused > 0
-    # On a Verlet-cache hit the whole step runs off ONE geometry pass.
-    hit_steps = [
-        s for s in sim.history[1:] if s.pair_geometry_computes == 1
-    ]
-    assert hit_steps, "no step reached the 1-geometry-pass steady state"
-    assert all(s.pair_geometry_reuses >= 3 for s in hit_steps)
 
 
 def test_restore_invalidates_pair_context(tmp_path):
@@ -414,49 +432,56 @@ def test_restore_invalidates_pair_context(tmp_path):
         write_checkpoint,
     )
 
-    particles, box, eos = make_square_patch(SquarePatchConfig(side=8, layers=4))
-    config = SimulationConfig().with_(n_neighbors=30, timestep_params=TS)
-    sim = Simulation(particles, box, eos, config=config)
+    sim = _patch_sim(ExecConfig(), layers=4)
     sim.run(n_steps=2)
     path = tmp_path / "cp.npz"
     write_checkpoint(path, Checkpoint.of_simulation(sim))
     sim.run(n_steps=1)
     third = {name: getattr(sim.particles, name).copy() for name in FIELDS}
-    # Between evaluations the context is closed and holds no list.
-    assert not sim._pair_ctx.is_open
-    assert sim._pair_ctx._nlist_ref is None
+    # Between evaluations nothing per pair is held.
+    assert _pair_arrays(sim) == []
     read_checkpoint(path).restore_into(sim)
-    # The restored run replays the third step: nothing of the
-    # pre-restore evaluation is shared with it.
+    # The restored run replays the third step bit for bit.
     sim.run(n_steps=1)
-    assert sim.history[-1].pair_geometry_computes >= 1
     for name in FIELDS:
         assert np.array_equal(getattr(sim.particles, name), third[name]), name
 
 
+def _broken(*args, **kwargs):
+    raise RuntimeError("phase failed")
+
+
+def test_evaluation_closes_on_raise(monkeypatch):
+    """A slice of a threaded phase raises: the evaluation's records go
+    with the raise, the particles are untouched."""
+    sim = _patch_sim(ExecConfig(neighbor_cache=True, workers=2))
+    try:
+        sim.run(n_steps=1)
+        state = {name: getattr(sim.particles, name).copy() for name in FIELDS}
+        with monkeypatch.context() as patch:
+            patch.setattr(phase_executor, "compute_forces", _broken)
+            with pytest.raises(RuntimeError, match="phase failed"):
+                sim.compute_rates()
+        assert _pair_arrays(sim) == []
+        for name in ("x", "v", "a", "du"):
+            assert np.array_equal(getattr(sim.particles, name), state[name]), name
+    finally:
+        sim.close()
+
+
 def test_exception_inside_a_phase_closes_the_evaluation(monkeypatch):
-    import repro.core.phase_executor as phase_executor
-
-    particles, box, eos = make_square_patch(SquarePatchConfig(side=8, layers=4))
-    config = SimulationConfig().with_(n_neighbors=30, timestep_params=TS)
     run_config = RunConfig(exec=ExecConfig(neighbor_cache=True))
-    sim = Simulation(particles, box, eos, config=config, run_config=run_config)
-    ref = Simulation(
-        particles.copy(), box, eos, config=config, run_config=run_config
+    sim, ref = (
+        _patch_sim(run_config.exec, layers=4), _patch_sim(run_config.exec, layers=4)
     )
-    ref.degrade_to_serial()  # the context-free reference
-
-    def broken(*args, **kwargs):
-        raise RuntimeError("phase failed")
 
     for s in (sim, ref):
         s.compute_rates()
         with monkeypatch.context() as patch:
-            patch.setattr(phase_executor, "compute_forces", broken)
+            patch.setattr(phase_executor, "compute_forces", _broken)
             with pytest.raises(RuntimeError, match="phase failed"):
                 s.compute_rates()
-    assert not sim._pair_ctx.is_open
-    assert sim._pair_ctx._nlist_ref is None
+    assert _pair_arrays(sim) == []
 
     # Move the particles under the (still valid) Verlet list: the next
     # evaluation succeeds and reads the moved positions.
@@ -470,8 +495,8 @@ def test_exception_inside_a_phase_closes_the_evaluation(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# Compiled path: the list is the only per-pair state, counted at the
-# library boundary
+# Nothing per pair outlives an evaluation; the compiled path is counted
+# at the library boundary
 # ----------------------------------------------------------------------
 STANDARD_GRADH_BALSARA = dict(
     gradients="standard", grad_h=True, viscosity=ViscosityParams(use_balsara=True)
@@ -492,17 +517,10 @@ def test_compiled_ops_per_cache_hit_step(config_kw, phase_ops, rp_calls):
     evaluation cuts the support list once, and each pair phase the
     configuration runs is one row-kernel call (density twice with
     grad-h: ``W`` sums, then ``dW/dh`` sums) — nothing per pair is
-    computed ahead or kept, so nothing is counted as reused."""
+    computed ahead or kept."""
     if not available_backends()["cffi"]:
         pytest.skip("no C toolchain on this host")
-    particles, box, eos = make_square_patch(SquarePatchConfig(side=8, layers=6))
-    config = SimulationConfig().with_(
-        n_neighbors=30, timestep_params=TS, **config_kw
-    )
-    sim = Simulation(
-        particles, box, eos, config=config,
-        run_config=RunConfig(exec=ExecConfig(backend="cffi", neighbor_cache=True)),
-    )
+    sim = _patch_sim(ExecConfig(backend="cffi", neighbor_cache=True), **config_kw)
     # Step 0 of a cold run: two evaluations, the first of which builds.
     sim.run(n_steps=1)
     cold = sim.report().neighbor_cache
@@ -532,35 +550,22 @@ def test_compiled_ops_per_cache_hit_step(config_kw, phase_ops, rp_calls):
 
 
 @pytest.mark.parametrize("workers", [0, 2])
-def test_compiled_path_keeps_nothing_per_pair_but_the_list(workers):
-    """After cffi steps (a build and hits) no array at all — let alone a
-    float64 one of pair length — is reachable from the places per-pair
-    state could live: the driver's pair context, the executor's slice
-    contexts, the process's op table; and the pair engine moved no
-    byte."""
-    if not available_backends()["cffi"]:
+@pytest.mark.parametrize("backend", ["numpy", "cffi"])
+def test_compiled_path_keeps_nothing_per_pair_but_the_list(backend, workers):
+    """After steps that build the list and hit it, no float64 array of
+    pair length is reachable from the simulation, on either backend:
+    the compiled path recomputes per row, and the numpy path's pair
+    record is a local of the rate evaluation.  The neighbour list is the
+    only per-pair state that outlives an evaluation."""
+    if backend == "cffi" and not available_backends()["cffi"]:
         pytest.skip("no C toolchain on this host")
-    from repro.backend import select_backend
-    from tests.test_concurrent_simulations import _reachable_arrays
-
-    particles, box, eos = make_square_patch(SquarePatchConfig(side=8, layers=6))
-    config = SimulationConfig().with_(n_neighbors=30, timestep_params=TS)
-    sim = Simulation(
-        particles, box, eos, config=config,
-        run_config=RunConfig(exec=ExecConfig(
-            backend="cffi", neighbor_cache=True, workers=workers,
-        )),
+    sim = _patch_sim(
+        ExecConfig(backend=backend, neighbor_cache=True, workers=workers)
     )
     try:
         sim.run(n_steps=2)
-        assert len(sim._phases.contexts) == workers
-        owners = (
-            sim._pair_ctx, *sim._phases.contexts, select_backend("cffi").ops
-        )
-        for owner in owners:
-            assert _reachable_arrays(owner) == []
-        pair_engine = sim.report().pair_engine
-        assert pair_engine == dict.fromkeys(pair_engine, 0)
-        assert all(s.pair_bytes_allocated == 0 for s in sim.history)
+        stats = sim.report().neighbor_cache
+        assert stats["builds"] >= 1 and stats["hits"] >= 1
+        assert _pair_arrays(sim) == []
     finally:
         sim.close()

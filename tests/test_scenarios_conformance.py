@@ -5,10 +5,10 @@ Parametrized over the whole scenario registry, each entry must
   (a) reproduce its committed golden master (per-step conservation totals
       and final-state checksums, tight relative tolerance),
   (b) hold the conserved-quantity drift bounds it declares, and
-  (c) produce bit-for-bit identical particle state with the pair engine
-      on vs off and with 1 vs 2 phase threads — the repo's
-      standing bitwise-reproducibility invariant, extended from the two
-      paper workloads to all eight scenarios.
+  (c) produce bit-for-bit identical particle state with 0, 1 and 2
+      phase threads — the repo's standing bitwise-reproducibility
+      invariant, extended from the two paper workloads to all eight
+      scenarios.
 
 A new scenario added to :mod:`repro.scenarios.library` is enrolled here
 automatically; the only extra artifact it needs is its golden file
@@ -34,17 +34,12 @@ SCENARIOS = [sc.name for sc in all_scenarios()]
 FIELDS = ("x", "v", "rho", "u", "p", "h", "du")
 
 
-def _run(
-    name: str, exec_config: ExecConfig = ExecConfig(), engine_off: bool = False
-):
+def _run(name: str, exec_config: ExecConfig = ExecConfig()):
     """One golden-length run; returns (record, drift, final field arrays)."""
     scenario = get_scenario(name)
     sim = scenario.make_simulation(
         test=True, run_config=RunConfig(exec=exec_config)
     )
-    if engine_off:
-        # The reference path: ephemeral ``ctx=None`` phase calls.
-        sim.degrade_to_serial()
     try:
         sim.run(n_steps=scenario.golden_steps)
         record = record_run(sim, case=f"scenario:{name}")
@@ -84,16 +79,6 @@ def test_declared_invariants_hold(name):
         assert drift[quantity] <= tolerance, (
             f"{name}: {quantity} drift {drift[quantity]:.3e} "
             f"exceeds declared bound {tolerance:.3e}"
-        )
-
-
-@pytest.mark.parametrize("name", SCENARIOS)
-def test_pair_engine_off_is_bitwise_identical(name):
-    _, _, ref = _baseline(name)
-    _, _, state = _run(name, engine_off=True)
-    for field in FIELDS:
-        assert np.array_equal(state[field], ref[field]), (
-            f"{name}: field {field!r} differs with the pair engine off"
         )
 
 
