@@ -42,7 +42,7 @@ from ..timestepping.steppers import (
 )
 from ..tree.box import Box
 from ..tree.octree import Octree
-from ..tree.pairs import Pairs
+from ..tree.pairs import Pairs, support_cut
 from .config import ExecConfig, RunConfig, SimulationConfig
 from .conservation import ConservationState, measure_conservation
 from .particles import ParticleSystem
@@ -292,10 +292,11 @@ class Simulation:
     def compute_rates(self) -> None:
         """Rebuild tree/neighbours and evaluate all rates at current state.
 
-        On the numpy path the pairs of the evaluation live in one
-        :class:`~repro.tree.pairs.Pairs` record, a local of this call:
-        what the h iteration and phases D-H compute per pair is shared
-        among them and gone on return or raise.
+        On the numpy path the pairs of the evaluation live in
+        :class:`~repro.tree.pairs.Pairs` records, locals of this call:
+        the h iteration counts off the padded list's geometry, phases
+        D-H share the products of its support cut, and all of it is gone
+        on return or raise.
         """
         p = self.particles
         cfg = self.config
@@ -305,9 +306,8 @@ class Simulation:
         # particle sits within the skin budget (half for displacement,
         # half for h growth) since it was built.  On a hit, the neighbour
         # searches of phases B-C are skipped; the h iteration still runs,
-        # counting off the cached list (exact counts under the budget),
-        # and the padded pairs beyond kernel support contribute exact
-        # zeros downstream.
+        # counting off the cached list (exact counts under the budget);
+        # the phases run over its cut to kernel support.
         cached = None
         if self._ncache is not None:
             cached = self._ncache.lookup(p.x, p.h, self.box)
@@ -352,20 +352,16 @@ class Simulation:
                     cache=self._ncache, backend=self.backend,
                     adapted=self._nlist is not None,
                 )
-        # The compiled phases run over the pairs inside kernel support,
-        # cut once per evaluation from the (padded) list; every other
-        # pair contributes an exact zero.  The numpy phases take the
-        # padded list itself, through the evaluation's record — the
-        # hit's, or a fresh one for a list built here.
-        pair_list = self._nlist
+        # On either backend the phases run over the pairs inside kernel
+        # support, cut once per evaluation from the (padded) list: every
+        # other pair contributes an exact zero.  On numpy the cut's record
+        # masks the geometry of the hit's record (after a build, of a
+        # fresh record), so an evaluation computes geometry once.
         ops = backend_ops(self.backend, self.kernel)
-        if ops is not None:
-            with tr.phase(Phase.NEIGHBOR_LISTS.letter, State.USEFUL, self.rank):
-                pair_list = ops.support_list(
-                    p.x, p.h, self._nlist.as_int32(), self.box, self.kernel
-                )
-        elif pairs is None or pairs.nlist is not pair_list:
-            pairs = Pairs(p, pair_list, self.kernel, self.box)
+        with tr.phase(Phase.NEIGHBOR_LISTS.letter, State.USEFUL, self.rank):
+            pair_list, pairs = support_cut(
+                p, self._nlist, self.kernel, self.box, ops=ops, pairs=pairs
+            )
         # One call site per phase; the executor runs it as one call or
         # as row slices on threads (``ExecConfig.workers``).
         phases = self._phases

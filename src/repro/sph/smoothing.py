@@ -145,8 +145,8 @@ def adapt_from_cached_list(
     :func:`adapt_smoothing_lengths`.
 
     ``pairs`` is the caller's :class:`~repro.tree.pairs.Pairs` record of
-    ``nlist``: the numpy sweeps count off its ``i``/``r``, so the phases
-    that read the record after the iteration reuse that geometry pass.
+    ``nlist``: the numpy sweeps count off its ``i``/``r``, so the support
+    cut the phases read after the iteration reuses that geometry pass.
     """
     if cache is None:
         raise ValueError("adapt_from_cached_list requires the owning cache")

@@ -379,11 +379,12 @@ class VerletNeighborCache:
     d_i + d_j <= (1 + skin) * 2 max(h_ref)`` — i.e. the pair is in the
     cached list, so neighbour *counts* filtered to ``r <= 2 h`` are exact
     and the h-adaptation iteration can run off the cached list without a
-    fresh search.  Extra padded pairs are harmless because every SPH pair
-    term carries a kernel factor that vanishes beyond ``2 h`` (the force
-    loop masks its one non-kernel diagnostic, ``max |mu|``, to the true
-    support), so cached and fresh evaluations agree to summation roundoff
-    (bitwise when the pair ordering coincides).
+    fresh search.  Extra padded pairs are harmless: the driver cuts them
+    before the pair phases, and one that reaches a phase adds exact zeros
+    (every SPH pair term carries a kernel factor that vanishes beyond
+    ``2 h``; the force loop masks its one non-kernel diagnostic, ``max
+    |mu|``, to the true support).  On the numpy path cached and fresh
+    evaluations agree bit for bit.
 
     The cache invalidates itself whenever a smoothing length out-grows
     the budget, whenever the particle count changes, and whenever any

@@ -8,12 +8,14 @@ first use, the products the phases read (gathered ``h``/``m``,
 ``v_ij``, ``q = r/h``, kernel values, gradients and ``dW/dh``).
 
 A record has the lifetime Algorithm 1 gives every per-pair quantity:
-``Simulation.compute_rates`` keeps one in a local variable, and it dies
-when the call returns or raises.  Its products are first read once
-``h`` is final (on a Verlet-cache hit the h iteration counts off the
-record's ``i`` and ``r``, which do not read ``h``), so nothing in it is
-ever invalidated.  A phase called without one (``pairs=None``) makes its
-own, same arithmetic; the compiled path makes none.
+``Simulation.compute_rates`` keeps its records in local variables, and
+they die when the call returns or raises.  The h iteration of a Verlet-cache hit
+counts off the padded list's record (``i`` and ``r``, which do not read
+``h``); once ``h`` is final, :func:`support_cut` masks that geometry down
+to the pairs inside kernel support, and the phases read the products of
+the cut's record — so nothing in a record is ever invalidated.  A phase
+called without one (``pairs=None``) makes its own over whatever list it
+is given, same bits; the compiled path makes none.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 from .box import Box
 from .neighborlist import NeighborList, reduce_pairs
 
-__all__ = ["Pairs"]
+__all__ = ["Pairs", "support_cut"]
 
 
 class Pairs:
@@ -51,13 +53,38 @@ class Pairs:
         self._flat_index: Dict[int, np.ndarray] = {}
 
     def rows(self, lo: int, hi: int) -> "Pairs":
-        """The record of rows ``[lo, hi)`` — one per range, so every phase
-        the executor runs on that slice shares its geometry and products."""
+        """The record of rows ``[lo, hi)`` of a whole-list record — one per
+        range, so every phase the executor runs on that slice shares its
+        geometry and products.  Geometry this record holds already is
+        sliced out of it (the same per-pair arithmetic, so the same bits)."""
         if (lo, hi) not in self._slices:
-            self._slices[lo, hi] = Pairs(
-                self.particles, self.nlist, self.kernel, self.box, (lo, hi)
-            )
+            part = Pairs(self.particles, self.nlist, self.kernel, self.box, (lo, hi))
+            if "_geometry" in self.__dict__:
+                a, b = self.nlist.offsets[lo], self.nlist.offsets[hi]
+                part._geometry = (self.dx[a:b], self.r[a:b])
+            self._slices[lo, hi] = part
         return self._slices[lo, hi]
+
+    def support(self) -> "Pairs":
+        """The record of the pairs of this whole-list record within
+        ``kernel.support * max(h_i, h_j)`` — every pair whose kernel terms
+        can be non-zero on either side, the compiled ``support_list``
+        predicate — rows in this list's order (``self`` if none is out).
+
+        Its geometry is this record's, masked: no second pass.  A dropped
+        pair has ``q >= 2`` on both sides, so every term it feeds a pair
+        sum is ``±0.0``, and adding ``±0.0`` to a ``bincount`` bin (which
+        starts at ``+0.0``) never changes it: every phase sums to the same
+        bits over either record."""
+        h = self.particles.h
+        keep = self.r <= np.maximum(h[self.i], h[self.j]) * self.kernel.support
+        if keep.all():
+            return self
+        kept = np.flatnonzero(keep)  # ascending: a row's pairs stay together
+        nlist = NeighborList(np.searchsorted(kept, self.nlist.offsets), self.j.take(kept))
+        cut = Pairs(self.particles, nlist, self.kernel, self.box)
+        cut._geometry = (self.dx.take(kept, axis=0), self.r.take(kept))
+        return cut
 
     # -- geometry --------------------------------------------------------
     @property
@@ -148,3 +175,17 @@ class Pairs:
         return reduce_pairs(
             self.local_i, n_rows, values, flat_index=self._flat_index[k]
         )
+
+
+def support_cut(particles, nlist: NeighborList, kernel, box=None, ops=None, pairs=None):
+    """``(list, record)``: the pairs of the padded ``nlist`` inside kernel
+    support, which the pair phases run over, and their record (``None``
+    on the compiled path, ``ops``).  On numpy, ``pairs`` is ``nlist``'s
+    record when the caller holds one, whose geometry the cut reuses."""
+    if ops is not None:
+        cut = ops.support_list(particles.x, particles.h, nlist.as_int32(), box, kernel)
+        return cut, None
+    if pairs is None or pairs.nlist is not nlist:
+        pairs = Pairs(particles, nlist, kernel, box)
+    pairs = pairs.support()
+    return pairs.nlist, pairs

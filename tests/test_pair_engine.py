@@ -10,9 +10,12 @@ The numpy phases share their per-pair work through one
 * record lifetime — geometry and products computed once per record and
   read from the state at first use, a new record per state, row slices
   memoised on the whole-list record;
+* the support cut — the phases' record holds the pairs inside kernel
+  support, its geometry masked from the padded list's record;
 * driver integration — every numpy phase returns the same bits with the
-  evaluation's record as with ``pairs=None``, a cache-hit evaluation
-  runs off ONE geometry pass, threaded runs with any worker count and
+  evaluation's record as with ``pairs=None`` (over the cut or the padded
+  list), a cache-hit evaluation runs off ONE geometry pass at any worker
+  count, threaded runs with any worker count and
   cache setting are bitwise the serial run, nothing per pair outlives
   an evaluation on either backend (a raise included), and the compiled
   path issues the pinned number of ``rp_*`` calls per step.
@@ -137,16 +140,32 @@ def _pair_arrays(sim):
     return _float_arrays(sim, smallest)
 
 
+def _support_oracle(p, nlist, kernel, box):
+    """The pairs of ``nlist`` within ``kernel.support * max(h_i, h_j)``,
+    rows in list order — the support cut, from a fresh geometry pass."""
+    i, j = nlist.pairs()
+    _, r = nlist.pair_geometry(p.x, box)
+    keep = r <= np.maximum(p.h[i], p.h[j]) * kernel.support
+    counts = np.bincount(i[keep], minlength=nlist.n)
+    return NeighborList(np.concatenate([[0], np.cumsum(counts)]), j[keep])
+
+
+def _same_list(a, b):
+    return np.array_equal(a.offsets, b.offsets) and np.array_equal(a.indices, b.indices)
+
+
 class _Capture:
     """Records the ``pairs`` each numpy density call of the driver gets,
-    with the driver's list at that moment."""
+    with the driver's list at that moment and the support cut of it."""
 
     def __init__(self, sim, monkeypatch):
         self.seen = []
         real = phase_executor.compute_density
 
         def density(*args, **kwargs):
-            self.seen.append((kwargs.get("pairs"), sim._nlist))
+            held = sim._nlist
+            cut = _support_oracle(sim.particles, held, sim.kernel, sim.box)
+            self.seen.append((kwargs.get("pairs"), held, cut))
             return real(*args, **kwargs)
 
         monkeypatch.setattr(phase_executor, "compute_density", density)
@@ -277,19 +296,26 @@ def test_velocity_token_invalidates_vel_ij(cloud, rng):
 
 
 def test_verlet_rebuild_invalidates_by_identity(monkeypatch):
-    """Every evaluation's phases read a record of the list the driver
-    holds: on a cache hit the very record the h iteration counted off,
-    after a build a fresh record of the list cut from the searched one."""
+    """Every evaluation's phases read the record of the support cut of
+    the list the driver holds: on a cache hit the cut of the very record
+    the h iteration counted off, after a build the cut of a fresh record
+    of the list cut from the searched one."""
     sim = _patch_sim(ExecConfig(neighbor_cache=True))
     capture = _Capture(sim, monkeypatch)
-    sweeps = []
-    real = simulation.adapt_from_cached_list
+    sweeps, cut_of = [], {}
+    real_adapt, real_support = simulation.adapt_from_cached_list, Pairs.support
 
     def adapt(*args, **kwargs):
         sweeps.append(kwargs["pairs"])
-        return real(*args, **kwargs)
+        return real_adapt(*args, **kwargs)
+
+    def support(self):
+        cut = real_support(self)
+        cut_of[id(cut)] = self
+        return cut
 
     monkeypatch.setattr(simulation, "adapt_from_cached_list", adapt)
+    monkeypatch.setattr(Pairs, "support", support)
     try:
         sim.run(n_steps=3)
     finally:
@@ -297,10 +323,14 @@ def test_verlet_rebuild_invalidates_by_identity(monkeypatch):
     stats = sim.report().neighbor_cache
     assert stats["builds"] >= 1 and stats["hits"] >= 1
     assert len(sweeps) == stats["hits"]
-    for pairs, nlist in capture.seen:
-        assert pairs.nlist is nlist
-    hit_records = [pairs for pairs, _ in capture.seen if pairs in sweeps]
-    assert len(hit_records) == stats["hits"]
+    wholes = []
+    for pairs, nlist, cut in capture.seen:
+        whole = cut_of[id(pairs)]
+        assert whole.nlist is nlist and whole is not pairs  # the skin is cut
+        assert _same_list(pairs.nlist, cut)
+        assert pairs.nlist.n_pairs < nlist.n_pairs
+        wholes.append(whole)
+    assert len([w for w in wholes if w in sweeps]) == stats["hits"]
 
 
 def test_untracked_context_never_reuses_across_binds(cloud, rng, geometry_calls):
@@ -336,14 +366,46 @@ def test_context_row_slices(cloud, rng):
     assert np.array_equal(part.reduce(part.w_i), whole.reduce(whole.w_i)[lo:hi])
 
 
+def test_support_record_masks_geometry(rng, geometry_calls):
+    """The support cut of a padded list's record: the pairs inside
+    ``support * max(h_i, h_j)`` in list order, with the whole record's
+    geometry masked (no second pass) and bitwise a fresh pass over the
+    cut; its row slices slice that geometry, again without a pass."""
+    n = 300
+    x = rng.random((n, 3))
+    h = rng.uniform(0.07, 0.1, size=n)
+    box = Box.cube(0.0, 1.0, dim=3, periodic=True)
+    padded = cell_grid_search(x, 2.6 * h, box, mode="symmetric")
+    p = _particles(x, h, rng)
+    kernel = make_kernel("cubic-spline")
+    whole = Pairs(p, padded, kernel, box)
+    cut = whole.support()
+    assert geometry_calls == [padded.n_pairs]
+    expected = _support_oracle(p, padded, kernel, box)
+    assert _same_list(cut.nlist, expected)
+    assert 0 < cut.nlist.n_pairs < padded.n_pairs
+    del geometry_calls[:]
+    part = cut.rows(40, 200)
+    dx, r = part.dx, part.r
+    assert geometry_calls == []
+    dx_ref, r_ref = cut.nlist.row_slice(40, 200).pair_geometry(x, box, row_offset=40)
+    assert np.array_equal(dx, dx_ref) and np.array_equal(r, r_ref)
+    dx_ref, r_ref = expected.pair_geometry(x, box)
+    assert np.array_equal(cut.dx, dx_ref) and np.array_equal(cut.r, r_ref)
+    # A list with nothing outside support is its own cut.
+    assert cut.support() is cut
+
+
 # ----------------------------------------------------------------------
 # Driver integration
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("cache", [False, True], ids=["fresh", "verlet"])
 def test_phases_match_standalone_bitwise(cache, monkeypatch):
     """Each numpy phase returns the same bits reading the evaluation's
-    record (with whatever the evaluation's phases computed on it) as
-    making its own with ``pairs=None``."""
+    record of the support cut (with whatever the evaluation's phases
+    computed on it) as making its own with ``pairs=None`` — over the cut,
+    and over the padded list the driver holds: per phase, the cut is
+    bitwise neutral."""
     sim = _patch_sim(ExecConfig(neighbor_cache=cache))
     try:
         sim.run(n_steps=1)
@@ -351,31 +413,36 @@ def test_phases_match_standalone_bitwise(cache, monkeypatch):
         sim.compute_rates()
     finally:
         sim.close()
-    (pairs, nlist), = capture.seen
-    assert pairs is not None and pairs.nlist is nlist
+    (pairs, nlist, cut), = capture.seen
+    assert pairs is not None and _same_list(pairs.nlist, cut)
+    if cache:
+        assert pairs.nlist.n_pairs < nlist.n_pairs
     p, kernel, box = sim.particles, sim.kernel, sim.box
 
-    def both(fn, **options):
+    def runs(fn, **options):
         return [
-            fn(p.copy(), nlist, kernel, box, pairs=shared, **options)
-            for shared in (pairs, None)
+            fn(p.copy(), pair_list, kernel, box, pairs=shared, **options)
+            for pair_list, shared in
+            ((pairs.nlist, pairs), (pairs.nlist, None), (nlist, None))
         ]
 
-    def same(a, b):
-        if hasattr(a, "max_mu"):
-            assert a.max_mu == b.max_mu
-            a, b = (a.a, a.du), (b.a, b.du)
-        for x, y in zip(np.atleast_1d(a) if isinstance(a, np.ndarray) else a,
-                        np.atleast_1d(b) if isinstance(b, np.ndarray) else b):
-            assert np.array_equal(x, y)
+    def parts(res):
+        if hasattr(res, "max_mu"):
+            return res.a, res.du, res.max_mu
+        return (res,) if isinstance(res, np.ndarray) else res
 
-    same(*both(compute_density, volume_elements="standard"))
-    same(*both(compute_density, volume_elements="generalized"))
-    same(*both(grad_h_terms))
-    same(*both(compute_iad_matrices))
-    same(*both(velocity_divergence_curl))
-    same(*both(compute_forces, gradients="standard", grad_h=True))
-    same(*both(
+    def same(ref, *others):
+        for other in others:
+            for x, y in zip(parts(ref), parts(other), strict=True):
+                assert np.array_equal(x, y)
+
+    same(*runs(compute_density, volume_elements="standard"))
+    same(*runs(compute_density, volume_elements="generalized"))
+    same(*runs(grad_h_terms))
+    same(*runs(compute_iad_matrices))
+    same(*runs(velocity_divergence_curl))
+    same(*runs(compute_forces, gradients="standard", grad_h=True))
+    same(*runs(
         compute_forces, gradients="iad",
         viscosity=ViscosityParams(use_balsara=True),
     ))
@@ -383,9 +450,9 @@ def test_phases_match_standalone_bitwise(cache, monkeypatch):
 
 @pytest.mark.parametrize("workers", [0, 2])
 def test_cache_hit_evaluation_computes_geometry_once(workers, geometry_calls):
-    """On a Verlet-cache hit the numpy h iteration and every phase read
-    one geometry pass; threaded, each slice's record adds its own — one
-    plus one per slice, as many as with per-slice contexts."""
+    """On a Verlet-cache hit the numpy h iteration, the support cut and
+    every phase read one geometry pass over the padded list, threaded or
+    not: the cut masks it and each slice's record slices the cut's."""
     sim = _patch_sim(ExecConfig(neighbor_cache=True, workers=workers))
     hit_steps = 0
     try:
@@ -398,11 +465,7 @@ def test_cache_hit_evaluation_computes_geometry_once(workers, geometry_calls):
             if after["hits"] != before["hits"] + 1 or after["builds"] != before["builds"]:
                 continue
             hit_steps += 1
-            n_slices = (
-                len(balanced_row_slices(sim._nlist.offsets, sim._phases.n_slices))
-                if workers else 0
-            )
-            assert len(geometry_calls) == 1 + n_slices
+            assert geometry_calls == [sim._nlist.n_pairs]
     finally:
         sim.close()
     assert hit_steps, "no step was a pure cache hit"
@@ -411,9 +474,6 @@ def test_cache_hit_evaluation_computes_geometry_once(workers, geometry_calls):
 @pytest.mark.parametrize("workers", [1, 2, 4])
 @pytest.mark.parametrize("cache", [False, True], ids=["fresh", "verlet"])
 def test_pool_engine_parity(workers, cache):
-    # Same cache setting on both sides: the Verlet list's reuse schedule
-    # legitimately shifts summation roundoff, which is not what this
-    # test probes — it isolates the threads and the per-slice records.
     ref, ref_dts, _ = _run_sim(ExecConfig(neighbor_cache=cache), n_steps=2)
     got, dts, _ = _run_sim(
         ExecConfig(workers=workers, neighbor_cache=cache), n_steps=2

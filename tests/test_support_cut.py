@@ -1,0 +1,135 @@
+"""The support cut: one list rule for both backends, bitwise neutral.
+
+Each rate evaluation cuts the padded Verlet list down to the pairs
+inside ``kernel.support * max(h_i, h_j)`` once, after the h iteration,
+and every pair phase runs over the cut — on the compiled path through
+``CompiledOps.support_list``, on numpy through ``Pairs.support``.
+
+* one predicate — the numpy cut and the compiled one return the same
+  ``offsets``/``indices`` arrays, on lattices with pairs exactly at the
+  cutoff and on random clouds, periodic and open;
+* bitwise neutrality — a numpy run whose phases read the padded list
+  instead of the cut ends on the same bits and the same ``dt`` sequence,
+  through list builds and cache hits, in 1-D, 2-D and 3-D;
+* the Verlet cache is bitwise neutral on numpy — cache on and cache off
+  give the same ``result_digest``.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from repro import api
+from repro.backend import available_backends, select_backend
+from repro.core.particles import ParticleSystem
+from repro.kernels.registry import make_kernel
+from repro.service.runner import build_simulation
+from repro.service.spec import JobSpec
+from repro.tree.box import Box
+from repro.tree.cellgrid import cell_grid_search
+from repro.tree.pairs import Pairs, support_cut
+
+
+def _lattice(dim, rng):
+    """A lattice of spacing 1/8 with ``h`` = one spacing: axis neighbours
+    two spacings apart sit exactly at ``support * h`` (exact binary
+    fractions, so both backends compute ``r`` without rounding)."""
+    side, spacing = 8, 0.125
+    axes = [np.arange(side) * spacing + spacing / 2] * dim
+    x = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+    return x, np.full(x.shape[0], spacing)
+
+
+def _cloud(dim, rng):
+    n, (h_lo, h_hi) = {1: (60, (0.03, 0.05)), 2: (200, (0.05, 0.08)),
+                       3: (400, (0.07, 0.1))}[dim]
+    return rng.random((n, dim)), rng.uniform(h_lo, h_hi, size=n)
+
+
+@pytest.mark.skipif(not available_backends()["cffi"], reason="no C toolchain on this host")
+@pytest.mark.parametrize("periodic", [True, False], ids=["periodic", "open"])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("make", [_lattice, _cloud], ids=["lattice", "cloud"])
+def test_numpy_cut_equals_compiled_cut(make, dim, periodic, rng):
+    x, h = make(dim, rng)
+    n = x.shape[0]
+    box = Box.cube(0.0, 1.0, dim=dim, periodic=periodic)
+    padded = cell_grid_search(x, 3.2 * h, box, mode="symmetric")
+    p = ParticleSystem(x=x, v=np.zeros((n, dim)), m=np.full(n, 1.0 / n), h=h)
+    kernel = make_kernel("cubic-spline")
+    got, record = support_cut(p, padded, kernel, box)
+    want, none = support_cut(p, padded, kernel, box, ops=select_backend("cffi").ops)
+    assert record is not None and none is None
+    assert 0 < got.n_pairs < padded.n_pairs
+    assert np.array_equal(got.offsets, want.offsets)
+    assert np.array_equal(got.indices, want.indices)
+    if make is _lattice:
+        # The lattice has pairs exactly on the cutoff, and they are kept.
+        assert np.any(record.r == kernel.support * h[0])
+
+
+FIELDS = ("x", "v", "h", "rho", "u", "p", "a", "du")
+
+
+@pytest.mark.parametrize(
+    "scenario, overrides",
+    [
+        ("square-patch", {"side": 8, "layers": 6}),  # 3-D, periodic
+        ("evrard", {"n_target": 300}),  # 3-D, open
+        ("gresho", {"nx": 12}),  # 2-D
+        ("sod", {"n_target": 100}),  # 1-D
+    ],
+)
+def test_phases_over_padded_list_give_the_same_bits(scenario, overrides, monkeypatch):
+    """A cut that keeps every pair (``Pairs.support`` returns the padded
+    list's record unchanged) leaves every field and every ``dt`` as they
+    are, through list builds and cache hits."""
+    spec = JobSpec(
+        scenario, overrides=overrides, preset="sph-exa",
+        neighbor_cache=True, cache_skin=0.1,
+    )
+
+    def run():
+        sim, _ = build_simulation(spec)
+        try:
+            sim.run(n_steps=6)
+        finally:
+            sim.close()
+        stats = sim.report().neighbor_cache
+        assert stats["builds"] >= 2 and stats["hits"] >= 1
+        state = {name: getattr(sim.particles, name).copy() for name in FIELDS}
+        return state, [s.dt for s in sim.history]
+
+    cut, cut_dts = run()
+    with monkeypatch.context() as patch:
+        patch.setattr(Pairs, "support", lambda self: self)
+        padded, padded_dts = run()
+    assert padded_dts == cut_dts
+    for name in FIELDS:
+        assert np.array_equal(padded[name], cut[name]), name
+
+
+@pytest.mark.parametrize(
+    "scenario, overrides, digest",
+    [
+        ("square-patch", {"side": 10, "layers": 10}, "e68700ba68f1"),
+        ("evrard", {"n_target": 400}, "8ca1cade5b60"),
+        ("sod", {"n_target": 100}, "794be7f6fb3b"),
+        ("noh", {"n_target": 100}, "748a83e511b3"),
+        ("gresho", {"nx": 12}, "c065ab21db64"),
+        ("kelvin-helmholtz", {"nx": 12}, "afd3e80eac60"),
+        ("wind-cloud", {}, "52c1a25fdeb3"),
+        ("sedov", {}, "f8bb1250e8cf"),
+    ],
+)
+def test_verlet_cache_is_bitwise_neutral_on_numpy(scenario, overrides, digest):
+    """Ten ``sph-exa`` steps with the Verlet cache on and off end on the
+    same bits: the h iteration counts exactly off the cached list, rows
+    are canonical either way, and the padding is cut before the phases."""
+    for cache in (False, True):
+        outcome = api.run(JobSpec(
+            scenario, overrides=overrides, n_steps=10, preset="sph-exa",
+            neighbor_cache=cache, cache_skin=0.3,
+        ))
+        assert outcome.result_digest[:12] == digest, f"neighbor_cache={cache}"
