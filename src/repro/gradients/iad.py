@@ -66,15 +66,28 @@ def compute_iad_matrices(
     if pairs is None:
         pairs = Pairs(particles, nlist, kernel, box, rows)
     dim = particles.dim
-    weights = pairs.m_j / particles.rho[pairs.j] * pairs.w_i
-    # dx = x_i - x_j; tau uses (x_j - x_i) but the sign cancels in the outer
-    # product, so accumulate dx (x) dx directly.
-    dx = pairs.dx
-    tau = pairs.reduce(dx[:, :, None] * dx[:, None, :] * weights[:, None, None])
+    tau = _moments(pairs, pairs.m_j / particles.rho[pairs.j] * pairs.w_i)
     trace = np.einsum("kaa->k", tau)
     reg = np.maximum(trace * rcond, 1e-300)
     tau += reg[:, None, None] * np.eye(dim)[None, :, :]
     return np.linalg.inv(tau)
+
+
+def _moments(pairs: Pairs, weights: np.ndarray) -> np.ndarray:
+    """``tau`` before regularisation: per row, ``sum weights * dx (x) dx``.
+
+    ``dx = x_i - x_j``; tau uses ``x_j - x_i`` but the sign cancels in the
+    outer product.  Only the ``dim(dim+1)/2`` distinct entries are formed
+    and summed, then mirrored: ``dx_a * dx_b`` is ``dx_b * dx_a`` to the
+    bit, and every entry is summed in pair order either way."""
+    dim = pairs.dim
+    dx = np.ascontiguousarray(pairs.dx.T)  # one contiguous row per axis
+    tau = np.empty((pairs.hi - pairs.lo, dim, dim))
+    for a, b in zip(*np.triu_indices(dim)):
+        entry = dx[a] * dx[b]
+        entry *= weights
+        tau[:, a, b] = tau[:, b, a] = pairs.reduce(entry)
+    return tau
 
 
 def iad_pair_gradients(
@@ -84,15 +97,24 @@ def iad_pair_gradients(
     dx: np.ndarray,
     w_i: np.ndarray,
     w_j: np.ndarray,
+    rev: np.ndarray | None = None,
 ) -> PairGradients:
     """IAD pair gradients ``A^(i)_ij`` and ``A^(j)_ij``.
 
     ``dx`` must be ``x_i - x_j``; the operator uses ``x_j - x_i = -dx`` so
     it points toward j like the standard kernel gradient.  ``w_i`` and
     ``w_j`` are the pairs' kernel values ``W(r_ij, h_i)`` and
-    ``W(r_ij, h_j)``.
+    ``W(r_ij, h_j)``.  With the list's reverse-pair index ``rev``
+    (:meth:`~repro.tree.neighborlist.NeighborList.transpose`), ``A^(j)_ij``
+    is ``-A^(i)`` of the reverse pair: its ``dx`` is ``-dx`` to the bit, and
+    negating an operand of the product negates the result exactly.
     """
     towards_j = -dx
-    gi = np.einsum("kab,kb->ka", c_matrices[pair_i], towards_j) * w_i[:, None]
-    gj = np.einsum("kab,kb->ka", c_matrices[pair_j], towards_j) * w_j[:, None]
+    gi = np.einsum("kab,kb->ka", np.take(c_matrices, pair_i, axis=0), towards_j)
+    gi *= w_i[:, None]
+    if rev is not None:
+        gj = gi.take(rev, axis=0)
+        return PairGradients(gi=gi, gj=np.negative(gj, out=gj))
+    gj = np.einsum("kab,kb->ka", np.take(c_matrices, pair_j, axis=0), towards_j)
+    gj *= w_j[:, None]
     return PairGradients(gi=gi, gj=gj)

@@ -212,7 +212,9 @@ def _pair_sums(particles, pairs, viscosity, c_matrices, p_over, balsara_f):
     if c_matrices is None:
         pg = PairGradients(gi=pairs.grad_i, gj=pairs.grad_j)
     else:
-        pg = iad_pair_gradients(c_matrices, i, j, dx, pairs.w_i, pairs.w_j)
+        pg = iad_pair_gradients(
+            c_matrices, i, j, dx, pairs.w_i, pairs.w_j, rev=pairs.rev
+        )
     v_ij = pairs.v_ij
 
     # v . dx, hbar and the viscous mu feed both the artificial viscosity

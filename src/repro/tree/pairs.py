@@ -10,12 +10,17 @@ first use, the products the phases read (gathered ``h``/``m``,
 A record has the lifetime Algorithm 1 gives every per-pair quantity:
 ``Simulation.compute_rates`` keeps its records in local variables, and
 they die when the call returns or raises.  The h iteration of a Verlet-cache hit
-counts off the padded list's record (``i`` and ``r``, which do not read
-``h``); once ``h`` is final, :func:`support_cut` masks that geometry down
-to the pairs inside kernel support, and the phases read the products of
-the cut's record — so nothing in a record is ever invalidated.  A phase
+counts off the padded list's record (``r``, which does not read ``h``);
+once ``h`` is final, :func:`support_cut` masks that geometry down to the
+pairs inside kernel support, and the phases read the products of the
+cut's record — so nothing in a record is ever invalidated.  A phase
 called without one (``pairs=None``) makes its own over whatever list it
 is given, same bits; the compiled path makes none.
+
+A whole-list record does each pair's work once: the list is symmetric,
+so the j-side products of a pair (``w_j``, ``grad_j``, the IAD ``A^(j)``)
+are the i-side products of its reverse pair, read through :attr:`Pairs.rev`
+— bitwise what computing them gives.
 """
 
 from __future__ import annotations
@@ -84,6 +89,11 @@ class Pairs:
         nlist = NeighborList(np.searchsorted(kept, self.nlist.offsets), self.j.take(kept))
         cut = Pairs(self.particles, nlist, self.kernel, self.box)
         cut._geometry = (self.dx.take(kept, axis=0), self.r.take(kept))
+        if self.rev is not None:
+            # The predicate is symmetric (``keep[rev] == keep``): the reverse
+            # of a kept pair is kept, at its rank among the kept pairs.
+            rank = np.cumsum(keep) - 1
+            cut.rev = rank.take(self.rev.take(kept))
         return cut
 
     # -- geometry --------------------------------------------------------
@@ -111,6 +121,13 @@ class Pairs:
     def r(self) -> np.ndarray:
         return self._geometry[1]
 
+    @cached_property
+    def rev(self) -> Optional[np.ndarray]:
+        """Reverse-pair index of a whole-list record
+        (:meth:`NeighborList.transpose`); ``None`` on a row slice, whose
+        reverse pairs lie in other slices, and on a list without one."""
+        return self.nlist.transpose() if self.sub is self.nlist else None
+
     # -- products --------------------------------------------------------
     @cached_property
     def h_i(self) -> np.ndarray:
@@ -127,7 +144,7 @@ class Pairs:
     @cached_property
     def v_ij(self) -> np.ndarray:
         v = self.particles.v
-        return v[self.i] - v[self.j]
+        return np.take(v, self.i, axis=0) - np.take(v, self.j, axis=0)
 
     @cached_property
     def q_i(self) -> np.ndarray:
@@ -144,6 +161,12 @@ class Pairs:
 
     @cached_property
     def w_j(self) -> np.ndarray:
+        """``W(r, h_j)``: ``w_i`` of the reverse pair when the record has
+        :attr:`rev` — ``dx_ji = -dx_ij`` to the bit (subtraction and the
+        half-to-even minimum image are sign-symmetric), so ``r`` and ``q``
+        are the same numbers — else computed."""
+        if self.rev is not None:
+            return self.w_i.take(self.rev)
         return self.kernel.value_from_q(self.q_j, self.h_j, self.dim)
 
     @cached_property
@@ -158,6 +181,11 @@ class Pairs:
 
     @cached_property
     def grad_j(self) -> np.ndarray:
+        """``grad W(dx, r, h_j)``: minus ``grad_i`` of the reverse pair
+        (``dx * scale`` with ``dx`` negated) when the record has :attr:`rev`."""
+        if self.rev is not None:
+            g = self.grad_i.take(self.rev, axis=0)
+            return np.negative(g, out=g)
         return self.kernel.gradient_from_q(self.dx, self.r, self.q_j, self.h_j, self.dim)
 
     # -- reductions ------------------------------------------------------

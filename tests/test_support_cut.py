@@ -133,3 +133,24 @@ def test_verlet_cache_is_bitwise_neutral_on_numpy(scenario, overrides, digest):
             neighbor_cache=cache, cache_skin=0.3,
         ))
         assert outcome.result_digest[:12] == digest, f"neighbor_cache={cache}"
+
+
+@pytest.mark.parametrize(
+    "scenario, overrides, digest",
+    [
+        ("square-patch", {"side": 10, "layers": 10}, "190565adc042"),
+        ("evrard", {"n_target": 400}, "a665e79987c9"),
+        ("sod", {"n_target": 100}, "98cf600587ff"),
+        ("gresho", {"nx": 12}, "9bef66519102"),
+    ],
+)
+def test_standard_gradient_path_is_pinned_on_numpy(scenario, overrides, digest):
+    """The ``changa`` preset runs the standard kernel gradients (``sph-exa``
+    runs IAD only), so these digests pin ``grad_j`` end to end — read off
+    the reverse pair on whole-list records — with the cache on and off."""
+    for cache in (False, True):
+        outcome = api.run(JobSpec(
+            scenario, overrides=overrides, n_steps=10, preset="changa",
+            neighbor_cache=cache, cache_skin=0.3,
+        ))
+        assert outcome.result_digest[:12] == digest, f"neighbor_cache={cache}"
