@@ -144,80 +144,96 @@ class CompiledOps:
 
     # -- the h iteration -----------------------------------------------
     def adapt(
-        self, x, h, budget, nlist, box, table, n_target, h_min, h_max, sweeps
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        self, x, h, budget, nlist, box, table, n_target, h_min, h_max, sweeps,
+        support=None,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, Optional[NeighborList]]:
         """``sweeps`` count-and-update sweeps of every row, fused:
-        ``(h_out, err_max, grown)`` — the iterate after the last sweep,
-        and per sweep the largest relative count error and whether any
-        ``h`` left its ``budget`` on that sweep's update.  ``table[c]`` is
-        the update factor for count ``c`` (``c`` up to the longest row).
+        ``(h_out, err_max, grown, cut)`` — the iterate after the last
+        sweep, and per sweep the largest relative count error and whether
+        any ``h`` left its ``budget`` on that sweep's update.  ``table[c]``
+        is the update factor for count ``c`` (``c`` up to the longest
+        row).
+
+        With ``support``, ``cut`` is the lower half (``j <= i``, rows
+        ascending, self pair last) of the pairs of ``nlist`` within
+        ``support * max(h_i, h_j)`` at ``h_out`` — every pair whose
+        kernel terms can be non-zero on either side, which the pair ops
+        run over — emitted off the geometry of the sweeps; else ``None``.
+        ``nlist`` must then be symmetric with ascending rows, and
+        ``sweeps=0`` only emits (``budget`` and ``table`` unread).
         """
         n, dim = x.shape
         h_out = np.empty(n)
         err_max = np.empty(sweeps)
         grown = np.empty(sweeps, dtype=np.int32)
-        self.lib.rp_adapt(
+        null = self._ffi.NULL
+        cut = (null, null, 0)
+        if support is not None:
+            offsets = np.zeros(n + 1, dtype=np.int64)
+            # Room for the lower half of a symmetric list with its self
+            # pairs.  Only the kept pairs are written, so the tail is never
+            # touched; it is not handed back either (a realloc would shrink
+            # the block and glibc would map, and fault in, a fresh one for
+            # the next evaluation's cut).
+            indices = np.empty((nlist.n_pairs - n) // 2 + n, dtype=np.int32)
+            cut = (self._out(offsets), self._out(indices), indices.size)
+        status = self.lib.rp_adapt(
             self._d(x), self._d(h), self._d(budget), *self._csr(nlist), 0, n,
             dim, *self._box(box, dim), self._d(table), int(n_target),
-            float(h_min), float(h_max), sweeps,
+            float(h_min), float(h_max), sweeps, float(support or 0.0),
             *self._scratch("rp_adapt", nlist), self._out(h_out),
-            self._out(err_max), self._out(grown),
+            self._out(err_max), self._out(grown), *cut,
         )
-        return h_out, err_max, grown.astype(bool)
-
-    # -- the list the phases run over ----------------------------------
-    def support_list(self, x, h, nlist, box, kernel) -> NeighborList:
-        """The pairs of ``nlist`` within ``kernel.support * max(h_i,
-        h_j)`` — the pairs whose kernel terms can be non-zero on either
-        side — rows in the order ``nlist`` holds them.  Dropped pairs
-        contribute an exact ``0.0`` to every pair sum, so the row kernels
-        reproduce the full-list sums over it while skipping the
-        Verlet-skin padding (~2.5x fewer pairs at the default skin).
-        """
-        n, dim = x.shape
-        offsets = np.zeros(n + 1, dtype=np.int64)
-        # Room for every pair; only the kept ones are ever written, and
-        # the unused tail goes back before anyone holds a reference.
-        indices = np.empty(nlist.n_pairs, dtype=np.int32)
-        self.lib.rp_support_cut(
-            self._d(x), self._d(h), *self._csr(nlist), n, dim,
-            *self._box(box, dim), float(kernel.support),
-            *self._scratch("rp_support_cut", nlist), self._out(offsets),
-            self._out(indices),
-        )
-        indices.resize(int(offsets[n]), refcheck=False)
-        return NeighborList(offsets, indices)
+        if status:
+            raise ValueError("the support cut needs a symmetric list")
+        if support is None:
+            return h_out, err_max, grown.astype(bool), None
+        cut = NeighborList(offsets, indices[: offsets[n]])
+        return h_out, err_max, grown.astype(bool), cut
 
     # -- pair phases ---------------------------------------------------
+    # Each takes a half list (``j <= i``, as ``adapt`` emits) or a full
+    # symmetric one with ascending rows, of which it reads each row's
+    # prefix ``j <= i``; rows ``[lo, hi)`` of a slice read the halo rows
+    # after ``hi`` whose lower halves reach back into them.
+    def _pair_rows(self, nlist, lo: int, hi: int):
+        return lo, hi, nlist.halo_end(hi)
+
     def density_sums(
         self, x, h, wgt, nlist, box, kernel, lo: int, hi: int,
         dwdh: bool = False,
     ) -> np.ndarray:
         """Row sums of ``wgt[j] * W(r_ij, h_i)`` over rows ``[lo, hi)``
         (``dwdh``: of ``wgt[j] * dW/dh(r_ij, h_i)``)."""
+        return self._density(x, h, wgt, None, None, nlist, box, kernel, lo, hi,
+                             dwdh=dwdh)[0]
+
+    def density_iad(
+        self, x, h, wgt, m, rho, nlist, box, kernel, lo: int, hi: int,
+        rcond: float,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`density_sums` of ``wgt`` and the regularised, inverted
+        IAD moment matrices (weights ``m_j / rho_j``) of rows ``[lo, hi)``,
+        shape ``(hi - lo, dim, dim)``, off one pass of kernel values."""
+        return self._density(x, h, wgt, m, rho, nlist, box, kernel, lo, hi,
+                             rcond=rcond)
+
+    def _density(self, x, h, wgt, m, rho, nlist, box, kernel, lo, hi,
+                 dwdh=False, rcond=0.0):
         dim = x.shape[1]
         out = np.empty(hi - lo)
+        iad = m is not None
+        cmat = np.empty((hi - lo, dim, dim)) if iad else None
+        # The six moments per row the matrices are summed in.
+        tau = self._out(np.empty((hi - lo) * 6)) if iad else self._ffi.NULL
         self.lib.rp_density(
-            self._d(x), self._d(h), self._d(wgt), *self._csr(nlist), lo, hi,
-            dim, *self._box(box, dim), *self._kernel(kernel, dim), int(dwdh),
-            *self._scratch("rp_density", nlist), self._out(out),
+            self._d(x), self._d(h), self._d(wgt), *self._csr(nlist),
+            *self._pair_rows(nlist, lo, hi), dim, *self._box(box, dim),
+            *self._kernel(kernel, dim), int(dwdh), self._d(m), self._d(rho),
+            float(rcond), *self._scratch("rp_density", nlist), self._out(out),
+            tau, self._out(cmat) if iad else self._ffi.NULL,
         )
-        return out
-
-    def iad_matrices(
-        self, x, h, m, rho, nlist, box, kernel, lo: int, hi: int, rcond: float
-    ) -> np.ndarray:
-        """The regularised, inverted IAD moment matrices of rows
-        ``[lo, hi)``, shape ``(hi - lo, dim, dim)``."""
-        dim = x.shape[1]
-        out = np.empty((hi - lo, dim, dim))
-        self.lib.rp_iad(
-            self._d(x), self._d(h), self._d(m), self._d(rho),
-            *self._csr(nlist), lo, hi, dim, *self._box(box, dim),
-            *self._kernel(kernel, dim), float(rcond),
-            *self._scratch("rp_iad", nlist), self._out(out),
-        )
-        return out
+        return out, cmat
 
     def div_curl_sums(
         self, x, v, h, m, nlist, box, kernel, lo: int, hi: int
@@ -229,8 +245,9 @@ class CompiledOps:
         curlsum = np.empty((hi - lo, 3))
         self.lib.rp_div_curl(
             self._d(x), self._d(v), self._d(h), self._d(m),
-            *self._csr(nlist), lo, hi, dim, *self._box(box, dim),
-            *self._kernel(kernel, dim), *self._scratch("rp_div_curl", nlist),
+            *self._csr(nlist), *self._pair_rows(nlist, lo, hi), dim,
+            *self._box(box, dim), *self._kernel(kernel, dim),
+            *self._scratch("rp_div_curl", nlist),
             self._out(divsum), self._out(curlsum),
         )
         return divsum, curlsum
@@ -250,8 +267,9 @@ class CompiledOps:
         s2 = np.empty(rows)
         max_mu = self.lib.rp_forces(
             self._d(x), self._d(v), self._d(h), self._d(m), self._d(rho),
-            self._d(p_over), self._d(cs), *self._csr(nlist), lo, hi, dim,
-            *self._box(box, dim), *self._kernel(kernel, dim),
+            self._d(p_over), self._d(cs), *self._csr(nlist),
+            *self._pair_rows(nlist, lo, hi), dim, *self._box(box, dim),
+            *self._kernel(kernel, dim),
             self._d(c_matrices), self._d(balsara_f), float(alpha),
             float(beta), float(eta2), float(kernel.support),
             *self._scratch("rp_forces", nlist),

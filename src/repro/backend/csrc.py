@@ -20,12 +20,26 @@ Design notes:
   it across pairs; ``RP_EACH`` tells it the buffers never overlap.  Row
   buffers of axes a run does not have stay zero (the caller hands in a
   zeroed block), so the arithmetic is written once, in 3-D.
-* Per-pair terms land in row buffers and are summed by a scalar loop in
-  ascending pair order — the order ``np.bincount`` applies its weights —
-  so a row's sums do not depend on how rows are sliced over threads and
-  no reassociation flag is needed.  No ``-ffast-math`` anywhere; the
-  build's ``-fno-math-errno -fno-trapping-math`` change no value (they
-  let ``sqrt`` and the selects below become vector instructions).
+* The pair phases do each unordered pair once, by ordered scatter.  They
+  read each row's lower half ``j <= i``, self pair last (the list the h
+  iteration emits; of a full symmetric list, each row's prefix), and row
+  ``i`` computes geometry, both sides' kernel factors and gradients once
+  per pair.  Its own terms land in row buffers and are summed by a
+  scalar loop in row order; each partner's term — the partner's own
+  expression, in a statement of its own, on the exactly negated ``dx``
+  and ``v_ij`` — is added into ``out[j]``.  Rows run in ascending order,
+  so ``out[j]`` receives its terms in exactly the order of a gather over
+  the full row, the order ``np.bincount`` applies its weights: its lower
+  entries and self, then ``k > j`` ascending.  A thread slice ``[lo,
+  hi)`` writes only its own rows: after them it reads, ascending, the
+  halo rows ``[hi, end)`` whose lower halves reach back into it (``end``
+  is bounded by the list's bandwidth) for their terms into ``[lo, hi)``
+  alone — so a row's sums do not depend on how rows are sliced over
+  threads, and no reassociation flag is needed.  Scatter loops are plain
+  loops, not ``RP_EACH`` (there is no vector scatter to vectorise them
+  into).  No ``-ffast-math`` anywhere; the build's ``-fno-math-errno
+  -fno-trapping-math`` change no value (they let ``sqrt`` and the
+  selects below become vector instructions).
 * The minimum-image convention is one expression for every box: per-axis
   ``psel`` (span or 0) and ``pdiv`` (span or inf) turn the periodic wrap
   into ``dx -= psel * rint(dx / pdiv)``, a mirror of
@@ -59,45 +73,40 @@ __all__ = [
 
 #: Declarations for ``ffi.cdef``.  Every pair op takes the list as
 #: ``offsets`` (int64) + ``indices`` (int32) and the rows ``[lo, hi)`` to
-#: run over, ``scratch``/``cap``: a zeroed block of row buffers, each
+#: run over (the pair phases also ``end``: rows ``[hi, end)`` are their
+#: halo), ``scratch``/``cap``: a zeroed block of row buffers, each
 #: ``cap`` >= the longest row.
 CDEF = """
-void rp_adapt(const double *x, const double *h, const double *budget,
-              const int64_t *offsets, const int32_t *indices, int64_t lo,
-              int64_t hi, int dim, const double *psel, const double *pdiv,
-              const double *table, int64_t n_target, double h_min,
-              double h_max, int sweeps, double *scratch, int64_t cap,
-              double *h_out, double *err_max, int32_t *grown);
-void rp_support_cut(const double *x, const double *h, const int64_t *offsets,
-                    const int32_t *indices, int64_t n, int dim,
-                    const double *psel, const double *pdiv, double support,
-                    double *scratch, int64_t cap, int64_t *new_offsets,
-                    int32_t *out);
+int rp_adapt(const double *x, const double *h, const double *budget,
+             const int64_t *offsets, const int32_t *indices, int64_t lo,
+             int64_t hi, int dim, const double *psel, const double *pdiv,
+             const double *table, int64_t n_target, double h_min,
+             double h_max, int sweeps, double support, double *scratch,
+             int64_t cap, double *h_out, double *err_max, int32_t *grown,
+             int64_t *cut_offsets, int32_t *cut, int64_t cut_cap);
 void rp_density(const double *x, const double *h, const double *wgt,
                 const int64_t *offsets, const int32_t *indices, int64_t lo,
-                int64_t hi, int dim, const double *psel, const double *pdiv,
-                int kind, double p1, double sigma, int dwdh, double *scratch,
-                int64_t cap, double *out);
-void rp_iad(const double *x, const double *h, const double *m,
-            const double *rho, const int64_t *offsets, const int32_t *indices,
-            int64_t lo, int64_t hi, int dim, const double *psel,
-            const double *pdiv, int kind, double p1, double sigma,
-            double rcond, double *scratch, int64_t cap, double *out);
+                int64_t hi, int64_t end, int dim, const double *psel,
+                const double *pdiv, int kind, double p1, double sigma,
+                int dwdh, const double *m, const double *rho, double rcond,
+                double *scratch, int64_t cap, double *out, double *tau,
+                double *cmat);
 void rp_div_curl(const double *x, const double *v, const double *h,
                  const double *m, const int64_t *offsets,
-                 const int32_t *indices, int64_t lo, int64_t hi, int dim,
-                 const double *psel, const double *pdiv, int kind, double p1,
-                 double sigma, double *scratch, int64_t cap, double *divsum,
+                 const int32_t *indices, int64_t lo, int64_t hi,
+                 int64_t end, int dim, const double *psel,
+                 const double *pdiv, int kind, double p1, double sigma,
+                 double *scratch, int64_t cap, double *divsum,
                  double *curlsum);
 double rp_forces(const double *x, const double *v, const double *h,
                  const double *m, const double *rho, const double *p_over,
                  const double *cs, const int64_t *offsets,
-                 const int32_t *indices, int64_t lo, int64_t hi, int dim,
-                 const double *psel, const double *pdiv, int kind, double p1,
-                 double sigma, const double *cmat, const double *bals,
-                 double alpha, double beta, double eta2, double support,
-                 double *scratch, int64_t cap, double *out_a, double *out_s1,
-                 double *out_s2);
+                 const int32_t *indices, int64_t lo, int64_t hi, int64_t end,
+                 int dim, const double *psel, const double *pdiv, int kind,
+                 double p1, double sigma, const double *cmat,
+                 const double *bals, double alpha, double beta, double eta2,
+                 double support, double *scratch, int64_t cap, double *out_a,
+                 double *out_s1, double *out_s2);
 void rp_node_bounds(const double *xs, const double *rs, int64_t n, int dim,
                     int64_t n_nodes, const int64_t *child_start,
                     const int64_t *child_count, const int64_t *pstart,
@@ -166,11 +175,9 @@ _GRAVITY_TABLES = "\n".join([
 #: Row buffers (of ``cap`` doubles each) the ops carve from ``scratch``.
 SCRATCH_ROWS = {
     "rp_adapt": 4,
-    "rp_support_cut": 4,
-    "rp_density": 7,
-    "rp_iad": 7,
-    "rp_div_curl": 14,
-    "rp_forces": 33,
+    "rp_density": 15,
+    "rp_div_curl": 22,
+    "rp_forces": 38,
 }
 
 
@@ -455,6 +462,41 @@ static void rp_row_geom(const double *x, int64_t i, const int32_t *row,
 """
 
 _OPS = """
+/* First k in [0, len) with row[k] >= v, len if none (rows ascend). */
+static inline int64_t rp_lower_bound(const int32_t *row, int64_t len,
+                                     int64_t v)
+{
+    int64_t a = 0, b = len;
+    while (a < b) {
+        const int64_t mid = (a + b) >> 1;
+        if (row[mid] < v)
+            a = mid + 1;
+        else
+            b = mid;
+    }
+    return a;
+}
+
+/* The entries of row i a pair-once op over rows [lo, hi) reads, as
+ * (*row, length): of a row it owns (i < hi) the lower half j <= i, self
+ * pair last — the whole row of a half list, the prefix of a full
+ * symmetric one; of a halo row (i >= hi) the entries inside [lo, hi). */
+static inline int64_t rp_pair_row(const int64_t *offsets,
+                                  const int32_t *indices, int64_t i,
+                                  int64_t lo, int64_t hi,
+                                  const int32_t **row)
+{
+    const int32_t *full = indices + offsets[i];
+    const int64_t len = offsets[i + 1] - offsets[i];
+    if (i < hi) {
+        *row = full;
+        return rp_lower_bound(full, len, i + 1);
+    }
+    const int64_t k0 = rp_lower_bound(full, len, lo);
+    *row = full + k0;
+    return rp_lower_bound(full, len, hi) - k0;
+}
+
 /* The h iteration of rows [lo, hi), all `sweeps` of it, row by row.  A
  * particle's neighbour count reads only its own h and its own row's
  * separations, and its update only that count, so a row runs every
@@ -468,13 +510,23 @@ _OPS = """
  * err_max[s] = the largest err of sweep s, grown[s] = whether any h
  * exceeded its budget after the update of sweep s (the row's later
  * counts are then off a list that no longer holds its neighbours: the
- * caller re-runs with fewer sweeps).  h_out has hi - lo entries. */
-void rp_adapt(const double *x, const double *h, const double *budget,
-              const int64_t *offsets, const int32_t *indices, int64_t lo,
-              int64_t hi, int dim, const double *psel, const double *pdiv,
-              const double *table, int64_t n_target, double h_min,
-              double h_max, int sweeps, double *scratch, int64_t cap,
-              double *h_out, double *err_max, int32_t *grown)
+ * caller re-runs with fewer sweeps).  h_out has hi - lo entries.
+ *
+ * With cut != NULL (and lo = 0) the call also emits the lower half of
+ * the support cut of the h it leaves: rows ascend, so once row i's last
+ * sweep is done every h_j with j <= i is final, and off the row's
+ * buffered r it writes {j <= i : r <= support * max(h_i, h_j)} (every
+ * other pair adds an exact 0.0 to every pair sum) in row order, packed
+ * behind row i - 1 (cut_offsets[0] must be 0).  Returns 1 if the lower
+ * halves overrun the cut_cap entries of cut (the list is not
+ * symmetric), else 0.  With sweeps = 0 the call only emits. */
+int rp_adapt(const double *x, const double *h, const double *budget,
+             const int64_t *offsets, const int32_t *indices, int64_t lo,
+             int64_t hi, int dim, const double *psel, const double *pdiv,
+             const double *table, int64_t n_target, double h_min,
+             double h_max, int sweeps, double support, double *scratch,
+             int64_t cap, double *h_out, double *err_max, int32_t *grown,
+             int64_t *cut_offsets, int32_t *cut, int64_t cut_cap)
 {
     RP_GEOM_BUFFERS(scratch, cap);
     for (int s = 0; s < sweeps; ++s) {
@@ -482,8 +534,10 @@ void rp_adapt(const double *x, const double *h, const double *budget,
         grown[s] = 0;
     }
     for (int64_t i = lo; i < hi; ++i) {
+        const int32_t *row = indices + offsets[i];
         const int64_t len = offsets[i + 1] - offsets[i];
-        rp_row_geom(x, i, indices + offsets[i], len, dim, psel, pdiv, dx, r);
+        const int64_t half = cut ? rp_lower_bound(row, len, i + 1) : 0;
+        rp_row_geom(x, i, row, sweeps ? len : half, dim, psel, pdiv, dx, r);
         double hc = h[i];
         for (int s = 0; s < sweeps; ++s) {
             const double rmax = 2.0 * hc;
@@ -499,142 +553,163 @@ void rp_adapt(const double *x, const double *h, const double *budget,
                 grown[s] = 1;
         }
         h_out[i - lo] = hc;
+        if (!cut)
+            continue;
+        if (cut_offsets[i] + half > cut_cap)
+            return 1;
+        double *keep = dx[0];
+        RP_EACH(k, half) {
+            const double hj = h_out[row[k]];
+            keep[k] = r[k] <= (hc > hj ? hc : hj) * support;
+        }
+        int32_t *dst = cut + cut_offsets[i];
+        int64_t c = 0;
+        for (int64_t k = 0; k < half; ++k) {
+            dst[c] = row[k];
+            c += keep[k] != 0.0;
+        }
+        cut_offsets[i + 1] = cut_offsets[i] + c;
     }
+    return 0;
 }
 
-/* The pairs of a (padded) list within support*max(h_i, h_j) — the
- * rp_forces in-support predicate, a superset of either side's kernel
- * support, so every dropped pair contributes an exact 0.0 to every pair
- * sum — in ascending pair order, rows packed one behind the other: out
- * needs room for the whole input list but only the kept part (and one
- * entry past it) is ever written.  new_offsets[0] must be 0.  The store
- * is unconditional and the cursor advances by the predicate, so the loop
- * has no data-dependent branch. */
-void rp_support_cut(const double *x, const double *h, const int64_t *offsets,
-                    const int32_t *indices, int64_t n, int dim,
-                    const double *psel, const double *pdiv, double support,
-                    double *scratch, int64_t cap, int64_t *new_offsets,
-                    int32_t *out)
+/* Adds w * (dx_a dx_b) of pair k to the moments o (xx xy xz yy yz zz):
+ * even in dx, so the same for the partner. */
+static inline void rp_add_moments(double *o, double *const *dx, int64_t k,
+                                  double w)
 {
-    RP_GEOM_BUFFERS(scratch, cap);
-    for (int64_t i = 0; i < n; ++i) {
-        const int32_t *row = indices + offsets[i];
-        const int64_t len = offsets[i + 1] - offsets[i];
-        rp_row_geom(x, i, row, len, dim, psel, pdiv, dx, r);
-        const double hi_ = h[i];
-        int32_t *dst = out + new_offsets[i];
-        int64_t c = 0;
-        for (int64_t k = 0; k < len; ++k) {
-            const double hj = h[row[k]];
-            dst[c] = row[k];
-            c += r[k] <= (hi_ > hj ? hi_ : hj) * support;
-        }
-        new_offsets[i + 1] = new_offsets[i] + c;
+    o[0] += (dx[0][k] * dx[0][k]) * w;
+    o[1] += (dx[0][k] * dx[1][k]) * w;
+    o[2] += (dx[0][k] * dx[2][k]) * w;
+    o[3] += (dx[1][k] * dx[1][k]) * w;
+    o[4] += (dx[1][k] * dx[2][k]) * w;
+    o[5] += (dx[2][k] * dx[2][k]) * w;
+}
+
+/* The regularised, inverted IAD matrix o of one row from its moments
+ * (xx xy xz yy yz zz): fmax(trace*rcond, 1e-300) on the diagonal (the
+ * reference expression), then adjugate/det for 2x2/3x3, the reciprocal
+ * in 1-D — LAPACK's to rounding, covered by the backend tolerance. */
+static void rp_iad_invert(const double *mom, int dim, double rcond,
+                          double *o)
+{
+    double a = mom[0], b = mom[1], c = mom[2];
+    double e = mom[3], g = mom[4], t = mom[5];
+    if (dim == 1) {
+        o[0] = 1.0 / (a + fmax(a * rcond, 1e-300));
+    } else if (dim == 2) {
+        const double reg = fmax((a + e) * rcond, 1e-300);
+        a += reg;
+        e += reg;
+        const double det = a * e - b * b;
+        o[0] = e / det;
+        o[1] = -b / det;
+        o[2] = -b / det;
+        o[3] = a / det;
+    } else {
+        const double reg = fmax((a + e + t) * rcond, 1e-300);
+        a += reg;
+        e += reg;
+        t += reg;
+        const double A = e * t - g * g;
+        const double B = g * c - b * t;
+        const double C = b * g - e * c;
+        const double det = a * A + b * B + c * C;
+        o[0] = A / det;
+        o[1] = (c * g - b * t) / det;
+        o[2] = (b * g - c * e) / det;
+        o[3] = B / det;
+        o[4] = (a * t - c * c) / det;
+        o[5] = (c * b - a * g) / det;
+        o[6] = C / det;
+        o[7] = (b * c - a * g) / det;
+        o[8] = (a * e - b * b) / det;
     }
 }
 
 /* Row sums of wgt[j] * W(r_ij, h_i) (density, kappa) or, with dwdh, of
  * wgt[j] * dW/dh(r_ij, h_i) (the grad-h sum): W = (sigma/h^dim) f(q),
- * dW/dh = -(sigma/h^(dim+1)) (dim f + q f'), q = r/h_i. */
+ * dW/dh = -(sigma/h^(dim+1)) (dim f + q f'), q = r/h_i.  With cmat !=
+ * NULL also the IAD matrices of the rows, off the same W: the moments
+ *     tau[ab] = sum_j (dx_a dx_b) ((m_j/rho_j) W(r_ij, h_i))
+ * (the six upper entries, summed side by side), six per row in tau,
+ * then inverted by rp_iad_invert once every term is in. */
 void rp_density(const double *x, const double *h, const double *wgt,
                 const int64_t *offsets, const int32_t *indices, int64_t lo,
-                int64_t hi, int dim, const double *psel, const double *pdiv,
-                int kind, double p1, double sigma, int dwdh, double *scratch,
-                int64_t cap, double *out)
+                int64_t hi, int64_t end, int dim, const double *psel,
+                const double *pdiv, int kind, double p1, double sigma,
+                int dwdh, const double *m, const double *rho, double rcond,
+                double *scratch, int64_t cap, double *out, double *tau,
+                double *cmat)
 {
     RP_GEOM_BUFFERS(scratch, cap);
-    double *q = scratch + 4 * cap, *f = q + cap, *fp = f + cap;
-    for (int64_t i = lo; i < hi; ++i) {
-        const int32_t *row = indices + offsets[i];
-        const int64_t len = offsets[i + 1] - offsets[i];
-        const double hi_ = h[i];
+    /* q, f, f' hold the row's side (q = r/h_i) then the partners'
+     * (q = r/h_j) back to back: one shape pass serves both. */
+    double *q = scratch + 4 * cap, *f = q + 2 * cap, *fp = f + 2 * cap;
+    double *hj = fp + 2 * cap, *t = hj + cap, *tp = t + cap;
+    double *w = tp + cap, *wp = w + cap;
+    for (int64_t i = lo; i < end; ++i) {
+        const int32_t *row;
+        const int64_t len = rp_pair_row(offsets, indices, i, lo, hi, &row);
+        const int own = i < hi;
+        const double hi_ = h[i], wi = wgt[i];
         rp_row_geom(x, i, row, len, dim, psel, pdiv, dx, r);
-        RP_EACH(k, len) q[k] = r[k] / hi_;
-        rp_row_shape(kind, p1, q, len, f, fp);
+        RP_EACH(k, len) {
+            hj[k] = h[row[k]];
+            q[k] = r[k] / hi_;
+            q[len + k] = r[k] / hj[k];
+        }
+        rp_row_shape(kind, p1, q, 2 * len, f, fp);
+        const double *qj = q + len, *fj = f + len, *fpj = fp + len;
+        /* Row i's terms and, in statements of their own, the partner's. */
         if (dwdh) {
             const double wn1 = sigma / rp_hpow(hi_, dim + 1);
             RP_EACH(k, len)
-                f[k] = wgt[row[k]]
+                t[k] = wgt[row[k]]
                        * ((-wn1) * ((double)dim * f[k] + q[k] * fp[k]));
+            RP_EACH(k, len)
+                tp[k] = wi
+                        * ((-(sigma / rp_hpow(hj[k], dim + 1)))
+                           * ((double)dim * fj[k] + qj[k] * fpj[k]));
         } else {
             const double wn = sigma / rp_hpow(hi_, dim);
-            RP_EACH(k, len) f[k] = wgt[row[k]] * (wn * f[k]);
+            RP_EACH(k, len) {
+                t[k] = wgt[row[k]] * (wn * f[k]);
+                tp[k] = wi * ((sigma / rp_hpow(hj[k], dim)) * fj[k]);
+            }
         }
-        double acc = 0.0;
-        for (int64_t k = 0; k < len; ++k)
-            acc += f[k];
-        out[i - lo] = acc;
-    }
-}
-
-/* IAD matrices of rows [lo, hi): the moments
- *     tau[ab] = sum_j (dx_a dx_b) ((m_j/rho_j) W(r_ij, h_i)),
- * regularised by fmax(trace*rcond, 1e-300) on the diagonal (the
- * reference expression) and inverted in closed form — adjugate/det for
- * 2x2/3x3, reciprocal in 1-D; differs from LAPACK at rounding level
- * only, covered by the documented backend tolerance.  dx_a dx_b
- * commutes, so the six upper entries are summed (side by side: six
- * independent chains, each in pair order) and mirrored. */
-void rp_iad(const double *x, const double *h, const double *m,
-            const double *rho, const int64_t *offsets, const int32_t *indices,
-            int64_t lo, int64_t hi, int dim, const double *psel,
-            const double *pdiv, int kind, double p1, double sigma,
-            double rcond, double *scratch, int64_t cap, double *out)
-{
-    RP_GEOM_BUFFERS(scratch, cap);
-    double *q = scratch + 4 * cap, *f = q + cap, *fp = f + cap;
-    const int dd = dim * dim;
-    for (int64_t i = lo; i < hi; ++i) {
-        const int32_t *row = indices + offsets[i];
-        const int64_t len = offsets[i + 1] - offsets[i];
-        const double hi_ = h[i];
-        rp_row_geom(x, i, row, len, dim, psel, pdiv, dx, r);
-        RP_EACH(k, len) q[k] = r[k] / hi_;
-        rp_row_shape(kind, p1, q, len, f, fp);
-        const double wn = sigma / rp_hpow(hi_, dim);
-        RP_EACH(k, len) f[k] = (m[row[k]] / rho[row[k]]) * (wn * f[k]);
-        double a = 0.0, b = 0.0, c = 0.0, e = 0.0, g = 0.0, t = 0.0;
+        if (cmat) {
+            const double wn = sigma / rp_hpow(hi_, dim), vi = m[i] / rho[i];
+            RP_EACH(k, len) {
+                w[k] = (m[row[k]] / rho[row[k]]) * (wn * f[k]);
+                wp[k] = vi * ((sigma / rp_hpow(hj[k], dim)) * fj[k]);
+            }
+        }
+        if (own) {
+            double acc = 0.0;
+            for (int64_t k = 0; k < len; ++k)
+                acc += t[k];
+            out[i - lo] = acc;
+        }
+        if (own && cmat) {
+            double *o = tau + (i - lo) * 6;
+            memset(o, 0, 6 * sizeof *o);
+            for (int64_t k = 0; k < len; ++k)
+                rp_add_moments(o, dx, k, w[k]);
+        }
         for (int64_t k = 0; k < len; ++k) {
-            const double w = f[k];
-            a += (dx[0][k] * dx[0][k]) * w;
-            b += (dx[0][k] * dx[1][k]) * w;
-            c += (dx[0][k] * dx[2][k]) * w;
-            e += (dx[1][k] * dx[1][k]) * w;
-            g += (dx[1][k] * dx[2][k]) * w;
-            t += (dx[2][k] * dx[2][k]) * w;
-        }
-        double *o = out + (i - lo) * dd;
-        if (dim == 1) {
-            o[0] = 1.0 / (a + fmax(a * rcond, 1e-300));
-        } else if (dim == 2) {
-            const double reg = fmax((a + e) * rcond, 1e-300);
-            a += reg;
-            e += reg;
-            const double det = a * e - b * b;
-            o[0] = e / det;
-            o[1] = -b / det;
-            o[2] = -b / det;
-            o[3] = a / det;
-        } else {
-            const double reg = fmax((a + e + t) * rcond, 1e-300);
-            a += reg;
-            e += reg;
-            t += reg;
-            const double A = e * t - g * g;
-            const double B = g * c - b * t;
-            const double C = b * g - e * c;
-            const double det = a * A + b * B + c * C;
-            o[0] = A / det;
-            o[1] = (c * g - b * t) / det;
-            o[2] = (b * g - c * e) / det;
-            o[3] = B / det;
-            o[4] = (a * t - c * c) / det;
-            o[5] = (c * b - a * g) / det;
-            o[6] = C / det;
-            o[7] = (b * c - a * g) / det;
-            o[8] = (a * e - b * b) / det;
+            const int64_t j = row[k];
+            if (j < lo || j >= i)
+                continue;
+            out[j - lo] += tp[k];
+            if (cmat)
+                rp_add_moments(tau + (j - lo) * 6, dx, k, wp[k]);
         }
     }
+    if (cmat)
+        for (int64_t i = lo; i < hi; ++i)
+            rp_iad_invert(tau + (i - lo) * 6, dim, rcond,
+                          cmat + (i - lo) * dim * dim);
 }
 
 /* Gradient scale dW/dr / r = ((sigma/hs^(dim+1)) f'(r/hs)) / r of a row
@@ -661,27 +736,37 @@ static void rp_row_grad_scale(const double *r, const double *fp,
  * Python finishes the normalisation by rho. */
 void rp_div_curl(const double *x, const double *v, const double *h,
                  const double *m, const int64_t *offsets,
-                 const int32_t *indices, int64_t lo, int64_t hi, int dim,
-                 const double *psel, const double *pdiv, int kind, double p1,
-                 double sigma, double *scratch, int64_t cap, double *divsum,
+                 const int32_t *indices, int64_t lo, int64_t hi,
+                 int64_t end, int dim, const double *psel,
+                 const double *pdiv, int kind, double p1, double sigma,
+                 double *scratch, int64_t cap, double *divsum,
                  double *curlsum)
 {
     RP_GEOM_BUFFERS(scratch, cap);
-    double *q = scratch + 4 * cap, *f = q + cap, *gs = f + cap;
-    double *const vij[3] = {gs + cap, gs + 2 * cap, gs + 3 * cap};
-    double *td = gs + 4 * cap;
-    double *const tc[3] = {td + cap, td + 2 * cap, td + 3 * cap};
-    for (int64_t i = lo; i < hi; ++i) {
-        const int32_t *row = indices + offsets[i];
-        const int64_t len = offsets[i + 1] - offsets[i];
-        const double hi_ = h[i];
+    double *q = scratch + 4 * cap, *f = q + 2 * cap, *gs = f + 2 * cap;
+    double *hj = gs + 2 * cap, *td = hj + cap, *tdp = td + cap;
+    double *const vij[3] = {tdp + cap, tdp + 2 * cap, tdp + 3 * cap};
+    double *const tc[3] = {tdp + 4 * cap, tdp + 5 * cap, tdp + 6 * cap};
+    double *const tcp[3] = {tdp + 7 * cap, tdp + 8 * cap, tdp + 9 * cap};
+    for (int64_t i = lo; i < end; ++i) {
+        const int32_t *row;
+        const int64_t len = rp_pair_row(offsets, indices, i, lo, hi, &row);
+        const int own = i < hi;
+        const double hi_ = h[i], mi = m[i];
         rp_row_geom(x, i, row, len, dim, psel, pdiv, dx, r);
-        RP_EACH(k, len) q[k] = r[k] / hi_;
-        rp_row_shape(kind, p1, q, len, f, gs);
+        RP_EACH(k, len) {
+            hj[k] = h[row[k]];
+            q[k] = r[k] / hi_;
+            q[len + k] = r[k] / hj[k];
+        }
+        rp_row_shape(kind, p1, q, 2 * len, f, gs);
         rp_row_grad_scale(r, gs, hi_, 0, len, dim, sigma, gs);
+        rp_row_grad_scale(r, gs + len, 0.0, hj, len, dim, sigma, gs + len);
         for (int d = 0; d < dim; ++d)
             RP_EACH(k, len)
                 vij[d][k] = v[i * dim + d] - v[(int64_t)row[k] * dim + d];
+        /* Row i's terms, then in statements of their own the partner's,
+         * on the negated dx and v_ij. */
         RP_EACH(k, len) {
             const double mj = m[row[k]];
             const double g0 = dx[0][k] * gs[k], g1 = dx[1][k] * gs[k];
@@ -694,39 +779,85 @@ void rp_div_curl(const double *x, const double *v, const double *h,
             tc[0][k] = mj * (v1 * g2 - v2 * g1);
             tc[1][k] = mj * (v2 * g0 - v0 * g2);
             tc[2][k] = mj * (v0 * g1 - v1 * g0);
+            const double gsj = gs[len + k];
+            const double h0 = -dx[0][k] * gsj, h1 = -dx[1][k] * gsj;
+            const double h2 = -dx[2][k] * gsj;
+            const double w0 = -v0, w1 = -v1, w2 = -v2;
+            double wh = w0 * h0;
+            wh += w1 * h1;
+            wh += w2 * h2;
+            tdp[k] = mi * wh;
+            tcp[0][k] = mi * (w1 * h2 - w2 * h1);
+            tcp[1][k] = mi * (w2 * h0 - w0 * h2);
+            tcp[2][k] = mi * (w0 * h1 - w1 * h0);
         }
-        double dacc = 0.0, c0 = 0.0, c1 = 0.0, c2 = 0.0;
+        if (own) {
+            double dacc = 0.0, c0 = 0.0, c1 = 0.0, c2 = 0.0;
+            for (int64_t k = 0; k < len; ++k) {
+                dacc += td[k];
+                c0 += tc[0][k];
+                c1 += tc[1][k];
+                c2 += tc[2][k];
+            }
+            divsum[i - lo] = dacc;
+            curlsum[(i - lo) * 3 + 0] = c0;
+            curlsum[(i - lo) * 3 + 1] = c1;
+            curlsum[(i - lo) * 3 + 2] = c2;
+        }
         for (int64_t k = 0; k < len; ++k) {
-            dacc += td[k];
-            c0 += tc[0][k];
-            c1 += tc[1][k];
-            c2 += tc[2][k];
+            const int64_t j = row[k];
+            if (j < lo || j >= i)
+                continue;
+            divsum[j - lo] += tdp[k];
+            for (int c = 0; c < 3; ++c)
+                curlsum[(j - lo) * 3 + c] += tcp[c][k];
         }
-        divsum[i - lo] = dacc;
-        curlsum[(i - lo) * 3 + 0] = c0;
-        curlsum[(i - lo) * 3 + 1] = c1;
-        curlsum[(i - lo) * 3 + 2] = c2;
+    }
+}
+
+/* IAD gradients of a row, both sides: g_a = (sum_c C_ac (x_j - x_i)_c) s,
+ * C = the row's own ci with s = si, or the neighbour's with s = sj; the
+ * sums run over c ascending.  dim is a literal at the call sites. */
+RP_SPECIALIZE void rp_iad_grads(const int dim, const double *ci,
+                                const double *cmat, const int32_t *row,
+                                int64_t len, double *const *dx,
+                                const double *si, const double *sj,
+                                double *const *gi, double *const *gj)
+{
+    RP_EACH(k, len) {
+        const double *cj = cmat + (int64_t)row[k] * (dim * dim);
+        for (int a = 0; a < dim; ++a) {
+            double ga = 0.0, gb = 0.0;
+            for (int c = 0; c < dim; ++c) {
+                const double tj = -dx[c][k];
+                ga += ci[a * dim + c] * tj;
+                gb += cj[a * dim + c] * tj;
+            }
+            gi[a][k] = ga * si[k];
+            gj[a][k] = gb * sj[k];
+        }
     }
 }
 
 /* Momentum + energy of rows [lo, hi).  Per-pair gradients are the IAD
  * operator C (x_j - x_i) W on both sides (cmat != NULL) or the standard
- * dx * (dW/dr / r); geometry and both sides' kernel factors are computed
- * here, per row.  With bals != NULL the viscosity carries the Balsara
- * limiter.  Writes the row sums of the acceleration pairs, of
- * m_j*(v_ij . g_i) (s1) and of (m_j*pi_ij)*(v_ij . gbar) (s2); Python
- * combines du = p_over*s1 + 0.5*s2.  Returns max |mu| over approaching
- * pairs within the kernel support (the viscous signal-speed term of the
- * CFL). */
+ * dx * (dW/dr / r); geometry, both sides' kernel factors and gradients,
+ * the viscosity and the neighbour gathers are computed once per pair.
+ * With bals != NULL the viscosity carries the Balsara limiter.  Writes
+ * the row sums of the acceleration pairs, of m_j*(v_ij . g_i) (s1) and
+ * of (m_j*pi_ij)*(v_ij . gbar) (s2); Python combines du = p_over*s1 +
+ * 0.5*s2 (pi, mu and v_ij . dx are the partner's too).  Returns max |mu|
+ * over approaching pairs within the kernel support (the viscous
+ * signal-speed term of the CFL). */
 double rp_forces(const double *x, const double *v, const double *h,
                  const double *m, const double *rho, const double *p_over,
                  const double *cs, const int64_t *offsets,
-                 const int32_t *indices, int64_t lo, int64_t hi, int dim,
-                 const double *psel, const double *pdiv, int kind, double p1,
-                 double sigma, const double *cmat, const double *bals,
-                 double alpha, double beta, double eta2, double support,
-                 double *scratch, int64_t cap, double *out_a, double *out_s1,
-                 double *out_s2)
+                 const int32_t *indices, int64_t lo, int64_t hi, int64_t end,
+                 int dim, const double *psel, const double *pdiv, int kind,
+                 double p1, double sigma, const double *cmat,
+                 const double *bals, double alpha, double beta, double eta2,
+                 double support, double *scratch, int64_t cap, double *out_a,
+                 double *out_s1, double *out_s2)
 {
     RP_GEOM_BUFFERS(scratch, cap);
     /* q, f, f' hold the row's side (q = r/h_i) then the neighbours'
@@ -735,17 +866,21 @@ double rp_forces(const double *x, const double *v, const double *h,
     double *hj = fp + 2 * cap, *si = hj + cap, *sj = si + cap;
     double *vd = sj + cap, *mu = vd + cap, *pi = mu + cap, *am = pi + cap;
     double *mj = am + cap, *poj = mj + cap, *ts1 = poj + cap;
-    double *ts2 = ts1 + cap, *b = ts2 + cap;
+    double *ts2 = ts1 + cap, *tp1 = ts2 + cap, *tp2 = tp1 + cap;
+    double *b = tp2 + cap;
     double *const vij[3] = {b, b + cap, b + 2 * cap};
     double *const gi[3] = {b + 3 * cap, b + 4 * cap, b + 5 * cap};
     double *const gj[3] = {b + 6 * cap, b + 7 * cap, b + 8 * cap};
     double *const ta[3] = {b + 9 * cap, b + 10 * cap, b + 11 * cap};
+    double *const tb[3] = {b + 12 * cap, b + 13 * cap, b + 14 * cap};
     const int dd = dim * dim;
     double max_mu = 0.0;
-    for (int64_t i = lo; i < hi; ++i) {
-        const int32_t *row = indices + offsets[i];
-        const int64_t len = offsets[i + 1] - offsets[i];
+    for (int64_t i = lo; i < end; ++i) {
+        const int32_t *row;
+        const int64_t len = rp_pair_row(offsets, indices, i, lo, hi, &row);
+        const int own = i < hi;
         const double hii = h[i], poi = p_over[i], csi = cs[i], rhoi = rho[i];
+        const double mi = m[i];
         rp_row_geom(x, i, row, len, dim, psel, pdiv, dx, r);
         RP_EACH(k, len) {
             hj[k] = h[row[k]];
@@ -760,24 +895,12 @@ double rp_forces(const double *x, const double *v, const double *h,
                 si[k] = wn * f[k];
                 sj[k] = (sigma / rp_hpow(hj[k], dim)) * f[len + k];
             }
-            for (int a = 0; a < dim; ++a) {
-                double *gia = gi[a], *gja = gj[a];
-                memset(gia, 0, len * sizeof *gia);
-                memset(gja, 0, len * sizeof *gja);
-                for (int c = 0; c < dim; ++c) {
-                    const double cac = ci[a * dim + c], *dxc = dx[c];
-                    const double *cj = cmat + a * dim + c;
-                    RP_EACH(k, len) {
-                        const double tj = -dxc[k];
-                        gia[k] += cac * tj;
-                        gja[k] += cj[(int64_t)row[k] * dd] * tj;
-                    }
-                }
-                RP_EACH(k, len) {
-                    gia[k] *= si[k];
-                    gja[k] *= sj[k];
-                }
-            }
+            if (dim == 3)
+                rp_iad_grads(3, ci, cmat, row, len, dx, si, sj, gi, gj);
+            else if (dim == 2)
+                rp_iad_grads(2, ci, cmat, row, len, dx, si, sj, gi, gj);
+            else
+                rp_iad_grads(1, ci, cmat, row, len, dx, si, sj, gi, gj);
         } else {
             rp_row_grad_scale(r, fp, hii, 0, len, dim, sigma, si);
             rp_row_grad_scale(r, fp + len, 0.0, hj, len, dim, sigma, sj);
@@ -818,8 +941,11 @@ double rp_forces(const double *x, const double *v, const double *h,
             pi[k] = approaching ? pi[k] : 0.0;
             am[k] = (approaching & (r[k] <= hmax)) ? fabs(mu[k]) : 0.0;
         }
+        /* Row i's terms, then in statements of their own the partner's:
+         * its g_i is -g_j, its g_j is -g_i, and v_ij changes sign. */
         RP_EACH(k, len) {
             double vdot_gi = 0.0, vdot_gbar = 0.0;
+            double wdot_gi = 0.0, wdot_gbar = 0.0;
             for (int d = 0; d < 3; ++d) {
                 const double gid = gi[d][k], gjd = gj[d][k];
                 const double gbar = (gid + gjd) * 0.5;
@@ -827,24 +953,44 @@ double rp_forces(const double *x, const double *v, const double *h,
                 vdot_gbar += vij[d][k] * gbar;
                 const double pres = poi * gid + poj[k] * gjd;
                 ta[d][k] = (-mj[k]) * (pres + pi[k] * gbar);
+                const double hid = -gj[d][k], hjd = -gi[d][k];
+                const double hbar = (hid + hjd) * 0.5;
+                const double vd_ = -vij[d][k];
+                wdot_gi += vd_ * hid;
+                wdot_gbar += vd_ * hbar;
+                const double qres = poj[k] * hid + poi * hjd;
+                tb[d][k] = (-mi) * (qres + pi[k] * hbar);
             }
             ts1[k] = mj[k] * vdot_gi;
             ts2[k] = (mj[k] * pi[k]) * vdot_gbar;
+            tp1[k] = mi * wdot_gi;
+            tp2[k] = (mi * pi[k]) * wdot_gbar;
         }
-        double a0 = 0.0, a1 = 0.0, a2 = 0.0, s1 = 0.0, s2 = 0.0;
+        if (own) {
+            double a0 = 0.0, a1 = 0.0, a2 = 0.0, s1 = 0.0, s2 = 0.0;
+            for (int64_t k = 0; k < len; ++k) {
+                a0 += ta[0][k];
+                a1 += ta[1][k];
+                a2 += ta[2][k];
+                s1 += ts1[k];
+                s2 += ts2[k];
+                max_mu = am[k] > max_mu ? am[k] : max_mu;
+            }
+            const double acc[3] = {a0, a1, a2};
+            for (int d = 0; d < dim; ++d)
+                out_a[(i - lo) * dim + d] = acc[d];
+            out_s1[i - lo] = s1;
+            out_s2[i - lo] = s2;
+        }
         for (int64_t k = 0; k < len; ++k) {
-            a0 += ta[0][k];
-            a1 += ta[1][k];
-            a2 += ta[2][k];
-            s1 += ts1[k];
-            s2 += ts2[k];
-            max_mu = am[k] > max_mu ? am[k] : max_mu;
+            const int64_t j = row[k];
+            if (j < lo || j >= i)
+                continue;
+            for (int d = 0; d < dim; ++d)
+                out_a[(j - lo) * dim + d] += tb[d][k];
+            out_s1[j - lo] += tp1[k];
+            out_s2[j - lo] += tp2[k];
         }
-        const double acc[3] = {a0, a1, a2};
-        for (int d = 0; d < dim; ++d)
-            out_a[(i - lo) * dim + d] = acc[d];
-        out_s1[i - lo] = s1;
-        out_s2[i - lo] = s2;
     }
     return max_mu;
 }

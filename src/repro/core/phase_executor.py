@@ -1,9 +1,10 @@
 """The phase executor: how the driver runs Algorithm-1 phases D-I.
 
-One class, four entry points (``density``, ``iad_matrices``, ``forces``,
-``gravity``) — the seam ``Simulation.compute_rates`` calls each phase
-through.  With ``workers == 0`` an entry point opens the phase span and
-calls the phase function once with the evaluation's pair record.  With
+One class, three entry points (``density``, which also returns the IAD
+matrices of its pass on request, ``forces`` and ``gravity``) — the seam
+``Simulation.compute_rates`` calls each phase through.  With ``workers
+== 0`` an entry point opens the phase span and calls the phase function
+once with the evaluation's pair record.  With
 ``workers >= 1`` it cuts the query rows into ``workers *
 chunks_per_worker`` pair-balanced slices (gravity: particle-balanced
 slices of the target leaves) and runs the *same* phase function per
@@ -37,7 +38,6 @@ import weakref
 
 import numpy as np
 
-from ..gradients.iad import compute_iad_matrices
 from ..gravity.barnes_hut import GravityResult, barnes_hut_gravity
 from ..gravity.multipole import compute_node_moments
 from ..profiling.trace import State
@@ -155,16 +155,20 @@ class PhaseExecutor:
 
         return run
 
-    # -- the four entry points: ``pair_args`` = particles, nlist, kernel,
+    # -- the three entry points: ``pair_args`` = particles, nlist, kernel,
     # -- box; ``pairs`` = the evaluation's pair record (``None`` on the
     # -- compiled path); ``options`` = the phase function's own keywords,
     # -- spelled out by the one caller (``Simulation.compute_rates``)
-    def density(self, *pair_args, pairs, phase: str, **options) -> np.ndarray:
+    def density(self, *pair_args, pairs, phase: str, **options):
+        """``compute_density``'s return: ``particles.rho``, or with
+        ``return_iad`` also the IAD matrices of the same pass."""
         if not self.workers:
             return self._once(
                 phase, compute_density, *pair_args, pairs=pairs, **options
             )
         particles = pair_args[0]
+        n, dim = particles.n, particles.dim
+        iad = options.get("return_iad", False)
         with self._span(phase, State.FORK_JOIN):
             run = self._rows(phase, pairs, *pair_args)
             source = particles
@@ -173,21 +177,17 @@ class PhaseExecutor:
                 # The generalized estimator reads a global density: fill
                 # a standard summation first (the serial bootstrap).
                 source = copy.copy(particles)
-                source.rho = np.empty(particles.n)
+                source.rho = np.empty(n)
                 run("density", compute_density, (source.rho,))
-            rho = np.empty(particles.n)
-            run("density", compute_density, (rho,), source=source, **options)
+            rho = np.empty(n)
+            if iad:
+                c = np.empty((n, dim, dim))
+                run("density", compute_density, (rho, c), parts=tuple,
+                    source=source, **options)
+            else:
+                run("density", compute_density, (rho,), source=source, **options)
             particles.rho[:] = rho
-        return particles.rho
-
-    def iad_matrices(self, *pair_args, pairs, phase: str) -> np.ndarray:
-        if not self.workers:
-            return self._once(phase, compute_iad_matrices, *pair_args, pairs=pairs)
-        particles = pair_args[0]
-        with self._span(phase, State.FORK_JOIN):
-            c = np.empty((particles.n, particles.dim, particles.dim))
-            self._rows(phase, pairs, *pair_args)("iad", compute_iad_matrices, (c,))
-        return c
+        return (particles.rho, c) if iad else particles.rho
 
     def forces(self, *pair_args, pairs, phase: str, **options) -> ForceResult:
         if not self.workers:

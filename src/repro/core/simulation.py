@@ -333,6 +333,15 @@ class Simulation:
                     x, radii, mode=mode, ops=self.backend.ops, sort_rows=False
                 )
 
+        # On either backend the phases run over the pairs inside kernel
+        # support of the (padded) list, cut once per evaluation: every
+        # other pair contributes an exact zero.  The compiled h iteration
+        # emits the lower half of the cut off its own geometry, and the
+        # compiled phases do each pair of it once; on numpy the cut's
+        # record masks the geometry of the hit's record (after a build,
+        # of a fresh record), so an evaluation computes geometry once.
+        ops = backend_ops(self.backend, self.kernel)
+        support = None if ops is None else self.kernel.support
         pairs = None
         with tr.phase(Phase.SMOOTHING_LENGTH.letter, State.USEFUL, self.rank):
             if cached is not None:
@@ -340,33 +349,34 @@ class Simulation:
                 # next: one geometry pass per cache-hit evaluation.
                 if self.backend.ops is None:
                     pairs = Pairs(p, cached, self.kernel, self.box)
-                self._nlist = adapt_from_cached_list(
+                self._nlist, pair_list = adapt_from_cached_list(
                     p, cached, self.box, self._smoothing, self._ncache,
                     pairs=pairs, backend=self.backend, search=search,
+                    support=support,
                 )
             else:
                 # A list held from an earlier evaluation means an earlier
                 # adaptation wrote this h (a restore clears it).
-                self._nlist = adapt_smoothing_lengths(
+                self._nlist, pair_list = adapt_smoothing_lengths(
                     p, self.box, self._smoothing, search=search,
                     cache=self._ncache, backend=self.backend,
-                    adapted=self._nlist is not None,
+                    adapted=self._nlist is not None, support=support,
                 )
-        # On either backend the phases run over the pairs inside kernel
-        # support, cut once per evaluation from the (padded) list: every
-        # other pair contributes an exact zero.  On numpy the cut's record
-        # masks the geometry of the hit's record (after a build, of a
-        # fresh record), so an evaluation computes geometry once.
-        ops = backend_ops(self.backend, self.kernel)
-        with tr.phase(Phase.NEIGHBOR_LISTS.letter, State.USEFUL, self.rank):
-            pair_list, pairs = support_cut(
-                p, self._nlist, self.kernel, self.box, ops=ops, pairs=pairs
-            )
+        if pair_list is None:
+            with tr.phase(Phase.NEIGHBOR_LISTS.letter, State.USEFUL, self.rank):
+                pair_list, pairs = support_cut(
+                    p, self._nlist, self.kernel, self.box, pairs=pairs
+                )
         # One call site per phase; the executor runs it as one call or
         # as row slices on threads (``ExecConfig.workers``).
         phases = self._phases
         pair_args = (p, pair_list, self.kernel, self.box)
-
+        density = dict(
+            pairs=pairs,
+            volume_elements=cfg.volume_elements,
+            xmass_exponent=cfg.xmass_exponent,
+            phase=Phase.DENSITY.letter,
+        )
         c_matrices = None
         if cfg.gradients == "iad":
             # IAD moments need a density estimate; bootstrap on the first
@@ -375,17 +385,11 @@ class Simulation:
                 phases.density(
                     *pair_args, pairs=pairs, phase=Phase.NEIGHBOR_LISTS.letter
                 )
-            c_matrices = phases.iad_matrices(
-                *pair_args, pairs=pairs, phase=Phase.NEIGHBOR_LISTS.letter
-            )
-
-        phases.density(
-            *pair_args,
-            pairs=pairs,
-            volume_elements=cfg.volume_elements,
-            xmass_exponent=cfg.xmass_exponent,
-            phase=Phase.DENSITY.letter,
-        )
+            # The density and the IAD matrices of one pass: both read
+            # the previous density.
+            c_matrices = phases.density(*pair_args, return_iad=True, **density)[1]
+        else:
+            phases.density(*pair_args, **density)
 
         with tr.phase(Phase.EQUATION_OF_STATE.letter, State.USEFUL, self.rank):
             self.eos.apply(p)
@@ -469,7 +473,7 @@ class Simulation:
             conservation = measure_conservation(p, self.time, self.potential_energy)
             if self._sdc_monitor is not None:
                 findings = self._sdc_monitor.check_step(
-                    p, self.time, self.potential_energy
+                    p, self.time, self.potential_energy, state=conservation
                 )
                 findings += self._abft_guard.verify(p)
                 self.sdc_findings.extend(

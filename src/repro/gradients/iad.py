@@ -28,7 +28,10 @@ from ..tree.neighborlist import NeighborList
 from ..tree.pairs import Pairs
 from .kernel_gradient import PairGradients
 
-__all__ = ["compute_iad_matrices", "iad_pair_gradients"]
+__all__ = ["IAD_RCOND", "compute_iad_matrices", "iad_pair_gradients"]
+
+#: Diagonal regularisation of the moment matrices, relative to the trace.
+IAD_RCOND = 1e-10
 
 
 def compute_iad_matrices(
@@ -37,7 +40,7 @@ def compute_iad_matrices(
     kernel: Kernel,
     box: Box | None = None,
     *,
-    rcond: float = 1e-10,
+    rcond: float = IAD_RCOND,
     rows: tuple[int, int] | None = None,
     pairs: Pairs | None = None,
     backend=None,
@@ -52,17 +55,19 @@ def compute_iad_matrices(
     is an optional :class:`~repro.tree.pairs.Pairs` record sharing pair
     geometry and kernel values with the other phases; a compiled
     ``backend`` does geometry, ``W``, the moment sums and the
-    regularized inversion in one row kernel (closed-form instead of
+    regularized inversion in its density op (closed-form instead of
     LAPACK — identical to rounding, covered by the documented backend
-    tolerance).
+    tolerance; :func:`~repro.sph.density.compute_density` with
+    ``return_iad`` takes the density from the same pass).
     """
     ops = backend_ops(backend, kernel)
     if ops is not None:
         lo, hi = rows if rows is not None else (0, nlist.n)
-        return ops.iad_matrices(
-            particles.x, particles.h, particles.m, particles.rho,
-            nlist.as_int32(), box, kernel, lo, hi, rcond,
-        )
+        m = particles.m
+        return ops.density_iad(
+            particles.x, particles.h, m, m, particles.rho, nlist.as_int32(),
+            box, kernel, lo, hi, rcond,
+        )[1]
     if pairs is None:
         pairs = Pairs(particles, nlist, kernel, box, rows)
     dim = particles.dim

@@ -130,8 +130,14 @@ class ConservationDetector:
     energy_tol: float = 0.25
     _last: ConservationState | None = field(default=None, repr=False)
 
-    def observe(self, particles, time: float, potential_energy: float = 0.0) -> List[str]:
-        state = measure_conservation(particles, time, potential_energy)
+    def observe(
+        self, particles, time: float, potential_energy: float = 0.0, *,
+        state: ConservationState | None = None,
+    ) -> List[str]:
+        """Findings of this step against the last; ``state`` is the step's
+        :func:`measure_conservation` when the caller took it already."""
+        if state is None:
+            state = measure_conservation(particles, time, potential_energy)
         findings: List[str] = []
         last = self._last
         if last is not None:
@@ -171,11 +177,17 @@ class SdcMonitor:
     detections: int = 0
 
     def check_step(
-        self, particles, time: float, potential_energy: float = 0.0
+        self, particles, time: float, potential_energy: float = 0.0, *,
+        state: ConservationState | None = None,
     ) -> List[str]:
-        """Run all per-step detectors; returns combined findings."""
+        """Run all per-step detectors; returns combined findings.
+
+        ``state`` hands in the step's conservation snapshot, so the step
+        measures it once (:meth:`ConservationDetector.observe`)."""
         findings = self.range_detector.check(particles)
-        findings += self.conservation.observe(particles, time, potential_energy)
+        findings += self.conservation.observe(
+            particles, time, potential_energy, state=state
+        )
         self.checks_run += 1
         if findings:
             self.detections += 1

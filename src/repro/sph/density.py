@@ -19,7 +19,9 @@ On the numpy path the pair geometry and kernel values come from a
 :class:`~repro.tree.pairs.Pairs` record: the driver passes the record of
 its rate evaluation, so they are computed once and shared with the other
 phases; without one the phase makes its own (same arithmetic).  A
-compiled backend computes both inside its row kernel and keeps nothing.
+compiled backend computes both inside its row kernel and keeps nothing;
+it does each pair once, so it needs a symmetric list or the lower half
+of one (what the compiled h iteration emits), not a gather-mode list.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..backend.base import backend_ops
+from ..gradients.iad import IAD_RCOND, compute_iad_matrices
 from ..kernels.base import Kernel
 from ..tree.box import Box
 from ..tree.neighborlist import NeighborList
@@ -46,7 +49,8 @@ def compute_density(
     rows: tuple[int, int] | None = None,
     pairs: Pairs | None = None,
     backend=None,
-) -> np.ndarray:
+    return_iad: bool = False,
+):
     """Update ``particles.rho`` in place and return it.
 
     Parameters
@@ -73,6 +77,14 @@ def compute_density(
         the documented tolerance; the driver hands it the list cut to
         kernel support), the numpy reference falls through to the
         vectorized code unchanged.
+    return_iad:
+        Also return the IAD matrices of the same rows
+        (:func:`~repro.gradients.iad.compute_iad_matrices`), as ``(rho,
+        c_matrices)``.  Both read the previous ``particles.rho`` (the
+        matrices through their ``m_j/rho_j`` weights) and the same ``W(r,
+        h_i)``, so a compiled backend sums them in one op; numpy computes
+        the matrices, then the density, off the one record — the bits of
+        the two phases called one after the other.
     """
     if volume_elements not in ("standard", "generalized"):
         raise ValueError(
@@ -80,17 +92,30 @@ def compute_density(
         )
     lo, hi = rows if rows is not None else (0, nlist.n)
     ops = backend_ops(backend, kernel)
+    c_matrices = None
     if ops is not None:
         csr = nlist.as_int32()
 
         def sums(wgt):
-            return ops.density_sums(
-                particles.x, particles.h, wgt, csr, box, kernel, lo, hi
+            nonlocal c_matrices
+            if not return_iad:
+                return ops.density_sums(
+                    particles.x, particles.h, wgt, csr, box, kernel, lo, hi
+                )
+            # A bootstrap's second call makes the same matrices again.
+            s, c_matrices = ops.density_iad(
+                particles.x, particles.h, wgt, particles.m, particles.rho, csr,
+                box, kernel, lo, hi, IAD_RCOND,
             )
+            return s
 
     else:
         if pairs is None:
             pairs = Pairs(particles, nlist, kernel, box, rows)
+        if return_iad:
+            c_matrices = compute_iad_matrices(
+                particles, nlist, kernel, box, rows=rows, pairs=pairs
+            )
 
         def sums(wgt):
             return pairs.reduce(wgt[pairs.j] * pairs.w_i)
@@ -115,10 +140,10 @@ def compute_density(
                 "(kappa <= 0); check neighbour lists include the self pair"
             )
         rho = particles.m[lo:hi] * kappa / xmass[lo:hi]
-    if rows is not None:
-        return rho
-    particles.rho[:] = rho
-    return particles.rho
+    if rows is None:
+        particles.rho[:] = rho
+        rho = particles.rho
+    return (rho, c_matrices) if return_iad else rho
 
 
 def grad_h_terms(

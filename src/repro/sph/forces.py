@@ -18,7 +18,8 @@ angular momentum for the standard operator, which is central).
 On the numpy path pair geometry and the per-pair products come from a
 :class:`~repro.tree.pairs.Pairs` record (the driver's rate evaluation's
 when given, the phase's own otherwise; a compiled backend recomputes
-them per row and keeps nothing): the gradients here are the same arrays
+them once per pair of a symmetric list or its lower half, and keeps
+nothing): the gradients here are the same arrays
 the div/curl phase computed, and ``v . dx``/``hbar``/``mu`` are
 evaluated once and shared between the viscosity and the CFL diagnostic.
 """

@@ -31,7 +31,7 @@ over ``n`` particles instead of a pass over the pairs, same counts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -92,12 +92,14 @@ def adapt_smoothing_lengths(
     cache: VerletNeighborCache | None = None,
     backend=None,
     adapted: bool = False,
-) -> NeighborList:
+    support: float | None = None,
+) -> Tuple[NeighborList, Optional[NeighborList]]:
     """Build a neighbour list: search, iterate h, cut the list to fit.
 
-    Updates ``particles.h`` in place and returns the final neighbour list
-    (symmetric mode, self-pair included, rows ascending) ready for the SPH
-    kernels — the list a search at the converged ``h`` returns.
+    Updates ``particles.h`` in place and returns ``(nlist, cut)``: the
+    final neighbour list (symmetric mode, self-pair included, rows
+    ascending) — the list a search at the converged ``h`` returns — and
+    the list the compiled pair phases run over (below; else ``None``).
 
     ``search`` defaults to the cell-grid path; pass
     ``octree.walk_neighbors``-compatible callables to use the tree walk.
@@ -114,14 +116,21 @@ def adapt_smoothing_lengths(
     one row-local op (``CompiledOps.adapt``) whose counts and updates
     are bitwise the numpy expressions', so the h trajectory — and
     therefore every downstream neighbour list — is exactly the same;
-    nothing per-pair outlives the op.
+    nothing per-pair outlives the op.  Given the kernel's ``support``,
+    the op that leaves the final ``h`` over the final list also emits
+    ``cut``: the lower half (``j <= i``) of the pairs of ``nlist`` within
+    ``support * max(h_i, h_j)``, off the geometry the sweeps computed
+    (:meth:`~repro.backend.compiled.CompiledOps.adapt`).
 
     ``adapted`` says that an earlier adaptation already rewrote this
     ``h`` (the driver holds a list from an earlier evaluation), which
     pads the first search by :data:`GROWTH_PAD` instead of searching the
     exact radius.
     """
-    return _adapt(particles, box, config, search, cache, backend, adapted=adapted)
+    return _adapt(
+        particles, box, config, search, cache, backend, adapted=adapted,
+        support=support,
+    )
 
 
 def adapt_from_cached_list(
@@ -133,7 +142,8 @@ def adapt_from_cached_list(
     pairs=None,
     backend=None,
     search: Callable[..., NeighborList] | None = None,
-) -> NeighborList:
+    support: float | None = None,
+) -> Tuple[NeighborList, Optional[NeighborList]]:
     """Run the h iteration off a cached padded list.
 
     While every iterate stays inside the cache's h-growth budget
@@ -141,7 +151,8 @@ def adapt_from_cached_list(
     neighbour counts filtered to ``r <= 2 h_i`` computed from the padded
     list are *exact*, so the damped fixed-point iteration takes exactly
     the h trajectory a fresh-search adaptation would, and the cached list
-    is returned untouched — no search.
+    is returned untouched — no search.  The return and ``support`` are
+    those of :func:`adapt_smoothing_lengths`.
 
     An iterate that out-grows the budget turns the call into a build: the
     iteration carries on from that iterate off a fresh ``search`` and the
@@ -156,21 +167,25 @@ def adapt_from_cached_list(
         raise ValueError("adapt_from_cached_list requires the owning cache")
     return _adapt(
         particles, box, config, search, cache, backend, nlist, cache.h_budget,
-        pairs=pairs,
+        pairs=pairs, support=support,
     )
 
 
 def _adapt(
     particles, box, config, search, cache, backend, nlist=None,
-    budget=None, adapted=False, pairs=None,
+    budget=None, adapted=False, pairs=None, support=None,
 ):
     """The h iteration; ``nlist``/``budget`` hand in a cached list to start
-    on, ``pairs`` its record.
+    on, ``pairs`` its record, ``support`` asks a compiled backend for the
+    cut.
 
     ``budget`` is the per-particle ``h`` up to which the list in hand both
     counts exactly and contains the final list.
     """
     ops = backend.ops if backend is not None else None
+    if ops is None:
+        support = None
+    cut = None
     if search is None:
         search = lambda x, radii, box, mode: cell_grid_search(  # noqa: E731
             x, radii, box, mode=mode
@@ -196,10 +211,11 @@ def _adapt(
         if sweeps == config.max_iterations:
             break
         if ops is not None:
-            # Every sweep this list can serve, in one compiled pass.
-            done, met, max_err = _fused_sweeps(
+            # Every sweep this list can serve, in one compiled pass; a
+            # list a search returned is never the final one.
+            done, met, max_err, cut = _fused_sweeps(
                 ops, particles, nlist, box, budget, config,
-                config.max_iterations - sweeps,
+                config.max_iterations - sweeps, None if built else support,
             )
             sweeps += done
             if met:
@@ -232,7 +248,13 @@ def _adapt(
         nlist = nlist.within(particles.x, factor * particles.h, box, ops)
         if cache is not None:
             cache.store(nlist, particles.x, particles.h)
-    return nlist
+    if support is not None and (built or cut is None):
+        # The final h came from no call over the final list: emit only.
+        cut = ops.adapt(
+            particles.x, particles.h, None, nlist.as_int32(), box, None, 1,
+            0.0, np.inf, 0, support,
+        )[3]
+    return nlist, cut
 
 
 def _sorted_rows(nlist: NeighborList, r: np.ndarray) -> np.ndarray:
@@ -262,17 +284,18 @@ def _counts_within(rows: np.ndarray, radius: np.ndarray) -> np.ndarray:
     return lo
 
 
-def _fused_sweeps(ops, particles, nlist, box, budget, config, sweeps):
+def _fused_sweeps(ops, particles, nlist, box, budget, config, sweeps, support):
     """Up to ``sweeps`` sweeps of the h iteration off ``nlist`` in one
     compiled op; writes ``particles.h``.  Returns ``(sweeps run, met,
-    largest relative count error of the last one)``.
+    largest relative count error of the last one, cut)`` — the cut the
+    op that left ``particles.h`` emitted, given ``support``.
 
     The op runs every sweep of every row and reports, per sweep, the two
     facts the reference loop stops on — in its order: the count
     tolerance met *before* an update, a budget out-grown *by* one.  Only
     when one of them fires early (no shipped workload does) are the
     iterates past it unwanted, and the op is run again from the saved
-    start for exactly the updates that count.
+    start for exactly the updates that count (none: it only emits).
 
     The update factor is tabulated by :func:`update_smoothing_lengths`
     itself, at ``h = 1``: ``h * F[c]`` is the reference's ``0.5 * h *
@@ -286,16 +309,16 @@ def _fused_sweeps(ops, particles, nlist, box, budget, config, sweeps):
     def run(k):
         return ops.adapt(
             particles.x, start, budget, nlist.as_int32(), box, table,
-            config.n_target, config.h_min, config.h_max, k,
+            config.n_target, config.h_min, config.h_max, k, support,
         )
 
-    h, err, grown = run(sweeps)
+    h, err, grown, cut = run(sweeps)
     met = err <= config.tolerance
     stops = np.nonzero(met | grown)[0]
     done = int(stops[0]) + 1 if stops.size else sweeps
     hit = bool(met[done - 1])  # False when nothing stopped the op early
     updates = done - hit  # the sweep that meets the tolerance updates nothing
     if updates < sweeps:
-        h = run(updates)[0] if updates else start
+        h, _, _, cut = run(updates)
     particles.h[:] = h
-    return done, hit, float(err[done - 1])
+    return done, hit, float(err[done - 1]), cut

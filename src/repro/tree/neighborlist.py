@@ -231,6 +231,24 @@ class NeighborList:
         t = self._memo("_transpose", compute)
         return None if t is False else t
 
+    def halo_end(self, hi: int) -> int:
+        """One past the last row holding an index below ``hi`` (at least
+        ``hi``; rows ascending): the rows from ``hi`` on whose lower
+        halves reach back into a slice ``[lo, hi)`` — the halo a pair-once
+        op over that slice reads (:mod:`repro.backend.csrc`).  The suffix
+        minimum of the rows' first entries is memoised like
+        :meth:`pair_i`, so a lookup is one bisection."""
+        if hi >= self.n:
+            return self.n
+
+        def reach():
+            first = np.full(self.n, self.n, dtype=np.int64)  # empty rows
+            full = self.counts() > 0
+            first[full] = self.indices[self.offsets[:-1][full]]
+            return np.minimum.accumulate(first[::-1])[::-1]
+
+        return hi + int(np.searchsorted(self._memo("_reach", reach)[hi:], hi))
+
     def neighbors_of(self, i: int) -> np.ndarray:
         """Neighbour indices of a single particle (for tests/diagnostics)."""
         return self.indices[self.offsets[i] : self.offsets[i + 1]]

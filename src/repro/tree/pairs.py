@@ -73,8 +73,9 @@ class Pairs:
     def support(self) -> "Pairs":
         """The record of the pairs of this whole-list record within
         ``kernel.support * max(h_i, h_j)`` — every pair whose kernel terms
-        can be non-zero on either side, the compiled ``support_list``
-        predicate — rows in this list's order (``self`` if none is out).
+        can be non-zero on either side, the predicate the compiled h
+        iteration cuts by — rows in this list's order (``self`` if none
+        is out).
 
         Its geometry is this record's, masked: no second pass.  A dropped
         pair has ``q >= 2`` on both sides, so every term it feeds a pair
@@ -205,14 +206,12 @@ class Pairs:
         )
 
 
-def support_cut(particles, nlist: NeighborList, kernel, box=None, ops=None, pairs=None):
+def support_cut(particles, nlist: NeighborList, kernel, box=None, pairs=None):
     """``(list, record)``: the pairs of the padded ``nlist`` inside kernel
-    support, which the pair phases run over, and their record (``None``
-    on the compiled path, ``ops``).  On numpy, ``pairs`` is ``nlist``'s
-    record when the caller holds one, whose geometry the cut reuses."""
-    if ops is not None:
-        cut = ops.support_list(particles.x, particles.h, nlist.as_int32(), box, kernel)
-        return cut, None
+    support, which the numpy pair phases run over, and their record;
+    ``pairs`` is ``nlist``'s record when the caller holds one, whose
+    geometry the cut reuses.  (The compiled h iteration emits the lower
+    half of the same cut itself: ``CompiledOps.adapt``.)"""
     if pairs is None or pairs.nlist is not nlist:
         pairs = Pairs(particles, nlist, kernel, box)
     pairs = pairs.support()

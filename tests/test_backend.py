@@ -294,10 +294,11 @@ def test_phase_parity(phase_state, backend_name):
     table = update_smoothing_lengths(
         1.0, np.arange(nlist.longest_row + 1), n_target, p.dim
     )
-    h_out, err, grown = b.ops.adapt(
+    h_out, err, grown, cut = b.ops.adapt(
         p.x, p.h, np.full(n, np.inf), nlist.as_int32(), box, table,
         n_target, 0.0, np.inf, 1,
     )
+    assert cut is None  # no support, no emission
     assert np.array_equal(
         h_out, update_smoothing_lengths(p.h, counts_ref, n_target, p.dim)
     )
@@ -427,10 +428,12 @@ def test_row_kernels_stay_inside_their_scratch(phase_state, backend_name, monkey
     monkeypatch.setattr(ops, "_scratch", guarded)
     adapt_from_cached = ops.adapt(
         p.x, p.h, np.full(p.n, np.inf), nlist, box,
-        np.ones(nlist.longest_row + 1), 30, 0.0, np.inf, 2,
+        np.ones(nlist.longest_row + 1), 30, 0.0, np.inf, 2, kernel.support,
     )
     assert np.array_equal(adapt_from_cached[0], p.h)
-    ops.support_list(p.x, p.h, nlist, box, kernel)
+    # The pair ops over the emitted half list and over the full list.
+    half = adapt_from_cached[3]
+    compute_density(p, half, kernel, box, rows=(0, p.n), backend=b)
     compute_density(p, nlist, kernel, box, rows=(0, p.n), backend=b)
     cm = compute_iad_matrices(p, nlist, kernel, box, rows=(0, p.n), backend=b)
     div, curl = velocity_divergence_curl(p, nlist, kernel, box, rows=(0, p.n), backend=b)

@@ -96,7 +96,7 @@ def _random_cloud(seed: int, n: int = 200) -> tuple[ParticleSystem, Box]:
 @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
 def test_pairwise_forces_conserve_momentum(gradients, seed):
     particles, box = _random_cloud(seed)
-    nlist = adapt_smoothing_lengths(
+    nlist, _ = adapt_smoothing_lengths(
         particles, box, SmoothingConfig(n_target=40)
     )
     kernel = make_kernel("sinc-s5")

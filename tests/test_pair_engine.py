@@ -566,18 +566,18 @@ STANDARD_GRADH_BALSARA = dict(
 @pytest.mark.parametrize(
     "config_kw, phase_ops",
     [
-        ({}, {"rp_iad": 1, "rp_density": 1, "rp_div_curl": 0}),
-        (STANDARD_GRADH_BALSARA,
-         {"rp_iad": 0, "rp_density": 2, "rp_div_curl": 1}),
+        ({}, {"rp_density": 1, "rp_div_curl": 0}),
+        (STANDARD_GRADH_BALSARA, {"rp_density": 2, "rp_div_curl": 1}),
     ],
     ids=["iad", "standard+gradh+balsara"],
 )
 def test_compiled_ops_per_cache_hit_step(config_kw, phase_ops, rp_calls):
-    """On cffi one adaptation is one op whatever its sweep count, one
-    evaluation cuts the support list once, and each pair phase the
-    configuration runs is one row-kernel call (density twice with
-    grad-h: ``W`` sums, then ``dW/dh`` sums) — nothing per pair is
-    computed ahead or kept."""
+    """On cffi one adaptation is one op whatever its sweep count, and it
+    emits the support list too (a build emits from one more op over the
+    final list); each pair phase the configuration runs is one row-kernel
+    call (density and the IAD matrices one; density twice with grad-h:
+    ``W`` sums, then ``dW/dh`` sums) — nothing per pair is computed ahead
+    or kept."""
     if not available_backends()["cffi"]:
         pytest.skip("no C toolchain on this host")
     sim = _patch_sim(ExecConfig(backend="cffi", neighbor_cache=True), **config_kw)
@@ -588,8 +588,9 @@ def test_compiled_ops_per_cache_hit_step(config_kw, phase_ops, rp_calls):
     assert cold["builds"] == cold["searches"] == 1
     assert counts["rp_walk"] == 2  # count pass + fill pass of one search
     assert counts["rp_pairs_within"] == 1
-    assert counts["rp_adapt"] == cold["adaptations"] == 2
-    assert counts["rp_support_cut"] == 2
+    # Two adaptations; the build's ends with an emission-only op.
+    assert cold["adaptations"] == 2
+    assert counts["rp_adapt"] == 3
 
     del rp_calls[:]
     sim.run(n_steps=1)
@@ -597,13 +598,12 @@ def test_compiled_ops_per_cache_hit_step(config_kw, phase_ops, rp_calls):
     assert report.neighbor_cache["hits"] == cold["hits"] + 1  # a hit step
     assert report.neighbor_cache["sweeps"] == cold["sweeps"] + 10
     counts = collections.Counter(name for name, _ in rp_calls)
-    assert counts["rp_adapt"] == 1  # not 1 + sweeps
-    assert counts["rp_support_cut"] == 1
+    assert counts["rp_adapt"] == 1  # not 1 + sweeps, and it emits the cut
     for op, calls in phase_ops.items():
         assert counts[op] == calls, op
     assert counts["rp_forces"] == 1
     assert counts["rp_walk"] == counts["rp_pairs_within"] == 0
-    assert sum(counts.values()) == 3 + sum(phase_ops.values())
+    assert sum(counts.values()) == 2 + sum(phase_ops.values())
 
     assert sim._nlist.indices.dtype == np.int32
     sim.close()

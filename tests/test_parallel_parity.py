@@ -217,9 +217,9 @@ def test_compiled_threads_match_compiled_serial_on_the_square_patch():
 @pytest.mark.parametrize("backend", ["numpy", "cffi"])
 def test_more_slices_than_cores_keep_parity(backend, rp_calls):
     """90 slices on 3 threads, far more than the cores.  The support
-    list the compiled slices run over is cut once per evaluation, on the
-    driver thread — as often as in a serial run, not once per slice or
-    per thread."""
+    list the compiled slices run over is emitted by the h iteration on
+    the driver thread — as often as in a serial run, not once per slice
+    or per thread."""
     import sys
     import threading
 
@@ -227,7 +227,7 @@ def test_more_slices_than_cores_keep_parity(backend, rp_calls):
         pytest.skip("no C toolchain on this host")
 
     def filter_threads():
-        return [t for name, t in rp_calls if name == "rp_support_cut"]
+        return [t for name, t in rp_calls if name == "rp_adapt"]
 
     cached = dict(backend=backend, neighbor_cache=True)
     ref_state, ref_extras = _run("square-patch", ExecConfig(**cached), n_steps=3)
@@ -254,14 +254,15 @@ def test_more_slices_than_cores_keep_parity(backend, rp_calls):
 
 def test_threads_record_fork_join_and_leave_no_process_behind():
     """The driver row shows the fan-outs as Figure 4's fork/join state,
-    under the Algorithm-1 letters of the work they run; nothing about a
-    threaded run is a process or a shared-memory segment."""
+    under the Algorithm-1 letters of the work they run (the IAD matrices
+    under E, with the density of their pass); nothing about a threaded
+    run is a process or a shared-memory segment."""
     shm_before = set(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else set()
     _, extras = _run("square-patch", ExecConfig(workers=2), n_steps=1)
     fork_join = {
         e.phase for e in extras["tracer"].events if e.state is State.FORK_JOIN
     }
-    assert {"D", "E", "G"} <= fork_join
+    assert {"E", "G"} <= fork_join
     assert all(
         e.thread == 0
         for e in extras["tracer"].events

@@ -298,6 +298,42 @@ def test_detectors_on_live_simulation():
     assert findings, "corruption escaped all detectors"
 
 
+def test_error_detection_measures_conservation_once_per_step(monkeypatch):
+    """The driver hands its step's conservation snapshot to the SDC
+    monitor: one ``measure_conservation`` per step (plus the run's
+    initial one), and the monitor judges the state it would measure."""
+    import repro.core.simulation as simulation_mod
+    import repro.resilience.sdc as sdc_mod
+
+    particles, box, eos = make_square_patch(SquarePatchConfig(side=8, layers=4))
+    sim = Simulation(
+        particles, box, eos,
+        config=SPHFLOW.with_(
+            n_neighbors=25, error_detection=True,
+            timestep_params=TimestepParams(use_energy_criterion=False),
+        ),
+    )
+    calls = []
+    measure = simulation_mod.measure_conservation
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return measure(*args, **kwargs)
+
+    monkeypatch.setattr(simulation_mod, "measure_conservation", counted)
+    monkeypatch.setattr(sdc_mod, "measure_conservation", counted)
+    for _ in range(3):
+        sim.step()
+    assert len(calls) == 1 + 3  # the run's initial snapshot, then one a step
+    # The snapshot the monitor judged is the one it would have measured.
+    judged = sim._sdc_monitor.conservation._last
+    fresh = measure(sim.particles, sim.time, sim.potential_energy)
+    for name in ("time", "total_mass", "kinetic_energy", "internal_energy",
+                 "potential_energy", "momentum", "angular_momentum"):
+        assert np.array_equal(getattr(judged, name), getattr(fresh, name)), name
+    assert sim._sdc_monitor.checks_run == 3
+
+
 # ----------------------------------------------------------------------
 # Selective replication
 # ----------------------------------------------------------------------

@@ -53,7 +53,7 @@ def test_adaptation_reaches_target_on_lattice(small_lattice):
     box = Box.cube(0.0, 1.0, dim=3, periodic=True)
     cfg = SmoothingConfig(n_target=40, tolerance=0.25, max_iterations=15)
     small_lattice.h[:] = 0.05  # deliberately too small
-    nl = adapt_smoothing_lengths(small_lattice, box, cfg)
+    nl, _ = adapt_smoothing_lengths(small_lattice, box, cfg)
     i, _ = nl.pairs()
     _, r = nl.pair_geometry(small_lattice.x, box)
     counts = np.bincount(
@@ -72,7 +72,7 @@ def test_adaptation_with_tree_walk_search(small_lattice):
         return tree.walk_neighbors(x, radii, mode=mode)
 
     cfg = SmoothingConfig(n_target=30, tolerance=0.3)
-    nl = adapt_smoothing_lengths(small_lattice, box, cfg, search=search)
+    nl, _ = adapt_smoothing_lengths(small_lattice, box, cfg, search=search)
     assert nl.n == small_lattice.n
     assert nl.n_pairs > 0
 
@@ -194,7 +194,7 @@ def test_built_list_is_the_fresh_search_at_final_h(case, h_over_spacing, toleran
     cache = VerletNeighborCache(skin=0.3) if case["cached"] else None
     cfg = SmoothingConfig(n_target=_TARGETS[dim], tolerance=tolerance)
 
-    built = adapt_smoothing_lengths(
+    built, _ = adapt_smoothing_lengths(
         p, box, cfg, search=search, cache=cache, backend=backend
     )
     factor = cache.search_factor if cache is not None else 2.0
@@ -292,7 +292,7 @@ def test_cached_list_out_grown_mid_iteration_rebuilds_in_place(rng):
     # Within the budget: the cached list comes back untouched, no search.
     n_calls = len(calls)
     cached = cache.lookup(p.x, p.h, box)
-    assert adapt_from_cached_list(p, cached, box, cfg, cache, search=search) is cached
+    assert adapt_from_cached_list(p, cached, box, cfg, cache, search=search)[0] is cached
     assert len(calls) == n_calls and cache.stats.builds == 1
 
     # A higher target drives h through the growth budget mid-iteration.
@@ -300,7 +300,7 @@ def test_cached_list_out_grown_mid_iteration_rebuilds_in_place(rng):
     ref = _particles(x, 1.0)
     ref.h[:] = p.h
     cached = cache.lookup(p.x, p.h, box)
-    out = adapt_from_cached_list(p, cached, box, grow, cache, search=search)
+    out, _ = adapt_from_cached_list(p, cached, box, grow, cache, search=search)
     assert out is not cached
     assert len(calls) > n_calls
     assert (cache.stats.builds, cache.stats.searches) == (2, len(calls))
@@ -343,7 +343,7 @@ def _adapt_twice(case, compiled):
         max_iterations=case["max_iterations"],
     )
     p = _particles(x, case["h_over_spacing"] / _SIDES[dim])
-    first = adapt_smoothing_lengths(
+    first, _ = adapt_smoothing_lengths(
         p, box, cfg, search=search, cache=cache, backend=backend
     )
     h_first = p.h.copy()
@@ -353,7 +353,7 @@ def _adapt_twice(case, compiled):
             n_target=case["grow"] * _TARGETS[dim], tolerance=case["tolerance"],
             max_iterations=case["max_iterations"],
         )
-        second = adapt_from_cached_list(
+        second, _ = adapt_from_cached_list(
             p, cache.lookup(p.x, p.h, box), box, grown, cache,
             search=search, backend=backend,
         )
