@@ -60,7 +60,7 @@ from .profiling import PopMetrics, State, Tracer, compute_pop_metrics, render_ti
 from .scenarios import Scenario, all_scenarios, get_scenario, scenario_names
 from .tree import Box, NeighborList, Octree, cell_grid_search
 
-__version__ = "7.0.0"
+__version__ = "8.0.0"
 
 #: The supported import surface, pruned to the PR-10 API redesign: the
 #: service entry points (lazy — see ``__getattr__``), the driver loop,

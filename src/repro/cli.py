@@ -71,12 +71,6 @@ def _add_spec_arguments(parser: argparse.ArgumentParser) -> None:
                              "nan:rho@2! for a persistent fault)")
     parser.add_argument("--error-detection", action="store_true",
                         help="run the per-step SDC monitor (Table 4)")
-    parser.add_argument("--autotune", action="store_true",
-                        help="let the online autotuner pick the execution "
-                             "knobs (backend, cache, workers) "
-                             "over the first steps of the run")
-    parser.add_argument("--autotune-seed", type=int, default=0, metavar="SEED",
-                        help="seed for the deterministic exploration order")
 
 
 def _spec_from_args(args: argparse.Namespace):
@@ -122,8 +116,6 @@ def _spec_from_args(args: argparse.Namespace):
         backend=args.backend if args.backend is not None else "numpy",
         guard=args.guard,
         chaos=args.chaos,
-        autotune=args.autotune,
-        autotune_seed=args.autotune_seed,
     )
     spec.resolve()  # surface every SpecError here, not mid-run
     return spec, scenario
@@ -179,10 +171,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             print(format_gravity(rep.gravity), file=log)
         if rep.guard is not None:
             print(rep.guard.summary(), file=log)
-        if rep.tuning is not None:
-            from .observability.report import format_tuning
-
-            print(format_tuning(rep.tuning), file=log)
         if args.json:
             summary = {
                 "scenario": scenario.name,
@@ -197,7 +185,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 "backend": rep.backend,
                 "neighbor_cache": rep.neighbor_cache,
                 "gravity": rep.gravity,
-                "tuning": rep.tuning,
             }
             print(json.dumps(summary, indent=2))
     finally:
@@ -530,8 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--checkpoint-dir", default=None, metavar="DIR",
                      help="write rolling checkpoints to DIR (autoresume on)")
     run.add_argument("--ledger", default=None, metavar="DB",
-                     help="append this run to the sqlite run ledger at DB "
-                          "(also the autotuner's warm-start history)")
+                     help="append this run to the sqlite run ledger at DB")
     run.set_defaults(func=_cmd_run)
 
     serve = sub.add_parser(

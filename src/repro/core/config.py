@@ -19,11 +19,10 @@ from ..observability.config import ObservabilityConfig
 from ..sph.viscosity import ViscosityParams
 from ..timestepping.criteria import TimestepParams
 
-if TYPE_CHECKING:  # avoid the core <-> resilience/tuning import cycles
+if TYPE_CHECKING:  # avoid the core <-> resilience import cycles
     from ..resilience.chaos import NumericalChaosPolicy
     from ..resilience.checkpoint import ResilienceConfig
     from ..resilience.guard import GuardConfig
-    from ..tuning.autotuner import TuningConfig
 
 __all__ = [
     "KERNEL_CHOICES",
@@ -222,12 +221,6 @@ class RunConfig:
         :class:`~repro.resilience.chaos.NumericalChaosPolicy` —
         deterministic numerical fault injection into the step loop
         (test/validation tool; ``None`` in production runs).
-    tuning:
-        :class:`~repro.tuning.autotuner.TuningConfig` — the online
-        autotuner: bounded deterministic knob exploration across the
-        early steps, warm-started from the run ledger, converging on a
-        recommended execution config.  ``None`` (default) keeps the
-        hand-set knobs and the exact pre-tuning step loop.
     """
 
     exec: ExecConfig = field(default_factory=ExecConfig)
@@ -237,7 +230,6 @@ class RunConfig:
     )
     guard: Optional["GuardConfig"] = None
     numerical_chaos: Optional["NumericalChaosPolicy"] = None
-    tuning: Optional["TuningConfig"] = None
 
     def with_(self, **kwargs) -> "RunConfig":
         """Functional update (frozen dataclass convenience)."""

@@ -17,7 +17,6 @@ which is what the Figure-4 reproduction and the POP metrics read.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, List, Optional
 
@@ -160,7 +159,6 @@ class Simulation:
         else:
             self.stepper = IndividualTimesteps(self.config.timestep_params)
         self._phases = PhaseExecutor(self)
-        self._autotuner = None
         self._ledger_written = False
         #: Steps actually executed by *this* driver (unlike
         #: ``step_index``, a checkpoint restore does not advance it) —
@@ -190,12 +188,28 @@ class Simulation:
     def _apply_run_config(self) -> None:
         """(Re)wire tracer, execution layer, checkpointing and guard.
 
-        Idempotent against the current :attr:`run_config`.
+        Idempotent against the current :attr:`run_config`; construction
+        and :meth:`configure` both land here.  The threads of the
+        previous wiring are joined first.
         """
         run = self.run_config
         if self._owns_tracer:
             self.tracer = make_tracer(run.observability)
-        self._wire_exec(run.exec)
+        exec_cfg = run.exec
+        # The request resolves here (warn-once fallback to numpy when a
+        # named compiled backend is unavailable); every phase, on
+        # whichever thread, receives this resolved Backend.
+        self.backend_requested = exec_cfg.backend
+        self.backend = select_backend(exec_cfg.backend)
+        self._phases.close()
+        self._phases = PhaseExecutor(
+            self, exec_cfg.workers, exec_cfg.chunks_per_worker
+        )
+        self._ncache = None
+        if exec_cfg.neighbor_cache:
+            from ..tree.neighborlist import VerletNeighborCache
+
+            self._ncache = VerletNeighborCache(skin=exec_cfg.cache_skin)
         self.checkpoint_manager = None
         if run.resilience is not None:
             from ..resilience.checkpoint import CheckpointManager
@@ -212,32 +226,6 @@ class Simulation:
             from ..resilience.guard import StepGuard
 
             self.step_guard = StepGuard(run.guard)
-
-    def _wire_exec(self, exec_cfg: ExecConfig) -> None:
-        """(Re)wire what an :class:`~repro.core.config.ExecConfig`
-        governs: backend, Verlet cache, phase threads.
-
-        The one exec-wiring routine — construction, :meth:`configure`
-        and the autotuner's mid-run knob switches all land here.  It
-        leaves the tracer, checkpoint manager, step guard and chaos
-        policy running, so span history and resilience state survive a
-        switch; the threads of the previous wiring are joined first.
-        """
-        self.run_config = self.run_config.with_(exec=exec_cfg)
-        # The request resolves here (warn-once fallback to numpy when a
-        # named compiled backend is unavailable); every phase, on
-        # whichever thread, receives this resolved Backend.
-        self.backend_requested = exec_cfg.backend
-        self.backend = select_backend(exec_cfg.backend)
-        self._phases.close()
-        self._phases = PhaseExecutor(
-            self, exec_cfg.workers, exec_cfg.chunks_per_worker
-        )
-        self._ncache = None
-        if exec_cfg.neighbor_cache:
-            from ..tree.neighborlist import VerletNeighborCache
-
-            self._ncache = VerletNeighborCache(skin=exec_cfg.cache_skin)
 
     def configure(
         self,
@@ -515,15 +503,6 @@ class Simulation:
         res = self.run_config.resilience
         if res is not None and res.autoresume and self.step_index == 0:
             self.resume()
-        tuning = self.run_config.tuning
-        if (
-            tuning is not None
-            and tuning.enabled
-            and self._autotuner is None
-        ):
-            from ..tuning.autotuner import Autotuner
-
-            self._autotuner = Autotuner(self, tuning)
         done: List[StepStats] = []
         while True:
             if n_steps is not None and len(done) >= n_steps:
@@ -535,16 +514,10 @@ class Simulation:
             if self._cancel_requested:
                 self._cancel_requested = False
                 raise RunCancelled(self.step_index)
-            tuner = self._autotuner
-            if tuner is not None and not tuner.done:
-                tuner.before_step()  # may spend the budget and finish
-            t0 = time.perf_counter()
             if self.step_guard is not None:
                 done.append(self.step_guard.guarded_step(self))
             else:
                 done.append(self.step())
-            if tuner is not None and not tuner.done:
-                tuner.after_step(time.perf_counter() - t0)
             if self._progress_hook is not None:
                 self._progress_hook(done[-1])
         return done
@@ -695,16 +668,6 @@ class Simulation:
         backend = dict(self.backend.describe())
         backend["requested"] = self.backend_requested
         reg.absorb("backend", {"compiled": int(self.backend.compiled)})
-        tuning = None
-        if self._autotuner is not None:
-            tuning = self._autotuner.report_dict()
-            reg.absorb(
-                "tuning",
-                {
-                    "explored_steps": tuning.get("explored_steps", 0),
-                    "done": int(bool(tuning.get("done"))),
-                },
-            )
         tr = self.tracer
         pop = None
         if getattr(tr, "enabled", False) and tr.events:
@@ -723,7 +686,6 @@ class Simulation:
             pop=pop,
             counters=reg.as_dict(),
             backend=backend,
-            tuning=tuning,
         )
 
     def close(self) -> None:

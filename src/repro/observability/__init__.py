@@ -48,7 +48,6 @@ from .report import (
     RunReport,
     format_gravity,
     format_neighbor_cache,
-    format_tuning,
 )
 from .tracer import NullTracer, SpanTracer, make_tracer
 
@@ -67,7 +66,6 @@ __all__ = [
     "record_from_simulation",
     "format_gravity",
     "format_neighbor_cache",
-    "format_tuning",
     "pop_from_events",
     "to_chrome_trace",
     "to_jsonl",

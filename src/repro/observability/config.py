@@ -38,8 +38,7 @@ class ObservabilityConfig:
         When set, :meth:`Simulation.close` appends a run summary (phase
         aggregates, POP metrics, resolved knobs, step-time percentiles,
         recovery counters) to the durable
-        :class:`~repro.observability.ledger.RunLedger` at this path —
-        the history the autotuner warm-starts from on later runs.
+        :class:`~repro.observability.ledger.RunLedger` at this path.
     """
 
     enabled: bool = True

@@ -6,8 +6,7 @@ metrics, cache/recovery counters — but until now nothing
 survived the process.  The ledger closes that gap: an append-only sqlite
 store of per-run summaries, keyed by ``(scenario, n_particles, host,
 backend, code version)``, that :meth:`repro.core.simulation.Simulation
-.close` writes and the autotuner (:mod:`repro.tuning`) reads to
-warm-start its cost model on the next run.
+.close` writes and ``repro ledger`` reads back.
 
 Design constraints, in order:
 
@@ -93,7 +92,7 @@ def _probe_host() -> Dict[str, object]:
     fp["numpy"] = numpy.__version__
     # "numba" is no longer a backend but stays a recorded fact about the
     # host: the key set feeds fingerprint_id(), which keys every stored
-    # ledger row, the autotuner's warm start and the e2e cross-host check.
+    # ledger row and the e2e cross-host check.
     for mod in ("numba", "cffi"):
         try:
             fp[mod] = __import__(mod).__version__
@@ -161,7 +160,7 @@ class RunRecord:
     code_version: str
     host: Dict[str, object] = field(default_factory=dict)
     #: Resolved execution knobs (workers, chunks, cache, skin, backend,
-    #: checkpoint interval) — the autotuner's domain.
+    #: checkpoint interval).
     knobs: Dict[str, object] = field(default_factory=dict)
     #: Per-phase span aggregates: letter -> {total_s, count, mean_s}.
     phases: Dict[str, Dict[str, float]] = field(default_factory=dict)
@@ -171,7 +170,8 @@ class RunRecord:
     step_times: Dict[str, float] = field(default_factory=dict)
     #: Guard + checkpoint + SDC recovery counters.
     recovery: Dict[str, float] = field(default_factory=dict)
-    #: Anything else (e.g. the autotuner's decision trail).
+    #: Anything else; older rows may carry sections (e.g. ``tuning``)
+    #: this release no longer writes, and read back verbatim.
     extra: Dict[str, object] = field(default_factory=dict)
 
     def as_dict(self) -> Dict[str, object]:
@@ -423,8 +423,7 @@ _MIGRATIONS = {0: _migrate_v0_to_v1}
 def resolved_knobs(sim) -> Dict[str, object]:
     """The hand-settable runtime knobs a run actually resolved to.
 
-    This is the autotuner's search space, so the names here are the
-    contract between ledger rows and candidate configs.
+    The names here are the contract of a ledger row's ``knobs`` column.
     """
     run = sim.run_config
     ex = run.exec
@@ -499,10 +498,6 @@ def record_from_simulation(sim, *, scenario: Optional[str] = None) -> RunRecord:
             {f"guard.{k}": v for k, v in report.guard.counters().items()}
         )
 
-    extra: Dict[str, object] = {}
-    if report.tuning is not None:
-        extra["tuning"] = report.tuning
-
     fp = host_fingerprint()
     # Adopt the driver's own identity when it has one (minted at
     # construction, shared with the service's result store) so the two
@@ -523,5 +518,4 @@ def record_from_simulation(sim, *, scenario: Optional[str] = None) -> RunRecord:
         pop=dict(asdict(report.pop)) if report.pop is not None else None,
         step_times=step_time_summary(step_durations),
         recovery=recovery,
-        extra=extra,
     )

@@ -17,7 +17,6 @@ __all__ = [
     "RunReport",
     "format_neighbor_cache",
     "format_gravity",
-    "format_tuning",
 ]
 
 
@@ -57,9 +56,6 @@ class RunReport:
     #: Execution-backend provenance: resolved name, compiled flag,
     #: toolchain version/detail and the originally requested name.
     backend: Optional[Dict[str, object]] = None
-    #: Autotuner session: decision trail, recommendation, cost-model fit
-    #: (``None`` on untuned runs).
-    tuning: Optional[Dict[str, object]] = None
 
     def as_dict(self) -> Dict[str, object]:
         """Plain nested dict (JSON-serializable)."""
@@ -79,7 +75,6 @@ class RunReport:
             "pop": asdict(self.pop) if self.pop is not None else None,
             "counters": dict(self.counters),
             "backend": dict(self.backend) if self.backend else None,
-            "tuning": dict(self.tuning) if self.tuning else None,
         }
         return out
 
@@ -114,8 +109,6 @@ class RunReport:
             )
         if self.pop is not None:
             lines.append(self.pop.row().strip())
-        if self.tuning is not None:
-            lines.append(format_tuning(self.tuning))
         return "\n".join(lines)
 
 
@@ -154,17 +147,4 @@ def format_gravity(stats) -> str:
         f"(per particle {_get(stats, 'p2p_per_particle'):.0f} + "
         f"{_get(stats, 'm2p_per_particle'):.0f}) "
         f"path={_get(stats, 'path', '?')}"
-    )
-
-
-def format_tuning(stats) -> str:
-    """One-line report of an autotuned run's outcome."""
-    rec = _get(stats, "recommendation", {}) or {}
-    best = _get(stats, "best_step_s", None)
-    best_s = f"{best * 1e3:.1f} ms/step" if best else "unmeasured"
-    knobs = ", ".join(f"{k}={rec[k]}" for k in sorted(rec))
-    return (
-        f"tuning: converged_step={_get(stats, 'converged_step')} "
-        f"explored={_get(stats, 'explored_steps')} steps, "
-        f"best {best_s} with {knobs or 'baseline knobs'}"
     )

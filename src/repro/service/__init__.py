@@ -1,7 +1,7 @@
 """Simulation-as-a-service: async job farm with a content-addressed cache.
 
 ROADMAP item 4, the production-traffic axis.  The runtime below this
-package is parallel, self-healing, self-measuring and autotuned — but a
+package is parallel, self-healing and self-measuring — but a
 run is still one blocking :meth:`~repro.core.simulation.Simulation.run`
 call.  This package turns it into a service:
 

@@ -13,7 +13,7 @@ result bits:
 * the result-affecting execution knobs (backend, Verlet cache and skin
   — the compiled backend is roundoff-level different from numpy, so
   each is its own cache entry),
-* numerical-chaos and guard/autotune settings (they can change state),
+* numerical-chaos and guard settings (they can change state),
 * the running code version (from the ledger's ``code_version`` stamp),
   so a new commit silently invalidates every cached result.
 
@@ -69,8 +69,6 @@ class JobSpec:
     cache_skin: float = 0.3
     guard: bool = False
     chaos: Optional[str] = None  # parse_numerical_faults() spelling
-    autotune: bool = False
-    autotune_seed: int = 0
     # Execution-neutral knobs (not hashed):
     workers: int = 0
     chunks_per_worker: int = 1
@@ -195,10 +193,6 @@ class JobSpec:
             from ..resilience.chaos import parse_numerical_faults
 
             run = run.with_(numerical_chaos=parse_numerical_faults(self.chaos))
-        if self.autotune:
-            from ..tuning.autotuner import TuningConfig
-
-            run = run.with_(tuning=TuningConfig(seed=self.autotune_seed))
         if checkpoint_dir is not None:
             from ..resilience.checkpoint import ResilienceConfig
 
@@ -243,8 +237,6 @@ class JobSpec:
             "cache_skin": float(self.cache_skin),
             "guard": bool(self.guard),
             "chaos": self.chaos,
-            "autotune": bool(self.autotune),
-            "autotune_seed": int(self.autotune_seed),
             "code_version": code_version,
         }
 
@@ -279,23 +271,6 @@ class JobSpec:
     def with_(self, **kwargs) -> "JobSpec":
         """Functional update (frozen dataclass convenience)."""
         return replace(self, **kwargs)
-
-    def describe(self) -> str:
-        """One-line human summary (job listings, logs)."""
-        bits = [self.scenario]
-        if self.overrides:
-            bits.append(
-                ",".join(f"{k}={self.overrides[k]}" for k in sorted(self.overrides))
-            )
-        if self.n_steps is not None:
-            bits.append(f"steps={self.n_steps}")
-        if self.backend != "numpy":
-            bits.append(self.backend)
-        if self.guard:
-            bits.append("guard")
-        if self.chaos:
-            bits.append(f"chaos={self.chaos}")
-        return " ".join(bits)
 
 
 def canonical_spec_payload(payload: Mapping[str, Any]) -> bytes:

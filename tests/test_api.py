@@ -128,7 +128,7 @@ def test_lazy_api_exports_resolve():
         repro.does_not_exist
 
 
-# --- names removed in 2.0.0 to 5.0.0 stay removed ------- ------------------
+# --- names removed in 2.0.0 to 8.0.0 stay removed -------------------------
 
 
 def test_removed_surface_fails_closed():
@@ -136,12 +136,13 @@ def test_removed_surface_fails_closed():
     backend, the ``pair_engine`` switch, (3.0.0) the process pool with
     its supervisor and chaos knobs, (4.0.0) the epoch/token protocol,
     ``CffiImpl`` and the ``neighbor_search`` knob, (5.0.0) the
-    compiled path's stored per-pair products and (6.0.0) the numpy pair
-    engine are gone: old spellings are typed errors at the boundary,
-    never a silent default."""
+    compiled path's stored per-pair products, (6.0.0) the numpy pair
+    engine and (8.0.0) the online autotuner are gone: old spellings are
+    typed errors at the boundary, never a silent default."""
     import importlib
 
-    from repro.core.config import ExecConfig, SimulationConfig
+    from repro.cli import main
+    from repro.core.config import ExecConfig, RunConfig, SimulationConfig
     from repro.ics import SquarePatchConfig, make_square_patch
     from repro.tree.pairs import Pairs
 
@@ -163,6 +164,17 @@ def test_removed_surface_fails_closed():
         api.JobSpec.from_dict({"scenario": "sod", "pair_engine": True})
     with pytest.raises(SpecError, match="unknown backend"):
         api.JobSpec(scenario="sod", backend="numba")
+    # The online autotuner is gone: a stale client gets a typed error,
+    # never a silently untuned run.
+    with pytest.raises(SpecError, match="autotune"):
+        api.JobSpec.from_dict({"scenario": "sod", "autotune": True})
+    with pytest.raises(TypeError):
+        RunConfig(tuning=object())
+    with pytest.raises(ImportError):
+        importlib.import_module("repro.tuning")
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", "sod", "--autotune"])
+    assert exit_info.value.code == 2
     # 4.0.0: per-pair state has one owner with a lexical lifetime.
     with pytest.raises(AttributeError):
         particles.bump_epoch("x")

@@ -228,39 +228,11 @@ def test_run_guard_with_checkpoint_dir(tmp_path, capsys):
     assert find_latest_checkpoint(ckpt_dir) is not None
 
 
-# --- autotuner + run ledger surface --------------------------------------
-
-
-def test_run_autotune_with_ledger(tmp_path, capsys):
-    db = str(tmp_path / "tuning.db")
-    rc = main(["run", "sod", "--n", "80", "--steps", "4",
-               "--autotune", "--ledger", db])
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "tuning:" in out  # the one-line tuning report
-    from repro.observability.ledger import RunLedger
-
-    with RunLedger(db) as led:
-        assert len(led) == 1
-        rec = led.runs()[0]
-    assert rec.scenario == "sod"
-    assert "tuning" in rec.extra
-
-
-def test_run_autotune_json_includes_trail(tmp_path, capsys):
-    import json as _json
-
-    rc = main(["run", "sod", "--n", "80", "--steps", "4",
-               "--autotune", "--json"])
-    assert rc == 0
-    out = capsys.readouterr().out
-    payload = _json.loads(out)  # the document alone on stdout
-    assert payload["tuning"]["trail"]
-    assert "recommendation" in payload["tuning"]
+# --- run ledger surface ------------------------------------------------
 
 
 def test_ledger_list_and_show(tmp_path, capsys):
-    db = str(tmp_path / "tuning.db")
+    db = str(tmp_path / "ledger.db")
     assert main(["run", "sod", "--n", "80", "--steps", "2",
                  "--ledger", db]) == 0
     capsys.readouterr()
@@ -282,7 +254,7 @@ def test_ledger_list_and_show(tmp_path, capsys):
 
 
 def test_ledger_unknown_run_exits_2(tmp_path, capsys):
-    db = str(tmp_path / "tuning.db")
+    db = str(tmp_path / "ledger.db")
     assert main(["run", "sod", "--n", "80", "--steps", "1",
                  "--ledger", db]) == 0
     capsys.readouterr()
@@ -306,7 +278,7 @@ def test_run_and_submit_share_the_spec_path():
 
     parser = build_parser()
     flags = ["sod", "--n", "80", "--steps", "2", "--backend", "numpy",
-             "--guard", "--autotune-seed", "7"]
+             "--guard", "--error-detection"]
     run_spec, _ = _spec_from_args(parser.parse_args(["run", *flags]))
     submit_spec, _ = _spec_from_args(
         parser.parse_args(["submit", *flags, "--socket", "/tmp/x.sock"])

@@ -1,7 +1,7 @@
 """Durability contract of the sqlite run ledger.
 
 The ledger is the persistence half of the observability loop: appended
-by ``Simulation.close()``, read by the autotuner's warm start.  These
+by ``Simulation.close()``, read back by ``repro ledger``.  These
 tests pin the durability promises the module docstring makes — WAL
 appends serialize across processes, a torn write quarantines instead of
 crashing, old schemas migrate in place, newer ones are refused — plus
@@ -236,6 +236,39 @@ def test_v0_ledger_migrates_in_place(tmp_path):
     with RunLedger(path) as led:
         assert led.schema_version == SCHEMA_VERSION
         assert len(led) == 2
+
+
+def test_pre_removal_ledger_row_reads_back_verbatim(tmp_path, capsys):
+    """A row written before ``pair_engine``, the numba backend and the
+    online autotuner were removed still opens, reads back verbatim and
+    prints through ``repro ledger`` — also from a migrated v0 file."""
+    from repro.cli import main
+
+    old = _record(
+        run_id="square-patch-0000000001", scenario="square-patch",
+        backend="numba", code_version="old",
+        knobs={
+            "workers": 0, "chunks_per_worker": 1, "neighbor_cache": True,
+            "cache_skin": 0.5, "pair_engine": False, "backend": "numba",
+            "checkpoint_every": None,
+        },
+        extra={"tuning": {"done": True, "explored_steps": 8,
+                          "recommendation": {"backend": "numba"}}},
+    )
+    path = tmp_path / "old.db"
+    _make_v0_ledger(path)
+    with RunLedger(path) as ledger:
+        ledger.append(old)
+    with RunLedger(path) as ledger:
+        assert ledger.get(old.run_id) == old
+
+    assert main(["ledger", "--path", str(path), "--show", old.run_id]) == 0
+    out = capsys.readouterr().out
+    assert old.run_id in out and "backend=numba" in out
+    assert '"pair_engine": false' in out
+    assert main(["ledger", "--path", str(path), "--list"]) == 0
+    out = capsys.readouterr().out
+    assert old.run_id in out and "old-00000001" in out
 
 
 def test_newer_schema_is_refused(tmp_path):

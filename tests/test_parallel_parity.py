@@ -344,10 +344,10 @@ def test_close_is_idempotent_and_degrade_or_rewire_leave_no_thread():
     assert len(phase_threads()) == before + 2
     sim.degrade_to_serial()
     assert len(phase_threads()) == before
-    sim._wire_exec(ExecConfig(workers=2))
+    sim.configure(exec=ExecConfig(workers=2))
     sim.compute_rates()
     assert len(phase_threads()) == before + 2
-    sim._wire_exec(ExecConfig(workers=1))  # the autotuner's mid-run switch
+    sim.configure(exec=ExecConfig(workers=1))  # a rewire joins the old lanes
     assert len(phase_threads()) == before
     sim.compute_rates()
     with sim:
