@@ -339,29 +339,42 @@ RP_SPECIALIZE void rp_shape(const int kind, const int low, double q,
 /* f = |s|^p1 and f' = p1 |s|^(p1-1) sgn(s) ds/dq of the sinc family for
  * a row of q, s = sin(x)/x at x = pi*q/2 in (0, pi): sin and cos by
  * reflection about pi/2 with a two-part pi, so relative accuracy
- * survives at both ends.  A small integer p1 is raised by the binary
- * multiply chain, run over the row one bit at a time; any other by libm
- * pow.  At q = 0 and q >= 2 the arithmetic runs on (NaN, garbage) and
- * the selects of the last loop discard it.  Chunked over stack buffers:
- * a row may be longer than any of them. */
+ * survives at both ends.  fp = NULL skips f' and the cosine it needs.
+ * A small integer p1 is raised by the binary multiply chain, run over
+ * the row one bit at a time; any other by libm pow.  At q = 0 and
+ * q >= 2 the arithmetic runs on (NaN, garbage) and the selects of the
+ * last loop discard it.  Chunked over stack buffers: a row may be
+ * longer than any of them. */
 #define RP_CHUNK 256
 static void rp_sinc_row(double p1, const double *q, int64_t len, double *f,
                         double *fp)
 {{
     const int chain = p1 == rint(p1) && p1 >= 1.0 && p1 <= 33.0;
-    double a[RP_CHUNK], g[RP_CHUNK], base[RP_CHUNK];
-    for (; len > 0; len -= RP_CHUNK, q += RP_CHUNK, f += RP_CHUNK,
-                    fp += RP_CHUNK) {{
-        const int64_t m = len < RP_CHUNK ? len : RP_CHUNK;
+    double a[RP_CHUNK], g[RP_CHUNK], base[RP_CHUNK], sd[RP_CHUNK];
+    for (int64_t c = 0; c < len; c += RP_CHUNK) {{
+        const int64_t m = len - c < RP_CHUNK ? len - c : RP_CHUNK;
+        const double *qc = q + c;
+        double *fc = f + c;
+        if (fp) {{
+            RP_EACH(k, m) {{
+                const double xv = M_PI * (0.5 * qc[k]);
+                const int refl = xv > M_PI_2;
+                const double z = refl ? (M_PI - xv) + RP_PI_LO : xv;
+                const double cz = rp_cospoly(z);
+                const double s = rp_sinpoly(z) / xv;
+                const double dsdq =
+                    (0.5 * M_PI) * (((refl ? -cz : cz) - s) / xv);
+                a[k] = fabs(s);
+                sd[k] = ((double)(s > 0.0) - (double)(s < 0.0)) * dsdq;
+            }}
+        }} else {{
+            RP_EACH(k, m) {{
+                const double xv = M_PI * (0.5 * qc[k]);
+                const double z = xv > M_PI_2 ? (M_PI - xv) + RP_PI_LO : xv;
+                a[k] = fabs(rp_sinpoly(z) / xv);
+            }}
+        }}
         RP_EACH(k, m) {{
-            const double xv = M_PI * (0.5 * q[k]);
-            const int refl = xv > M_PI_2;
-            const double z = refl ? (M_PI - xv) + RP_PI_LO : xv;
-            const double cz = rp_cospoly(z);
-            const double s = rp_sinpoly(z) / xv;
-            const double dsdq = (0.5 * M_PI) * (((refl ? -cz : cz) - s) / xv);
-            a[k] = fabs(s);
-            fp[k] = ((double)(s > 0.0) - (double)(s < 0.0)) * dsdq;
             base[k] = a[k];
             g[k] = 1.0;
         }}
@@ -377,23 +390,39 @@ static void rp_sinc_row(double p1, const double *q, int64_t len, double *f,
                 g[k] = pow(a[k], p1 - 1.0);
         }}
         RP_EACH(k, m) {{
-            const int inside = (q[k] > 0.0) & (q[k] < 2.0);
-            f[k] = inside ? g[k] * a[k] : (q[k] == 0.0 ? 1.0 : 0.0);
-            fp[k] = inside ? (p1 * g[k]) * fp[k] : 0.0;
+            const int inside = (qc[k] > 0.0) & (qc[k] < 2.0);
+            fc[k] = inside ? g[k] * a[k] : (qc[k] == 0.0 ? 1.0 : 0.0);
+        }}
+        if (fp) {{
+            double *fpc = fp + c;
+            RP_EACH(k, m) {{
+                const int inside = (qc[k] > 0.0) & (qc[k] < 2.0);
+                fpc[k] = inside ? (p1 * g[k]) * sd[k] : 0.0;
+            }}
         }}
     }}
 }}
 
 /* f and f' of a whole row of q; kind 4 = sinc^p1, else rp_shape's
- * (p1 = the Wendland 1-D/3-D shape hint). */
+ * (p1 = the Wendland 1-D/3-D shape hint).  fp = NULL asks for f alone:
+ * the sinc row then skips f', the polynomial shapes drop it. */
 static void rp_row_shape(int kind, double p1, const double *q, int64_t len,
                          double *f, double *fp)
 {{
-#define RP_SHAPE_ROW(KIND)                                          \
-    if (p1 == 1.0)                                                  \
-        RP_EACH(k, len) rp_shape(KIND, 1, q[k], f + k, fp + k);     \
+#define RP_SHAPE_LOOP(KIND, LOW)                                    \
+    if (fp)                                                         \
+        RP_EACH(k, len) rp_shape(KIND, LOW, q[k], f + k, fp + k);   \
     else                                                            \
-        RP_EACH(k, len) rp_shape(KIND, 0, q[k], f + k, fp + k)
+        RP_EACH(k, len) {{                                          \
+            double dropped;                                         \
+            rp_shape(KIND, LOW, q[k], f + k, &dropped);             \
+        }}
+#define RP_SHAPE_ROW(KIND)                                          \
+    if (p1 == 1.0) {{                                               \
+        RP_SHAPE_LOOP(KIND, 1);                                     \
+    }} else {{                                                      \
+        RP_SHAPE_LOOP(KIND, 0);                                     \
+    }}
     switch (kind) {{
     case 0:
         RP_SHAPE_ROW(0);
@@ -412,6 +441,7 @@ static void rp_row_shape(int kind, double p1, const double *q, int64_t len,
         break;
     }}
 #undef RP_SHAPE_ROW
+#undef RP_SHAPE_LOOP
 }}
 
 /* Geometry of row i: minimum-image separations dx[d][k] = x_i - x_j of
@@ -644,7 +674,8 @@ void rp_density(const double *x, const double *h, const double *wgt,
 {
     RP_GEOM_BUFFERS(scratch, cap);
     /* q, f, f' hold the row's side (q = r/h_i) then the partners'
-     * (q = r/h_j) back to back: one shape pass serves both. */
+     * (q = r/h_j) back to back: one shape pass serves both.  Only the
+     * grad-h sum reads f'. */
     double *q = scratch + 4 * cap, *f = q + 2 * cap, *fp = f + 2 * cap;
     double *hj = fp + 2 * cap, *t = hj + cap, *tp = t + cap;
     double *w = tp + cap, *wp = w + cap;
@@ -659,7 +690,7 @@ void rp_density(const double *x, const double *h, const double *wgt,
             q[k] = r[k] / hi_;
             q[len + k] = r[k] / hj[k];
         }
-        rp_row_shape(kind, p1, q, 2 * len, f, fp);
+        rp_row_shape(kind, p1, q, 2 * len, f, dwdh ? fp : NULL);
         const double *qj = q + len, *fj = f + len, *fpj = fp + len;
         /* Row i's terms and, in statements of their own, the partner's. */
         if (dwdh) {
@@ -887,7 +918,7 @@ double rp_forces(const double *x, const double *v, const double *h,
             q[k] = r[k] / hii;
             q[len + k] = r[k] / hj[k];
         }
-        rp_row_shape(kind, p1, q, 2 * len, f, fp);
+        rp_row_shape(kind, p1, q, 2 * len, f, cmat ? NULL : fp);
         if (cmat) {
             const double wn = sigma / rp_hpow(hii, dim);
             const double *ci = cmat + i * dd;

@@ -19,7 +19,8 @@ derivative ``dW/dh`` used by grad-h correction terms.
 from __future__ import annotations
 
 import abc
-from typing import Dict
+import functools
+from typing import Dict, Tuple
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -37,9 +38,25 @@ SUPPORT_RADIUS = 2.0
 _SIGMA_NODES = 64
 
 #: ``(kernel.cache_key(), dim) -> sigma`` for the integrated
-#: normalizations, shared by every instance in the process (and, through
-#: fork, by service workers).
+#: normalizations, shared by every instance in the process.  A forked
+#: service worker inherits only what its manager evaluated, and the
+#: manager evaluates no kernel: it warms :func:`gauss_legendre_rule`
+#: instead (``repro.service.worker.warm``), so a worker's integral is
+#: one dot product.
 _SIGMA_MEMO: Dict[tuple, float] = {}
+
+
+@functools.cache
+def gauss_legendre_rule() -> Tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the ``_SIGMA_NODES``-point rule on [-1, 1].
+
+    Computed once per process and shared read-only: the same arrays on
+    every call, so every integral over them has the same bits.
+    """
+    nodes, weights = leggauss(_SIGMA_NODES)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
 
 
 class Kernel(abc.ABC):
@@ -88,7 +105,7 @@ class Kernel(abc.ABC):
 
     def _sigma_numeric(self, dim: int) -> float:
         """``1 / int f(q) dV`` by a fixed Gauss-Legendre rule on the support."""
-        nodes, weights = leggauss(_SIGMA_NODES)
+        nodes, weights = gauss_legendre_rule()
         q = 0.5 * self.support * (nodes + 1.0)
         radial = float(np.dot(weights, q ** (dim - 1) * self.shape(q)))
         shell = (2.0, 2.0 * np.pi, 4.0 * np.pi)[dim - 1]

@@ -36,7 +36,7 @@ import tempfile
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, AsyncIterator, Dict, Iterator, List, Optional
+from typing import Any, AsyncIterator, Dict, Iterator, List, Optional, Set
 
 from .events import JobEventLog
 from .queue import FairShareQueue, QueueFullError
@@ -272,8 +272,7 @@ class ServiceManager:
         spec and :class:`~repro.service.queue.QueueFullError` when the
         admission queue is at capacity.
         """
-        spec.resolve()  # SpecError before any bookkeeping
-        spec_hash = spec.content_hash()
+        spec_hash = spec.content_hash()  # resolves: SpecError comes first
         self.stats["submitted"] += 1
 
         # 1. Coalesce with an identical in-flight job.
@@ -549,11 +548,14 @@ class ServiceManager:
         excess = len(self.jobs) - self.config.history_limit
         if excess <= 0:
             return
-        for job_id in [
+        # Oldest first, stopping at the ``excess``-th terminal job: with a
+        # full history of finished jobs that is one step, not a scan.
+        terminal = (
             jid
             for jid, j in self.jobs.items()
             if j.state in JobState.TERMINAL
-        ][:excess]:
+        )
+        for job_id in list(itertools.islice(terminal, excess)):
             del self.jobs[job_id]
 
 
@@ -589,13 +591,31 @@ class SyncJobHandle:
         return self._handle.status()
 
     def result(self, timeout: Optional[float] = None) -> JobOutcome:
+        """Block for the outcome.
+
+        A job already ``DONE`` answers from this thread: the loop writes
+        ``state`` and ``outcome`` before it sets ``done``, and neither
+        moves again.  Every other state waits on the loop, which also
+        raises the failed and cancelled errors.
+        """
+        job = self._handle._job
+        if job.done.is_set() and job.state == JobState.DONE:
+            return job.outcome
         return self._service._call(self._handle.result(), timeout=timeout)
 
     def cancel(self) -> bool:
         return self._service._call(self._handle.cancel())
 
     def events(self) -> Iterator:
-        """Blocking generator over the job's event stream."""
+        """Blocking generator over the job's event stream.
+
+        A closed log (the job is terminal) is replayed from this thread;
+        an open one is pumped from the loop through a queue.
+        """
+        log = self._handle._job.log
+        if log.closed:
+            yield from log.events
+            return
         bridge: "_thread_queue.Queue" = _thread_queue.Queue()
 
         async def pump() -> None:
@@ -613,6 +633,39 @@ class SyncJobHandle:
             yield event
 
 
+class _Resumed:
+    """The rest of a coroutine already stepped to its first suspension,
+    as an awaitable a Task can drive: the Task gets what the coroutine
+    awaits, the coroutine gets what the Task sends or throws back."""
+
+    def __init__(self, coro, awaited):
+        self._coro = coro
+        self._awaited = awaited
+
+    def __await__(self):
+        coro, awaited = self._coro, self._awaited
+        while True:
+            try:
+                try:
+                    sent = yield awaited
+                except BaseException as exc:  # noqa: BLE001 - delegated
+                    awaited = coro.throw(exc)
+                else:
+                    awaited = coro.send(sent)
+            except StopIteration as stop:
+                return stop.value
+
+
+def _settle(future: concurrent.futures.Future, task: asyncio.Task) -> None:
+    """Copy a finished Task's outcome onto the caller's future."""
+    if task.cancelled():
+        future.cancel()
+    elif task.exception() is not None:
+        future.set_exception(task.exception())
+    else:
+        future.set_result(task.result())
+
+
 class LocalService:
     """In-process service on a background event-loop thread.
 
@@ -625,6 +678,7 @@ class LocalService:
     def __init__(self, config: Optional[ServiceConfig] = None):
         self.config = config or ServiceConfig()
         self._loop = asyncio.new_event_loop()
+        self._tasks: Set[asyncio.Task] = set()  # loop-owned: tasks are weak
         self._thread = threading.Thread(
             target=self._loop.run_forever,
             name="repro-service-loop",
@@ -636,9 +690,30 @@ class LocalService:
         self._closed = False
 
     def _call(self, coro, timeout: Optional[float] = None):
-        return asyncio.run_coroutine_threadsafe(
-            coro, self._loop
-        ).result(timeout)
+        """Run ``coro`` on the loop; block for its value.
+
+        The loop steps the coroutine in the callback that wakes it, so
+        one that never suspends (a ``submit`` or ``cancel``) is answered
+        from that callback — no Task, no chained future, no further loop
+        iterations.  One that suspends is finished under a Task.
+        """
+        future: concurrent.futures.Future = concurrent.futures.Future()
+
+        def start() -> None:
+            try:
+                awaited = coro.send(None)
+            except StopIteration as stop:
+                future.set_result(stop.value)
+            except Exception as exc:  # noqa: BLE001 - to the caller
+                future.set_exception(exc)
+            else:
+                task = asyncio.ensure_future(_Resumed(coro, awaited))
+                self._tasks.add(task)
+                task.add_done_callback(self._tasks.discard)
+                task.add_done_callback(functools.partial(_settle, future))
+
+        self._loop.call_soon_threadsafe(start)
+        return future.result(timeout)
 
     def _spawn(self, coro) -> None:
         asyncio.run_coroutine_threadsafe(coro, self._loop)

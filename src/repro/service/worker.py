@@ -30,16 +30,19 @@ def warm() -> None:
     ``ServiceManager.start()`` calls this under process isolation: the
     modules :func:`~repro.service.runner.execute_spec` reaches through
     function-local imports, and the memoised per-process facts each job
-    stamps into its spec hash and ledger row.  A forked child then pays
-    for its physics, checkpoints and ledger row only.  Still one process
-    per attempt (nothing is pooled or kept alive) and nothing is
+    stamps into its spec hash and ledger row, and the quadrature rule
+    behind every integrated kernel normalization.  A forked child then
+    pays for its physics, checkpoints and ledger row only.  Still one
+    process per attempt (nothing is pooled or kept alive) and nothing is
     compiled; imports and ``functools.cache`` make a second call free.
     """
     from .. import resilience  # noqa: F401
+    from ..kernels.base import gauss_legendre_rule
     from ..observability import ledger
 
     ledger.host_fingerprint()
     ledger.code_version()
+    gauss_legendre_rule()
 
 
 def process_worker_main(

@@ -19,7 +19,13 @@ from repro.service import (
     SpecError,
     execute_spec,
 )
-from repro.service.manager import JobState
+from repro.service.manager import (
+    JobCancelledError,
+    JobFailedError,
+    JobState,
+    _Job,
+)
+from repro.service.events import JobEventLog
 
 TINY = dict(scenario="sod", n_steps=3, overrides={"n_target": 60})
 
@@ -248,6 +254,149 @@ def test_manager_backpressure_rejects_beyond_capacity():
     asyncio.run(scenario())
 
 
+def test_malformed_spec_raises_before_any_bookkeeping():
+    async def scenario():
+        manager = ServiceManager(ServiceConfig(isolation="inline"))
+        for bad in (
+            JobSpec(scenario="nosuch"),
+            JobSpec(scenario="sod", overrides={"bogus_knob": 1}),
+            JobSpec(scenario="sod", chaos="not-a-chaos-spec"),
+        ):
+            with pytest.raises(SpecError):
+                await manager.submit(bad)
+        assert manager.stats["submitted"] == 0
+        assert manager.jobs == {}
+        await manager.close()
+
+    asyncio.run(scenario())
+
+
+def _history(states):
+    jobs = {}
+    for n, state in enumerate(states, 1):
+        job_id = f"job-{n:05d}"
+        jobs[job_id] = _Job(
+            job_id=job_id, spec=tiny_spec(), spec_hash=str(n),
+            tenant="anon", log=JobEventLog(job_id), state=state,
+        )
+    return jobs
+
+
+def test_trim_history_evicts_the_oldest_terminal_jobs_only():
+    S = JobState
+    states = [S.DONE, S.RUNNING, S.FAILED, S.QUEUED, S.CANCELLED, S.DONE,
+              S.RECOVERED, S.DONE]
+    manager = ServiceManager(ServiceConfig(isolation="inline", history_limit=5))
+    manager.jobs = _history(states)
+    manager._trim_history()
+    # Three over the limit: the first three terminal jobs, in age order.
+    assert list(manager.jobs) == [
+        "job-00002", "job-00004", "job-00006", "job-00007", "job-00008",
+    ]
+    # Fewer terminal jobs than the excess: all of them go, no live one.
+    manager.jobs = _history(states)
+    manager.config = ServiceConfig(isolation="inline", history_limit=1)
+    manager._trim_history()
+    assert [j.state for j in manager.jobs.values()] == [
+        S.RUNNING, S.QUEUED, S.RECOVERED,
+    ]
+    manager.store.close()
+
+
+def test_finished_handle_answers_without_a_loop_round_trip(monkeypatch):
+    svc = inline_service()
+    try:
+        ran = svc.submit(tiny_spec())
+        first = ran.result(timeout=300)
+        hit = svc.submit(tiny_spec())
+        loop_calls = []
+        for name in ("_call", "_spawn"):
+            real = getattr(LocalService, name)
+            monkeypatch.setattr(
+                LocalService, name,
+                lambda self, coro, *a, _real=real, **kw: (
+                    loop_calls.append(coro) or _real(self, coro, *a, **kw)
+                ),
+            )
+        assert hit.result() is hit.result()
+        assert hit.result().cached
+        assert hit.result().result_digest == first.result_digest
+        assert ran.result() is first
+        events = {h.job_id: list(h.events()) for h in (ran, hit)}
+        assert loop_calls == []
+
+        async def replay(handle):
+            return [e async for e in handle.events()]
+
+        for h in (ran, hit):
+            assert events[h.job_id] == svc._call(replay(h._handle))
+        assert [e.type for e in events[hit.job_id]] == ["queued", "done"]
+        assert events[ran.job_id][-1].type == "done"
+    finally:
+        svc.close()
+
+
+def test_loop_call_finishes_coroutines_that_suspend():
+    """``_call`` steps a coroutine in the loop's wake-up callback; one
+    that suspends is finished under a Task with the same outcome."""
+    import concurrent.futures
+
+    async def value_after(n):
+        for _ in range(n):
+            await asyncio.sleep(0)
+        await asyncio.sleep(0.01)
+        return n
+
+    async def raise_after(n, exc):
+        await value_after(n)
+        raise exc
+
+    svc = inline_service()
+    try:
+        assert svc._call(value_after(0)) == 0
+        assert svc._call(value_after(3)) == 3
+        with pytest.raises(KeyError, match="boom"):
+            svc._call(raise_after(2, KeyError("boom")))
+        with pytest.raises(concurrent.futures.CancelledError):
+            svc._call(raise_after(1, asyncio.CancelledError()))
+    finally:
+        svc.close()
+
+
+def test_failed_and_cancelled_jobs_raise_through_the_loop(monkeypatch):
+    import threading
+
+    import repro.service.manager as manager_mod
+
+    gate = threading.Event()
+
+    def stuck_then_fail(spec, **kwargs):
+        gate.wait(timeout=60)
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(manager_mod, "execute_spec", stuck_then_fail)
+    svc = inline_service(max_workers=1)
+    try:
+        running = svc.submit(tiny_spec())
+        queued = svc.submit(tiny_spec(n_steps=4))
+        assert queued.cancel()
+        with pytest.raises(JobCancelledError, match=queued.job_id):
+            queued.result(timeout=60)
+        gate.set()
+        with pytest.raises(JobFailedError, match="RuntimeError: boom"):
+            running.result(timeout=60)
+        # Terminal now: a second read raises the same errors again.
+        with pytest.raises(JobFailedError, match="boom"):
+            running.result(timeout=60)
+        with pytest.raises(JobCancelledError):
+            queued.result(timeout=60)
+        assert [e.type for e in queued.events()] == ["queued", "cancelled"]
+        assert running.status()["state"] == JobState.FAILED
+    finally:
+        gate.set()
+        svc.close()
+
+
 # --- Event fan-out --------------------------------------------------------
 
 
@@ -404,6 +553,49 @@ def test_warm_runs_once_per_process_service_and_never_inline(monkeypatch):
     before = set(sys.modules)
     warm()
     assert set(sys.modules) == before
+
+
+_FORK_SIGMA_AFTER_START = """
+import json, os, sys
+from repro.kernels import SincKernel, base
+from repro.service import LocalService, ServiceConfig
+
+svc = LocalService(ServiceConfig(isolation="process", jobs_dir=sys.argv[1]))
+calls = []
+rule = base.leggauss
+base.leggauss = lambda n: calls.append(n) or rule(n)
+read_end, write_end = os.pipe()
+pid = os.fork()
+if pid == 0:  # a forked worker integrating its kernel's normalization
+    status = 1
+    try:
+        sigma = SincKernel(5.0).sigma(3)
+        reply = {"sigma": sigma.hex(), "memo": len(base._SIGMA_MEMO), "calls": calls}
+        os.write(write_end, json.dumps(reply).encode())
+        status = 0
+    finally:
+        os._exit(status)
+os.close(write_end)
+with os.fdopen(read_end, "rb") as fh:
+    reply = fh.read()
+os.waitpid(pid, 0)
+svc.close()
+print(reply.decode())
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_warm_spares_a_forked_worker_the_quadrature_rule(
+    tmp_path, fresh_interpreter
+):
+    """The manager evaluates no kernel, so a worker integrates sigma
+    itself — on the rule ``warm()`` left in the fork image."""
+    from repro.kernels import SincKernel
+
+    reply = fresh_interpreter(_FORK_SIGMA_AFTER_START, str(tmp_path))
+    assert reply["memo"] == 1  # integrated in the child ...
+    assert reply["calls"] == []  # ... without recomputing the rule
+    assert float.fromhex(reply["sigma"]) == SincKernel(5.0).sigma(3)
 
 
 # --- Ledger / store agreement (the phantom-row fix) -----------------------
