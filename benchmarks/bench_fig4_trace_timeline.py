@@ -13,8 +13,7 @@ threads are idle, and idle time concentrates in A, B, D and J.
 from collections import defaultdict
 
 from repro.core.presets import SPHYNX
-from repro.profiling.timeline import render_timeline
-from repro.profiling.trace import State, Tracer
+from repro.observability import State, Tracer, render_timeline
 from repro.runtime.calibration import calibrate_kappa
 from repro.runtime.cluster import ClusterModel
 from repro.runtime.machine import PIZ_DAINT

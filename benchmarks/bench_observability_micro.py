@@ -7,7 +7,7 @@ of the API contract: tracing enabled may add at most 2% to the step time
 per-span allocations entirely.
 
 Times full steps of the square patch with the default
-:class:`~repro.observability.tracer.SpanTracer` against the tracing-off
+:class:`~repro.observability.tracer.Tracer` against the tracing-off
 :class:`~repro.observability.tracer.NullTracer` configuration on
 bit-identical trajectories, min-of-N per config, and records the ratio
 into ``benchmarks/results/observability_micro.json``.
@@ -25,7 +25,7 @@ from _scaling_common import host_stamp
 from repro.core.config import RunConfig, SimulationConfig
 from repro.core.simulation import Simulation
 from repro.ics.square_patch import SquarePatchConfig, make_square_patch
-from repro.observability import NullTracer, ObservabilityConfig, SpanTracer
+from repro.observability import NullTracer, ObservabilityConfig, Tracer
 from repro.timestepping.steppers import TimestepParams
 
 #: patch side AND layer count; 18^3 = 5832 particles by default.
@@ -66,7 +66,7 @@ def _best_step_time(sim: Simulation) -> float:
 
 def test_tracing_overhead_within_budget(report, results_dir):
     on = _make_sim(enabled=True)
-    assert isinstance(on.tracer, SpanTracer) and on.tracer.enabled
+    assert type(on.tracer) is Tracer and on.tracer.enabled
     t_on = _best_step_time(on)
     spans = len(on.tracer.events)
     n = on.particles.n

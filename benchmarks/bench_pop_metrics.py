@@ -4,13 +4,14 @@
 to ideal, the measured global efficiency steadily decreases from 48 cores
 to 192 cores.  Most of the efficiency loss comes from an increased load
 imbalance."  This bench computes the POP hierarchy from the modeled
-SPHYNX traces at 12..384 cores and asserts exactly that reading.
+SPHYNX traces at 12..384 cores and asserts exactly that reading, through
+:func:`repro.observability.pop_from_events` — the one POP function, which
+the measured-run bench below applies to a real threaded execution.
 """
 
 from repro.core.presets import SPHYNX
 from repro.io.reporting import format_table
-from repro.profiling.metrics import compute_pop_metrics
-from repro.profiling.trace import Tracer
+from repro.observability import Tracer, pop_from_events
 from repro.runtime.calibration import calibrate_kappa
 from repro.runtime.cluster import ClusterModel
 from repro.runtime.machine import PIZ_DAINT
@@ -28,10 +29,10 @@ def _metrics_sweep(evrard_workload):
             evrard_workload, SPHYNX, PIZ_DAINT, cores, kappa=kappa, tracer=tracer
         )
         model.simulate_step()
-        m = compute_pop_metrics(tracer, reference_useful_total=ref_useful)
+        m = pop_from_events(tracer, reference_useful_total=ref_useful)
         if ref_useful is None:
             ref_useful = m.total_useful
-            m = compute_pop_metrics(tracer, reference_useful_total=ref_useful)
+            m = pop_from_events(tracer, reference_useful_total=ref_useful)
         out.append((cores, m))
     return out
 
@@ -89,52 +90,20 @@ def test_pop_metrics_benchmark(benchmark, evrard_workload):
             evrard_workload, SPHYNX, PIZ_DAINT, 192, kappa=kappa, tracer=tracer
         )
         model.simulate_step()
-        return compute_pop_metrics(tracer).global_efficiency
+        return pop_from_events(tracer).global_efficiency
 
     eff = benchmark(run)
     assert 0.0 < eff <= 1.0
 
 
 # ----------------------------------------------------------------------
-# Measured-span POP (repro.observability): the same hierarchy computed
-# from real executions and from replayed timelines, not just the model.
+# The same function on a real execution's merged spans.
 # ----------------------------------------------------------------------
-def test_pop_from_events_agrees_with_modeled_metrics(evrard_workload):
-    """`pop_from_events` on a modeled trace matches `compute_pop_metrics`.
-
-    The measured-span path and the modeled path must tell the same story
-    on the simulated-cluster traces (within 5%), so POP numbers from
-    real pool runs are comparable with the paper-scale modeled sweeps.
-    """
-    from repro.observability import pop_from_events
-
-    kappa = calibrate_kappa(SPHYNX, evrard_workload)
-    for cores in (24, 96):
-        tracer = Tracer()
-        model = ClusterModel(
-            evrard_workload, SPHYNX, PIZ_DAINT, cores, kappa=kappa,
-            tracer=tracer,
-        )
-        model.simulate_step()
-        modeled = compute_pop_metrics(tracer)
-        measured = pop_from_events(tracer)
-        assert measured.n_ranks == modeled.n_ranks
-        for attr in (
-            "load_balance",
-            "communication_efficiency",
-            "parallel_efficiency",
-            "global_efficiency",
-        ):
-            a, b = getattr(measured, attr), getattr(modeled, attr)
-            assert abs(a - b) <= 0.05 * abs(b), (cores, attr, a, b)
-
-
 def test_pop_from_measured_pool_run(report):
     """POP hierarchy of a real 4-thread execution's merged spans."""
     from repro.core.config import ExecConfig, RunConfig, SimulationConfig
     from repro.core.simulation import Simulation
     from repro.ics.square_patch import SquarePatchConfig, make_square_patch
-    from repro.observability import pop_from_events
     from repro.timestepping.steppers import TimestepParams
 
     particles, box, eos = make_square_patch(

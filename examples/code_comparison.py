@@ -22,6 +22,7 @@ from repro import (
 )
 from repro.core.phases import Phase
 from repro.io.reporting import format_table
+from repro.observability import self_times
 from repro.timestepping import TimestepParams
 
 N_STEPS = 4
@@ -62,12 +63,15 @@ def main() -> None:
             f"{drift['energy']:.1e}",
             f"{rotation_error(sim):.3f}",
         ])
-        # Per-phase profile (the Figure-4 information, serially measured).
-        total = sum(sim.tracer.time_in_phase(p.letter) for p in Phase)
-        shares = [
-            f"{100 * sim.tracer.time_in_phase(p.letter) / total:.0f}%"
-            for p in Phase
-        ]
+        # Per-phase profile (the Figure-4 information, serially measured),
+        # in self time: B's search span nests inside C's h iteration.
+        events = sim.tracer.events
+        own = dict.fromkeys((p.letter for p in Phase), 0.0)
+        for e, t in zip(events, self_times(events)):
+            if e.phase in own:
+                own[e.phase] += t
+        total = sum(own.values())
+        shares = [f"{100 * own[p.letter] / total:.0f}%" for p in Phase]
         phase_rows.append([preset.label] + shares)
 
     print(format_table(

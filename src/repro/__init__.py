@@ -27,7 +27,7 @@ The classic driver loop remains supported for library use::
     print(sim.conservation_drift())
 
 ``__all__`` below is the supported import surface.  Everything else
-(profiling, tree, IC helpers, POP metrics, ...) still imports from its
+(tracing, tree, IC helpers, POP metrics, ...) still imports from its
 owning submodule.
 """
 
@@ -48,7 +48,14 @@ from .core import (
     measure_conservation,
     relative_drift,
 )
-from .observability import ObservabilityConfig, RunReport
+from .observability import (
+    ObservabilityConfig,
+    PopMetrics,
+    RunReport,
+    State,
+    Tracer,
+    render_timeline,
+)
 from .ics import (
     EvrardConfig,
     SquarePatchConfig,
@@ -56,16 +63,15 @@ from .ics import (
     make_square_patch,
 )
 from .kernels import available_kernels, make_kernel
-from .profiling import PopMetrics, State, Tracer, compute_pop_metrics, render_timeline
 from .scenarios import Scenario, all_scenarios, get_scenario, scenario_names
 from .tree import Box, NeighborList, Octree, cell_grid_search
 
-__version__ = "8.1.0"
+__version__ = "9.0.0"
 
 #: The supported import surface, pruned to the PR-10 API redesign: the
 #: service entry points (lazy — see ``__getattr__``), the driver loop,
 #: the presets and the scenario registry.  The helper families that
-#: used to ride along (profiling, tree, ICs, kernels) stay importable
+#: used to ride along (tracing, tree, ICs, kernels) stay importable
 #: as attributes for compatibility but are no longer advertised here.
 __all__ = [
     "__version__",

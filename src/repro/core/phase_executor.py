@@ -40,7 +40,7 @@ import numpy as np
 
 from ..gravity.barnes_hut import GravityResult, barnes_hut_gravity
 from ..gravity.multipole import compute_node_moments
-from ..profiling.trace import State
+from ..observability.tracer import State
 from ..sph.density import compute_density, grad_h_terms
 from ..sph.forces import ForceResult, compute_forces, velocity_divergence_curl
 from ..sph.viscosity import balsara_switch
@@ -109,14 +109,12 @@ class PhaseExecutor:
         for slot, timed in enumerate(lanes):
             done[slot::workers] = timed
         sim = self._sim
-        record = getattr(sim.tracer, "record_span", None)
-        if record is not None and sim.run_config.observability.worker_spans:
-            for k, (t0, dur, _) in enumerate(done):
-                lo, hi = slices[k]
-                record(
-                    phase, State.USEFUL, t0, dur, rank=sim.rank,
-                    thread=k % workers + 1, label=f"{kind}[{lo}:{hi})",
-                )
+        for k, (t0, dur, _) in enumerate(done):
+            lo, hi = slices[k]
+            sim.tracer.record_span(
+                phase, State.USEFUL, t0, dur, rank=sim.rank,
+                thread=k % workers + 1, label=f"{kind}[{lo}:{hi})",
+            )
         results = [out for *_, out in done]
         for out in results:
             if isinstance(out, Exception):

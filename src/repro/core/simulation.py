@@ -11,7 +11,7 @@
 Integration is kick-drift-kick leapfrog, so one :meth:`Simulation.step`
 performs: half-kick with the current rates, drift, a full rate evaluation
 (phases A-I), the closing half-kick, and the next-dt selection.  Every
-phase is timed into an Extrae-like :class:`~repro.profiling.trace.Tracer`,
+phase is timed into an Extrae-like :class:`~repro.observability.tracer.Tracer`,
 which is what the Figure-4 reproduction and the POP metrics read.
 """
 
@@ -25,8 +25,7 @@ import numpy as np
 from ..backend import select_backend
 from ..backend.base import backend_ops
 from ..kernels.registry import make_kernel
-from ..observability.tracer import make_tracer
-from ..profiling.trace import State, Tracer
+from ..observability.tracer import State, Tracer, make_tracer
 from ..sph.eos import EquationOfState
 from ..sph.smoothing import (
     SmoothingConfig,
@@ -103,7 +102,7 @@ class Simulation:
     tracer:
         Optional shared tracer; by default a private one is created from
         ``run_config.observability`` (a recording
-        :class:`~repro.observability.tracer.SpanTracer` when enabled, the
+        :class:`~repro.observability.tracer.Tracer` when enabled, the
         no-op :class:`~repro.observability.tracer.NullTracer` otherwise).
     run_config:
         :class:`~repro.core.config.RunConfig` aggregating the execution
@@ -312,12 +311,14 @@ class Simulation:
             if gravity_on or cached is None:
                 self._ensure_tree()
 
-        with tr.phase(Phase.NEIGHBOR_SEARCH.letter, State.USEFUL, self.rank):
-
-            def search(x, radii, box, mode):
-                # The h iteration only counts over this list and ends
-                # on ``within``, which orders what survives.
-                return self._ensure_tree().walk_neighbors(
+        def search(x, radii, box, mode):
+            # Called from inside the h iteration (phase C), so the
+            # search's B span nests in C's.  The h iteration only counts
+            # over this list and ends on ``within``, which orders what
+            # survives.
+            tree = self._ensure_tree()
+            with tr.phase(Phase.NEIGHBOR_SEARCH.letter, State.USEFUL, self.rank):
+                return tree.walk_neighbors(
                     x, radii, mode=mode, ops=self.backend.ops, sort_rows=False
                 )
 
@@ -670,10 +671,10 @@ class Simulation:
         reg.absorb("backend", {"compiled": int(self.backend.compiled)})
         tr = self.tracer
         pop = None
-        if getattr(tr, "enabled", False) and tr.events:
+        if tr.enabled and tr.events:
             pop = pop_from_events(tr)
             reg.set("tracer.events", len(tr.events))
-            reg.set("tracer.dropped", getattr(tr, "dropped", 0))
+            reg.set("tracer.dropped", tr.dropped)
         return RunReport(
             steps=self.step_index,
             time=self.time,
@@ -696,7 +697,7 @@ class Simulation:
         """
         self._phases.close()
         obs = self.run_config.observability if self.run_config else None
-        if obs is not None and getattr(self.tracer, "enabled", False):
+        if obs is not None and self.tracer.enabled:
             from ..observability.export import write_chrome_trace, write_jsonl
 
             if obs.chrome_trace_path:

@@ -19,7 +19,6 @@ from .gresho import (
 from .kelvin_helmholtz import KelvinHelmholtzConfig, make_kelvin_helmholtz
 from .lattice import cubic_lattice, lattice_sphere, side_for_count
 from .noh import NohConfig, make_noh
-from .relax import GlassResult, density_noise, relax_to_glass
 from .sedov import SedovConfig, make_sedov
 from .sod import SodConfig, make_sod
 from .square_patch import (
@@ -53,7 +52,4 @@ __all__ = [
     "cubic_lattice",
     "lattice_sphere",
     "side_for_count",
-    "GlassResult",
-    "density_noise",
-    "relax_to_glass",
 ]

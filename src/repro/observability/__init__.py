@@ -6,18 +6,18 @@ from an Extrae trace and the POP efficiency hierarchy, not from guesses.
 This package is the one instrumentation layer every execution path
 shares:
 
-* :class:`SpanTracer` — wall-clock tracer emitting nested spans
-  (step → phase A-J → row slice) with rank/thread attribution; a
-  drop-in superset of the modeled-cluster
-  :class:`~repro.profiling.trace.Tracer`.  :class:`NullTracer` is the
-  zero-overhead disabled variant.
+* :class:`Tracer` — the one trace model: modeled intervals on per-row
+  clocks (the simulated cluster) and nested wall-clock spans (step →
+  phase A-J → row slice) with rank/thread attribution (real runs).
+  :class:`NullTracer` is the zero-overhead disabled variant;
+  :func:`self_times` gives each span's time net of its children.
 * :class:`MetricsRegistry` — flat, namespaced counters absorbing the
   Verlet-cache, gravity, checkpoint and guard stats.
 * Exporters — Chrome ``trace_event`` JSON (loadable in Perfetto /
   ``chrome://tracing``) and JSONL for the benchmark harness.
-* :func:`pop_from_events` — the paper's POP efficiency metrics computed
-  from *measured* spans (NaN-safe), so real threaded runs and the
-  simulated cluster feed one metrics pipeline.
+* :func:`pop_from_events` — the paper's POP efficiency metrics of any
+  trace (NaN-safe), so real threaded runs and the simulated cluster
+  feed one metrics pipeline; :func:`render_timeline` draws Figure 4.
 * :class:`RunReport` — the consolidated, dict-convertible stats object
   behind :meth:`repro.core.simulation.Simulation.report`.
 
@@ -42,20 +42,31 @@ from .ledger import (
     host_fingerprint,
     record_from_simulation,
 )
-from .pop import pop_from_events
+from .pop import PopMetrics, pop_from_events
 from .registry import MetricsRegistry
 from .report import (
     RunReport,
     format_gravity,
     format_neighbor_cache,
 )
-from .tracer import NullTracer, SpanTracer, make_tracer
+from .timeline import STATE_CHARS, render_timeline
+from .tracer import (
+    NullTracer,
+    State,
+    TraceEvent,
+    Tracer,
+    make_tracer,
+    self_times,
+)
 
 __all__ = [
     "ObservabilityConfig",
-    "SpanTracer",
+    "State",
+    "TraceEvent",
+    "Tracer",
     "NullTracer",
     "make_tracer",
+    "self_times",
     "MetricsRegistry",
     "RunReport",
     "RunLedger",
@@ -66,7 +77,10 @@ __all__ = [
     "record_from_simulation",
     "format_gravity",
     "format_neighbor_cache",
+    "PopMetrics",
     "pop_from_events",
+    "STATE_CHARS",
+    "render_timeline",
     "to_chrome_trace",
     "to_jsonl",
     "write_chrome_trace",

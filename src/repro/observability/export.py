@@ -19,7 +19,7 @@ import json
 from pathlib import Path
 from typing import Dict, Iterable, List, Sequence, Union
 
-from ..profiling.trace import TraceEvent, Tracer
+from .tracer import TraceEvent, Tracer
 
 __all__ = ["to_chrome_trace", "write_chrome_trace", "to_jsonl", "write_jsonl"]
 

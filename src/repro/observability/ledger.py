@@ -1,7 +1,7 @@
 """Durable run-history ledger: the persistence half of the observability loop.
 
 Every instrumented subsystem in this codebase measures itself —
-:class:`~repro.observability.tracer.SpanTracer` spans, measured POP
+:class:`~repro.observability.tracer.Tracer` spans, measured POP
 metrics, cache/recovery counters — but until now nothing
 survived the process.  The ledger closes that gap: an append-only sqlite
 store of per-run summaries, keyed by ``(scenario, n_particles, host,
@@ -468,8 +468,10 @@ def step_time_summary(durations: List[float]) -> Dict[str, float]:
 def record_from_simulation(sim, *, scenario: Optional[str] = None) -> RunRecord:
     """Roll one finished :class:`~repro.core.simulation.Simulation` up
     into a ledger row: per-phase span aggregates, POP metrics, resolved
-    knobs, step-time percentiles and recovery counters."""
-    from ..profiling.trace import State
+    knobs, step-time percentiles and recovery counters.  A phase's
+    ``total_s`` is the self time of its ``USEFUL`` spans, so a span
+    nested in another phase (B inside C) is counted once."""
+    from .tracer import State, self_times
 
     name = scenario or sim.scenario or sim.config.label
     report = sim.report()
@@ -477,13 +479,14 @@ def record_from_simulation(sim, *, scenario: Optional[str] = None) -> RunRecord:
     phases: Dict[str, Dict[str, float]] = {}
     step_durations: List[float] = []
     tracer = sim.tracer
-    if getattr(tracer, "enabled", False):
-        for e in tracer.events:
+    if tracer.enabled:
+        events = tracer.events
+        for e, own in zip(events, self_times(events)):
             if e.state is State.STEP and e.thread == 0:
                 step_durations.append(e.duration)
             elif e.state is State.USEFUL:
                 agg = phases.setdefault(e.phase, {"total_s": 0.0, "count": 0})
-                agg["total_s"] += e.duration
+                agg["total_s"] += own
                 agg["count"] += 1
         for agg in phases.values():
             agg["mean_s"] = agg["total_s"] / agg["count"] if agg["count"] else 0.0

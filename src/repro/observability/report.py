@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from typing import Dict, Optional
 
-from ..profiling.metrics import PopMetrics
+from .pop import PopMetrics
 
 __all__ = [
     "RunReport",

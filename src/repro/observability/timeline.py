@@ -17,7 +17,7 @@ from typing import Dict, List
 
 import numpy as np
 
-from .trace import State, TraceEvent, Tracer
+from .tracer import State, TraceEvent, Tracer
 
 __all__ = ["STATE_CHARS", "render_timeline"]
 

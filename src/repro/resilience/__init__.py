@@ -3,8 +3,7 @@
 Checkpoint/restart with integrity sums, optimal single- and two-level
 checkpoint intervals (Young/Daly and the Di et al. style decomposition),
 fail-stop and bit-flip failure injection, silent-data-corruption
-detectors (checksum / range / ABFT conservation ledger) and selective
-replication.
+detectors (checksum / range / ABFT conservation ledger).
 
 Driver integration: :class:`ResilienceConfig` + :class:`CheckpointManager`
 write atomic rolling checkpoints from the real step loop (auto-K via
@@ -57,11 +56,6 @@ from .interval import (
     two_level_intervals,
     young_interval,
 )
-from .replication import (
-    ReplicaOutcome,
-    run_replicated,
-    selective_replication_overhead,
-)
 from .sdc import (
     ChecksumDetector,
     ConservationDetector,
@@ -105,7 +99,4 @@ __all__ = [
     "RangeDetector",
     "ConservationDetector",
     "SdcMonitor",
-    "ReplicaOutcome",
-    "run_replicated",
-    "selective_replication_overhead",
 ]

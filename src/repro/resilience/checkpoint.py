@@ -467,7 +467,7 @@ class CheckpointManager:
         """Unconditional checkpoint of the driver's current state."""
         from contextlib import nullcontext
 
-        from ..profiling.trace import State
+        from ..observability.tracer import State
 
         self.directory.mkdir(parents=True, exist_ok=True)
         path = self.directory / _checkpoint_name(sim.step_index)

@@ -77,7 +77,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 import numpy as np
 
 from ..core.conservation import relative_drift
-from ..profiling.trace import State
+from ..observability.tracer import State
 from ..timestepping.criteria import combined_timestep
 from .checkpoint import (
     Checkpoint,

@@ -33,7 +33,7 @@ import numpy as np
 from ..core.config import SimulationConfig
 from ..domain.decomposition import Decomposition, decompose
 from ..domain.halo import estimate_halo
-from ..profiling.trace import State, Tracer
+from ..observability.tracer import State, Tracer
 from .comm import SimComm
 from .cost_model import PhaseWeights, particle_work_units
 from .machine import MachineSpec

@@ -1,27 +1,23 @@
 """Simulated MPI-like communication layer.
 
 An mpi4py-shaped interface (Table 4: "X = {MPI}") executed in-process over
-simulated ranks: data really moves between per-rank buffers, and the
-network model charges modeled time to per-rank clocks, which feed the
-Extrae-like tracer.  The API is bulk-synchronous — the driver invokes each
-operation for all ranks at once, mirroring how the distributed SPH step is
-written — and follows the mpi4py buffer convention (numpy arrays in,
-numpy arrays out).
-
-This layer is what makes the distributed algorithms *testable*: a
-distributed density evaluation over ``SimComm`` must agree with the serial
-one to machine precision while the clocks record the communication the
-network model priced.
+simulated ranks: the network model charges modeled time to per-rank
+clocks, which feed the Extrae-like tracer.  The API is bulk-synchronous —
+the caller invokes each operation for all ranks at once, mirroring how the
+distributed SPH step is written — and follows the mpi4py buffer
+convention (numpy arrays in, numpy arrays out).  The cluster model
+(:mod:`repro.runtime.cluster`) and the communication skeleton
+(:mod:`repro.runtime.skeleton`) drive it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List
 
 import numpy as np
 
-from ..profiling.trace import State, Tracer
+from ..observability.tracer import State, Tracer
 from .machine import NetworkSpec
 
 __all__ = ["SimComm"]
@@ -74,18 +70,6 @@ class SimComm:
             self.clocks[rank] = t
 
     # ------------------------------------------------------------------
-    def barrier(self, phase: str = "barrier") -> float:
-        """Synchronize all clocks; returns the release time."""
-        release = float(self.clocks.max()) + self.network.collective_time(self.size)
-        for r in range(self.size):
-            self.idle_until(r, float(self.clocks.max()), phase)
-            mpi = release - self.clocks[r]
-            if mpi > 0:
-                self.tracer.record(r, phase, State.MPI, mpi, start=self.clocks[r])
-        self.clocks[:] = release
-        self._stats["collectives"] += 1
-        return release
-
     def allreduce(self, values: List[np.ndarray] | np.ndarray, op: str = "sum", phase: str = "allreduce"):
         """Reduce per-rank values; every rank receives the result.
 
@@ -108,56 +92,6 @@ class SimComm:
         self.clocks[:] = release
         self._stats["collectives"] += 1
         return result
-
-    def alltoallv(
-        self,
-        payloads: Dict[Tuple[int, int], np.ndarray],
-        phase: str = "halo",
-    ) -> Dict[Tuple[int, int], np.ndarray]:
-        """Sparse all-to-all: ``payloads[(src, dst)]`` arrays are delivered.
-
-        Each rank is charged latency per message plus volume/bandwidth for
-        everything it sends and receives; delivery completes when both
-        endpoints are ready (the receiver waits for the sender).
-        """
-        send_time = np.zeros(self.size)
-        recv_time = np.zeros(self.size)
-        for (src, dst), arr in payloads.items():
-            if not (0 <= src < self.size and 0 <= dst < self.size):
-                raise ValueError(f"rank pair out of range: {(src, dst)}")
-            if src == dst:
-                continue
-            nbytes = float(np.asarray(arr).size * self.bytes_per_element)
-            t = self.network.transfer_time(nbytes)
-            send_time[src] += t
-            recv_time[dst] += t
-            self._stats["p2p_messages"] += 1
-            self._stats["p2p_bytes"] += nbytes
-        # Post sends, then wait for the slowest matching sender: a rank's
-        # exchange ends no earlier than every sender's post time plus wire
-        # time for its inbound data.
-        post = self.clocks + send_time
-        for r in range(self.size):
-            self.tracer.record(r, phase, State.MPI, send_time[r], start=self.clocks[r])
-        done = np.array(
-            [
-                max(
-                    [post[r]]
-                    + [
-                        post[src] + recv_time[r]
-                        for (src, dst) in payloads
-                        if dst == r and src != r
-                    ]
-                )
-                for r in range(self.size)
-            ]
-        )
-        for r in range(self.size):
-            wait = done[r] - post[r]
-            if wait > 0:
-                self.tracer.record(r, phase, State.MPI, wait, start=post[r])
-        self.clocks[:] = np.maximum(self.clocks + send_time, done)
-        return {k: v for k, v in payloads.items()}
 
     def exchange_bytes(
         self, recv_bytes: np.ndarray, phase: str = "halo"

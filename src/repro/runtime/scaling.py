@@ -15,8 +15,8 @@ from typing import Dict, List, Sequence
 import numpy as np
 
 from ..core.config import SimulationConfig
-from ..profiling.metrics import PopMetrics, compute_pop_metrics
-from ..profiling.trace import Tracer
+from ..observability.pop import PopMetrics, pop_from_events
+from ..observability.tracer import Tracer
 from .calibration import calibrate_kappa
 from .cluster import ClusterModel
 from .machine import MachineSpec
@@ -106,11 +106,11 @@ def strong_scaling(
             tracer=tracer,
         )
         avg = model.average_step_time(n_steps=min(n_steps, 3))
-        pop = compute_pop_metrics(tracer, reference_useful_total=ref_useful)
+        pop = pop_from_events(tracer, reference_useful_total=ref_useful)
         if ref_useful is None:
             # Reference scale: its own useful total (CompScal = 1 there).
             ref_useful = pop.total_useful
-            pop = compute_pop_metrics(tracer, reference_useful_total=ref_useful)
+            pop = pop_from_events(tracer, reference_useful_total=ref_useful)
         points.append(
             ScalingPoint(
                 cores=cores,

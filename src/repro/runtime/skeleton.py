@@ -23,7 +23,7 @@ from typing import List, Literal
 
 import numpy as np
 
-from ..profiling.trace import Tracer
+from ..observability.tracer import Tracer
 from .cluster import ClusterModel
 from .comm import SimComm
 from .machine import NetworkSpec

@@ -21,8 +21,8 @@ from typing import List, Sequence
 import numpy as np
 
 from ..core.config import SimulationConfig
-from ..profiling.metrics import PopMetrics, compute_pop_metrics
-from ..profiling.trace import Tracer
+from ..observability.pop import PopMetrics, pop_from_events
+from ..observability.tracer import Tracer
 from .calibration import calibrate_kappa
 from .cluster import ClusterModel
 from .machine import MachineSpec
@@ -106,10 +106,10 @@ def weak_scaling(
         )
         avg = model.average_step_time(n_steps=n_steps)
         # Weak-scaling CompScal: useful per rank should stay constant.
-        m = compute_pop_metrics(tracer)
+        m = pop_from_events(tracer)
         if ref_useful_per_rank is None:
             ref_useful_per_rank = m.total_useful / m.n_ranks
-        m = compute_pop_metrics(
+        m = pop_from_events(
             tracer,
             reference_useful_total=ref_useful_per_rank * m.n_ranks,
         )

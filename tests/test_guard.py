@@ -76,7 +76,7 @@ def test_nan_heals_bitwise_identical(name, array):
         ev for ev in sim.tracer.events if ev.phase.startswith("guard-")
     ]
     assert recovery, "guard recovery must appear in the span timeline"
-    from repro.profiling.trace import State
+    from repro.observability import State
 
     assert all(ev.state is State.RECOVERY for ev in recovery)
 

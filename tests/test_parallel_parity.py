@@ -20,7 +20,7 @@ from repro.core.config import ExecConfig, RunConfig, SimulationConfig
 from repro.core.simulation import Simulation
 from repro.ics.evrard import EvrardConfig, make_evrard
 from repro.ics.square_patch import SquarePatchConfig, make_square_patch
-from repro.profiling.trace import State
+from repro.observability import State
 from repro.timestepping.steppers import TimestepParams
 
 RTOL = 1e-12

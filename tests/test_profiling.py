@@ -1,12 +1,17 @@
-"""Tracer, POP metrics, timeline rendering."""
+"""Tracer, POP metrics, timeline rendering on hand-built modeled traces."""
 
 import math
 
 import pytest
 
-from repro.profiling.metrics import compute_pop_metrics
-from repro.profiling.timeline import STATE_CHARS, render_timeline
-from repro.profiling.trace import State, TraceEvent, Tracer
+from repro.observability import (
+    STATE_CHARS,
+    State,
+    TraceEvent,
+    Tracer,
+    pop_from_events,
+    render_timeline,
+)
 
 
 def _two_rank_trace():
@@ -57,7 +62,7 @@ def test_wallclock_phase_context():
 
 def test_pop_metrics_formulas():
     t = _two_rank_trace()
-    m = compute_pop_metrics(t)
+    m = pop_from_events(t)
     # LB = mean(8,10)/max(8,10) = 0.9
     assert m.load_balance == pytest.approx(0.9)
     # CommEff = max useful / runtime = 10/10 = 1
@@ -71,13 +76,13 @@ def test_pop_metrics_formulas():
 
 def test_pop_metrics_with_reference():
     t = _two_rank_trace()
-    m = compute_pop_metrics(t, reference_useful_total=9.0)
+    m = pop_from_events(t, reference_useful_total=9.0)
     assert m.computation_scalability == pytest.approx(0.5)
     assert m.global_efficiency == pytest.approx(0.45)
 
 
 def test_pop_metrics_empty_trace_is_nan_safe():
-    m = compute_pop_metrics(Tracer())
+    m = pop_from_events(Tracer())
     assert not m.valid
     assert m.n_ranks == 0
     assert m.runtime == 0.0
@@ -91,9 +96,9 @@ def test_pop_metrics_zero_duration_trace_is_nan_safe():
     t = Tracer()
     t.record(0, "A", State.USEFUL, 0.0)
     t.record(1, "A", State.IDLE, 0.0)
-    m = compute_pop_metrics(t)
+    m = pop_from_events(t)
     assert not m.valid
-    assert m.n_ranks == 2
+    assert m.n_ranks == 1  # the one row with a useful span
     assert math.isnan(m.load_balance)  # max useful is 0
     assert math.isnan(m.communication_efficiency)  # runtime is 0
 
@@ -101,13 +106,13 @@ def test_pop_metrics_zero_duration_trace_is_nan_safe():
 def test_pop_metrics_zero_useful_reference_is_nan():
     t = Tracer()
     t.record(0, "A", State.IDLE, 1.0)
-    m = compute_pop_metrics(t, reference_useful_total=5.0)
+    m = pop_from_events(t, reference_useful_total=5.0)
     assert math.isnan(m.computation_scalability)
     assert not m.valid
 
 
 def test_pop_metrics_valid_flag_on_healthy_trace():
-    assert compute_pop_metrics(_two_rank_trace()).valid
+    assert pop_from_events(_two_rank_trace()).valid
 
 
 def test_timeline_render_shows_states_and_phases():

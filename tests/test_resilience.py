@@ -1,4 +1,4 @@
-"""Fault tolerance: checkpoints, intervals, injection, SDC, replication."""
+"""Fault tolerance: checkpoints, intervals, injection, SDC."""
 
 import numpy as np
 import pytest
@@ -24,10 +24,6 @@ from repro.resilience.interval import (
     expected_waste,
     two_level_intervals,
     young_interval,
-)
-from repro.resilience.replication import (
-    run_replicated,
-    selective_replication_overhead,
 )
 from repro.resilience.sdc import (
     ChecksumDetector,
@@ -334,50 +330,3 @@ def test_error_detection_measures_conservation_once_per_step(monkeypatch):
     assert sim._sdc_monitor.checks_run == 3
 
 
-# ----------------------------------------------------------------------
-# Selective replication
-# ----------------------------------------------------------------------
-def test_replicas_agree_without_faults():
-    out = run_replicated(lambda: np.arange(5.0), n_replicas=3)
-    assert out.agreed and not out.corrected
-    assert np.array_equal(out.value, np.arange(5.0))
-
-
-def test_dual_replication_detects():
-    calls = []
-    def fn():
-        calls.append(1)
-        return np.ones(4)
-    def corrupt(i, r):
-        return r + (1.0 if i == 1 else 0.0)
-    out = run_replicated(fn, n_replicas=2, corrupt=corrupt)
-    assert not out.agreed and not out.corrected
-    assert len(calls) == 2
-
-
-def test_triple_replication_corrects():
-    def corrupt(i, r):
-        return r + (5.0 if i == 2 else 0.0)
-    out = run_replicated(lambda: np.ones(4), n_replicas=3, corrupt=corrupt)
-    assert out.corrected
-    assert np.array_equal(out.value, np.ones(4))
-
-
-def test_no_majority_is_detection_only():
-    def corrupt(i, r):
-        return r + float(i)  # all three disagree
-    out = run_replicated(lambda: np.ones(2), n_replicas=3, corrupt=corrupt)
-    assert not out.agreed and not out.corrected
-
-
-def test_replication_needs_two():
-    with pytest.raises(ValueError, match="2 replicas"):
-        run_replicated(lambda: np.ones(1), n_replicas=1)
-
-
-def test_selective_overhead():
-    costs = [10.0, 30.0, 60.0]
-    assert selective_replication_overhead(costs, [0], 2) == pytest.approx(1.1)
-    assert selective_replication_overhead(costs, [0, 1, 2], 2) == pytest.approx(2.0)
-    assert selective_replication_overhead(costs, [2], 3) == pytest.approx(2.2)
-    assert selective_replication_overhead([0.0], [0], 2) == 1.0

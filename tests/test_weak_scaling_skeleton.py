@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.presets import SPHFLOW
-from repro.profiling.trace import State, Tracer
+from repro.observability import State, Tracer
 from repro.runtime.calibration import calibrate_kappa
 from repro.runtime.cluster import ClusterModel
 from repro.runtime.machine import PIZ_DAINT, NetworkSpec
