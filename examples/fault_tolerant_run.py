@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Fault-tolerant execution: checkpointing, a crash, SDC detection.
+"""Fault-tolerant execution: checkpointing, a crash, SDC detection + healing.
 
 Demonstrates the Table-4 resilience stack end to end on a live run:
 
@@ -7,7 +7,8 @@ Demonstrates the Table-4 resilience stack end to end on a live run:
    model and checkpoint on that cadence;
 2. "crash" mid-run, restore from the last checkpoint, and verify the
    resumed trajectory is bit-identical to an uninterrupted one;
-3. inject a silent bit flip and show the SDC detectors flag it.
+3. inject a silent bit flip into a guarded run and show the step guard's
+   health check flag it, roll back and retry to the same bits.
 
 Run:  python examples/fault_tolerant_run.py
 """
@@ -18,9 +19,10 @@ from pathlib import Path
 import numpy as np
 
 from repro import SPHFLOW, Simulation, SquarePatchConfig, make_square_patch
+from repro.core.config import RunConfig
 from repro.resilience import (
     Checkpoint,
-    SdcMonitor,
+    GuardConfig,
     inject_bitflip,
     read_checkpoint,
     write_checkpoint,
@@ -29,7 +31,7 @@ from repro.resilience import (
 from repro.timestepping import TimestepParams
 
 
-def fresh_sim() -> Simulation:
+def fresh_sim(run_config: RunConfig | None = None) -> Simulation:
     particles, box, eos = make_square_patch(SquarePatchConfig(side=12, layers=6))
     return Simulation(
         particles, box, eos,
@@ -37,6 +39,7 @@ def fresh_sim() -> Simulation:
             n_neighbors=35,
             timestep_params=TimestepParams(use_energy_criterion=False),
         ),
+        run_config=run_config,
     )
 
 
@@ -70,17 +73,24 @@ def main() -> None:
     print(f"  resumed run matches uninterrupted run bit-for-bit: {identical}")
     assert identical
 
-    # --- 3. silent data corruption ------------------------------------
-    monitor = SdcMonitor()
-    monitor.check_step(survivor.particles, survivor.time)
+    # --- 3. silent data corruption, detected and healed ---------------
+    guarded = fresh_sim(RunConfig(guard=GuardConfig()))
+    guarded.run(n_steps=4)
     field, bit = "v", 62  # top exponent bit: a classic SDC excursion
-    idx, _ = inject_bitflip(getattr(survivor.particles, field), bit=bit)
+    idx, _ = inject_bitflip(getattr(guarded.particles, field), bit=bit)
     print(f"\ninjected bit flip: {field}[{idx}], bit {bit}")
-    findings = monitor.check_step(survivor.particles, survivor.time)
-    for f in findings:
-        print(f"  detector: {f}")
-    assert findings, "SDC escaped detection"
-    print("OK: crash recovered exactly and corruption detected")
+    with np.errstate(over="ignore", invalid="ignore"):
+        guarded.run(n_steps=2)
+    report = guarded.step_guard.report()
+    for incident in report.incidents:
+        for f in incident["findings"]:
+            print(f"  step {incident['step']} health check: {f}")
+    print(f"  {report.summary()}")
+    assert report.failures, "SDC escaped detection"
+    healed = np.array_equal(guarded.particles.x, reference.particles.x)
+    print(f"  healed run matches uninterrupted run bit-for-bit: {healed}")
+    assert healed
+    print("OK: crash recovered exactly and corruption detected and healed")
 
 
 if __name__ == "__main__":

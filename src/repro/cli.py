@@ -69,8 +69,6 @@ def _add_spec_arguments(parser: argparse.ArgumentParser) -> None:
                         help="inject numerical faults: kind:array@step"
                              "[:site][*fires][!] (e.g. nan:rho@3, huge:cs@4, "
                              "nan:rho@2! for a persistent fault)")
-    parser.add_argument("--error-detection", action="store_true",
-                        help="run the per-step SDC monitor (Table 4)")
 
 
 def _spec_from_args(args: argparse.Namespace):
@@ -112,7 +110,6 @@ def _spec_from_args(args: argparse.Namespace):
         n_steps=args.steps,
         preset=args.preset,
         n_neighbors=args.neighbors,
-        error_detection=args.error_detection,
         backend=args.backend if args.backend is not None else "numpy",
         guard=args.guard,
         chaos=args.chaos,
@@ -181,7 +178,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 "final_dt": sim.history[-1].dt if sim.history else None,
                 "drift": drift,
                 "guard": rep.guard.as_dict() if rep.guard is not None else None,
-                "sdc": rep.sdc,
                 "backend": rep.backend,
                 "neighbor_cache": rep.neighbor_cache,
                 "gravity": rep.gravity,

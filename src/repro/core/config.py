@@ -96,7 +96,6 @@ class SimulationConfig:
     domain_decomposition: str = "sfc-hilbert"
     load_balancing: str = "dynamic"
     checkpoint_restart: bool = True
-    error_detection: bool = False  # SDC detectors (Table 4)
     precision: str = "64-bit"
     # informational metadata for the feature tables
     language: str = "Python (reproduction)"

@@ -3,9 +3,9 @@
 "It is much more important to limit the deviations in under-resolved
 regimes by enforcing fundamental conservation laws" (Section 5).  The
 driver snapshots mass, momentum and the energy budget every step; tests
-assert drift bounds, and the ABFT error detectors
-(:mod:`repro.resilience.abft`) reuse the same ledger to flag silent data
-corruption.
+assert drift bounds, and the step guard's health check
+(:mod:`repro.resilience.guard`) judges the same ledger against the
+scenario's bounds to flag silent data corruption.
 """
 
 from __future__ import annotations

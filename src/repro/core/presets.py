@@ -82,7 +82,6 @@ SPH_EXA = SimulationConfig(
     domain_decomposition="sfc-hilbert",  # Table 4: ORB or SFC
     load_balancing="dynamic",  # "DLB with self-scheduling"
     checkpoint_restart=True,  # "Optimal interval / Multilevel"
-    error_detection=True,  # "Silent data corruption detectors"
     precision="64-bit",
     language="C++ (target) / Python (this reproduction)",
     parallelization="MPI + {OpenMP, HPX} + {OpenACC, CUDA} (target)",

@@ -168,18 +168,6 @@ class Simulation:
         self._cancel_requested = False
         self._apply_run_config()
         self.initial_conservation: Optional[ConservationState] = None
-        # Table 4 "Error Detection": with error_detection enabled the
-        # driver runs the SDC monitor and the ABFT force guard each step
-        # and collects findings (production codes would abort/rollback).
-        self.sdc_findings: List[str] = []
-        self._sdc_monitor = None
-        self._abft_guard = None
-        if self.config.error_detection:
-            from ..resilience.abft import AbftForceGuard
-            from ..resilience.sdc import SdcMonitor
-
-            self._sdc_monitor = SdcMonitor()
-            self._abft_guard = AbftForceGuard()
 
     # ------------------------------------------------------------------
     # Execution-environment wiring (RunConfig -> subsystems)
@@ -460,14 +448,6 @@ class Simulation:
         nl = self._nlist
         with tr.phase(Phase.AUX_KERNELS.letter, State.USEFUL, self.rank):
             conservation = measure_conservation(p, self.time, self.potential_energy)
-            if self._sdc_monitor is not None:
-                findings = self._sdc_monitor.check_step(
-                    p, self.time, self.potential_energy, state=conservation
-                )
-                findings += self._abft_guard.verify(p)
-                self.sdc_findings.extend(
-                    f"step {self.step_index}: {f}" for f in findings
-                )
         stats = StepStats(
             index=self.step_index,
             time=self.time,
@@ -658,14 +638,6 @@ class Simulation:
         if self.step_guard is not None:
             guard = self.step_guard.report()
             reg.absorb("guard", guard.counters())
-        sdc = None
-        if self._sdc_monitor is not None:
-            sdc = {
-                "checks_run": self._sdc_monitor.checks_run,
-                "detections": self._sdc_monitor.detections,
-                "findings": len(self.sdc_findings),
-            }
-            reg.absorb("sdc", sdc)
         backend = dict(self.backend.describe())
         backend["requested"] = self.backend_requested
         reg.absorb("backend", {"compiled": int(self.backend.compiled)})
@@ -683,7 +655,6 @@ class Simulation:
             gravity=gravity,
             checkpoint=checkpoint,
             guard=guard,
-            sdc=sdc,
             pop=pop,
             counters=reg.as_dict(),
             backend=backend,

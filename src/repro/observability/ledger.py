@@ -168,7 +168,8 @@ class RunRecord:
     pop: Optional[Dict[str, float]] = None
     #: Whole-step wall-time percentiles: count/best_s/mean_s/p10/p50/p90.
     step_times: Dict[str, float] = field(default_factory=dict)
-    #: Guard + checkpoint + SDC recovery counters.
+    #: Guard + checkpoint recovery counters (rows written before 10.0.0
+    #: may also carry ``sdc.*`` keys; they load and print as they are).
     recovery: Dict[str, float] = field(default_factory=dict)
     #: Anything else; older rows may carry sections (e.g. ``tuning``)
     #: this release no longer writes, and read back verbatim.
@@ -492,10 +493,10 @@ def record_from_simulation(sim, *, scenario: Optional[str] = None) -> RunRecord:
             agg["mean_s"] = agg["total_s"] / agg["count"] if agg["count"] else 0.0
 
     recovery: Dict[str, float] = {}
-    for section in ("checkpoint", "sdc"):
-        stats = getattr(report, section)
-        if stats:
-            recovery.update({f"{section}.{k}": v for k, v in dict(stats).items()})
+    if report.checkpoint:
+        recovery.update(
+            {f"checkpoint.{k}": v for k, v in report.checkpoint.items()}
+        )
     if report.guard is not None:
         recovery.update(
             {f"guard.{k}": v for k, v in report.guard.counters().items()}

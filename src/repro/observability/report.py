@@ -49,8 +49,6 @@ class RunReport:
     #: Step-guard activity (a ``repro.resilience.guard.GuardReport`` —
     #: duck-typed here to keep observability import-free of resilience).
     guard: Optional[object] = None
-    #: SdcMonitor totals when Table-4 error detection is enabled.
-    sdc: Optional[Dict[str, int]] = None
     pop: Optional[PopMetrics] = None
     counters: Dict[str, float] = field(default_factory=dict)
     #: Execution-backend provenance: resolved name, compiled flag,
@@ -71,7 +69,6 @@ class RunReport:
             "guard": (
                 self.guard.as_dict() if self.guard is not None else None
             ),
-            "sdc": dict(self.sdc) if self.sdc else None,
             "pop": asdict(self.pop) if self.pop is not None else None,
             "counters": dict(self.counters),
             "backend": dict(self.backend) if self.backend else None,
@@ -101,12 +98,6 @@ class RunReport:
             )
         if self.guard is not None:
             lines.append(self.guard.summary())
-        if self.sdc is not None:
-            lines.append(
-                f"sdc: checks={self.sdc.get('checks_run', 0)} "
-                f"detections={self.sdc.get('detections', 0)} "
-                f"findings={self.sdc.get('findings', 0)}"
-            )
         if self.pop is not None:
             lines.append(self.pop.row().strip())
         return "\n".join(lines)

@@ -3,7 +3,7 @@
 Checkpoint/restart with integrity sums, optimal single- and two-level
 checkpoint intervals (Young/Daly and the Di et al. style decomposition),
 fail-stop and bit-flip failure injection, silent-data-corruption
-detectors (checksum / range / ABFT conservation ledger).
+detectors (checksum / range) for the step guard's health check.
 
 Driver integration: :class:`ResilienceConfig` + :class:`CheckpointManager`
 write atomic rolling checkpoints from the real step loop (auto-K via
@@ -13,12 +13,6 @@ poisoned values, failing checkpoint I/O, death of the job process — the
 tests drive both with.
 """
 
-from .abft import (
-    AbftError,
-    AbftForceGuard,
-    checksummed_reduce,
-    pairwise_antisymmetry_check,
-)
 from .chaos import (
     CheckpointIOChaos,
     NumericalChaosPolicy,
@@ -56,18 +50,9 @@ from .interval import (
     two_level_intervals,
     young_interval,
 )
-from .sdc import (
-    ChecksumDetector,
-    ConservationDetector,
-    RangeDetector,
-    SdcMonitor,
-)
+from .sdc import ChecksumDetector, RangeDetector
 
 __all__ = [
-    "AbftError",
-    "AbftForceGuard",
-    "checksummed_reduce",
-    "pairwise_antisymmetry_check",
     "Checkpoint",
     "CheckpointError",
     "CheckpointIOError",
@@ -97,6 +82,4 @@ __all__ = [
     "SdcInjector",
     "ChecksumDetector",
     "RangeDetector",
-    "ConservationDetector",
-    "SdcMonitor",
 ]

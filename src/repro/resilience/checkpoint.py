@@ -179,8 +179,7 @@ class Checkpoint:
         if "dt_prev" in self.meta and hasattr(sim.stepper, "_dt_prev"):
             sim.stepper._dt_prev = float(self.meta["dt_prev"])
         # No list in hand: the next list build searches the restored h
-        # exactly.  (The pair context is closed between evaluations and
-        # holds nothing to drop.)
+        # exactly.
         sim._nlist = None
         sim._rates_current = True
         ncache = getattr(sim, "_ncache", None)

@@ -6,8 +6,8 @@ exception in large-scale systems" (Section 4).  Two injector families:
 * :class:`FailStopInjector` — exponential inter-arrival fail-stop events
   for the checkpoint-interval simulator.
 * :func:`inject_bitflip` / :class:`SdcInjector` — IEEE-754 bit flips in
-  particle arrays, the silent-data-corruption model the detectors of
-  :mod:`repro.resilience.sdc` are evaluated against.
+  particle arrays, the silent-data-corruption model the step guard's
+  health check is evaluated against.
 * :func:`simulate_checkpointing` — execute a fixed amount of work under
   periodic checkpointing and injected fail-stop failures; the tests
   validate Young/Daly against its measured waste.

@@ -1,26 +1,25 @@
 """Self-healing step guard: detect → roll back → retry → degrade → die loudly.
 
 The SPH-EXA line names detection of *and recovery from* silent data
-corruption as a first-class exascale concern.  The building blocks have
-been in the tree for several PRs — :class:`~repro.resilience.sdc
-.RangeDetector` and :func:`~repro.resilience.sdc.scan_phase_output` can
-*see* a poisoned state, checkpoints can *restore* one — but nothing
-closed the loop: a NaN from a bit flip either aborted the run with a
-traceback or silently corrupted every later step.  :class:`StepGuard`
-closes it at step granularity:
+corruption as a first-class exascale concern (Table 4 "Error
+Detection").  :class:`StepGuard` is the driver's one per-step detector,
+and it acts on what it finds: :class:`~repro.resilience.sdc
+.RangeDetector` and :func:`~repro.resilience.sdc.scan_phase_output`
+*see* a poisoned state, checkpoints *restore* one, and the guard closes
+the loop at step granularity:
 
 1. **Micro-snapshot ring.**  After every healthy step the guard captures
    an in-memory :class:`~repro.resilience.checkpoint.Checkpoint` (cheap
    array copies — no disk I/O; the same object the disk path serializes,
    so restore is the battle-tested bit-identical one).  The ring keeps
-   ``snapshot_ring`` entries: the newest is the rollback target, older
+   :data:`SNAPSHOT_RING` entries: the newest is the rollback target, older
    ones are the deeper fallback when no disk checkpoint exists.
 
 2. **Composite health check** after each step: finiteness and physical
    -range scans (reusing ``RangeDetector`` + ``scan_phase_output``),
    conserved-quantity drift against the per-scenario bounds from the
-   scenario registry (with a configurable headroom factor — the registry
-   bounds are calibrated for short golden runs), a next-dt probe that
+   scenario registry (times :data:`DRIFT_HEADROOM` — the registry bounds
+   are calibrated for short golden runs), a next-dt probe that
    catches both non-finite time steps and dt *collapse* (a corrupted
    sound speed or acceleration shrinking the CFL dt by orders of
    magnitude), and a mean-neighbour-count floor that flags a diverged
@@ -35,22 +34,23 @@ closes it at step granularity:
    ``retry``                 re-run the step as-is (cures transient SDC;
                              bitwise-neutral)
    ``dt-backoff``            shrink the stepper's dt memory by
-                             ``dt_backoff`` (CFL backoff; changes the
+                             :data:`DT_BACKOFF` (CFL backoff; changes the
                              trajectory, cures marginal-stability blowups)
-   ``degrade``               drop to the serial / pair-engine-off path
-                             (bitwise-neutral; sheds the optimized
-                             machinery in case *it* is the corruptor)
+   ``degrade``               drop to the serial numpy path (no phase
+                             threads, no compiled backend; bitwise-neutral;
+                             sheds the optimized machinery in case *it*
+                             is the corruptor)
    ``checkpoint-restore``    restore the newest valid disk checkpoint
                              (or the oldest ring snapshot when no disk
                              checkpoint exists) and re-advance
    ========================  ============================================
 
-   with ``attempts_per_rung`` tries per rung and optional exponential
-   backoff sleeps between escalations.  When the ladder is exhausted the
-   guard rolls back to the last healthy state, writes a last-resort disk
-   checkpoint (when checkpointing is configured) so the run is resumable
-   after the cause is fixed, and raises :class:`UnrecoverableStepError`
-   carrying a structured :class:`PostMortem`.
+   with :data:`ATTEMPTS_PER_RUNG` tries per rung.  When the ladder is
+   exhausted the guard rolls back to the last healthy state, writes a
+   last-resort disk checkpoint (when checkpointing is configured) so the
+   run is resumable after the cause is fixed, and raises
+   :class:`UnrecoverableStepError` carrying a structured
+   :class:`PostMortem`.
 
 **Determinism argument.**  Rollback restores bit-identical state (array
 copies + stepper memory + Verlet-cache list), and the solver is
@@ -70,8 +70,7 @@ Guard activity is observable: rollback/retry work runs inside
 
 from __future__ import annotations
 
-import time as _time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
@@ -127,76 +126,44 @@ _STEP_EXCEPTIONS = (
 )
 
 
+#: In-memory micro-snapshots kept.  The newest is the rollback target;
+#: the oldest doubles as the last-resort restore when no disk checkpoint
+#: exists.
+SNAPSHOT_RING = 2
+#: Retries spent on each rung of :data:`DEFAULT_LADDER` before escalating.
+ATTEMPTS_PER_RUNG = 1
+#: Factor applied to the stepper's dt memory on the ``dt-backoff`` rung.
+DT_BACKOFF = 0.25
+#: A next-step dt below this ratio times the current dt is a dt collapse.
+DT_COLLAPSE_RATIO = 1e-4
+#: Minimum healthy mean neighbour count (a diverged h iteration empties
+#: the lists).
+NEIGHBOR_FLOOR = 1.0
+#: Multiplier on the scenario drift bounds: the registry bounds are
+#: calibrated for short golden runs, the guard watches runs of any length.
+DRIFT_HEADROOM = 10.0
+#: The plausibility scanner of the health check's range pass.
+RANGE_DETECTOR = RangeDetector()
+
+
 @dataclass(frozen=True)
 class GuardConfig:
-    """Policy knobs of the self-healing step guard.
+    """The one per-run setting of the self-healing step guard.
 
     Parameters
     ----------
-    snapshot_ring:
-        In-memory micro-snapshots kept (>= 1).  The newest is the
-        rollback target; the oldest doubles as the last-resort restore
-        when no disk checkpoint exists.
-    ladder:
-        Escalation sequence; a subset/reordering of the four rung names.
-    attempts_per_rung:
-        Retries spent on each rung before escalating.
-    dt_backoff:
-        Factor applied to the stepper's dt memory on the ``dt-backoff``
-        rung (in (0, 1)).
-    dt_collapse_ratio:
-        A next-step dt below ``ratio * current_dt`` is flagged as a dt
-        collapse.
-    neighbor_floor:
-        Minimum healthy mean neighbour count (a diverged h iteration
-        empties the lists).
     drift_tolerances:
         Per-scenario conserved-quantity bounds (the scenario registry's
-        ``invariants`` mapping); ``None`` falls back to loose defaults.
-    drift_headroom:
-        Multiplier applied to ``drift_tolerances`` — the registry bounds
-        are calibrated for short golden runs, the guard watches runs of
-        arbitrary length.
-    backoff_base:
-        Base seconds slept between ladder escalations (exponential,
-        ``base * 2**attempt``); 0 disables sleeping (tests, benches).
-    range_detector:
-        The plausibility scanner used by the health check.
+        ``invariants`` mapping), scaled by :data:`DRIFT_HEADROOM`;
+        ``None`` falls back to loose defaults.
     """
 
-    snapshot_ring: int = 2
-    ladder: Tuple[str, ...] = DEFAULT_LADDER
-    attempts_per_rung: int = 1
-    dt_backoff: float = 0.25
-    dt_collapse_ratio: float = 1e-4
-    neighbor_floor: float = 1.0
     drift_tolerances: Optional[Mapping[str, float]] = None
-    drift_headroom: float = 10.0
-    backoff_base: float = 0.0
-    range_detector: RangeDetector = field(default_factory=RangeDetector)
-
-    def __post_init__(self) -> None:
-        if self.snapshot_ring < 1:
-            raise ValueError("snapshot_ring must be >= 1")
-        known = (RUNG_RETRY, RUNG_DT_BACKOFF, RUNG_DEGRADE, RUNG_CHECKPOINT)
-        for rung in self.ladder:
-            if rung not in known:
-                raise ValueError(f"unknown ladder rung {rung!r}; choose from {known}")
-        if self.attempts_per_rung < 1:
-            raise ValueError("attempts_per_rung must be >= 1")
-        if not 0.0 < self.dt_backoff < 1.0:
-            raise ValueError("dt_backoff must be in (0, 1)")
-        if self.dt_collapse_ratio <= 0.0:
-            raise ValueError("dt_collapse_ratio must be positive")
-        if self.drift_headroom < 1.0:
-            raise ValueError("drift_headroom must be >= 1")
-        if self.backoff_base < 0.0:
-            raise ValueError("backoff_base must be >= 0")
 
     def tolerance(self, key: str) -> float:
         """Resolved drift ceiling for one conserved quantity."""
         if self.drift_tolerances is not None and key in self.drift_tolerances:
-            return float(self.drift_tolerances[key]) * self.drift_headroom
+            return float(self.drift_tolerances[key]) * DRIFT_HEADROOM
         return _DEFAULT_DRIFT_TOL.get(key, np.inf)
 
 
@@ -345,8 +312,8 @@ class StepGuard:
         self.checkpoint_restores = 0
         self.degraded = False
         self.terminal: Optional[PostMortem] = None
-        self.rung_attempts: Dict[str, int] = {r: 0 for r in self.config.ladder}
-        self.rung_heals: Dict[str, int] = {r: 0 for r in self.config.ladder}
+        self.rung_attempts: Dict[str, int] = {r: 0 for r in DEFAULT_LADDER}
+        self.rung_heals: Dict[str, int] = {r: 0 for r in DEFAULT_LADDER}
         #: Recent incident records (per failed attempt), capped.
         self.incidents: List[Dict[str, object]] = []
         self._max_incidents = 64
@@ -360,9 +327,8 @@ class StepGuard:
         Empty list = healthy.  ``stats`` is the just-completed step's
         :class:`~repro.core.simulation.StepStats` when available.
         """
-        cfg = self.config
         p = sim.particles
-        findings = [f"range: {f}" for f in cfg.range_detector.check(p)]
+        findings = [f"range: {f}" for f in RANGE_DETECTOR.check(p)]
         # The rate/EOS outputs RangeDetector does not cover: a poisoned
         # du only reaches u at the *next* half-kick, so scan it now.
         for name in ("p", "cs", "du"):
@@ -375,7 +341,7 @@ class StepGuard:
                 sim.initial_conservation, sim.history[-1].conservation
             )
             for key, value in drift.items():
-                tol = cfg.tolerance(key)
+                tol = self.config.tolerance(key)
                 if not np.isfinite(value):
                     findings.append(f"drift: {key} drift is non-finite")
                 elif value > tol:
@@ -397,23 +363,23 @@ class StepGuard:
                 stats is not None
                 and stats.dt > 0.0
                 and np.isfinite(stats.dt)
-                and dt_next < cfg.dt_collapse_ratio * stats.dt
+                and dt_next < DT_COLLAPSE_RATIO * stats.dt
             ):
                 findings.append(
                     f"dt: collapse — next dt {dt_next:.3e} is below "
-                    f"{cfg.dt_collapse_ratio:g} x current {stats.dt:.3e}"
+                    f"{DT_COLLAPSE_RATIO:g} x current {stats.dt:.3e}"
                 )
         # h-iteration divergence empties (or explodes) the neighbour
         # lists; the mean count is already measured per step.
         if (
             stats is not None
             and p.n > 1
-            and stats.mean_neighbors < cfg.neighbor_floor
+            and stats.mean_neighbors < NEIGHBOR_FLOOR
         ):
             findings.append(
                 f"neighbors: mean neighbour count "
                 f"{stats.mean_neighbors:.2f} below floor "
-                f"{cfg.neighbor_floor:g} (h iteration diverged?)"
+                f"{NEIGHBOR_FLOOR:g} (h iteration diverged?)"
             )
         return findings
 
@@ -428,7 +394,7 @@ class StepGuard:
                 rates_current=sim._rates_current,
             )
         )
-        if len(self._ring) > self.config.snapshot_ring:
+        if len(self._ring) > SNAPSHOT_RING:
             del self._ring[0]
         self.snapshots += 1
 
@@ -450,7 +416,7 @@ class StepGuard:
     def _recover(self, sim, rung: str) -> None:
         """Roll back and apply one rung's degradation, inside a RECOVERY span."""
         with sim.tracer.phase("guard-recovery", State.RECOVERY, sim.rank):
-            self.rung_attempts[rung] = self.rung_attempts.get(rung, 0) + 1
+            self.rung_attempts[rung] += 1
             if rung == RUNG_CHECKPOINT:
                 if self._restore_from_disk(sim):
                     return
@@ -462,7 +428,7 @@ class StepGuard:
             if rung == RUNG_DT_BACKOFF:
                 dt_prev = getattr(sim.stepper, "_dt_prev", None)
                 if dt_prev:
-                    sim.stepper._dt_prev = dt_prev * self.config.dt_backoff
+                    sim.stepper._dt_prev = dt_prev * DT_BACKOFF
             elif rung == RUNG_DEGRADE:
                 sim.degrade_to_serial()
                 self.degraded = True
@@ -516,16 +482,13 @@ class StepGuard:
         return stats
 
     def _advance_one(self, sim):
-        cfg = self.config
         plan: List[Optional[str]] = [None]  # first try is not a rung
-        for rung in cfg.ladder:
-            plan.extend([rung] * cfg.attempts_per_rung)
+        for rung in DEFAULT_LADDER:
+            plan.extend([rung] * ATTEMPTS_PER_RUNG)
         step = sim.step_index
         records: List[Dict[str, object]] = []
         for attempt, rung in enumerate(plan):
             if rung is not None:
-                if cfg.backoff_base > 0.0:
-                    _time.sleep(cfg.backoff_base * (2 ** (attempt - 1)))
                 self._recover(sim, rung)
             try:
                 stats = sim.step()
@@ -537,7 +500,7 @@ class StepGuard:
             self.checks += 1
             if not findings:
                 if rung is not None:
-                    self.rung_heals[rung] = self.rung_heals.get(rung, 0) + 1
+                    self.rung_heals[rung] += 1
                 self.healthy_steps += 1
                 self._snapshot(sim)
                 if sim.checkpoint_manager is not None:

@@ -1,6 +1,10 @@
 """Silent-data-corruption detectors (Table 4 "Error Detection").
 
-Three complementary detectors, cheap enough to run every step:
+Detection is the step guard's per-step health check
+(:meth:`repro.resilience.guard.StepGuard.check_health`): its range pass
+is the two scans below, to which it adds the conservation ledger against
+the scenario's bounds, a dt probe and a neighbour floor, and it acts on
+what it finds.  The detectors:
 
 * :class:`ChecksumDetector` — bitwise CRC over arrays that must not
   change between two points of the step (e.g. masses, or positions
@@ -9,31 +13,23 @@ Three complementary detectors, cheap enough to run every step:
 * :class:`RangeDetector` — physical-plausibility bounds (finite values,
   positive density/mass/h, velocities under a configurable ceiling);
   catches the large excursions exponent-bit flips produce.
-* :class:`ConservationDetector` — ABFT-style check on the global
-  mass/momentum/energy ledger against step-over-step drift tolerances;
-  catches corruptions that bend the physics without leaving the
-  plausible range.
+* :func:`scan_phase_output` — the same plausibility scan for one raw
+  phase-output array.
 
-Each returns a list of human-readable findings (empty = clean), and the
-composite :class:`SdcMonitor` aggregates them with detection counters so
-recall/precision can be measured against the injector.
+Each returns a list of human-readable findings (empty = clean).
 """
 
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List
 
 import numpy as np
 
-from ..core.conservation import ConservationState, measure_conservation
-
 __all__ = [
     "ChecksumDetector",
     "RangeDetector",
-    "ConservationDetector",
-    "SdcMonitor",
     "scan_phase_output",
 ]
 
@@ -110,85 +106,4 @@ class RangeDetector:
             findings.append("smoothing length exceeds plausibility ceiling")
         if np.any(np.abs(particles.u) > self.u_max):
             findings.append("internal energy exceeds plausibility ceiling")
-        return findings
-
-
-@dataclass
-class ConservationDetector:
-    """ABFT ledger check: conserved quantities must drift smoothly.
-
-    A per-step relative jump beyond tolerance in mass (exact invariant),
-    momentum (machine-precision invariant for symmetric force loops) or
-    total energy flags corruption.
-    """
-
-    mass_tol: float = 1e-12
-    momentum_tol: float = 1e-8
-    # Per-step energy jumps: physics drifts too (unstabilized WCSPH free
-    # surfaces move several percent of E per step), so the ledger only
-    # flags the order-of-magnitude excursions corruption produces.
-    energy_tol: float = 0.25
-    _last: ConservationState | None = field(default=None, repr=False)
-
-    def observe(
-        self, particles, time: float, potential_energy: float = 0.0, *,
-        state: ConservationState | None = None,
-    ) -> List[str]:
-        """Findings of this step against the last; ``state`` is the step's
-        :func:`measure_conservation` when the caller took it already."""
-        if state is None:
-            state = measure_conservation(particles, time, potential_energy)
-        findings: List[str] = []
-        last = self._last
-        if last is not None:
-            m_scale = max(abs(last.total_mass), 1e-300)
-            if abs(state.total_mass - last.total_mass) / m_scale > self.mass_tol:
-                findings.append("total mass changed between steps")
-            p_scale = max(
-                np.sqrt(2.0 * last.total_mass * max(last.kinetic_energy, 1e-300)),
-                1e-300,
-            )
-            dp = float(np.linalg.norm(state.momentum - last.momentum))
-            if dp / p_scale > self.momentum_tol:
-                findings.append("momentum jumped beyond symmetric-loop tolerance")
-            e_scale = max(
-                abs(last.kinetic_energy)
-                + abs(last.internal_energy)
-                + abs(last.potential_energy),
-                1e-300,
-            )
-            de = abs(state.total_energy - last.total_energy)
-            if de / e_scale > self.energy_tol:
-                findings.append("total energy jumped beyond physical drift")
-        self._last = state
-        return findings
-
-    def reset(self) -> None:
-        self._last = None
-
-
-@dataclass
-class SdcMonitor:
-    """Composite detector with detection accounting."""
-
-    range_detector: RangeDetector = field(default_factory=RangeDetector)
-    conservation: ConservationDetector = field(default_factory=ConservationDetector)
-    checks_run: int = 0
-    detections: int = 0
-
-    def check_step(
-        self, particles, time: float, potential_energy: float = 0.0, *,
-        state: ConservationState | None = None,
-    ) -> List[str]:
-        """Run all per-step detectors; returns combined findings.
-
-        ``state`` hands in the step's conservation snapshot, so the step
-        measures it once (:meth:`ConservationDetector.observe`)."""
-        findings = self.range_detector.check(particles)
-        findings += self.conservation.observe(
-            particles, time, potential_energy, state=state
-        )
-        self.checks_run += 1
-        if findings:
-            self.detections += 1
         return findings

@@ -62,7 +62,6 @@ class JobSpec:
     test: bool = False  # size from the scenario's test_params
     preset: str = "sph-exa"
     n_neighbors: Optional[int] = None
-    error_detection: bool = False
     # Result-affecting execution knobs (hashed):
     backend: str = "numpy"
     neighbor_cache: bool = False
@@ -153,7 +152,7 @@ class JobSpec:
         except KeyError:
             raise SpecError(f"unknown preset {self.preset!r}") from None
         needs = scenario.sim_config
-        config = preset.with_(
+        return preset.with_(
             n_neighbors=(
                 self.n_neighbors
                 if self.n_neighbors is not None
@@ -162,9 +161,6 @@ class JobSpec:
             timestep_params=needs.timestep_params,
             viscosity=needs.viscosity,
         )
-        if self.error_detection:
-            config = config.with_(error_detection=True)
-        return config
 
     def run_config(
         self,
@@ -231,7 +227,6 @@ class JobSpec:
             "test": bool(self.test),
             "preset": self.preset,
             "n_neighbors": self.n_neighbors,
-            "error_detection": bool(self.error_detection),
             "backend": self.backend,
             "neighbor_cache": bool(self.neighbor_cache),
             "cache_skin": float(self.cache_skin),

@@ -128,7 +128,7 @@ def test_lazy_api_exports_resolve():
         repro.does_not_exist
 
 
-# --- names removed in 2.0.0 to 8.0.0 stay removed -------------------------
+# --- names removed in 2.0.0 to 10.0.0 stay removed ------------------------
 
 
 def test_removed_surface_fails_closed():
@@ -137,7 +137,8 @@ def test_removed_surface_fails_closed():
     its supervisor and chaos knobs, (4.0.0) the epoch/token protocol,
     ``CffiImpl`` and the ``neighbor_search`` knob, (5.0.0) the
     compiled path's stored per-pair products, (6.0.0) the numpy pair
-    engine and (8.0.0) the online autotuner are gone: old spellings are
+    engine, (8.0.0) the online autotuner and (10.0.0) the second per-step
+    error detector and eight guard knobs are gone: old spellings are
     typed errors at the boundary, never a silent default."""
     import importlib
 
@@ -239,4 +240,23 @@ def test_removed_surface_fails_closed():
         assert "ctx" not in inspect.signature(phase).parameters, phase.__name__
         with pytest.raises(TypeError):
             phase(None, None, None, ctx=None)
+    # 10.0.0: the step guard's health check is the one per-step detector
+    # (no error_detection knob, no ABFT module), and GuardConfig keeps
+    # only the scenario's drift bounds.  A stale client's spec is
+    # refused before it is enqueued.
+    from repro.resilience.guard import GuardConfig
+
+    with pytest.raises(SpecError, match="error_detection"):
+        api.JobSpec.from_dict({"scenario": "sod", "error_detection": True})
+    with pytest.raises(TypeError):
+        SimulationConfig(error_detection=True)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", "sod", "--error-detection"])
+    assert exit_info.value.code == 2
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.resilience.abft")
+    assert "sdc" not in {f.name for f in dataclasses.fields(RunReport)}
+    assert [f.name for f in dataclasses.fields(GuardConfig)] == [
+        "drift_tolerances"
+    ]
 

@@ -157,14 +157,14 @@ def test_run_guard_json_includes_guard_and_sdc(capsys):
     import json
 
     rc = main(["run", "square-patch", "--side", "6", "--layers", "4",
-               "--steps", "3", "--guard", "--error-detection", "--json"])
+               "--steps", "3", "--guard", "--json"])
     assert rc == 0
     out = capsys.readouterr().out
     summary = json.loads(out)  # the document alone on stdout
     assert summary["guard"]["failures"] == 0
     assert summary["guard"]["checks"] == 3
-    assert summary["sdc"]["checks_run"] == 3
-    assert summary["sdc"]["detections"] == 0
+    # The guard's health check is the one per-step detector.
+    assert "sdc" not in summary
 
 
 def test_run_terminal_failure_exits_1_with_post_mortem(capsys):
@@ -278,7 +278,7 @@ def test_run_and_submit_share_the_spec_path():
 
     parser = build_parser()
     flags = ["sod", "--n", "80", "--steps", "2", "--backend", "numpy",
-             "--guard", "--error-detection"]
+             "--guard"]
     run_spec, _ = _spec_from_args(parser.parse_args(["run", *flags]))
     submit_spec, _ = _spec_from_args(
         parser.parse_args(["submit", *flags, "--socket", "/tmp/x.sock"])

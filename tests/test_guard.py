@@ -13,6 +13,8 @@ from repro.resilience.chaos import (
 from repro.resilience.checkpoint import ResilienceConfig, read_checkpoint
 from repro.resilience.guard import (
     DEFAULT_LADDER,
+    DRIFT_HEADROOM,
+    SNAPSHOT_RING,
     GuardConfig,
     StepGuard,
     UnrecoverableStepError,
@@ -120,16 +122,12 @@ def test_degrade_rung_is_bitwise_neutral():
     golden_sim.run(n_steps=6)
     golden = _state(golden_sim)
 
-    # fires=3 -> healed on the degrade rung (pair engine off).  retry and
-    # degrade are bitwise-neutral, so the run still matches golden.
+    # fires=3 -> healed on the degrade rung (numpy, no threads).  The
+    # rollback undoes the dt-backoff rung, and retry and degrade are
+    # bitwise-neutral, so the run still matches golden.
     sim = _guarded(
         scenario,
         chaos=_nan_policy(fires=3),
-        guard=GuardConfig(
-            ladder=("retry", "degrade"),
-            attempts_per_rung=2,
-            drift_tolerances=scenario.invariants,
-        ),
     )
     sim.run(n_steps=6)
     rep = sim.step_guard.report()
@@ -165,11 +163,6 @@ def test_degrade_rung_mid_run_on_cffi_continues_on_numpy(tmp_path):
     with _guarded(
         scenario,
         chaos=_nan_policy(step=3, fires=3),
-        guard=GuardConfig(
-            ladder=("retry", "degrade"),
-            attempts_per_rung=2,
-            drift_tolerances=scenario.invariants,
-        ),
         exec=compiled,
     ) as sim:
         sim.run(n_steps=6)
@@ -202,11 +195,6 @@ def test_degrade_rung_stops_the_phase_threads():
     with _guarded(
         scenario,
         chaos=_nan_policy(fires=3),
-        guard=GuardConfig(
-            ladder=("retry", "degrade"),
-            attempts_per_rung=2,
-            drift_tolerances=scenario.invariants,
-        ),
         exec=ExecConfig(workers=2),
     ) as sim:
         sim.run(n_steps=6)
@@ -328,6 +316,27 @@ def test_drift_violation_detected():
     )
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=UnrecoverableStepError,
+    reason="BH momentum drift vs the 1e-9 promise — ROADMAP item 9",
+)
+def test_guard_evrard_above_test_size():
+    """``--guard`` on Evrard off its test size (``n_target`` 400) should
+    take its first step.  It stops at step 0: Barnes-Hut forces are not
+    antisymmetric, so the momentum drifts past the scenario's 1e-9 bound
+    (x DRIFT_HEADROOM) on every rung.  When the gravity walk conserves
+    momentum this test passes, and its xfail mark goes."""
+    from repro.service.runner import build_simulation
+    from repro.service.spec import JobSpec
+
+    spec = JobSpec("evrard", overrides={"n_target": 400}, n_steps=1, guard=True)
+    sim, _ = build_simulation(spec)
+    with sim:
+        sim.run(n_steps=1)
+    assert sim.step_guard.report().failures == 0
+
+
 def test_raising_step_is_recovered():
     scenario = get_scenario("square-patch")
 
@@ -441,33 +450,15 @@ def test_guard_checkpoints_only_healthy_states(tmp_path):
 
 def test_snapshot_ring_is_bounded():
     scenario = get_scenario("square-patch")
-    sim = _guarded(
-        scenario,
-        guard=GuardConfig(
-            snapshot_ring=3, drift_tolerances=scenario.invariants
-        ),
-    )
+    sim = _guarded(scenario)
     sim.run(n_steps=8)
-    assert len(sim.step_guard._ring) == 3
+    assert len(sim.step_guard._ring) == SNAPSHOT_RING
     assert sim.step_guard.report().snapshots == 9
 
 
-def test_guard_config_validation():
-    with pytest.raises(ValueError):
-        GuardConfig(snapshot_ring=0)
-    with pytest.raises(ValueError):
-        GuardConfig(ladder=("retry", "warp-drive"))
-    with pytest.raises(ValueError):
-        GuardConfig(dt_backoff=1.5)
-    with pytest.raises(ValueError):
-        GuardConfig(attempts_per_rung=0)
-    with pytest.raises(ValueError):
-        GuardConfig(drift_headroom=0.5)
-
-
 def test_guard_tolerance_resolution():
-    cfg = GuardConfig(drift_tolerances={"mass": 1e-12}, drift_headroom=10.0)
-    assert cfg.tolerance("mass") == pytest.approx(1e-11)
+    cfg = GuardConfig(drift_tolerances={"mass": 1e-12})
+    assert cfg.tolerance("mass") == pytest.approx(1e-12 * DRIFT_HEADROOM)
     assert cfg.tolerance("momentum") == 1e-4  # loose default
     assert np.isinf(GuardConfig().tolerance("unheard-of"))
 

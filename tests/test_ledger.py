@@ -239,9 +239,10 @@ def test_v0_ledger_migrates_in_place(tmp_path):
 
 
 def test_pre_removal_ledger_row_reads_back_verbatim(tmp_path, capsys):
-    """A row written before ``pair_engine``, the numba backend and the
-    online autotuner were removed still opens, reads back verbatim and
-    prints through ``repro ledger`` — also from a migrated v0 file."""
+    """A row written before ``pair_engine``, the numba backend, the
+    online autotuner and the separate SDC monitor (``recovery``
+    ``sdc.*``) were removed still opens, reads back verbatim and prints
+    through ``repro ledger`` — also from a migrated v0 file."""
     from repro.cli import main
 
     old = _record(
@@ -254,6 +255,8 @@ def test_pre_removal_ledger_row_reads_back_verbatim(tmp_path, capsys):
         },
         extra={"tuning": {"done": True, "explored_steps": 8,
                           "recommendation": {"backend": "numba"}}},
+        recovery={"guard.rollbacks": 0, "sdc.checks_run": 20,
+                  "sdc.detections": 0, "sdc.findings": 0},
     )
     path = tmp_path / "old.db"
     _make_v0_ledger(path)
@@ -266,6 +269,7 @@ def test_pre_removal_ledger_row_reads_back_verbatim(tmp_path, capsys):
     out = capsys.readouterr().out
     assert old.run_id in out and "backend=numba" in out
     assert '"pair_engine": false' in out
+    assert '"sdc.checks_run": 20' in out
     assert main(["ledger", "--path", str(path), "--list"]) == 0
     out = capsys.readouterr().out
     assert old.run_id in out and "old-00000001" in out

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.config import RunConfig
 from repro.core.presets import SPHFLOW
 from repro.core.simulation import Simulation
 from repro.ics.square_patch import SquarePatchConfig, make_square_patch
@@ -25,12 +26,8 @@ from repro.resilience.interval import (
     two_level_intervals,
     young_interval,
 )
-from repro.resilience.sdc import (
-    ChecksumDetector,
-    ConservationDetector,
-    RangeDetector,
-    SdcMonitor,
-)
+from repro.resilience.guard import GuardConfig, StepGuard
+from repro.resilience.sdc import ChecksumDetector, RangeDetector
 from repro.timestepping.criteria import TimestepParams
 
 
@@ -262,71 +259,64 @@ def test_range_detector_catches_negative_mass(random_cloud):
     assert any("m" in f for f in det.check(random_cloud))
 
 
-def test_conservation_detector_catches_mass_jump(random_cloud):
-    det = ConservationDetector()
-    assert det.observe(random_cloud, 0.0) == []
-    random_cloud.m[0] *= 2.0
-    findings = det.observe(random_cloud, 0.1)
-    assert any("mass" in f for f in findings)
-    det.reset()
-    assert det.observe(random_cloud, 0.2) == []
-
-
-def test_monitor_counts_detections(random_cloud):
-    mon = SdcMonitor()
-    assert mon.check_step(random_cloud, 0.0) == []
-    random_cloud.h[0] = np.inf
-    assert mon.check_step(random_cloud, 0.1) != []
-    assert mon.checks_run == 2
-    assert mon.detections == 1
-
-
 def test_detectors_on_live_simulation():
-    """A mid-run bit flip in mass must be caught within a step."""
+    """A mid-run bit flip in mass must be caught within a step by the
+    step guard's health check."""
     sim = _sim(steps=1)
-    mon = SdcMonitor()
-    mon.check_step(sim.particles, sim.time)
+    guard = StepGuard()
+    assert guard.check_health(sim, sim.history[-1]) == []
     inject_bitflip(sim.particles.m, bit=62)  # exponent bit: huge change
     # The poisoned step overflows by design; only it may do so silently.
     with np.errstate(over="ignore", invalid="ignore"):
-        sim.step()
-    findings = mon.check_step(sim.particles, sim.time)
+        stats = sim.step()
+        findings = guard.check_health(sim, stats)
     assert findings, "corruption escaped all detectors"
 
 
-def test_error_detection_measures_conservation_once_per_step(monkeypatch):
-    """The driver hands its step's conservation snapshot to the SDC
-    monitor: one ``measure_conservation`` per step (plus the run's
-    initial one), and the monitor judges the state it would measure."""
+def test_guard_measures_conservation_once_per_step(monkeypatch):
+    """The step guard judges the step's own conservation snapshot
+    (``history[-1].conservation``): one ``measure_conservation`` per step
+    (plus the run's initial one), and the judged state is the one a
+    fresh measurement gives."""
+    import repro.core.conservation as conservation_mod
     import repro.core.simulation as simulation_mod
-    import repro.resilience.sdc as sdc_mod
+    import repro.resilience.guard as guard_mod
 
     particles, box, eos = make_square_patch(SquarePatchConfig(side=8, layers=4))
     sim = Simulation(
         particles, box, eos,
         config=SPHFLOW.with_(
-            n_neighbors=25, error_detection=True,
+            n_neighbors=25,
             timestep_params=TimestepParams(use_energy_criterion=False),
         ),
+        run_config=RunConfig(guard=GuardConfig()),
     )
     calls = []
-    measure = simulation_mod.measure_conservation
+    measure = conservation_mod.measure_conservation
 
     def counted(*args, **kwargs):
         calls.append(args[1])
         return measure(*args, **kwargs)
 
+    judged = []
+    drift = guard_mod.relative_drift
+
+    def spied(initial, current):
+        judged.append(current)
+        return drift(initial, current)
+
     monkeypatch.setattr(simulation_mod, "measure_conservation", counted)
-    monkeypatch.setattr(sdc_mod, "measure_conservation", counted)
-    for _ in range(3):
-        sim.step()
+    monkeypatch.setattr(conservation_mod, "measure_conservation", counted)
+    monkeypatch.setattr(guard_mod, "relative_drift", spied)
+    sim.run(n_steps=3)
+    assert sim.step_guard.checks == 3
     assert len(calls) == 1 + 3  # the run's initial snapshot, then one a step
-    # The snapshot the monitor judged is the one it would have measured.
-    judged = sim._sdc_monitor.conservation._last
+    assert len(judged) == len(sim.history) == 3
+    assert all(j is s.conservation for j, s in zip(judged, sim.history))
+    # The snapshot the guard judged is the one it would have measured.
     fresh = measure(sim.particles, sim.time, sim.potential_energy)
     for name in ("time", "total_mass", "kinetic_energy", "internal_energy",
                  "potential_energy", "momentum", "angular_momentum"):
-        assert np.array_equal(getattr(judged, name), getattr(fresh, name)), name
-    assert sim._sdc_monitor.checks_run == 3
+        assert np.array_equal(getattr(judged[-1], name), getattr(fresh, name)), name
 
 
