@@ -34,6 +34,7 @@ _CTYPES = {
     np.dtype(np.float64): "double[]",
     np.dtype(np.int64): "int64_t[]",
     np.dtype(np.int32): "int32_t[]",
+    np.dtype(np.int8): "int8_t[]",
 }
 
 
@@ -144,28 +145,20 @@ class CompiledOps:
 
     # -- the h iteration -----------------------------------------------
     def adapt(
-        self, x, h, budget, nlist, box, table, n_target, h_min, h_max, sweeps,
+        self, x, h, budget, nlist, box, table, config, state, sweeps,
         support=None,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, Optional[NeighborList]]:
-        """``sweeps`` count-and-update sweeps of every row, fused:
-        ``(h_out, err_max, grown, cut)`` — the iterate after the last
-        sweep, and per sweep the largest relative count error and whether
-        any ``h`` left its ``budget`` on that sweep's update.  ``table[c]``
-        is the update factor for count ``c`` (``c`` up to the longest
-        row).
-
-        With ``support``, ``cut`` is the lower half (``j <= i``, rows
-        ascending, self pair last) of the pairs of ``nlist`` within
-        ``support * max(h_i, h_j)`` at ``h_out`` — every pair whose
-        kernel terms can be non-zero on either side, which the pair ops
-        run over — emitted off the geometry of the sweeps; else ``None``.
-        ``nlist`` must then be symmetric with ascending rows, and
-        ``sweeps=0`` only emits (``budget`` and ``table`` unread).
+    ) -> Optional[NeighborList]:
+        """The h iteration of every row whose ``state`` (int8) is 0, each
+        to its own stop (``config``: a ``SmoothingConfig``), writing ``h``,
+        ``state`` and ``sweeps`` (int32) in place; a row left running
+        out-grew its ``budget``.  ``table[c]`` is the update factor for
+        count ``c``.  With ``support``, returns the lower half (``j <= i``,
+        rows ascending, self pair last) of the pairs of the symmetric
+        ``nlist`` within ``support * max(h_i, h_j)`` at the final ``h`` —
+        every pair the pair ops run over — off the sweeps' geometry; over
+        finished rows the call only emits.  Else ``None``.
         """
         n, dim = x.shape
-        h_out = np.empty(n)
-        err_max = np.empty(sweeps)
-        grown = np.empty(sweeps, dtype=np.int32)
         null = self._ffi.NULL
         cut = (null, null, 0)
         if support is not None:
@@ -178,18 +171,19 @@ class CompiledOps:
             indices = np.empty((nlist.n_pairs - n) // 2 + n, dtype=np.int32)
             cut = (self._out(offsets), self._out(indices), indices.size)
         status = self.lib.rp_adapt(
-            self._d(x), self._d(h), self._d(budget), *self._csr(nlist), 0, n,
-            dim, *self._box(box, dim), self._d(table), int(n_target),
-            float(h_min), float(h_max), sweeps, float(support or 0.0),
-            *self._scratch("rp_adapt", nlist), self._out(h_out),
-            self._out(err_max), self._out(grown), *cut,
+            self._d(x), self._out(h), self._d(budget), *self._csr(nlist), n,
+            dim, *self._box(box, dim), self._d(table), int(config.n_target),
+            float(config.tolerance), config.tolerance / dim,
+            float(config.h_min), float(config.h_max),
+            int(config.max_iterations), float(support or 0.0),
+            *self._scratch("rp_adapt", nlist), self._out(state),
+            self._out(sweeps), *cut,
         )
         if status:
             raise ValueError("the support cut needs a symmetric list")
         if support is None:
-            return h_out, err_max, grown.astype(bool), None
-        cut = NeighborList(offsets, indices[: offsets[n]])
-        return h_out, err_max, grown.astype(bool), cut
+            return None
+        return NeighborList(offsets, indices[: offsets[n]])
 
     # -- pair phases ---------------------------------------------------
     # Each takes a half list (``j <= i``, as ``adapt`` emits) or a full
@@ -329,16 +323,19 @@ class CompiledOps:
     ) -> Tuple[np.ndarray, np.ndarray]:
         """``(offsets, indices)`` of the pairs of ``nlist`` a symmetric
         search at ``radii`` keeps (:meth:`NeighborList.within`), rows in
-        canonical ascending order whatever order ``nlist`` holds them in."""
+        canonical ascending order whatever order ``nlist`` holds them in.
+        The kept pairs must be symmetric (``ValueError`` otherwise)."""
         n, dim = xw.shape
         offsets = np.zeros(n + 1, dtype=np.int64)
         # Room for every pair; only the kept ones are ever written, and
         # the unused tail goes back before anyone holds a reference.
         indices = np.empty(nlist.n_pairs, dtype=np.int32)
-        self.lib.rp_pairs_within(
+        status = self.lib.rp_pairs_within(
             self._d(xw), self._d(radii), *self._csr(nlist), n, dim,
             *self._box(box, dim), self._out(offsets), self._out(indices),
         )
+        if status:
+            raise ValueError("pairs_within needs a symmetric list")
         indices.resize(int(offsets[n]), refcheck=False)
         return offsets, indices
 

@@ -77,13 +77,14 @@ __all__ = [
 #: halo), ``scratch``/``cap``: a zeroed block of row buffers, each
 #: ``cap`` >= the longest row.
 CDEF = """
-int rp_adapt(const double *x, const double *h, const double *budget,
-             const int64_t *offsets, const int32_t *indices, int64_t lo,
-             int64_t hi, int dim, const double *psel, const double *pdiv,
-             const double *table, int64_t n_target, double h_min,
-             double h_max, int sweeps, double support, double *scratch,
-             int64_t cap, double *h_out, double *err_max, int32_t *grown,
-             int64_t *cut_offsets, int32_t *cut, int64_t cut_cap);
+int rp_adapt(const double *x, double *h, const double *budget,
+             const int64_t *offsets, const int32_t *indices, int64_t n,
+             int dim, const double *psel, const double *pdiv,
+             const double *table, int64_t n_target, double tolerance,
+             double step, double h_min, double h_max, int max_sweeps,
+             double support, double *scratch, int64_t cap, int8_t *state,
+             int32_t *sweeps, int64_t *cut_offsets, int32_t *cut,
+             int64_t cut_cap);
 void rp_density(const double *x, const double *h, const double *wgt,
                 const int64_t *offsets, const int32_t *indices, int64_t lo,
                 int64_t hi, int64_t end, int dim, const double *psel,
@@ -120,10 +121,10 @@ void rp_walk(const double *xs, const double *rs, int64_t n, int dim,
              const double *hi, const double *rmax, int include_self,
              const int64_t *offsets, int64_t *cursor, int32_t *out);
 void rp_sort_rows(const int64_t *offsets, int64_t n, int32_t *indices);
-void rp_pairs_within(const double *xw, const double *radii,
-                     const int64_t *offsets, const int32_t *indices,
-                     int64_t n, int dim, const double *psel,
-                     const double *pdiv, int64_t *new_offsets, int32_t *out);
+int rp_pairs_within(const double *xw, const double *radii,
+                    const int64_t *offsets, const int32_t *indices,
+                    int64_t n, int dim, const double *psel,
+                    const double *pdiv, int64_t *new_offsets, int32_t *out);
 void rp_node_moments(const double *x, const double *m, const double *origin,
                      int64_t n_nodes, const int64_t *child_start,
                      const int64_t *child_count, const int64_t *pstart,
@@ -527,69 +528,77 @@ static inline int64_t rp_pair_row(const int64_t *offsets,
     return rp_lower_bound(full, len, hi) - k0;
 }
 
-/* The h iteration of rows [lo, hi), all `sweeps` of it, row by row.  A
- * particle's neighbour count reads only its own h and its own row's
- * separations, and its update only that count, so a row runs every
- * sweep out of one geometry pass:
- *     c = #{k : r_k <= 2h};  err = |c - n_target| / n_target;
- *     h <- clip(h * table[c], h_min, h_max)
- * with table[c] = the update factor for count c, filled by the Python
- * update function (no pow here, and the product is the reference's, to
- * the bit).  The two facts that are not row-local come back as per-sweep
- * reductions for the caller to pick the stopping sweep from:
- * err_max[s] = the largest err of sweep s, grown[s] = whether any h
- * exceeded its budget after the update of sweep s (the row's later
- * counts are then off a list that no longer holds its neighbours: the
- * caller re-runs with fewer sweeps).  h_out has hi - lo entries.
+/* The h iteration, row by row: a particle's count reads only its own h
+ * and row, so each row iterates to its own stop off one geometry pass:
+ *     c = #{k : r_k <= 2h};  h' = clip(h * table[c], h_min, h_max);
+ *     stop (state 1) if |c - n_target| / n_target <= tolerance, else
+ *     (state 2) if |h' - h| <= step * h, else h = h'
+ * keeping h on a stop; state 3 once max_sweeps counts ran.  table[c] is
+ * the update factor, filled by the Python update function (no pow here,
+ * the product is the reference's to the bit); step = tolerance / dim.
+ * Rows finished on entry (state != 0) are skipped; a row whose h leaves
+ * its budget stays at state 0 (its list no longer holds its neighbours:
+ * the caller searches again).  h, state and sweeps change in place.
  *
- * With cut != NULL (and lo = 0) the call also emits the lower half of
- * the support cut of the h it leaves: rows ascend, so once row i's last
- * sweep is done every h_j with j <= i is final, and off the row's
- * buffered r it writes {j <= i : r <= support * max(h_i, h_j)} (every
- * other pair adds an exact 0.0 to every pair sum) in row order, packed
- * behind row i - 1 (cut_offsets[0] must be 0).  Returns 1 if the lower
- * halves overrun the cut_cap entries of cut (the list is not
- * symmetric), else 0.  With sweeps = 0 the call only emits. */
-int rp_adapt(const double *x, const double *h, const double *budget,
-             const int64_t *offsets, const int32_t *indices, int64_t lo,
-             int64_t hi, int dim, const double *psel, const double *pdiv,
-             const double *table, int64_t n_target, double h_min,
-             double h_max, int sweeps, double support, double *scratch,
-             int64_t cap, double *h_out, double *err_max, int32_t *grown,
-             int64_t *cut_offsets, int32_t *cut, int64_t cut_cap)
+ * With cut != NULL the call also emits the lower half of the support cut
+ * of the h it leaves: rows ascend, so once row i is done every h_j with
+ * j <= i is final, and off the row's buffered r it writes {j <= i : r <=
+ * support * max(h_i, h_j)} (every other pair adds an exact 0.0 to every
+ * pair sum) in row order, packed behind row i - 1 (cut_offsets[0] must
+ * be 0).  Returns 1 if the lower halves overrun the cut_cap entries of
+ * cut (the list is not symmetric), else 0. */
+int rp_adapt(const double *x, double *h, const double *budget,
+             const int64_t *offsets, const int32_t *indices, int64_t n,
+             int dim, const double *psel, const double *pdiv,
+             const double *table, int64_t n_target, double tolerance,
+             double step, double h_min, double h_max, int max_sweeps,
+             double support, double *scratch, int64_t cap, int8_t *state,
+             int32_t *sweeps, int64_t *cut_offsets, int32_t *cut,
+             int64_t cut_cap)
 {
     RP_GEOM_BUFFERS(scratch, cap);
-    for (int s = 0; s < sweeps; ++s) {
-        err_max[s] = 0.0;
-        grown[s] = 0;
-    }
-    for (int64_t i = lo; i < hi; ++i) {
+    for (int64_t i = 0; i < n; ++i) {
         const int32_t *row = indices + offsets[i];
         const int64_t len = offsets[i + 1] - offsets[i];
         const int64_t half = cut ? rp_lower_bound(row, len, i + 1) : 0;
-        rp_row_geom(x, i, row, sweeps ? len : half, dim, psel, pdiv, dx, r);
+        int st = state[i];
+        if (st && !cut)
+            continue;
+        rp_row_geom(x, i, row, st ? half : len, dim, psel, pdiv, dx, r);
         double hc = h[i];
-        for (int s = 0; s < sweeps; ++s) {
+        int s = sweeps[i];
+        const int ran = !st;
+        while (!st) {
+            if (s == max_sweeps) {
+                st = 3;
+                break;
+            }
             const double rmax = 2.0 * hc;
             int64_t c = 0;
             RP_EACH(k, len) c += (r[k] <= rmax);
-            const double err = fabs((double)(c - n_target)) / (double)n_target;
-            if (err > err_max[s])
-                err_max[s] = err;
-            hc *= table[c];
-            hc = hc < h_min ? h_min : hc;
-            hc = hc > h_max ? h_max : hc;
-            if (hc > budget[i])
-                grown[s] = 1;
+            ++s;
+            double hn = hc * table[c];
+            hn = hn < h_min ? h_min : hn;
+            hn = hn > h_max ? h_max : hn;
+            if (fabs((double)(c - n_target)) / (double)n_target <= tolerance)
+                st = 1;
+            else if (fabs(hn - hc) <= step * hc)
+                st = 2;
+            else if ((hc = hn) > budget[i] && s < max_sweeps)
+                break;
         }
-        h_out[i - lo] = hc;
+        if (ran) {
+            h[i] = hc;
+            state[i] = (int8_t)st;
+            sweeps[i] = s;
+        }
         if (!cut)
             continue;
         if (cut_offsets[i] + half > cut_cap)
             return 1;
         double *keep = dx[0];
         RP_EACH(k, half) {
-            const double hj = h_out[row[k]];
+            const double hj = h[row[k]];
             keep[k] = r[k] <= (hc > hj ? hc : hj) * support;
         }
         int32_t *dst = cut + cut_offsets[i];
@@ -1268,30 +1277,25 @@ static inline int rp_in_range(const double *xw, const double *radii,
     return r2 <= cutoff * cutoff;
 }
 
-/* Ascending in-place sort of one CSR row (Shell sort, Ciura gaps: rows
- * hold a few hundred entries). */
-static void rp_sort_row(int32_t *a, int64_t n)
-{
-    static const int64_t gaps[8] = {701, 301, 132, 57, 23, 10, 4, 1};
-    for (int g = 0; g < 8; ++g) {
-        const int64_t gap = gaps[g];
-        for (int64_t k = gap; k < n; ++k) {
-            const int32_t v = a[k];
-            int64_t m = k;
-            for (; m >= gap && a[m - gap] > v; m -= gap)
-                a[m] = a[m - gap];
-            a[m] = v;
-        }
-    }
-}
-
-/* Canonical row order (ascending neighbour index) for a whole CSR list.
- * A search that feeds the h iteration skips this: the count sweeps are
- * order-blind and the cut that ends the build orders what survives. */
+/* Canonical row order (ascending neighbour index) for a whole CSR list,
+ * row by row in place (Shell sort, Ciura gaps: rows hold a few hundred
+ * entries).  A search that feeds the h iteration skips this: the count
+ * sweeps are order-blind and the cut that ends the build orders what
+ * survives. */
 void rp_sort_rows(const int64_t *offsets, int64_t n, int32_t *indices)
 {
-    for (int64_t i = 0; i < n; ++i)
-        rp_sort_row(indices + offsets[i], offsets[i + 1] - offsets[i]);
+    static const int64_t gaps[8] = {701, 301, 132, 57, 23, 10, 4, 1};
+    for (int64_t i = 0; i < n; ++i) {
+        int32_t *a = indices + offsets[i];
+        for (int g = 0; g < 8; ++g)
+            for (int64_t k = gaps[g]; k < offsets[i + 1] - offsets[i]; ++k) {
+                const int32_t v = a[k];
+                int64_t m = k;
+                for (; m >= gaps[g] && a[m - gaps[g]] > v; m -= gaps[g])
+                    a[m] = a[m - gaps[g]];
+                a[m] = v;
+            }
+    }
 }
 
 /* A DFS holds at most (2^dim - 1) siblings per level plus the node in
@@ -1549,28 +1553,52 @@ void rp_walk(const double *xs, const double *rs, int64_t n, int dim,
     }
 }
 
-/* The pairs of a CSR list that a symmetric search at radii would keep
- * (NeighborList.within), in one pass: rows are visited in index order,
- * so each kept row lands right behind the one before it — out needs room
- * for the whole input list, but only the part that is kept is ever
- * written — and is put in canonical order while still in cache.
- * new_offsets[0] must be 0. */
-void rp_pairs_within(const double *xw, const double *radii,
-                     const int64_t *offsets, const int32_t *indices,
-                     int64_t n, int dim, const double *psel,
-                     const double *pdiv, int64_t *new_offsets, int32_t *out)
+/* A 64-bit tag of the pair {i, j} (splitmix64's finaliser), negated for
+ * i > j: the tags of (i, j) and (j, i) cancel, a self pair's is 0. */
+static inline uint64_t rp_pair_tag(uint64_t i, uint64_t j)
 {
+    uint64_t z = i < j ? i << 32 | j : j << 32 | i;
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    z ^= z >> 31;
+    return i < j ? z : i > j ? -z : 0;
+}
+
+/* The pairs of a CSR list that a symmetric search at radii would keep
+ * (NeighborList.within), rows ascending whatever order the input's are
+ * in, with no sort: a count pass stores row i's kept length in
+ * new_offsets[i + 2], so that after the prefix sum new_offsets[j + 1] is
+ * where row j starts, and a scatter pass over ascending i appends i to
+ * row j at that cursor for every kept (i, j).  The kept pairs are
+ * symmetric, so row j receives exactly its own neighbours, ascending,
+ * and each cursor ends where its row ends.  Returns 1, having written
+ * nothing, if the kept pairs' tags do not cancel (the list is not
+ * symmetric), else 0.  new_offsets[0] must be 0. */
+int rp_pairs_within(const double *xw, const double *radii,
+                    const int64_t *offsets, const int32_t *indices,
+                    int64_t n, int dim, const double *psel,
+                    const double *pdiv, int64_t *new_offsets, int32_t *out)
+{
+    uint64_t tags = 0;
     for (int64_t i = 0; i < n; ++i) {
-        int32_t *row = out + new_offsets[i];
         int64_t c = 0;
-        for (int64_t k = offsets[i]; k < offsets[i + 1]; ++k) {
-            const int64_t j = indices[k];
-            if (rp_in_range(xw, radii, i, j, dim, psel, pdiv))
-                row[c++] = j;
-        }
-        rp_sort_row(row, c);
-        new_offsets[i + 1] = new_offsets[i] + c;
+        for (int64_t k = offsets[i]; k < offsets[i + 1]; ++k)
+            if (rp_in_range(xw, radii, i, indices[k], dim, psel, pdiv)) {
+                ++c;
+                tags += rp_pair_tag(i, indices[k]);
+            }
+        if (i + 2 <= n)
+            new_offsets[i + 2] = c;
     }
+    if (tags)
+        return 1;
+    for (int64_t i = 2; i <= n; ++i)
+        new_offsets[i] += new_offsets[i - 1];
+    for (int64_t i = 0; i < n; ++i)
+        for (int64_t k = offsets[i]; k < offsets[i + 1]; ++k)
+            if (rp_in_range(xw, radii, i, indices[k], dim, psel, pdiv))
+                out[new_offsets[indices[k] + 1]++] = (int32_t)i;
+    return 0;
 }
 
 /* First slot s of bound[0..n_slots) with bound[s] >= pos. */

@@ -180,6 +180,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 "guard": rep.guard.as_dict() if rep.guard is not None else None,
                 "backend": rep.backend,
                 "neighbor_cache": rep.neighbor_cache,
+                "h_iteration": rep.h_iteration,
                 "gravity": rep.gravity,
             }
             print(json.dumps(summary, indent=2))

@@ -17,7 +17,7 @@ which is what the Figure-4 reproduction and the POP metrics read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING, List, Optional
 
 import numpy as np
@@ -39,6 +39,7 @@ from ..timestepping.steppers import (
     IndividualTimesteps,
 )
 from ..tree.box import Box
+from ..tree.neighborlist import VerletCacheStats, VerletNeighborCache
 from ..tree.octree import Octree
 from ..tree.pairs import Pairs, support_cut
 from .config import ExecConfig, RunConfig, SimulationConfig
@@ -194,9 +195,9 @@ class Simulation:
         )
         self._ncache = None
         if exec_cfg.neighbor_cache:
-            from ..tree.neighborlist import VerletNeighborCache
-
             self._ncache = VerletNeighborCache(skin=exec_cfg.cache_skin)
+        # The h iteration's counters: the cache's own when there is one.
+        self._hstats = self._ncache.stats if self._ncache else VerletCacheStats()
         self.checkpoint_manager = None
         if run.resilience is not None:
             from ..resilience.checkpoint import CheckpointManager
@@ -332,12 +333,10 @@ class Simulation:
                     support=support,
                 )
             else:
-                # A list held from an earlier evaluation means an earlier
-                # adaptation wrote this h (a restore clears it).
                 self._nlist, pair_list = adapt_smoothing_lengths(
                     p, self.box, self._smoothing, search=search,
-                    cache=self._ncache, backend=self.backend,
-                    adapted=self._nlist is not None, support=support,
+                    cache=self._ncache, backend=self.backend, support=support,
+                    stats=self._hstats,
                 )
         if pair_list is None:
             with tr.phase(Phase.NEIGHBOR_LISTS.letter, State.USEFUL, self.rank):
@@ -578,25 +577,6 @@ class Simulation:
     # ------------------------------------------------------------------
     # Consolidated reporting
     # ------------------------------------------------------------------
-    def _ncache_stats_dict(self) -> Optional[dict]:
-        if self._ncache is None:
-            return None
-        s = self._ncache.stats
-        return {
-            "builds": s.builds,
-            "searches": s.searches,
-            "pairs_searched": s.pairs_searched,
-            "hits": s.hits,
-            "misses_displacement": s.misses_displacement,
-            "misses_h_change": s.misses_h_change,
-            "misses_shape": s.misses_shape,
-            "hit_rate": s.hit_rate,
-            "adaptations": s.adaptations,
-            "sweeps": s.sweeps,
-            "converged": s.converged,
-            "max_count_error": s.max_count_error,
-        }
-
     def _gravity_stats_dict(self) -> Optional[dict]:
         """Tree-gravity work of this driver (None when gravity never ran)."""
         if not self._gravity_calls:
@@ -626,7 +606,18 @@ class Simulation:
         from ..observability.report import RunReport
 
         reg = MetricsRegistry()
-        ncache = self._ncache_stats_dict()
+        # Per particle per adaptation: count sweeps, ending within tolerance.
+        hs = self._hstats
+        per = max(hs.particles, 1)
+        h_iteration = {
+            "adaptations": hs.adaptations,
+            "mean_sweeps": hs.sweeps / per,
+            "within_tolerance_share": hs.within_tolerance / per,
+        }
+        reg.absorb("h_iteration", h_iteration)
+        ncache = None  # with a cache, hs are its stats
+        if self._ncache is not None:
+            ncache = dict(asdict(hs), hit_rate=hs.hit_rate, **h_iteration)
         reg.absorb("neighbor_cache", ncache)
         gravity = self._gravity_stats_dict()
         reg.absorb("gravity", gravity)
@@ -652,6 +643,7 @@ class Simulation:
             time=self.time,
             n_particles=self.particles.n,
             neighbor_cache=ncache,
+            h_iteration=h_iteration,
             gravity=gravity,
             checkpoint=checkpoint,
             guard=guard,

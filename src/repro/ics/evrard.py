@@ -25,6 +25,7 @@ import numpy as np
 
 from ..core.particles import ParticleSystem
 from ..sph.eos import IdealGasEOS
+from ..sph.smoothing import target_smoothing_lengths
 from ..tree.box import Box
 from .lattice import lattice_sphere
 
@@ -83,8 +84,7 @@ def make_evrard(
 
     m = np.full(n, config.total_mass / n)
     rho = evrard_density_profile(r_new, config)
-    # Local smoothing length from the profile: h ~ eta (m/rho)^(1/3).
-    h = 1.9 * (m / np.maximum(rho, 1e-12)) ** (1.0 / 3.0)
+    h = target_smoothing_lengths(m, rho, 3)
     u = np.full(n, config.u0)
 
     particles = ParticleSystem(

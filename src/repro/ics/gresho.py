@@ -27,6 +27,7 @@ import numpy as np
 
 from ..core.particles import ParticleSystem
 from ..sph.eos import IdealGasEOS
+from ..sph.smoothing import target_smoothing_lengths
 from ..tree.box import Box
 from .lattice import cubic_lattice
 
@@ -96,9 +97,9 @@ def make_gresho(
     p = gresho_pressure_profile(r, config.p0)
     m = np.full(n, config.rho0 * dx**2)
     u = p / ((config.gamma - 1.0) * config.rho0)
-    h = np.full(n, 1.5 * dx)
+    rho = np.full(n, config.rho0)
     particles = ParticleSystem(
-        x=x, v=v, m=m, h=h, rho=np.full(n, config.rho0), u=u
+        x=x, v=v, m=m, h=target_smoothing_lengths(m, rho, 2), rho=rho, u=u
     )
     eos = IdealGasEOS(gamma=config.gamma)
     eos.apply(particles)

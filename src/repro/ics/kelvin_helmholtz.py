@@ -22,6 +22,7 @@ import numpy as np
 
 from ..core.particles import ParticleSystem
 from ..sph.eos import IdealGasEOS
+from ..sph.smoothing import target_smoothing_lengths
 from ..tree.box import Box
 from .lattice import cubic_lattice
 
@@ -100,7 +101,7 @@ def make_kelvin_helmholtz(
     )
 
     u = config.p0 / ((config.gamma - 1.0) * rho)
-    h = 1.5 * dx / np.sqrt(rho / config.rho_out)
+    h = target_smoothing_lengths(m, rho, 2)
     particles = ParticleSystem(x=x, v=v, m=m, h=h, rho=rho, u=u)
     eos = IdealGasEOS(gamma=config.gamma)
     eos.apply(particles)

@@ -22,6 +22,7 @@ import numpy as np
 
 from ..core.particles import ParticleSystem
 from ..sph.eos import IdealGasEOS
+from ..sph.smoothing import target_smoothing_lengths
 from ..tree.box import Box
 
 __all__ = ["NohConfig", "make_noh"]
@@ -58,9 +59,9 @@ def make_noh(
 
     m = np.full(n, config.rho0 * dx)
     u = np.full(n, config.u0)
-    h = np.full(n, 1.5 * dx)
+    rho = np.full(n, config.rho0)
     particles = ParticleSystem(
-        x=x, v=v, m=m, h=h, rho=np.full(n, config.rho0), u=u
+        x=x, v=v, m=m, h=target_smoothing_lengths(m, rho, 1), rho=rho, u=u
     )
     eos = IdealGasEOS(gamma=config.gamma)
     eos.apply(particles)

@@ -21,6 +21,7 @@ import numpy as np
 from ..core.particles import ParticleSystem
 from ..kernels.registry import make_kernel
 from ..sph.eos import IdealGasEOS
+from ..sph.smoothing import target_smoothing_lengths
 from ..tree.box import Box
 from .lattice import cubic_lattice
 
@@ -75,9 +76,10 @@ def make_sedov(
         raise ValueError("no particle falls inside the injection kernel")
     u = config.u_background + config.e0 * w / total
 
-    h = np.full(n, 1.2 * dx)
+    rho = np.full(n, config.rho0)
     particles = ParticleSystem(
-        x=x, v=np.zeros_like(x), m=m, h=h, rho=np.full(n, config.rho0), u=u
+        x=x, v=np.zeros_like(x), m=m, h=target_smoothing_lengths(m, rho, 3),
+        rho=rho, u=u,
     )
     eos = IdealGasEOS(gamma=config.gamma)
     eos.apply(particles)

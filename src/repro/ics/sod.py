@@ -20,6 +20,7 @@ import numpy as np
 
 from ..core.particles import ParticleSystem
 from ..sph.eos import IdealGasEOS
+from ..sph.smoothing import target_smoothing_lengths
 from ..tree.box import Box
 
 __all__ = ["SodConfig", "make_sod"]
@@ -73,10 +74,7 @@ def make_sod(
     rho = np.concatenate([np.full(n_l, config.rho_l), np.full(n_r, config.rho_r)])
     p = np.concatenate([np.full(n_l, config.p_l), np.full(n_r, config.p_r)])
     u = p / ((config.gamma - 1.0) * rho)
-    # Per-side pitch sets the initial smoothing-length guess.
-    h = 1.5 * np.concatenate(
-        [np.full(n_l, len_l / n_l), np.full(n_r, len_r / n_r)]
-    )
+    h = target_smoothing_lengths(m, rho, 1)
 
     particles = ParticleSystem(
         x=x, v=np.zeros_like(x), m=m, h=h, rho=rho, u=u

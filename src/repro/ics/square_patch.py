@@ -29,6 +29,7 @@ import numpy as np
 
 from ..core.particles import ParticleSystem
 from ..sph.eos import WeaklyCompressibleEOS
+from ..sph.smoothing import target_smoothing_lengths
 from ..tree.box import Box
 from .lattice import cubic_lattice
 
@@ -137,7 +138,7 @@ def make_square_patch(
         rho_init = np.full(n, config.rho0)
         m = np.full(n, config.rho0 * cell_volume)
 
-    h = np.full(n, 1.3 * dx * (100.0 / 33.5) ** (1.0 / 3.0))
+    h = target_smoothing_lengths(m, rho_init, 3)
     particles = ParticleSystem(x=x, v=v, m=m, h=h, rho=rho_init, p=p0)
     particles.extra["p0"] = p0.copy()
     eos.apply(particles)

@@ -21,6 +21,7 @@ import numpy as np
 
 from ..core.particles import ParticleSystem
 from ..sph.eos import IdealGasEOS
+from ..sph.smoothing import target_smoothing_lengths
 from ..tree.box import Box
 from .lattice import cubic_lattice
 
@@ -101,9 +102,7 @@ def make_wind_cloud(
     v[:n_amb, 0] = config.wind_speed
 
     u = config.p0 / ((config.gamma - 1.0) * rho)
-    h = np.concatenate(
-        [np.full(n_amb, 1.2 * dx), np.full(cloud.shape[0], 1.2 * pitch_cl)]
-    )
+    h = target_smoothing_lengths(m, rho, 3)
     particles = ParticleSystem(x=x, v=v, m=m, h=h, rho=rho, u=u)
     eos = IdealGasEOS(gamma=config.gamma)
     eos.apply(particles)

@@ -41,6 +41,9 @@ class RunReport:
     time: float
     n_particles: int
     neighbor_cache: Optional[Dict[str, float]] = None
+    #: The h iteration: adaptations, mean count sweeps per particle and
+    #: share of particles ending within the count tolerance.
+    h_iteration: Optional[Dict[str, float]] = None
     #: Barnes-Hut work: calls, mean P2P/M2P interactions per step (and
     #: per particle of a step) and which rendering ran (``None`` when
     #: gravity is off).
@@ -64,6 +67,7 @@ class RunReport:
             "neighbor_cache": (
                 dict(self.neighbor_cache) if self.neighbor_cache else None
             ),
+            "h_iteration": dict(self.h_iteration) if self.h_iteration else None,
             "gravity": dict(self.gravity) if self.gravity else None,
             "checkpoint": dict(self.checkpoint) if self.checkpoint else None,
             "guard": (
@@ -123,9 +127,9 @@ def format_neighbor_cache(stats) -> str:
         f"of {_get(stats, 'pairs_searched')} pairs, "
         f"invalidated: displacement={m_disp}, "
         f"h-change={m_h}, cold/shape={m_shape}); "
-        f"h-iteration: {_get(stats, 'converged')}/{_get(stats, 'adaptations')} "
-        f"met tolerance, {_get(stats, 'sweeps')} sweeps, "
-        f"last max count error {_get(stats, 'max_count_error', 0.0):.3f}"
+        f"h-iteration: {_get(stats, 'adaptations')} adaptations, "
+        f"{_get(stats, 'mean_sweeps'):.2f} sweeps per particle, "
+        f"{_get(stats, 'within_tolerance_share'):.1%} within tolerance"
     )
 
 

@@ -178,9 +178,6 @@ class Checkpoint:
         sim._max_mu = float(self.meta.get("max_mu", 0.0))
         if "dt_prev" in self.meta and hasattr(sim.stepper, "_dt_prev"):
             sim.stepper._dt_prev = float(self.meta["dt_prev"])
-        # No list in hand: the next list build searches the restored h
-        # exactly.
-        sim._nlist = None
         sim._rates_current = True
         ncache = getattr(sim, "_ncache", None)
         if ncache is None:

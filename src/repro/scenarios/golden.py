@@ -86,11 +86,12 @@ def record_run(sim: Simulation, case: str) -> dict:
     }
 
 
-def run_scenario_record(scenario: Scenario, run_config=None) -> dict:
-    """Run a scenario's golden configuration and return its record."""
+def run_scenario_record(scenario: Scenario, run_config=None, n_steps=None) -> dict:
+    """Run a scenario's golden configuration for ``n_steps`` (default: its
+    ``golden_steps``) and return its record."""
     sim = scenario.make_simulation(test=True, run_config=run_config)
     try:
-        sim.run(n_steps=scenario.golden_steps)
+        sim.run(n_steps=scenario.golden_steps if n_steps is None else n_steps)
         return record_run(sim, case=f"scenario:{scenario.name}")
     finally:
         sim.close()

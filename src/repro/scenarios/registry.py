@@ -24,6 +24,7 @@ from ..core.config import RunConfig, SimulationConfig
 from ..core.particles import ParticleSystem
 from ..core.simulation import Simulation
 from ..sph.eos import EquationOfState
+from ..sph.smoothing import target_smoothing_lengths
 from ..tree.box import Box
 
 __all__ = [
@@ -133,13 +134,19 @@ class Scenario:
         sim_config: Optional[SimulationConfig] = None,
         **overrides: Any,
     ) -> Simulation:
-        """Build the ICs and wrap them in a ready-to-run :class:`Simulation`."""
+        """Build the ICs, start ``h`` at the run's neighbour target (a
+        checkpoint restore brings its own back) and wrap them in a
+        ready-to-run :class:`Simulation`."""
         particles, box, eos = self.build(test=test, **overrides)
+        config = sim_config if sim_config is not None else self.sim_config
+        particles.h[:] = target_smoothing_lengths(
+            particles.m, particles.rho, particles.dim, config.n_neighbors
+        )
         return Simulation(
             particles,
             box,
             eos,
-            config=sim_config if sim_config is not None else self.sim_config,
+            config=config,
             g_const=self.g_const,
             run_config=run_config,
             scenario=self.name,

@@ -7,25 +7,22 @@ fixed-point iteration
 
     h <- h/2 * (1 + (n_target / n_i)^(1/dim))
 
-which converges in a handful of sweeps because the neighbour count scales
-like ``h^dim`` in locally-uniform distributions.
+run by each particle on its own until its count is within ``tolerance``
+of the target, or until its next update would move ``h`` by at most
+``tolerance / dim`` (the count scales like ``h^dim``), when it keeps its
+``h`` — which stops a lattice particle from flipping between two shells
+every step.  ``max_iterations`` caps a particle's sweeps.  A run starts
+at the target (:func:`target_smoothing_lengths`).
 
-One list build costs one neighbour search: the sweeps re-count off the
-pair separations of a single symmetric list, which holds every gather
-neighbour while ``h`` stays inside the radius it was searched at.  Only an
-iterate that out-grows that radius triggers another search (from the
-current iterate, padded by :data:`GROWTH_PAD`), and the converged list is
-cut from the searched one by :meth:`NeighborList.within` — array for array
-what a fresh search at the final ``h`` returns, rows ascending whatever
-order the search left them in (the sweeps only count, so a search handed
-in here need not order its rows).  A build that starts from an ``h`` an
-earlier adaptation already rewrote (``adapted``) pads its first search
-too: such an ``h`` drifts by a few per cent between builds, and searching
-it exactly meant searching twice.
-
-On numpy the separations of a list are sorted row by row once, and each
-sweep counts every row by bisection — ``log2`` of the longest row steps
-over ``n`` particles instead of a pass over the pairs, same counts.
+One list build costs one neighbour search, padded by :data:`GROWTH_PAD`:
+the sweeps count off the separations of one symmetric list, which holds
+every gather neighbour while ``h`` stays inside the radius it was
+searched at.  Only a particle that out-grows it triggers another search,
+and the final list is cut from the searched one by
+:meth:`NeighborList.within` — array for array what a fresh search at the
+final ``h`` returns, rows ascending (so a search handed in here need not
+order its rows).  On numpy each row's separations are sorted once and a
+sweep counts the running rows by bisection.
 """
 
 from __future__ import annotations
@@ -37,10 +34,11 @@ import numpy as np
 
 from ..tree.box import Box
 from ..tree.cellgrid import cell_grid_search
-from ..tree.neighborlist import NeighborList, VerletNeighborCache
+from ..tree.neighborlist import NeighborList, VerletCacheStats, VerletNeighborCache
 
 __all__ = [
     "SmoothingConfig",
+    "target_smoothing_lengths",
     "update_smoothing_lengths",
     "adapt_smoothing_lengths",
     "adapt_from_cached_list",
@@ -64,16 +62,30 @@ class SmoothingConfig:
             raise ValueError(f"tolerance must be in (0, 1), got {self.tolerance}")
 
 
-#: Radius head-room of a search.  The damped update multiplies ``h`` by
-#: at most ``(1 + n_target**(1/dim)) / 2`` per sweep but by a few per cent
-#: once counts are near the target, which is where a build starts from
-#: when an earlier adaptation has rewritten ``h``, and where a budget is
-#: out-grown; 10 % covers the rest of the iteration at 1.33x the pairs in
-#: 3-D — less than the exact search plus the padded re-search it replaces.
-#: Only the first search over a never-adapted ``h`` (a run's first build)
-#: is exact: the IC's ``h`` can be far off, most of that list is cut away
-#: again, and it is the run's peak allocation.
+#: Radius head-room of a search.  Every build starts near the target
+#: count, where the damped update moves ``h`` by a few per cent; 10 %
+#: covers the rest of the iteration at 1.33x the pairs in 3-D.
 GROWTH_PAD = 1.1
+
+#: Row states of the h iteration (``rp_adapt`` writes the same codes):
+#: iterating, count within the tolerance, update below ``tolerance /
+#: dim``, ``max_iterations`` sweeps run.
+RUNNING, WITHIN_TOLERANCE, STALLED, CAPPED = 0, 1, 2, 3
+
+#: Volume of the unit ball in 1, 2 and 3 dimensions.
+_UNIT_BALL = (2.0, np.pi, 4.0 * np.pi / 3.0)
+
+
+def target_smoothing_lengths(
+    m: np.ndarray, rho: np.ndarray, dim: int,
+    n_neighbors: int = SmoothingConfig.n_target,
+) -> np.ndarray:
+    """The ``h`` whose support holds ``n_neighbors`` particles of volume
+    ``m / rho``: ``V_dim (2h)^dim = n_neighbors m / rho``, ``V_dim`` the
+    volume of the unit ball — where the h iteration starts a run (the IC
+    builders at the default target, a scenario's run at its own)."""
+    volume = n_neighbors * np.asarray(m, dtype=np.float64) / np.asarray(rho)
+    return 0.5 * (volume / _UNIT_BALL[dim - 1]) ** (1.0 / dim)
 
 
 def update_smoothing_lengths(
@@ -91,45 +103,32 @@ def adapt_smoothing_lengths(
     search: Callable[..., NeighborList] | None = None,
     cache: VerletNeighborCache | None = None,
     backend=None,
-    adapted: bool = False,
     support: float | None = None,
+    stats: VerletCacheStats | None = None,
 ) -> Tuple[NeighborList, Optional[NeighborList]]:
     """Build a neighbour list: search, iterate h, cut the list to fit.
 
     Updates ``particles.h`` in place and returns ``(nlist, cut)``: the
     final neighbour list (symmetric mode, self-pair included, rows
-    ascending) — the list a search at the converged ``h`` returns — and
-    the list the compiled pair phases run over (below; else ``None``).
+    ascending) — the list a search at the final ``h`` returns — and the
+    list the compiled pair phases run over (below; else ``None``).
+    ``search`` defaults to the cell grid (``octree.walk_neighbors``-like
+    callables use the tree walk).
 
-    ``search`` defaults to the cell-grid path; pass
-    ``octree.walk_neighbors``-compatible callables to use the tree walk.
+    With a :class:`~repro.tree.neighborlist.VerletNeighborCache` the lists
+    have the padded radius ``(1 + skin) * 2 h``, and the final one is
+    stored in the cache with the reference ``x``/``h``; the counts that
+    drive the iteration are always those within ``r <= 2 h_i``.  The
+    cache's stats count the build; without one, ``stats`` (if given) do.
 
-    With a :class:`~repro.tree.neighborlist.VerletNeighborCache`, lists
-    have the padded radius ``(1 + skin) * 2 h`` and the final (padded)
-    list is stored in the cache together with the reference ``x``/``h``;
-    the driver serves subsequent steps from the cache until a particle
-    out-drifts the skin.  The neighbour *counts* driving the h iteration
-    are unaffected: they are always filtered to the true gather support
-    ``r <= 2 h_i``.
-
-    With a compiled ``backend`` all the sweeps a list can serve run in
-    one row-local op (``CompiledOps.adapt``) whose counts and updates
-    are bitwise the numpy expressions', so the h trajectory — and
-    therefore every downstream neighbour list — is exactly the same;
-    nothing per-pair outlives the op.  Given the kernel's ``support``,
-    the op that leaves the final ``h`` over the final list also emits
-    ``cut``: the lower half (``j <= i``) of the pairs of ``nlist`` within
-    ``support * max(h_i, h_j)``, off the geometry the sweeps computed
-    (:meth:`~repro.backend.compiled.CompiledOps.adapt`).
-
-    ``adapted`` says that an earlier adaptation already rewrote this
-    ``h`` (the driver holds a list from an earlier evaluation), which
-    pads the first search by :data:`GROWTH_PAD` instead of searching the
-    exact radius.
+    With a compiled ``backend`` the sweeps a list can serve run in one
+    row-local op (``CompiledOps.adapt``), bitwise the numpy loop.  Given
+    the kernel's ``support`` it also emits ``cut``: the lower half (``j <=
+    i``) of the pairs of ``nlist`` within ``support * max(h_i, h_j)``.
     """
     return _adapt(
-        particles, box, config, search, cache, backend, adapted=adapted,
-        support=support,
+        particles, box, config, search, cache, backend, support=support,
+        stats=stats,
     )
 
 
@@ -148,20 +147,13 @@ def adapt_from_cached_list(
 
     While every iterate stays inside the cache's h-growth budget
     (:attr:`~repro.tree.neighborlist.VerletNeighborCache.h_budget`), the
-    neighbour counts filtered to ``r <= 2 h_i`` computed from the padded
-    list are *exact*, so the damped fixed-point iteration takes exactly
-    the h trajectory a fresh-search adaptation would, and the cached list
-    is returned untouched — no search.  The return and ``support`` are
-    those of :func:`adapt_smoothing_lengths`.
-
-    An iterate that out-grows the budget turns the call into a build: the
-    iteration carries on from that iterate off a fresh ``search`` and the
-    new list replaces the cached one, as in
-    :func:`adapt_smoothing_lengths`.
-
-    ``pairs`` is the caller's :class:`~repro.tree.pairs.Pairs` record of
-    ``nlist``: the numpy sweeps count off its ``r``, so the support cut
-    the phases read after the iteration reuses that geometry pass.
+    counts off the padded list are exact, so ``h`` takes the trajectory a
+    fresh search would give and the cached list comes back untouched.  An
+    iterate that out-grows the budget turns the call into a build off a
+    fresh ``search``.  The return and ``support`` are those of
+    :func:`adapt_smoothing_lengths`; ``pairs`` is the caller's
+    :class:`~repro.tree.pairs.Pairs` record of ``nlist``, whose ``r`` the
+    numpy sweeps count off (the phases' support cut reuses it).
     """
     if cache is None:
         raise ValueError("adapt_from_cached_list requires the owning cache")
@@ -173,88 +165,101 @@ def adapt_from_cached_list(
 
 def _adapt(
     particles, box, config, search, cache, backend, nlist=None,
-    budget=None, adapted=False, pairs=None, support=None,
+    budget=None, pairs=None, support=None, stats=None,
 ):
     """The h iteration; ``nlist``/``budget`` hand in a cached list to start
-    on, ``pairs`` its record, ``support`` asks a compiled backend for the
-    cut.
-
-    ``budget`` is the per-particle ``h`` up to which the list in hand both
-    counts exactly and contains the final list.
-    """
+    on (``budget``: the ``h`` up to which it counts exactly and holds the
+    final list), ``pairs`` its record, ``support`` asks a compiled backend
+    for the cut."""
     ops = backend.ops if backend is not None else None
     if ops is None:
         support = None
-    cut = None
     if search is None:
         search = lambda x, radii, box, mode: cell_grid_search(  # noqa: E731
             x, radii, box, mode=mode
         )
     factor = 2.0 if cache is None else cache.search_factor
-    stats = cache.stats if cache is not None else None
-    built = met = False
-    rows = None
-    sweeps = 0
-    max_err = 0.0
+    stats = cache.stats if cache is not None else stats
+    h = particles.h
+    start = h.copy()
+    state = np.zeros(particles.n, dtype=np.int8)
+    sweeps = np.zeros(particles.n, dtype=np.int32)
+    built = False
+    cut = None
     while True:
-        if nlist is None or np.any(particles.h > budget):
-            # Exact radius only over a never-adapted h; a re-search starts
-            # from the iterate that out-grew the last one.
-            exact = nlist is None and not adapted
-            budget = particles.h * (1.0 if exact else GROWTH_PAD)
+        if nlist is None:
+            # A row still running out-grew a list: pad it by the growth it
+            # has shown on top (1 on a first search), for one re-search.
+            budget = h * GROWTH_PAD
+            running = state == RUNNING
+            budget[running] *= h[running] / start[running]
             nlist = search(particles.x, factor * budget, box, "symmetric")
             if stats is not None:
                 stats.searches += 1
                 stats.pairs_searched += nlist.n_pairs
             built = True
-            rows = None
-        if sweeps == config.max_iterations:
-            break
-        if ops is not None:
-            # Every sweep this list can serve, in one compiled pass; a
-            # list a search returned is never the final one.
-            done, met, max_err, cut = _fused_sweeps(
-                ops, particles, nlist, box, budget, config,
-                config.max_iterations - sweeps, None if built else support,
-            )
-            sweeps += done
-            if met:
-                break
-            continue
-        if rows is None:
-            if pairs is not None and not built:
-                r = pairs.r
-            else:
-                r = nlist.pair_geometry(particles.x, box)[1]
-            rows = _sorted_rows(nlist, r)
-        # Count only gather neighbours (r <= 2 h_i) off the symmetric list.
-        counts = _counts_within(rows, 2.0 * particles.h)
-        sweeps += 1
-        rel_err = np.abs(counts - config.n_target) / config.n_target
-        max_err = float(rel_err.max(initial=0.0))
-        if max_err <= config.tolerance:
-            met = True
-            break
-        h_new = update_smoothing_lengths(
-            particles.h, counts, config.n_target, particles.dim
+        # The update factor per count, by the update function at h = 1:
+        # h * F[c] is its 0.5 * h * (1 + p) to the bit.
+        table = update_smoothing_lengths(
+            1.0, np.arange(nlist.longest_row + 1), config.n_target, particles.dim
         )
-        particles.h[:] = np.clip(h_new, config.h_min, config.h_max)
+        if ops is not None:
+            # A list a search returned is never the final one: no cut.
+            cut = ops.adapt(
+                particles.x, h, budget, nlist.as_int32(), box, table, config,
+                state, sweeps, None if built else support,
+            )
+        else:
+            r = (pairs.r if pairs is not None and not built
+                 else nlist.pair_geometry(particles.x, box)[1])
+            _sweep_rows(_sorted_rows(nlist, r), h, budget, table, config,
+                        particles.dim, state, sweeps)
+        if not np.any(state == RUNNING):
+            break
+        nlist = None
     if stats is not None:
         stats.adaptations += 1
-        stats.sweeps += sweeps
-        stats.converged += met
-        stats.max_count_error = max_err
+        stats.particles += particles.n
+        stats.sweeps += int(sweeps.sum())
+        stats.within_tolerance += int(np.count_nonzero(state == WITHIN_TOLERANCE))
     if built:
-        nlist = nlist.within(particles.x, factor * particles.h, box, ops)
+        nlist = nlist.within(particles.x, factor * h, box, ops)
         if cache is not None:
-            cache.store(nlist, particles.x, particles.h)
-    if support is not None and (built or cut is None):
-        # The final h came from no call over the final list: emit only.
-        cut = ops.adapt(
-            particles.x, particles.h, None, nlist.as_int32(), box, None, 1,
-            0.0, np.inf, 0, support,
-        )[3]
+            cache.store(nlist, particles.x, h)
+        if support is not None:
+            # The final h came from no call over the final list: every row
+            # is finished, so the op only emits.
+            cut = ops.adapt(
+                particles.x, h, None, nlist.as_int32(), box, None, config,
+                state, sweeps, support,
+            )
     return nlist, cut
+
+
+def _sweep_rows(rows, h, budget, table, config, dim, state, sweeps):
+    """``rp_adapt``'s row loop over the running rows of :func:`_sorted_rows`
+    at once, expression for expression: writes ``h``, ``state``, ``sweeps``."""
+    step = config.tolerance / dim
+    run = np.flatnonzero(state == RUNNING)
+    while True:
+        capped = sweeps[run] == config.max_iterations
+        state[run[capped]] = CAPPED
+        run = run[~capped]
+        if not run.size:
+            return
+        counts = _counts_within(rows, 2.0 * h[run], run)
+        sweeps[run] += 1
+        within = np.abs(counts - config.n_target) / config.n_target <= config.tolerance
+        h_run = h[run]
+        h_new = np.clip(h_run * table[counts], config.h_min, config.h_max)
+        stalled = ~within & (np.abs(h_new - h_run) <= step * h_run)
+        state[run[within]] = WITHIN_TOLERANCE
+        state[run[stalled]] = STALLED
+        go = ~(within | stalled)
+        run = run[go]
+        h[run] = h_new[go]
+        # A row that left the list stays running, unless the cap stops it.
+        run = run[(h[run] <= budget[run]) | (sweeps[run] == config.max_iterations)]
 
 
 def _sorted_rows(nlist: NeighborList, r: np.ndarray) -> np.ndarray:
@@ -267,58 +272,21 @@ def _sorted_rows(nlist: NeighborList, r: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _counts_within(rows: np.ndarray, radius: np.ndarray) -> np.ndarray:
-    """``#{r <= radius_k}`` of every row ``k`` of :func:`_sorted_rows` — the
-    list's ``bincount(i[r <= radius[i]])`` exactly — by bisecting all rows
-    at once: ``lo`` entries of a row are known to count, those from ``hi``
-    on known not to."""
+def _counts_within(
+    rows: np.ndarray, radius: np.ndarray, which: np.ndarray | None = None
+) -> np.ndarray:
+    """``#{r <= radius_k}`` of the rows ``which`` (default: all) of
+    :func:`_sorted_rows` — the list's ``bincount(i[r <= radius[i]])``
+    exactly — by bisecting the rows at once: ``lo`` entries of a row are
+    known to count, those from ``hi`` on known not to."""
     n, width = rows.shape
-    flat, base = rows.ravel(), np.arange(n) * width
-    lo = np.zeros(n, dtype=np.intp)
-    hi = np.full(n, width - 1, dtype=np.intp)
+    flat = rows.ravel()
+    base = (np.arange(n) if which is None else which) * width
+    lo = np.zeros(base.size, dtype=np.intp)
+    hi = np.full(base.size, width - 1, dtype=np.intp)
     for _ in range((width - 1).bit_length()):
         mid = (lo + hi) >> 1
         below = flat.take(base + mid) <= radius
         lo = np.where(below, mid + 1, lo)
         hi = np.where(below, hi, mid)
     return lo
-
-
-def _fused_sweeps(ops, particles, nlist, box, budget, config, sweeps, support):
-    """Up to ``sweeps`` sweeps of the h iteration off ``nlist`` in one
-    compiled op; writes ``particles.h``.  Returns ``(sweeps run, met,
-    largest relative count error of the last one, cut)`` — the cut the
-    op that left ``particles.h`` emitted, given ``support``.
-
-    The op runs every sweep of every row and reports, per sweep, the two
-    facts the reference loop stops on — in its order: the count
-    tolerance met *before* an update, a budget out-grown *by* one.  Only
-    when one of them fires early (no shipped workload does) are the
-    iterates past it unwanted, and the op is run again from the saved
-    start for exactly the updates that count (none: it only emits).
-
-    The update factor is tabulated by :func:`update_smoothing_lengths`
-    itself, at ``h = 1``: ``h * F[c]`` is the reference's ``0.5 * h *
-    (1 + p)`` to the bit, scaling by 0.5 being exact.
-    """
-    table = update_smoothing_lengths(
-        1.0, np.arange(nlist.longest_row + 1), config.n_target, particles.dim
-    )
-    start = particles.h.copy()
-
-    def run(k):
-        return ops.adapt(
-            particles.x, start, budget, nlist.as_int32(), box, table,
-            config.n_target, config.h_min, config.h_max, k, support,
-        )
-
-    h, err, grown, cut = run(sweeps)
-    met = err <= config.tolerance
-    stops = np.nonzero(met | grown)[0]
-    done = int(stops[0]) + 1 if stops.size else sweeps
-    hit = bool(met[done - 1])  # False when nothing stopped the op early
-    updates = done - hit  # the sweep that meets the tolerance updates nothing
-    if updates < sweeps:
-        h, _, _, cut = run(updates)
-    particles.h[:] = h
-    return done, hit, float(err[done - 1]), cut

@@ -365,12 +365,11 @@ class VerletCacheStats:
     passes, interpreted or compiled) the builds cost: one per build, plus
     one for each time an h iterate out-grew the searched radius;
     ``pairs_searched`` the pairs those searches emitted, before the cut
-    to the final ``h``.  ``adaptations``/``sweeps``/``converged`` describe
-    the h iteration the cache serves: calls, count sweeps over the pair
-    list, and calls that ended by meeting the count tolerance rather than
-    by running out of sweeps; ``max_count_error`` is the largest relative
-    count error ``|n_i - n_target| / n_target`` at the last sweep of the
-    last call — what ``converged`` compares with the tolerance.
+    to the final ``h``.  ``adaptations`` counts the calls of the h
+    iteration the cache serves, ``particles`` the particles they iterated
+    (``n`` per call), ``sweeps`` their count sweeps and
+    ``within_tolerance`` those that ended with a count within the
+    tolerance (the rest stopped on a small update or at the sweep cap).
     """
 
     builds: int = 0
@@ -381,9 +380,9 @@ class VerletCacheStats:
     misses_h_change: int = 0
     misses_shape: int = 0
     adaptations: int = 0
+    particles: int = 0
     sweeps: int = 0
-    converged: int = 0
-    max_count_error: float = 0.0
+    within_tolerance: int = 0
 
     @property
     def lookups(self) -> int:

@@ -128,7 +128,7 @@ def test_lazy_api_exports_resolve():
         repro.does_not_exist
 
 
-# --- names removed in 2.0.0 to 10.0.0 stay removed ------------------------
+# --- names removed in 2.0.0 to 11.0.0 stay removed ------------------------
 
 
 def test_removed_surface_fails_closed():
@@ -137,9 +137,10 @@ def test_removed_surface_fails_closed():
     its supervisor and chaos knobs, (4.0.0) the epoch/token protocol,
     ``CffiImpl`` and the ``neighbor_search`` knob, (5.0.0) the
     compiled path's stored per-pair products, (6.0.0) the numpy pair
-    engine, (8.0.0) the online autotuner and (10.0.0) the second per-step
-    error detector and eight guard knobs are gone: old spellings are
-    typed errors at the boundary, never a silent default."""
+    engine, (8.0.0) the online autotuner, (10.0.0) the second per-step
+    error detector and eight guard knobs and (11.0.0) the h iteration's
+    ``adapted`` flag and global ``converged`` count are gone: old
+    spellings are typed errors at the boundary, never a silent default."""
     import importlib
 
     from repro.cli import main
@@ -259,4 +260,12 @@ def test_removed_surface_fails_closed():
     assert [f.name for f in dataclasses.fields(GuardConfig)] == [
         "drift_tolerances"
     ]
+    # 11.0.0: the h iteration stops per particle and every search is
+    # padded: no ``adapted`` flag, no global ``converged`` count.
+    from repro.tree.neighborlist import VerletCacheStats
+
+    assert "adapted" not in inspect.signature(adapt_smoothing_lengths).parameters
+    assert not {"converged", "max_count_error"} & {
+        f.name for f in dataclasses.fields(VerletCacheStats)
+    }
 

@@ -49,7 +49,7 @@ from repro.scenarios import (
 from repro.scenarios.golden import GOLDEN_ATOL, GOLDEN_RTOL
 from repro.sph.density import compute_density, grad_h_terms
 from repro.sph.forces import compute_forces, velocity_divergence_curl
-from repro.sph.smoothing import update_smoothing_lengths
+from repro.sph.smoothing import SmoothingConfig, update_smoothing_lengths
 from repro.sph.viscosity import ViscosityParams, balsara_switch
 from repro.timestepping.steppers import TimestepParams
 
@@ -289,21 +289,27 @@ def test_phase_parity(phase_state, backend_name):
     within = _pair_radii_numpy(p.x, nlist, box) <= 2.0 * p.h[i_pair]
     counts_ref = np.bincount(i_pair[within], minlength=n)
     # One sweep of the fused op: equal updates are equal counts (the
-    # update factor is strictly monotone in the count).
+    # update factor is strictly monotone in the count).  At a tolerance
+    # this tight only a count on the target stops a row before its
+    # update, which leaves h as it is.
     n_target = sim.config.n_neighbors
     table = update_smoothing_lengths(
         1.0, np.arange(nlist.longest_row + 1), n_target, p.dim
     )
-    h_out, err, grown, cut = b.ops.adapt(
-        p.x, p.h, np.full(n, np.inf), nlist.as_int32(), box, table,
-        n_target, 0.0, np.inf, 1,
+    config = SmoothingConfig(n_target=n_target, tolerance=1e-9, max_iterations=1)
+    h_out = p.h.copy()
+    state = np.zeros(n, dtype=np.int8)
+    sweeps = np.zeros(n, dtype=np.int32)
+    cut = b.ops.adapt(
+        p.x, h_out, np.full(n, np.inf), nlist.as_int32(), box, table, config,
+        state, sweeps,
     )
     assert cut is None  # no support, no emission
     assert np.array_equal(
         h_out, update_smoothing_lengths(p.h, counts_ref, n_target, p.dim)
     )
-    assert err[0] == (np.abs(counts_ref - n_target) / n_target).max()
-    assert not grown.any()
+    assert np.array_equal(state == 1, counts_ref == n_target)
+    assert np.all(state > 0) and np.all(sweeps == 1)
 
     rows = (0, n)
     for volume_elements in ("standard", "generalized"):
@@ -426,13 +432,16 @@ def test_row_kernels_stay_inside_their_scratch(phase_state, backend_name, monkey
         return ops._out(block), cap
 
     monkeypatch.setattr(ops, "_scratch", guarded)
-    adapt_from_cached = ops.adapt(
-        p.x, p.h, np.full(p.n, np.inf), nlist, box,
-        np.ones(nlist.longest_row + 1), 30, 0.0, np.inf, 2, kernel.support,
+    # An update factor of 1 stops every row on its first sweep.
+    h = p.h.copy()
+    half = ops.adapt(
+        p.x, h, np.full(p.n, np.inf), nlist, box,
+        np.ones(nlist.longest_row + 1), SmoothingConfig(n_target=30),
+        np.zeros(p.n, dtype=np.int8), np.zeros(p.n, dtype=np.int32),
+        kernel.support,
     )
-    assert np.array_equal(adapt_from_cached[0], p.h)
+    assert np.array_equal(h, p.h)
     # The pair ops over the emitted half list and over the full list.
-    half = adapt_from_cached[3]
     compute_density(p, half, kernel, box, rows=(0, p.n), backend=b)
     compute_density(p, nlist, kernel, box, rows=(0, p.n), backend=b)
     cm = compute_iad_matrices(p, nlist, kernel, box, rows=(0, p.n), backend=b)

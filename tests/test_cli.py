@@ -92,6 +92,13 @@ def test_run_json_summary(capsys):
     assert set(summary["drift"]) == {"mass", "momentum", "energy"}
     # Verlet-cache counters (builds, searches, hits): null on a cache-off run.
     assert summary["neighbor_cache"] is None
+    # The h iteration is reported cache or not: one adaptation per rate
+    # evaluation (the first step's two, then one), count sweeps per
+    # particle per adaptation and the share ending within the tolerance.
+    h_iteration = summary["h_iteration"]
+    assert h_iteration["adaptations"] == 3
+    assert 1.0 <= h_iteration["mean_sweeps"] <= 10.0
+    assert 0.0 <= h_iteration["within_tolerance_share"] <= 1.0
 
 
 def test_run_json_reports_gravity_work_per_particle(capsys):

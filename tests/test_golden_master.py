@@ -2,17 +2,19 @@
 
 The golden file in ``tests/golden/`` pins down per-step conservation
 totals and final-state checksums of a short, deterministic square-patch
-run.  Any change to kernels, neighbour search, h adaptation, time
-stepping or the execution layer that shifts physics beyond tight
-tolerances fails here with a field-by-field report.
+run (the scenario's test configuration, two steps past its own golden).
+Any change to kernels, neighbour search, h adaptation, time stepping or
+the execution layer that shifts physics beyond tight tolerances fails
+here with a field-by-field report.
 
 The same golden file must hold with the Verlet cache enabled: the cached
 run replays the identical h trajectory and differs only by pair-summation
 ordering, which the tolerance absorbs.
 
-Regenerate (after an *intentional* physics change) with:
+Regenerate (after an *intentional* physics change), with every other
+golden, by:
 
-    PYTHONPATH=src python tests/test_golden_master.py
+    PYTHONPATH=src python tools/regen_goldens.py
 """
 
 from __future__ import annotations
@@ -20,73 +22,20 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-import numpy as np
 import pytest
 
-from repro.core.config import ExecConfig, RunConfig, SimulationConfig
-from repro.core.simulation import Simulation
-from repro.ics.square_patch import SquarePatchConfig, make_square_patch
-from repro.scenarios import compare_records
-from repro.timestepping.steppers import TimestepParams
+from repro.core.config import ExecConfig, RunConfig
+from repro.scenarios import compare_records, get_scenario, run_scenario_record
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "square_patch_5step.json"
 N_STEPS = 5
 RTOL = 1e-9  # absorbs pair-ordering roundoff and BLAS/platform variation
 
 
-def _build_sim(exec_config: ExecConfig = ExecConfig()) -> Simulation:
-    particles, box, eos = make_square_patch(SquarePatchConfig(side=10, layers=6))
-    config = SimulationConfig().with_(
-        n_neighbors=30,
-        timestep_params=TimestepParams(use_energy_criterion=False),
-    )
-    return Simulation(
-        particles, box, eos, config=config,
-        run_config=RunConfig(exec=exec_config),
-    )
-
-
-def _checksums(sim: Simulation) -> dict:
-    p = sim.particles
-    fields = {"x": p.x, "v": p.v, "rho": p.rho, "u": p.u, "h": p.h, "du": p.du}
-    sums = {}
-    for name, arr in fields.items():
-        sums[f"{name}_sum"] = float(arr.sum())
-        sums[f"{name}_l2"] = float(np.sqrt((arr.astype(np.float64) ** 2).sum()))
-    return sums
-
-
-def _record(sim: Simulation) -> dict:
-    steps = []
-    for s in sim.history:
-        c = s.conservation
-        steps.append(
-            {
-                "dt": s.dt,
-                "total_mass": c.total_mass,
-                "momentum_norm": float(np.linalg.norm(c.momentum)),
-                "kinetic_energy": c.kinetic_energy,
-                "internal_energy": c.internal_energy,
-                "total_energy": c.total_energy,
-            }
-        )
-    return {
-        "case": "square-patch side=10 layers=6 n_neighbors=30 cfl-only",
-        "n_particles": sim.particles.n,
-        "n_steps": N_STEPS,
-        "final_time": sim.time,
-        "steps": steps,
-        "checksums": _checksums(sim),
-    }
-
-
 def _run(exec_config: ExecConfig = ExecConfig()) -> dict:
-    sim = _build_sim(exec_config)
-    try:
-        sim.run(n_steps=N_STEPS)
-        return _record(sim)
-    finally:
-        sim.close()
+    return run_scenario_record(
+        get_scenario("square-patch"), RunConfig(exec=exec_config), N_STEPS
+    )
 
 
 def _compare(actual: dict, golden: dict) -> list[str]:
@@ -100,7 +49,7 @@ def golden() -> dict:
     if not GOLDEN_PATH.exists():
         pytest.fail(
             f"golden file missing: {GOLDEN_PATH} "
-            "(regenerate with: PYTHONPATH=src python tests/test_golden_master.py)"
+            "(regenerate with: PYTHONPATH=src python tools/regen_goldens.py)"
         )
     return json.loads(GOLDEN_PATH.read_text())
 
@@ -140,8 +89,3 @@ def test_golden_conservation_is_physical(golden):
     for s in steps:
         assert s["momentum_norm"] < 1e-12
 
-
-if __name__ == "__main__":
-    GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
-    GOLDEN_PATH.write_text(json.dumps(_run(), indent=2) + "\n")
-    print(f"wrote {GOLDEN_PATH}")

@@ -117,3 +117,34 @@ def test_every_search_emits_canonical_rows(rng):
     for name in set(lists) - {"grid", "gather"}:
         assert np.array_equal(lists[name].offsets, lists["grid"].offsets), name
         assert np.array_equal(lists[name].indices, lists["grid"].indices), name
+
+
+def test_compiled_within_refuses_a_list_that_is_not_symmetric(rng):
+    """The compiled cut builds its rows by transposing the kept pairs,
+    which is the list itself only when the pairs are symmetric: a gather
+    list is refused, as the h iteration's support cut refuses one."""
+    from repro.backend import select_backend
+    from repro.tree.octree import Octree
+
+    ops = select_backend("auto").ops
+    if ops is None:
+        pytest.skip("no C toolchain on this host")
+    x = rng.random((300, 3))
+    radii = rng.uniform(0.05, 0.15, 300)
+    box = Box.cube(0.0, 1.0, dim=3, periodic=True)
+    tree = Octree.build(x, box, leaf_size=16)
+    gather = tree.walk_neighbors(x, radii, mode="gather", ops=ops)
+    with pytest.raises(ValueError, match="symmetric"):
+        gather.within(x, 0.5 * radii, box, ops)
+    # The symmetric list passes; the same list less one pair does not.
+    full = tree.walk_neighbors(x, radii, mode="symmetric", ops=ops)
+    assert full.within(x, radii, box, ops).n_pairs == full.n_pairs
+    i, j = full.pairs()
+    drop = np.flatnonzero(i != j)[0]
+    keep = np.arange(full.n_pairs) != drop
+    counts = np.bincount(i[keep], minlength=full.n)
+    broken = NeighborList(
+        np.concatenate([[0], np.cumsum(counts)]), j[keep].astype(np.int32)
+    )
+    with pytest.raises(ValueError, match="symmetric"):
+        broken.within(x, radii, box, ops)

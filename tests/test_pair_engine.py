@@ -596,7 +596,9 @@ def test_compiled_ops_per_cache_hit_step(config_kw, phase_ops, rp_calls):
     sim.run(n_steps=1)
     report = sim.report()
     assert report.neighbor_cache["hits"] == cold["hits"] + 1  # a hit step
-    assert report.neighbor_cache["sweeps"] == cold["sweeps"] + 10
+    # One adaptation, every particle counting at least once.
+    assert report.neighbor_cache["adaptations"] == cold["adaptations"] + 1
+    assert report.neighbor_cache["sweeps"] >= cold["sweeps"] + sim.particles.n
     counts = collections.Counter(name for name, _ in rp_calls)
     assert counts["rp_adapt"] == 1  # not 1 + sweeps, and it emits the cut
     for op, calls in phase_ops.items():

@@ -151,11 +151,12 @@ def test_pair_once_ops_are_exact_across_lists_and_slices(
         # Pairs exactly on the cutoff are kept.
         assert np.any(record.r == kernel.support * p.h[0])
 
-    # The emission of a sweeps=0 op is the j <= i part of numpy's cut.
+    # The emission of the h iteration (over finished rows) is the j <= i
+    # part of numpy's cut.
     half = ops.adapt(
-        p.x, p.h, None, padded.as_int32(), box, None, 1, 0.0, np.inf, 0,
-        kernel.support,
-    )[3]
+        p.x, p.h, None, padded.as_int32(), box, None, SmoothingConfig(),
+        np.ones(n, dtype=np.int8), np.zeros(n, dtype=np.int32), kernel.support,
+    )
     _assert_same_list(half, _lower(full))
 
     # A state the phases accept: density, pressure, sound speed.
@@ -226,12 +227,13 @@ def test_the_h_iteration_emits_the_lower_half_of_the_cut(config, rng):
     """A build (search, sweeps, then an emission over ``within``'s list)
     and a Verlet hit (the sweeps' op emits) end with the ``j <= i`` part
     of numpy's cut of the list they return, at the ``h`` they leave — as
-    does an early stop, whose final ``h`` comes from no sweep."""
+    does a stop at every particle's first sweep, whose final ``h`` comes
+    from no update.  h starts at the target (about 30 inside 2h)."""
     dim = 3
     box = Box.cube(0.0, 1.0, dim=dim, periodic=True)
     x = rng.random((400, dim))
     p = ParticleSystem(x=x, v=np.zeros((400, dim)), m=np.full(400, 1 / 400),
-                       h=np.full(400, 0.08))
+                       h=np.full(400, 0.13))
     kernel = make_kernel("m4")
     b = select_backend("cffi")
     cache = VerletNeighborCache(skin=0.2)

@@ -194,17 +194,22 @@ def test_row_sorted_counts_equal_the_bincount(case, drop, scale):
 
 
 def _bincount_iteration(p, nlist, box, config):
-    """The h iteration as a ``bincount`` of the pair list per sweep."""
+    """The h iteration as a ``bincount`` of the pair list per sweep: a
+    particle stops within the tolerance or on an update of at most
+    ``tolerance / dim`` (keeping its ``h``)."""
     i = nlist.pair_i()
     _, r = nlist.pair_geometry(p.x, box)
+    running = np.ones(p.n, dtype=bool)
     for _ in range(config.max_iterations):
         counts = np.bincount(i[r <= 2.0 * p.h[i]], minlength=p.n)
-        if np.abs(counts - config.n_target).max() / config.n_target <= config.tolerance:
-            break
-        p.h[:] = np.clip(
+        h_new = np.clip(
             update_smoothing_lengths(p.h, counts, config.n_target, p.dim),
             config.h_min, config.h_max,
         )
+        within = np.abs(counts - config.n_target) / config.n_target <= config.tolerance
+        small = np.abs(h_new - p.h) <= config.tolerance / p.dim * p.h
+        running &= ~(within | small)
+        p.h[running] = h_new[running]
 
 
 @pytest.mark.parametrize("max_iterations", range(7))

@@ -49,17 +49,23 @@ def test_update_damped_property(count, target, h):
     assert lo - 1e-12 <= out <= hi + 1e-12
 
 
-def test_adaptation_reaches_target_on_lattice(small_lattice):
+def test_adaptation_stops_every_particle_by_its_rule_on_lattice(small_lattice):
+    """From a count of 1, every particle ends inside the count tolerance
+    or on an update below ``tolerance / dim`` — here the lattice's 27
+    (error 0.33 > 0.25): the next shell holds 33, a damped update toward
+    40 moves ``h`` by 7 % < 8.3 %, and the particle keeps its ``h``."""
     box = Box.cube(0.0, 1.0, dim=3, periodic=True)
     cfg = SmoothingConfig(n_target=40, tolerance=0.25, max_iterations=15)
-    small_lattice.h[:] = 0.05  # deliberately too small
+    small_lattice.h[:] = 0.05  # deliberately too small: one neighbour
     nl, _ = adapt_smoothing_lengths(small_lattice, box, cfg)
+    h = small_lattice.h
     i, _ = nl.pairs()
     _, r = nl.pair_geometry(small_lattice.x, box)
-    counts = np.bincount(
-        i[r <= 2.0 * small_lattice.h[i]], minlength=small_lattice.n
-    )
-    assert abs(counts.mean() - 40) / 40 < 0.3
+    counts = np.bincount(i[r <= 2.0 * h[i]], minlength=small_lattice.n)
+    within = np.abs(counts - 40) / 40 <= cfg.tolerance
+    step = update_smoothing_lengths(h, counts, 40, 3) - h
+    assert np.all(within | (np.abs(step) <= cfg.tolerance / 3 * h))
+    assert np.all(counts == 27)
 
 
 def test_adaptation_with_tree_walk_search(small_lattice):
@@ -98,26 +104,35 @@ def _oracle_adapt(particles, box, config, search, factor):
     """The h iteration with a fresh neighbour search on every sweep.
 
     Reference for :func:`adapt_smoothing_lengths` (which searches once):
-    same counts, same update, so ``h`` must come out bitwise equal.  Kept
-    in the tests only.  (A pair whose rounded distance equals ``2 h_i``
-    to the last bit can sit on either side of a search cutoff of that
-    same radius, so trajectory draws keep ``2 h`` off lattice distances.)
+    every particle still running counts, then stops when its count is
+    within the tolerance or when its update would move ``h`` by at most
+    ``tolerance / dim`` (keeping its ``h``), and otherwise takes the
+    update; ``max_iterations`` sweeps at most.  Same counts, same update,
+    same rule, so ``h`` must come out bitwise equal.  Kept in the tests
+    only.  (A pair whose rounded distance equals ``2 h_i`` to the last
+    bit can sit on either side of a search cutoff of that same radius, so
+    trajectory draws keep ``2 h`` off lattice distances.)
     """
     h = particles.h
-    nlist = search(particles.x, factor * h, box, "symmetric")
+    n_target, dim = config.n_target, particles.dim
+    running = np.ones(particles.n, dtype=bool)
     for _ in range(config.max_iterations):
+        nlist = search(particles.x, factor * h, box, "symmetric")
         i, _ = nlist.pairs()
         _, r = nlist.pair_geometry(particles.x, box)
         counts = np.bincount(i[r <= 2.0 * h[i]], minlength=particles.n)
-        if np.abs(counts - config.n_target).max() / config.n_target <= config.tolerance:
-            break
-        h[:] = np.clip(
-            update_smoothing_lengths(h, counts, config.n_target, particles.dim),
+        h_new = np.clip(
+            update_smoothing_lengths(h, counts, n_target, dim),
             config.h_min,
             config.h_max,
         )
-        nlist = search(particles.x, factor * h, box, "symmetric")
-    return nlist
+        within = np.abs(counts - n_target) / n_target <= config.tolerance
+        small = np.abs(h_new - h) <= config.tolerance / dim * h
+        running &= ~(within | small)
+        h[running] = h_new[running]
+        if not running.any():
+            break
+    return search(particles.x, factor * h, box, "symmetric")
 
 
 def _points(layout, dim, side, seed):
@@ -251,31 +266,41 @@ def test_build_costs_one_search_and_out_growing_it_one_more(rng):
     cfg = SmoothingConfig(n_target=40, tolerance=0.05)
     search, calls = _counting(_searches(x, box)["tree"])
 
-    # A run's first build: nothing has adapted this h yet, so the search
-    # is exact-radius (its list is the peak allocation).  Inflated h only
-    # shrinks: every sweep counts off the one list.
+    # Every search is padded by GROWTH_PAD, a run's first too.  Inflated
+    # h only shrinks: every sweep counts off the one list.
     p = _particles(x, 0.16)
     adapt_smoothing_lengths(p, box, cfg, search=search)
     assert len(calls) == 1
-    assert np.array_equal(calls[0], 2.0 * np.full(600, 0.16))
-    h_converged = p.h.copy()
+    assert np.array_equal(calls[0], 2.0 * (np.full(600, 0.16) * GROWTH_PAD))
+    h_final = p.h.copy()
 
-    # Every later build starts from an adapted h (its caller says so)
-    # and pads its first search: a few per cent of growth costs exactly
-    # that one search.
+    # A few per cent of growth costs exactly that one search.
     calls.clear()
-    p.h[:] = 0.95 * h_converged
-    adapt_smoothing_lengths(p, box, cfg, search=search, adapted=True)
+    p.h[:] = 0.95 * h_final
+    adapt_smoothing_lengths(p, box, cfg, search=search)
     assert len(calls) == 1
-    assert np.array_equal(calls[0], 2.0 * (0.95 * h_converged * GROWTH_PAD))
+    assert np.array_equal(calls[0], 2.0 * (0.95 * h_final * GROWTH_PAD))
 
-    # Out-growing the pad costs exactly one more, from the iterate that
-    # did, padded again to cover the rest of the iteration.
-    calls.clear()
-    p.h[:] = 0.9 * h_converged
-    adapt_smoothing_lengths(p, box, cfg, search=search, adapted=True)
-    assert len(calls) == 2
-    assert np.all(calls[1] > calls[0])
+    # Out-growing the pad costs exactly one more, from the iterates where
+    # the rows stopped: a row still running is padded by the growth it
+    # showed on top, the others by GROWTH_PAD alone.
+    seen = []
+    start = 0.8 * h_final
+    p.h[:] = start
+
+    def watched(x_, radii, box_, mode):
+        seen.append((radii.copy(), p.h.copy()))
+        return search(x_, radii, box_, mode)
+
+    adapt_smoothing_lengths(p, box, cfg, search=watched)
+    assert len(seen) == 2
+    radii, h = seen[1]
+    grown = h > start * GROWTH_PAD
+    assert grown.any() and not grown.all()
+    assert np.array_equal(radii[~grown], 2.0 * (h * GROWTH_PAD)[~grown])
+    assert np.array_equal(
+        radii[grown], 2.0 * (h * GROWTH_PAD * (h / start))[grown]
+    )
 
 
 def test_cached_list_out_grown_mid_iteration_rebuilds_in_place(rng):
@@ -381,8 +406,8 @@ fused_cases = st.fixed_dictionaries(
 )
 
 _STATS = (
-    "sweeps", "converged", "searches", "pairs_searched", "adaptations",
-    "hits", "builds", "max_count_error",
+    "sweeps", "within_tolerance", "particles", "searches", "pairs_searched",
+    "adaptations", "hits", "builds",
 )
 
 
@@ -420,27 +445,33 @@ def test_fused_h_iteration_equals_the_numpy_sweep_loop(case):
 
 @needs_cffi
 @pytest.mark.parametrize(
-    "overrides, sweeps, converged, searches",
+    "overrides, sweeps, within, searches",
     [
-        # met at the first sweep of both adaptations: nothing re-searched
-        (dict(tolerance=0.9, grow=1), 2, 2, 1),
-        # out-grown mid-iteration, four times over the two builds (six
-        # searches): each carries on in place; the second ends met
-        (dict(tolerance=0.05, grow=3), 19, 1, 6),
-        # max_iterations: every sweep runs, the one search serves them all
-        (dict(tolerance=0.05, grow=1, h_over_spacing=1.37), 20, 0, 1),
+        # every particle of both adaptations (2 x 216) within the
+        # tolerance at its first sweep: nothing re-searched
+        (dict(tolerance=0.9), 432, 432, 1),
+        # rows out-grow the lists of both builds (four searches): each
+        # carries on in place
+        (dict(grow=3), 1954, 174, 4),
+        # the cap: one sweep each, and a row that leaves the list on its
+        # last update costs no search
+        (dict(max_iterations=1), 432, 10, 1),
+        # a lattice: the particles not within the tolerance stop on an
+        # update below tolerance / dim, long before the cap
+        (dict(layout="lattice", h_over_spacing=1.0), 584, 304, 1),
     ],
-    ids=["met", "out-grown", "max-iterations"],
+    ids=["met", "out-grown", "max-iterations", "small-update"],
 )
-def test_fused_h_iteration_takes_every_exit(overrides, sweeps, converged, searches):
+def test_fused_h_iteration_takes_every_exit(overrides, sweeps, within, searches):
     case = dict(
         dim=3, periodic=True, layout="random", seed=7, cached=True,
         h_over_spacing=0.8, tolerance=0.05, max_iterations=10, grow=1,
     )
     case.update(overrides)
     stats = _assert_fused_equals_numpy(case)
-    assert (stats.sweeps, stats.converged, stats.searches) == (
-        sweeps, converged, searches
+    assert stats.particles == 432
+    assert (stats.sweeps, stats.within_tolerance, stats.searches) == (
+        sweeps, within, searches
     )
 
 

@@ -2,7 +2,9 @@
 """Regenerate the committed scenario golden masters.
 
 Runs every registry entry (or a named subset) at its CI size for its
-golden step count and rewrites ``tests/golden/scenario_<name>.json``.
+golden step count and rewrites ``tests/golden/scenario_<name>.json``,
+and the square patch's test run for 5 steps into
+``tests/golden/square_patch_5step.json`` (``tests/test_golden_master.py``).
 Deterministic: same platform + same code ⇒ identical files.
 
 Use only after an *intentional* physics change, and commit the diff
@@ -14,10 +16,6 @@ together with the change that caused it:
 
 ``--check`` exits 1 if any committed golden differs from a fresh run —
 the same comparison the conformance suite applies, handy before pushing.
-
-The legacy square-patch golden (``square_patch_5step.json``, owned by
-``tests/test_golden_master.py``) is a separate fixture and is *not*
-touched here; regenerate it with ``python tests/test_golden_master.py``.
 """
 
 from __future__ import annotations
@@ -39,6 +37,11 @@ from repro.scenarios import (  # noqa: E402  (path bootstrap above)
 )
 
 
+#: Goldens besides a scenario's own: ``(file name, steps)`` of longer
+#: runs of its golden configuration.
+EXTRA = {"square-patch": [("square_patch_5step.json", 5)]}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -53,33 +56,38 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    targets = (
+    scenarios = (
         [get_scenario(name) for name in args.scenarios]
         if args.scenarios
         else all_scenarios()
     )
+    targets = [(s, golden_path(s.name), None) for s in scenarios]
+    targets += [
+        (s, golden_path(s.name).with_name(name), steps)
+        for s in scenarios
+        for name, steps in EXTRA.get(s.name, ())
+    ]
 
     failures = 0
-    for scenario in targets:
-        path = golden_path(scenario.name)
-        record = run_scenario_record(scenario)
+    for scenario, path, steps in targets:
+        record = run_scenario_record(scenario, n_steps=steps)
         if args.check:
             if not path.exists():
-                print(f"{scenario.name}: MISSING {path}")
+                print(f"{path.name}: MISSING {path}")
                 failures += 1
                 continue
             diffs = compare_records(record, load_golden(path))
             if diffs:
-                print(f"{scenario.name}: MISMATCH")
+                print(f"{path.name}: MISMATCH")
                 for d in diffs:
                     print(f"  {d}")
                 failures += 1
             else:
-                print(f"{scenario.name}: ok")
+                print(f"{path.name}: ok")
         else:
             write_golden(record, path)
             print(
-                f"{scenario.name}: wrote {path} "
+                f"{path.name}: wrote {path} "
                 f"({record['n_particles']} particles, "
                 f"{record['n_steps']} steps)"
             )
