@@ -537,8 +537,9 @@ static inline int64_t rp_pair_row(const int64_t *offsets,
  * the update factor, filled by the Python update function (no pow here,
  * the product is the reference's to the bit); step = tolerance / dim.
  * Rows finished on entry (state != 0) are skipped; a row whose h leaves
- * its budget stays at state 0 (its list no longer holds its neighbours:
- * the caller searches again).  h, state and sweeps change in place.
+ * its budget stays at state 0, on its last sweep too (its list no longer
+ * holds its neighbours: the caller searches again, and a row at the cap
+ * then stops on entry).  h, state and sweeps change in place.
  *
  * With cut != NULL the call also emits the lower half of the support cut
  * of the h it leaves: rows ascend, so once row i is done every h_j with
@@ -584,7 +585,7 @@ int rp_adapt(const double *x, double *h, const double *budget,
                 st = 1;
             else if (fabs(hn - hc) <= step * hc)
                 st = 2;
-            else if ((hc = hn) > budget[i] && s < max_sweeps)
+            else if ((hc = hn) > budget[i])
                 break;
         }
         if (ran) {

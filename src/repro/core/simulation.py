@@ -615,9 +615,8 @@ class Simulation:
             "within_tolerance_share": hs.within_tolerance / per,
         }
         reg.absorb("h_iteration", h_iteration)
-        ncache = None  # with a cache, hs are its stats
-        if self._ncache is not None:
-            ncache = dict(asdict(hs), hit_rate=hs.hit_rate, **h_iteration)
+        # With a cache, hs are its stats.
+        ncache = dict(asdict(hs), hit_rate=hs.hit_rate) if self._ncache else None
         reg.absorb("neighbor_cache", ncache)
         gravity = self._gravity_stats_dict()
         reg.absorb("gravity", gravity)

@@ -25,7 +25,7 @@ import numpy as np
 
 from ..core.particles import ParticleSystem
 from ..sph.eos import IdealGasEOS
-from ..sph.smoothing import target_smoothing_lengths
+from ..sph.smoothing import SmoothingConfig, target_smoothing_lengths
 from ..tree.box import Box
 from .lattice import lattice_sphere
 
@@ -64,6 +64,7 @@ def evrard_density_profile(
 
 def make_evrard(
     config: EvrardConfig = EvrardConfig(),
+    n_neighbors: int = SmoothingConfig.n_target,
 ) -> tuple[ParticleSystem, Box, IdealGasEOS]:
     """Build the Evrard sphere (Table 5, second row).
 
@@ -84,7 +85,7 @@ def make_evrard(
 
     m = np.full(n, config.total_mass / n)
     rho = evrard_density_profile(r_new, config)
-    h = target_smoothing_lengths(m, rho, 3)
+    h = target_smoothing_lengths(m, rho, 3, n_neighbors)
     u = np.full(n, config.u0)
 
     particles = ParticleSystem(

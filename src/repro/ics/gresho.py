@@ -27,7 +27,7 @@ import numpy as np
 
 from ..core.particles import ParticleSystem
 from ..sph.eos import IdealGasEOS
-from ..sph.smoothing import target_smoothing_lengths
+from ..sph.smoothing import SmoothingConfig, target_smoothing_lengths
 from ..tree.box import Box
 from .lattice import cubic_lattice
 
@@ -82,6 +82,7 @@ def gresho_pressure_profile(r: np.ndarray, p0: float = 5.0) -> np.ndarray:
 
 def make_gresho(
     config: GreshoConfig = GreshoConfig(),
+    n_neighbors: int = SmoothingConfig.n_target,
 ) -> tuple[ParticleSystem, Box, IdealGasEOS]:
     """Build the 2-D Gresho vortex on a periodic square."""
     half = 0.5 * config.length
@@ -98,9 +99,8 @@ def make_gresho(
     m = np.full(n, config.rho0 * dx**2)
     u = p / ((config.gamma - 1.0) * config.rho0)
     rho = np.full(n, config.rho0)
-    particles = ParticleSystem(
-        x=x, v=v, m=m, h=target_smoothing_lengths(m, rho, 2), rho=rho, u=u
-    )
+    h = target_smoothing_lengths(m, rho, 2, n_neighbors)
+    particles = ParticleSystem(x=x, v=v, m=m, h=h, rho=rho, u=u)
     eos = IdealGasEOS(gamma=config.gamma)
     eos.apply(particles)
     box = Box(

@@ -22,7 +22,7 @@ import numpy as np
 
 from ..core.particles import ParticleSystem
 from ..sph.eos import IdealGasEOS
-from ..sph.smoothing import target_smoothing_lengths
+from ..sph.smoothing import SmoothingConfig, target_smoothing_lengths
 from ..tree.box import Box
 from .lattice import cubic_lattice
 
@@ -57,6 +57,7 @@ class KelvinHelmholtzConfig:
 
 def make_kelvin_helmholtz(
     config: KelvinHelmholtzConfig = KelvinHelmholtzConfig(),
+    n_neighbors: int = SmoothingConfig.n_target,
 ) -> tuple[ParticleSystem, Box, IdealGasEOS]:
     """Build the 2-D shear layer: three strips, pressure equilibrium."""
     big_l = config.length
@@ -101,7 +102,7 @@ def make_kelvin_helmholtz(
     )
 
     u = config.p0 / ((config.gamma - 1.0) * rho)
-    h = target_smoothing_lengths(m, rho, 2)
+    h = target_smoothing_lengths(m, rho, 2, n_neighbors)
     particles = ParticleSystem(x=x, v=v, m=m, h=h, rho=rho, u=u)
     eos = IdealGasEOS(gamma=config.gamma)
     eos.apply(particles)

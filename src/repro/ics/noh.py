@@ -22,7 +22,7 @@ import numpy as np
 
 from ..core.particles import ParticleSystem
 from ..sph.eos import IdealGasEOS
-from ..sph.smoothing import target_smoothing_lengths
+from ..sph.smoothing import SmoothingConfig, target_smoothing_lengths
 from ..tree.box import Box
 
 __all__ = ["NohConfig", "make_noh"]
@@ -50,6 +50,7 @@ class NohConfig:
 
 def make_noh(
     config: NohConfig = NohConfig(),
+    n_neighbors: int = SmoothingConfig.n_target,
 ) -> tuple[ParticleSystem, Box, IdealGasEOS]:
     """Build the planar Noh tube: uniform lattice, ``v = -sign(x) v0``."""
     n = 2 * (config.n_target // 2)  # even count keeps x = 0 particle-free
@@ -60,9 +61,8 @@ def make_noh(
     m = np.full(n, config.rho0 * dx)
     u = np.full(n, config.u0)
     rho = np.full(n, config.rho0)
-    particles = ParticleSystem(
-        x=x, v=v, m=m, h=target_smoothing_lengths(m, rho, 1), rho=rho, u=u
-    )
+    h = target_smoothing_lengths(m, rho, 1, n_neighbors)
+    particles = ParticleSystem(x=x, v=v, m=m, h=h, rho=rho, u=u)
     eos = IdealGasEOS(gamma=config.gamma)
     eos.apply(particles)
     box = Box(

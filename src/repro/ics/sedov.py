@@ -21,7 +21,7 @@ import numpy as np
 from ..core.particles import ParticleSystem
 from ..kernels.registry import make_kernel
 from ..sph.eos import IdealGasEOS
-from ..sph.smoothing import target_smoothing_lengths
+from ..sph.smoothing import SmoothingConfig, target_smoothing_lengths
 from ..tree.box import Box
 from .lattice import cubic_lattice
 
@@ -59,6 +59,7 @@ class SedovConfig:
 
 def make_sedov(
     config: SedovConfig = SedovConfig(),
+    n_neighbors: int = SmoothingConfig.n_target,
 ) -> tuple[ParticleSystem, Box, IdealGasEOS]:
     """Build the Sedov blast: periodic cube, kernel-smoothed injection."""
     half = 0.5 * config.length
@@ -77,10 +78,8 @@ def make_sedov(
     u = config.u_background + config.e0 * w / total
 
     rho = np.full(n, config.rho0)
-    particles = ParticleSystem(
-        x=x, v=np.zeros_like(x), m=m, h=target_smoothing_lengths(m, rho, 3),
-        rho=rho, u=u,
-    )
+    h = target_smoothing_lengths(m, rho, 3, n_neighbors)
+    particles = ParticleSystem(x=x, v=np.zeros_like(x), m=m, h=h, rho=rho, u=u)
     eos = IdealGasEOS(gamma=config.gamma)
     eos.apply(particles)
     box = Box(

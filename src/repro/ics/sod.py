@@ -20,7 +20,7 @@ import numpy as np
 
 from ..core.particles import ParticleSystem
 from ..sph.eos import IdealGasEOS
-from ..sph.smoothing import target_smoothing_lengths
+from ..sph.smoothing import SmoothingConfig, target_smoothing_lengths
 from ..tree.box import Box
 
 __all__ = ["SodConfig", "make_sod"]
@@ -53,6 +53,7 @@ class SodConfig:
 
 def make_sod(
     config: SodConfig = SodConfig(),
+    n_neighbors: int = SmoothingConfig.n_target,
 ) -> tuple[ParticleSystem, Box, IdealGasEOS]:
     """Build the 1-D Sod tube: two lattices, equal-mass particles."""
     len_l = config.x_interface - config.x_min
@@ -74,7 +75,7 @@ def make_sod(
     rho = np.concatenate([np.full(n_l, config.rho_l), np.full(n_r, config.rho_r)])
     p = np.concatenate([np.full(n_l, config.p_l), np.full(n_r, config.p_r)])
     u = p / ((config.gamma - 1.0) * rho)
-    h = target_smoothing_lengths(m, rho, 1)
+    h = target_smoothing_lengths(m, rho, 1, n_neighbors)
 
     particles = ParticleSystem(
         x=x, v=np.zeros_like(x), m=m, h=h, rho=rho, u=u

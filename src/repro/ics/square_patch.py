@@ -29,7 +29,7 @@ import numpy as np
 
 from ..core.particles import ParticleSystem
 from ..sph.eos import WeaklyCompressibleEOS
-from ..sph.smoothing import target_smoothing_lengths
+from ..sph.smoothing import SmoothingConfig, target_smoothing_lengths
 from ..tree.box import Box
 from .lattice import cubic_lattice
 
@@ -97,6 +97,7 @@ def patch_pressure_field(
 
 def make_square_patch(
     config: SquarePatchConfig = SquarePatchConfig(),
+    n_neighbors: int = SmoothingConfig.n_target,
 ) -> tuple[ParticleSystem, Box, WeaklyCompressibleEOS]:
     """Build the 3-D rotating square patch (Table 5, first row).
 
@@ -138,7 +139,7 @@ def make_square_patch(
         rho_init = np.full(n, config.rho0)
         m = np.full(n, config.rho0 * cell_volume)
 
-    h = target_smoothing_lengths(m, rho_init, 3)
+    h = target_smoothing_lengths(m, rho_init, 3, n_neighbors)
     particles = ParticleSystem(x=x, v=v, m=m, h=h, rho=rho_init, p=p0)
     particles.extra["p0"] = p0.copy()
     eos.apply(particles)

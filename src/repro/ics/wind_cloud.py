@@ -21,7 +21,7 @@ import numpy as np
 
 from ..core.particles import ParticleSystem
 from ..sph.eos import IdealGasEOS
-from ..sph.smoothing import target_smoothing_lengths
+from ..sph.smoothing import SmoothingConfig, target_smoothing_lengths
 from ..tree.box import Box
 from .lattice import cubic_lattice
 
@@ -61,6 +61,7 @@ class WindCloudConfig:
 
 def make_wind_cloud(
     config: WindCloudConfig = WindCloudConfig(),
+    n_neighbors: int = SmoothingConfig.n_target,
 ) -> tuple[ParticleSystem, Box, IdealGasEOS]:
     """Build the blob test: ambient wind lattice + dense cloud lattice."""
     big_l = config.length
@@ -102,7 +103,7 @@ def make_wind_cloud(
     v[:n_amb, 0] = config.wind_speed
 
     u = config.p0 / ((config.gamma - 1.0) * rho)
-    h = target_smoothing_lengths(m, rho, 3)
+    h = target_smoothing_lengths(m, rho, 3, n_neighbors)
     particles = ParticleSystem(x=x, v=v, m=m, h=h, rho=rho, u=u)
     eos = IdealGasEOS(gamma=config.gamma)
     eos.apply(particles)

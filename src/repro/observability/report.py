@@ -20,13 +20,6 @@ __all__ = [
 ]
 
 
-def _get(stats, key, default=0):
-    """Read a field off a mapping or an attribute-style stats object."""
-    if isinstance(stats, dict):
-        return stats.get(key, default)
-    return getattr(stats, key, default)
-
-
 @dataclass(frozen=True)
 class RunReport:
     """Everything one finished (or in-flight) run can tell about itself.
@@ -92,7 +85,9 @@ class RunReport:
                 f"{self.backend.get('version', '?')})"
             )
         if self.neighbor_cache is not None:
-            lines.append(format_neighbor_cache(self.neighbor_cache))
+            lines.append(
+                format_neighbor_cache(self.neighbor_cache, self.h_iteration)
+            )
         if self.gravity is not None:
             lines.append(format_gravity(self.gravity))
         if self.checkpoint is not None:
@@ -108,38 +103,35 @@ class RunReport:
 
 
 # ----------------------------------------------------------------------
-# One-line formatters (accept dicts or the legacy stats dataclasses)
+# One-line formatters of the report's sections
 # ----------------------------------------------------------------------
-def format_neighbor_cache(stats) -> str:
+def format_neighbor_cache(stats, h_iteration=None) -> str:
     """One-line report of a Verlet-cache run: hit rate, invalidations,
-    what the builds searched and how the h iteration ended."""
-    hits = _get(stats, "hits")
-    builds = _get(stats, "builds")
-    searches = _get(stats, "searches")
-    m_disp = _get(stats, "misses_displacement")
-    m_h = _get(stats, "misses_h_change")
-    m_shape = _get(stats, "misses_shape")
-    lookups = hits + m_disp + m_h + m_shape
-    hit_rate = _get(stats, "hit_rate", hits / lookups if lookups else 0.0)
+    what the builds searched and, given the report's ``h_iteration``
+    block, how the h iteration ended."""
+    line = (
+        f"neighbor-cache: hit_rate={stats['hit_rate']:5.3f} "
+        f"(hits={stats['hits']}, builds={stats['builds']} in "
+        f"{stats['searches']} searches of {stats['pairs_searched']} pairs, "
+        f"invalidated: displacement={stats['misses_displacement']}, "
+        f"h-change={stats['misses_h_change']}, "
+        f"cold/shape={stats['misses_shape']})"
+    )
+    if h_iteration is None:
+        return line
     return (
-        f"neighbor-cache: hit_rate={hit_rate:5.3f} "
-        f"(hits={hits}, builds={builds} in {searches} searches "
-        f"of {_get(stats, 'pairs_searched')} pairs, "
-        f"invalidated: displacement={m_disp}, "
-        f"h-change={m_h}, cold/shape={m_shape}); "
-        f"h-iteration: {_get(stats, 'adaptations')} adaptations, "
-        f"{_get(stats, 'mean_sweeps'):.2f} sweeps per particle, "
-        f"{_get(stats, 'within_tolerance_share'):.1%} within tolerance"
+        f"{line}; h-iteration: {h_iteration['adaptations']} adaptations, "
+        f"{h_iteration['mean_sweeps']:.2f} sweeps per particle, "
+        f"{h_iteration['within_tolerance_share']:.1%} within tolerance"
     )
 
 
 def format_gravity(stats) -> str:
     """One-line report of the Barnes-Hut work of a self-gravitating run."""
     return (
-        f"gravity: calls={_get(stats, 'calls')} "
-        f"p2p/step={_get(stats, 'p2p_per_step'):.0f} "
-        f"m2p/step={_get(stats, 'm2p_per_step'):.0f} "
-        f"(per particle {_get(stats, 'p2p_per_particle'):.0f} + "
-        f"{_get(stats, 'm2p_per_particle'):.0f}) "
-        f"path={_get(stats, 'path', '?')}"
+        f"gravity: calls={stats['calls']} "
+        f"p2p/step={stats['p2p_per_step']:.0f} "
+        f"m2p/step={stats['m2p_per_step']:.0f} "
+        f"(per particle {stats['p2p_per_particle']:.0f} + "
+        f"{stats['m2p_per_particle']:.0f}) path={stats['path']}"
     )

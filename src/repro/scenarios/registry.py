@@ -24,7 +24,6 @@ from ..core.config import RunConfig, SimulationConfig
 from ..core.particles import ParticleSystem
 from ..core.simulation import Simulation
 from ..sph.eos import EquationOfState
-from ..sph.smoothing import target_smoothing_lengths
 from ..tree.box import Box
 
 __all__ = [
@@ -120,11 +119,17 @@ class Scenario:
     #: scenario is sized by other flags (square patch: --side/--layers).
     size_param: Optional[str] = None
 
-    def build(self, *, test: bool = False, **overrides: Any) -> BuildResult:
-        """Instantiate the IC config (params/test_params + overrides) and build."""
+    def build(
+        self, *, test: bool = False, n_neighbors: Optional[int] = None,
+        **overrides: Any,
+    ) -> BuildResult:
+        """Instantiate the IC config (params/test_params + overrides) and
+        build, ``h`` starting at ``n_neighbors`` neighbours (default: the
+        scenario's own ``sim_config.n_neighbors``)."""
         kwargs = dict(self.test_params if test else self.params)
         kwargs.update(overrides)
-        return self.builder(self.config_type(**kwargs))
+        n_neighbors = n_neighbors or self.sim_config.n_neighbors
+        return self.builder(self.config_type(**kwargs), n_neighbors)
 
     def make_simulation(
         self,
@@ -134,13 +139,12 @@ class Scenario:
         sim_config: Optional[SimulationConfig] = None,
         **overrides: Any,
     ) -> Simulation:
-        """Build the ICs, start ``h`` at the run's neighbour target (a
-        checkpoint restore brings its own back) and wrap them in a
+        """Build the ICs, ``h`` starting at the run's neighbour target (a
+        checkpoint restore brings its own back), and wrap them in a
         ready-to-run :class:`Simulation`."""
-        particles, box, eos = self.build(test=test, **overrides)
         config = sim_config if sim_config is not None else self.sim_config
-        particles.h[:] = target_smoothing_lengths(
-            particles.m, particles.rho, particles.dim, config.n_neighbors
+        particles, box, eos = self.build(
+            test=test, n_neighbors=config.n_neighbors, **overrides
         )
         return Simulation(
             particles,

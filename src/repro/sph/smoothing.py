@@ -76,14 +76,12 @@ RUNNING, WITHIN_TOLERANCE, STALLED, CAPPED = 0, 1, 2, 3
 _UNIT_BALL = (2.0, np.pi, 4.0 * np.pi / 3.0)
 
 
-def target_smoothing_lengths(
-    m: np.ndarray, rho: np.ndarray, dim: int,
-    n_neighbors: int = SmoothingConfig.n_target,
-) -> np.ndarray:
+def target_smoothing_lengths(m, rho, dim: int, n_neighbors: int) -> np.ndarray:
     """The ``h`` whose support holds ``n_neighbors`` particles of volume
     ``m / rho``: ``V_dim (2h)^dim = n_neighbors m / rho``, ``V_dim`` the
-    volume of the unit ball — where the h iteration starts a run (the IC
-    builders at the default target, a scenario's run at its own)."""
+    volume of the unit ball — where the h iteration starts a run (an IC
+    builder's ``h``, at the target its caller names: a scenario's run at
+    its own ``n_neighbors``)."""
     volume = n_neighbors * np.asarray(m, dtype=np.float64) / np.asarray(rho)
     return 0.5 * (volume / _UNIT_BALL[dim - 1]) ** (1.0 / dim)
 
@@ -258,8 +256,9 @@ def _sweep_rows(rows, h, budget, table, config, dim, state, sweeps):
         go = ~(within | stalled)
         run = run[go]
         h[run] = h_new[go]
-        # A row that left the list stays running, unless the cap stops it.
-        run = run[(h[run] <= budget[run]) | (sweeps[run] == config.max_iterations)]
+        # A row that left the list stays running: it is searched again
+        # (and at the cap stops on entry to the next call, no sweep run).
+        run = run[h[run] <= budget[run]]
 
 
 def _sorted_rows(nlist: NeighborList, r: np.ndarray) -> np.ndarray:
@@ -272,16 +271,14 @@ def _sorted_rows(nlist: NeighborList, r: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _counts_within(
-    rows: np.ndarray, radius: np.ndarray, which: np.ndarray | None = None
-) -> np.ndarray:
-    """``#{r <= radius_k}`` of the rows ``which`` (default: all) of
-    :func:`_sorted_rows` — the list's ``bincount(i[r <= radius[i]])``
-    exactly — by bisecting the rows at once: ``lo`` entries of a row are
-    known to count, those from ``hi`` on known not to."""
-    n, width = rows.shape
+def _counts_within(rows: np.ndarray, radius, which: np.ndarray) -> np.ndarray:
+    """``#{r <= radius_k}`` of the rows ``which`` of :func:`_sorted_rows`
+    — the list's ``bincount(i[r <= radius[i]])`` exactly — by bisecting
+    the rows at once: ``lo`` entries of a row are known to count, those
+    from ``hi`` on known not to."""
+    width = rows.shape[1]
     flat = rows.ravel()
-    base = (np.arange(n) if which is None else which) * width
+    base = which * width
     lo = np.zeros(base.size, dtype=np.intp)
     hi = np.full(base.size, width - 1, dtype=np.intp)
     for _ in range((width - 1).bit_length()):

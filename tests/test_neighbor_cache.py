@@ -167,11 +167,12 @@ def test_cache_hit_rate_positive_over_ten_step_run():
         run_config=RunConfig(exec=ExecConfig(neighbor_cache=True)),
     )
     sim.run(n_steps=10)
-    stats = sim.report().neighbor_cache
+    report = sim.report()
+    stats = report.neighbor_cache
     assert stats is not None
     assert stats["hits"] > 0
     assert stats["hit_rate"] > 0.0
-    line = format_neighbor_cache(stats)
+    line = format_neighbor_cache(stats, report.h_iteration)
     assert "hit_rate" in line
     # What the builds searched and how the h iteration ended, as counted.
     assert stats["pairs_searched"] >= sim._nlist.n_pairs
@@ -226,18 +227,21 @@ def test_h_iteration_takes_few_sweeps_after_the_first_step(backend):
     sim.run(n_steps=1)
     first = sim.report().neighbor_cache
     sim.run(n_steps=3)
-    stats = sim.report().neighbor_cache
+    report = sim.report()
+    stats, h_iteration = report.neighbor_cache, report.h_iteration
     sweeps = stats["sweeps"] - first["sweeps"]
     adaptations = stats["adaptations"] - first["adaptations"]
     assert adaptations == 3
     assert sweeps / (adaptations * sim.particles.n) <= 3.0
-    assert stats["mean_sweeps"] == stats["sweeps"] / (
-        stats["adaptations"] * sim.particles.n
-    )
-    assert 0.0 < stats["within_tolerance_share"] < 1.0
-    line = format_neighbor_cache(stats)
-    assert f"{stats['mean_sweeps']:.2f} sweeps per particle" in line
-    assert f"{stats['within_tolerance_share']:.1%} within tolerance" in line
+    assert h_iteration["mean_sweeps"] == stats["sweeps"] / stats["particles"]
+    assert stats["particles"] == stats["adaptations"] * sim.particles.n
+    share = h_iteration["within_tolerance_share"]
+    assert share == stats["within_tolerance"] / stats["particles"]
+    assert 0.0 < share < 1.0
+    line = format_neighbor_cache(stats, h_iteration)
+    assert f"{h_iteration['mean_sweeps']:.2f} sweeps per particle" in line
+    assert f"{share:.1%} within tolerance" in line
+    assert "h-iteration" not in format_neighbor_cache(stats)
     sim.close()
 
 

@@ -190,7 +190,7 @@ def test_row_sorted_counts_equal_the_bincount(case, drop, scale):
     rows = _sorted_rows(nlist, r)
     radius = scale * radii
     want = np.bincount(i[r <= radius[i]], minlength=nlist.n)
-    assert np.array_equal(_counts_within(rows, radius), want)
+    assert np.array_equal(_counts_within(rows, radius, np.arange(nlist.n)), want)
 
 
 def _bincount_iteration(p, nlist, box, config):

@@ -133,9 +133,12 @@ def test_rate_evaluation_searches_once_and_builds_the_tree_on_demand(monkeypatch
     # What the h iteration cost, and how it ended, is on the record too.
     lookups = cache["hits"] + sum(v for k, v in cache.items() if k.startswith("misses"))
     assert cache["adaptations"] == lookups  # one per rate evaluation
-    assert 1.0 <= cache["mean_sweeps"] <= 10.0  # per particle, capped at 10
-    assert cache["sweeps"] == cache["mean_sweeps"] * cache["adaptations"] * sim.particles.n
-    assert 0.0 <= cache["within_tolerance_share"] <= 1.0
+    h_iteration = sim.report().h_iteration
+    assert h_iteration["adaptations"] == cache["adaptations"]
+    assert 1.0 <= h_iteration["mean_sweeps"] <= 10.0  # per particle, capped at 10
+    assert cache["particles"] == cache["adaptations"] * sim.particles.n
+    assert cache["sweeps"] == h_iteration["mean_sweeps"] * cache["particles"]
+    assert 0.0 <= h_iteration["within_tolerance_share"] <= 1.0
     sim.close()
 
 

@@ -194,10 +194,15 @@ build_cases = st.fixed_dictionaries(
     # search radius; small and large values force growth and shrinkage.
     h_over_spacing=st.sampled_from([0.5, 1.0, 1.5, 2.0, 0.8, 1.37]),
     tolerance=st.sampled_from([0.05, 0.3, 0.9]),
+    # A small cap with a growing start stops rows outside their list.
+    max_iterations=st.integers(0, 10),
 )
 @settings(max_examples=60, deadline=None)
-def test_built_list_is_the_fresh_search_at_final_h(case, h_over_spacing, tolerance):
-    """Search once, iterate, cut: offsets and indices of a fresh search."""
+def test_built_list_is_the_fresh_search_at_final_h(
+    case, h_over_spacing, tolerance, max_iterations
+):
+    """Search, iterate, cut: offsets and indices of a fresh search, also
+    when the cap stops a row whose h has left the searched list."""
     dim = case["dim"]
     x = _points(case["layout"], dim, _SIDES[dim], case["seed"])
     box = Box.cube(0.0, 1.0, dim=dim, periodic=case["periodic"])
@@ -207,7 +212,9 @@ def test_built_list_is_the_fresh_search_at_final_h(case, h_over_spacing, toleran
     ops = backend.ops if backend is not None else None
     search = _searches(x, box, ops)[case["path"]]
     cache = VerletNeighborCache(skin=0.3) if case["cached"] else None
-    cfg = SmoothingConfig(n_target=_TARGETS[dim], tolerance=tolerance)
+    cfg = SmoothingConfig(
+        n_target=_TARGETS[dim], tolerance=tolerance, max_iterations=max_iterations
+    )
 
     built, _ = adapt_smoothing_lengths(
         p, box, cfg, search=search, cache=cache, backend=backend
@@ -411,9 +418,36 @@ _STATS = (
 )
 
 
+def _assert_lists_are_fresh_searches(case, h1, h2, lists):
+    """A build returns the fresh search at its final ``h``: the first
+    adaptation, and the cached one where it out-grew the cached list
+    (else that list comes back, holding every pair within ``2 h``)."""
+    dim = case["dim"]
+    if case["layout"] == "clustered":
+        x = _clustered(dim, case["seed"])
+    else:
+        x = _points(case["layout"], dim, _SIDES[dim], case["seed"])
+    box = Box.cube(0.0, 1.0, dim=dim, periodic=case["periodic"])
+    factor = VerletNeighborCache(skin=0.3).search_factor if case["cached"] else 2.0
+    search = _searches(x, box)["tree"]
+    first, second = lists
+    fresh = search(x, factor * h1, box, "symmetric")
+    assert np.array_equal(first.offsets, fresh.offsets)
+    assert np.array_equal(first.indices, fresh.indices)
+    if second is not None:
+        radius = (factor if second is not first else 2.0) * h2
+        fresh = search(x, radius, box, "symmetric")
+        kept = second.within(x, radius, box)
+        assert np.array_equal(kept.offsets, fresh.offsets)
+        assert np.array_equal(kept.indices, fresh.indices)
+        if second is not first:
+            assert np.array_equal(second.indices, fresh.indices)
+
+
 def _assert_fused_equals_numpy(case):
     h1, h2, stats, lists, calls = _adapt_twice(case, compiled=True)
     r1, r2, ref_stats, ref_lists, ref_calls = _adapt_twice(case, compiled=False)
+    _assert_lists_are_fresh_searches(case, r1, r2, ref_lists)
     assert np.array_equal(h1, r1) and np.array_equal(h2, r2)
     assert len(calls) == len(ref_calls)
     for radii, ref_radii in zip(calls, ref_calls):
@@ -438,8 +472,9 @@ needs_cffi = pytest.mark.skipif(
 @given(case=fused_cases)
 @settings(max_examples=80, deadline=None)
 def test_fused_h_iteration_equals_the_numpy_sweep_loop(case):
-    """``h`` bit for bit, the same lists, the same searches at the same
-    radii and the same counters, whichever way the iteration ends."""
+    """``h`` bit for bit, the same lists (those of a fresh search at the
+    final ``h``), the same searches at the same radii and the same
+    counters, whichever way the iteration ends."""
     _assert_fused_equals_numpy(case)
 
 
@@ -453,9 +488,9 @@ def test_fused_h_iteration_equals_the_numpy_sweep_loop(case):
         # rows out-grow the lists of both builds (four searches): each
         # carries on in place
         (dict(grow=3), 1954, 174, 4),
-        # the cap: one sweep each, and a row that leaves the list on its
-        # last update costs no search
-        (dict(max_iterations=1), 432, 10, 1),
+        # the cap: one sweep each; rows that leave the list on their last
+        # update cost the build one re-search, with no sweep run off it
+        (dict(max_iterations=1), 432, 10, 2),
         # a lattice: the particles not within the tolerance stop on an
         # update below tolerance / dim, long before the cap
         (dict(layout="lattice", h_over_spacing=1.0), 584, 304, 1),
