@@ -140,6 +140,10 @@ class SimulationConfig:
 class ExecConfig:
     """Execution-layer knobs (orthogonal to the physics configuration).
 
+    Neighbour lists always go through the Verlet-skin cache
+    (:class:`~repro.tree.neighborlist.VerletNeighborCache`): cached and
+    rebuilt lists give the same bits, so it is not a knob.
+
     Parameters
     ----------
     workers:
@@ -153,12 +157,6 @@ class ExecConfig:
     chunks_per_worker:
         Row slices per thread per phase (more slices smooth load
         imbalance at slightly higher dispatch cost).
-    neighbor_cache:
-        Enable the Verlet-skin neighbour-list cache: lists are built with
-        padded support ``(1 + skin) * 2 h`` and phases B-D are skipped
-        while no particle has drifted more than ``skin * h``.
-    cache_skin:
-        Skin fraction of ``h`` (in (0, 1)).
     backend:
         Execution backend for the SPH pair loops, the tree walk and
         gravity: ``"numpy"`` (default, the vectorized reference),
@@ -170,8 +168,6 @@ class ExecConfig:
 
     workers: int = 0
     chunks_per_worker: int = 1
-    neighbor_cache: bool = False
-    cache_skin: float = 0.3
     backend: str = "numpy"
 
     def __post_init__(self) -> None:
@@ -186,8 +182,6 @@ class ExecConfig:
             raise ValueError(
                 f"chunks_per_worker must be >= 1, got {self.chunks_per_worker}"
             )
-        if not 0.0 < self.cache_skin < 1.0:
-            raise ValueError(f"cache_skin must be in (0, 1), got {self.cache_skin}")
 
     @property
     def parallel_enabled(self) -> bool:
@@ -202,8 +196,8 @@ class RunConfig:
     physics axes, one section per runtime subsystem:
 
     exec:
-        :class:`ExecConfig` — backend, Verlet cache and phase threads.
-        The default is serial numpy with the cache off.
+        :class:`ExecConfig` — backend and phase threads.  The default
+        is serial numpy.
     resilience:
         :class:`~repro.resilience.checkpoint.ResilienceConfig` — rolling
         checkpoints and autoresume.  ``None`` disables checkpointing.

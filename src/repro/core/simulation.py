@@ -39,7 +39,7 @@ from ..timestepping.steppers import (
     IndividualTimesteps,
 )
 from ..tree.box import Box
-from ..tree.neighborlist import VerletCacheStats, VerletNeighborCache
+from ..tree.neighborlist import VerletNeighborCache
 from ..tree.octree import Octree
 from ..tree.pairs import Pairs, support_cut
 from .config import ExecConfig, RunConfig, SimulationConfig
@@ -107,7 +107,7 @@ class Simulation:
         no-op :class:`~repro.observability.tracer.NullTracer` otherwise).
     run_config:
         :class:`~repro.core.config.RunConfig` aggregating the execution
-        environment: backend, cache and phase threads (``exec``),
+        environment: backend and phase threads (``exec``),
         checkpointing (``resilience``) and span tracing
         (``observability``).  ``None`` means the all-defaults config —
         serial, checkpoint-free, tracing on.  Prefer :meth:`configure`
@@ -150,6 +150,7 @@ class Simulation:
         self._gravity_path: Optional[str] = None
         self._rates_current = False
         self._nlist = None
+        self._ncache = VerletNeighborCache()
         self._tree: Optional[Octree] = None
         self._smoothing = SmoothingConfig(n_target=self.config.n_neighbors)
         if self.config.timestepping == "global":
@@ -193,11 +194,6 @@ class Simulation:
         self._phases = PhaseExecutor(
             self, exec_cfg.workers, exec_cfg.chunks_per_worker
         )
-        self._ncache = None
-        if exec_cfg.neighbor_cache:
-            self._ncache = VerletNeighborCache(skin=exec_cfg.cache_skin)
-        # The h iteration's counters: the cache's own when there is one.
-        self._hstats = self._ncache.stats if self._ncache else VerletCacheStats()
         self.checkpoint_manager = None
         if run.resilience is not None:
             from ..resilience.checkpoint import CheckpointManager
@@ -284,9 +280,7 @@ class Simulation:
         # searches of phases B-C are skipped; the h iteration still runs,
         # counting off the cached list (exact counts under the budget);
         # the phases run over its cut to kernel support.
-        cached = None
-        if self._ncache is not None:
-            cached = self._ncache.lookup(p.x, p.h, self.box)
+        cached = self._ncache.lookup(p.x, p.h, self.box)
 
         # Self-gravity only applies to open-boundary scenarios (the paper
         # runs the periodic-Z square patch without gravity on every code,
@@ -334,9 +328,8 @@ class Simulation:
                 )
             else:
                 self._nlist, pair_list = adapt_smoothing_lengths(
-                    p, self.box, self._smoothing, search=search,
-                    cache=self._ncache, backend=self.backend, support=support,
-                    stats=self._hstats,
+                    p, self.box, self._smoothing, self._ncache, search=search,
+                    backend=self.backend, support=support,
                 )
         if pair_list is None:
             with tr.phase(Phase.NEIGHBOR_LISTS.letter, State.USEFUL, self.rank):
@@ -607,7 +600,7 @@ class Simulation:
 
         reg = MetricsRegistry()
         # Per particle per adaptation: count sweeps, ending within tolerance.
-        hs = self._hstats
+        hs = self._ncache.stats
         per = max(hs.particles, 1)
         h_iteration = {
             "adaptations": hs.adaptations,
@@ -615,8 +608,7 @@ class Simulation:
             "within_tolerance_share": hs.within_tolerance / per,
         }
         reg.absorb("h_iteration", h_iteration)
-        # With a cache, hs are its stats.
-        ncache = dict(asdict(hs), hit_rate=hs.hit_rate) if self._ncache else None
+        ncache = dict(asdict(hs), hit_rate=hs.hit_rate)
         reg.absorb("neighbor_cache", ncache)
         gravity = self._gravity_stats_dict()
         reg.absorb("gravity", gravity)

@@ -431,8 +431,6 @@ def resolved_knobs(sim) -> Dict[str, object]:
     knobs: Dict[str, object] = {
         "workers": int(ex.workers),
         "chunks_per_worker": int(ex.chunks_per_worker),
-        "neighbor_cache": bool(ex.neighbor_cache),
-        "cache_skin": float(ex.cache_skin),
         "backend": sim.backend.name,
         "checkpoint_every": (
             int(run.resilience.checkpoint_every)

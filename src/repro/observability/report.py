@@ -24,16 +24,17 @@ __all__ = [
 class RunReport:
     """Everything one finished (or in-flight) run can tell about itself.
 
-    Sections that do not apply to the run's configuration are ``None``
-    (e.g. ``neighbor_cache`` on a cache-off run); ``counters`` flattens
-    every present section into dotted :class:`~repro.observability
-    .registry.MetricsRegistry` names.
+    ``neighbor_cache`` holds the Verlet cache's counters (every run has
+    one); sections that do not apply to the run's configuration are
+    ``None`` (e.g. ``gravity`` on a run without self-gravity);
+    ``counters`` flattens every present section into dotted
+    :class:`~repro.observability.registry.MetricsRegistry` names.
     """
 
     steps: int
     time: float
     n_particles: int
-    neighbor_cache: Optional[Dict[str, float]] = None
+    neighbor_cache: Dict[str, float]
     #: The h iteration: adaptations, mean count sweeps per particle and
     #: share of particles ending within the count tolerance.
     h_iteration: Optional[Dict[str, float]] = None
@@ -57,9 +58,7 @@ class RunReport:
             "steps": self.steps,
             "time": self.time,
             "n_particles": self.n_particles,
-            "neighbor_cache": (
-                dict(self.neighbor_cache) if self.neighbor_cache else None
-            ),
+            "neighbor_cache": dict(self.neighbor_cache),
             "h_iteration": dict(self.h_iteration) if self.h_iteration else None,
             "gravity": dict(self.gravity) if self.gravity else None,
             "checkpoint": dict(self.checkpoint) if self.checkpoint else None,
@@ -84,10 +83,9 @@ class RunReport:
                 f"(requested={self.backend.get('requested', '?')}, "
                 f"{self.backend.get('version', '?')})"
             )
-        if self.neighbor_cache is not None:
-            lines.append(
-                format_neighbor_cache(self.neighbor_cache, self.h_iteration)
-            )
+        lines.append(
+            format_neighbor_cache(self.neighbor_cache, self.h_iteration)
+        )
         if self.gravity is not None:
             lines.append(format_gravity(self.gravity))
         if self.checkpoint is not None:
@@ -106,7 +104,7 @@ class RunReport:
 # One-line formatters of the report's sections
 # ----------------------------------------------------------------------
 def format_neighbor_cache(stats, h_iteration=None) -> str:
-    """One-line report of a Verlet-cache run: hit rate, invalidations,
+    """One-line report of a run's Verlet cache: hit rate, invalidations,
     what the builds searched and, given the report's ``h_iteration``
     block, how the h iteration ended."""
     line = (

@@ -37,7 +37,6 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from ..core.particles import ParticleSystem
-from ..tree.neighborlist import NeighborList
 from .interval import young_interval
 
 __all__ = [
@@ -100,9 +99,9 @@ def retry_io(fn, *, attempts: int = 3, backoff: float = 0.0, what: str = "checkp
 class Checkpoint:
     """In-memory checkpoint: particle arrays + scalar driver state.
 
-    ``extras`` holds auxiliary arrays that are not particle state but are
-    needed for bit-identical resumption — currently the Verlet cache's
-    CSR neighbour list and its reference positions/smoothing lengths.
+    ``extras`` holds the auxiliary arrays a file carries besides the
+    particle state.  Nothing writes any: files written before 12.0.0 may
+    hold the Verlet cache's list (``ncache_*``), which a restore ignores.
     """
 
     particles: ParticleSystem
@@ -118,7 +117,6 @@ class Checkpoint:
         time: float,
         step_index: int,
         meta: Optional[Dict[str, float]] = None,
-        extras: Optional[Dict[str, np.ndarray]] = None,
     ) -> "Checkpoint":
         """Deep-copy the state (the simulation may keep running)."""
         return cls(
@@ -126,7 +124,6 @@ class Checkpoint:
             time=float(time),
             step_index=int(step_index),
             meta=dict(meta or {}),
-            extras={k: np.array(v, copy=True) for k, v in (extras or {}).items()},
         )
 
     @classmethod
@@ -138,7 +135,8 @@ class Checkpoint:
         resumption is stored: the viscous signal diagnostic feeding the
         next dt and the stepper's growth-limiter memory.  Production SPH
         restart files carry exactly this so a restarted run replays the
-        original trajectory.
+        original trajectory.  The Verlet cache's list is not state: cached
+        and rebuilt lists give the same bits, so a restore rebuilds it.
         """
         meta = {
             "potential_energy": sim.potential_energy,
@@ -147,28 +145,16 @@ class Checkpoint:
         dt_prev = getattr(sim.stepper, "_dt_prev", None)
         if dt_prev is not None:
             meta["dt_prev"] = dt_prev
-        extras: Dict[str, np.ndarray] = {}
-        ncache = getattr(sim, "_ncache", None)
-        if ncache is not None and ncache._nlist is not None:
-            # The Verlet cache is not bitwise-neutral (the padded list's
-            # reuse schedule shifts summation roundoff), so bit-identical
-            # resumption must replay the *exact* cached list and the
-            # reference state its validity is judged against.
-            meta["ncache_skin"] = ncache.skin
-            extras["ncache_offsets"] = ncache._nlist.offsets
-            extras["ncache_indices"] = ncache._nlist.indices
-            extras["ncache_x_ref"] = ncache._x_ref
-            extras["ncache_h_ref"] = ncache._h_ref
-        return cls.capture(
-            sim.particles, sim.time, sim.step_index, meta=meta, extras=extras
-        )
+        return cls.capture(sim.particles, sim.time, sim.step_index, meta=meta)
 
     def restore_into(self, sim) -> None:
         """Restore a driver in place (state arrays, clock, counters).
 
         The checkpointed accelerations/rates are trusted — no recomputation
         happens until the next step's own rate evaluation — so a restarted
-        run is bit-identical to the uninterrupted one.
+        run is bit-identical to the uninterrupted one.  The neighbour cache
+        holds lists for the pre-restore positions: it is dropped, and the
+        next evaluation rebuilds it.
         """
         restored = self.particles.copy()
         sim.particles = restored
@@ -179,29 +165,7 @@ class Checkpoint:
         if "dt_prev" in self.meta and hasattr(sim.stepper, "_dt_prev"):
             sim.stepper._dt_prev = float(self.meta["dt_prev"])
         sim._rates_current = True
-        ncache = getattr(sim, "_ncache", None)
-        if ncache is None:
-            return
-        cache_keys = {
-            "ncache_offsets", "ncache_indices", "ncache_x_ref", "ncache_h_ref"
-        }
-        if (
-            cache_keys <= self.extras.keys()
-            and float(self.meta.get("ncache_skin", -1.0)) == ncache.skin
-        ):
-            # Reinstate the checkpointed list and its reference state, so
-            # the resumed run replays the original reuse schedule exactly.
-            # Bypasses store() to copy without counting a fresh build.
-            ncache._nlist = NeighborList(
-                self.extras["ncache_offsets"].copy(),
-                self.extras["ncache_indices"].copy(),
-            )
-            ncache._x_ref = self.extras["ncache_x_ref"].copy()
-            ncache._h_ref = self.extras["ncache_h_ref"].copy()
-        else:
-            # No (compatible) cache state in the file: the cache holds
-            # lists for the pre-restore positions and must rebuild.
-            ncache.invalidate()
+        sim._ncache.invalidate()
 
 
 def write_checkpoint(path: str | Path, cp: Checkpoint, *, io_chaos=None) -> int:

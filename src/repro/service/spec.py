@@ -8,11 +8,10 @@ The canonical payload covers exactly the inputs that determine the
 result bits:
 
 * the scenario name and its IC-builder overrides,
-* the step count and the physics configuration (preset, neighbour
-  count, SDC detection),
-* the result-affecting execution knobs (backend, Verlet cache and skin
-  — the compiled backend is roundoff-level different from numpy, so
-  each is its own cache entry),
+* the step count and the physics configuration (preset, and the
+  neighbour count it resolves to — the scenario's when none is named),
+* the backend (the compiled backend is roundoff-level different from
+  numpy, so each is its own cache entry),
 * numerical-chaos and guard settings (they can change state),
 * the running code version (from the ledger's ``code_version`` stamp),
   so a new commit silently invalidates every cached result.
@@ -64,8 +63,6 @@ class JobSpec:
     n_neighbors: Optional[int] = None
     # Result-affecting execution knobs (hashed):
     backend: str = "numpy"
-    neighbor_cache: bool = False
-    cache_skin: float = 0.3
     guard: bool = False
     chaos: Optional[str] = None  # parse_numerical_faults() spelling
     # Execution-neutral knobs (not hashed):
@@ -123,13 +120,11 @@ class JobSpec:
 
     def exec_config(self):
         """The :class:`~repro.core.config.ExecConfig` this spec runs
-        with — its validation rules are the spec's rules for the five
+        with — its validation rules are the spec's rules for the three
         execution knobs."""
         return ExecConfig(
             workers=self.workers,
             chunks_per_worker=self.chunks_per_worker,
-            neighbor_cache=self.neighbor_cache,
-            cache_skin=self.cache_skin,
             backend=self.backend,
         )
 
@@ -139,6 +134,15 @@ class JobSpec:
         if scenario is None:
             scenario = self.resolve()
         return int(scenario.default_steps)
+
+    def resolved_neighbors(self, scenario=None) -> int:
+        """The neighbour target the run uses: this spec's, else the
+        scenario's."""
+        if self.n_neighbors is not None:
+            return int(self.n_neighbors)
+        if scenario is None:
+            scenario = self.resolve()
+        return int(scenario.sim_config.n_neighbors)
 
     def sim_config(self, scenario=None):
         """The physics config this spec resolves to (the CLI's merge rule:
@@ -153,11 +157,7 @@ class JobSpec:
             raise SpecError(f"unknown preset {self.preset!r}") from None
         needs = scenario.sim_config
         return preset.with_(
-            n_neighbors=(
-                self.n_neighbors
-                if self.n_neighbors is not None
-                else needs.n_neighbors
-            ),
+            n_neighbors=self.resolved_neighbors(scenario),
             timestep_params=needs.timestep_params,
             viscosity=needs.viscosity,
         )
@@ -226,10 +226,8 @@ class JobSpec:
             "n_steps": self.resolved_steps(scenario),
             "test": bool(self.test),
             "preset": self.preset,
-            "n_neighbors": self.n_neighbors,
+            "n_neighbors": self.resolved_neighbors(scenario),
             "backend": self.backend,
-            "neighbor_cache": bool(self.neighbor_cache),
-            "cache_skin": float(self.cache_skin),
             "guard": bool(self.guard),
             "chaos": self.chaos,
             "code_version": code_version,

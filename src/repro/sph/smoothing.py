@@ -21,7 +21,9 @@ searched at.  Only a particle that out-grows it triggers another search,
 and the final list is cut from the searched one by
 :meth:`NeighborList.within` — array for array what a fresh search at the
 final ``h`` returns, rows ascending (so a search handed in here need not
-order its rows).  On numpy each row's separations are sorted once and a
+order its rows).  Every list is searched at the Verlet cache's padded
+radius ``(1 + SKIN) * 2 h`` and stored in the cache, which later
+evaluations iterate off while the state stays inside the skin.  On numpy each row's separations are sorted once and a
 sweep counts the running rows by bisection.
 """
 
@@ -34,7 +36,7 @@ import numpy as np
 
 from ..tree.box import Box
 from ..tree.cellgrid import cell_grid_search
-from ..tree.neighborlist import NeighborList, VerletCacheStats, VerletNeighborCache
+from ..tree.neighborlist import NeighborList, VerletNeighborCache
 
 __all__ = [
     "SmoothingConfig",
@@ -96,52 +98,45 @@ def update_smoothing_lengths(
 
 def adapt_smoothing_lengths(
     particles,
-    box: Box | None = None,
-    config: SmoothingConfig = SmoothingConfig(),
+    box: Box | None,
+    config: SmoothingConfig,
+    cache: VerletNeighborCache,
     search: Callable[..., NeighborList] | None = None,
-    cache: VerletNeighborCache | None = None,
     backend=None,
     support: float | None = None,
-    stats: VerletCacheStats | None = None,
 ) -> Tuple[NeighborList, Optional[NeighborList]]:
     """Build a neighbour list: search, iterate h, cut the list to fit.
 
     Updates ``particles.h`` in place and returns ``(nlist, cut)``: the
     final neighbour list (symmetric mode, self-pair included, rows
-    ascending) — the list a search at the final ``h`` returns — and the
-    list the compiled pair phases run over (below; else ``None``).
-    ``search`` defaults to the cell grid (``octree.walk_neighbors``-like
-    callables use the tree walk).
-
-    With a :class:`~repro.tree.neighborlist.VerletNeighborCache` the lists
-    have the padded radius ``(1 + skin) * 2 h``, and the final one is
-    stored in the cache with the reference ``x``/``h``; the counts that
-    drive the iteration are always those within ``r <= 2 h_i``.  The
-    cache's stats count the build; without one, ``stats`` (if given) do.
+    ascending) at the cache's padded radius ``(1 + SKIN) * 2 h`` — the
+    list a search at that radius returns — and the list the compiled pair
+    phases run over (below; else ``None``).  The list is stored in
+    ``cache`` with the reference ``x``/``h``, and the cache's stats count
+    the build; the counts that drive the iteration are always those
+    within ``r <= 2 h_i``.  ``search`` defaults to the cell grid
+    (``octree.walk_neighbors``-like callables use the tree walk).
 
     With a compiled ``backend`` the sweeps a list can serve run in one
     row-local op (``CompiledOps.adapt``), bitwise the numpy loop.  Given
     the kernel's ``support`` it also emits ``cut``: the lower half (``j <=
     i``) of the pairs of ``nlist`` within ``support * max(h_i, h_j)``.
     """
-    return _adapt(
-        particles, box, config, search, cache, backend, support=support,
-        stats=stats,
-    )
+    return _adapt(particles, box, config, search, cache, backend, support=support)
 
 
 def adapt_from_cached_list(
     particles,
     nlist: NeighborList,
-    box: Box | None = None,
-    config: SmoothingConfig = SmoothingConfig(),
-    cache: VerletNeighborCache | None = None,
+    box: Box | None,
+    config: SmoothingConfig,
+    cache: VerletNeighborCache,
     pairs=None,
     backend=None,
     search: Callable[..., NeighborList] | None = None,
     support: float | None = None,
 ) -> Tuple[NeighborList, Optional[NeighborList]]:
-    """Run the h iteration off a cached padded list.
+    """Run the h iteration off ``cache``'s padded list ``nlist``.
 
     While every iterate stays inside the cache's h-growth budget
     (:attr:`~repro.tree.neighborlist.VerletNeighborCache.h_budget`), the
@@ -153,22 +148,20 @@ def adapt_from_cached_list(
     :class:`~repro.tree.pairs.Pairs` record of ``nlist``, whose ``r`` the
     numpy sweeps count off (the phases' support cut reuses it).
     """
-    if cache is None:
-        raise ValueError("adapt_from_cached_list requires the owning cache")
     return _adapt(
-        particles, box, config, search, cache, backend, nlist, cache.h_budget,
-        pairs=pairs, support=support,
+        particles, box, config, search, cache, backend, nlist, pairs=pairs,
+        support=support,
     )
 
 
 def _adapt(
-    particles, box, config, search, cache, backend, nlist=None,
-    budget=None, pairs=None, support=None, stats=None,
+    particles, box, config, search, cache, backend, nlist=None, pairs=None,
+    support=None,
 ):
-    """The h iteration; ``nlist``/``budget`` hand in a cached list to start
-    on (``budget``: the ``h`` up to which it counts exactly and holds the
-    final list), ``pairs`` its record, ``support`` asks a compiled backend
-    for the cut."""
+    """The h iteration; ``nlist`` hands in the cached list to start on
+    (it counts exactly and holds the final list up to ``cache.h_budget``),
+    ``pairs`` its record, ``support`` asks a compiled backend for the
+    cut."""
     ops = backend.ops if backend is not None else None
     if ops is None:
         support = None
@@ -176,8 +169,9 @@ def _adapt(
         search = lambda x, radii, box, mode: cell_grid_search(  # noqa: E731
             x, radii, box, mode=mode
         )
-    factor = 2.0 if cache is None else cache.search_factor
-    stats = cache.stats if cache is not None else stats
+    factor = cache.search_factor
+    stats = cache.stats
+    budget = cache.h_budget
     h = particles.h
     start = h.copy()
     state = np.zeros(particles.n, dtype=np.int8)
@@ -192,9 +186,8 @@ def _adapt(
             running = state == RUNNING
             budget[running] *= h[running] / start[running]
             nlist = search(particles.x, factor * budget, box, "symmetric")
-            if stats is not None:
-                stats.searches += 1
-                stats.pairs_searched += nlist.n_pairs
+            stats.searches += 1
+            stats.pairs_searched += nlist.n_pairs
             built = True
         # The update factor per count, by the update function at h = 1:
         # h * F[c] is its 0.5 * h * (1 + p) to the bit.
@@ -215,15 +208,13 @@ def _adapt(
         if not np.any(state == RUNNING):
             break
         nlist = None
-    if stats is not None:
-        stats.adaptations += 1
-        stats.particles += particles.n
-        stats.sweeps += int(sweeps.sum())
-        stats.within_tolerance += int(np.count_nonzero(state == WITHIN_TOLERANCE))
+    stats.adaptations += 1
+    stats.particles += particles.n
+    stats.sweeps += int(sweeps.sum())
+    stats.within_tolerance += int(np.count_nonzero(state == WITHIN_TOLERANCE))
     if built:
         nlist = nlist.within(particles.x, factor * h, box, ops)
-        if cache is not None:
-            cache.store(nlist, particles.x, h)
+        cache.store(nlist, particles.x, h)
         if support is not None:
             # The final h came from no call over the final list: every row
             # is finished, so the op only emits.

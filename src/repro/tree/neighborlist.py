@@ -24,6 +24,7 @@ __all__ = [
     "canonical_rows",
     "reduce_pairs",
     "balanced_row_slices",
+    "SKIN",
     "VerletCacheStats",
     "VerletNeighborCache",
 ]
@@ -357,6 +358,11 @@ def balanced_row_slices(offsets: np.ndarray, n_slices: int) -> list[Tuple[int, i
 # ----------------------------------------------------------------------
 # Verlet-skin neighbour-list cache
 # ----------------------------------------------------------------------
+#: Skin fraction of ``h`` of every neighbour list: lists are searched at
+#: ``(1 + SKIN) * 2 h`` and reused while the state stays inside the skin.
+SKIN = 0.3
+
+
 @dataclass
 class VerletCacheStats:
     """Counters of one run's cache behaviour (reported by profiling).
@@ -404,45 +410,41 @@ class VerletCacheStats:
 class VerletNeighborCache:
     """Verlet-skin neighbour-list cache (skip Algorithm-1 phases B-D).
 
-    Lists are built once with padded support ``(1 + skin) * 2 h`` and
+    Lists are built once with padded support ``(1 + SKIN) * 2 h`` and
     reused while the state stays within the skin budget, split evenly
     between motion and smoothing-length growth:
 
-    * displacement: ``|x - x_ref| <= skin/2 * h_ref`` per particle;
-    * h growth: ``h <= (1 + skin/2) * h_ref`` per particle (shrinking is
+    * displacement: ``|x - x_ref| <= SKIN/2 * h_ref`` per particle;
+    * h growth: ``h <= (1 + SKIN/2) * h_ref`` per particle (shrinking is
       always safe).
 
     Under both bounds any pair within the true symmetric support
     ``2 max(h_i, h_j)`` had build-time separation at most ``2 max(h) +
-    d_i + d_j <= (1 + skin) * 2 max(h_ref)`` — i.e. the pair is in the
+    d_i + d_j <= (1 + SKIN) * 2 max(h_ref)`` — i.e. the pair is in the
     cached list, so neighbour *counts* filtered to ``r <= 2 h`` are exact
     and the h-adaptation iteration can run off the cached list without a
     fresh search.  Extra padded pairs are harmless: the driver cuts them
     before the pair phases, and one that reaches a phase adds exact zeros
     (every SPH pair term carries a kernel factor that vanishes beyond
     ``2 h``; the force loop masks its one non-kernel diagnostic, ``max
-    |mu|``, to the true support).  On the numpy path cached and fresh
-    evaluations agree bit for bit.
+    |mu|``, to the true support).  Cached and fresh evaluations agree bit
+    for bit on every backend, so a run that drops the list (a restore, a
+    rollback) rebuilds it and carries on with the same bits.
 
     The cache invalidates itself whenever a smoothing length out-grows
     the budget, whenever the particle count changes, and whenever any
     displacement exceeds the skin allowance.
     """
 
-    skin: float = 0.3
     stats: VerletCacheStats = field(default_factory=VerletCacheStats)
     _nlist: Optional[NeighborList] = None
     _x_ref: Optional[np.ndarray] = None
     _h_ref: Optional[np.ndarray] = None
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.skin < 1.0:
-            raise ValueError(f"skin must be in (0, 1), got {self.skin}")
-
     @property
     def search_factor(self) -> float:
         """Search-radius multiplier of ``h`` for cache-compatible builds."""
-        return (1.0 + self.skin) * 2.0
+        return (1.0 + SKIN) * 2.0
 
     @property
     def h_ref(self) -> Optional[np.ndarray]:
@@ -454,7 +456,7 @@ class VerletNeighborCache:
         """Largest ``h`` the cached list still counts exactly (per particle)."""
         if self._h_ref is None:
             return None
-        return (1.0 + 0.5 * self.skin) * self._h_ref
+        return (1.0 + 0.5 * SKIN) * self._h_ref
 
     def covers(self, h: np.ndarray) -> bool:
         """True while ``h`` stays within the growth half of the skin."""
@@ -479,7 +481,7 @@ class VerletNeighborCache:
         if box is not None:
             dx = box.min_image(dx)
         disp = np.sqrt(np.einsum("ij,ij->i", dx, dx))
-        if np.any(disp > 0.5 * self.skin * self._h_ref):
+        if np.any(disp > 0.5 * SKIN * self._h_ref):
             self.stats.misses_displacement += 1
             self.invalidate()
             return None

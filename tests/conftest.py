@@ -100,3 +100,30 @@ def small_lattice() -> ParticleSystem:
         m=np.full(n, spacing**3),  # rho = 1
         h=np.full(n, 1.6 * spacing),
     )
+
+
+@pytest.fixture
+def store_list_in_checkpoint():
+    """``store(path, box, dtype)``: rewrite the checkpoint file at ``path``
+    as versions before 12.0.0 wrote it — the Verlet cache's padded list
+    of its particles (``indices`` column of ``dtype``) and the list's
+    reference state as ``ncache_*`` extras, the skin in ``meta``."""
+    from repro.resilience.checkpoint import read_checkpoint, write_checkpoint
+    from repro.tree.cellgrid import cell_grid_search
+    from repro.tree.neighborlist import SKIN, VerletNeighborCache
+
+    def store(path, box, dtype=np.int32):
+        cp = read_checkpoint(path)
+        p = cp.particles
+        radii = VerletNeighborCache().search_factor * p.h
+        nlist = cell_grid_search(p.x, radii, box, mode="symmetric")
+        cp.meta["ncache_skin"] = SKIN
+        cp.extras.update(
+            ncache_offsets=nlist.offsets,
+            ncache_indices=nlist.indices.astype(dtype),
+            ncache_x_ref=p.x,
+            ncache_h_ref=p.h,
+        )
+        write_checkpoint(path, cp)
+
+    return store

@@ -82,8 +82,7 @@ with warnings.catch_warnings():
     if select_backend("cffi").name == "cffi":
         backends.append("cffi")
 ran = [
-    [name, backend, api.run(name, n_steps=1, test=True, backend=backend,
-                            neighbor_cache=True).steps]
+    [name, backend, api.run(name, n_steps=1, test=True, backend=backend).steps]
     for name in scenario_names() for backend in backends
 ]
 print(json.dumps({"import": loaded_by_import, "run": sorted(sys.modules),
@@ -128,7 +127,7 @@ def test_lazy_api_exports_resolve():
         repro.does_not_exist
 
 
-# --- names removed in 2.0.0 to 11.0.0 stay removed ------------------------
+# --- names removed in 2.0.0 to 12.0.0 stay removed ------------------------
 
 
 def test_removed_surface_fails_closed():
@@ -138,9 +137,10 @@ def test_removed_surface_fails_closed():
     ``CffiImpl`` and the ``neighbor_search`` knob, (5.0.0) the
     compiled path's stored per-pair products, (6.0.0) the numpy pair
     engine, (8.0.0) the online autotuner, (10.0.0) the second per-step
-    error detector and eight guard knobs and (11.0.0) the h iteration's
-    ``adapted`` flag and global ``converged`` count are gone: old
-    spellings are typed errors at the boundary, never a silent default."""
+    error detector and eight guard knobs, (11.0.0) the h iteration's
+    ``adapted`` flag and global ``converged`` count and (12.0.0) the
+    Verlet cache's on/off and skin knobs are gone: old spellings are
+    typed errors at the boundary, never a silent default."""
     import importlib
 
     from repro.cli import main
@@ -268,4 +268,21 @@ def test_removed_surface_fails_closed():
     assert not {"converged", "max_count_error"} & {
         f.name for f in dataclasses.fields(VerletCacheStats)
     }
+    # 12.0.0: the Verlet cache is the one neighbour path (no on/off or
+    # skin knob) and a checkpoint holds particle state only.
+    for removed in ("neighbor_cache", "cache_skin"):
+        with pytest.raises(SpecError, match=removed):
+            api.JobSpec.from_dict({"scenario": "sod", removed: True})
+        with pytest.raises(TypeError):
+            ExecConfig(**{removed: True})
+    assert [f.name for f in dataclasses.fields(ExecConfig)] == [
+        "workers", "chunks_per_worker", "backend"
+    ]
+    from repro.resilience.checkpoint import Checkpoint
+
+    sim = repro.Simulation(particles, box, eos)
+    sim.run(n_steps=1)
+    assert sim.report().neighbor_cache["builds"] >= 1
+    extras = Checkpoint.of_simulation(sim).extras
+    assert not [k for k in extras if k.startswith("ncache_")]
 

@@ -658,9 +658,7 @@ def _run_patch(backend_name, steps=5):
     )
     sim = Simulation(
         particles, box, eos, config=config,
-        run_config=RunConfig(
-            exec=ExecConfig(neighbor_cache=True, backend=backend_name)
-        ),
+        run_config=RunConfig(exec=ExecConfig(backend=backend_name)),
     )
     try:
         assert sim.backend.name == backend_name

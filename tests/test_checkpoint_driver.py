@@ -3,10 +3,11 @@
 The satellite acceptance: run 10 steps with a rolling checkpoint at 5,
 abandon the run at 7, autoresume in a fresh driver and finish — the
 final positions/velocities and dt sequence must be bit-identical to an
-uninterrupted 10-step run, for square patch + Evrard, neighbour cache on
-and off.  Plus the file-level guarantees: atomic writes (no ``*.tmp``
-residue), ``latest`` pointer, torn-file fallback, pruning and Young
-auto-K.
+uninterrupted 10-step run, for square patch + Evrard.  A checkpoint
+holds no neighbour list: the resumed driver rebuilds its Verlet cache,
+and a file that holds one (written before 12.0.0) resumes the same way.
+Plus the file-level guarantees: atomic writes (no ``*.tmp`` residue),
+``latest`` pointer, torn-file fallback, pruning and Young auto-K.
 """
 
 from __future__ import annotations
@@ -49,11 +50,9 @@ def _evrard_case():
 CASES = {"square-patch": _square_case, "evrard": _evrard_case}
 
 
-def _sim(case: str, cache: bool, resilience=None) -> Simulation:
+def _sim(case: str, resilience=None, backend="numpy") -> Simulation:
     particles, box, eos, config = CASES[case]()
-    run = RunConfig(
-        exec=ExecConfig(neighbor_cache=cache), resilience=resilience
-    )
+    run = RunConfig(exec=ExecConfig(backend=backend), resilience=resilience)
     return Simulation(particles, box, eos, config=config, run_config=run)
 
 
@@ -64,29 +63,35 @@ def _final_state(sim: Simulation):
 _reference: dict = {}
 
 
-def _uninterrupted(case: str, cache: bool):
-    key = (case, cache)
-    if key not in _reference:
-        with _sim(case, cache) as sim:
+def _uninterrupted(case: str):
+    if case not in _reference:
+        with _sim(case) as sim:
             sim.run(n_steps=10)
-            _reference[key] = (_final_state(sim), [s.dt for s in sim.history])
-    return _reference[key]
+            _reference[case] = (_final_state(sim), [s.dt for s in sim.history])
+    return _reference[case]
 
 
 @pytest.mark.parametrize("cache", [False, True], ids=["cache-off", "cache-on"])
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_resume_is_bit_identical_to_uninterrupted_run(case, cache, tmp_path):
-    ref_state, ref_dts = _uninterrupted(case, cache)
+def test_resume_is_bit_identical_to_uninterrupted_run(
+    case, cache, tmp_path, store_list_in_checkpoint
+):
+    """``cache-off`` resumes from the file as the driver writes it (no
+    neighbour list); ``cache-on`` from the same file rewritten to hold
+    the Verlet cache's list, as files before 12.0.0 did."""
+    ref_state, ref_dts = _uninterrupted(case)
     res = ResilienceConfig(
         checkpoint_dir=str(tmp_path), checkpoint_every=5, keep=2, autoresume=True
     )
     # Interrupted run: 7 of 10 steps, rolling checkpoint lands at step 5.
-    with _sim(case, cache, resilience=res) as interrupted:
+    with _sim(case, resilience=res) as interrupted:
         interrupted.run(n_steps=7)
     latest = find_latest_checkpoint(tmp_path)
     assert latest is not None and latest.name == "ckpt_00000005.ckpt"
+    if cache:
+        store_list_in_checkpoint(latest, interrupted.box)
     # Fresh driver autoresumes from step 5 and finishes the remaining 5.
-    with _sim(case, cache, resilience=res) as resumed:
+    with _sim(case, resilience=res) as resumed:
         resumed.run(n_steps=5)
         assert resumed.step_index == 10
         state = _final_state(resumed)
@@ -100,9 +105,9 @@ def test_resume_is_bit_identical_to_uninterrupted_run(case, cache, tmp_path):
 
 def test_checkpointing_does_not_perturb_the_trajectory(tmp_path):
     """A checkpointing run ends bit-identical to a checkpoint-free one."""
-    ref_state, ref_dts = _uninterrupted("square-patch", False)
+    ref_state, ref_dts = _uninterrupted("square-patch")
     res = ResilienceConfig(checkpoint_dir=str(tmp_path), checkpoint_every=3)
-    with _sim("square-patch", False, resilience=res) as sim:
+    with _sim("square-patch", resilience=res) as sim:
         sim.run(n_steps=10)
         assert sim.checkpoint_manager.checkpoints_written >= 3
         state = _final_state(sim)
@@ -113,7 +118,7 @@ def test_checkpointing_does_not_perturb_the_trajectory(tmp_path):
 
 def test_rolling_window_prunes_and_leaves_no_tmp(tmp_path):
     res = ResilienceConfig(checkpoint_dir=str(tmp_path), checkpoint_every=2, keep=2)
-    with _sim("square-patch", False, resilience=res) as sim:
+    with _sim("square-patch", resilience=res) as sim:
         sim.run(n_steps=8)
     names = sorted(os.listdir(tmp_path))
     assert names == ["ckpt_00000006.ckpt", "ckpt_00000008.ckpt", "latest"]
@@ -122,86 +127,95 @@ def test_rolling_window_prunes_and_leaves_no_tmp(tmp_path):
 
 def test_torn_latest_falls_back_to_previous_checkpoint(tmp_path):
     res = ResilienceConfig(checkpoint_dir=str(tmp_path), checkpoint_every=2, keep=2)
-    with _sim("square-patch", False, resilience=res) as sim:
+    with _sim("square-patch", resilience=res) as sim:
         sim.run(n_steps=4)
     newest = tmp_path / "ckpt_00000004.ckpt"
     # Tear the newest file (crash mid-write of a *non*-atomic writer).
     newest.write_bytes(newest.read_bytes()[:100])
     found = find_latest_checkpoint(tmp_path)
     assert found is not None and found.name == "ckpt_00000002.ckpt"
-    with _sim("square-patch", False, resilience=res) as sim:
+    with _sim("square-patch", resilience=res) as sim:
         assert sim.resume() is True
         assert sim.step_index == 2
 
 
 def test_autoresume_with_empty_directory_starts_fresh(tmp_path):
     res = ResilienceConfig(checkpoint_dir=str(tmp_path / "nope"), checkpoint_every=100)
-    with _sim("square-patch", False, resilience=res) as sim:
+    with _sim("square-patch", resilience=res) as sim:
         sim.run(n_steps=1)
         assert sim.step_index == 1
 
 
 def test_explicit_resume_path(tmp_path):
     res = ResilienceConfig(checkpoint_dir=str(tmp_path), checkpoint_every=2)
-    with _sim("square-patch", False, resilience=res) as sim:
+    with _sim("square-patch", resilience=res) as sim:
         sim.run(n_steps=4)
-    with _sim("square-patch", False) as sim:
+    with _sim("square-patch") as sim:
         assert sim.resume(tmp_path / "ckpt_00000002.ckpt") is True
         assert sim.step_index == 2 and sim.time > 0.0
 
 
-def test_restore_reinstates_compatible_cache_state(tmp_path):
-    """The checkpoint carries the Verlet cache so resume replays its
-    exact reuse schedule (required for cache-on bit-identity)."""
-    res = ResilienceConfig(checkpoint_dir=str(tmp_path), checkpoint_every=2)
-    with _sim("square-patch", True, resilience=res) as sim:
-        sim.run(n_steps=4)
-    with _sim("square-patch", True, resilience=res) as sim:
-        assert sim.resume() is True
-        assert sim._ncache._nlist is not None  # repopulated, not cold
-        assert sim._ncache.stats.builds == 0  # restore is not a build
-
-
-@pytest.mark.parametrize("column", ["int32", "int64"])
-def test_compiled_resume_is_bit_identical_whatever_the_stored_column(
-    column, tmp_path
+def test_resume_rebuilds_the_list_once_and_ends_bitwise_equal(
+    tmp_path, store_list_in_checkpoint
 ):
-    """A cffi run caches an int32 list and the checkpoint stores it as
-    such; a file written before the column was narrowed holds the same
-    list as int64.  Resuming from either continues bit for bit."""
+    """A checkpoint holds particle state only: the resumed driver starts
+    with an empty Verlet cache, rebuilds the list at its first evaluation
+    and ends on the uninterrupted run's bits — also from a file that
+    holds a list, which the restore ignores."""
+    ref_state, ref_dts = _uninterrupted("square-patch")
+    res = ResilienceConfig(
+        checkpoint_dir=str(tmp_path), checkpoint_every=4, autoresume=True
+    )
+    with _sim("square-patch", resilience=res) as interrupted:
+        interrupted.run(n_steps=5)
+    latest = find_latest_checkpoint(tmp_path)
+    assert not [k for k in read_checkpoint(latest).extras if k.startswith("ncache")]
+    for stored in (False, True):
+        if stored:
+            store_list_in_checkpoint(latest, interrupted.box)
+        with _sim("square-patch") as resumed:
+            assert resumed.resume(latest) is True and resumed.step_index == 4
+            assert resumed._ncache._nlist is None
+            resumed.step()
+            assert resumed._ncache.stats.builds == 1
+            resumed.run(n_steps=5)
+            state, dts = _final_state(resumed), [s.dt for s in resumed.history]
+        for f in FIELDS:
+            assert np.array_equal(state[f], ref_state[f]), (stored, f)
+        assert dts == ref_dts[4:]
+
+
+@pytest.mark.parametrize("column", ["none", "int32", "int64"])
+def test_compiled_resume_is_bit_identical_whatever_the_stored_column(
+    column, tmp_path, store_list_in_checkpoint
+):
+    """A cffi run's checkpoint holds no list; a file written before
+    12.0.0 holds the cached list, int32 (or int64 before the column was
+    narrowed).  Resuming from any of them rebuilds the list and continues
+    bit for bit."""
     from repro.backend import available_backends
-    from repro.resilience import write_checkpoint
 
     if not available_backends()["cffi"]:
         pytest.skip("no C toolchain on this host")
 
-    def sim(resilience=None):
-        particles, box, eos, config = _square_case()
-        run = RunConfig(
-            exec=ExecConfig(neighbor_cache=True, backend="cffi"),
-            resilience=resilience,
-        )
-        return Simulation(particles, box, eos, config=config, run_config=run)
-
-    with sim() as whole:
+    with _sim("square-patch", backend="cffi") as whole:
         whole.run(n_steps=8)
         ref_state, ref_dts = _final_state(whole), [s.dt for s in whole.history]
     res = ResilienceConfig(
         checkpoint_dir=str(tmp_path), checkpoint_every=4, keep=2, autoresume=True
     )
-    with sim(resilience=res) as interrupted:
+    with _sim("square-patch", resilience=res, backend="cffi") as interrupted:
         interrupted.run(n_steps=5)
     latest = find_latest_checkpoint(tmp_path)
     cp = read_checkpoint(latest)
-    assert cp.step_index == 4
-    assert cp.extras["ncache_indices"].dtype == np.int32
-    if column == "int64":
-        cp.extras["ncache_indices"] = cp.extras["ncache_indices"].astype(np.int64)
-        write_checkpoint(latest, cp)
-    with sim(resilience=res) as resumed:
+    assert cp.step_index == 4 and not cp.extras
+    if column != "none":
+        store_list_in_checkpoint(latest, interrupted.box, np.dtype(column))
+    with _sim("square-patch", resilience=res, backend="cffi") as resumed:
         resumed.run(n_steps=4)
-        assert resumed._ncache.stats.builds == 0  # the restored list served
-        assert str(resumed._nlist.indices.dtype) == column
+        # The first evaluation after the restore built the list in C.
+        assert resumed._ncache.stats.builds >= 1
+        assert resumed._nlist.indices.dtype == np.int32
         state, dts = _final_state(resumed), [s.dt for s in resumed.history]
     for f in FIELDS:
         assert np.array_equal(state[f], ref_state[f]), f
@@ -209,22 +223,24 @@ def test_compiled_resume_is_bit_identical_whatever_the_stored_column(
 
 
 def test_restore_without_cache_state_invalidates(tmp_path):
-    """A checkpoint from a cache-off run resumed cache-on must rebuild."""
+    """A restore drops the list the cache held for the pre-restore
+    positions: the next step rebuilds it."""
     res = ResilienceConfig(checkpoint_dir=str(tmp_path), checkpoint_every=2)
-    with _sim("square-patch", False, resilience=res) as sim:
-        sim.run(n_steps=2)
-    with _sim("square-patch", True, resilience=res) as sim:
-        sim.resume()
+    with _sim("square-patch", resilience=res) as sim:
+        sim.run(n_steps=3)
+        assert sim._ncache._nlist is not None
+        assert sim.resume() is True and sim.step_index == 2
         assert sim._ncache._nlist is None
+        builds = sim._ncache.stats.builds
         sim.step()
-        assert sim._ncache.stats.builds == 1
+        assert sim._ncache.stats.builds == builds + 1
 
 
 def test_young_auto_interval_bootstraps_then_stretches(tmp_path):
     res = ResilienceConfig(
         checkpoint_dir=str(tmp_path), checkpoint_every=0, mtbf=3600.0
     )
-    with _sim("square-patch", False, resilience=res) as sim:
+    with _sim("square-patch", resilience=res) as sim:
         sim.run(n_steps=4)
         mgr = sim.checkpoint_manager
         assert mgr.checkpoints_written >= 1
@@ -236,7 +252,7 @@ def test_young_auto_interval_bootstraps_then_stretches(tmp_path):
 
 def test_checkpoint_meta_round_trips_stepper_memory(tmp_path):
     res = ResilienceConfig(checkpoint_dir=str(tmp_path), checkpoint_every=3)
-    with _sim("square-patch", False, resilience=res) as sim:
+    with _sim("square-patch", resilience=res) as sim:
         sim.run(n_steps=3)
         dt_prev = sim.stepper._dt_prev
     cp = read_checkpoint(tmp_path / "ckpt_00000003.ckpt")

@@ -90,9 +90,10 @@ def test_run_json_summary(capsys):
     assert summary["n_steps"] == 2
     assert summary["final_time"] > 0.0
     assert set(summary["drift"]) == {"mass", "momentum", "energy"}
-    # Verlet-cache counters (builds, searches, hits): null on a cache-off run.
-    assert summary["neighbor_cache"] is None
-    # The h iteration is reported cache or not: one adaptation per rate
+    # Verlet-cache counters: every run has them.
+    assert summary["neighbor_cache"]["builds"] >= 1
+    assert summary["neighbor_cache"]["adaptations"] == 3
+    # The h iteration: one adaptation per rate
     # evaluation (the first step's two, then one), count sweeps per
     # particle per adaptation and the share ending within the tolerance.
     h_iteration = summary["h_iteration"]
@@ -395,10 +396,10 @@ def test_serve_submit_jobs_end_to_end(tmp_path, capsys):
 
         # A malformed execution knob never reaches the queue.
         reply = client_request(sock, {
-            "op": "submit", "spec": {"scenario": "sod", "cache_skin": 2.0},
+            "op": "submit", "spec": {"scenario": "sod", "chunks_per_worker": 0},
         })
         assert reply["ok"] is False
-        assert reply["error"].startswith("bad spec: cache_skin")
+        assert reply["error"].startswith("bad spec: chunks_per_worker")
         assert client_request(sock, {"op": "stats"})["stats"]["failed"] == 0
     finally:
         client_request(sock, {"op": "shutdown"})

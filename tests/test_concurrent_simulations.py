@@ -33,7 +33,7 @@ def _specs(backend: str):
         JobSpec(
             scenario="square-patch",
             overrides={"side": 12, "layers": 12, "omega": omega},
-            n_steps=8, backend=backend, preset="sph-exa", neighbor_cache=True,
+            n_steps=8, backend=backend, preset="sph-exa",
         )
         for omega in (5.0, 5.3)
     ]

@@ -139,9 +139,9 @@ def test_degrade_rung_is_bitwise_neutral():
 
 
 def test_degrade_rung_mid_run_on_cffi_continues_on_numpy(tmp_path):
-    """A compiled run that degrades mid-run keeps its cached list — int32
-    column and all — and carries on with the numpy phases: bit for bit
-    the numpy run restored from a checkpoint of the step it degraded at."""
+    """A compiled run that degrades mid-run carries on with the numpy
+    phases: bit for bit the numpy run restored from a checkpoint of the
+    step it degraded at."""
     from repro.backend import available_backends
     from repro.resilience.checkpoint import (
         Checkpoint,
@@ -152,12 +152,11 @@ def test_degrade_rung_mid_run_on_cffi_continues_on_numpy(tmp_path):
     if not available_backends()["cffi"]:
         pytest.skip("no C toolchain on this host")
     scenario = get_scenario("square-patch")
-    compiled = ExecConfig(backend="cffi", neighbor_cache=True)
+    compiled = ExecConfig(backend="cffi")
     with scenario.make_simulation(
         test=True, run_config=RunConfig(exec=compiled)
     ) as plain:
         plain.run(n_steps=3)
-        assert plain._ncache._nlist.indices.dtype == np.int32
         write_checkpoint(tmp_path / "step3.ckpt", Checkpoint.of_simulation(plain))
 
     with _guarded(
@@ -168,18 +167,11 @@ def test_degrade_rung_mid_run_on_cffi_continues_on_numpy(tmp_path):
         sim.run(n_steps=6)
         assert sim.step_guard.report().rung_heals["degrade"] == 1
         assert sim.backend.name == "numpy"
-        # Still the list the compiled build cut (no rebuild since).
-        assert sim._ncache.stats.hits > 3
-        assert sim._nlist.indices.dtype == np.int32
         healed = _state(sim)
 
-    with scenario.make_simulation(
-        test=True,
-        run_config=RunConfig(exec=ExecConfig(neighbor_cache=True)),
-    ) as reference:
+    with scenario.make_simulation(test=True) as reference:
         read_checkpoint(tmp_path / "step3.ckpt").restore_into(reference)
         reference.run(n_steps=3)
-        assert reference._nlist.indices.dtype == np.int32
         _assert_bitwise(reference, healed)
 
 
@@ -365,17 +357,16 @@ def test_raising_step_is_recovered():
 
 # ----------------------------------------------------------------------
 # Resume interplay: the guard's last-resort checkpoint supports
-# bit-identical autoresume (cache on and off, two scenarios).
+# bit-identical autoresume (two scenarios; from the file as written, and
+# as versions before 12.0.0 wrote it, with the Verlet cache's list).
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("name", ["square-patch", "sod"])
-@pytest.mark.parametrize("cache", [False, True])
-def test_last_resort_checkpoint_autoresume_bitwise(tmp_path, name, cache):
+@pytest.mark.parametrize("stored_list", [False, True])
+def test_last_resort_checkpoint_autoresume_bitwise(
+    tmp_path, name, stored_list, store_list_in_checkpoint
+):
     scenario = get_scenario(name)
-    exec_cfg = ExecConfig(neighbor_cache=cache)
-
-    golden_sim = scenario.make_simulation(
-        test=True, run_config=RunConfig(exec=exec_cfg)
-    )
+    golden_sim = scenario.make_simulation(test=True)
     golden_sim.run(n_steps=10)
     golden = _state(golden_sim)
 
@@ -385,16 +376,19 @@ def test_last_resort_checkpoint_autoresume_bitwise(tmp_path, name, cache):
     chaos = NumericalChaosPolicy(
         [NumericalFault(step=6, array="rho", kind="nan", once=False)]
     )
-    sim = _guarded(scenario, chaos=chaos, resilience=res, exec=exec_cfg)
+    sim = _guarded(scenario, chaos=chaos, resilience=res)
     with pytest.raises(UnrecoverableStepError) as excinfo:
         sim.run(n_steps=10)
-    assert excinfo.value.post_mortem.last_resort_checkpoint is not None
+    last_resort = excinfo.value.post_mortem.last_resort_checkpoint
+    assert last_resort is not None
     died_at = sim.step_index
+    if stored_list:
+        store_list_in_checkpoint(last_resort, sim.box)
 
     # Fresh driver, same config, no faults: autoresume from the guard's
     # last-resort file and finish the run.  Must match the uninterrupted
     # golden run bit for bit.
-    sim2 = _guarded(scenario, resilience=res, exec=exec_cfg)
+    sim2 = _guarded(scenario, resilience=res)
     sim2.run(n_steps=10 - died_at)
     assert sim2.step_index == 10
     assert sim2.time == golden_sim.time
@@ -502,12 +496,7 @@ def test_numerical_fault_in_x_is_what_the_next_evaluation_reads():
     evaluation's pair geometry is computed from: the pair-context run
     equals the context-free one, and differs from the unfaulted rates."""
     scenario = get_scenario("square-patch")
-    sims = [
-        scenario.make_simulation(
-            test=True, run_config=RunConfig(exec=ExecConfig(neighbor_cache=True))
-        )
-        for _ in range(2)
-    ]
+    sims = [scenario.make_simulation(test=True) for _ in range(2)]
     rho_clean = []
     for sim in sims:
         sim.run(n_steps=1)

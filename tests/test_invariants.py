@@ -28,6 +28,7 @@ from repro.sph.density import compute_density
 from repro.sph.forces import compute_forces
 from repro.sph.smoothing import SmoothingConfig, adapt_smoothing_lengths
 from repro.tree.box import Box
+from repro.tree.neighborlist import VerletNeighborCache
 
 KERNEL_NAMES = ("cubic-spline", "sinc-s5", "wendland-c2")
 
@@ -97,7 +98,7 @@ def _random_cloud(seed: int, n: int = 200) -> tuple[ParticleSystem, Box]:
 def test_pairwise_forces_conserve_momentum(gradients, seed):
     particles, box = _random_cloud(seed)
     nlist, _ = adapt_smoothing_lengths(
-        particles, box, SmoothingConfig(n_target=40)
+        particles, box, SmoothingConfig(n_target=40), VerletNeighborCache()
     )
     kernel = make_kernel("sinc-s5")
     compute_density(particles, nlist, kernel, box)

@@ -240,8 +240,8 @@ def test_v0_ledger_migrates_in_place(tmp_path):
 
 def test_pre_removal_ledger_row_reads_back_verbatim(tmp_path, capsys):
     """A row written before ``pair_engine``, the numba backend, the
-    online autotuner and the separate SDC monitor (``recovery``
-    ``sdc.*``) were removed still opens, reads back verbatim and prints
+    online autotuner, the separate SDC monitor (``recovery`` ``sdc.*``)
+    and the Verlet cache's knobs were removed still opens, reads back verbatim and prints
     through ``repro ledger`` — also from a migrated v0 file."""
     from repro.cli import main
 

@@ -335,9 +335,10 @@ def test_pop_from_events_agrees_with_cluster_metrics():
 
 def test_search_span_carries_the_tree_walk(monkeypatch):
     """Phase B times the neighbour walk and nests in C; C's self time
-    excludes it."""
+    excludes it (every evaluation builds its list: no cache hits)."""
     import time
 
+    from repro.tree.neighborlist import VerletNeighborCache
     from repro.tree.octree import Octree
 
     walk = Octree.walk_neighbors
@@ -351,10 +352,9 @@ def test_search_span_carries_the_tree_walk(monkeypatch):
             inside.append(time.perf_counter() - t0)
 
     monkeypatch.setattr(Octree, "walk_neighbors", timed)
+    monkeypatch.setattr(VerletNeighborCache, "lookup", lambda *a: None)
     particles, box, eos, config = _case()
-    sim = Simulation(particles, box, eos, config=config).configure(
-        exec=ExecConfig(neighbor_cache=False)
-    )
+    sim = Simulation(particles, box, eos, config=config)
     sim.run(n_steps=2)
     events = sim.tracer.events
     own = self_times(events)
@@ -413,12 +413,11 @@ def test_tracing_on_off_bitwise_parity():
 def test_configure_chains_and_rewires():
     particles, box, eos, config = _case()
     sim = Simulation(particles, box, eos, config=config).configure(
-        exec=ExecConfig(workers=0, neighbor_cache=True),
+        exec=ExecConfig(chunks_per_worker=2),
         observability=ObservabilityConfig(enabled=False),
     )
-    assert sim.run_config.exec.neighbor_cache
+    assert sim.run_config.exec.chunks_per_worker == 2
     assert isinstance(sim.tracer, NullTracer)
-    assert sim._ncache is not None
     sim.run(n_steps=1)
     with pytest.raises(RuntimeError, match="configure"):
         sim.configure(exec=ExecConfig(workers=0))
@@ -428,7 +427,7 @@ def test_configure_keeps_unspecified_sections():
     particles, box, eos, config = _case()
     sim = Simulation(particles, box, eos, config=config)
     before = sim.run_config.observability
-    sim.configure(exec=ExecConfig(workers=0, neighbor_cache=True))
+    sim.configure(exec=ExecConfig(chunks_per_worker=2))
     assert sim.run_config.observability is before
 
 
@@ -450,7 +449,6 @@ def test_report_sections_and_counters(tmp_path):
     sim = Simulation(
         particles, box, eos, config=config,
         run_config=RunConfig(
-            exec=ExecConfig(workers=0, neighbor_cache=True),
             resilience=ResilienceConfig(
                 checkpoint_dir=str(tmp_path), checkpoint_every=1,
                 autoresume=False,
@@ -461,7 +459,7 @@ def test_report_sections_and_counters(tmp_path):
     rep = sim.report()
     assert rep.steps == 2
     assert rep.n_particles == sim.particles.n
-    assert rep.neighbor_cache is not None and rep.neighbor_cache["builds"] >= 1
+    assert rep.neighbor_cache["builds"] >= 1
     assert rep.checkpoint is not None and rep.checkpoint["writes"] == 2
     assert rep.pop is not None and rep.pop.valid
     assert rep.counters["neighbor_cache.builds"] == rep.neighbor_cache["builds"]

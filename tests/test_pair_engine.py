@@ -44,7 +44,12 @@ from repro.sph.viscosity import ViscosityParams
 from repro.timestepping.steppers import TimestepParams
 from repro.tree.box import Box
 from repro.tree.cellgrid import cell_grid_search
-from repro.tree.neighborlist import NeighborList, balanced_row_slices, reduce_pairs
+from repro.tree.neighborlist import (
+    NeighborList,
+    VerletNeighborCache,
+    balanced_row_slices,
+    reduce_pairs,
+)
 from repro.tree.pairs import Pairs
 
 
@@ -300,7 +305,7 @@ def test_verlet_rebuild_invalidates_by_identity(monkeypatch):
     the list the driver holds: on a cache hit the cut of the very record
     the h iteration counted off, after a build the cut of a fresh record
     of the list cut from the searched one."""
-    sim = _patch_sim(ExecConfig(neighbor_cache=True))
+    sim = _patch_sim(ExecConfig())
     capture = _Capture(sim, monkeypatch)
     sweeps, cut_of = [], {}
     real_adapt, real_support = simulation.adapt_from_cached_list, Pairs.support
@@ -399,24 +404,28 @@ def test_support_record_masks_geometry(rng, geometry_calls):
 # ----------------------------------------------------------------------
 # Driver integration
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("cache", [False, True], ids=["fresh", "verlet"])
-def test_phases_match_standalone_bitwise(cache, monkeypatch):
+@pytest.mark.parametrize("hit", [False, True], ids=["fresh", "verlet"])
+def test_phases_match_standalone_bitwise(hit, monkeypatch):
     """Each numpy phase returns the same bits reading the evaluation's
     record of the support cut (with whatever the evaluation's phases
     computed on it) as making its own with ``pairs=None`` — over the cut,
-    and over the padded list the driver holds: per phase, the cut is
+    and over the padded list the driver holds, whether the evaluation
+    built that list fresh or hit the Verlet cache: per phase, the cut is
     bitwise neutral."""
-    sim = _patch_sim(ExecConfig(neighbor_cache=cache))
+    sim = _patch_sim(ExecConfig())
     try:
         sim.run(n_steps=1)
+        if not hit:
+            sim._ncache.invalidate()
+        builds = sim.report().neighbor_cache["builds"]
         capture = _Capture(sim, monkeypatch)
         sim.compute_rates()
     finally:
         sim.close()
+    assert sim.report().neighbor_cache["builds"] == builds + (not hit)
     (pairs, nlist, cut), = capture.seen
     assert pairs is not None and _same_list(pairs.nlist, cut)
-    if cache:
-        assert pairs.nlist.n_pairs < nlist.n_pairs
+    assert pairs.nlist.n_pairs < nlist.n_pairs
     p, kernel, box = sim.particles, sim.kernel, sim.box
 
     def runs(fn, **options):
@@ -453,7 +462,7 @@ def test_cache_hit_evaluation_computes_geometry_once(workers, geometry_calls):
     """On a Verlet-cache hit the numpy h iteration, the support cut and
     every phase read one geometry pass over the padded list, threaded or
     not: the cut masks it and each slice's record slices the cut's."""
-    sim = _patch_sim(ExecConfig(neighbor_cache=True, workers=workers))
+    sim = _patch_sim(ExecConfig(workers=workers))
     hit_steps = 0
     try:
         sim.run(n_steps=1)
@@ -472,16 +481,19 @@ def test_cache_hit_evaluation_computes_geometry_once(workers, geometry_calls):
 
 
 @pytest.mark.parametrize("workers", [1, 2, 4])
-@pytest.mark.parametrize("cache", [False, True], ids=["fresh", "verlet"])
-def test_pool_engine_parity(workers, cache):
-    ref, ref_dts, _ = _run_sim(ExecConfig(neighbor_cache=cache), n_steps=2)
-    got, dts, _ = _run_sim(
-        ExecConfig(workers=workers, neighbor_cache=cache), n_steps=2
-    )
+@pytest.mark.parametrize("hits", [False, True], ids=["fresh", "verlet"])
+def test_pool_engine_parity(workers, hits, monkeypatch):
+    """Threads give the serial bits, with every evaluation building its
+    list fresh (the Verlet cache never hit) or the cache hitting."""
+    if not hits:
+        monkeypatch.setattr(VerletNeighborCache, "lookup", lambda *a: None)
+    ref, ref_dts, _ = _run_sim(ExecConfig(), n_steps=2)
+    got, dts, sim = _run_sim(ExecConfig(workers=workers), n_steps=2)
+    assert (sim.report().neighbor_cache["hits"] > 0) == hits
     assert dts == ref_dts
     for name in FIELDS:
         assert np.array_equal(got[name], ref[name]), (
-            f"workers={workers} cache={cache}: field {name!r}"
+            f"workers={workers} hits={hits}: field {name!r}"
         )
 
 
@@ -514,7 +526,7 @@ def _broken(*args, **kwargs):
 def test_evaluation_closes_on_raise(monkeypatch):
     """A slice of a threaded phase raises: the evaluation's records go
     with the raise, the particles are untouched."""
-    sim = _patch_sim(ExecConfig(neighbor_cache=True, workers=2))
+    sim = _patch_sim(ExecConfig(workers=2))
     try:
         sim.run(n_steps=1)
         state = {name: getattr(sim.particles, name).copy() for name in FIELDS}
@@ -530,10 +542,7 @@ def test_evaluation_closes_on_raise(monkeypatch):
 
 
 def test_exception_inside_a_phase_closes_the_evaluation(monkeypatch):
-    run_config = RunConfig(exec=ExecConfig(neighbor_cache=True))
-    sim, ref = (
-        _patch_sim(run_config.exec, layers=4), _patch_sim(run_config.exec, layers=4)
-    )
+    sim, ref = _patch_sim(ExecConfig(), layers=4), _patch_sim(ExecConfig(), layers=4)
 
     for s in (sim, ref):
         s.compute_rates()
@@ -580,7 +589,7 @@ def test_compiled_ops_per_cache_hit_step(config_kw, phase_ops, rp_calls):
     or kept."""
     if not available_backends()["cffi"]:
         pytest.skip("no C toolchain on this host")
-    sim = _patch_sim(ExecConfig(backend="cffi", neighbor_cache=True), **config_kw)
+    sim = _patch_sim(ExecConfig(backend="cffi"), **config_kw)
     # Step 0 of a cold run: two evaluations, the first of which builds.
     sim.run(n_steps=1)
     cold = sim.report().neighbor_cache
@@ -621,9 +630,7 @@ def test_compiled_path_keeps_nothing_per_pair_but_the_list(backend, workers):
     only per-pair state that outlives an evaluation."""
     if backend == "cffi" and not available_backends()["cffi"]:
         pytest.skip("no C toolchain on this host")
-    sim = _patch_sim(
-        ExecConfig(backend=backend, neighbor_cache=True, workers=workers)
-    )
+    sim = _patch_sim(ExecConfig(backend=backend, workers=workers))
     try:
         sim.run(n_steps=2)
         stats = sim.report().neighbor_cache

@@ -236,14 +236,13 @@ def test_the_h_iteration_emits_the_lower_half_of_the_cut(config, rng):
                        h=np.full(400, 0.13))
     kernel = make_kernel("m4")
     b = select_backend("cffi")
-    cache = VerletNeighborCache(skin=0.2)
+    cache = VerletNeighborCache()
 
     def search(x, radii, box, mode):
         return cell_grid_search(x, radii, box, mode=mode)
 
     nlist, cut = adapt_smoothing_lengths(
-        p, box, config, search=search, cache=cache, backend=b,
-        support=kernel.support,
+        p, box, config, cache, search=search, backend=b, support=kernel.support,
     )
     _assert_same_list(cut, _lower(support_cut(p, nlist, kernel, box)[0]))
 

@@ -229,8 +229,9 @@ def test_more_slices_than_cores_keep_parity(backend, rp_calls):
     def filter_threads():
         return [t for name, t in rp_calls if name == "rp_adapt"]
 
-    cached = dict(backend=backend, neighbor_cache=True)
-    ref_state, ref_extras = _run("square-patch", ExecConfig(**cached), n_steps=3)
+    ref_state, ref_extras = _run(
+        "square-patch", ExecConfig(backend=backend), n_steps=3
+    )
     serial_lists = len(filter_threads())
     del rp_calls[:]
     interval = sys.getswitchinterval()
@@ -238,7 +239,7 @@ def test_more_slices_than_cores_keep_parity(backend, rp_calls):
     try:
         state, extras = _run(
             "square-patch",
-            ExecConfig(workers=3, chunks_per_worker=30, **cached),
+            ExecConfig(workers=3, chunks_per_worker=30, backend=backend),
             n_steps=3,
         )
     finally:
@@ -376,8 +377,6 @@ def test_dropped_simulation_takes_its_threads_along():
 def test_exec_config_validation():
     with pytest.raises(ValueError):
         ExecConfig(workers=-1)
-    with pytest.raises(ValueError):
-        ExecConfig(cache_skin=0.0)
     with pytest.raises(ValueError):
         ExecConfig(chunks_per_worker=0)
     assert not ExecConfig().parallel_enabled

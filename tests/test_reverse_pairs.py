@@ -220,7 +220,7 @@ def test_every_iteration_prefix_ends_on_the_bincount_h(max_iterations, layout, s
     x = _points(layout, dim, 7)
     box = Box.cube(0.0, 1.0, dim=dim, periodic=True)
     h = _radii(layout, dim, 7, spacings)
-    cache = VerletNeighborCache(skin=0.3)
+    cache = VerletNeighborCache()
     # Built for a larger h: every iterate stays inside the budget.
     cache.store(cell_grid_search(x, cache.search_factor * 1.5 * h, box, mode="symmetric"),
                 x, 1.5 * h)

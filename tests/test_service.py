@@ -63,6 +63,20 @@ def test_content_hash_covers_result_affecting_knobs():
         assert variation.content_hash(code_version="pinned") != base
 
 
+def test_content_hash_covers_the_resolved_neighbour_count():
+    """The key hashes the ``n_neighbors`` the run resolves to: the
+    scenario's default spelled out is the same job, another value is not."""
+    from repro.scenarios import get_scenario
+
+    default = get_scenario("sod").sim_config.n_neighbors
+    base = tiny_spec().content_hash(code_version="pinned")
+    spelled = tiny_spec(n_neighbors=default)
+    assert spelled.sim_config() == tiny_spec().sim_config()
+    assert spelled.content_hash(code_version="pinned") == base
+    other = tiny_spec(n_neighbors=default + 1)
+    assert other.content_hash(code_version="pinned") != base
+
+
 def test_content_hash_ignores_execution_neutral_knobs():
     base = tiny_spec().content_hash(code_version="pinned")
     assert tiny_spec(workers=2).content_hash(code_version="pinned") == base
@@ -109,8 +123,6 @@ def test_spec_rejects_unknown_scenario_and_override():
 def test_spec_rejects_malformed_exec_knobs_before_enqueue():
     """The execution knobs are checked by the ``ExecConfig`` the job
     would run with, at construction — not inside the job."""
-    with pytest.raises(SpecError, match="cache_skin"):
-        JobSpec("sod", cache_skin=2.0)
     with pytest.raises(SpecError, match="chunks_per_worker"):
         JobSpec("sod", chunks_per_worker=0)
     with pytest.raises(SpecError, match="workers"):

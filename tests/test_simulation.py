@@ -90,8 +90,6 @@ def test_gravity_phase_empty_without_gravity():
 
 
 def test_rate_evaluation_searches_once_and_builds_the_tree_on_demand(monkeypatch):
-    from repro.core.config import RunConfig
-    from repro.core.config import ExecConfig
     from repro.tree.octree import Octree
 
     tree_builds = []
@@ -105,10 +103,7 @@ def test_rate_evaluation_searches_once_and_builds_the_tree_on_demand(monkeypatch
         n_neighbors=30,
         timestep_params=TimestepParams(use_energy_criterion=False),
     )
-    sim = Simulation(
-        particles, box, eos, config=config,
-        run_config=RunConfig(exec=ExecConfig(neighbor_cache=True)),
-    )
+    sim = Simulation(particles, box, eos, config=config)
     sim.compute_rates()  # cold: one build of the list
     cache = sim.report().neighbor_cache
     assert cache["builds"] == 1

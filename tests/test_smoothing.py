@@ -57,7 +57,7 @@ def test_adaptation_stops_every_particle_by_its_rule_on_lattice(small_lattice):
     box = Box.cube(0.0, 1.0, dim=3, periodic=True)
     cfg = SmoothingConfig(n_target=40, tolerance=0.25, max_iterations=15)
     small_lattice.h[:] = 0.05  # deliberately too small: one neighbour
-    nl, _ = adapt_smoothing_lengths(small_lattice, box, cfg)
+    nl, _ = adapt_smoothing_lengths(small_lattice, box, cfg, VerletNeighborCache())
     h = small_lattice.h
     i, _ = nl.pairs()
     _, r = nl.pair_geometry(small_lattice.x, box)
@@ -78,7 +78,9 @@ def test_adaptation_with_tree_walk_search(small_lattice):
         return tree.walk_neighbors(x, radii, mode=mode)
 
     cfg = SmoothingConfig(n_target=30, tolerance=0.3)
-    nl, _ = adapt_smoothing_lengths(small_lattice, box, cfg, search=search)
+    nl, _ = adapt_smoothing_lengths(
+        small_lattice, box, cfg, VerletNeighborCache(), search=search
+    )
     assert nl.n == small_lattice.n
     assert nl.n_pairs > 0
 
@@ -93,7 +95,7 @@ def test_config_validation():
 def test_h_bounds_respected(small_lattice):
     box = Box.cube(0.0, 1.0, dim=3, periodic=True)
     cfg = SmoothingConfig(n_target=500, tolerance=0.05, h_max=0.2, max_iterations=8)
-    adapt_smoothing_lengths(small_lattice, box, cfg)
+    adapt_smoothing_lengths(small_lattice, box, cfg, VerletNeighborCache())
     assert np.all(small_lattice.h <= 0.2 + 1e-12)
 
 
@@ -181,7 +183,6 @@ build_cases = st.fixed_dictionaries(
         "layout": st.sampled_from(["lattice", "random"]),
         "seed": st.integers(0, 2**16),
         "path": st.sampled_from(["tree", "tree-raw", "grid"]),
-        "cached": st.booleans(),
         "compiled": st.booleans(),
     }
 )
@@ -211,21 +212,21 @@ def test_built_list_is_the_fresh_search_at_final_h(
     backend = select_backend("auto") if case["compiled"] else None
     ops = backend.ops if backend is not None else None
     search = _searches(x, box, ops)[case["path"]]
-    cache = VerletNeighborCache(skin=0.3) if case["cached"] else None
+    cache = VerletNeighborCache()
     cfg = SmoothingConfig(
         n_target=_TARGETS[dim], tolerance=tolerance, max_iterations=max_iterations
     )
 
     built, _ = adapt_smoothing_lengths(
-        p, box, cfg, search=search, cache=cache, backend=backend
+        p, box, cfg, cache, search=search, backend=backend
     )
-    factor = cache.search_factor if cache is not None else 2.0
-    fresh = _searches(x, box, ops)["tree"](p.x, factor * p.h, box, "symmetric")
+    fresh = _searches(x, box, ops)["tree"](
+        p.x, cache.search_factor * p.h, box, "symmetric"
+    )
     assert np.array_equal(built.offsets, fresh.offsets)
     assert np.array_equal(built.indices, fresh.indices)
-    if cache is not None:
-        assert cache.lookup(p.x, p.h, box) is built
-        assert np.array_equal(cache.h_ref, p.h)
+    assert cache.lookup(p.x, p.h, box) is built
+    assert np.array_equal(cache.h_ref, p.h)
 
 
 @given(
@@ -244,16 +245,17 @@ def test_h_trajectory_equals_per_sweep_search_oracle(
     # "auto" degrades to numpy (ops None) where nothing compiles.
     backend = select_backend("auto") if case["compiled"] else None
     search = _searches(x, box, backend.ops if backend else None)[case["path"]]
-    cache = VerletNeighborCache(skin=0.3) if case["cached"] else None
-    factor = cache.search_factor if cache is not None else 2.0
+    cache = VerletNeighborCache()
     cfg = SmoothingConfig(
         n_target=_TARGETS[dim], tolerance=0.05, max_iterations=max_iterations
     )
 
     p = _particles(x, h_over_spacing / _SIDES[dim])
-    adapt_smoothing_lengths(p, box, cfg, search=search, cache=cache, backend=backend)
+    adapt_smoothing_lengths(p, box, cfg, cache, search=search, backend=backend)
     ref = _particles(x, h_over_spacing / _SIDES[dim])
-    _oracle_adapt(ref, box, cfg, _searches(x, box)[case["path"]], factor)
+    _oracle_adapt(
+        ref, box, cfg, _searches(x, box)[case["path"]], cache.search_factor
+    )
     assert np.array_equal(p.h, ref.h)
 
 
@@ -272,21 +274,23 @@ def test_build_costs_one_search_and_out_growing_it_one_more(rng):
     box = Box.cube(0.0, 1.0, dim=3, periodic=True)
     cfg = SmoothingConfig(n_target=40, tolerance=0.05)
     search, calls = _counting(_searches(x, box)["tree"])
+    cache = VerletNeighborCache()
+    factor = cache.search_factor
 
     # Every search is padded by GROWTH_PAD, a run's first too.  Inflated
     # h only shrinks: every sweep counts off the one list.
     p = _particles(x, 0.16)
-    adapt_smoothing_lengths(p, box, cfg, search=search)
+    adapt_smoothing_lengths(p, box, cfg, cache, search=search)
     assert len(calls) == 1
-    assert np.array_equal(calls[0], 2.0 * (np.full(600, 0.16) * GROWTH_PAD))
+    assert np.array_equal(calls[0], factor * (np.full(600, 0.16) * GROWTH_PAD))
     h_final = p.h.copy()
 
     # A few per cent of growth costs exactly that one search.
     calls.clear()
     p.h[:] = 0.95 * h_final
-    adapt_smoothing_lengths(p, box, cfg, search=search)
+    adapt_smoothing_lengths(p, box, cfg, cache, search=search)
     assert len(calls) == 1
-    assert np.array_equal(calls[0], 2.0 * (0.95 * h_final * GROWTH_PAD))
+    assert np.array_equal(calls[0], factor * (0.95 * h_final * GROWTH_PAD))
 
     # Out-growing the pad costs exactly one more, from the iterates where
     # the rows stopped: a row still running is padded by the growth it
@@ -299,14 +303,14 @@ def test_build_costs_one_search_and_out_growing_it_one_more(rng):
         seen.append((radii.copy(), p.h.copy()))
         return search(x_, radii, box_, mode)
 
-    adapt_smoothing_lengths(p, box, cfg, search=watched)
+    adapt_smoothing_lengths(p, box, cfg, cache, search=watched)
     assert len(seen) == 2
     radii, h = seen[1]
     grown = h > start * GROWTH_PAD
     assert grown.any() and not grown.all()
-    assert np.array_equal(radii[~grown], 2.0 * (h * GROWTH_PAD)[~grown])
+    assert np.array_equal(radii[~grown], factor * (h * GROWTH_PAD)[~grown])
     assert np.array_equal(
-        radii[grown], 2.0 * (h * GROWTH_PAD * (h / start))[grown]
+        radii[grown], factor * (h * GROWTH_PAD * (h / start))[grown]
     )
 
 
@@ -316,9 +320,9 @@ def test_cached_list_out_grown_mid_iteration_rebuilds_in_place(rng):
     box = Box.cube(0.0, 1.0, dim=3, periodic=True)
     cfg = SmoothingConfig(n_target=40, tolerance=0.05)
     p = _particles(x, 0.12)
-    cache = VerletNeighborCache(skin=0.3)
+    cache = VerletNeighborCache()
     search, calls = _counting(_searches(x, box)["tree"])
-    adapt_smoothing_lengths(p, box, cfg, search=search, cache=cache)
+    adapt_smoothing_lengths(p, box, cfg, cache, search=search)
     assert (cache.stats.builds, cache.stats.searches) == (1, len(calls))
 
     # Within the budget: the cached list comes back untouched, no search.
@@ -358,8 +362,8 @@ def _clustered(dim, seed):
 
 
 def _adapt_twice(case, compiled):
-    """A build, then (cached) a second adaptation off the cached list
-    towards ``grow`` times the target; ``(h, h, stats, lists, searches)``."""
+    """A build, then a second adaptation off the cached list towards
+    ``grow`` times the target; ``(h, h, stats, lists, searches)``."""
     dim = case["dim"]
     if case["layout"] == "clustered":
         x = _clustered(dim, case["seed"])
@@ -369,27 +373,25 @@ def _adapt_twice(case, compiled):
     backend = select_backend("cffi") if compiled else None
     ops = backend.ops if backend is not None else None
     search, calls = _counting(_searches(x, box, ops)["tree-raw" if compiled else "tree"])
-    cache = VerletNeighborCache(skin=0.3) if case["cached"] else None
+    cache = VerletNeighborCache()
     cfg = SmoothingConfig(
         n_target=_TARGETS[dim], tolerance=case["tolerance"],
         max_iterations=case["max_iterations"],
     )
     p = _particles(x, case["h_over_spacing"] / _SIDES[dim])
     first, _ = adapt_smoothing_lengths(
-        p, box, cfg, search=search, cache=cache, backend=backend
+        p, box, cfg, cache, search=search, backend=backend
     )
     h_first = p.h.copy()
-    second = None
-    if cache is not None:
-        grown = SmoothingConfig(
-            n_target=case["grow"] * _TARGETS[dim], tolerance=case["tolerance"],
-            max_iterations=case["max_iterations"],
-        )
-        second, _ = adapt_from_cached_list(
-            p, cache.lookup(p.x, p.h, box), box, grown, cache,
-            search=search, backend=backend,
-        )
-    return h_first, p.h, cache.stats if cache else None, (first, second), calls
+    grown = SmoothingConfig(
+        n_target=case["grow"] * _TARGETS[dim], tolerance=case["tolerance"],
+        max_iterations=case["max_iterations"],
+    )
+    second, _ = adapt_from_cached_list(
+        p, cache.lookup(p.x, p.h, box), box, grown, cache,
+        search=search, backend=backend,
+    )
+    return h_first, p.h, cache.stats, (first, second), calls
 
 
 fused_cases = st.fixed_dictionaries(
@@ -398,7 +400,6 @@ fused_cases = st.fixed_dictionaries(
         "periodic": st.booleans(),
         "layout": st.sampled_from(["lattice", "random", "clustered"]),
         "seed": st.integers(0, 2**16),
-        "cached": st.booleans(),
         # Whole and half lattice spacings put shells of pairs on the count
         # radius (ties); small and large values force growth and shrinkage.
         "h_over_spacing": st.sampled_from([0.5, 0.8, 1.0, 1.37, 2.0]),
@@ -428,20 +429,19 @@ def _assert_lists_are_fresh_searches(case, h1, h2, lists):
     else:
         x = _points(case["layout"], dim, _SIDES[dim], case["seed"])
     box = Box.cube(0.0, 1.0, dim=dim, periodic=case["periodic"])
-    factor = VerletNeighborCache(skin=0.3).search_factor if case["cached"] else 2.0
+    factor = VerletNeighborCache().search_factor
     search = _searches(x, box)["tree"]
     first, second = lists
     fresh = search(x, factor * h1, box, "symmetric")
     assert np.array_equal(first.offsets, fresh.offsets)
     assert np.array_equal(first.indices, fresh.indices)
-    if second is not None:
-        radius = (factor if second is not first else 2.0) * h2
-        fresh = search(x, radius, box, "symmetric")
-        kept = second.within(x, radius, box)
-        assert np.array_equal(kept.offsets, fresh.offsets)
-        assert np.array_equal(kept.indices, fresh.indices)
-        if second is not first:
-            assert np.array_equal(second.indices, fresh.indices)
+    radius = (factor if second is not first else 2.0) * h2
+    fresh = search(x, radius, box, "symmetric")
+    kept = second.within(x, radius, box)
+    assert np.array_equal(kept.offsets, fresh.offsets)
+    assert np.array_equal(kept.indices, fresh.indices)
+    if second is not first:
+        assert np.array_equal(second.indices, fresh.indices)
 
 
 def _assert_fused_equals_numpy(case):
@@ -453,13 +453,10 @@ def _assert_fused_equals_numpy(case):
     for radii, ref_radii in zip(calls, ref_calls):
         assert np.array_equal(radii, ref_radii)
     for got, ref in zip(lists, ref_lists):
-        assert (got is None) == (ref is None)
-        if got is not None:
-            assert np.array_equal(got.offsets, ref.offsets)
-            assert np.array_equal(got.indices, ref.indices)
-    if stats is not None:
-        for name in _STATS:
-            assert getattr(stats, name) == getattr(ref_stats, name), name
+        assert np.array_equal(got.offsets, ref.offsets)
+        assert np.array_equal(got.indices, ref.indices)
+    for name in _STATS:
+        assert getattr(stats, name) == getattr(ref_stats, name), name
     return stats
 
 
@@ -499,7 +496,7 @@ def test_fused_h_iteration_equals_the_numpy_sweep_loop(case):
 )
 def test_fused_h_iteration_takes_every_exit(overrides, sweeps, within, searches):
     case = dict(
-        dim=3, periodic=True, layout="random", seed=7, cached=True,
+        dim=3, periodic=True, layout="random", seed=7,
         h_over_spacing=0.8, tolerance=0.05, max_iterations=10, grow=1,
     )
     case.update(overrides)
@@ -513,7 +510,7 @@ def test_fused_h_iteration_takes_every_exit(overrides, sweeps, within, searches)
 @needs_cffi
 def test_fused_h_iteration_serves_rows_longer_than_any_fixed_buffer():
     case = dict(
-        dim=3, periodic=False, layout="clustered", seed=3, cached=True,
+        dim=3, periodic=False, layout="clustered", seed=3,
         h_over_spacing=0.8, tolerance=0.05, max_iterations=10, grow=1,
     )
     _, _, _, (first, _), _ = _adapt_twice(case, compiled=True)

@@ -12,8 +12,9 @@ numpy ``Pairs.support``.
 * bitwise neutrality — a numpy run whose phases read the padded list
   instead of the cut ends on the same bits and the same ``dt`` sequence,
   through list builds and cache hits, in 1-D, 2-D and 3-D;
-* the Verlet cache is bitwise neutral on numpy — cache on and cache off
-  give the same ``result_digest``.
+* the Verlet cache is bitwise neutral on numpy — a run ends on the
+  ``result_digest`` pinned when the cache could still be switched off
+  and both settings gave it.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from repro.service.runner import build_simulation
 from repro.service.spec import JobSpec
 from repro.sph.smoothing import SmoothingConfig
 from repro.tree.box import Box
+from repro.tree import neighborlist
 from repro.tree.cellgrid import cell_grid_search
 from repro.tree.pairs import Pairs, support_cut
 
@@ -94,11 +96,9 @@ FIELDS = ("x", "v", "h", "rho", "u", "p", "a", "du")
 def test_phases_over_padded_list_give_the_same_bits(scenario, overrides, monkeypatch):
     """A cut that keeps every pair (``Pairs.support`` returns the padded
     list's record unchanged) leaves every field and every ``dt`` as they
-    are, through list builds and cache hits."""
-    spec = JobSpec(
-        scenario, overrides=overrides, preset="sph-exa",
-        neighbor_cache=True, cache_skin=0.1,
-    )
+    are, through list builds and cache hits (a thin skin forces both)."""
+    monkeypatch.setattr(neighborlist, "SKIN", 0.1)
+    spec = JobSpec(scenario, overrides=overrides, preset="sph-exa")
 
     def run():
         sim, _ = build_simulation(spec)
@@ -141,15 +141,13 @@ def _pinned(*cases):
     ),
 )
 def test_verlet_cache_is_bitwise_neutral_on_numpy(scenario, overrides, digest):
-    """Ten ``sph-exa`` steps with the Verlet cache on and off end on the
-    same bits: the h iteration counts exactly off the cached list, rows
+    """Ten ``sph-exa`` steps end on the digest pinned with the Verlet cache
+    off and on: the h iteration counts exactly off the cached list, rows
     are canonical either way, and the padding is cut before the phases."""
-    for cache in (False, True):
-        outcome = api.run(JobSpec(
-            scenario, overrides=overrides, n_steps=10, preset="sph-exa",
-            neighbor_cache=cache, cache_skin=0.3,
-        ))
-        assert outcome.result_digest[:12] == digest, f"neighbor_cache={cache}"
+    outcome = api.run(JobSpec(
+        scenario, overrides=overrides, n_steps=10, preset="sph-exa"
+    ))
+    assert outcome.result_digest[:12] == digest
 
 
 @pytest.mark.parametrize(
@@ -164,10 +162,9 @@ def test_verlet_cache_is_bitwise_neutral_on_numpy(scenario, overrides, digest):
 def test_standard_gradient_path_is_pinned_on_numpy(scenario, overrides, digest):
     """The ``changa`` preset runs the standard kernel gradients (``sph-exa``
     runs IAD only), so these digests pin ``grad_j`` end to end — read off
-    the reverse pair on whole-list records — with the cache on and off."""
-    for cache in (False, True):
-        outcome = api.run(JobSpec(
-            scenario, overrides=overrides, n_steps=10, preset="changa",
-            neighbor_cache=cache, cache_skin=0.3,
-        ))
-        assert outcome.result_digest[:12] == digest, f"neighbor_cache={cache}"
+    the reverse pair on whole-list records (pinned with the cache off and
+    on)."""
+    outcome = api.run(JobSpec(
+        scenario, overrides=overrides, n_steps=10, preset="changa"
+    ))
+    assert outcome.result_digest[:12] == digest
