@@ -154,9 +154,6 @@ class ExecConfig:
         serial ones for any value; ``workers=1`` still exercises the
         whole slice machinery (useful for parity testing), a speedup
         needs more than one core.
-    chunks_per_worker:
-        Row slices per thread per phase (more slices smooth load
-        imbalance at slightly higher dispatch cost).
     backend:
         Execution backend for the SPH pair loops, the tree walk and
         gravity: ``"numpy"`` (default, the vectorized reference),
@@ -167,7 +164,6 @@ class ExecConfig:
     """
 
     workers: int = 0
-    chunks_per_worker: int = 1
     backend: str = "numpy"
 
     def __post_init__(self) -> None:
@@ -178,14 +174,6 @@ class ExecConfig:
                 f"unknown backend {self.backend!r}: backend must be one of "
                 f"{', '.join(BACKEND_CHOICES)}"
             )
-        if self.chunks_per_worker < 1:
-            raise ValueError(
-                f"chunks_per_worker must be >= 1, got {self.chunks_per_worker}"
-            )
-
-    @property
-    def parallel_enabled(self) -> bool:
-        return self.workers >= 1
 
 
 @dataclass(frozen=True)

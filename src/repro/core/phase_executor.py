@@ -5,15 +5,15 @@ matrices of its pass on request, ``forces`` and ``gravity``) — the seam
 ``Simulation.compute_rates`` calls each phase through.  With ``workers
 == 0`` an entry point opens the phase span and calls the phase function
 once with the evaluation's pair record.  With
-``workers >= 1`` it cuts the query rows into ``workers *
-chunks_per_worker`` pair-balanced slices (gravity: particle-balanced
-slices of the target leaves) and runs the *same* phase function per
-slice (``rows=(lo, hi)`` / ``target_leaves=``) on threads that share the
+``workers >= 1`` it cuts the query rows into ``workers`` pair-balanced
+slices (gravity: particle-balanced slices of the target leaves) and runs
+the *same* phase function per slice (``rows=(lo, hi)`` /
+``target_leaves=``), one slice per thread, on threads that share the
 particle arrays — the paper's node-level model.  The compiled ops and
 numpy's ufuncs release the interpreter lock, a slice writes only its own
 ``out[lo:hi]``, and every row is reduced in the same order as in the
-single call, so any ``workers`` / ``chunks_per_worker`` reproduces the
-serial result bit for bit.
+single call, so any ``workers`` reproduces the serial result bit for
+bit.
 
 Nothing crosses a process boundary: slices read the driver's live
 backend, kernel and box (never copies, so
@@ -57,10 +57,9 @@ class PhaseExecutor:
     takes its executor — and with it the idle threads — along.
     """
 
-    def __init__(self, sim, workers: int = 0, chunks_per_worker: int = 1) -> None:
+    def __init__(self, sim, workers: int = 0) -> None:
         self._sim = weakref.proxy(sim)
         self.workers = workers
-        self.n_slices = workers * chunks_per_worker
         self._pool = None
 
     def close(self) -> None:
@@ -70,7 +69,7 @@ class PhaseExecutor:
             self._pool = None
 
     def _span(self, phase: str, state: State = State.USEFUL):
-        return self._sim.tracer.phase(phase, state, self._sim.rank)
+        return self._sim.tracer.phase(phase, state)
 
     def _once(self, phase: str, fn, *pair_args, **options):
         """``workers == 0``: one call, on the evaluation's pair record."""
@@ -79,41 +78,35 @@ class PhaseExecutor:
 
     def _fan_out(self, kind: str, phase: str, slices: list, fn) -> list:
         """``[fn(k, lo, hi) for k, (lo, hi) in enumerate(slices)]`` on the
-        threads: slice ``k`` runs on lane ``k % workers``, each lane in
-        ascending ``k`` and timing its slices.  The driver records those
-        spans after the join, in slice order, on thread row ``lane + 1``
-        — the tracer is only ever written from the driver thread.
+        threads, one slice per thread, each timing its slice.  The driver
+        records those spans after the join, in slice order, on thread row
+        ``k + 1`` — the tracer is only ever written from the driver thread.
         """
-        workers = self.workers
         if self._pool is None:
             # The threads start here — on the first fan-out of the
             # process that runs the simulation, never at import or
             # construction (service workers fork before this point).
             from concurrent.futures import ThreadPoolExecutor
 
-            self._pool = ThreadPoolExecutor(workers, thread_name_prefix="repro-phase")
+            self._pool = ThreadPoolExecutor(
+                self.workers, thread_name_prefix="repro-phase"
+            )
 
-        def lane(slot: int) -> list:
-            timed = []
-            for k in range(slot, len(slices), workers):
-                t0 = time.perf_counter()
-                try:
-                    out = fn(k, *slices[k])
-                except Exception as exc:  # re-raised by the driver below
-                    out = exc
-                timed.append((t0, time.perf_counter() - t0, out))
-            return timed
+        def timed(k: int):
+            t0 = time.perf_counter()
+            try:
+                out = fn(k, *slices[k])
+            except Exception as exc:  # re-raised by the driver below
+                out = exc
+            return t0, time.perf_counter() - t0, out
 
-        done: list = [None] * len(slices)
-        lanes = self._pool.map(lane, range(min(workers, len(slices))))
-        for slot, timed in enumerate(lanes):
-            done[slot::workers] = timed
-        sim = self._sim
+        done = list(self._pool.map(timed, range(len(slices))))
+        tracer = self._sim.tracer
         for k, (t0, dur, _) in enumerate(done):
             lo, hi = slices[k]
-            sim.tracer.record_span(
-                phase, State.USEFUL, t0, dur, rank=sim.rank,
-                thread=k % workers + 1, label=f"{kind}[{lo}:{hi})",
+            tracer.record_span(
+                phase, State.USEFUL, t0, dur, thread=k + 1,
+                label=f"{kind}[{lo}:{hi})",
             )
         results = [out for *_, out in done]
         for out in results:
@@ -135,7 +128,7 @@ class PhaseExecutor:
         sim = self._sim
         backend = sim.backend
         kernel.sigma(particles.dim)
-        slices = balanced_row_slices(nlist.offsets, self.n_slices)
+        slices = balanced_row_slices(nlist.offsets, self.workers)
         records = [None if pairs is None else pairs.rows(*s) for s in slices]
 
         def run(kind, fn, outs, parts=lambda res: (res,), source=particles,
@@ -246,7 +239,7 @@ class PhaseExecutor:
                 return part
 
             parts = self._fan_out(
-                "gravity", phase, balanced_row_slices(offsets, self.n_slices), one
+                "gravity", phase, balanced_row_slices(offsets, self.workers), one
             )
         return GravityResult(
             acc=acc, phi=phi,

@@ -25,7 +25,7 @@ import numpy as np
 from ..backend import select_backend
 from ..backend.base import backend_ops
 from ..kernels.registry import make_kernel
-from ..observability.tracer import State, Tracer, make_tracer
+from ..observability.tracer import make_tracer
 from ..sph.eos import EquationOfState
 from ..sph.smoothing import (
     SmoothingConfig,
@@ -100,18 +100,17 @@ class Simulation:
     g_const:
         Gravitational constant (1 in Evrard units); ignored when the
         config has gravity disabled.
-    tracer:
-        Optional shared tracer; by default a private one is created from
-        ``run_config.observability`` (a recording
-        :class:`~repro.observability.tracer.Tracer` when enabled, the
-        no-op :class:`~repro.observability.tracer.NullTracer` otherwise).
     run_config:
         :class:`~repro.core.config.RunConfig` aggregating the execution
         environment: backend and phase threads (``exec``),
         checkpointing (``resilience``) and span tracing
-        (``observability``).  ``None`` means the all-defaults config —
-        serial, checkpoint-free, tracing on.  Prefer :meth:`configure`
-        over building one by hand.
+        (``observability``; the driver makes its own ``tracer`` from
+        it: a recording :class:`~repro.observability.tracer.Tracer`
+        when enabled, the no-op
+        :class:`~repro.observability.tracer.NullTracer` otherwise).
+        ``None`` means the all-defaults config — serial,
+        checkpoint-free, tracing on.  Prefer :meth:`configure` over
+        building one by hand.
     """
 
     particles: ParticleSystem
@@ -119,8 +118,6 @@ class Simulation:
     eos: EquationOfState
     config: SimulationConfig = field(default_factory=SimulationConfig)
     g_const: float = 1.0
-    tracer: Optional[Tracer] = None
-    rank: int = 0
     run_config: Optional[RunConfig] = None
     #: Registry name of the workload this driver runs (ledger key; set
     #: by :meth:`repro.scenarios.registry.Scenario.make_simulation` and
@@ -139,7 +136,6 @@ class Simulation:
             from ..observability.ledger import new_run_id
 
             self.run_id = new_run_id(self.scenario or self.config.label)
-        self._owns_tracer = self.tracer is None
         self.kernel = make_kernel(self.config.kernel)
         self.time = 0.0
         self.step_index = 0
@@ -182,8 +178,7 @@ class Simulation:
         previous wiring are joined first.
         """
         run = self.run_config
-        if self._owns_tracer:
-            self.tracer = make_tracer(run.observability)
+        self.tracer = make_tracer(run.observability)
         exec_cfg = run.exec
         # The request resolves here (warn-once fallback to numpy when a
         # named compiled backend is unavailable); every phase, on
@@ -191,9 +186,7 @@ class Simulation:
         self.backend_requested = exec_cfg.backend
         self.backend = select_backend(exec_cfg.backend)
         self._phases.close()
-        self._phases = PhaseExecutor(
-            self, exec_cfg.workers, exec_cfg.chunks_per_worker
-        )
+        self._phases = PhaseExecutor(self, exec_cfg.workers)
         self.checkpoint_manager = None
         if run.resilience is not None:
             from ..resilience.checkpoint import CheckpointManager
@@ -287,7 +280,7 @@ class Simulation:
         # gravity-capable or not — Table 5).
         gravity_on = cfg.gravity is not None and not bool(np.any(self.box.periodic))
         self._tree = None
-        with tr.phase(Phase.TREE_BUILD.letter, State.USEFUL, self.rank):
+        with tr.phase(Phase.TREE_BUILD.letter):
             # Built only when something consumes it this evaluation: the
             # gravity walk, or the neighbour walk of a cache miss.  (A
             # cache hit whose h out-grows the list builds it on demand.)
@@ -300,7 +293,7 @@ class Simulation:
             # over this list and ends on ``within``, which orders what
             # survives.
             tree = self._ensure_tree()
-            with tr.phase(Phase.NEIGHBOR_SEARCH.letter, State.USEFUL, self.rank):
+            with tr.phase(Phase.NEIGHBOR_SEARCH.letter):
                 return tree.walk_neighbors(
                     x, radii, mode=mode, ops=self.backend.ops, sort_rows=False
                 )
@@ -315,7 +308,7 @@ class Simulation:
         ops = backend_ops(self.backend, self.kernel)
         support = None if ops is None else self.kernel.support
         pairs = None
-        with tr.phase(Phase.SMOOTHING_LENGTH.letter, State.USEFUL, self.rank):
+        with tr.phase(Phase.SMOOTHING_LENGTH.letter):
             if cached is not None:
                 # The numpy sweeps count off the record the phases read
                 # next: one geometry pass per cache-hit evaluation.
@@ -332,10 +325,15 @@ class Simulation:
                     backend=self.backend, support=support,
                 )
         if pair_list is None:
-            with tr.phase(Phase.NEIGHBOR_LISTS.letter, State.USEFUL, self.rank):
+            with tr.phase(Phase.NEIGHBOR_LISTS.letter):
                 pair_list, pairs = support_cut(
                     p, self._nlist, self.kernel, self.box, pairs=pairs
                 )
+            self._cut_pairs = pair_list.n_pairs
+        else:
+            # The compiled cut is its lower half (``j <= i``): every
+            # off-diagonal pair once, plus the diagonal.
+            self._cut_pairs = 2 * pair_list.n_pairs - p.n
         # One call site per phase; the executor runs it as one call or
         # as row slices on threads (``ExecConfig.workers``).
         phases = self._phases
@@ -360,7 +358,7 @@ class Simulation:
         else:
             phases.density(*pair_args, **density)
 
-        with tr.phase(Phase.EQUATION_OF_STATE.letter, State.USEFUL, self.rank):
+        with tr.phase(Phase.EQUATION_OF_STATE.letter):
             self.eos.apply(p)
 
         result = phases.forces(
@@ -395,7 +393,7 @@ class Simulation:
             self._gravity_calls += 1
             self._gravity_path = grav.path
         else:
-            with tr.phase(Phase.GRAVITY.letter, State.USEFUL, self.rank):
+            with tr.phase(Phase.GRAVITY.letter):
                 self.potential_energy = 0.0
         self._rates_current = True
 
@@ -404,7 +402,7 @@ class Simulation:
     # ------------------------------------------------------------------
     def step(self) -> StepStats:
         """One leapfrog step, wrapped in a whole-step container span."""
-        with self.tracer.step_span(self.step_index, self.rank):
+        with self.tracer.step_span(self.step_index):
             return self._step_impl()
 
     def _step_impl(self) -> StepStats:
@@ -418,7 +416,7 @@ class Simulation:
                 p, self.time, self.potential_energy
             )
 
-        with tr.phase(Phase.TIMESTEP_UPDATE.letter, State.USEFUL, self.rank):
+        with tr.phase(Phase.TIMESTEP_UPDATE.letter):
             dt = self.stepper.select(p, self._max_mu)
             if not np.isfinite(dt) or dt <= 0.0:
                 raise RuntimeError(f"non-finite time step selected: {dt}")
@@ -430,25 +428,24 @@ class Simulation:
             self.numerical_chaos.apply(step_at_entry, "rates", p)
 
         floor_hits = 0
-        with tr.phase(Phase.TIMESTEP_UPDATE.letter, State.USEFUL, self.rank):
+        with tr.phase(Phase.TIMESTEP_UPDATE.letter):
             kick(p, 0.5 * dt)
             floor_hits = apply_energy_floor(p)
 
         self.time += dt
         self.step_index += 1
         self._steps_executed += 1
-        nl = self._nlist
-        with tr.phase(Phase.AUX_KERNELS.letter, State.USEFUL, self.rank):
+        with tr.phase(Phase.AUX_KERNELS.letter):
             conservation = measure_conservation(p, self.time, self.potential_energy)
         stats = StepStats(
             index=self.step_index,
             time=self.time,
             dt=dt,
             n_particles=p.n,
-            n_pairs=nl.n_pairs if nl is not None else 0,
+            n_pairs=self._cut_pairs,
             n_p2p=self._last_gravity_p2p,
             n_m2p=self._last_gravity_m2p,
-            mean_neighbors=float(nl.counts().mean()) if nl is not None else 0.0,
+            mean_neighbors=self._cut_pairs / p.n,
             energy_floor_hits=floor_hits,
             conservation=conservation,
         )
@@ -595,51 +592,34 @@ class Simulation:
         measured span timeline.
         """
         from ..observability.pop import pop_from_events
-        from ..observability.registry import MetricsRegistry
         from ..observability.report import RunReport
 
-        reg = MetricsRegistry()
+        backend = dict(self.backend.describe())
+        backend["requested"] = self.backend_requested
+        tr = self.tracer
         # Per particle per adaptation: count sweeps, ending within tolerance.
         hs = self._ncache.stats
         per = max(hs.particles, 1)
-        h_iteration = {
-            "adaptations": hs.adaptations,
-            "mean_sweeps": hs.sweeps / per,
-            "within_tolerance_share": hs.within_tolerance / per,
-        }
-        reg.absorb("h_iteration", h_iteration)
-        ncache = dict(asdict(hs), hit_rate=hs.hit_rate)
-        reg.absorb("neighbor_cache", ncache)
-        gravity = self._gravity_stats_dict()
-        reg.absorb("gravity", gravity)
-        checkpoint = None
-        if self.checkpoint_manager is not None:
-            checkpoint = self.checkpoint_manager.stats()
-            reg.absorb("checkpoint", checkpoint)
-        guard = None
-        if self.step_guard is not None:
-            guard = self.step_guard.report()
-            reg.absorb("guard", guard.counters())
-        backend = dict(self.backend.describe())
-        backend["requested"] = self.backend_requested
-        reg.absorb("backend", {"compiled": int(self.backend.compiled)})
-        tr = self.tracer
-        pop = None
-        if tr.enabled and tr.events:
-            pop = pop_from_events(tr)
-            reg.set("tracer.events", len(tr.events))
-            reg.set("tracer.dropped", tr.dropped)
         return RunReport(
             steps=self.step_index,
             time=self.time,
             n_particles=self.particles.n,
-            neighbor_cache=ncache,
-            h_iteration=h_iteration,
-            gravity=gravity,
-            checkpoint=checkpoint,
-            guard=guard,
-            pop=pop,
-            counters=reg.as_dict(),
+            neighbor_cache=dict(asdict(hs), hit_rate=hs.hit_rate),
+            h_iteration={
+                "adaptations": hs.adaptations,
+                "mean_sweeps": hs.sweeps / per,
+                "within_tolerance_share": hs.within_tolerance / per,
+            },
+            gravity=self._gravity_stats_dict(),
+            checkpoint=(
+                self.checkpoint_manager.stats()
+                if self.checkpoint_manager is not None
+                else None
+            ),
+            guard=(
+                self.step_guard.report() if self.step_guard is not None else None
+            ),
+            pop=pop_from_events(tr) if tr.enabled and tr.events else None,
             backend=backend,
         )
 

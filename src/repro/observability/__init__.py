@@ -11,15 +11,15 @@ shares:
   phase A-J → row slice) with rank/thread attribution (real runs).
   :class:`NullTracer` is the zero-overhead disabled variant;
   :func:`self_times` gives each span's time net of its children.
-* :class:`MetricsRegistry` — flat, namespaced counters absorbing the
-  Verlet-cache, gravity, checkpoint and guard stats.
 * Exporters — Chrome ``trace_event`` JSON (loadable in Perfetto /
   ``chrome://tracing``) and JSONL for the benchmark harness.
 * :func:`pop_from_events` — the paper's POP efficiency metrics of any
   trace (NaN-safe), so real threaded runs and the simulated cluster
   feed one metrics pipeline; :func:`render_timeline` draws Figure 4.
 * :class:`RunReport` — the consolidated, dict-convertible stats object
-  behind :meth:`repro.core.simulation.Simulation.report`.
+  behind :meth:`repro.core.simulation.Simulation.report`: the
+  Verlet-cache, h-iteration, gravity, checkpoint and guard counters, one
+  section each.
 
 Everything is on by default at span granularity; the measured overhead
 budget is ≤ 2 % of step time (enforced by
@@ -43,7 +43,6 @@ from .ledger import (
     record_from_simulation,
 )
 from .pop import PopMetrics, pop_from_events
-from .registry import MetricsRegistry
 from .report import (
     RunReport,
     format_gravity,
@@ -67,7 +66,6 @@ __all__ = [
     "NullTracer",
     "make_tracer",
     "self_times",
-    "MetricsRegistry",
     "RunReport",
     "RunLedger",
     "RunRecord",

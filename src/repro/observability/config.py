@@ -17,7 +17,7 @@ class ObservabilityConfig:
     enabled:
         ``True`` (default) gives the driver a :class:`~repro.observability
         .tracer.Tracer` recording wall-clock phase spans (and, on a
-        threaded run, the row-slice spans of each thread lane); ``False``
+        threaded run, the spans of its row slices); ``False``
         installs the no-op :class:`~repro.observability.tracer.NullTracer`
         (every instrumentation call collapses to a constant — the
         tracing-off path adds no per-pair allocations and ~0 time).

@@ -4,7 +4,8 @@ The Chrome format (one ``"X"`` complete event per span, microsecond
 timestamps) loads directly in Perfetto or ``chrome://tracing`` — the
 modern stand-in for the paper's Paraver screenshots.  Rows map as
 ``pid = rank`` and ``tid = thread`` (thread 0 is the driver, thread
-``k + 1`` is phase-thread lane ``k``), with metadata events naming them.
+``k + 1`` is row slice ``k`` of a fan-out), with metadata events naming
+them.
 
 The JSONL format is one flat JSON object per span — what the benchmark
 harness and ad-hoc pandas analysis consume.

@@ -159,8 +159,8 @@ class RunRecord:
     backend: str
     code_version: str
     host: Dict[str, object] = field(default_factory=dict)
-    #: Resolved execution knobs (workers, chunks, cache, skin, backend,
-    #: checkpoint interval).
+    #: Resolved execution knobs (workers, backend, checkpoint interval;
+    #: rows written before 13.0.0 may hold more).
     knobs: Dict[str, object] = field(default_factory=dict)
     #: Per-phase span aggregates: letter -> {total_s, count, mean_s}.
     phases: Dict[str, Dict[str, float]] = field(default_factory=dict)
@@ -430,7 +430,6 @@ def resolved_knobs(sim) -> Dict[str, object]:
     ex = run.exec
     knobs: Dict[str, object] = {
         "workers": int(ex.workers),
-        "chunks_per_worker": int(ex.chunks_per_worker),
         "backend": sim.backend.name,
         "checkpoint_every": (
             int(run.resilience.checkpoint_every)

@@ -13,7 +13,7 @@ across all processes)" — the paper uses the POP CoE hierarchy:
 Row model: load balance is computed across ``(rank, thread)`` rows that
 performed any useful work.  On the simulated cluster's rank-level traces
 that is the per-rank definition the paper uses; on a ``workers=N`` run
-the rows are the driver and each thread lane.  Useful time is the *self*
+the rows are the driver and each row slice of a fan-out.  Useful time is the *self*
 time of ``USEFUL`` spans (:func:`~repro.observability.tracer.self_times`),
 so a useful span nested in another is counted once.  ``State.STEP``
 container spans never count as useful but do extend the runtime

@@ -1,14 +1,14 @@
 """The consolidated run report behind ``Simulation.report()``.
 
 One typed, dict-convertible object: every execution path's counters
-(neighbour cache, gravity, checkpoint, guard, ...) under
-one namespace, plus the POP efficiency metrics computed from the
-measured span timeline.
+(neighbour cache, h iteration, gravity, checkpoint, guard), one section
+each, plus the POP efficiency metrics computed from the measured span
+timeline.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Dict, Optional
 
 from .pop import PopMetrics
@@ -24,11 +24,9 @@ __all__ = [
 class RunReport:
     """Everything one finished (or in-flight) run can tell about itself.
 
-    ``neighbor_cache`` holds the Verlet cache's counters (every run has
-    one); sections that do not apply to the run's configuration are
-    ``None`` (e.g. ``gravity`` on a run without self-gravity);
-    ``counters`` flattens every present section into dotted
-    :class:`~repro.observability.registry.MetricsRegistry` names.
+    ``neighbor_cache`` and ``h_iteration`` are filled on every run;
+    sections that do not apply to the run's configuration are ``None``
+    (e.g. ``gravity`` on a run without self-gravity).
     """
 
     steps: int
@@ -37,7 +35,7 @@ class RunReport:
     neighbor_cache: Dict[str, float]
     #: The h iteration: adaptations, mean count sweeps per particle and
     #: share of particles ending within the count tolerance.
-    h_iteration: Optional[Dict[str, float]] = None
+    h_iteration: Dict[str, float]
     #: Barnes-Hut work: calls, mean P2P/M2P interactions per step (and
     #: per particle of a step) and which rendering ran (``None`` when
     #: gravity is off).
@@ -47,7 +45,6 @@ class RunReport:
     #: duck-typed here to keep observability import-free of resilience).
     guard: Optional[object] = None
     pop: Optional[PopMetrics] = None
-    counters: Dict[str, float] = field(default_factory=dict)
     #: Execution-backend provenance: resolved name, compiled flag,
     #: toolchain version/detail and the originally requested name.
     backend: Optional[Dict[str, object]] = None
@@ -59,14 +56,13 @@ class RunReport:
             "time": self.time,
             "n_particles": self.n_particles,
             "neighbor_cache": dict(self.neighbor_cache),
-            "h_iteration": dict(self.h_iteration) if self.h_iteration else None,
+            "h_iteration": dict(self.h_iteration),
             "gravity": dict(self.gravity) if self.gravity else None,
             "checkpoint": dict(self.checkpoint) if self.checkpoint else None,
             "guard": (
                 self.guard.as_dict() if self.guard is not None else None
             ),
             "pop": asdict(self.pop) if self.pop is not None else None,
-            "counters": dict(self.counters),
             "backend": dict(self.backend) if self.backend else None,
         }
         return out

@@ -18,12 +18,12 @@ The POP metrics (:mod:`repro.observability.pop`), the timeline renderer
 and the exporters consume both kinds of trace identically.
 
 Rows follow the Figure-4 convention: the driver records on
-``(rank, thread=0)``; the spans of the row slices a phase thread ran land
-on ``(rank, thread=lane + 1)``, so one timeline shows the driver's
+``(rank, thread=0)``; the span of row slice ``k`` of a fan-out lands on
+``(rank, thread=k + 1)``, so one timeline shows the driver's
 ``FORK_JOIN`` intervals, the threads' compute (``USEFUL``) and the
 guard's ``RECOVERY`` work side by side.  Only the driver thread writes
-the tracer: a thread times its slices and the driver records them after
-the join (:meth:`Tracer.record_span`).
+the tracer: a slice times itself on its thread and the driver records it
+after the join (:meth:`Tracer.record_span`).
 
 Clock model: spans are timed with ``time.perf_counter`` and shifted onto
 a lazy origin — the start of the first recorded span.  Raw

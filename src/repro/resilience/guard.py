@@ -63,9 +63,9 @@ injection (:class:`~repro.resilience.chaos.NumericalFault`) models real
 transient SDC: the retry is clean by construction.
 
 Guard activity is observable: rollback/retry work runs inside
-``State.RECOVERY`` spans, counters land under ``guard.*`` in the
-:class:`~repro.observability.registry.MetricsRegistry`, and
-``Simulation.report()`` carries a :class:`GuardReport`.
+``State.RECOVERY`` spans, ``Simulation.report()`` carries a
+:class:`GuardReport`, and the run ledger files its counters under
+``guard.*``.
 """
 
 from __future__ import annotations
@@ -249,7 +249,7 @@ class GuardReport:
     incidents: List[Dict[str, object]]
 
     def counters(self) -> Dict[str, float]:
-        """Flat numeric counters for the metrics registry (``guard.*``)."""
+        """Flat numeric counters (the ledger's ``guard.*`` recovery keys)."""
         out: Dict[str, float] = {
             "checks": self.checks,
             "healthy_steps": self.healthy_steps,
@@ -415,7 +415,7 @@ class StepGuard:
     # ------------------------------------------------------------------
     def _recover(self, sim, rung: str) -> None:
         """Roll back and apply one rung's degradation, inside a RECOVERY span."""
-        with sim.tracer.phase("guard-recovery", State.RECOVERY, sim.rank):
+        with sim.tracer.phase("guard-recovery", State.RECOVERY):
             self.rung_attempts[rung] += 1
             if rung == RUNG_CHECKPOINT:
                 if self._restore_from_disk(sim):
@@ -520,7 +520,7 @@ class StepGuard:
 
     def _terminal(self, sim, step: int, records: List[Dict[str, object]]):
         """Exhausted ladder: restore health, write a restart file, raise."""
-        with sim.tracer.phase("guard-terminal", State.RECOVERY, sim.rank):
+        with sim.tracer.phase("guard-terminal", State.RECOVERY):
             self._rollback(sim)
             ckpt_path: Optional[str] = None
             note = ""

@@ -17,11 +17,11 @@ result bits:
   so a new commit silently invalidates every cached result.
 
 Deliberately *excluded* — execution-neutral by the parity test suites
-and by construction: ``workers`` / ``chunks_per_worker`` (bitwise-serial
-parity), service-managed paths (checkpoint dirs, ledger/store
-locations), observability settings, and the fault-injection knob
-``kill_at_step`` (recovery is bit-identical, so a killed-and-recovered
-job *should* share its cache line with an unfaulted one).
+and by construction: ``workers`` (bitwise-serial parity),
+service-managed paths (checkpoint dirs, ledger/store locations),
+observability settings, and the fault-injection knob ``kill_at_step``
+(recovery is bit-identical, so a killed-and-recovered job *should* share
+its cache line with an unfaulted one).
 """
 
 from __future__ import annotations
@@ -67,7 +67,6 @@ class JobSpec:
     chaos: Optional[str] = None  # parse_numerical_faults() spelling
     # Execution-neutral knobs (not hashed):
     workers: int = 0
-    chunks_per_worker: int = 1
     #: Service-chaos: SIGKILL the worker process when this step completes
     #: (fire-once across respawns via a job-dir marker).  Test/validation
     #: knob; excluded from the hash because recovery is bit-identical.
@@ -120,13 +119,9 @@ class JobSpec:
 
     def exec_config(self):
         """The :class:`~repro.core.config.ExecConfig` this spec runs
-        with — its validation rules are the spec's rules for the three
+        with — its validation rules are the spec's rules for the two
         execution knobs."""
-        return ExecConfig(
-            workers=self.workers,
-            chunks_per_worker=self.chunks_per_worker,
-            backend=self.backend,
-        )
+        return ExecConfig(workers=self.workers, backend=self.backend)
 
     def resolved_steps(self, scenario=None) -> int:
         if self.n_steps is not None:

@@ -127,7 +127,7 @@ def test_lazy_api_exports_resolve():
         repro.does_not_exist
 
 
-# --- names removed in 2.0.0 to 12.0.0 stay removed ------------------------
+# --- names removed in 2.0.0 to 13.0.0 stay removed ------------------------
 
 
 def test_removed_surface_fails_closed():
@@ -138,9 +138,11 @@ def test_removed_surface_fails_closed():
     compiled path's stored per-pair products, (6.0.0) the numpy pair
     engine, (8.0.0) the online autotuner, (10.0.0) the second per-step
     error detector and eight guard knobs, (11.0.0) the h iteration's
-    ``adapted`` flag and global ``converged`` count and (12.0.0) the
-    Verlet cache's on/off and skin knobs are gone: old spellings are
-    typed errors at the boundary, never a silent default."""
+    ``adapted`` flag and global ``converged`` count, (12.0.0) the
+    Verlet cache's on/off and skin knobs and (13.0.0) the slices-per-
+    thread knob, the driver's rank and tracer inputs, the metrics
+    registry and the Amdahl fit are gone: old spellings are typed errors
+    at the boundary, never a silent default."""
     import importlib
 
     from repro.cli import main
@@ -275,8 +277,25 @@ def test_removed_surface_fails_closed():
             api.JobSpec.from_dict({"scenario": "sod", removed: True})
         with pytest.raises(TypeError):
             ExecConfig(**{removed: True})
+    # 13.0.0: one slice per phase thread, the driver owns its tracer
+    # and spans sit on rank 0, and a report's sections are its only
+    # copy of the counters.
+    with pytest.raises(TypeError):
+        ExecConfig(chunks_per_worker=2)
+    with pytest.raises(SpecError, match="chunks_per_worker"):
+        api.JobSpec.from_dict({"scenario": "sod", "chunks_per_worker": 1})
+    from repro.observability import Tracer
+
+    with pytest.raises(TypeError):
+        repro.Simulation(particles, box, eos, rank=0)
+    with pytest.raises(TypeError):
+        repro.Simulation(particles, box, eos, tracer=Tracer())
+    for module in ("repro.runtime.amdahl", "repro.observability.registry"):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(module)
+    assert "counters" not in {f.name for f in dataclasses.fields(RunReport)}
     assert [f.name for f in dataclasses.fields(ExecConfig)] == [
-        "workers", "chunks_per_worker", "backend"
+        "workers", "backend"
     ]
     from repro.resilience.checkpoint import Checkpoint
 

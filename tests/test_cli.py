@@ -396,10 +396,10 @@ def test_serve_submit_jobs_end_to_end(tmp_path, capsys):
 
         # A malformed execution knob never reaches the queue.
         reply = client_request(sock, {
-            "op": "submit", "spec": {"scenario": "sod", "chunks_per_worker": 0},
+            "op": "submit", "spec": {"scenario": "sod", "workers": -1},
         })
         assert reply["ok"] is False
-        assert reply["error"].startswith("bad spec: chunks_per_worker")
+        assert reply["error"].startswith("bad spec: workers")
         assert client_request(sock, {"op": "stats"})["stats"]["failed"] == 0
     finally:
         client_request(sock, {"op": "shutdown"})

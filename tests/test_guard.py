@@ -417,8 +417,8 @@ def test_healthy_run_guard_counters():
     assert rep.snapshots == 5  # baseline + one per healthy step
     report = sim.report()
     assert report.guard is not None
-    assert report.counters["guard.checks"] == 4
-    assert report.counters["guard.failures"] == 0
+    assert report.guard.counters()["checks"] == 4
+    assert report.guard.counters()["failures"] == 0
     import json
 
     json.dumps(report.as_dict())

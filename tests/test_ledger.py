@@ -240,9 +240,10 @@ def test_v0_ledger_migrates_in_place(tmp_path):
 
 def test_pre_removal_ledger_row_reads_back_verbatim(tmp_path, capsys):
     """A row written before ``pair_engine``, the numba backend, the
-    online autotuner, the separate SDC monitor (``recovery`` ``sdc.*``)
-    and the Verlet cache's knobs were removed still opens, reads back verbatim and prints
-    through ``repro ledger`` — also from a migrated v0 file."""
+    online autotuner, the separate SDC monitor (``recovery`` ``sdc.*``),
+    the Verlet cache's knobs and ``chunks_per_worker`` were removed
+    still opens, reads back verbatim and prints through ``repro
+    ledger`` — also from a migrated v0 file."""
     from repro.cli import main
 
     old = _record(
@@ -424,7 +425,9 @@ def test_record_from_simulation_fields():
         rec = record_from_simulation(sim)
         assert rec.scenario == "square-patch"
         assert rec.n_steps == 2
-        assert rec.knobs["workers"] == 0
+        assert rec.knobs == {
+            "workers": 0, "backend": "numpy", "checkpoint_every": None
+        }
         assert rec.pop is not None
         assert json.dumps(rec.as_dict(), default=str)  # serializable
     finally:

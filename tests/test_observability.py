@@ -1,8 +1,8 @@
 """The unified observability subsystem + consolidated Simulation API.
 
 Covers the span tracer (nesting, row-slice span merging), the exporters (Chrome trace_event, JSONL), POP
-metrics from measured spans, the metrics registry, and the RunConfig /
-configure() / report() driver surface.
+metrics from measured spans, and the RunConfig / configure() / report()
+driver surface.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from repro.core.config import ExecConfig, RunConfig, SimulationConfig
 from repro.core.simulation import Simulation
 from repro.ics.square_patch import SquarePatchConfig, make_square_patch
 from repro.observability import (
-    MetricsRegistry,
     NullTracer,
     ObservabilityConfig,
     State,
@@ -147,35 +146,6 @@ def test_observability_config_validation():
     ]
     cfg = ObservabilityConfig().with_(enabled=False)
     assert not cfg.enabled
-
-
-# ======================================================================
-# MetricsRegistry
-# ======================================================================
-def test_registry_add_set_get():
-    reg = MetricsRegistry()
-    reg.add("a.hits")
-    reg.add("a.hits", 4)
-    reg.set("a.rate", 0.5)
-    assert reg.get("a.hits") == 5
-    assert reg.get("a.rate") == 0.5
-    assert reg.get("missing", -1) == -1
-    assert "a.hits" in reg and len(reg) == 2
-
-
-def test_registry_absorb_mapping_object_and_none():
-    class Stats:
-        def as_dict(self):
-            return {"n": 3, "flag": True, "junk": "text"}
-
-    reg = MetricsRegistry()
-    reg.absorb("m", {"x": 1, "y": 2.5})
-    reg.absorb("o", Stats())
-    reg.absorb("none", None)  # silently skipped
-    assert reg.as_dict() == {"m.x": 1, "m.y": 2.5, "o.n": 3, "o.flag": 1}
-    assert reg.subset("m") == {"x": 1, "y": 2.5}
-    with pytest.raises(TypeError):
-        reg.absorb("bad", object())
 
 
 # ======================================================================
@@ -413,12 +383,14 @@ def test_tracing_on_off_bitwise_parity():
 def test_configure_chains_and_rewires():
     particles, box, eos, config = _case()
     sim = Simulation(particles, box, eos, config=config).configure(
-        exec=ExecConfig(chunks_per_worker=2),
+        exec=ExecConfig(workers=2),
         observability=ObservabilityConfig(enabled=False),
     )
-    assert sim.run_config.exec.chunks_per_worker == 2
+    assert sim.run_config.exec.workers == 2
+    assert sim._phases.workers == 2
     assert isinstance(sim.tracer, NullTracer)
-    sim.run(n_steps=1)
+    with sim:
+        sim.run(n_steps=1)
     with pytest.raises(RuntimeError, match="configure"):
         sim.configure(exec=ExecConfig(workers=0))
 
@@ -427,16 +399,8 @@ def test_configure_keeps_unspecified_sections():
     particles, box, eos, config = _case()
     sim = Simulation(particles, box, eos, config=config)
     before = sim.run_config.observability
-    sim.configure(exec=ExecConfig(chunks_per_worker=2))
+    sim.configure(exec=ExecConfig(workers=2))
     assert sim.run_config.observability is before
-
-
-def test_explicit_tracer_is_not_replaced():
-    particles, box, eos, config = _case()
-    shared = Tracer()
-    sim = Simulation(particles, box, eos, config=config, tracer=shared)
-    sim.configure(exec=ExecConfig(workers=0))
-    assert sim.tracer is shared
 
 
 # ======================================================================
@@ -462,9 +426,12 @@ def test_report_sections_and_counters(tmp_path):
     assert rep.neighbor_cache["builds"] >= 1
     assert rep.checkpoint is not None and rep.checkpoint["writes"] == 2
     assert rep.pop is not None and rep.pop.valid
-    assert rep.counters["neighbor_cache.builds"] == rep.neighbor_cache["builds"]
-    assert rep.counters["checkpoint.writes"] == 2
-    assert rep.counters["tracer.events"] == len(sim.tracer.events)
+    assert rep.h_iteration["adaptations"] >= 1
+    # Each counter lives in its section, and only there.
+    assert set(rep.as_dict()) == {
+        "steps", "time", "n_particles", "neighbor_cache", "h_iteration",
+        "gravity", "checkpoint", "guard", "pop", "backend",
+    }
     # Dict conversion is JSON-clean; summary mentions each section.
     json.dumps(rep.as_dict())
     text = rep.summary()
@@ -481,7 +448,6 @@ def test_report_with_tracing_off_has_no_pop():
     sim.run(n_steps=1)
     rep = sim.report()
     assert rep.pop is None
-    assert "tracer.events" not in rep.counters
     json.dumps(rep.as_dict())
 
 

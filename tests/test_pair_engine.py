@@ -138,7 +138,7 @@ def _pair_arrays(sim):
     """float64 arrays reachable from ``sim`` as long as the pairs of its
     smallest row slice — per-pair state left over from an evaluation."""
     nlist = sim._nlist
-    slices = balanced_row_slices(nlist.offsets, max(sim._phases.n_slices, 1))
+    slices = balanced_row_slices(nlist.offsets, max(sim._phases.workers, 1))
     smallest = min(int(nlist.offsets[hi] - nlist.offsets[lo]) for lo, hi in slices)
     # Longer than any per-particle array (the longest is n x 3 x 3).
     assert smallest > 9 * sim.particles.n

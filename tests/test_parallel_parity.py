@@ -2,9 +2,9 @@
 
 With ``workers >= 1`` the phase executor evaluates phases D/E/G/I over
 pair-balanced slices of the same CSR neighbour list the serial path
-uses, with per-particle reduction order preserved — so the outputs must
-match the serial path to rtol = 1e-12 (in practice they are bit-for-bit
-identical) for any worker count.
+uses, one slice per thread, with per-particle reduction order preserved
+— so the outputs match the serial path bit for bit for any worker
+count, also with more threads (and so more, smaller slices) than cores.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from repro.timestepping.steppers import TimestepParams
 
 RTOL = 1e-12
 FIELDS = ("x", "v", "rho", "u", "p", "a", "du")
-WORKER_COUNTS = (1, 2, 4)
+WORKER_COUNTS = (1, 2, 3, 4, 8)
 # CFL-only dt keeps the patch actually moving during the check.
 TS = TimestepParams(use_energy_criterion=False)
 
@@ -85,12 +85,8 @@ def test_pool_matches_serial(case, workers):
     ref_state, ref_extras = _serial(case)
     state, extras = _run(case, ExecConfig(workers=workers))
     for name in FIELDS:
-        np.testing.assert_allclose(
-            state[name],
-            ref_state[name],
-            rtol=RTOL,
-            atol=0.0,
-            err_msg=f"{case}: field {name!r} diverged with workers={workers}",
+        assert np.array_equal(state[name], ref_state[name]), (
+            f"{case}: field {name!r} diverged with workers={workers}"
         )
     assert extras["dt"] == ref_extras["dt"], "time-step sequence diverged"
     assert extras["max_mu"] == pytest.approx(ref_extras["max_mu"], rel=RTOL)
@@ -149,11 +145,8 @@ def _gravity_results(monkeypatch, exec_config, n_steps=3):
     return results
 
 
-@pytest.mark.parametrize("chunks", [1, 3])
-@pytest.mark.parametrize("workers", [1, 2, 3])
-def test_compiled_gravity_is_bitwise_across_workers_and_chunks(
-    monkeypatch, workers, chunks
-):
+@pytest.mark.parametrize("workers", [1, 2, 3, 8])
+def test_compiled_gravity_is_bitwise_across_workers(monkeypatch, workers):
     """A particle's lists, and so its lane-blocked sums, are its leaf's
     alone: any slicing of the leaves gives the serial acc/phi bit for
     bit, with the same interaction counts."""
@@ -165,7 +158,7 @@ def test_compiled_gravity_is_bitwise_across_workers_and_chunks(
     ref = _serial_cache[key]
     got = _gravity_results(
         monkeypatch,
-        ExecConfig(backend="cffi", workers=workers, chunks_per_worker=chunks),
+        ExecConfig(backend="cffi", workers=workers),
     )
     assert len(got) == len(ref) == 4  # two evaluations on the first step
     for a, b in zip(got, ref):
@@ -192,11 +185,11 @@ def test_report_has_no_gravity_block_without_gravity():
     assert _serial("square-patch")[1]["gravity"] is None
 
 
-def test_multiple_chunks_per_worker_keep_parity():
+def test_many_small_slices_keep_parity():
     ref_state, _ = _serial("square-patch")
-    state, _ = _run("square-patch", ExecConfig(workers=2, chunks_per_worker=3))
+    state, _ = _run("square-patch", ExecConfig(workers=8))
     for name in FIELDS:
-        np.testing.assert_allclose(state[name], ref_state[name], rtol=RTOL, atol=0.0)
+        assert np.array_equal(state[name], ref_state[name]), name
 
 
 def test_compiled_threads_match_compiled_serial_on_the_square_patch():
@@ -204,19 +197,19 @@ def test_compiled_threads_match_compiled_serial_on_the_square_patch():
     if not available_backends()["cffi"]:
         pytest.skip("no C toolchain on this host")
     ref_state, ref_extras = _run("square-patch", ExecConfig(backend="cffi"))
-    state, extras = _run(
-        "square-patch",
-        ExecConfig(backend="cffi", workers=2, chunks_per_worker=3),
-    )
-    for name in FIELDS:
-        assert np.array_equal(state[name], ref_state[name]), name
-    assert extras["dt"] == ref_extras["dt"]
-    assert extras["max_mu"] == ref_extras["max_mu"]
+    for workers in WORKER_COUNTS:
+        state, extras = _run(
+            "square-patch", ExecConfig(backend="cffi", workers=workers)
+        )
+        for name in FIELDS:
+            assert np.array_equal(state[name], ref_state[name]), (workers, name)
+        assert extras["dt"] == ref_extras["dt"]
+        assert extras["max_mu"] == ref_extras["max_mu"]
 
 
 @pytest.mark.parametrize("backend", ["numpy", "cffi"])
 def test_more_slices_than_cores_keep_parity(backend, rp_calls):
-    """90 slices on 3 threads, far more than the cores.  The support
+    """Eight slices on eight threads, more than the cores.  The support
     list the compiled slices run over is emitted by the h iteration on
     the driver thread — as often as in a serial run, not once per slice
     or per thread."""
@@ -239,7 +232,7 @@ def test_more_slices_than_cores_keep_parity(backend, rp_calls):
     try:
         state, extras = _run(
             "square-patch",
-            ExecConfig(workers=3, chunks_per_worker=30, backend=backend),
+            ExecConfig(workers=8, backend=backend),
             n_steps=3,
         )
     finally:
@@ -291,8 +284,8 @@ def test_exception_in_one_slice_surfaces_once_and_leaves_state_untouched(
 
         def density(*args, rows=None, **kwargs):
             calls.append(rows)
-            # The whole call when serial; slice 1 of 3 when sliced (one
-            # thread runs its slices in order, so the count is the index).
+            # The whole call when serial; the second of the three slices
+            # to start when sliced.
             if armed[0] and (rows is None or len(calls) == 2):
                 raise FloatingPointError(f"injected in {rows}")
             return real(*args, rows=rows, **kwargs)
@@ -317,9 +310,7 @@ def test_exception_in_one_slice_surfaces_once_and_leaves_state_untouched(
                 name: getattr(sim.particles, name).copy() for name in FIELDS
             }
 
-    attempted, threaded = run_with_fault(
-        ExecConfig(workers=1, chunks_per_worker=3)
-    )
+    attempted, threaded = run_with_fault(ExecConfig(workers=3))
     assert len(attempted) == 3 and len(set(attempted)) == 3
     _, serial = run_with_fault(ExecConfig())
     for name in FIELDS:
@@ -377,7 +368,5 @@ def test_dropped_simulation_takes_its_threads_along():
 def test_exec_config_validation():
     with pytest.raises(ValueError):
         ExecConfig(workers=-1)
-    with pytest.raises(ValueError):
-        ExecConfig(chunks_per_worker=0)
-    assert not ExecConfig().parallel_enabled
-    assert ExecConfig(workers=1).parallel_enabled
+    with pytest.raises(ValueError, match="backend"):
+        ExecConfig(backend="fortran")

@@ -123,11 +123,13 @@ def test_spec_rejects_unknown_scenario_and_override():
 def test_spec_rejects_malformed_exec_knobs_before_enqueue():
     """The execution knobs are checked by the ``ExecConfig`` the job
     would run with, at construction — not inside the job."""
-    with pytest.raises(SpecError, match="chunks_per_worker"):
-        JobSpec("sod", chunks_per_worker=0)
+    with pytest.raises(SpecError, match="workers"):
+        JobSpec("sod", workers=-1)
     with pytest.raises(SpecError, match="workers"):
         JobSpec.from_dict({"scenario": "sod", "workers": -1})
-    assert tiny_spec(workers=2, chunks_per_worker=3).exec_config().workers == 2
+    with pytest.raises(SpecError, match="backend"):
+        JobSpec("sod", backend="fortran")
+    assert tiny_spec(workers=2).exec_config().workers == 2
 
 
 # --- ResultStore ----------------------------------------------------------

@@ -168,3 +168,27 @@ def test_standard_gradient_path_is_pinned_on_numpy(scenario, overrides, digest):
         scenario, overrides=overrides, n_steps=10, preset="changa"
     ))
     assert outcome.result_digest[:12] == digest
+
+
+@pytest.mark.parametrize("backend", ["numpy", "cffi"])
+def test_step_stats_count_the_support_cut(backend):
+    """``StepStats.n_pairs`` and ``mean_neighbors`` count the pairs the
+    phases computed — the support cut of the final list, every ordered
+    pair and the diagonal — not the padded Verlet list it was cut from."""
+    if backend == "cffi" and not available_backends()["cffi"]:
+        pytest.skip("no C toolchain on this host")
+    spec = JobSpec(
+        "square-patch", test=True, n_neighbors=30, backend=backend,
+        preset="sph-exa",
+    )
+    sim, _ = build_simulation(spec)
+    try:
+        sim.run(n_steps=2)
+    finally:
+        sim.close()
+    assert sim.backend.name == backend
+    p = sim.particles
+    cut, _ = support_cut(p, sim._nlist, sim.kernel, sim.box)
+    stats = sim.history[-1]
+    assert stats.n_pairs == cut.n_pairs < sim._nlist.n_pairs
+    assert stats.mean_neighbors == cut.n_pairs / p.n
