@@ -168,6 +168,38 @@ def test_compiled_gravity_is_bitwise_across_workers(monkeypatch, workers):
         assert np.array_equal(a.phi, b.phi)
 
 
+@pytest.mark.parametrize("chunks", [3])
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_compiled_gravity_is_bitwise_across_workers_and_chunks(
+    monkeypatch, workers, chunks
+):
+    """More slices than threads: each phase cut into ``chunks`` slices
+    per thread, which the pool queues, still gives the serial acc/phi
+    bit for bit, with the same interaction counts."""
+    if not available_backends()["cffi"]:
+        pytest.skip("no C toolchain on this host")
+    from repro.core import phase_executor
+
+    key = "evrard-hexadecapole-cffi"
+    if key not in _serial_cache:
+        _serial_cache[key] = _gravity_results(monkeypatch, ExecConfig(backend="cffi"))
+    ref = _serial_cache[key]
+    cut = phase_executor.balanced_row_slices
+    monkeypatch.setattr(
+        phase_executor, "balanced_row_slices",
+        lambda offsets, n: cut(offsets, n * chunks),
+    )
+    got = _gravity_results(
+        monkeypatch, ExecConfig(backend="cffi", workers=workers)
+    )
+    assert len(got) == len(ref) == 4  # two evaluations on the first step
+    for a, b in zip(got, ref):
+        assert a.path == b.path == "cffi"
+        assert (a.n_p2p, a.n_m2p) == (b.n_p2p, b.n_m2p)
+        assert np.array_equal(a.acc, b.acc)
+        assert np.array_equal(a.phi, b.phi)
+
+
 def test_threaded_gravity_computes_the_moments_once(rp_calls):
     """Sliced gravity shares one set of node moments per evaluation: one
     ``rp_node_moments`` call, one ``rp_gravity`` call per slice."""
