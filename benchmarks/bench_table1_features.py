@@ -30,6 +30,9 @@ def _exercise_preset(preset) -> float:
     box = Box.cube(0.0, 1.0, dim=3)
     kernel = make_kernel(preset.kernel)
     nl = cell_grid_search(p.x, 2 * p.h, box, mode="symmetric")
+    if preset.volume_elements == "generalized":
+        # The generalized estimator reads a previous (standard) density.
+        compute_density(p, nl, kernel, box)
     compute_density(p, nl, kernel, box, volume_elements=preset.volume_elements)
     if preset.gradients == "iad":
         compute_iad_matrices(p, nl, kernel, box)

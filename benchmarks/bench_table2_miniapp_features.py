@@ -37,7 +37,9 @@ def _sweep_all_options() -> int:
     exercised = 0
     for kname in ("sinc-s5", "m4", "wendland-c2"):  # Table 2 kernel row
         kernel = make_kernel(kname)
-        for volume in ("generalized", "standard"):  # volume elements row
+        # Volume elements row; the generalized estimator reads the
+        # standard pass's density.
+        for volume in ("standard", "generalized"):
             compute_density(p, nl, kernel, box, volume_elements=volume)
             exercised += 1
     for stepper in (GlobalTimestep(), IndividualTimesteps(), AdaptiveTimestep()):

@@ -369,12 +369,14 @@ class CompiledOps:
 
     def gravity(
         self, tree, x: np.ndarray, m: np.ndarray, moments, leaves: np.ndarray,
-        order: int, theta: float, g_const: float, eps2: float,
+        order: int, theta: float, g_const: float, eps2: float, out=None,
     ) -> Tuple[np.ndarray, np.ndarray, int, int]:
         """``(acc, phi, n_p2p, n_m2p)`` of the Barnes-Hut walk of the
         target ``leaves`` over ``tree``'s arrays and ``moments`` (3-D).
 
-        Rows of particles outside ``leaves`` stay zero.
+        The rows of the particles in ``leaves`` are written into ``out =
+        (acc, phi)`` when given, else into fresh arrays whose other rows
+        stay zero.
         """
         _check_particles(tree, x, m)
         held = (moments.m2, moments.m3, moments.m4)
@@ -383,8 +385,7 @@ class CompiledOps:
         if leaves.size and not 0 <= leaves.min() <= leaves.max() < tree.n_nodes:
             raise ValueError("target leaves outside the tree")
         n = x.shape[0]
-        acc = np.zeros((n, 3))
-        phi = np.zeros(n)
+        acc, phi = (np.zeros((n, 3)), np.zeros(n)) if out is None else out
         counts = np.zeros(2, dtype=np.int64)
         n_nodes, child_start, child_count, pstart, pend = self._tree(tree)
         status = self.lib.rp_gravity(

@@ -147,9 +147,9 @@ class ExecConfig:
     Parameters
     ----------
     workers:
-        ``0`` (default) runs every phase as one call on the driver
-        thread; ``>= 1`` runs phases D-I as row slices on that many
-        threads sharing the particle arrays
+        An ``int`` (not a ``bool``).  ``0`` (default) runs every phase as
+        one row slice on the driver thread; ``>= 1`` runs phases D-I as
+        row slices on that many threads sharing the particle arrays
         (:mod:`repro.core.phase_executor`).  Results are bitwise the
         serial ones for any value; ``workers=1`` still exercises the
         whole slice machinery (useful for parity testing), a speedup
@@ -167,6 +167,8 @@ class ExecConfig:
     backend: str = "numpy"
 
     def __post_init__(self) -> None:
+        if not isinstance(self.workers, int) or isinstance(self.workers, bool):
+            raise ValueError(f"workers must be an integer, got {self.workers!r}")
         if self.workers < 0:
             raise ValueError(f"workers must be >= 0, got {self.workers}")
         if self.backend not in BACKEND_CHOICES:

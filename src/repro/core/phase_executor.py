@@ -2,18 +2,22 @@
 
 One class, three entry points (``density``, which also returns the IAD
 matrices of its pass on request, ``forces`` and ``gravity``) — the seam
-``Simulation.compute_rates`` calls each phase through.  With ``workers
-== 0`` an entry point opens the phase span and calls the phase function
-once with the evaluation's pair record.  With
-``workers >= 1`` it cuts the query rows into ``workers`` pair-balanced
-slices (gravity: particle-balanced slices of the target leaves) and runs
-the *same* phase function per slice (``rows=(lo, hi)`` /
-``target_leaves=``), one slice per thread, on threads that share the
-particle arrays — the paper's node-level model.  The compiled ops and
-numpy's ufuncs release the interpreter lock, a slice writes only its own
-``out[lo:hi]``, and every row is reduced in the same order as in the
-single call, so any ``workers`` reproduces the serial result bit for
-bit.
+``Simulation.compute_rates`` calls each phase through, and the one owner
+of the order of the sub-passes inside a phase: the bootstrap density
+before a density pass that reads the previous one, grad-h and div/curl
+(Balsara) before the force loop.
+
+An entry point cuts the query rows into ``max(workers, 1)``
+pair-balanced slices (gravity: particle-balanced slices of the target
+leaves) and runs the phase function per slice (``rows=(lo, hi)`` /
+``target_leaves=``).  With ``workers == 0`` that is one slice, ``(0,
+n)``, called inline on the driver thread with the evaluation's own pair
+record.  With ``workers >= 1`` each slice runs on its own thread; the
+threads share the particle arrays — the paper's node-level model.  The
+compiled ops and numpy's ufuncs release the interpreter lock, a slice
+writes only its own ``out[lo:hi]``, and every row is reduced in the same
+order whatever the slicing, so any ``workers`` reproduces the serial
+result bit for bit.
 
 Nothing crosses a process boundary: slices read the driver's live
 backend, kernel and box (never copies, so
@@ -45,7 +49,6 @@ from ..sph.density import compute_density, grad_h_terms
 from ..sph.forces import ForceResult, compute_forces, velocity_divergence_curl
 from ..sph.viscosity import balsara_switch
 from ..tree.neighborlist import balanced_row_slices
-from ..tree.octree import expand_ranges
 
 __all__ = ["PhaseExecutor"]
 
@@ -68,20 +71,22 @@ class PhaseExecutor:
             self._pool.shutdown(wait=True)
             self._pool = None
 
-    def _span(self, phase: str, state: State = State.USEFUL):
+    def _span(self, phase: str):
+        """The driver's span of a phase: ``FORK_JOIN`` around threads."""
+        state = State.FORK_JOIN if self.workers else State.USEFUL
         return self._sim.tracer.phase(phase, state)
 
-    def _once(self, phase: str, fn, *pair_args, **options):
-        """``workers == 0``: one call, on the evaluation's pair record."""
-        with self._span(phase):
-            return fn(*pair_args, backend=self._sim.backend, **options)
-
     def _fan_out(self, kind: str, phase: str, slices: list, fn) -> list:
-        """``[fn(k, lo, hi) for k, (lo, hi) in enumerate(slices)]`` on the
-        threads, one slice per thread, each timing its slice.  The driver
-        records those spans after the join, in slice order, on thread row
-        ``k + 1`` — the tracer is only ever written from the driver thread.
+        """``[fn(k, lo, hi) for k, (lo, hi) in enumerate(slices)]``.
+
+        With ``workers == 0`` (one slice) the call runs inline on the
+        driver thread, inside the phase span.  Otherwise each slice runs
+        on a thread, timing itself; the driver records those spans after
+        the join, in slice order, on thread row ``k + 1`` — the tracer is
+        only ever written from the driver thread.
         """
+        if not self.workers:
+            return [fn(k, lo, hi) for k, (lo, hi) in enumerate(slices)]
         if self._pool is None:
             # The threads start here — on the first fan-out of the
             # process that runs the simulation, never at import or
@@ -122,13 +127,13 @@ class PhaseExecutor:
 
         What every slice reads that is made lazily — the kernel
         normalisation, memoised per process, and the slices' records
-        (``None`` on the compiled path) — is made here, on the driver
-        thread.
+        (``None`` on the compiled path; the one slice of ``workers ==
+        0`` reads the evaluation's record itself) — is made here, on the
+        driver thread.
         """
-        sim = self._sim
-        backend = sim.backend
+        backend = self._sim.backend
         kernel.sigma(particles.dim)
-        slices = balanced_row_slices(nlist.offsets, self.workers)
+        slices = balanced_row_slices(nlist.offsets, max(self.workers, 1))
         records = [None if pairs is None else pairs.rows(*s) for s in slices]
 
         def run(kind, fn, outs, parts=lambda res: (res,), source=particles,
@@ -151,22 +156,22 @@ class PhaseExecutor:
     # -- compiled path); ``options`` = the phase function's own keywords,
     # -- spelled out by the one caller (``Simulation.compute_rates``)
     def density(self, *pair_args, pairs, phase: str, **options):
-        """``compute_density``'s return: ``particles.rho``, or with
-        ``return_iad`` also the IAD matrices of the same pass."""
-        if not self.workers:
-            return self._once(
-                phase, compute_density, *pair_args, pairs=pairs, **options
-            )
+        """Update ``particles.rho``; return the IAD matrices of the same
+        pass with ``return_iad``, else ``None``.
+
+        IAD (through its ``m_j/rho_j`` weights) and the generalized
+        estimator read the previous density: when any of it is not
+        positive — an initial condition without one — a standard
+        summation runs first and stands in for it.
+        """
         particles = pair_args[0]
         n, dim = particles.n, particles.dim
-        iad = options.get("return_iad", False)
-        with self._span(phase, State.FORK_JOIN):
+        iad = options["return_iad"]
+        with self._span(phase):
             run = self._rows(phase, pairs, *pair_args)
             source = particles
-            generalized = options.get("volume_elements") == "generalized"
-            if generalized and np.any(particles.rho <= 0.0):
-                # The generalized estimator reads a global density: fill
-                # a standard summation first (the serial bootstrap).
+            reads_rho = iad or options["volume_elements"] == "generalized"
+            if reads_rho and np.any(particles.rho <= 0.0):
                 source = copy.copy(particles)
                 source.rho = np.empty(n)
                 run("density", compute_density, (source.rho,))
@@ -178,21 +183,21 @@ class PhaseExecutor:
             else:
                 run("density", compute_density, (rho,), source=source, **options)
             particles.rho[:] = rho
-        return (particles.rho, c) if iad else particles.rho
+        return c if iad else None
 
-    def forces(self, *pair_args, pairs, phase: str, **options) -> ForceResult:
-        if not self.workers:
-            return self._once(
-                phase, compute_forces, *pair_args, pairs=pairs, **options
-            )
+    def forces(self, *pair_args, pairs, phase: str, grad_h: bool,
+               **options) -> ForceResult:
+        """``compute_forces``' return, after the sub-passes it reads:
+        grad-h ``Omega`` when ``grad_h``, the Balsara factors (from
+        div/curl) when the viscosity uses them."""
         particles = pair_args[0]
         n = particles.n
-        with self._span(phase, State.FORK_JOIN):
+        with self._span(phase):
             run = self._rows(phase, pairs, *pair_args)
             # Every cross-particle input of the force loop is global, so
             # each pass is complete before the next one reads it.
             omega = balsara_f = None
-            if options["grad_h"]:
+            if grad_h:
                 omega = np.empty(n)
                 run("gradh", grad_h_terms, (omega,))
             if options["viscosity"].use_balsara:
@@ -212,11 +217,8 @@ class PhaseExecutor:
 
     def gravity(self, x, m, *, phase: str, **options) -> GravityResult:
         ops = self._sim.backend.ops
-        if not self.workers:
-            with self._span(phase):
-                return barnes_hut_gravity(x, m, ops=ops, **options)
         tree = options["tree"]
-        with self._span(phase, State.FORK_JOIN):
+        with self._span(phase):
             moments = compute_node_moments(
                 tree, x, m, order=options["order"], ops=ops
             )
@@ -226,21 +228,15 @@ class PhaseExecutor:
             acc, phi = np.zeros_like(x), np.zeros(x.shape[0])
 
             def one(k, lo, hi) -> GravityResult:
-                part = barnes_hut_gravity(
-                    x, m, moments=moments, ops=ops,
-                    target_leaves=leaves[lo:hi], **options,
-                )
                 # Disjoint leaves hold disjoint particles: no slice
                 # writes a row another slice writes.
-                rows = tree.order[
-                    expand_ranges(tree.pstart[leaves[lo:hi]], counts[lo:hi])
-                ]
-                acc[rows], phi[rows] = part.acc[rows], part.phi[rows]
-                return part
+                return barnes_hut_gravity(
+                    x, m, moments=moments, ops=ops,
+                    target_leaves=leaves[lo:hi], out=(acc, phi), **options,
+                )
 
-            parts = self._fan_out(
-                "gravity", phase, balanced_row_slices(offsets, self.workers), one
-            )
+            slices = balanced_row_slices(offsets, max(self.workers, 1))
+            parts = self._fan_out("gravity", phase, slices, one)
         return GravityResult(
             acc=acc, phi=phi,
             n_p2p=sum(p.n_p2p for p in parts),

@@ -334,29 +334,21 @@ class Simulation:
             # The compiled cut is its lower half (``j <= i``): every
             # off-diagonal pair once, plus the diagonal.
             self._cut_pairs = 2 * pair_list.n_pairs - p.n
-        # One call site per phase; the executor runs it as one call or
-        # as row slices on threads (``ExecConfig.workers``).
+        # One call site per phase; the executor sequences its sub-passes
+        # and runs each as one slice or as row slices on threads
+        # (``ExecConfig.workers``).
         phases = self._phases
         pair_args = (p, pair_list, self.kernel, self.box)
-        density = dict(
+        # The density and the IAD matrices of one pass: both read the
+        # previous density.
+        c_matrices = phases.density(
+            *pair_args,
             pairs=pairs,
             volume_elements=cfg.volume_elements,
             xmass_exponent=cfg.xmass_exponent,
+            return_iad=cfg.gradients == "iad",
             phase=Phase.DENSITY.letter,
         )
-        c_matrices = None
-        if cfg.gradients == "iad":
-            # IAD moments need a density estimate; bootstrap on the first
-            # call with a standard summation.
-            if np.all(p.rho <= 0.0):
-                phases.density(
-                    *pair_args, pairs=pairs, phase=Phase.NEIGHBOR_LISTS.letter
-                )
-            # The density and the IAD matrices of one pass: both read
-            # the previous density.
-            c_matrices = phases.density(*pair_args, return_iad=True, **density)[1]
-        else:
-            phases.density(*pair_args, **density)
 
         with tr.phase(Phase.EQUATION_OF_STATE.letter):
             self.eos.apply(p)
@@ -364,7 +356,6 @@ class Simulation:
         result = phases.forces(
             *pair_args,
             pairs=pairs,
-            gradients=cfg.gradients,
             viscosity=cfg.viscosity,
             grad_h=cfg.grad_h,
             c_matrices=c_matrices,

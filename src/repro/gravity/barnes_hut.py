@@ -88,6 +88,7 @@ def barnes_hut_gravity(
     box: Box | None = None,
     moments: NodeMoments | None = None,
     target_leaves: np.ndarray | None = None,
+    out: tuple[np.ndarray, np.ndarray] | None = None,
     ops=None,
 ) -> GravityResult:
     """Tree-code gravity for all particles.
@@ -111,6 +112,10 @@ def barnes_hut_gravity(
         target leaf, so partitioning the leaves over threads
         (:mod:`repro.core.phase_executor`) reproduces the full walk
         bit-for-bit.
+    out:
+        Zero-filled ``(acc, phi)`` arrays of all ``n`` particles: the
+        walk writes its target rows there and returns them, so slices
+        of the leaves fill one shared pair.
     ops:
         A compiled op table (``Backend.ops``).  In 3-D every leaf's
         walk, M2P and P2P run there — same MAC arithmetic, hence the
@@ -143,14 +148,15 @@ def barnes_hut_gravity(
     eps2 = float(softening) ** 2
     if ops is not None and dim == 3:
         return GravityResult(
-            *ops.gravity(tree, x, m, moments, leaves, order, theta, g_const, eps2),
+            *ops.gravity(
+                tree, x, m, moments, leaves, order, theta, g_const, eps2, out
+            ),
             path=ops.name,
         )
 
     node_size = 2.0 * tree.half.max(axis=1)
     held = (moments.m2, moments.m3, moments.m4)
-    acc = np.zeros((n, dim))
-    phi = np.zeros(n)
+    acc, phi = (np.zeros((n, dim)), np.zeros(n)) if out is None else out
     n_m2p = n_p2p = 0
     for leaf in leaves:
         far, near = _leaf_sources(tree, moments.com, node_size, theta, leaf)

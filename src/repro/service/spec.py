@@ -75,6 +75,19 @@ class JobSpec:
     def __post_init__(self) -> None:
         if not self.scenario:
             raise SpecError("spec needs a scenario name")
+        # A spec arrives as JSON from outside the process: type the
+        # fields before anything compares or hashes them.
+        for name in ("n_steps", "n_neighbors", "kill_at_step"):
+            value = getattr(self, name)
+            if value is not None and (
+                not isinstance(value, int) or isinstance(value, bool)
+            ):
+                raise SpecError(f"{name} must be an integer, got {value!r}")
+        for name in ("test", "guard"):
+            if not isinstance(getattr(self, name), bool):
+                raise SpecError(
+                    f"{name} must be true or false, got {getattr(self, name)!r}"
+                )
         if self.n_steps is not None and self.n_steps < 1:
             raise SpecError(f"n_steps must be >= 1, got {self.n_steps}")
         try:

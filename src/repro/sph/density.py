@@ -59,14 +59,15 @@ def compute_density(
         ``"standard"`` or ``"generalized"`` (Tables 1-2 "Volume Elements").
     xmass_exponent:
         Exponent ``k`` of the generalized estimator ``X = (m/rho_prev)^k``.
-        Ignored for the standard summation.
+        Ignored for the standard summation.  The generalized estimator
+        (like ``return_iad``) reads the previous ``particles.rho``, which
+        must be positive: a caller without one runs a standard pass
+        first, as the phase executor does.
     rows:
         Optional query-row range ``(lo, hi)``: evaluate only those
         particles and *return* the slice without touching
         ``particles.rho`` — the per-slice entry point of the phase
-        executor's fan-out.  The generalized estimator then requires a
-        valid (positive) global ``particles.rho`` from a previous pass;
-        the bootstrap summation is orchestrated by the caller.
+        executor's fan-out.
     pairs:
         Optional :class:`~repro.tree.pairs.Pairs` record of ``nlist``
         (and ``rows``), shared with the other phases of a rate
@@ -90,25 +91,31 @@ def compute_density(
         raise ValueError(
             f"volume_elements must be 'standard' or 'generalized', got {volume_elements!r}"
         )
+    if (return_iad or volume_elements == "generalized") and np.any(
+        particles.rho <= 0.0
+    ):
+        raise ValueError(
+            "IAD and generalized volume elements read the previous density, "
+            "which must be positive; run a standard pass first"
+        )
+    if volume_elements == "standard":
+        wgt = particles.m
+    else:
+        wgt = (particles.m / particles.rho) ** float(xmass_exponent)
     lo, hi = rows if rows is not None else (0, nlist.n)
     ops = backend_ops(backend, kernel)
     c_matrices = None
     if ops is not None:
         csr = nlist.as_int32()
-
-        def sums(wgt):
-            nonlocal c_matrices
-            if not return_iad:
-                return ops.density_sums(
-                    particles.x, particles.h, wgt, csr, box, kernel, lo, hi
-                )
-            # A bootstrap's second call makes the same matrices again.
+        if return_iad:
             s, c_matrices = ops.density_iad(
                 particles.x, particles.h, wgt, particles.m, particles.rho, csr,
                 box, kernel, lo, hi, IAD_RCOND,
             )
-            return s
-
+        else:
+            s = ops.density_sums(
+                particles.x, particles.h, wgt, csr, box, kernel, lo, hi
+            )
     else:
         if pairs is None:
             pairs = Pairs(particles, nlist, kernel, box, rows)
@@ -116,30 +123,17 @@ def compute_density(
             c_matrices = compute_iad_matrices(
                 particles, nlist, kernel, box, rows=rows, pairs=pairs
             )
-
-        def sums(wgt):
-            return pairs.reduce(wgt[pairs.j] * pairs.w_i)
-
+        s = pairs.reduce(wgt[pairs.j] * pairs.w_i)
     if volume_elements == "standard":
-        rho = sums(particles.m)
+        rho = s
     else:
-        rho_prev = particles.rho
-        if np.any(rho_prev <= 0.0):
-            if rows is not None:
-                raise ValueError(
-                    "generalized volume elements in slice mode need a "
-                    "bootstrapped global density; run a standard pass first"
-                )
-            # First call: bootstrap with a standard summation.
-            rho_prev = sums(particles.m)
-        xmass = (particles.m / rho_prev) ** float(xmass_exponent)
-        kappa = sums(xmass)
-        if np.any(kappa <= 0.0):
+        # s = kappa_i = sum_j X_j W_ij
+        if np.any(s <= 0.0):
             raise ValueError(
                 "generalized volume elements: a particle has no kernel support "
                 "(kappa <= 0); check neighbour lists include the self pair"
             )
-        rho = particles.m[lo:hi] * kappa / xmass[lo:hi]
+        rho = particles.m[lo:hi] * s / wgt[lo:hi]
     if rows is None:
         particles.rho[:] = rho
         rho = particles.rho

@@ -32,14 +32,13 @@ from typing import Tuple
 import numpy as np
 
 from ..backend.base import backend_ops
-from ..gradients.iad import compute_iad_matrices, iad_pair_gradients
+from ..gradients.iad import iad_pair_gradients
 from ..gradients.kernel_gradient import PairGradients
 from ..kernels.base import Kernel
 from ..tree.box import Box
 from ..tree.neighborlist import NeighborList
 from ..tree.pairs import Pairs
-from .density import grad_h_terms
-from .viscosity import ViscosityParams, balsara_switch, pairwise_viscosity
+from .viscosity import ViscosityParams, pairwise_viscosity
 
 __all__ = ["ForceResult", "compute_forces", "velocity_divergence_curl"]
 
@@ -107,9 +106,7 @@ def compute_forces(
     kernel: Kernel,
     box: Box | None = None,
     *,
-    gradients: str = "standard",
     viscosity: ViscosityParams = ViscosityParams(),
-    grad_h: bool = False,
     c_matrices: np.ndarray | None = None,
     rows: Tuple[int, int] | None = None,
     omega: np.ndarray | None = None,
@@ -117,70 +114,50 @@ def compute_forces(
     pairs: Pairs | None = None,
     backend=None,
 ) -> ForceResult:
-    """Evaluate accelerations and energy rates; updates particles in place.
+    """Evaluate accelerations and energy rates.
+
+    The phase reads what the sub-passes before it produced and computes
+    none of them itself; the phase executor runs them in order
+    (:class:`repro.core.phase_executor.PhaseExecutor`).
 
     Parameters
     ----------
-    gradients:
-        ``"standard"`` (kernel derivatives) or ``"iad"``.
     c_matrices:
-        Pre-computed IAD matrices; computed here when omitted.
-    grad_h:
-        Apply grad-h ``Omega`` corrections to the pressure terms.
+        The IAD matrices of every particle
+        (:func:`~repro.gradients.iad.compute_iad_matrices`): the
+        gradients are IAD when given, kernel derivatives otherwise.
+    omega:
+        The grad-h factors of every particle
+        (:func:`~repro.sph.density.grad_h_terms`), applied to the
+        pressure terms when given.
+    balsara_f:
+        The Balsara limiter of every particle
+        (:func:`~repro.sph.viscosity.balsara_switch`), which scales the
+        viscosity when given; required when ``viscosity.use_balsara``.
     rows:
         Optional query-row range ``(lo, hi)``: evaluate only those rows
         and return slice-sized arrays without touching
-        ``particles.a``/``particles.du`` (threaded fan-out mode).  Slice mode
-        requires every cross-particle input to be global: ``c_matrices``
-        for IAD, ``omega`` when ``grad_h``, ``balsara_f`` when the
-        viscosity uses the Balsara switch.
-    omega, balsara_f:
-        Pre-computed global grad-h factors / Balsara limiter values; both
-        are computed here when omitted (serial path).
+        ``particles.a``/``particles.du`` (the executor's per-slice entry
+        point).  Without it the whole list is evaluated and
+        ``particles.a``/``particles.du`` are updated in place.
     pairs:
         Optional :class:`~repro.tree.pairs.Pairs` record of ``nlist`` (and
-        ``rows``); the subsidiary phases evaluated here (grad-h, div/curl,
-        IAD) read the same record.
+        ``rows``), shared with the other phases of a rate evaluation.
     backend:
         Optional resolved :class:`repro.backend.Backend`; a compiled
         backend runs one row kernel for the whole pair pass.  The n-sized
         glue (``p_over``, the final ``du`` combination) stays in numpy on
         either path.
     """
-    if gradients not in ("standard", "iad"):
-        raise ValueError(f"gradients must be 'standard' or 'iad', got {gradients!r}")
     if np.any(particles.rho <= 0.0):
         raise ValueError("densities must be computed (positive) before forces")
-
-    if rows is not None:
-        if gradients == "iad" and c_matrices is None:
-            raise ValueError("slice mode needs pre-computed global c_matrices")
-        if grad_h and omega is None:
-            raise ValueError("slice mode needs pre-computed global omega")
-        if viscosity.use_balsara and balsara_f is None:
-            raise ValueError("slice mode needs pre-computed global balsara_f")
+    if viscosity.use_balsara and balsara_f is None:
+        raise ValueError("a Balsara viscosity needs balsara_f (balsara_switch)")
     ops = backend_ops(backend, kernel)
     if ops is None and pairs is None:
         pairs = Pairs(particles, nlist, kernel, box, rows)
-    shared = dict(pairs=pairs, backend=backend)
-    if gradients == "standard":
-        c_matrices = None
-    elif c_matrices is None:
-        c_matrices = compute_iad_matrices(particles, nlist, kernel, box, **shared)
-    if omega is None:
-        omega = (
-            grad_h_terms(particles, nlist, kernel, box, **shared)
-            if grad_h
-            else np.ones(particles.n)
-        )
-    p_over = particles.p / (omega * particles.rho**2)
-    if not viscosity.use_balsara:
-        balsara_f = None
-    elif balsara_f is None:
-        div_v, curl_v = velocity_divergence_curl(
-            particles, nlist, kernel, box, **shared
-        )
-        balsara_f = balsara_switch(div_v, curl_v, particles.cs, particles.h)
+    rho2 = particles.rho**2
+    p_over = particles.p / (rho2 if omega is None else omega * rho2)
 
     lo, hi = rows if rows is not None else (0, nlist.n)
     if ops is not None:

@@ -343,6 +343,8 @@ def balanced_row_slices(offsets: np.ndarray, n_slices: int) -> list[Tuple[int, i
     n = offsets.size - 1
     if n_slices < 1:
         raise ValueError(f"n_slices must be >= 1, got {n_slices}")
+    if n_slices == 1:  # every phase of a serial run asks for this one
+        return [(0, n)] if n else []
     total = int(offsets[-1])
     targets = (np.arange(1, n_slices) * total) // n_slices
     cuts = np.searchsorted(offsets, targets, side="left")

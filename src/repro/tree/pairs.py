@@ -61,7 +61,11 @@ class Pairs:
         """The record of rows ``[lo, hi)`` of a whole-list record — one per
         range, so every phase the executor runs on that slice shares its
         geometry and products.  Geometry this record holds already is
-        sliced out of it (the same per-pair arithmetic, so the same bits)."""
+        sliced out of it (the same per-pair arithmetic, so the same bits).
+        All the rows of a whole-list record are the record itself, so its
+        one slice keeps :attr:`rev`."""
+        if (lo, hi) == (0, self.nlist.n) and self.sub is self.nlist:
+            return self
         if (lo, hi) not in self._slices:
             part = Pairs(self.particles, self.nlist, self.kernel, self.box, (lo, hi))
             if "_geometry" in self.__dict__:

@@ -139,9 +139,10 @@ def test_removed_surface_fails_closed():
     engine, (8.0.0) the online autotuner, (10.0.0) the second per-step
     error detector and eight guard knobs, (11.0.0) the h iteration's
     ``adapted`` flag and global ``converged`` count, (12.0.0) the
-    Verlet cache's on/off and skin knobs and (13.0.0) the slices-per-
+    Verlet cache's on/off and skin knobs, (13.0.0) the slices-per-
     thread knob, the driver's rank and tracer inputs, the metrics
-    registry and the Amdahl fit are gone: old spellings are typed errors
+    registry and the Amdahl fit and (14.0.0) ``compute_forces``' own
+    sub-passes are gone: old spellings are typed errors
     at the boundary, never a silent default."""
     import importlib
 
@@ -304,4 +305,19 @@ def test_removed_surface_fails_closed():
     assert sim.report().neighbor_cache["builds"] >= 1
     extras = Checkpoint.of_simulation(sim).extras
     assert not [k for k in extras if k.startswith("ncache_")]
+    # 14.0.0: the phase executor alone runs the sub-passes before the
+    # force loop; compute_forces reads their results and computes none.
+    from repro.sph.viscosity import ViscosityParams
+    from repro.tree.cellgrid import cell_grid_search
+
+    p = sim.particles
+    nl = cell_grid_search(p.x, 2.0 * p.h, box, mode="symmetric")
+    for removed in ("gradients", "grad_h"):
+        assert removed not in inspect.signature(compute_forces).parameters
+        with pytest.raises(TypeError):
+            compute_forces(p, nl, sim.kernel, box, **{removed: False})
+    with pytest.raises(ValueError, match="balsara_f"):
+        compute_forces(
+            p, nl, sim.kernel, box, viscosity=ViscosityParams(use_balsara=True)
+        )
 

@@ -342,8 +342,7 @@ def test_phase_parity(phase_state, backend_name):
         ("standard", ViscosityParams(use_balsara=True),
          balsara_switch(div_ref, curl_ref, p.cs, p.h)),
     ):
-        kwargs = dict(gradients=gradients, viscosity=visc, rows=rows,
-                      omega=omega, balsara_f=bf)
+        kwargs = dict(viscosity=visc, rows=rows, omega=omega, balsara_f=bf)
         if gradients == "iad":
             kwargs["c_matrices"] = cm_ref
         f_ref = compute_forces(p, nlist, kernel, box, **kwargs)
@@ -448,9 +447,8 @@ def test_row_kernels_stay_inside_their_scratch(phase_state, backend_name, monkey
     div, curl = velocity_divergence_curl(p, nlist, kernel, box, rows=(0, p.n), backend=b)
     omega = np.ones(p.n)
     compute_forces(p, nlist, kernel, box, backend=b, rows=(0, p.n),
-                   gradients="iad", c_matrices=cm, omega=omega)
-    compute_forces(p, nlist, kernel, box, backend=b, rows=(0, p.n),
-                   gradients="standard", omega=omega,
+                   c_matrices=cm, omega=omega)
+    compute_forces(p, nlist, kernel, box, backend=b, rows=(0, p.n), omega=omega,
                    viscosity=ViscosityParams(use_balsara=True),
                    balsara_f=balsara_switch(div, curl, p.cs, p.h))
     assert {op for op, _ in blocks} == set(SCRATCH_ROWS)
@@ -568,9 +566,10 @@ def test_kernel_rows_match_numpy(kernel_cls, args, dim, periodic, backend_name):
             ps, nlist, kernel, box, backend=backend
         )
         for tag, options in (
-            ("iad", dict(gradients="iad")),
-            ("std", dict(gradients="standard", grad_h=True,
-                         viscosity=ViscosityParams(use_balsara=True))),
+            ("iad", dict(c_matrices=out["c"])),
+            ("std", dict(omega=out["omega"], balsara_f=balsara_switch(
+                out["div"], out["curl"], ps.cs, ps.h),
+                viscosity=ViscosityParams(use_balsara=True))),
         ):
             res = compute_forces(ps, nlist, kernel, box, backend=backend, **options)
             out[f"a_{tag}"], out[f"du_{tag}"] = res.a.copy(), res.du.copy()

@@ -394,12 +394,14 @@ def test_serve_submit_jobs_end_to_end(tmp_path, capsys):
         stats = capsys.readouterr().out
         assert "cache_hits: 2" in stats
 
-        # A malformed execution knob never reaches the queue.
-        reply = client_request(sock, {
-            "op": "submit", "spec": {"scenario": "sod", "workers": -1},
-        })
-        assert reply["ok"] is False
-        assert reply["error"].startswith("bad spec: workers")
+        # A malformed execution knob never reaches the queue, nor does a
+        # count sent as a string.
+        for workers in (-1, "2"):
+            reply = client_request(sock, {
+                "op": "submit", "spec": {"scenario": "sod", "workers": workers},
+            })
+            assert reply["ok"] is False
+            assert reply["error"].startswith("bad spec: workers")
         assert client_request(sock, {"op": "stats"})["stats"]["failed"] == 0
     finally:
         client_request(sock, {"op": "shutdown"})

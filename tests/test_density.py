@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.core.config import SimulationConfig
+from repro.core.simulation import Simulation
 from repro.kernels import make_kernel
 from repro.sph.density import compute_density, grad_h_terms
+from repro.sph.eos import IdealGasEOS
 from repro.tree.box import Box
 from repro.tree.cellgrid import cell_grid_search
 
@@ -45,13 +48,23 @@ def test_generalized_equals_standard_for_uniform(small_lattice):
 
 
 def test_generalized_bootstraps_without_prior_density(small_lattice):
+    """The phase refuses a non-positive previous density; the driver's
+    density pass bootstraps one with a standard summation first."""
     box = Box.cube(0.0, 1.0, dim=3, periodic=True)
     small_lattice.rho[:] = 0.0  # no previous estimate
     nl = _nlist(small_lattice, box)
-    rho = compute_density(
-        small_lattice, nl, make_kernel("m4"), box, volume_elements="generalized"
-    )
-    assert np.all(rho > 0.0)
+    with pytest.raises(ValueError, match="previous density"):
+        compute_density(
+            small_lattice, nl, make_kernel("m4"), box,
+            volume_elements="generalized",
+        )
+    # IAD's m_j/rho_j weights read it too.
+    with pytest.raises(ValueError, match="previous density"):
+        compute_density(small_lattice, nl, make_kernel("m4"), box, return_iad=True)
+    config = SimulationConfig(volume_elements="generalized", n_neighbors=50)
+    with Simulation(small_lattice, box, IdealGasEOS(), config=config) as sim:
+        sim.compute_rates()
+        assert np.all(sim.particles.rho > 0.0)
 
 
 def test_density_scales_with_mass(small_lattice):

@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.gradients.iad import compute_iad_matrices
 from repro.kernels import make_kernel
 from repro.sph.density import compute_density
 from repro.sph.eos import IdealGasEOS
 from repro.sph.forces import compute_forces, velocity_divergence_curl
-from repro.sph.viscosity import ViscosityParams
+from repro.sph.viscosity import ViscosityParams, balsara_switch
 from repro.tree.box import Box
 from repro.tree.cellgrid import cell_grid_search
 
@@ -31,7 +32,10 @@ def hot_cloud(random_cloud):
 @pytest.mark.parametrize("gradients", ["standard", "iad"])
 def test_momentum_conserved_to_machine_precision(hot_cloud, gradients):
     p, box, kernel, nl = hot_cloud
-    compute_forces(p, nl, kernel, box, gradients=gradients)
+    c_matrices = (
+        compute_iad_matrices(p, nl, kernel, box) if gradients == "iad" else None
+    )
+    compute_forces(p, nl, kernel, box, c_matrices=c_matrices)
     total_force = (p.m[:, None] * p.a).sum(axis=0)
     scale = np.abs(p.m[:, None] * p.a).sum()
     assert np.linalg.norm(total_force) < 1e-11 * max(scale, 1.0)
@@ -48,7 +52,7 @@ def test_angular_momentum_conserved_standard(random_cloud):
     kernel = make_kernel("m4")
     p.u[:] = 1.0
     nl = _prepare(p, box, kernel)
-    compute_forces(p, nl, kernel, box, gradients="standard")
+    compute_forces(p, nl, kernel, box)
     torque = np.sum(np.cross(p.x, p.m[:, None] * p.a), axis=0)
     scale = np.abs(np.cross(p.x, p.m[:, None] * p.a)).sum()
     assert np.linalg.norm(torque) < 1e-10 * max(scale, 1.0)
@@ -120,12 +124,6 @@ def test_forces_require_density(random_cloud):
         compute_forces(random_cloud, nl, kernel, box)
 
 
-def test_invalid_gradients_name(hot_cloud):
-    p, box, kernel, nl = hot_cloud
-    with pytest.raises(ValueError, match="gradients"):
-        compute_forces(p, nl, kernel, box, gradients="bogus")
-
-
 def test_divergence_of_expansion_positive(small_lattice):
     box = Box.cube(0.0, 1.0, dim=3)
     kernel = make_kernel("m4")
@@ -166,6 +164,10 @@ def test_balsara_suppresses_shear_viscosity(small_lattice):
     nl = _prepare(p, box, kernel)
     compute_forces(p, nl, kernel, box, viscosity=ViscosityParams(use_balsara=False))
     heat_plain = np.abs(p.du).sum()
-    compute_forces(p, nl, kernel, box, viscosity=ViscosityParams(use_balsara=True))
+    div, curl = velocity_divergence_curl(p, nl, kernel, box)
+    compute_forces(
+        p, nl, kernel, box, viscosity=ViscosityParams(use_balsara=True),
+        balsara_f=balsara_switch(div, curl, p.cs, p.h),
+    )
     heat_balsara = np.abs(p.du).sum()
     assert heat_balsara < 0.5 * heat_plain

@@ -461,6 +461,13 @@ def test_leaf_partition_reproduces_full_walk(request, rng, path):
     assert np.array_equal(acc, full.acc)
     assert np.array_equal(phi, full.phi)
     assert (n_p2p, n_m2p) == (full.n_p2p, full.n_m2p)
+    # The parts can also fill one shared pair in place (``out``).
+    out = (np.zeros_like(full.acc), np.zeros_like(full.phi))
+    for part in parts:
+        res = barnes_hut_gravity(x, m, target_leaves=part, out=out, **kw)
+        assert res.acc is out[0] and res.phi is out[1]
+    assert np.array_equal(out[0], full.acc)
+    assert np.array_equal(out[1], full.phi)
 
 
 def _leaf_list_lengths(tree, moments, theta):

@@ -109,9 +109,7 @@ def test_pairwise_forces_conserve_momentum(gradients, seed):
         from repro.gradients.iad import compute_iad_matrices
 
         c_matrices = compute_iad_matrices(particles, nlist, kernel, box)
-    compute_forces(
-        particles, nlist, kernel, box, gradients=gradients, c_matrices=c_matrices
-    )
+    compute_forces(particles, nlist, kernel, box, c_matrices=c_matrices)
     net = (particles.m[:, None] * particles.a).sum(axis=0)
     scale = float(np.abs(particles.m[:, None] * particles.a).sum())
     assert np.linalg.norm(net) <= 1e-13 * max(scale, 1.0)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.kernels import make_kernel
-from repro.sph.density import compute_density
+from repro.sph.density import compute_density, grad_h_terms
 from repro.sph.eos import IdealGasEOS
 from repro.sph.forces import compute_forces
 from repro.tree.box import Box
@@ -28,7 +28,8 @@ def test_grad_h_forces_conserve_momentum(random_cloud):
     # Non-uniform h so Omega actually deviates from 1.
     random_cloud.h *= 1.0 + 0.3 * np.sin(7 * random_cloud.x[:, 0])
     nl = _prepared(random_cloud, box, kernel)
-    compute_forces(random_cloud, nl, kernel, box, grad_h=True)
+    omega = grad_h_terms(random_cloud, nl, kernel, box)
+    compute_forces(random_cloud, nl, kernel, box, omega=omega)
     force = random_cloud.m[:, None] * random_cloud.a
     assert np.linalg.norm(force.sum(axis=0)) < 1e-10 * np.abs(force).sum()
 
@@ -39,9 +40,10 @@ def test_grad_h_changes_forces_when_h_varies(random_cloud):
     random_cloud.u[:] = 1.0
     random_cloud.h *= 1.0 + 0.3 * np.sin(7 * random_cloud.x[:, 0])
     nl = _prepared(random_cloud, box, kernel)
-    compute_forces(random_cloud, nl, kernel, box, grad_h=False)
+    compute_forces(random_cloud, nl, kernel, box)
     a_plain = random_cloud.a.copy()
-    compute_forces(random_cloud, nl, kernel, box, grad_h=True)
+    omega = grad_h_terms(random_cloud, nl, kernel, box)
+    compute_forces(random_cloud, nl, kernel, box, omega=omega)
     assert not np.allclose(a_plain, random_cloud.a)
 
 

@@ -40,7 +40,7 @@ from repro.ics.square_patch import SquarePatchConfig, make_square_patch
 from repro.kernels.registry import make_kernel
 from repro.sph.density import compute_density, grad_h_terms
 from repro.sph.forces import compute_forces, velocity_divergence_curl
-from repro.sph.viscosity import ViscosityParams
+from repro.sph.viscosity import ViscosityParams, balsara_switch
 from repro.timestepping.steppers import TimestepParams
 from repro.tree.box import Box
 from repro.tree.cellgrid import cell_grid_search
@@ -450,10 +450,15 @@ def test_phases_match_standalone_bitwise(hit, monkeypatch):
     same(*runs(grad_h_terms))
     same(*runs(compute_iad_matrices))
     same(*runs(velocity_divergence_curl))
-    same(*runs(compute_forces, gradients="standard", grad_h=True))
+    # The force loop's inputs from the sub-passes, off the shared record.
+    omega = grad_h_terms(p, pairs.nlist, kernel, box, pairs=pairs)
+    div, curl = velocity_divergence_curl(p, pairs.nlist, kernel, box, pairs=pairs)
+    same(*runs(compute_forces, omega=omega))
     same(*runs(
-        compute_forces, gradients="iad",
+        compute_forces,
+        c_matrices=compute_iad_matrices(p, pairs.nlist, kernel, box, pairs=pairs),
         viscosity=ViscosityParams(use_balsara=True),
+        balsara_f=balsara_switch(div, curl, p.cs, p.h),
     ))
 
 

@@ -203,16 +203,15 @@ def test_pair_once_ops_are_exact_across_lists_and_slices(
         ("div", "curl"),
     ):
         assert_norm_close(got, ref, PHASE_TOL, label)
-    for options in (
-        dict(gradients="iad", c_matrices=c_matrices),
-        dict(gradients="standard", viscosity=ViscosityParams(use_balsara=True),
-             balsara_f=balsara_f),
+    for label, options in (
+        ("iad", dict(c_matrices=c_matrices)),
+        ("standard", dict(viscosity=ViscosityParams(use_balsara=True),
+                          balsara_f=balsara_f)),
     ):
         ref = compute_forces(p, full, kernel, box, rows=rows, omega=np.ones(n),
                              **options)
         got = compute_forces(p, half, kernel, box, rows=rows, omega=np.ones(n),
                              backend=b, **options)
-        label = options["gradients"]
         assert_norm_close(got.a, ref.a, PHASE_TOL, f"a/{label}")
         assert_norm_close(got.du, ref.du, PHASE_TOL, f"du/{label}")
         assert got.max_mu == pytest.approx(ref.max_mu, rel=PHASE_TOL)

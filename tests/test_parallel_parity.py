@@ -21,6 +21,7 @@ from repro.core.simulation import Simulation
 from repro.ics.evrard import EvrardConfig, make_evrard
 from repro.ics.square_patch import SquarePatchConfig, make_square_patch
 from repro.observability import State
+from repro.sph.viscosity import ViscosityParams
 from repro.timestepping.steppers import TimestepParams
 
 RTOL = 1e-12
@@ -36,6 +37,17 @@ def _square_case():
     return particles, box, eos, config
 
 
+def _square_standard_case():
+    """Every sub-pass of the force phase: kernel-derivative gradients,
+    standard volume elements, grad-h and the Balsara switch."""
+    particles, box, eos, config = _square_case()
+    config = config.with_(
+        gradients="standard", volume_elements="standard", grad_h=True,
+        viscosity=ViscosityParams(use_balsara=True),
+    )
+    return particles, box, eos, config
+
+
 def _evrard_case():
     particles, box, eos = make_evrard(EvrardConfig(n_target=2000))
     config = SimulationConfig().with_(
@@ -44,7 +56,11 @@ def _evrard_case():
     return particles, box, eos, config
 
 
-CASES = {"square-patch": _square_case, "evrard": _evrard_case}
+CASES = {
+    "square-patch": _square_case,
+    "square-patch-standard": _square_standard_case,
+    "evrard": _evrard_case,
+}
 
 
 def _run(case: str, exec_config: ExecConfig, n_steps: int = 2):
@@ -225,18 +241,22 @@ def test_many_small_slices_keep_parity():
 
 
 def test_compiled_threads_match_compiled_serial_on_the_square_patch():
-    """The compiled pair loops on row slices: same bits as one call."""
+    """The compiled pair loops on row slices: same bits as one call, on
+    both square-patch cases."""
     if not available_backends()["cffi"]:
         pytest.skip("no C toolchain on this host")
-    ref_state, ref_extras = _run("square-patch", ExecConfig(backend="cffi"))
-    for workers in WORKER_COUNTS:
-        state, extras = _run(
-            "square-patch", ExecConfig(backend="cffi", workers=workers)
-        )
-        for name in FIELDS:
-            assert np.array_equal(state[name], ref_state[name]), (workers, name)
-        assert extras["dt"] == ref_extras["dt"]
-        assert extras["max_mu"] == ref_extras["max_mu"]
+    for case in ("square-patch", "square-patch-standard"):
+        ref_state, ref_extras = _run(case, ExecConfig(backend="cffi"))
+        for workers in WORKER_COUNTS:
+            state, extras = _run(
+                case, ExecConfig(backend="cffi", workers=workers)
+            )
+            for name in FIELDS:
+                assert np.array_equal(state[name], ref_state[name]), (
+                    case, workers, name,
+                )
+            assert extras["dt"] == ref_extras["dt"]
+            assert extras["max_mu"] == ref_extras["max_mu"]
 
 
 @pytest.mark.parametrize("backend", ["numpy", "cffi"])
@@ -316,9 +336,9 @@ def test_exception_in_one_slice_surfaces_once_and_leaves_state_untouched(
 
         def density(*args, rows=None, **kwargs):
             calls.append(rows)
-            # The whole call when serial; the second of the three slices
-            # to start when sliced.
-            if armed[0] and (rows is None or len(calls) == 2):
+            # The one slice when serial; the second of the three slices
+            # to start when threaded.
+            if armed[0] and len(calls) == min(2, max(exec_config.workers, 1)):
                 raise FloatingPointError(f"injected in {rows}")
             return real(*args, rows=rows, **kwargs)
 
@@ -397,8 +417,73 @@ def test_dropped_simulation_takes_its_threads_along():
     assert not any(t.is_alive() for t in threads)
 
 
+@pytest.mark.parametrize("backend", ["numpy", "cffi"])
+@pytest.mark.parametrize("volume_elements", ["standard", "generalized"])
+def test_iad_bootstraps_a_partly_non_positive_density(volume_elements, backend):
+    """IAD reads the previous density (its ``m_j/rho_j`` weights): an
+    initial density that is zero on some particles only is replaced by a
+    standard summation first, serial and threaded alike."""
+    if backend == "cffi" and not available_backends()["cffi"]:
+        pytest.skip("no C toolchain on this host")
+
+    def run(workers):
+        particles, box, eos = make_square_patch(
+            SquarePatchConfig(side=10, layers=10)
+        )
+        particles.rho[::7] = 0.0
+        config = SimulationConfig().with_(
+            gradients="iad", volume_elements=volume_elements,
+            n_neighbors=30, timestep_params=TS,
+        )
+        with Simulation(
+            particles, box, eos, config=config,
+            run_config=RunConfig(exec=ExecConfig(workers=workers, backend=backend)),
+        ) as sim:
+            sim.run(n_steps=2)
+            return {name: getattr(sim.particles, name).copy() for name in FIELDS}
+
+    serial, threaded = run(0), run(2)
+    for name in FIELDS:
+        assert np.all(np.isfinite(serial[name])), name
+        assert np.array_equal(serial[name], threaded[name]), name
+
+
+def test_one_slice_runs_inline_on_the_evaluation_record(monkeypatch):
+    """``workers=0`` is the one-slice case of the fan-out: no pool, no
+    span on a thread row, and the force loop reads the evaluation's own
+    record — the one whose reverse pairs serve ``w_j``/``grad_j``."""
+    from repro.core import phase_executor, simulation
+
+    made, seen = [], []
+    real_cut, real_forces = simulation.support_cut, phase_executor.compute_forces
+
+    def cut(*args, **kwargs):
+        made.append(real_cut(*args, **kwargs)[1])
+        return made[-1].nlist, made[-1]
+
+    def forces(*args, pairs=None, **kwargs):
+        seen.append(pairs)
+        return real_forces(*args, pairs=pairs, **kwargs)
+
+    monkeypatch.setattr(simulation, "support_cut", cut)
+    monkeypatch.setattr(phase_executor, "compute_forces", forces)
+    particles, box, eos, config = _square_case()
+    with Simulation(particles, box, eos, config=config) as sim:
+        sim.run(n_steps=2)
+        assert sim._phases._pool is None
+        events = sim.tracer.events
+    assert events and all(e.thread == 0 for e in events)
+    assert {e.state for e in events if e.phase in "EG"} == {State.USEFUL}
+    assert len(seen) == len(made) == 3  # the first evaluation, one per step
+    for record, evaluation in zip(seen, made):
+        assert record is evaluation and record.rev is not None
+
+
 def test_exec_config_validation():
     with pytest.raises(ValueError):
         ExecConfig(workers=-1)
+    for bad in ("2", 2.5, True):
+        with pytest.raises(ValueError, match="workers must be an integer"):
+            ExecConfig(workers=bad)
     with pytest.raises(ValueError, match="backend"):
         ExecConfig(backend="fortran")

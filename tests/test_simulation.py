@@ -175,6 +175,8 @@ def test_step_stats_fields():
 def test_config_rejects_unknown_choices():
     with pytest.raises(ValueError, match="kernel"):
         SimulationConfig(kernel="nope")
+    with pytest.raises(ValueError, match="gradients"):
+        SimulationConfig(gradients="bogus")
     with pytest.raises(ValueError, match="gravity"):
         SimulationConfig(gravity="pentapole")
     with pytest.raises(ValueError, match="load_balancing"):

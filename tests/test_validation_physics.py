@@ -147,6 +147,7 @@ def test_iad_and_standard_agree_on_smooth_flow():
     """Deep in a smooth uniform region the two gradient operators must
     produce nearly identical accelerations (they differ at boundaries)."""
     from repro.kernels import make_kernel
+    from repro.gradients.iad import compute_iad_matrices
     from repro.sph.density import compute_density
     from repro.sph.eos import IdealGasEOS
     from repro.sph.forces import compute_forces
@@ -169,9 +170,11 @@ def test_iad_and_standard_agree_on_smooth_flow():
     nl = cell_grid_search(p.x, 2 * p.h, box, mode="symmetric")
     compute_density(p, nl, kernel, box)
     IdealGasEOS().apply(p)
-    compute_forces(p, nl, kernel, box, gradients="standard")
+    compute_forces(p, nl, kernel, box)
     a_std = p.a.copy()
-    compute_forces(p, nl, kernel, box, gradients="iad")
+    compute_forces(
+        p, nl, kernel, box, c_matrices=compute_iad_matrices(p, nl, kernel, box)
+    )
     a_iad = p.a.copy()
     scale = np.abs(a_std).max()
     assert np.abs(a_iad - a_std).max() < 0.15 * scale
