@@ -18,6 +18,7 @@ from ..backend.base import BACKEND_CHOICES
 from ..observability.config import ObservabilityConfig
 from ..sph.viscosity import ViscosityParams
 from ..timestepping.criteria import TimestepParams
+from ..timestepping.steppers import STEPPERS
 
 if TYPE_CHECKING:  # avoid the core <-> resilience import cycles
     from ..resilience.chaos import NumericalChaosPolicy
@@ -49,7 +50,7 @@ KERNEL_CHOICES = (
 )
 GRADIENT_CHOICES = ("standard", "iad")
 VOLUME_ELEMENT_CHOICES = ("standard", "generalized")
-TIMESTEPPING_CHOICES = ("global", "individual", "adaptive")
+TIMESTEPPING_CHOICES = tuple(STEPPERS)
 #: None disables gravity; names map to multipole ranks (Table 1 wording).
 GRAVITY_CHOICES = (None, "monopole", "quadrupole", "octupole", "hexadecapole")
 DECOMPOSITION_CHOICES = (

@@ -2,7 +2,7 @@
 
 One class, three entry points (``density``, which also returns the IAD
 matrices of its pass on request, ``forces`` and ``gravity``) — the seam
-``Simulation.compute_rates`` calls each phase through, and the one owner
+the driver's phase methods call each phase through, and the one owner
 of the order of the sub-passes inside a phase: the bootstrap density
 before a density pass that reads the previous one, grad-h and div/curl
 (Balsara) before the force loop.
@@ -20,7 +20,7 @@ order whatever the slicing, so any ``workers`` reproduces the serial
 result bit for bit.
 
 Nothing crosses a process boundary: slices read the driver's live
-backend, kernel and box (never copies, so
+particles, backend, kernel and box (never copies, so
 ``Simulation.degrade_to_serial()`` takes effect on the next phase), and
 each slice reads the record of its own rows (``Pairs.rows`` of the
 evaluation's record), which every phase of the evaluation shares.
@@ -119,11 +119,12 @@ class PhaseExecutor:
                 raise out
         return results
 
-    def _rows(self, phase: str, pairs, particles, nlist, kernel, box):
-        """The row-sliced fan-out of one phase: ``run(kind, fn, outs)``
-        calls ``fn(..., rows=(lo, hi))`` per pair-balanced slice, with
-        that slice's pair record and the driver's backend, and stores
-        what it returns in ``out[lo:hi]`` of each buffer in ``outs``.
+    def _rows(self, phase: str, nlist, pairs):
+        """The row-sliced fan-out of one phase over ``nlist``:
+        ``run(kind, fn, outs)`` calls ``fn(..., rows=(lo, hi))`` per
+        pair-balanced slice, with that slice's pair record and the
+        driver's particles, kernel, box and backend, and stores what it
+        returns in ``out[lo:hi]`` of each buffer in ``outs``.
 
         What every slice reads that is made lazily — the kernel
         normalisation, memoised per process, and the slices' records
@@ -131,7 +132,9 @@ class PhaseExecutor:
         0`` reads the evaluation's record itself) — is made here, on the
         driver thread.
         """
-        backend = self._sim.backend
+        sim = self._sim
+        particles, kernel, box = sim.particles, sim.kernel, sim.box
+        backend = sim.backend
         kernel.sigma(particles.dim)
         slices = balanced_row_slices(nlist.offsets, max(self.workers, 1))
         records = [None if pairs is None else pairs.rows(*s) for s in slices]
@@ -151,11 +154,11 @@ class PhaseExecutor:
 
         return run
 
-    # -- the three entry points: ``pair_args`` = particles, nlist, kernel,
-    # -- box; ``pairs`` = the evaluation's pair record (``None`` on the
-    # -- compiled path); ``options`` = the phase function's own keywords,
-    # -- spelled out by the one caller (``Simulation.compute_rates``)
-    def density(self, *pair_args, pairs, phase: str, **options):
+    # -- the three entry points: ``nlist`` = the evaluation's support cut,
+    # -- ``pairs`` = its pair record (``None`` on the compiled path);
+    # -- ``options`` = the phase function's own keywords, spelled out by
+    # -- the one caller of each (the driver's method of that phase)
+    def density(self, nlist, pairs, *, phase: str, **options):
         """Update ``particles.rho``; return the IAD matrices of the same
         pass with ``return_iad``, else ``None``.
 
@@ -164,11 +167,11 @@ class PhaseExecutor:
         positive — an initial condition without one — a standard
         summation runs first and stands in for it.
         """
-        particles = pair_args[0]
+        particles = self._sim.particles
         n, dim = particles.n, particles.dim
         iad = options["return_iad"]
         with self._span(phase):
-            run = self._rows(phase, pairs, *pair_args)
+            run = self._rows(phase, nlist, pairs)
             source = particles
             reads_rho = iad or options["volume_elements"] == "generalized"
             if reads_rho and np.any(particles.rho <= 0.0):
@@ -185,15 +188,15 @@ class PhaseExecutor:
             particles.rho[:] = rho
         return c if iad else None
 
-    def forces(self, *pair_args, pairs, phase: str, grad_h: bool,
+    def forces(self, nlist, pairs, *, phase: str, grad_h: bool,
                **options) -> ForceResult:
         """``compute_forces``' return, after the sub-passes it reads:
         grad-h ``Omega`` when ``grad_h``, the Balsara factors (from
         div/curl) when the viscosity uses them."""
-        particles = pair_args[0]
+        particles = self._sim.particles
         n = particles.n
         with self._span(phase):
-            run = self._rows(phase, pairs, *pair_args)
+            run = self._rows(phase, nlist, pairs)
             # Every cross-particle input of the force loop is global, so
             # each pass is complete before the next one reads it.
             omega = balsara_f = None
@@ -215,7 +218,9 @@ class PhaseExecutor:
         max_mu = max((res.max_mu for res in done), default=0.0)
         return ForceResult(a=particles.a, du=particles.du, max_mu=max_mu)
 
-    def gravity(self, x, m, *, phase: str, **options) -> GravityResult:
+    def gravity(self, *, phase: str, **options) -> GravityResult:
+        """The driver's Barnes-Hut gravity over its particles and octree."""
+        x, m = self._sim.particles.x, self._sim.particles.m
         ops = self._sim.backend.ops
         tree = options["tree"]
         with self._span(phase):

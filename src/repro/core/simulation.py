@@ -10,15 +10,17 @@
 
 Integration is kick-drift-kick leapfrog, so one :meth:`Simulation.step`
 performs: half-kick with the current rates, drift, a full rate evaluation
-(phases A-I), the closing half-kick, and the next-dt selection.  Every
+(phases A-I), the closing half-kick, and the next-dt selection.  Each
+step of the algorithm is one method of :class:`Simulation`, and
+:meth:`Simulation.compute_rates` is their ordered call list.  Every
 phase is timed into an Extrae-like :class:`~repro.observability.tracer.Tracer`,
 which is what the Figure-4 reproduction and the POP metrics read.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
-from typing import TYPE_CHECKING, List, Optional
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 import numpy as np
 
@@ -33,24 +35,19 @@ from ..sph.smoothing import (
     adapt_smoothing_lengths,
 )
 from ..timestepping.integrator import apply_energy_floor, drift, kick
-from ..timestepping.steppers import (
-    AdaptiveTimestep,
-    GlobalTimestep,
-    IndividualTimesteps,
-)
+from ..timestepping.steppers import STEPPERS
 from ..tree.box import Box
-from ..tree.neighborlist import VerletNeighborCache
+from ..tree.neighborlist import NeighborList, VerletNeighborCache
 from ..tree.octree import Octree
 from ..tree.pairs import Pairs, support_cut
-from .config import ExecConfig, RunConfig, SimulationConfig
-from .conservation import ConservationState, measure_conservation
+from .config import RunConfig, SimulationConfig
+from .conservation import ConservationState, measure_conservation, relative_drift
 from .particles import ParticleSystem
 from .phase_executor import PhaseExecutor
 from .phases import Phase
 
 if TYPE_CHECKING:  # avoid the core <-> resilience import cycle at runtime
     from ..observability.report import RunReport
-    from ..resilience.checkpoint import ResilienceConfig
 
 __all__ = ["StepStats", "Simulation", "RunCancelled"]
 
@@ -109,8 +106,8 @@ class Simulation:
         when enabled, the no-op
         :class:`~repro.observability.tracer.NullTracer` otherwise).
         ``None`` means the all-defaults config — serial,
-        checkpoint-free, tracing on.  Prefer :meth:`configure` over
-        building one by hand.
+        checkpoint-free, tracing on.  It is wired once, at
+        construction.
     """
 
     particles: ParticleSystem
@@ -149,44 +146,35 @@ class Simulation:
         self._ncache = VerletNeighborCache()
         self._tree: Optional[Octree] = None
         self._smoothing = SmoothingConfig(n_target=self.config.n_neighbors)
-        if self.config.timestepping == "global":
-            self.stepper = GlobalTimestep(self.config.timestep_params)
-        elif self.config.timestepping == "adaptive":
-            self.stepper = AdaptiveTimestep(self.config.timestep_params)
-        else:
-            self.stepper = IndividualTimesteps(self.config.timestep_params)
-        self._phases = PhaseExecutor(self)
+        # Self-gravity only applies to open-boundary scenarios (the paper
+        # runs the periodic-Z square patch without gravity on every code,
+        # gravity-capable or not — Table 5).
+        self._self_gravity = self.config.gravity is not None and not bool(
+            np.any(self.box.periodic)
+        )
+        self.stepper = STEPPERS[self.config.timestepping](
+            self.config.timestep_params
+        )
         self._ledger_written = False
-        #: Steps actually executed by *this* driver (unlike
-        #: ``step_index``, a checkpoint restore does not advance it) —
-        #: the ledger-append predicate, so a never-run or
-        #: restored-but-idle driver writes no phantom history row.
+        #: Steps *this* driver executed (a restore does not advance it):
+        #: :meth:`close` appends a ledger row only after one.
         self._steps_executed = 0
         self._progress_hook = None
         self._cancel_requested = False
         self._apply_run_config()
         self.initial_conservation: Optional[ConservationState] = None
 
-    # ------------------------------------------------------------------
-    # Execution-environment wiring (RunConfig -> subsystems)
-    # ------------------------------------------------------------------
     def _apply_run_config(self) -> None:
-        """(Re)wire tracer, execution layer, checkpointing and guard.
-
-        Idempotent against the current :attr:`run_config`; construction
-        and :meth:`configure` both land here.  The threads of the
-        previous wiring are joined first.
-        """
+        """Wire tracer, execution layer, checkpointing and guard from
+        :attr:`run_config` (once, at construction)."""
         run = self.run_config
         self.tracer = make_tracer(run.observability)
-        exec_cfg = run.exec
         # The request resolves here (warn-once fallback to numpy when a
         # named compiled backend is unavailable); every phase, on
         # whichever thread, receives this resolved Backend.
-        self.backend_requested = exec_cfg.backend
-        self.backend = select_backend(exec_cfg.backend)
-        self._phases.close()
-        self._phases = PhaseExecutor(self, exec_cfg.workers)
+        self.backend_requested = run.exec.backend
+        self.backend = select_backend(run.exec.backend)
+        self._phases = PhaseExecutor(self, run.exec.workers)
         self.checkpoint_manager = None
         if run.resilience is not None:
             from ..resilience.checkpoint import CheckpointManager
@@ -204,251 +192,211 @@ class Simulation:
 
             self.step_guard = StepGuard(run.guard)
 
-    def configure(
-        self,
-        *,
-        exec: Optional[ExecConfig] = None,
-        resilience: Optional["ResilienceConfig"] = None,
-        observability=None,
-        guard=None,
-        numerical_chaos=None,
-    ) -> "Simulation":
-        """Swap parts of the execution environment before the first step.
-
-        Each non-``None`` argument replaces that section of
-        :attr:`run_config` and the affected subsystems are rewired;
-        omitted sections keep their current setting.  Returns ``self``
-        so construction chains::
-
-            sim = Simulation(p, box, eos).configure(exec=ExecConfig(workers=4))
-        """
-        if self.step_index != 0 or self.history:
-            raise RuntimeError(
-                "configure() must run before the first step "
-                f"(already at step {self.step_index})"
-            )
-        run = self.run_config
-        if exec is not None:
-            run = run.with_(exec=exec)
-        if resilience is not None:
-            run = run.with_(resilience=resilience)
-        if observability is not None:
-            run = run.with_(observability=observability)
-        if guard is not None:
-            run = run.with_(guard=guard)
-        if numerical_chaos is not None:
-            run = run.with_(numerical_chaos=numerical_chaos)
-        self.run_config = run
-        self._apply_run_config()
-        return self
-
-    def _ensure_tree(self) -> Octree:
-        """The octree over the current positions (built at most once per
-        rate evaluation; gravity requires an open cube, neighbour walks
-        honor the periodic box — the periodic-Z square patch never
-        enables gravity, so one box serves both)."""
-        if self._tree is None:
-            self._tree = Octree.build(self.particles.x, self.box)
-        return self._tree
-
     # ------------------------------------------------------------------
     # Rate evaluation: Algorithm 1 steps 1-4 (phases A-I)
     # ------------------------------------------------------------------
     def compute_rates(self) -> None:
         """Rebuild tree/neighbours and evaluate all rates at current state.
 
-        On the numpy path the pairs of the evaluation live in
-        :class:`~repro.tree.pairs.Pairs` records, locals of this call:
-        the h iteration counts off the padded list's geometry, phases
-        D-H share the products of its support cut, and all of it is gone
-        on return or raise.
+        The Verlet-skin cache hands back the padded neighbour list while
+        every particle sits within the skin budget (half for displacement,
+        half for h growth) since it was built.  On the numpy path the
+        pairs of the evaluation live in :class:`~repro.tree.pairs.Pairs`
+        records, locals of this call: the h iteration counts off the
+        padded list's geometry, phases D-H share the products of its
+        support cut, and all of it is gone on return or raise.
         """
-        p = self.particles
-        cfg = self.config
-        tr = self.tracer
+        cached = self._ncache.lookup(self.particles.x, self.particles.h, self.box)
+        self._build_tree(self._self_gravity or cached is None)
+        cut, pairs = self._find_neighbours(cached)
+        c_matrices = self._density(cut, pairs)
+        self._forces(cut, pairs, c_matrices)
+        self._gravity()
+        self._rates_current = True
 
-        # Verlet-skin cache: reuse the padded neighbour list while every
-        # particle sits within the skin budget (half for displacement,
-        # half for h growth) since it was built.  On a hit, the neighbour
-        # searches of phases B-C are skipped; the h iteration still runs,
-        # counting off the cached list (exact counts under the budget);
-        # the phases run over its cut to kernel support.
-        cached = self._ncache.lookup(p.x, p.h, self.box)
-
-        # Self-gravity only applies to open-boundary scenarios (the paper
-        # runs the periodic-Z square patch without gravity on every code,
-        # gravity-capable or not — Table 5).
-        gravity_on = cfg.gravity is not None and not bool(np.any(self.box.periodic))
+    def _build_tree(self, needed: bool) -> None:
+        """Phase A: the octree over the current positions, built when
+        something consumes it this evaluation — the gravity walk, or the
+        neighbour walk of a cache miss.  (A cache hit whose h out-grows
+        the list builds it on demand, in the search.)  Gravity requires
+        an open cube, neighbour walks honor the periodic box — the
+        periodic-Z square patch never enables gravity, so one box serves
+        both."""
         self._tree = None
-        with tr.phase(Phase.TREE_BUILD.letter):
-            # Built only when something consumes it this evaluation: the
-            # gravity walk, or the neighbour walk of a cache miss.  (A
-            # cache hit whose h out-grows the list builds it on demand.)
-            if gravity_on or cached is None:
-                self._ensure_tree()
+        with self.tracer.phase(Phase.TREE_BUILD.letter):
+            if needed:
+                self._tree = Octree.build(self.particles.x, self.box)
+
+    def _find_neighbours(self, cached) -> Tuple[NeighborList, Optional[Pairs]]:
+        """Phases B-D: the h iteration (C) off the ``cached`` padded list
+        or a fresh tree walk (B), then the cut of the final list to kernel
+        support (D), which the pair phases run over.
+
+        Returns the cut and its pair record (``None`` on the compiled
+        path), and counts the cut's ordered pairs for :class:`StepStats`.
+        """
+        p, tr = self.particles, self.tracer
 
         def search(x, radii, box, mode):
             # Called from inside the h iteration (phase C), so the
             # search's B span nests in C's.  The h iteration only counts
             # over this list and ends on ``within``, which orders what
             # survives.
-            tree = self._ensure_tree()
+            if self._tree is None:
+                self._tree = Octree.build(p.x, self.box)
             with tr.phase(Phase.NEIGHBOR_SEARCH.letter):
-                return tree.walk_neighbors(
+                return self._tree.walk_neighbors(
                     x, radii, mode=mode, ops=self.backend.ops, sort_rows=False
                 )
 
-        # On either backend the phases run over the pairs inside kernel
-        # support of the (padded) list, cut once per evaluation: every
-        # other pair contributes an exact zero.  The compiled h iteration
-        # emits the lower half of the cut off its own geometry, and the
-        # compiled phases do each pair of it once; on numpy the cut's
-        # record masks the geometry of the hit's record (after a build,
-        # of a fresh record), so an evaluation computes geometry once.
+        # Every pair outside kernel support contributes an exact zero.  The
+        # compiled h iteration emits the lower half of the cut off its own
+        # geometry; on numpy the cut's record masks the geometry of the
+        # hit's record (after a build, of a fresh record), so an
+        # evaluation computes geometry once.
         ops = backend_ops(self.backend, self.kernel)
         support = None if ops is None else self.kernel.support
         pairs = None
         with tr.phase(Phase.SMOOTHING_LENGTH.letter):
-            if cached is not None:
+            if cached is None:
+                self._nlist, cut = adapt_smoothing_lengths(
+                    p, self.box, self._smoothing, self._ncache, search=search,
+                    backend=self.backend, support=support,
+                )
+            else:
                 # The numpy sweeps count off the record the phases read
                 # next: one geometry pass per cache-hit evaluation.
                 if self.backend.ops is None:
                     pairs = Pairs(p, cached, self.kernel, self.box)
-                self._nlist, pair_list = adapt_from_cached_list(
+                self._nlist, cut = adapt_from_cached_list(
                     p, cached, self.box, self._smoothing, self._ncache,
                     pairs=pairs, backend=self.backend, search=search,
                     support=support,
                 )
-            else:
-                self._nlist, pair_list = adapt_smoothing_lengths(
-                    p, self.box, self._smoothing, self._ncache, search=search,
-                    backend=self.backend, support=support,
-                )
-        if pair_list is None:
+        if cut is None:
             with tr.phase(Phase.NEIGHBOR_LISTS.letter):
-                pair_list, pairs = support_cut(
+                cut, pairs = support_cut(
                     p, self._nlist, self.kernel, self.box, pairs=pairs
                 )
-            self._cut_pairs = pair_list.n_pairs
+            self._cut_pairs = cut.n_pairs
         else:
             # The compiled cut is its lower half (``j <= i``): every
             # off-diagonal pair once, plus the diagonal.
-            self._cut_pairs = 2 * pair_list.n_pairs - p.n
-        # One call site per phase; the executor sequences its sub-passes
-        # and runs each as one slice or as row slices on threads
-        # (``ExecConfig.workers``).
-        phases = self._phases
-        pair_args = (p, pair_list, self.kernel, self.box)
-        # The density and the IAD matrices of one pass: both read the
-        # previous density.
-        c_matrices = phases.density(
-            *pair_args,
-            pairs=pairs,
+            self._cut_pairs = 2 * cut.n_pairs - p.n
+        return cut, pairs
+
+    def _density(self, cut, pairs):
+        """Phases E-F: the density (and, for IAD gradients, the IAD
+        matrices of the same pass — both read the previous density), then
+        the equation of state.  Returns the matrices, else ``None``."""
+        cfg = self.config
+        c_matrices = self._phases.density(
+            cut, pairs,
             volume_elements=cfg.volume_elements,
             xmass_exponent=cfg.xmass_exponent,
             return_iad=cfg.gradients == "iad",
             phase=Phase.DENSITY.letter,
         )
+        with self.tracer.phase(Phase.EQUATION_OF_STATE.letter):
+            self.eos.apply(self.particles)
+        return c_matrices
 
-        with tr.phase(Phase.EQUATION_OF_STATE.letter):
-            self.eos.apply(p)
-
-        result = phases.forces(
-            *pair_args,
-            pairs=pairs,
-            viscosity=cfg.viscosity,
-            grad_h=cfg.grad_h,
+    def _forces(self, cut, pairs, c_matrices) -> None:
+        """Phase G: momentum and energy rates (``a``, ``du``) and the
+        viscous signal that feeds the next dt."""
+        result = self._phases.forces(
+            cut, pairs,
+            viscosity=self.config.viscosity,
+            grad_h=self.config.grad_h,
             c_matrices=c_matrices,
             phase=Phase.MOMENTUM_ENERGY.letter,
         )
         self._max_mu = result.max_mu
 
-        self._last_gravity_p2p = 0
-        self._last_gravity_m2p = 0
-        if gravity_on:
-            softening = cfg.gravity_softening_factor * float(p.h.mean())
-            grav = phases.gravity(
-                p.x,
-                p.m,
-                g_const=self.g_const,
-                softening=softening,
-                theta=cfg.gravity_theta,
-                order=cfg.gravity_order,
-                tree=self._tree,
-                phase=Phase.GRAVITY.letter,
-            )
-            p.a += grav.acc
-            self.potential_energy = grav.potential_energy(p.m)
-            self._last_gravity_p2p = grav.n_p2p
-            self._last_gravity_m2p = grav.n_m2p
-            self._gravity_calls += 1
-            self._gravity_path = grav.path
-        else:
-            with tr.phase(Phase.GRAVITY.letter):
+    def _gravity(self) -> None:
+        """Phase I: Barnes-Hut self-gravity added to ``a`` — an empty span
+        where the scenario has none."""
+        self._last_gravity_p2p = self._last_gravity_m2p = 0
+        if not self._self_gravity:
+            with self.tracer.phase(Phase.GRAVITY.letter):
                 self.potential_energy = 0.0
-        self._rates_current = True
+            return
+        p, cfg = self.particles, self.config
+        grav = self._phases.gravity(
+            g_const=self.g_const,
+            softening=cfg.gravity_softening_factor * float(p.h.mean()),
+            theta=cfg.gravity_theta,
+            order=cfg.gravity_order,
+            tree=self._tree,
+            phase=Phase.GRAVITY.letter,
+        )
+        p.a += grav.acc
+        self.potential_energy = grav.potential_energy(p.m)
+        self._last_gravity_p2p, self._last_gravity_m2p = grav.n_p2p, grav.n_m2p
+        self._gravity_calls += 1
+        self._gravity_path = grav.path
 
     # ------------------------------------------------------------------
     # One leapfrog step (Algorithm 1 steps 5-6 around the rate evaluation)
     # ------------------------------------------------------------------
-    def step(self) -> StepStats:
-        """One leapfrog step, wrapped in a whole-step container span."""
-        with self.tracer.step_span(self.step_index):
-            return self._step_impl()
-
-    def _step_impl(self) -> StepStats:
+    def _update(self, dt: Optional[float] = None) -> Tuple[float, int]:
+        """Phase J, one half of the leapfrog: with ``dt`` the closing half
+        (half-kick, energy floor), without it the opening one (select dt,
+        half-kick, drift).  Returns ``(dt, floor hits)``."""
         p = self.particles
-        tr = self.tracer
-        step_at_entry = self.step_index  # chaos faults key on this index
-        if not self._rates_current:
-            self.compute_rates()
-        if self.initial_conservation is None:
-            self.initial_conservation = measure_conservation(
-                p, self.time, self.potential_energy
-            )
-
-        with tr.phase(Phase.TIMESTEP_UPDATE.letter):
+        with self.tracer.phase(Phase.TIMESTEP_UPDATE.letter):
+            if dt is not None:
+                kick(p, 0.5 * dt)
+                return dt, apply_energy_floor(p)
             dt = self.stepper.select(p, self._max_mu)
             if not np.isfinite(dt) or dt <= 0.0:
                 raise RuntimeError(f"non-finite time step selected: {dt}")
             kick(p, 0.5 * dt)
             drift(p, dt, self.box)
+            return dt, 0
 
-        self.compute_rates()
-        if self.numerical_chaos is not None:
-            self.numerical_chaos.apply(step_at_entry, "rates", p)
-
-        floor_hits = 0
-        with tr.phase(Phase.TIMESTEP_UPDATE.letter):
-            kick(p, 0.5 * dt)
-            floor_hits = apply_energy_floor(p)
-
-        self.time += dt
-        self.step_index += 1
-        self._steps_executed += 1
-        with tr.phase(Phase.AUX_KERNELS.letter):
-            conservation = measure_conservation(p, self.time, self.potential_energy)
-        stats = StepStats(
-            index=self.step_index,
-            time=self.time,
-            dt=dt,
-            n_particles=p.n,
-            n_pairs=self._cut_pairs,
-            n_p2p=self._last_gravity_p2p,
-            n_m2p=self._last_gravity_m2p,
-            mean_neighbors=self._cut_pairs / p.n,
-            energy_floor_hits=floor_hits,
-            conservation=conservation,
-        )
-        self.history.append(stats)
-        # With a step guard the checkpoint hook runs *after* the health
-        # check (inside guarded_step) so a rolling checkpoint can never
-        # capture a state the guard is about to reject.
-        if self.checkpoint_manager is not None and self.step_guard is None:
-            self.checkpoint_manager.after_step(self)
-        if self.numerical_chaos is not None:
-            self.numerical_chaos.apply(step_at_entry, "post", p)
-        return stats
+    def step(self) -> StepStats:
+        """One leapfrog step, wrapped in a whole-step container span."""
+        with self.tracer.step_span(self.step_index):
+            p = self.particles
+            step_at_entry = self.step_index  # chaos faults key on this index
+            if not self._rates_current:
+                self.compute_rates()
+            if self.initial_conservation is None:
+                self.initial_conservation = measure_conservation(
+                    p, self.time, self.potential_energy
+                )
+            dt, _ = self._update()
+            self.compute_rates()
+            if self.numerical_chaos is not None:
+                self.numerical_chaos.apply(step_at_entry, "rates", p)
+            _, floor_hits = self._update(dt)
+            self.time += dt
+            self.step_index += 1
+            self._steps_executed += 1
+            with self.tracer.phase(Phase.AUX_KERNELS.letter):
+                conservation = measure_conservation(p, self.time, self.potential_energy)
+            stats = StepStats(
+                index=self.step_index,
+                time=self.time,
+                dt=dt,
+                n_particles=p.n,
+                n_pairs=self._cut_pairs,
+                n_p2p=self._last_gravity_p2p,
+                n_m2p=self._last_gravity_m2p,
+                mean_neighbors=self._cut_pairs / p.n,
+                energy_floor_hits=floor_hits,
+                conservation=conservation,
+            )
+            self.history.append(stats)
+            # With a step guard the checkpoint hook runs *after* the
+            # health check (inside guarded_step) so a rolling checkpoint
+            # can never capture a state the guard is about to reject.
+            if self.checkpoint_manager is not None and self.step_guard is None:
+                self.checkpoint_manager.after_step(self)
+            if self.numerical_chaos is not None:
+                self.numerical_chaos.apply(step_at_entry, "post", p)
+            return stats
 
     def run(
         self, n_steps: Optional[int] = None, t_end: Optional[float] = None
@@ -465,11 +413,9 @@ class Simulation:
         if res is not None and res.autoresume and self.step_index == 0:
             self.resume()
         done: List[StepStats] = []
-        while True:
-            if n_steps is not None and len(done) >= n_steps:
-                break
-            if t_end is not None and self.time >= t_end:
-                break
+        while (n_steps is None or len(done) < n_steps) and (
+            t_end is None or self.time < t_end
+        ):
             # Cooperative cancellation point: between steps, where the
             # state is whole and checkpointable.
             if self._cancel_requested:
@@ -512,13 +458,12 @@ class Simulation:
         Both are degradation-neutral (the serial numpy reference
         produces equivalent results), so this is a safe rung: it sheds
         the optimized machinery in case that machinery is the corruptor.
-        Idempotent; there is no un-degrade short of ``configure()``.
+        Idempotent; there is no un-degrade.
         """
         self._phases.close()
         self._phases = PhaseExecutor(self)
         self.backend = select_backend("numpy")
 
-    # ------------------------------------------------------------------
     def resume(self, path=None) -> bool:
         """Restore from a checkpoint file (newest valid one by default).
 
@@ -528,136 +473,37 @@ class Simulation:
         neighbour cache is invalidated so lists rebuild from the restored
         positions.
         """
-        from ..resilience.checkpoint import (
-            find_latest_checkpoint,
-            read_checkpoint,
-            retry_io,
-        )
+        from ..resilience.checkpoint import restore_checkpoint
 
-        res = self.run_config.resilience
-        if path is None:
-            if res is None:
-                raise ValueError("resume() without a path needs a ResilienceConfig")
-            path = find_latest_checkpoint(res.checkpoint_dir)
-            if path is None:
-                return False
-        io_chaos = (
-            self.checkpoint_manager.io_chaos
-            if self.checkpoint_manager is not None
-            else None
-        )
-        cp = retry_io(
-            lambda: read_checkpoint(path, io_chaos=io_chaos),
-            attempts=res.io_retries if res is not None else 1,
-            backoff=res.io_backoff if res is not None else 0.0,
-            what=f"checkpoint restore from {path}",
-        )
-        cp.restore_into(self)
-        return True
-
-    # ------------------------------------------------------------------
-    # Consolidated reporting
-    # ------------------------------------------------------------------
-    def _gravity_stats_dict(self) -> Optional[dict]:
-        """Tree-gravity work of this driver (None when gravity never ran)."""
-        if not self._gravity_calls:
-            return None
-        steps = max(len(self.history), 1)
-        p2p = sum(s.n_p2p for s in self.history) / steps
-        m2p = sum(s.n_m2p for s in self.history) / steps
-        n = max(self.particles.n, 1)
-        return {
-            "calls": self._gravity_calls,
-            "p2p_per_step": p2p,
-            "m2p_per_step": m2p,
-            "p2p_per_particle": p2p / n,
-            "m2p_per_particle": m2p / n,
-            "path": self._gravity_path,
-        }
+        return restore_checkpoint(self, path)
 
     def report(self) -> "RunReport":
-        """Everything this run can tell about itself, in one object.
-
-        Consolidates the neighbour-cache, gravity, checkpoint and guard
-        counters with the POP efficiency metrics computed from the
-        measured span timeline.
-        """
-        from ..observability.pop import pop_from_events
+        """Everything this run can tell about itself, in one object
+        (:meth:`~repro.observability.report.RunReport.of_simulation`)."""
         from ..observability.report import RunReport
 
-        backend = dict(self.backend.describe())
-        backend["requested"] = self.backend_requested
-        tr = self.tracer
-        # Per particle per adaptation: count sweeps, ending within tolerance.
-        hs = self._ncache.stats
-        per = max(hs.particles, 1)
-        return RunReport(
-            steps=self.step_index,
-            time=self.time,
-            n_particles=self.particles.n,
-            neighbor_cache=dict(asdict(hs), hit_rate=hs.hit_rate),
-            h_iteration={
-                "adaptations": hs.adaptations,
-                "mean_sweeps": hs.sweeps / per,
-                "within_tolerance_share": hs.within_tolerance / per,
-            },
-            gravity=self._gravity_stats_dict(),
-            checkpoint=(
-                self.checkpoint_manager.stats()
-                if self.checkpoint_manager is not None
-                else None
-            ),
-            guard=(
-                self.step_guard.report() if self.step_guard is not None else None
-            ),
-            pop=pop_from_events(tr) if tr.enabled and tr.events else None,
-            backend=backend,
-        )
+        return RunReport.of_simulation(self)
 
     def close(self) -> None:
-        """Join the phase threads and flush any configured trace exports.
-
-        No-op when serial and export paths are unset; safe to call more
-        than once (the context-manager exit calls it too).
+        """Join the phase threads, write the configured trace exports and,
+        once, the run-ledger row — only when *this driver* executed steps:
+        a never-run driver (cache-hit job) or one that merely restored a
+        checkpoint writes no phantom history row.  Safe to call more than
+        once (the context-manager exit calls it too).
         """
         self._phases.close()
-        obs = self.run_config.observability if self.run_config else None
-        if obs is not None and self.tracer.enabled:
+        obs = self.run_config.observability
+        if self.tracer.enabled:
             from ..observability.export import write_chrome_trace, write_jsonl
 
             if obs.chrome_trace_path:
                 write_chrome_trace(obs.chrome_trace_path, self.tracer)
             if obs.jsonl_path:
                 write_jsonl(obs.jsonl_path, self.tracer)
-        if (
-            obs is not None
-            and obs.ledger_path
-            and not self._ledger_written
-            # Append only when *this driver* executed steps: a never-run
-            # driver (cache-hit job) or one that merely restored a
-            # checkpoint must not write a phantom history row.
-            and self._steps_executed > 0
-        ):
-            # A broken ledger must never turn a clean shutdown into a
-            # crash — the run's results matter more than its history row.
-            import warnings
+        if obs.ledger_path and self._steps_executed and not self._ledger_written:
+            from ..observability.ledger import append_run
 
-            try:
-                from ..observability.ledger import (
-                    RunLedger,
-                    record_from_simulation,
-                )
-
-                with RunLedger(obs.ledger_path) as ledger:
-                    ledger.append(record_from_simulation(self))
-                self._ledger_written = True
-            except Exception as exc:  # pragma: no cover - defensive
-                warnings.warn(
-                    f"run-ledger append to {obs.ledger_path!r} failed: "
-                    f"{exc}",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
+            self._ledger_written = append_run(obs.ledger_path, self)
 
     def __enter__(self) -> "Simulation":
         return self
@@ -665,11 +511,8 @@ class Simulation:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    # ------------------------------------------------------------------
     def conservation_drift(self) -> dict[str, float]:
         """Relative drift of mass/momentum/energy since the first step."""
-        from .conservation import relative_drift
-
         if self.initial_conservation is None or not self.history:
             return {"mass": 0.0, "momentum": 0.0, "energy": 0.0}
         return relative_drift(

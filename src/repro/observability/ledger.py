@@ -53,6 +53,7 @@ __all__ = [
     "RunRecord",
     "RunLedger",
     "new_run_id",
+    "append_run",
     "record_from_simulation",
 ]
 
@@ -461,6 +462,26 @@ def step_time_summary(durations: List[float]) -> Dict[str, float]:
         "p50_s": _percentile(vals, 0.50),
         "p90_s": _percentile(vals, 0.90),
     }
+
+
+def append_run(path, sim) -> bool:
+    """Append ``sim``'s row to the ledger at ``path``; ``True`` on success.
+
+    A broken ledger must never turn a clean shutdown into a crash — the
+    run's results matter more than its history row — so a failure is a
+    ``RuntimeWarning`` and ``False``.
+    """
+    try:
+        with RunLedger(path) as ledger:
+            ledger.append(record_from_simulation(sim))
+        return True
+    except Exception as exc:  # pragma: no cover - defensive
+        warnings.warn(
+            f"run-ledger append to {path!r} failed: {exc}",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+        return False
 
 
 def record_from_simulation(sim, *, scenario: Optional[str] = None) -> RunRecord:

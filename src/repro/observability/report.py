@@ -49,6 +49,49 @@ class RunReport:
     #: toolchain version/detail and the originally requested name.
     backend: Optional[Dict[str, object]] = None
 
+    @classmethod
+    def of_simulation(cls, sim) -> "RunReport":
+        """The report of a :class:`~repro.core.simulation.Simulation`: its
+        neighbour-cache, gravity, checkpoint and guard counters with the
+        POP efficiency metrics computed from the measured span timeline."""
+        from .pop import pop_from_events
+
+        backend = dict(sim.backend.describe(), requested=sim.backend_requested)
+        # Per particle per adaptation: count sweeps, ending within tolerance.
+        hs = sim._ncache.stats
+        per = max(hs.particles, 1)
+        gravity = None
+        if sim._gravity_calls:
+            steps = max(len(sim.history), 1)
+            p2p = sum(s.n_p2p for s in sim.history) / steps
+            m2p = sum(s.n_m2p for s in sim.history) / steps
+            n = max(sim.particles.n, 1)
+            gravity = {
+                "calls": sim._gravity_calls,
+                "p2p_per_step": p2p,
+                "m2p_per_step": m2p,
+                "p2p_per_particle": p2p / n,
+                "m2p_per_particle": m2p / n,
+                "path": sim._gravity_path,
+            }
+        tr, manager, guard = sim.tracer, sim.checkpoint_manager, sim.step_guard
+        return cls(
+            steps=sim.step_index,
+            time=sim.time,
+            n_particles=sim.particles.n,
+            neighbor_cache=dict(asdict(hs), hit_rate=hs.hit_rate),
+            h_iteration={
+                "adaptations": hs.adaptations,
+                "mean_sweeps": hs.sweeps / per,
+                "within_tolerance_share": hs.within_tolerance / per,
+            },
+            gravity=gravity,
+            checkpoint=manager.stats() if manager is not None else None,
+            guard=guard.report() if guard is not None else None,
+            pop=pop_from_events(tr) if tr.enabled and tr.events else None,
+            backend=backend,
+        )
+
     def as_dict(self) -> Dict[str, object]:
         """Plain nested dict (JSON-serializable)."""
         out: Dict[str, object] = {

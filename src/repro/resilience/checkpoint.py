@@ -47,6 +47,7 @@ __all__ = [
     "write_checkpoint",
     "read_checkpoint",
     "find_latest_checkpoint",
+    "restore_checkpoint",
     "ResilienceConfig",
     "CheckpointManager",
 ]
@@ -325,6 +326,34 @@ def find_latest_checkpoint(directory: str | Path) -> Optional[Path]:
     return None
 
 
+def restore_checkpoint(sim, path=None) -> bool:
+    """Restore a :class:`~repro.core.simulation.Simulation` from the
+    checkpoint at ``path`` — by default the newest valid one in its
+    ``ResilienceConfig.checkpoint_dir`` (``False`` when there is none).
+
+    The read retries transient ``OSError`` within the config's I/O budget
+    (through the checkpoint manager's ``io_chaos`` hook when one is set);
+    what retrying cannot cure raises :class:`CheckpointError`.
+    """
+    res = sim.run_config.resilience
+    if path is None:
+        if res is None:
+            raise ValueError("a restore without a path needs a ResilienceConfig")
+        path = find_latest_checkpoint(res.checkpoint_dir)
+        if path is None:
+            return False
+    manager = sim.checkpoint_manager
+    io_chaos = manager.io_chaos if manager is not None else None
+    cp = retry_io(
+        lambda: read_checkpoint(path, io_chaos=io_chaos),
+        attempts=res.io_retries if res is not None else 1,
+        backoff=res.io_backoff if res is not None else 0.0,
+        what=f"checkpoint restore from {path}",
+    )
+    cp.restore_into(sim)
+    return True
+
+
 @dataclass(frozen=True)
 class ResilienceConfig:
     """Checkpoint/restart policy for :class:`~repro.core.simulation.Simulation`.
@@ -425,18 +454,10 @@ class CheckpointManager:
 
     def checkpoint(self, sim) -> Path:
         """Unconditional checkpoint of the driver's current state."""
-        from contextlib import nullcontext
-
         from ..observability.tracer import State
 
         self.directory.mkdir(parents=True, exist_ok=True)
         path = self.directory / _checkpoint_name(sim.step_index)
-        tracer = getattr(sim, "tracer", None)
-        span = (
-            tracer.phase("ckpt", State.RECOVERY, getattr(sim, "rank", 0))
-            if tracer is not None
-            else nullcontext()
-        )
         cp = Checkpoint.of_simulation(sim)
         tries = {"n": 0}
 
@@ -450,7 +471,7 @@ class CheckpointManager:
 
         start = _time.perf_counter()
         try:
-            with span:
+            with sim.tracer.phase("ckpt", State.RECOVERY):
                 retry_io(
                     _write,
                     attempts=self.config.io_retries,

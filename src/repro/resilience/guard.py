@@ -78,13 +78,7 @@ import numpy as np
 from ..core.conservation import relative_drift
 from ..observability.tracer import State
 from ..timestepping.criteria import combined_timestep
-from .checkpoint import (
-    Checkpoint,
-    CheckpointError,
-    find_latest_checkpoint,
-    read_checkpoint,
-    retry_io,
-)
+from .checkpoint import Checkpoint, CheckpointError, restore_checkpoint
 from .sdc import RangeDetector, scan_phase_output
 
 __all__ = [
@@ -434,23 +428,13 @@ class StepGuard:
                 self.degraded = True
 
     def _restore_from_disk(self, sim) -> bool:
-        res = sim.run_config.resilience
-        if res is None:
-            return False
-        path = find_latest_checkpoint(res.checkpoint_dir)
-        if path is None:
+        if sim.run_config.resilience is None:
             return False
         try:
-            cp = retry_io(
-                lambda: read_checkpoint(path),
-                attempts=res.io_retries,
-                backoff=res.io_backoff,
-                what=f"checkpoint restore from {path}",
-            )
+            if not restore_checkpoint(sim):
+                return False
         except CheckpointError:
             return False
-        cp.restore_into(sim)
-        sim._rates_current = True  # disk checkpoints are post-step captures
         # Drop history beyond the restored step and rebase the ring on
         # the restored state: everything newer described a rolled-back
         # timeline.

@@ -88,6 +88,12 @@ class JobSpec:
                 raise SpecError(
                     f"{name} must be true or false, got {getattr(self, name)!r}"
                 )
+        if not isinstance(self.preset, str):
+            raise SpecError(f"preset must be a string, got {self.preset!r}")
+        if self.chaos is not None and not isinstance(self.chaos, str):
+            raise SpecError(f"chaos must be a string, got {self.chaos!r}")
+        if not isinstance(self.overrides, Mapping):
+            raise SpecError(f"overrides must be a mapping, got {self.overrides!r}")
         if self.n_steps is not None and self.n_steps < 1:
             raise SpecError(f"n_steps must be >= 1, got {self.n_steps}")
         try:

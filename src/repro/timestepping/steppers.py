@@ -25,6 +25,7 @@ import numpy as np
 from .criteria import TimestepParams, combined_timestep
 
 __all__ = [
+    "STEPPERS",
     "GlobalTimestep",
     "AdaptiveTimestep",
     "IndividualTimesteps",
@@ -148,3 +149,12 @@ class IndividualTimesteps:
         if not np.isfinite(sched.dt_base):
             return np.inf
         return sched.dt_base / sched.n_substeps
+
+
+#: ``SimulationConfig.timestepping`` name -> the stepper class the driver
+#: selects dt with.
+STEPPERS = {
+    "global": GlobalTimestep,
+    "individual": IndividualTimesteps,
+    "adaptive": AdaptiveTimestep,
+}

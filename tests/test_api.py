@@ -141,8 +141,9 @@ def test_removed_surface_fails_closed():
     ``adapted`` flag and global ``converged`` count, (12.0.0) the
     Verlet cache's on/off and skin knobs, (13.0.0) the slices-per-
     thread knob, the driver's rank and tracer inputs, the metrics
-    registry and the Amdahl fit and (14.0.0) ``compute_forces``' own
-    sub-passes are gone: old spellings are typed errors
+    registry and the Amdahl fit, (14.0.0) ``compute_forces``' own
+    sub-passes and (15.0.0) ``Simulation.configure`` are gone: old
+    spellings are typed errors
     at the boundary, never a silent default."""
     import importlib
 
@@ -320,4 +321,9 @@ def test_removed_surface_fails_closed():
         compute_forces(
             p, nl, sim.kernel, box, viscosity=ViscosityParams(use_balsara=True)
         )
+    # 15.0.0: a driver is wired once, from ``run_config=`` at
+    # construction; there is no second wiring path.
+    assert not hasattr(repro.Simulation, "configure")
+    with pytest.raises(AttributeError):
+        sim.configure(exec=ExecConfig(workers=2))
 

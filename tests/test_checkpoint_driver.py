@@ -236,6 +236,48 @@ def test_restore_without_cache_state_invalidates(tmp_path):
         assert sim._ncache.stats.builds == builds + 1
 
 
+def test_resume_and_guard_disk_restore_leave_equal_drivers(tmp_path):
+    """``Simulation.resume()`` and the guard's checkpoint-restore rung go
+    through the one restore function: from the same checkpoint, each a
+    step into its own run, they leave bitwise-equal drivers."""
+    from dataclasses import replace
+
+    from repro.resilience.guard import GuardConfig
+
+    res = ResilienceConfig(
+        checkpoint_dir=str(tmp_path), checkpoint_every=3, autoresume=False
+    )
+    with _sim("evrard", resilience=res) as writer:
+        writer.run(n_steps=3)
+    # Neither reader writes a checkpoint of its own before the restore.
+    quiet = replace(res, checkpoint_every=100)
+    with _sim("evrard", resilience=quiet) as resumed:
+        resumed.run(n_steps=1)
+        assert resumed.resume() is True
+    particles, box, eos, config = _evrard_case()
+    guarded = Simulation(
+        particles, box, eos, config=config,
+        run_config=RunConfig(resilience=quiet, guard=GuardConfig()),
+    )
+    with guarded:
+        guarded.run(n_steps=1)
+        assert guarded.step_guard._restore_from_disk(guarded) is True
+    assert guarded.step_guard.checkpoint_restores == 1
+    for sim in (resumed, guarded):
+        assert sim.step_index == 3 and sim._rates_current
+    assert dict(resumed.particles.state_arrays()).keys() == dict(
+        guarded.particles.state_arrays()
+    ).keys()
+    for (name, want), (_, got) in zip(
+        resumed.particles.state_arrays(), guarded.particles.state_arrays()
+    ):
+        assert np.array_equal(want, got), name
+    assert resumed.time == guarded.time
+    assert resumed.stepper._dt_prev == guarded.stepper._dt_prev is not None
+    assert resumed._max_mu == guarded._max_mu
+    assert resumed.potential_energy == guarded.potential_energy
+
+
 def test_young_auto_interval_bootstraps_then_stretches(tmp_path):
     res = ResilienceConfig(
         checkpoint_dir=str(tmp_path), checkpoint_every=0, mtbf=3600.0

@@ -1,8 +1,8 @@
 """The unified observability subsystem + consolidated Simulation API.
 
 Covers the span tracer (nesting, row-slice span merging), the exporters (Chrome trace_event, JSONL), POP
-metrics from measured spans, and the RunConfig / configure() / report()
-driver surface.
+metrics from measured spans, and the RunConfig / report() driver
+surface.
 """
 
 from __future__ import annotations
@@ -341,7 +341,7 @@ def test_search_span_carries_the_tree_walk(monkeypatch):
 
 
 # ======================================================================
-# Simulation config API: RunConfig / configure() / deprecated kwargs
+# Simulation config API: RunConfig, wired once at construction
 # ======================================================================
 def test_default_simulation_traces_spans():
     particles, box, eos, config = _case()
@@ -380,27 +380,21 @@ def test_tracing_on_off_bitwise_parity():
     assert [s.dt for s in on.history] == [s.dt for s in off.history]
 
 
-def test_configure_chains_and_rewires():
+def test_run_config_wires_threads_and_tracing():
     particles, box, eos, config = _case()
-    sim = Simulation(particles, box, eos, config=config).configure(
-        exec=ExecConfig(workers=2),
-        observability=ObservabilityConfig(enabled=False),
+    run = RunConfig().with_(exec=ExecConfig(workers=2))
+    sim = Simulation(
+        particles, box, eos, config=config,
+        run_config=run.with_(observability=ObservabilityConfig(enabled=False)),
     )
     assert sim.run_config.exec.workers == 2
     assert sim._phases.workers == 2
     assert isinstance(sim.tracer, NullTracer)
     with sim:
         sim.run(n_steps=1)
-    with pytest.raises(RuntimeError, match="configure"):
-        sim.configure(exec=ExecConfig(workers=0))
-
-
-def test_configure_keeps_unspecified_sections():
-    particles, box, eos, config = _case()
-    sim = Simulation(particles, box, eos, config=config)
-    before = sim.run_config.observability
-    sim.configure(exec=ExecConfig(workers=2))
-    assert sim.run_config.observability is before
+    # ``with_`` replaces one section and keeps the others.
+    assert run.observability == RunConfig().observability
+    assert run.resilience is None and run.guard is None
 
 
 # ======================================================================

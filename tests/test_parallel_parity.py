@@ -388,12 +388,17 @@ def test_close_is_idempotent_and_degrade_or_rewire_leave_no_thread():
     assert len(phase_threads()) == before + 2
     sim.degrade_to_serial()
     assert len(phase_threads()) == before
-    sim.configure(exec=ExecConfig(workers=2))
-    sim.compute_rates()
-    assert len(phase_threads()) == before + 2
-    sim.configure(exec=ExecConfig(workers=1))  # a rewire joins the old lanes
+    sim.compute_rates()  # degraded: one slice, inline
     assert len(phase_threads()) == before
+    sim.close()
+    # A driver is wired once, at construction: another thread count is
+    # another driver, which starts its own lanes and joins them on close.
+    sim = Simulation(
+        particles, box, eos, config=config,
+        run_config=RunConfig(exec=ExecConfig(workers=1)),
+    )
     sim.compute_rates()
+    assert len(phase_threads()) == before + 1
     with sim:
         pass
     sim.close()

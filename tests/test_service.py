@@ -130,12 +130,14 @@ def test_spec_rejects_malformed_exec_knobs_before_enqueue():
     with pytest.raises(SpecError, match="backend"):
         JobSpec("sod", backend="fortran")
     # What a JSON client can send: each integer field takes an integer
-    # only, each switch a boolean only.
+    # only, each switch a boolean only, the preset and chaos spellings a
+    # string only and the overrides a mapping only.
     for name, bad in (
         ("workers", "2"), ("workers", 2.5), ("workers", True),
         ("n_steps", "3"), ("n_steps", 2.5), ("n_steps", True),
         ("n_neighbors", "30"), ("n_neighbors", True),
         ("kill_at_step", "1"), ("test", 1), ("test", "yes"), ("guard", 0),
+        ("preset", 5), ("chaos", 5), ("overrides", "x"), ("overrides", [1]),
     ):
         with pytest.raises(SpecError, match=name):
             JobSpec.from_dict({"scenario": "sod", name: bad})

@@ -202,3 +202,39 @@ def test_preset_axes_match_table1():
     assert SPHFLOW.gravity is None
     assert SPHFLOW.timestepping == "adaptive"
     assert SPH_EXA.gravity == "hexadecapole"
+
+
+def test_each_phase_letter_has_one_driver_method():
+    """The driver reads as Algorithm 1: every Fig. 4 phase is spanned in
+    exactly one ``Simulation`` method (the search closure of B sits in
+    the method of B-D)."""
+    import ast
+    import inspect
+
+    from repro.core import simulation
+
+    module = ast.parse(inspect.getsource(simulation))
+    (cls,) = [
+        node for node in module.body
+        if isinstance(node, ast.ClassDef) and node.name == "Simulation"
+    ]
+    methods = [node for node in cls.body if isinstance(node, ast.FunctionDef)]
+
+    def names(method):
+        return {
+            node.attr for node in ast.walk(method)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "Phase"
+        }
+
+    owner = {}
+    for phase in Phase:
+        owners = [m.name for m in methods if phase.name in names(m)]
+        assert len(owners) == 1, (phase.name, owners)
+        owner[phase.letter] = owners[0]
+    # ``compute_rates`` is the ordered call list of the steps, no span.
+    assert owner == {
+        "A": "_build_tree", "B": "_find_neighbours", "C": "_find_neighbours",
+        "D": "_find_neighbours", "E": "_density", "F": "_density",
+        "G": "_forces", "H": "step", "I": "_gravity", "J": "_update",
+    }
