@@ -32,7 +32,7 @@ import time as _time
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -302,6 +302,19 @@ def find_latest_checkpoint(directory: str | Path) -> Optional[Path]:
     (full CRC read), so autoresume survives a crash at any point of the
     write/prune sequence.
     """
+    found = _newest_valid_checkpoint(directory, read_checkpoint)
+    return found[0] if found is not None else None
+
+
+def _newest_valid_checkpoint(
+    directory: str | Path, read: Callable[[Path], Checkpoint]
+) -> Optional[Tuple[Path, Checkpoint]]:
+    """The search behind :func:`find_latest_checkpoint`, keeping what it read.
+
+    ``read`` decodes one candidate.  A :class:`CheckpointError` skips to
+    the next older file; a :class:`CheckpointIOError` (the I/O retry
+    budget is spent) propagates, since an older file would not cure it.
+    """
     directory = Path(directory)
     if not directory.is_dir():
         return None
@@ -319,10 +332,11 @@ def find_latest_checkpoint(directory: str | Path) -> Optional[Path]:
     candidates.extend(p for p in rolling if p not in candidates)
     for path in candidates:
         try:
-            read_checkpoint(path)
+            return path, read(path)
+        except CheckpointIOError:
+            raise
         except CheckpointError:
             continue
-        return path
     return None
 
 
@@ -331,25 +345,32 @@ def restore_checkpoint(sim, path=None) -> bool:
     checkpoint at ``path`` — by default the newest valid one in its
     ``ResilienceConfig.checkpoint_dir`` (``False`` when there is none).
 
-    The read retries transient ``OSError`` within the config's I/O budget
+    Each file is read once: the search's read is the restore's.  The
+    read retries transient ``OSError`` within the config's I/O budget
     (through the checkpoint manager's ``io_chaos`` hook when one is set);
     what retrying cannot cure raises :class:`CheckpointError`.
     """
     res = sim.run_config.resilience
-    if path is None:
-        if res is None:
-            raise ValueError("a restore without a path needs a ResilienceConfig")
-        path = find_latest_checkpoint(res.checkpoint_dir)
-        if path is None:
-            return False
     manager = sim.checkpoint_manager
     io_chaos = manager.io_chaos if manager is not None else None
-    cp = retry_io(
-        lambda: read_checkpoint(path, io_chaos=io_chaos),
-        attempts=res.io_retries if res is not None else 1,
-        backoff=res.io_backoff if res is not None else 0.0,
-        what=f"checkpoint restore from {path}",
-    )
+
+    def read(candidate: Path) -> Checkpoint:
+        return retry_io(
+            lambda: read_checkpoint(candidate, io_chaos=io_chaos),
+            attempts=res.io_retries if res is not None else 1,
+            backoff=res.io_backoff if res is not None else 0.0,
+            what=f"checkpoint restore from {candidate}",
+        )
+
+    if path is not None:
+        cp = read(path)
+    elif res is None:
+        raise ValueError("a restore without a path needs a ResilienceConfig")
+    else:
+        found = _newest_valid_checkpoint(res.checkpoint_dir, read)
+        if found is None:
+            return False
+        cp = found[1]
     cp.restore_into(sim)
     return True
 

@@ -53,14 +53,16 @@ the loop at step granularity:
    :class:`PostMortem`.
 
 **Determinism argument.**  Rollback restores bit-identical state (array
-copies + stepper memory + Verlet-cache list), and the solver is
-deterministic, so a retry recomputes exactly the step the fault-free run
-would have taken; the ``retry`` and ``degrade`` rungs (and a disk
-restore) are therefore *bitwise-neutral* — a run healed on those rungs
-ends bit-identical to the never-faulted run.  Only ``dt-backoff``
-intentionally alters the trajectory (that is its job).  Fire-once
-injection (:class:`~repro.resilience.chaos.NumericalFault`) models real
-transient SDC: the retry is clean by construction.
+copies + stepper memory); it drops the Verlet cache's list, and the next
+evaluation rebuilds it bitwise equal from the restored positions
+(:meth:`~repro.resilience.checkpoint.Checkpoint.restore_into`).  The
+solver is deterministic, so a retry recomputes exactly the step the
+fault-free run would have taken; the ``retry`` and ``degrade`` rungs
+(and a disk restore) are therefore *bitwise-neutral* — a run healed on
+those rungs ends bit-identical to the never-faulted run.  Only
+``dt-backoff`` intentionally alters the trajectory (that is its job).
+Fire-once injection (:class:`~repro.resilience.chaos.NumericalFault`)
+models real transient SDC: the retry is clean by construction.
 
 Guard activity is observable: rollback/retry work runs inside
 ``State.RECOVERY`` spans, ``Simulation.report()`` carries a

@@ -64,8 +64,11 @@ class JobEventLog:
     def publish(self, type: str, **payload) -> Optional[JobEvent]:
         """Append one event and fan it out; returns it (None if dropped).
 
-        Must be called from the owning event loop.  Progress events past
-        ``max_events`` are counted in ``dropped`` rather than stored
+        Must be called from the owning event loop, except before anyone
+        can subscribe: admission publishes a new job's ``queued`` (and a
+        cache hit's ``done``) on the submitting thread, under the
+        manager's lock, before the job's handle exists.  Progress events
+        past ``max_events`` are counted in ``dropped`` rather than stored
         (bounded memory on very long jobs); terminal events always land.
         """
         if self.closed:

@@ -1,6 +1,7 @@
 """The asyncio job manager: dedup cache, fair-share dispatch, recovery.
 
-:class:`ServiceManager` owns the whole job lifecycle on one event loop:
+:class:`ServiceManager` runs execution on one event loop and admits
+work on whichever thread calls ``submit``:
 
 1. ``submit(spec)`` canonicalizes the spec and content-hashes it.
 2. A hash already *running or queued* coalesces — the caller gets a
@@ -12,6 +13,9 @@
    :class:`~repro.service.queue.FairShareQueue` (or rejected with
    :class:`~repro.service.queue.QueueFullError` backpressure) and
    picked up by one of ``max_workers`` dispatcher tasks.
+
+Steps 2–4 run under one lock, which the loop takes too wherever it
+touches the same state; a cache hit therefore never waits on the loop.
 
 Execution isolation is per manager: ``inline`` runs the simulation on a
 thread (fast, shares the process — the load-bench posture), ``process``
@@ -36,7 +40,7 @@ import tempfile
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, AsyncIterator, Dict, Iterator, List, Optional, Set
+from typing import Any, AsyncIterator, Dict, Iterator, List, Optional
 
 from .events import JobEventLog
 from .queue import FairShareQueue, QueueFullError
@@ -204,7 +208,13 @@ class JobHandle:
 
 
 class ServiceManager:
-    """Asyncio job manager: submit/dedup/dispatch/recover on one loop."""
+    """Asyncio job manager: dedup/dispatch/recover on one loop.
+
+    ``_lock`` guards the admission state — ``stats``, ``jobs``,
+    ``_inflight``, the queue's lanes and the store's connection — so
+    :meth:`submit` may run on any thread.  The loop takes it around each
+    touch of that state and never holds it across an ``await``.
+    """
 
     def __init__(self, config: Optional[ServiceConfig] = None):
         self.config = config or ServiceConfig()
@@ -212,6 +222,8 @@ class ServiceManager:
         self.queue = FairShareQueue(self.config.queue_capacity)
         self.jobs: Dict[str, _Job] = {}
         self._inflight: Dict[str, _Job] = {}  # spec_hash -> live job
+        self._lock = threading.Lock()
+        self._queued = asyncio.Event()  # set on the loop after an admission
         self._workers: List[asyncio.Task] = []
         self._pool = concurrent.futures.ThreadPoolExecutor(
             max_workers=self.config.max_workers,
@@ -242,8 +254,8 @@ class ServiceManager:
     async def start(self) -> "ServiceManager":
         if self._running:
             return self
-        self._running = True
         self._loop = asyncio.get_running_loop()
+        self._running = True  # after _loop: submit reads them unlocked
         if self.config.isolation == "process":
             warm()
         for i in range(self.config.max_workers):
@@ -261,91 +273,105 @@ class ServiceManager:
         await asyncio.gather(*self._workers, return_exceptions=True)
         self._workers.clear()
         self._pool.shutdown(wait=False)
-        self.store.close()
+        with self._lock:
+            self.store.close()
 
     # -- submission ----------------------------------------------------
 
-    async def submit(self, spec: JobSpec, *, tenant: str = "anon") -> JobHandle:
+    def submit(self, spec: JobSpec, *, tenant: str = "anon") -> JobHandle:
         """Admit one request: coalesce, serve from cache, or enqueue.
 
-        Raises :class:`~repro.service.spec.SpecError` on a malformed
-        spec and :class:`~repro.service.queue.QueueFullError` when the
-        admission queue is at capacity.
+        Runs on the caller's thread.  Raises
+        :class:`~repro.service.spec.SpecError` on a malformed spec and
+        :class:`~repro.service.queue.QueueFullError` when the admission
+        queue is at capacity.
         """
         spec_hash = spec.content_hash()  # resolves: SpecError comes first
-        self.stats["submitted"] += 1
+        with self._lock:
+            self.stats["submitted"] += 1
 
-        # 1. Coalesce with an identical in-flight job.
-        live = self._inflight.get(spec_hash)
-        if live is not None and live.state not in JobState.TERMINAL:
-            self.stats["coalesced"] += 1
-            return JobHandle(self, live)
+            # 1. Coalesce with an identical in-flight job.
+            live = self._inflight.get(spec_hash)
+            if live is not None and live.state not in JobState.TERMINAL:
+                self.stats["coalesced"] += 1
+                return JobHandle(self, live)
 
-        job_id = f"job-{next(self._ids):05d}"
-        job = _Job(
-            job_id=job_id,
-            spec=spec,
-            spec_hash=spec_hash,
-            tenant=tenant,
-            log=JobEventLog(job_id),
-            submitted_s=time.time(),
-        )
-        self.jobs[job_id] = job
-        self._trim_history()
-
-        # 2. Serve from the durable cache: born DONE, no simulation run,
-        #    and — deliberately — no ledger row (nothing executed).
-        cached = self.store.get(spec_hash)
-        if cached is not None:
-            self.stats["cache_hits"] += 1
-            job.cached = True
-            outcome_dict = dict(cached.outcome)
-            outcome_dict["cached"] = True
-            job.outcome = JobOutcome.from_dict(outcome_dict)
-            job.set_state(JobState.DONE)
-            job.finished_s = time.time()
-            job.log.publish(
-                "queued", tenant=tenant, spec_hash=spec_hash, cached=True
+            job_id = f"job-{next(self._ids):05d}"
+            job = _Job(
+                job_id=job_id,
+                spec=spec,
+                spec_hash=spec_hash,
+                tenant=tenant,
+                log=JobEventLog(job_id),
+                submitted_s=time.time(),
             )
-            job.log.publish(
-                "done",
-                cached=True,
-                run_id=cached.run_id,
-                result_digest=cached.result_digest,
-            )
-            job.done.set()
-            return JobHandle(self, job)
+            self.jobs[job_id] = job
+            self._trim_history()
 
-        # 3. Fresh work: admit or reject with backpressure.
-        try:
-            self.queue.put_nowait(
-                job, tenant=tenant, retry_after=self._retry_after()
-            )
-        except QueueFullError:
-            self.stats["rejected"] += 1
-            del self.jobs[job.job_id]
-            raise
-        self._inflight[spec_hash] = job
-        job.log.publish("queued", tenant=tenant, spec_hash=spec_hash)
+            # 2. Serve from the durable cache: born DONE, no simulation
+            #    run, and — deliberately — no ledger row (nothing
+            #    executed).  No one holds the job yet, so its log and
+            #    ``done`` are safe to touch off the loop.
+            cached = self.store.get(spec_hash)
+            if cached is not None:
+                self.stats["cache_hits"] += 1
+                job.cached = True
+                outcome_dict = dict(cached.outcome)
+                outcome_dict["cached"] = True
+                job.outcome = JobOutcome.from_dict(outcome_dict)
+                job.set_state(JobState.DONE)
+                job.finished_s = time.time()
+                job.log.publish(
+                    "queued", tenant=tenant, spec_hash=spec_hash, cached=True
+                )
+                job.log.publish(
+                    "done",
+                    cached=True,
+                    run_id=cached.run_id,
+                    result_digest=cached.result_digest,
+                )
+                job.done.set()
+                return JobHandle(self, job)
+
+            # 3. Fresh work: admit or reject with backpressure.
+            try:
+                self.queue.put_nowait(
+                    job, tenant=tenant, retry_after=self._retry_after()
+                )
+            except QueueFullError:
+                self.stats["rejected"] += 1
+                del self.jobs[job.job_id]
+                raise
+            self._inflight[spec_hash] = job
+            job.log.publish("queued", tenant=tenant, spec_hash=spec_hash)
+        if self._running:
+            self._loop.call_soon_threadsafe(self._queued.set)
         return JobHandle(self, job)
 
     async def cancel(self, job_id: str) -> bool:
         """Cancel a queued or running job; no-op on terminal states."""
-        job = self.jobs.get(job_id)
-        if job is None or job.state in JobState.TERMINAL:
-            return False
-        if job.state == JobState.QUEUED and self.queue.remove(job):
+        with self._lock:
+            job = self.jobs.get(job_id)
+            if job is None or job.state in JobState.TERMINAL:
+                return False
+            withdrawn = job.state == JobState.QUEUED and self.queue.remove(job)
+        if withdrawn:
             self._finish(job, JobState.CANCELLED)
-            return True
-        job.cancel_flag.set()
+        else:
+            job.cancel_flag.set()
         return True
 
     # -- dispatch ------------------------------------------------------
 
     async def _worker_loop(self, slot: int) -> None:
         while True:
-            job = await self.queue.get()
-            if job.state in JobState.TERMINAL:  # cancelled while queued
+            with self._lock:
+                job = self.queue.get_nowait()
+            if job is None:
+                # An admission after the get above schedules a set that
+                # runs after this wait starts: the loop is single-threaded.
+                self._queued.clear()
+                await self._queued.wait()
                 continue
             started = time.time()
             try:
@@ -380,14 +406,18 @@ class ServiceManager:
             self._finish(job, JobState.FAILED)
             return
         job.outcome = outcome
-        self.stats["executed"] += 1
-        self.store.put(job.spec_hash, outcome.as_dict())
+        with self._lock:
+            self.stats["executed"] += 1
+            self.store.put(job.spec_hash, outcome.as_dict())
         self._finish(job, JobState.DONE)
 
     def _finish(self, job: _Job, state: str) -> None:
-        job.set_state(state)
-        job.finished_s = time.time()
-        self._inflight.pop(job.spec_hash, None)
+        with self._lock:
+            job.set_state(state)
+            job.finished_s = time.time()
+            self._inflight.pop(job.spec_hash, None)
+            if state in (JobState.FAILED, JobState.CANCELLED):
+                self.stats[state] += 1  # the two counters share the names
         if state == JobState.DONE:
             job.log.publish(
                 "done",
@@ -397,10 +427,8 @@ class ServiceManager:
                 recoveries=job.recoveries,
             )
         elif state == JobState.FAILED:
-            self.stats["failed"] += 1
             job.log.publish("failed", error=job.error)
         elif state == JobState.CANCELLED:
-            self.stats["cancelled"] += 1
             job.log.publish("cancelled")
         job.done.set()
 
@@ -504,7 +532,8 @@ class ServiceManager:
                 raise JobFailedError(error)
             # Death without a verdict: absorb it and respawn.
             job.recoveries += 1
-            self.stats["recoveries"] += 1
+            with self._lock:
+                self.stats["recoveries"] += 1
             if job.recoveries > self.config.max_recoveries:
                 raise JobFailedError(
                     f"worker died {job.recoveries} times "
@@ -521,20 +550,23 @@ class ServiceManager:
     # -- introspection -------------------------------------------------
 
     def handle(self, job_id: str) -> Optional[JobHandle]:
-        job = self.jobs.get(job_id)
+        with self._lock:
+            job = self.jobs.get(job_id)
         return JobHandle(self, job) if job is not None else None
 
     def jobs_snapshot(self) -> List[Dict[str, Any]]:
-        return [job.snapshot() for job in self.jobs.values()]
+        with self._lock:
+            return [job.snapshot() for job in self.jobs.values()]
 
     def stats_snapshot(self) -> Dict[str, Any]:
-        out: Dict[str, Any] = dict(self.stats)
+        with self._lock:
+            out: Dict[str, Any] = dict(self.stats)
+            out["queue_depth"] = len(self.queue)
+            out["store_entries"] = len(self.store)
         submitted = out["submitted"] or 1
         out["served_from_cache"] = (
             (out["cache_hits"] + out["coalesced"]) / submitted
         )
-        out["queue_depth"] = len(self.queue)
-        out["store_entries"] = len(self.store)
         out["isolation"] = self.config.isolation
         return out
 
@@ -593,8 +625,9 @@ class SyncJobHandle:
     def result(self, timeout: Optional[float] = None) -> JobOutcome:
         """Block for the outcome.
 
-        A job already ``DONE`` answers from this thread: the loop writes
-        ``state`` and ``outcome`` before it sets ``done``, and neither
+        A job already ``DONE`` answers from this thread: whoever finished
+        it (the loop, or the submitting thread for a cache hit) wrote
+        ``state`` and ``outcome`` before setting ``done``, and neither
         moves again.  Every other state waits on the loop, which also
         raises the failed and cancelled errors.
         """
@@ -633,39 +666,6 @@ class SyncJobHandle:
             yield event
 
 
-class _Resumed:
-    """The rest of a coroutine already stepped to its first suspension,
-    as an awaitable a Task can drive: the Task gets what the coroutine
-    awaits, the coroutine gets what the Task sends or throws back."""
-
-    def __init__(self, coro, awaited):
-        self._coro = coro
-        self._awaited = awaited
-
-    def __await__(self):
-        coro, awaited = self._coro, self._awaited
-        while True:
-            try:
-                try:
-                    sent = yield awaited
-                except BaseException as exc:  # noqa: BLE001 - delegated
-                    awaited = coro.throw(exc)
-                else:
-                    awaited = coro.send(sent)
-            except StopIteration as stop:
-                return stop.value
-
-
-def _settle(future: concurrent.futures.Future, task: asyncio.Task) -> None:
-    """Copy a finished Task's outcome onto the caller's future."""
-    if task.cancelled():
-        future.cancel()
-    elif task.exception() is not None:
-        future.set_exception(task.exception())
-    else:
-        future.set_result(task.result())
-
-
 class LocalService:
     """In-process service on a background event-loop thread.
 
@@ -678,7 +678,6 @@ class LocalService:
     def __init__(self, config: Optional[ServiceConfig] = None):
         self.config = config or ServiceConfig()
         self._loop = asyncio.new_event_loop()
-        self._tasks: Set[asyncio.Task] = set()  # loop-owned: tasks are weak
         self._thread = threading.Thread(
             target=self._loop.run_forever,
             name="repro-service-loop",
@@ -690,47 +689,23 @@ class LocalService:
         self._closed = False
 
     def _call(self, coro, timeout: Optional[float] = None):
-        """Run ``coro`` on the loop; block for its value.
-
-        The loop steps the coroutine in the callback that wakes it, so
-        one that never suspends (a ``submit`` or ``cancel``) is answered
-        from that callback — no Task, no chained future, no further loop
-        iterations.  One that suspends is finished under a Task.
-        """
-        future: concurrent.futures.Future = concurrent.futures.Future()
-
-        def start() -> None:
-            try:
-                awaited = coro.send(None)
-            except StopIteration as stop:
-                future.set_result(stop.value)
-            except Exception as exc:  # noqa: BLE001 - to the caller
-                future.set_exception(exc)
-            else:
-                task = asyncio.ensure_future(_Resumed(coro, awaited))
-                self._tasks.add(task)
-                task.add_done_callback(self._tasks.discard)
-                task.add_done_callback(functools.partial(_settle, future))
-
-        self._loop.call_soon_threadsafe(start)
-        return future.result(timeout)
+        """Run ``coro`` on the loop; block for its value."""
+        return asyncio.run_coroutine_threadsafe(coro, self._loop).result(timeout)
 
     def _spawn(self, coro) -> None:
         asyncio.run_coroutine_threadsafe(coro, self._loop)
 
     def submit(self, spec: JobSpec, *, tenant: str = "anon") -> SyncJobHandle:
-        handle = self._call(self.manager.submit(spec, tenant=tenant))
-        return SyncJobHandle(self, handle)
+        """Admit on this thread: a hit or a coalesce never waits on the loop."""
+        return SyncJobHandle(self, self.manager.submit(spec, tenant=tenant))
 
     def run(self, spec: JobSpec, *, tenant: str = "anon") -> JobOutcome:
         """Submit and block for the outcome (convenience)."""
         return self.submit(spec, tenant=tenant).result()
 
     def handle(self, job_id: str) -> Optional[SyncJobHandle]:
-        job = self.manager.jobs.get(job_id)
-        if job is None:
-            return None
-        return SyncJobHandle(self, JobHandle(self.manager, job))
+        handle = self.manager.handle(job_id)
+        return SyncJobHandle(self, handle) if handle is not None else None
 
     def jobs(self) -> List[Dict[str, Any]]:
         return self.manager.jobs_snapshot()

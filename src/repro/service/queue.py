@@ -11,7 +11,6 @@ backpressure contract the load bench exercises.
 
 from __future__ import annotations
 
-import asyncio
 from collections import OrderedDict, deque
 from typing import Any, Deque, Dict, Optional
 
@@ -37,9 +36,9 @@ class QueueFullError(Exception):
 class FairShareQueue:
     """Bounded multi-lane FIFO with round-robin dispatch.
 
-    Not thread-safe: all calls must come from the owning event loop
-    (the manager's), which is also what makes the unlocked bookkeeping
-    below safe.
+    Not thread-safe: the owner serializes every call (the manager holds
+    its admission lock, on the submitting thread and on the loop alike)
+    and wakes its own consumers, so the queue holds no lock and no event.
     """
 
     def __init__(self, capacity: int):
@@ -48,7 +47,6 @@ class FairShareQueue:
         self.capacity = int(capacity)
         self._lanes: "OrderedDict[str, Deque[Any]]" = OrderedDict()
         self._size = 0
-        self._ready = asyncio.Event()
 
     def __len__(self) -> int:
         return self._size
@@ -69,7 +67,6 @@ class FairShareQueue:
             lane = self._lanes[tenant] = deque()
         lane.append(item)
         self._size += 1
-        self._ready.set()
 
     def get_nowait(self) -> Optional[Any]:
         """Next item, round-robin across tenants; ``None`` when empty.
@@ -84,18 +81,8 @@ class FairShareQueue:
                 self._lanes.move_to_end(tenant)
             else:
                 del self._lanes[tenant]
-            if self._size == 0:
-                self._ready.clear()
             return item
         return None
-
-    async def get(self) -> Any:
-        """Await the next item (round-robin fair across tenants)."""
-        while True:
-            if self._size:
-                return self.get_nowait()
-            self._ready.clear()
-            await self._ready.wait()
 
     def remove(self, item: Any) -> bool:
         """Withdraw a queued item (job cancellation); True if found."""
@@ -107,8 +94,6 @@ class FairShareQueue:
             self._size -= 1
             if not lane:
                 del self._lanes[tenant]
-            if self._size == 0:
-                self._ready.clear()
             return True
         return False
 

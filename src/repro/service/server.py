@@ -129,7 +129,7 @@ class ServiceServer:
     ) -> None:
         try:
             spec = JobSpec.from_dict(dict(request.get("spec") or {}))
-            handle = await self.manager.submit(
+            handle = self.manager.submit(
                 spec, tenant=str(request.get("tenant", "anon"))
             )
         except SpecError as exc:

@@ -69,9 +69,10 @@ class ResultStore:
 
     # -- lifecycle -----------------------------------------------------
     def _open(self) -> sqlite3.Connection:
-        # check_same_thread=False: the owner constructs the store on one
-        # thread and drives it from the manager's event-loop thread; all
-        # access is serialized there, so cross-thread handoff is safe.
+        # check_same_thread=False: the manager's callers (submitting
+        # threads, reads on a cache hit) and its event-loop thread (the
+        # write after a run) share this connection; the manager's lock
+        # serializes every access, so the cross-thread use is safe.
         if self.path is None:
             conn = sqlite3.connect(":memory:", check_same_thread=False)
         else:

@@ -13,6 +13,7 @@ Plus the file-level guarantees: atomic writes (no ``*.tmp`` residue),
 from __future__ import annotations
 
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -123,6 +124,38 @@ def test_rolling_window_prunes_and_leaves_no_tmp(tmp_path):
     names = sorted(os.listdir(tmp_path))
     assert names == ["ckpt_00000006.ckpt", "ckpt_00000008.ckpt", "latest"]
     assert (tmp_path / "latest").read_text().strip() == "ckpt_00000008.ckpt"
+
+
+def test_resume_reads_the_newest_checkpoint_once(tmp_path, monkeypatch):
+    """The search's read is the restore's: one ``read_checkpoint`` per
+    candidate probed, and the state comes back bitwise."""
+    import repro.resilience.checkpoint as checkpoint_mod
+
+    res = ResilienceConfig(checkpoint_dir=str(tmp_path), checkpoint_every=2, keep=2)
+    with _sim("square-patch", resilience=res) as sim:
+        sim.run(n_steps=4)
+        saved = _final_state(sim)
+        saved_clock = (sim.time, sim.step_index)
+    reads = []
+    real_read = checkpoint_mod.read_checkpoint
+    monkeypatch.setattr(
+        checkpoint_mod, "read_checkpoint",
+        lambda path, **kw: reads.append(Path(path).name) or real_read(path, **kw),
+    )
+    with _sim("square-patch", resilience=res) as sim:
+        assert sim.resume() is True
+        assert reads == ["ckpt_00000004.ckpt"]
+        assert (sim.time, sim.step_index) == saved_clock
+        for f in FIELDS:
+            assert np.array_equal(getattr(sim.particles, f), saved[f]), f
+    # A torn newest file costs one read of it, then one of the fallback.
+    newest = tmp_path / "ckpt_00000004.ckpt"
+    newest.write_bytes(newest.read_bytes()[:100])
+    reads.clear()
+    with _sim("square-patch", resilience=res) as sim:
+        assert sim.resume() is True
+        assert sim.step_index == 2
+    assert reads == ["ckpt_00000004.ckpt", "ckpt_00000002.ckpt"]
 
 
 def test_torn_latest_falls_back_to_previous_checkpoint(tmp_path):

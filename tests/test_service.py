@@ -255,8 +255,8 @@ def test_identical_inflight_submissions_coalesce():
         manager = ServiceManager(ServiceConfig(isolation="inline"))
         # No workers started: both submissions stay queued, so the second
         # deterministically coalesces onto the first's job.
-        h1 = await manager.submit(tiny_spec())
-        h2 = await manager.submit(tiny_spec())
+        h1 = manager.submit(tiny_spec())
+        h2 = manager.submit(tiny_spec())
         assert h1.job_id == h2.job_id
         assert manager.stats["coalesced"] == 1
         await manager.close()
@@ -269,10 +269,10 @@ def test_manager_backpressure_rejects_beyond_capacity():
         manager = ServiceManager(
             ServiceConfig(isolation="inline", queue_capacity=2)
         )
-        await manager.submit(tiny_spec(n_steps=3))
-        await manager.submit(tiny_spec(n_steps=4))
+        manager.submit(tiny_spec(n_steps=3))
+        manager.submit(tiny_spec(n_steps=4))
         with pytest.raises(QueueFullError) as exc:
-            await manager.submit(tiny_spec(n_steps=5))
+            manager.submit(tiny_spec(n_steps=5))
         assert exc.value.retry_after > 0
         assert manager.stats["rejected"] == 1
         await manager.close()
@@ -289,12 +289,138 @@ def test_malformed_spec_raises_before_any_bookkeeping():
             JobSpec(scenario="sod", chaos="not-a-chaos-spec"),
         ):
             with pytest.raises(SpecError):
-                await manager.submit(bad)
+                manager.submit(bad)
         assert manager.stats["submitted"] == 0
         assert manager.jobs == {}
         await manager.close()
 
     asyncio.run(scenario())
+
+
+# --- Admission on the caller's thread ------------------------------------
+
+
+def _run_clients(n, client):
+    """Start ``n`` threads on ``client(k)`` at once; join them all."""
+    import threading
+
+    barrier = threading.Barrier(n)
+
+    def start(k):
+        barrier.wait()
+        client(k)
+
+    threads = [threading.Thread(target=start, args=(k,)) for k in range(n)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+
+
+def test_simultaneous_submits_of_one_uncached_spec_execute_it_once():
+    svc = inline_service()
+    outcomes = [None] * 8
+    try:
+
+        def client(k):
+            outcomes[k] = svc.submit(tiny_spec(n_steps=4)).result(timeout=300)
+
+        _run_clients(8, client)
+        stats = svc.stats()
+        assert stats["submitted"] == 8
+        assert stats["executed"] == 1
+        assert stats["coalesced"] + stats["cache_hits"] == 7
+        assert len({out.result_digest for out in outcomes}) == 1
+    finally:
+        svc.close()
+
+
+def test_queue_full_is_raised_on_the_callers_thread(monkeypatch):
+    import threading
+
+    import repro.service.manager as manager_mod
+
+    gate, started = threading.Event(), threading.Event()
+
+    def stuck(spec, **kwargs):
+        started.set()
+        gate.wait(timeout=60)
+        raise RuntimeError("released")
+
+    monkeypatch.setattr(manager_mod, "execute_spec", stuck)
+    svc = inline_service(max_workers=1, queue_capacity=1)
+    try:
+        svc.submit(tiny_spec())
+        assert started.wait(timeout=60)  # the worker holds it: queue empty
+        svc.submit(tiny_spec(n_steps=4))  # takes the one slot
+        loop_calls = []
+        real_call = LocalService._call
+        monkeypatch.setattr(
+            LocalService, "_call",
+            lambda self, coro, *a, **kw: (
+                loop_calls.append(coro) or real_call(self, coro, *a, **kw)
+            ),
+        )
+        with pytest.raises(QueueFullError) as exc:
+            svc.submit(tiny_spec(n_steps=5))
+        assert exc.value.retry_after > 0
+        assert exc.value.depth == 1
+        assert loop_calls == []
+        assert svc.stats()["rejected"] == 1
+    finally:
+        gate.set()
+        svc.close()
+
+
+def test_stats_and_jobs_snapshots_hold_while_clients_submit():
+    """A poller reads ``jobs()``/``stats()`` while two clients submit a
+    mix of misses, coalesces and hits; a short history keeps ``jobs``
+    trimming under it."""
+    import threading
+
+    svc = inline_service(history_limit=3)
+    specs = [tiny_spec(n_steps=n) for n in (3, 4, 3, 5, 4, 3, 5, 6)]
+    stop = threading.Event()
+    errors = []
+    polls = [0]
+
+    def poll():
+        while not stop.is_set():
+            try:
+                svc.jobs()
+                svc.stats()
+            except Exception as exc:  # noqa: BLE001 - asserted empty
+                errors.append(exc)
+            polls[0] += 1
+
+    def client(k):
+        try:
+            for spec in specs:
+                svc.submit(spec).result(timeout=300)
+        except Exception as exc:  # noqa: BLE001 - asserted empty
+            errors.append(exc)
+
+    poller = threading.Thread(target=poll)
+    poller.start()
+    try:
+        _run_clients(2, client)
+    finally:
+        stop.set()
+        poller.join()
+    try:
+        assert errors == []
+        assert polls[0] > 0
+        stats = svc.stats()
+        assert stats["submitted"] == 2 * len(specs)
+        assert stats["executed"] == len({spec.n_steps for spec in specs})
+        assert stats["submitted"] == sum(
+            stats[k]
+            for k in ("cache_hits", "coalesced", "rejected", "executed",
+                      "failed", "cancelled")
+        )
+        assert len(svc.jobs()) <= 3
+    finally:
+        svc.close()
 
 
 def _history(states):
@@ -334,7 +460,6 @@ def test_finished_handle_answers_without_a_loop_round_trip(monkeypatch):
     try:
         ran = svc.submit(tiny_spec())
         first = ran.result(timeout=300)
-        hit = svc.submit(tiny_spec())
         loop_calls = []
         for name in ("_call", "_spawn"):
             real = getattr(LocalService, name)
@@ -344,6 +469,13 @@ def test_finished_handle_answers_without_a_loop_round_trip(monkeypatch):
                     loop_calls.append(coro) or _real(self, coro, *a, **kw)
                 ),
             )
+        wake = svc._loop.call_soon_threadsafe
+        monkeypatch.setattr(
+            svc._loop, "call_soon_threadsafe",
+            lambda *a, **kw: loop_calls.append(a) or wake(*a, **kw),
+        )
+        hit = svc.submit(tiny_spec())  # a stored spec: no loop work at all
+        assert hit.state == JobState.DONE
         assert hit.result() is hit.result()
         assert hit.result().cached
         assert hit.result().result_digest == first.result_digest
@@ -363,8 +495,8 @@ def test_finished_handle_answers_without_a_loop_round_trip(monkeypatch):
 
 
 def test_loop_call_finishes_coroutines_that_suspend():
-    """``_call`` steps a coroutine in the loop's wake-up callback; one
-    that suspends is finished under a Task with the same outcome."""
+    """``_call`` runs a coroutine to completion on the loop and hands
+    back its value, its exception or its cancellation."""
     import concurrent.futures
 
     async def value_after(n):
@@ -430,7 +562,7 @@ def test_subscribers_see_identical_ordered_event_streams():
     async def scenario():
         manager = ServiceManager(ServiceConfig(isolation="inline"))
         await manager.start()
-        handle = await manager.submit(tiny_spec())
+        handle = manager.submit(tiny_spec())
 
         async def collect():
             return [
