@@ -66,7 +66,7 @@ from .kernels import available_kernels, make_kernel
 from .scenarios import Scenario, all_scenarios, get_scenario, scenario_names
 from .tree import Box, NeighborList, Octree, cell_grid_search
 
-__version__ = "16.0.0"
+__version__ = "17.0.0"
 
 #: The supported import surface, pruned to the PR-10 API redesign: the
 #: service entry points (lazy — see ``__getattr__``), the driver loop,
@@ -101,9 +101,9 @@ __all__ = [
     "scenario_names",
 ]
 
-#: Lazily-resolved exports: ``repro.api`` pulls in asyncio/service
-#: machinery that plain library users (``from repro import Simulation``)
-#: should not pay for at import time.
+#: Lazily-resolved exports: ``repro.api`` pulls in the service (sqlite,
+#: multiprocessing) that plain library users (``from repro import
+#: Simulation``) should not pay for at import time.
 _LAZY = {"api", "JobSpec", "submit"}
 
 

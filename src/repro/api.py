@@ -9,9 +9,10 @@ This module is the one import an application needs::
     for event in handle.events():      # replay + live progress stream
         print(event.type, event.payload)
 
-``submit`` goes through the shared in-process service — an asyncio job
+``submit`` goes through the shared in-process service — a threaded job
 manager with a content-addressed result cache, so submitting the same
-spec twice runs one simulation and serves the second from the store.
+spec twice runs one simulation and serves the second from the store
+(on the caller's thread, without waking a worker slot).
 ``run`` is the synchronous wrapper over the *same* spec → simulation →
 outcome path (no queue, no cache) — by construction it produces the
 same deterministic report as a service execution of the same spec.

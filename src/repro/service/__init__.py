@@ -1,4 +1,4 @@
-"""Simulation-as-a-service: async job farm with a content-addressed cache.
+"""Simulation-as-a-service: threaded job farm with a content-addressed cache.
 
 ROADMAP item 4, the production-traffic axis.  The runtime below this
 package is parallel, self-healing and self-measuring — but a
@@ -22,12 +22,13 @@ call.  This package turns it into a service:
     :func:`execute_spec` — the one synchronous spec → simulation → outcome
     path shared by the service workers, ``repro.api.run`` and the CLI.
 :mod:`repro.service.manager`
-    :class:`ServiceManager` — the asyncio job manager tying it together,
-    plus the :class:`LocalService` synchronous facade behind
+    :class:`ServiceManager` — the job manager tying it together: one
+    lock, admission on the caller's thread, ``max_workers`` slot threads
+    that run the jobs — plus the :class:`LocalService` facade behind
     :func:`repro.api.submit`.
 :mod:`repro.service.server`
     The ``repro serve`` / ``repro submit`` UNIX-socket JSON-lines
-    transport.
+    transport, one handler thread per connection.
 """
 
 from .events import JobEvent, JobEventLog

@@ -9,14 +9,18 @@ sequence (the fan-out-ordering guarantee the test suite asserts).
 
 A terminal event (``done`` / ``failed`` / ``cancelled``) closes the
 stream: subscribers receive it and then a ``None`` sentinel.
+
+Any thread may publish or subscribe: the log's own lock makes each
+``publish`` and each subscriber's replay-plus-registration atomic.
 """
 
 from __future__ import annotations
 
-import asyncio
+import queue
+import threading
 import time
 from dataclasses import dataclass, field
-from typing import AsyncIterator, Dict, List, Optional
+from typing import Dict, Iterator, List, Optional
 
 __all__ = ["TERMINAL_EVENTS", "JobEvent", "JobEventLog"]
 
@@ -59,63 +63,63 @@ class JobEventLog:
         self.dropped = 0
         self.closed = False
         self._seq = 0
-        self._subscribers: List[asyncio.Queue] = []
+        self._lock = threading.Lock()
+        self._subscribers: List[queue.SimpleQueue] = []
 
     def publish(self, type: str, **payload) -> Optional[JobEvent]:
         """Append one event and fan it out; returns it (None if dropped).
 
-        Must be called from the owning event loop, except before anyone
-        can subscribe: admission publishes a new job's ``queued`` (and a
-        cache hit's ``done``) on the submitting thread, under the
-        manager's lock, before the job's handle exists.  Progress events
-        past ``max_events`` are counted in ``dropped`` rather than stored
-        (bounded memory on very long jobs); terminal events always land.
+        Progress events past ``max_events`` are counted in ``dropped``
+        rather than stored (bounded memory on very long jobs); terminal
+        events always land.
         """
-        if self.closed:
-            return None
-        if len(self.events) >= self.max_events and type not in TERMINAL_EVENTS:
-            self.dropped += 1
-            return None
-        event = JobEvent(
-            seq=self._seq,
-            job_id=self.job_id,
-            type=type,
-            payload=payload,
-            ts=time.time(),
-        )
-        self._seq += 1
-        self.events.append(event)
-        for q in self._subscribers:
-            q.put_nowait(event)
-        if type in TERMINAL_EVENTS:
-            self.closed = True
+        with self._lock:
+            if self.closed:
+                return None
+            full = len(self.events) >= self.max_events
+            if full and type not in TERMINAL_EVENTS:
+                self.dropped += 1
+                return None
+            event = JobEvent(
+                seq=self._seq,
+                job_id=self.job_id,
+                type=type,
+                payload=payload,
+                ts=time.time(),
+            )
+            self._seq += 1
+            self.events.append(event)
             for q in self._subscribers:
-                q.put_nowait(None)
-            self._subscribers.clear()
+                q.put(event)
+            if type in TERMINAL_EVENTS:
+                self.closed = True
+                for q in self._subscribers:
+                    q.put(None)
+                self._subscribers.clear()
         return event
 
-    async def subscribe(self) -> AsyncIterator[JobEvent]:
-        """Replay the history, then stream live until the terminal event.
+    def subscribe(self) -> Iterator[JobEvent]:
+        """Replay the history, then block on live events until the end.
 
-        The replay snapshot and the live registration happen atomically
-        with respect to ``publish`` (single event loop, no await between
-        them), so no event is missed or duplicated at the seam.
+        The replay snapshot and the live registration are taken under the
+        log's lock, so no event is missed or duplicated at the seam.
         """
-        q: Optional[asyncio.Queue] = None
-        if not self.closed:
-            q = asyncio.Queue()
-            self._subscribers.append(q)
-        history = list(self.events)
-        for event in history:
-            yield event
+        with self._lock:
+            history = list(self.events)
+            q: Optional[queue.SimpleQueue] = None
+            if not self.closed:
+                q = queue.SimpleQueue()
+                self._subscribers.append(q)
+        yield from history
         if q is None:
             return
         try:
             while True:
-                event = await q.get()
+                event = q.get()
                 if event is None:
                     return
                 yield event
         finally:
-            if q in self._subscribers:
-                self._subscribers.remove(q)
+            with self._lock:
+                if q in self._subscribers:
+                    self._subscribers.remove(q)

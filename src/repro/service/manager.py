@@ -1,7 +1,7 @@
-"""The asyncio job manager: dedup cache, fair-share dispatch, recovery.
+"""The job manager: dedup cache, fair-share dispatch, recovery.
 
-:class:`ServiceManager` runs execution on one event loop and admits
-work on whichever thread calls ``submit``:
+:class:`ServiceManager` admits work on whichever thread calls
+``submit`` and executes it on ``max_workers`` slot threads:
 
 1. ``submit(spec)`` canonicalizes the spec and content-hashes it.
 2. A hash already *running or queued* coalesces — the caller gets a
@@ -12,37 +12,38 @@ work on whichever thread calls ``submit``:
 4. Anything else is admitted to the bounded
    :class:`~repro.service.queue.FairShareQueue` (or rejected with
    :class:`~repro.service.queue.QueueFullError` backpressure) and
-   picked up by one of ``max_workers`` dispatcher tasks.
+   picked up by one of the slot threads :meth:`ServiceManager.start`
+   starts.
 
-Steps 2–4 run under one lock, which the loop takes too wherever it
-touches the same state; a cache hit therefore never waits on the loop.
+The manager's one lock guards all of its state, and a condition on it
+wakes an idle slot after an admission; a cache hit therefore runs on
+the caller's thread alone.  Nothing else synchronizes: a slot runs its
+job itself, and a handle blocks on the job's ``done`` event.
 
-Execution isolation is per manager: ``inline`` runs the simulation on a
-thread (fast, shares the process — the load-bench posture), ``process``
-forks one OS process per attempt and *respawns it on death*, publishing
-a ``recovered`` event while checkpoint autoresume continues the run
-from the last completed step (RUNNING → RECOVERED → ... → DONE).
+Execution isolation is per manager: ``inline`` runs the simulation on
+the slot thread (fast, shares the process — the load-bench posture),
+``process`` forks one OS process per attempt and *respawns it on
+death*, publishing a ``recovered`` event while checkpoint autoresume
+continues the run from the last completed step (RUNNING → RECOVERED →
+... → DONE).
 
-:class:`LocalService` wraps a manager + private event-loop thread into
-the synchronous facade :func:`repro.api.submit` builds on.
+:class:`LocalService` is a started manager behind the small blocking
+facade :func:`repro.api.submit` builds on.
 """
 
 from __future__ import annotations
 
-import asyncio
-import concurrent.futures
-import functools
 import itertools
 import multiprocessing as mp
 import os
-import queue as _thread_queue
 import tempfile
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, AsyncIterator, Dict, Iterator, List, Optional
+from multiprocessing.connection import wait
+from typing import Any, Dict, Iterator, List, Optional
 
-from .events import JobEventLog
+from .events import JobEvent, JobEventLog
 from .queue import FairShareQueue, QueueFullError
 from .runner import JobOutcome, execute_spec
 from .spec import JobSpec
@@ -57,6 +58,7 @@ __all__ = [
     "ServiceConfig",
     "ServiceManager",
     "JobHandle",
+    "SyncJobHandle",
     "LocalService",
 ]
 
@@ -133,8 +135,8 @@ class _Job:
     recoveries: int = 0
     submitted_s: float = 0.0
     finished_s: float = 0.0
-    done: asyncio.Event = field(default_factory=asyncio.Event)
-    cancel_flag: threading.Event = field(default_factory=threading.Event)
+    done: threading.Event = field(default_factory=threading.Event)
+    cancel_requested: bool = False  # polled by the job's slot between steps
 
     def set_state(self, state: str) -> None:
         self.state = state
@@ -159,14 +161,21 @@ class _Job:
         return out
 
 
-class JobHandle:
-    """The caller's view of one submitted job (async side).
+#: The ``done`` of every cache hit: a job born finished is never waited
+#: for, so the hits share one event rather than each building its own.
+_BORN_DONE = threading.Event()
+_BORN_DONE.set()
 
-    ``await result()`` resolves to the :class:`JobOutcome` (raising
-    :class:`JobFailedError` / :class:`JobCancelledError` on the
-    unhappy paths); ``events()`` replays then streams the job's event
-    log; ``status()`` is an instantaneous snapshot.  Coalesced submits
-    share one job, so N handles may watch one execution.
+
+class JobHandle:
+    """The caller's blocking view of one submitted job.
+
+    ``result(timeout)`` returns the :class:`JobOutcome` (raising
+    :class:`JobFailedError` / :class:`JobCancelledError` on the unhappy
+    paths, ``TimeoutError`` when the job outlives ``timeout``);
+    ``events()`` replays then streams the job's event log; ``status()``
+    is an instantaneous snapshot.  Coalesced submits share one job, so N
+    handles may watch one execution.
     """
 
     def __init__(self, manager: "ServiceManager", job: _Job):
@@ -192,28 +201,42 @@ class JobHandle:
     def status(self) -> Dict[str, Any]:
         return self._job.snapshot()
 
-    async def result(self) -> JobOutcome:
-        await self._job.done.wait()
+    def result(self, timeout: Optional[float] = None) -> JobOutcome:
+        """Block for the outcome.
+
+        Whoever finishes a job (a slot or ``close``) writes ``state`` and
+        ``outcome`` before setting ``done``, and neither moves again; a
+        cache hit has both before its handle exists.
+        """
+        done = self._job.done
+        # is_set() first: it reads a flag, where wait() takes the lock of
+        # an event that every cache hit shares.
+        if not done.is_set() and not done.wait(timeout):
+            raise TimeoutError(f"job {self.job_id} still {self.state}")
         if self._job.state == JobState.CANCELLED:
             raise JobCancelledError(f"job {self.job_id} was cancelled")
         if self._job.outcome is None:
             raise JobFailedError(self._job.error or f"job {self.job_id} failed")
         return self._job.outcome
 
-    def events(self) -> AsyncIterator:
+    def events(self) -> Iterator[JobEvent]:
         return self._job.log.subscribe()
 
-    async def cancel(self) -> bool:
-        return await self._manager.cancel(self.job_id)
+    def cancel(self) -> bool:
+        return self._manager.cancel(self.job_id)
+
+
+#: The name ``repro.api`` exports the handle under.
+SyncJobHandle = JobHandle
 
 
 class ServiceManager:
-    """Asyncio job manager: dedup/dispatch/recover on one loop.
+    """Job manager: admission on the caller's thread, execution on slots.
 
-    ``_lock`` guards the admission state — ``stats``, ``jobs``,
-    ``_inflight``, the queue's lanes and the store's connection — so
-    :meth:`submit` may run on any thread.  The loop takes it around each
-    touch of that state and never holds it across an ``await``.
+    ``_lock`` guards all of the manager's state — ``stats``, ``jobs``,
+    ``_inflight``, the queue's lanes and the store's connection — and
+    ``_wake``, a condition on it, parks idle slot threads (releasing the
+    lock while they wait).
     """
 
     def __init__(self, config: Optional[ServiceConfig] = None):
@@ -223,19 +246,14 @@ class ServiceManager:
         self.jobs: Dict[str, _Job] = {}
         self._inflight: Dict[str, _Job] = {}  # spec_hash -> live job
         self._lock = threading.Lock()
-        self._queued = asyncio.Event()  # set on the loop after an admission
-        self._workers: List[asyncio.Task] = []
-        self._pool = concurrent.futures.ThreadPoolExecutor(
-            max_workers=self.config.max_workers,
-            thread_name_prefix="repro-service",
-        )
+        self._wake = threading.Condition(self._lock)
+        self._slots: List[threading.Thread] = []
+        self._closed = False
         self._jobs_dir = self.config.jobs_dir or tempfile.mkdtemp(
             prefix="repro-jobs-"
         )
         os.makedirs(self._jobs_dir, exist_ok=True)
         self._ids = itertools.count(1)
-        self._running = False
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
         # Exponentially-weighted mean job seconds, for retry_after.
         self._ewma_job_s = 0.0
         self.stats: Dict[str, int] = {
@@ -251,28 +269,45 @@ class ServiceManager:
 
     # -- lifecycle -----------------------------------------------------
 
-    async def start(self) -> "ServiceManager":
-        if self._running:
+    def start(self) -> "ServiceManager":
+        """Start the ``max_workers`` slot threads (once)."""
+        if self._closed:
+            raise RuntimeError("service is closed")
+        if self._slots:
             return self
-        self._loop = asyncio.get_running_loop()
-        self._running = True  # after _loop: submit reads them unlocked
         if self.config.isolation == "process":
             warm()
         for i in range(self.config.max_workers):
-            self._workers.append(
-                asyncio.ensure_future(self._worker_loop(i))
+            slot = threading.Thread(
+                target=self._slot, name=f"repro-service_{i}", daemon=True
             )
+            slot.start()
+            self._slots.append(slot)
         return self
 
-    async def close(self) -> None:
-        if not self._running:
-            return
-        self._running = False
-        for task in self._workers:
-            task.cancel()
-        await asyncio.gather(*self._workers, return_exceptions=True)
-        self._workers.clear()
-        self._pool.shutdown(wait=False)
+    def close(self) -> None:
+        """Stop admission and end every unfinished job, then the slots.
+
+        Queued jobs end ``CANCELLED`` here; running ones get their cancel
+        flag (a process child is terminated) and end ``CANCELLED`` on
+        their slot, which is joined.  A later :meth:`submit` raises
+        ``RuntimeError``.  Idempotent.
+        """
+        with self._lock:
+            if self._closed:
+                return
+            self._closed = True
+            queued = []
+            while (job := self.queue.get_nowait()) is not None:
+                queued.append(job)
+            for job in self._inflight.values():
+                job.cancel_requested = True
+            self._wake.notify_all()
+        for job in queued:
+            self._finish(job, JobState.CANCELLED)
+        for slot in self._slots:
+            slot.join()
+        self._slots.clear()
         with self._lock:
             self.store.close()
 
@@ -282,12 +317,14 @@ class ServiceManager:
         """Admit one request: coalesce, serve from cache, or enqueue.
 
         Runs on the caller's thread.  Raises
-        :class:`~repro.service.spec.SpecError` on a malformed spec and
+        :class:`~repro.service.spec.SpecError` on a malformed spec,
         :class:`~repro.service.queue.QueueFullError` when the admission
-        queue is at capacity.
+        queue is at capacity and ``RuntimeError`` after :meth:`close`.
         """
         spec_hash = spec.content_hash()  # resolves: SpecError comes first
         with self._lock:
+            if self._closed:
+                raise RuntimeError("service is closed")
             self.stats["submitted"] += 1
 
             # 1. Coalesce with an identical in-flight job.
@@ -296,6 +333,10 @@ class ServiceManager:
                 self.stats["coalesced"] += 1
                 return JobHandle(self, live)
 
+            # 2. Serve from the durable cache: born DONE, no simulation
+            #    run, and — deliberately — no ledger row (nothing
+            #    executed).
+            cached = self.store.get(spec_hash)
             job_id = f"job-{next(self._ids):05d}"
             job = _Job(
                 job_id=job_id,
@@ -304,15 +345,10 @@ class ServiceManager:
                 tenant=tenant,
                 log=JobEventLog(job_id),
                 submitted_s=time.time(),
+                done=_BORN_DONE if cached is not None else threading.Event(),
             )
             self.jobs[job_id] = job
             self._trim_history()
-
-            # 2. Serve from the durable cache: born DONE, no simulation
-            #    run, and — deliberately — no ledger row (nothing
-            #    executed).  No one holds the job yet, so its log and
-            #    ``done`` are safe to touch off the loop.
-            cached = self.store.get(spec_hash)
             if cached is not None:
                 self.stats["cache_hits"] += 1
                 job.cached = True
@@ -330,7 +366,6 @@ class ServiceManager:
                     run_id=cached.run_id,
                     result_digest=cached.result_digest,
                 )
-                job.done.set()
                 return JobHandle(self, job)
 
             # 3. Fresh work: admit or reject with backpressure.
@@ -344,11 +379,10 @@ class ServiceManager:
                 raise
             self._inflight[spec_hash] = job
             job.log.publish("queued", tenant=tenant, spec_hash=spec_hash)
-        if self._running:
-            self._loop.call_soon_threadsafe(self._queued.set)
+            self._wake.notify()
         return JobHandle(self, job)
 
-    async def cancel(self, job_id: str) -> bool:
+    def cancel(self, job_id: str) -> bool:
         """Cancel a queued or running job; no-op on terminal states."""
         with self._lock:
             job = self.jobs.get(job_id)
@@ -358,46 +392,34 @@ class ServiceManager:
         if withdrawn:
             self._finish(job, JobState.CANCELLED)
         else:
-            job.cancel_flag.set()
+            job.cancel_requested = True
         return True
 
     # -- dispatch ------------------------------------------------------
 
-    async def _worker_loop(self, slot: int) -> None:
+    def _slot(self) -> None:
+        """One worker slot: take the next job, run it, until closed."""
         while True:
-            with self._lock:
+            with self._wake:
+                self._wake.wait_for(lambda: self._closed or len(self.queue))
+                if self._closed:
+                    return
                 job = self.queue.get_nowait()
-            if job is None:
-                # An admission after the get above schedules a set that
-                # runs after this wait starts: the loop is single-threaded.
-                self._queued.clear()
-                await self._queued.wait()
-                continue
-            started = time.time()
-            try:
-                await self._execute(job)
-            finally:
-                if job.state == JobState.DONE and not job.cached:
-                    elapsed = time.time() - started
-                    self._ewma_job_s = (
-                        elapsed
-                        if self._ewma_job_s == 0.0
-                        else 0.7 * self._ewma_job_s + 0.3 * elapsed
-                    )
+            self._execute(job)
 
-    async def _execute(self, job: _Job) -> None:
+    def _execute(self, job: _Job) -> None:
         from ..core.simulation import RunCancelled
         from ..observability.ledger import new_run_id
 
+        started = time.time()
         job.set_state(JobState.RUNNING)
         job.log.publish("started", isolation=self.config.isolation)
         run_id = new_run_id(job.spec.scenario)
-        job_dir = os.path.join(self._jobs_dir, job.job_id)
         try:
             if self.config.isolation == "process":
-                outcome = await self._run_in_process(job, job_dir, run_id)
+                outcome = self._run_in_process(job, run_id)
             else:
-                outcome = await self._run_inline(job, job_dir, run_id)
+                outcome = self._run_inline(job, run_id)
         except RunCancelled:
             self._finish(job, JobState.CANCELLED)
             return
@@ -406,9 +428,15 @@ class ServiceManager:
             self._finish(job, JobState.FAILED)
             return
         job.outcome = outcome
+        elapsed = time.time() - started
         with self._lock:
             self.stats["executed"] += 1
             self.store.put(job.spec_hash, outcome.as_dict())
+            self._ewma_job_s = (
+                elapsed
+                if self._ewma_job_s == 0.0
+                else 0.7 * self._ewma_job_s + 0.3 * elapsed
+            )
         self._finish(job, JobState.DONE)
 
     def _finish(self, job: _Job, state: str) -> None:
@@ -434,45 +462,32 @@ class ServiceManager:
 
     # -- inline isolation ---------------------------------------------
 
-    async def _run_inline(
-        self, job: _Job, job_dir: str, run_id: str
-    ) -> JobOutcome:
-        loop = asyncio.get_running_loop()
-        publish = job.log.publish
-
-        def progress(payload: Dict[str, Any]) -> None:
-            loop.call_soon_threadsafe(
-                functools.partial(publish, "step", **payload)
-            )
-
-        return await loop.run_in_executor(
-            self._pool,
-            lambda: execute_spec(
-                job.spec,
-                job_dir=None,  # same process: death absorption is moot
-                ledger_path=self.config.ledger_path,
-                run_id=run_id,
-                spec_hash=job.spec_hash,
-                progress=progress,
-                cancel_check=job.cancel_flag.is_set,
-            ),
+    def _run_inline(self, job: _Job, run_id: str) -> JobOutcome:
+        return execute_spec(
+            job.spec,
+            job_dir=None,  # same process: death absorption is moot
+            ledger_path=self.config.ledger_path,
+            run_id=run_id,
+            spec_hash=job.spec_hash,
+            progress=lambda payload: job.log.publish("step", **payload),
+            cancel_check=lambda: job.cancel_requested,
         )
 
     # -- process isolation + respawn-on-death --------------------------
 
-    async def _run_in_process(
-        self, job: _Job, job_dir: str, run_id: str
-    ) -> JobOutcome:
+    def _run_in_process(self, job: _Job, run_id: str) -> JobOutcome:
         """One job, N attempts: spawn, monitor, respawn until a verdict.
 
         A child that exits without sending ``done``/``error`` *died*
-        (SIGKILL, crash).  The respawn reuses the same ``job_dir``, so
+        (SIGKILL, crash).  The respawn reuses the same job directory, so
         checkpoint autoresume continues from the last completed step —
         the manager publishes ``recovered`` and the job transitions
         RUNNING → RECOVERED → RUNNING rather than restarting.
         """
+        from ..core.simulation import RunCancelled
+
+        job_dir = os.path.join(self._jobs_dir, job.job_id)
         os.makedirs(job_dir, exist_ok=True)
-        loop = asyncio.get_running_loop()
         ctx = mp.get_context(
             "fork" if "fork" in mp.get_all_start_methods() else "spawn"
         )
@@ -492,22 +507,25 @@ class ServiceManager:
                 ),
                 daemon=True,
             )
-            proc.start()
+            # Fork under the lock, so that no other thread is inside the
+            # store's sqlite: a child inherits its mutexes as they are, and
+            # one held at the fork hangs the child's own ledger append.
+            with self._lock:
+                proc.start()
             child_conn.close()
             outcome_dict: Optional[Dict[str, Any]] = None
             error: Optional[str] = None
             try:
                 while True:
-                    if job.cancel_flag.is_set():
+                    if job.cancel_requested:
                         proc.terminate()
-                        await loop.run_in_executor(None, proc.join)
-                        from ..core.simulation import RunCancelled
-
+                        proc.join()
                         raise RunCancelled(0)
-                    ready = await loop.run_in_executor(
-                        None, parent_conn.poll, 0.05
-                    )
-                    if ready:
+                    if not wait([parent_conn, proc.sentinel], 0.05):
+                        continue
+                    # The pipe first: a child that sent its verdict and
+                    # exited is ready on both.
+                    if parent_conn.poll():
                         try:
                             kind, payload = parent_conn.recv()
                         except EOFError:
@@ -522,7 +540,7 @@ class ServiceManager:
                             break
                     elif not proc.is_alive():
                         break
-                await loop.run_in_executor(None, proc.join)
+                proc.join()
             finally:
                 parent_conn.close()
             if outcome_dict is not None:
@@ -591,121 +609,28 @@ class ServiceManager:
             del self.jobs[job_id]
 
 
-# ---------------------------------------------------------------------------
-# Synchronous facade
-# ---------------------------------------------------------------------------
-
-
-class SyncJobHandle:
-    """Blocking view of a job, for synchronous callers (api/CLI)."""
-
-    def __init__(self, service: "LocalService", handle: JobHandle):
-        self._service = service
-        self._handle = handle
-
-    @property
-    def job_id(self) -> str:
-        return self._handle.job_id
-
-    @property
-    def spec(self) -> JobSpec:
-        return self._handle.spec
-
-    @property
-    def spec_hash(self) -> str:
-        return self._handle.spec_hash
-
-    @property
-    def state(self) -> str:
-        return self._handle.state
-
-    def status(self) -> Dict[str, Any]:
-        return self._handle.status()
-
-    def result(self, timeout: Optional[float] = None) -> JobOutcome:
-        """Block for the outcome.
-
-        A job already ``DONE`` answers from this thread: whoever finished
-        it (the loop, or the submitting thread for a cache hit) wrote
-        ``state`` and ``outcome`` before setting ``done``, and neither
-        moves again.  Every other state waits on the loop, which also
-        raises the failed and cancelled errors.
-        """
-        job = self._handle._job
-        if job.done.is_set() and job.state == JobState.DONE:
-            return job.outcome
-        return self._service._call(self._handle.result(), timeout=timeout)
-
-    def cancel(self) -> bool:
-        return self._service._call(self._handle.cancel())
-
-    def events(self) -> Iterator:
-        """Blocking generator over the job's event stream.
-
-        A closed log (the job is terminal) is replayed from this thread;
-        an open one is pumped from the loop through a queue.
-        """
-        log = self._handle._job.log
-        if log.closed:
-            yield from log.events
-            return
-        bridge: "_thread_queue.Queue" = _thread_queue.Queue()
-
-        async def pump() -> None:
-            try:
-                async for event in self._handle.events():
-                    bridge.put(event)
-            finally:
-                bridge.put(None)
-
-        self._service._spawn(pump())
-        while True:
-            event = bridge.get()
-            if event is None:
-                return
-            yield event
-
-
 class LocalService:
-    """In-process service on a background event-loop thread.
+    """A started in-process :class:`ServiceManager`, as plain calls.
 
-    The synchronous face of :class:`ServiceManager` — what
-    :func:`repro.api.submit` and single-process CLI use.  Same dedup
-    cache, same queue, same worker slots; just bridged so plain code
-    can call ``submit(...).result()`` without touching asyncio.
+    What :func:`repro.api.submit` and single-process CLI use: the same
+    dedup cache, queue and worker slots, with ``jobs()``/``stats()``
+    snapshots and a context manager that closes the manager.
     """
 
     def __init__(self, config: Optional[ServiceConfig] = None):
         self.config = config or ServiceConfig()
-        self._loop = asyncio.new_event_loop()
-        self._thread = threading.Thread(
-            target=self._loop.run_forever,
-            name="repro-service-loop",
-            daemon=True,
-        )
-        self._thread.start()
-        self.manager = ServiceManager(self.config)
-        self._call(self.manager.start())
-        self._closed = False
+        self.manager = ServiceManager(self.config).start()
 
-    def _call(self, coro, timeout: Optional[float] = None):
-        """Run ``coro`` on the loop; block for its value."""
-        return asyncio.run_coroutine_threadsafe(coro, self._loop).result(timeout)
-
-    def _spawn(self, coro) -> None:
-        asyncio.run_coroutine_threadsafe(coro, self._loop)
-
-    def submit(self, spec: JobSpec, *, tenant: str = "anon") -> SyncJobHandle:
-        """Admit on this thread: a hit or a coalesce never waits on the loop."""
-        return SyncJobHandle(self, self.manager.submit(spec, tenant=tenant))
+    def submit(self, spec: JobSpec, *, tenant: str = "anon") -> JobHandle:
+        """Admit on this thread: a hit or a coalesce wakes no slot."""
+        return self.manager.submit(spec, tenant=tenant)
 
     def run(self, spec: JobSpec, *, tenant: str = "anon") -> JobOutcome:
         """Submit and block for the outcome (convenience)."""
         return self.submit(spec, tenant=tenant).result()
 
-    def handle(self, job_id: str) -> Optional[SyncJobHandle]:
-        handle = self.manager.handle(job_id)
-        return SyncJobHandle(self, handle) if handle is not None else None
+    def handle(self, job_id: str) -> Optional[JobHandle]:
+        return self.manager.handle(job_id)
 
     def jobs(self) -> List[Dict[str, Any]]:
         return self.manager.jobs_snapshot()
@@ -714,15 +639,7 @@ class LocalService:
         return self.manager.stats_snapshot()
 
     def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        try:
-            self._call(self.manager.close(), timeout=10.0)
-        finally:
-            self._loop.call_soon_threadsafe(self._loop.stop)
-            self._thread.join(timeout=5.0)
-            self._loop.close()
+        self.manager.close()
 
     def __enter__(self) -> "LocalService":
         return self

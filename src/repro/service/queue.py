@@ -37,8 +37,8 @@ class FairShareQueue:
     """Bounded multi-lane FIFO with round-robin dispatch.
 
     Not thread-safe: the owner serializes every call (the manager holds
-    its admission lock, on the submitting thread and on the loop alike)
-    and wakes its own consumers, so the queue holds no lock and no event.
+    its lock, on the submitting threads and the slot threads alike) and
+    wakes its own consumers, so the queue holds no lock and no event.
     """
 
     def __init__(self, capacity: int):

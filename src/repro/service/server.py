@@ -19,7 +19,7 @@ uses.  Ops:
 ``{"op": "cancel", "job_id": ...}``
     Cooperative cancellation.
 ``{"op": "shutdown"}``
-    Stop the server loop.
+    Stop accepting connections and close the manager.
 
 The socket lives at a filesystem path, so "who may submit" is exactly
 "who may open the socket file" — no auth layer of its own.
@@ -27,10 +27,10 @@ The socket lives at a filesystem path, so "who may submit" is exactly
 
 from __future__ import annotations
 
-import asyncio
 import json
 import socket
-from typing import Any, Dict, Iterator, Optional
+import socketserver
+from typing import Any, Callable, Dict, Iterator, Optional
 
 from .manager import (
     JobCancelledError,
@@ -43,142 +43,131 @@ from .spec import JobSpec, SpecError
 
 __all__ = ["ServiceServer", "serve_forever", "client_request", "client_submit"]
 
+Send = Callable[..., None]
 
-class ServiceServer:
-    """Bind a :class:`ServiceManager` to a UNIX socket."""
+
+class ServiceServer(socketserver.ThreadingUnixStreamServer):
+    """Bind a :class:`ServiceManager` to a UNIX socket.
+
+    Each connection gets its own handler thread, which calls the
+    manager directly; a ``wait`` or ``events`` request blocks only its
+    own thread.
+    """
+
+    daemon_threads = True
 
     def __init__(self, socket_path: str, config: Optional[ServiceConfig] = None):
         self.socket_path = str(socket_path)
         self.manager = ServiceManager(config)
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._shutdown = asyncio.Event()
+        super().__init__(self.socket_path, _Connection, bind_and_activate=False)
 
-    async def start(self) -> "ServiceServer":
-        await self.manager.start()
-        self._server = await asyncio.start_unix_server(
-            self._handle, path=self.socket_path
-        )
+    def start(self) -> "ServiceServer":
+        """Start the manager's slots, then bind and listen."""
+        self.manager.start()
+        try:
+            self.server_bind()
+            self.server_activate()
+        except BaseException:
+            self.close()
+            raise
         return self
 
-    async def serve_until_shutdown(self) -> None:
-        await self._shutdown.wait()
-        await self.close()
+    def close(self) -> None:
+        """Close the manager (ending any job a handler waits on), then
+        the socket."""
+        self.manager.close()
+        self.server_close()
 
-    async def close(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        await self.manager.close()
+    # -- the ops -------------------------------------------------------
 
-    # -- the wire ------------------------------------------------------
-
-    async def _handle(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            line = await reader.readline()
-            if not line:
-                return
-            try:
-                request = json.loads(line)
-            except json.JSONDecodeError as exc:
-                await self._send(writer, ok=False, error=f"bad json: {exc}")
-                return
-            await self._dispatch(request, writer)
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        finally:
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError, OSError):
-                pass
-
-    async def _dispatch(
-        self, request: Dict[str, Any], writer: asyncio.StreamWriter
-    ) -> None:
+    def dispatch(self, request: Dict[str, Any], send: Send) -> None:
         op = request.get("op")
         if op == "submit":
-            await self._op_submit(request, writer)
+            self._op_submit(request, send)
         elif op == "jobs":
-            await self._send(
-                writer, ok=True, jobs=self.manager.jobs_snapshot()
-            )
+            send(ok=True, jobs=self.manager.jobs_snapshot())
         elif op == "stats":
-            await self._send(
-                writer, ok=True, stats=self.manager.stats_snapshot()
-            )
+            send(ok=True, stats=self.manager.stats_snapshot())
         elif op == "status":
             handle = self.manager.handle(str(request.get("job_id")))
             if handle is None:
-                await self._send(writer, ok=False, error="unknown job_id")
+                send(ok=False, error="unknown job_id")
             else:
-                await self._send(writer, ok=True, job=handle.status())
+                send(ok=True, job=handle.status())
         elif op == "cancel":
-            ok = await self.manager.cancel(str(request.get("job_id")))
-            await self._send(writer, ok=ok)
+            send(ok=self.manager.cancel(str(request.get("job_id"))))
         elif op == "shutdown":
-            await self._send(writer, ok=True)
-            self._shutdown.set()
+            send(ok=True)
+            # Waits for serve_forever, which runs on another thread.
+            self.shutdown()
         else:
-            await self._send(writer, ok=False, error=f"unknown op: {op!r}")
+            send(ok=False, error=f"unknown op: {op!r}")
 
-    async def _op_submit(
-        self, request: Dict[str, Any], writer: asyncio.StreamWriter
-    ) -> None:
+    def _op_submit(self, request: Dict[str, Any], send: Send) -> None:
         try:
             spec = JobSpec.from_dict(dict(request.get("spec") or {}))
             handle = self.manager.submit(
                 spec, tenant=str(request.get("tenant", "anon"))
             )
         except SpecError as exc:
-            await self._send(writer, ok=False, error=f"bad spec: {exc}")
+            send(ok=False, error=f"bad spec: {exc}")
             return
         except QueueFullError as exc:
-            await self._send(
-                writer,
+            send(
                 ok=False,
                 error="queue_full",
                 retry_after=exc.retry_after,
                 depth=exc.depth,
             )
             return
-        await self._send(
-            writer,
+        send(
             ok=True,
             job_id=handle.job_id,
             spec_hash=handle.spec_hash,
             state=handle.state,
         )
         if request.get("events"):
-            async for event in handle.events():
-                await self._send(writer, event=event.as_dict())
+            for event in handle.events():
+                send(event=event.as_dict())
         if request.get("wait"):
             try:
-                outcome = await handle.result()
-                await self._send(writer, ok=True, outcome=outcome.as_dict())
+                send(ok=True, outcome=handle.result().as_dict())
             except JobCancelledError:
-                await self._send(writer, ok=False, error="cancelled")
+                send(ok=False, error="cancelled")
             except JobFailedError as exc:
-                await self._send(writer, ok=False, error=str(exc))
-
-    @staticmethod
-    async def _send(writer: asyncio.StreamWriter, **payload) -> None:
-        writer.write(json.dumps(payload).encode("utf-8") + b"\n")
-        await writer.drain()
+                send(ok=False, error=str(exc))
 
 
-async def _serve(socket_path: str, config: Optional[ServiceConfig]) -> None:
-    server = await ServiceServer(socket_path, config).start()
-    await server.serve_until_shutdown()
+class _Connection(socketserver.StreamRequestHandler):
+    """One request line in, reply lines out, on the connection's thread."""
+
+    def handle(self) -> None:
+        try:
+            line = self.rfile.readline()
+            if not line:
+                return
+            try:
+                request = json.loads(line)
+            except json.JSONDecodeError as exc:
+                self._send(ok=False, error=f"bad json: {exc}")
+                return
+            self.server.dispatch(request, self._send)
+        except (ConnectionResetError, BrokenPipeError):
+            pass
+
+    def _send(self, **payload) -> None:
+        self.wfile.write(json.dumps(payload).encode("utf-8") + b"\n")
 
 
 def serve_forever(
     socket_path: str, config: Optional[ServiceConfig] = None
 ) -> None:
-    """Blocking entry point for ``repro serve``."""
-    asyncio.run(_serve(socket_path, config))
+    """Blocking entry point for ``repro serve``: until a ``shutdown`` op."""
+    server = ServiceServer(socket_path, config).start()
+    try:
+        server.serve_forever()
+    finally:
+        server.close()
 
 
 # -- synchronous client helpers (the `repro submit` / `repro jobs` side) --

@@ -70,8 +70,8 @@ class ResultStore:
     # -- lifecycle -----------------------------------------------------
     def _open(self) -> sqlite3.Connection:
         # check_same_thread=False: the manager's callers (submitting
-        # threads, reads on a cache hit) and its event-loop thread (the
-        # write after a run) share this connection; the manager's lock
+        # threads, reads on a cache hit) and its slot threads (the write
+        # after a run) share this connection; the manager's lock
         # serializes every access, so the cross-thread use is safe.
         if self.path is None:
             conn = sqlite3.connect(":memory:", check_same_thread=False)

@@ -105,6 +105,31 @@ def test_run_path_never_loads_scipy(fresh_interpreter):
         assert heavy == [], f"after {stage}: {heavy[:5]}"
 
 
+_SERVE_EACH_ISOLATION = """
+import json, sys, tempfile
+import repro.api
+from repro.api import JobSpec, LocalService, ServiceConfig
+
+served = []
+for isolation in ("inline", "process"):
+    with LocalService(ServiceConfig(
+        isolation=isolation, jobs_dir=tempfile.mkdtemp(),
+    )) as svc:
+        handle = svc.submit(JobSpec("sod", n_steps=2, overrides={"n_target": 60}))
+        served.append([isolation, handle.result(timeout=300).steps,
+                       [e.type for e in handle.events()][-1]])
+print(json.dumps({"served": served, "asyncio": "asyncio" in sys.modules}))
+"""
+
+
+def test_service_runs_without_an_event_loop(fresh_interpreter):
+    """A job through ``LocalService`` under either isolation, start to
+    close, never imports asyncio: slot threads are the one model."""
+    reply = fresh_interpreter(_SERVE_EACH_ISOLATION)
+    assert reply["served"] == [["inline", 2, "done"], ["process", 2, "done"]]
+    assert reply["asyncio"] is False
+
+
 # --- pruned package exports ----------------------------------------------
 
 

@@ -1,10 +1,12 @@
 """The service layer: dedup cache, queue, events, recovery, hashing."""
 
-import asyncio
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
+import threading
+import time
 
 import pytest
 
@@ -175,29 +177,23 @@ def test_store_survives_reopen(tmp_path):
 
 
 def test_queue_backpressure_rejects_with_retry_after():
-    async def scenario():
-        q = FairShareQueue(capacity=2)
-        q.put_nowait("a", tenant="t1")
-        q.put_nowait("b", tenant="t2")
-        with pytest.raises(QueueFullError) as exc:
-            q.put_nowait("c", tenant="t1", retry_after=2.5)
-        assert exc.value.retry_after == 2.5
-        assert exc.value.depth == 2
-
-    asyncio.run(scenario())
+    q = FairShareQueue(capacity=2)
+    q.put_nowait("a", tenant="t1")
+    q.put_nowait("b", tenant="t2")
+    with pytest.raises(QueueFullError) as exc:
+        q.put_nowait("c", tenant="t1", retry_after=2.5)
+    assert exc.value.retry_after == 2.5
+    assert exc.value.depth == 2
 
 
 def test_queue_round_robin_is_fair_across_tenants():
-    async def scenario():
-        q = FairShareQueue(capacity=10)
-        for i in range(3):
-            q.put_nowait(f"hog-{i}", tenant="hog")
-        q.put_nowait("small-0", tenant="small")
-        order = [q.get_nowait() for _ in range(4)]
-        # The single-job tenant is served second, not after the hog drains.
-        assert order.index("small-0") == 1
-
-    asyncio.run(scenario())
+    q = FairShareQueue(capacity=10)
+    for i in range(3):
+        q.put_nowait(f"hog-{i}", tenant="hog")
+    q.put_nowait("small-0", tenant="small")
+    order = [q.get_nowait() for _ in range(4)]
+    # The single-job tenant is served second, not after the hog drains.
+    assert order.index("small-0") == 1
 
 
 # --- Dedup / coalescing / backpressure through the manager ----------------
@@ -251,50 +247,41 @@ def test_code_version_change_invalidates_cache(monkeypatch):
 
 
 def test_identical_inflight_submissions_coalesce():
-    async def scenario():
-        manager = ServiceManager(ServiceConfig(isolation="inline"))
-        # No workers started: both submissions stay queued, so the second
-        # deterministically coalesces onto the first's job.
-        h1 = manager.submit(tiny_spec())
-        h2 = manager.submit(tiny_spec())
-        assert h1.job_id == h2.job_id
-        assert manager.stats["coalesced"] == 1
-        await manager.close()
-
-    asyncio.run(scenario())
+    manager = ServiceManager(ServiceConfig(isolation="inline"))
+    # No slots started: both submissions stay queued, so the second
+    # deterministically coalesces onto the first's job.
+    h1 = manager.submit(tiny_spec())
+    h2 = manager.submit(tiny_spec())
+    assert h1.job_id == h2.job_id
+    assert manager.stats["coalesced"] == 1
+    manager.close()
 
 
 def test_manager_backpressure_rejects_beyond_capacity():
-    async def scenario():
-        manager = ServiceManager(
-            ServiceConfig(isolation="inline", queue_capacity=2)
-        )
-        manager.submit(tiny_spec(n_steps=3))
-        manager.submit(tiny_spec(n_steps=4))
-        with pytest.raises(QueueFullError) as exc:
-            manager.submit(tiny_spec(n_steps=5))
-        assert exc.value.retry_after > 0
-        assert manager.stats["rejected"] == 1
-        await manager.close()
-
-    asyncio.run(scenario())
+    manager = ServiceManager(
+        ServiceConfig(isolation="inline", queue_capacity=2)
+    )
+    manager.submit(tiny_spec(n_steps=3))
+    manager.submit(tiny_spec(n_steps=4))
+    with pytest.raises(QueueFullError) as exc:
+        manager.submit(tiny_spec(n_steps=5))
+    assert exc.value.retry_after > 0
+    assert manager.stats["rejected"] == 1
+    manager.close()
 
 
 def test_malformed_spec_raises_before_any_bookkeeping():
-    async def scenario():
-        manager = ServiceManager(ServiceConfig(isolation="inline"))
-        for bad in (
-            JobSpec(scenario="nosuch"),
-            JobSpec(scenario="sod", overrides={"bogus_knob": 1}),
-            JobSpec(scenario="sod", chaos="not-a-chaos-spec"),
-        ):
-            with pytest.raises(SpecError):
-                manager.submit(bad)
-        assert manager.stats["submitted"] == 0
-        assert manager.jobs == {}
-        await manager.close()
-
-    asyncio.run(scenario())
+    manager = ServiceManager(ServiceConfig(isolation="inline"))
+    for bad in (
+        JobSpec(scenario="nosuch"),
+        JobSpec(scenario="sod", overrides={"bogus_knob": 1}),
+        JobSpec(scenario="sod", chaos="not-a-chaos-spec"),
+    ):
+        with pytest.raises(SpecError):
+            manager.submit(bad)
+    assert manager.stats["submitted"] == 0
+    assert manager.jobs == {}
+    manager.close()
 
 
 # --- Admission on the caller's thread ------------------------------------
@@ -302,8 +289,6 @@ def test_malformed_spec_raises_before_any_bookkeeping():
 
 def _run_clients(n, client):
     """Start ``n`` threads on ``client(k)`` at once; join them all."""
-    import threading
-
     barrier = threading.Barrier(n)
 
     def start(k):
@@ -335,9 +320,18 @@ def test_simultaneous_submits_of_one_uncached_spec_execute_it_once():
         svc.close()
 
 
-def test_queue_full_is_raised_on_the_callers_thread(monkeypatch):
-    import threading
+def _record_wakes(monkeypatch, manager):
+    """Every slot wake-up ``manager`` issues from now on."""
+    wakes = []
+    notify = manager._wake.notify
+    monkeypatch.setattr(
+        manager._wake, "notify",
+        lambda *a: wakes.append(threading.current_thread().name) or notify(*a),
+    )
+    return wakes
 
+
+def test_queue_full_is_raised_on_the_callers_thread(monkeypatch):
     import repro.service.manager as manager_mod
 
     gate, started = threading.Event(), threading.Event()
@@ -352,20 +346,13 @@ def test_queue_full_is_raised_on_the_callers_thread(monkeypatch):
     try:
         svc.submit(tiny_spec())
         assert started.wait(timeout=60)  # the worker holds it: queue empty
-        svc.submit(tiny_spec(n_steps=4))  # takes the one slot
-        loop_calls = []
-        real_call = LocalService._call
-        monkeypatch.setattr(
-            LocalService, "_call",
-            lambda self, coro, *a, **kw: (
-                loop_calls.append(coro) or real_call(self, coro, *a, **kw)
-            ),
-        )
+        svc.submit(tiny_spec(n_steps=4))  # takes the one queue place
+        wakes = _record_wakes(monkeypatch, svc.manager)
         with pytest.raises(QueueFullError) as exc:
             svc.submit(tiny_spec(n_steps=5))
         assert exc.value.retry_after > 0
         assert exc.value.depth == 1
-        assert loop_calls == []
+        assert wakes == []
         assert svc.stats()["rejected"] == 1
     finally:
         gate.set()
@@ -376,8 +363,6 @@ def test_stats_and_jobs_snapshots_hold_while_clients_submit():
     """A poller reads ``jobs()``/``stats()`` while two clients submit a
     mix of misses, coalesces and hits; a short history keeps ``jobs``
     trimming under it."""
-    import threading
-
     svc = inline_service(history_limit=3)
     specs = [tiny_spec(n_steps=n) for n in (3, 4, 3, 5, 4, 3, 5, 6)]
     stop = threading.Event()
@@ -455,75 +440,32 @@ def test_trim_history_evicts_the_oldest_terminal_jobs_only():
     manager.store.close()
 
 
-def test_finished_handle_answers_without_a_loop_round_trip(monkeypatch):
+def test_stored_spec_is_served_without_waking_a_slot(monkeypatch):
     svc = inline_service()
     try:
         ran = svc.submit(tiny_spec())
         first = ran.result(timeout=300)
-        loop_calls = []
-        for name in ("_call", "_spawn"):
-            real = getattr(LocalService, name)
-            monkeypatch.setattr(
-                LocalService, name,
-                lambda self, coro, *a, _real=real, **kw: (
-                    loop_calls.append(coro) or _real(self, coro, *a, **kw)
-                ),
-            )
-        wake = svc._loop.call_soon_threadsafe
-        monkeypatch.setattr(
-            svc._loop, "call_soon_threadsafe",
-            lambda *a, **kw: loop_calls.append(a) or wake(*a, **kw),
-        )
-        hit = svc.submit(tiny_spec())  # a stored spec: no loop work at all
+        wakes = _record_wakes(monkeypatch, svc.manager)
+        hit = svc.submit(tiny_spec())  # a stored spec: no slot work at all
         assert hit.state == JobState.DONE
         assert hit.result() is hit.result()
         assert hit.result().cached
         assert hit.result().result_digest == first.result_digest
         assert ran.result() is first
         events = {h.job_id: list(h.events()) for h in (ran, hit)}
-        assert loop_calls == []
-
-        async def replay(handle):
-            return [e async for e in handle.events()]
-
+        assert wakes == []
         for h in (ran, hit):
-            assert events[h.job_id] == svc._call(replay(h._handle))
+            assert events[h.job_id] == h._job.log.events
         assert [e.type for e in events[hit.job_id]] == ["queued", "done"]
         assert events[ran.job_id][-1].type == "done"
+        # A miss, by contrast, wakes one slot, from the submitting thread.
+        svc.submit(tiny_spec(n_steps=4)).result(timeout=300)
+        assert wakes == [threading.current_thread().name]
     finally:
         svc.close()
 
 
-def test_loop_call_finishes_coroutines_that_suspend():
-    """``_call`` runs a coroutine to completion on the loop and hands
-    back its value, its exception or its cancellation."""
-    import concurrent.futures
-
-    async def value_after(n):
-        for _ in range(n):
-            await asyncio.sleep(0)
-        await asyncio.sleep(0.01)
-        return n
-
-    async def raise_after(n, exc):
-        await value_after(n)
-        raise exc
-
-    svc = inline_service()
-    try:
-        assert svc._call(value_after(0)) == 0
-        assert svc._call(value_after(3)) == 3
-        with pytest.raises(KeyError, match="boom"):
-            svc._call(raise_after(2, KeyError("boom")))
-        with pytest.raises(concurrent.futures.CancelledError):
-            svc._call(raise_after(1, asyncio.CancelledError()))
-    finally:
-        svc.close()
-
-
-def test_failed_and_cancelled_jobs_raise_through_the_loop(monkeypatch):
-    import threading
-
+def test_failed_and_cancelled_jobs_raise_from_result(monkeypatch):
     import repro.service.manager as manager_mod
 
     gate = threading.Event()
@@ -559,31 +501,160 @@ def test_failed_and_cancelled_jobs_raise_through_the_loop(monkeypatch):
 
 
 def test_subscribers_see_identical_ordered_event_streams():
-    async def scenario():
-        manager = ServiceManager(ServiceConfig(isolation="inline"))
-        await manager.start()
-        handle = manager.submit(tiny_spec())
+    manager = ServiceManager(ServiceConfig(isolation="inline")).start()
+    handle = manager.submit(tiny_spec())
 
-        async def collect():
-            return [
-                (e.seq, e.type) async for e in handle.events()
-            ]
+    def collect():
+        return [(e.seq, e.type) for e in handle.events()]
 
-        early, late = await asyncio.gather(collect(), collect())
-        assert early == late
-        types = [t for _, t in early]
-        assert types[0] == "queued"
-        assert types[1] == "started"
-        assert types[-1] == "done"
-        assert types.count("step") == 3  # one per simulated step
-        seqs = [s for s, _ in early]
-        assert seqs == sorted(seqs)
-        # A subscriber attaching after completion still replays history.
-        replay = [(e.seq, e.type) async for e in handle.events()]
-        assert replay == early
-        await manager.close()
+    early, late = collect(), collect()
+    assert early == late
+    types = [t for _, t in early]
+    assert types[0] == "queued"
+    assert types[1] == "started"
+    assert types[-1] == "done"
+    assert types.count("step") == 3  # one per simulated step
+    seqs = [s for s, _ in early]
+    assert seqs == sorted(seqs)
+    # A subscriber attaching after completion still replays history.
+    replay = [(e.seq, e.type) for e in handle.events()]
+    assert replay == early
+    manager.close()
 
-    asyncio.run(scenario())
+
+def test_subscriber_threads_attaching_mid_job_see_one_gap_free_stream(
+    monkeypatch,
+):
+    """Four threads subscribe at staggered moments of one inline job —
+    before its first step, after it, mid-run, after its last step — and
+    a fifth after it ends: all five see the same ``seq`` 0, 1, 2, ...
+    of ``queued``, ``started``, one ``step`` per step, ``done``."""
+    import repro.service.manager as manager_mod
+
+    n_steps = 6
+    moments = {1: "first", 3: "mid", n_steps: "last"}  # step -> subscriber
+    names = ["start", *moments.values()]
+    attach = {name: threading.Event() for name in names}
+    attached = {name: threading.Event() for name in names}
+    real_execute = manager_mod.execute_spec
+
+    def paced(spec, *, progress, **kwargs):
+        def step(payload):
+            progress(payload)
+            name = moments.get(payload["step"])
+            if name is not None:  # let one subscriber in, mid-stream
+                attach[name].set()
+                assert attached[name].wait(timeout=60)
+        attach["start"].set()
+        assert attached["start"].wait(timeout=60)
+        return real_execute(spec, progress=step, **kwargs)
+
+    monkeypatch.setattr(manager_mod, "execute_spec", paced)
+    svc = inline_service(max_workers=1)
+    streams = {}
+    try:
+        handle = svc.submit(tiny_spec(n_steps=n_steps))
+
+        def subscriber(name):
+            assert attach[name].wait(timeout=60)
+            events = handle.events()
+            first = next(events)  # replay and registration are done
+            attached[name].set()
+            streams[name] = [(e.seq, e.type) for e in [first, *events]]
+
+        threads = [
+            threading.Thread(target=subscriber, args=(name,))
+            for name in attach
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+        assert handle.result(timeout=60).steps == n_steps
+        streams["after"] = [(e.seq, e.type) for e in handle.events()]
+    finally:
+        svc.close()
+    expected = list(enumerate(
+        ["queued", "started"] + ["step"] * n_steps + ["done"]
+    ))
+    assert set(streams) == {"start", "first", "mid", "last", "after"}
+    for name, stream in streams.items():
+        assert stream == expected, name
+
+
+def test_event_log_subscribers_racing_a_publisher_miss_nothing():
+    """Subscriptions taken while another thread publishes as fast as it
+    can: each replay-then-live stream is every ``seq`` exactly once."""
+    log = JobEventLog("job-race")
+    n = 20_000
+    streams = []
+
+    def publisher():
+        for i in range(n):
+            log.publish("step", step=i)
+        log.publish("done")
+
+    threads = [threading.Thread(target=publisher)]
+    threads += [
+        threading.Thread(target=lambda: streams.append(
+            [e.seq for e in log.subscribe()]
+        ))
+        for _ in range(4)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads mid-publish, often
+    try:
+        for t in threads:
+            t.start()
+            time.sleep(0.002)
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(streams) == 4
+    for stream in streams:
+        assert stream == list(range(n + 1))
+
+
+# --- close() with jobs in flight -----------------------------------------
+
+
+def _close_with_jobs_in_flight(isolation):
+    """One slot: a 40-step patch running, a ``sod`` job queued, close()."""
+    svc = LocalService(ServiceConfig(isolation=isolation, max_workers=1))
+    running = svc.submit(JobSpec(scenario="square-patch", n_steps=40))
+    queued = svc.submit(tiny_spec())
+    deadline = time.time() + 120
+    while running.state != JobState.RUNNING and time.time() < deadline:
+        time.sleep(0.01)
+    assert running.state == JobState.RUNNING
+    assert queued.state == JobState.QUEUED
+    svc.close()
+    for handle in (running, queued):
+        assert handle.state == JobState.CANCELLED
+        with pytest.raises(JobCancelledError):
+            handle.result(timeout=0)
+        assert [e.type for e in handle.events()][-1] == "cancelled"
+    assert [e.type for e in queued.events()] == ["queued", "cancelled"]
+    assert svc.manager.stats["cancelled"] == 2
+    with pytest.raises(RuntimeError, match="service is closed"):
+        svc.submit(tiny_spec(n_steps=5))
+    assert [
+        t.name for t in threading.enumerate()
+        if t.name.startswith("repro-service")
+    ] == []
+    assert multiprocessing.active_children() == []
+    svc.close()  # idempotent
+
+
+def test_close_cancels_inline_jobs_in_flight_and_joins_the_slots():
+    _close_with_jobs_in_flight("inline")
+
+
+@pytest.mark.slow
+def test_close_cancels_process_jobs_in_flight_and_reaps_the_child():
+    _close_with_jobs_in_flight("process")
 
 
 # --- Worker death / recovery ---------------------------------------------
@@ -615,6 +686,30 @@ def test_killed_worker_recovers_and_matches_unfaulted_digest(tmp_path):
         assert event_types[-1] == "done"
     finally:
         svc.close()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_job_attempts_fork_under_the_managers_lock(monkeypatch):
+    """A child inherits sqlite's mutexes as they stand at the fork, and
+    its ledger append hangs on one that another slot or a client held.
+    Every store access takes the manager's lock, so forking under it
+    leaves none held."""
+    from multiprocessing.process import BaseProcess
+
+    svc = LocalService(ServiceConfig(isolation="process", max_workers=1))
+    held = []
+    real_start = BaseProcess.start
+
+    def start(proc):
+        held.append(svc.manager._lock.locked())
+        return real_start(proc)
+
+    monkeypatch.setattr(BaseProcess, "start", start)
+    try:
+        svc.submit(tiny_spec()).result(timeout=300)
+    finally:
+        svc.close()
+    assert held == [True]
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
