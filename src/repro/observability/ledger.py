@@ -10,11 +10,12 @@ backend, code version)``, that :meth:`repro.core.simulation.Simulation
 
 Design constraints, in order:
 
-* **Durability.**  WAL journaling with a busy timeout, so concurrent
-  appends from separate processes serialize instead of failing, and a
-  torn write cannot take out previously committed rows.  A file that is
-  corrupt beyond sqlite's own recovery (e.g. a truncated header from a
-  torn copy) is quarantined to ``<path>.corrupt`` and a fresh ledger is
+* **Durability.**  The opener shared with the result store
+  (:func:`~repro.observability.sqlite_file.open_versioned`): WAL with a
+  busy timeout, so appends from separate processes serialize; a locked
+  file is waited on, then raises (``append_run`` warns), never moved; a
+  file that is not a database or is malformed (a torn copy's truncated
+  header) is quarantined to ``<path>.corrupt`` and a fresh ledger is
   started — history is an optimization, never a single point of failure.
 * **Schema versioning.**  ``ledger_meta.schema_version`` stamps every
   file; opening an older file migrates it in place (v0 → v1 adds the
@@ -44,6 +45,8 @@ import warnings
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional
+
+from .sqlite_file import open_versioned
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -202,6 +205,19 @@ _COLUMNS_V1 = _COLUMNS_V0 + ("recovery", "extra")
 _JSON_COLUMNS = frozenset(
     {"host", "knobs", "phases", "pop", "step_times", "recovery", "extra"}
 )
+_CREATE_SQL = (
+    "CREATE TABLE IF NOT EXISTS runs ("
+    "  run_id TEXT PRIMARY KEY, created_s REAL NOT NULL,"
+    "  scenario TEXT NOT NULL, n_particles INTEGER NOT NULL,"
+    "  n_steps INTEGER NOT NULL, host_id TEXT NOT NULL,"
+    "  backend TEXT NOT NULL, code_version TEXT NOT NULL,"
+    "  host TEXT NOT NULL DEFAULT '{}', knobs TEXT NOT NULL DEFAULT '{}',"
+    "  phases TEXT NOT NULL DEFAULT '{}', pop TEXT,"
+    "  step_times TEXT NOT NULL DEFAULT '{}',"
+    "  recovery TEXT NOT NULL DEFAULT '{}', extra TEXT NOT NULL DEFAULT '{}')",
+    "CREATE INDEX IF NOT EXISTS idx_runs_key ON runs "
+    "(scenario, n_particles, host_id, backend)",
+)
 
 
 class RunLedger:
@@ -209,109 +225,21 @@ class RunLedger:
 
     Usable as a context manager; every public method is safe to call
     concurrently from multiple processes (appends serialize on sqlite's
-    write lock within ``timeout_s``).
+    write lock, waiting up to :data:`~repro.observability.sqlite_file
+    .TIMEOUT_S`).
     """
 
-    def __init__(self, path, *, timeout_s: float = 10.0):
+    def __init__(self, path):
         self.path = Path(path)
-        self.timeout_s = float(timeout_s)
-        self._conn: Optional[sqlite3.Connection] = None
-        try:
-            self._conn = self._open()
-        except sqlite3.DatabaseError:
-            self._quarantine()
-            self._conn = self._open()
-
-    # -- lifecycle -----------------------------------------------------
-    def _open(self) -> sqlite3.Connection:
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        conn = sqlite3.connect(str(self.path), timeout=self.timeout_s)
-        try:
-            conn.execute("PRAGMA journal_mode=WAL")
-            conn.execute("PRAGMA synchronous=NORMAL")
-            conn.execute(f"PRAGMA busy_timeout={int(self.timeout_s * 1000)}")
-            self._ensure_schema(conn)
-        except sqlite3.DatabaseError:
-            conn.close()
-            raise
-        return conn
-
-    def _quarantine(self) -> None:
-        """Move an unreadable file aside and warn; history is best-effort."""
-        target = self.path.with_name(self.path.name + ".corrupt")
-        try:
-            os.replace(self.path, target)
-        except OSError:
-            try:
-                self.path.unlink()
-            except OSError:
-                pass
-        # Sidecar WAL/SHM files belong to the quarantined generation.
-        for suffix in ("-wal", "-shm"):
-            try:
-                Path(str(self.path) + suffix).unlink()
-            except OSError:
-                pass
-        warnings.warn(
-            f"run ledger at {self.path} was unreadable; quarantined to "
-            f"{target} and starting a fresh ledger",
-            RuntimeWarning,
-            stacklevel=3,
+        self._conn: Optional[sqlite3.Connection] = open_versioned(
+            self.path,
+            meta_table="ledger_meta",
+            create_sql=_CREATE_SQL,
+            version=SCHEMA_VERSION,
+            migrations=_MIGRATIONS,
         )
 
-    def _ensure_schema(self, conn: sqlite3.Connection) -> None:
-        with conn:
-            conn.execute(
-                "CREATE TABLE IF NOT EXISTS ledger_meta "
-                "(key TEXT PRIMARY KEY, value TEXT)"
-            )
-            row = conn.execute(
-                "SELECT value FROM ledger_meta WHERE key='schema_version'"
-            ).fetchone()
-            if row is None:
-                conn.execute(
-                    "CREATE TABLE IF NOT EXISTS runs ("
-                    "  run_id TEXT PRIMARY KEY,"
-                    "  created_s REAL NOT NULL,"
-                    "  scenario TEXT NOT NULL,"
-                    "  n_particles INTEGER NOT NULL,"
-                    "  n_steps INTEGER NOT NULL,"
-                    "  host_id TEXT NOT NULL,"
-                    "  backend TEXT NOT NULL,"
-                    "  code_version TEXT NOT NULL,"
-                    "  host TEXT NOT NULL DEFAULT '{}',"
-                    "  knobs TEXT NOT NULL DEFAULT '{}',"
-                    "  phases TEXT NOT NULL DEFAULT '{}',"
-                    "  pop TEXT,"
-                    "  step_times TEXT NOT NULL DEFAULT '{}',"
-                    "  recovery TEXT NOT NULL DEFAULT '{}',"
-                    "  extra TEXT NOT NULL DEFAULT '{}')"
-                )
-                conn.execute(
-                    "CREATE INDEX IF NOT EXISTS idx_runs_key ON runs "
-                    "(scenario, n_particles, host_id, backend)"
-                )
-                conn.execute(
-                    "INSERT INTO ledger_meta (key, value) VALUES "
-                    "('schema_version', ?)",
-                    (str(SCHEMA_VERSION),),
-                )
-                return
-            version = int(row[0])
-            if version > SCHEMA_VERSION:
-                raise RuntimeError(
-                    f"ledger {self.path} has schema v{version}, newer than "
-                    f"this code understands (v{SCHEMA_VERSION}); refusing "
-                    f"to open it"
-                )
-            while version < SCHEMA_VERSION:
-                _MIGRATIONS[version](conn)
-                version += 1
-                conn.execute(
-                    "UPDATE ledger_meta SET value=? WHERE key='schema_version'",
-                    (str(version),),
-                )
-
+    # -- lifecycle -----------------------------------------------------
     def close(self) -> None:
         if self._conn is not None:
             self._conn.close()

@@ -249,6 +249,8 @@ class ServiceManager:
         self._wake = threading.Condition(self._lock)
         self._slots: List[threading.Thread] = []
         self._closed = False
+        # ``len(store)`` as it stood when ``close()`` closed the store.
+        self._entries_at_close: Optional[int] = None
         self._jobs_dir = self.config.jobs_dir or tempfile.mkdtemp(
             prefix="repro-jobs-"
         )
@@ -309,6 +311,7 @@ class ServiceManager:
             slot.join()
         self._slots.clear()
         with self._lock:
+            self._entries_at_close = len(self.store)
             self.store.close()
 
     # -- submission ----------------------------------------------------
@@ -580,7 +583,11 @@ class ServiceManager:
         with self._lock:
             out: Dict[str, Any] = dict(self.stats)
             out["queue_depth"] = len(self.queue)
-            out["store_entries"] = len(self.store)
+            out["store_entries"] = (
+                len(self.store)
+                if self._entries_at_close is None
+                else self._entries_at_close
+            )
         submitted = out["submitted"] or 1
         out["served_from_cache"] = (
             (out["cache_hits"] + out["coalesced"]) / submitted

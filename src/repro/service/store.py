@@ -5,13 +5,12 @@ over IC parameters, resolved knobs and code version) to the finished
 job's outcome: the ``RunReport`` JSON, the final-field sha256 digests
 and the deterministic ``result_digest`` the acceptance gates compare.
 
-Same durability posture as the run ledger it sits alongside
-(:mod:`repro.observability.ledger`): WAL journaling with a busy
-timeout so concurrent writers serialize, a schema-version stamp with a
-refuse-newer rule, and quarantine-and-restart for files corrupted
-beyond sqlite's own recovery — the cache is an optimization, never a
-single point of failure.  ``":memory:"`` is accepted for ephemeral
-(test / default local) services.
+Durability is the run ledger's, from the opener both files share
+(:func:`repro.observability.sqlite_file.open_versioned`): WAL with a
+busy timeout, a refuse-newer schema stamp, a locked file waited on and
+never moved, a corrupt one quarantined — the cache is an optimization,
+never a single point of failure.  ``":memory:"`` (or ``None``) gives an
+ephemeral store (tests, the default local service).
 
 Store rows and ledger rows agree on ``run_id``: the service mints the
 id before the run starts and hands it to the driver, so the row the
@@ -22,17 +21,26 @@ the same execution under the same key.
 from __future__ import annotations
 
 import json
-import os
 import sqlite3
 import time
-import warnings
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, Optional
+
+from ..observability.sqlite_file import open_versioned
 
 __all__ = ["STORE_SCHEMA_VERSION", "CachedResult", "ResultStore"]
 
 STORE_SCHEMA_VERSION = 1
+
+_CREATE_SQL = (
+    "CREATE TABLE IF NOT EXISTS results ("
+    "  spec_hash TEXT PRIMARY KEY, run_id TEXT NOT NULL,"
+    "  created_s REAL NOT NULL, scenario TEXT NOT NULL,"
+    "  code_version TEXT NOT NULL, n_steps INTEGER NOT NULL,"
+    "  result_digest TEXT NOT NULL, outcome TEXT NOT NULL)",
+    "CREATE INDEX IF NOT EXISTS idx_results_scenario "
+    "ON results (scenario, code_version)",
+)
 
 
 @dataclass(frozen=True)
@@ -56,107 +64,20 @@ class CachedResult:
 class ResultStore:
     """Append-mostly sqlite map ``spec_hash -> outcome`` (WAL, versioned)."""
 
-    def __init__(self, path, *, timeout_s: float = 10.0):
-        in_memory = path is None or str(path) == ":memory:"
-        self.path = None if in_memory else Path(path)
-        self.timeout_s = float(timeout_s)
-        self._conn: Optional[sqlite3.Connection] = None
-        try:
-            self._conn = self._open()
-        except sqlite3.DatabaseError:
-            self._quarantine()
-            self._conn = self._open()
-
-    # -- lifecycle -----------------------------------------------------
-    def _open(self) -> sqlite3.Connection:
+    def __init__(self, path):
         # check_same_thread=False: the manager's callers (submitting
         # threads, reads on a cache hit) and its slot threads (the write
         # after a run) share this connection; the manager's lock
         # serializes every access, so the cross-thread use is safe.
-        if self.path is None:
-            conn = sqlite3.connect(":memory:", check_same_thread=False)
-        else:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            conn = sqlite3.connect(
-                str(self.path),
-                timeout=self.timeout_s,
-                check_same_thread=False,
-            )
-        try:
-            if self.path is not None:
-                conn.execute("PRAGMA journal_mode=WAL")
-                conn.execute("PRAGMA synchronous=NORMAL")
-                conn.execute(
-                    f"PRAGMA busy_timeout={int(self.timeout_s * 1000)}"
-                )
-            self._ensure_schema(conn)
-        except sqlite3.DatabaseError:
-            conn.close()
-            raise
-        return conn
-
-    def _quarantine(self) -> None:
-        if self.path is None:
-            raise sqlite3.DatabaseError("in-memory store failed to open")
-        target = self.path.with_name(self.path.name + ".corrupt")
-        try:
-            os.replace(self.path, target)
-        except OSError:
-            try:
-                self.path.unlink()
-            except OSError:
-                pass
-        for suffix in ("-wal", "-shm"):
-            try:
-                Path(str(self.path) + suffix).unlink()
-            except OSError:
-                pass
-        warnings.warn(
-            f"result store at {self.path} was unreadable; quarantined to "
-            f"{target} and starting a fresh store",
-            RuntimeWarning,
-            stacklevel=3,
+        self._conn: Optional[sqlite3.Connection] = open_versioned(
+            path,
+            meta_table="store_meta",
+            create_sql=_CREATE_SQL,
+            version=STORE_SCHEMA_VERSION,
+            check_same_thread=False,
         )
 
-    def _ensure_schema(self, conn: sqlite3.Connection) -> None:
-        with conn:
-            conn.execute(
-                "CREATE TABLE IF NOT EXISTS store_meta "
-                "(key TEXT PRIMARY KEY, value TEXT)"
-            )
-            row = conn.execute(
-                "SELECT value FROM store_meta WHERE key='schema_version'"
-            ).fetchone()
-            if row is None:
-                conn.execute(
-                    "CREATE TABLE IF NOT EXISTS results ("
-                    "  spec_hash TEXT PRIMARY KEY,"
-                    "  run_id TEXT NOT NULL,"
-                    "  created_s REAL NOT NULL,"
-                    "  scenario TEXT NOT NULL,"
-                    "  code_version TEXT NOT NULL,"
-                    "  n_steps INTEGER NOT NULL,"
-                    "  result_digest TEXT NOT NULL,"
-                    "  outcome TEXT NOT NULL)"
-                )
-                conn.execute(
-                    "CREATE INDEX IF NOT EXISTS idx_results_scenario "
-                    "ON results (scenario, code_version)"
-                )
-                conn.execute(
-                    "INSERT INTO store_meta (key, value) VALUES "
-                    "('schema_version', ?)",
-                    (str(STORE_SCHEMA_VERSION),),
-                )
-                return
-            version = int(row[0])
-            if version > STORE_SCHEMA_VERSION:
-                raise RuntimeError(
-                    f"result store {self.path} has schema v{version}, newer "
-                    f"than this code understands (v{STORE_SCHEMA_VERSION}); "
-                    f"refusing to open it"
-                )
-
+    # -- lifecycle -----------------------------------------------------
     def close(self) -> None:
         if self._conn is not None:
             self._conn.close()
@@ -174,13 +95,7 @@ class ResultStore:
         )
 
     # -- writes --------------------------------------------------------
-    def put(
-        self,
-        spec_hash: str,
-        outcome: Dict[str, object],
-        *,
-        raw: Optional[str] = None,
-    ) -> bool:
+    def put(self, spec_hash: str, outcome: Dict[str, object]) -> bool:
         """Store one outcome under its spec hash.
 
         First-writer-wins: a concurrent duplicate execution (two
@@ -188,7 +103,7 @@ class ResultStore:
         later cache hit stays bit-identical to one canonical record.
         Returns ``True`` when this call inserted the row.
         """
-        text = raw if raw is not None else json.dumps(outcome, sort_keys=True)
+        text = json.dumps(outcome, sort_keys=True)
         with self._conn:
             cur = self._conn.execute(
                 "INSERT OR IGNORE INTO results "
@@ -228,13 +143,3 @@ class ResultStore:
             outcome=json.loads(row[7]),
             raw=row[7],
         )
-
-    def entries(self, *, limit: Optional[int] = None) -> List[CachedResult]:
-        """All cached results, newest first (``repro jobs`` listing)."""
-        sql = (
-            "SELECT spec_hash FROM results ORDER BY created_s DESC, "
-            "spec_hash DESC"
-        )
-        if limit is not None:
-            sql += f" LIMIT {int(limit)}"
-        return [self.get(r[0]) for r in self._conn.execute(sql)]

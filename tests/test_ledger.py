@@ -1,11 +1,15 @@
-"""Durability contract of the sqlite run ledger.
+"""Durability contract of the sqlite run ledger (and the result store).
 
 The ledger is the persistence half of the observability loop: appended
 by ``Simulation.close()``, read back by ``repro ledger``.  These
 tests pin the durability promises the module docstring makes — WAL
 appends serialize across processes, a torn write quarantines instead of
-crashing, old schemas migrate in place, newer ones are refused — plus
-the fingerprint stability the cross-host bench gates rely on.
+crashing, a locked file is waited on and never quarantined, two
+processes creating one file do not collide, old schemas migrate in
+place, newer ones are refused — plus the fingerprint stability the
+cross-host bench gates rely on.  The file-level promises come from the
+one opener the ledger shares with the service's result store, so those
+tests run over both classes.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import os
 import sqlite3
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -24,6 +29,7 @@ from repro.core.config import RunConfig
 from repro.core.simulation import Simulation
 from repro.ics.square_patch import SquarePatchConfig, make_square_patch
 from repro.observability import ObservabilityConfig
+from repro.observability import sqlite_file
 from repro.observability.ledger import (
     SCHEMA_VERSION,
     RunLedger,
@@ -35,6 +41,7 @@ from repro.observability.ledger import (
     record_from_simulation,
     step_time_summary,
 )
+from repro.service.store import STORE_SCHEMA_VERSION, ResultStore
 
 
 def _record(run_id: str = "sod-deadbeef", **over) -> RunRecord:
@@ -140,6 +147,31 @@ def test_code_version_resolves_or_unknown():
     assert v == "unknown" or (len(v) == 12 and all(
         c in "0123456789abcdef" for c in v
     ))
+
+
+# --- the two versioned sqlite files -------------------------------------
+
+
+@pytest.fixture(
+    params=[
+        (RunLedger, "ledger_meta", SCHEMA_VERSION),
+        (ResultStore, "store_meta", STORE_SCHEMA_VERSION),
+    ],
+    ids=["RunLedger", "ResultStore"],
+)
+def db_file(request):
+    """``(class, meta table, schema version)`` of each file the one
+    opener serves."""
+    return request.param
+
+
+def _write_row(db, i: int = 0) -> None:
+    if isinstance(db, RunLedger):
+        db.append(_record(f"sod-{i:08d}"))
+    else:
+        db.put(f"hash-{i}", {"run_id": f"sod-{i:08d}", "scenario": "sod",
+                             "code_version": "v", "steps": 1,
+                             "result_digest": "d"})
 
 
 # --- round trip ---------------------------------------------------------
@@ -276,52 +308,56 @@ def test_pre_removal_ledger_row_reads_back_verbatim(tmp_path, capsys):
     assert old.run_id in out and "old-00000001" in out
 
 
-def test_newer_schema_is_refused(tmp_path):
-    path = tmp_path / "ledger.db"
+def test_newer_schema_is_refused(tmp_path, db_file):
+    cls, meta_table, version = db_file
+    path = tmp_path / "file.db"
     conn = sqlite3.connect(str(path))
     with conn:
         conn.execute(
-            "CREATE TABLE ledger_meta (key TEXT PRIMARY KEY, value TEXT)"
+            f"CREATE TABLE {meta_table} (key TEXT PRIMARY KEY, value TEXT)"
         )
         conn.execute(
-            "INSERT INTO ledger_meta VALUES "
-            f"('schema_version', '{SCHEMA_VERSION + 1}')"
+            f"INSERT INTO {meta_table} VALUES "
+            f"('schema_version', '{version + 1}')"
         )
     conn.close()
     with pytest.raises(RuntimeError, match="newer"):
-        RunLedger(path)
+        cls(path)
 
 
 # --- torn writes / corruption -------------------------------------------
 
 
-def test_garbage_file_quarantined_not_fatal(tmp_path):
-    path = tmp_path / "ledger.db"
+def test_garbage_file_quarantined_not_fatal(tmp_path, db_file):
+    cls = db_file[0]
+    path = tmp_path / "file.db"
     path.write_bytes(b"this is not a sqlite database at all\x00\xff" * 40)
     with pytest.warns(RuntimeWarning, match="quarantined"):
-        led = RunLedger(path)
+        db = cls(path)
     try:
-        led.append(_record())
-        assert len(led) == 1
+        _write_row(db)
+        assert len(db) == 1
     finally:
-        led.close()
-    assert (tmp_path / "ledger.db.corrupt").exists()
+        db.close()
+    assert (tmp_path / "file.db.corrupt").exists()
 
 
-def test_truncated_header_quarantined(tmp_path):
+def test_truncated_header_quarantined(tmp_path, db_file):
     """A torn copy that cut the file mid-header must not crash close()."""
-    path = tmp_path / "ledger.db"
-    with RunLedger(path) as led:
-        led.append(_record())
+    cls = db_file[0]
+    path = tmp_path / "file.db"
+    with cls(path) as db:
+        _write_row(db)
     # Simulate the torn write: keep only the first 40 bytes.
     blob = path.read_bytes()
     path.write_bytes(blob[:40])
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        with RunLedger(path) as led:
-            assert len(led) == 0  # fresh generation
-            led.append(_record("sod-00000009"))
-            assert led.get("sod-00000009") is not None
+    with pytest.warns(RuntimeWarning, match="quarantined"):
+        db = cls(path)
+    with db:
+        assert len(db) == 0  # fresh generation
+        _write_row(db, 9)
+        assert len(db) == 1
+    assert (tmp_path / "file.db.corrupt").exists()
 
 
 def test_committed_rows_survive_reopen(tmp_path):
@@ -340,7 +376,7 @@ import sys
 from repro.observability.ledger import RunLedger, RunRecord
 
 path, tag, count = sys.argv[1], sys.argv[2], int(sys.argv[3])
-with RunLedger(path, timeout_s=30) as led:
+with RunLedger(path) as led:
     for i in range(count):
         led.append(RunRecord(
             run_id=f"{tag}-{i:08d}", created_s=float(i), scenario="sod",
@@ -350,9 +386,13 @@ with RunLedger(path, timeout_s=30) as led:
 """
 
 
-def test_concurrent_append_from_two_processes(tmp_path):
+@pytest.mark.parametrize("fresh", [False, True], ids=["pre-created", "fresh"])
+def test_concurrent_append_from_two_processes(tmp_path, fresh):
+    """Pre-created, both children only append; fresh, they also race to
+    create the file."""
     path = tmp_path / "ledger.db"
-    RunLedger(path).close()  # pre-create so both children only append
+    if not fresh:
+        RunLedger(path).close()
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
@@ -369,6 +409,102 @@ def test_concurrent_append_from_two_processes(tmp_path):
     with RunLedger(path) as led:
         assert len(led) == 40
         assert len(led.runs(limit=40)) == 40
+
+
+# --- racing and locked openers -------------------------------------------
+
+_FORKED_OPENERS = """
+import json, os, sys, warnings
+from repro.observability.ledger import RunLedger
+from repro.service.store import ResultStore
+
+def opener(cls, path, gun):
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        error = ""
+        try:
+            os.read(gun, 1)  # both children start on one write
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                cls(path).close()
+        except BaseException as exc:
+            error = repr(exc) or "error"
+        finally:
+            os.write(write_end, error.encode())
+            os._exit(0)
+    os.close(write_end)
+    return pid, read_end
+
+work, trials = sys.argv[1], int(sys.argv[2])
+reply = {}
+for cls in (RunLedger, ResultStore):
+    errors, corrupt = [], 0
+    for trial in range(trials):
+        path = os.path.join(work, f"{cls.__name__}-{trial}.db")
+        gun_read, gun_write = os.pipe()
+        children = [opener(cls, path, gun_read) for _ in range(2)]
+        os.write(gun_write, b"go")
+        for pid, read_end in children:
+            with os.fdopen(read_end, "rb") as fh:
+                error = fh.read().decode()
+            os.waitpid(pid, 0)
+            if error:
+                errors.append(error)
+        os.close(gun_read)
+        os.close(gun_write)
+        corrupt += os.path.exists(path + ".corrupt")
+    reply[cls.__name__] = {"errors": errors, "corrupt": corrupt}
+print(json.dumps(reply))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_two_processes_opening_one_fresh_file_both_succeed(
+    tmp_path, fresh_interpreter
+):
+    """Two forked openers start together on a fresh file, 50 times per
+    class: both opens succeed, nothing is quarantined and nothing warns
+    (a lost lock race used to count as corruption in ~1 trial of 4)."""
+    reply = fresh_interpreter(_FORKED_OPENERS, str(tmp_path), "50")
+    assert reply == {
+        "RunLedger": {"errors": [], "corrupt": 0},
+        "ResultStore": {"errors": [], "corrupt": 0},
+    }
+
+
+def _hold_creating_transaction(path: Path, meta_table: str):
+    """A connection that has begun creating ``path``'s schema, as a
+    first opener does, and not committed."""
+    holder = sqlite3.connect(str(path), isolation_level=None)
+    holder.execute("PRAGMA journal_mode=WAL")
+    holder.execute("BEGIN IMMEDIATE")
+    holder.execute(
+        f"CREATE TABLE {meta_table} (key TEXT PRIMARY KEY, value TEXT)"
+    )
+    return holder
+
+
+def test_locked_file_raises_after_the_timeout_and_stays_in_place(
+    tmp_path, monkeypatch, db_file
+):
+    cls, meta_table, _ = db_file
+    monkeypatch.setattr(sqlite_file, "TIMEOUT_S", 0.3)
+    path = tmp_path / "file.db"
+    holder = _hold_creating_transaction(path, meta_table)
+    try:
+        start = time.monotonic()
+        with pytest.raises(sqlite3.OperationalError, match="locked"):
+            cls(path)
+        assert time.monotonic() - start < 5.0  # the timeout, not a hang
+    finally:
+        holder.rollback()
+        holder.close()
+    assert path.exists()
+    assert not (tmp_path / "file.db.corrupt").exists()
+    with cls(path) as db:  # the lock gone, the same file opens
+        _write_row(db)
+        assert len(db) == 1
 
 
 # --- Simulation.close() integration -------------------------------------
@@ -432,3 +568,18 @@ def test_record_from_simulation_fields():
         assert json.dumps(rec.as_dict(), default=str)  # serializable
     finally:
         sim.close()
+
+
+def test_close_on_a_locked_ledger_warns_and_returns(tmp_path, monkeypatch):
+    monkeypatch.setattr(sqlite_file, "TIMEOUT_S", 0.3)
+    path = tmp_path / "ledger.db"
+    sim = _small_sim(observability=ObservabilityConfig(ledger_path=str(path)))
+    sim.run(n_steps=1)
+    holder = _hold_creating_transaction(path, "ledger_meta")
+    try:
+        with pytest.warns(RuntimeWarning, match="ledger.*locked"):
+            sim.close()  # must warn, not raise
+    finally:
+        holder.rollback()
+        holder.close()
+    assert not (tmp_path / "ledger.db.corrupt").exists()

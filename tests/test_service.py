@@ -173,6 +173,18 @@ def test_store_survives_reopen(tmp_path):
         assert store.get("h").run_id == "r"
 
 
+def test_stats_after_close_report_store_entries_as_at_close(tmp_path):
+    svc = inline_service(store_path=str(tmp_path / "results.db"))
+    svc.run(tiny_spec())
+    svc.run(tiny_spec(n_steps=4))
+    open_stats = svc.stats()
+    svc.close()
+    closed_stats = svc.stats()
+    assert closed_stats["store_entries"] == open_stats["store_entries"] == 2
+    assert closed_stats == open_stats
+    assert len(svc.jobs()) == 2
+
+
 # --- FairShareQueue -------------------------------------------------------
 
 
