@@ -11,7 +11,7 @@ import numpy as np
 
 from repro.core.feature_tables import table4_miniapp_cs_features
 from repro.domain.decomposition import decompose
-from repro.resilience.failures import inject_bitflip
+from repro.resilience.chaos import NumericalFault
 from repro.resilience.interval import TwoLevelConfig, two_level_intervals, young_interval
 from repro.resilience.sdc import RangeDetector
 from repro.scheduling.selfsched import SCHEMES, simulate_self_scheduling
@@ -39,12 +39,19 @@ def _sdc_campaign(n_trials: int = 40) -> tuple[float, float]:
         )
         det = RangeDetector(v_max=1e3, h_max=1e3, u_max=1e3)
         field = ["v", "h"][int(rng.integers(2))]  # ceiling-guarded fields
-        inject_bitflip(getattr(p, field), bit=62, rng=rng)
+        index = int(rng.integers(getattr(p, field).size))
+        NumericalFault(
+            step=0, array=field, kind="bitflip", index=index, bit=62
+        ).inject(p)
         if det.check(p):
             range_hits += 1
         crc = ChecksumDetector()
         crc.snapshot("m", p.m)
-        inject_bitflip(p.m, bit=int(rng.integers(64)), rng=rng)
+        bit = int(rng.integers(64))
+        index = int(rng.integers(p.m.size))
+        NumericalFault(
+            step=0, array="m", kind="bitflip", index=index, bit=bit
+        ).inject(p)
         if crc.verify("m", p.m):
             crc_hits += 1
     return range_hits / n_trials, crc_hits / n_trials

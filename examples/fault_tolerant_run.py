@@ -23,7 +23,7 @@ from repro.core.config import RunConfig
 from repro.resilience import (
     Checkpoint,
     GuardConfig,
-    inject_bitflip,
+    NumericalFault,
     read_checkpoint,
     write_checkpoint,
     young_interval,
@@ -76,9 +76,13 @@ def main() -> None:
     # --- 3. silent data corruption, detected and healed ---------------
     guarded = fresh_sim(RunConfig(guard=GuardConfig()))
     guarded.run(n_steps=4)
-    field, bit = "v", 62  # top exponent bit: a classic SDC excursion
-    idx, _ = inject_bitflip(getattr(guarded.particles, field), bit=bit)
-    print(f"\ninjected bit flip: {field}[{idx}], bit {bit}")
+    # The top exponent bit of one velocity component: a classic SDC
+    # excursion, into the same element on every run.
+    flip = NumericalFault(
+        step=guarded.step_index, array="v", kind="bitflip", index=100, bit=62
+    )
+    flip.inject(guarded.particles)
+    print(f"\ninjected bit flip: v[{flip.index}], bit {flip.bit}")
     with np.errstate(over="ignore", invalid="ignore"):
         guarded.run(n_steps=2)
     report = guarded.step_guard.report()

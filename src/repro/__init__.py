@@ -66,7 +66,7 @@ from .kernels import available_kernels, make_kernel
 from .scenarios import Scenario, all_scenarios, get_scenario, scenario_names
 from .tree import Box, NeighborList, Octree, cell_grid_search
 
-__version__ = "18.0.0"
+__version__ = "19.0.0"
 
 #: The supported import surface, pruned to the PR-10 API redesign: the
 #: service entry points (lazy — see ``__getattr__``), the driver loop,

@@ -125,7 +125,7 @@ def _spec_from_args(args: argparse.Namespace):
 
 def _cmd_run(args: argparse.Namespace) -> int:
     from .core.presets import get_preset
-    from .service.runner import build_simulation
+    from .service.runner import build_simulation, resume_and_run
     from .service.spec import SpecError
 
     try:
@@ -148,14 +148,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
           f"(requested {sim.backend_requested}; {sim.backend.version})",
           file=log)
     n_steps = spec.resolved_steps(scenario)
+
+    def progress(s) -> None:
+        print(f"  step {s.index}: t={s.time:.4e} dt={s.dt:.2e} "
+              f"{s.conservation.summary()}", file=log)
+
+    sim.on_step(progress)
     try:
         try:
-            # One run() call per step keeps the per-step progress lines
-            # while routing through the guard/autoresume dispatch.
-            for _ in range(n_steps):
-                for s in sim.run(n_steps=1):
-                    print(f"  step {s.index}: t={s.time:.4e} dt={s.dt:.2e} "
-                          f"{s.conservation.summary()}", file=log)
+            resume_and_run(sim, n_steps)
         except Exception as exc:  # noqa: BLE001 - the CLI failure boundary
             return _report_failure(sim, exc, scenario, args)
         drift = sim.conservation_drift()
@@ -512,7 +513,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="print a machine-readable run summary alone on "
                           "stdout (the log moves to stderr)")
     run.add_argument("--checkpoint-dir", default=None, metavar="DIR",
-                     help="write rolling checkpoints to DIR (autoresume on)")
+                     help="write rolling checkpoints to DIR; a re-run "
+                          "resumes from the newest one and stops at --steps")
     run.add_argument("--ledger", default=None, metavar="DB",
                      help="append this run to the sqlite run ledger at DB")
     run.set_defaults(func=_cmd_run)
@@ -525,9 +527,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--isolation", default="process",
                        choices=("inline", "process"),
                        help="worker-slot style: 'process' forks one process "
-                            "per job and absorbs worker death via checkpoint "
-                            "autoresume; 'inline' runs on threads (faster, "
-                            "no death absorption)")
+                            "per job and absorbs worker death by resuming "
+                            "from its checkpoint; 'inline' runs on threads "
+                            "(faster, no death absorption)")
     serve.add_argument("--workers", type=int, default=2,
                        help="concurrent worker slots (default 2)")
     serve.add_argument("--queue-capacity", type=int, default=64,

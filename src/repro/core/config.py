@@ -191,7 +191,7 @@ class RunConfig:
         is serial numpy.
     resilience:
         :class:`~repro.resilience.checkpoint.ResilienceConfig` — rolling
-        checkpoints and autoresume.  ``None`` disables checkpointing.
+        checkpoints.  ``None`` disables checkpointing.
     observability:
         :class:`~repro.observability.config.ObservabilityConfig` — span
         tracing and exporters.  On by default; ``enabled=False`` swaps in

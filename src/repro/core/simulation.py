@@ -401,17 +401,14 @@ class Simulation:
     def run(
         self, n_steps: Optional[int] = None, t_end: Optional[float] = None
     ) -> List[StepStats]:
-        """Run for ``n_steps`` steps and/or until ``t_end`` simulated time.
+        """Run ``n_steps`` more steps and/or until ``t_end`` simulated time.
 
-        With ``resilience.autoresume`` set, a fresh driver first restores
-        the newest valid rolling checkpoint (if any) and continues from
-        there; ``n_steps`` then counts the *remaining* steps of this call.
+        Steps from wherever the driver stands: a run that should continue
+        from a checkpoint calls :meth:`resume` first (as
+        :func:`repro.service.runner.resume_and_run` does).
         """
         if n_steps is None and t_end is None:
             raise ValueError("provide n_steps and/or t_end")
-        res = self.run_config.resilience
-        if res is not None and res.autoresume and self.step_index == 0:
-            self.resume()
         done: List[StepStats] = []
         while (n_steps is None or len(done) < n_steps) and (
             t_end is None or self.time < t_end
@@ -512,9 +509,19 @@ class Simulation:
         self.close()
 
     def conservation_drift(self) -> dict[str, float]:
-        """Relative drift of mass/momentum/energy since the first step."""
-        if self.initial_conservation is None or not self.history:
+        """Relative drift of mass/momentum/energy since the first step.
+
+        A driver restored at its last step has no history of its own: its
+        current state is measured instead, which is what that step's
+        history entry held.
+        """
+        if self.initial_conservation is None:
             return {"mass": 0.0, "momentum": 0.0, "energy": 0.0}
-        return relative_drift(
-            self.initial_conservation, self.history[-1].conservation
+        current = (
+            self.history[-1].conservation
+            if self.history
+            else measure_conservation(
+                self.particles, self.time, self.potential_energy
+            )
         )
+        return relative_drift(self.initial_conservation, current)

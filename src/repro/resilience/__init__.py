@@ -1,16 +1,17 @@
 """Fault-tolerance substrate (Tables 3-4, Section 4).
 
-Checkpoint/restart with integrity sums, optimal single- and two-level
+Checkpoint/restart with integrity sums, modelled single- and two-level
 checkpoint intervals (Young/Daly and the Di et al. style decomposition),
-fail-stop and bit-flip failure injection, silent-data-corruption
-detectors (checksum / range) for the step guard's health check.
+fail-stop failure injection for the interval simulator,
+silent-data-corruption detectors (checksum / range) for the step guard's
+health check.
 
 Driver integration: :class:`ResilienceConfig` + :class:`CheckpointManager`
-write atomic rolling checkpoints from the real step loop (auto-K via
-Young's formula), :class:`StepGuard` heals poisoned steps, and
+write atomic rolling checkpoints every ``checkpoint_every`` steps of the
+real step loop, :class:`StepGuard` heals poisoned steps, and
 :mod:`repro.resilience.chaos` injects the deterministic faults —
-poisoned values, failing checkpoint I/O, death of the job process — the
-tests drive both with.
+poisoned values and bit flips, failing checkpoint I/O, death of the job
+process — the tests drive both with.
 """
 
 from .chaos import (
@@ -37,12 +38,7 @@ from .guard import (
     StepGuard,
     UnrecoverableStepError,
 )
-from .failures import (
-    FailStopInjector,
-    SdcInjector,
-    inject_bitflip,
-    simulate_checkpointing,
-)
+from .failures import FailStopInjector, simulate_checkpointing
 from .interval import (
     TwoLevelConfig,
     daly_interval,
@@ -78,8 +74,6 @@ __all__ = [
     "two_level_intervals",
     "FailStopInjector",
     "simulate_checkpointing",
-    "inject_bitflip",
-    "SdcInjector",
     "ChecksumDetector",
     "RangeDetector",
 ]

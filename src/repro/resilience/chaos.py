@@ -12,7 +12,7 @@ policy                      models                 handled by
 :class:`CheckpointIOChaos`  failing / torn         ``retry_io``, atomic
                             checkpoint I/O         rename, CRC on read
 :class:`ProcessKillFault`   death of the process   service respawn +
-                            that runs the job      checkpoint autoresume
+                            that runs the job      resume from checkpoint
 ==========================  =====================  ======================
 
 Every fault fires a bounded number of times, so an injected fault is
@@ -237,7 +237,7 @@ class ProcessKillFault:
 
     Fail-stops the whole driver process — the fault model of the
     service's job slots, where one OS process owns one run and the job
-    manager must absorb its death via checkpoint autoresume.
+    manager must absorb its death by resuming from the job's checkpoint.
 
     Fire-once must survive the respawn (a recovered job re-reaches the
     trigger step), so the fired bit is a ``marker`` file next to the

@@ -1,13 +1,12 @@
-"""Failure injection: fail-stop crashes and silent data corruption.
+"""Fail-stop failure injection for the checkpoint-interval simulator.
 
 "Faults, errors and failures have become the norm rather than the
-exception in large-scale systems" (Section 4).  Two injector families:
+exception in large-scale systems" (Section 4).  Bit flips in particle
+arrays — the silent-data-corruption model the step guard's health check
+is evaluated against — are :class:`~repro.resilience.chaos.NumericalFault`
+with ``kind="bitflip"``.
 
-* :class:`FailStopInjector` — exponential inter-arrival fail-stop events
-  for the checkpoint-interval simulator.
-* :func:`inject_bitflip` / :class:`SdcInjector` — IEEE-754 bit flips in
-  particle arrays, the silent-data-corruption model the step guard's
-  health check is evaluated against.
+* :class:`FailStopInjector` — exponential inter-arrival fail-stop events.
 * :func:`simulate_checkpointing` — execute a fixed amount of work under
   periodic checkpointing and injected fail-stop failures; the tests
   validate Young/Daly against its measured waste.
@@ -16,16 +15,10 @@ exception in large-scale systems" (Section 4).  Two injector families:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
 
 import numpy as np
 
-__all__ = [
-    "FailStopInjector",
-    "simulate_checkpointing",
-    "inject_bitflip",
-    "SdcInjector",
-]
+__all__ = ["FailStopInjector", "simulate_checkpointing"]
 
 
 class FailStopInjector:
@@ -114,55 +107,3 @@ def simulate_checkpointing(
         n_checkpoints=n_checkpoints,
     )
 
-
-def inject_bitflip(
-    array: np.ndarray,
-    index: int | None = None,
-    bit: int | None = None,
-    rng: np.random.Generator | None = None,
-) -> tuple[int, int]:
-    """Flip one bit of one float64 element in place.
-
-    Returns ``(flat_index, bit)`` so tests can assert detection.  High
-    exponent bits create large, easily-detected excursions; mantissa bits
-    create the subtle corruptions that stress the detectors.
-    """
-    if array.dtype != np.float64:
-        raise ValueError(f"bit flips target float64 arrays, got {array.dtype}")
-    rng = rng or np.random.default_rng()
-    flat = array.reshape(-1)
-    if flat.size == 0:
-        raise ValueError("cannot inject into an empty array")
-    if index is None:
-        index = int(rng.integers(flat.size))
-    if bit is None:
-        bit = int(rng.integers(64))
-    as_int = flat[index : index + 1].view(np.uint64)
-    as_int ^= np.uint64(1) << np.uint64(bit)
-    return index, bit
-
-
-@dataclass
-class SdcInjector:
-    """Randomized silent-data-corruption campaign over a particle set."""
-
-    rate_per_step: float = 0.1  # expected flips per step
-    rng: np.random.Generator | None = None
-    fields: tuple = ("x", "v", "m", "h", "u")
-
-    def __post_init__(self) -> None:
-        if self.rate_per_step < 0.0:
-            raise ValueError("rate_per_step must be non-negative")
-        if self.rng is None:
-            self.rng = np.random.default_rng()
-
-    def maybe_inject(self, particles) -> List[tuple]:
-        """Inject a Poisson number of flips; returns (field, index, bit)."""
-        n_flips = int(self.rng.poisson(self.rate_per_step))
-        events = []
-        for _ in range(n_flips):
-            field = str(self.rng.choice(self.fields))
-            arr = getattr(particles, field)
-            idx, bit = inject_bitflip(arr, rng=self.rng)
-            events.append((field, idx, bit))
-        return events

@@ -205,8 +205,8 @@ class PostMortem:
         findings = "; ".join(self.findings) or "step raised before any check"
         ckpt = (
             f"a last-resort checkpoint of the healthy state was written to "
-            f"{self.last_resort_checkpoint} (restart with autoresume to "
-            f"continue once the cause is fixed)"
+            f"{self.last_resort_checkpoint} (resume from it once the "
+            f"cause is fixed: re-run with the same checkpoint directory)"
             if self.last_resort_checkpoint
             else (self.checkpoint_note or "no checkpointing was configured, "
                   "so no restart file could be written")

@@ -23,9 +23,9 @@ job itself, and a handle blocks on the job's ``done`` event.
 Execution isolation is per manager: ``inline`` runs the simulation on
 the slot thread (fast, shares the process — the load-bench posture),
 ``process`` forks one OS process per attempt and *respawns it on
-death*, publishing a ``recovered`` event while checkpoint autoresume
-continues the run from the last completed step (RUNNING → RECOVERED →
-... → DONE).
+death*, publishing a ``recovered`` event while the respawned attempt
+resumes from the job's checkpoint of the last completed step
+(RUNNING → RECOVERED → ... → DONE).
 
 :class:`LocalService` is a started manager behind the small blocking
 facade :func:`repro.api.submit` builds on.
@@ -93,9 +93,10 @@ class ServiceConfig:
     """Manager-level knobs (per-job knobs live on the JobSpec).
 
     ``isolation`` selects the worker-slot style: ``"process"`` (default)
-    forks one OS process per attempt and absorbs worker death via
-    checkpoint autoresume + respawn; ``"inline"`` runs on a thread in
-    this process — no death absorption, much lower per-job overhead.
+    forks one OS process per attempt and absorbs worker death by
+    respawning it to resume from the job's checkpoint; ``"inline"`` runs
+    on a thread in this process — no death absorption, much lower
+    per-job overhead.
     """
 
     store_path: Optional[str] = None  # None -> in-memory (non-durable)
@@ -483,7 +484,7 @@ class ServiceManager:
 
         A child that exits without sending ``done``/``error`` *died*
         (SIGKILL, crash).  The respawn reuses the same job directory, so
-        checkpoint autoresume continues from the last completed step —
+        it resumes from the last completed step's checkpoint —
         the manager publishes ``recovered`` and the job transitions
         RUNNING → RECOVERED → RUNNING rather than restarting.
         """

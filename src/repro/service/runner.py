@@ -4,10 +4,11 @@ Everything that runs a :class:`~repro.service.spec.JobSpec` funnels
 through :func:`execute_spec`: the service's worker slots (inline and
 process isolation), the synchronous :func:`repro.api.run` wrapper and
 the ``repro run`` CLI all build the simulation with
-:func:`build_simulation` and roll the finished driver up with
-:func:`outcome_from_simulation` — which is what makes "``repro.api
-.submit`` and ``Simulation.run`` produce identical reports for the
-same spec" a structural property rather than a test-enforced one.
+:func:`build_simulation`, step it with :func:`resume_and_run` and roll
+the finished driver up with :func:`outcome_from_simulation` — which is
+what makes "``repro.api.submit`` and ``Simulation.run`` produce
+identical reports for the same spec" a structural property rather than
+a test-enforced one.
 
 The outcome carries sha256 digests of every final particle field plus a
 deterministic ``result_digest`` over (steps, simulated time, digests) —
@@ -30,6 +31,7 @@ __all__ = [
     "result_digest",
     "JobOutcome",
     "build_simulation",
+    "resume_and_run",
     "outcome_from_simulation",
     "execute_spec",
 ]
@@ -142,6 +144,21 @@ def build_simulation(
     return sim, scenario
 
 
+def resume_and_run(sim, n_steps: int) -> None:
+    """Run ``sim`` to step ``n_steps``, first resuming from its checkpoint
+    directory when it has one.
+
+    The one restart path of a spec: a re-run with the same checkpoint
+    directory continues from the newest valid checkpoint and stops at
+    the spec's step count, whatever step it resumed at — so it ends on
+    the uninterrupted run's step, clock and bits.
+    """
+    if sim.run_config.resilience is not None:
+        sim.resume()
+    if n_steps > sim.step_index:
+        sim.run(n_steps=n_steps - sim.step_index)
+
+
 def outcome_from_simulation(
     sim, spec, scenario, *, spec_hash: Optional[str] = None,
     recoveries: int = 0,
@@ -181,11 +198,12 @@ def execute_spec(
     """Run one spec to completion and return its outcome.
 
     With ``job_dir`` set, rolling checkpoints land there and a restarted
-    call with the same ``job_dir`` *resumes* (autoresume) instead of
-    restarting — the worker-death absorption path.  ``progress`` is
-    called once per completed step with a plain-dict step summary;
-    ``cancel_check`` is polled between steps and aborts the run via the
-    driver's cooperative cancellation point when it returns ``True``.
+    call with the same ``job_dir`` *resumes* (:func:`resume_and_run`)
+    instead of restarting — the worker-death absorption path.
+    ``progress`` is called once per completed step with a plain-dict
+    step summary; ``cancel_check`` is polled between steps and aborts the
+    run via the driver's cooperative cancellation point when it returns
+    ``True``.
     """
     from ..core.simulation import RunCancelled  # noqa: F401 (re-export site)
 
@@ -222,14 +240,7 @@ def execute_spec(
 
     sim.on_step(on_step)
     try:
-        target = spec.resolved_steps(scenario)
-        # Autoresume first (explicitly, so the remaining-step count is
-        # computed from the restored clock, not assumed from zero).
-        if job_dir is not None and sim.step_index == 0:
-            sim.resume()
-        remaining = target - sim.step_index
-        if remaining > 0:
-            sim.run(n_steps=remaining)
+        resume_and_run(sim, spec.resolved_steps(scenario))
         return outcome_from_simulation(
             sim, spec, scenario, spec_hash=spec_hash, recoveries=recoveries
         )

@@ -206,10 +206,7 @@ class JobSpec:
         if checkpoint_dir is not None:
             from ..resilience.checkpoint import ResilienceConfig
 
-            kwargs: Dict[str, Any] = {
-                "checkpoint_dir": checkpoint_dir,
-                "autoresume": True,
-            }
+            kwargs: Dict[str, Any] = {"checkpoint_dir": checkpoint_dir}
             if checkpoint_every is not None:
                 kwargs["checkpoint_every"] = checkpoint_every
             run = run.with_(resilience=ResilienceConfig(**kwargs))

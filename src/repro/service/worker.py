@@ -6,8 +6,8 @@ streaming ``("step", {...})`` tuples over the pipe and finishing with
 ``("done", outcome_dict)`` or ``("error", message)``.  If the process
 dies instead (SIGKILL, OOM, a segfaulting native kernel), the parent
 sees pipe EOF + a dead process and respawns with the same job
-directory — checkpoint autoresume then continues the run from the last
-completed step rather than restarting it.
+directory — :func:`~repro.service.runner.resume_and_run` then continues
+the run from the last completed step rather than restarting it.
 
 Top-level by design: the function must be importable under the
 ``spawn`` start method, not only ``fork``.

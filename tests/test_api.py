@@ -167,7 +167,9 @@ def test_removed_surface_fails_closed():
     Verlet cache's on/off and skin knobs, (13.0.0) the slices-per-
     thread knob, the driver's rank and tracer inputs, the metrics
     registry and the Amdahl fit, (14.0.0) ``compute_forces``' own
-    sub-passes and (15.0.0) ``Simulation.configure`` are gone: old
+    sub-passes, (15.0.0) ``Simulation.configure`` and (19.0.0) the
+    second resume path, five checkpoint knobs and the second bit-flip
+    injector are gone: old
     spellings are typed errors
     at the boundary, never a silent default."""
     import importlib
@@ -351,4 +353,15 @@ def test_removed_surface_fails_closed():
     assert not hasattr(repro.Simulation, "configure")
     with pytest.raises(AttributeError):
         sim.configure(exec=ExecConfig(workers=2))
+    # 19.0.0: ``ResilienceConfig`` has two fields and ``run()`` never
+    # resumes; bit flips are ``NumericalFault(kind="bitflip")``.
+    from repro.resilience import ResilienceConfig
+
+    for removed in ("autoresume", "keep", "mtbf", "io_retries", "io_backoff"):
+        with pytest.raises(TypeError):
+            ResilienceConfig(**{removed: 1})
+    with pytest.raises(ImportError):
+        from repro.resilience import inject_bitflip  # noqa: F401
+    with pytest.raises(ImportError):
+        from repro.resilience.failures import SdcInjector  # noqa: F401
 

@@ -1,13 +1,13 @@
 """Checkpoint/restart wired into the real driver loop.
 
 The satellite acceptance: run 10 steps with a rolling checkpoint at 5,
-abandon the run at 7, autoresume in a fresh driver and finish — the
+abandon the run at 7, resume in a fresh driver and finish — the
 final positions/velocities and dt sequence must be bit-identical to an
 uninterrupted 10-step run, for square patch + Evrard.  A checkpoint
 holds no neighbour list: the resumed driver rebuilds its Verlet cache,
 and a file that holds one (written before 12.0.0) resumes the same way.
 Plus the file-level guarantees: atomic writes (no ``*.tmp`` residue),
-``latest`` pointer, torn-file fallback, pruning and Young auto-K.
+``latest`` pointer, torn-file fallback and pruning.
 """
 
 from __future__ import annotations
@@ -81,9 +81,7 @@ def test_resume_is_bit_identical_to_uninterrupted_run(
     neighbour list); ``cache-on`` from the same file rewritten to hold
     the Verlet cache's list, as files before 12.0.0 did."""
     ref_state, ref_dts = _uninterrupted(case)
-    res = ResilienceConfig(
-        checkpoint_dir=str(tmp_path), checkpoint_every=5, keep=2, autoresume=True
-    )
+    res = ResilienceConfig(checkpoint_dir=str(tmp_path), checkpoint_every=5)
     # Interrupted run: 7 of 10 steps, rolling checkpoint lands at step 5.
     with _sim(case, resilience=res) as interrupted:
         interrupted.run(n_steps=7)
@@ -91,8 +89,9 @@ def test_resume_is_bit_identical_to_uninterrupted_run(
     assert latest is not None and latest.name == "ckpt_00000005.ckpt"
     if cache:
         store_list_in_checkpoint(latest, interrupted.box)
-    # Fresh driver autoresumes from step 5 and finishes the remaining 5.
+    # Fresh driver resumes from step 5 and finishes the remaining 5.
     with _sim(case, resilience=res) as resumed:
+        assert resumed.resume() is True and resumed.step_index == 5
         resumed.run(n_steps=5)
         assert resumed.step_index == 10
         state = _final_state(resumed)
@@ -117,8 +116,11 @@ def test_checkpointing_does_not_perturb_the_trajectory(tmp_path):
         assert np.array_equal(state[f], ref_state[f])
 
 
-def test_rolling_window_prunes_and_leaves_no_tmp(tmp_path):
-    res = ResilienceConfig(checkpoint_dir=str(tmp_path), checkpoint_every=2, keep=2)
+def test_rolling_window_prunes_and_leaves_no_tmp(tmp_path, monkeypatch):
+    import repro.resilience.checkpoint as checkpoint_mod
+
+    monkeypatch.setattr(checkpoint_mod, "KEEP", 2)
+    res = ResilienceConfig(checkpoint_dir=str(tmp_path), checkpoint_every=2)
     with _sim("square-patch", resilience=res) as sim:
         sim.run(n_steps=8)
     names = sorted(os.listdir(tmp_path))
@@ -131,7 +133,7 @@ def test_resume_reads_the_newest_checkpoint_once(tmp_path, monkeypatch):
     candidate probed, and the state comes back bitwise."""
     import repro.resilience.checkpoint as checkpoint_mod
 
-    res = ResilienceConfig(checkpoint_dir=str(tmp_path), checkpoint_every=2, keep=2)
+    res = ResilienceConfig(checkpoint_dir=str(tmp_path), checkpoint_every=2)
     with _sim("square-patch", resilience=res) as sim:
         sim.run(n_steps=4)
         saved = _final_state(sim)
@@ -159,7 +161,7 @@ def test_resume_reads_the_newest_checkpoint_once(tmp_path, monkeypatch):
 
 
 def test_torn_latest_falls_back_to_previous_checkpoint(tmp_path):
-    res = ResilienceConfig(checkpoint_dir=str(tmp_path), checkpoint_every=2, keep=2)
+    res = ResilienceConfig(checkpoint_dir=str(tmp_path), checkpoint_every=2)
     with _sim("square-patch", resilience=res) as sim:
         sim.run(n_steps=4)
     newest = tmp_path / "ckpt_00000004.ckpt"
@@ -173,9 +175,12 @@ def test_torn_latest_falls_back_to_previous_checkpoint(tmp_path):
 
 
 def test_autoresume_with_empty_directory_starts_fresh(tmp_path):
+    from repro.service.runner import resume_and_run
+
     res = ResilienceConfig(checkpoint_dir=str(tmp_path / "nope"), checkpoint_every=100)
     with _sim("square-patch", resilience=res) as sim:
-        sim.run(n_steps=1)
+        assert sim.resume() is False
+        resume_and_run(sim, 1)
         assert sim.step_index == 1
 
 
@@ -196,9 +201,7 @@ def test_resume_rebuilds_the_list_once_and_ends_bitwise_equal(
     and ends on the uninterrupted run's bits — also from a file that
     holds a list, which the restore ignores."""
     ref_state, ref_dts = _uninterrupted("square-patch")
-    res = ResilienceConfig(
-        checkpoint_dir=str(tmp_path), checkpoint_every=4, autoresume=True
-    )
+    res = ResilienceConfig(checkpoint_dir=str(tmp_path), checkpoint_every=4)
     with _sim("square-patch", resilience=res) as interrupted:
         interrupted.run(n_steps=5)
     latest = find_latest_checkpoint(tmp_path)
@@ -234,9 +237,7 @@ def test_compiled_resume_is_bit_identical_whatever_the_stored_column(
     with _sim("square-patch", backend="cffi") as whole:
         whole.run(n_steps=8)
         ref_state, ref_dts = _final_state(whole), [s.dt for s in whole.history]
-    res = ResilienceConfig(
-        checkpoint_dir=str(tmp_path), checkpoint_every=4, keep=2, autoresume=True
-    )
+    res = ResilienceConfig(checkpoint_dir=str(tmp_path), checkpoint_every=4)
     with _sim("square-patch", resilience=res, backend="cffi") as interrupted:
         interrupted.run(n_steps=5)
     latest = find_latest_checkpoint(tmp_path)
@@ -245,6 +246,7 @@ def test_compiled_resume_is_bit_identical_whatever_the_stored_column(
     if column != "none":
         store_list_in_checkpoint(latest, interrupted.box, np.dtype(column))
     with _sim("square-patch", resilience=res, backend="cffi") as resumed:
+        assert resumed.resume() is True
         resumed.run(n_steps=4)
         # The first evaluation after the restore built the list in C.
         assert resumed._ncache.stats.builds >= 1
@@ -277,9 +279,7 @@ def test_resume_and_guard_disk_restore_leave_equal_drivers(tmp_path):
 
     from repro.resilience.guard import GuardConfig
 
-    res = ResilienceConfig(
-        checkpoint_dir=str(tmp_path), checkpoint_every=3, autoresume=False
-    )
+    res = ResilienceConfig(checkpoint_dir=str(tmp_path), checkpoint_every=3)
     with _sim("evrard", resilience=res) as writer:
         writer.run(n_steps=3)
     # Neither reader writes a checkpoint of its own before the restore.
@@ -311,20 +311,6 @@ def test_resume_and_guard_disk_restore_leave_equal_drivers(tmp_path):
     assert resumed.potential_energy == guarded.potential_energy
 
 
-def test_young_auto_interval_bootstraps_then_stretches(tmp_path):
-    res = ResilienceConfig(
-        checkpoint_dir=str(tmp_path), checkpoint_every=0, mtbf=3600.0
-    )
-    with _sim("square-patch", resilience=res) as sim:
-        sim.run(n_steps=4)
-        mgr = sim.checkpoint_manager
-        assert mgr.checkpoints_written >= 1
-        assert mgr.last_write_seconds > 0.0
-        # With a measured cost and step EWMA, Young K = sqrt(2CM)/t_step
-        # is far above 1 for a millisecond-cheap checkpoint vs 1h MTBF.
-        assert mgr.interval_steps() > 1
-
-
 def test_checkpoint_meta_round_trips_stepper_memory(tmp_path):
     res = ResilienceConfig(checkpoint_dir=str(tmp_path), checkpoint_every=3)
     with _sim("square-patch", resilience=res) as sim:
@@ -336,11 +322,15 @@ def test_checkpoint_meta_round_trips_stepper_memory(tmp_path):
 
 
 def test_resilience_config_validation(tmp_path):
-    with pytest.raises(ValueError):
-        ResilienceConfig(checkpoint_every=-1)
-    with pytest.raises(ValueError):
-        ResilienceConfig(keep=0)
-    with pytest.raises(ValueError):
-        ResilienceConfig(mtbf=0.0)
+    """Two knobs, ``checkpoint_every >= 1``: there is no auto-K (0), and
+    the rolling window and I/O budget are module constants."""
+    from dataclasses import fields
+
+    assert [f.name for f in fields(ResilienceConfig)] == [
+        "checkpoint_dir", "checkpoint_every",
+    ]
+    for every in (-1, 0):
+        with pytest.raises(ValueError):
+            ResilienceConfig(checkpoint_every=every)
     mgr = CheckpointManager(ResilienceConfig(checkpoint_dir=str(tmp_path)))
-    assert mgr.interval_steps() == 10  # fixed-K passthrough
+    assert mgr.stats()["interval_steps"] == 10

@@ -5,6 +5,7 @@ import errno
 import numpy as np
 import pytest
 
+import repro.resilience.checkpoint as ckpt_mod
 from repro.core.config import RunConfig
 from repro.resilience.chaos import CheckpointIOChaos
 from repro.resilience.checkpoint import (
@@ -20,13 +21,15 @@ from repro.resilience.checkpoint import (
 from repro.scenarios import get_scenario
 
 
-def _sim_with_manager(tmp_path, **res_kw):
-    res = ResilienceConfig(
-        checkpoint_dir=str(tmp_path),
-        checkpoint_every=1,
-        io_backoff=0.0,
-        **res_kw,
-    )
+def _sim_with_manager(tmp_path, monkeypatch, io_retries, keep=None):
+    """A checkpoint-every-step driver under an I/O budget of
+    ``io_retries`` attempts with no backoff (and, given ``keep``, that
+    rolling window)."""
+    monkeypatch.setattr(ckpt_mod, "IO_RETRIES", io_retries)
+    monkeypatch.setattr(ckpt_mod, "IO_BACKOFF", 0.0)
+    if keep is not None:
+        monkeypatch.setattr(ckpt_mod, "KEEP", keep)
+    res = ResilienceConfig(checkpoint_dir=str(tmp_path), checkpoint_every=1)
     scenario = get_scenario("square-patch")
     sim = scenario.make_simulation(
         test=True, run_config=RunConfig(resilience=res)
@@ -75,8 +78,6 @@ def test_retry_io_does_not_retry_corruption():
 
 def test_retry_io_backoff_sleeps(monkeypatch):
     sleeps = []
-    import repro.resilience.checkpoint as ckpt_mod
-
     monkeypatch.setattr(ckpt_mod._time, "sleep", sleeps.append)
 
     def broken():
@@ -90,8 +91,8 @@ def test_retry_io_backoff_sleeps(monkeypatch):
 # ----------------------------------------------------------------------
 # Manager-level behaviour under injected I/O faults
 # ----------------------------------------------------------------------
-def test_transient_write_failures_absorbed(tmp_path):
-    sim = _sim_with_manager(tmp_path, io_retries=3)
+def test_transient_write_failures_absorbed(tmp_path, monkeypatch):
+    sim = _sim_with_manager(tmp_path, monkeypatch, io_retries=3)
     sim.checkpoint_manager.io_chaos = CheckpointIOChaos(fail_writes=2)
     sim.run(n_steps=2)
     # Both failed attempts were retried into successful checkpoints.
@@ -103,8 +104,8 @@ def test_transient_write_failures_absorbed(tmp_path):
     assert sim.report().checkpoint["io_retries"] == 2
 
 
-def test_write_exhaustion_raises_terminal(tmp_path):
-    sim = _sim_with_manager(tmp_path, io_retries=2)
+def test_write_exhaustion_raises_terminal(tmp_path, monkeypatch):
+    sim = _sim_with_manager(tmp_path, monkeypatch, io_retries=2)
     sim.checkpoint_manager.io_chaos = CheckpointIOChaos(fail_writes=100)
     with pytest.raises(CheckpointIOError) as excinfo:
         sim.run(n_steps=1)
@@ -113,8 +114,8 @@ def test_write_exhaustion_raises_terminal(tmp_path):
     assert list(tmp_path.glob("*.tmp")) == []
 
 
-def test_previous_checkpoint_survives_failed_write(tmp_path):
-    sim = _sim_with_manager(tmp_path, io_retries=1, keep=1)
+def test_previous_checkpoint_survives_failed_write(tmp_path, monkeypatch):
+    sim = _sim_with_manager(tmp_path, monkeypatch, io_retries=1, keep=1)
     sim.run(n_steps=1)
     good = find_latest_checkpoint(tmp_path)
     assert good is not None
@@ -129,22 +130,22 @@ def test_previous_checkpoint_survives_failed_write(tmp_path):
     assert list(tmp_path.glob("*.tmp")) == []
 
 
-def test_transient_read_failures_absorbed_on_resume(tmp_path):
-    sim = _sim_with_manager(tmp_path, io_retries=3)
+def test_transient_read_failures_absorbed_on_resume(tmp_path, monkeypatch):
+    sim = _sim_with_manager(tmp_path, monkeypatch, io_retries=3)
     sim.run(n_steps=3)
     state = sim.particles.x.copy()
 
-    sim2 = _sim_with_manager(tmp_path, io_retries=3)
+    sim2 = _sim_with_manager(tmp_path, monkeypatch, io_retries=3)
     sim2.checkpoint_manager.io_chaos = CheckpointIOChaos(fail_reads=2)
     assert sim2.resume() is True
     assert sim2.step_index == sim.step_index
     assert np.array_equal(sim2.particles.x, state)
 
 
-def test_read_exhaustion_raises_terminal(tmp_path):
-    sim = _sim_with_manager(tmp_path, io_retries=2)
+def test_read_exhaustion_raises_terminal(tmp_path, monkeypatch):
+    sim = _sim_with_manager(tmp_path, monkeypatch, io_retries=2)
     sim.run(n_steps=2)
-    sim2 = _sim_with_manager(tmp_path, io_retries=2)
+    sim2 = _sim_with_manager(tmp_path, monkeypatch, io_retries=2)
     sim2.checkpoint_manager.io_chaos = CheckpointIOChaos(fail_reads=100)
     with pytest.raises(CheckpointIOError) as excinfo:
         sim2.resume()
@@ -178,9 +179,3 @@ def test_write_checkpoint_respects_io_chaos(tmp_path):
     restored = read_checkpoint(path)
     assert restored.step_index == sim.step_index
 
-
-def test_resilience_config_io_validation():
-    with pytest.raises(ValueError):
-        ResilienceConfig(io_retries=0)
-    with pytest.raises(ValueError):
-        ResilienceConfig(io_backoff=-1.0)

@@ -236,6 +236,29 @@ def test_run_guard_with_checkpoint_dir(tmp_path, capsys):
     assert find_latest_checkpoint(ckpt_dir) is not None
 
 
+def test_rerun_with_checkpoint_dir_ends_at_the_spec_step_count(tmp_path, capsys):
+    """A second ``repro run`` with the same ``--steps`` and
+    ``--checkpoint-dir`` resumes from the step-10 checkpoint and stops at
+    step 12: the same clock and drift as the first run, not 12 more
+    steps."""
+    import json
+
+    argv = ["run", "sod", "--n", "100", "--steps", "12",
+            "--checkpoint-dir", str(tmp_path / "ckpts"), "--json"]
+    summaries = []
+    for _ in range(2):
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        summaries.append((json.loads(out), err))
+    (first, first_log), (second, second_log) = summaries
+    assert "step 1:" in first_log and "step 12:" in first_log
+    assert "step 10:" not in second_log
+    assert "step 11:" in second_log and "step 12:" in second_log
+    assert "step 13:" not in second_log
+    assert second["final_time"] == first["final_time"]
+    assert second["drift"] == first["drift"]
+
+
 # --- run ledger surface ------------------------------------------------
 
 

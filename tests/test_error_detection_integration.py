@@ -8,7 +8,7 @@ from repro.core.config import RunConfig
 from repro.core.presets import SPH_EXA, SPHFLOW
 from repro.core.simulation import Simulation
 from repro.ics.square_patch import SquarePatchConfig, make_square_patch
-from repro.resilience.failures import inject_bitflip
+from repro.resilience.chaos import NumericalFault
 from repro.resilience.guard import GuardConfig
 from repro.timestepping.criteria import TimestepParams
 
@@ -47,7 +47,8 @@ def test_injected_corruption_is_flagged_within_a_step():
     golden.run(n_steps=2)
     sim = _sim(SPH_EXA)
     sim.run(n_steps=1)
-    inject_bitflip(sim.particles.m, bit=62)  # huge mass excursion
+    # A huge mass excursion.
+    NumericalFault(step=1, array="m", kind="bitflip", bit=62).inject(sim.particles)
     # The poisoned step overflows by design; only it may do so silently.
     with np.errstate(over="ignore", invalid="ignore"):
         sim.run(n_steps=1)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import repro.resilience.checkpoint as checkpoint_mod
 from repro.core.config import RunConfig
 from repro.core.config import ExecConfig
 from repro.resilience.chaos import (
@@ -213,11 +214,10 @@ def test_dt_backoff_rung_shrinks_dt():
     assert sim.history[3].dt < before
 
 
-def test_checkpoint_restore_rung_uses_disk(tmp_path):
+def test_checkpoint_restore_rung_uses_disk(tmp_path, monkeypatch):
+    monkeypatch.setattr(checkpoint_mod, "KEEP", 4)
     scenario = get_scenario("square-patch")
-    res = ResilienceConfig(
-        checkpoint_dir=str(tmp_path), checkpoint_every=1, keep=4
-    )
+    res = ResilienceConfig(checkpoint_dir=str(tmp_path), checkpoint_every=1)
     sim = _guarded(scenario, chaos=_nan_policy(fires=4), resilience=res)
     sim.run(n_steps=6)
     rep = sim.step_guard.report()
@@ -229,11 +229,10 @@ def test_checkpoint_restore_rung_uses_disk(tmp_path):
 # ----------------------------------------------------------------------
 # Terminal path
 # ----------------------------------------------------------------------
-def test_persistent_fault_reaches_terminal(tmp_path):
+def test_persistent_fault_reaches_terminal(tmp_path, monkeypatch):
+    monkeypatch.setattr(checkpoint_mod, "KEEP", 3)
     scenario = get_scenario("square-patch")
-    res = ResilienceConfig(
-        checkpoint_dir=str(tmp_path), checkpoint_every=1, keep=3
-    )
+    res = ResilienceConfig(checkpoint_dir=str(tmp_path), checkpoint_every=1)
     chaos = NumericalChaosPolicy(
         [NumericalFault(step=3, array="rho", kind="nan", once=False)]
     )
@@ -357,7 +356,7 @@ def test_raising_step_is_recovered():
 
 # ----------------------------------------------------------------------
 # Resume interplay: the guard's last-resort checkpoint supports
-# bit-identical autoresume (two scenarios; from the file as written, and
+# a bit-identical resume (two scenarios; from the file as written, and
 # as versions before 12.0.0 wrote it, with the Verlet cache's list).
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("name", ["square-patch", "sod"])
@@ -370,9 +369,7 @@ def test_last_resort_checkpoint_autoresume_bitwise(
     golden_sim.run(n_steps=10)
     golden = _state(golden_sim)
 
-    res = ResilienceConfig(
-        checkpoint_dir=str(tmp_path), checkpoint_every=3, keep=2
-    )
+    res = ResilienceConfig(checkpoint_dir=str(tmp_path), checkpoint_every=3)
     chaos = NumericalChaosPolicy(
         [NumericalFault(step=6, array="rho", kind="nan", once=False)]
     )
@@ -385,10 +382,11 @@ def test_last_resort_checkpoint_autoresume_bitwise(
     if stored_list:
         store_list_in_checkpoint(last_resort, sim.box)
 
-    # Fresh driver, same config, no faults: autoresume from the guard's
+    # Fresh driver, same config, no faults: resume from the guard's
     # last-resort file and finish the run.  Must match the uninterrupted
     # golden run bit for bit.
     sim2 = _guarded(scenario, resilience=res)
+    assert sim2.resume() is True and sim2.step_index == died_at
     sim2.run(n_steps=10 - died_at)
     assert sim2.step_index == 10
     assert sim2.time == golden_sim.time
@@ -425,21 +423,28 @@ def test_healthy_run_guard_counters():
     assert "guard:" in report.summary()
 
 
-def test_guard_checkpoints_only_healthy_states(tmp_path):
+def test_guard_checkpoints_only_healthy_states(tmp_path, monkeypatch):
     # With the guard on, the checkpoint hook runs after the health check:
-    # no rolling checkpoint may capture the poisoned state.
-    scenario = get_scenario("square-patch")
-    res = ResilienceConfig(
-        checkpoint_dir=str(tmp_path), checkpoint_every=1, keep=10
-    )
-    sim = _guarded(scenario, chaos=_nan_policy(), resilience=res)
-    sim.run(n_steps=6)
-    for path in tmp_path.glob("ckpt_*.ckpt"):
-        cp = read_checkpoint(path)
+    # no rolling checkpoint may capture the poisoned state.  Every write
+    # is checked as it happens, not only the files the window keeps.
+    written = []
+    real_write = checkpoint_mod.write_checkpoint
+
+    def checked_write(path, cp, **kw):
+        written.append(cp.step_index)
         for name, arr in cp.particles.state_arrays():
             assert np.isfinite(arr).all(), (
                 f"poisoned checkpoint {path.name} array {name}"
             )
+        return real_write(path, cp, **kw)
+
+    monkeypatch.setattr(checkpoint_mod, "write_checkpoint", checked_write)
+    scenario = get_scenario("square-patch")
+    res = ResilienceConfig(checkpoint_dir=str(tmp_path), checkpoint_every=1)
+    sim = _guarded(scenario, chaos=_nan_policy(), resilience=res)
+    sim.run(n_steps=6)
+    assert sim.step_guard.report().failures == 1
+    assert written == [1, 2, 3, 4, 5, 6]
 
 
 def test_snapshot_ring_is_bounded():

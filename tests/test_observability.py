@@ -408,8 +408,7 @@ def test_report_sections_and_counters(tmp_path):
         particles, box, eos, config=config,
         run_config=RunConfig(
             resilience=ResilienceConfig(
-                checkpoint_dir=str(tmp_path), checkpoint_every=1,
-                autoresume=False,
+                checkpoint_dir=str(tmp_path), checkpoint_every=1
             ),
         ),
     )

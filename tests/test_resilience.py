@@ -13,12 +13,8 @@ from repro.resilience.checkpoint import (
     read_checkpoint,
     write_checkpoint,
 )
-from repro.resilience.failures import (
-    FailStopInjector,
-    SdcInjector,
-    inject_bitflip,
-    simulate_checkpointing,
-)
+from repro.resilience.chaos import NumericalFault
+from repro.resilience.failures import FailStopInjector, simulate_checkpointing
 from repro.resilience.interval import (
     TwoLevelConfig,
     daly_interval,
@@ -203,32 +199,31 @@ def test_simulate_checkpointing_with_failures_completes():
     assert stats.total_time > 500.0
 
 
-def test_bitflip_changes_exactly_one_value(rng):
-    arr = rng.random((10, 3))
-    ref = arr.copy()
-    idx, bit = inject_bitflip(arr, rng=rng)
-    diff = np.nonzero(arr.reshape(-1) != ref.reshape(-1))[0]
-    assert len(diff) == 1
-    assert diff[0] == idx
+def _bitflip(array, index, bit):
+    return NumericalFault(step=0, array=array, kind="bitflip", index=index, bit=bit)
+
+
+def test_bitflip_changes_exactly_one_value(random_cloud, rng):
+    ref = random_cloud.v.copy()
+    idx, bit = int(rng.integers(ref.size)), int(rng.integers(64))
+    flip = _bitflip("v", idx, bit)
+    flip.inject(random_cloud)
+    diff = np.nonzero(random_cloud.v.reshape(-1) != ref.reshape(-1))[0]
+    assert diff.tolist() == [idx]
     # Flipping the same bit again restores the value.
-    inject_bitflip(arr, index=idx, bit=bit)
-    assert np.array_equal(arr, ref)
+    flip.inject(random_cloud)
+    assert np.array_equal(random_cloud.v, ref)
 
 
 def test_bitflip_validation():
-    with pytest.raises(ValueError, match="float64"):
-        inject_bitflip(np.zeros(3, dtype=np.float32))
-    with pytest.raises(ValueError, match="empty"):
-        inject_bitflip(np.zeros(0))
-
-
-def test_sdc_injector_events(random_cloud, rng):
-    inj = SdcInjector(rate_per_step=5.0, rng=rng)
-    events = inj.maybe_inject(random_cloud)
-    assert len(events) >= 0
-    for field, idx, bit in events:
-        assert field in inj.fields
-        assert 0 <= bit < 64
+    with pytest.raises(ValueError, match="target array"):
+        NumericalFault(step=0, array="mass", kind="bitflip")
+    with pytest.raises(ValueError, match="kind"):
+        NumericalFault(step=0, array="m", kind="flip")
+    with pytest.raises(ValueError, match="site"):
+        NumericalFault(step=0, array="m", kind="bitflip", site="pre")
+    with pytest.raises(ValueError, match="fires"):
+        NumericalFault(step=0, array="m", kind="bitflip", fires=0)
 
 
 # ----------------------------------------------------------------------
@@ -238,7 +233,8 @@ def test_checksum_detector_catches_any_flip(random_cloud, rng):
     det = ChecksumDetector()
     det.snapshot("m", random_cloud.m)
     assert det.verify("m", random_cloud.m) == []
-    inject_bitflip(random_cloud.m, bit=3, rng=rng)  # subtle mantissa flip
+    # A subtle mantissa flip.
+    _bitflip("m", int(rng.integers(random_cloud.n)), 3).inject(random_cloud)
     assert det.verify("m", random_cloud.m) != []
     with pytest.raises(KeyError):
         det.verify("unknown", random_cloud.m)
@@ -265,7 +261,7 @@ def test_detectors_on_live_simulation():
     sim = _sim(steps=1)
     guard = StepGuard()
     assert guard.check_health(sim, sim.history[-1]) == []
-    inject_bitflip(sim.particles.m, bit=62)  # exponent bit: huge change
+    _bitflip("m", 0, 62).inject(sim.particles)  # exponent bit: huge change
     # The poisoned step overflows by design; only it may do so silently.
     with np.errstate(over="ignore", invalid="ignore"):
         stats = sim.step()

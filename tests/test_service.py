@@ -693,11 +693,58 @@ def test_killed_worker_recovers_and_matches_unfaulted_digest(tmp_path):
             JobState.RUNNING, JobState.DONE,
         ]
         assert outcome.result_digest == baseline.result_digest
+        assert outcome.drift == baseline.drift
         event_types = [e.type for e in svc.handle(handle.job_id).events()]
         assert "recovered" in event_types
         assert event_types[-1] == "done"
     finally:
         svc.close()
+
+
+def test_second_attempt_resumes_to_the_unfaulted_drift_and_digest(tmp_path):
+    """An attempt stopped after step 2 leaves its checkpoints; a second
+    attempt on the same job directory runs steps 3-4 only and reports the
+    uninterrupted job's drift (measured from step 0) and digest — and so
+    does a third, which restores the final step and runs none."""
+    from repro.core.simulation import RunCancelled
+
+    spec = tiny_spec(n_steps=4, overrides={"n_target": 100})
+    baseline = execute_spec(spec)
+    job_dir = str(tmp_path / "job")
+    steps = []
+
+    def attempt(**kw):
+        return execute_spec(
+            spec, job_dir=job_dir, checkpoint_every=1,
+            progress=lambda p: steps.append(p["step"]), **kw
+        )
+
+    with pytest.raises(RunCancelled):
+        attempt(cancel_check=lambda: steps[-1] == 2)
+    assert steps == [1, 2]
+    for _ in range(2):
+        outcome = attempt()
+        assert steps == [1, 2, 3, 4]
+        assert outcome.steps == 4
+        assert outcome.result_digest == baseline.result_digest
+        assert outcome.drift == baseline.drift
+
+
+def test_fresh_job_searches_its_checkpoint_directory_once(tmp_path, monkeypatch):
+    import repro.resilience.checkpoint as checkpoint_mod
+
+    searched = []
+    real_search = checkpoint_mod._newest_valid_checkpoint
+
+    def search(directory, read):
+        searched.append(str(directory))
+        return real_search(directory, read)
+
+    monkeypatch.setattr(checkpoint_mod, "_newest_valid_checkpoint", search)
+    job_dir = str(tmp_path / "job")
+    outcome = execute_spec(tiny_spec(), job_dir=job_dir, checkpoint_every=1)
+    assert outcome.steps == 3
+    assert searched == [job_dir]
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
