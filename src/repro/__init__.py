@@ -31,45 +31,11 @@ The classic driver loop remains supported for library use::
 owning submodule.
 """
 
-from .core import (
-    CHANGA,
-    PRESETS,
-    SPH_EXA,
-    SPHFLOW,
-    SPHYNX,
-    ConservationState,
-    ParticleSystem,
-    Phase,
-    RunConfig,
-    Simulation,
-    SimulationConfig,
-    StepStats,
-    get_preset,
-    measure_conservation,
-    relative_drift,
-)
-from .observability import (
-    ObservabilityConfig,
-    PopMetrics,
-    RunReport,
-    State,
-    Tracer,
-    render_timeline,
-)
-from .ics import (
-    EvrardConfig,
-    SquarePatchConfig,
-    make_evrard,
-    make_square_patch,
-)
-from .kernels import available_kernels, make_kernel
-from .scenarios import Scenario, all_scenarios, get_scenario, scenario_names
-from .tree import Box, NeighborList, Octree, cell_grid_search
+from ._lazy import lazy_exports
 
-__version__ = "19.0.0"
+__version__ = "20.0.0"
 
-#: The supported import surface, pruned to the PR-10 API redesign: the
-#: service entry points (lazy — see ``__getattr__``), the driver loop,
+#: The supported import surface: the service entry points, the driver loop,
 #: the presets and the scenario registry.  The helper families that
 #: used to ride along (tracing, tree, ICs, kernels) stay importable
 #: as attributes for compatibility but are no longer advertised here.
@@ -101,22 +67,25 @@ __all__ = [
     "scenario_names",
 ]
 
-#: Lazily-resolved exports: ``repro.api`` pulls in the service (sqlite,
-#: multiprocessing) that plain library users (``from repro import
-#: Simulation``) should not pay for at import time.
-_LAZY = {"api", "JobSpec", "submit"}
-
-
-def __getattr__(name: str):
-    if name in _LAZY:
-        import importlib
-
-        _api = importlib.import_module(".api", __name__)
-        if name == "api":
-            return _api
-        return getattr(_api, name)
-    raise AttributeError(f"module 'repro' has no attribute {name!r}")
-
-
-def __dir__() -> list:
-    return sorted(set(globals()) | _LAZY)
+#: Every name loads its submodule on first use (:mod:`repro._lazy`):
+#: ``import repro.api`` pays for the run path, not for the service
+#: manager, the other scenarios' ICs or the helper families.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".api": ("api", "JobSpec", "submit"),
+    ".core": (
+        "CHANGA", "PRESETS", "SPH_EXA", "SPHFLOW", "SPHYNX",
+        "ConservationState", "ParticleSystem", "Phase", "RunConfig",
+        "Simulation", "SimulationConfig", "StepStats", "get_preset",
+        "measure_conservation", "relative_drift",
+    ),
+    ".observability": (
+        "ObservabilityConfig", "PopMetrics", "RunReport", "State", "Tracer",
+        "render_timeline",
+    ),
+    ".ics": (
+        "EvrardConfig", "SquarePatchConfig", "make_evrard", "make_square_patch",
+    ),
+    ".kernels": ("available_kernels", "make_kernel"),
+    ".scenarios": ("Scenario", "all_scenarios", "get_scenario", "scenario_names"),
+    ".tree": ("Box", "NeighborList", "Octree", "cell_grid_search"),
+})

@@ -29,22 +29,16 @@ from __future__ import annotations
 
 import atexit
 import threading
-from typing import Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
+from ._lazy import lazy_exports
 from .core.config import RunConfig
 from .core.simulation import RunCancelled, Simulation
-from .service.manager import (
-    JobCancelledError,
-    JobError,
-    JobFailedError,
-    JobState,
-    LocalService,
-    ServiceConfig,
-    SyncJobHandle,
-)
-from .service.queue import QueueFullError
 from .service.runner import JobOutcome, execute_spec
 from .service.spec import JobSpec, SpecError
+
+if TYPE_CHECKING:
+    from .service.manager import LocalService, ServiceConfig, SyncJobHandle
 
 __all__ = [
     # Spec & outcomes
@@ -73,6 +67,16 @@ __all__ = [
     "RunCancelled",
 ]
 
+#: The service side loads on first use: a one-shot :func:`run` never
+#: imports the job manager, its queue or its store.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".service.manager": (
+        "JobCancelledError", "JobError", "JobFailedError", "JobState",
+        "LocalService", "ServiceConfig", "SyncJobHandle",
+    ),
+    ".service.queue": ("QueueFullError",),
+})
+
 _lock = threading.Lock()
 _service: Optional[LocalService] = None
 _service_config: Optional[ServiceConfig] = None
@@ -96,6 +100,8 @@ def configure_service(config: ServiceConfig) -> None:
 
 def service() -> LocalService:
     """The lazily-started module-level service."""
+    from .service.manager import LocalService, ServiceConfig
+
     global _service
     with _lock:
         if _service is None:

@@ -2,11 +2,18 @@
 
 The compiled hot path needs nothing beyond ``cffi`` and a C compiler:
 the C translation unit in :mod:`repro.backend.csrc` is compiled once per
-(source, compiler, flags) fingerprint into a shared library cached under
-the system temp directory, then loaded with ``ffi.dlopen``.  Any failure
-along the way — no ``cffi``, no working C compiler, unwritable cache —
-raises :class:`~repro.backend.base.BackendUnavailableError` and the
-registry falls back to numpy.
+(source, declarations, compiler, flags) fingerprint into a shared
+library cached under the system temp directory, and the parsed
+declarations are written once beside it, under the same key, as an
+out-of-line ABI module (``ffi.set_source(name, None)``) that also
+records the compiler's version line.  A process whose cache is warm
+reads that module and opens the library with ``ffi.dlopen``: it never
+imports ``pycparser``, which would re-parse ``CDEF`` on every start, nor
+runs the compiler — the key names the compiler by its resolved path,
+size and modification time.  Any failure along the way — no ``cffi``, no working C compiler,
+unwritable cache — raises
+:class:`~repro.backend.base.BackendUnavailableError` and the registry
+falls back to numpy.
 
 This module only builds and loads; the one marshalling layer over the
 ``rp_*`` entry points is :class:`repro.backend.compiled.CompiledOps`.
@@ -22,7 +29,7 @@ from __future__ import annotations
 
 import hashlib
 import os
-import subprocess
+import shutil
 import sys
 import tempfile
 from typing import Optional, Tuple
@@ -52,6 +59,8 @@ def _compiler() -> str:
 
 
 def _compiler_version(cc: str) -> str:
+    import subprocess
+
     try:
         out = subprocess.run(
             [cc, "--version"], capture_output=True, text=True, timeout=30
@@ -65,21 +74,42 @@ def _compiler_version(cc: str) -> str:
     return out.stdout.splitlines()[0] if out.stdout else cc
 
 
-def _build_library(cc: str, cc_version: str) -> str:
-    """Compile the backend source into a cached .so; return its path."""
-    key = hashlib.sha256(
-        "\x00".join((SOURCE, cc_version, " ".join(_BASE_FLAGS))).encode()
+def _compiler_identity(cc: str) -> str:
+    """The compiler's resolved path, size and modification time: what
+    keys the cache, so that a warm process need not run it."""
+    found = shutil.which(cc)
+    if found is None:
+        raise BackendUnavailableError(f"C compiler {cc!r} not found")
+    real = os.path.realpath(found)
+    st = os.stat(real)
+    return f"{real}:{st.st_size}:{st.st_mtime_ns}"
+
+
+def _cache_key(compiler: str) -> str:
+    """The one key of the cached library and of its FFI module: every
+    input of either (a new declaration with an old source is a new key)."""
+    return hashlib.sha256(
+        "\x00".join((SOURCE, CDEF, compiler, " ".join(_BASE_FLAGS))).encode()
     ).hexdigest()[:16]
+
+
+def _cache_dir() -> str:
     cache_dir = os.path.join(
         tempfile.gettempdir(), f"repro-backend-{os.getuid()}"
     )
-    lib_path = os.path.join(cache_dir, f"rp_ops_{key}.so")
-    if os.path.exists(lib_path):
-        return lib_path
     try:
         os.makedirs(cache_dir, exist_ok=True)
     except OSError as exc:
         raise BackendUnavailableError(f"cannot create build cache: {exc}")
+    return cache_dir
+
+
+def _build_library(cc: str, cache_dir: str, key: str) -> str:
+    """Compile the backend source into a cached .so; return its path."""
+    lib_path = os.path.join(cache_dir, f"rp_ops_{key}.so")
+    if os.path.exists(lib_path):
+        return lib_path
+    import subprocess
 
     src_path = os.path.join(cache_dir, f"rp_ops_{key}.c")
     tmp_lib = f"{lib_path}.tmp{os.getpid()}"
@@ -105,12 +135,64 @@ def _build_library(cc: str, cc_version: str) -> str:
     except OSError as exc:
         raise BackendUnavailableError(f"build cache I/O failed: {exc}")
     finally:
-        if os.path.exists(tmp_lib):
-            try:
-                os.unlink(tmp_lib)
-            except OSError:
-                pass
+        _unlink_quietly(tmp_lib)
     return lib_path
+
+
+def _read_ffi(path: str):
+    """``(ffi, compiler version)`` of a cached FFI module, or ``None`` when
+    the file is missing or incomplete (a module cut short either fails to
+    compile or never reaches its last statement, the version line)."""
+    import _cffi_backend
+
+    try:
+        with open(path) as fh:
+            code = compile(fh.read(), path, "exec")
+        namespace: dict = {}
+        exec(code, namespace)
+    except (OSError, SyntaxError, ValueError):
+        return None
+    ffi, version = namespace.get("ffi"), namespace.get("CC_VERSION")
+    if not isinstance(ffi, _cffi_backend.FFI) or not isinstance(version, str):
+        return None
+    return ffi, version
+
+
+def _load_ffi(cc: str, cache_dir: str, key: str):
+    """``(ffi, compiler version)`` of ``CDEF``: read from the cached
+    module, else parsed once (pycparser) and written there, atomically,
+    for every later process."""
+    name = f"rp_ops_{key}_ffi"
+    path = os.path.join(cache_dir, f"{name}.py")
+    loaded = _read_ffi(path)
+    if loaded is not None:
+        return loaded
+    import cffi
+    from cffi.recompiler import make_py_source
+
+    parsed = cffi.FFI()
+    parsed.cdef(CDEF)
+    tmp = f"{path}.tmp{os.getpid()}"
+    try:
+        make_py_source(parsed, name, tmp)
+        with open(tmp, "a") as fh:
+            fh.write(f"\nCC_VERSION = {_compiler_version(cc)!r}\n")
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise BackendUnavailableError(f"build cache I/O failed: {exc}")
+    finally:
+        _unlink_quietly(tmp)
+    loaded = _read_ffi(path)
+    if loaded is None:
+        raise BackendUnavailableError(f"unreadable FFI module {path}")
+    return loaded
+
+
+def _unlink_quietly(path: str) -> None:
+    try:
+        os.unlink(path)
+    except OSError:
+        pass
 
 
 def load_library() -> Tuple[object, object, str]:
@@ -122,14 +204,13 @@ def load_library() -> Tuple[object, object, str]:
         raise BackendUnavailableError(_FAILED)
     try:
         try:
-            import cffi
+            import _cffi_backend
         except ImportError as exc:
             raise BackendUnavailableError(f"cffi not importable: {exc}")
         cc = _compiler()
-        cc_version = _compiler_version(cc)
-        lib_path = _build_library(cc, cc_version)
-        ffi = cffi.FFI()
-        ffi.cdef(CDEF)
+        cache_dir, key = _cache_dir(), _cache_key(_compiler_identity(cc))
+        lib_path = _build_library(cc, cache_dir, key)
+        ffi, cc_version = _load_ffi(cc, cache_dir, key)
         try:
             lib = ffi.dlopen(lib_path)
         except OSError as exc:
@@ -137,7 +218,7 @@ def load_library() -> Tuple[object, object, str]:
     except BackendUnavailableError as exc:
         _FAILED = str(exc)
         raise
-    _CACHED = (ffi, lib, f"cffi {cffi.__version__} / {cc_version}")
+    _CACHED = (ffi, lib, f"cffi {_cffi_backend.__version__} / {cc_version}")
     return _CACHED
 
 

@@ -274,19 +274,22 @@ class CompiledOps:
     # -- neighbour search ----------------------------------------------
     def walk_neighbors(
         self, tree, xw: np.ndarray, radii: np.ndarray, symmetric: bool,
-        include_self: bool, sort_rows: bool,
+        include_self: bool, sort_rows: bool, rows: Optional[np.ndarray] = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """``(offsets, indices)`` of the leaf-grouped tree walk.
 
         ``xw`` are the box-wrapped positions of ``tree``'s particles.
         They and the radii are gathered into Morton order once, the
         per-node tight boxes and largest radii are taken from those
-        copies (``rp_node_bounds``), and the traversal runs twice over
-        them — counts, then rows.  Rows come back in traversal order
-        unless ``sort_rows`` asks for the canonical ascending order.
+        copies (``rp_node_bounds``), and one traversal over them writes
+        the rows, in particle order, into a block the C side grows as it
+        goes; the array handed back is that block (freed with it).  With
+        ``rows`` (a boolean mask) only those rows are searched and the
+        others come back empty.  Rows come back in traversal order unless
+        ``sort_rows`` asks for the canonical ascending order.
         """
         n, dim = xw.shape
-        if n >= 2**31:
+        if n >= 2**31 or tree.n_nodes >= 2**31:
             raise OverflowError(f"{n} particles do not fit an int32 column")
         offsets = np.zeros(n + 1, dtype=np.int64)
         if n == 0:
@@ -299,24 +302,35 @@ class CompiledOps:
         rmax = self._out(np.empty(n_nodes))
         nodes = self._tree(tree)
         self.lib.rp_node_bounds(xs, rs, n, dim, *nodes, lo, hi, rmax)
-        args = (
-            xs, rs, n, dim, int(symmetric), *self._box(tree.box, dim),
-            *nodes, self._i(tree.order), lo, hi, rmax, int(include_self),
-        )
-        cursor = np.zeros(n, dtype=np.int64)
-        null = self._ffi.NULL
-        self.lib.rp_walk(*args, null, self._out(cursor), null)  # counts
-        np.cumsum(cursor, out=offsets[1:])
-        indices = np.empty(int(offsets[n]), dtype=np.int32)
-        cursor[:] = offsets[:-1]
-        self.lib.rp_walk(  # rows
-            *args, self._i(offsets), self._out(cursor), self._out(indices)
-        )
-        if not np.array_equal(cursor, offsets[1:]):
-            raise RuntimeError("tree walk: the fill pass disagrees with the count")
+        want = self._ffi.NULL
+        if rows is not None:
+            want = self._out(np.ascontiguousarray(rows, dtype=np.int8))
+        block = self._ffi.new("rp_rows *")
+        try:
+            status = self.lib.rp_walk(
+                xs, rs, n, dim, int(symmetric), *self._box(tree.box, dim),
+                *nodes, self._i(tree.order), lo, hi, rmax, int(include_self),
+                want, self._out(offsets), block,
+            )
+            if status:
+                raise MemoryError("tree walk: the rows could not grow")
+            indices = self._adopt(block, int(offsets[n]))
+        except BaseException:
+            self.lib.rp_free(block.buf)
+            raise
         if sort_rows:
             self.lib.rp_sort_rows(self._i(offsets), n, self._out(indices))
         return offsets, indices
+
+    def _adopt(self, block, length: int) -> np.ndarray:
+        """The first ``length`` entries of a block the C side allocated, as
+        an int32 array that frees the block when it is collected."""
+        if length == 0:
+            self.lib.rp_free(block.buf)
+            return np.empty(0, dtype=np.int32)
+        owned = self._ffi.gc(block.buf, self.lib.rp_free)
+        block.buf = self._ffi.NULL
+        return np.frombuffer(self._ffi.buffer(owned, 4 * length), dtype=np.int32)
 
     def pairs_within(
         self, nlist, xw: np.ndarray, radii: np.ndarray, box
@@ -332,10 +346,34 @@ class CompiledOps:
         indices = np.empty(nlist.n_pairs, dtype=np.int32)
         status = self.lib.rp_pairs_within(
             self._d(xw), self._d(radii), *self._csr(nlist), n, dim,
-            *self._box(box, dim), self._out(offsets), self._out(indices),
+            *self._box(box, dim), *self._scratch("rp_pairs_within", nlist),
+            self._out(offsets), self._out(indices),
         )
+        if status < 0:
+            raise MemoryError("pairs_within: no room for the pair tags")
         if status:
             raise ValueError("pairs_within needs a symmetric list")
+        indices.resize(int(offsets[n]), refcheck=False)
+        return offsets, indices
+
+    def merge_rows(
+        self, nlist, fresh, redo: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(offsets, indices)`` of :meth:`NeighborList.merged`: ``nlist``
+        with the rows ``redo`` taken from ``fresh`` and, in every other
+        row, its pairs with those rows taken from ``fresh`` as well."""
+        n = nlist.n
+        offsets = np.empty(n + 1, dtype=np.int64)
+        # Room for every row: nlist's, fresh's, and each pair of fresh
+        # once more, reversed.
+        indices = np.empty(nlist.n_pairs + 2 * fresh.n_pairs, dtype=np.int32)
+        status = self.lib.rp_merge_rows(
+            *self._csr(nlist), *self._csr(fresh),
+            self._out(np.ascontiguousarray(redo, dtype=np.int8)), n,
+            self._out(offsets), self._out(indices),
+        )
+        if status:
+            raise MemoryError("merge_rows: no room for the row cursors")
         indices.resize(int(offsets[n]), refcheck=False)
         return offsets, indices
 

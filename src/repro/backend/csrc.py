@@ -9,8 +9,9 @@ list: separations, kernel values and gradients are recomputed where they
 are used, one CSR row at a time, in row buffers carved from a scratch
 block the caller allocates per call (sized by the longest row; the
 gravity walk mallocs its interaction lists per call and grows them to
-the longest list met — the unit has no static or global scratch, so any
-number of threads and simulations call it concurrently).
+the longest list met, the tree walk grows the block its rows go to and
+hands it over as the list's column — the unit has no static or global
+scratch, so any number of threads and simulations call it concurrently).
 
 Design notes:
 
@@ -113,18 +114,28 @@ void rp_node_bounds(const double *xs, const double *rs, int64_t n, int dim,
                     const int64_t *child_count, const int64_t *pstart,
                     const int64_t *pend, double *lo, double *hi,
                     double *rmax);
-void rp_walk(const double *xs, const double *rs, int64_t n, int dim,
-             int symmetric, const double *psel, const double *pdiv,
-             int64_t n_nodes, const int64_t *child_start,
-             const int64_t *child_count, const int64_t *pstart,
-             const int64_t *pend, const int64_t *order, const double *lo,
-             const double *hi, const double *rmax, int include_self,
-             const int64_t *offsets, int64_t *cursor, int32_t *out);
+typedef struct {
+    int32_t *buf;
+    int64_t len, cap;
+} rp_rows;
+void rp_free(void *p);
+int rp_walk(const double *xs, const double *rs, int64_t n, int dim,
+            int symmetric, const double *psel, const double *pdiv,
+            int64_t n_nodes, const int64_t *child_start,
+            const int64_t *child_count, const int64_t *pstart,
+            const int64_t *pend, const int64_t *order, const double *lo,
+            const double *hi, const double *rmax, int include_self,
+            const int8_t *want, int64_t *offsets, rp_rows *rows);
 void rp_sort_rows(const int64_t *offsets, int64_t n, int32_t *indices);
 int rp_pairs_within(const double *xw, const double *radii,
                     const int64_t *offsets, const int32_t *indices,
                     int64_t n, int dim, const double *psel,
-                    const double *pdiv, int64_t *new_offsets, int32_t *out);
+                    const double *pdiv, double *scratch, int64_t cap,
+                    int64_t *new_offsets, int32_t *out);
+int rp_merge_rows(const int64_t *a_offsets, const int32_t *a_indices,
+                  const int64_t *b_offsets, const int32_t *b_indices,
+                  const int8_t *redo, int64_t n, int64_t *out_offsets,
+                  int32_t *out);
 void rp_node_moments(const double *x, const double *m, const double *origin,
                      int64_t n_nodes, const int64_t *child_start,
                      const int64_t *child_count, const int64_t *pstart,
@@ -179,6 +190,7 @@ SCRATCH_ROWS = {
     "rp_density": 15,
     "rp_div_curl": 22,
     "rp_forces": 38,
+    "rp_pairs_within": 4,
 }
 
 
@@ -261,21 +273,6 @@ static inline double rp_hpow(double h, int n)
     r = n > 2 ? r * h : r;
     r = n > 3 ? r * h : r;
     return r;
-}}
-
-/* Minimum image of one separation component, t - psel*rint(t/pdiv),
- * skipped where it is the identity: for |t| <= pdiv/2 the correctly
- * rounded quotient is at most 0.5 in magnitude, rint gives +-0 and the
- * subtraction returns t.  An open axis has pdiv = inf and never wraps.
- * Between box-wrapped positions |t| < pdiv, so rint is 0 or +-1 and
- * psel*rint is exact: there the result does not depend on whether the
- * compiler fuses the product into the subtraction — the searches, where
- * every bit counts, only ever pass wrapped positions. */
-static inline double rp_wrap(double t, double psel, double pdiv)
-{{
-    if (fabs(t) > 0.5 * pdiv)
-        t -= psel * rint(t / pdiv);
-    return t;
 }}
 
 /* Kernel shape f(q) and f'(q) of the polynomial families, branch-free.
@@ -1261,23 +1258,6 @@ RP_NOINLINE void rp_p2p_list(const double *list, const int64_t *idx,
 #pragma STDC FP_CONTRACT OFF
 #endif
 
-/* Pair acceptance of a symmetric search, mirroring pairs_in_range
- * (tree/neighborlist.py): r2 <= cutoff*cutoff on the wrapped positions,
- * cutoff = max(radii[i], radii[j]). */
-static inline int rp_in_range(const double *xw, const double *radii,
-                              int64_t i, int64_t j, int dim,
-                              const double *psel, const double *pdiv)
-{
-    double r2 = 0.0;
-    for (int d = 0; d < dim; ++d) {
-        const double t =
-            rp_wrap(xw[i * dim + d] - xw[j * dim + d], psel[d], pdiv[d]);
-        r2 += t * t;
-    }
-    const double cutoff = radii[j] > radii[i] ? radii[j] : radii[i];
-    return r2 <= cutoff * cutoff;
-}
-
 /* Canonical row order (ascending neighbour index) for a whole CSR list,
  * row by row in place (Shell sort, Ciura gaps: rows hold a few hundred
  * entries).  A search that feeds the h iteration skips this: the count
@@ -1398,85 +1378,144 @@ static inline double rp_axis_gap(double tmin, double tmax, double psel,
 }
 
 /* The particles q of [q0, q1) in range of one target particle (position
- * xi, radius ri), q == skip excepted: rp_in_range on the Morton-ordered
- * copies, either mode.  With shift != NULL the minimum image of every
- * axis is the hoisted t - shift[d].  Returns how many; with row != NULL
- * also writes their indices there, never at or past row_end: the store
- * is guarded, not the hit, so the loop carries no data-dependent
- * branch. */
+ * xi, radius ri), q == skip excepted: the predicate of rp_row_in_range
+ * on the Morton-ordered copies, either mode.  With shift != NULL the
+ * minimum image of every axis is the hoisted t - shift[d], else
+ * t - psel * rint(t / pdiv).  The tests run over the leaf at once into hit
+ * (room for q1 - q0); then every candidate is stored in row, which has
+ * room for all of them, and a hit moves the end on.  Returns how many. */
 RP_SPECIALIZE int64_t rp_leaf_hits(const double *xs, const double *rs,
                                    int64_t n, const int dim,
                                    const double *xi, double ri,
                                    const double *shift, const double *psel,
                                    const double *pdiv, int symmetric,
                                    int64_t q0, int64_t q1, int64_t skip,
-                                   const int64_t *order, int32_t *row,
-                                   const int32_t *row_end)
+                                   const int64_t *order, double *hit,
+                                   int32_t *row)
 {
-    int64_t c = 0;
-    for (int64_t q = q0; q < q1; ++q) {
-        double r2 = 0.0;
-        for (int d = 0; d < dim; ++d) {
-            double t = xi[d] - xs[d * n + q];
-            if (shift)
-                t -= shift[d];
-            else
-                t = rp_wrap(t, psel[d], pdiv[d]);
-            r2 += t * t;
+    const int64_t len = q1 - q0;
+    const double *x0 = xs + q0, *r0 = rs + q0;
+    if (shift) {
+        RP_EACH(k, len) {
+            double r2 = 0.0;
+            for (int d = 0; d < dim; ++d) {
+                const double t = (xi[d] - x0[d * n + k]) - shift[d];
+                r2 += t * t;
+            }
+            const double cutoff = symmetric && r0[k] > ri ? r0[k] : ri;
+            hit[k] = r2 <= cutoff * cutoff;
         }
-        double cutoff = ri;
-        if (symmetric && rs[q] > cutoff)
-            cutoff = rs[q];
-        if (row && row + c < row_end)
-            row[c] = (int32_t)order[q];
-        c += (r2 <= cutoff * cutoff) & (q != skip);
+    } else {
+        RP_EACH(k, len) {
+            double r2 = 0.0;
+            for (int d = 0; d < dim; ++d) {
+                const double t = xi[d] - x0[d * n + k];
+                const double w = t - psel[d] * rint(t / pdiv[d]);
+                r2 += w * w;
+            }
+            const double cutoff = symmetric && r0[k] > ri ? r0[k] : ri;
+            hit[k] = r2 <= cutoff * cutoff;
+        }
+    }
+    if (skip >= q0 && skip < q1)
+        hit[skip - q0] = 0.0;
+    int64_t c = 0;
+    for (int64_t k = 0; k < len; ++k) {
+        row[c] = (int32_t)order[q0 + k];
+        c += hit[k] != 0.0;
     }
     return c;
 }
 
-/* Target leaf [t0, t1) against source leaf [s0, s1) with tight box
- * [slo, shi] and largest radius srmax (self: the two are one leaf and
- * include_self is off).  shift != NULL: the hoisted shifts of the leaf
- * pair.  Each target particle repeats the descent's prune point-to-box
- * against max(r_i, srmax) (gather: r_i) before it tests a candidate. */
-RP_SPECIALIZE void rp_leaf_pair(const double *xs, const double *rs,
-                                int64_t n, const int dim, int symmetric,
-                                const double *psel, const double *pdiv,
-                                const int64_t *order, int64_t t0,
-                                int64_t t1, int64_t s0, int64_t s1,
-                                const double *slo, const double *shi,
-                                double srmax, const double *shift,
-                                int self, const int64_t *offsets,
-                                int64_t *cursor, int32_t *out)
+/* A source leaf one target leaf's descent reached: node k and, when the
+ * leaf pair's minimum image is hoisted, its shift psel[d] * img[d].  The
+ * positions are wrapped, so two boxes are less than a span apart and the
+ * image rint(t / pdiv) of rp_axis_gap is -1, 0 or 1 (its zero's sign
+ * reaches only zeros, whose squares are +0). */
+typedef struct {
+    int32_t k;
+    int8_t img[3];
+    int8_t hoisted;
+} rp_source;
+
+/* The growing block of a walk's rows (rp_walk). */
+typedef struct {
+    int32_t *buf;
+    int64_t len, cap;
+} rp_rows;
+
+/* Room for `extra` more entries; -1 when out of memory. */
+static int rp_rows_reserve(rp_rows *rows, int64_t extra)
 {
-    for (int64_t p = t0; p < t1; ++p) {
-        const double ri = rs[p];
-        double xi[3], e2 = 0.0;
+    if (rows->len + extra <= rows->cap)
+        return 0;
+    int64_t cap = rows->cap ? 2 * rows->cap : 4096;
+    while (cap < rows->len + extra)
+        cap *= 2;
+    int32_t *buf = realloc(rows->buf, sizeof *buf * (size_t)cap);
+    if (!buf)
+        return -1;
+    rows->buf = buf;
+    rows->cap = cap;
+    return 0;
+}
+
+void rp_free(void *p)
+{
+    free(p);
+}
+
+/* Row p (Morton position) of the walk: every source leaf of its target
+ * leaf — src[0..n_src), self (node tl) first skipped at p when
+ * include_self is off — repeating the descent's prune point-to-box
+ * against max(r_i, rmax[k]) (gather: r_i) before its candidates are
+ * tested, appended to rows.  Returns -1 when out of memory. */
+RP_SPECIALIZE int rp_walk_row(const double *xs, const double *rs,
+                              int64_t n, const int dim, int symmetric,
+                              const double *psel, const double *pdiv,
+                              const int64_t *pstart, const int64_t *pend,
+                              const int64_t *order, const double *lo,
+                              const double *hi, const double *rmax,
+                              int64_t tl, int include_self, int64_t p,
+                              const rp_source *src, int64_t n_src,
+                              double *hit, rp_rows *rows)
+{
+    const double ri = rs[p];
+    double xi[3];
+    for (int d = 0; d < dim; ++d)
+        xi[d] = xs[d * n + p];
+    for (int64_t e = 0; e < n_src; ++e) {
+        const int64_t k = src[e].k;
+        const double *slo = lo + k * dim, *shi = hi + k * dim;
+        double shift[3] = {0.0, 0.0, 0.0}, e2 = 0.0;
         for (int d = 0; d < dim; ++d) {
-            xi[d] = xs[d * n + p];
-            double e;
-            if (shift) {
-                e = rp_gap((xi[d] - shi[d]) - shift[d],
+            double g;
+            if (src[e].hoisted) {
+                shift[d] = psel[d] * src[e].img[d];
+                g = rp_gap((xi[d] - shi[d]) - shift[d],
                            (xi[d] - slo[d]) - shift[d]);
             } else {
                 double unused_shift;
                 int unused_flag;
-                e = rp_axis_gap(xi[d] - shi[d], xi[d] - slo[d], psel[d],
+                g = rp_axis_gap(xi[d] - shi[d], xi[d] - slo[d], psel[d],
                                 pdiv[d], &unused_shift, &unused_flag);
             }
-            e2 += e * e;
+            e2 += g * g;
         }
         double reach = ri;
-        if (symmetric && srmax > reach)
-            reach = srmax;
+        if (symmetric && rmax[k] > reach)
+            reach = rmax[k];
         if (!(e2 <= reach * reach))
             continue;
-        const int64_t i = order[p];
-        cursor[i] += rp_leaf_hits(xs, rs, n, dim, xi, ri, shift, psel, pdiv,
-                                  symmetric, s0, s1, self ? p : -1, order,
-                                  out ? out + cursor[i] : 0,
-                                  out ? out + offsets[i + 1] : 0);
+        if (rp_rows_reserve(rows, pend[k] - pstart[k]))
+            return -1;
+        rows->len += rp_leaf_hits(
+            xs, rs, n, dim, xi, ri, src[e].hoisted ? shift : 0, psel, pdiv,
+            symmetric, pstart[k], pend[k],
+            k == tl && !include_self ? p : -1, order, hit,
+            rows->buf + rows->len);
     }
+    return 0;
 }
 
 /* Neighbour discovery by tree walk, one descent per target leaf —
@@ -1487,33 +1526,54 @@ RP_SPECIALIZE void rp_leaf_pair(const double *xs, const double *rs,
  * For a target leaf T the depth-first descent keeps a node k while the
  * box-to-box gap (rp_axis_gap per axis, squared and summed in axis
  * order) is within max(rmax[T], rmax[k]) (gather: rmax[T]) — a bound no
- * pair between the two can beat, see rp_axis_gap.  Each source leaf it
- * reaches is handled at once by rp_leaf_pair, with the shifts hoisted
- * for the leaf pair when every axis allows it; candidates that survive
- * the point-to-box prune pass the predicate of pairs_in_range, to the
- * bit.  So the accepted set is the set of the numpy walk; rows come out
- * in traversal order (rp_sort_rows makes them canonical).
+ * pair between the two can beat, see rp_axis_gap — and records each
+ * source leaf it reaches, with the shifts hoisted for the leaf pair when
+ * every axis allows it.  Candidates that survive the point-to-box prune
+ * (rp_walk_row) pass the predicate of pairs_in_range, to the bit.  So
+ * the accepted set is the set of the numpy walk; each row holds its
+ * source leaves in descent order (rp_sort_rows makes it canonical).
  *
- * Call twice: with offsets and out NULL and cursor zeroed, cursor[i]
- * receives the row count; with the cumulated offsets and cursor[i] =
- * offsets[i], out receives the rows and cursor[i] ends on
- * offsets[i + 1].  No scratch is sized by a guess: the stack is bounded
- * above, and a row is written through its own cursor and never past its
- * own end. */
-void rp_walk(const double *xs, const double *rs, int64_t n, int dim,
-             int symmetric, const double *psel, const double *pdiv,
-             int64_t n_nodes, const int64_t *child_start,
-             const int64_t *child_count, const int64_t *pstart,
-             const int64_t *pend, const int64_t *order, const double *lo,
-             const double *hi, const double *rmax, int include_self,
-             const int64_t *offsets, int64_t *cursor, int32_t *out)
+ * One traversal: the rows are written in particle order, each behind
+ * the last, into the block `rows` grows (the caller frees rows->buf with
+ * rp_free), and offsets[i + 1] is where row i ends.  With want != NULL
+ * only the rows i with want[i] are searched (the others are empty), and
+ * only target leaves holding one are descended.  Returns -1, having
+ * written no offsets past the failure, when out of memory. */
+int rp_walk(const double *xs, const double *rs, int64_t n, int dim,
+            int symmetric, const double *psel, const double *pdiv,
+            int64_t n_nodes, const int64_t *child_start,
+            const int64_t *child_count, const int64_t *pstart,
+            const int64_t *pend, const int64_t *order, const double *lo,
+            const double *hi, const double *rmax, int include_self,
+            const int8_t *want, int64_t *offsets, rp_rows *rows)
 {
     int64_t stack[RP_WALK_STACK];
+    int64_t *pos = malloc(sizeof *pos * (size_t)(n ? n : 1));
+    int64_t *leaf = malloc(sizeof *leaf * (size_t)(n ? n : 1));
+    int64_t *first = malloc(sizeof *first * (size_t)(n_nodes + 1));
+    rp_source *src = 0;
+    int64_t n_src = 0, cap_src = 0, widest = 1;
+    for (int64_t k = 0; k < n_nodes; ++k)
+        if (!child_count[k] && pend[k] - pstart[k] > widest)
+            widest = pend[k] - pstart[k];
+    double *hit = malloc(sizeof *hit * (size_t)widest);
+    int status = -1;
+    if (!pos || !leaf || !first || !hit)
+        goto done;
     for (int64_t tl = 0; tl < n_nodes; ++tl) {
+        first[tl] = n_src;
         if (child_count[tl])
             continue;
-        const double *tlo = lo + tl * dim, *thi = hi + tl * dim;
         const int64_t t0 = pstart[tl], t1 = pend[tl];
+        int wanted = !want;
+        for (int64_t p = t0; p < t1; ++p) {
+            pos[order[p]] = p;
+            leaf[p] = tl;
+            wanted |= want && want[order[p]];
+        }
+        if (!wanted)
+            continue;
+        const double *tlo = lo + tl * dim, *thi = hi + tl * dim;
         int top = 0;
         stack[top++] = 0;
         while (top > 0) {
@@ -1537,32 +1597,110 @@ void rp_walk(const double *xs, const double *rs, int64_t n, int dim,
                 stack[top++] = child_start[k] + ch;
             if (nchild)
                 continue;
-            const double *sh = hoisted ? shift : 0;
-            const int self = k == tl && !include_self;
-#define RP_LEAF_PAIR(DIM)                                                  \
-    rp_leaf_pair(xs, rs, n, DIM, symmetric, psel, pdiv, order, t0, t1,     \
-                 pstart[k], pend[k], klo, khi, rmax[k], sh, self, offsets, \
-                 cursor, out)
-            if (dim == 3)
-                RP_LEAF_PAIR(3);
-            else if (dim == 2)
-                RP_LEAF_PAIR(2);
-            else
-                RP_LEAF_PAIR(1);
-#undef RP_LEAF_PAIR
+            if (n_src == cap_src) {
+                cap_src = cap_src ? 2 * cap_src : 1024;
+                rp_source *grown = realloc(src, sizeof *src * (size_t)cap_src);
+                if (!grown)
+                    goto done;
+                src = grown;
+            }
+            rp_source *e = src + n_src++;
+            e->k = (int32_t)k;
+            e->hoisted = (int8_t)hoisted;
+            for (int d = 0; d < 3; ++d)
+                e->img[d] = (int8_t)(d < dim && hoisted && psel[d] != 0.0
+                                     ? shift[d] / psel[d] : 0);
         }
+    }
+    first[n_nodes] = n_src;
+    offsets[0] = 0;
+    for (int64_t i = 0; i < n; ++i) {
+        if (!want || want[i]) {
+            const int64_t p = pos[i], tl = leaf[p];
+            const rp_source *s = src + first[tl];
+            const int64_t ns = first[tl + 1] - first[tl];
+#define RP_WALK_ROW(DIM)                                                   \
+    rp_walk_row(xs, rs, n, DIM, symmetric, psel, pdiv, pstart, pend, order, \
+                lo, hi, rmax, tl, include_self, p, s, ns, hit, rows)
+            const int failed = dim == 3 ? RP_WALK_ROW(3)
+                               : dim == 2 ? RP_WALK_ROW(2)
+                                          : RP_WALK_ROW(1);
+#undef RP_WALK_ROW
+            if (failed)
+                goto done;
+        }
+        offsets[i + 1] = rows->len;
+    }
+    status = 0;
+done:
+    free(pos);
+    free(leaf);
+    free(first);
+    free(src);
+    free(hit);
+    return status;
+}
+
+/* splitmix64's finaliser. */
+static inline uint64_t rp_mix(uint64_t z)
+{
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    return z ^ (z >> 31);
+}
+
+/* Pair acceptance of a symmetric search, mirroring pairs_in_range
+ * (tree/neighborlist.py), for a whole row in vectorisable loops over the
+ * row buffers dx[0..dim): keep[k] = r2 <= cutoff * cutoff on the wrapped
+ * positions, cutoff = max(radii[i], radii[row[k]]).  The minimum image
+ * of a periodic axis is t - psel * rint(t / pdiv): for |t| <= pdiv / 2
+ * the correctly rounded quotient is at most 0.5 in magnitude, rint gives
+ * +-0 and the subtraction returns t; between wrapped positions |t| <
+ * pdiv, so rint is 0 or +-1 and psel * rint is exact. */
+RP_SPECIALIZE void rp_row_in_range(const double *xw, const double *radii,
+                                   int64_t i, const int32_t *row,
+                                   int64_t len, const int dim,
+                                   const double *psel, const double *pdiv,
+                                   double *const *dx, double *keep)
+{
+    RP_EACH(k, len) {
+        const double *xj = xw + (int64_t)row[k] * dim;
+        for (int d = 0; d < dim; ++d)
+            dx[d][k] = xw[i * dim + d] - xj[d];
+    }
+    for (int d = 0; d < dim; ++d) {
+        double *t = dx[d];
+        const double ps = psel[d], pd = pdiv[d];
+        if (ps != 0.0)
+            RP_EACH(k, len) t[k] -= ps * rint(t[k] / pd);
+    }
+    const double ri = radii[i];
+    RP_EACH(k, len) {
+        double r2 = dx[0][k] * dx[0][k];
+        for (int d = 1; d < dim; ++d)
+            r2 += dx[d][k] * dx[d][k];
+        const double rj = radii[row[k]];
+        const double cutoff = rj > ri ? rj : ri;
+        keep[k] = r2 <= cutoff * cutoff;
     }
 }
 
-/* A 64-bit tag of the pair {i, j} (splitmix64's finaliser), negated for
- * i > j: the tags of (i, j) and (j, i) cancel, a self pair's is 0. */
-static inline uint64_t rp_pair_tag(uint64_t i, uint64_t j)
+/* rp_row_in_range of row i into the row buffers of scratch (4 of cap). */
+static const double *rp_row_keep(const double *xw, const double *radii,
+                                 int64_t i, const int32_t *row, int64_t len,
+                                 int dim, const double *psel,
+                                 const double *pdiv, double *scratch,
+                                 int64_t cap)
 {
-    uint64_t z = i < j ? i << 32 | j : j << 32 | i;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    z ^= z >> 31;
-    return i < j ? z : i > j ? -z : 0;
+    double *const dx[3] = {scratch, scratch + cap, scratch + 2 * cap};
+    double *const keep = scratch + 3 * cap;
+    if (dim == 3)
+        rp_row_in_range(xw, radii, i, row, len, 3, psel, pdiv, dx, keep);
+    else if (dim == 2)
+        rp_row_in_range(xw, radii, i, row, len, 2, psel, pdiv, dx, keep);
+    else
+        rp_row_in_range(xw, radii, i, row, len, 1, psel, pdiv, dx, keep);
+    return keep;
 }
 
 /* The pairs of a CSR list that a symmetric search at radii would keep
@@ -1572,33 +1710,101 @@ static inline uint64_t rp_pair_tag(uint64_t i, uint64_t j)
  * where row j starts, and a scatter pass over ascending i appends i to
  * row j at that cursor for every kept (i, j).  The kept pairs are
  * symmetric, so row j receives exactly its own neighbours, ascending,
- * and each cursor ends where its row ends.  Returns 1, having written
- * nothing, if the kept pairs' tags do not cancel (the list is not
- * symmetric), else 0.  new_offsets[0] must be 0. */
+ * and each cursor ends where its row ends.  Each pass tests a whole row
+ * at once (rp_row_keep; scratch/cap as the pair ops').  Returns 1, having
+ * written nothing, if the kept pairs' tags do not cancel (the list is
+ * not symmetric), -1 when out of memory, else 0.  new_offsets[0] must be
+ * 0. */
 int rp_pairs_within(const double *xw, const double *radii,
                     const int64_t *offsets, const int32_t *indices,
                     int64_t n, int dim, const double *psel,
-                    const double *pdiv, int64_t *new_offsets, int32_t *out)
+                    const double *pdiv, double *scratch, int64_t cap,
+                    int64_t *new_offsets, int32_t *out)
 {
+    /* Two hashes per particle: the tag g_i h_j - g_j h_i of a kept pair
+     * (i, j) cancels the tag of (j, i), and a self pair's is 0. */
+    uint64_t *gh = malloc(sizeof *gh * (size_t)(2 * n + 1));
+    if (!gh)
+        return -1;
+    for (int64_t i = 0; i < 2 * n; ++i)
+        gh[i] = rp_mix((uint64_t)i);
     uint64_t tags = 0;
     for (int64_t i = 0; i < n; ++i) {
+        const int32_t *row = indices + offsets[i];
+        const int64_t len = offsets[i + 1] - offsets[i];
+        const double *keep = rp_row_keep(xw, radii, i, row, len, dim, psel,
+                                         pdiv, scratch, cap);
+        const uint64_t gi = gh[2 * i], hi = gh[2 * i + 1];
         int64_t c = 0;
-        for (int64_t k = offsets[i]; k < offsets[i + 1]; ++k)
-            if (rp_in_range(xw, radii, i, indices[k], dim, psel, pdiv)) {
-                ++c;
-                tags += rp_pair_tag(i, indices[k]);
-            }
+        for (int64_t k = 0; k < len; ++k) {
+            const int64_t j = row[k];
+            const uint64_t tag = gi * gh[2 * j + 1] - gh[2 * j] * hi;
+            tags += keep[k] != 0.0 ? tag : 0;
+            c += keep[k] != 0.0;
+        }
         if (i + 2 <= n)
             new_offsets[i + 2] = c;
     }
+    free(gh);
     if (tags)
         return 1;
     for (int64_t i = 2; i <= n; ++i)
         new_offsets[i] += new_offsets[i - 1];
-    for (int64_t i = 0; i < n; ++i)
-        for (int64_t k = offsets[i]; k < offsets[i + 1]; ++k)
-            if (rp_in_range(xw, radii, i, indices[k], dim, psel, pdiv))
-                out[new_offsets[indices[k] + 1]++] = (int32_t)i;
+    for (int64_t i = 0; i < n; ++i) {
+        const int32_t *row = indices + offsets[i];
+        const int64_t len = offsets[i + 1] - offsets[i];
+        const double *keep = rp_row_keep(xw, radii, i, row, len, dim, psel,
+                                         pdiv, scratch, cap);
+        for (int64_t k = 0; k < len; ++k)
+            if (keep[k] != 0.0)
+                out[new_offsets[row[k] + 1]++] = (int32_t)i;
+    }
+    return 0;
+}
+
+/* NeighborList.merged: the list a (a symmetric search) after the rows
+ * with redo[i] were searched again, symmetrically, into b: row t of b
+ * replaces row t of a, and every other row i keeps its pairs with rows
+ * not searched again and gains, ascending in t, every t whose row of b
+ * holds i — by index alone, no separation is computed.  out_offsets
+ * receives the rows' ends behind out_offsets[0] = 0; out has room for
+ * every row.  Returns -1 when out of memory. */
+int rp_merge_rows(const int64_t *a_offsets, const int32_t *a_indices,
+                  const int64_t *b_offsets, const int32_t *b_indices,
+                  const int8_t *redo, int64_t n, int64_t *out_offsets,
+                  int32_t *out)
+{
+    /* cursor[i]: the pairs row i gains, then where the next one goes */
+    int64_t *cursor = calloc((size_t)(n ? n : 1), sizeof *cursor);
+    if (!cursor)
+        return -1;
+    for (int64_t t = 0; t < n; ++t)
+        if (redo[t])
+            for (int64_t k = b_offsets[t]; k < b_offsets[t + 1]; ++k)
+                cursor[b_indices[k]] += !redo[b_indices[k]];
+    out_offsets[0] = 0;
+    for (int64_t i = 0; i < n; ++i) {
+        int32_t *dst = out + out_offsets[i];
+        int64_t len = 0;
+        if (redo[i]) {
+            len = b_offsets[i + 1] - b_offsets[i];
+            memcpy(dst, b_indices + b_offsets[i], sizeof *dst * (size_t)len);
+        } else {
+            for (int64_t k = a_offsets[i]; k < a_offsets[i + 1]; ++k) {
+                dst[len] = a_indices[k];
+                len += !redo[a_indices[k]];
+            }
+        }
+        const int64_t gained = cursor[i];
+        cursor[i] = out_offsets[i] + len;
+        out_offsets[i + 1] = cursor[i] + gained;
+    }
+    for (int64_t t = 0; t < n; ++t)
+        if (redo[t])
+            for (int64_t k = b_offsets[t]; k < b_offsets[t + 1]; ++k)
+                if (!redo[b_indices[k]])
+                    out[cursor[b_indices[k]]++] = (int32_t)t;
+    free(cursor);
     return 0;
 }
 

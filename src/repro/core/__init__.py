@@ -6,12 +6,7 @@ configuration of Tables 1-4, the parent-code presets, the phase-labelled
 simulation loop of Algorithm 1 and the conservation ledger.
 """
 
-from .config import RunConfig, SimulationConfig
-from .conservation import ConservationState, measure_conservation, relative_drift
-from .particles import ParticleSystem
-from .phases import Phase
-from .presets import CHANGA, PRESETS, SPH_EXA, SPHFLOW, SPHYNX, get_preset
-from .simulation import Simulation, StepStats
+from .._lazy import lazy_exports
 
 __all__ = [
     "ParticleSystem",
@@ -30,3 +25,12 @@ __all__ = [
     "PRESETS",
     "get_preset",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".config": ("RunConfig", "SimulationConfig"),
+    ".conservation": ("ConservationState", "measure_conservation", "relative_drift"),
+    ".particles": ("ParticleSystem",),
+    ".phases": ("Phase",),
+    ".presets": ("CHANGA", "PRESETS", "SPH_EXA", "SPHFLOW", "SPHYNX", "get_preset"),
+    ".simulation": ("Simulation", "StepStats"),
+})

@@ -39,16 +39,18 @@ from __future__ import annotations
 import copy
 import time
 import weakref
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..gravity.barnes_hut import GravityResult, barnes_hut_gravity
-from ..gravity.multipole import compute_node_moments
 from ..observability.tracer import State
 from ..sph.density import compute_density, grad_h_terms
 from ..sph.forces import ForceResult, compute_forces, velocity_divergence_curl
 from ..sph.viscosity import balsara_switch
 from ..tree.neighborlist import balanced_row_slices
+
+if TYPE_CHECKING:  # gravity loads when a step first needs it
+    from ..gravity.barnes_hut import GravityResult
 
 __all__ = ["PhaseExecutor"]
 
@@ -220,6 +222,9 @@ class PhaseExecutor:
 
     def gravity(self, *, phase: str, **options) -> GravityResult:
         """The driver's Barnes-Hut gravity over its particles and octree."""
+        from ..gravity.barnes_hut import GravityResult, barnes_hut_gravity
+        from ..gravity.multipole import compute_node_moments
+
         x, m = self._sim.particles.x, self._sim.particles.m
         ops = self._sim.backend.ops
         tree = options["tree"]

@@ -27,6 +27,7 @@ import numpy as np
 from ..backend import select_backend
 from ..backend.base import backend_ops
 from ..kernels.registry import make_kernel
+from ..observability.config import new_run_id
 from ..observability.tracer import make_tracer
 from ..sph.eos import EquationOfState
 from ..sph.smoothing import (
@@ -130,8 +131,6 @@ class Simulation:
         if self.run_config is None:
             self.run_config = RunConfig()
         if self.run_id is None:
-            from ..observability.ledger import new_run_id
-
             self.run_id = new_run_id(self.scenario or self.config.label)
         self.kernel = make_kernel(self.config.kernel)
         self.time = 0.0
@@ -237,16 +236,17 @@ class Simulation:
         """
         p, tr = self.particles, self.tracer
 
-        def search(x, radii, box, mode):
+        def search(x, radii, box, mode, rows=None):
             # Called from inside the h iteration (phase C), so the
             # search's B span nests in C's.  The h iteration only counts
             # over this list and ends on ``within``, which orders what
-            # survives.
+            # survives; ``rows`` re-searches the rows that out-grew it.
             if self._tree is None:
                 self._tree = Octree.build(p.x, self.box)
             with tr.phase(Phase.NEIGHBOR_SEARCH.letter):
                 return self._tree.walk_neighbors(
-                    x, radii, mode=mode, ops=self.backend.ops, sort_rows=False
+                    x, radii, mode=mode, ops=self.backend.ops, sort_rows=False,
+                    rows=rows,
                 )
 
         # Every pair outside kernel support contributes an exact zero.  The
@@ -490,7 +490,7 @@ class Simulation:
         """
         self._phases.close()
         obs = self.run_config.observability
-        if self.tracer.enabled:
+        if self.tracer.enabled and (obs.chrome_trace_path or obs.jsonl_path):
             from ..observability.export import write_chrome_trace, write_jsonl
 
             if obs.chrome_trace_path:

@@ -5,14 +5,7 @@ SPHYNX) through hexadecapole ("16-pole", ChaNGa) — plus the direct O(N^2)
 baseline used for validation.
 """
 
-from .barnes_hut import GravityResult, barnes_hut_gravity, potential_energy
-from .direct import direct_gravity
-from .multipole import (
-    MULTIPOLE_ORDERS,
-    NodeMoments,
-    compute_node_moments,
-    evaluate_multipoles,
-)
+from .._lazy import lazy_exports
 
 __all__ = [
     "GravityResult",
@@ -24,3 +17,12 @@ __all__ = [
     "compute_node_moments",
     "evaluate_multipoles",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".barnes_hut": ("GravityResult", "barnes_hut_gravity", "potential_energy"),
+    ".direct": ("direct_gravity",),
+    ".multipole": (
+        "MULTIPOLE_ORDERS", "NodeMoments", "compute_node_moments",
+        "evaluate_multipoles",
+    ),
+})

@@ -9,24 +9,7 @@ Kelvin–Helmholtz shear layer, the Gresho–Chan vortex and the wind–cloud
 (blob) test, and the lattice helpers they all share.
 """
 
-from .evrard import EvrardConfig, evrard_density_profile, make_evrard
-from .gresho import (
-    GreshoConfig,
-    gresho_pressure_profile,
-    gresho_velocity_profile,
-    make_gresho,
-)
-from .kelvin_helmholtz import KelvinHelmholtzConfig, make_kelvin_helmholtz
-from .lattice import cubic_lattice, lattice_sphere, side_for_count
-from .noh import NohConfig, make_noh
-from .sedov import SedovConfig, make_sedov
-from .sod import SodConfig, make_sod
-from .square_patch import (
-    SquarePatchConfig,
-    make_square_patch,
-    patch_pressure_field,
-)
-from .wind_cloud import WindCloudConfig, make_wind_cloud
+from .._lazy import lazy_exports
 
 __all__ = [
     "EvrardConfig",
@@ -53,3 +36,20 @@ __all__ = [
     "lattice_sphere",
     "side_for_count",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".evrard": ("EvrardConfig", "evrard_density_profile", "make_evrard"),
+    ".gresho": (
+        "GreshoConfig", "gresho_pressure_profile", "gresho_velocity_profile",
+        "make_gresho",
+    ),
+    ".kelvin_helmholtz": ("KelvinHelmholtzConfig", "make_kelvin_helmholtz"),
+    ".lattice": ("cubic_lattice", "lattice_sphere", "side_for_count"),
+    ".noh": ("NohConfig", "make_noh"),
+    ".sedov": ("SedovConfig", "make_sedov"),
+    ".sod": ("SodConfig", "make_sod"),
+    ".square_patch": (
+        "SquarePatchConfig", "make_square_patch", "patch_pressure_field",
+    ),
+    ".wind_cloud": ("WindCloudConfig", "make_wind_cloud"),
+})

@@ -27,36 +27,7 @@ budget is ≤ 2 % of step time (enforced by
 :class:`NullTracer`.
 """
 
-from .config import ObservabilityConfig
-from .export import (
-    to_chrome_trace,
-    to_jsonl,
-    write_chrome_trace,
-    write_jsonl,
-)
-from .ledger import (
-    RunLedger,
-    RunRecord,
-    code_version,
-    fingerprint_id,
-    host_fingerprint,
-    record_from_simulation,
-)
-from .pop import PopMetrics, pop_from_events
-from .report import (
-    RunReport,
-    format_gravity,
-    format_neighbor_cache,
-)
-from .timeline import STATE_CHARS, render_timeline
-from .tracer import (
-    NullTracer,
-    State,
-    TraceEvent,
-    Tracer,
-    make_tracer,
-    self_times,
-)
+from .._lazy import lazy_exports
 
 __all__ = [
     "ObservabilityConfig",
@@ -84,3 +55,19 @@ __all__ = [
     "write_chrome_trace",
     "write_jsonl",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".config": ("ObservabilityConfig",),
+    ".export": ("to_chrome_trace", "to_jsonl", "write_chrome_trace", "write_jsonl"),
+    ".ledger": (
+        "RunLedger", "RunRecord", "code_version", "fingerprint_id",
+        "host_fingerprint", "record_from_simulation",
+    ),
+    ".pop": ("PopMetrics", "pop_from_events"),
+    ".report": ("RunReport", "format_gravity", "format_neighbor_cache"),
+    ".timeline": ("STATE_CHARS", "render_timeline"),
+    ".tracer": (
+        "NullTracer", "State", "TraceEvent", "Tracer", "make_tracer",
+        "self_times",
+    ),
+})

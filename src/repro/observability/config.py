@@ -2,10 +2,17 @@
 
 from __future__ import annotations
 
+import uuid
 from dataclasses import dataclass, replace
 from typing import Optional
 
-__all__ = ["ObservabilityConfig"]
+__all__ = ["ObservabilityConfig", "new_run_id"]
+
+
+def new_run_id(scenario: str) -> str:
+    """Unique, human-sortable run id (``<scenario>-<hex8>``): what the run
+    ledger and the job manager key a run by."""
+    return f"{scenario}-{uuid.uuid4().hex[:8]}"
 
 
 @dataclass(frozen=True)

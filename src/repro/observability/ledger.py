@@ -38,15 +38,16 @@ import hashlib
 import json
 import os
 import platform
-import sqlite3
 import time
-import uuid
 import warnings
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
-from .sqlite_file import open_versioned
+from .config import new_run_id
+
+if TYPE_CHECKING:  # the store's module loads sqlite3 when a ledger opens
+    import sqlite3
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -188,11 +189,6 @@ class RunRecord:
         return float(v) if v is not None else None
 
 
-def new_run_id(scenario: str) -> str:
-    """Unique, human-sortable run id (``<scenario>-<hex8>``)."""
-    return f"{scenario}-{uuid.uuid4().hex[:8]}"
-
-
 # ----------------------------------------------------------------------
 # The store
 # ----------------------------------------------------------------------
@@ -230,6 +226,8 @@ class RunLedger:
     """
 
     def __init__(self, path):
+        from .sqlite_file import open_versioned
+
         self.path = Path(path)
         self._conn: Optional[sqlite3.Connection] = open_versioned(
             self.path,
@@ -294,6 +292,8 @@ class RunLedger:
 
     def get(self, run_id: str) -> Optional[RunRecord]:
         """Look up one run by id, or ``None``."""
+        import sqlite3
+
         self._conn.row_factory = sqlite3.Row
         row = self._conn.execute(
             "SELECT * FROM runs WHERE run_id=?", (run_id,)
@@ -327,6 +327,8 @@ class RunLedger:
         if limit is not None:
             sql += " LIMIT ?"
             params.append(int(limit))
+        import sqlite3
+
         self._conn.row_factory = sqlite3.Row
         return [self._from_row(r) for r in self._conn.execute(sql, params)]
 

@@ -2,7 +2,9 @@
 
 Importing this package registers the eight built-in scenarios (the
 paper's square patch and Evrard collapse plus Sedov–Taylor, Sod, Noh,
-Gresho, Kelvin–Helmholtz and wind–cloud).  Each entry bundles its IC
+Gresho, Kelvin–Helmholtz and wind–cloud) without importing their IC
+builders, exact solutions or golden records: each loads when a run or a
+check first needs it.  Each entry bundles its IC
 builder, solver configuration, conserved-quantity tolerances, committed
 golden master and — where an exact solution exists — an analytic
 L1-error gate (:mod:`repro.scenarios.analytic`).
@@ -12,22 +14,7 @@ L1-error gate (:mod:`repro.scenarios.analytic`).
     sim.run(n_steps=10)
 """
 
-from .analytic import (
-    NohSolution,
-    RiemannSolution,
-    SedovSolution,
-    solve_riemann,
-)
-from .golden import (
-    GOLDEN_ATOL,
-    GOLDEN_RTOL,
-    compare_records,
-    golden_path,
-    load_golden,
-    record_run,
-    run_scenario_record,
-    write_golden,
-)
+from .._lazy import lazy_exports
 from .library import register_builtin_scenarios
 from .registry import (
     AnalyticGate,
@@ -63,3 +50,11 @@ __all__ = [
     "write_golden",
     "load_golden",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".analytic": ("NohSolution", "RiemannSolution", "SedovSolution", "solve_riemann"),
+    ".golden": (
+        "GOLDEN_ATOL", "GOLDEN_RTOL", "compare_records", "golden_path",
+        "load_golden", "record_run", "run_scenario_record", "write_golden",
+    ),
+})

@@ -32,15 +32,6 @@ from ..core.particles import ParticleSystem
 from ..sph.eos import EquationOfState
 from ..sph.viscosity import ViscosityParams
 from ..timestepping.criteria import TimestepParams
-from ..ics.evrard import EvrardConfig, make_evrard
-from ..ics.gresho import GreshoConfig, gresho_velocity_profile, make_gresho
-from ..ics.kelvin_helmholtz import KelvinHelmholtzConfig, make_kelvin_helmholtz
-from ..ics.noh import NohConfig, make_noh
-from ..ics.sedov import SedovConfig, make_sedov
-from ..ics.sod import SodConfig, make_sod
-from ..ics.square_patch import SquarePatchConfig, make_square_patch
-from ..ics.wind_cloud import WindCloudConfig, make_wind_cloud
-from .analytic import NohSolution, SedovSolution, solve_riemann
 from .registry import AnalyticGate, Scenario, register
 
 __all__ = ["register_builtin_scenarios"]
@@ -66,6 +57,8 @@ def _sedov_errors(
     and would dilute the error.  The default box (edge 1) keeps the
     shock well inside the periodic images at gate time.
     """
+    from .analytic import SedovSolution
+
     sol = SedovSolution(gamma=5.0 / 3.0, j=3)
     r = np.sqrt(np.einsum("ij,ij->i", particles.x, particles.x))
     window = r < 2.0 * sol.shock_radius(time)
@@ -86,6 +79,8 @@ def _sod_errors(
     carries the mirror discontinuity; its fastest disturbance moves at
     |v| + c ≲ 1.8, so for t ≲ 0.35 the window is causally clean.
     """
+    from .analytic import solve_riemann
+
     sol = solve_riemann(1.0, 0.0, 1.0, 0.125, 0.0, 0.1, gamma=1.4)
     x = particles.x[:, 0]
     window = np.abs(x - 0.5) < 0.35
@@ -107,6 +102,8 @@ def _noh_errors(
     edges free-stream inward at v0 = 1, reaching |x| = 0.25 only at
     t = 0.75 — far beyond the gate time.
     """
+    from .analytic import NohSolution
+
     sol = NohSolution(gamma=5.0 / 3.0, j=1)
     x = particles.x[:, 0]
     window = np.abs(x) < 0.25
@@ -128,6 +125,8 @@ def _gresho_errors(
     diffusion by the scheme (mostly artificial viscosity).  Window:
     r < 0.45 (vortex plus rim; the quiescent corners match trivially).
     """
+    from ..ics.gresho import gresho_velocity_profile
+
     x = particles.x
     r = np.sqrt(np.einsum("ij,ij->i", x, x))
     window = r < 0.45
@@ -148,8 +147,8 @@ def register_builtin_scenarios() -> None:
         Scenario(
             name="square-patch",
             description="Rotating square patch (paper Table 5, Colagrossi 2005)",
-            builder=make_square_patch,
-            config_type=SquarePatchConfig,
+            builder="square_patch:make_square_patch",
+            config_type="square_patch:SquarePatchConfig",
             params={"side": 12, "layers": 6},
             test_params={"side": 10, "layers": 6},
             sim_config=SimulationConfig(
@@ -165,8 +164,8 @@ def register_builtin_scenarios() -> None:
             name="evrard",
             size_param="n_target",
             description="Evrard adiabatic collapse (paper Table 5, Evrard 1988)",
-            builder=make_evrard,
-            config_type=EvrardConfig,
+            builder="evrard:make_evrard",
+            config_type="evrard:EvrardConfig",
             params={"n_target": 2000},
             test_params={"n_target": 500},
             sim_config=SimulationConfig(n_neighbors=40, gravity="monopole"),
@@ -178,8 +177,8 @@ def register_builtin_scenarios() -> None:
             name="sedov",
             size_param="nx",
             description="Sedov-Taylor point blast, 3-D (exact similarity gate)",
-            builder=make_sedov,
-            config_type=SedovConfig,
+            builder="sedov:make_sedov",
+            config_type="sedov:SedovConfig",
             params={"nx": 10},
             test_params={"nx": 8},
             sim_config=SimulationConfig(
@@ -202,8 +201,8 @@ def register_builtin_scenarios() -> None:
             name="sod",
             size_param="n_target",
             description="Sod shock tube, 1-D (exact Riemann gate)",
-            builder=make_sod,
-            config_type=SodConfig,
+            builder="sod:make_sod",
+            config_type="sod:SodConfig",
             params={"n_target": 450},
             test_params={"n_target": 200},
             sim_config=SimulationConfig(n_neighbors=9),
@@ -221,8 +220,8 @@ def register_builtin_scenarios() -> None:
             name="noh",
             size_param="n_target",
             description="Noh implosion, planar 1-D (exact shock gate)",
-            builder=make_noh,
-            config_type=NohConfig,
+            builder="noh:make_noh",
+            config_type="noh:NohConfig",
             params={"n_target": 400},
             test_params={"n_target": 200},
             sim_config=SimulationConfig(
@@ -242,8 +241,8 @@ def register_builtin_scenarios() -> None:
             name="gresho",
             size_param="nx",
             description="Gresho-Chan vortex, 2-D (steady-state preservation gate)",
-            builder=make_gresho,
-            config_type=GreshoConfig,
+            builder="gresho:make_gresho",
+            config_type="gresho:GreshoConfig",
             params={"nx": 32},
             test_params={"nx": 16},
             sim_config=SimulationConfig(
@@ -264,8 +263,8 @@ def register_builtin_scenarios() -> None:
             name="kelvin-helmholtz",
             size_param="nx",
             description="Kelvin-Helmholtz shear layer, 2-D (McNally-style trigger)",
-            builder=make_kelvin_helmholtz,
-            config_type=KelvinHelmholtzConfig,
+            builder="kelvin_helmholtz:make_kelvin_helmholtz",
+            config_type="kelvin_helmholtz:KelvinHelmholtzConfig",
             params={"nx": 32},
             test_params={"nx": 16},
             sim_config=SimulationConfig(
@@ -280,8 +279,8 @@ def register_builtin_scenarios() -> None:
             name="wind-cloud",
             size_param="nx",
             description="Wind-cloud (blob) interaction, 3-D, density contrast 5",
-            builder=make_wind_cloud,
-            config_type=WindCloudConfig,
+            builder="wind_cloud:make_wind_cloud",
+            config_type="wind_cloud:WindCloudConfig",
             params={"nx": 14},
             test_params={"nx": 10},
             sim_config=SimulationConfig(

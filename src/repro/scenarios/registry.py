@@ -17,7 +17,9 @@ the conformance test suite, the golden-master tooling
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
+from importlib import import_module
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from ..core.config import RunConfig, SimulationConfig
@@ -102,8 +104,11 @@ class Scenario:
 
     name: str
     description: str
-    builder: Callable[..., BuildResult]
-    config_type: type
+    #: The IC builder and its config dataclass as ``"module:name"`` in
+    #: :mod:`repro.ics`, imported on first use (:meth:`ic`): the registry
+    #: lists eight scenarios, a run builds one.
+    builder: str
+    config_type: str
     params: Mapping[str, Any] = field(default_factory=dict)
     test_params: Mapping[str, Any] = field(default_factory=dict)
     sim_config: SimulationConfig = field(default_factory=SimulationConfig)
@@ -119,6 +124,10 @@ class Scenario:
     #: scenario is sized by other flags (square patch: --side/--layers).
     size_param: Optional[str] = None
 
+    def ic(self) -> Tuple[Callable[..., BuildResult], type]:
+        """``(builder, config_type)``, importing their IC module."""
+        return _ics_object(self.builder), _ics_object(self.config_type)
+
     def build(
         self, *, test: bool = False, n_neighbors: Optional[int] = None,
         **overrides: Any,
@@ -129,7 +138,8 @@ class Scenario:
         kwargs = dict(self.test_params if test else self.params)
         kwargs.update(overrides)
         n_neighbors = n_neighbors or self.sim_config.n_neighbors
-        return self.builder(self.config_type(**kwargs), n_neighbors)
+        builder, config_type = self.ic()
+        return builder(config_type(**kwargs), n_neighbors)
 
     def make_simulation(
         self,
@@ -170,6 +180,12 @@ class Scenario:
             return self.analytic.check(sim.particles, sim.eos, sim.time)
         finally:
             sim.close()
+
+
+@functools.cache
+def _ics_object(ref: str):
+    module, _, name = ref.partition(":")
+    return getattr(import_module(f"repro.ics.{module}"), name)
 
 
 _REGISTRY: Dict[str, Scenario] = {}

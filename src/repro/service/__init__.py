@@ -31,18 +31,7 @@ call.  This package turns it into a service:
     transport, one handler thread per connection.
 """
 
-from .events import JobEvent, JobEventLog
-from .manager import (
-    JobHandle,
-    JobState,
-    LocalService,
-    ServiceConfig,
-    ServiceManager,
-)
-from .queue import FairShareQueue, QueueFullError
-from .runner import JobOutcome, execute_spec, field_digests
-from .spec import JobSpec, SpecError
-from .store import CachedResult, ResultStore
+from .._lazy import lazy_exports
 
 __all__ = [
     "JobSpec",
@@ -62,3 +51,15 @@ __all__ = [
     "ServiceManager",
     "LocalService",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".events": ("JobEvent", "JobEventLog"),
+    ".manager": (
+        "JobHandle", "JobState", "LocalService", "ServiceConfig",
+        "ServiceManager",
+    ),
+    ".queue": ("FairShareQueue", "QueueFullError"),
+    ".runner": ("JobOutcome", "execute_spec", "field_digests"),
+    ".spec": ("JobSpec", "SpecError"),
+    ".store": ("CachedResult", "ResultStore"),
+})

@@ -26,12 +26,14 @@ its cache line with an unfaulted one).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, field, fields, replace
 from typing import Any, Dict, Mapping, Optional
 
 from ..core.config import ExecConfig, RunConfig
+from ..scenarios import UnknownScenarioError, get_scenario
 
 __all__ = ["SpecError", "JobSpec", "canonical_spec_payload"]
 
@@ -94,6 +96,7 @@ class JobSpec:
             raise SpecError(f"chaos must be a string, got {self.chaos!r}")
         if not isinstance(self.overrides, Mapping):
             raise SpecError(f"overrides must be a mapping, got {self.overrides!r}")
+        self._check_overrides()
         if self.n_steps is not None and self.n_steps < 1:
             raise SpecError(f"n_steps must be >= 1, got {self.n_steps}")
         try:
@@ -103,30 +106,44 @@ class JobSpec:
         if not isinstance(self.overrides, dict):
             object.__setattr__(self, "overrides", dict(self.overrides))
 
+    def _check_overrides(self) -> None:
+        """Every override names a field of the scenario's IC config and has
+        that field's type — checked, never converted, so a valid spec
+        hashes as it always did.  An unknown scenario is left to
+        :meth:`resolve`."""
+        try:
+            scenario = get_scenario(self.scenario)
+        except UnknownScenarioError:
+            return
+        types = _field_types(scenario.ic()[1])
+        unknown = set(self.overrides) - set(types)
+        if unknown:
+            raise SpecError(
+                f"unknown {scenario.name} override(s) "
+                f"{sorted(unknown)}; known: {sorted(types)}"
+            )
+        for name, value in self.overrides.items():
+            if not _has_type(value, types[name]):
+                raise SpecError(
+                    f"{scenario.name} override {name} must be "
+                    f"{types[name]}, got {value!r}"
+                )
+
     # ------------------------------------------------------------------
     # Resolution against the scenario registry
     # ------------------------------------------------------------------
     def resolve(self):
         """Validate against the registry; returns the Scenario.
 
-        Raises :class:`SpecError` for an unknown scenario, unknown
-        override names, a bad chaos spelling or a size flag the scenario
-        does not accept — every way a request can be malformed, caught
-        before anything is enqueued.
+        Raises :class:`SpecError` for an unknown scenario or a bad chaos
+        spelling; the overrides' names and types were checked when the
+        spec was built.  Either way a malformed request is caught before
+        anything is enqueued.
         """
-        from ..scenarios import UnknownScenarioError, get_scenario
-
         try:
             scenario = get_scenario(self.scenario)
         except UnknownScenarioError as exc:
             raise SpecError(exc.args[0]) from None
-        known = {f.name for f in fields(scenario.config_type)}
-        unknown = set(self.overrides) - known
-        if unknown:
-            raise SpecError(
-                f"unknown {scenario.name} override(s) "
-                f"{sorted(unknown)}; known: {sorted(known)}"
-            )
         if self.chaos is not None:
             from ..resilience.chaos import parse_numerical_faults
 
@@ -275,6 +292,37 @@ class JobSpec:
     def with_(self, **kwargs) -> "JobSpec":
         """Functional update (frozen dataclass convenience)."""
         return replace(self, **kwargs)
+
+
+@functools.cache
+def _field_types(config_type: type) -> Dict[str, str]:
+    """Field name -> annotation of an IC config dataclass."""
+    return {f.name: f.type for f in fields(config_type)}
+
+
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _has_type(value: Any, annotation: str) -> bool:
+    """Whether ``value`` (JSON-decoded) fits an IC-config field annotated
+    ``annotation``: an ``int`` takes an integer, a ``float`` any number,
+    a ``str`` a string, a ``tuple[float, ...]`` a list or tuple of that
+    many numbers.  An annotation not spelled here is not checked."""
+    if annotation == "int":
+        return isinstance(value, int) and not isinstance(value, bool)
+    if annotation == "float":
+        return _is_number(value)
+    if annotation == "str":
+        return isinstance(value, str)
+    if annotation.startswith("tuple[") and annotation.endswith("]"):
+        items = annotation[len("tuple["):-1].split(",")
+        return (
+            isinstance(value, (list, tuple))
+            and len(value) == len(items)
+            and all(_has_type(v, item.strip()) for v, item in zip(value, items))
+        )
+    return True
 
 
 def canonical_spec_payload(payload: Mapping[str, Any]) -> bytes:

@@ -27,19 +27,33 @@ __all__ = ["process_worker_main", "warm"]
 def warm() -> None:
     """Load in the forking process what every job attempt would load.
 
-    ``ServiceManager.start()`` calls this under process isolation: the
-    modules :func:`~repro.service.runner.execute_spec` reaches through
-    function-local imports, and the memoised per-process facts each job
+    ``ServiceManager.start()`` calls this under process isolation: every
+    name the packages export (they load lazily, so a one-shot run
+    imports its own path only — a job of any scenario finds its IC
+    builder, gravity and checkpoint modules here), the modules
+    :func:`~repro.service.runner.execute_spec` reaches through
+    function-local imports, the memoised per-process facts each job
     stamps into its spec hash and ledger row, and the quadrature rule
     behind every integrated kernel normalization.  A forked child then
     pays for its physics, checkpoints and ledger row only.  Still one
     process per attempt (nothing is pooled or kept alive) and nothing is
     compiled; imports and ``functools.cache`` make a second call free.
     """
-    from .. import resilience  # noqa: F401
-    from ..kernels.base import gauss_legendre_rule
-    from ..observability import ledger
+    import repro
 
+    from .. import (
+        api, core, gravity, ics, observability, resilience, scenarios,
+        service, tree,
+    )
+    from ..kernels.base import gauss_legendre_rule
+    from ..observability import ledger, sqlite_file  # noqa: F401
+
+    for package in (
+        repro, api, core, gravity, ics, observability, resilience, scenarios,
+        service, tree,
+    ):
+        for name in package.__all__:
+            getattr(package, name)
     ledger.host_fingerprint()
     ledger.code_version()
     gauss_legendre_rule()

@@ -18,24 +18,28 @@ One list build costs one neighbour search, padded by :data:`GROWTH_PAD`:
 the sweeps count off the separations of one symmetric list, which holds
 every gather neighbour while ``h`` stays inside the radius it was
 searched at.  Only a particle that out-grows it triggers another search,
-and the final list is cut from the searched one by
-:meth:`NeighborList.within` — array for array what a fresh search at the
-final ``h`` returns, rows ascending (so a search handed in here need not
-order its rows).  Every list is searched at the Verlet cache's padded
-radius ``(1 + SKIN) * 2 h`` and stored in the cache, which later
-evaluations iterate off while the state stays inside the skin.  On numpy each row's separations are sorted once and a
-sweep counts the running rows by bisection.
+for the rows still running (a search that takes a ``rows`` mask, as the
+driver's tree walk does, searches those alone), merged into the list by
+:meth:`NeighborList.merged`.  The final list is cut from
+the searched one by :meth:`NeighborList.within` — array for array what a
+fresh search at the final ``h`` returns, rows ascending (so a search
+handed in here need not order its rows).  Every list is searched at the
+Verlet cache's padded radius ``(1 + SKIN) * 2 h`` and stored in the
+cache, which later evaluations iterate off while the state stays inside
+the skin.  On numpy each row's separations are sorted once and a sweep
+counts the running rows by bisection.
 """
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
 
+from .._lazy import lazy_exports
 from ..tree.box import Box
-from ..tree.cellgrid import cell_grid_search
 from ..tree.neighborlist import NeighborList, VerletNeighborCache
 
 __all__ = [
@@ -45,6 +49,13 @@ __all__ = [
     "adapt_smoothing_lengths",
     "adapt_from_cached_list",
 ]
+
+
+#: The default search, the cell grid, loads when a build first needs it
+#: (the driver hands in its tree walk, so a run never does).
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "..tree.cellgrid": ("cell_grid_search",),
+})
 
 
 @dataclass(frozen=True)
@@ -114,8 +125,10 @@ def adapt_smoothing_lengths(
     phases run over (below; else ``None``).  The list is stored in
     ``cache`` with the reference ``x``/``h``, and the cache's stats count
     the build; the counts that drive the iteration are always those
-    within ``r <= 2 h_i``.  ``search`` defaults to the cell grid
-    (``octree.walk_neighbors``-like callables use the tree walk).
+    within ``r <= 2 h_i``.  ``search(x, radii, box, mode)`` defaults to
+    the cell grid (``octree.walk_neighbors``-like callables use the tree
+    walk); one that also takes ``rows`` (a boolean mask) is asked for the
+    rows still running alone when they out-grow the list it built.
 
     With a compiled ``backend`` the sweeps a list can serve run in one
     row-local op (``CompiledOps.adapt``), bitwise the numpy loop.  Given
@@ -166,29 +179,39 @@ def _adapt(
     if ops is None:
         support = None
     if search is None:
+        from ..tree.cellgrid import cell_grid_search
+
         search = lambda x, radii, box, mode: cell_grid_search(  # noqa: E731
             x, radii, box, mode=mode
         )
     factor = cache.search_factor
     stats = cache.stats
     budget = cache.h_budget
+    by_rows = "rows" in inspect.signature(search).parameters
     h = particles.h
     start = h.copy()
     state = np.zeros(particles.n, dtype=np.int8)
     sweeps = np.zeros(particles.n, dtype=np.int32)
-    built = False
     cut = None
+
+    def searched(rows=None) -> NeighborList:
+        # Every row padded by GROWTH_PAD, a row still running by the
+        # growth it has shown on top (1 on a first search); ``rows`` are
+        # the rows the caller will read.
+        nonlocal budget
+        budget = h * GROWTH_PAD
+        running = state == RUNNING
+        budget[running] *= h[running] / start[running]
+        extra = {"rows": rows} if rows is not None and by_rows else {}
+        found = search(particles.x, factor * budget, box, "symmetric", **extra)
+        stats.searches += 1
+        stats.pairs_searched += found.n_pairs
+        return found
+
+    built = nlist is None
+    if built:
+        nlist = searched()
     while True:
-        if nlist is None:
-            # A row still running out-grew a list: pad it by the growth it
-            # has shown on top (1 on a first search), for one re-search.
-            budget = h * GROWTH_PAD
-            running = state == RUNNING
-            budget[running] *= h[running] / start[running]
-            nlist = search(particles.x, factor * budget, box, "symmetric")
-            stats.searches += 1
-            stats.pairs_searched += nlist.n_pairs
-            built = True
         # The update factor per count, by the update function at h = 1:
         # h * F[c] is its 0.5 * h * (1 + p) to the bit.
         table = update_smoothing_lengths(
@@ -205,9 +228,17 @@ def _adapt(
                  else nlist.pair_geometry(particles.x, box)[1])
             _sweep_rows(_sorted_rows(nlist, r), h, budget, table, config,
                         particles.dim, state, sweeps)
-        if not np.any(state == RUNNING):
+        running = state == RUNNING
+        if not np.any(running):
             break
-        nlist = None
+        # A row still running out-grew the list.  One this call searched
+        # keeps its other rows, and only the running ones are searched
+        # again and merged in; the cached list (searched at other
+        # positions) is replaced.
+        if built:
+            nlist = nlist.merged(searched(running), running, ops)
+        else:
+            nlist, built = searched(), True
     stats.adaptations += 1
     stats.particles += particles.n
     stats.sweeps += int(sweeps.sum())

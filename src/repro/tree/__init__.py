@@ -6,17 +6,7 @@ vectorized tree-walk neighbour search (the paper-faithful path, Table 1
 container every SPH kernel consumes.
 """
 
-from .box import Box
-from .cellgrid import CellGrid, cell_grid_search
-from .morton import (
-    hilbert_encode,
-    hilbert_keys,
-    morton_decode,
-    morton_encode,
-    morton_keys,
-)
-from .neighborlist import NeighborList
-from .octree import Octree
+from .._lazy import lazy_exports
 
 __all__ = [
     "Box",
@@ -30,3 +20,14 @@ __all__ = [
     "hilbert_encode",
     "hilbert_keys",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".box": ("Box",),
+    ".cellgrid": ("CellGrid", "cell_grid_search"),
+    ".morton": (
+        "hilbert_encode", "hilbert_keys", "morton_decode", "morton_encode",
+        "morton_keys",
+    ),
+    ".neighborlist": ("NeighborList",),
+    ".octree": ("Octree",),
+})

@@ -296,6 +296,42 @@ class NeighborList:
         np.cumsum(counts, out=offsets[1:])
         return NeighborList(offsets=offsets, indices=indices)
 
+    def merged(
+        self, fresh: "NeighborList", rows: np.ndarray, ops=None
+    ) -> "NeighborList":
+        """This list — a symmetric search — after its ``rows`` (a boolean
+        mask) were searched again, symmetrically, into ``fresh`` at radii
+        that grew for them.
+
+        Those rows are ``fresh``'s, and every other row keeps its pairs
+        with the rows not searched again and takes its pairs with the
+        others from ``fresh``, reversed — by index alone, each pair once.
+        A pair with a re-searched row is held both ways when ``fresh``
+        holds it, any other pair when this list does, so every pair within
+        the radii of either search for its rows is there to cut; with the
+        other rows' radii unchanged the result is, as sets, the symmetric
+        search at the grown radii.  Rows are unordered; ``ops`` is the
+        compiled op table (``None`` = numpy); ``fresh``'s other rows are
+        never read (a search of every row serves as well).
+        """
+        rows = np.asarray(rows, dtype=bool)
+        if ops is not None:
+            return NeighborList(
+                *ops.merge_rows(self.as_int32(), fresh.as_int32(), rows)
+            )
+        i, j = self.pairs()
+        t, k = fresh.pairs()
+        kept, redone = ~rows[i] & ~rows[j], rows[t]
+        t, k = t[redone], k[redone]
+        back = ~rows[k]
+        counts, indices = canonical_rows(
+            np.concatenate([i[kept], t, k[back]]),
+            np.concatenate([j[kept], k, t[back]]), 0, self.n, self.n,
+        )
+        offsets = np.zeros(self.n + 1, dtype=np.int64)
+        np.cumsum(counts, out=offsets[1:])
+        return NeighborList(offsets=offsets, indices=indices)
+
     # ------------------------------------------------------------------
     def pair_geometry(
         self, x: np.ndarray, box: Box | None = None, row_offset: int = 0

@@ -274,6 +274,7 @@ class Octree:
         node_rmax: np.ndarray | None = None,
         ops=None,
         sort_rows: bool = True,
+        rows: np.ndarray | None = None,
     ) -> NeighborList:
         """Neighbour discovery by tree walk (Table 1 "Tree Walk").
 
@@ -293,6 +294,10 @@ class Octree:
         row in traversal order, for a caller that only counts or filters
         the list (the h iteration, which ends on
         :meth:`NeighborList.within`); rows are ascending otherwise.
+        ``rows`` (a boolean mask over the particles) searches only those
+        rows and leaves the others empty — how the h iteration searches
+        again for the rows that out-grew its list
+        (:meth:`NeighborList.merged`).
         """
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         n = x.shape[0]
@@ -304,10 +309,13 @@ class Octree:
         if mode not in ("gather", "symmetric"):
             raise ValueError(f"mode must be 'gather' or 'symmetric', got {mode!r}")
         xw = self.box.wrap(x)
+        if rows is not None:
+            rows = np.broadcast_to(np.asarray(rows, dtype=bool), (n,))
         if ops is not None:
             return NeighborList(
                 *ops.walk_neighbors(
-                    self, xw, radii, mode == "symmetric", include_self, sort_rows
+                    self, xw, radii, mode == "symmetric", include_self,
+                    sort_rows, rows,
                 )
             )
         if mode == "gather":
@@ -317,22 +325,30 @@ class Octree:
 
         indices_parts: list[np.ndarray] = []
         counts_out = np.zeros(n, dtype=np.int64)
+        # The queries: every particle, or the ``rows`` (the walk then runs
+        # over their positions and radii, and ``queries`` maps back).
+        queries, xq, rq = None, xw, radii
+        if rows is not None:
+            queries = np.flatnonzero(rows)
+            xq, rq = xw[queries], radii[queries]
+        n_q = xq.shape[0]
         # Queries go in blocks sized so that each block's candidate set —
         # the walk's only large allocation — stays near _CANDIDATE_BLOCK
         # whatever the radii: the next block's size follows from the
         # candidates per query the previous one found.
-        lo_q, block = 0, min(n, 64)
-        while lo_q < n:
-            hi_q = min(lo_q + block, n)
-            qi, cj = self._leaf_candidates(xw, radii, node_rmax, lo_q, hi_q)
-            per_query = max(qi.size / (hi_q - lo_q), 1.0)
+        lo_q, block = 0, min(n_q, 64)
+        while lo_q < n_q:
+            hi_q = min(lo_q + block, n_q)
+            qk, cj = self._leaf_candidates(xq, rq, node_rmax, lo_q, hi_q)
+            per_query = max(qk.size / (hi_q - lo_q), 1.0)
             block = max(int(_CANDIDATE_BLOCK / per_query), 1)
+            qi = qk if queries is None else queries[qk]
             keep = pairs_in_range(xw, qi, cj, radii, self.box, mode)
             if not include_self:
                 keep &= qi != cj
-            counts_out[lo_q:hi_q], kept = canonical_rows(
-                qi[keep], cj[keep], lo_q, hi_q, n
-            )
+            counts, kept = canonical_rows(qk[keep], cj[keep], lo_q, hi_q, n)
+            block_rows = slice(lo_q, hi_q) if queries is None else queries[lo_q:hi_q]
+            counts_out[block_rows] = counts
             indices_parts.append(kept)
             lo_q = hi_q
 

@@ -105,6 +105,44 @@ def test_run_path_never_loads_scipy(fresh_interpreter):
         assert heavy == [], f"after {stage}: {heavy[:5]}"
 
 
+_ONE_PATCH_STEP = """
+import json, sys
+from repro import api
+
+outcome = api.run("square-patch", n_steps=1, backend="cffi")
+print(json.dumps({"backend": outcome.report["backend"]["name"],
+                  "steps": outcome.steps, "loaded": sorted(sys.modules)}))
+"""
+
+#: What one compiled square-patch step never needs: the C parser (the
+#: backend loads its pre-parsed FFI module), the service's job manager
+#: and its stdlib (processes, sqlite, sockets), the exact solutions and
+#: goldens, gravity, the cell grid and every other scenario's ICs.
+_OFF_THE_RUN_PATH = (
+    "pycparser", "multiprocessing", "sqlite3",
+    "repro.service.manager", "repro.service.store", "repro.service.queue",
+    "repro.service.events", "repro.service.worker",
+    "repro.scenarios.analytic", "repro.scenarios.golden",
+    "repro.gravity", "repro.tree.cellgrid",
+)
+
+
+def test_one_compiled_patch_step_imports_only_its_own_path(fresh_interpreter):
+    from repro.backend import available_backends
+
+    if not available_backends()["cffi"]:
+        pytest.skip("no C toolchain on this host")
+    # The cache the child reads is warm now (library and FFI module).
+    reply = fresh_interpreter(_ONE_PATCH_STEP)
+    assert (reply["backend"], reply["steps"]) == ("cffi", 1)
+    loaded = set(reply["loaded"])
+    assert loaded.isdisjoint(_OFF_THE_RUN_PATH), sorted(
+        loaded.intersection(_OFF_THE_RUN_PATH)
+    )
+    ics = {m for m in loaded if m.startswith("repro.ics.")}
+    assert ics <= {"repro.ics.square_patch", "repro.ics.lattice"}, sorted(ics)
+
+
 _SERVE_EACH_ISOLATION = """
 import json, sys, tempfile
 import repro.api

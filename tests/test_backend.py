@@ -102,6 +102,50 @@ def test_generated_c_unit_compiles_warning_clean(backend_name, tmp_path):
 
 
 @compiled_backend
+def test_library_and_ffi_module_share_one_key_over_source_and_declarations(
+    backend_name, monkeypatch,
+):
+    """The cached .so and its pre-parsed FFI module sit side by side under
+    one key, and that key moves with the declarations as with the source."""
+    import os
+
+    from repro.backend import cffi_backend as cb
+
+    select_backend(backend_name)
+    compiler = cb._compiler_identity(cb._compiler())
+    key = cb._cache_key(compiler)
+    cache_dir = cb._cache_dir()
+    assert os.path.exists(os.path.join(cache_dir, f"rp_ops_{key}.so"))
+    assert os.path.exists(os.path.join(cache_dir, f"rp_ops_{key}_ffi.py"))
+    for name in ("CDEF", "SOURCE"):
+        monkeypatch.setattr(cb, name, getattr(cb, name) + "\n")
+        assert cb._cache_key(compiler) != key
+        monkeypatch.undo()
+
+
+@compiled_backend
+@pytest.mark.parametrize("cut_at", [0.5, "ffi = ", "CC_VERSION"])
+def test_a_torn_ffi_module_is_rebuilt_not_imported(backend_name, cut_at, tmp_path):
+    """A module cut short by a crash mid-write is parsed again and
+    replaced; the rebuilt one declares every entry point and records the
+    compiler's version line."""
+    from repro.backend import cffi_backend as cb
+
+    cc, key = cb._compiler(), "0123456789abcdef"
+    path = tmp_path / f"rp_ops_{key}_ffi.py"
+    whole = cb._load_ffi(cc, str(tmp_path), key)
+    text = path.read_text()
+    end = int(len(text) * cut_at) if isinstance(cut_at, float) else text.index(cut_at)
+    path.write_text(text[:end])
+    assert cb._read_ffi(str(path)) is None
+    rebuilt = cb._load_ffi(cc, str(tmp_path), key)
+    assert path.read_text() == text
+    for ffi, version in (whole, rebuilt):
+        assert ffi.sizeof("rp_rows") == 24
+        assert version == cb._compiler_version(cc)
+
+
+@compiled_backend
 def test_row_loops_are_vectorised(backend_name, tmp_path):
     """The canary: every loop over the pairs of a row (``RP_EACH`` — row
     geometry, row shape, the count sweep, the force-row stages, ...), the
@@ -451,6 +495,7 @@ def test_row_kernels_stay_inside_their_scratch(phase_state, backend_name, monkey
     compute_forces(p, nlist, kernel, box, backend=b, rows=(0, p.n), omega=omega,
                    viscosity=ViscosityParams(use_balsara=True),
                    balsara_f=balsara_switch(div, curl, p.cs, p.h))
+    nlist.within(p.x, kernel.support * p.h, box, ops)
     assert {op for op, _ in blocks} == set(SCRATCH_ROWS)
     for op, sentinel in blocks:
         assert np.all(sentinel == 12345.0), op

@@ -148,3 +148,38 @@ def test_compiled_within_refuses_a_list_that_is_not_symmetric(rng):
     )
     with pytest.raises(ValueError, match="symmetric"):
         broken.within(x, radii, box, ops)
+
+
+@pytest.mark.parametrize("compiled", [False, True])
+@pytest.mark.parametrize("periodic", [False, True])
+def test_rows_searched_again_merge_into_the_search_at_the_grown_radii(
+    compiled, periodic, rng
+):
+    """A symmetric walk of some rows only, at radii grown for those rows,
+    merged into the walk at the old radii, holds exactly the pairs of a
+    walk of every row at the grown radii, each once — by index alone."""
+    from repro.backend import select_backend
+    from repro.tree.octree import Octree
+
+    ops = select_backend("auto").ops if compiled else None
+    if compiled and ops is None:
+        pytest.skip("no C toolchain on this host")
+    n = 600
+    x = rng.random((n, 3))
+    box = Box.cube(0.0, 1.0, dim=3, periodic=periodic)
+    tree = Octree.build(x, box, leaf_size=16)
+    radii = rng.uniform(0.05, 0.12, n)
+    rows = rng.random(n) < 0.25
+    grown = np.where(rows, 1.4 * radii, radii)
+    first = tree.walk_neighbors(x, radii, mode="symmetric", ops=ops, sort_rows=False)
+    again = tree.walk_neighbors(
+        x, grown, mode="symmetric", ops=ops, sort_rows=False, rows=rows
+    )
+    full = tree.walk_neighbors(x, grown, mode="symmetric")
+    assert np.all(again.counts()[~rows] == 0)
+    assert np.array_equal(again.counts()[rows], full.counts()[rows])
+    merged = first.merged(again, rows, ops)
+    assert np.array_equal(merged.counts(), full.counts())  # no pair twice
+    cut = merged.within(x, grown, box, ops)
+    assert np.array_equal(cut.offsets, full.offsets)
+    assert np.array_equal(cut.indices, full.indices)

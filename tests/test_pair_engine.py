@@ -600,7 +600,7 @@ def test_compiled_ops_per_cache_hit_step(config_kw, phase_ops, rp_calls):
     cold = sim.report().neighbor_cache
     counts = collections.Counter(name for name, _ in rp_calls)
     assert cold["builds"] == cold["searches"] == 1
-    assert counts["rp_walk"] == 2  # count pass + fill pass of one search
+    assert counts["rp_walk"] == 1  # one search, one traversal
     assert counts["rp_pairs_within"] == 1
     # Two adaptations; the build's ends with an emission-only op.
     assert cold["adaptations"] == 2

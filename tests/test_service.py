@@ -146,6 +146,63 @@ def test_spec_rejects_malformed_exec_knobs_before_enqueue():
     assert tiny_spec(workers=2).exec_config().workers == 2
 
 
+@pytest.mark.parametrize(
+    "scenario, overrides, match",
+    [
+        ("sod", {"n_target": "x"}, "n_target must be int"),
+        ("sod", {"n_target": 60.0}, "n_target must be int"),
+        ("sod", {"n_target": True}, "n_target must be int"),
+        ("sod", {"p_l": "1.0"}, "p_l must be float"),
+        ("sod", {"p_l": None}, "p_l must be float"),
+        ("square-patch", {"pressure_init": 3}, "pressure_init must be str"),
+        ("wind-cloud", {"cloud_center": [0.5, 0.5]}, "cloud_center"),
+        ("wind-cloud", {"cloud_center": "middle"}, "cloud_center"),
+        ("sod", {"bogus_knob": 1}, "unknown sod override"),
+    ],
+)
+def test_overrides_are_typed_when_the_spec_is_built(scenario, overrides, match):
+    """Each override names a field of the scenario's IC config and has its
+    type, checked at construction — before any hash — from a dict too."""
+    with pytest.raises(SpecError, match=match):
+        JobSpec.from_dict({"scenario": scenario, "overrides": overrides})
+
+
+def test_override_check_converts_nothing():
+    """A float field takes an integer as it comes, and every valid spec
+    keeps the payload (so the hash) it had before the check."""
+    spec = JobSpec.from_dict({
+        "scenario": "wind-cloud",
+        "overrides": {"p0": 2, "cloud_center": [0.5, 0.5, 0.5], "nx": 8},
+    })
+    assert spec.overrides == {"p0": 2, "cloud_center": [0.5, 0.5, 0.5], "nx": 8}
+    payload = spec.canonical(code_version="pinned")["overrides"]
+    assert payload == {"cloud_center": [0.5, 0.5, 0.5], "nx": 8, "p0": 2}
+    assert JobSpec("sod", overrides={"n_target": 60, "p_l": 1.0})
+
+
+def test_socket_submit_of_a_mistyped_override_gets_a_bad_spec_reply(tmp_path):
+    import threading
+
+    from repro.service.server import ServiceServer, client_request
+
+    sock = str(tmp_path / "svc.sock")
+    server = ServiceServer(sock, ServiceConfig(isolation="inline")).start()
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        reply = client_request(sock, {
+            "op": "submit",
+            "spec": {"scenario": "sod", "overrides": {"n_target": "x"}},
+        })
+        assert reply["ok"] is False
+        assert reply["error"].startswith("bad spec: sod override n_target")
+        assert client_request(sock, {"op": "stats"})["stats"]["submitted"] == 0
+    finally:
+        server.shutdown()
+        thread.join(timeout=10)
+        server.close()
+
+
 # --- ResultStore ----------------------------------------------------------
 
 
@@ -286,11 +343,13 @@ def test_malformed_spec_raises_before_any_bookkeeping():
     manager = ServiceManager(ServiceConfig(isolation="inline"))
     for bad in (
         JobSpec(scenario="nosuch"),
-        JobSpec(scenario="sod", overrides={"bogus_knob": 1}),
         JobSpec(scenario="sod", chaos="not-a-chaos-spec"),
     ):
         with pytest.raises(SpecError):
             manager.submit(bad)
+    # An unknown override never even becomes a spec.
+    with pytest.raises(SpecError, match="bogus_knob"):
+        manager.submit(JobSpec(scenario="sod", overrides={"bogus_knob": 1}))
     assert manager.stats["submitted"] == 0
     assert manager.jobs == {}
     manager.close()
