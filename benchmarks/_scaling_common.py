@@ -14,7 +14,7 @@ from typing import Dict, Sequence
 import numpy as np
 
 from repro.observability.ledger import fingerprint_id, host_fingerprint
-from repro.runtime.scaling import ScalingSeries
+from repro.model.scaling import ScalingSeries
 
 
 def host_stamp() -> Dict[str, object]:

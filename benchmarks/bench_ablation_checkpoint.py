@@ -10,8 +10,8 @@ single-level one when fast checkpoints cover most failures.
 import numpy as np
 
 from repro.io.reporting import format_table
-from repro.resilience.failures import simulate_checkpointing
-from repro.resilience.interval import (
+from repro.model.failures import simulate_checkpointing
+from repro.model.interval import (
     TwoLevelConfig,
     daly_interval,
     two_level_intervals,

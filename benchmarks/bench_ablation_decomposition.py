@@ -8,27 +8,29 @@ halos; slabs pay an O(N^(2/3)) surface; block-index is catastrophic.
 """
 
 from repro.core.presets import SPH_EXA
-from repro.domain.decomposition import decompose
-from repro.domain.halo import estimate_halo
 from repro.io.reporting import format_table
-from repro.runtime.cluster import ClusterModel
-from repro.runtime.machine import PIZ_DAINT
+from repro.model.cluster import ClusterModel
+from repro.model.codes import CODES
+from repro.model.decomposition import DECOMPOSITION_METHODS, decompose
+from repro.model.halo import estimate_halo
+from repro.model.machine import PIZ_DAINT
 
-METHODS = ("uniform-slabs", "orb", "sfc-morton", "sfc-hilbert", "block-index")
 RANKS = 64
 
 
 def _sweep(workload):
     rows = []
     halo_means = {}
-    for method in METHODS:
+    for method in DECOMPOSITION_METHODS:
         d = decompose(method, workload.x, RANKS, workload.box)
         h = estimate_halo(workload.x, workload.support, workload.box, d)
         halo = float(h.recv_totals().mean())
         halo_means[method] = halo
-        preset = SPH_EXA.with_(domain_decomposition=method, load_balancing="static")
-        model = ClusterModel(workload, preset, PIZ_DAINT,
-                             RANKS * 12, kappa=1e-8)
+        code = CODES[SPH_EXA.label].with_(
+            domain_decomposition=method, load_balancing="static"
+        )
+        model = ClusterModel(workload, SPH_EXA, PIZ_DAINT,
+                             RANKS * 12, kappa=1e-8, code=code)
         t = model.simulate_step().step_time
         rows.append([
             method, f"{d.imbalance():.3f}", f"{halo:,.0f}",

@@ -1,11 +1,10 @@
 """Ablation — dynamic load balancing (Table 4: "DLB with self-scheduling").
 
-Three comparisons on an Evrard-shaped skewed work distribution:
+Two comparisons on an Evrard-shaped skewed work distribution:
 
 1. self-scheduling schemes (static/SS/CSS/GSS/FAC2/AWF) with dispatch
    overhead — the classic trade the paper's refs [3, 16, 27] study;
-2. work stealing vs no stealing;
-3. static vs dynamic (work-weighted) domain decomposition in the cluster
+2. static vs dynamic (work-weighted) domain decomposition in the cluster
    model — the cross-rank analogue.
 """
 
@@ -13,10 +12,10 @@ import numpy as np
 
 from repro.core.presets import SPHYNX
 from repro.io.reporting import format_table
-from repro.runtime.cluster import ClusterModel
-from repro.runtime.machine import PIZ_DAINT
-from repro.scheduling.selfsched import SCHEMES, simulate_self_scheduling
-from repro.scheduling.work_stealing import simulate_work_stealing
+from repro.model.cluster import ClusterModel
+from repro.model.codes import CODES
+from repro.model.machine import PIZ_DAINT
+from repro.model.selfsched import SCHEMES, simulate_self_scheduling
 
 
 def _skewed_tasks(n=4096):
@@ -54,37 +53,17 @@ def test_ablation_self_scheduling(benchmark, report):
     assert results["fac2"].load_balance > 0.95
 
 
-def test_ablation_work_stealing(benchmark, report):
-    tasks = _skewed_tasks(2000)
-    # Pathological initial partition: all work on one worker.
-    queues_bad = [list(tasks[: 2000 // 2])] + [[] for _ in range(7)]
-    stolen = benchmark.pedantic(
-        lambda: simulate_work_stealing(
-            [list(q) for q in queues_bad], steal_latency=0.01
-        ),
-        rounds=1, iterations=1,
-    )
-    no_steal_makespan = sum(tasks[: 1000])
-    lines = [
-        "Ablation: work stealing on a pathological initial partition",
-        f"  no stealing makespan : {no_steal_makespan:10.1f}",
-        f"  with stealing        : {stolen.makespan:10.1f}",
-        f"  steals               : {stolen.n_steals}",
-        f"  load balance         : {stolen.load_balance:.3f}",
-    ]
-    report("ablation_work_stealing", "\n".join(lines))
-    assert stolen.makespan < 0.3 * no_steal_makespan
-
-
 def test_ablation_static_vs_dynamic_decomposition(benchmark, report, evrard_workload):
     """Cross-rank DLB: work-weighted cuts vs count cuts on Evrard."""
     def sweep():
         rows = []
         times = {}
         for lb in ("static", "dynamic"):
-            preset = SPHYNX.with_(load_balancing=lb,
-                                  domain_decomposition="sfc-hilbert")
-            model = ClusterModel(evrard_workload, preset, PIZ_DAINT, 384, kappa=1e-8)
+            code = CODES[SPHYNX.label].with_(
+                load_balancing=lb, domain_decomposition="sfc-hilbert"
+            )
+            model = ClusterModel(evrard_workload, SPHYNX, PIZ_DAINT, 384,
+                                 kappa=1e-8, code=code)
             bd = model.simulate_step()
             imb = float(bd.compute_time.max() / bd.compute_time.mean())
             times[lb] = bd.step_time

@@ -11,8 +11,8 @@ import numpy as np
 
 from repro.core.presets import CHANGA
 from repro.io.reporting import format_table
-from repro.runtime.cluster import ClusterModel
-from repro.runtime.machine import PIZ_DAINT
+from repro.model.cluster import ClusterModel
+from repro.model.machine import PIZ_DAINT
 from repro.timestepping.steppers import RungSchedule
 
 
@@ -52,7 +52,7 @@ def test_ablation_timestepping(benchmark, report, evrard_workload):
     # ...while creating strongly uneven substeps.
     assert min(counts) < 0.5 * max(counts)
     # The square patch, by contrast, degenerates to a single rung.
-    from repro.runtime.workloads import build_workload
+    from repro.model.workloads import build_workload
 
     sq = build_workload("square", 50_000)
     m_sq = ClusterModel(sq, CHANGA, PIZ_DAINT, 192, kappa=1e-8)

@@ -8,10 +8,10 @@ The benchmark target is one modeled cluster step at the largest scale.
 """
 
 from repro.core.presets import SPHYNX
-from repro.runtime.calibration import calibrate_kappa
-from repro.runtime.cluster import ClusterModel
-from repro.runtime.machine import MARENOSTRUM4, PIZ_DAINT
-from repro.runtime.scaling import strong_scaling
+from repro.model.calibration import calibrate_kappa
+from repro.model.cluster import ClusterModel
+from repro.model.machine import MARENOSTRUM4, PIZ_DAINT
+from repro.model.scaling import strong_scaling
 
 from _scaling_common import assert_paper_shape, series_report
 

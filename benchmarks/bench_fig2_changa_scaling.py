@@ -8,10 +8,10 @@ individual-time-step rungs both saving work and capping scalability.
 """
 
 from repro.core.presets import CHANGA
-from repro.runtime.calibration import calibrate_kappa
-from repro.runtime.cluster import ClusterModel
-from repro.runtime.machine import PIZ_DAINT
-from repro.runtime.scaling import strong_scaling
+from repro.model.calibration import calibrate_kappa
+from repro.model.cluster import ClusterModel
+from repro.model.machine import PIZ_DAINT
+from repro.model.scaling import strong_scaling
 
 from _scaling_common import assert_paper_shape, series_report
 

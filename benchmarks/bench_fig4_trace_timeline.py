@@ -14,9 +14,9 @@ from collections import defaultdict
 
 from repro.core.presets import SPHYNX
 from repro.observability import State, Tracer, render_timeline
-from repro.runtime.calibration import calibrate_kappa
-from repro.runtime.cluster import ClusterModel
-from repro.runtime.machine import PIZ_DAINT
+from repro.model.calibration import calibrate_kappa
+from repro.model.cluster import ClusterModel
+from repro.model.machine import PIZ_DAINT
 
 CORES = 192  # the paper's trace scale: 16 ranks x 12 threads
 

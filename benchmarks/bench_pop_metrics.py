@@ -12,9 +12,9 @@ the measured-run bench below applies to a real threaded execution.
 from repro.core.presets import SPHYNX
 from repro.io.reporting import format_table
 from repro.observability import Tracer, pop_from_events
-from repro.runtime.calibration import calibrate_kappa
-from repro.runtime.cluster import ClusterModel
-from repro.runtime.machine import PIZ_DAINT
+from repro.model.calibration import calibrate_kappa
+from repro.model.cluster import ClusterModel
+from repro.model.machine import PIZ_DAINT
 
 CORES = (12, 24, 48, 96, 192, 384)
 

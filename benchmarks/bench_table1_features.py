@@ -9,7 +9,7 @@ row (kernel + gradients + volume elements) on a small particle set.
 
 import numpy as np
 
-from repro.core.feature_tables import table1_physics_features
+from repro.model.feature_tables import table1_physics_features
 from repro.core.presets import CHANGA, SPHFLOW, SPHYNX
 from repro.gradients.iad import compute_iad_matrices
 from repro.kernels import make_kernel

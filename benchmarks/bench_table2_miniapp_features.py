@@ -8,7 +8,7 @@ hexadecapole gravity.  The benchmark target runs the full option sweep.
 
 import numpy as np
 
-from repro.core.feature_tables import table2_miniapp_features
+from repro.model.feature_tables import table2_miniapp_features
 from repro.core.particles import ParticleSystem
 from repro.gravity import barnes_hut_gravity
 from repro.kernels import make_kernel

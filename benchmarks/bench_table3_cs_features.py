@@ -8,17 +8,18 @@ The benchmark target times one decomposition round for all three codes.
 
 import numpy as np
 
-from repro.core.feature_tables import table3_cs_features
 from repro.core.presets import CHANGA, SPHFLOW, SPHYNX
-from repro.domain.decomposition import decompose
-from repro.scheduling.overlap import local_inner_outer
+from repro.model.codes import CODES
+from repro.model.decomposition import decompose
+from repro.model.feature_tables import table3_cs_features
+from repro.model.overlap import local_inner_outer
 from repro.tree.box import Box
 
 
 def _decompose_all(x, box):
     out = {}
     for preset in (SPHYNX, CHANGA, SPHFLOW):
-        d = decompose(preset.domain_decomposition, x, 16, box)
+        d = decompose(CODES[preset.label].domain_decomposition, x, 16, box)
         out[preset.label] = d.imbalance()
     return out
 

@@ -9,14 +9,14 @@ detect-inject loop.
 
 import numpy as np
 
-from repro.core.feature_tables import table4_miniapp_cs_features
-from repro.domain.decomposition import decompose
-from repro.resilience.chaos import NumericalFault
-from repro.resilience.interval import TwoLevelConfig, two_level_intervals, young_interval
-from repro.resilience.sdc import RangeDetector
-from repro.scheduling.selfsched import SCHEMES, simulate_self_scheduling
-from repro.tree.box import Box
 from repro.core.particles import ParticleSystem
+from repro.model.decomposition import decompose
+from repro.model.feature_tables import table4_miniapp_cs_features
+from repro.model.interval import TwoLevelConfig, two_level_intervals, young_interval
+from repro.model.selfsched import SCHEMES, simulate_self_scheduling
+from repro.resilience.chaos import NumericalFault
+from repro.resilience.sdc import RangeDetector
+from repro.tree.box import Box
 
 
 def _sdc_campaign(n_trials: int = 40) -> tuple[float, float]:

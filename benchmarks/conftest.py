@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.runtime.workloads import build_workload
+from repro.model.workloads import build_workload
 
 RESULTS_DIR = Path(__file__).parent / "results"
 

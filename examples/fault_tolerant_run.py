@@ -20,13 +20,13 @@ import numpy as np
 
 from repro import SPHFLOW, Simulation, SquarePatchConfig, make_square_patch
 from repro.core.config import RunConfig
+from repro.model.interval import young_interval
 from repro.resilience import (
     Checkpoint,
     GuardConfig,
     NumericalFault,
     read_checkpoint,
     write_checkpoint,
-    young_interval,
 )
 from repro.timestepping import TimestepParams
 

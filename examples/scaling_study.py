@@ -13,13 +13,9 @@ e.g.: python examples/scaling_study.py sphynx evrard 1000000
 import sys
 
 from repro.core.presets import get_preset
-from repro.runtime import (
-    MARENOSTRUM4,
-    PIZ_DAINT,
-    build_workload,
-    format_scaling_table,
-    strong_scaling,
-)
+from repro.model.machine import MARENOSTRUM4, PIZ_DAINT
+from repro.model.scaling import format_scaling_table, strong_scaling
+from repro.model.workloads import build_workload
 
 
 def main() -> None:

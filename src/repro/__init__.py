@@ -4,10 +4,10 @@ A Python reproduction of "Towards a Mini-App for Smoothed Particle
 Hydrodynamics at Exascale" (Guerrera et al., CLUSTER 2018): the SPH-EXA
 mini-app specified by Tables 2 and 4, the three parent-code presets
 (SPHYNX, ChaNGa, SPH-flow), the two validation test cases (rotating
-square patch, Evrard collapse), and the substrates the evaluation needs —
-a simulated cluster with machine models of Piz Daint and MareNostrum 4,
-domain decomposition, dynamic load balancing, fault tolerance and
-Extrae-like tracing with POP metrics.
+square patch, Evrard collapse), fault tolerance and Extrae-like tracing
+with POP metrics.  The simulated cluster that redraws the evaluation
+(Piz Daint, MareNostrum 4, decomposition, load balancing) is
+:mod:`repro.model`, which no run imports.
 
 The public surface is :mod:`repro.api` — specs in, handles out::
 
@@ -33,7 +33,7 @@ owning submodule.
 
 from ._lazy import lazy_exports
 
-__version__ = "20.0.0"
+__version__ = "21.0.0"
 
 #: The supported import surface: the service entry points, the driver loop,
 #: the presets and the scenario registry.  The helper families that

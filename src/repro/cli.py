@@ -43,12 +43,14 @@ _ALIASES = {"squarepatch": "square-patch"}
 # ---------------------------------------------------------------------------
 
 
-def _add_spec_arguments(parser: argparse.ArgumentParser) -> None:
+def _add_spec_arguments(
+    parser: argparse.ArgumentParser, presets: tuple
+) -> None:
     """The request-defining flags, identical for ``run`` and ``submit``."""
     parser.add_argument("case", metavar="scenario",
                         help="a registry name (see: python -m repro scenarios)")
-    parser.add_argument("--preset", default="sph-exa",
-                        help="sphynx | changa | sph-flow | sph-exa")
+    parser.add_argument("--preset", default="sph-exa", type=str.lower,
+                        choices=presets)
     parser.add_argument("--side", type=int, default=None,
                         help="square-patch only: particles per side")
     parser.add_argument("--layers", type=int, default=None,
@@ -404,20 +406,29 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
     return 0
 
 
+def _core_counts(text: str) -> tuple:
+    """``--cores``: comma-separated positive integers."""
+    try:
+        cores = tuple(int(c) for c in text.split(","))
+    except ValueError:
+        cores = ()
+    if not cores or min(cores) < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected positive integers such as 12,48, got {text!r}"
+        )
+    return cores
+
+
 def _cmd_scaling(args: argparse.Namespace) -> int:
     from .core.presets import get_preset
-    from .runtime import (
-        MACHINES,
-        build_workload,
-        format_scaling_table,
-        strong_scaling,
-    )
+    from .model.machine import MACHINES
+    from .model.scaling import format_scaling_table, strong_scaling
+    from .model.workloads import build_workload
 
     preset = get_preset(args.code)
     workload = build_workload(args.test, args.n)
     machine = MACHINES[args.machine]
-    cores = tuple(int(c) for c in args.cores.split(","))
-    series = strong_scaling(preset, args.test, machine, cores,
+    series = strong_scaling(preset, args.test, machine, args.cores,
                             workload=workload, n_steps=args.steps)
     print(format_scaling_table([series]))
     for p in series.points:
@@ -426,7 +437,7 @@ def _cmd_scaling(args: argparse.Namespace) -> int:
 
 
 def _cmd_tables(args: argparse.Namespace) -> int:
-    from .core.feature_tables import (
+    from .model.feature_tables import (
         table1_physics_features,
         table2_miniapp_features,
         table3_cs_features,
@@ -501,6 +512,9 @@ def _cmd_ledger(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .core.presets import PRESETS
+
+    presets = tuple(PRESETS)
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="SPH-EXA mini-app reproduction (CLUSTER 2018)",
@@ -508,7 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run a scenario from the registry")
-    _add_spec_arguments(run)
+    _add_spec_arguments(run, presets)
     run.add_argument("--json", action="store_true",
                      help="print a machine-readable run summary alone on "
                           "stdout (the log moves to stderr)")
@@ -546,7 +560,7 @@ def build_parser() -> argparse.ArgumentParser:
     submit = sub.add_parser(
         "submit", help="submit a run to a repro serve instance"
     )
-    _add_spec_arguments(submit)
+    _add_spec_arguments(submit, presets)
     submit.add_argument("--socket", required=True, metavar="PATH",
                         help="the server's UNIX socket path")
     submit.add_argument("--tenant", default="cli",
@@ -578,13 +592,15 @@ def build_parser() -> argparse.ArgumentParser:
     scen.set_defaults(func=_cmd_scenarios)
 
     scal = sub.add_parser("scaling", help="strong-scaling sweep (modeled)")
-    scal.add_argument("--code", default="sph-flow")
+    scal.add_argument("--code", default="sph-flow", type=str.lower,
+                      choices=presets)
     scal.add_argument("--test", default="square", choices=("square", "evrard"))
     scal.add_argument("--machine", default="piz-daint",
                       choices=("piz-daint", "marenostrum4"))
     scal.add_argument("--n", type=int, default=200_000)
     scal.add_argument("--steps", type=int, default=5)
-    scal.add_argument("--cores", default="12,24,48,96,192,384")
+    scal.add_argument("--cores", default="12,24,48,96,192,384",
+                      type=_core_counts)
     scal.set_defaults(func=_cmd_scaling)
 
     tables = sub.add_parser("tables", help="print the Table 1-4 matrices")

@@ -2,7 +2,7 @@
 
 This package is the paper's primary contribution — the SPH-EXA mini-app
 skeleton: a structure-of-arrays particle set, the feature-axis
-configuration of Tables 1-4, the parent-code presets, the phase-labelled
+configuration of Tables 1-2, the parent-code presets, the phase-labelled
 simulation loop of Algorithm 1 and the conservation ledger.
 """
 

@@ -1,12 +1,12 @@
-"""Simulation configuration: the Table 1-4 feature axes as switches.
+"""Simulation configuration: the Table 1-2 feature axes as switches.
 
 A :class:`SimulationConfig` selects one value per scientific axis of
 Tables 1-2 (kernel, gradients, volume elements, time stepping, neighbour
-discovery, self-gravity) and per computer-science axis of Tables 3-4
-(domain decomposition, load balancing, checkpoint/restart, precision,
-language/parallelization metadata).  The presets in
-:mod:`repro.core.presets` instantiate the three parent codes' rows and the
-mini-app outlook row.
+discovery, self-gravity).  The presets in :mod:`repro.core.presets`
+instantiate the three parent codes' rows and the mini-app outlook row;
+the computer-science axes of Tables 3-4 (domain decomposition, load
+balancing, language, ...) drive no run and live in the cluster model's
+code rows (:mod:`repro.model.codes`).
 """
 
 from __future__ import annotations
@@ -31,8 +31,6 @@ __all__ = [
     "VOLUME_ELEMENT_CHOICES",
     "TIMESTEPPING_CHOICES",
     "GRAVITY_CHOICES",
-    "DECOMPOSITION_CHOICES",
-    "LOAD_BALANCING_CHOICES",
     "SimulationConfig",
     "ExecConfig",
     "RunConfig",
@@ -53,30 +51,16 @@ VOLUME_ELEMENT_CHOICES = ("standard", "generalized")
 TIMESTEPPING_CHOICES = tuple(STEPPERS)
 #: None disables gravity; names map to multipole ranks (Table 1 wording).
 GRAVITY_CHOICES = (None, "monopole", "quadrupole", "octupole", "hexadecapole")
-DECOMPOSITION_CHOICES = (
-    "uniform-slabs",  # SPHYNX "Straightforward"
-    "orb",  # SPH-flow "Orthogonal Recursive Bisection"
-    "sfc-morton",  # ChaNGa "Space Filling Curve"
-    "sfc-hilbert",
-    "block-index",  # no spatial locality at all (worst-case baseline)
-)
-LOAD_BALANCING_CHOICES = (
-    "static",  # SPHYNX "None (static)"
-    "dynamic",  # ChaNGa "Dynamic" (self-scheduling)
-    "local-inner-outer",  # SPH-flow
-)
 
 _GRAVITY_ORDER = {"monopole": 0, "quadrupole": 2, "octupole": 3, "hexadecapole": 4}
 
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """One column of Tables 1-4, expressed as runnable switches.
+    """One column of Tables 1-2, expressed as runnable switches.
 
-    Scientific axes (Tables 1-2) affect the numerics; computer-science
-    axes (Tables 3-4) affect the simulated-cluster execution and the
-    feature reports.  ``label`` and the metadata fields identify the
-    configuration in benchmark output.
+    ``label`` identifies the configuration in benchmark output, and keys
+    its code row in the cluster model.
     """
 
     label: str = "sph-exa"
@@ -93,15 +77,6 @@ class SimulationConfig:
     grad_h: bool = False
     viscosity: ViscosityParams = field(default_factory=ViscosityParams)
     timestep_params: TimestepParams = field(default_factory=TimestepParams)
-    # --- computer-science axes (Tables 3-4) ---
-    domain_decomposition: str = "sfc-hilbert"
-    load_balancing: str = "dynamic"
-    checkpoint_restart: bool = True
-    precision: str = "64-bit"
-    # informational metadata for the feature tables
-    language: str = "Python (reproduction)"
-    parallelization: str = "simulated MPI+X"
-    reported_loc: Optional[int] = None
 
     def __post_init__(self) -> None:
         checks = [
@@ -110,12 +85,6 @@ class SimulationConfig:
             ("volume_elements", self.volume_elements, VOLUME_ELEMENT_CHOICES),
             ("timestepping", self.timestepping, TIMESTEPPING_CHOICES),
             ("gravity", self.gravity, GRAVITY_CHOICES),
-            (
-                "domain_decomposition",
-                self.domain_decomposition,
-                DECOMPOSITION_CHOICES,
-            ),
-            ("load_balancing", self.load_balancing, LOAD_BALANCING_CHOICES),
         ]
         for name, value, choices in checks:
             if value not in choices:

@@ -1,15 +1,17 @@
-"""Parent-code presets: Tables 1 and 3 as runnable configurations.
+"""Parent-code presets: Tables 1 and 2 as runnable configurations.
 
 Each preset drives the shared SPH engine with one parent code's algorithm
 choices, so the benchmark harness can compare "SPHYNX vs ChaNGa vs
 SPH-flow" on identical tests the way the paper does.  The SPH_EXA preset
-is the Table 2/4 outlook column — the mini-app defaults.
+is the Table 2 outlook column — the mini-app defaults.  Each code's Table
+3/4 row (decomposition, load balancing, language, ...) is in
+:mod:`repro.model.codes`, keyed by the preset's ``label``.
 
-| Code     | Kernel    | Gradients | Volumes     | Stepping   | Gravity           | Decomp         | LB                |
-|----------|-----------|-----------|-------------|------------|-------------------|----------------|-------------------|
-| SPHYNX   | sinc      | IAD       | generalized | global     | 4-pole (quad)     | straightforward| none (static)     |
-| ChaNGa   | Wendland/M4| kernel der| standard    | individual | 16-pole (hexadec) | SFC            | dynamic           |
-| SPH-flow | Wendland  | kernel der| standard    | adaptive   | none              | ORB            | local-inner-outer |
+| Code     | Kernel    | Gradients | Volumes     | Stepping   | Gravity           |
+|----------|-----------|-----------|-------------|------------|-------------------|
+| SPHYNX   | sinc      | IAD       | generalized | global     | 4-pole (quad)     |
+| ChaNGa   | Wendland/M4| kernel der| standard    | individual | 16-pole (hexadec) |
+| SPH-flow | Wendland  | kernel der| standard    | adaptive   | none              |
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from .config import SimulationConfig
 
 __all__ = ["SPHYNX", "CHANGA", "SPHFLOW", "SPH_EXA", "PRESETS", "get_preset"]
 
-#: SPHYNX 1.3.1 (Table 1 / Table 3 row 1).
+#: SPHYNX 1.3.1 (Table 1 row 1).
 SPHYNX = SimulationConfig(
     label="SPHYNX",
     kernel="sinc-s5",
@@ -28,16 +30,9 @@ SPHYNX = SimulationConfig(
     volume_elements="generalized",
     timestepping="global",
     gravity="quadrupole",  # "Multipoles (4-pole)"
-    domain_decomposition="uniform-slabs",  # "Straightforward"
-    load_balancing="static",  # "None (static)"
-    checkpoint_restart=True,
-    precision="64-bit",
-    language="Fortran 90",
-    parallelization="MPI+OpenMP",
-    reported_loc=25_000,
 )
 
-#: ChaNGa 3.3 (Table 1 / Table 3 row 2).
+#: ChaNGa 3.3 (Table 1 row 2).
 CHANGA = SimulationConfig(
     label="ChaNGa",
     kernel="wendland-c2",  # "Wendland, M4 spline"
@@ -45,16 +40,9 @@ CHANGA = SimulationConfig(
     volume_elements="standard",
     timestepping="individual",
     gravity="hexadecapole",  # "Multipoles (16-pole)"
-    domain_decomposition="sfc-morton",  # "Space Filling Curve"
-    load_balancing="dynamic",
-    checkpoint_restart=True,
-    precision="64-bit",
-    language="C++",
-    parallelization="MPI+OpenMP+CUDA",
-    reported_loc=110_000,
 )
 
-#: SPH-flow 17.6 (Table 1 / Table 3 row 3).
+#: SPH-flow 17.6 (Table 1 row 3).
 SPHFLOW = SimulationConfig(
     label="SPH-flow",
     kernel="wendland-c2",
@@ -62,16 +50,9 @@ SPHFLOW = SimulationConfig(
     volume_elements="standard",
     timestepping="adaptive",
     gravity=None,  # "No" self-gravity
-    domain_decomposition="orb",  # "Orthogonal Recursive Bisection"
-    load_balancing="local-inner-outer",
-    checkpoint_restart=True,
-    precision="64-bit",
-    language="Fortran 90",
-    parallelization="MPI",
-    reported_loc=37_000,
 )
 
-#: The SPH-EXA mini-app outlook (Tables 2 and 4) — defaults for new work.
+#: The SPH-EXA mini-app outlook (Table 2) — defaults for new work.
 SPH_EXA = SimulationConfig(
     label="SPH-EXA",
     kernel="sinc-s5",
@@ -79,12 +60,6 @@ SPH_EXA = SimulationConfig(
     volume_elements="generalized",
     timestepping="global",
     gravity="hexadecapole",  # Table 2: "Multipoles (16-pole)"
-    domain_decomposition="sfc-hilbert",  # Table 4: ORB or SFC
-    load_balancing="dynamic",  # "DLB with self-scheduling"
-    checkpoint_restart=True,  # "Optimal interval / Multilevel"
-    precision="64-bit",
-    language="C++ (target) / Python (this reproduction)",
-    parallelization="MPI + {OpenMP, HPX} + {OpenACC, CUDA} (target)",
 )
 
 PRESETS: Dict[str, SimulationConfig] = {

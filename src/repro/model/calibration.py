@@ -30,6 +30,7 @@ from typing import Dict, Tuple
 
 from ..core.config import SimulationConfig
 from .cluster import ClusterModel
+from .codes import code_row
 from .machine import PIZ_DAINT, MachineSpec
 from .workloads import Workload
 
@@ -46,7 +47,7 @@ PAPER_ANCHORS_12CORES: Dict[Tuple[str, str], float] = {
     ("SPH-EXA", "evrard"): 22.0,
 }
 
-_CACHE: Dict[Tuple[str, str, int], float] = {}
+_CACHE: Dict[tuple, float] = {}
 
 
 def calibrate_kappa(
@@ -59,18 +60,19 @@ def calibrate_kappa(
 
     Runs the model once with kappa = 1 at the anchor scale; the anchor
     time divided by the resulting model time is kappa.  Cached per
-    (code, test, n) because the 12-core plan (decomposition + halo of the
-    full particle set) is the expensive part.
+    (preset, code row, test, n, anchor) because the 12-core plan
+    (decomposition + halo of the full particle set) is the expensive part.
     """
-    key = (preset.label, workload.name, workload.n)
-    if key in _CACHE:
-        return _CACHE[key]
     anchor = PAPER_ANCHORS_12CORES.get((preset.label, workload.name))
     if anchor is None:
         raise ValueError(
             f"no paper anchor for ({preset.label!r}, {workload.name!r}); "
             f"known: {sorted(PAPER_ANCHORS_12CORES)}"
         )
+    code = code_row(preset.label)
+    key = (preset, code, workload.name, workload.n, anchor_machine, anchor_cores)
+    if key in _CACHE:
+        return _CACHE[key]
     # Step time is affine in kappa: T(kappa) = kappa * W + C, where C is
     # the (kappa-independent) communication time.  Two probe runs solve it
     # exactly, so the anchor is matched to machine precision.
@@ -81,6 +83,7 @@ def calibrate_kappa(
             machine=anchor_machine,
             n_cores=anchor_cores,
             kappa=kappa,
+            code=code,
         )
         return model.average_step_time(n_steps=1)
 

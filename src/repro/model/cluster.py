@@ -1,19 +1,20 @@
 """The simulated cluster: strong-scaling execution model (Figures 1-3).
 
-Given a test-case :class:`~repro.runtime.workloads.Workload` (the real
-10^6-particle geometry), a parent-code preset, a machine model and a core
-count, :class:`ClusterModel`:
+Given a test-case :class:`~repro.model.workloads.Workload` (the real
+10^6-particle geometry), a parent-code preset and its code row
+(:mod:`repro.model.codes`), a machine model and a core count,
+:class:`ClusterModel`:
 
-1. chooses the rank/thread layout (hybrid codes: one rank per node,
-   ``cores_per_node`` threads; pure-MPI SPH-flow: one rank per core);
-2. decomposes the *actual particle positions* with the preset's method —
-   work-weighted if the preset load-balances dynamically;
+1. chooses the rank/thread layout (hybrid codes: one rank per 12-core
+   NUMA domain; pure-MPI SPH-flow: one rank per core);
+2. decomposes the *actual particle positions* with the row's method —
+   work-weighted if the code load-balances dynamically;
 3. estimates the halo matrix from the decomposition;
 4. charges per-rank, per-phase compute (pair-equivalents x kappa), with
-   per-preset serial thread fractions (SPHYNX 1.3.1's serial tree build
+   per-code serial thread fractions (SPHYNX 1.3.1's serial tree build
    is what creates the idle regions of Figure 4), thread-scheduling
    imbalance by load-balancing scheme, individual-time-step rungs for
-   ChaNGa, and communication through :class:`~repro.runtime.comm.SimComm`;
+   ChaNGa, and communication through :class:`~repro.model.comm.SimComm`;
 5. produces the average time per time-step and an Extrae-like trace.
 
 The absolute scale comes from one calibration constant per (code, test)
@@ -31,11 +32,12 @@ from typing import Dict, Optional
 import numpy as np
 
 from ..core.config import SimulationConfig
-from ..domain.decomposition import Decomposition, decompose
-from ..domain.halo import estimate_halo
 from ..observability.tracer import State, Tracer
+from .codes import THREAD_IMBALANCE, CodeRow, code_row
 from .comm import SimComm
 from .cost_model import PhaseWeights, particle_work_units
+from .decomposition import Decomposition, decompose
+from .halo import estimate_halo
 from .machine import MachineSpec
 from .workloads import Workload
 
@@ -56,36 +58,8 @@ EXCHANGES_PER_STEP = 3.0
 #: there are not enough particles/core (typically 10^4)" (Section 5.2).
 HALO_WORK_FACTOR = 0.6
 
-#: Serial thread fractions per phase, per preset (Amdahl within a rank).
-#: SPHYNX 1.3.1: the paper's trace analysis found the tree build serial
-#: ("the importance of parallelizing the tree building (phase A)") and
-#: idle regions in B, D and J.
-_SERIAL_FRACTIONS: Dict[str, Dict[str, float]] = {
-    "SPHYNX": {"A": 1.0, "B": 0.25, "D": 0.35, "J": 0.70},
-    "ChaNGa": {"A": 0.10, "J": 0.10},
-    "SPH-flow": {},
-    "SPH-EXA": {"A": 0.05},
-}
+#: Serial thread fraction of a phase the code's row does not name.
 _DEFAULT_SERIAL = 0.03
-
-#: Thread-scheduling imbalance multiplier on the parallel part.
-_THREAD_IMBALANCE = {"static": 1.10, "dynamic": 1.02, "local-inner-outer": 1.0}
-
-#: Fraction of the global step work that is *replicated on every rank*
-#: rather than partitioned: global-tree top levels, per-step domain
-#: decomposition (ChaNGa re-sorts the SFC and rebuilds its Charm++ object
-#: map every big step), runtime bookkeeping that parallelizes over
-#: threads but not over ranks.  This is the non-scaling floor that makes
-#: strong scaling stall; values chosen to reproduce the plateau heights
-#: of Figures 2-3 (ChaNGa's square-patch curve flattens near 1/8 of its
-#: single-node time; SPH-flow near 1/11; SPHYNX's floor is dominated by
-#: halo work instead).
-_REPLICATED_FRACTION = {
-    "SPHYNX": 0.012,
-    "ChaNGa": 0.10,
-    "SPH-flow": 0.008,
-    "SPH-EXA": 0.004,
-}
 
 #: Deepest individual-time-step rung the model resolves.
 _MAX_RUNG = 4
@@ -118,12 +92,15 @@ class ClusterModel:
     weights: PhaseWeights = field(default_factory=PhaseWeights)
     kappa: float = 1.0e-9  # seconds per pair-equivalent (calibrated)
     tracer: Optional[Tracer] = None
+    #: The code's row; ``None`` looks it up by ``preset.label``.
+    code: Optional[CodeRow] = None
 
     def __post_init__(self) -> None:
         if self.n_cores < 1:
             raise ValueError("n_cores must be >= 1")
-        hybrid = "OpenMP" in self.preset.parallelization or "HPX" in self.preset.parallelization
-        if hybrid:
+        if self.code is None:
+            self.code = code_row(self.preset.label)
+        if self.code.hybrid:
             # One rank per NUMA domain (12 cores): standard MPI+OpenMP
             # placement, and what keeps the MareNostrum (48-core nodes)
             # curves of Fig. 1 close to Piz Daint at equal core counts.
@@ -140,6 +117,7 @@ class ClusterModel:
     def _plan(self) -> None:
         w = self.workload
         p = self.preset
+        code = self.code
         use_gravity = p.gravity is not None and w.has_gravity_source
         self.gravity_order = p.gravity_order if use_gravity else None
         units = particle_work_units(
@@ -157,9 +135,9 @@ class ClusterModel:
         total_units = sum(units.values())
 
         # Decomposition: dynamic load balancing cuts by measured work.
-        dyn = p.load_balancing == "dynamic"
+        dyn = code.load_balancing == "dynamic"
         self.decomposition: Decomposition = decompose(
-            p.domain_decomposition,
+            code.domain_decomposition,
             w.x,
             self.n_ranks,
             w.box,
@@ -206,10 +184,9 @@ class ClusterModel:
         )
         self.ghost_units = halo_counts * per_ghost  # (R,), split A/B below
 
-        self.serial_frac = dict(_SERIAL_FRACTIONS.get(p.label, {}))
-        self.thread_imb = _THREAD_IMBALANCE[p.load_balancing]
-        frac = _REPLICATED_FRACTION.get(p.label, 0.01)
-        self.replicated_units = frac * float(total_units.sum())
+        self.serial_frac = code.serial_fractions
+        self.thread_imb = THREAD_IMBALANCE[code.load_balancing]
+        self.replicated_units = code.replicated_fraction * float(total_units.sum())
 
     # ------------------------------------------------------------------
     def _phase_seconds(self, units_r: np.ndarray, phase: str) -> np.ndarray:

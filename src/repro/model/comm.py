@@ -6,8 +6,7 @@ clocks, which feed the Extrae-like tracer.  The API is bulk-synchronous —
 the caller invokes each operation for all ranks at once, mirroring how the
 distributed SPH step is written — and follows the mpi4py buffer
 convention (numpy arrays in, numpy arrays out).  The cluster model
-(:mod:`repro.runtime.cluster`) and the communication skeleton
-(:mod:`repro.runtime.skeleton`) drive it.
+(:mod:`repro.model.cluster`) drives it.
 """
 
 from __future__ import annotations
@@ -48,7 +47,6 @@ class SimComm:
         if self.size < 1:
             raise ValueError(f"size must be >= 1, got {self.size}")
         self.clocks = np.zeros(self.size)
-        self._stats = {"p2p_messages": 0, "p2p_bytes": 0.0, "collectives": 0}
 
     # ------------------------------------------------------------------
     def compute(self, rank: int, seconds: float, phase: str = "") -> None:
@@ -90,7 +88,6 @@ class SimComm:
             self.idle_until(r, enter, phase)
             self.tracer.record(r, phase, State.MPI, release - enter, start=enter)
         self.clocks[:] = release
-        self._stats["collectives"] += 1
         return result
 
     def exchange_bytes(
@@ -119,16 +116,4 @@ class SimComm:
             if t[r] > 0:
                 self.tracer.record(r, phase, State.MPI, t[r], start=self.clocks[r])
         self.clocks += t
-        self._stats["p2p_messages"] += int(in_msgs.sum())
-        self._stats["p2p_bytes"] += float(in_bytes.sum())
         return t
-
-    # ------------------------------------------------------------------
-    @property
-    def stats(self) -> Dict[str, float]:
-        """Message/byte counters accumulated so far."""
-        return dict(self._stats)
-
-    def elapsed(self) -> float:
-        """Wall time of the slowest rank."""
-        return float(self.clocks.max())

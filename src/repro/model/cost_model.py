@@ -3,7 +3,7 @@
 All compute is accounted in *pair-interaction equivalents* — the cost of
 one SPH particle-pair update — and converted to seconds with a single
 per-(code, test) constant kappa calibrated at the smallest measured scale
-(see :mod:`repro.runtime.calibration`).  The relative phase weights below
+(see :mod:`repro.model.calibration`).  The relative phase weights below
 are order-of-magnitude ratios of the kernels' arithmetic; the scaling
 *shape* of Figures 1-3 is insensitive to their exact values because it is
 driven by how per-rank work, halos and collectives scale with core count.

@@ -27,11 +27,11 @@ from ..tree.morton import hilbert_keys, morton_keys
 __all__ = ["Decomposition", "decompose", "DECOMPOSITION_METHODS"]
 
 DECOMPOSITION_METHODS = (
-    "uniform-slabs",
-    "orb",
-    "sfc-morton",
+    "uniform-slabs",  # SPHYNX "Straightforward"
+    "orb",  # SPH-flow "Orthogonal Recursive Bisection"
+    "sfc-morton",  # ChaNGa "Space Filling Curve"
     "sfc-hilbert",
-    "block-index",
+    "block-index",  # no spatial locality at all (worst-case baseline)
 )
 
 

@@ -1,7 +1,7 @@
 """Renderers for the paper's feature matrices (Tables 1-4).
 
-These are not static strings: each row is generated from the preset
-configurations and — where a feature names an algorithm — the renderer
+These are not static strings: each row is generated from the presets and
+the code rows of :mod:`repro.model.codes`, and — where a feature names an algorithm — the renderer
 *instantiates* it through the public API, so the table doubles as an
 executable claim that the feature exists in this codebase.  The
 ``bench_table*`` benchmarks print these and assert the expected entries.
@@ -11,10 +11,11 @@ from __future__ import annotations
 
 from typing import List
 
+from ..core.config import SimulationConfig
+from ..core.presets import CHANGA, SPH_EXA, SPHFLOW, SPHYNX
 from ..io.reporting import format_table
 from ..kernels.registry import make_kernel
-from .config import SimulationConfig
-from .presets import CHANGA, SPH_EXA, SPHFLOW, SPHYNX
+from .codes import CODES
 
 __all__ = [
     "table1_physics_features",
@@ -107,16 +108,17 @@ def table3_cs_features() -> str:
     """Table 3: computer-science features of the parent codes."""
     rows: List[List[str]] = []
     for cfg in _PARENTS:
+        code = CODES[cfg.label]
         rows.append(
             [
                 cfg.label,
-                _DECOMP_LABEL[cfg.domain_decomposition],
-                _LB_LABEL[cfg.load_balancing],
-                "Yes" if cfg.checkpoint_restart else "No",
-                cfg.precision,
-                cfg.language,
-                cfg.parallelization,
-                f"{cfg.reported_loc:,}" if cfg.reported_loc else "-",
+                _DECOMP_LABEL[code.domain_decomposition],
+                _LB_LABEL[code.load_balancing],
+                "Yes" if code.checkpoint_restart else "No",
+                code.precision,
+                code.language,
+                code.parallelization,
+                f"{code.reported_loc:,}" if code.reported_loc else "-",
             ]
         )
     return format_table(
@@ -129,6 +131,7 @@ def table3_cs_features() -> str:
 
 def table4_miniapp_cs_features() -> str:
     """Table 4: the mini-app's computer-science outlook."""
+    code = CODES[SPH_EXA.label]
     rows = [
         [
             SPH_EXA.label,
@@ -136,9 +139,9 @@ def table4_miniapp_cs_features() -> str:
             "DLB with self-scheduling per X, Y, Z level",
             "Optimal interval, Multilevel",
             "Silent data corruption detectors",
-            SPH_EXA.precision,
-            SPH_EXA.language,
-            SPH_EXA.parallelization,
+            code.precision,
+            code.language,
+            code.parallelization,
         ]
     ]
     return format_table(

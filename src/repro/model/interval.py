@@ -7,7 +7,7 @@ combined with slow (parallel-file-system) checkpoints against failures
 the fast level cannot cover.
 
 All functions express time in arbitrary consistent units.  The companion
-failure-injection simulator (:mod:`repro.resilience.failures`) is what
+failure-injection simulator (:mod:`repro.model.failures`) is what
 the tests validate these closed forms against.
 """
 

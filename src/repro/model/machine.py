@@ -9,7 +9,7 @@
 
 The numbers below are public figures for these interconnects/CPUs; the
 per-code absolute time scale is calibrated separately (see
-:mod:`repro.runtime.calibration`), so only the *ratios* — cores per node,
+:mod:`repro.model.calibration`), so only the *ratios* — cores per node,
 latency vs bandwidth, relative core speed — shape the simulated curves,
 which is exactly the information the paper's figures encode.
 """

@@ -44,10 +44,6 @@ class ScalingPoint:
     particles_per_core: float
     pop: PopMetrics
 
-    @property
-    def speedup_base(self) -> float:
-        return self.cores * self.time_per_step  # used for relative speedup
-
 
 @dataclass(frozen=True)
 class ScalingSeries:

@@ -1,10 +1,10 @@
 """Fault-tolerance substrate (Tables 3-4, Section 4).
 
-Checkpoint/restart with integrity sums, modelled single- and two-level
-checkpoint intervals (Young/Daly and the Di et al. style decomposition),
-fail-stop failure injection for the interval simulator,
-silent-data-corruption detectors (checksum / range) for the step guard's
-health check.
+Checkpoint/restart with integrity sums and silent-data-corruption
+detectors (checksum / range) for the step guard's health check.  The
+modelled checkpoint intervals and the fail-stop simulator they are
+checked against are part of the cluster model
+(:mod:`repro.model.interval`, :mod:`repro.model.failures`).
 
 Driver integration: :class:`ResilienceConfig` + :class:`CheckpointManager`
 write atomic rolling checkpoints every ``checkpoint_every`` steps of the
@@ -38,14 +38,6 @@ from .guard import (
     StepGuard,
     UnrecoverableStepError,
 )
-from .failures import FailStopInjector, simulate_checkpointing
-from .interval import (
-    TwoLevelConfig,
-    daly_interval,
-    expected_waste,
-    two_level_intervals,
-    young_interval,
-)
 from .sdc import ChecksumDetector, RangeDetector
 
 __all__ = [
@@ -67,13 +59,6 @@ __all__ = [
     "PostMortem",
     "StepGuard",
     "UnrecoverableStepError",
-    "young_interval",
-    "daly_interval",
-    "expected_waste",
-    "TwoLevelConfig",
-    "two_level_intervals",
-    "FailStopInjector",
-    "simulate_checkpointing",
     "ChecksumDetector",
     "RangeDetector",
 ]

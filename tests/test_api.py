@@ -90,10 +90,15 @@ print(json.dumps({"import": loaded_by_import, "run": sorted(sys.modules),
 """
 
 
+def _is_model(module: str) -> bool:
+    return module.split(".")[:2] == ["repro", "model"]
+
+
 def test_run_path_never_loads_scipy(fresh_interpreter):
     """``import repro.api`` and one step of every registered scenario (numpy,
     and cffi where it builds) leave scipy — a dependency of the analytic
-    gates only — and the test/plot toolchain out of the process."""
+    gates only —, the test/plot toolchain and the cluster model
+    (``repro.model``) out of the process."""
     reply = fresh_interpreter(_RUN_EVERY_SCENARIO)
     assert len({name for name, _, _ in reply["ran"]}) == 8
     assert all(steps == 1 for _, _, steps in reply["ran"])
@@ -101,6 +106,7 @@ def test_run_path_never_loads_scipy(fresh_interpreter):
         heavy = [
             m for m in reply[stage]
             if m.split(".")[0] in ("scipy", "hypothesis", "matplotlib")
+            or _is_model(m)
         ]
         assert heavy == [], f"after {stage}: {heavy[:5]}"
 
@@ -155,16 +161,20 @@ for isolation in ("inline", "process"):
     )) as svc:
         handle = svc.submit(JobSpec("sod", n_steps=2, overrides={"n_target": 60}))
         served.append([isolation, handle.result(timeout=300).steps,
-                       [e.type for e in handle.events()][-1]])
+                       [e.type for e in handle.events()][-1],
+                       [m for m in sys.modules if m.startswith("repro.model")]])
 print(json.dumps({"served": served, "asyncio": "asyncio" in sys.modules}))
 """
 
 
 def test_service_runs_without_an_event_loop(fresh_interpreter):
     """A job through ``LocalService`` under either isolation, start to
-    close, never imports asyncio: slot threads are the one model."""
+    close (``warm()`` included), never imports asyncio — slot threads are
+    the one model — nor the cluster model."""
     reply = fresh_interpreter(_SERVE_EACH_ISOLATION)
-    assert reply["served"] == [["inline", 2, "done"], ["process", 2, "done"]]
+    assert reply["served"] == [
+        ["inline", 2, "done", []], ["process", 2, "done", []]
+    ]
     assert reply["asyncio"] is False
 
 
@@ -205,9 +215,10 @@ def test_removed_surface_fails_closed():
     Verlet cache's on/off and skin knobs, (13.0.0) the slices-per-
     thread knob, the driver's rank and tracer inputs, the metrics
     registry and the Amdahl fit, (14.0.0) ``compute_forces``' own
-    sub-passes, (15.0.0) ``Simulation.configure`` and (19.0.0) the
+    sub-passes, (15.0.0) ``Simulation.configure``, (19.0.0) the
     second resume path, five checkpoint knobs and the second bit-flip
-    injector are gone: old
+    injector, and (21.0.0) the model packages beside the mini-app and
+    the run config's Table 3/4 fields are gone: old
     spellings are typed errors
     at the boundary, never a silent default."""
     import importlib
@@ -402,4 +413,19 @@ def test_removed_surface_fails_closed():
         from repro.resilience import inject_bitflip  # noqa: F401
     with pytest.raises(ImportError):
         from repro.resilience.failures import SdcInjector  # noqa: F401
+    # 21.0.0: the cluster model is the one package ``repro.model``, and
+    # ``SimulationConfig`` keeps the 13 fields a run reads.
+    for module in (
+        "repro.runtime", "repro.scheduling", "repro.domain",
+        "repro.core.feature_tables",
+    ):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(module)
+    for removed in (
+        "domain_decomposition", "load_balancing", "checkpoint_restart",
+        "precision", "language", "parallelization", "reported_loc",
+    ):
+        with pytest.raises(TypeError):
+            SimulationConfig(**{removed: None})
+    assert len(dataclasses.fields(SimulationConfig)) == 13
 

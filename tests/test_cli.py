@@ -42,6 +42,21 @@ def test_unknown_command_rejected():
         main(["frobnicate"])
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "sod", "--preset", "nosuch"],
+    ["scaling", "--code", "nosuch"],
+    ["scaling", "--cores", "12,x"],
+    ["scaling", "--cores", "0"],
+])
+def test_bad_preset_or_core_count_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].startswith(f"python -m repro {argv[0]}: error:")
+
+
 # --- scenario registry surface ------------------------------------------
 
 

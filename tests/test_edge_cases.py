@@ -138,7 +138,7 @@ def test_extreme_mass_ratio_density(small_lattice):
 )
 @settings(max_examples=30, deadline=None)
 def test_decomposition_partition_property(seed, n_ranks, method):
-    from repro.domain.decomposition import decompose
+    from repro.model.decomposition import decompose
 
     rng = np.random.default_rng(seed)
     n = max(n_ranks, 50)
@@ -159,8 +159,8 @@ def test_decomposition_partition_property(seed, n_ranks, method):
 @given(seed=st.integers(0, 2**31 - 1))
 @settings(max_examples=15, deadline=None)
 def test_halo_never_negative_property(seed):
-    from repro.domain.decomposition import decompose
-    from repro.domain.halo import estimate_halo
+    from repro.model.decomposition import decompose
+    from repro.model.halo import estimate_halo
 
     rng = np.random.default_rng(seed)
     x = rng.random((400, 3))

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.domain.decomposition import decompose
-from repro.domain.halo import estimate_halo
+from repro.model.decomposition import decompose
+from repro.model.halo import estimate_halo
 from repro.tree.box import Box
 from repro.tree.cellgrid import cell_grid_search
 

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from repro.core.conservation import measure_conservation, relative_drift
-from repro.core.feature_tables import (
+from repro.io.reporting import format_table
+from repro.io.snapshot import load_snapshot, save_snapshot
+from repro.model.feature_tables import (
     table1_physics_features,
     table2_miniapp_features,
     table3_cs_features,
     table4_miniapp_cs_features,
 )
-from repro.io.reporting import format_table
-from repro.io.snapshot import load_snapshot, save_snapshot
 
 
 def test_snapshot_roundtrip(tmp_path, random_cloud):

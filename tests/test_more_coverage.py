@@ -90,10 +90,10 @@ def test_xmass_exponent_changes_generalized_density(small_lattice):
 # ----------------------------------------------------------------------
 def test_format_scaling_table_multiple_series():
     from repro.core.presets import SPHFLOW, SPHYNX
-    from repro.runtime.machine import PIZ_DAINT
-    from repro.runtime.scaling import strong_scaling
-    from repro.runtime.workloads import build_workload
-    from repro.runtime.scaling import format_scaling_table
+    from repro.model.machine import PIZ_DAINT
+    from repro.model.scaling import strong_scaling
+    from repro.model.workloads import build_workload
+    from repro.model.scaling import format_scaling_table
 
     wl = build_workload("square", 30_000)
     a = strong_scaling(SPHFLOW, "square", PIZ_DAINT, (12, 48), workload=wl, n_steps=1)
@@ -112,8 +112,8 @@ def test_format_scaling_table_multiple_series():
 # SimComm guards and timeline windows
 # ----------------------------------------------------------------------
 def test_simcomm_validation():
-    from repro.runtime.comm import SimComm
-    from repro.runtime.machine import PIZ_DAINT
+    from repro.model.comm import SimComm
+    from repro.model.machine import PIZ_DAINT
 
     comm = SimComm(2, PIZ_DAINT.network)
     with pytest.raises(ValueError, match="expected 2 values"):
@@ -151,9 +151,9 @@ def test_individual_stepper_handles_infinite_criteria():
 def test_cluster_multi_step_trace_accumulates():
     from repro.core.presets import SPHFLOW
     from repro.observability import Tracer
-    from repro.runtime.cluster import ClusterModel
-    from repro.runtime.machine import PIZ_DAINT
-    from repro.runtime.workloads import build_workload
+    from repro.model.cluster import ClusterModel
+    from repro.model.machine import PIZ_DAINT
+    from repro.model.workloads import build_workload
 
     wl = build_workload("square", 30_000)
     tracer = Tracer()

@@ -260,11 +260,11 @@ def test_pop_from_events_agrees_with_cluster_metrics():
     """On the simulated cluster's rank-level traces, the one POP function
     is the paper's per-rank definition."""
     from repro.core.presets import CHANGA, SPHFLOW, SPHYNX
-    from repro.runtime.calibration import PAPER_ANCHORS_12CORES
-    from repro.runtime.cluster import ClusterModel
-    from repro.runtime.machine import MARENOSTRUM4, PIZ_DAINT
-    from repro.runtime.scaling import PAPER_CORE_COUNTS
-    from repro.runtime.workloads import build_workload
+    from repro.model.calibration import PAPER_ANCHORS_12CORES
+    from repro.model.cluster import ClusterModel
+    from repro.model.machine import MARENOSTRUM4, PIZ_DAINT
+    from repro.model.scaling import PAPER_CORE_COUNTS
+    from repro.model.workloads import build_workload
 
     cases = 0
     for preset in (SPHYNX, CHANGA, SPHFLOW):

@@ -14,8 +14,8 @@ from repro.resilience.checkpoint import (
     write_checkpoint,
 )
 from repro.resilience.chaos import NumericalFault
-from repro.resilience.failures import FailStopInjector, simulate_checkpointing
-from repro.resilience.interval import (
+from repro.model.failures import FailStopInjector, simulate_checkpointing
+from repro.model.interval import (
     TwoLevelConfig,
     daly_interval,
     expected_waste,

@@ -1,21 +1,22 @@
-"""Simulated cluster runtime: machines, comm layer, cost model, cluster."""
+"""The cluster model: machines, comm layer, cost model, code rows, cluster."""
 
 import numpy as np
 import pytest
 
 from repro.core.presets import CHANGA, SPHFLOW, SPHYNX
-from repro.observability import State, Tracer
-from repro.runtime.calibration import PAPER_ANCHORS_12CORES, calibrate_kappa
-from repro.runtime.cluster import ClusterModel
-from repro.runtime.comm import SimComm
-from repro.runtime.cost_model import (
+from repro.model.calibration import PAPER_ANCHORS_12CORES, calibrate_kappa
+from repro.model.cluster import ClusterModel
+from repro.model.codes import CODES
+from repro.model.comm import SimComm
+from repro.model.cost_model import (
     GRAVITY_ORDER_MULT,
     PhaseWeights,
     particle_work_units,
 )
-from repro.runtime.machine import MARENOSTRUM4, PIZ_DAINT, NetworkSpec
-from repro.runtime.scaling import format_scaling_table, strong_scaling
-from repro.runtime.workloads import build_workload
+from repro.model.machine import MARENOSTRUM4, PIZ_DAINT, NetworkSpec
+from repro.model.scaling import format_scaling_table, strong_scaling
+from repro.model.workloads import build_workload
+from repro.observability import State, Tracer
 
 
 # ----------------------------------------------------------------------
@@ -169,6 +170,15 @@ def test_rank_layout_hybrid_vs_pure_mpi(small_square):
     assert hy.threads_per_rank == 12 and hy.n_ranks == 4
     mpi = ClusterModel(small_square, SPHFLOW, PIZ_DAINT, 48)
     assert mpi.threads_per_rank == 1 and mpi.n_ranks == 48
+
+
+def test_code_rows_validate_and_an_explicit_row_overrides_the_lookup(small_square):
+    with pytest.raises(ValueError, match="load_balancing"):
+        CODES["SPH-EXA"].with_(load_balancing="magic")
+    with pytest.raises(ValueError, match="no code row"):
+        ClusterModel(small_square, SPHYNX.with_(label="NotACode"), PIZ_DAINT, 48)
+    pure_mpi = CODES["SPHYNX"].with_(hybrid=False)
+    assert ClusterModel(small_square, SPHYNX, PIZ_DAINT, 48, code=pure_mpi).n_ranks == 48
 
 
 def test_step_time_decreases_with_cores(small_square):

@@ -1,17 +1,16 @@
-"""Load balancing: self-scheduling, work stealing, comm overlap."""
+"""Load balancing: self-scheduling, comm overlap."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.scheduling.overlap import local_inner_outer
-from repro.scheduling.selfsched import (
+from repro.model.overlap import local_inner_outer
+from repro.model.selfsched import (
     SCHEMES,
     chunk_sequence,
     simulate_self_scheduling,
 )
-from repro.scheduling.work_stealing import simulate_work_stealing
 
 
 # ----------------------------------------------------------------------
@@ -105,44 +104,6 @@ def test_all_work_executed_property(seed, p, scheme):
     res = simulate_self_scheduling(times, p, scheme)
     assert res.busy.sum() == pytest.approx(times.sum(), rel=1e-9)
     assert res.makespan >= times.sum() / p - 1e-9
-
-
-# ----------------------------------------------------------------------
-# Work stealing
-# ----------------------------------------------------------------------
-def test_stealing_rebalances_skewed_queues():
-    queues = [[1.0] * 100, [], [], []]
-    no_steal_makespan = 100.0
-    res = simulate_work_stealing(queues)
-    assert res.makespan < 0.5 * no_steal_makespan
-    assert res.n_steals > 0
-    assert res.busy.sum() == pytest.approx(100.0)
-
-
-def test_stealing_noop_for_balanced_queues():
-    queues = [[1.0] * 25 for _ in range(4)]
-    res = simulate_work_stealing(queues)
-    assert res.makespan == pytest.approx(25.0)
-    assert res.load_balance == pytest.approx(1.0)
-
-
-def test_steal_latency_costs_time():
-    queues = [[1.0] * 100, [], [], []]
-    fast = simulate_work_stealing(queues, steal_latency=0.0)
-    slow = simulate_work_stealing(queues, steal_latency=5.0)
-    assert slow.makespan >= fast.makespan
-
-
-def test_stealing_conserves_work(rng):
-    queues = [list(rng.uniform(0.1, 1.0, rng.integers(0, 50))) for _ in range(6)]
-    total = sum(sum(q) for q in queues)
-    res = simulate_work_stealing(queues, rng=rng)
-    assert res.busy.sum() == pytest.approx(total)
-
-
-def test_stealing_requires_workers():
-    with pytest.raises(ValueError, match="worker"):
-        simulate_work_stealing([])
 
 
 # ----------------------------------------------------------------------

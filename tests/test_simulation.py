@@ -179,8 +179,6 @@ def test_config_rejects_unknown_choices():
         SimulationConfig(gradients="bogus")
     with pytest.raises(ValueError, match="gravity"):
         SimulationConfig(gravity="pentapole")
-    with pytest.raises(ValueError, match="load_balancing"):
-        SimulationConfig(load_balancing="magic")
     with pytest.raises(ValueError, match="theta"):
         SimulationConfig(gravity_theta=0.0)
 
